@@ -22,6 +22,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"carbonshift/internal/tenant"
 	"carbonshift/internal/trace"
@@ -50,6 +51,11 @@ type Job struct {
 	Migratable bool
 }
 
+// maxHour bounds every hour a job can name: Validate refuses a job
+// whose Arrival, Length, Slack or deadline exceeds it, so hour arithmetic
+// never overflows and the sharded fleet can keep hours in 32 bits.
+const maxHour = math.MaxInt32
+
 // Deadline returns the completion deadline (exclusive hour).
 func (j Job) Deadline() int { return j.Arrival + j.Length + j.Slack }
 
@@ -60,6 +66,10 @@ func (j Job) Validate() error {
 	}
 	if j.Arrival < 0 || j.Slack < 0 {
 		return fmt.Errorf("sched: job %d negative arrival or slack", j.ID)
+	}
+	if j.Arrival > maxHour || j.Length > maxHour || j.Slack > maxHour ||
+		int64(j.Arrival)+int64(j.Length)+int64(j.Slack) > maxHour {
+		return fmt.Errorf("sched: job %d deadline past hour %d", j.ID, maxHour)
 	}
 	if j.Origin == "" {
 		return fmt.Errorf("sched: job %d has no origin", j.ID)

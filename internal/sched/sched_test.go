@@ -13,7 +13,7 @@ var t0 = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // mkSet builds a two-region world: CLEAN is flat and green, DIRTY has a
 // strong diurnal cycle (cheap hours 0-11, expensive 12-23 of each day).
-func mkSet(t *testing.T, hours int) *trace.Set {
+func mkSet(t testing.TB, hours int) *trace.Set {
 	t.Helper()
 	clean := make([]float64, hours)
 	dirty := make([]float64, hours)

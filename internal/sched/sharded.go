@@ -3,8 +3,10 @@ package sched
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -42,7 +44,7 @@ var ErrHorizonExhausted = fmt.Errorf("sched: replay horizon exhausted")
 //
 // Lock hierarchy (always acquired in this order, never the reverse):
 // world mu (RLock for Submit/Lookup/Stats/Snapshot, Lock for Step) →
-// idMu (id registry, submission order) → shard.mu (one shard's lists).
+// idMu (the job store) → shard.mu (one shard's lists).
 type ShardedFleet struct {
 	set     *trace.Set
 	policy  Policy
@@ -71,14 +73,19 @@ type ShardedFleet struct {
 	mu   sync.RWMutex
 	hour int
 
-	// idMu guards the cross-shard id registry and submission order.
-	// arena lives under it too: allocation is already serialized by the
-	// id registry, so a per-shard arena would buy no parallelism — it
-	// would only fragment the blocks.
+	// idMu guards the job store: the id registry, the record blocks and
+	// the tenant table. All three only grow (Unmarshal, which holds the
+	// world lock exclusively, replaces them wholesale), a record is
+	// complete before idMu is released, and Step is the only writer
+	// afterwards — so a reader holding the world read lock may copy the
+	// three headers under idMu (view) and then walk every record below
+	// the count it saw without further locking. submitted is that count,
+	// and the next job's sequence number.
 	idMu      sync.Mutex
-	byID      map[int]*sstate
-	order     []*sstate
-	arena     sstateArena
+	byID      map[int]uint32 // job id -> submission sequence
+	blocks    recBlocks
+	tenants   []string          // interned Job.Tenant values; tenants[0] is ""
+	tenantIdx map[string]uint32 // tenant -> index into tenants
 	submitted atomic.Int64
 
 	// Serial-phase scratch and incrementally-maintained aggregates.
@@ -87,8 +94,8 @@ type ShardedFleet struct {
 	// can never race a Step.
 	free        []int // per-region free slots, written disjointly by shards
 	mergeIdx    []int
-	poolBuf     []*sstate
-	placedBuf   []*sstate
+	poolBuf     []uint32
+	placedBuf   []uint32
 	completed   int
 	missedDone  int     // completed past their deadline
 	overdueOpen int     // unresolved jobs whose deadline has passed
@@ -115,45 +122,52 @@ type ShardedFleet struct {
 	OnPlaceDetail func(hour, jobID int, region, origin, tenantName string)
 }
 
-// sstate is the sharded fleet's per-job bookkeeping. It mirrors state
-// but carries the submission sequence (for deterministic merges), the
-// owning-region index, and a last-run hour instead of a per-step
-// ran-last-hour flag so no reset pass over all jobs is needed.
-type sstate struct {
-	Job
-	seq        int
-	originI    int
-	progress   int
-	region     string
-	regionI    int // current region index, -1 before the first run
-	placed     int // per-Step scratch: region index placed this hour, -1
-	lastRun    int // hour of the most recent run, -1 never
-	done       bool
-	doneAt     int
+// jobRec is everything the sharded fleet keeps per job, in 64
+// pointer-free bytes: hours and counters are 32-bit (Job.Validate bounds
+// every deadline by math.MaxInt32), regions are indices into
+// regionsList, the tenant is an index into the fleet's tenant table, and
+// the booleans are the image's flag bits. Origin and Tenant strings are
+// rebuilt from those tables where a caller needs them. Because a record
+// holds no pointer, the blocks are allocated no-scan: the garbage
+// collector never marks the job store, however many jobs are resident.
+type jobRec struct {
+	id         int
 	emissions  float64
-	waitHours  int
-	migrations int
+	arrival    int32
+	length     int32
+	slack      int32
+	progress   int32
+	lastRun    int32 // hour of the most recent run, -1 never
+	doneAt     int32
+	waitHours  int32
+	migrations int32
+	tenantI    uint32
+	originI    int16
+	regionI    int16 // current region index, -1 before the first run
+	placed     int16 // per-Step scratch: region index placed this hour, -1
+	flags      uint8 // flagInterruptible | flagMigratable | flagDone
 }
 
-// sstateArena hands out sstate records carved from fixed-size blocks,
-// so admitting a million jobs costs ~1000 heap objects instead of a
-// million — GC mark work at BenchmarkScaleFleetStep1M scale scans the
-// blocks, not each job. Records are never freed individually: the
-// fleet retains every job for its lifetime anyway (byID/order), so the
-// arena's only reclamation point is fleet teardown (or Unmarshal,
-// which resets it wholesale). Guarded by idMu.
-type sstateArena struct{ free []sstate }
+func (r *jobRec) deadline() int       { return int(r.arrival) + int(r.length) + int(r.slack) }
+func (r *jobRec) done() bool          { return r.flags&flagDone != 0 }
+func (r *jobRec) interruptible() bool { return r.flags&flagInterruptible != 0 }
+func (r *jobRec) migratable() bool    { return r.flags&flagMigratable != 0 }
 
-const arenaBlock = 1024
+// ranAt reports whether the job's most recent run was the hour before
+// hour, i.e. it is running as of hour.
+func (r *jobRec) ranAt(hour int) bool { return r.lastRun >= 0 && int(r.lastRun) == hour-1 }
 
-func (a *sstateArena) alloc() *sstate {
-	if len(a.free) == 0 {
-		a.free = make([]sstate, arenaBlock)
-	}
-	st := &a.free[0]
-	a.free = a.free[1:]
-	return st
-}
+// recBlocks is the job store: records in fixed-size blocks, addressed by
+// submission sequence. Blocks never move once allocated, so a *jobRec
+// stays valid for the fleet's lifetime and a copy of the directory
+// taken under idMu stays a valid view of every job submitted before it.
+// Records are never freed individually: the fleet retains every job it
+// has seen, so the only reclamation point is Unmarshal or teardown.
+type recBlocks []*[recBlock]jobRec
+
+const recBlock = 1024
+
+func (b recBlocks) at(seq uint32) *jobRec { return &b[seq/recBlock][seq%recBlock] }
 
 // fleetShard owns a disjoint set of regions, the jobs currently (or
 // originally, before first placement) homed there, and the future
@@ -161,13 +175,13 @@ func (a *sstateArena) alloc() *sstate {
 type fleetShard struct {
 	mu      sync.Mutex // serializes Submit insertions into this shard
 	regions []int
-	active  []*sstate         // arrived, uncompleted jobs, seq-sorted
-	pending map[int][]*sstate // arrival hour -> jobs, each seq-sorted
+	active  []uint32         // arrived, uncompleted jobs by sequence, sorted
+	pending map[int][]uint32 // arrival hour -> jobs, each sorted
 
 	// Per-Step scratch, reused across steps.
-	pool      []*sstate // actives minus forced continuations, seq-sorted
-	placedRun []*sstate // jobs that ran this step, seq-sorted
-	movedOut  []*sstate // jobs whose new region belongs to another shard
+	pool      []uint32 // actives minus forced continuations, sorted
+	placedRun []uint32 // jobs that ran this step, sorted
+	movedOut  []uint32 // jobs whose new region belongs to another shard
 }
 
 // NewShardedFleet validates the world and returns an empty sharded
@@ -185,6 +199,9 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("sched: no clusters")
 	}
+	if len(clusters) > math.MaxInt16 {
+		return nil, fmt.Errorf("sched: %d clusters, at most %d", len(clusters), math.MaxInt16)
+	}
 	if shards < 0 {
 		return nil, fmt.Errorf("sched: negative shard count %d", shards)
 	}
@@ -200,9 +217,10 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 		horizon:   horizon,
 		slots:     make(map[string]int, len(clusters)),
 		regionIdx: make(map[string]int, len(clusters)),
-		byID:      make(map[int]*sstate),
+		byID:      make(map[int]uint32),
 		buckets:   make(map[int]int),
 	}
+	f.resetTenants()
 	for _, c := range clusters {
 		if c.Slots < 1 {
 			return nil, fmt.Errorf("sched: cluster %s has %d slots", c.Region, c.Slots)
@@ -224,7 +242,7 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 	f.free = make([]int, len(f.regionsList))
 	f.shards = make([]*fleetShard, shards)
 	for i := range f.shards {
-		f.shards[i] = &fleetShard{pending: make(map[int][]*sstate)}
+		f.shards[i] = &fleetShard{pending: make(map[int][]uint32)}
 	}
 	for i, r := range f.regionsList {
 		f.regionIdx[r] = i
@@ -339,92 +357,168 @@ func (f *ShardedFleet) SubmitNowChecked(check func(hour int) error, jobs ...Job)
 }
 
 // submitRLocked validates and admits a batch. The world read lock must
-// be held: it freezes f.hour and excludes Step.
+// be held: it freezes f.hour and excludes Step. The batch becomes the
+// sequence range [first, first+len(jobs)); ids are registered as they
+// are validated (which is what catches a duplicate inside the batch) and
+// unregistered again if a later job fails, so the call allocates nothing
+// per batch.
 func (f *ShardedFleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 	if stampNow {
 		for i := range jobs {
 			jobs[i].Arrival = f.hour
 		}
 	}
-	states := make([]*sstate, len(jobs))
-
 	f.idMu.Lock()
-	inBatch := make(map[int]struct{}, len(jobs))
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
+	n := f.submitted.Load()
+	if n+int64(len(jobs)) > math.MaxUint32 {
+		f.idMu.Unlock()
+		return 0, fmt.Errorf("sched: %d jobs submitted, at most %d", n, uint32(math.MaxUint32))
+	}
+	first := uint32(n)
+	for i := range jobs {
+		if err := f.admissible(&jobs[i]); err != nil {
+			for _, j := range jobs[:i] {
+				delete(f.byID, j.ID)
+			}
 			f.idMu.Unlock()
 			return 0, err
 		}
-		if _, ok := f.slots[j.Origin]; !ok {
-			f.idMu.Unlock()
-			return 0, fmt.Errorf("sched: job %d origin %q has no cluster", j.ID, j.Origin)
-		}
-		if _, dup := f.byID[j.ID]; dup {
-			f.idMu.Unlock()
-			return 0, fmt.Errorf("sched: duplicate job id %d", j.ID)
-		}
-		if _, dup := inBatch[j.ID]; dup {
-			f.idMu.Unlock()
-			return 0, fmt.Errorf("sched: duplicate job id %d", j.ID)
-		}
-		if j.Arrival < f.hour {
-			f.idMu.Unlock()
-			return 0, fmt.Errorf("sched: job %d arrives at hour %d, before current hour %d", j.ID, j.Arrival, f.hour)
-		}
-		inBatch[j.ID] = struct{}{}
+		f.byID[jobs[i].ID] = first + uint32(i)
 	}
-	// Past this point nothing can fail: register, then insert per shard.
-	for i, j := range jobs {
-		st := f.arena.alloc()
-		*st = sstate{
-			Job:     j,
-			seq:     len(f.order),
-			originI: f.regionIdx[j.Origin],
-			regionI: -1,
-			placed:  -1,
-			lastRun: -1,
-		}
-		states[i] = st
-		f.byID[j.ID] = st
-		f.order = append(f.order, st)
-		f.buckets[j.Deadline()]++
+	// Past this point nothing can fail: write the records, then insert
+	// per shard.
+	for i := range jobs {
+		f.appendRec(first+uint32(i), &jobs[i])
+		f.buckets[jobs[i].Deadline()]++
 	}
 	f.submitted.Add(int64(len(jobs)))
+	blocks := f.blocks
 	f.idMu.Unlock()
 
-	for _, st := range states {
-		sh := f.shards[f.shardOf[st.originI]]
+	for i := range jobs {
+		seq := first + uint32(i)
+		r := blocks.at(seq)
+		sh := f.shards[f.shardOf[r.originI]]
 		sh.mu.Lock()
-		if st.Arrival <= f.hour {
-			sh.active = insertBySeq(sh.active, st)
+		if int(r.arrival) <= f.hour {
+			sh.active = insertBySeq(sh.active, seq)
 		} else {
-			sh.pending[st.Arrival] = insertBySeq(sh.pending[st.Arrival], st)
+			sh.pending[int(r.arrival)] = insertBySeq(sh.pending[int(r.arrival)], seq)
 		}
 		sh.mu.Unlock()
 	}
 	return f.hour, nil
 }
 
-// insertBySeq inserts st into a seq-sorted list. Submissions carry
-// increasing seqs, so this is almost always a plain append; only
-// batches racing into the same shard pay the insertion copy.
-func insertBySeq(list []*sstate, st *sstate) []*sstate {
-	if n := len(list); n == 0 || list[n-1].seq < st.seq {
-		return append(list, st)
+// admissible reports why the fleet cannot take j now. idMu must be held.
+func (f *ShardedFleet) admissible(j *Job) error {
+	if err := j.Validate(); err != nil {
+		return err
 	}
-	i := sort.Search(len(list), func(k int) bool { return list[k].seq > st.seq })
-	list = append(list, nil)
+	if _, ok := f.slots[j.Origin]; !ok {
+		return fmt.Errorf("sched: job %d origin %q has no cluster", j.ID, j.Origin)
+	}
+	if _, dup := f.byID[j.ID]; dup {
+		return fmt.Errorf("sched: duplicate job id %d", j.ID)
+	}
+	if j.Arrival < f.hour {
+		return fmt.Errorf("sched: job %d arrives at hour %d, before current hour %d", j.ID, j.Arrival, f.hour)
+	}
+	return nil
+}
+
+// appendRec writes j's not-yet-run record at seq, the next free
+// sequence number, and returns it. idMu must be held.
+func (f *ShardedFleet) appendRec(seq uint32, j *Job) *jobRec {
+	if seq%recBlock == 0 {
+		f.blocks = append(f.blocks, new([recBlock]jobRec))
+	}
+	r := f.blocks.at(seq)
+	*r = jobRec{
+		id:      j.ID,
+		arrival: int32(j.Arrival),
+		length:  int32(j.Length),
+		slack:   int32(j.Slack),
+		lastRun: -1,
+		tenantI: f.internTenant(j.Tenant),
+		originI: int16(f.regionIdx[j.Origin]),
+		regionI: -1,
+		placed:  -1,
+	}
+	if j.Interruptible {
+		r.flags |= flagInterruptible
+	}
+	if j.Migratable {
+		r.flags |= flagMigratable
+	}
+	return r
+}
+
+// internTenant returns name's index in the tenant table, adding it on
+// first sight. idMu must be held.
+func (f *ShardedFleet) internTenant(name string) uint32 {
+	i, ok := f.tenantIdx[name]
+	if !ok {
+		// Clone: the table outlives the caller's batch, and must not pin
+		// whatever buffer the name was sliced from.
+		name = strings.Clone(name)
+		i = uint32(len(f.tenants))
+		f.tenants = append(f.tenants, name)
+		f.tenantIdx[name] = i
+	}
+	return i
+}
+
+// resetTenants empties the tenant table down to the default tenant,
+// whose index 0 is also a zero record's.
+func (f *ShardedFleet) resetTenants() {
+	f.tenants = []string{""}
+	f.tenantIdx = map[string]uint32{"": 0}
+}
+
+// view returns the job store as of now, for walks that run beside
+// Submit: the block directory, the tenant table, and the number of jobs
+// both cover. The world read lock must be held.
+func (f *ShardedFleet) view() (recBlocks, []string, uint32) {
+	f.idMu.Lock()
+	defer f.idMu.Unlock()
+	return f.blocks, f.tenants, uint32(f.submitted.Load())
+}
+
+// job rebuilds the submitted Job from its record.
+func (f *ShardedFleet) job(r *jobRec, tenants []string) Job {
+	return Job{
+		ID:            r.id,
+		Origin:        f.regionsList[r.originI],
+		Tenant:        tenants[r.tenantI],
+		Arrival:       int(r.arrival),
+		Length:        int(r.length),
+		Slack:         int(r.slack),
+		Interruptible: r.interruptible(),
+		Migratable:    r.migratable(),
+	}
+}
+
+// insertBySeq inserts seq into a sorted list. Submissions carry
+// increasing sequence numbers, so this is almost always a plain append;
+// only batches racing into the same shard pay the insertion copy.
+func insertBySeq(list []uint32, seq uint32) []uint32 {
+	if n := len(list); n == 0 || list[n-1] < seq {
+		return append(list, seq)
+	}
+	i := sort.Search(len(list), func(k int) bool { return list[k] > seq })
+	list = append(list, 0)
 	copy(list[i+1:], list[i:])
-	list[i] = st
+	list[i] = seq
 	return list
 }
 
-// mergeBySeq merges two seq-sorted lists into dst (reset first).
-func mergeBySeq(dst, a, b []*sstate) []*sstate {
+// mergeBySeq merges two sorted lists into dst (reset first).
+func mergeBySeq(dst, a, b []uint32) []uint32 {
 	dst = dst[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		if a[i].seq < b[j].seq {
+		if a[i] < b[j] {
 			dst = append(dst, a[i])
 			i++
 		} else {
@@ -436,28 +530,28 @@ func mergeBySeq(dst, a, b []*sstate) []*sstate {
 	return append(dst, b[j:]...)
 }
 
-// mergeShards k-way-merges one seq-sorted list per shard into buf.
-func (f *ShardedFleet) mergeShards(buf []*sstate, get func(*fleetShard) []*sstate) []*sstate {
+// mergeShards k-way-merges one sorted list per shard into buf.
+func (f *ShardedFleet) mergeShards(buf []uint32, get func(*fleetShard) []uint32) []uint32 {
 	buf = buf[:0]
 	idx := f.mergeIdx
 	for i := range idx {
 		idx[i] = 0
 	}
 	for {
-		best, bestSeq := -1, 0
+		best, bestSeq := -1, uint32(0)
 		for si, sh := range f.shards {
 			l := get(sh)
 			if idx[si] >= len(l) {
 				continue
 			}
-			if s := l[idx[si]].seq; best < 0 || s < bestSeq {
+			if s := l[idx[si]]; best < 0 || s < bestSeq {
 				best, bestSeq = si, s
 			}
 		}
 		if best < 0 {
 			return buf
 		}
-		buf = append(buf, get(f.shards[best])[idx[best]])
+		buf = append(buf, bestSeq)
 		idx[best]++
 	}
 }
@@ -494,13 +588,14 @@ func (f *ShardedFleet) Step() error {
 			f.free[ri] = f.slotsByIdx[ri]
 		}
 		sh.pool = sh.pool[:0]
-		for _, st := range sh.active {
-			st.placed = -1
-			if st.progress > 0 && !st.Interruptible {
-				st.placed = st.regionI
-				f.free[st.regionI]--
+		for _, seq := range sh.active {
+			r := f.blocks.at(seq)
+			r.placed = -1
+			if r.progress > 0 && !r.interruptible() {
+				r.placed = r.regionI
+				f.free[r.regionI]--
 			} else {
-				sh.pool = append(sh.pool, st)
+				sh.pool = append(sh.pool, seq)
 			}
 		}
 		return nil
@@ -511,18 +606,18 @@ func (f *ShardedFleet) Step() error {
 	// region or (if migratable) the first region with space inside its
 	// own contention group. This is where cross-shard slot stealing
 	// happens, so it cannot be parallelized without changing outcomes.
-	pool := f.mergeShards(f.poolBuf, func(sh *fleetShard) []*sstate { return sh.pool })
+	pool := f.mergeShards(f.poolBuf, func(sh *fleetShard) []uint32 { return sh.pool })
 	f.poolBuf = pool
-	for _, st := range pool {
-		remaining := st.Length - st.progress
-		if st.Deadline()-hour > remaining {
+	for _, seq := range pool {
+		r := f.blocks.at(seq)
+		if r.deadline()-hour > int(r.length-r.progress) {
 			continue
 		}
-		ri := st.regionI
+		ri := int(r.regionI)
 		if ri < 0 {
-			ri = st.originI
+			ri = int(r.originI)
 		}
-		if f.free[ri] <= 0 && st.Migratable {
+		if f.free[ri] <= 0 && r.migratable() {
 			for _, j := range f.groupRegions[f.groupOf[ri]] {
 				if f.free[j] > 0 {
 					ri = j
@@ -531,7 +626,7 @@ func (f *ShardedFleet) Step() error {
 			}
 		}
 		if f.free[ri] > 0 {
-			st.placed = ri
+			r.placed = int16(ri)
 			f.free[ri]--
 		}
 	}
@@ -560,48 +655,50 @@ func (f *ShardedFleet) Step() error {
 			},
 			FreeSlots: freeSlots,
 		}
-		for _, st := range pool {
-			if st.placed >= 0 || f.groupOf[st.originI] != gi {
+		for _, seq := range pool {
+			r := f.blocks.at(seq)
+			if r.placed >= 0 || f.groupOf[r.originI] != gi {
 				continue
 			}
 			tick.Eligible = append(tick.Eligible, JobView{
-				ID:              st.ID,
-				Origin:          st.Origin,
-				Tenant:          st.Tenant,
-				Remaining:       st.Length - st.progress,
-				HoursToDeadline: st.Deadline() - hour,
-				Interruptible:   st.Interruptible,
-				Migratable:      st.Migratable,
+				ID:              r.id,
+				Origin:          f.regionsList[r.originI],
+				Tenant:          f.tenants[r.tenantI],
+				Remaining:       int(r.length - r.progress),
+				HoursToDeadline: r.deadline() - hour,
+				Interruptible:   r.interruptible(),
+				Migratable:      r.migratable(),
 			})
 		}
 		tick.Eligible = fairOrder(f.fq, tick.Eligible)
 		// No idMu here: Step holds the exclusive world lock, and every
-		// byID writer first takes the shared world lock.
+		// job-store writer first takes the shared world lock.
 		for _, p := range f.policy.Plan(tick) {
-			st, ok := f.byID[p.JobID]
+			seq, ok := f.byID[p.JobID]
 			if !ok {
 				return fmt.Errorf("sched: policy %s placed unknown job %d", f.policy.Name(), p.JobID)
 			}
-			if st.done || st.Arrival > hour {
+			r := f.blocks.at(seq)
+			if r.done() || int(r.arrival) > hour {
 				return fmt.Errorf("sched: policy %s placed ineligible job %d", f.policy.Name(), p.JobID)
 			}
-			if st.placed >= 0 {
+			if r.placed >= 0 {
 				return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), p.JobID)
 			}
 			ri, ok := f.regionIdx[p.Region]
 			if !ok {
 				return fmt.Errorf("sched: policy %s used unknown region %q", f.policy.Name(), p.Region)
 			}
-			if !st.Migratable && p.Region != st.Origin {
-				return fmt.Errorf("sched: policy %s migrated pinned job %d", f.policy.Name(), st.ID)
+			if !r.migratable() && ri != int(r.originI) {
+				return fmt.Errorf("sched: policy %s migrated pinned job %d", f.policy.Name(), r.id)
 			}
-			if f.groupOf[ri] != gi || f.groupOf[st.originI] != gi {
-				return fmt.Errorf("sched: policy %s placed job %d across region-group boundary into %s", f.policy.Name(), st.ID, p.Region)
+			if f.groupOf[ri] != gi || f.groupOf[r.originI] != gi {
+				return fmt.Errorf("sched: policy %s placed job %d across region-group boundary into %s", f.policy.Name(), r.id, p.Region)
 			}
 			if f.free[ri] <= 0 {
 				return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), p.Region)
 			}
-			st.placed = ri
+			r.placed = int16(ri)
 			f.free[ri]--
 		}
 	}
@@ -616,37 +713,32 @@ func (f *ShardedFleet) Step() error {
 		sh.placedRun = sh.placedRun[:0]
 		sh.movedOut = sh.movedOut[:0]
 		keep := sh.active[:0]
-		for _, st := range sh.active {
-			if st.placed < 0 {
-				st.waitHours++
-				keep = append(keep, st)
+		for _, seq := range sh.active {
+			r := f.blocks.at(seq)
+			if r.placed < 0 {
+				r.waitHours++
+				keep = append(keep, seq)
 				continue
 			}
-			ri := st.placed
-			if st.regionI >= 0 && st.regionI != ri {
-				st.migrations++
+			ri := r.placed
+			if r.regionI >= 0 && r.regionI != ri {
+				r.migrations++
 			}
-			st.regionI = ri
-			st.region = f.regionsList[ri]
-			st.lastRun = hour
-			st.progress++
-			st.emissions += f.traces[ri].At(hour)
-			sh.placedRun = append(sh.placedRun, st)
-			if st.progress == st.Length {
-				st.done = true
-				st.doneAt = hour + 1
+			r.regionI = ri
+			r.lastRun = int32(hour)
+			r.progress++
+			r.emissions += f.traces[ri].At(hour)
+			sh.placedRun = append(sh.placedRun, seq)
+			if r.progress == r.length {
+				r.flags |= flagDone
+				r.doneAt = int32(hour + 1)
 				continue
 			}
 			if f.shardOf[ri] != si {
-				sh.movedOut = append(sh.movedOut, st)
+				sh.movedOut = append(sh.movedOut, seq)
 				continue
 			}
-			keep = append(keep, st)
-		}
-		// Clear the compacted tail so dropped pointers do not pin the
-		// whole backing array's view of them as live list entries.
-		for i := len(keep); i < len(sh.active); i++ {
-			sh.active[i] = nil
+			keep = append(keep, seq)
 		}
 		sh.active = keep
 		return nil
@@ -655,24 +747,26 @@ func (f *ShardedFleet) Step() error {
 	// Serial epilogue: fire the recorder and fold the aggregates in
 	// submission order, complete the deadline bookkeeping, and hand
 	// migrated jobs to their new owning shards.
-	placed := f.mergeShards(f.placedBuf, func(sh *fleetShard) []*sstate { return sh.placedRun })
+	placed := f.mergeShards(f.placedBuf, func(sh *fleetShard) []uint32 { return sh.placedRun })
 	f.placedBuf = placed
 	f.ranLast = 0
-	for _, st := range placed {
+	for _, seq := range placed {
+		r := f.blocks.at(seq)
+		region, tenantName := f.regionsList[r.regionI], f.tenants[r.tenantI]
 		f.slotHours++
-		f.emissionsG += f.traces[st.regionI].At(hour)
+		f.emissionsG += f.traces[r.regionI].At(hour)
 		if f.fq != nil {
-			f.fq.Charge(st.Tenant)
+			f.fq.Charge(tenantName)
 		}
 		if f.OnPlace != nil {
-			f.OnPlace(hour, st.ID, st.region)
+			f.OnPlace(hour, r.id, region)
 		}
 		if f.OnPlaceDetail != nil {
-			f.OnPlaceDetail(hour, st.ID, st.region, st.Origin, st.Tenant)
+			f.OnPlaceDetail(hour, r.id, region, f.regionsList[r.originI], tenantName)
 		}
-		if st.done {
+		if r.done() {
 			f.completed++
-			if d := st.Deadline(); d <= hour {
+			if d := r.deadline(); d <= hour {
 				// doneAt = hour+1 > d: a late finish. Its bucket was
 				// already drained into overdueOpen when hour passed d.
 				f.overdueOpen--
@@ -685,9 +779,9 @@ func (f *ShardedFleet) Step() error {
 		}
 	}
 	for _, sh := range f.shards {
-		for _, st := range sh.movedOut {
-			target := f.shards[f.shardOf[st.regionI]]
-			target.active = insertBySeq(target.active, st)
+		for _, seq := range sh.movedOut {
+			target := f.shards[f.shardOf[f.blocks.at(seq).regionI]]
+			target.active = insertBySeq(target.active, seq)
 		}
 	}
 	if n := f.buckets[hour+1]; n > 0 {
@@ -704,26 +798,30 @@ func (f *ShardedFleet) Lookup(id int) (JobInfo, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	f.idMu.Lock()
-	st, ok := f.byID[id]
+	seq, ok := f.byID[id]
+	blocks, tenants := f.blocks, f.tenants
 	f.idMu.Unlock()
 	if !ok {
 		return JobInfo{}, false
 	}
+	r := blocks.at(seq)
 	info := JobInfo{
-		Job:        st.Job,
-		Remaining:  st.Length - st.progress,
-		Region:     st.region,
-		Running:    st.lastRun >= 0 && st.lastRun == f.hour-1,
-		Completed:  st.done,
-		Emissions:  st.emissions,
-		WaitHours:  st.waitHours,
-		Migrations: st.migrations,
+		Job:        f.job(r, tenants),
+		Remaining:  int(r.length - r.progress),
+		Running:    r.ranAt(f.hour),
+		Completed:  r.done(),
+		Emissions:  r.emissions,
+		WaitHours:  int(r.waitHours),
+		Migrations: int(r.migrations),
 	}
-	if st.done {
-		info.CompletedAt = st.doneAt
-		info.MissedDeadline = st.doneAt > st.Deadline()
+	if r.regionI >= 0 {
+		info.Region = f.regionsList[r.regionI]
+	}
+	if r.done() {
+		info.CompletedAt = int(r.doneAt)
+		info.MissedDeadline = int(r.doneAt) > r.deadline()
 	} else {
-		info.MissedDeadline = st.Deadline() <= f.hour
+		info.MissedDeadline = r.deadline() <= f.hour
 	}
 	return info, true
 }
@@ -759,27 +857,26 @@ func (f *ShardedFleet) Stats() FleetStats {
 func (f *ShardedFleet) TenantStats() map[string]TenantStat {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	f.idMu.Lock()
-	order := f.order
-	f.idMu.Unlock()
+	blocks, tenants, n := f.view()
 	out := make(map[string]TenantStat)
-	for _, s := range order {
-		name := tenant.Normalize(s.Tenant)
+	for seq := uint32(0); seq < n; seq++ {
+		r := blocks.at(seq)
+		name := tenant.Normalize(tenants[r.tenantI])
 		ts := out[name]
 		ts.Submitted++
-		ts.SlotHours += s.progress
-		ts.Emissions += s.emissions
-		if s.done {
+		ts.SlotHours += int(r.progress)
+		ts.Emissions += r.emissions
+		if r.done() {
 			ts.Completed++
-			if s.doneAt > s.Deadline() {
+			if int(r.doneAt) > r.deadline() {
 				ts.Missed++
 			}
 		} else {
 			ts.Unresolved++
-			if s.Deadline() <= f.hour {
+			if r.deadline() <= f.hour {
 				ts.Missed++
 			}
-			if s.lastRun >= 0 && s.lastRun == f.hour-1 {
+			if r.ranAt(f.hour) {
 				ts.Running++
 			} else {
 				ts.Queued++
@@ -796,13 +893,11 @@ func (f *ShardedFleet) TenantStats() map[string]TenantStat {
 func (f *ShardedFleet) TenantArrivals(hour int) map[string]int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	f.idMu.Lock()
-	order := f.order
-	f.idMu.Unlock()
+	blocks, tenants, n := f.view()
 	out := make(map[string]int)
-	for _, s := range order {
-		if s.Arrival == hour {
-			out[tenant.Normalize(s.Tenant)]++
+	for seq := uint32(0); seq < n; seq++ {
+		if r := blocks.at(seq); int(r.arrival) == hour {
+			out[tenant.Normalize(tenants[r.tenantI])]++
 		}
 	}
 	return out
@@ -814,33 +909,32 @@ func (f *ShardedFleet) TenantArrivals(hour int) map[string]int {
 func (f *ShardedFleet) Snapshot() Result {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	f.idMu.Lock()
-	order := f.order
-	f.idMu.Unlock()
+	blocks, tenants, n := f.view()
 	res := Result{
 		Policy:         f.policy.Name(),
 		SlotHoursUsed:  f.slotHours,
 		SlotHoursTotal: float64(f.totalSlots * f.horizon),
 	}
-	for _, st := range order {
+	for seq := uint32(0); seq < n; seq++ {
+		r := blocks.at(seq)
 		out := Outcome{
-			Job:        st.Job,
-			Completed:  st.done,
-			Emissions:  st.emissions,
-			WaitHours:  st.waitHours,
-			Migrations: st.migrations,
+			Job:        f.job(r, tenants),
+			Completed:  r.done(),
+			Emissions:  r.emissions,
+			WaitHours:  int(r.waitHours),
+			Migrations: int(r.migrations),
 		}
-		if st.done {
-			out.CompletedAt = st.doneAt
-			out.MissedDeadline = st.doneAt > st.Deadline()
+		if r.done() {
+			out.CompletedAt = int(r.doneAt)
+			out.MissedDeadline = int(r.doneAt) > r.deadline()
 			res.Completed++
 		} else {
-			out.MissedDeadline = st.Deadline() <= f.hour
+			out.MissedDeadline = r.deadline() <= f.hour
 		}
 		if out.MissedDeadline {
 			res.Missed++
 		}
-		res.TotalEmissions += st.emissions
+		res.TotalEmissions += r.emissions
 		res.Outcomes = append(res.Outcomes, out)
 	}
 	if res.Completed > 0 {

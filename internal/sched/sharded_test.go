@@ -259,6 +259,65 @@ func TestShardedFleetSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestJobHourBounds is the regression test for the deadline overflow:
+// Validate used to accept any non-negative Slack, so Slack: MaxInt
+// wrapped Deadline() negative — the job was force-run at once and Lookup
+// reported it missed while Stats().Missed stayed 0. Both fleets must
+// refuse an hour past math.MaxInt32 and admit the largest legal one.
+func TestJobHourBounds(t *testing.T) {
+	set, cl, _ := mkWideSet(t, 48, 2)
+	serial, err := NewFleet(set, cl, FIFO{}, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewShardedFleet(set, cl, FIFO{}, 48, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []Job{
+		{ID: 1, Origin: "R00", Length: 1, Slack: math.MaxInt},
+		{ID: 1, Origin: "R00", Length: 1, Slack: math.MaxInt32},
+		{ID: 1, Origin: "R00", Length: math.MaxInt32 + 1},
+		{ID: 1, Origin: "R00", Length: 1, Arrival: math.MaxInt32 + 1},
+		{ID: 1, Origin: "R00", Length: 1 << 30, Slack: 1 << 30, Arrival: 1},
+	} {
+		if err := j.Validate(); err == nil || !strings.Contains(err.Error(), "deadline past") {
+			t.Errorf("Validate(%+v) = %v", j, err)
+		}
+		if err := serial.Submit(j); err == nil {
+			t.Errorf("serial fleet admitted %+v", j)
+		}
+		if err := sharded.Submit(j); err == nil {
+			t.Errorf("sharded fleet admitted %+v", j)
+		}
+	}
+	if serial.Jobs() != 0 || sharded.Jobs() != 0 {
+		t.Fatalf("refused jobs were admitted: serial %d, sharded %d", serial.Jobs(), sharded.Jobs())
+	}
+
+	far := Job{ID: 1, Origin: "R00", Length: 2, Slack: math.MaxInt32 - 2}
+	if err := serial.Submit(far); err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.Submit(far); err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sharded.Step(); err != nil {
+		t.Fatal(err)
+	}
+	a, _ := serial.Lookup(1)
+	b, _ := sharded.Lookup(1)
+	if a != b || b.Job != far || b.MissedDeadline {
+		t.Fatalf("lookup after one step:\nserial:  %+v\nsharded: %+v", a, b)
+	}
+	if serial.Stats().Missed != 0 || sharded.Stats().Missed != 0 {
+		t.Fatalf("missed: serial %d, sharded %d", serial.Stats().Missed, sharded.Stats().Missed)
+	}
+}
+
 func TestShardedFleetSubmitNow(t *testing.T) {
 	set, cl, _ := mkWideSet(t, 48, 2)
 	f, err := NewShardedFleet(set, cl, FIFO{}, 3, 2)

@@ -190,8 +190,11 @@ func (d *stateDec) float() float64 {
 
 // --- image encode/decode ---
 
-func (img *fleetImage) encode() []byte {
-	e := &stateEnc{buf: make([]byte, 0, 64+len(img.jobs)*48)}
+// encodeHeader starts an image: everything up to and including the job
+// count. The caller appends exactly njobs jobs with stateEnc.job, in
+// submission order, and closes the image with stateEnc.finish.
+func (img *fleetImage) encodeHeader(njobs int) *stateEnc {
+	e := &stateEnc{buf: make([]byte, 0, 64+njobs*48)}
 	e.buf = append(e.buf, stateMagic...)
 	e.byte(stateVersion)
 	e.str(img.policy)
@@ -211,41 +214,46 @@ func (img *fleetImage) encode() []byte {
 		e.str(name)
 		e.uvarint(int(img.fqPasses[i]))
 	}
-	e.uvarint(len(img.jobs))
-	for i := range img.jobs {
-		j := &img.jobs[i]
-		e.zigzag(j.ID)
-		e.str(j.Origin)
-		e.uvarint(j.Arrival)
-		e.uvarint(j.Length)
-		e.uvarint(j.Slack)
-		var flags byte
-		if j.Interruptible {
-			flags |= flagInterruptible
-		}
-		if j.Migratable {
-			flags |= flagMigratable
-		}
-		if j.done {
-			flags |= flagDone
-		}
-		if j.Tenant != "" {
-			flags |= flagHasTenant
-		}
-		e.byte(flags)
-		if j.Tenant != "" {
-			e.str(j.Tenant)
-		}
-		e.uvarint(j.progress)
-		e.zigzag(j.regionI)
-		e.zigzag(j.lastRun)
-		e.uvarint(j.doneAt)
-		e.uvarint(j.waitHours)
-		e.uvarint(j.migrations)
-		e.float(j.emissions)
+	e.uvarint(njobs)
+	return e
+}
+
+// job appends one job's serialized state.
+func (e *stateEnc) job(j *jobImage) {
+	e.zigzag(j.ID)
+	e.str(j.Origin)
+	e.uvarint(j.Arrival)
+	e.uvarint(j.Length)
+	e.uvarint(j.Slack)
+	var flags byte
+	if j.Interruptible {
+		flags |= flagInterruptible
 	}
-	e.buf = binary.BigEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
-	return e.buf
+	if j.Migratable {
+		flags |= flagMigratable
+	}
+	if j.done {
+		flags |= flagDone
+	}
+	if j.Tenant != "" {
+		flags |= flagHasTenant
+	}
+	e.byte(flags)
+	if j.Tenant != "" {
+		e.str(j.Tenant)
+	}
+	e.uvarint(j.progress)
+	e.zigzag(j.regionI)
+	e.zigzag(j.lastRun)
+	e.uvarint(j.doneAt)
+	e.uvarint(j.waitHours)
+	e.uvarint(j.migrations)
+	e.float(j.emissions)
+}
+
+// finish seals the image with its CRC.
+func (e *stateEnc) finish() []byte {
+	return binary.BigEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
 }
 
 func decodeImage(data []byte) (*fleetImage, error) {
@@ -361,27 +369,44 @@ func (img *fleetImage) checkWorld(policy string, horizon int, regions []string, 
 	return nil
 }
 
-// checkJob validates one decoded job against the restoring world so a
-// corrupted-but-checksummed image cannot index out of bounds.
-func (img *fleetImage) checkJob(j *jobImage, seen map[int]bool) error {
-	if err := j.Validate(); err != nil {
-		return fmt.Errorf("sched: state restore: %w", err)
+// checkJobs validates every decoded job against the image's own world
+// (which checkWorld ties to the restoring fleet's), so a
+// corrupted-but-checksummed image cannot index out of bounds, name a
+// region the fleet does not have, or carry an hour or counter the
+// sharded fleet's 32-bit record would truncate.
+func (img *fleetImage) checkJobs() error {
+	regions := make(map[string]bool, len(img.regions))
+	for _, r := range img.regions {
+		regions[r] = true
 	}
-	if seen[j.ID] {
-		return fmt.Errorf("sched: state restore: duplicate job id %d", j.ID)
-	}
-	seen[j.ID] = true
-	if j.regionI < -1 || j.regionI >= len(img.regions) {
-		return fmt.Errorf("sched: state restore: job %d region index %d out of range", j.ID, j.regionI)
-	}
-	if j.progress < 0 || j.progress > j.Length {
-		return fmt.Errorf("sched: state restore: job %d progress %d outside length %d", j.ID, j.progress, j.Length)
-	}
-	if j.done != (j.progress == j.Length) {
-		return fmt.Errorf("sched: state restore: job %d done flag inconsistent with progress", j.ID)
-	}
-	if j.progress > 0 && j.regionI < 0 {
-		return fmt.Errorf("sched: state restore: job %d has progress but no region", j.ID)
+	seen := make(map[int]bool, len(img.jobs))
+	for i := range img.jobs {
+		j := &img.jobs[i]
+		if err := j.Validate(); err != nil {
+			return fmt.Errorf("sched: state restore: %w", err)
+		}
+		if seen[j.ID] {
+			return fmt.Errorf("sched: state restore: duplicate job id %d", j.ID)
+		}
+		seen[j.ID] = true
+		if !regions[j.Origin] {
+			return fmt.Errorf("sched: state restore: job %d origin %q has no cluster", j.ID, j.Origin)
+		}
+		if j.regionI < -1 || j.regionI >= len(img.regions) {
+			return fmt.Errorf("sched: state restore: job %d region index %d out of range", j.ID, j.regionI)
+		}
+		if j.lastRun < -1 || j.lastRun > maxHour || j.doneAt > maxHour || j.waitHours > maxHour || j.migrations > maxHour {
+			return fmt.Errorf("sched: state restore: job %d hour or counter out of range", j.ID)
+		}
+		if j.progress < 0 || j.progress > j.Length {
+			return fmt.Errorf("sched: state restore: job %d progress %d outside length %d", j.ID, j.progress, j.Length)
+		}
+		if j.done != (j.progress == j.Length) {
+			return fmt.Errorf("sched: state restore: job %d done flag inconsistent with progress", j.ID)
+		}
+		if j.progress > 0 && j.regionI < 0 {
+			return fmt.Errorf("sched: state restore: job %d has progress but no region", j.ID)
+		}
 	}
 	return nil
 }
@@ -433,12 +458,15 @@ func (f *Fleet) Marshal() ([]byte, error) {
 		regions:   f.regionsList,
 		slotHours: f.slotHoursUsed,
 		tenancyFP: f.fq.Fingerprint(),
-		jobs:      make([]jobImage, 0, len(f.states)),
 	}
 	img.fqVtime, img.fqNames, img.fqPasses = f.fq.Snapshot()
 	for _, r := range f.regionsList {
 		img.slots = append(img.slots, f.slots[r])
 	}
+	for _, st := range f.states {
+		img.emissionsOrdered += st.emissions
+	}
+	e := img.encodeHeader(len(f.states))
 	for _, st := range f.states {
 		j := jobImage{
 			Job:        st.Job,
@@ -454,10 +482,9 @@ func (f *Fleet) Marshal() ([]byte, error) {
 		if st.ranLastHr {
 			j.lastRun = f.hour - 1
 		}
-		img.emissionsOrdered += st.emissions
-		img.jobs = append(img.jobs, j)
+		e.job(&j)
 	}
-	return img.encode(), nil
+	return e.finish(), nil
 }
 
 // Unmarshal restores state serialized by Fleet.Marshal or
@@ -476,11 +503,8 @@ func (f *Fleet) Unmarshal(data []byte) error {
 	if err := img.checkFQ(f.fq != nil); err != nil {
 		return err
 	}
-	seen := make(map[int]bool, len(img.jobs))
-	for i := range img.jobs {
-		if err := img.checkJob(&img.jobs[i], seen); err != nil {
-			return err
-		}
+	if err := img.checkJobs(); err != nil {
+		return err
 	}
 	if f.fq != nil {
 		if err := f.fq.Restore(img.fqVtime, img.fqNames, img.fqPasses); err != nil {
@@ -520,13 +544,12 @@ func (f *Fleet) Unmarshal(data []byte) error {
 
 // Marshal serializes the sharded fleet's complete state into the same
 // versioned image Fleet.Marshal produces; the two forms restore into
-// each other. Safe to call concurrently with Submit/Lookup/Stats.
+// each other. Jobs are encoded straight from the store, with no
+// intermediate copy. Safe to call concurrently with Submit/Lookup/Stats.
 func (f *ShardedFleet) Marshal() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	f.idMu.Lock()
-	order := f.order
-	f.idMu.Unlock()
+	blocks, tenants, n := f.view()
 	img := &fleetImage{
 		policy:           f.policy.Name(),
 		horizon:          f.horizon,
@@ -536,41 +559,42 @@ func (f *ShardedFleet) Marshal() ([]byte, error) {
 		slotHours:        f.slotHours,
 		emissionsOrdered: f.emissionsG,
 		tenancyFP:        f.fq.Fingerprint(),
-		jobs:             make([]jobImage, 0, len(order)),
 	}
 	img.fqVtime, img.fqNames, img.fqPasses = f.fq.Snapshot()
-	for _, st := range order {
-		img.jobs = append(img.jobs, jobImage{
-			Job:        st.Job,
-			progress:   st.progress,
-			regionI:    st.regionI,
-			lastRun:    st.lastRun,
-			done:       st.done,
-			doneAt:     st.doneAt,
-			waitHours:  st.waitHours,
-			migrations: st.migrations,
-			emissions:  st.emissions,
+	e := img.encodeHeader(int(n))
+	for seq := uint32(0); seq < n; seq++ {
+		r := blocks.at(seq)
+		e.job(&jobImage{
+			Job:        f.job(r, tenants),
+			progress:   int(r.progress),
+			regionI:    int(r.regionI),
+			lastRun:    int(r.lastRun),
+			done:       r.done(),
+			doneAt:     int(r.doneAt),
+			waitHours:  int(r.waitHours),
+			migrations: int(r.migrations),
+			emissions:  r.emissions,
 		})
 	}
-	return img.encode(), nil
+	return e.finish(), nil
 }
 
 // Unmarshal restores serialized fleet state into this sharded fleet,
-// replacing whatever it held: the job registry, the per-shard active
-// and pending lists, the deadline buckets, and every incremental
-// counter are rebuilt so subsequent Steps are byte-identical to a fleet
-// that never stopped. The fleet must have been constructed over the
-// same world; a mismatch is an error and leaves the fleet unchanged.
+// replacing whatever it held: the job store, the per-shard active and
+// pending lists, the deadline buckets, and every incremental counter
+// are rebuilt so subsequent Steps are byte-identical to a fleet that
+// never stopped. The fleet must have been constructed over the same
+// world; a mismatch is an error and leaves the fleet unchanged.
 func (f *ShardedFleet) Unmarshal(data []byte) error {
 	img, err := decodeImage(data)
 	if err != nil {
 		return err
 	}
-	seen := make(map[int]bool, len(img.jobs))
-	for i := range img.jobs {
-		if err := img.checkJob(&img.jobs[i], seen); err != nil {
-			return err
-		}
+	if uint64(len(img.jobs)) > math.MaxUint32 {
+		return fmt.Errorf("sched: state restore: %d jobs, at most %d", len(img.jobs), uint32(math.MaxUint32))
+	}
+	if err := img.checkJobs(); err != nil {
+		return err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -591,43 +615,31 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 	f.hour = img.hour
 	f.slotHours = img.slotHours
 	f.emissionsG = img.emissionsOrdered
-	f.byID = make(map[int]*sstate, len(img.jobs))
-	f.order = make([]*sstate, 0, len(img.jobs))
-	// The restored states displace every prior one; drop the live arena
-	// block (its remaining free records would pin the old image) and
-	// carve the new states from fresh blocks.
-	f.arena = sstateArena{}
+	f.byID = make(map[int]uint32, len(img.jobs))
+	f.blocks = make(recBlocks, 0, (len(img.jobs)+recBlock-1)/recBlock)
+	f.resetTenants()
 	f.buckets = make(map[int]int)
 	f.completed, f.missedDone, f.overdueOpen, f.ranLast = 0, 0, 0, 0
 	for _, sh := range f.shards {
 		sh.active = nil
-		sh.pending = make(map[int][]*sstate)
+		sh.pending = make(map[int][]uint32)
 	}
 	for i := range img.jobs {
 		j := &img.jobs[i]
-		st := f.arena.alloc()
-		*st = sstate{
-			Job:        j.Job,
-			seq:        i,
-			originI:    f.regionIdx[j.Origin],
-			progress:   j.progress,
-			regionI:    j.regionI,
-			placed:     -1,
-			lastRun:    j.lastRun,
-			done:       j.done,
-			doneAt:     j.doneAt,
-			emissions:  j.emissions,
-			waitHours:  j.waitHours,
-			migrations: j.migrations,
-		}
-		if j.regionI >= 0 {
-			st.region = f.regionsList[j.regionI]
-		}
-		f.byID[st.ID] = st
-		f.order = append(f.order, st)
-		if st.done {
+		seq := uint32(i)
+		r := f.appendRec(seq, &j.Job)
+		r.emissions = j.emissions
+		r.progress = int32(j.progress)
+		r.lastRun = int32(j.lastRun)
+		r.doneAt = int32(j.doneAt)
+		r.waitHours = int32(j.waitHours)
+		r.migrations = int32(j.migrations)
+		r.regionI = int16(j.regionI)
+		f.byID[j.ID] = seq
+		if j.done {
+			r.flags |= flagDone
 			f.completed++
-			if st.doneAt > st.Deadline() {
+			if j.doneAt > j.Deadline() {
 				f.missedDone++
 			}
 			continue
@@ -636,23 +648,23 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 		// placement invariant — an active job lives in the shard of its
 		// current region (origin if it never ran), a future arrival
 		// waits in its origin shard's arrival bucket.
-		if d := st.Deadline(); d > img.hour {
+		if d := j.Deadline(); d > img.hour {
 			f.buckets[d]++
 		} else {
 			f.overdueOpen++
 		}
-		if st.lastRun >= 0 && st.lastRun == img.hour-1 {
+		if r.ranAt(img.hour) {
 			f.ranLast++
 		}
-		homeI := st.originI
-		if st.regionI >= 0 {
-			homeI = st.regionI
+		homeI := r.originI
+		if r.regionI >= 0 {
+			homeI = r.regionI
 		}
 		sh := f.shards[f.shardOf[homeI]]
-		if st.Arrival > img.hour {
-			sh.pending[st.Arrival] = append(sh.pending[st.Arrival], st)
+		if j.Arrival > img.hour {
+			sh.pending[j.Arrival] = append(sh.pending[j.Arrival], seq)
 		} else {
-			sh.active = append(sh.active, st)
+			sh.active = append(sh.active, seq)
 		}
 	}
 	f.submitted.Store(int64(len(img.jobs)))

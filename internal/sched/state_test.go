@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/hex"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"carbonshift/internal/tenant"
@@ -38,7 +38,7 @@ func stateJobsTenants() []Job {
 }
 
 // goldenTenantConfig is the fixed tenancy world the v2 golden pins.
-func goldenTenantConfig(t *testing.T) *tenant.Config {
+func goldenTenantConfig(t testing.TB) *tenant.Config {
 	t.Helper()
 	cfg, err := tenant.NewConfig([]tenant.Spec{
 		{Name: "web", Class: tenant.Interactive},
@@ -232,6 +232,65 @@ func TestStateRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestStateRejectsOutOfRangeFields: a checksummed image whose hours or
+// counters do not fit the 32-bit record, or whose origin is not one of
+// the fleet's regions (FuzzShardedUnmarshal found that one restoring as
+// region 0), is refused by both fleets, never truncated; the same image
+// with every field at its limit restores and re-marshals byte for byte.
+func TestStateRejectsOutOfRangeFields(t *testing.T) {
+	const horizon = 48
+	set := mkSet(t, horizon)
+	image := func(j jobImage) []byte {
+		img := &fleetImage{
+			policy: FIFO{}.Name(), horizon: horizon, hour: 5,
+			regions: []string{"CLEAN", "DIRTY"}, slots: []int{4, 4},
+		}
+		e := img.encodeHeader(1)
+		e.job(&j)
+		return e.finish()
+	}
+	restore := func(data []byte) (*ShardedFleet, error, error) {
+		serial, err := NewFleet(set, clusters(4), FIFO{}, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sharded, serial.Unmarshal(data), sharded.Unmarshal(data)
+	}
+
+	limit := jobImage{
+		Job:      Job{ID: 1, Origin: "CLEAN", Length: 4, Slack: math.MaxInt32 - 4},
+		progress: 2, regionI: 1, lastRun: math.MaxInt32, doneAt: math.MaxInt32,
+		waitHours: math.MaxInt32, migrations: math.MaxInt32, emissions: 40,
+	}
+	f, errSerial, errSharded := restore(image(limit))
+	if errSerial != nil || errSharded != nil {
+		t.Fatalf("image at the limits rejected: serial %v, sharded %v", errSerial, errSharded)
+	}
+	if again, _ := f.Marshal(); !bytes.Equal(again, image(limit)) {
+		t.Fatal("image at the limits did not re-marshal byte for byte")
+	}
+
+	for name, mutate := range map[string]func(*jobImage){
+		"origin":     func(j *jobImage) { j.Origin = "NOPE" },
+		"slack":      func(j *jobImage) { j.Slack++ },
+		"lastRun":    func(j *jobImage) { j.lastRun++ },
+		"lastRun<-1": func(j *jobImage) { j.lastRun = -2 },
+		"doneAt":     func(j *jobImage) { j.doneAt++ },
+		"waitHours":  func(j *jobImage) { j.waitHours++ },
+		"migrations": func(j *jobImage) { j.migrations = 1 << 40 },
+	} {
+		j := limit
+		mutate(&j)
+		if _, errSerial, errSharded := restore(image(j)); errSerial == nil || errSharded == nil {
+			t.Errorf("%s out of range: serial %v, sharded %v", name, errSerial, errSharded)
+		}
+	}
+}
+
 func TestEncodeDecodeJobs(t *testing.T) {
 	jobs := stateJobs()
 	buf := EncodeJobs(nil, jobs)
@@ -331,22 +390,7 @@ func TestStateGolden(t *testing.T) {
 // into a tenant-free fleet whose continued run re-serializes cleanly
 // as version 2.
 func TestStateDecodeV1Golden(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "fleet_state_v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("fixture has %d lines, want 2", len(lines))
-	}
-	img, err := hex.DecodeString(lines[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := hex.DecodeString(lines[1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, batch := goldenLines(t, "fleet_state_v1.golden")
 
 	// The fixture was taken from this exact world after 6 steps.
 	const horizon = 48

@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -185,6 +187,30 @@ func TestBinarySubmitRejections(t *testing.T) {
 	}
 	if rr := postRaw(t, srv, "/v1/jobs/batch", BinaryContentType, valid); rr.Code != http.StatusOK {
 		t.Errorf("valid frame after rejections: status %d (%s)", rr.Code, rr.Body.String())
+	}
+}
+
+// TestSubmitHourBound400: a slack that would carry the deadline past
+// sched's hour bound (it used to wrap the deadline negative) is a 400 on
+// both protocols, admits nothing, and leaves the server serving.
+func TestSubmitHourBound400(t *testing.T) {
+	srv, _, _ := startServer(t, Config{Policy: sched.FIFO{}}, 4)
+	huge := []JobRequest{{Origin: "CLEAN", LengthHours: 1, SlackHours: math.MaxInt}}
+	rr := postRaw(t, srv, "/v1/jobs", "application/json", []byte(fmt.Sprintf(
+		`{"jobs":[{"origin":"CLEAN","length_hours":1,"slack_hours":%d}]}`, math.MaxInt)))
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "deadline past") {
+		t.Errorf("JSON: status %d (%s), want 400", rr.Code, rr.Body.String())
+	}
+	rr = postRaw(t, srv, "/v1/jobs/batch", BinaryContentType, appendBinarySubmit(nil, huge))
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "deadline past") {
+		t.Errorf("binary: status %d (%s), want 400", rr.Code, rr.Body.String())
+	}
+	if got := srv.fleet.Jobs(); got != 0 {
+		t.Fatalf("%d jobs admitted", got)
+	}
+	huge[0].SlackHours = math.MaxInt32 - 1 - srv.fleet.Hour()
+	if rr := postRaw(t, srv, "/v1/jobs/batch", BinaryContentType, appendBinarySubmit(nil, huge)); rr.Code != http.StatusOK {
+		t.Errorf("largest legal slack: status %d (%s)", rr.Code, rr.Body.String())
 	}
 }
 
