@@ -314,7 +314,7 @@ func BenchmarkAblation_FFTPaddedRadix2(b *testing.B) {
 	}
 }
 
-// --- Online scheduling (internal/schedd + the incremental Fleet) ---
+// --- Online scheduling (internal/schedd + the fleet core) ---
 
 // schedWorld builds the two-region diurnal world used by the sched and
 // schedd tests, sized for year-scale stepping.
@@ -335,45 +335,6 @@ func schedWorld(b *testing.B, hours int) (*trace.Set, []sched.Cluster) {
 		b.Fatal(err)
 	}
 	return set, []sched.Cluster{{Region: "CLEAN", Slots: 100}, {Region: "DIRTY", Slots: 100}}
-}
-
-// BenchmarkFleetStep measures one incremental tick of the simulator
-// with a realistic outstanding-job population — the unit of work behind
-// every schedd request and every hour of sched.Run.
-func BenchmarkFleetStep(b *testing.B) {
-	const hours = 24 * 365
-	set, cl := schedWorld(b, hours)
-	jobs, err := sched.GenerateJobs(sched.WorkloadSpec{
-		Jobs: 2000, ArrivalSpan: hours - 10*24, SlackHours: 48,
-		InterruptibleFrac: 0.8, MigratableFrac: 0.5,
-		Origins: []string{"CLEAN", "DIRTY"}, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mkFleet := func() *sched.Fleet {
-		f, err := sched.NewFleet(set, cl, sched.SpatioTemporal{Percentile: 40, Window: 48}, hours)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Submit(jobs...); err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-	fleet := mkFleet()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if fleet.Done() {
-			b.StopTimer()
-			fleet = mkFleet()
-			b.StartTimer()
-		}
-		if err := fleet.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // schedWorldN builds an nRegions-region world with staggered diurnal
@@ -400,32 +361,22 @@ func schedWorldN(b *testing.B, hours, nRegions, slots int) (*trace.Set, []sched.
 	return set, cl
 }
 
-// BenchmarkShardedFleetStep is BenchmarkFleetStep's sharded twin: the
-// same per-tick unit of work over an 8-region world, stepped by an
-// 8-shard fleet. Compare against BenchmarkFleetStep8Regions (the
-// serial fleet on the identical world) for the shard speedup at
-// moderate population.
+// BenchmarkShardedFleetStep measures one tick of the fleet core with a
+// realistic outstanding-job population over an 8-region world, stepped
+// by an 8-shard fleet — the unit of work behind every schedd hour.
 func BenchmarkShardedFleetStep(b *testing.B) {
 	benchFleetStepN(b, 2000, 8)
 }
 
-// BenchmarkFleetStep8Regions is the serial baseline on the same world
-// BenchmarkShardedFleetStep uses.
-func BenchmarkFleetStep8Regions(b *testing.B) {
-	benchFleetStepN(b, 2000, 0)
-}
-
-// fleetStepper is the Step loop both fleet forms share, so the serial
-// and sharded benchmarks construct their worlds through one helper.
-type fleetStepper interface {
-	Done() bool
-	Step() error
-	Submit(...sched.Job) error
+// BenchmarkShardedFleetStep1Shard is the same world at one shard — the
+// configuration sched.Run uses, every Step phase inline on the caller.
+func BenchmarkShardedFleetStep1Shard(b *testing.B) {
+	benchFleetStepN(b, 2000, 1)
 }
 
 // benchStepFleet runs b.N Steps, rebuilding via mk (with the timer
 // paused) whenever a fleet exhausts its horizon.
-func benchStepFleet(b *testing.B, mk func() fleetStepper) {
+func benchStepFleet(b *testing.B, mk func() *sched.ShardedFleet) {
 	fleet := mk()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -441,19 +392,11 @@ func benchStepFleet(b *testing.B, mk func() fleetStepper) {
 	}
 }
 
-// mkStepFleet builds a submitted fleet over the given world: shards ==
-// 0 means the serial Fleet, otherwise a ShardedFleet with that many
-// shards.
+// mkStepFleet builds a submitted fleet over the given world.
 func mkStepFleet(b *testing.B, set *trace.Set, cl []sched.Cluster,
-	policy sched.Policy, hours, shards int, stream []sched.Job) fleetStepper {
+	policy sched.Policy, hours, shards int, stream []sched.Job) *sched.ShardedFleet {
 	b.Helper()
-	var f fleetStepper
-	var err error
-	if shards == 0 {
-		f, err = sched.NewFleet(set, cl, policy, hours)
-	} else {
-		f, err = sched.NewShardedFleet(set, cl, policy, hours, shards)
-	}
+	f, err := sched.NewShardedFleet(set, cl, policy, hours, shards)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -481,19 +424,16 @@ func benchFleetStepN(b *testing.B, jobs, shards int) {
 		b.Fatal(err)
 	}
 	policy := sched.SpatioTemporal{Percentile: 40, Window: 48}
-	benchStepFleet(b, func() fleetStepper {
+	benchStepFleet(b, func() *sched.ShardedFleet {
 		return mkStepFleet(b, set, cl, policy, hours, shards, stream)
 	})
 }
 
-// --- 1M-job scale pair ---
+// --- 1M-job scale benchmark ---
 //
 // The online-path scale benchmark of DESIGN.md's sharded-fleet
-// section: one million jobs spread over a year, serial Fleet vs
-// 8-shard ShardedFleet. The serial fleet rescans every submitted job
-// four times per tick; the sharded fleet scans only arrived,
-// uncompleted jobs, in parallel — the ratio of these two benchmarks is
-// the online Step-throughput multiplier recorded in BENCH_*.json.
+// section: one million jobs spread over a year on an 8-shard
+// ShardedFleet, which scans only arrived, uncompleted jobs each tick.
 
 var (
 	scaleOnce sync.Once
@@ -523,7 +463,9 @@ func scaleStream(b *testing.B, origins []string) []sched.Job {
 	return scaleJobs
 }
 
-func benchScaleFleetStep(b *testing.B, shards int) {
+// BenchmarkScaleFleetStep1MSharded8 steps the 8-shard ShardedFleet
+// under one million submitted jobs.
+func BenchmarkScaleFleetStep1MSharded8(b *testing.B) {
 	const hours = 24 * 365
 	set, cl := schedWorldN(b, hours, 8, 2000)
 	var origins []string
@@ -531,19 +473,10 @@ func benchScaleFleetStep(b *testing.B, shards int) {
 		origins = append(origins, c.Region)
 	}
 	stream := scaleStream(b, origins)
-	benchStepFleet(b, func() fleetStepper {
-		return mkStepFleet(b, set, cl, sched.GreenestFirst{}, hours, shards, stream)
+	benchStepFleet(b, func() *sched.ShardedFleet {
+		return mkStepFleet(b, set, cl, sched.GreenestFirst{}, hours, 8, stream)
 	})
 }
-
-// BenchmarkScaleFleetStep1MSerial steps the serial Fleet under one
-// million submitted jobs.
-func BenchmarkScaleFleetStep1MSerial(b *testing.B) { benchScaleFleetStep(b, 0) }
-
-// BenchmarkScaleFleetStep1MSharded8 steps the 8-shard ShardedFleet
-// under the identical one-million-job world; the acceptance bar is
-// ≥ 3× the serial Step throughput.
-func BenchmarkScaleFleetStep1MSharded8(b *testing.B) { benchScaleFleetStep(b, 8) }
 
 // BenchmarkScheddSubmit measures the full HTTP submission path — JSON
 // over a real TCP connection into the fleet — which bounds the job

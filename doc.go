@@ -30,13 +30,14 @@
 // # Online scheduling
 //
 // Beyond the offline experiments, the repository runs as a live
-// system. internal/sched's incremental Fleet (Submit/Step/Snapshot) is
-// the engine behind both the batch sched.Run and internal/schedd, the
-// online scheduling service; sched.ShardedFleet is its scale-out form —
-// job state and slot accounting partitioned by region into
+// system. internal/sched's incremental ShardedFleet
+// (Submit/Step/Snapshot) is the one engine behind both the batch
+// sched.Run and internal/schedd, the online scheduling service — job
+// state and slot accounting partitioned by region into
 // independently-locked shards, stepped concurrently on the engine pool
-// with a serial cross-shard reconciliation phase, so placements stay
-// byte-identical to the serial fleet for any shard count. cmd/schedd
+// with a serial cross-shard reconciliation phase, so placements are
+// byte-identical for any shard count (and to the serial reference
+// scheduler the tests keep). cmd/schedd
 // serves job submission, status, and O(1) fleet statistics over HTTP
 // against a replayed grid clock, with policy selection, a -shards
 // parallelism knob, backpressure bounds, and a graceful drain on
@@ -56,8 +57,8 @@
 // The service is durable: with -data-dir set, schedd journals every
 // admission and hour watermark through internal/wal (an append-only,
 // CRC-checksummed log with group-commit fsync) and periodically
-// snapshots the full fleet state via Fleet.Marshal's versioned binary
-// image; on boot it restores the newest snapshot and replays the
+// snapshots the full fleet state via ShardedFleet.Marshal's versioned
+// binary image; on boot it restores the newest snapshot and replays the
 // journal tail — tolerating torn final writes — recovering state
 // byte-identical to a process that never stopped, as proven by a
 // crash-point sweep test across all five policies.

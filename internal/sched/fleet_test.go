@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
+
+	"carbonshift/internal/engine"
 )
 
 // allPolicies is the full policy roster the equivalence checks cover.
@@ -39,9 +42,10 @@ func fleetJobs(t *testing.T) []Job {
 	return jobs
 }
 
-// TestFleetMatchesRun drives a Fleet tick by tick with all jobs
-// submitted up front and checks the snapshot is deeply identical to the
-// batch Run for every policy.
+// TestFleetMatchesRun drives the serial reference Fleet tick by tick
+// with all jobs submitted up front and checks the snapshot is deeply
+// identical to the batch Run for every policy. Run drives a one-shard
+// ShardedFleet, so this is the Run-vs-reference differential.
 func TestFleetMatchesRun(t *testing.T) {
 	set := mkSet(t, 24*15)
 	jobs := fleetJobs(t)
@@ -68,8 +72,11 @@ func TestFleetMatchesRun(t *testing.T) {
 	}
 }
 
-// TestFleetOnlineSubmission submits each job exactly at its arrival
-// hour, the way the HTTP service does, and still matches the batch run.
+// TestFleetOnlineSubmission submits each job to the serial reference
+// Fleet exactly at its arrival hour, the way the HTTP service does, and
+// still matches the batch Run (a one-shard ShardedFleet with every job
+// submitted up front) — a differential across both the implementation
+// and the submission pattern.
 func TestFleetOnlineSubmission(t *testing.T) {
 	set := mkSet(t, 24*15)
 	jobs := fleetJobs(t)
@@ -99,6 +106,33 @@ func TestFleetOnlineSubmission(t *testing.T) {
 		}
 		if got := f.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: online submission snapshot differs from Run result", p.Name())
+		}
+	}
+}
+
+// TestRunConcurrentPolicies is cmd/carbonsched's shape: the five
+// policies run concurrently on engine workers over one shared trace set,
+// each Run owning its own lock-bearing fleet, and must equal the same
+// five run one after another. Under -race it certifies that concurrent
+// Runs share nothing mutable.
+func TestRunConcurrentPolicies(t *testing.T) {
+	set := mkSet(t, 24*15)
+	jobs := fleetJobs(t)
+	policies := allPolicies()
+	run := func(_ context.Context, i int) (Result, error) {
+		return Run(set, clusters(20), jobs, policies[i], 24*15)
+	}
+	want, err := engine.Map(context.Background(), 1, len(policies), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := engine.Map(context.Background(), len(policies), len(policies), run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range policies {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: concurrent Run differs from sequential Run", p.Name())
 		}
 	}
 }

@@ -110,6 +110,29 @@ func TestSubmitAllocs(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllocs pins Snapshot's one allocation: Outcomes is sized
+// from the job count up front, and Origin/Tenant strings come from the
+// region and tenant tables. Snapshot ends every offline Run, where
+// growing Outcomes by append would copy about twice the final slice.
+func TestSnapshotAllocs(t *testing.T) {
+	set, cl, origins := mkWideSet(t, 48, 4)
+	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(residentJobs(5000, origins)...); err != nil {
+		t.Fatal(err)
+	}
+	driveFleet(t, f)
+	var res Result
+	if allocs := testing.AllocsPerRun(20, func() { res = f.Snapshot() }); allocs > 1 {
+		t.Errorf("Snapshot of 5000 jobs allocates %.0f times, want 1", allocs)
+	}
+	if len(res.Outcomes) != 5000 {
+		t.Fatalf("%d outcomes, want 5000", len(res.Outcomes))
+	}
+}
+
 // TestShardedFleetReadersBesideSubmit runs every walk of the job store
 // beside concurrent Submits that cross several block boundaries (and so
 // grow the block directory under the readers). Under -race it is the

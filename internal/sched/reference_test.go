@@ -8,15 +8,18 @@ import (
 	"carbonshift/internal/trace"
 )
 
-// Fleet is the incremental core of the simulator: the same hour-stepped
-// world that Run simulates, but driven one tick at a time, with jobs
-// submitted while it runs. Run is a thin offline loop over a Fleet;
-// internal/schedd serves one over HTTP against a replayed clock. The
-// two paths share every line of scheduling logic, so the online service
-// is placement-for-placement identical to the batch simulator.
+// Fleet is the serial reference scheduler: the hour-stepped world in its
+// plainest form — one slice of per-job state, rescanned in submission
+// order in every phase of Step, no sharding, no locks, no incremental
+// counters. It was the production core until sched.Run moved onto
+// ShardedFleet and lives on here only as the model the differential
+// tests (TestShardedFleetEquivalence, TestSchedulingInvariants,
+// TestTenancyInvariants, TestJobHourBounds, TestFleetMatchesRun) compare
+// ShardedFleet and Run against. Its method bodies are the ones those
+// tests were written against; do not optimise them, and do not edit
+// them in a change that also edits ShardedFleet's scheduling logic.
 //
-// A Fleet is not safe for concurrent use; callers that share one across
-// goroutines (e.g. an HTTP server) must serialize access.
+// A Fleet is not safe for concurrent use.
 type Fleet struct {
 	set     *trace.Set
 	policy  Policy
@@ -35,8 +38,7 @@ type Fleet struct {
 
 	// fq, when non-nil, reorders each hour's policy-eligible list
 	// into weighted-fair (deficit round robin) order and is charged
-	// one unit per executed job-hour. Its pass state is part of the
-	// fleet image.
+	// one unit per executed job-hour.
 	fq *tenant.FairQueue
 
 	// OnPlace, when non-nil, observes every executed job-hour in
@@ -110,32 +112,17 @@ func NewFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*
 }
 
 // SetFairQueue installs the tenant fair-dequeue engine. It must be
-// set before the first Step (and before Unmarshal of an image that
-// carries tenancy state); changing it mid-run would silently diverge
-// placements from a replayed or replicated fleet.
+// set before the first Step.
 func (f *Fleet) SetFairQueue(q *tenant.FairQueue) { f.fq = q }
 
 // Hour returns the next hour the fleet will simulate.
 func (f *Fleet) Hour() int { return f.hour }
-
-// Horizon returns the exclusive final hour.
-func (f *Fleet) Horizon() int { return f.horizon }
 
 // Done reports whether the fleet has simulated its whole horizon.
 func (f *Fleet) Done() bool { return f.hour >= f.horizon }
 
 // Jobs returns the number of jobs submitted so far.
 func (f *Fleet) Jobs() int { return len(f.states) }
-
-// Regions lists the cluster regions in sorted order.
-func (f *Fleet) Regions() []string {
-	out := make([]string, len(f.regionsList))
-	copy(out, f.regionsList)
-	return out
-}
-
-// Slots returns the slot count of one region's cluster (0 if unknown).
-func (f *Fleet) Slots(region string) int { return f.slots[region] }
 
 // Submit adds jobs to the fleet. The call is atomic: on any validation
 // error no job from the batch is admitted. Jobs may arrive at or after
@@ -321,10 +308,6 @@ func (f *Fleet) Step() error {
 	return nil
 }
 
-// Outstanding returns the number of submitted jobs that have not yet
-// completed, in O(1) — the backpressure signal for online admission.
-func (f *Fleet) Outstanding() int { return len(f.states) - f.completed }
-
 // Snapshot aggregates the fleet's outcomes so far into a Result, in job
 // submission order. Once the fleet has stepped through its full horizon
 // the result is byte-identical to what Run returns for the same inputs.
@@ -369,26 +352,6 @@ func (f *Fleet) Snapshot() Result {
 	return res
 }
 
-// JobInfo is the live view of one submitted job.
-type JobInfo struct {
-	Job
-	// Remaining is the run-hours still needed.
-	Remaining int
-	// Region is the most recent placement ("" before the first run).
-	Region string
-	// Running reports whether the job ran in the most recent Step.
-	Running bool
-	// Completed and CompletedAt mirror Outcome.
-	Completed   bool
-	CompletedAt int
-	// MissedDeadline is true for a late completion or an uncompleted
-	// job whose deadline has passed.
-	MissedDeadline bool
-	Emissions      float64
-	WaitHours      int
-	Migrations     int
-}
-
 // Lookup returns the live view of a submitted job.
 func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 	st, ok := f.byID[id]
@@ -412,28 +375,6 @@ func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 		info.MissedDeadline = st.Deadline() <= f.hour
 	}
 	return info, true
-}
-
-// FleetStats is a cheap aggregate for monitoring (internal/schedd's
-// /v1/stats): one pass over the jobs, no per-job allocation. Unlike
-// Snapshot, SlotHoursTotal covers only the hours simulated so far, so
-// Utilization reflects elapsed time rather than the full horizon.
-// Unresolved counts every submitted-but-uncompleted job, including
-// overdue ones that are still running toward a late finish.
-type FleetStats struct {
-	Hour, Horizon                 int
-	Submitted, Completed, Missed  int
-	Running, Queued, Unresolved   int
-	TotalEmissions                float64
-	SlotHoursUsed, SlotHoursTotal float64
-}
-
-// Utilization returns used/elapsed slot-hours.
-func (s FleetStats) Utilization() float64 {
-	if s.SlotHoursTotal == 0 {
-		return 0
-	}
-	return s.SlotHoursUsed / s.SlotHoursTotal
 }
 
 // Stats summarizes the fleet's current state.
@@ -475,34 +416,6 @@ func copySlots(m map[string]int) map[string]int {
 	return out
 }
 
-// fairOrder applies the fair queue's dequeue permutation to one
-// hour's eligible list (identity when no queue is installed).
-func fairOrder(q *tenant.FairQueue, eligible []JobView) []JobView {
-	if q == nil || len(eligible) < 2 {
-		return eligible
-	}
-	names := make([]string, len(eligible))
-	for i, v := range eligible {
-		names[i] = v.Tenant
-	}
-	perm := q.Order(names)
-	out := make([]JobView, len(eligible))
-	for k, i := range perm {
-		out[k] = eligible[i]
-	}
-	return out
-}
-
-// TenantStat aggregates one tenant's jobs (FleetStats semantics,
-// sliced per tenant, plus executed slot-hours — the fair-share
-// denominator).
-type TenantStat struct {
-	Submitted, Completed, Missed int
-	Running, Queued, Unresolved  int
-	SlotHours                    int
-	Emissions                    float64
-}
-
 func tenantStats(states []*state, hour int) map[string]TenantStat {
 	out := make(map[string]TenantStat)
 	for _, s := range states {
@@ -535,21 +448,4 @@ func tenantStats(states []*state, hour int) map[string]TenantStat {
 // TenantStats aggregates the fleet's jobs per (normalized) tenant.
 func (f *Fleet) TenantStats() map[string]TenantStat {
 	return tenantStats(f.states, f.hour)
-}
-
-func tenantArrivals(states []*state, hour int) map[string]int {
-	out := make(map[string]int)
-	for _, s := range states {
-		if s.Arrival == hour {
-			out[tenant.Normalize(s.Tenant)]++
-		}
-	}
-	return out
-}
-
-// TenantArrivals counts jobs per (normalized) tenant that arrived at
-// the given hour — the seed for rebuilding admission-quota windows
-// after crash recovery or follower promotion.
-func (f *Fleet) TenantArrivals(hour int) map[string]int {
-	return tenantArrivals(f.states, hour)
 }

@@ -179,10 +179,17 @@ func (r Result) Utilization() float64 {
 
 // Run simulates the fleet from hour 0 to horizon (exclusive) and
 // returns the aggregate result. All job windows must fit the trace.
-// Run is the offline mode of the incremental Fleet: it submits every
-// job up front and steps through the whole horizon.
+// Run is the offline mode of ShardedFleet, the core internal/schedd
+// serves online: it submits every job up front and steps through the
+// whole horizon. It uses one shard — results are byte-identical for any
+// shard count, and at one shard every Step phase runs inline on the
+// calling goroutine, so concurrent Runs from engine workers
+// (cmd/carbonsched, internal/core) do not nest worker pools.
+//
+// Run inherits the core's two capacity bounds and refuses what exceeds
+// them: at most math.MaxInt16 clusters and at most 2³² jobs.
 func Run(set *trace.Set, clusters []Cluster, jobs []Job, policy Policy, horizon int) (Result, error) {
-	f, err := NewFleet(set, clusters, policy, horizon)
+	f, err := NewShardedFleet(set, clusters, policy, horizon, 1)
 	if err != nil {
 		return Result{}, err
 	}

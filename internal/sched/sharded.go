@@ -19,28 +19,33 @@ import (
 // stepped through its whole horizon and can no longer admit work.
 var ErrHorizonExhausted = fmt.Errorf("sched: replay horizon exhausted")
 
-// ShardedFleet is the scale-out form of Fleet: job state and slot
-// accounting are partitioned by region into independently-locked
-// shards, and every Step fans the per-job scanning and advancement work
-// across the shards on the engine worker pool. The cross-shard
-// decisions — deadline spillover of migratable jobs, the policy's
-// global placement pass, and the OnPlace recorder — run in a serial
-// reconciliation phase over merged, submission-ordered views, so
-// placements and the aggregate Result are byte-identical to the serial
-// Fleet for any shard count.
+// ShardedFleet is the fleet core — the one hour-stepped scheduler in
+// the compiled code. Run drives it offline (every job submitted up
+// front, one shard); internal/schedd serves it over HTTP against a
+// replayed clock, with jobs submitted while it runs. The two paths
+// share every line of scheduling logic, so the online service is
+// placement-for-placement identical to the batch simulator.
 //
-// Two additional structural optimizations fall out of sharding (both
-// invisible to results): jobs that have not yet arrived wait in
-// per-shard arrival buckets instead of being rescanned every hour, and
-// completed jobs are compacted out of the active lists. A Step
-// therefore costs O(active jobs / shards) in parallel plus O(eligible)
-// serial policy work, where the serial Fleet pays O(all jobs) per
-// phase.
+// Job state and slot accounting are partitioned by region into
+// independently-locked shards, and every Step fans the per-job scanning
+// and advancement work across the shards on the engine worker pool. The
+// cross-shard decisions — deadline spillover of migratable jobs, the
+// policy's global placement pass, and the OnPlace recorder — run in a
+// serial reconciliation phase over merged, submission-ordered views, so
+// placements and the aggregate Result are byte-identical for any shard
+// count — and to the serial reference scheduler the tests keep
+// (reference_test.go, TestShardedFleetEquivalence).
 //
-// Unlike Fleet, a ShardedFleet is safe for concurrent use: Step
-// excludes everything else, while Submit, Lookup, Stats, and Snapshot
-// may run concurrently with each other (Submits to different shards
-// only contend on a short id-registry critical section).
+// Two structural optimizations are invisible to results: jobs that have
+// not yet arrived wait in per-shard arrival buckets instead of being
+// rescanned every hour, and completed jobs are compacted out of the
+// active lists. A Step therefore costs O(active jobs / shards) in
+// parallel plus O(eligible) serial policy work, not O(all jobs).
+//
+// A ShardedFleet is safe for concurrent use: Step excludes everything
+// else, while Submit, Lookup, Stats, and Snapshot may run concurrently
+// with each other (Submits to different shards only contend on a short
+// id-registry critical section).
 //
 // Lock hierarchy (always acquired in this order, never the reverse):
 // world mu (RLock for Submit/Lookup/Stats/Snapshot, Lock for Step) →
@@ -104,21 +109,25 @@ type ShardedFleet struct {
 	slotHours   float64
 	buckets     map[int]int // deadline hour -> unresolved jobs due then
 
-	// fq mirrors Fleet.fq: the tenant fair-dequeue engine, touched
-	// only in Step's serial sections and under mu during
-	// Marshal/Unmarshal.
+	// fq, when non-nil, is the tenant fair-dequeue engine: it reorders
+	// each hour's policy-eligible list into weighted-fair (deficit round
+	// robin) order and is charged one unit per executed job-hour. Its
+	// pass state is part of the fleet image. Touched only in Step's
+	// serial sections and under mu during Marshal/Unmarshal.
 	fq *tenant.FairQueue
 
-	// OnPlace, when non-nil, observes every executed job-hour in
-	// deterministic submission order, exactly as Fleet.OnPlace does.
-	// Set it before the first Step; it must not call back into the
-	// fleet.
+	// OnPlace, when non-nil, observes every executed job-hour: it is
+	// called once per job that runs during a Step, after the hour's
+	// placements are final, in submission order whatever the shard
+	// count. Set it before the first Step; it must not call back into
+	// the fleet.
 	OnPlace func(hour, jobID int, region string)
 
-	// OnPlaceDetail mirrors Fleet.OnPlaceDetail: the origin- and
-	// tenant-carrying recorder fired after OnPlace in the serial
-	// epilogue, in the same deterministic order. It must not call back
-	// into the fleet.
+	// OnPlaceDetail, when non-nil, additionally observes the job's
+	// origin region and tenant — the hook the metrics layer uses to
+	// attribute carbon (saved versus a run-at-origin counterfactual,
+	// and per tenant). Fired immediately after OnPlace, in the same
+	// order. It must not call back into the fleet.
 	OnPlaceDetail func(hour, jobID int, region, origin, tenantName string)
 }
 
@@ -263,8 +272,10 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 	return f, nil
 }
 
-// SetFairQueue installs the tenant fair-dequeue engine, with the same
-// set-before-first-Step contract as Fleet.SetFairQueue.
+// SetFairQueue installs the tenant fair-dequeue engine. It must be set
+// before the first Step (and before Unmarshal of an image that carries
+// tenancy state); changing it mid-run would silently diverge placements
+// from a replayed or replicated fleet.
 func (f *ShardedFleet) SetFairQueue(q *tenant.FairQueue) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -556,12 +567,14 @@ func (f *ShardedFleet) mergeShards(buf []uint32, get func(*fleetShard) []uint32)
 	}
 }
 
-// Step simulates the fleet's current hour and advances to the next,
-// with the same semantics and error conditions as Fleet.Step. The
-// per-shard scans and the world advancement run concurrently on the
-// engine pool; all cross-shard slot contention is resolved serially in
-// submission order, which is what makes the outcome independent of the
-// shard count.
+// Step simulates the fleet's current hour and advances to the next. It
+// errors past the horizon and on a misbehaving policy (unknown job or
+// region, double placement, pinned migration, oversubscription, a
+// placement across a region-group boundary). The per-shard scans and
+// the world advancement run concurrently on the engine pool (inline on
+// the calling goroutine at one shard); all cross-shard slot contention
+// is resolved serially in submission order, which is what makes the
+// outcome independent of the shard count.
 func (f *ShardedFleet) Step() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -633,10 +646,10 @@ func (f *ShardedFleet) Step() error {
 
 	// Phase 3 (serial): the policy's placement pass over the flexible
 	// remainder, once per contention group with a group-local Tick. In
-	// the default single-group configuration this is exactly the Tick
-	// the serial Fleet builds; with more groups, each group sees only
-	// its own regions, free slots, and eligible jobs (still in global
-	// submission order), so placements can never cross a boundary.
+	// the default single-group configuration the Tick covers the whole
+	// fleet; with more groups, each group sees only its own regions,
+	// free slots, and eligible jobs (still in global submission order),
+	// so placements can never cross a boundary.
 	for gi, regs := range f.groupRegions {
 		freeSlots := make(map[string]int, len(regs))
 		for _, ri := range regs {
@@ -792,8 +805,45 @@ func (f *ShardedFleet) Step() error {
 	return nil
 }
 
-// Lookup returns the live view of a submitted job, matching
-// Fleet.Lookup field for field.
+// fairOrder applies the fair queue's dequeue permutation to one
+// hour's eligible list (identity when no queue is installed).
+func fairOrder(q *tenant.FairQueue, eligible []JobView) []JobView {
+	if q == nil || len(eligible) < 2 {
+		return eligible
+	}
+	names := make([]string, len(eligible))
+	for i, v := range eligible {
+		names[i] = v.Tenant
+	}
+	perm := q.Order(names)
+	out := make([]JobView, len(eligible))
+	for k, i := range perm {
+		out[k] = eligible[i]
+	}
+	return out
+}
+
+// JobInfo is the live view of one submitted job.
+type JobInfo struct {
+	Job
+	// Remaining is the run-hours still needed.
+	Remaining int
+	// Region is the most recent placement ("" before the first run).
+	Region string
+	// Running reports whether the job ran in the most recent Step.
+	Running bool
+	// Completed and CompletedAt mirror Outcome.
+	Completed   bool
+	CompletedAt int
+	// MissedDeadline is true for a late completion or an uncompleted
+	// job whose deadline has passed.
+	MissedDeadline bool
+	Emissions      float64
+	WaitHours      int
+	Migrations     int
+}
+
+// Lookup returns the live view of a submitted job.
 func (f *ShardedFleet) Lookup(id int) (JobInfo, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -826,10 +876,31 @@ func (f *ShardedFleet) Lookup(id int) (JobInfo, bool) {
 	return info, true
 }
 
+// FleetStats is a cheap aggregate for monitoring (internal/schedd's
+// /v1/stats). Unlike Snapshot, SlotHoursTotal covers only the hours
+// simulated so far, so Utilization reflects elapsed time rather than the
+// full horizon. Unresolved counts every submitted-but-uncompleted job,
+// including overdue ones that are still running toward a late finish.
+type FleetStats struct {
+	Hour, Horizon                 int
+	Submitted, Completed, Missed  int
+	Running, Queued, Unresolved   int
+	TotalEmissions                float64
+	SlotHoursUsed, SlotHoursTotal float64
+}
+
+// Utilization returns used/elapsed slot-hours.
+func (s FleetStats) Utilization() float64 {
+	if s.SlotHoursTotal == 0 {
+		return 0
+	}
+	return s.SlotHoursUsed / s.SlotHoursTotal
+}
+
 // Stats summarizes the fleet's current state from incrementally
-// maintained counters in O(shards)-ish constant time — no walk over
-// the job store. TotalEmissions is accumulated in execution order
-// (hour-major), so it can differ from Fleet.Stats by float rounding in
+// maintained counters in constant time — no walk over the job store.
+// TotalEmissions is accumulated in execution order (hour-major), so it
+// can differ from Snapshot's submission-order sum by float rounding in
 // the last bits; every count is exact.
 func (f *ShardedFleet) Stats() FleetStats {
 	f.mu.RLock()
@@ -851,9 +922,19 @@ func (f *ShardedFleet) Stats() FleetStats {
 	return st
 }
 
-// TenantStats aggregates the fleet's jobs per (normalized) tenant,
-// matching Fleet.TenantStats field for field. One walk over the job
-// store under the read lock — monitoring-path cost, not Step-path.
+// TenantStat aggregates one tenant's jobs (FleetStats semantics,
+// sliced per tenant, plus executed slot-hours — the fair-share
+// denominator).
+type TenantStat struct {
+	Submitted, Completed, Missed int
+	Running, Queued, Unresolved  int
+	SlotHours                    int
+	Emissions                    float64
+}
+
+// TenantStats aggregates the fleet's jobs per (normalized) tenant. One
+// walk over the job store under the read lock — monitoring-path cost,
+// not Step-path.
 func (f *ShardedFleet) TenantStats() map[string]TenantStat {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -903,9 +984,9 @@ func (f *ShardedFleet) TenantArrivals(hour int) map[string]int {
 	return out
 }
 
-// Snapshot aggregates the fleet's outcomes so far into a Result in job
-// submission order, byte-identical to Fleet.Snapshot for the same
-// inputs and steps.
+// Snapshot aggregates the fleet's outcomes so far into a Result, in job
+// submission order and identical for any shard count. An uncompleted job
+// counts as missed once its deadline is at or before the current hour.
 func (f *ShardedFleet) Snapshot() Result {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -914,6 +995,9 @@ func (f *ShardedFleet) Snapshot() Result {
 		Policy:         f.policy.Name(),
 		SlotHoursUsed:  f.slotHours,
 		SlotHoursTotal: float64(f.totalSlots * f.horizon),
+	}
+	if n > 0 { // an empty fleet's Outcomes stay nil
+		res.Outcomes = make([]Outcome, 0, n)
 	}
 	for seq := uint32(0); seq < n; seq++ {
 		r := blocks.at(seq)

@@ -1,10 +1,10 @@
 package sched
 
 // Fleet state serialization: a versioned, deterministic binary image of
-// everything a Fleet or ShardedFleet has accumulated — the submitted
-// jobs with their full runtime bookkeeping, the current hour, and the
+// everything a ShardedFleet has accumulated — the submitted jobs with
+// their full runtime bookkeeping, the current hour, and the
 // order-sensitive float aggregates — restorable into a freshly
-// constructed fleet over the same world. internal/schedd snapshots this
+// constructed fleet over the same world, at any shard count. internal/schedd snapshots this
 // image into its write-ahead store so a crashed scheduler can recover
 // to state byte-identical to an uninterrupted run.
 //
@@ -74,8 +74,7 @@ type jobImage struct {
 	emissions  float64
 }
 
-// fleetImage is the complete serialized state shared by both fleet
-// forms.
+// fleetImage is the complete serialized state.
 type fleetImage struct {
 	policy  string
 	horizon int
@@ -84,10 +83,9 @@ type fleetImage struct {
 	slots   []int
 	// slotHours and emissionsOrdered are the incrementally accumulated
 	// aggregates. slotHours is integer-valued; emissionsOrdered is the
-	// execution-order (hour-major) emission sum a ShardedFleet
-	// maintains for O(1) Stats — a serial Fleet, which recomputes
-	// per-job, stores the submission-order sum instead (the two can
-	// differ in the last float bits).
+	// execution-order (hour-major) emission sum the fleet maintains for
+	// O(1) Stats, which re-adding the per-job emissions in submission
+	// order would not reproduce to the last float bit.
 	slotHours        float64
 	emissionsOrdered float64
 	// Tenancy section (version 2+): the scheduling-relevant config
@@ -435,117 +433,14 @@ func (img *fleetImage) checkFQ(hasQueue bool) error {
 	return nil
 }
 
-func regionIndex(regions []string, region string) int {
-	for i, r := range regions {
-		if r == region {
-			return i
-		}
-	}
-	return -1
-}
-
-// --- Fleet ---
+// --- ShardedFleet ---
 
 // Marshal serializes the fleet's complete state — every job's runtime
 // bookkeeping plus the hour and aggregates — into the versioned,
 // CRC-protected binary image documented at the top of this file. The
-// output is deterministic for a given state.
-func (f *Fleet) Marshal() ([]byte, error) {
-	img := &fleetImage{
-		policy:    f.policy.Name(),
-		horizon:   f.horizon,
-		hour:      f.hour,
-		regions:   f.regionsList,
-		slotHours: f.slotHoursUsed,
-		tenancyFP: f.fq.Fingerprint(),
-	}
-	img.fqVtime, img.fqNames, img.fqPasses = f.fq.Snapshot()
-	for _, r := range f.regionsList {
-		img.slots = append(img.slots, f.slots[r])
-	}
-	for _, st := range f.states {
-		img.emissionsOrdered += st.emissions
-	}
-	e := img.encodeHeader(len(f.states))
-	for _, st := range f.states {
-		j := jobImage{
-			Job:        st.Job,
-			progress:   st.progress,
-			regionI:    regionIndex(f.regionsList, st.region),
-			lastRun:    -1,
-			done:       st.done,
-			doneAt:     st.doneAt,
-			waitHours:  st.waitHours,
-			migrations: st.migrations,
-			emissions:  st.emissions,
-		}
-		if st.ranLastHr {
-			j.lastRun = f.hour - 1
-		}
-		e.job(&j)
-	}
-	return e.finish(), nil
-}
-
-// Unmarshal restores state serialized by Fleet.Marshal or
-// ShardedFleet.Marshal into this fleet, replacing whatever it held. The
-// fleet must have been constructed over the same world (trace regions,
-// cluster slots, policy, horizon); a mismatch is an error and leaves
-// the fleet unchanged.
-func (f *Fleet) Unmarshal(data []byte) error {
-	img, err := decodeImage(data)
-	if err != nil {
-		return err
-	}
-	if err := img.checkWorld(f.policy.Name(), f.horizon, f.regionsList, f.slots, f.fq.Fingerprint()); err != nil {
-		return err
-	}
-	if err := img.checkFQ(f.fq != nil); err != nil {
-		return err
-	}
-	if err := img.checkJobs(); err != nil {
-		return err
-	}
-	if f.fq != nil {
-		if err := f.fq.Restore(img.fqVtime, img.fqNames, img.fqPasses); err != nil {
-			return err
-		}
-	}
-	f.hour = img.hour
-	f.slotHoursUsed = img.slotHours
-	f.states = make([]*state, 0, len(img.jobs))
-	f.byID = make(map[int]*state, len(img.jobs))
-	f.completed = 0
-	for i := range img.jobs {
-		j := &img.jobs[i]
-		st := &state{
-			Job:        j.Job,
-			progress:   j.progress,
-			ranLastHr:  j.lastRun >= 0 && j.lastRun == img.hour-1,
-			done:       j.done,
-			doneAt:     j.doneAt,
-			emissions:  j.emissions,
-			waitHours:  j.waitHours,
-			migrations: j.migrations,
-		}
-		if j.regionI >= 0 {
-			st.region = f.regionsList[j.regionI]
-		}
-		if j.done {
-			f.completed++
-		}
-		f.states = append(f.states, st)
-		f.byID[st.ID] = st
-	}
-	return nil
-}
-
-// --- ShardedFleet ---
-
-// Marshal serializes the sharded fleet's complete state into the same
-// versioned image Fleet.Marshal produces; the two forms restore into
-// each other. Jobs are encoded straight from the store, with no
-// intermediate copy. Safe to call concurrently with Submit/Lookup/Stats.
+// output is deterministic for a given state and independent of the shard
+// count. Jobs are encoded straight from the store, with no intermediate
+// copy. Safe to call concurrently with Submit/Lookup/Stats.
 func (f *ShardedFleet) Marshal() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -579,7 +474,7 @@ func (f *ShardedFleet) Marshal() ([]byte, error) {
 	return e.finish(), nil
 }
 
-// Unmarshal restores serialized fleet state into this sharded fleet,
+// Unmarshal restores state serialized by Marshal into this fleet,
 // replacing whatever it held: the job store, the per-shard active and
 // pending lists, the deadline buckets, and every incremental counter
 // are rebuilt so subsequent Steps are byte-identical to a fleet that

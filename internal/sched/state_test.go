@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -52,8 +53,8 @@ func goldenTenantConfig(t testing.TB) *tenant.Config {
 
 // TestStateRoundTripMidRun: marshal a fleet mid-run, restore into a
 // fresh fleet, run both to the horizon — placements, Result, and the
-// final serialized state must be byte-identical, for the serial Fleet,
-// the ShardedFleet at several shard counts, and cross-form restores.
+// final serialized state must be byte-identical, at several shard counts
+// and for restores that change the shard count.
 func TestStateRoundTripMidRun(t *testing.T) {
 	const horizon, cut = 24 * 8, 50
 	set := mkSet(t, horizon)
@@ -67,39 +68,15 @@ func TestStateRoundTripMidRun(t *testing.T) {
 	}
 	policy := SpatioTemporal{Percentile: 40, Window: 48}
 
-	type fleetLike interface {
-		Submit(...Job) error
-		Step() error
-		Done() bool
-		Snapshot() Result
-		Marshal() ([]byte, error)
-		Unmarshal([]byte) error
-	}
-	mk := map[string]func() fleetLike{
-		"serial": func() fleetLike {
-			f, err := NewFleet(set, clusters(6), policy, horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f
-		},
-		"sharded1": func() fleetLike {
-			f, err := NewShardedFleet(set, clusters(6), policy, horizon, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f
-		},
-		"sharded4": func() fleetLike {
-			f, err := NewShardedFleet(set, clusters(6), policy, horizon, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f
-		},
+	build := func(shards int) *ShardedFleet {
+		f, err := NewShardedFleet(set, clusters(6), policy, horizon, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
 	}
 
-	run := func(f fleetLike, to int) {
+	run := func(f *ShardedFleet, to int) {
 		t.Helper()
 		for i := 0; i < to; i++ {
 			if err := f.Step(); err != nil {
@@ -108,10 +85,10 @@ func TestStateRoundTripMidRun(t *testing.T) {
 		}
 	}
 
-	for name, build := range mk {
-		for restoreName, buildRestore := range mk {
-			t.Run(name+"->"+restoreName, func(t *testing.T) {
-				ref := build()
+	for _, from := range []int{1, 4} {
+		for _, to := range []int{1, 4} {
+			t.Run(fmt.Sprintf("sharded%d->sharded%d", from, to), func(t *testing.T) {
+				ref := build(from)
 				if err := ref.Submit(jobs...); err != nil {
 					t.Fatal(err)
 				}
@@ -122,22 +99,19 @@ func TestStateRoundTripMidRun(t *testing.T) {
 				}
 
 				// Restore the mid-run image into a fresh fleet of the
-				// target form.
-				restored := buildRestore()
+				// target shard count.
+				restored := build(to)
 				if err := restored.Unmarshal(mid); err != nil {
 					t.Fatal(err)
 				}
 				// Immediately re-marshaling must reproduce the image
-				// exactly when the forms match (the sharded forms share
-				// one layout; the serial form flattens lastRun).
-				if name == restoreName {
-					again, err := restored.Marshal()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(mid, again) {
-						t.Fatal("restore + re-marshal is not byte-identical")
-					}
+				// exactly: the layout does not depend on the shard count.
+				again, err := restored.Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(mid, again) {
+					t.Fatal("restore + re-marshal is not byte-identical")
 				}
 
 				// Run both to the horizon: identical outcomes.
@@ -154,7 +128,7 @@ func TestStateRoundTripMidRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if name == restoreName && !bytes.Equal(a, b) {
+				if !bytes.Equal(a, b) {
 					t.Fatal("final serialized state differs from the uninterrupted run")
 				}
 			})
@@ -235,8 +209,8 @@ func TestStateRejectsCorruption(t *testing.T) {
 // TestStateRejectsOutOfRangeFields: a checksummed image whose hours or
 // counters do not fit the 32-bit record, or whose origin is not one of
 // the fleet's regions (FuzzShardedUnmarshal found that one restoring as
-// region 0), is refused by both fleets, never truncated; the same image
-// with every field at its limit restores and re-marshals byte for byte.
+// region 0), is refused, never truncated; the same image with every
+// field at its limit restores and re-marshals byte for byte.
 func TestStateRejectsOutOfRangeFields(t *testing.T) {
 	const horizon = 48
 	set := mkSet(t, horizon)
@@ -249,16 +223,12 @@ func TestStateRejectsOutOfRangeFields(t *testing.T) {
 		e.job(&j)
 		return e.finish()
 	}
-	restore := func(data []byte) (*ShardedFleet, error, error) {
-		serial, err := NewFleet(set, clusters(4), FIFO{}, horizon)
+	restore := func(data []byte) (*ShardedFleet, error) {
+		f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sharded, serial.Unmarshal(data), sharded.Unmarshal(data)
+		return f, f.Unmarshal(data)
 	}
 
 	limit := jobImage{
@@ -266,9 +236,9 @@ func TestStateRejectsOutOfRangeFields(t *testing.T) {
 		progress: 2, regionI: 1, lastRun: math.MaxInt32, doneAt: math.MaxInt32,
 		waitHours: math.MaxInt32, migrations: math.MaxInt32, emissions: 40,
 	}
-	f, errSerial, errSharded := restore(image(limit))
-	if errSerial != nil || errSharded != nil {
-		t.Fatalf("image at the limits rejected: serial %v, sharded %v", errSerial, errSharded)
+	f, err := restore(image(limit))
+	if err != nil {
+		t.Fatalf("image at the limits rejected: %v", err)
 	}
 	if again, _ := f.Marshal(); !bytes.Equal(again, image(limit)) {
 		t.Fatal("image at the limits did not re-marshal byte for byte")
@@ -285,8 +255,8 @@ func TestStateRejectsOutOfRangeFields(t *testing.T) {
 	} {
 		j := limit
 		mutate(&j)
-		if _, errSerial, errSharded := restore(image(j)); errSerial == nil || errSharded == nil {
-			t.Errorf("%s out of range: serial %v, sharded %v", name, errSerial, errSharded)
+		if _, err := restore(image(j)); err == nil {
+			t.Errorf("%s out of range accepted", name)
 		}
 	}
 }

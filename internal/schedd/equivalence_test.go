@@ -54,10 +54,12 @@ func TestOnlineEquivalence(t *testing.T) {
 		sched.SpatioTemporal{Percentile: 40, Window: 48},
 	}
 	for _, policy := range policies {
-		// Offline reference: the batch simulator, with the same
-		// placement recorder attached to its underlying fleet.
+		// Offline reference: the batch simulator's own configuration (a
+		// one-shard fleet, every job submitted up front) with the same
+		// placement recorder attached. That this fleet equals the serial
+		// reference scheduler is pinned inside internal/sched.
 		var offline []placeRec
-		ref, err := sched.NewFleet(set, clusters(20), policy, horizon)
+		ref, err := sched.NewShardedFleet(set, clusters(20), policy, horizon, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
