@@ -119,8 +119,11 @@ func New(cfg Config) (*Gateway, error) {
 // Handler returns the gateway's HTTP handler.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", g.handleSubmitJSON)
-	mux.HandleFunc("POST /v1/jobs/batch", g.handleSubmitBinary)
+	for _, wire := range schedd.Wires {
+		mux.HandleFunc(http.MethodPost+" "+wire.Route, func(w http.ResponseWriter, r *http.Request) {
+			g.handleSubmit(w, r, wire)
+		})
+	}
 	mux.HandleFunc("GET /v1/jobs/{id}", g.handleJob)
 	mux.HandleFunc("GET /v1/stats", g.handleStats)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
@@ -219,15 +222,15 @@ func (g *Gateway) routeJob(job *schedd.JobRequest) int {
 
 // ---- submission ----
 
-func (g *Gateway) handleSubmitJSON(w http.ResponseWriter, r *http.Request) {
-	g.handleSubmit(w, r, false)
-}
-
-func (g *Gateway) handleSubmitBinary(w http.ResponseWriter, r *http.Request) {
-	g.handleSubmit(w, r, true)
-}
-
-func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, binary bool) {
+// handleSubmit serves one submit route. wire is the protocol the route
+// speaks — the same schedd.Wire value the partitions serve it with, so
+// the media-type check, the decoder and the ack codec are theirs.
+func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, wire *schedd.Wire) {
+	// Before the body is read, as on the partition: a mis-typed request
+	// is a 415 however large it is.
+	if wire.RejectType(w, r) {
+		return
+	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, httpx.MaxBody))
 	if err != nil {
 		var mbe *http.MaxBytesError
@@ -241,19 +244,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, binary bo
 		httpx.WriteJSON(w, http.StatusBadRequest, schedd.ErrorResponse{Error: err.Error()})
 		return
 	}
-	path, contentType := "/v1/jobs", "application/json"
-	var jobs []schedd.JobRequest
-	if binary {
-		path, contentType = "/v1/jobs/batch", schedd.BinaryContentType
-		if ct := r.Header.Get("Content-Type"); ct != schedd.BinaryContentType {
-			httpx.WriteJSON(w, http.StatusUnsupportedMediaType,
-				schedd.ErrorResponse{Error: fmt.Sprintf("content type %q; want %s", ct, schedd.BinaryContentType)})
-			return
-		}
-		jobs, err = schedd.DecodeBinarySubmit(bytes.NewReader(body))
-	} else {
-		jobs, err = schedd.DecodeSubmit(bytes.NewReader(body))
-	}
+	jobs, err := wire.DecodeSubmit(bytes.NewReader(body))
 	if err != nil {
 		// The decode errors carry the partitions' own message shapes, so
 		// a 400 reads the same with or without the gateway in front.
@@ -281,11 +272,11 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, binary bo
 		// Single-partition batch: raw proxy. Status, error shape, and
 		// Retry-After pass through exactly as the partition answered.
 		g.mx.proxied.Inc()
-		g.proxySubmit(w, r.Context(), g.parts[order[0]], path, contentType, body, binary)
+		g.proxySubmit(w, r.Context(), g.parts[order[0]], wire, body)
 		return
 	}
 	g.mx.split.Inc()
-	g.splitSubmit(w, r.Context(), jobs, byPart, binary)
+	g.splitSubmit(w, r.Context(), wire, jobs, byPart)
 }
 
 // writeUnreachable maps a gateway-side transport failure to 503 with a
@@ -302,10 +293,10 @@ func (g *Gateway) writeUnreachable(w http.ResponseWriter, err error) {
 // (dead primary rotation, 421 redirects); whatever status survives that
 // is the partition's real answer and is passed through, with the
 // Retry-After header re-stamped from the in-body hint.
-func (g *Gateway) proxySubmit(w http.ResponseWriter, ctx context.Context, p *partition, path, contentType string, body []byte, binary bool) {
+func (g *Gateway) proxySubmit(w http.ResponseWriter, ctx context.Context, p *partition, wire *schedd.Wire, body []byte) {
 	var gotStatus int
 	var gotBody []byte
-	err := p.eps.Do(ctx, g.hc, http.MethodPost, path, contentType, body, "gateway",
+	err := p.eps.Do(ctx, g.hc, http.MethodPost, wire.Route, wire.ContentType, body, "gateway",
 		func(statusCode int, status string, respBody []byte) error {
 			gotStatus = statusCode
 			gotBody = append([]byte(nil), respBody...)
@@ -317,8 +308,8 @@ func (g *Gateway) proxySubmit(w http.ResponseWriter, ctx context.Context, p *par
 		return
 	}
 	g.mx.partitionUp.With(strconv.Itoa(p.index)).Set(1)
-	if binary && gotStatus == http.StatusOK {
-		w.Header().Set("Content-Type", schedd.BinaryContentType)
+	if gotStatus == http.StatusOK {
+		w.Header().Set("Content-Type", wire.ContentType)
 	} else {
 		w.Header().Set("Content-Type", "application/json")
 		var eb schedd.ErrorResponse
@@ -343,7 +334,7 @@ type subResult struct {
 // serially, in ascending partition order, so each partition sees its
 // jobs in batch order — and folds the per-partition answers back into
 // one response.
-func (g *Gateway) splitSubmit(w http.ResponseWriter, ctx context.Context, jobs []schedd.JobRequest, byPart map[int][]int, binary bool) {
+func (g *Gateway) splitSubmit(w http.ResponseWriter, ctx context.Context, wire *schedd.Wire, jobs []schedd.JobRequest, byPart map[int][]int) {
 	parts := make([]int, 0, len(byPart))
 	for pi := range byPart {
 		parts = append(parts, pi)
@@ -357,7 +348,7 @@ func (g *Gateway) splitSubmit(w http.ResponseWriter, ctx context.Context, jobs [
 		for j, i := range idx {
 			sub[j] = jobs[i]
 		}
-		results[pi] = g.submitSub(ctx, g.parts[pi], sub, binary)
+		results[pi] = g.submitSub(ctx, g.parts[pi], wire, sub)
 	}
 
 	// Fold. All-acked → a plain merged ack; uniform failure → that
@@ -379,24 +370,17 @@ func (g *Gateway) splitSubmit(w http.ResponseWriter, ctx context.Context, jobs [
 	}
 	switch {
 	case allOK:
-		out := schedd.SubmitResponse{IDs: make([]int, len(jobs))}
+		ids, arrival := make([]int, len(jobs)), 0
 		for _, pi := range parts {
 			r := results[pi]
 			for j, i := range byPart[pi] {
-				out.IDs[i] = r.ids[j]
+				ids[i] = r.ids[j]
 			}
-			if r.arrival > out.ArrivalHour {
-				out.ArrivalHour = r.arrival
+			if r.arrival > arrival {
+				arrival = r.arrival
 			}
 		}
-		out.Accepted = len(jobs)
-		if binary {
-			w.Header().Set("Content-Type", schedd.BinaryContentType)
-			w.WriteHeader(http.StatusOK)
-			w.Write(schedd.AppendBinaryAck(nil, out.ArrivalHour, out.IDs))
-			return
-		}
-		httpx.WriteJSON(w, http.StatusOK, out)
+		wire.WriteAck(w, nil, arrival, ids)
 	case allFail && uniform > 0:
 		first, after := "", 0
 		for _, pi := range parts {
@@ -438,39 +422,22 @@ func (g *Gateway) splitSubmit(w http.ResponseWriter, ctx context.Context, jobs [
 	}
 }
 
-// submitSub submits one partition's sub-batch over the requested
-// protocol and normalizes the answer into a subResult. A transport
-// failure (every endpoint dead) is a synthetic 503 — retryable
-// backpressure from the client's point of view.
-func (g *Gateway) submitSub(ctx context.Context, p *partition, sub []schedd.JobRequest, binary bool) subResult {
-	var payload []byte
-	path, contentType := "/v1/jobs", "application/json"
-	if binary {
-		path, contentType = "/v1/jobs/batch", schedd.BinaryContentType
-		payload = schedd.AppendBinarySubmit(nil, sub)
-	} else {
-		var err error
-		if payload, err = json.Marshal(schedd.SubmitRequest{Jobs: sub}); err != nil {
-			return subResult{status: http.StatusInternalServerError, errMsg: err.Error()}
-		}
+// submitSub submits one partition's sub-batch over the request's wire
+// and normalizes the answer into a subResult. A transport failure
+// (every endpoint dead) is a synthetic 503 — retryable backpressure
+// from the client's point of view.
+func (g *Gateway) submitSub(ctx context.Context, p *partition, wire *schedd.Wire, sub []schedd.JobRequest) subResult {
+	payload, err := wire.AppendSubmit(nil, sub)
+	if err != nil {
+		return subResult{status: http.StatusInternalServerError, errMsg: err.Error()}
 	}
 	var res subResult
-	err := p.eps.Do(ctx, g.hc, http.MethodPost, path, contentType, payload, "gateway",
+	err = p.eps.Do(ctx, g.hc, http.MethodPost, wire.Route, wire.ContentType, payload, "gateway",
 		func(statusCode int, status string, body []byte) error {
 			res.status = statusCode
 			if statusCode == http.StatusOK {
-				if binary {
-					ack, err := schedd.DecodeBinaryAck(body)
-					if err != nil {
-						res.status = http.StatusBadGateway
-						res.errMsg = fmt.Sprintf("partition %d: bad ack: %v", p.index, err)
-						return nil
-					}
-					res.ids, res.arrival = ack.IDs, ack.ArrivalHour
-					return nil
-				}
-				var ack schedd.SubmitResponse
-				if err := json.Unmarshal(body, &ack); err != nil {
+				ack, err := wire.DecodeAck(body)
+				if err != nil {
 					res.status = http.StatusBadGateway
 					res.errMsg = fmt.Sprintf("partition %d: bad ack: %v", p.index, err)
 					return nil

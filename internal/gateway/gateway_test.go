@@ -250,7 +250,7 @@ func TestBackpressureTaxonomyThroughGateway(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	_, gwts := startGateway(t, [][]string{{ts.URL}})
+	gw, gwts := startGateway(t, [][]string{{ts.URL}})
 
 	single, err := schedd.NewClient(gwts.URL, gwts.Client())
 	if err != nil {
@@ -337,6 +337,26 @@ func TestBackpressureTaxonomyThroughGateway(t *testing.T) {
 			t.Fatalf("413 Retry-After = %d, want none", got)
 		}
 	})
+
+	// A mis-typed request on the strict route is refused on its header
+	// alone: an oversize body does not turn the partition's 415 into a
+	// 413 behind the gateway. (The typed clients cannot mis-type a
+	// request, so this row drives both handlers directly.)
+	mistyped := func(h http.Handler) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, schedd.BinaryWire.Route,
+			strings.NewReader(strings.Repeat("x", httpx.MaxBody+1)))
+		req.Header.Set("Content-Type", "application/json")
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		return rr
+	}
+	direct, through := mistyped(srv.Handler()), mistyped(gw.Handler())
+	if direct.Code != http.StatusUnsupportedMediaType || through.Code != direct.Code {
+		t.Fatalf("mis-typed oversize request: partition %d, gateway %d, want 415 from both", direct.Code, through.Code)
+	}
+	if direct.Body.String() != through.Body.String() {
+		t.Fatalf("415 body differs: partition %q, gateway %q", direct.Body, through.Body)
+	}
 }
 
 // TestFleetStatsMerge: GET /v1/stats on the gateway is the fleet-wide

@@ -35,8 +35,8 @@ func postRaw(t *testing.T, srv *Server, path, contentType string, body []byte) *
 // empty-batch bug: {"jobs":[]} used to fall through to a single
 // zero-valued JobRequest and admit a garbage job; it must be a 400.
 func TestDecodeSubmitRejectsEmptyBatch(t *testing.T) {
-	if _, err := decodeSubmit(strings.NewReader(`{"jobs":[]}`)); err == nil {
-		t.Fatal("decodeSubmit accepted an explicit empty batch")
+	if _, err := DecodeSubmit(strings.NewReader(`{"jobs":[]}`)); err == nil {
+		t.Fatal("DecodeSubmit accepted an explicit empty batch")
 	}
 	srv, _, _ := startServer(t, Config{Policy: sched.FIFO{}}, 4)
 	rr := postRaw(t, srv, "/v1/jobs", "application/json", []byte(`{"jobs":[]}`))
@@ -55,13 +55,13 @@ func TestDecodeSubmitRejectsEmptyBatch(t *testing.T) {
 func TestDecodeSubmitRejectsTrailingGarbage(t *testing.T) {
 	valid := `{"origin":"CLEAN","length_hours":1}`
 	for _, tail := range []string{`garbage`, `{"origin":"DIRTY"}`, `[1,2]`, `0`} {
-		if _, err := decodeSubmit(strings.NewReader(valid + " " + tail)); err == nil {
-			t.Fatalf("decodeSubmit accepted trailing %q", tail)
+		if _, err := DecodeSubmit(strings.NewReader(valid + " " + tail)); err == nil {
+			t.Fatalf("DecodeSubmit accepted trailing %q", tail)
 		}
 	}
 	// Trailing whitespace stays fine.
-	if _, err := decodeSubmit(strings.NewReader(valid + " \n\t ")); err != nil {
-		t.Fatalf("decodeSubmit rejected trailing whitespace: %v", err)
+	if _, err := DecodeSubmit(strings.NewReader(valid + " \n\t ")); err != nil {
+		t.Fatalf("DecodeSubmit rejected trailing whitespace: %v", err)
 	}
 	srv, _, _ := startServer(t, Config{Policy: sched.FIFO{}}, 4)
 	rr := postRaw(t, srv, "/v1/jobs", "application/json", []byte(valid+` x`))
@@ -156,7 +156,7 @@ func TestBinarySubmitRoundTrip(t *testing.T) {
 // length prefix, and the content-type gate.
 func TestBinarySubmitRejections(t *testing.T) {
 	srv, _, _ := startServer(t, Config{Policy: sched.FIFO{}}, 4)
-	valid := appendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}})
+	valid := AppendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}})
 
 	empty := appendBinaryFrame(nil, binReqMagic, binVersion, func(buf []byte) []byte {
 		return binary.AppendUvarint(buf, 0)
@@ -201,7 +201,7 @@ func TestSubmitHourBound400(t *testing.T) {
 	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "deadline past") {
 		t.Errorf("JSON: status %d (%s), want 400", rr.Code, rr.Body.String())
 	}
-	rr = postRaw(t, srv, "/v1/jobs/batch", BinaryContentType, appendBinarySubmit(nil, huge))
+	rr = postRaw(t, srv, "/v1/jobs/batch", BinaryContentType, AppendBinarySubmit(nil, huge))
 	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "deadline past") {
 		t.Errorf("binary: status %d (%s), want 400", rr.Code, rr.Body.String())
 	}
@@ -209,7 +209,7 @@ func TestSubmitHourBound400(t *testing.T) {
 		t.Fatalf("%d jobs admitted", got)
 	}
 	huge[0].SlackHours = math.MaxInt32 - 1 - srv.fleet.Hour()
-	if rr := postRaw(t, srv, "/v1/jobs/batch", BinaryContentType, appendBinarySubmit(nil, huge)); rr.Code != http.StatusOK {
+	if rr := postRaw(t, srv, "/v1/jobs/batch", BinaryContentType, AppendBinarySubmit(nil, huge)); rr.Code != http.StatusOK {
 		t.Errorf("largest legal slack: status %d (%s)", rr.Code, rr.Body.String())
 	}
 }
@@ -218,8 +218,8 @@ func TestSubmitHourBound400(t *testing.T) {
 // and negative-delta id sequences.
 func TestBinaryAckCodec(t *testing.T) {
 	for _, ids := range [][]int{{0}, {1, 2, 3}, {42}, {100, 7, 2000000, 8}} {
-		frame := appendBinaryAck(nil, 13, ids)
-		resp, err := decodeBinaryAck(frame)
+		frame := AppendBinaryAck(nil, 13, ids)
+		resp, err := DecodeBinaryAck(frame)
 		if err != nil {
 			t.Fatalf("ids %v: %v", ids, err)
 		}
@@ -232,7 +232,7 @@ func TestBinaryAckCodec(t *testing.T) {
 			}
 		}
 	}
-	if _, err := decodeBinaryAck([]byte("CSBA")); err == nil {
+	if _, err := DecodeBinaryAck([]byte("CSBA")); err == nil {
 		t.Fatal("truncated ack decoded")
 	}
 }
@@ -287,7 +287,7 @@ func TestBinarySubmitFollowerRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	frame := appendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}})
+	frame := AppendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}})
 	rr := postRaw(t, srv, "/v1/jobs/batch", BinaryContentType, frame)
 	if rr.Code != http.StatusMisdirectedRequest {
 		t.Fatalf("follower binary submit: status %d, want 421 (%s)", rr.Code, rr.Body.String())
@@ -301,8 +301,8 @@ func TestBinarySubmitFollowerRedirect(t *testing.T) {
 // reuses the cluster table's strings.
 func TestBinaryDecoderInterning(t *testing.T) {
 	srv, _, _ := startServer(t, Config{Policy: sched.FIFO{}}, 4)
-	frame := appendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}})
-	b := &binBatch{}
+	frame := AppendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}})
+	b := &batch{}
 	if err := readBinaryFrame(bytes.NewReader(frame), binReqMagic, b); err != nil {
 		t.Fatal(err)
 	}

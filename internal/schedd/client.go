@@ -72,115 +72,87 @@ func NewFailoverClient(baseURLs []string, httpClient *http.Client) (*Client, err
 // Endpoint returns the endpoint the next request will try first (the
 // single base URL, or the failover rotation's current pick).
 func (c *Client) Endpoint() string {
-	if c.eps != nil {
-		return c.eps.Current()
+	if c.eps == nil {
+		return c.base
 	}
-	return c.base
+	return c.eps.Current()
 }
 
-// Submit submits one or more jobs and returns the acknowledgement.
-// Against a gateway that split the batch across partitions, a partial
-// outcome surfaces as a *PartialError carrying the admitted ids.
+// Submit submits one or more jobs over the JSON protocol and returns
+// the acknowledgement. Against a gateway that split the batch across
+// partitions, a partial outcome surfaces as a *PartialError carrying
+// the admitted ids.
 func (c *Client) Submit(ctx context.Context, jobs ...JobRequest) (SubmitResponse, error) {
-	if len(jobs) == 0 {
-		return SubmitResponse{}, fmt.Errorf("schedd: no jobs to submit")
-	}
-	var payload any = jobs[0]
-	if len(jobs) > 1 {
-		payload = SubmitRequest{Jobs: jobs}
-	}
-	buf, err := json.Marshal(payload)
-	if err != nil {
-		return SubmitResponse{}, fmt.Errorf("schedd: encoding request: %w", err)
-	}
-	var out SubmitResponse
-	decode := func(statusCode int, status string, body []byte) error {
-		return decodeSubmitAck(statusCode, status, body, func(b []byte) error {
-			if err := json.Unmarshal(b, &out); err != nil {
-				return fmt.Errorf("schedd: decoding response: %w", err)
-			}
-			return nil
-		})
-	}
-	if c.eps != nil {
-		if err := c.eps.Do(ctx, c.hc, http.MethodPost, "/v1/jobs", "application/json", buf, "schedd", decode); err != nil {
-			return SubmitResponse{}, err
-		}
-		return out, nil
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs", bytes.NewReader(buf))
-	if err != nil {
-		return SubmitResponse{}, fmt.Errorf("schedd: building request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if err := httpx.DoRaw(c.hc, req, "schedd", decode); err != nil {
-		return SubmitResponse{}, err
-	}
-	return out, nil
+	return c.submit(ctx, JSONWire, jobs)
 }
 
-// decodeSubmitAck maps a submit response: 200 through ok (the
-// protocol-specific ack decoder), 207 into a *PartialError, everything
-// else through the shared error mapping. 207 sits on the Endpoints
-// failover path's default branch, so a partial outcome is never
-// replayed against another endpoint.
-func decodeSubmitAck(statusCode int, status string, body []byte, ok func([]byte) error) error {
-	switch statusCode {
-	case http.StatusOK:
-		return ok(body)
-	case http.StatusMultiStatus:
-		var ms MultiStatusResponse
-		if err := json.Unmarshal(body, &ms); err == nil && len(ms.Outcomes) > 0 {
-			return &PartialError{Resp: ms}
-		}
-	}
-	return httpx.DecodeResponse(statusCode, status, body, "schedd", nil)
-}
-
-// SubmitBatch submits jobs over the binary batch protocol (POST
-// /v1/jobs/batch) — the same admission semantics as Submit with the
-// JSON codec replaced by the CRC-framed binary one, at a fraction of
-// the encode/decode cost. Failover, the 421 write-redirect contract,
-// and trace propagation behave exactly as on Submit: only 200
-// responses are binary, every error keeps the shared JSON error shape.
+// SubmitBatch is Submit over the binary batch protocol — the same
+// admission semantics at a fraction of the encode/decode cost.
+// Failover, the 421 write-redirect contract, and trace propagation
+// behave exactly as on Submit: only 200 responses are binary, every
+// error keeps the shared JSON error shape.
 func (c *Client) SubmitBatch(ctx context.Context, jobs ...JobRequest) (SubmitResponse, error) {
+	return c.submit(ctx, BinaryWire, jobs)
+}
+
+// submit is the one submit path: encode through the wire, send, and
+// map the response — 200 through the wire's ack decoder, 207 into a
+// *PartialError, everything else through the shared error mapping. 207
+// sits on the Endpoints failover path's default branch, so a partial
+// outcome is never replayed against another endpoint.
+func (c *Client) submit(ctx context.Context, wire *Wire, jobs []JobRequest) (SubmitResponse, error) {
 	if len(jobs) == 0 {
 		return SubmitResponse{}, fmt.Errorf("schedd: no jobs to submit")
 	}
-	for i := range jobs {
-		// The wire format is unsigned; catch nonsense the server-side
-		// validator would reject anyway before it wraps around.
-		if jobs[i].LengthHours < 0 || jobs[i].SlackHours < 0 {
-			return SubmitResponse{}, fmt.Errorf("schedd: job %d has negative length or slack", i)
-		}
-	}
-	payload := appendBinarySubmit(nil, jobs)
-	var out SubmitResponse
-	decode := func(statusCode int, status string, body []byte) error {
-		return decodeSubmitAck(statusCode, status, body, func(b []byte) error {
-			resp, err := decodeBinaryAck(b)
-			if err != nil {
-				return fmt.Errorf("schedd: %w", err)
-			}
-			out = resp
-			return nil
-		})
-	}
-	if c.eps != nil {
-		if err := c.eps.Do(ctx, c.hc, http.MethodPost, "/v1/jobs/batch", BinaryContentType, payload, "schedd", decode); err != nil {
-			return SubmitResponse{}, err
-		}
-		return out, nil
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/jobs/batch", bytes.NewReader(payload))
+	payload, err := wire.AppendSubmit(nil, jobs)
 	if err != nil {
-		return SubmitResponse{}, fmt.Errorf("schedd: building request: %w", err)
+		return SubmitResponse{}, fmt.Errorf("schedd: %w", err)
 	}
-	req.Header.Set("Content-Type", BinaryContentType)
-	if err := httpx.DoRaw(c.hc, req, "schedd", decode); err != nil {
+	var out SubmitResponse
+	err = c.send(ctx, http.MethodPost, wire.Route, wire.ContentType, payload,
+		func(statusCode int, status string, body []byte) error {
+			switch statusCode {
+			case http.StatusOK:
+				ack, err := wire.DecodeAck(body)
+				if err != nil {
+					return fmt.Errorf("schedd: %w", err)
+				}
+				out = ack
+				return nil
+			case http.StatusMultiStatus:
+				var ms MultiStatusResponse
+				if err := json.Unmarshal(body, &ms); err == nil && len(ms.Outcomes) > 0 {
+					return &PartialError{Resp: ms}
+				}
+			}
+			return httpx.DecodeResponse(statusCode, status, body, "schedd", nil)
+		})
+	if err != nil {
 		return SubmitResponse{}, err
 	}
 	return out, nil
+}
+
+// send issues one request and hands the final response to decode. It
+// is the only place that knows whether this client fails over: a
+// failover client goes through the Endpoints rotation, a
+// single-endpoint one straight to its base URL.
+func (c *Client) send(ctx context.Context, method, path, contentType string, payload []byte, decode func(statusCode int, status string, body []byte) error) error {
+	if c.eps != nil {
+		return c.eps.Do(ctx, c.hc, method, path, contentType, payload, "schedd", decode)
+	}
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return fmt.Errorf("schedd: building request: %w", err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	return httpx.DoRaw(c.hc, req, "schedd", decode)
 }
 
 // Job returns the live status of one job.
@@ -224,24 +196,18 @@ func (c *Client) Promote(ctx context.Context) (PromoteResponse, error) {
 	return out, nil
 }
 
+// do is the JSON request/response helper of the read routes.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	if c.eps != nil {
-		return c.eps.DoJSON(ctx, c.hc, method, path, in, "schedd", out)
-	}
-	var body io.Reader
+	var payload []byte
+	var contentType string
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if payload, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("schedd: encoding request: %w", err)
 		}
-		body = bytes.NewReader(buf)
+		contentType = "application/json"
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return fmt.Errorf("schedd: building request: %w", err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	return httpx.DoJSON(c.hc, req, "schedd", out)
+	return c.send(ctx, method, path, contentType, payload, func(statusCode int, status string, body []byte) error {
+		return httpx.DecodeResponse(statusCode, status, body, "schedd", out)
+	})
 }

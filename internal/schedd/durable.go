@@ -166,14 +166,7 @@ func (s *Server) applyRecord(payload []byte, maxWatermark *int) error {
 		if err != nil {
 			return err
 		}
-		if err := s.stepFleetTo(arrival); err != nil {
-			return err
-		}
-		if err := s.fleet.Submit(jobs...); err != nil {
-			return err
-		}
-		s.nextID = next
-		return nil
+		return s.replayAdmit(arrival, next, jobs)
 	case recWatermark:
 		hour, err := decodeWatermark(payload)
 		if err != nil {
@@ -188,7 +181,22 @@ func (s *Server) applyRecord(payload []byte, maxWatermark *int) error {
 	}
 }
 
-// stepFleetTo steps the fleet up to the given hour during recovery.
+// replayAdmit re-executes one decoded admit record: step the fleet to
+// the stamped arrival hour, submit the batch, restore the id counter.
+// Recovery and the replication follower both apply admissions through
+// it, so a recovered primary and its standby cannot diverge.
+func (s *Server) replayAdmit(arrival, nextID int, jobs []sched.Job) error {
+	if err := s.stepFleetTo(arrival); err != nil {
+		return err
+	}
+	if err := s.fleet.Submit(jobs...); err != nil {
+		return err
+	}
+	s.nextID = nextID
+	return nil
+}
+
+// stepFleetTo steps the fleet up to the given hour during replay.
 func (s *Server) stepFleetTo(hour int) error {
 	for s.fleet.Hour() < hour {
 		if err := s.fleet.Step(); err != nil {

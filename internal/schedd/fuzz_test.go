@@ -14,8 +14,8 @@ import (
 )
 
 // FuzzDecodeSubmit fuzzes the POST /v1/jobs request-parsing path, both
-// at the decode layer (decodeSubmit must never panic and must either
-// error or yield a non-empty batch) and end to end through the handler
+// at the decode layer (JSONWire.DecodeSubmit must never panic and must
+// either error or yield a non-empty batch) and end to end through the handler
 // (arbitrary bodies must map to a well-formed JSON response with a
 // sane status — 200 for admitted work, 400 for garbage, 503 for
 // backpressure — never a 500, never a panic).
@@ -49,12 +49,12 @@ func FuzzDecodeSubmit(f *testing.F) {
 	handler := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		jobs, err := decodeSubmit(bytes.NewReader(data))
+		jobs, err := JSONWire.DecodeSubmit(bytes.NewReader(data))
 		if err == nil && len(jobs) == 0 {
-			t.Fatal("decodeSubmit returned no error and no jobs")
+			t.Fatal("DecodeSubmit returned no error and no jobs")
 		}
 
-		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(data))
+		req := httptest.NewRequest(http.MethodPost, JSONWire.Route, bytes.NewReader(data))
 		rr := httptest.NewRecorder()
 		handler.ServeHTTP(rr, req)
 		switch rr.Code {
@@ -67,8 +67,8 @@ func FuzzDecodeSubmit(f *testing.F) {
 			t.Fatalf("body %q: non-JSON response %q", data, rr.Body.String())
 		}
 		if rr.Code == http.StatusOK {
-			var ack SubmitResponse
-			if err := json.Unmarshal(rr.Body.Bytes(), &ack); err != nil {
+			ack, err := JSONWire.DecodeAck(rr.Body.Bytes())
+			if err != nil {
 				t.Fatalf("body %q: bad ack: %v", data, err)
 			}
 			if ack.Accepted != len(ack.IDs) || ack.Accepted == 0 {
@@ -83,9 +83,9 @@ func FuzzDecodeSubmit(f *testing.F) {
 // either error or yield a non-empty batch, and the handler must map
 // every body to a sane status with a decodable response.
 func FuzzDecodeBinarySubmit(f *testing.F) {
-	f.Add(appendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}}))
+	f.Add(AppendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}}))
 	three := 3
-	f.Add(appendBinarySubmit(nil, []JobRequest{
+	f.Add(AppendBinarySubmit(nil, []JobRequest{
 		{ID: &three, Origin: "DIRTY", LengthHours: 2, SlackHours: 24, Interruptible: true},
 		{Origin: "CLEAN", LengthHours: 1, Migratable: true},
 	}))
@@ -93,7 +93,7 @@ func FuzzDecodeBinarySubmit(f *testing.F) {
 		return binary.AppendUvarint(buf, 0)
 	})
 	f.Add(empty)
-	valid := appendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}})
+	valid := AppendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}})
 	f.Add(valid[:len(valid)-3])                        // truncated payload
 	f.Add(append(valid[:0:0], append(valid, 0xff)...)) // trailing byte
 	corrupt := append(valid[:0:0], valid...)
@@ -109,13 +109,13 @@ func FuzzDecodeBinarySubmit(f *testing.F) {
 	// Version-2 tenant frames: a tagged batch, the quota-limited tenant,
 	// a v2 frame whose tenant trailer is truncated, and the tenant flag
 	// smuggled into a v1 frame (unknown flag there).
-	tagged := appendBinarySubmit(nil, []JobRequest{
+	tagged := AppendBinarySubmit(nil, []JobRequest{
 		{Origin: "CLEAN", Tenant: "web", LengthHours: 1},
 		{Origin: "DIRTY", LengthHours: 2, SlackHours: 6},
 	})
 	f.Add(tagged)
-	f.Add(appendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", Tenant: "quotal", LengthHours: 1}}))
-	f.Add(appendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", Tenant: "nobody-configured", LengthHours: 1}}))
+	f.Add(AppendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", Tenant: "quotal", LengthHours: 1}}))
+	f.Add(AppendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", Tenant: "nobody-configured", LengthHours: 1}}))
 	f.Add(tagged[:len(tagged)-2]) // truncated inside the tenant trailer
 	flagInV1 := appendBinaryFrame(nil, binReqMagic, binVersion, func(buf []byte) []byte {
 		buf = binary.AppendUvarint(buf, 1)
@@ -137,22 +137,18 @@ func FuzzDecodeBinarySubmit(f *testing.F) {
 	handler := srv.Handler()
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b := &binBatch{}
-		err := readBinaryFrame(bytes.NewReader(data), binReqMagic, b)
-		if err == nil {
-			err = decodeBinaryJobs(b, srv.internOrigin, srv.internTenant)
-		}
-		if err == nil && len(b.jobs) == 0 {
+		b := &batch{}
+		if err := BinaryWire.decode(srv, bytes.NewReader(data), b); err == nil && len(b.jobs) == 0 {
 			t.Fatal("binary decode returned no error and no jobs")
 		}
 
-		req := httptest.NewRequest(http.MethodPost, "/v1/jobs/batch", bytes.NewReader(data))
-		req.Header.Set("Content-Type", BinaryContentType)
+		req := httptest.NewRequest(http.MethodPost, BinaryWire.Route, bytes.NewReader(data))
+		req.Header.Set("Content-Type", BinaryWire.ContentType)
 		rr := httptest.NewRecorder()
 		handler.ServeHTTP(rr, req)
 		switch rr.Code {
 		case http.StatusOK:
-			ack, err := decodeBinaryAck(rr.Body.Bytes())
+			ack, err := BinaryWire.DecodeAck(rr.Body.Bytes())
 			if err != nil {
 				t.Fatalf("frame %q: bad binary ack: %v", data, err)
 			}

@@ -119,9 +119,9 @@ func TestServerSnapshotGolden(t *testing.T) {
 
 // decodeFrameJobs runs a frame through the full decode path with
 // plain-string interning.
-func decodeFrameJobs(t *testing.T, frame []byte) *binBatch {
+func decodeFrameJobs(t *testing.T, frame []byte) *batch {
 	t.Helper()
-	b := &binBatch{}
+	b := &batch{}
 	str := func(x []byte) string { return string(x) }
 	if err := readBinaryFrame(bytes.NewReader(frame), binReqMagic, b); err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestBinaryFrameGolden(t *testing.T) {
 		{ID: &five, Origin: "CLEAN", LengthHours: 2, SlackHours: 10, Interruptible: true},
 		{Origin: "DIRTY", LengthHours: 1, Migratable: true},
 	}
-	v1 := appendBinarySubmit(nil, v1Reqs)
+	v1 := AppendBinarySubmit(nil, v1Reqs)
 	if v1[4] != binVersion {
 		t.Fatalf("tenant-free frame version = %d, want %d", v1[4], binVersion)
 	}
@@ -161,7 +161,7 @@ func TestBinaryFrameGolden(t *testing.T) {
 		{Origin: "DIRTY", LengthHours: 1, Migratable: true},
 		{Origin: "CLEAN", Tenant: "spot-9.b_c", LengthHours: 1, SlackHours: 3},
 	}
-	v2 := appendBinarySubmit(nil, v2Reqs)
+	v2 := AppendBinarySubmit(nil, v2Reqs)
 	if v2[4] != binVersionTenant {
 		t.Fatalf("tenant-tagged frame version = %d, want %d", v2[4], binVersionTenant)
 	}
@@ -181,9 +181,9 @@ func TestBinaryFrameGolden(t *testing.T) {
 	// for a tagged job and downgrade the version byte — the CRC covers
 	// only the payload, so the frame still verifies, and the decoder
 	// must reject on the flag.
-	smuggled := appendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", Tenant: "web", LengthHours: 1}})
+	smuggled := AppendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", Tenant: "web", LengthHours: 1}})
 	smuggled[4] = binVersion
-	bb := &binBatch{}
+	bb := &batch{}
 	if err := readBinaryFrame(bytes.NewReader(smuggled), binReqMagic, bb); err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +193,9 @@ func TestBinaryFrameGolden(t *testing.T) {
 	}
 
 	// The ack frame is protocol-version-independent (always v1).
-	ack := appendBinaryAck(nil, 7, []int{3, 4, 9})
+	ack := AppendBinaryAck(nil, 7, []int{3, 4, 9})
 	checkGolden(t, "binary_ack.golden", ack)
-	resp, err := decodeBinaryAck(ack)
+	resp, err := DecodeBinaryAck(ack)
 	if err != nil {
 		t.Fatal(err)
 	}

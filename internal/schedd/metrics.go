@@ -48,9 +48,8 @@ type serverMetrics struct {
 	submitSeconds *metrics.Histogram
 	stepSeconds   *metrics.Histogram
 	backpressure  *metrics.CounterVec
-	submitJSON    *metrics.Counter // schedd_submit_requests_total{proto="json"}
-	submitBinary  *metrics.Counter // schedd_submit_requests_total{proto="binary"}
-	carbonSaved   *metrics.Gauge   // the policy-labeled child
+	submits       map[*Wire]*metrics.Counter // schedd_submit_requests_total{proto}; read-only after init
+	carbonSaved   *metrics.Gauge             // the policy-labeled child
 
 	// Tenancy families (nil without Config.Tenants). tenantRejected and
 	// tenantCarbon are event-driven (admission rejections, placement
@@ -186,8 +185,12 @@ func (s *Server) initMetrics(set *trace.Set) {
 		"Submissions rejected under load — 503 for full stores/queues and an exhausted horizon, 413 for oversized bodies — by reason.", "reason")
 	submitProto := r.NewCounterVec("schedd_submit_requests_total",
 		"Submit requests by wire protocol (json = POST /v1/jobs, binary = POST /v1/jobs/batch).", "proto")
-	mx.submitJSON = submitProto.With("json")
-	mx.submitBinary = submitProto.With("binary")
+	mx.submits = make(map[*Wire]*metrics.Counter, len(Wires))
+	for _, wire := range Wires {
+		// Resolved here so both series exist from the first scrape and
+		// the request path pays no vector lookup.
+		mx.submits[wire] = submitProto.With(wire.Proto)
+	}
 	mx.carbonSaved = r.NewGaugeVec("schedd_carbon_saved_grams",
 		"Cumulative gCO2eq saved versus running each executed job-hour at the job's origin region.",
 		"policy").With(s.cfg.Policy.Name())

@@ -146,13 +146,9 @@ func (s *Server) ApplyReplRecord(payload []byte) error {
 			return err
 		}
 		start := time.Now()
-		if err := s.stepFleetTo(arrival); err != nil {
+		if err := s.replayAdmit(arrival, next, jobs); err != nil {
 			return err
 		}
-		if err := s.fleet.Submit(jobs...); err != nil {
-			return err
-		}
-		s.nextID = next
 		// A record that carried the primary's sampled trace ID joins
 		// that trace here: the apply span lands in THIS server's ring
 		// under the SAME trace ID — one trace, two processes.

@@ -21,6 +21,13 @@
 // for any shard count — as asserted by this package's equivalence
 // test.
 //
+// Submit path: both submit routes are one pipeline, serveSubmit, handed
+// the Wire (codec.go) of the route the request arrived on — JSONWire or
+// BinaryWire, the only two. A Wire carries a protocol's route, media
+// type and codecs; decode, advance, admit, the journal wait and the ack
+// are written once, so the protocols cannot drift in what they admit.
+// Client and internal/gateway submit through the same two values.
+//
 // Concurrency: the server no longer serializes every request behind
 // one mutex over a full-store walk. Stepping is guarded by stepMu with
 // a lock-free fast path for the common already-caught-up case;
@@ -59,10 +66,8 @@ package schedd
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -547,8 +552,11 @@ type ErrorResponse struct {
 // read clients can bound staleness.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/jobs/batch", s.handleSubmitBinary)
+	for _, wire := range Wires {
+		mux.HandleFunc(http.MethodPost+" "+wire.Route, func(w http.ResponseWriter, r *http.Request) {
+			s.serveSubmit(w, r, wire)
+		})
+	}
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -575,34 +583,6 @@ func (s *Server) Handler() http.Handler {
 	// test pins that), this order just keeps the span inclusive.
 	h = serve.NewHTTPTracing(s.tr, slog.Default()).Wrap(h)
 	return h
-}
-
-// decodeSubmit parses the POST /v1/jobs payload — a bare JobRequest or
-// {"jobs": [...]} — into the job batch to admit. It is the fuzzed
-// entry point of the request-parsing path. An explicit empty batch
-// ({"jobs": []}) is rejected rather than misread as a bare zero-valued
-// job, and so is any non-whitespace data trailing the JSON value —
-// json.Decoder stops at the first value, which would otherwise
-// silently accept concatenated or garbage-suffixed bodies.
-func decodeSubmit(r io.Reader) ([]JobRequest, error) {
-	dec := json.NewDecoder(r)
-	var req SubmitRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("bad request body: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		if err == nil {
-			return nil, errors.New("bad request body: trailing data after JSON value")
-		}
-		return nil, fmt.Errorf("bad request body: trailing data: %w", err)
-	}
-	if req.Jobs != nil {
-		if len(req.Jobs) == 0 {
-			return nil, errors.New("bad request body: empty job batch")
-		}
-		return req.Jobs, nil
-	}
-	return []JobRequest{req.JobRequest}, nil
 }
 
 // writeSubmitError maps a request-decode failure to its status: a body
@@ -676,9 +656,13 @@ func (s *Server) writeAdmitError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, resp)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// serveSubmit is the submit pipeline, the same for both protocols:
+// decode into the pooled batch, step the fleet to the clock, admit,
+// wait for the journal, ack. wire supplies the codecs and nothing else,
+// so the two routes cannot drift in admission semantics.
+func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, wire *Wire) {
 	if mx := s.mx; mx != nil {
-		mx.submitJSON.Inc()
+		mx.submits[wire].Inc()
 		t0 := time.Now()
 		defer func() { mx.submitSeconds.Observe(time.Since(t0).Seconds()) }()
 	}
@@ -686,10 +670,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeMisdirected(w)
 		return
 	}
+	if wire.RejectType(w, r) {
+		return
+	}
 	ctx := r.Context()
+	b := batchPool.Get().(*batch)
+	defer putBatch(b)
 	_, dsp := tracing.StartSpan(ctx, "schedd.decode")
-	batch, err := decodeSubmit(http.MaxBytesReader(w, r.Body, httpx.MaxBody))
-	dsp.SetAttr(tracing.Int("jobs", len(batch)))
+	err := wire.decode(s, http.MaxBytesReader(w, r.Body, httpx.MaxBody), b)
+	dsp.SetAttr(tracing.Int("jobs", len(b.jobs)))
 	dsp.End()
 	if err != nil {
 		s.writeSubmitError(w, err)
@@ -699,37 +688,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	jobs := make([]sched.Job, len(batch))
-	auto := make([]bool, len(batch))
-	ids := make([]int, len(batch))
-	for i := range batch {
-		jr := &batch[i]
-		jobs[i] = sched.Job{
-			Origin:        jr.Origin,
-			Tenant:        jr.Tenant,
-			Length:        jr.LengthHours,
-			Slack:         jr.SlackHours,
-			Interruptible: jr.Interruptible,
-			Migratable:    jr.Migratable,
-		}
-		if jr.ID != nil {
-			jobs[i].ID = *jr.ID
-		} else {
-			auto[i] = true
-		}
-	}
-	arrival, journal, seq, status, err := s.admit(ctx, jobs, auto, ids)
+	adm, err := s.admit(ctx, b)
 	if err != nil {
-		s.writeAdmitError(w, status, err)
+		s.writeAdmitError(w, adm.status, err)
 		return
 	}
 	// The durability wait runs after admitMu is released: buffering the
 	// record under the lock fixed its order, and waiting outside it
 	// lets concurrent submitters share one group-commit fsync instead
 	// of serializing a full disk flush each.
-	if journal != nil {
+	if adm.journal != nil {
 		_, wsp := tracing.StartSpan(ctx, "wal.fsync_wait")
-		err := journal.WaitSynced(seq)
+		err := adm.journal.WaitSynced(adm.seq)
 		wsp.End()
 		if err != nil {
 			s.failed.Store(&serverFailure{err})
@@ -737,7 +707,23 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, SubmitResponse{IDs: ids, ArrivalHour: arrival, Accepted: len(ids)})
+	b.ack = wire.WriteAck(w, b.ack[:0], adm.arrival, b.ids)
+}
+
+// admission is admit's outcome: the arrival hour the fleet stamped and
+// the journal position to wait on before acking (journal is nil when
+// the server is not durable) — or, with an error, the status to answer.
+type admission struct {
+	arrival int
+	journal *wal.Journal
+	seq     uint64
+	status  int
+}
+
+// reject is admit's backpressure refusal, counted under reason.
+func (s *Server) reject(status int, reason string, err error) (admission, error) {
+	s.countBackpressure(reason)
+	return admission{status: status}, err
 }
 
 // admit is the admission critical section: bound checks, id
@@ -749,11 +735,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // the sharded design is that stepping, lookups, stats — and the
 // journal fsync — never contend with it.
 //
-// jobs carries the decoded batch (protocol-independent: both the JSON
-// and the binary route feed it); auto marks jobs needing an id, which
-// is assigned in place, and ids is filled with the final assignment —
-// caller-provided so the binary path can pass pooled scratch.
-func (s *Server) admit(ctx context.Context, jobs []sched.Job, auto []bool, ids []int) (arrival int, journal *wal.Journal, seq uint64, status int, err error) {
+// b carries the decoded batch; jobs b.auto marks get an id assigned in
+// place, and b.ids is filled with the final assignment.
+func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 	ctx, sp := tracing.StartSpan(ctx, "schedd.admit")
 	defer sp.End()
 	if sp != nil {
@@ -764,18 +748,17 @@ func (s *Server) admit(ctx context.Context, jobs []sched.Job, auto []bool, ids [
 		s.admitMu.Lock()
 	}
 	defer s.admitMu.Unlock()
+	jobs := b.jobs
 	if s.fleet.Jobs()+len(jobs) > s.cfg.MaxJobs {
-		s.countBackpressure("job_store_full")
-		return 0, nil, 0, http.StatusServiceUnavailable, errors.New("job store full")
+		return s.reject(http.StatusServiceUnavailable, "job_store_full", errors.New("job store full"))
 	}
 	if s.fleet.Outstanding()+len(jobs) > s.cfg.MaxQueue {
-		s.countBackpressure("queue_full")
-		return 0, nil, 0, http.StatusServiceUnavailable, errors.New("queue full")
+		return s.reject(http.StatusServiceUnavailable, "queue_full", errors.New("queue full"))
 	}
 	next := s.nextID
 	defer clear(s.inBatch)
 	for i := range jobs {
-		if auto[i] {
+		if b.auto[i] {
 			// Skip ids already taken by earlier (possibly explicit)
 			// submissions so auto-assignment can never collide.
 			for {
@@ -788,23 +771,20 @@ func (s *Server) admit(ctx context.Context, jobs []sched.Job, auto []bool, ids [
 			jobs[i].ID = next
 			next++
 		}
-		ids[i] = jobs[i].ID
+		b.ids[i] = jobs[i].ID
 		s.inBatch[jobs[i].ID] = true
 	}
-	arrival, err = s.submitGated(jobs)
+	arrival, err := s.submitGated(jobs)
 	if err != nil {
 		switch {
 		case errors.Is(err, sched.ErrHorizonExhausted):
-			s.countBackpressure("horizon_exhausted")
-			return 0, nil, 0, http.StatusServiceUnavailable, errors.New("replay horizon exhausted")
+			return s.reject(http.StatusServiceUnavailable, "horizon_exhausted", errors.New("replay horizon exhausted"))
 		case errors.Is(err, tenant.ErrQuota):
-			s.countBackpressure("quota")
-			return 0, nil, 0, http.StatusTooManyRequests, err
+			return s.reject(http.StatusTooManyRequests, "quota", err)
 		case errors.Is(err, tenant.ErrRate):
-			s.countBackpressure("rate")
-			return 0, nil, 0, http.StatusTooManyRequests, err
+			return s.reject(http.StatusTooManyRequests, "rate", err)
 		}
-		return 0, nil, 0, http.StatusBadRequest, err
+		return admission{status: http.StatusBadRequest}, err
 	}
 	// Buffer the admission record before acknowledging (SubmitNow
 	// stamped the arrivals into jobs). A journal failure poisons the
@@ -816,14 +796,14 @@ func (s *Server) admit(ctx context.Context, jobs []sched.Job, auto []bool, ids [
 		tid = sc.TraceID
 	}
 	_, asp := tracing.StartSpan(ctx, "wal.append")
-	journal, seq, err = s.journalAdmit(arrival, next, jobs, tid)
+	journal, seq, err := s.journalAdmit(arrival, next, jobs, tid)
 	asp.End()
 	if err != nil {
 		s.failed.Store(&serverFailure{err})
-		return 0, nil, 0, http.StatusInternalServerError, err
+		return admission{status: http.StatusInternalServerError}, err
 	}
 	s.nextID = next
-	return arrival, journal, seq, http.StatusOK, nil
+	return admission{arrival: arrival, journal: journal, seq: seq}, nil
 }
 
 // submitGated feeds the batch through SubmitNowChecked with the tenant
