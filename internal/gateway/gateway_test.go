@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"carbonshift/internal/httpx"
@@ -148,6 +149,95 @@ func TestPartialFailureOutcomes(t *testing.T) {
 	}
 	if ms.Accepted != 1 || len(ms.Outcomes) != 3 {
 		t.Fatalf("raw 207 body = %+v, want 1 accepted of 3 outcomes", ms)
+	}
+}
+
+// TestUndecodableAckIs502: a partition that answers 200 with an ack the
+// gateway cannot read — a binary frame cut mid-payload, one with a CRC
+// bit flipped, JSON that is not JSON — has admitted the sub-batch, so
+// the gateway must neither call it a success nor send it again. Those
+// jobs come back as 502 "partition N: bad ack: …" outcomes in the 207
+// beside the other partition's real ids, and the partition — listed
+// here with two endpoints, so a replay would have somewhere to go — saw
+// the sub-batch exactly once.
+func TestUndecodableAckIs502(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		wire   *schedd.Wire
+		mangle func(ack []byte) []byte
+	}{
+		{"binary ack cut mid-payload", schedd.BinaryWire, func(ack []byte) []byte { return ack[:len(ack)-1] }},
+		// Bytes 9–12 of an ack frame are its CRC.
+		{"binary ack with a flipped CRC bit", schedd.BinaryWire, func(ack []byte) []byte { ack[10] ^= 0x04; return ack }},
+		{"not json", schedd.JSONWire, func([]byte) []byte { return []byte("not json") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, srvs, tss, _ := twoPartitions(t, nil)
+			// Partition 1's real server behind a front that lets every
+			// submit through, then spoils the 200 on its way back.
+			var submits atomic.Int32
+			real := srvs[1].Handler()
+			front := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method != http.MethodPost {
+					real.ServeHTTP(w, r)
+					return
+				}
+				submits.Add(1)
+				rec := httptest.NewRecorder()
+				real.ServeHTTP(rec, r)
+				if rec.Code != http.StatusOK {
+					t.Errorf("partition 1 answered %d to the sub-batch, want 200", rec.Code)
+				}
+				w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+				w.Write(tc.mangle(rec.Body.Bytes()))
+			})
+			var spoiled []string
+			for i := 0; i < 2; i++ {
+				ts := httptest.NewServer(front)
+				t.Cleanup(ts.Close)
+				spoiled = append(spoiled, ts.URL)
+			}
+			_, gwts := startGateway(t, [][]string{{tss[0].URL}, spoiled})
+			client, err := schedd.NewClient(gwts.URL, gwts.Client())
+			if err != nil {
+				t.Fatal(err)
+			}
+			submit := client.Submit
+			if tc.wire == schedd.BinaryWire {
+				submit = client.SubmitBatch
+			}
+
+			_, err = submit(context.Background(), job("R01"), job("R00"), job("R01"))
+			var pe *schedd.PartialError
+			if !errors.As(err, &pe) {
+				t.Fatalf("err = %v, want *schedd.PartialError", err)
+			}
+			if pe.Resp.Accepted != 1 || len(pe.Resp.Outcomes) != 3 {
+				t.Fatalf("207 = %+v, want 1 accepted of 3 outcomes", pe.Resp)
+			}
+			for i, o := range pe.Resp.Outcomes {
+				if i == 1 {
+					if o.Status != http.StatusOK || o.Partition != 0 {
+						t.Fatalf("outcome 1 = %+v, want admitted on partition 0", o)
+					}
+					if got, err := client.Job(context.Background(), o.ID); err != nil || got.Origin != "R00" {
+						t.Fatalf("lookup of acked id %d = %+v, %v", o.ID, got, err)
+					}
+					continue
+				}
+				if o.Status != http.StatusBadGateway || o.Partition != 1 || o.ID != 0 ||
+					!strings.HasPrefix(o.Error, "partition 1: bad ack: ") {
+					t.Fatalf("outcome %d = %+v, want 502 \"partition 1: bad ack: …\"", i, o)
+				}
+			}
+			if n := submits.Load(); n != 1 {
+				t.Fatalf("partition 1 saw the sub-batch %d times, want exactly once", n)
+			}
+			// The write the gateway could not read the ack of is real.
+			if st := srvs[1].Snapshot(); len(st.Outcomes) != 2 {
+				t.Fatalf("partition 1 holds %d jobs, want the 2 it admitted", len(st.Outcomes))
+			}
+		})
 	}
 }
 

@@ -29,7 +29,9 @@
 // presents is a record boundary the primary once served. Frames are
 // individually checksummed so a truncated or corrupted stream is
 // detected at the frame where it happens; the decoder never panics on
-// hostile input (see FuzzReplStreamDecode).
+// hostile input (see FuzzReplStreamDecode). After the type byte a frame
+// is an internal/frame record and its payload a run of internal/frame
+// fields; that package holds the mechanics, this one the verdicts.
 //
 // Observability: Tail.Register (metrics.go) exposes the session's
 // counters as repl_* families on a metrics registry — records
@@ -48,12 +50,11 @@ package repl
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"carbonshift/internal/frame"
 	"carbonshift/internal/wal"
 )
 
@@ -69,7 +70,7 @@ const (
 	frameEnd       = 'E'
 
 	// frameHeaderLen is type + length + CRC.
-	frameHeaderLen = 9
+	frameHeaderLen = 1 + frame.HeaderLen
 	// maxFramePayload bounds one frame: a journal record plus cursor
 	// overhead. A hostile length prefix past it is corruption, never an
 	// allocation.
@@ -103,48 +104,61 @@ type Frame struct {
 
 // --- encoding ---
 
-func appendFrame(buf []byte, typ byte, payload []byte) []byte {
-	buf = append(buf, typ)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+// beginFrame appends the type byte and reserves the record header; the
+// caller appends the payload fields in place and endFrame back-fills
+// the header at hdr — no intermediate payload slice.
+func beginFrame(buf []byte, typ byte) (e frame.Enc, hdr int) {
+	return frame.Enc{Buf: append(buf, typ, 0, 0, 0, 0, 0, 0, 0, 0)}, len(buf) + 1
+}
+
+func endFrame(buf []byte, hdr int) []byte {
+	frame.PutHeader(buf[hdr:], buf[hdr+frame.HeaderLen:])
+	return buf
+}
+
+func putCursor(e *frame.Enc, c Cursor) {
+	e.Uvarint(c.Generation)
+	e.Uvarint(uint64(c.Offset))
 }
 
 // AppendHello appends the stream-opening frame for a cursor.
 func AppendHello(buf []byte, c Cursor) []byte {
-	p := append([]byte(streamMagic), streamVersion)
-	p = binary.AppendUvarint(p, c.Generation)
-	p = binary.AppendUvarint(p, uint64(c.Offset))
-	return appendFrame(buf, frameHello, p)
+	e, hdr := beginFrame(buf, frameHello)
+	e.Buf = append(e.Buf, streamMagic...)
+	e.Byte(streamVersion)
+	putCursor(&e, c)
+	return endFrame(e.Buf, hdr)
 }
 
 // AppendRecord appends one journal record with the cursor that follows
-// it.
+// it. Into a buffer with room for it, it allocates nothing.
 func AppendRecord(buf []byte, nextOffset int64, record []byte) []byte {
-	p := binary.AppendUvarint(make([]byte, 0, len(record)+8), uint64(nextOffset))
-	p = append(p, record...)
-	return appendFrame(buf, frameRecord, p)
+	e, hdr := beginFrame(buf, frameRecord)
+	e.Uvarint(uint64(nextOffset))
+	e.Buf = append(e.Buf, record...)
+	return endFrame(e.Buf, hdr)
 }
 
 // AppendRotate appends a generation-rotation frame.
 func AppendRotate(buf []byte, c Cursor) []byte {
-	p := binary.AppendUvarint(nil, c.Generation)
-	p = binary.AppendUvarint(p, uint64(c.Offset))
-	return appendFrame(buf, frameRotate, p)
+	e, hdr := beginFrame(buf, frameRotate)
+	putCursor(&e, c)
+	return endFrame(e.Buf, hdr)
 }
 
 // AppendHeartbeat appends a keepalive with the primary's fleet hour and
 // live cursor.
 func AppendHeartbeat(buf []byte, hour int, c Cursor) []byte {
-	p := binary.AppendUvarint(nil, uint64(hour))
-	p = binary.AppendUvarint(p, c.Generation)
-	p = binary.AppendUvarint(p, uint64(c.Offset))
-	return appendFrame(buf, frameHeartbeat, p)
+	e, hdr := beginFrame(buf, frameHeartbeat)
+	e.Int(hour)
+	putCursor(&e, c)
+	return endFrame(e.Buf, hdr)
 }
 
 // AppendEnd appends the stream-terminating frame.
 func AppendEnd(buf []byte, reason string) []byte {
-	return appendFrame(buf, frameEnd, []byte(reason))
+	e, hdr := beginFrame(buf, frameEnd)
+	return endFrame(append(e.Buf, reason...), hdr)
 }
 
 // --- decoding ---
@@ -166,105 +180,66 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // wraps everything a well-formed stream can never contain. The returned
 // Frame's Record aliases an internal buffer reused by the next call.
 func (fr *FrameReader) Next() (Frame, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(fr.r, hdr[:1]); err != nil {
+	typ, err := fr.r.ReadByte()
+	if err != nil {
 		return Frame{}, err // io.EOF here = clean end of stream
 	}
-	if _, err := io.ReadFull(fr.r, hdr[1:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	payload, err := frame.ReadRecord(fr.r, fr.buf, maxFramePayload)
+	switch {
+	case err == nil:
+	case err == io.EOF || errors.Is(err, frame.ErrShort):
+		return Frame{}, io.ErrUnexpectedEOF
+	case errors.Is(err, frame.ErrOversize), errors.Is(err, frame.ErrCorrupt):
+		return Frame{}, fmt.Errorf("%w: %q frame: %v", ErrBadFrame, typ, err)
+	default:
 		return Frame{}, err
 	}
-	typ := hdr[0]
-	n := binary.BigEndian.Uint32(hdr[1:5])
-	sum := binary.BigEndian.Uint32(hdr[5:9])
-	if n > maxFramePayload {
-		return Frame{}, fmt.Errorf("%w: payload of %d bytes exceeds limit", ErrBadFrame, n)
-	}
-	if cap(fr.buf) < int(n) {
-		fr.buf = make([]byte, n)
-	}
-	payload := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return Frame{}, fmt.Errorf("%w: CRC mismatch on %q frame", ErrBadFrame, typ)
-	}
+	fr.buf = payload
 	return decodeFrame(typ, payload)
 }
 
 func decodeFrame(typ byte, payload []byte) (Frame, error) {
 	f := Frame{Type: typ}
+	d := frame.Dec{Data: payload}
 	switch typ {
 	case frameHello:
-		if len(payload) < len(streamMagic)+1 || string(payload[:len(streamMagic)]) != streamMagic {
+		if len(payload) < len(streamMagic) || string(payload[:len(streamMagic)]) != streamMagic {
 			return f, fmt.Errorf("%w: hello without magic", ErrBadFrame)
 		}
-		if v := payload[len(streamMagic)]; v != streamVersion {
+		d = frame.Dec{Data: payload[len(streamMagic):]}
+		if v := d.Byte(); d.Err == nil && v != streamVersion {
 			return f, fmt.Errorf("%w: protocol version %d (want %d)", ErrBadFrame, v, streamVersion)
 		}
-		rest := payload[len(streamMagic)+1:]
-		var err error
-		if f.Cursor, rest, err = readCursor(rest); err != nil {
-			return f, err
-		}
-		return f, expectEmpty(rest)
+		f.Cursor = readCursor(&d)
 	case frameRecord:
-		off, n := binary.Uvarint(payload)
-		if n <= 0 || off > 1<<62 {
-			return f, fmt.Errorf("%w: record frame cursor", ErrBadFrame)
-		}
-		f.Cursor.Offset = int64(off)
-		f.Record = payload[n:]
-		return f, nil
+		f.Cursor.Offset = int64(d.Uvarint())
+		f.Record = d.Rest()
 	case frameRotate:
-		var err error
-		var rest []byte
-		if f.Cursor, rest, err = readCursor(payload); err != nil {
-			return f, err
-		}
-		return f, expectEmpty(rest)
+		f.Cursor = readCursor(&d)
 	case frameHeartbeat:
-		hour, n := binary.Uvarint(payload)
-		if n <= 0 || hour > 1<<32 {
+		hour := d.Uvarint()
+		if hour > 1<<32 {
 			return f, fmt.Errorf("%w: heartbeat hour", ErrBadFrame)
 		}
 		f.Hour = int(hour)
-		var err error
-		var rest []byte
-		if f.Cursor, rest, err = readCursor(payload[n:]); err != nil {
-			return f, err
-		}
-		return f, expectEmpty(rest)
+		f.Cursor = readCursor(&d)
 	case frameEnd:
 		f.Reason = string(payload)
 		return f, nil
 	default:
 		return f, fmt.Errorf("%w: unknown frame type %q", ErrBadFrame, typ)
 	}
+	if err := d.Done(); err != nil {
+		return f, fmt.Errorf("%w: %q frame: %v", ErrBadFrame, typ, err)
+	}
+	// The conversion back is exact, so this also refuses an offset that
+	// wrapped negative.
+	if uint64(f.Cursor.Offset) > 1<<62 {
+		return f, fmt.Errorf("%w: %q frame: cursor offset out of range", ErrBadFrame, typ)
+	}
+	return f, nil
 }
 
-func readCursor(data []byte) (Cursor, []byte, error) {
-	gen, n := binary.Uvarint(data)
-	if n <= 0 {
-		return Cursor{}, nil, fmt.Errorf("%w: cursor generation", ErrBadFrame)
-	}
-	data = data[n:]
-	off, n := binary.Uvarint(data)
-	if n <= 0 || off > 1<<62 {
-		return Cursor{}, nil, fmt.Errorf("%w: cursor offset", ErrBadFrame)
-	}
-	return Cursor{Generation: gen, Offset: int64(off)}, data[n:], nil
-}
-
-func expectEmpty(rest []byte) error {
-	if len(rest) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(rest))
-	}
-	return nil
+func readCursor(d *frame.Dec) Cursor {
+	return Cursor{Generation: d.Uvarint(), Offset: int64(d.Uvarint())}
 }

@@ -89,3 +89,24 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("after last frame err = %v, want io.EOF", err)
 	}
 }
+
+// TestAppendRecordAllocs: a record frame is built in place — type byte
+// and header reserved, cursor and record appended behind them, header
+// back-filled — so a stream that reuses one buffer (frameWriter) pays no
+// allocation and one copy per streamed record. Building the payload in
+// a slice of its own first cost 4 allocations into nil and 1 into a
+// reused buffer.
+func TestAppendRecordAllocs(t *testing.T) {
+	record := bytes.Repeat([]byte{0xa5}, 1200)
+	buf := AppendRecord(nil, 1<<20, record)
+	want := bytes.Clone(buf)
+	if n := testing.AllocsPerRun(100, func() {
+		buf = AppendRecord(buf[:0], 1<<20, record)
+	}); n != 0 {
+		t.Fatalf("%v allocations per record into a reused buffer, want 0", n)
+	}
+	f, err := NewFrameReader(bytes.NewReader(buf)).Next()
+	if err != nil || !bytes.Equal(buf, want) || f.Cursor.Offset != 1<<20 || !bytes.Equal(f.Record, record) {
+		t.Fatalf("reused-buffer frame = %+v, %v", f.Type, err)
+	}
+}

@@ -128,7 +128,7 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	out := &frameWriter{w: w}
-	out.send(AppendHello(nil, Cursor{Generation: gen, Offset: offset}))
+	out.send(AppendHello(out.buf, Cursor{Generation: gen, Offset: offset}))
 
 	ctx := r.Context()
 	lastBeat := time.Now()
@@ -142,10 +142,10 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 				return sent, false
 			}
 			if err != nil {
-				out.send(AppendEnd(nil, err.Error()))
+				out.send(AppendEnd(out.buf, err.Error()))
 				return sent, true
 			}
-			out.send(AppendRecord(nil, sr.Offset(), p))
+			out.send(AppendRecord(out.buf, sr.Offset(), p))
 			sent = true
 			if out.err != nil {
 				return sent, true
@@ -186,12 +186,12 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 			next := gen + 1
 			nsr, err := wal.OpenSegment(s.b.JournalPath(next), int64(wal.HeaderLen))
 			if err != nil {
-				out.send(AppendEnd(nil, fmt.Sprintf("generation %d was garbage-collected", next)))
+				out.send(AppendEnd(out.buf, fmt.Sprintf("generation %d was garbage-collected", next)))
 				return
 			}
 			sr.Close()
 			sr, gen = nsr, next
-			out.send(AppendRotate(nil, Cursor{Generation: gen, Offset: int64(wal.HeaderLen)}))
+			out.send(AppendRotate(out.buf, Cursor{Generation: gen, Offset: int64(wal.HeaderLen)}))
 			out.flush()
 			continue
 		}
@@ -199,7 +199,7 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 		// Caught up: long-poll, heartbeating so the follower can tell an
 		// idle primary from a dead connection.
 		if time.Since(lastBeat) >= s.Heartbeat {
-			out.send(AppendHeartbeat(nil, s.b.Hour(), Cursor{Generation: gen, Offset: sr.Offset()}))
+			out.send(AppendHeartbeat(out.buf, s.b.Hour(), Cursor{Generation: gen, Offset: sr.Offset()}))
 			out.flush()
 			lastBeat = time.Now()
 		}
@@ -216,9 +216,14 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 type frameWriter struct {
 	w   http.ResponseWriter
 	err error
+	// buf is the stream's one frame buffer, always empty between sends:
+	// callers build each frame into it (AppendX(fw.buf, ...)) and send
+	// keeps whatever it grew to.
+	buf []byte
 }
 
 func (fw *frameWriter) send(frame []byte) {
+	fw.buf = frame[:0]
 	if fw.err != nil {
 		return
 	}

@@ -71,7 +71,7 @@ func FuzzShardedUnmarshal(f *testing.F) {
 		for i := range img.jobs {
 			e.job(&img.jobs[i])
 		}
-		return e.buf
+		return e.Buf
 	}
 	check := func(t *testing.T, data []byte, tenancy bool) {
 		fl := world(t, tenancy)

@@ -36,13 +36,17 @@ package sched
 // the same bytes, which is what lets the crash-recovery tests assert
 // byte-identity between a recovered and an uninterrupted run. Golden
 // tests pin the byte layout; bump stateVersion on any change.
+//
+// The image is an internal/frame envelope (magic, version, body, CRC)
+// whose body is a run of internal/frame fields; that package holds the
+// mechanics of both, this file the layout and the checks on what was
+// decoded.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
+	"carbonshift/internal/frame"
 	"carbonshift/internal/tenant"
 )
 
@@ -97,240 +101,147 @@ type fleetImage struct {
 	jobs      []jobImage
 }
 
-// --- binary writer/reader ---
-
-type stateEnc struct{ buf []byte }
-
-func (e *stateEnc) uvarint(v int) { e.buf = binary.AppendUvarint(e.buf, uint64(v)) }
-func (e *stateEnc) zigzag(v int)  { e.buf = binary.AppendVarint(e.buf, int64(v)) }
-func (e *stateEnc) str(s string)  { e.uvarint(len(s)); e.buf = append(e.buf, s...) }
-func (e *stateEnc) byte(b byte)   { e.buf = append(e.buf, b) }
-func (e *stateEnc) float(f float64) {
-	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(f))
-}
-
-type stateDec struct {
-	data []byte
-	err  error
-}
-
-func (d *stateDec) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("sched: state decode: "+format, args...)
-	}
-}
-
-func (d *stateDec) uvarint() int {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data)
-	if n <= 0 || v > math.MaxInt64 {
-		d.fail("bad uvarint")
-		return 0
-	}
-	d.data = d.data[n:]
-	return int(v)
-}
-
-func (d *stateDec) zigzag() int {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data)
-	if n <= 0 {
-		d.fail("bad varint")
-		return 0
-	}
-	d.data = d.data[n:]
-	return int(v)
-}
-
-func (d *stateDec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n < 0 || n > len(d.data) {
-		d.fail("string length %d exceeds %d remaining bytes", n, len(d.data))
-		return ""
-	}
-	s := string(d.data[:n])
-	d.data = d.data[n:]
-	return s
-}
-
-func (d *stateDec) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.data) == 0 {
-		d.fail("unexpected end of input")
-		return 0
-	}
-	b := d.data[0]
-	d.data = d.data[1:]
-	return b
-}
-
-func (d *stateDec) float() float64 {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.data) < 8 {
-		d.fail("unexpected end of input")
-		return 0
-	}
-	f := math.Float64frombits(binary.BigEndian.Uint64(d.data))
-	d.data = d.data[8:]
-	return f
-}
-
 // --- image encode/decode ---
+
+// stateEnc builds one image: encodeHeader, njobs × job, finish.
+type stateEnc struct{ frame.Enc }
 
 // encodeHeader starts an image: everything up to and including the job
 // count. The caller appends exactly njobs jobs with stateEnc.job, in
 // submission order, and closes the image with stateEnc.finish.
 func (img *fleetImage) encodeHeader(njobs int) *stateEnc {
-	e := &stateEnc{buf: make([]byte, 0, 64+njobs*48)}
-	e.buf = append(e.buf, stateMagic...)
-	e.byte(stateVersion)
-	e.str(img.policy)
-	e.uvarint(img.horizon)
-	e.uvarint(img.hour)
-	e.uvarint(len(img.regions))
+	e := &stateEnc{frame.Enc{Buf: make([]byte, 0, 64+njobs*48)}}
+	e.Buf = append(e.Buf, stateMagic...)
+	e.Byte(stateVersion)
+	e.String(img.policy)
+	e.Int(img.horizon)
+	e.Int(img.hour)
+	e.Int(len(img.regions))
 	for i, r := range img.regions {
-		e.str(r)
-		e.uvarint(img.slots[i])
+		e.String(r)
+		e.Int(img.slots[i])
 	}
-	e.float(img.slotHours)
-	e.float(img.emissionsOrdered)
-	e.str(img.tenancyFP)
-	e.uvarint(int(img.fqVtime))
-	e.uvarint(len(img.fqNames))
+	e.Float64(img.slotHours)
+	e.Float64(img.emissionsOrdered)
+	e.String(img.tenancyFP)
+	e.Int(int(img.fqVtime))
+	e.Int(len(img.fqNames))
 	for i, name := range img.fqNames {
-		e.str(name)
-		e.uvarint(int(img.fqPasses[i]))
+		e.String(name)
+		e.Int(int(img.fqPasses[i]))
 	}
-	e.uvarint(njobs)
+	e.Int(njobs)
 	return e
 }
 
-// job appends one job's serialized state.
-func (e *stateEnc) job(j *jobImage) {
-	e.zigzag(j.ID)
-	e.str(j.Origin)
-	e.uvarint(j.Arrival)
-	e.uvarint(j.Length)
-	e.uvarint(j.Slack)
-	var flags byte
+// appendJob appends the part of a job the image and the journal's admit
+// batch encode identically: id (zigzag) | origin | arrival | length |
+// slack | flags | tenant (only when flag 8 is set). flags carries the
+// bits only the caller knows (the image's done bit).
+func appendJob(buf []byte, j *Job, flags byte) []byte {
+	e := frame.Enc{Buf: buf}
+	e.Varint(j.ID)
+	e.String(j.Origin)
+	e.Int(j.Arrival)
+	e.Int(j.Length)
+	e.Int(j.Slack)
 	if j.Interruptible {
 		flags |= flagInterruptible
 	}
 	if j.Migratable {
 		flags |= flagMigratable
 	}
-	if j.done {
-		flags |= flagDone
-	}
 	if j.Tenant != "" {
 		flags |= flagHasTenant
 	}
-	e.byte(flags)
+	e.Byte(flags)
 	if j.Tenant != "" {
-		e.str(j.Tenant)
+		e.String(j.Tenant)
 	}
-	e.uvarint(j.progress)
-	e.zigzag(j.regionI)
-	e.zigzag(j.lastRun)
-	e.uvarint(j.doneAt)
-	e.uvarint(j.waitHours)
-	e.uvarint(j.migrations)
-	e.float(j.emissions)
+	return e.Buf
+}
+
+// decodeJob reverses appendJob and also returns the flags byte as read.
+func decodeJob(d *frame.Dec) (j Job, flags byte) {
+	j.ID = d.Varint()
+	j.Origin = d.String()
+	j.Arrival = d.Int()
+	j.Length = d.Int()
+	j.Slack = d.Int()
+	flags = d.Byte()
+	j.Interruptible = flags&flagInterruptible != 0
+	j.Migratable = flags&flagMigratable != 0
+	if flags&flagHasTenant != 0 {
+		j.Tenant = d.String()
+	}
+	return j, flags
+}
+
+// job appends one job's serialized state.
+func (e *stateEnc) job(j *jobImage) {
+	var flags byte
+	if j.done {
+		flags = flagDone
+	}
+	e.Buf = appendJob(e.Buf, &j.Job, flags)
+	e.Int(j.progress)
+	e.Varint(j.regionI)
+	e.Varint(j.lastRun)
+	e.Int(j.doneAt)
+	e.Int(j.waitHours)
+	e.Int(j.migrations)
+	e.Float64(j.emissions)
 }
 
 // finish seals the image with its CRC.
-func (e *stateEnc) finish() []byte {
-	return binary.BigEndian.AppendUint32(e.buf, crc32.ChecksumIEEE(e.buf))
-}
+func (e *stateEnc) finish() []byte { return frame.Seal(e.Buf) }
 
 func decodeImage(data []byte) (*fleetImage, error) {
-	if len(data) < len(stateMagic)+1+4 {
-		return nil, fmt.Errorf("sched: state decode: %d bytes is too short", len(data))
+	ver, body, err := frame.Open(data, stateMagic)
+	if err != nil {
+		return nil, fmt.Errorf("sched: state decode: %w", err)
 	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != sum {
-		return nil, fmt.Errorf("sched: state decode: CRC mismatch (got %08x, want %08x)", got, sum)
-	}
-	if string(body[:len(stateMagic)]) != stateMagic {
-		return nil, fmt.Errorf("sched: state decode: bad magic %q", body[:len(stateMagic)])
-	}
-	ver := body[len(stateMagic)]
 	if ver != stateVersion && ver != stateVersionV1 {
 		return nil, fmt.Errorf("sched: state decode: unsupported version %d (want %d or %d)", ver, stateVersionV1, stateVersion)
 	}
-	d := &stateDec{data: body[len(stateMagic)+1:]}
+	d := &frame.Dec{Data: body}
 	img := &fleetImage{}
-	img.policy = d.str()
-	img.horizon = d.uvarint()
-	img.hour = d.uvarint()
-	nr := d.uvarint()
-	if d.err == nil && nr > len(d.data) {
-		d.fail("region count %d exceeds input", nr)
+	img.policy = d.String()
+	img.horizon = d.Int()
+	img.hour = d.Int()
+	for i, nr := 0, d.Count(); i < nr && d.Err == nil; i++ {
+		img.regions = append(img.regions, d.String())
+		img.slots = append(img.slots, d.Int())
 	}
-	for i := 0; i < nr && d.err == nil; i++ {
-		img.regions = append(img.regions, d.str())
-		img.slots = append(img.slots, d.uvarint())
-	}
-	img.slotHours = d.float()
-	img.emissionsOrdered = d.float()
+	img.slotHours = d.Float64()
+	img.emissionsOrdered = d.Float64()
 	if ver >= 2 {
-		img.tenancyFP = d.str()
-		img.fqVtime = int64(d.uvarint())
-		np := d.uvarint()
-		if d.err == nil && np > len(d.data) {
-			d.fail("pass count %d exceeds input", np)
-		}
-		for i := 0; i < np && d.err == nil; i++ {
-			img.fqNames = append(img.fqNames, d.str())
-			img.fqPasses = append(img.fqPasses, int64(d.uvarint()))
+		img.tenancyFP = d.String()
+		img.fqVtime = int64(d.Int())
+		for i, np := 0, d.Count(); i < np && d.Err == nil; i++ {
+			img.fqNames = append(img.fqNames, d.String())
+			img.fqPasses = append(img.fqPasses, int64(d.Int()))
 		}
 	}
-	nj := d.uvarint()
-	if d.err == nil && nj > len(d.data) {
-		d.fail("job count %d exceeds input", nj)
-	}
-	for i := 0; i < nj && d.err == nil; i++ {
+	for i, nj := 0, d.Count(); i < nj && d.Err == nil; i++ {
 		var j jobImage
-		j.ID = d.zigzag()
-		j.Origin = d.str()
-		j.Arrival = d.uvarint()
-		j.Length = d.uvarint()
-		j.Slack = d.uvarint()
-		flags := d.byte()
-		j.Interruptible = flags&flagInterruptible != 0
-		j.Migratable = flags&flagMigratable != 0
-		j.done = flags&flagDone != 0
-		if flags&flagHasTenant != 0 {
-			if ver < 2 {
-				d.fail("job %d carries a tenant in a version-1 image", j.ID)
-			}
-			j.Tenant = d.str()
+		var flags byte
+		j.Job, flags = decodeJob(d)
+		if flags&flagHasTenant != 0 && ver < 2 {
+			return nil, fmt.Errorf("sched: state decode: job %d carries a tenant in a version-1 image", j.ID)
 		}
-		j.progress = d.uvarint()
-		j.regionI = d.zigzag()
-		j.lastRun = d.zigzag()
-		j.doneAt = d.uvarint()
-		j.waitHours = d.uvarint()
-		j.migrations = d.uvarint()
-		j.emissions = d.float()
+		j.done = flags&flagDone != 0
+		j.progress = d.Int()
+		j.regionI = d.Varint()
+		j.lastRun = d.Varint()
+		j.doneAt = d.Int()
+		j.waitHours = d.Int()
+		j.migrations = d.Int()
+		j.emissions = d.Float64()
 		img.jobs = append(img.jobs, j)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.data) != 0 {
-		return nil, fmt.Errorf("sched: state decode: %d trailing bytes", len(d.data))
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("sched: state decode: %w", err)
 	}
 	return img, nil
 }
@@ -576,58 +487,25 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 // pre-tenancy format, so old journals replay unchanged and new
 // journals without tenants stay readable by the old decoder.
 func EncodeJobs(buf []byte, jobs []Job) []byte {
-	e := &stateEnc{buf: buf}
-	e.uvarint(len(jobs))
-	for _, j := range jobs {
-		e.zigzag(j.ID)
-		e.str(j.Origin)
-		e.uvarint(j.Arrival)
-		e.uvarint(j.Length)
-		e.uvarint(j.Slack)
-		var flags byte
-		if j.Interruptible {
-			flags |= flagInterruptible
-		}
-		if j.Migratable {
-			flags |= flagMigratable
-		}
-		if j.Tenant != "" {
-			flags |= flagHasTenant
-		}
-		e.byte(flags)
-		if j.Tenant != "" {
-			e.str(j.Tenant)
-		}
+	e := frame.Enc{Buf: buf}
+	e.Int(len(jobs))
+	for i := range jobs {
+		e.Buf = appendJob(e.Buf, &jobs[i], 0)
 	}
-	return e.buf
+	return e.Buf
 }
 
 // DecodeJobs decodes a batch written by EncodeJobs and returns the
 // jobs plus any unconsumed suffix of data. It never panics on
 // malformed input.
 func DecodeJobs(data []byte) (jobs []Job, rest []byte, err error) {
-	d := &stateDec{data: data}
-	n := d.uvarint()
-	if d.err == nil && n > len(data) {
-		d.fail("job count %d exceeds input", n)
-	}
-	for i := 0; i < n && d.err == nil; i++ {
-		var j Job
-		j.ID = d.zigzag()
-		j.Origin = d.str()
-		j.Arrival = d.uvarint()
-		j.Length = d.uvarint()
-		j.Slack = d.uvarint()
-		flags := d.byte()
-		j.Interruptible = flags&flagInterruptible != 0
-		j.Migratable = flags&flagMigratable != 0
-		if flags&flagHasTenant != 0 {
-			j.Tenant = d.str()
-		}
+	d := frame.Dec{Data: data}
+	for i, n := 0, d.Count(); i < n && d.Err == nil; i++ {
+		j, _ := decodeJob(&d)
 		jobs = append(jobs, j)
 	}
-	if d.err != nil {
-		return nil, nil, d.err
+	if d.Err != nil {
+		return nil, nil, fmt.Errorf("sched: job batch decode: %w", d.Err)
 	}
-	return jobs, d.data, nil
+	return jobs, d.Rest(), nil
 }

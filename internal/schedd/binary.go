@@ -2,8 +2,9 @@ package schedd
 
 // The binary batch-submit protocol (POST /v1/jobs/batch, BinaryWire):
 // the frame codecs of the fast path next to the JSON route. One request
-// is one frame, reusing the length-prefixed CRC framing idiom of
-// internal/wal records and the internal/repl stream:
+// is one frame — magic and version, then an internal/frame record, the
+// layout internal/wal journals and internal/repl streams (that package
+// holds the mechanics of the record and of the payload's fields):
 //
 //	"CSBB" | version | payload len uint32 BE | crc32(payload) uint32 BE | payload
 //
@@ -41,19 +42,20 @@ package schedd
 // acked from a pooled output buffer. What is left is fixed per request,
 // not per job: serveSubmit called directly (metrics and tracing off,
 // in-memory, 64 jobs, a reused request and a discarding ResponseWriter)
-// measures 4 allocations per request on this wire — the body limiter,
-// the frame header scratch that escapes through io.Reader, the
-// Content-Type header value, and the fleet store's amortized growth —
-// against 90 on the JSON wire, which pays encoding/json per job.
+// measures 3 allocations per request on this wire — the body limiter,
+// the one-byte probe for trailing data that escapes through io.Reader,
+// the Content-Type header value — plus the fleet store's amortized
+// growth (about one every other request), against 90 on the JSON wire,
+// which pays encoding/json per job. The frame itself is read into the
+// pooled payload buffer, header included, and costs none.
 // TestSubmitHandlerAllocs fails above 5 and 92.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"carbonshift/internal/frame"
 	"carbonshift/internal/httpx"
 	"carbonshift/internal/sched"
 )
@@ -70,8 +72,10 @@ const (
 	// they carry no tenant content.
 	binVersion       = 1
 	binVersionTenant = 2
-	// binHeaderLen: 4 magic + 1 version + 4 length + 4 CRC bytes.
-	binHeaderLen = 13
+	// binPrefixLen: 4 magic + 1 version bytes. A frame record follows;
+	// binHeaderLen is everything before its payload.
+	binPrefixLen = len(binReqMagic) + 1
+	binHeaderLen = binPrefixLen + frame.HeaderLen
 )
 
 // Per-job flag bits in the binary job encoding. binFlagHasTenant is
@@ -89,14 +93,11 @@ const (
 // header is back-filled, so no intermediate payload slice is
 // allocated.
 func appendBinaryFrame(buf []byte, magic string, version byte, build func([]byte) []byte) []byte {
-	start := len(buf)
 	buf = append(buf, magic...)
 	buf = append(buf, version)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	buf = build(buf)
-	payload := buf[start+binHeaderLen:]
-	binary.BigEndian.PutUint32(buf[start+5:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[start+9:], crc32.ChecksumIEEE(payload))
+	hdr := len(buf)
+	buf = build(append(buf, 0, 0, 0, 0, 0, 0, 0, 0))
+	frame.PutHeader(buf[hdr:], buf[hdr+frame.HeaderLen:])
 	return buf
 }
 
@@ -125,7 +126,8 @@ func AppendBinarySubmit(buf []byte, jobs []JobRequest) []byte {
 		}
 	}
 	return appendBinaryFrame(buf, binReqMagic, version, func(buf []byte) []byte {
-		buf = binary.AppendUvarint(buf, uint64(len(jobs)))
+		e := frame.Enc{Buf: buf}
+		e.Int(len(jobs))
 		for i := range jobs {
 			jr := &jobs[i]
 			var flags byte
@@ -141,57 +143,51 @@ func AppendBinarySubmit(buf []byte, jobs []JobRequest) []byte {
 			if jr.Tenant != "" {
 				flags |= binFlagHasTenant
 			}
-			buf = append(buf, flags)
+			e.Byte(flags)
 			if jr.ID != nil {
-				buf = binary.AppendVarint(buf, int64(*jr.ID))
+				e.Varint(*jr.ID)
 			}
-			buf = binary.AppendUvarint(buf, uint64(len(jr.Origin)))
-			buf = append(buf, jr.Origin...)
-			buf = binary.AppendUvarint(buf, uint64(jr.LengthHours))
-			buf = binary.AppendUvarint(buf, uint64(jr.SlackHours))
+			e.String(jr.Origin)
+			e.Int(jr.LengthHours)
+			e.Int(jr.SlackHours)
 			if jr.Tenant != "" {
-				buf = binary.AppendUvarint(buf, uint64(len(jr.Tenant)))
-				buf = append(buf, jr.Tenant...)
+				e.String(jr.Tenant)
 			}
 		}
-		return buf
+		return e.Buf
 	})
 }
 
 // readBinaryFrame reads one whole frame with the given magic into
 // b.payload (CRC-verified) and rejects trailing bytes, exactly as
-// DecodeSubmit rejects trailing data after the JSON value. Errors wrap
-// the reader's, so an *http.MaxBytesError from the body limit survives
-// for the 413 mapping.
+// DecodeSubmit rejects trailing data after the JSON value. Prefix,
+// record header and payload all land in b.payload's own capacity, so a
+// pooled batch reads a frame without allocating for it; only the
+// one-byte probe for trailing data escapes. Errors wrap the reader's, so an
+// *http.MaxBytesError from the body limit survives for the 413 mapping;
+// everything else about a frame — magic, version, a declared length
+// past httpx.MaxBody (which also bounds the allocation: a frame that
+// size can never fit under the body limit anyway), CRC — is a 400.
 func readBinaryFrame(r io.Reader, magic string, b *batch) error {
-	var hdr [binHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(b.payload) < binHeaderLen {
+		b.payload = make([]byte, binHeaderLen)
+	}
+	pre := b.payload[:binPrefixLen]
+	if _, err := io.ReadFull(r, pre); err != nil {
 		return fmt.Errorf("binary submit: short frame header: %w", err)
 	}
-	if string(hdr[:4]) != magic {
-		return fmt.Errorf("binary submit: bad magic %q", hdr[:4])
+	if string(pre[:len(magic)]) != magic {
+		return fmt.Errorf("binary submit: bad magic %q", pre[:len(magic)])
 	}
-	if hdr[4] != binVersion && hdr[4] != binVersionTenant {
-		return fmt.Errorf("binary submit: unsupported version %d (want %d or %d)", hdr[4], binVersion, binVersionTenant)
+	b.ver = pre[len(magic)]
+	if b.ver != binVersion && b.ver != binVersionTenant {
+		return fmt.Errorf("binary submit: unsupported version %d (want %d or %d)", b.ver, binVersion, binVersionTenant)
 	}
-	b.ver = hdr[4]
-	n := binary.BigEndian.Uint32(hdr[5:9])
-	sum := binary.BigEndian.Uint32(hdr[9:13])
-	if n > httpx.MaxBody {
-		// Bounds the allocation below; a frame this size can never fit
-		// under the body limit anyway.
-		return fmt.Errorf("binary submit: %d-byte payload exceeds the %d-byte limit", n, httpx.MaxBody)
+	payload, err := frame.ReadRecord(r, b.payload, httpx.MaxBody)
+	if err != nil {
+		return fmt.Errorf("binary submit: %w", err)
 	}
-	if cap(b.payload) < int(n) {
-		b.payload = make([]byte, n)
-	}
-	b.payload = b.payload[:n]
-	if _, err := io.ReadFull(r, b.payload); err != nil {
-		return fmt.Errorf("binary submit: short frame payload: %w", err)
-	}
-	if crc32.ChecksumIEEE(b.payload) != sum {
-		return fmt.Errorf("binary submit: payload CRC mismatch")
-	}
+	b.payload = payload
 	var one [1]byte
 	switch _, err := io.ReadFull(r, one[:]); err {
 	case io.EOF:
@@ -210,79 +206,48 @@ func readBinaryFrame(r io.Reader, magic string, b *batch) error {
 // flag is honored only for version-2 frames; in a version-1 frame it
 // is an unknown flag.
 func decodeBinaryJobs(b *batch, intern, internTenant func([]byte) string) error {
-	count, data, err := readUvarint(b.payload)
-	if err != nil {
-		return fmt.Errorf("binary submit: job count: %w", err)
+	d := frame.Dec{Data: b.payload}
+	// Every job costs at least 3 bytes (flags, origin len, length, slack
+	// overlap at minimum widths), so Count catches an absurd count
+	// before it can size the scratch slices.
+	count := d.Count()
+	if d.Err != nil {
+		return fmt.Errorf("binary submit: job count: %w", d.Err)
 	}
 	if count == 0 {
 		return fmt.Errorf("binary submit: empty job batch")
 	}
-	// Every job costs at least 3 bytes (flags, origin len, length, slack
-	// overlap at minimum widths), so an absurd count is caught before it
-	// can size the scratch slices.
-	if count > len(data) {
-		return fmt.Errorf("binary submit: job count %d exceeds the %d payload bytes", count, len(data))
+	allowed := byte(binFlagHasID | binFlagInterruptible | binFlagMigratable)
+	if b.ver >= binVersionTenant {
+		allowed |= binFlagHasTenant
 	}
 	b.grow(count)
 	for i := 0; i < count; i++ {
-		if len(data) == 0 {
-			return fmt.Errorf("binary submit: job %d: truncated", i)
-		}
-		flags := data[0]
-		data = data[1:]
-		allowed := byte(binFlagHasID | binFlagInterruptible | binFlagMigratable)
-		if b.ver >= binVersionTenant {
-			allowed |= binFlagHasTenant
-		}
+		flags := d.Byte()
 		if flags&^allowed != 0 {
 			return fmt.Errorf("binary submit: job %d: unknown flags %#x", i, flags)
 		}
-		var id int
-		if flags&binFlagHasID != 0 {
-			v, m := binary.Varint(data)
-			if m <= 0 {
-				return fmt.Errorf("binary submit: job %d: bad id", i)
-			}
-			id = int(v)
-			data = data[m:]
-		}
-		olen, rest, err := readUvarint(data)
-		if err != nil || olen > len(rest) {
-			return fmt.Errorf("binary submit: job %d: bad origin", i)
-		}
-		origin := intern(rest[:olen])
-		data = rest[olen:]
-		length, rest, err := readUvarint(data)
-		if err != nil {
-			return fmt.Errorf("binary submit: job %d: bad length", i)
-		}
-		slack, rest, err := readUvarint(rest)
-		if err != nil {
-			return fmt.Errorf("binary submit: job %d: bad slack", i)
-		}
-		data = rest
-		var tenantName string
-		if flags&binFlagHasTenant != 0 {
-			tlen, rest, err := readUvarint(data)
-			if err != nil || tlen > len(rest) {
-				return fmt.Errorf("binary submit: job %d: bad tenant", i)
-			}
-			tenantName = internTenant(rest[:tlen])
-			data = rest[tlen:]
-		}
-		b.jobs[i] = sched.Job{
-			ID:            id,
-			Origin:        origin,
-			Tenant:        tenantName,
-			Length:        length,
-			Slack:         slack,
+		j := sched.Job{
 			Interruptible: flags&binFlagInterruptible != 0,
 			Migratable:    flags&binFlagMigratable != 0,
 		}
+		if flags&binFlagHasID != 0 {
+			j.ID = d.Varint()
+		}
+		j.Origin = intern(d.Bytes())
+		j.Length = d.Int()
+		j.Slack = d.Int()
+		if flags&binFlagHasTenant != 0 {
+			j.Tenant = internTenant(d.Bytes())
+		}
+		if d.Err != nil {
+			return fmt.Errorf("binary submit: job %d: %w", i, d.Err)
+		}
+		b.jobs[i] = j
 		b.auto[i] = flags&binFlagHasID == 0
 	}
-	if len(data) != 0 {
-		return fmt.Errorf("binary submit: %d trailing payload bytes", len(data))
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("binary submit: %w", err)
 	}
 	return nil
 }
@@ -292,51 +257,37 @@ func decodeBinaryJobs(b *batch, intern, internTenant func([]byte) string) error 
 // the zigzag delta encoding turns into one byte per job.
 func AppendBinaryAck(buf []byte, arrival int, ids []int) []byte {
 	return appendBinaryFrame(buf, binAckMagic, binVersion, func(buf []byte) []byte {
-		buf = binary.AppendUvarint(buf, uint64(arrival))
-		buf = binary.AppendUvarint(buf, uint64(len(ids)))
+		e := frame.Enc{Buf: buf}
+		e.Int(arrival)
+		e.Int(len(ids))
 		prev := 0
 		for _, id := range ids {
-			buf = binary.AppendVarint(buf, int64(id-prev))
+			e.Varint(id - prev)
 			prev = id
 		}
-		return buf
+		return e.Buf
 	})
 }
 
 // DecodeBinaryAck parses an ack frame into the JSON route's response
 // type.
 func DecodeBinaryAck(data []byte) (SubmitResponse, error) {
-	var resp SubmitResponse
 	b := &batch{}
 	if err := readBinaryFrame(bytes.NewReader(data), binAckMagic, b); err != nil {
-		return resp, err
+		return SubmitResponse{}, err
 	}
-	arrival, rest, err := readUvarint(b.payload)
-	if err != nil {
-		return resp, fmt.Errorf("binary ack: arrival: %w", err)
-	}
-	count, rest, err := readUvarint(rest)
-	if err != nil {
-		return resp, fmt.Errorf("binary ack: count: %w", err)
-	}
-	if count > len(rest) {
-		return resp, fmt.Errorf("binary ack: id count %d exceeds the %d payload bytes", count, len(rest))
-	}
-	ids := make([]int, count)
+	d := frame.Dec{Data: b.payload}
+	arrival := d.Int()
+	ids := make([]int, d.Count())
 	prev := 0
 	for i := range ids {
-		d, m := binary.Varint(rest)
-		if m <= 0 {
-			return resp, fmt.Errorf("binary ack: bad id delta %d", i)
-		}
-		prev += int(d)
+		prev += d.Varint()
 		ids[i] = prev
-		rest = rest[m:]
 	}
-	if len(rest) != 0 {
-		return resp, fmt.Errorf("binary ack: %d trailing payload bytes", len(rest))
+	if err := d.Done(); err != nil {
+		return SubmitResponse{}, fmt.Errorf("binary ack: %w", err)
 	}
-	return SubmitResponse{IDs: ids, ArrivalHour: arrival, Accepted: count}, nil
+	return SubmitResponse{IDs: ids, ArrivalHour: arrival, Accepted: len(ids)}, nil
 }
 
 // internOrigin resolves an origin to the cluster table's string when

@@ -34,12 +34,11 @@ package schedd
 // is bounded by one generation regardless of crash history.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"sync/atomic"
 
+	"carbonshift/internal/frame"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/tracing"
 	"carbonshift/internal/wal"
@@ -377,20 +376,22 @@ func (s *Server) durabilityStats() *DurabilityStats {
 //
 // The server snapshot wraps the fleet image with the auto-id counter:
 // uvarint nextID | fleet bytes. Journal records are a type byte
-// followed by uvarints; the job batch uses sched's job codec. All of
-// it is pinned by golden tests.
+// followed by uvarints (internal/frame fields); the job batch uses
+// sched's job codec. All of it is pinned by golden tests.
 
 func encodeServerSnapshot(nextID int, fleetImg []byte) []byte {
-	buf := appendUvarint(make([]byte, 0, len(fleetImg)+4), nextID)
-	return append(buf, fleetImg...)
+	e := frame.Enc{Buf: make([]byte, 0, len(fleetImg)+4)}
+	e.Int(nextID)
+	return append(e.Buf, fleetImg...)
 }
 
 func decodeServerSnapshot(payload []byte) (nextID int, fleetImg []byte, err error) {
-	nextID, rest, err := readUvarint(payload)
-	if err != nil {
-		return 0, nil, fmt.Errorf("snapshot header: %w", err)
+	d := frame.Dec{Data: payload}
+	nextID = d.Int()
+	if d.Err != nil {
+		return 0, nil, fmt.Errorf("snapshot header: %w", d.Err)
 	}
-	return nextID, rest, nil
+	return nextID, d.Rest(), nil
 }
 
 // encodeAdmit appends the sampled trace's 16-byte ID after the job
@@ -400,10 +401,10 @@ func decodeServerSnapshot(payload []byte) (nextID int, fleetImg []byte, err erro
 // verbatim, which is how the follower learns which trace its apply
 // span belongs to.
 func encodeAdmit(arrival, nextID int, jobs []sched.Job, tid tracing.TraceID) []byte {
-	buf := []byte{recAdmit}
-	buf = appendUvarint(buf, arrival)
-	buf = appendUvarint(buf, nextID)
-	buf = sched.EncodeJobs(buf, jobs)
+	e := frame.Enc{Buf: []byte{recAdmit}}
+	e.Int(arrival)
+	e.Int(nextID)
+	buf := sched.EncodeJobs(e.Buf, jobs)
 	if !tid.IsZero() {
 		buf = append(buf, tid[:]...)
 	}
@@ -411,14 +412,12 @@ func encodeAdmit(arrival, nextID int, jobs []sched.Job, tid tracing.TraceID) []b
 }
 
 func decodeAdmit(payload []byte) (arrival, nextID int, jobs []sched.Job, tid tracing.TraceID, err error) {
-	rest := payload[1:]
-	if arrival, rest, err = readUvarint(rest); err != nil {
-		return 0, 0, nil, tid, fmt.Errorf("admit record: %w", err)
+	d := frame.Dec{Data: payload[1:]}
+	arrival, nextID = d.Int(), d.Int()
+	if d.Err != nil {
+		return 0, 0, nil, tid, fmt.Errorf("admit record: %w", d.Err)
 	}
-	if nextID, rest, err = readUvarint(rest); err != nil {
-		return 0, 0, nil, tid, fmt.Errorf("admit record: %w", err)
-	}
-	jobs, rest, err = sched.DecodeJobs(rest)
+	jobs, rest, err := sched.DecodeJobs(d.Rest())
 	if err != nil {
 		return 0, 0, nil, tid, fmt.Errorf("admit record: %w", err)
 	}
@@ -433,28 +432,16 @@ func decodeAdmit(payload []byte) (arrival, nextID int, jobs []sched.Job, tid tra
 }
 
 func encodeWatermark(hour int) []byte {
-	return appendUvarint([]byte{recWatermark}, hour)
+	e := frame.Enc{Buf: []byte{recWatermark}}
+	e.Int(hour)
+	return e.Buf
 }
 
 func decodeWatermark(payload []byte) (int, error) {
-	hour, rest, err := readUvarint(payload[1:])
-	if err != nil {
+	d := frame.Dec{Data: payload[1:]}
+	hour := d.Int()
+	if err := d.Done(); err != nil {
 		return 0, fmt.Errorf("watermark record: %w", err)
 	}
-	if len(rest) != 0 {
-		return 0, fmt.Errorf("watermark record: %d trailing bytes", len(rest))
-	}
 	return hour, nil
-}
-
-func appendUvarint(buf []byte, v int) []byte {
-	return binary.AppendUvarint(buf, uint64(v))
-}
-
-func readUvarint(data []byte) (int, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 || v > math.MaxInt64 {
-		return 0, nil, fmt.Errorf("bad uvarint")
-	}
-	return int(v), data[n:], nil
 }

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,6 +13,12 @@ import (
 // holds, may error only on damage a crash cannot explain (foreign
 // magic, future version), and must be deterministic — replaying the
 // same bytes twice yields the same records and the same outcome.
+//
+// Differential arm: a SegmentReader opened at 0 over the same bytes is
+// the other reader of this format. It must refuse to open exactly when
+// Replay finds no valid header, deliver exactly Replay's records, stop
+// at Replay's ValidBytes, and end in ErrNoRecord or ErrCorrupt — never
+// anything else.
 func FuzzJournalReplay(f *testing.F) {
 	// A valid two-record journal as the structured seed.
 	seedPath := filepath.Join(f.TempDir(), "seed.wal")
@@ -58,6 +66,10 @@ func FuzzJournalReplay(f *testing.F) {
 			if _, err2 := Replay(path, func([]byte) error { return nil }); err2 == nil {
 				t.Fatal("replay error not deterministic")
 			}
+			if sr, err := OpenSegment(path, 0); err == nil {
+				sr.Close()
+				t.Fatal("OpenSegment accepted a header Replay refused")
+			}
 			return
 		}
 		if res.ValidBytes > int64(len(data)) {
@@ -80,6 +92,38 @@ func FuzzJournalReplay(f *testing.F) {
 		})
 		if err != nil || res2 != res {
 			t.Fatalf("second replay diverged: %+v vs %+v (err %v)", res2, res, err)
+		}
+
+		sr, err := OpenSegment(path, 0)
+		if res.ValidBytes == 0 {
+			if err == nil {
+				sr.Close()
+				t.Fatal("OpenSegment accepted a file with no complete header")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("OpenSegment refused a header Replay accepted: %v", err)
+		}
+		defer sr.Close()
+		for i := 0; ; i++ {
+			p, err := sr.Next()
+			if err != nil {
+				if !errors.Is(err, ErrNoRecord) && !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("segment ended in %v, want ErrNoRecord or ErrCorrupt", err)
+				}
+				if i != len(first) || sr.Offset() != res.ValidBytes {
+					t.Fatalf("segment stopped after %d records at offset %d, replay after %d at %d",
+						i, sr.Offset(), len(first), res.ValidBytes)
+				}
+				if !res.Truncated && !errors.Is(err, ErrNoRecord) {
+					t.Fatalf("clean journal ended in %v", err)
+				}
+				return
+			}
+			if i >= len(first) || !bytes.Equal(p, first[i]) {
+				t.Fatalf("segment record %d differs from replay's", i)
+			}
 		}
 	})
 }

@@ -13,12 +13,13 @@ package wal
 // move the writer's file position.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"math"
 	"os"
+
+	"carbonshift/internal/frame"
 )
 
 // ErrNoRecord reports that the file holds no complete record at the
@@ -35,6 +36,7 @@ var ErrCorrupt = errors.New("wal: corrupt record at cursor")
 // safe for concurrent use; a replication stream owns one.
 type SegmentReader struct {
 	f   *os.File
+	sr  *io.SectionReader // pread view of f that Next seeks to off
 	off int64
 	buf []byte
 }
@@ -50,20 +52,11 @@ func OpenSegment(path string, offset int64) (*SegmentReader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &SegmentReader{f: f, off: offset}
+	r := &SegmentReader{f: f, sr: io.NewSectionReader(f, 0, math.MaxInt64), off: offset}
 	if offset == 0 {
-		hdr := make([]byte, HeaderLen)
-		if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(HeaderLen)), hdr); err != nil {
+		if err := readHeader(r.sr, path); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("wal: %s: short header: %w", path, err)
-		}
-		if string(hdr[:len(journalMagic)]) != journalMagic {
-			f.Close()
-			return nil, fmt.Errorf("wal: %s is not a journal (bad magic %q)", path, hdr[:len(journalMagic)])
-		}
-		if v := hdr[len(journalMagic)]; v != journalVersion {
-			f.Close()
-			return nil, fmt.Errorf("wal: %s: unsupported journal version %d (want %d)", path, v, journalVersion)
+			return nil, err
 		}
 		r.off = int64(HeaderLen)
 	} else if offset < int64(HeaderLen) {
@@ -82,32 +75,21 @@ func (r *SegmentReader) Offset() int64 { return r.off }
 // one. The payload slice is reused across calls — callers must not
 // retain it.
 func (r *SegmentReader) Next() ([]byte, error) {
-	var hdr [recordHeaderLen]byte
-	if _, err := r.f.ReadAt(hdr[:], r.off); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrNoRecord
-		}
+	if _, err := r.sr.Seek(r.off, io.SeekStart); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[0:4])
-	sum := binary.BigEndian.Uint32(hdr[4:8])
-	if n > MaxRecord {
-		return nil, fmt.Errorf("%w: length %d exceeds limit %d", ErrCorrupt, n, MaxRecord)
-	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
-	}
-	payload := r.buf[:n]
-	if _, err := r.f.ReadAt(payload, r.off+recordHeaderLen); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrNoRecord
-		}
+	payload, err := frame.ReadRecord(r.sr, r.buf, MaxRecord)
+	switch {
+	case err == nil:
+	case err == io.EOF || errors.Is(err, frame.ErrShort):
+		return nil, ErrNoRecord
+	case errors.Is(err, frame.ErrOversize), errors.Is(err, frame.ErrCorrupt):
+		return nil, fmt.Errorf("%w: offset %d: %v", ErrCorrupt, r.off, err)
+	default:
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("%w: CRC mismatch at offset %d", ErrCorrupt, r.off)
-	}
-	r.off += recordHeaderLen + int64(n)
+	r.buf = payload
+	r.off += int64(recordHeaderLen + len(payload))
 	return payload, nil
 }
 

@@ -9,13 +9,13 @@ package wal
 // in that sequence leaves a recoverable directory.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"syscall"
+
+	"carbonshift/internal/frame"
 )
 
 const (
@@ -81,14 +81,13 @@ func (s *Store) JournalPath(gen uint64) string {
 }
 
 // WriteSnapshot atomically writes one generation's snapshot: the
-// payload is framed with a magic, version byte, and trailing CRC-32,
-// written to a temp file, fsynced, and renamed into place.
+// payload is sealed in a frame envelope ("CSSN" | version 1 | payload |
+// crc32), written to a temp file, fsynced, and renamed into place.
 func (s *Store) WriteSnapshot(gen uint64, payload []byte) error {
 	buf := make([]byte, 0, len(snapMagic)+1+len(payload)+4)
 	buf = append(buf, snapMagic...)
 	buf = append(buf, snapVersion)
-	buf = append(buf, payload...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	buf = frame.Seal(append(buf, payload...))
 
 	tmp, err := os.CreateTemp(s.dir, "snap-*.tmp")
 	if err != nil {
@@ -120,20 +119,14 @@ func readSnapshot(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(snapMagic)+1+4 {
-		return nil, fmt.Errorf("wal: snapshot %s: %d bytes is too short", filepath.Base(path), len(data))
+	ver, body, err := frame.Open(data, snapMagic)
+	if err != nil {
+		return nil, fmt.Errorf("wal: snapshot %s: %w", filepath.Base(path), err)
 	}
-	body, sum := data[:len(data)-4], binary.BigEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fmt.Errorf("wal: snapshot %s: CRC mismatch", filepath.Base(path))
+	if ver != snapVersion {
+		return nil, fmt.Errorf("wal: snapshot %s: unsupported version %d", filepath.Base(path), ver)
 	}
-	if string(body[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("wal: snapshot %s: bad magic", filepath.Base(path))
-	}
-	if body[len(snapMagic)] != snapVersion {
-		return nil, fmt.Errorf("wal: snapshot %s: unsupported version %d", filepath.Base(path), body[len(snapMagic)])
-	}
-	return body[len(snapMagic)+1:], nil
+	return body, nil
 }
 
 // LatestSnapshot returns the newest generation whose snapshot file

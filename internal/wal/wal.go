@@ -9,6 +9,10 @@
 //	"CSWL" | version 1
 //	[ len uint32 BE | crc32(payload) uint32 BE | payload ]...
 //
+// The record layout, its reader and the short / corrupt / oversize
+// taxonomy are internal/frame's; this package decides what each of
+// those means for a journal (Replay, SegmentReader.Next).
+//
 // Appends are buffered and group-committed: in SyncAlways mode every
 // Append blocks until its record is fsynced, but concurrent appenders
 // share one fsync (the classic group commit), so a loaded server pays
@@ -35,15 +39,15 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"strings"
 	"sync"
 	"time"
 
+	"carbonshift/internal/frame"
 	"carbonshift/internal/tracing"
 )
 
@@ -54,7 +58,7 @@ const (
 	// HeaderLen is the size of the journal file header.
 	HeaderLen = len(journalMagic) + 1
 	// recordHeaderLen prefixes every record: 4 length + 4 CRC bytes.
-	recordHeaderLen = 8
+	recordHeaderLen = frame.HeaderLen
 	// MaxRecord bounds a single record so a corrupt length prefix can
 	// never drive a huge allocation during replay.
 	MaxRecord = 64 << 20
@@ -284,8 +288,7 @@ func (j *Journal) AppendBatchNoWait(payloads ...[]byte) (uint64, error) {
 	}
 	for _, payload := range payloads {
 		var hdr [recordHeaderLen]byte
-		binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+		frame.PutHeader(hdr[:], payload)
 		if _, err := j.w.Write(hdr[:]); err != nil {
 			j.err = err
 			return 0, err
@@ -462,59 +465,55 @@ func Replay(path string, fn func(payload []byte) error) (ReplayResult, error) {
 
 	var res ReplayResult
 	r := bufio.NewReaderSize(f, 1<<16)
-	hdr := make([]byte, HeaderLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+	if err := readHeader(r, path); err != nil {
+		if errors.Is(err, frame.ErrShort) {
 			// A missing or short header — a crash before the first
 			// flush: nothing is replayable.
 			res.Truncated = true
 			return res, nil
 		}
-		return res, fmt.Errorf("wal: read %s: %w", path, err)
-	}
-	if string(hdr[:len(journalMagic)]) != journalMagic {
-		return res, fmt.Errorf("wal: %s is not a journal (bad magic %q)", path, hdr[:len(journalMagic)])
-	}
-	if v := hdr[len(journalMagic)]; v != journalVersion {
-		return res, fmt.Errorf("wal: %s: unsupported journal version %d (want %d)", path, v, journalVersion)
+		return res, err
 	}
 	res.ValidBytes = int64(HeaderLen)
 
-	var rec [recordHeaderLen]byte
-	var payload []byte
+	var buf []byte
 	for {
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				res.Truncated = err != io.EOF
-				return res, nil
-			}
-			return res, fmt.Errorf("wal: read %s: %w", path, err)
-		}
-		n := binary.BigEndian.Uint32(rec[0:4])
-		sum := binary.BigEndian.Uint32(rec[4:8])
-		if n > MaxRecord {
+		payload, err := frame.ReadRecord(r, buf, MaxRecord)
+		switch {
+		case err == nil:
+		case err == io.EOF:
+			return res, nil
+		case errors.Is(err, frame.ErrShort), errors.Is(err, frame.ErrOversize), errors.Is(err, frame.ErrCorrupt):
 			res.Truncated = true
 			return res, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				res.Truncated = true
-				return res, nil
-			}
+		default:
 			return res, fmt.Errorf("wal: read %s: %w", path, err)
 		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			res.Truncated = true
-			return res, nil
-		}
+		buf = payload
 		if err := fn(payload); err != nil {
 			return res, err
 		}
 		res.Records++
-		res.ValidBytes += int64(recordHeaderLen) + int64(n)
+		res.ValidBytes += int64(recordHeaderLen + len(payload))
 	}
+}
+
+// readHeader consumes and checks the journal file header. A file that
+// ends inside it wraps frame.ErrShort; a foreign magic or an
+// unsupported version is damage no crash explains.
+func readHeader(r io.Reader, path string) error {
+	var hdr [HeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return fmt.Errorf("wal: %s: short header: %w", path, frame.ErrShort)
+		}
+		return fmt.Errorf("wal: read %s: %w", path, err)
+	}
+	if string(hdr[:len(journalMagic)]) != journalMagic {
+		return fmt.Errorf("wal: %s is not a journal (bad magic %q)", path, hdr[:len(journalMagic)])
+	}
+	if v := hdr[len(journalMagic)]; v != journalVersion {
+		return fmt.Errorf("wal: %s: unsupported journal version %d (want %d)", path, v, journalVersion)
+	}
+	return nil
 }
