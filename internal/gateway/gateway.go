@@ -235,10 +235,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, wire *sch
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			// The same 413 and message the partitions answer, so oversize
-			// behaves identically with or without the gateway in front.
-			httpx.WriteJSON(w, http.StatusRequestEntityTooLarge,
-				schedd.ErrorResponse{Error: fmt.Sprintf("request body exceeds the %d-byte limit", httpx.MaxBody)})
+			httpx.WriteTooLarge(w) // the partitions' own 413
 			return
 		}
 		httpx.WriteJSON(w, http.StatusBadRequest, schedd.ErrorResponse{Error: err.Error()})

@@ -73,6 +73,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// WriteTooLarge answers a request whose body ran past MaxBody: the one
+// 413 every service sends, so oversize reads the same at a partition
+// and at the gateway in front of it.
+func WriteTooLarge(w http.ResponseWriter) {
+	WriteJSON(w, http.StatusRequestEntityTooLarge,
+		errorBody{Error: fmt.Sprintf("request body exceeds the %d-byte limit", MaxBody)})
+}
+
 // DoJSON issues req, decodes a 200 response into out, and maps any
 // other status to an error — using the server's {"error": ...} body
 // when one is present. Every error is prefixed with prefix (the client

@@ -263,6 +263,58 @@ func recordBoundaries(t *testing.T, path string) []int64 {
 	return bounds
 }
 
+// assertBootEqualsFollowerApply is the differential between the two
+// replays of one journal: boot recovery over dir, and a fresh server
+// fed the same snapshot and the same record prefix the way a follower
+// is (RestoreReplSnapshot + ApplyReplRecord). Both must reach the same
+// fleet image and id counter — it fails if either side ever applies
+// records in an order the other does not.
+func assertBootEqualsFollowerApply(t *testing.T, dir string, cfg Config, label string) {
+	t.Helper()
+	store, err := wal.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, snapshot, err := store.LatestSnapshot()
+	if err != nil || gen == 0 {
+		t.Fatalf("%s: snapshot: generation %d, %v", label, gen, err)
+	}
+	applied, err := New(mkSet(t, crashHorizon), clusters(crashSlots), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := applied.RestoreReplSnapshot(snapshot); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if _, err := wal.Replay(store.JournalPath(gen), applied.ApplyReplRecord); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.DataDir = dir
+	booted, err := New(mkSet(t, crashHorizon), clusters(crashSlots), cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	defer booted.Close()
+	want, err := applied.fleet.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := booted.fleet.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: boot recovery and follower apply reach different fleet images", label)
+	}
+	if booted.nextID != applied.nextID {
+		t.Fatalf("%s: id counter %d after boot recovery, %d after follower apply", label, booted.nextID, applied.nextID)
+	}
+}
+
 func assertRunsEqual(t *testing.T, ref, got crashRun, label string) {
 	t.Helper()
 	// Placements before the restored snapshot's hour are baked into the
@@ -352,6 +404,28 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				cutSet[bounds[len(bounds)/2]] = true
 				cutSet[bounds[len(bounds)/3]+3] = true
 			}
+			// One more cut for the full sweep: the last boundary between an
+			// admit record and the watermark that follows it, where boot
+			// recovery is also compared against follower apply.
+			admitCut := int64(-1)
+			if tc.fullSweep {
+				var kinds []byte
+				if _, err := wal.Replay(journal, func(p []byte) error {
+					kinds = append(kinds, p[0])
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i+1 < len(kinds); i++ {
+					if kinds[i] == recAdmit && kinds[i+1] == recWatermark {
+						admitCut = bounds[i+1]
+					}
+				}
+				if admitCut < 0 {
+					t.Fatal("reference journal has no admit record followed by a watermark")
+				}
+				cutSet[admitCut] = true
+			}
 			var cuts []int64
 			for c := range cutSet {
 				if c >= 0 && c <= size {
@@ -365,6 +439,10 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 				dir := copyDirWithCut(t, refDir, cut)
 				got := recoverAndFinish(t, dir, crashConfig(tc.policy, tc.snapEvery), jobs)
 				assertRunsEqual(t, ref, got, fmt.Sprintf("cut at byte %d/%d", cut, size))
+				if cut == admitCut {
+					assertBootEqualsFollowerApply(t, copyDirWithCut(t, refDir, cut),
+						crashConfig(tc.policy, tc.snapEvery), fmt.Sprintf("cut at byte %d/%d", cut, size))
+				}
 				if !got.recovery.Recovered {
 					t.Fatalf("cut at %d: boot did not report recovery", cut)
 				}

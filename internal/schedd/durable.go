@@ -16,29 +16,29 @@ package schedd
 // Both record types are buffered under admitMu (admits hold it for
 // the whole admission critical section; a watermark takes it just for
 // the buffer append), so journal order IS fleet-event order: an admit
-// that observed hour h lands before the watermark for any step past h,
-// and after the watermark of the step that brought the fleet to h.
-// That total order is what lets a replication follower apply the
-// journal strictly in sequence (internal/repl) and stay byte-identical
-// to the primary. Recovery additionally tolerates the weaker ordering
-// of journals written before watermarks took admitMu: watermarks are
-// deferred — an admit record first steps the fleet to its own arrival
-// hour, and the maximum watermark is applied at the end — which
-// reconstructs the true event order because arrival hours are
-// non-decreasing along the journal and an admit at hour h always
-// precedes, in fleet time, the step that simulates hour h.
+// stamped h holds admitMu from SubmitNow through its append, and the
+// watermark for any step past h needs admitMu after that step. Every
+// reader therefore applies the journal strictly in sequence, through
+// the one dispatcher below (apply): boot recovery feeds it from the
+// local file, a replication follower from the primary's stream
+// (internal/repl), and both stay byte-identical to a server that never
+// stopped. Journals written before watermarks took admitMu are not
+// read (DESIGN.md, "Formats").
 //
-// Recovery restores the newest valid snapshot, replays its journal
-// (tolerating a torn tail), then rotates: a fresh snapshot of the
-// recovered state and an empty next-generation journal, so replay cost
-// is bounded by one generation regardless of crash history.
+// Boot is openStore → restore + replay → takeAuthority; promotion of a
+// follower is the same openStore → takeAuthority over state the stream
+// already built (repl.go). takeAuthority rotates — a fresh snapshot of
+// the current state and an empty next-generation journal — so replay
+// cost is bounded by one generation regardless of crash history.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync/atomic"
 
 	"carbonshift/internal/frame"
+	"carbonshift/internal/repl"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/tracing"
 	"carbonshift/internal/wal"
@@ -82,21 +82,75 @@ type DurabilityStats struct {
 	TornTail bool `json:"torn_tail"`
 }
 
-// openDurable recovers state from cfg.DataDir into the server's fleet
-// and leaves a fresh generation accepting appends. Called from New
-// after options are applied (so a recorder observes replayed
-// placements exactly as it would live ones).
+// openDurable is boot for a server with a DataDir: recover whatever a
+// previous incarnation left there into the fleet, then take authority
+// over the directory. Called from New after options are applied (so a
+// recorder observes replayed placements exactly as it would live ones).
 func (s *Server) openDurable() error {
-	store, err := wal.OpenStore(s.cfg.DataDir)
+	store, gen, payload, err := s.openStore()
 	if err != nil {
 		return err
 	}
-	// Any failure from here on must release the directory lock so the
-	// operator can retry without restarting the process.
-	fail := func(err error) error {
-		store.Close()
+	var rec DurabilityStats
+	if gen > 0 {
+		// Any failure before takeAuthority owns the store must release the
+		// directory lock so the operator can retry in-process.
+		fail := func(what string, err error) error {
+			store.Close()
+			return fmt.Errorf("schedd: %s: %w", what, err)
+		}
+		if err := s.restore(payload); err != nil {
+			return fail("recover "+store.SnapshotPath(gen), err)
+		}
+		rec.Recovered = true
+		rec.RecoveredSnapshotHour = s.fleet.Hour()
+		// The generation's journal tail on top; a journal that was never
+		// created (a crash between snapshot and journal) is an empty one.
+		path := store.JournalPath(gen)
+		replay, err := wal.Replay(path, func(payload []byte) error {
+			_, err := s.apply(payload)
+			return err
+		})
+		if err != nil && !os.IsNotExist(err) {
+			return fail("replay "+path, err)
+		}
+		rec.ReplayedRecords = replay.Records
+		rec.TornTail = replay.Truncated
+		rec.RecoveredJobs = s.fleet.Jobs()
+	}
+	s.recovery.Store(&rec)
+	if err := s.takeAuthority(store, gen); err != nil {
 		return err
 	}
+	// Quota windows continue where the recovered incarnation stopped.
+	s.resetGate()
+	return nil
+}
+
+// openStore claims cfg.DataDir under its exclusive flock and reads the
+// newest valid snapshot (generation 0: the directory holds none). A
+// directory whose snapshots are all unreadable is an error, never an
+// empty start — booting or promoting over it would bury an operator's
+// only copy of acknowledged state.
+func (s *Server) openStore() (*wal.Store, uint64, []byte, error) {
+	store, err := wal.OpenStore(s.cfg.DataDir)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	gen, payload, err := store.LatestSnapshot()
+	if err != nil {
+		store.Close()
+		return nil, 0, nil, fmt.Errorf("schedd: open %s: %w", s.cfg.DataDir, err)
+	}
+	return store, gen, payload, nil
+}
+
+// takeAuthority makes the server the journaling primary of store: the
+// in-memory state — recovered at boot, replicated before a promotion —
+// is snapshotted as the generation after gen, the newest the directory
+// holds, and everything older is garbage-collected. On failure the
+// directory lock is released.
+func (s *Server) takeAuthority(store *wal.Store, gen uint64) error {
 	opts := wal.Options{Sync: s.cfg.Sync, BatchInterval: s.cfg.SyncInterval, Trace: s.tr}
 	if s.mx != nil {
 		// One JournalMetrics spans generation rotations: wal_* series
@@ -104,95 +158,84 @@ func (s *Server) openDurable() error {
 		opts.Metrics = s.mx.wal
 	}
 	d := &durable{store: store, opts: opts}
-
-	gen, payload, err := store.LatestSnapshot()
-	if err != nil {
-		return fail(err)
-	}
-	var rec DurabilityStats
-	if gen > 0 {
-		nextID, fleetImg, err := decodeServerSnapshot(payload)
-		if err != nil {
-			return fail(fmt.Errorf("schedd: recover %s: %w", store.SnapshotPath(gen), err))
-		}
-		if err := s.fleet.Unmarshal(fleetImg); err != nil {
-			return fail(fmt.Errorf("schedd: recover %s: %w", store.SnapshotPath(gen), err))
-		}
-		s.nextID = nextID
-		rec.Recovered = true
-		rec.RecoveredSnapshotHour = s.fleet.Hour()
-
-		// Replay the generation's journal tail on top. Watermarks are
-		// deferred (see the package comment above).
-		maxWatermark := s.fleet.Hour()
-		replay, err := wal.Replay(store.JournalPath(gen), func(payload []byte) error {
-			return s.applyRecord(payload, &maxWatermark)
-		})
-		if err != nil && !os.IsNotExist(err) {
-			return fail(fmt.Errorf("schedd: replay %s: %w", store.JournalPath(gen), err))
-		}
-		if err == nil {
-			rec.ReplayedRecords = replay.Records
-			rec.TornTail = replay.Truncated
-		}
-		if err := s.stepFleetTo(maxWatermark); err != nil {
-			return fail(fmt.Errorf("schedd: replay %s: %w", store.JournalPath(gen), err))
-		}
-		rec.RecoveredJobs = s.fleet.Jobs()
-	}
-	s.recovery.Store(&rec)
-
-	// Rotate to a fresh generation: snapshot the recovered (or empty)
-	// state, open its journal, and drop everything older.
 	d.gen.Store(gen)
+	// The source is installed before dur becomes visible: handlers gate
+	// on the dur atomic, so whoever observes it non-nil also sees the
+	// source.
+	s.source = repl.NewSource(s)
 	s.dur.Store(d)
 	if err := s.rotateGeneration(); err != nil {
 		s.dur.Store(nil)
-		return fail(err)
+		store.Close()
+		return err
 	}
+	return nil
+}
+
+// restore replaces the server's whole state with a snapshot payload:
+// boot's local snapshot or a follower's bootstrap.
+func (s *Server) restore(payload []byte) error {
+	nextID, fleetImg, err := decodeServerSnapshot(payload)
+	if err != nil {
+		return err
+	}
+	if err := s.fleet.Unmarshal(fleetImg); err != nil {
+		return err
+	}
+	s.nextID = nextID
 	s.known.Store(int64(s.fleet.Hour()))
 	return nil
 }
 
-// applyRecord applies one journal record during recovery.
-func (s *Server) applyRecord(payload []byte, maxWatermark *int) error {
+// applied is what one journal record did, for the follower's wrapper
+// (ApplyReplRecord) to trace and report.
+type applied struct {
+	watermark bool            // a watermark record; otherwise an admit
+	hour      int             // the watermark, or the admit's arrival hour
+	jobs      int             // jobs admitted
+	trace     tracing.TraceID // the submit's sampled trace, usually zero
+}
+
+// apply is the one journal-record dispatcher, called strictly in
+// journal order: an admit steps the fleet to its stamped arrival hour,
+// submits the batch and restores the id counter; a watermark steps the
+// fleet to its hour. Recovery and the replication follower both replay
+// through it, so a recovered primary and its standby cannot diverge.
+func (s *Server) apply(payload []byte) (applied, error) {
 	if len(payload) == 0 {
-		return fmt.Errorf("empty record")
+		return applied{}, errors.New("empty record")
 	}
+	var a applied
 	switch payload[0] {
 	case recAdmit:
-		arrival, next, jobs, _, err := decodeAdmit(payload)
+		arrival, next, jobs, tid, err := decodeAdmit(payload)
 		if err != nil {
-			return err
+			return a, err
 		}
-		return s.replayAdmit(arrival, next, jobs)
+		if err := s.stepFleetTo(arrival); err != nil {
+			return a, err
+		}
+		if err := s.fleet.Submit(jobs...); err != nil {
+			return a, err
+		}
+		s.nextID = next
+		a = applied{hour: arrival, jobs: len(jobs), trace: tid}
 	case recWatermark:
 		hour, err := decodeWatermark(payload)
 		if err != nil {
-			return err
+			return a, err
 		}
-		if hour > *maxWatermark {
-			*maxWatermark = hour
+		if err := s.stepFleetTo(hour); err != nil {
+			return a, err
 		}
-		return nil
+		a = applied{watermark: true, hour: hour}
 	default:
-		return fmt.Errorf("unknown journal record type %d", payload[0])
+		return a, fmt.Errorf("unknown journal record type %d", payload[0])
 	}
-}
-
-// replayAdmit re-executes one decoded admit record: step the fleet to
-// the stamped arrival hour, submit the batch, restore the id counter.
-// Recovery and the replication follower both apply admissions through
-// it, so a recovered primary and its standby cannot diverge.
-func (s *Server) replayAdmit(arrival, nextID int, jobs []sched.Job) error {
-	if err := s.stepFleetTo(arrival); err != nil {
-		return err
+	if h := int64(s.fleet.Hour()); h > s.known.Load() {
+		s.known.Store(h)
 	}
-	if err := s.fleet.Submit(jobs...); err != nil {
-		return err
-	}
-	s.nextID = nextID
-	return nil
+	return a, nil
 }
 
 // stepFleetTo steps the fleet up to the given hour during replay.

@@ -8,6 +8,7 @@ package schedd
 // kill -9.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -333,6 +334,152 @@ func TestPromoteWithoutDataDir(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("snapshot on journal-less primary: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestFailedPromotionResumesTail: a promotion that cannot claim the
+// follower's data dir (here: another store holds its flock) fails
+// loudly and leaves a working follower — same role, tail resumed from
+// its cursor with no re-bootstrap — and succeeds once the directory is
+// free.
+func TestFailedPromotionResumesTail(t *testing.T) {
+	_, follower, pts, fts, _, fclock := replicatedPair(t, sched.FIFO{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	follower.Start(ctx)
+
+	pc, err := NewClient(pts.URL, pts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := JobRequest{Origin: "CLEAN", LengthHours: 1, SlackHours: 12}
+	if _, err := pc.Submit(ctx, job); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "replication", func() bool { return follower.fleet.Jobs() == 1 })
+
+	held, err := wal.OpenStore(follower.cfg.DataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	bootstraps := follower.fol.tail.Stats().Bootstraps
+	if promoted, err := follower.Promote(); err == nil || promoted {
+		t.Fatalf("promote into a held data dir = %v, %v; want an error", promoted, err)
+	}
+	if follower.Role() != "follower" {
+		t.Fatalf("role after a failed promotion = %q", follower.Role())
+	}
+	if _, err := pc.Submit(ctx, job); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "replication after the failed promotion", func() bool { return follower.fleet.Jobs() == 2 })
+	if got := follower.fol.tail.Stats().Bootstraps; got != bootstraps {
+		t.Fatalf("tail re-bootstrapped (%d -> %d) instead of resuming from its cursor", bootstraps, got)
+	}
+
+	if err := held.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if promoted, err := follower.Promote(); err != nil || !promoted {
+		t.Fatalf("promote into the released data dir = %v, %v", promoted, err)
+	}
+	fclock.hour.Store(int64(follower.Hour()))
+	fc, err := NewClient(fts.URL, fts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fc.Submit(ctx, job); err != nil {
+		t.Fatalf("write to the promoted primary: %v", err)
+	}
+	stats, err := fc.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Submitted != 3 {
+		t.Fatalf("submitted %d, want 3", stats.Submitted)
+	}
+	if stats.Durability == nil || !stats.Durability.Recovered || stats.Durability.Generation < 1 {
+		t.Fatalf("durability lineage = %+v, want recovered:true with a generation", stats.Durability)
+	}
+}
+
+// TestPromotedPrimaryReboots: a promoted standby is a primary like any
+// other — what it journaled after taking authority over its own data
+// dir is what a reboot from that directory recovers, byte for byte.
+func TestPromotedPrimaryReboots(t *testing.T) {
+	primary, follower, pts, fts, pclock, fclock := replicatedPair(t, sched.CarbonGate{Percentile: 40, Window: 48})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	follower.Start(ctx)
+
+	submit := func(c *Client, origin string, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := c.Submit(ctx, JobRequest{
+				Origin: origin, LengthHours: 3, SlackHours: 24, Interruptible: true,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pc, err := NewClient(pts.URL, pts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const first, second = 12, 9
+	submit(pc, "CLEAN", first)
+	pclock.hour.Store(2)
+	if _, err := pc.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "follower catch-up", func() bool {
+		return follower.fleet.Jobs() == first && follower.fleet.Hour() == primary.fleet.Hour()
+	})
+	pts.CloseClientConnections()
+	pts.Close()
+	if err := primary.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if promoted, err := follower.Promote(); err != nil || !promoted {
+		t.Fatalf("promote = %v, %v", promoted, err)
+	}
+
+	// The second batch exists only in the promoted server's own journal.
+	fc, err := NewClient(fts.URL, fts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fclock.hour.Store(int64(follower.Hour()))
+	submit(fc, "DIRTY", second)
+	fclock.hour.Add(4)
+	if _, err := fc.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want, err := follower.fleet.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fts.Close()
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reborn, err := New(mkSet(t, 24*20), clusters(20), follower.cfg, WithClock(fclock.now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reborn.Close()
+	rec := reborn.Recovery()
+	if !rec.Recovered || rec.ReplayedRecords < second || rec.RecoveredJobs != first+second || rec.TornTail {
+		t.Fatalf("reboot of the promoted primary: recovery = %+v", rec)
+	}
+	got, err := reborn.fleet.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("state recovered from the promoted primary's data dir differs from the state it held")
 	}
 }
 

@@ -13,6 +13,7 @@ package schedd
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"sync"
@@ -76,13 +77,10 @@ func NewFollower(set *trace.Set, clusters []sched.Cluster, cfg Config, fcfg Foll
 	if u, err := url.Parse(fcfg.Primary); err != nil || u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("schedd: follower: invalid primary URL %q", fcfg.Primary)
 	}
-	dataDir := cfg.DataDir
-	cfg.DataDir = "" // claimed at promotion, not at boot
-	s, err := New(set, clusters, cfg, opts...)
+	s, err := newServer(set, clusters, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.cfg.DataDir = dataDir
 	hc := fcfg.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
@@ -182,7 +180,11 @@ func (s *Server) probeLoop(ctx context.Context) {
 		}
 		failures++
 		if failures >= f.cfg.ProbeFailures {
-			s.Promote() // error path resumes the tail; keep probing
+			if _, err := s.Promote(); err != nil {
+				// The error path resumed the tail; keep probing, and say
+				// why the standby the operator expects to take over has not.
+				slog.Warn("auto-promotion failed", "err", err, "primary", f.cfg.Primary)
+			}
 			if !s.isFollower() {
 				return
 			}

@@ -10,21 +10,20 @@ package schedd
 // invariant is exactly the state at the start of the current
 // generation's journal.
 //
-// As a follower, the Server implements repl.Applier: a snapshot
-// bootstrap replaces the whole fleet image, then journal records apply
-// strictly in stream order — admits step the fleet to their stamped
-// arrival hour and submit, watermarks step the fleet forward — which
-// reproduces the primary's fleet-event order exactly, because the
-// primary buffers both record types under admitMu (see durable.go).
+// As a follower, the Server implements repl.Applier with the two
+// functions boot recovery is made of (durable.go): a snapshot bootstrap
+// is restore, and each streamed record goes through apply, strictly in
+// stream order — which reproduces the primary's fleet-event order
+// exactly, because the primary buffers both record types under admitMu.
 // The replication equivalence test pins the consequence: at every
 // shared watermark the follower's Marshal image is byte-identical to
 // the primary's.
 //
-// Promotion turns a follower into a primary in place: stop the tail,
-// take an exclusive flock on the follower's own data dir, snapshot the
-// replicated state as a fresh generation, and start accepting writes.
-// The 421 write-redirect contract (see client.go) points writers at
-// whoever is primary.
+// Promotion turns a follower into a primary in place, and is boot's
+// second half: stop the tail, openStore the follower's own data dir,
+// takeAuthority — snapshot the replicated state as a fresh generation
+// and start accepting writes. The 421 write-redirect contract (see
+// client.go) points writers at whoever is primary.
 
 import (
 	"errors"
@@ -34,7 +33,6 @@ import (
 
 	"carbonshift/internal/repl"
 	"carbonshift/internal/tracing"
-	"carbonshift/internal/wal"
 )
 
 // Server roles. A server is born primary (New) or follower
@@ -116,70 +114,46 @@ func (s *Server) SnapshotLatest() (uint64, []byte, error) {
 // RestoreReplSnapshot replaces the follower's entire state with a
 // primary snapshot — the bootstrap half of the replication Applier.
 func (s *Server) RestoreReplSnapshot(payload []byte) error {
-	nextID, fleetImg, err := decodeServerSnapshot(payload)
-	if err != nil {
+	if err := s.restore(payload); err != nil {
 		return fmt.Errorf("schedd: replication snapshot: %w", err)
 	}
-	if err := s.fleet.Unmarshal(fleetImg); err != nil {
-		return fmt.Errorf("schedd: replication snapshot: %w", err)
-	}
-	s.nextID = nextID
-	s.known.Store(int64(s.fleet.Hour()))
 	return nil
 }
 
 // ApplyReplRecord applies one streamed journal record, strictly in
-// stream order: an admit record steps the fleet to its stamped arrival
-// hour and submits the batch; a watermark steps the fleet to that
-// hour. Journal order equals fleet-event order on the primary, so this
-// replays the primary's exact history (the equivalence the replication
-// tests assert byte-for-byte). Exported for the tailer and the
-// follower-apply benchmark; the caller serializes invocations.
+// stream order, through the dispatcher boot recovery uses (apply, in
+// durable.go) — journal order equals fleet-event order on the primary,
+// so this replays the primary's exact history (the equivalence the
+// replication tests assert byte-for-byte). It adds only what a live
+// follower has and a booting server does not: the apply span and the
+// OnWatermark hook. Exported for the tailer and the follower-apply
+// benchmark; the caller serializes invocations.
 func (s *Server) ApplyReplRecord(payload []byte) error {
-	if len(payload) == 0 {
-		return errors.New("schedd: empty replication record")
+	start := time.Now()
+	a, err := s.apply(payload)
+	if err != nil {
+		return fmt.Errorf("schedd: replication record: %w", err)
 	}
-	switch payload[0] {
-	case recAdmit:
-		arrival, next, jobs, tid, err := decodeAdmit(payload)
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		if err := s.replayAdmit(arrival, next, jobs); err != nil {
-			return err
-		}
+	if !a.watermark {
 		// A record that carried the primary's sampled trace ID joins
 		// that trace here: the apply span lands in THIS server's ring
 		// under the SAME trace ID — one trace, two processes.
-		s.tr.Record(tid, "repl.apply", tracing.SpanID{}, start, time.Since(start),
-			tracing.Int("jobs", len(jobs)), tracing.Int("arrival_hour", arrival))
-	case recWatermark:
-		hour, err := decodeWatermark(payload)
-		if err != nil {
-			return err
-		}
-		if err := s.stepFleetTo(hour); err != nil {
-			return err
-		}
-		if s.fol != nil && s.fol.cfg.OnWatermark != nil {
-			s.fol.cfg.OnWatermark(hour)
-		}
-	default:
-		return fmt.Errorf("schedd: unknown replication record type %d", payload[0])
-	}
-	if h := int64(s.fleet.Hour()); h > s.known.Load() {
-		s.known.Store(h)
+		s.tr.Record(a.trace, "repl.apply", tracing.SpanID{}, start, time.Since(start),
+			tracing.Int("jobs", a.jobs), tracing.Int("arrival_hour", a.hour))
+	} else if s.fol != nil && s.fol.cfg.OnWatermark != nil {
+		s.fol.cfg.OnWatermark(a.hour)
 	}
 	return nil
 }
 
 // --- promotion ---
 
-// Promote turns a follower into the primary: the tail stops, the
-// follower's own DataDir (when configured) is opened under an
-// exclusive flock and the replicated state is snapshotted there as a
-// fresh generation, and the server starts accepting writes — including
+// Promote turns a follower into the primary — boot's second half,
+// over state the stream built instead of a local journal: the tail
+// stops, the follower's own DataDir (when configured) is claimed
+// (openStore) without recovering from it, and takeAuthority snapshots
+// the replicated state there as the generation past anything the
+// directory already holds. The server then accepts writes — including
 // serving the replication endpoints to the next generation of
 // followers. Idempotent: promoting a primary reports false with no
 // error. On failure the server resumes following, so a misconfigured
@@ -195,7 +169,11 @@ func (s *Server) Promote() (bool, error) {
 	}
 	s.stopTail()
 	if s.cfg.DataDir != "" {
-		if err := s.openPromotedDurable(); err != nil {
+		store, gen, _, err := s.openStore()
+		if err == nil {
+			err = s.takeAuthority(store, gen)
+		}
+		if err != nil {
 			s.resumeTail()
 			return false, err
 		}
@@ -221,42 +199,6 @@ func (s *Server) Promote() (bool, error) {
 	}
 	s.role.Store(rolePrimary)
 	return true, nil
-}
-
-// openPromotedDurable opens the follower's own data dir as a primary
-// store without recovering from it: the authoritative state is what
-// replication built in memory, and it is snapshotted as the next
-// generation past anything the directory already holds (which is then
-// garbage-collected). A directory whose existing snapshots are all
-// unreadable fails the promotion — silently burying it could discard
-// an operator's only copy of something.
-func (s *Server) openPromotedDurable() error {
-	store, err := wal.OpenStore(s.cfg.DataDir)
-	if err != nil {
-		return err
-	}
-	gen, _, err := store.LatestSnapshot()
-	if err != nil {
-		store.Close()
-		return fmt.Errorf("schedd: promote into %s: %w", s.cfg.DataDir, err)
-	}
-	opts := wal.Options{Sync: s.cfg.Sync, BatchInterval: s.cfg.SyncInterval, Trace: s.tr}
-	if s.mx != nil {
-		opts.Metrics = s.mx.wal
-	}
-	d := &durable{store: store, opts: opts}
-	d.gen.Store(gen)
-	// The source is installed before dur becomes visible: handlers gate
-	// on the dur atomic, so whoever observes it non-nil also sees the
-	// source.
-	s.source = repl.NewSource(s)
-	s.dur.Store(d)
-	if err := s.rotateGeneration(); err != nil {
-		s.dur.Store(nil)
-		store.Close()
-		return err
-	}
-	return nil
 }
 
 // --- HTTP endpoints ---

@@ -41,8 +41,8 @@
 // snapshotted periodically; New recovers whatever a previous
 // incarnation left behind — snapshot restore plus journal-tail replay,
 // torn final writes tolerated — before serving, to state
-// byte-identical to a server that never stopped (see durable.go and
-// the crash-injection tests). /v1/stats reports the recovery counters.
+// byte-identical to a server that never stopped (the crash-injection
+// tests). /v1/stats reports the recovery counters.
 //
 // Replication: a durable server is also a replication primary, serving
 // its journal as a resumable stream (GET /v1/repl/stream, snapshot
@@ -51,8 +51,15 @@
 // to the primary at every shared watermark — serves read-only lookups
 // and stats with an X-Replication-Lag-Hours header, rejects writes
 // with 421 plus a primary hint, and promotes to primary on POST
-// /v1/repl/promote or on primary health-probe loss (see repl.go,
-// follower.go, and the replication/chaos/failover tests).
+// /v1/repl/promote or on primary health-probe loss (the
+// replication/chaos/failover tests).
+//
+// Lifecycle: newServer builds the role-less core; boot, a follower's
+// bootstrap and stream, and promotion are compositions of the same few
+// functions (restore, apply, openStore, takeAuthority — durable.go,
+// with the journal-ordering argument they rest on; the follower side is
+// repl.go and follower.go), and all live stepping is stepWhile.
+// DESIGN.md "Server lifecycle" has the state table.
 //
 // Observability: GET /metrics serves every schedd_*, wal_*, repl_*,
 // and http_* family (metrics.go) in Prometheus text format.
@@ -183,7 +190,7 @@ type Server struct {
 	stepMu sync.Mutex
 	known  atomic.Int64
 
-	// failed pins the first policy fault; it poisons the service.
+	// failed pins the fault that poisoned the service (see poison).
 	failed atomic.Pointer[serverFailure]
 
 	// admitMu covers admission control: bound checks plus id
@@ -272,8 +279,27 @@ func WithPromoteNotify(fn func(hour int)) Option {
 	return func(s *Server) { s.onPromote = fn }
 }
 
-// New builds the service over the trace set and regional clusters.
+// New builds the service over the trace set and regional clusters: a
+// primary, durable when cfg.DataDir is set — New then recovers whatever
+// a previous incarnation left in the directory and takes authority over
+// it before returning (openDurable).
 func New(set *trace.Set, clusters []sched.Cluster, cfg Config, opts ...Option) (*Server, error) {
+	s, err := newServer(set, clusters, cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.DataDir != "" {
+		if err := s.openDurable(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// newServer builds the role-less core New and NewFollower share —
+// fleet, admission state, metrics, tracing — and touches no directory:
+// cfg.DataDir is claimed by boot (openDurable) or by promotion.
+func newServer(set *trace.Set, clusters []sched.Cluster, cfg Config, opts []Option) (*Server, error) {
 	if cfg.Horizon == 0 {
 		cfg.Horizon = set.Len()
 	}
@@ -318,23 +344,13 @@ func New(set *trace.Set, clusters []sched.Cluster, cfg Config, opts ...Option) (
 		s.gate = tenant.NewGate(cfg.Tenants, s.gateClock)
 	}
 	// Metrics and tracing come up before the durable layer so the
-	// journal opened by openDurable is metered and traced from its first
+	// journal takeAuthority opens is metered and traced from its first
 	// record.
 	if !s.noMetrics {
 		s.initMetrics(set)
 	}
 	if !s.noTracing {
 		s.initTracing()
-	}
-	// Recovery runs after the options so an injected recorder observes
-	// replayed placements exactly as it would have observed them live.
-	if cfg.DataDir != "" {
-		if err := s.openDurable(); err != nil {
-			return nil, err
-		}
-		s.source = repl.NewSource(s)
-		// Quota windows continue where the recovered incarnation stopped.
-		s.resetGate()
 	}
 	return s, nil
 }
@@ -371,6 +387,41 @@ func (s *Server) failure() error {
 	return nil
 }
 
+// poison pins err as the service's failure — a policy fault, or a
+// journal error that left the fleet holding state the log does not —
+// and returns it; every later request answers with it.
+func (s *Server) poison(err error) error {
+	s.failed.Store(&serverFailure{err})
+	return err
+}
+
+// stepWhile is the one live stepping loop, under advance (to the
+// clock) and Drain (until empty): step the fleet while more() holds,
+// then journal the hour reached as one watermark. It returns the hours
+// stepped; any error has poisoned the service. Must be called under
+// stepMu.
+func (s *Server) stepWhile(more func() bool) (int, error) {
+	if err := s.failure(); err != nil {
+		return 0, err
+	}
+	from := s.fleet.Hour()
+	for more() {
+		if err := s.stepOnce(); err != nil {
+			return 0, s.poison(err)
+		}
+	}
+	hour := s.fleet.Hour()
+	if hour > from {
+		if err := s.journalWatermark(hour); err != nil {
+			return 0, s.poison(err)
+		}
+	}
+	if int64(hour) > s.known.Load() {
+		s.known.Store(int64(hour))
+	}
+	return hour - from, nil
+}
+
 // advance steps the fleet to the clock's current hour. The fast path —
 // the fleet already caught up — is a single atomic load; only requests
 // that actually cross an hour boundary contend on stepMu. ctx carries
@@ -393,31 +444,15 @@ func (s *Server) advance(ctx context.Context) error {
 	defer sp.End()
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
-	if err := s.failure(); err != nil {
+	hours, err := s.stepWhile(func() bool { return s.fleet.Hour() < target })
+	if err != nil {
 		return err
 	}
-	from := s.fleet.Hour()
-	stepped := false
-	for s.fleet.Hour() < target {
-		if err := s.stepOnce(); err != nil {
-			s.failed.Store(&serverFailure{err})
-			return err
-		}
-		stepped = true
-	}
-	sp.SetAttr(tracing.Int("hours", s.fleet.Hour()-from))
-	if stepped {
-		if err := s.journalWatermark(s.fleet.Hour()); err != nil {
-			s.failed.Store(&serverFailure{err})
-			return err
-		}
+	sp.SetAttr(tracing.Int("hours", hours))
+	if hours > 0 {
 		if err := s.maybeSnapshot(); err != nil {
-			s.failed.Store(&serverFailure{err})
-			return err
+			return s.poison(err)
 		}
-	}
-	if t := int64(target); t > s.known.Load() {
-		s.known.Store(t)
 	}
 	return nil
 }
@@ -592,8 +627,7 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		s.countBackpressure("oversize")
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			ErrorResponse{Error: fmt.Sprintf("request body exceeds the %d-byte limit", httpx.MaxBody)})
+		httpx.WriteTooLarge(w)
 		return
 	}
 	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
@@ -702,7 +736,7 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, wire *Wire)
 		err := adm.journal.WaitSynced(adm.seq)
 		wsp.End()
 		if err != nil {
-			s.failed.Store(&serverFailure{err})
+			s.poison(err)
 			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 			return
 		}
@@ -799,8 +833,7 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 	journal, seq, err := s.journalAdmit(arrival, next, jobs, tid)
 	asp.End()
 	if err != nil {
-		s.failed.Store(&serverFailure{err})
-		return admission{status: http.StatusInternalServerError}, err
+		return admission{status: http.StatusInternalServerError}, s.poison(err)
 	}
 	s.nextID = next
 	return admission{arrival: arrival, journal: journal, seq: seq}, nil
@@ -974,31 +1007,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Drain() (sched.Result, error) {
 	s.stepMu.Lock()
 	defer s.stepMu.Unlock()
-	if err := s.failure(); err != nil {
+	if _, err := s.stepWhile(func() bool { return !s.fleet.Done() && s.fleet.Outstanding() > 0 }); err != nil {
 		return sched.Result{}, err
-	}
-	stepped := false
-	for !s.fleet.Done() && s.fleet.Outstanding() > 0 {
-		if err := s.stepOnce(); err != nil {
-			s.failed.Store(&serverFailure{err})
-			return sched.Result{}, err
-		}
-		stepped = true
-	}
-	if stepped {
-		if err := s.journalWatermark(s.fleet.Hour()); err != nil {
-			s.failed.Store(&serverFailure{err})
-			return sched.Result{}, err
-		}
 	}
 	if j := s.liveJournal(); j != nil {
 		if err := j.Sync(); err != nil {
-			s.failed.Store(&serverFailure{err})
-			return sched.Result{}, err
+			return sched.Result{}, s.poison(err)
 		}
-	}
-	if h := int64(s.fleet.Hour()); h > s.known.Load() {
-		s.known.Store(h)
 	}
 	return s.fleet.Snapshot(), nil
 }
