@@ -49,8 +49,8 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -542,19 +542,14 @@ func fifoBaseline(ctx context.Context, info schedd.StatsResponse,
 // — the live half of the parity the schedd unit tests pin. Key values
 // are echoed in machine-readable scrape_*= lines for the CI e2e legs.
 func scrapeAndAssert(ctx context.Context, client *schedd.Client, submitted int, final schedd.StatsResponse) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, client.Endpoint()+"/metrics", nil)
+	resp, err := httpx.Do(ctx, nil, http.MethodGet, client.Endpoint()+"/metrics", "", nil, "GET /metrics")
 	if err != nil {
 		return err
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics returned %s", resp.Status)
+		return resp.Decode("GET /metrics", nil)
 	}
-	sc, err := metrics.ParseText(resp.Body)
+	sc, err := metrics.ParseText(bytes.NewReader(resp.Body))
 	if err != nil {
 		return fmt.Errorf("exposition does not parse: %w", err)
 	}
@@ -620,22 +615,14 @@ func scrapeAndAssert(ctx context.Context, client *schedd.Client, submitted int, 
 // and scrapes never rank. Ends with a machine-readable
 // trace_slowest_ms= line the CI e2e leg greps.
 func printSlowest(ctx context.Context, client *schedd.Client, n int, route string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		client.Endpoint()+"/debug/traces?route="+neturl.QueryEscape(route)+"&limit=1000000", nil)
+	resp, err := httpx.Do(ctx, nil, http.MethodGet,
+		client.Endpoint()+"/debug/traces?route="+neturl.QueryEscape(route)+"&limit=1000000", "", nil, "GET /debug/traces")
 	if err != nil {
 		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /debug/traces returned %s", resp.Status)
 	}
 	var dump tracing.Dump
-	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
-		return fmt.Errorf("trace dump does not parse: %w", err)
+	if err := resp.Decode("GET /debug/traces", &dump); err != nil {
+		return err
 	}
 	if len(dump.Traces) == 0 {
 		return fmt.Errorf("server holds no submit traces (was it started with tracing disabled?)")

@@ -94,9 +94,9 @@ func (c *Client) Healthz(ctx context.Context) error {
 }
 
 func (c *Client) get(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	resp, err := httpx.Do(ctx, c.hc, http.MethodGet, c.base+path, "", nil, "carbonapi")
 	if err != nil {
-		return fmt.Errorf("carbonapi: building request: %w", err)
+		return err
 	}
-	return httpx.DoJSON(c.hc, req, "carbonapi", out)
+	return resp.Decode("carbonapi", out)
 }

@@ -27,7 +27,11 @@
 // through an httpx.Endpoints failover client, so a partition's primary
 // dying behind the gateway is survived the same way a client-side
 // failover list survives it: dead endpoints rotate, follower 421s
-// redirect to the promoted primary.
+// redirect to the promoted primary. Every such request goes through one
+// function, call — the only writer of gateway_partition_up and
+// gateway_partition_errors_total, so every call kind (submit, lookup,
+// stats, scrape) reports partition health the same way — and every
+// concurrent fan-out is one function, scatter.
 //
 // A batch that lands entirely in one partition is proxied raw — the
 // partition's status, JSON error shape, and Retry-After hint pass
@@ -55,6 +59,7 @@ import (
 	"sync"
 
 	"carbonshift/internal/httpx"
+	"carbonshift/internal/metrics"
 	"carbonshift/internal/schedd"
 )
 
@@ -84,6 +89,7 @@ type Gateway struct {
 type partition struct {
 	index int
 	eps   *httpx.Endpoints
+	up    *metrics.Gauge // its gateway_partition_up series; written only by call
 
 	mu      sync.Mutex
 	learned bool
@@ -135,33 +141,76 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// ---- reaching the partitions ----
+
+// call is the one way the gateway reaches a partition: one request
+// through the partition's failover rotation, and the only place
+// partition health is recorded. A transport failure (every endpoint
+// dead or unanswering) counts an error and marks the partition down;
+// any answer, whatever its status, marks it up — so every call kind
+// refreshes gateway_partition_up, not only submits.
+func (g *Gateway) call(ctx context.Context, p *partition, method, path, contentType string, payload []byte) (*httpx.Response, error) {
+	resp, err := p.eps.Do(ctx, g.hc, method, path, contentType, payload, "gateway")
+	if err != nil && httpx.StatusCodeOf(err) == 0 {
+		g.mx.partErrors.With(strconv.Itoa(p.index)).Inc()
+		p.up.Set(0)
+	} else {
+		// An error that carries a status (a read that drew 5xx from every
+		// endpoint) is still the partition answering.
+		p.up.Set(1)
+	}
+	return resp, err
+}
+
+// scatter runs fn once per partition in parts, concurrently, and
+// returns when every call has. fn writes only state it owns (its
+// partition's slot of a result slice) or state with its own lock.
+func scatter(parts []*partition, fn func(p *partition)) {
+	var wg sync.WaitGroup
+	for _, p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(p)
+		}()
+	}
+	wg.Wait()
+}
+
 // ---- topology ----
+
+// fetchStats gets one partition's /v1/stats and folds its topology echo
+// into the routing tables; nil when the partition did not answer with
+// stats.
+func (g *Gateway) fetchStats(ctx context.Context, p *partition) *schedd.StatsResponse {
+	resp, err := g.call(ctx, p, http.MethodGet, "/v1/stats", "", nil)
+	if err != nil {
+		return nil
+	}
+	var st schedd.StatsResponse
+	if resp.Decode("gateway", &st) != nil {
+		return nil
+	}
+	g.absorb(p, &st)
+	return &st
+}
 
 // learn fetches /v1/stats from every partition whose topology is still
 // unknown and folds the echoes into the routing tables. It returns an
 // error only when no partition has ever been learned AND none is
 // reachable — routing is impossible then; any partial knowledge routes.
 func (g *Gateway) learn(ctx context.Context) error {
-	var wg sync.WaitGroup
+	var unknown []*partition
 	for _, p := range g.parts {
 		p.mu.Lock()
-		known := p.learned
-		p.mu.Unlock()
-		if known {
-			continue
+		if !p.learned {
+			unknown = append(unknown, p)
 		}
-		wg.Add(1)
-		go func(p *partition) {
-			defer wg.Done()
-			var st schedd.StatsResponse
-			if err := p.eps.DoJSON(ctx, g.hc, http.MethodGet, "/v1/stats", nil, "gateway", &st); err != nil {
-				g.partitionError(p, err)
-				return
-			}
-			g.absorb(p, &st)
-		}(p)
+		p.mu.Unlock()
 	}
-	wg.Wait()
+	if len(unknown) > 0 { // the steady state allocates nothing: learn runs on every submit
+		scatter(unknown, func(p *partition) { g.fetchStats(ctx, p) })
+	}
 	g.topoMu.Lock()
 	defer g.topoMu.Unlock()
 	if len(g.regionOwner) == 0 {
@@ -192,16 +241,6 @@ func (g *Gateway) absorb(p *partition, st *schedd.StatsResponse) {
 		p.hasID = true
 	}
 	p.mu.Unlock()
-	g.mx.partitionUp.With(strconv.Itoa(p.index)).Set(1)
-}
-
-// partitionError records a failed partition call.
-func (g *Gateway) partitionError(p *partition, err error) {
-	if httpx.StatusCodeOf(err) != 0 {
-		return // the partition answered; it is up
-	}
-	g.mx.partErrors.With(strconv.Itoa(p.index)).Inc()
-	g.mx.partitionUp.With(strconv.Itoa(p.index)).Set(0)
 }
 
 // routeJob picks the owning partition for one job: its origin's region
@@ -291,31 +330,22 @@ func (g *Gateway) writeUnreachable(w http.ResponseWriter, err error) {
 // is the partition's real answer and is passed through, with the
 // Retry-After header re-stamped from the in-body hint.
 func (g *Gateway) proxySubmit(w http.ResponseWriter, ctx context.Context, p *partition, wire *schedd.Wire, body []byte) {
-	var gotStatus int
-	var gotBody []byte
-	err := p.eps.Do(ctx, g.hc, http.MethodPost, wire.Route, wire.ContentType, body, "gateway",
-		func(statusCode int, status string, respBody []byte) error {
-			gotStatus = statusCode
-			gotBody = append([]byte(nil), respBody...)
-			return nil
-		})
+	resp, err := g.call(ctx, p, http.MethodPost, wire.Route, wire.ContentType, body)
 	if err != nil {
-		g.partitionError(p, err)
 		g.writeUnreachable(w, fmt.Errorf("partition %d unreachable: %w", p.index, err))
 		return
 	}
-	g.mx.partitionUp.With(strconv.Itoa(p.index)).Set(1)
-	if gotStatus == http.StatusOK {
+	if resp.StatusCode == http.StatusOK {
 		w.Header().Set("Content-Type", wire.ContentType)
 	} else {
 		w.Header().Set("Content-Type", "application/json")
 		var eb schedd.ErrorResponse
-		if json.Unmarshal(gotBody, &eb) == nil && eb.RetryAfter > 0 {
+		if json.Unmarshal(resp.Body, &eb) == nil && eb.RetryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(eb.RetryAfter))
 		}
 	}
-	w.WriteHeader(gotStatus)
-	w.Write(gotBody)
+	w.WriteHeader(resp.StatusCode)
+	w.Write(resp.Body)
 }
 
 // subResult is one partition's answer for its sub-batch.
@@ -428,34 +458,26 @@ func (g *Gateway) submitSub(ctx context.Context, p *partition, wire *schedd.Wire
 	if err != nil {
 		return subResult{status: http.StatusInternalServerError, errMsg: err.Error()}
 	}
-	var res subResult
-	err = p.eps.Do(ctx, g.hc, http.MethodPost, wire.Route, wire.ContentType, payload, "gateway",
-		func(statusCode int, status string, body []byte) error {
-			res.status = statusCode
-			if statusCode == http.StatusOK {
-				ack, err := wire.DecodeAck(body)
-				if err != nil {
-					res.status = http.StatusBadGateway
-					res.errMsg = fmt.Sprintf("partition %d: bad ack: %v", p.index, err)
-					return nil
-				}
-				res.ids, res.arrival = ack.IDs, ack.ArrivalHour
-				return nil
-			}
-			var eb schedd.ErrorResponse
-			if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
-				res.errMsg, res.retryAfter = eb.Error, eb.RetryAfter
-			} else {
-				res.errMsg = status
-			}
-			return nil
-		})
+	resp, err := g.call(ctx, p, http.MethodPost, wire.Route, wire.ContentType, payload)
 	if err != nil {
-		g.partitionError(p, err)
 		return subResult{status: http.StatusServiceUnavailable,
 			errMsg: fmt.Sprintf("partition %d unreachable: %v", p.index, err), retryAfter: 1}
 	}
-	g.mx.partitionUp.With(strconv.Itoa(p.index)).Set(1)
+	if resp.StatusCode == http.StatusOK {
+		ack, err := wire.DecodeAck(resp.Body)
+		if err != nil {
+			// The partition admitted the sub-batch; an ack the gateway
+			// cannot read is neither a success nor something to send again.
+			return subResult{status: http.StatusBadGateway,
+				errMsg: fmt.Sprintf("partition %d: bad ack: %v", p.index, err)}
+		}
+		return subResult{status: http.StatusOK, ids: ack.IDs, arrival: ack.ArrivalHour}
+	}
+	res := subResult{status: resp.StatusCode, errMsg: resp.Status}
+	var eb schedd.ErrorResponse
+	if json.Unmarshal(resp.Body, &eb) == nil && eb.Error != "" {
+		res.errMsg, res.retryAfter = eb.Error, eb.RetryAfter
+	}
 	return res
 }
 
@@ -480,14 +502,15 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	ask := func(p *partition) bool {
 		tried[p.index] = true
 		var out schedd.JobResponse
-		err := p.eps.DoJSON(r.Context(), g.hc, http.MethodGet,
-			fmt.Sprintf("/v1/jobs/%d", id), nil, "gateway", &out)
+		resp, err := g.call(r.Context(), p, http.MethodGet, fmt.Sprintf("/v1/jobs/%d", id), "", nil)
+		if err == nil {
+			err = resp.Decode("gateway", &out)
+		}
 		if err == nil {
 			httpx.WriteJSON(w, http.StatusOK, out)
 			return true
 		}
 		if httpx.StatusCodeOf(err) == 0 {
-			g.partitionError(p, err)
 			transportErr = err
 		}
 		return false

@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -631,38 +633,173 @@ func TestSubmitAllPartitionsDown(t *testing.T) {
 	}
 }
 
-// TestMergerUnit pins the exposition merger's aggregation rules
-// directly: sum by default, max for the clock-like families, comments
-// deduplicated, first-seen order preserved.
-func TestMergerUnit(t *testing.T) {
-	m := newExpositionMerger()
-	m.absorb([]byte(`# HELP schedd_jobs_submitted_total Jobs.
-# TYPE schedd_jobs_submitted_total counter
-schedd_jobs_submitted_total 3
-schedd_fleet_hour 7
-schedd_backpressure_total{reason="queue_full"} 2
-`))
-	m.absorb([]byte(`# HELP schedd_jobs_submitted_total Jobs.
-# TYPE schedd_jobs_submitted_total counter
-schedd_jobs_submitted_total 4
-schedd_fleet_hour 5
-schedd_backpressure_total{reason="queue_full"} 1
-schedd_backpressure_total{reason="job_limit"} 9
-`))
-	var b strings.Builder
-	m.writeTo(&b)
-	out := b.String()
-	for _, want := range []string{
-		"schedd_jobs_submitted_total 7\n",
-		"schedd_fleet_hour 7\n",
-		`schedd_backpressure_total{reason="queue_full"} 3` + "\n",
-		`schedd_backpressure_total{reason="job_limit"} 9` + "\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("merged output missing %q:\n%s", want, out)
+// TestOnePartitionStatsParity: a gateway in front of one partition is a
+// pass-through view, so every numeric field the two /v1/stats payloads
+// share must be equal — including the derived ratios, on a workload
+// that leaves jobs unresolved and finishes some late (where
+// missed/submitted and missed/(completed+missed) differ).
+func TestOnePartitionStatsParity(t *testing.T) {
+	const horizon = 24 * 5
+	set, cl, _ := mkWorld(t, horizon, 1, 2)
+	clock := &hourClock{}
+	srv, err := schedd.New(set, cl, schedd.Config{
+		Policy: sched.FIFO{}, Horizon: horizon, Partitions: 1, PartitionID: 0,
+	}, schedd.WithClock(clock.now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	_, gwts := startGateway(t, [][]string{{ts.URL}})
+	client, err := schedd.NewClient(gwts.URL, gwts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six 4-hour jobs with no slack on two slots, then three that can
+	// wait: by hour 9 one pair finished on time, one finished late, one
+	// is running late, and the patient three are still queued.
+	for i := 0; i < 9; i++ {
+		slack := 0
+		if i >= 6 {
+			slack = 48
+		}
+		if _, err := client.Submit(context.Background(), schedd.JobRequest{Origin: "R00", LengthHours: 4, SlackHours: slack}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if n := strings.Count(out, "# TYPE schedd_jobs_submitted_total"); n != 1 {
-		t.Fatalf("TYPE line appears %d times, want 1", n)
+	clock.hour.Store(9)
+
+	fetch := func(url string) map[string]any {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	merged, direct := fetch(gwts.URL), fetch(ts.URL)
+	num := func(field string) float64 { return direct[field].(float64) }
+	if num("unresolved") == 0 || num("missed") == 0 || num("completed")+num("missed") == num("submitted") {
+		t.Fatalf("weak fixture: %v — want unresolved jobs and late completions", direct)
+	}
+	shared := 0
+	for field, v := range direct {
+		want, numeric := v.(float64)
+		if !numeric {
+			continue
+		}
+		shared++
+		if got, ok := merged[field].(float64); !ok || math.Abs(got-want) > 1e-12 {
+			t.Errorf("%s: gateway %v, partition %v", field, merged[field], want)
+		}
+	}
+	if shared < 12 {
+		t.Fatalf("compared only %d numeric fields, want the whole stats block", shared)
+	}
+}
+
+// TestEveryCallKindTracksPartitionHealth: partition health has one
+// writer (Gateway.call), so each of the five ways the gateway reaches a
+// partition must both notice it going away — gateway_partition_up 0,
+// one gateway_partition_errors_total — and, once it is back, bring
+// gateway_partition_up to 1 again on its own, with no other traffic.
+func TestEveryCallKindTracksPartitionHealth(t *testing.T) {
+	for _, tc := range []struct {
+		kind string
+		// call exercises the kind against partition 1; ok reports whether
+		// the gateway answered the way a healthy fleet answers.
+		call func(client *schedd.Client, gwURL string, id int) (ok bool)
+	}{
+		{"proxied submit", func(c *schedd.Client, _ string, _ int) bool {
+			_, err := c.Submit(context.Background(), job("R01"))
+			return err == nil
+		}},
+		{"split submit", func(c *schedd.Client, _ string, _ int) bool {
+			_, err := c.SubmitBatch(context.Background(), job("R00"), job("R01"))
+			return err == nil
+		}},
+		{"job lookup", func(c *schedd.Client, _ string, id int) bool {
+			_, err := c.Job(context.Background(), id)
+			return err == nil
+		}},
+		{"stats scatter", func(c *schedd.Client, gwURL string, _ int) bool {
+			resp, err := http.Get(gwURL + "/v1/stats")
+			if err != nil {
+				return false
+			}
+			defer resp.Body.Close()
+			var st StatsResponse
+			return json.NewDecoder(resp.Body).Decode(&st) == nil && len(st.Gateway.Missing) == 0
+		}},
+		{"metrics scrape", func(c *schedd.Client, gwURL string, _ int) bool {
+			resp, err := http.Get(gwURL + "/metrics")
+			if err != nil {
+				return false
+			}
+			defer resp.Body.Close()
+			sc, err := metrics.ParseText(resp.Body)
+			// The fixture's one job lives on partition 1: the merge counts
+			// it only when that partition was scraped.
+			return err == nil && sc.Sum("schedd_jobs_submitted_total") == 1
+		}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			gw, gwts, srvs, tss, _ := twoPartitions(t, nil)
+			client, err := schedd.NewClient(gwts.URL, gwts.Client())
+			if err != nil {
+				t.Fatal(err)
+			}
+			health := func() (up, errs float64) {
+				t.Helper()
+				var buf strings.Builder
+				gw.Metrics().WriteTo(&buf)
+				sc, err := metrics.ParseText(strings.NewReader(buf.String()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				up, _ = sc.Value(`gateway_partition_up{partition="1"}`)
+				errs, _ = sc.Value(`gateway_partition_errors_total{partition="1"}`)
+				return up, errs
+			}
+			// Learn the topology and put a job on partition 1 while it is up.
+			ack, err := client.Submit(context.Background(), job("R01"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if up, errs := health(); up != 1 || errs != 0 {
+				t.Fatalf("healthy start: up=%v errors=%v, want 1 / 0", up, errs)
+			}
+
+			addr := tss[1].Listener.Addr().String()
+			tss[1].Close()
+			if tc.call(client, gwts.URL, ack.IDs[0]) {
+				t.Fatal("call reported a healthy fleet with partition 1's listener closed")
+			}
+			if up, errs := health(); up != 0 || errs != 1 {
+				t.Fatalf("listener closed: up=%v errors=%v, want 0 / 1", up, errs)
+			}
+
+			// The same partition comes back on the same address.
+			l, err := net.Listen("tcp", addr)
+			if err != nil {
+				t.Fatalf("reopening partition 1's listener: %v", err)
+			}
+			back := httptest.NewUnstartedServer(srvs[1].Handler())
+			back.Listener.Close()
+			back.Listener = l
+			back.Start()
+			t.Cleanup(back.Close)
+			if !tc.call(client, gwts.URL, ack.IDs[0]) {
+				t.Fatal("call failed with partition 1 reopened")
+			}
+			if up, errs := health(); up != 1 || errs != 1 {
+				t.Fatalf("listener reopened: up=%v errors=%v, want 1 / 1 — this call kind alone must refresh the gauge", up, errs)
+			}
+		})
 	}
 }

@@ -12,8 +12,6 @@ import (
 	"bytes"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
 
 	"carbonshift/internal/metrics"
 	"carbonshift/internal/serve"
@@ -30,7 +28,6 @@ type gwMetrics struct {
 	statsPartial  *metrics.Counter
 	topoConflicts *metrics.Counter
 	partErrors    *metrics.CounterVec
-	partitionUp   *metrics.GaugeVec
 }
 
 func (g *Gateway) initMetrics() {
@@ -51,17 +48,20 @@ func (g *Gateway) initMetrics() {
 		partErrors: reg.NewCounterVec("gateway_partition_errors_total",
 			"Transport-level failures talking to a partition (all its endpoints down).",
 			"partition"),
-		partitionUp: reg.NewGaugeVec("gateway_partition_up",
-			"1 when the partition's last call succeeded, 0 after a transport failure.",
-			"partition"),
 	}
+	partitionUp := reg.NewGaugeVec("gateway_partition_up",
+		"1 when the partition's last call succeeded, 0 after a transport failure.",
+		"partition")
 	reg.NewGaugeFunc("gateway_partitions",
 		"Number of schedd partitions configured behind this gateway.",
 		func() float64 { return float64(len(g.parts)) })
-	// Pre-create the per-partition series so a partition that has never
-	// been reached still shows up (as up=0) instead of being absent.
-	for i := range g.parts {
-		mx.partitionUp.With(strconv.Itoa(i)).Set(0)
+	// Create each partition's series now, so one that has never been
+	// reached still shows up (as up=0) instead of being absent, and hand
+	// it to the partition: call sets it on every request without a label
+	// lookup.
+	for _, p := range g.parts {
+		p.up = partitionUp.With(strconv.Itoa(p.index))
+		p.up.Set(0)
 	}
 	g.mx = mx
 }
@@ -78,45 +78,30 @@ func (g *Gateway) Metrics() *metrics.Registry {
 // the merge is served from whatever answered.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	bodies := make([][]byte, len(g.parts))
-	var wg sync.WaitGroup
-	for _, p := range g.parts {
-		wg.Add(1)
-		go func(p *partition) {
-			defer wg.Done()
-			var got []byte
-			err := p.eps.Do(r.Context(), g.hc, http.MethodGet, "/metrics", "", nil, "gateway",
-				func(statusCode int, status string, body []byte) error {
-					if statusCode == http.StatusOK {
-						got = append([]byte(nil), body...)
-					}
-					return nil
-				})
-			if err != nil {
-				g.partitionError(p, err)
-				return
-			}
-			bodies[p.index] = got
-		}(p)
-	}
-	wg.Wait()
+	scatter(g.parts, func(p *partition) {
+		resp, err := g.call(r.Context(), p, http.MethodGet, "/metrics", "", nil)
+		if err == nil && resp.StatusCode == http.StatusOK {
+			bodies[p.index] = resp.Body
+		}
+	})
 
-	m := newExpositionMerger()
+	m := metrics.NewMerger(maxFamilies)
 	var own bytes.Buffer
 	g.mx.reg.WriteTo(&own)
-	m.absorb(own.Bytes())
+	m.Absorb(own.Bytes())
 	missed := 0
 	for _, b := range bodies {
 		if b == nil {
 			missed++
 			continue
 		}
-		m.absorb(b)
+		m.Absorb(b)
 	}
 	if missed > 0 {
 		g.mx.statsPartial.Inc()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.writeTo(w)
+	m.WriteTo(w)
 }
 
 // maxFamilies are the families where summing across partitions is
@@ -129,100 +114,4 @@ var maxFamilies = map[string]bool{
 	"schedd_recovered":             true,
 	"schedd_utilization_ratio":     true,
 	"schedd_miss_rate":             true,
-}
-
-// expositionMerger folds several Prometheus text expositions into one:
-// comment lines (# HELP / # TYPE) pass through once in first-seen
-// order, identical series aggregate (sum by default, max for
-// maxFamilies), and series keep their first-seen position.
-type expositionMerger struct {
-	order  []mergeEntry
-	series map[string]int  // series key -> index into order
-	seen   map[string]bool // comment lines already emitted
-}
-
-type mergeEntry struct {
-	comment string // non-empty for pass-through comment lines
-	key     string // series key (name + label set) otherwise
-	value   float64
-	max     bool
-}
-
-func newExpositionMerger() *expositionMerger {
-	return &expositionMerger{series: make(map[string]int), seen: make(map[string]bool)}
-}
-
-func (m *expositionMerger) absorb(text []byte) {
-	for _, raw := range strings.Split(string(text), "\n") {
-		line := strings.TrimRight(raw, "\r")
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if !m.seen[line] {
-				m.seen[line] = true
-				m.order = append(m.order, mergeEntry{comment: line})
-			}
-			continue
-		}
-		key, val, ok := splitSeries(line)
-		if !ok {
-			continue
-		}
-		if i, dup := m.series[key]; dup {
-			if m.order[i].max {
-				if val > m.order[i].value {
-					m.order[i].value = val
-				}
-			} else {
-				m.order[i].value += val
-			}
-			continue
-		}
-		base := key
-		if j := strings.IndexByte(base, '{'); j >= 0 {
-			base = base[:j]
-		}
-		m.series[key] = len(m.order)
-		m.order = append(m.order, mergeEntry{key: key, value: val, max: maxFamilies[base]})
-	}
-}
-
-// splitSeries splits one sample line into its series key (metric name
-// plus label set) and value. The value never contains '}', so the last
-// closing brace — when one exists before the first space — ends the key.
-func splitSeries(line string) (key string, val float64, ok bool) {
-	cut := -1
-	if open := strings.IndexByte(line, '{'); open >= 0 {
-		if close := strings.LastIndexByte(line, '}'); close > open {
-			cut = close + 1
-		}
-	}
-	if cut < 0 {
-		cut = strings.IndexByte(line, ' ')
-		if cut < 0 {
-			return "", 0, false
-		}
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(line[cut:]), 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return line[:cut], v, true
-}
-
-func (m *expositionMerger) writeTo(w interface{ Write([]byte) (int, error) }) {
-	var b bytes.Buffer
-	for _, e := range m.order {
-		if e.comment != "" {
-			b.WriteString(e.comment)
-			b.WriteByte('\n')
-			continue
-		}
-		b.WriteString(e.key)
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatFloat(e.value, 'g', -1, 64))
-		b.WriteByte('\n')
-	}
-	w.Write(b.Bytes())
 }

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"net/http"
 	"sort"
-	"sync"
 
 	"carbonshift/internal/httpx"
 	"carbonshift/internal/schedd"
@@ -35,21 +34,7 @@ type StatsResponse struct {
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	stats := make([]*schedd.StatsResponse, len(g.parts))
-	var wg sync.WaitGroup
-	for _, p := range g.parts {
-		wg.Add(1)
-		go func(p *partition) {
-			defer wg.Done()
-			var st schedd.StatsResponse
-			if err := p.eps.DoJSON(r.Context(), g.hc, http.MethodGet, "/v1/stats", nil, "gateway", &st); err != nil {
-				g.partitionError(p, err)
-				return
-			}
-			g.absorb(p, &st)
-			stats[p.index] = &st
-		}(p)
-	}
-	wg.Wait()
+	scatter(g.parts, func(p *partition) { stats[p.index] = g.fetchStats(r.Context(), p) })
 
 	out := StatsResponse{Gateway: GatewayBlock{Partitions: len(g.parts)}}
 	for i, st := range stats {
@@ -147,8 +132,9 @@ func finishStats(st *schedd.StatsResponse) {
 	} else {
 		st.Utilization = 0
 	}
-	if done := st.Completed + st.Missed; done > 0 {
-		st.MissRate = float64(st.Missed) / float64(done)
+	// missed / submitted, as each partition computes its own.
+	if st.Submitted > 0 {
+		st.MissRate = float64(st.Missed) / float64(st.Submitted)
 	}
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Name < st.Tenants[j].Name })
 }

@@ -1,9 +1,11 @@
 package httpx
 
-// Endpoints is the multi-endpoint failover core shared by the typed
-// clients: a sticky rotation over base URLs that survives a primary
-// dying (connection refused / reset → try the next endpoint) and
-// understands the 421 write-redirect contract — a replica that cannot
+// Endpoints is the multi-endpoint failover policy shared by the typed
+// clients and the gateway — only the policy: each attempt is one Do
+// (httpx.go), which builds, sends and reads. It is a sticky rotation
+// over base URLs that survives a primary dying (connection refused /
+// reset → try the next endpoint) and understands the 421
+// write-redirect contract — a replica that cannot
 // serve a request answers 421 Misdirected Request with a JSON body
 // naming the primary ({"error": ..., "primary": "http://..."}), and
 // the client jumps straight to that hint (learning it if it was not in
@@ -13,12 +15,10 @@ package httpx
 // and are returned as-is.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/url"
@@ -126,18 +126,22 @@ func (e *Endpoints) DoJSON(ctx context.Context, hc *http.Client, method, path st
 		}
 		contentType = "application/json"
 	}
-	return e.Do(ctx, hc, method, path, contentType, payload, prefix,
-		func(statusCode int, status string, body []byte) error {
-			return DecodeResponse(statusCode, status, body, prefix, out)
-		})
+	resp, err := e.Do(ctx, hc, method, path, contentType, payload, prefix)
+	if err != nil {
+		return err
+	}
+	return resp.Decode(prefix, out)
 }
 
-// Do is the failover core under DoJSON, generalized over the request
-// and response encodings: payload is sent verbatim (nil = no body)
-// with contentType, and every final response — success or a status the
-// rotation will not retry — goes through decode. Errors other than
-// 421 keep the shared {"error": ...} JSON shape regardless of the
-// request encoding, so decode can defer to DecodeResponse for them.
+// Do is the failover policy around the package's one round trip (the
+// free Do): each attempt is one Do against the current endpoint, and
+// the first response the rotation will not retry — success or any
+// status that is a real answer — is returned for the caller to switch
+// on or Decode. Errors other than 421 keep the shared {"error": ...}
+// JSON shape regardless of the request encoding, so callers can defer
+// to Response.Decode for them. Every attempt — first try, 421 redirect,
+// safe replay — carries the SAME trace context from ctx: a failover
+// must not change which trace the request belongs to.
 //
 // Retry safety: a 421 is always retried (the replica explicitly
 // refused to process it), and GET/HEAD retry on any failure. A
@@ -148,68 +152,34 @@ func (e *Endpoints) DoJSON(ctx context.Context, hc *http.Client, method, path st
 // answered 5xx) is returned to the caller rather than replayed, since
 // the write may already have been applied and a blind retry would
 // double-submit it.
-func (e *Endpoints) Do(ctx context.Context, hc *http.Client, method, path, contentType string, payload []byte, prefix string, decode func(statusCode int, status string, body []byte) error) error {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
+func (e *Endpoints) Do(ctx context.Context, hc *http.Client, method, path, contentType string, payload []byte, prefix string) (*Response, error) {
 	idempotent := method == http.MethodGet || method == http.MethodHead
 	var lastErr error
 	attempts := 2 * e.Len()
 	for i := 0; i <= attempts; i++ {
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%s: %w", prefix, err)
+			return nil, fmt.Errorf("%s: %w", prefix, err)
 		}
 		base := e.Current()
-		var body io.Reader
-		if payload != nil {
-			body = bytes.NewReader(payload)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, base+path, body)
-		if err != nil {
-			return fmt.Errorf("%s: building request: %w", prefix, err)
-		}
-		if contentType != "" {
-			req.Header.Set("Content-Type", contentType)
-		}
-		// Every attempt — first try, 421 redirect, safe replay — carries
-		// the SAME trace context from ctx: a failover must not change
-		// which trace the request belongs to.
-		injectTrace(req)
-		resp, err := hc.Do(req)
-		if err != nil {
-			lastErr = fmt.Errorf("%s: %s: %w", prefix, base, err)
-			if !idempotent && !isDialError(err) {
-				// The request may have reached the server before the
-				// connection died; replaying it could double-execute.
-				return lastErr
-			}
-			e.rotateFrom(base)
-			continue
-		}
-		respBody, err := io.ReadAll(io.LimitReader(resp.Body, MaxBody+1))
-		resp.Body.Close()
-		if len(respBody) > MaxBody {
-			// The endpoint answered with more than any valid response can
-			// hold; truncating it would surface as a confusing parse
-			// error, and another replica would answer the same way.
-			return fmt.Errorf("%s: %s: response exceeds the %d-byte limit", prefix, base, MaxBody)
-		}
-		if err != nil {
-			lastErr = fmt.Errorf("%s: reading response: %w", prefix, err)
-			if !idempotent {
-				return lastErr // the server answered; the write happened
-			}
-			e.rotateFrom(base)
-			continue
-		}
+		resp, err := Do(ctx, hc, method, base+path, contentType, payload, prefix+": "+base)
 		switch {
+		case err != nil:
+			lastErr = err
+			// An oversized response would be oversized from any replica.
+			// Otherwise a write is replayed only when it provably never
+			// reached a server: once dialed, the request may have been
+			// executed before the connection (or the response) died.
+			if errors.Is(err, errTooLarge) || (!idempotent && !isDialError(err)) {
+				return nil, err
+			}
+			e.rotateFrom(base)
 		case resp.StatusCode == http.StatusMisdirectedRequest:
 			// A follower named its primary; go there next.
 			var hint struct {
 				Error   string `json:"error"`
 				Primary string `json:"primary"`
 			}
-			json.Unmarshal(respBody, &hint)
+			json.Unmarshal(resp.Body, &hint)
 			lastErr = fmt.Errorf("%s: %s: misdirected: %s", prefix, base, hint.Error)
 			if e.redirect(base, hint.Primary) {
 				// The hint taught us a new endpoint after the attempt
@@ -217,19 +187,17 @@ func (e *Endpoints) Do(ctx context.Context, hc *http.Client, method, path, conte
 				// guaranteed its turns before we give up.
 				attempts = 2 * e.Len()
 			}
-			continue
 		case idempotent && resp.StatusCode >= 500 && resp.StatusCode != http.StatusServiceUnavailable:
 			// 5xx on a read = this endpoint is broken; try another. 503
 			// is exempt: it is the services' backpressure signal (queue
 			// full), a real answer that a standby cannot improve on.
 			// Writes are never replayed after a 5xx — the server touched
 			// the request, so a retry could double-execute it.
-			lastErr = decode(resp.StatusCode, resp.Status, respBody)
+			lastErr = resp.Decode(prefix, nil)
 			e.rotateFrom(base)
-			continue
 		default:
-			return decode(resp.StatusCode, resp.Status, respBody)
+			return resp, nil
 		}
 	}
-	return fmt.Errorf("%s: all endpoints failed: %w", prefix, lastErr)
+	return nil, fmt.Errorf("%s: all endpoints failed: %w", prefix, lastErr)
 }

@@ -1,10 +1,27 @@
-// Package httpx holds the JSON-over-HTTP plumbing shared by the
-// repository's services (internal/carbonapi, internal/schedd) and
-// their typed clients, so response encoding, error-body mapping, and
-// read limits stay identical across them.
+// Package httpx holds the HTTP plumbing shared by the repository's
+// services (internal/carbonapi, internal/schedd, internal/gateway) and
+// their clients, so response encoding, error-body mapping, read limits
+// and trace propagation stay identical across them:
+//
+//   - response writing: WriteJSON, WriteTooLarge, the {"error": ...}
+//     shape and its typed client-side form, StatusError;
+//   - the one upstream round trip, Do: every non-streaming request any
+//     client in this repository sends is built, trace-stamped, sent once
+//     and read back under MaxBody there, and comes back as a Response;
+//   - the failover policy around it, Endpoints (failover.go): a loop of
+//     Do calls that decides which endpoint is next and whether a failed
+//     attempt may be repeated.
+//
+// Two transfers deliberately stay outside Do, both in internal/repl's
+// Tail: the replication stream (long-lived and framed — it is consumed
+// as it arrives, never read to its end) and the snapshot bootstrap
+// (needs a response header and a 1 GiB bound, not MaxBody). Do takes no
+// body-limit parameter to accommodate them.
 package httpx
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -81,64 +98,78 @@ func WriteTooLarge(w http.ResponseWriter) {
 		errorBody{Error: fmt.Sprintf("request body exceeds the %d-byte limit", MaxBody)})
 }
 
-// DoJSON issues req, decodes a 200 response into out, and maps any
-// other status to an error — using the server's {"error": ...} body
-// when one is present. Every error is prefixed with prefix (the client
-// package's name).
-func DoJSON(hc *http.Client, req *http.Request, prefix string, out any) error {
-	return DoRaw(hc, req, prefix, func(statusCode int, status string, body []byte) error {
-		return DecodeResponse(statusCode, status, body, prefix, out)
-	})
+// Response is one upstream answer, read to its end under MaxBody.
+type Response struct {
+	StatusCode int
+	Status     string // e.g. "503 Service Unavailable"
+	Body       []byte
 }
 
-// DoRaw issues req, reads the bounded response body, and hands status
-// plus body to decode — the non-JSON core of DoJSON, used by clients
-// whose 200 responses are binary (schedd's batch-submit ack) while
-// errors stay on the shared {"error": ...} shape.
-func DoRaw(hc *http.Client, req *http.Request, prefix string, decode func(statusCode int, status string, body []byte) error) error {
-	injectTrace(req)
+// Decode maps the response to the typed result the way DecodeResponse
+// does: a 200 body is decoded into out, any other status becomes a
+// *StatusError.
+func (r *Response) Decode(prefix string, out any) error {
+	return DecodeResponse(r.StatusCode, r.Status, r.Body, prefix, out)
+}
+
+// errTooLarge marks a response that ran past MaxBody. It is a sentinel
+// so the failover rotation can tell it from a transport failure: every
+// replica would answer the same way, so it gives up instead of retrying.
+var errTooLarge = fmt.Errorf("response exceeds the %d-byte limit", MaxBody)
+
+// Do is the one upstream round trip: it builds the request (payload is
+// sent verbatim with contentType; nil = no body), stamps it with ctx's
+// trace context, sends it exactly once on hc (nil = http.DefaultClient),
+// and reads the whole response under MaxBody. Any status is an answer,
+// returned as a Response for the caller to switch on or Decode — Do
+// follows no 421 hint and retries nothing; that policy is Endpoints.Do's.
+// Every error is prefixed with prefix (the client package's name).
+//
+// A body past MaxBody is an explicit error — truncating it and letting a
+// decoder fail on the cut would misreport an oversized response as a
+// parse error.
+func Do(ctx context.Context, hc *http.Client, method, url, contentType string, payload []byte, prefix string) (*Response, error) {
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	var reqBody io.Reader
+	if payload != nil {
+		reqBody = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, url, reqBody)
+	if err != nil {
+		return nil, fmt.Errorf("%s: building request: %w", prefix, err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	// A trace started by the caller (the serve middleware, or
+	// cmd/loadgen's client-side tracer) continues into the server;
+	// untraced contexts leave the request untouched.
+	if sc := tracing.FromContext(ctx); sc.Valid() {
+		req.Header.Set(tracing.Header, sc.Traceparent())
+	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return fmt.Errorf("%s: %w", prefix, err)
+		return nil, fmt.Errorf("%s: %w", prefix, err)
 	}
 	defer resp.Body.Close()
-	body, err := readBody(resp.Body, prefix)
-	if err != nil {
-		return err
+	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBody+1))
+	if len(body) > MaxBody {
+		return nil, fmt.Errorf("%s: %w", prefix, errTooLarge)
 	}
-	return decode(resp.StatusCode, resp.Status, body)
-}
-
-// readBody reads a response body up to MaxBody. A body that would
-// exceed the limit is an explicit error — truncating it and letting
-// the JSON decoder fail on the cut would misreport an oversized
-// response as a parse error.
-func readBody(r io.Reader, prefix string) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r, MaxBody+1))
 	if err != nil {
 		return nil, fmt.Errorf("%s: reading response: %w", prefix, err)
 	}
-	if len(body) > MaxBody {
-		return nil, fmt.Errorf("%s: response exceeds the %d-byte limit", prefix, MaxBody)
-	}
-	return body, nil
-}
-
-// injectTrace stamps the request context's span context into the
-// traceparent header, so a trace started by the caller (the serve
-// middleware, or cmd/loadgen's client-side tracer) continues into the
-// server. Untraced contexts leave the request untouched.
-func injectTrace(req *http.Request) {
-	if sc := tracing.FromContext(req.Context()); sc.Valid() {
-		req.Header.Set(tracing.Header, sc.Traceparent())
-	}
+	return &Response{StatusCode: resp.StatusCode, Status: resp.Status, Body: body}, nil
 }
 
 // DecodeResponse maps one already-read response to the typed result:
 // a 200 body is decoded into out, any other status becomes an error
 // carrying the server's {"error": ...} message when the body holds
-// one. It is the pure core of DoJSON, separated so the error-mapping
-// path can be exercised (and fuzzed) without a live connection.
+// one. It is the pure core of Response.Decode, separated so the
+// error-mapping path can be exercised (and fuzzed) without a live
+// connection.
 func DecodeResponse(statusCode int, status string, body []byte, prefix string, out any) error {
 	if statusCode != http.StatusOK {
 		var apiErr errorBody

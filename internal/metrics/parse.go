@@ -33,15 +33,20 @@ func (s *Scrape) Value(series string) (float64, bool) {
 func (s *Scrape) Sum(name string) float64 {
 	var total float64
 	for k, v := range s.Samples {
-		base := k
-		if i := strings.IndexByte(k, '{'); i >= 0 {
-			base = k[:i]
-		}
-		if base == name {
+		if familyOf(k) == name {
 			total += v
 		}
 	}
 	return total
+}
+
+// familyOf returns a series key's name: the part before any label
+// braces.
+func familyOf(series string) string {
+	if i := strings.IndexByte(series, '{'); i >= 0 {
+		return series[:i]
+	}
+	return series
 }
 
 // ParseText parses a text-format exposition. Comment and blank lines
@@ -57,17 +62,9 @@ func ParseText(r io.Reader) (*Scrape, error) {
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		series, rest, err := splitSeries(text)
+		series, v, err := parseSample(text)
 		if err != nil {
 			return nil, fmt.Errorf("metrics: parse line %d: %w", line, err)
-		}
-		fields := strings.Fields(rest)
-		if len(fields) < 1 || len(fields) > 2 {
-			return nil, fmt.Errorf("metrics: parse line %d: want `series value [ts]`, got %q", line, text)
-		}
-		v, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("metrics: parse line %d: bad value %q", line, fields[0])
 		}
 		s.Samples[series] = v
 	}
@@ -75,6 +72,23 @@ func ParseText(r io.Reader) (*Scrape, error) {
 		return nil, fmt.Errorf("metrics: parse: %w", err)
 	}
 	return s, nil
+}
+
+// parseSample reads one `series value [timestamp]` sample line — the
+// line grammar ParseText and Merger share.
+func parseSample(text string) (series string, v float64, err error) {
+	series, rest, err := splitSeries(text)
+	if err != nil {
+		return "", 0, err
+	}
+	fields := strings.Fields(rest)
+	if len(fields) < 1 || len(fields) > 2 {
+		return "", 0, fmt.Errorf("want `series value [ts]`, got %q", text)
+	}
+	if v, err = strconv.ParseFloat(fields[0], 64); err != nil {
+		return "", 0, fmt.Errorf("bad value %q", fields[0])
+	}
+	return series, v, nil
 }
 
 // splitSeries splits a sample line into the series (name plus label

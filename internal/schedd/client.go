@@ -1,11 +1,9 @@
 package schedd
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 
@@ -24,10 +22,12 @@ import (
 //	{"error": "this instance is a read-only follower; ...",
 //	 "primary": "http://primary:9090"}
 //
-// A single-endpoint Client surfaces the 421 as an error; a client
-// built with NewFailoverClient follows the hint automatically — and
-// also rotates to the next configured endpoint when one is dead — so a
-// submitter configured with every replica's URL keeps writing across a
+// A single-endpoint Client makes exactly one attempt per call (one
+// httpx.Do) and surfaces the 421 as an error; a client built with
+// NewFailoverClient sends through the httpx.Endpoints failover policy,
+// which follows the hint automatically — and also rotates to the next
+// configured endpoint when one is dead — so a submitter configured
+// with every replica's URL keeps writing across a
 // failover: the dead primary is skipped, the promoted follower
 // accepts. Writes are only replayed when the failure proves the server
 // never saw them (a dial error, or the explicit 421 refusal); an
@@ -108,57 +108,43 @@ func (c *Client) submit(ctx context.Context, wire *Wire, jobs []JobRequest) (Sub
 	if err != nil {
 		return SubmitResponse{}, fmt.Errorf("schedd: %w", err)
 	}
-	var out SubmitResponse
-	err = c.send(ctx, http.MethodPost, wire.Route, wire.ContentType, payload,
-		func(statusCode int, status string, body []byte) error {
-			switch statusCode {
-			case http.StatusOK:
-				ack, err := wire.DecodeAck(body)
-				if err != nil {
-					return fmt.Errorf("schedd: %w", err)
-				}
-				out = ack
-				return nil
-			case http.StatusMultiStatus:
-				var ms MultiStatusResponse
-				if err := json.Unmarshal(body, &ms); err == nil && len(ms.Outcomes) > 0 {
-					return &PartialError{Resp: ms}
-				}
-			}
-			return httpx.DecodeResponse(statusCode, status, body, "schedd", nil)
-		})
+	resp, err := c.send(ctx, http.MethodPost, wire.Route, wire.ContentType, payload)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
-	return out, nil
+	switch resp.StatusCode {
+	case http.StatusOK:
+		ack, err := wire.DecodeAck(resp.Body)
+		if err != nil {
+			return SubmitResponse{}, fmt.Errorf("schedd: %w", err)
+		}
+		return ack, nil
+	case http.StatusMultiStatus:
+		var ms MultiStatusResponse
+		if err := json.Unmarshal(resp.Body, &ms); err == nil && len(ms.Outcomes) > 0 {
+			return SubmitResponse{}, &PartialError{Resp: ms}
+		}
+	}
+	return SubmitResponse{}, resp.Decode("schedd", nil)
 }
 
-// send issues one request and hands the final response to decode. It
-// is the only place that knows whether this client fails over: a
-// failover client goes through the Endpoints rotation, a
-// single-endpoint one straight to its base URL.
-func (c *Client) send(ctx context.Context, method, path, contentType string, payload []byte, decode func(statusCode int, status string, body []byte) error) error {
+// send issues one request and returns the final response. It is the
+// only place that knows whether this client fails over: a failover
+// client goes through the Endpoints rotation, a single-endpoint one
+// makes exactly one attempt at its base URL. The single URL is
+// deliberately not an Endpoints of one: a one-URL client must surface a
+// 421, not learn the hinted primary and follow it.
+func (c *Client) send(ctx context.Context, method, path, contentType string, payload []byte) (*httpx.Response, error) {
 	if c.eps != nil {
-		return c.eps.Do(ctx, c.hc, method, path, contentType, payload, "schedd", decode)
+		return c.eps.Do(ctx, c.hc, method, path, contentType, payload, "schedd")
 	}
-	var body io.Reader
-	if payload != nil {
-		body = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return fmt.Errorf("schedd: building request: %w", err)
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	return httpx.DoRaw(c.hc, req, "schedd", decode)
+	return httpx.Do(ctx, c.hc, method, c.base+path, contentType, payload, "schedd")
 }
 
 // Job returns the live status of one job.
 func (c *Client) Job(ctx context.Context, id int) (JobResponse, error) {
 	var out JobResponse
-	if err := c.do(ctx, http.MethodGet, fmt.Sprintf("/v1/jobs/%d", id), nil, &out); err != nil {
+	if err := c.get(ctx, fmt.Sprintf("/v1/jobs/%d", id), &out); err != nil {
 		return JobResponse{}, err
 	}
 	return out, nil
@@ -167,7 +153,7 @@ func (c *Client) Job(ctx context.Context, id int) (JobResponse, error) {
 // Stats returns the fleet-wide aggregate.
 func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	var out StatsResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out); err != nil {
+	if err := c.get(ctx, "/v1/stats", &out); err != nil {
 		return StatsResponse{}, err
 	}
 	return out, nil
@@ -176,7 +162,7 @@ func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 // Healthz reports service liveness.
 func (c *Client) Healthz(ctx context.Context) error {
 	var out map[string]string
-	return c.do(ctx, http.MethodGet, "/healthz", nil, &out)
+	return c.get(ctx, "/healthz", &out)
 }
 
 // Promote asks a follower to take over as primary (idempotent: a
@@ -185,29 +171,19 @@ func (c *Client) Healthz(ctx context.Context) error {
 // failover redirect must NOT bounce the request back to the primary.
 func (c *Client) Promote(ctx context.Context) (PromoteResponse, error) {
 	var out PromoteResponse
-	base := c.Endpoint()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/repl/promote", nil)
+	resp, err := httpx.Do(ctx, c.hc, http.MethodPost, c.Endpoint()+"/v1/repl/promote", "", nil, "schedd")
 	if err != nil {
-		return out, fmt.Errorf("schedd: building request: %w", err)
-	}
-	if err := httpx.DoJSON(c.hc, req, "schedd", &out); err != nil {
 		return out, err
 	}
-	return out, nil
+	err = resp.Decode("schedd", &out)
+	return out, err
 }
 
-// do is the JSON request/response helper of the read routes.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var payload []byte
-	var contentType string
-	if in != nil {
-		var err error
-		if payload, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("schedd: encoding request: %w", err)
-		}
-		contentType = "application/json"
+// get is the JSON helper of the read routes.
+func (c *Client) get(ctx context.Context, path string, out any) error {
+	resp, err := c.send(ctx, http.MethodGet, path, "", nil)
+	if err != nil {
+		return err
 	}
-	return c.send(ctx, method, path, contentType, payload, func(statusCode int, status string, body []byte) error {
-		return httpx.DecodeResponse(statusCode, status, body, "schedd", out)
-	})
+	return resp.Decode("schedd", out)
 }

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"carbonshift/internal/httpx"
 	"carbonshift/internal/repl"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/trace"
@@ -202,17 +203,9 @@ func (s *Server) probePrimary(ctx context.Context) error {
 	}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Primary+"/healthz", nil)
-	if err != nil {
-		return err
+	resp, err := httpx.Do(ctx, f.hc, http.MethodGet, f.cfg.Primary+"/healthz", "", nil, "schedd: probe")
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = resp.Decode("schedd: probe", nil) // the status, as a *StatusError
 	}
-	resp, err := f.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("schedd: primary /healthz returned %s", resp.Status)
-	}
-	return nil
+	return err
 }

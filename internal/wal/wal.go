@@ -144,17 +144,18 @@ type Journal struct {
 	err    error // first write/sync failure; poisons the journal
 	closed bool
 
-	// Group-commit state (SyncAlways): seq counts appended records,
-	// synced the highest fsynced one, syncing marks the elected
-	// flusher.
+	// Fsync-round state: seq counts appended records, synced the highest
+	// fsynced one, syncing marks a round in flight (flushRoundLocked) —
+	// the elected group-commit flusher under SyncAlways, the flusher
+	// tick under SyncBatch, or a Sync() in any mode.
 	seq     uint64
 	synced  uint64
 	syncing bool
 
 	// metrics instruments the journal (nil = un-metered); obsSeq is the
 	// highest record sequence whose durability has been observed into
-	// the batch-size histogram, shared by both fsync paths. trace
-	// records group-commit rounds (nil = untraced).
+	// the batch-size histogram. trace records fsync rounds (nil =
+	// untraced).
 	metrics *JournalMetrics
 	trace   *tracing.Tracer
 	obsSeq  uint64
@@ -198,8 +199,9 @@ func Create(path string, opts Options) (*Journal, error) {
 }
 
 // flusher is the SyncBatch background goroutine: every interval it
-// flushes buffered records and fsyncs if anything was appended since
-// the last pass.
+// runs one flush+fsync round if anything was appended since the last
+// pass. A tick that finds a Sync() round in flight leaves dirty set for
+// the next one.
 func (j *Journal) flusher(interval time.Duration) {
 	defer close(j.done)
 	tick := time.NewTicker(interval)
@@ -210,31 +212,9 @@ func (j *Journal) flusher(interval time.Duration) {
 			return
 		case <-tick.C:
 			j.mu.Lock()
-			if !j.dirty || j.err != nil || j.closed {
-				j.mu.Unlock()
-				continue
-			}
-			j.dirty = false
-			target := j.seq
-			batch := target - j.obsSeq
-			err := j.w.Flush()
-			j.mu.Unlock()
-			start := time.Now()
-			if err == nil {
-				err = j.f.Sync()
-			}
-			j.mu.Lock()
-			if err != nil {
-				if j.err == nil {
-					j.err = err
-				}
-			} else {
-				if target > j.obsSeq {
-					j.obsSeq = target
-				}
-				j.metrics.observeFsync(start, batch)
-				j.trace.RecordRoot("wal.group_commit", start, time.Since(start),
-					tracing.Int("batch", int(batch)))
+			if j.dirty && j.err == nil && !j.closed && !j.syncing {
+				j.dirty = false
+				j.flushRoundLocked()
 			}
 			j.mu.Unlock()
 		}
