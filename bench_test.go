@@ -9,8 +9,10 @@ package carbonshift_test
 //
 // Note on caching: the Lab memoizes temporal sweeps, so the first
 // iteration of the Figure 7-10 family pays the full cost and later
-// iterations measure the assembled-table path. The ablation benchmarks
-// below measure the raw kernels without caching.
+// iterations measure the assembled-table path. The greener-grid
+// what-ifs (Figure 11c-d) stream their traces past the process-level
+// simgrid cache, so every iteration of those two re-simulates. The
+// ablation benchmarks below measure the raw kernels without caching.
 
 import (
 	"context"
@@ -26,6 +28,7 @@ import (
 
 	"carbonshift/internal/core"
 	"carbonshift/internal/fft"
+	"carbonshift/internal/regions"
 	"carbonshift/internal/rng"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/schedd"
@@ -61,6 +64,7 @@ func benchExperiment(b *testing.B, id string) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ResetTimer() // whichever figure runs first builds the shared lab
 	for i := 0; i < b.N; i++ {
 		tbl, err := exp.Run(context.Background(), l)
 		if err != nil {
@@ -284,6 +288,55 @@ func BenchmarkAblation_ArgminPerHourScan(b *testing.B) {
 		// One year of hourly argmin scans through the Set interface.
 		if _, err := spatial.InfMigrationCost(l.Set, codes, 0, 8760); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// Greener-grid what-if sweep (the Figure 11(d) kernel: the hourly
+// minimum across regions at each renewable level, over the hours a
+// default-span run reads): one weather draw per region re-dispatched
+// per level over those hours and folded into the envelope as produced,
+// vs a whole trace set materialised per level. The materialised arm is
+// assembled here from the public Generate; no production path keeps it.
+var whatIfLevels = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
+
+const whatIfHours = 8760 + 24
+
+func BenchmarkAblation_WhatIfStreamed(b *testing.B) {
+	regs := regions.All()[:16]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		envelope := make([][]float64, len(whatIfLevels))
+		for _, r := range regs {
+			series, err := simgrid.WhatIf(r, simgrid.Config{Seed: 1}, whatIfLevels, whatIfHours)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for s, ci := range series {
+				if envelope[s] == nil {
+					envelope[s] = ci
+					continue
+				}
+				for h, v := range ci {
+					if v < envelope[s][h] {
+						envelope[s][h] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkAblation_WhatIfMaterialised(b *testing.B) {
+	regs := regions.All()[:16]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, level := range whatIfLevels {
+			set, err := simgrid.Generate(regs, simgrid.Config{Seed: 1, ExtraRenewables: level})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = set.MinSeries()[:whatIfHours]
 		}
 	}
 }

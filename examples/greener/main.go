@@ -26,19 +26,18 @@ func main() {
 		hours  = 120 * 24
 	)
 
+	// One weather draw for the region, re-dispatched at each renewable
+	// level: the levels differ only in the mix that meets the demand.
+	levels := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
+	series, err := simgrid.WhatIf(region, simgrid.Config{Seed: 3, Hours: hours}, levels, hours)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Println("24h deferrable+interruptible job in US-CA, 7-day slack")
 	fmt.Printf("%-12s %12s %12s %12s\n", "renewables", "agnostic g/h", "aware g/h", "advantage")
-	for _, add := range []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5} {
-		tr, err := simgrid.GenerateRegion(region, simgrid.Config{
-			Seed:            3,
-			Hours:           hours,
-			ExtraRenewables: add,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		arrivals := tr.Len() - length - slack
-		costs, err := temporal.Sweep(tr.CI, length, slack, arrivals)
+	for i, add := range levels {
+		costs, err := temporal.Sweep(series[i], length, slack, hours-length-slack)
 		if err != nil {
 			log.Fatal(err)
 		}

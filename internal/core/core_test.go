@@ -454,3 +454,30 @@ func TestHeadlineSpatialDominatesTemporal(t *testing.T) {
 		}
 	}
 }
+
+// The abstract's last finding: as grids add renewables, both curves
+// fall and the carbon-aware advantage over doing nothing shrinks — for
+// temporal shifting within a region (Fig. 11c) and for spatial shifting
+// across the world (Fig. 11d) alike.
+func TestHeadlineGreenerGridShrinksGap(t *testing.T) {
+	l := full(t)
+	for _, fig := range []func(context.Context) (*Table, error){l.Fig11c, l.Fig11d} {
+		tbl, err := fig(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.Rows) != len(greenerSteps) {
+			t.Fatalf("%s: %d rows for %d renewable steps", tbl.ID, len(tbl.Rows), len(greenerSteps))
+		}
+		for i := 1; i < len(tbl.Rows); i++ {
+			prev, row := tbl.Rows[i-1], tbl.Rows[i]
+			for _, col := range []string{"agnostic_g", "gap_g"} {
+				was, now := tbl.MustValue(prev.Label, col), tbl.MustValue(row.Label, col)
+				if !(now < was) {
+					t.Errorf("%s: %s did not fall from %s (%.2f) to %s (%.2f)",
+						tbl.ID, col, prev.Label, was, row.Label, now)
+				}
+			}
+		}
+	}
+}

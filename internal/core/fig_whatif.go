@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync"
 
 	"carbonshift/internal/engine"
 	"carbonshift/internal/regions"
@@ -171,22 +173,20 @@ func (l *Lab) Fig11c(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One re-simulated grid plus temporal sweep per renewable step; the
-	// per-(region, config) traces land in the process-level cache, so
-	// repeat runs skip the simulation entirely.
+	arrivals := l.arrivals(length + slack)
+	if arrivals < 1 {
+		return nil, fmt.Errorf("core: trace too short for fig11c")
+	}
+	// One weather draw for the region, re-dispatched at every renewable
+	// step over the hours the sweeps read; then one temporal sweep per
+	// step, each an engine cell.
+	series, err := simgrid.WhatIf(reg, l.opts.Sim, greenerSteps, arrivals+length+slack)
+	if err != nil {
+		return nil, err
+	}
 	type cell struct{ agnostic, aware float64 }
 	rows, err := engine.Map(ctx, l.workers, len(greenerSteps), func(_ context.Context, i int) (cell, error) {
-		cfg := l.opts.Sim
-		cfg.ExtraRenewables = greenerSteps[i]
-		tr, err := simgrid.GenerateRegionCached(reg, cfg)
-		if err != nil {
-			return cell{}, err
-		}
-		arrivals := l.arrivals(length + slack)
-		if arrivals < 1 {
-			return cell{}, fmt.Errorf("core: trace too short for fig11c")
-		}
-		costs, err := temporal.Sweep(tr.CI, length, slack, arrivals)
+		costs, err := temporal.Sweep(series[i], length, slack, arrivals)
 		if err != nil {
 			return cell{}, err
 		}
@@ -218,28 +218,65 @@ func (l *Lab) Fig11d(ctx context.Context) (*Table, error) {
 		Title:   fmt.Sprintf("Greener grid, spatial scheduling from %s (g·CO₂eq per job-hour)", region),
 		Columns: []string{"agnostic_g", "aware_g", "gap_g"},
 	}
-	// Each renewable step re-simulates the whole catalog; the engine
-	// fans the per-region simulations out inside GenerateCached, so the
-	// outer step loop stays serial to keep concurrency bounded by
-	// l.workers.
-	for _, add := range greenerSteps {
-		cfg := l.opts.Sim
-		cfg.ExtraRenewables = add
-		set, err := simgrid.GenerateCached(ctx, l.Regions, cfg, l.workers)
+	arrivals := l.strideArrivals(length)
+	if len(arrivals) == 0 {
+		return nil, fmt.Errorf("core: trace too short for fig11d")
+	}
+	hours := l.arrivals(length) + length // every hour a job above can touch
+
+	// One region per cell: its weather drawn once, re-dispatched at
+	// every renewable step over `hours`, and folded straight into the
+	// per-step ∞-migration envelope (the hourly minimum across regions).
+	// Only the example region's own series outlive their cell. A minimum
+	// does not depend on the order it is taken in, so the fold order the
+	// worker schedule picks cannot change a bit of the table.
+	envelope := make([][]float64, len(greenerSteps))
+	for s := range envelope {
+		envelope[s] = make([]float64, hours)
+		for h := range envelope[s] {
+			envelope[s][h] = math.Inf(1)
+		}
+	}
+	var (
+		mu  sync.Mutex
+		own [][]float64
+	)
+	err := engine.ForEach(ctx, l.workers, len(l.Regions), func(_ context.Context, i int) error {
+		series, err := simgrid.WhatIf(l.Regions[i], l.opts.Sim, greenerSteps, hours)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		envelope := set.MinSeries()
-		tr := set.MustGet(region)
-		arrivals := l.strideArrivals(length)
-		if len(arrivals) == 0 {
-			return nil, fmt.Errorf("core: trace too short for fig11d")
+		mu.Lock()
+		defer mu.Unlock()
+		for s, ci := range series {
+			env := envelope[s]
+			for h, v := range ci {
+				if v < env[h] {
+					env[h] = v
+				}
+			}
 		}
+		if l.Regions[i].Code == region {
+			own = series
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	for s, add := range greenerSteps {
 		var agnostic, aware float64
 		for _, a := range arrivals {
-			agnostic += tr.Sum(a, a+length)
-			for h := a; h < a+length; h++ {
-				aware += envelope[h]
+			// Summed per job, then across jobs: the offline digest pins
+			// this grouping's rounding.
+			var job float64
+			for _, v := range own[s][a : a+length] {
+				job += v
+			}
+			agnostic += job
+			for _, v := range envelope[s][a : a+length] {
+				aware += v
 			}
 		}
 		n := float64(len(arrivals)) * length

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"carbonshift/internal/regions"
+	"carbonshift/internal/simgrid"
+	"carbonshift/internal/stats"
+	"carbonshift/internal/temporal"
 )
 
 // parallelLab builds a mini lab with the given engine worker bound,
@@ -75,7 +79,7 @@ func TestExperimentCancellation(t *testing.T) {
 	// Every engine-driven experiment must refuse to run; the IDs cover
 	// the global scans, the temporal family, the what-ifs, and the
 	// extensions.
-	for _, id := range []string{"fig3a", "fig4", "fig7", "fig10d", "fig11a", "fig11b", "fig12", "ext-forecast", "ext-overhead"} {
+	for _, id := range []string{"fig3a", "fig4", "fig7", "fig10d", "fig11a", "fig11b", "fig11c", "fig11d", "fig12", "ext-forecast", "ext-overhead"} {
 		e, err := ExperimentByID(id)
 		if err != nil {
 			t.Fatal(err)
@@ -105,5 +109,74 @@ func TestFillTemporalGridCancellation(t *testing.T) {
 	cancel()
 	if err := l.FillTemporalGrid(ctx, []int{1}, []int{24}); !errors.Is(err, context.Canceled) {
 		t.Errorf("FillTemporalGrid under cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// TestGreenerFiguresStreamed holds Figure 11(c–d) to what they replaced:
+// the tables must equal, to the bit, ones assembled from whole what-if
+// trace sets (public Generate, every level, every hour), and the sweeps
+// must leave nothing behind — after both figures the process cache
+// holds the lab's own catalog and not one what-if trace.
+func TestGreenerFiguresStreamed(t *testing.T) {
+	simgrid.ResetCache()
+	defer simgrid.ResetCache()
+	l := parallelLab(t, 4)
+	ctx := context.Background()
+	got11c, err := l.Fig11c(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got11d, err := l.Fig11d(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, entries := simgrid.CacheStats(); entries != len(l.Regions) {
+		t.Errorf("cache holds %d traces after fig11c+fig11d, want the lab's %d", entries, len(l.Regions))
+	}
+
+	const length = fig11bLength
+	region := l.exampleRegion()
+	slack := l.slackFor(figSlackIdeal)
+	for i, add := range greenerSteps {
+		cfg := l.opts.Sim
+		cfg.ExtraRenewables = add
+		set, err := simgrid.Generate(l.Regions, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := set.MustGet(region)
+		label := fmt.Sprintf("renew_+%.0f%%", add*100)
+
+		costs, err := temporal.Sweep(tr.CI, length, slack, l.arrivals(length+slack))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agnostic, aware := stats.Mean(costs.Baseline)/length, stats.Mean(costs.Interrupted)/length
+		checkRow(t, got11c, i, label, agnostic, aware, agnostic-aware)
+
+		envelope := set.MinSeries()
+		agnostic, aware = 0, 0
+		arrivals := l.strideArrivals(length)
+		for _, a := range arrivals {
+			agnostic += tr.Sum(a, a+length)
+			for h := a; h < a+length; h++ {
+				aware += envelope[h]
+			}
+		}
+		n := float64(len(arrivals)) * length
+		checkRow(t, got11d, i, label, agnostic/n, aware/n, (agnostic-aware)/n)
+	}
+}
+
+func checkRow(t *testing.T, tbl *Table, i int, label string, want ...float64) {
+	t.Helper()
+	row := tbl.Rows[i]
+	if row.Label != label {
+		t.Fatalf("%s row %d is %q, want %q", tbl.ID, i, row.Label, label)
+	}
+	for c, w := range want {
+		if row.Values[c] != w {
+			t.Errorf("%s %s %s = %v, materialised reference has %v", tbl.ID, label, tbl.Columns[c], row.Values[c], w)
+		}
 	}
 }

@@ -11,25 +11,30 @@ import (
 	"carbonshift/internal/trace"
 )
 
-// The process-level trace cache. Simulating one region for the full
-// study period costs tens of milliseconds; experiments such as the
-// greener-grid what-ifs (Figure 11c–d) and every freshly constructed
-// Lab used to re-simulate identical (region, config) pairs from
-// scratch. The cache memoizes each simulated trace by its full input
-// fingerprint so any given trace is generated exactly once per process,
-// no matter how many experiments, labs, or benchmark iterations ask for
-// it.
+// The process-level trace cache holds whole base traces: the dataset a
+// Lab, a scheduler world or a CLI asks for by (region, config). Each
+// costs a full weather draw plus a full dispatch (simgrid.go), and the
+// same catalog is asked for again by every fresh Lab, test and
+// benchmark iteration in a process; the cache memoizes each trace by its
+// full input fingerprint so it is simulated once per process.
+//
+// What-if sweeps do not come here. WhatIf shares one weather draw
+// between its levels, dispatches only the hours its caller reads and
+// hands the series back to be folded and dropped: a sweep reads each of
+// its traces once, and a full run's 615 (Figure 11c–d) parked here
+// would be ~125 MB held until exit for nobody to ask for again.
 //
 // Cached traces are shared and must be treated as immutable; every
 // consumer in this repository only reads them. Entries use a
 // single-flight sync.Once so concurrent first requests for the same key
 // simulate once and everyone else blocks on the result.
 //
-// The key covers every input the simulation reads — the region's
-// simulation-relevant fields as well as the config — so a Region value
-// that shares a code with a catalog entry but carries, say, a modified
-// mix (regions built via Greener, custom what-ifs) gets its own entry
-// rather than silently aliasing the catalog trace.
+// The key covers every input either stage reads — the weather's (code,
+// coordinates, demand swing, seed, start, hours) and the dispatch's
+// (mix, renewable drift, extra renewables) — so a Region value that
+// shares a code with a catalog entry but carries, say, a modified mix
+// (regions built via Greener) gets its own entry rather than silently
+// aliasing the catalog trace.
 type cacheKey struct {
 	code        string
 	lat, lon    float64
@@ -47,14 +52,15 @@ type cacheEntry struct {
 	tr   *trace.Trace
 }
 
-// DefaultCacheLimit bounds the number of cached traces. A full-period
-// trace is ~210 KB, so the default caps the cache near 220 MB — enough
-// to hold the base catalog plus every greener-grid what-if of a full
-// experiment run (123 + 7×123 ≈ 984 entries) without letting
+// DefaultCacheLimit bounds the number of cached traces. Only base
+// catalogs enter the cache, and the most any program here holds at once
+// is two of them — a Lab's dataset and a scheduler world at another
+// seed or horizon, 2×123 = 246 entries — so the limit is the next power
+// of two: ~54 MB of full-period traces (~210 KB each), without letting
 // multi-seed sweeps grow the process without bound. When the limit is
 // exceeded the oldest entries are evicted FIFO; evicted traces remain
 // valid for holders and are simply re-simulated on the next request.
-const DefaultCacheLimit = 1024
+const DefaultCacheLimit = 256
 
 var traceCache = struct {
 	mu     sync.Mutex
@@ -73,7 +79,7 @@ func keyFor(r regions.Region, cfg Config) cacheKey {
 		deltaRenew:  r.DeltaRenew,
 		demandSwing: r.DemandSwing,
 		seed:        cfg.Seed,
-		start:       cfg.Start.UTC().Unix(),
+		start:       cfg.Start.Unix(),
 		hours:       cfg.Hours,
 		extra:       cfg.ExtraRenewables,
 	}
@@ -110,7 +116,7 @@ func GenerateRegionCached(r regions.Region, cfg Config) (*trace.Trace, error) {
 		traceCache.misses.Add(1)
 	}
 	e.once.Do(func() {
-		e.tr = simulate(r, cfg, rngFor(r.Code, cfg))
+		e.tr = simulate(r, cfg)
 	})
 	return e.tr, nil
 }

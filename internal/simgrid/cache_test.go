@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"carbonshift/internal/regions"
 	"carbonshift/internal/trace"
@@ -193,5 +194,50 @@ func TestGenerateCachedValidates(t *testing.T) {
 	bad.ExtraRenewables = 2
 	if _, err := GenerateCached(context.Background(), regions.All()[:1], bad, 1); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// A Start names an instant: the same instant spelled in another zone is
+// the same simulation, through the cache or around it. The model reads
+// Start's calendar (hour of day, day of year, weekday) and the cache
+// keys on the instant, so unless withDefaults normalises the zone a
+// +05:00 start simulates differently from its UTC twin while sharing
+// its cache entry — whichever is asked for first wins.
+func TestStartZoneDoesNotMatter(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	reg := regions.MustByCode("DE")
+	utc := Config{Seed: 11, Start: time.Date(2021, 3, 27, 21, 0, 0, 0, time.UTC), Hours: 24 * 9}
+	east := utc
+	east.Start = utc.Start.In(time.FixedZone("+05:00", 5*3600)) // 02:00 on the 28th, a Sunday there
+
+	want, err := GenerateRegion(reg, utc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The zoned spelling goes through the cache first, so on a miss it
+	// is the one simulated.
+	for _, gen := range []struct {
+		name string
+		fn   func(regions.Region, Config) (*trace.Trace, error)
+	}{{"GenerateRegion", GenerateRegion}, {"GenerateRegionCached", GenerateRegionCached}} {
+		for _, cfg := range []Config{east, utc} {
+			got, err := gen.fn(reg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Start.Equal(want.Start) {
+				t.Fatalf("%s: start %v, want %v", gen.name, got.Start, want.Start)
+			}
+			for i := range want.CI {
+				if got.CI[i] != want.CI[i] {
+					t.Fatalf("%s from %v: hour %d = %v, want the UTC twin's %v",
+						gen.name, cfg.Start, i, got.CI[i], want.CI[i])
+				}
+			}
+		}
+	}
+	if _, _, entries := CacheStats(); entries != 1 {
+		t.Fatalf("entries = %d, want the two spellings to share 1", entries)
 	}
 }

@@ -26,6 +26,18 @@
 // exactly as carbon information services compute it. The model
 // reproduces the dataset-level statistics the paper's analysis rests on
 // (see DESIGN.md) while remaining fully deterministic under a seed.
+//
+// The simulation runs in two stages. The weather stage (drawWeather)
+// reads the region's code, coordinates and DemandSwing and the config's
+// Seed, Start and Hours, and draws everything the mix cannot influence:
+// the cloud, wind and demand-noise processes, solar irradiance, demand.
+// The dispatch stage (weather.dispatch) additionally reads the region's
+// Mix and DeltaRenew and the config's ExtraRenewables, and turns any
+// prefix of the weather into carbon intensity, hour by independent
+// hour. Generate, GenerateRegion and the cached entry points (cache.go)
+// run one after the other for a whole base trace; WhatIf draws the
+// weather once and dispatches it at several ExtraRenewables levels over
+// the hours its caller reads, handing the series back uncached.
 package simgrid
 
 import (
@@ -50,7 +62,8 @@ type Config struct {
 	// Seed drives all stochastic components. The same seed always
 	// produces the same traces.
 	Seed uint64
-	// Start is the first simulated hour (UTC). Zero means DefaultStart.
+	// Start is the first simulated hour: an instant, read on the UTC
+	// calendar whatever its Location. Zero means DefaultStart.
 	Start time.Time
 	// Hours is the number of hourly samples. Zero means DefaultHours.
 	Hours int
@@ -60,10 +73,15 @@ type Config struct {
 	ExtraRenewables float64
 }
 
+// withDefaults fills the zero values and normalises Start to UTC: the
+// calendar the model reads (hour of day, day of year, weekday) is
+// Start's own, and the cache keys on the instant, so two spellings of
+// one instant must simulate — not just key — alike.
 func (c Config) withDefaults() Config {
 	if c.Start.IsZero() {
 		c.Start = DefaultStart
 	}
+	c.Start = c.Start.UTC()
 	if c.Hours == 0 {
 		c.Hours = DefaultHours
 	}
@@ -123,7 +141,7 @@ func Generate(regs []regions.Region, cfg Config) (*trace.Set, error) {
 	cfg = cfg.withDefaults()
 	traces := make([]*trace.Trace, 0, len(regs))
 	for _, r := range regs {
-		traces = append(traces, simulate(r, cfg, rngFor(r.Code, cfg)))
+		traces = append(traces, simulate(r, cfg))
 	}
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("simgrid: no regions given")
@@ -142,7 +160,35 @@ func GenerateRegion(r regions.Region, cfg Config) (*trace.Trace, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	return simulate(r, cfg, rngFor(r.Code, cfg)), nil
+	return simulate(r, cfg), nil
+}
+
+// WhatIf simulates one region at several ExtraRenewables levels — the
+// §6.3 "what if the grid gets greener" sweep — and returns, per level,
+// the carbon intensity of the first `hours` hours: out[i] is, bit for
+// bit, GenerateRegion(r, cfg with ExtraRenewables: levels[i]).CI[:hours].
+// cfg.ExtraRenewables itself is not read. The weather is drawn once for
+// all levels and only the hours asked for are dispatched, so a sweep
+// that reads the head of each trace pays for one simulation plus the
+// head, not one simulation per level. Nothing enters the trace cache:
+// the series are the caller's to fold and drop.
+func WhatIf(r regions.Region, cfg Config, levels []float64, hours int) ([][]float64, error) {
+	cfg = cfg.withDefaults()
+	if hours < 0 || hours > cfg.Hours {
+		return nil, fmt.Errorf("simgrid: what-if prefix of %d hours outside the %d simulated", hours, cfg.Hours)
+	}
+	for _, level := range levels {
+		cfg.ExtraRenewables = level
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	w := drawWeather(r, cfg)
+	out := make([][]float64, len(levels))
+	for i, level := range levels {
+		out[i] = w.dispatch(r, level, hours)
+	}
+	return out, nil
 }
 
 // rngFor derives a region's generator from its code and the seed alone,
@@ -222,33 +268,139 @@ func shiftToRenewables(mix regions.Mix, shift float64) regions.Mix {
 	return out
 }
 
-// simulate produces one region's hourly trace.
-func simulate(r regions.Region, cfg Config, src *rng.Source) *trace.Trace {
+// simulate produces one region's hourly trace: the weather stage, then
+// the dispatch stage over every hour.
+func simulate(r regions.Region, cfg Config) *trace.Trace {
+	w := drawWeather(r, cfg)
+	return trace.New(r.Code, cfg.Start, w.dispatch(r, cfg.ExtraRenewables, cfg.Hours))
+}
+
+// weather is stage one of the simulation: everything about a region's
+// period that does not depend on its generation mix. It reads only the
+// region's code (through the seed), coordinates and DemandSwing, and the
+// config's Seed, Start and Hours — so one draw serves every mix the
+// dispatch stage is asked about.
+type weather struct {
+	// irr and wind are the solar and wind capacity-factor shapes; the
+	// dispatch stage divides them by their means over the whole period
+	// so annual energy shares stay on the catalog mix.
+	irr, wind         []float64
+	irrMean, windMean float64
+	// demand is the load (mean 1), noise included.
+	demand []float64
+}
+
+// drawWeather runs the weather stage for cfg.Hours hours from cfg.Start
+// (UTC; see withDefaults). The calendar is walked by integer steps —
+// hour of day, day of year, weekday — and everything that is constant
+// over a day (declination, season, weekend) or a function of the hour
+// of day alone (hour angle, diurnal demand shape) is computed once, not
+// once per hour. The grouping of each hoisted term is load-bearing:
+// TestTraceBitsGolden pins every sample's bits, and regrouping a sum or
+// product (say, adding the weekly and seasonal terms ahead of the hour
+// loop) rounds differently.
+func drawWeather(r regions.Region, cfg Config) *weather {
 	n := cfg.Hours
-	ci := make([]float64, n)
-	if n == 0 {
-		return trace.New(r.Code, cfg.Start, ci)
+	src := rngFor(r.Code, cfg)
+	// The three streams are split in this order whatever is drawn from
+	// them afterwards: cloud, wind, demand noise.
+	w := &weather{
+		irr:    cloudSeries(n, src.Split()), // the cloud factor, scaled to irradiance in place below
+		wind:   windSeries(n, src.Split()),
+		demand: make([]float64, n),
 	}
-
-	baseMix := r.Mix
-	if cfg.ExtraRenewables > 0 {
-		baseMix = shiftToRenewables(baseMix, cfg.ExtraRenewables)
-	}
-
-	// Pre-generate the stochastic weather processes so they can be
-	// normalized to unit mean (keeping annual energy shares on target).
-	cloud := cloudSeries(n, src.Split())
-	wind := windSeries(n, src.Split())
-	irr := irradianceSeries(r, cfg.Start, n, cloud)
-	irrMean := mean(irr)
-	windMean := mean(wind)
-
 	demandSrc := src.Split()
-	half := float64(n-1) / 2
-	for h := 0; h < n; h++ {
-		ts := cfg.Start.Add(time.Duration(h) * time.Hour)
-		d := demandAt(r, ts, demandSrc)
 
+	// By hour of day: the sun's hour angle and the two-harmonic diurnal
+	// demand shape, peaking in the early evening with a secondary
+	// morning shoulder. A Start off the hour keeps its minutes all
+	// period long; the demand model reads them, the solar model does
+	// not.
+	var cosHourAngle, diurnal [24]float64
+	minutes := float64(cfg.Start.Minute()) / 60
+	for hod := range cosHourAngle {
+		localHour := float64(hod) + r.Lon/15
+		hourAngle := (localHour - 12) * 15 * math.Pi / 180
+		cosHourAngle[hod] = math.Cos(hourAngle)
+
+		localHour = float64(hod) + minutes + r.Lon/15
+		shape := 0.8*math.Cos(2*math.Pi*(localHour-17)/24) +
+			0.2*math.Cos(4*math.Pi*(localHour-9)/24)
+		diurnal[hod] = diurnalAmp * r.DemandSwing * shape
+	}
+
+	latRad := r.Lat * math.Pi / 180
+	sinLat, cosLat := math.Sin(latRad), math.Cos(latRad)
+	// Seasonal demand peaks in local winter, scaled by latitude
+	// (tropical grids have flat seasons).
+	peakDoy := 15.0
+	if r.Lat < 0 {
+		peakDoy = 196
+	}
+	latScale := math.Min(1, math.Abs(r.Lat)/50)
+
+	hod := cfg.Start.Hour()
+	year, yday := cfg.Start.Year(), cfg.Start.YearDay()
+	weekday := cfg.Start.Weekday()
+	for h := 0; h < n; {
+		// By day: solar declination, the seasonal and weekly demand terms.
+		doy := float64(yday)
+		decl := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*(284+doy)/365.25)
+		sinSin, cosCos := sinLat*math.Sin(decl), cosLat*math.Cos(decl)
+		seasonal := seasonalAmp * latScale * math.Cos(2*math.Pi*(doy-peakDoy)/365.25)
+		weekly := weeklyAmp * r.DemandSwing * 0.3
+		if weekday == time.Saturday || weekday == time.Sunday {
+			weekly = weeklyAmp * r.DemandSwing * -0.75
+		}
+
+		for ; hod < 24 && h < n; hod, h = hod+1, h+1 {
+			// Solar elevation (latitude, declination, local hour) times
+			// the cloud process.
+			sinElev := sinSin + cosCos*cosHourAngle[hod]
+			if sinElev < 0 {
+				sinElev = 0
+			}
+			w.irr[h] = sinElev * w.irr[h]
+
+			d := 1 + diurnal[hod] + weekly + seasonal + demandSrc.Norm(0, demandNoise)
+			if d < demandFloor {
+				d = demandFloor
+			}
+			w.demand[h] = d
+		}
+
+		hod = 0
+		weekday = (weekday + 1) % 7
+		if yday++; yday > daysIn(year) {
+			year, yday = year+1, 1
+		}
+	}
+	w.irrMean, w.windMean = mean(w.irr), mean(w.wind)
+	return w
+}
+
+// daysIn is the length of a Gregorian calendar year.
+func daysIn(year int) int {
+	if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+		return 366
+	}
+	return 365
+}
+
+// dispatch is stage two: it meets the weather's demand from the region's
+// mix — shifted by extra (Config.ExtraRenewables) and drifting by the
+// region's DeltaRenew — and returns the carbon intensity of the first
+// `hours` hours. Each hour is computed from that hour's weather alone,
+// so a prefix is exactly the head of the full trace.
+func (w *weather) dispatch(r regions.Region, extra float64, hours int) []float64 {
+	ci := make([]float64, hours)
+	baseMix := r.Mix
+	if extra > 0 {
+		baseMix = shiftToRenewables(baseMix, extra)
+	}
+	n := len(w.demand)
+	half := float64(n-1) / 2
+	for h := range ci {
 		// Linear mix drift: progress -0.5 at the start of the study,
 		// +0.5 at the end, so the catalog mix is the midpoint.
 		progress := 0.0
@@ -259,12 +411,12 @@ func simulate(r regions.Region, cfg Config, src *rng.Source) *trace.Trace {
 
 		// Non-dispatchable and must-run generation.
 		solar := 0.0
-		if irrMean > 0 {
-			solar = mix[regions.Solar] * irr[h] / irrMean
+		if w.irrMean > 0 {
+			solar = mix[regions.Solar] * w.irr[h] / w.irrMean
 		}
 		wnd := 0.0
-		if windMean > 0 {
-			wnd = mix[regions.Wind] * wind[h] / windMean
+		if w.windMean > 0 {
+			wnd = mix[regions.Wind] * w.wind[h] / w.windMean
 		}
 		coalBase := coalBaseload * mix[regions.Coal]
 		baseload := mix[regions.Nuclear] + mix[regions.Geothermal] +
@@ -275,7 +427,7 @@ func simulate(r regions.Region, cfg Config, src *rng.Source) *trace.Trace {
 		// excursions and renewable shortfalls, which is what keeps
 		// hydro-dominated grids (Sweden, Quebec, Norway) at a low,
 		// stable intensity.
-		residual := d - solar - wnd - baseload
+		residual := w.demand[h] - solar - wnd - baseload
 		var hydro, coalFlex, gas, oil float64
 		if residual <= 0 {
 			// Oversupply: curtail wind first, then solar, then shed
@@ -313,7 +465,7 @@ func simulate(r regions.Region, cfg Config, src *rng.Source) *trace.Trace {
 			mix[regions.Biomass]*regions.Biomass.EmissionFactor()
 		ci[h] = em / total
 	}
-	return trace.New(r.Code, cfg.Start, ci)
+	return ci
 }
 
 // dispatchFlexible splits the residual demand among the flexible
@@ -332,10 +484,10 @@ func dispatchFlexible(mix regions.Mix, residual float64) (hydro, coalFlex, gas, 
 		return 0, 0, residual, 0
 	}
 	level := residual / flex // ~1 at average conditions
-	hydro = hydroShare * math.Pow(level, hydroTilt)
-	coalFlex = coalFlexShare * math.Pow(level, coalFlexTilt)
-	gas = mix[regions.Gas] * math.Pow(level, gasTilt)
-	oil = mix[regions.Oil] * math.Pow(level, oilTilt)
+	hydro = tilted(hydroShare, level, hydroTilt)
+	coalFlex = tilted(coalFlexShare, level, coalFlexTilt)
+	gas = tilted(mix[regions.Gas], level, gasTilt)
+	oil = tilted(mix[regions.Oil], level, oilTilt)
 	sum := hydro + coalFlex + gas + oil
 	if sum <= 0 {
 		return 0, 0, residual, 0
@@ -344,61 +496,15 @@ func dispatchFlexible(mix regions.Mix, residual float64) (hydro, coalFlex, gas, 
 	return hydro * scale, coalFlex * scale, gas * scale, oil * scale
 }
 
-// demandAt evaluates the demand model (mean 1) for the region at ts.
-func demandAt(r regions.Region, ts time.Time, src *rng.Source) float64 {
-	localHour := float64(ts.Hour()) + float64(ts.Minute())/60 + r.Lon/15
-	doy := float64(ts.YearDay())
-
-	// Two-harmonic diurnal shape peaking in the early evening with a
-	// secondary morning shoulder.
-	diurnal := 0.8*math.Cos(2*math.Pi*(localHour-17)/24) +
-		0.2*math.Cos(4*math.Pi*(localHour-9)/24)
-
-	weekly := 0.3
-	if wd := ts.Weekday(); wd == time.Saturday || wd == time.Sunday {
-		weekly = -0.75
+// tilted is share × level^tilt. A source the mix does not have skips the
+// power: level is positive and the power finite, so the product is the
+// zero share itself. 72 of the 123 catalog regions lack at least one
+// flexible source (49 burn no oil, 28 no coal, 17 have no hydro).
+func tilted(share, level, tilt float64) float64 {
+	if share == 0 {
+		return share
 	}
-
-	// Seasonal demand peaks in local winter, scaled by latitude
-	// (tropical grids have flat seasons).
-	peakDoy := 15.0
-	if r.Lat < 0 {
-		peakDoy = 196
-	}
-	seasonal := math.Cos(2 * math.Pi * (doy - peakDoy) / 365.25)
-	latScale := math.Min(1, math.Abs(r.Lat)/50)
-
-	d := 1 +
-		diurnalAmp*r.DemandSwing*diurnal +
-		weeklyAmp*r.DemandSwing*weekly +
-		seasonalAmp*latScale*seasonal +
-		src.Norm(0, demandNoise)
-	if d < demandFloor {
-		d = demandFloor
-	}
-	return d
-}
-
-// irradianceSeries returns the solar capacity-factor shape for the
-// region: solar elevation (latitude, declination, local hour) times the
-// cloud process.
-func irradianceSeries(r regions.Region, start time.Time, n int, cloud []float64) []float64 {
-	out := make([]float64, n)
-	latRad := r.Lat * math.Pi / 180
-	for h := 0; h < n; h++ {
-		ts := start.Add(time.Duration(h) * time.Hour)
-		doy := float64(ts.YearDay())
-		decl := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*(284+doy)/365.25)
-		localHour := float64(ts.Hour()) + r.Lon/15
-		hourAngle := (localHour - 12) * 15 * math.Pi / 180
-		sinElev := math.Sin(latRad)*math.Sin(decl) +
-			math.Cos(latRad)*math.Cos(decl)*math.Cos(hourAngle)
-		if sinElev < 0 {
-			sinElev = 0
-		}
-		out[h] = sinElev * cloud[h]
-	}
-	return out
+	return share * math.Pow(level, tilt)
 }
 
 // cloudSeries is a slowly varying attenuation factor in [0.25, 1].

@@ -421,3 +421,79 @@ func BenchmarkGenerateRegionYear(b *testing.B) {
 		}
 	}
 }
+
+// --- The what-if entry point ---
+
+// greenerLevels are the ExtraRenewables levels core's Figure 11(c–d)
+// sweep asks WhatIf for (core.greenerSteps).
+var greenerLevels = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
+
+// WhatIf shares one weather draw between its levels and dispatches only
+// a prefix; each series must still be, bit for bit, the head of the
+// trace GenerateRegion simulates for that level alone.
+func TestWhatIfMatchesGenerateRegion(t *testing.T) {
+	noFlex := regions.Region{Code: "X-NOFLEX", Lat: 48, Lon: 2, DemandSwing: 1,
+		Mix: regions.Mix{regions.Nuclear: .55, regions.Solar: .2, regions.Wind: .2, regions.Biomass: .05}}
+	drifting := regions.MustByCode("DE")
+	drifting.DeltaRenew = -.15
+	cases := []regions.Region{
+		regions.MustByCode("SE"),
+		// No solar or wind: the shift lands on solar alone, and a
+		// negative drift (ID) has nothing to take back.
+		regions.MustByCode("IS"), regions.MustByCode("PY"), regions.MustByCode("ID"),
+		// No hydro, coal, gas or oil: every short hour takes the
+		// flex <= 0 import branch, which no catalog region reaches.
+		noFlex,
+		drifting,
+	}
+	cfg := Config{Seed: 21, Hours: 24 * 45}
+	const hours = 24*20 + 7
+	for _, r := range cases {
+		got, err := WhatIf(r, cfg, greenerLevels, hours)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Code, err)
+		}
+		if len(got) != len(greenerLevels) {
+			t.Fatalf("%s: %d series for %d levels", r.Code, len(got), len(greenerLevels))
+		}
+		for i, level := range greenerLevels {
+			one := cfg
+			one.ExtraRenewables = level
+			want, err := GenerateRegion(r, one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got[i]) != hours {
+				t.Fatalf("%s +%v: %d hours, want %d", r.Code, level, len(got[i]), hours)
+			}
+			for h, v := range got[i] {
+				if math.Float64bits(v) != math.Float64bits(want.CI[h]) {
+					t.Fatalf("%s +%v hour %d: %v, GenerateRegion has %v", r.Code, level, h, v, want.CI[h])
+				}
+			}
+		}
+	}
+}
+
+func TestWhatIfValidates(t *testing.T) {
+	r := regions.MustByCode("SE")
+	cfg := Config{Seed: 1, Hours: 48}
+	if _, err := WhatIf(r, cfg, greenerLevels, 49); err == nil {
+		t.Error("prefix longer than the simulated period accepted")
+	}
+	if _, err := WhatIf(r, cfg, greenerLevels, -1); err == nil {
+		t.Error("negative prefix accepted")
+	}
+	for _, level := range []float64{-0.1, 1.5} {
+		if _, err := WhatIf(r, cfg, []float64{0, level}, 24); err == nil {
+			t.Errorf("level %v accepted", level)
+		}
+	}
+	if _, err := WhatIf(r, Config{Hours: -1}, greenerLevels, 0); err == nil {
+		t.Error("negative Hours accepted")
+	}
+	// The whole period is a valid prefix.
+	if got, err := WhatIf(r, cfg, []float64{0.2}, 48); err != nil || len(got[0]) != 48 {
+		t.Errorf("full-period prefix: %v", err)
+	}
+}
