@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -470,6 +473,47 @@ func BenchmarkRunMonth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(set, cl, jobs, SpatioTemporal{Percentile: 40, Window: 48}, 24*30); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestGenerateJobsGolden pins the generated stream bit for bit: every
+// benchmark input, oracle digest and experiment table downstream of
+// GenerateJobs depends on the exact jobs and their exact order. The
+// digests were recorded before GenerateJobs' sort and
+// Distribution.Sample were rewritten; a change that moves one is not a
+// refactor.
+func TestGenerateJobsGolden(t *testing.T) {
+	cases := []struct {
+		name, want string
+		spec       WorkloadSpec
+	}{
+		{"google over a year", "25c0908528ed856c90cf0c5b7e07451d361bfb7ff79acde90ab0e66b82703d5f", WorkloadSpec{
+			Jobs: 20000, ArrivalSpan: 8760, Dist: workload.DistGoogle, SlackHours: 24,
+			InterruptibleFrac: 0.5, MigratableFrac: 0.7,
+			Origins: []string{"CLEAN", "DIRTY", "MID"}, Seed: 1,
+		}},
+		{"zero Dist defaults to equal", "a5de280193245a41d525ad855b5e224e092f76f826bbea3f84f46556e8dfead4", WorkloadSpec{
+			Jobs: 5000, ArrivalSpan: 37, SlackHours: 168,
+			InterruptibleFrac: 1, Origins: []string{"A", "B"}, Seed: 42,
+		}},
+		{"every job at hour zero", "f338841696ad946d47839645ceff6513c19852c4c4524e114a934447708a1a77", WorkloadSpec{
+			Jobs: 3000, ArrivalSpan: 1, Dist: workload.DistAzure,
+			MigratableFrac: 0.25, Origins: []string{"X"}, Seed: 7,
+		}},
+	}
+	for _, c := range cases {
+		jobs, err := GenerateJobs(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		h := sha256.New()
+		for _, j := range jobs {
+			fmt.Fprintf(h, "%d %s %q %d %d %d %t %t\n", j.ID, j.Origin, j.Tenant,
+				j.Arrival, j.Length, j.Slack, j.Interruptible, j.Migratable)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: stream digest %s, want %s", c.name, got, c.want)
 		}
 	}
 }
