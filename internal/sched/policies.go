@@ -232,6 +232,11 @@ func GenerateJobs(spec WorkloadSpec) ([]Job, error) {
 	}
 	src := rng.New(spec.Seed)
 	jobs := make([]Job, spec.Jobs)
+	// start[a+1] counts the jobs arriving at hour a; the prefix sum below
+	// turns it into each hour's first position in the ordered stream. A
+	// span is hours inside a trace the caller already holds, so the
+	// counters are never larger than one region's intensity series.
+	start := make([]int, spec.ArrivalSpan+1)
 	for i := range jobs {
 		jobs[i] = Job{
 			ID:            i,
@@ -242,14 +247,20 @@ func GenerateJobs(spec WorkloadSpec) ([]Job, error) {
 			Interruptible: src.Float64() < spec.InterruptibleFrac,
 			Migratable:    src.Float64() < spec.MigratableFrac,
 		}
+		start[jobs[i].Arrival+1]++
 	}
-	sort.Slice(jobs, func(a, b int) bool {
-		if jobs[a].Arrival != jobs[b].Arrival {
-			return jobs[a].Arrival < jobs[b].Arrival
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	return jobs, nil
+	// Order by (Arrival, ID) with a stable counting sort on Arrival: ids
+	// ascend in generation order, so stability is the ID tie-break.
+	for a := 1; a < len(start); a++ {
+		start[a] += start[a-1]
+	}
+	ordered := make([]Job, len(jobs))
+	for i := range jobs {
+		a := jobs[i].Arrival
+		ordered[start[a]] = jobs[i]
+		start[a]++
+	}
+	return ordered, nil
 }
 
 func errBadSpec(spec WorkloadSpec) error {

@@ -51,11 +51,15 @@ func residentJobs(n int, origins []string) []Job {
 }
 
 // TestShardedFleetResidentBytesPerJob pins what a resident job costs a
-// bare fleet: the 64-byte record, its 4-byte entry in a shard list and
-// its id-registry slot (16 bytes at the map's load factor) — 93 bytes
-// when this was written. The pointer layout it replaced measured 220.
+// bare fleet: the 64-byte record, its 4-byte entry in a shard list, and
+// its share of the id index — a 4-byte slot in tables that run between
+// 7/16 and 7/8 full, so 4.6 to 9.1 bytes, 5.2 at this population (64
+// tables of 16 KiB). 74 bytes when this was written; the ceiling is the
+// index at its emptiest (77) plus the lists' append slack. The same
+// store indexed by a map[int]uint32 measured 92, the pointer layout
+// before it 220.
 func TestShardedFleetResidentBytesPerJob(t *testing.T) {
-	const n, ceiling = 200_000, 110
+	const n, ceiling = 200_000, 84
 	set, cl, origins := mkWideSet(t, 48, 4)
 	jobs := residentJobs(n, origins)
 	var before, after runtime.MemStats
@@ -83,8 +87,8 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 
 // TestSubmitAllocs pins Submit's zero-allocation claim: a 64-job batch
 // is a sequence range, so beyond the amortized growth of the store (one
-// block per 1024 jobs, the id map, the shard lists) a call allocates
-// nothing.
+// block per 1024 jobs, an index table per split, the shard lists) a call
+// allocates nothing.
 func TestSubmitAllocs(t *testing.T) {
 	set, cl, origins := mkWideSet(t, 48, 4)
 	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 4)
@@ -135,10 +139,13 @@ func TestSnapshotAllocs(t *testing.T) {
 
 // TestShardedFleetReadersBesideSubmit runs every walk of the job store
 // beside concurrent Submits that cross several block boundaries (and so
-// grow the block directory under the readers). Under -race it is the
-// certificate that record blocks never move and that a view taken under
-// idMu is safe to walk; without it, it still checks that a reader never
-// sees a record before it is complete.
+// grow the block directory under the readers), and beside batches that
+// fail on their last job and are rolled back — records written above the
+// readers' count, a block opened and dropped, a tenant interned and
+// forgotten. Under -race it is the certificate that record blocks never
+// move and that a view taken under idMu is safe to walk; without it, it
+// still checks that a reader never sees a record before it is complete,
+// or one that was rolled back.
 func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 	const submitters, perSubmitter, batch = 2, 2*recBlock + 100, 7
 	set, cl, origins := mkWideSet(t, 48, 4)
@@ -164,6 +171,22 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 			}
 		}(w)
 	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		doomed := residentJobs(recBlock/2, origins)
+		for i := range doomed {
+			doomed[i].ID += submitters * perSubmitter
+			doomed[i].Tenant = "rolled-back"
+		}
+		doomed[len(doomed)-1].ID = doomed[0].ID
+		for i := 0; i < 40; i++ {
+			if err := f.Submit(doomed...); err == nil {
+				t.Error("a batch ending in a duplicate id was accepted")
+				return
+			}
+		}
+	}()
 	read := func(name string, walk func() error) {
 		readers.Add(1)
 		go func() {
@@ -189,9 +212,17 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 		}
 		return nil
 	})
+	read("Has", func() error {
+		for id := 0; id < submitters*perSubmitter+recBlock/2; id += 89 {
+			if f.Has(id) && id >= submitters*perSubmitter {
+				return fmt.Errorf("job %d of a rolled-back batch is registered", id)
+			}
+		}
+		return nil
+	})
 	read("Snapshot", func() error {
 		for _, o := range f.Snapshot().Outcomes {
-			if o.Length < 1 || o.Origin == "" {
+			if o.Length < 1 || o.Origin == "" || o.Tenant == "rolled-back" {
 				return fmt.Errorf("incomplete outcome %+v", o)
 			}
 		}

@@ -78,19 +78,18 @@ type ShardedFleet struct {
 	mu   sync.RWMutex
 	hour int
 
-	// idMu guards the job store: the id registry, the record blocks and
-	// the tenant table. All three only grow (Unmarshal, which holds the
-	// world lock exclusively, replaces them wholesale), a record is
-	// complete before idMu is released, and Step is the only writer
-	// afterwards — so a reader holding the world read lock may copy the
-	// three headers under idMu (view) and then walk every record below
-	// the count it saw without further locking. submitted is that count,
-	// and the next job's sequence number.
-	idMu      sync.Mutex
-	byID      map[int]uint32 // job id -> submission sequence
-	blocks    recBlocks
-	tenants   []string          // interned Job.Tenant values; tenants[0] is ""
-	tenantIdx map[string]uint32 // tenant -> index into tenants
+	// idMu guards the job store and submitted, the number of jobs in it
+	// (and the next job's sequence number). The store only grows —
+	// Unmarshal, which also holds the world lock exclusively, replaces it
+	// wholesale — a record is complete before idMu is released, and Step
+	// is the only writer afterwards. So a reader holding the world read
+	// lock may copy the block directory and tenant table headers under
+	// idMu (view) and then walk every record below the count it saw
+	// without further locking. The id index is different: a put can move
+	// any slot of a table, so it is only read under idMu — or by Step,
+	// whose exclusive world lock keeps every writer out.
+	idMu sync.Mutex
+	jobStore
 	submitted atomic.Int64
 
 	// Serial-phase scratch and incrementally-maintained aggregates.
@@ -178,6 +177,28 @@ const recBlock = 1024
 
 func (b recBlocks) at(seq uint32) *jobRec { return &b[seq/recBlock][seq%recBlock] }
 
+// jobStore is everything the fleet keeps about the jobs it has seen:
+// the records, the index from job id to record, and the table the
+// records' tenant indices point into. It is one value so that Unmarshal
+// can build a whole store aside and swap it in only once the image has
+// proved good.
+type jobStore struct {
+	blocks    recBlocks
+	ids       idIndex           // job id -> submission sequence
+	tenants   []string          // interned Job.Tenant values; tenants[0] is ""
+	tenantIdx map[string]uint32 // tenant -> index into tenants
+}
+
+// newJobStore returns an empty store. Its tenant table holds the default
+// tenant, whose index 0 is also a zero record's.
+func newJobStore() jobStore {
+	return jobStore{
+		ids:       newIDIndex(),
+		tenants:   []string{""},
+		tenantIdx: map[string]uint32{"": 0},
+	}
+}
+
 // fleetShard owns a disjoint set of regions, the jobs currently (or
 // originally, before first placement) homed there, and the future
 // arrivals bound for them.
@@ -226,10 +247,9 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 		horizon:   horizon,
 		slots:     make(map[string]int, len(clusters)),
 		regionIdx: make(map[string]int, len(clusters)),
-		byID:      make(map[int]uint32),
+		jobStore:  newJobStore(),
 		buckets:   make(map[int]int),
 	}
-	f.resetTenants()
 	for _, c := range clusters {
 		if c.Slots < 1 {
 			return nil, fmt.Errorf("sched: cluster %s has %d slots", c.Region, c.Slots)
@@ -369,10 +389,11 @@ func (f *ShardedFleet) SubmitNowChecked(check func(hour int) error, jobs ...Job)
 
 // submitRLocked validates and admits a batch. The world read lock must
 // be held: it freezes f.hour and excludes Step. The batch becomes the
-// sequence range [first, first+len(jobs)); ids are registered as they
-// are validated (which is what catches a duplicate inside the batch) and
-// unregistered again if a later job fails, so the call allocates nothing
-// per batch.
+// sequence range [first, first+len(jobs)). Each job's record is written
+// and indexed as soon as it is validated — which is what catches a
+// duplicate inside the batch — above the count any reader has seen; if
+// a later job fails, the store is put back exactly as it was. Either way
+// the call allocates nothing per batch.
 func (f *ShardedFleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 	if stampNow {
 		for i := range jobs {
@@ -386,20 +407,31 @@ func (f *ShardedFleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 		return 0, fmt.Errorf("sched: %d jobs submitted, at most %d", n, uint32(math.MaxUint32))
 	}
 	first := uint32(n)
+	nblocks, ntenants := len(f.blocks), len(f.tenants)
 	for i := range jobs {
-		if err := f.admissible(&jobs[i]); err != nil {
-			for _, j := range jobs[:i] {
-				delete(f.byID, j.ID)
+		j := &jobs[i]
+		if err := f.admissible(j); err != nil {
+			// Undo jobs[:i]: their index slots (read through their
+			// records, so before the blocks go), any block they opened,
+			// any tenant name only they used.
+			for k := range jobs[:i] {
+				f.ids.del(f.blocks, jobs[k].ID)
 			}
+			f.blocks = f.blocks[:nblocks]
+			for _, name := range f.tenants[ntenants:] {
+				delete(f.tenantIdx, name)
+			}
+			f.tenants = f.tenants[:ntenants]
 			f.idMu.Unlock()
 			return 0, err
 		}
-		f.byID[jobs[i].ID] = first + uint32(i)
+		seq := first + uint32(i)
+		f.appendRec(seq, j, f.regionIdx[j.Origin])
+		f.ids.put(f.blocks, j.ID, seq)
 	}
-	// Past this point nothing can fail: write the records, then insert
+	// Past this point nothing can fail: publish the batch, then insert
 	// per shard.
 	for i := range jobs {
-		f.appendRec(first+uint32(i), &jobs[i])
 		f.buckets[jobs[i].Deadline()]++
 	}
 	f.submitted.Add(int64(len(jobs)))
@@ -429,7 +461,7 @@ func (f *ShardedFleet) admissible(j *Job) error {
 	if _, ok := f.slots[j.Origin]; !ok {
 		return fmt.Errorf("sched: job %d origin %q has no cluster", j.ID, j.Origin)
 	}
-	if _, dup := f.byID[j.ID]; dup {
+	if _, dup := f.ids.get(f.blocks, j.ID); dup {
 		return fmt.Errorf("sched: duplicate job id %d", j.ID)
 	}
 	if j.Arrival < f.hour {
@@ -439,20 +471,21 @@ func (f *ShardedFleet) admissible(j *Job) error {
 }
 
 // appendRec writes j's not-yet-run record at seq, the next free
-// sequence number, and returns it. idMu must be held.
-func (f *ShardedFleet) appendRec(seq uint32, j *Job) *jobRec {
+// sequence number, and returns it. originI is j.Origin's region index.
+// The fleet's idMu must be held.
+func (s *jobStore) appendRec(seq uint32, j *Job, originI int) *jobRec {
 	if seq%recBlock == 0 {
-		f.blocks = append(f.blocks, new([recBlock]jobRec))
+		s.blocks = append(s.blocks, new([recBlock]jobRec))
 	}
-	r := f.blocks.at(seq)
+	r := s.blocks.at(seq)
 	*r = jobRec{
 		id:      j.ID,
 		arrival: int32(j.Arrival),
 		length:  int32(j.Length),
 		slack:   int32(j.Slack),
 		lastRun: -1,
-		tenantI: f.internTenant(j.Tenant),
-		originI: int16(f.regionIdx[j.Origin]),
+		tenantI: s.internTenant(j.Tenant),
+		originI: int16(originI),
 		regionI: -1,
 		placed:  -1,
 	}
@@ -466,25 +499,18 @@ func (f *ShardedFleet) appendRec(seq uint32, j *Job) *jobRec {
 }
 
 // internTenant returns name's index in the tenant table, adding it on
-// first sight. idMu must be held.
-func (f *ShardedFleet) internTenant(name string) uint32 {
-	i, ok := f.tenantIdx[name]
+// first sight. The fleet's idMu must be held.
+func (s *jobStore) internTenant(name string) uint32 {
+	i, ok := s.tenantIdx[name]
 	if !ok {
 		// Clone: the table outlives the caller's batch, and must not pin
 		// whatever buffer the name was sliced from.
 		name = strings.Clone(name)
-		i = uint32(len(f.tenants))
-		f.tenants = append(f.tenants, name)
-		f.tenantIdx[name] = i
+		i = uint32(len(s.tenants))
+		s.tenants = append(s.tenants, name)
+		s.tenantIdx[name] = i
 	}
 	return i
-}
-
-// resetTenants empties the tenant table down to the default tenant,
-// whose index 0 is also a zero record's.
-func (f *ShardedFleet) resetTenants() {
-	f.tenants = []string{""}
-	f.tenantIdx = map[string]uint32{"": 0}
 }
 
 // view returns the job store as of now, for walks that run beside
@@ -687,7 +713,7 @@ func (f *ShardedFleet) Step() error {
 		// No idMu here: Step holds the exclusive world lock, and every
 		// job-store writer first takes the shared world lock.
 		for _, p := range f.policy.Plan(tick) {
-			seq, ok := f.byID[p.JobID]
+			seq, ok := f.ids.get(f.blocks, p.JobID)
 			if !ok {
 				return fmt.Errorf("sched: policy %s placed unknown job %d", f.policy.Name(), p.JobID)
 			}
@@ -848,7 +874,7 @@ func (f *ShardedFleet) Lookup(id int) (JobInfo, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	f.idMu.Lock()
-	seq, ok := f.byID[id]
+	seq, ok := f.ids.get(f.blocks, id)
 	blocks, tenants := f.blocks, f.tenants
 	f.idMu.Unlock()
 	if !ok {
@@ -874,6 +900,17 @@ func (f *ShardedFleet) Lookup(id int) (JobInfo, bool) {
 		info.MissedDeadline = r.deadline() <= f.hour
 	}
 	return info, true
+}
+
+// Has reports whether a job with this id has been submitted: Lookup's
+// second result without the view of the job. It waits for neither the
+// world lock nor a Step — the index and the ids it reads through change
+// only under idMu.
+func (f *ShardedFleet) Has(id int) bool {
+	f.idMu.Lock()
+	defer f.idMu.Unlock()
+	_, ok := f.ids.get(f.blocks, id)
+	return ok
 }
 
 // FleetStats is a cheap aggregate for monitoring (internal/schedd's

@@ -288,16 +288,11 @@ func (img *fleetImage) checkJobs() error {
 	for _, r := range img.regions {
 		regions[r] = true
 	}
-	seen := make(map[int]bool, len(img.jobs))
 	for i := range img.jobs {
 		j := &img.jobs[i]
 		if err := j.Validate(); err != nil {
 			return fmt.Errorf("sched: state restore: %w", err)
 		}
-		if seen[j.ID] {
-			return fmt.Errorf("sched: state restore: duplicate job id %d", j.ID)
-		}
-		seen[j.ID] = true
 		if !regions[j.Origin] {
 			return fmt.Errorf("sched: state restore: job %d origin %q has no cluster", j.ID, j.Origin)
 		}
@@ -390,7 +385,8 @@ func (f *ShardedFleet) Marshal() ([]byte, error) {
 // pending lists, the deadline buckets, and every incremental counter
 // are rebuilt so subsequent Steps are byte-identical to a fleet that
 // never stopped. The fleet must have been constructed over the same
-// world; a mismatch is an error and leaves the fleet unchanged.
+// world; a mismatch or a bad image is an error and leaves the fleet
+// unchanged.
 func (f *ShardedFleet) Unmarshal(data []byte) error {
 	img, err := decodeImage(data)
 	if err != nil {
@@ -410,6 +406,29 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 	if err := img.checkFQ(f.fq != nil); err != nil {
 		return err
 	}
+	// Build the new store aside: indexing the ids is also the check that
+	// no two jobs share one, the last thing that can refuse the image.
+	st := newJobStore()
+	st.blocks = make(recBlocks, 0, (len(img.jobs)+recBlock-1)/recBlock)
+	for i := range img.jobs {
+		j := &img.jobs[i]
+		if _, dup := st.ids.get(st.blocks, j.ID); dup {
+			return fmt.Errorf("sched: state restore: duplicate job id %d", j.ID)
+		}
+		seq := uint32(i)
+		r := st.appendRec(seq, &j.Job, f.regionIdx[j.Origin])
+		r.emissions = j.emissions
+		r.progress = int32(j.progress)
+		r.lastRun = int32(j.lastRun)
+		r.doneAt = int32(j.doneAt)
+		r.waitHours = int32(j.waitHours)
+		r.migrations = int32(j.migrations)
+		r.regionI = int16(j.regionI)
+		if j.done {
+			r.flags |= flagDone
+		}
+		st.ids.put(st.blocks, j.ID, seq)
+	}
 	if f.fq != nil {
 		if err := f.fq.Restore(img.fqVtime, img.fqNames, img.fqPasses); err != nil {
 			return err
@@ -418,34 +437,22 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 	f.idMu.Lock()
 	defer f.idMu.Unlock()
 
+	f.jobStore = st
+	f.submitted.Store(int64(len(img.jobs)))
 	f.hour = img.hour
 	f.slotHours = img.slotHours
 	f.emissionsG = img.emissionsOrdered
-	f.byID = make(map[int]uint32, len(img.jobs))
-	f.blocks = make(recBlocks, 0, (len(img.jobs)+recBlock-1)/recBlock)
-	f.resetTenants()
 	f.buckets = make(map[int]int)
 	f.completed, f.missedDone, f.overdueOpen, f.ranLast = 0, 0, 0, 0
 	for _, sh := range f.shards {
 		sh.active = nil
 		sh.pending = make(map[int][]uint32)
 	}
-	for i := range img.jobs {
-		j := &img.jobs[i]
-		seq := uint32(i)
-		r := f.appendRec(seq, &j.Job)
-		r.emissions = j.emissions
-		r.progress = int32(j.progress)
-		r.lastRun = int32(j.lastRun)
-		r.doneAt = int32(j.doneAt)
-		r.waitHours = int32(j.waitHours)
-		r.migrations = int32(j.migrations)
-		r.regionI = int16(j.regionI)
-		f.byID[j.ID] = seq
-		if j.done {
-			r.flags |= flagDone
+	for seq := uint32(0); seq < uint32(len(img.jobs)); seq++ {
+		r := f.blocks.at(seq)
+		if r.done() {
 			f.completed++
-			if j.doneAt > j.Deadline() {
+			if int(r.doneAt) > r.deadline() {
 				f.missedDone++
 			}
 			continue
@@ -454,7 +461,7 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 		// placement invariant — an active job lives in the shard of its
 		// current region (origin if it never ran), a future arrival
 		// waits in its origin shard's arrival bucket.
-		if d := j.Deadline(); d > img.hour {
+		if d := r.deadline(); d > img.hour {
 			f.buckets[d]++
 		} else {
 			f.overdueOpen++
@@ -467,13 +474,12 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 			homeI = r.regionI
 		}
 		sh := f.shards[f.shardOf[homeI]]
-		if j.Arrival > img.hour {
-			sh.pending[j.Arrival] = append(sh.pending[j.Arrival], seq)
+		if int(r.arrival) > img.hour {
+			sh.pending[int(r.arrival)] = append(sh.pending[int(r.arrival)], seq)
 		} else {
 			sh.active = append(sh.active, seq)
 		}
 	}
-	f.submitted.Store(int64(len(img.jobs)))
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"carbonshift/internal/tenant"
@@ -258,6 +259,58 @@ func TestStateRejectsOutOfRangeFields(t *testing.T) {
 		if _, err := restore(image(j)); err == nil {
 			t.Errorf("%s out of range accepted", name)
 		}
+	}
+}
+
+// TestStateRejectsDuplicateIDs: building the restored store's id index
+// is what detects two jobs sharing an id, so a populated fleet must come
+// through a refused image untouched — the bad store is built aside and
+// never swapped in. The duplicates sit 5000 jobs apart: the check is not
+// a neighbour comparison, and the index has split by then.
+func TestStateRejectsDuplicateIDs(t *testing.T) {
+	const horizon, n = 48, 6000
+	set := mkSet(t, horizon)
+	img := &fleetImage{
+		policy: FIFO{}.Name(), horizon: horizon, hour: 5,
+		regions: []string{"CLEAN", "DIRTY"}, slots: []int{4, 4},
+	}
+	e := img.encodeHeader(n)
+	for i := 0; i < n; i++ {
+		j := jobImage{Job: Job{ID: i, Origin: "CLEAN", Arrival: 5, Length: 2, Slack: 40}, regionI: -1, lastRun: -1}
+		if i == n-1 {
+			j.ID = 999
+		}
+		e.job(&j)
+	}
+	f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(stateJobsTenants()...); err != nil {
+		t.Fatal(err)
+	}
+	for f.Hour() < 7 {
+		if err := f.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := f.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Unmarshal(e.finish()); err == nil || !strings.Contains(err.Error(), "duplicate job id 999") {
+		t.Fatalf("image with a duplicate id: err = %v", err)
+	}
+	if after, _ := f.Marshal(); !bytes.Equal(after, before) {
+		t.Fatal("a refused image changed the fleet")
+	}
+	for _, j := range stateJobsTenants() {
+		if !f.Has(j.ID) {
+			t.Fatalf("job %d lost to a refused image", j.ID)
+		}
+	}
+	if err := f.Step(); err != nil {
+		t.Fatalf("the fleet does not step after a refused image: %v", err)
 	}
 }
 

@@ -795,11 +795,7 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 		if b.auto[i] {
 			// Skip ids already taken by earlier (possibly explicit)
 			// submissions so auto-assignment can never collide.
-			for {
-				_, taken := s.fleet.Lookup(next)
-				if !taken && !s.inBatch[next] {
-					break
-				}
+			for s.fleet.Has(next) || s.inBatch[next] {
 				next++
 			}
 			jobs[i].ID = next

@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"carbonshift/internal/rng"
@@ -120,8 +121,13 @@ func (j Job) WholeHours() int {
 // energy is consumed by jobs of each length, which is what determines
 // fleet-level carbon numbers.
 type Distribution struct {
-	Name    string
-	weights map[int]float64
+	Name string
+	// lengths ascend and ws[i] is the normalized weight of lengths[i];
+	// both are fixed at construction. Every sum below walks them in this
+	// order, which keeps the floating-point results bit-identical on
+	// every call (a map walk would randomize the low bits).
+	lengths []int
+	ws      []float64
 }
 
 // NewDistribution builds a distribution from explicit weights. Weights
@@ -149,11 +155,11 @@ func NewDistribution(name string, weights map[int]float64) (Distribution, error)
 	if total == 0 {
 		return Distribution{}, fmt.Errorf("workload: distribution %s has zero total weight", name)
 	}
-	norm := make(map[int]float64, len(weights))
-	for l, w := range weights {
-		norm[l] = w / total
+	ws := make([]float64, len(lengths))
+	for i, l := range lengths {
+		ws[i] = weights[l] / total
 	}
-	return Distribution{Name: name, weights: norm}, nil
+	return Distribution{Name: name, lengths: lengths, ws: ws}, nil
 }
 
 func mustDistribution(name string, weights map[int]float64) Distribution {
@@ -166,52 +172,44 @@ func mustDistribution(name string, weights map[int]float64) Distribution {
 
 // Weight returns the normalized weight of a job length (0 for lengths
 // not in the distribution).
-func (d Distribution) Weight(length int) float64 { return d.weights[length] }
-
-// Lengths returns the supported lengths in ascending order.
-func (d Distribution) Lengths() []int {
-	out := make([]int, 0, len(d.weights))
-	for l := range d.weights {
-		out = append(out, l)
+func (d Distribution) Weight(length int) float64 {
+	if i := sort.SearchInts(d.lengths, length); i < len(d.lengths) && d.lengths[i] == length {
+		return d.ws[i]
 	}
-	sort.Ints(out)
-	return out
+	return 0
 }
 
+// Lengths returns a copy of the supported lengths in ascending order
+// (empty for the zero Distribution).
+func (d Distribution) Lengths() []int { return slices.Clone(d.lengths) }
+
 // WeightedMean combines a per-length metric into the distribution's
-// fleet-level value: Σ weight(l) · value(l). Lengths absent from values
-// contribute zero. Summation runs in ascending length order so the
-// floating-point result is identical on every call (map iteration
-// order would randomize the low bits).
+// fleet-level value: Σ weight(l) · value(l), summed in ascending length
+// order. Lengths absent from values contribute zero.
 func (d Distribution) WeightedMean(values map[int]float64) float64 {
 	var out float64
-	for _, l := range d.Lengths() {
-		out += d.weights[l] * values[l]
+	for i, l := range d.lengths {
+		out += d.ws[i] * values[l]
 	}
 	return out
 }
 
 // LongJobShare returns the weight carried by jobs strictly longer than
-// the given number of hours. Like WeightedMean, it sums in ascending
-// length order for bit-stable results.
+// the given number of hours, summed in ascending length order.
 func (d Distribution) LongJobShare(hours int) float64 {
 	var out float64
-	for _, l := range d.Lengths() {
+	for i, l := range d.lengths {
 		if l > hours {
-			out += d.weights[l]
+			out += d.ws[i]
 		}
 	}
 	return out
 }
 
-// Sample draws a job length from the distribution.
+// Sample draws a job length from the distribution. It allocates
+// nothing and takes one draw from src.
 func (d Distribution) Sample(src *rng.Source) int {
-	lengths := d.Lengths()
-	ws := make([]float64, len(lengths))
-	for i, l := range lengths {
-		ws[i] = d.weights[l]
-	}
-	return lengths[src.Pick(ws)]
+	return d.lengths[src.Pick(d.ws)]
 }
 
 // The three job-length weightings of Figure 10. Equal spreads energy
