@@ -33,11 +33,41 @@ func traceBits(traces ...*trace.Trace) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// syntheticRegions are the off-catalog mixes of TestTraceBitsGolden (e).
+func syntheticRegions() []regions.Region {
+	tiny := regions.Region{Code: "X-TINYFLEX", Lat: 35, Lon: -115, DemandSwing: 1.2}
+	tiny.Mix[regions.Nuclear] = 0.5
+	tiny.Mix[regions.Solar] = 0.2
+	tiny.Mix[regions.Wind] = 0.299999
+	tiny.Mix[regions.Hydro] = 4e-7
+	tiny.Mix[regions.Coal] = 5e-7 // a fifth of it flexible: the four shares sum to 10⁻⁶
+	tiny.Mix[regions.Gas] = 3e-7
+	tiny.Mix[regions.Oil] = 2e-7
+
+	none := regions.Region{Code: "X-NOFLEX", Lat: 52, Lon: 10, DemandSwing: 1}
+	none.Mix[regions.Nuclear] = 0.45
+	none.Mix[regions.Biomass] = 0.1
+	none.Mix[regions.Geothermal] = 0.05
+	none.Mix[regions.Solar] = 0.2
+	none.Mix[regions.Wind] = 0.2
+
+	sunny := regions.Region{Code: "X-SOLAR", Lat: -33, Lon: 151, DemandSwing: 0.9, DeltaRenew: 0.06}
+	sunny.Mix[regions.Solar] = 0.6
+	sunny.Mix[regions.Wind] = 0.1
+	sunny.Mix[regions.Hydro] = 0.1
+	sunny.Mix[regions.Gas] = 0.1
+	sunny.Mix[regions.Coal] = 0.05
+	sunny.Mix[regions.Oil] = 0.05
+	return []regions.Region{tiny, none, sunny}
+}
+
 // TestTraceBitsGolden pins the simulator's output bit for bit. The
-// hashes were recorded from the one-loop simulate that preceded the
-// weather/dispatch split, so they are the proof that restructuring the
-// kernel (hoisted trig, integer calendar walk, skipped zero-share Pow)
-// changed no sample.
+// hashes of (a)–(c) were recorded from the one-loop simulate that
+// preceded the weather/dispatch split, so they are the proof that
+// restructuring the kernel (hoisted trig, integer calendar walk, skipped
+// zero-share Pow) changed no sample; (d) and (e) were recorded on amd64
+// from the two-stage kernel that still called math.Pow once per flexible
+// source, ahead of the rewrite that shares one logarithm among them.
 func TestTraceBitsGolden(t *testing.T) {
 	got := map[string]string{}
 	var order []string
@@ -78,6 +108,32 @@ func TestTraceBitsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		record("start2021-06-15T07/100h/seed9/"+code, traceBits(tr))
+	}
+
+	// (d) The catalog over 576 hours, the world every online server
+	// generates: the drift's progress and the irradiance and wind means
+	// are taken over the short period, so no hour repeats a sample of (a).
+	short, err := GenerateAll(Config{Seed: 7, Hours: 576})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all = all[:0]
+	for _, code := range short.Regions() {
+		all = append(all, short.MustGet(code))
+	}
+	record("catalog/576h/seed7", traceBits(all...))
+
+	// (e) Three mixes that push the flexible-dispatch level where the
+	// catalog does not: a flexible share of 10⁻⁶ (all four sources
+	// present, level in the hundreds of thousands), no flexible source at
+	// all, and a solar-heavy drifting grid with a twelve-hour oversupply
+	// run most days (wind curtailed, then solar) and levels down to 0.005.
+	for _, r := range syntheticRegions() {
+		tr, err := GenerateRegion(r, Config{Seed: 3, Hours: 8760})
+		if err != nil {
+			t.Fatal(err)
+		}
+		record("synthetic/8760h/seed3/"+r.Code, traceBits(tr))
 	}
 
 	path := filepath.Join("testdata", "trace_bits.golden")
