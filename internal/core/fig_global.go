@@ -222,9 +222,8 @@ func (l *Lab) Fig4(ctx context.Context) (*Table, error) {
 	if len(codes) > 40 {
 		codes = codes[:40]
 	}
-	sort.Slice(codes, func(a, b int) bool {
-		return set.MustGet(codes[a]).Mean() < set.MustGet(codes[b]).Mean()
-	})
+	means := regionMeans(set, codes)
+	sort.Slice(codes, func(a, b int) bool { return means[codes[a]] < means[codes[b]] })
 
 	t := &Table{
 		ID:      "fig4",

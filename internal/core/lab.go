@@ -251,3 +251,14 @@ func MeanOver(codes []string, f func(code string) float64) float64 {
 	}
 	return s / float64(len(codes))
 }
+
+// regionMeans takes each listed region's mean intensity once. A mean is
+// a sum over the whole trace, so a figure that compares regions pairwise
+// or sorts by it looks the value up instead of asking the trace again.
+func regionMeans(set *trace.Set, codes []string) map[string]float64 {
+	means := make(map[string]float64, len(codes))
+	for _, code := range codes {
+		means[code] = set.MustGet(code).Mean()
+	}
+	return means
+}

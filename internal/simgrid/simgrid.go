@@ -34,10 +34,13 @@
 // The dispatch stage (weather.dispatch) additionally reads the region's
 // Mix and DeltaRenew and the config's ExtraRenewables, and turns any
 // prefix of the weather into carbon intensity, hour by independent
-// hour. Generate, GenerateRegion and the cached entry points (cache.go)
-// run one after the other for a whole base trace; WhatIf draws the
-// weather once and dispatches it at several ExtraRenewables levels over
-// the hours its caller reads, handing the series back uncached.
+// hour; an hour's cost is its transcendentals, so the four
+// flexible-source powers are formed from one logarithm (tiltedShares)
+// and the three weather processes advance in one loop. Generate,
+// GenerateRegion and the cached entry points (cache.go) run one after
+// the other for a whole base trace; WhatIf draws the weather once and
+// dispatches it at several ExtraRenewables levels over the hours its
+// caller reads, handing the series back uncached.
 package simgrid
 
 import (
@@ -221,34 +224,25 @@ func Greener(r regions.Region, add float64) regions.Region {
 // solar+wind (negative shift moves the other way). The result is
 // clamped so no share goes negative.
 func shiftToRenewables(mix regions.Mix, shift float64) regions.Mix {
+	f, rshare := mix.FossilShare(), mix.RenewableShare()
 	if shift > 0 {
-		if f := mix.FossilShare(); shift > f {
+		if shift > f {
 			shift = f
 		}
-	} else {
-		if rshare := mix.RenewableShare(); -shift > rshare {
-			shift = -rshare
-		}
+	} else if -shift > rshare {
+		shift = -rshare
 	}
 	if shift == 0 {
 		return mix
 	}
+	// Each side gives and takes in proportion to its sources' shares; a
+	// receiving side with no share of its own takes it all on solar (or,
+	// moving the other way, on gas).
 	out := mix
-	// Remove from the donor side proportionally.
 	if shift > 0 {
-		f := mix.FossilShare()
-		for _, s := range []regions.Source{regions.Coal, regions.Gas, regions.Oil} {
-			out[s] -= shift * mix[s] / f
-		}
-	} else {
-		rshare := mix.RenewableShare()
-		for _, s := range []regions.Source{regions.Solar, regions.Wind} {
-			out[s] += shift * mix[s] / rshare // shift < 0: reduces
-		}
-	}
-	// Add to the receiver side proportionally.
-	if shift > 0 {
-		rshare := mix.RenewableShare()
+		out[regions.Coal] -= shift * mix[regions.Coal] / f
+		out[regions.Gas] -= shift * mix[regions.Gas] / f
+		out[regions.Oil] -= shift * mix[regions.Oil] / f
 		if rshare == 0 {
 			out[regions.Solar] += shift
 		} else {
@@ -256,13 +250,14 @@ func shiftToRenewables(mix regions.Mix, shift float64) regions.Mix {
 			out[regions.Wind] += shift * mix[regions.Wind] / rshare
 		}
 	} else {
-		f := mix.FossilShare()
+		out[regions.Solar] += shift * mix[regions.Solar] / rshare // shift < 0: reduces
+		out[regions.Wind] += shift * mix[regions.Wind] / rshare
 		if f == 0 {
 			out[regions.Gas] -= shift
 		} else {
-			for _, s := range []regions.Source{regions.Coal, regions.Gas, regions.Oil} {
-				out[s] -= shift * mix[s] / f
-			}
+			out[regions.Coal] -= shift * mix[regions.Coal] / f
+			out[regions.Gas] -= shift * mix[regions.Gas] / f
+			out[regions.Oil] -= shift * mix[regions.Oil] / f
 		}
 	}
 	return out
@@ -299,17 +294,28 @@ type weather struct {
 // TestTraceBitsGolden pins every sample's bits, and regrouping a sum or
 // product (say, adding the weekly and seasonal terms ahead of the hour
 // loop) rounds differently.
+//
+// The cloud and wind AR(1) chains advance in the one hour loop, beside
+// the demand noise. The three generators are independent, so each
+// stream's values are those of a loop of its own whatever the
+// interleaving; one pass writes each array once and lets an hour's three
+// Log–Cos–Exp dependency chains overlap in the pipeline.
 func drawWeather(r regions.Region, cfg Config) *weather {
 	n := cfg.Hours
 	src := rngFor(r.Code, cfg)
 	// The three streams are split in this order whatever is drawn from
 	// them afterwards: cloud, wind, demand noise.
+	cloudSrc, windSrc, demandSrc := src.Split(), src.Split(), src.Split()
 	w := &weather{
-		irr:    cloudSeries(n, src.Split()), // the cloud factor, scaled to irradiance in place below
-		wind:   windSeries(n, src.Split()),
+		irr:    make([]float64, n),
+		wind:   make([]float64, n),
 		demand: make([]float64, n),
 	}
-	demandSrc := src.Split()
+	// Cloud cover and wind are unit-variance AR(1) processes, the cloud
+	// the slower of the two.
+	const cloudPhi, windPhi = 0.995, 0.985
+	cloudSigma, windSigma := math.Sqrt(1-cloudPhi*cloudPhi), math.Sqrt(1-windPhi*windPhi)
+	cloud, gust := cloudSrc.Norm(0, 1), windSrc.Norm(0, 1)
 
 	// By hour of day: the sun's hour angle and the two-harmonic diurnal
 	// demand shape, peaking in the early evening with a secondary
@@ -355,12 +361,18 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 
 		for ; hod < 24 && h < n; hod, h = hod+1, h+1 {
 			// Solar elevation (latitude, declination, local hour) times
-			// the cloud process.
+			// the cloud process, mapped through a logistic into an
+			// attenuation factor in [0.25, 1].
 			sinElev := sinSin + cosCos*cosHourAngle[hod]
 			if sinElev < 0 {
 				sinElev = 0
 			}
-			w.irr[h] = sinElev * w.irr[h]
+			cloud = cloudPhi*cloud + cloudSrc.Norm(0, cloudSigma)
+			w.irr[h] = sinElev * (0.25 + 0.75/(1+math.Exp(-1.2*cloud)))
+
+			// Wind: a capacity factor in (0, 1).
+			gust = windPhi*gust + windSrc.Norm(0, windSigma)
+			w.wind[h] = 1 / (1 + math.Exp(-1.1*gust))
 
 			d := 1 + diurnal[hod] + weekly + seasonal + demandSrc.Norm(0, demandNoise)
 			if d < demandFloor {
@@ -471,8 +483,9 @@ func (w *weather) dispatch(r regions.Region, extra float64, hours int) []float64
 // dispatchFlexible splits the residual demand among the flexible
 // sources: hydro, the non-baseload tranche of coal, gas, and oil. Each
 // source's target output tilts with the residual level relative to its
-// annual share (see the tilt constants), then the outputs are rescaled
-// so they sum exactly to the residual, preserving energy balance and
+// annual share (see the tilt constants; tiltedShares takes the four
+// powers of the one level together), then the outputs are rescaled so
+// they sum exactly to the residual, preserving energy balance and
 // keeping annual energy shares near the catalog mix.
 func dispatchFlexible(mix regions.Mix, residual float64) (hydro, coalFlex, gas, oil float64) {
 	hydroShare := mix[regions.Hydro]
@@ -484,10 +497,7 @@ func dispatchFlexible(mix regions.Mix, residual float64) (hydro, coalFlex, gas, 
 		return 0, 0, residual, 0
 	}
 	level := residual / flex // ~1 at average conditions
-	hydro = tilted(hydroShare, level, hydroTilt)
-	coalFlex = tilted(coalFlexShare, level, coalFlexTilt)
-	gas = tilted(mix[regions.Gas], level, gasTilt)
-	oil = tilted(mix[regions.Oil], level, oilTilt)
+	hydro, coalFlex, gas, oil = tiltedShares(hydroShare, coalFlexShare, mix[regions.Gas], mix[regions.Oil], level)
 	sum := hydro + coalFlex + gas + oil
 	if sum <= 0 {
 		return 0, 0, residual, 0
@@ -496,43 +506,105 @@ func dispatchFlexible(mix regions.Mix, residual float64) (hydro, coalFlex, gas, 
 	return hydro * scale, coalFlex * scale, gas * scale, oil * scale
 }
 
-// tilted is share × level^tilt. A source the mix does not have skips the
-// power: level is positive and the power finite, so the product is the
-// zero share itself. 72 of the 123 catalog regions lack at least one
-// flexible source (49 burn no oil, 28 no coal, 17 have no hydro).
+// splitTilt is how math.Pow splits a positive exponent y before it
+// multiplies anything: x^y = Exp(frac·Log x) · x^whole, with frac in
+// (−0.5, 0.5] — taken in float64 arithmetic, so it is not the decimal
+// the constant suggests — and the integer power formed by squaring.
+func splitTilt(y float64) (frac float64, whole int) {
+	yi, yf := math.Modf(y)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	return yf, int(yi)
+}
+
+// The fractional exponents of the four tilts: −0.45 and −0.1 beside a
+// first power for hydro and coal, and one −0.4 beside the square for gas
+// and the cube for oil. tiltedShares multiplies out exactly these whole
+// parts and takes one Exp for the two peakers, so a tilt edited into a
+// different split has to stop the program, not bend the traces.
+var hydroFrac, coalFlexFrac, peakerFrac = func() (hydro, coalFlex, peaker float64) {
+	hydro, hydroWhole := splitTilt(hydroTilt)
+	coalFlex, coalFlexWhole := splitTilt(coalFlexTilt)
+	gas, gasWhole := splitTilt(gasTilt)
+	oil, oilWhole := splitTilt(oilTilt)
+	if hydroWhole != 1 || coalFlexWhole != 1 || gasWhole != 2 || oilWhole != 3 ||
+		math.Float64bits(gas) != math.Float64bits(oil) {
+		panic("simgrid: the tilt exponents no longer split the way tiltedShares multiplies them out")
+	}
+	return hydro, coalFlex, gas
+}()
+
+// tiltedShares is each flexible share × level^(its tilt), every product
+// the float64 that share × math.Pow would give, for one logarithm
+// instead of four. Pow computes x^y as Exp(frac·Log x) times x^whole,
+// the integer power by squaring on Frexp(x)'s mantissa with the binary
+// exponents summed beside it and applied last (see splitTilt). Log(level)
+// and Frexp(level) do not depend on the tilt, and gas and oil have the
+// same frac, so the four powers need one Log, one Frexp, at most three
+// Exp and the multiplications Pow would do, in Pow's order. A source the
+// mix does not have skips its power and stays the zero share itself:
+// 72 of the 123 catalog regions lack at least one flexible source (49
+// burn no oil, 28 no coal, 17 have no hydro). That the result is Pow's,
+// bit for bit, is the implementation's doing and not the definition's:
+// TestFlexPowersMatchPow holds it to math.Pow on the running toolchain,
+// and TestTraceBitsGolden to the traces Pow itself produced.
+func tiltedShares(hydroShare, coalFlexShare, gasShare, oilShare, level float64) (hydro, coalFlex, gas, oil float64) {
+	if !(level > 0 && level <= math.MaxFloat64) {
+		// Zero, negative, infinite or NaN — nothing dispatch produces —
+		// goes through Pow's special cases, not around them.
+		return tilted(hydroShare, level, hydroTilt), tilted(coalFlexShare, level, coalFlexTilt),
+			tilted(gasShare, level, gasTilt), tilted(oilShare, level, oilTilt)
+	}
+	lg := math.Log(level)
+	x1, xe := math.Frexp(level)
+	hydro, coalFlex, gas, oil = hydroShare, coalFlexShare, gasShare, oilShare
+	if hydroShare != 0 {
+		hydro *= scaleByPow2(math.Exp(hydroFrac*lg)*x1, xe)
+	}
+	if coalFlexShare != 0 {
+		coalFlex *= scaleByPow2(math.Exp(coalFlexFrac*lg)*x1, xe)
+	}
+	if gasShare != 0 || oilShare != 0 {
+		e := math.Exp(peakerFrac * lg)
+		// x1² with its mantissa brought back into [½, 1).
+		sq, sqe := x1*x1, xe<<1
+		if sq < .5 {
+			sq += sq
+			sqe--
+		}
+		if gasShare != 0 {
+			gas *= scaleByPow2(e*sq, sqe)
+		}
+		if oilShare != 0 {
+			oil *= scaleByPow2(e*x1*sq, xe+sqe)
+		}
+	}
+	return hydro, coalFlex, gas, oil
+}
+
+// scaleByPow2 is math.Ldexp(a, e) for finite a. When 2^e is itself a
+// normal float64 the product a·2^e is one correctly rounded operation on
+// the same real number Ldexp rounds (exact when the result is normal,
+// rounded once when it is subnormal, 0 or ±Inf beyond), so the two agree
+// without Ldexp's unpacking; past that range — an oil or gas power about
+// to over- or underflow — Ldexp does it.
+func scaleByPow2(a float64, e int) float64 {
+	if e < -1022 || e > 1023 {
+		return math.Ldexp(a, e)
+	}
+	return a * math.Float64frombits(uint64(e+1023)<<52)
+}
+
+// tilted is share × level^tilt by math.Pow itself, for the levels
+// tiltedShares does not take a logarithm of. A zero share is returned as
+// it is, whatever the level.
 func tilted(share, level, tilt float64) float64 {
 	if share == 0 {
 		return share
 	}
 	return share * math.Pow(level, tilt)
-}
-
-// cloudSeries is a slowly varying attenuation factor in [0.25, 1].
-func cloudSeries(n int, src *rng.Source) []float64 {
-	out := make([]float64, n)
-	x := src.Norm(0, 1)
-	const phi = 0.995
-	sigma := math.Sqrt(1 - phi*phi)
-	for h := 0; h < n; h++ {
-		x = phi*x + src.Norm(0, sigma)
-		// Map the unit-variance AR(1) through a logistic into the
-		// attenuation range.
-		out[h] = 0.25 + 0.75/(1+math.Exp(-1.2*x))
-	}
-	return out
-}
-
-// windSeries is an autocorrelated capacity-factor process in (0, 1).
-func windSeries(n int, src *rng.Source) []float64 {
-	out := make([]float64, n)
-	x := src.Norm(0, 1)
-	const phi = 0.985
-	sigma := math.Sqrt(1 - phi*phi)
-	for h := 0; h < n; h++ {
-		x = phi*x + src.Norm(0, sigma)
-		out[h] = 1 / (1 + math.Exp(-1.1*x))
-	}
-	return out
 }
 
 func mean(xs []float64) float64 {

@@ -11,6 +11,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"carbonshift/internal/rng"
@@ -193,7 +194,9 @@ func SumBottomK(xs []float64, k int) float64 {
 
 // BottomKIndices returns the indices of the k smallest elements of xs,
 // in ascending order of value (ties broken by index). It is used where
-// the schedule itself — not just its cost — is needed.
+// the schedule itself — not just its cost — is needed. The order is
+// total, so selecting the k smallest and sorting only those gives the
+// slice a full sort would have been cut to, in O(n + k log k).
 func BottomKIndices(xs []float64, k int) []int {
 	if k < 0 || k > len(xs) {
 		panic(fmt.Sprintf("stats: BottomKIndices k=%d of %d elements", k, len(xs)))
@@ -202,13 +205,58 @@ func BottomKIndices(xs []float64, k int) []int {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if xs[idx[a]] != xs[idx[b]] {
-			return xs[idx[a]] < xs[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
+	if 0 < k && k < len(idx) {
+		selectKIndices(xs, idx, k)
+	}
+	slices.SortFunc(idx[:k], func(a, b int) int { return compareIndices(xs, a, b) })
 	return idx[:k]
+}
+
+// compareIndices orders indices into xs by value, then by index.
+func compareIndices(xs []float64, a, b int) int {
+	switch {
+	case xs[a] < xs[b]:
+		return -1
+	case xs[a] > xs[b]:
+		return 1
+	}
+	return a - b
+}
+
+// selectKIndices is selectK over indices into xs under compareIndices:
+// afterwards idx[:k] holds the k first indices of that order, unsorted.
+func selectKIndices(xs []float64, idx []int, k int) {
+	lo, hi := 0, len(idx)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if compareIndices(xs, idx[mid], idx[lo]) < 0 {
+			idx[mid], idx[lo] = idx[lo], idx[mid]
+		}
+		if compareIndices(xs, idx[hi], idx[lo]) < 0 {
+			idx[hi], idx[lo] = idx[lo], idx[hi]
+		}
+		if compareIndices(xs, idx[hi], idx[mid]) < 0 {
+			idx[hi], idx[mid] = idx[mid], idx[hi]
+		}
+		pivot := idx[mid]
+		idx[mid], idx[hi] = idx[hi], idx[mid]
+		p := lo
+		for j := lo; j < hi; j++ {
+			if compareIndices(xs, idx[j], pivot) < 0 {
+				idx[p], idx[j] = idx[j], idx[p]
+				p++
+			}
+		}
+		idx[p], idx[hi] = idx[hi], idx[p]
+		switch {
+		case p == k-1 || p == k:
+			return
+		case p < k-1:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
 }
 
 // selectK partially sorts buf so that buf[:k] holds the k smallest

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +215,42 @@ func TestBottomKIndices(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("BottomKIndices = %v, want %v", got, want)
+		}
+	}
+
+	// Differential against the full sort BottomKIndices used to be:
+	// every index ordered by (value, index), cut to k. The order is
+	// total, so the two must be the same slice, ties and all.
+	src := rng.New(5)
+	shapes := map[string]func(i int) float64{
+		"random":     func(int) float64 { return src.Float64() },
+		"heavy ties": func(int) float64 { return float64(src.Intn(3)) },
+		"all equal":  func(int) float64 { return 4.5 },
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(-i) },
+		"sawtooth":   func(i int) float64 { return float64(i % 7) },
+	}
+	for name, shape := range shapes {
+		for _, n := range []int{1, 2, 3, 10, 97, 500} {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = shape(i)
+			}
+			full := make([]int, n)
+			for i := range full {
+				full[i] = i
+			}
+			sort.Slice(full, func(a, b int) bool {
+				if xs[full[a]] != xs[full[b]] {
+					return xs[full[a]] < xs[full[b]]
+				}
+				return full[a] < full[b]
+			})
+			for _, k := range []int{0, 1, n / 3, n / 2, n - 1, n} {
+				if got := BottomKIndices(xs, k); !slices.Equal(got, full[:k]) {
+					t.Fatalf("%s, n=%d k=%d: BottomKIndices = %v, full sort gives %v", name, n, k, got, full[:k])
+				}
+			}
 		}
 	}
 }

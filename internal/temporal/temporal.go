@@ -229,16 +229,9 @@ type rankTree struct {
 
 func newRankTree(vals []float64) *rankTree {
 	n := len(vals)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if vals[idx[a]] != vals[idx[b]] {
-			return vals[idx[a]] < vals[idx[b]]
-		}
-		return idx[a] < idx[b]
-	})
+	// Every index, ordered by value and then by index: equal values take
+	// adjacent ranks in the order they appear.
+	idx := stats.BottomKIndices(vals, n)
 	t := &rankTree{
 		rank:  make([]int, n),
 		valAt: make([]float64, n+1),

@@ -2,6 +2,7 @@ package temporal
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -272,6 +273,52 @@ func TestRankTreeKSmallest(t *testing.T) {
 	}
 	if got := tr.kSmallestSum(0); got != 0 {
 		t.Fatalf("kSmallestSum(0) = %v", got)
+	}
+
+	// A universe of four distinct values, 150 copies of each on average:
+	// ranks must run in (value, index) order — equal values in the order
+	// they appear — and a window sliding over the duplicates must keep
+	// summing the right k. The values are halves, so every sum is exact.
+	src := rng.New(11)
+	vals = make([]float64, 600)
+	for i := range vals {
+		vals[i] = []float64{1, 2, 2.5, 7}[src.Intn(4)]
+	}
+	tr = newRankTree(vals)
+	byRank := make([]int, len(vals)+1)
+	for i, r := range tr.rank {
+		if r < 1 || r > len(vals) || byRank[r] != 0 {
+			t.Fatalf("rank[%d] = %d is out of range or taken", i, r)
+		}
+		byRank[r] = i + 1
+	}
+	for r := 2; r <= len(vals); r++ {
+		a, b := byRank[r-1]-1, byRank[r]-1
+		if vals[a] > vals[b] || (vals[a] == vals[b] && a > b) {
+			t.Fatalf("ranks %d and %d hold (%v, #%d) and (%v, #%d): not in (value, index) order",
+				r-1, r, vals[a], a, vals[b], b)
+		}
+	}
+	const window = 48
+	for i := 0; i < window; i++ {
+		tr.add(i)
+	}
+	for start := 0; ; start++ {
+		sorted := slices.Sorted(slices.Values(vals[start : start+window]))
+		for _, k := range []int{1, 7, 24, window} {
+			var want float64
+			for _, v := range sorted[:k] {
+				want += v
+			}
+			if got := tr.kSmallestSum(k); got != want {
+				t.Fatalf("window at %d: kSmallestSum(%d) = %v, want %v", start, k, got, want)
+			}
+		}
+		if start+window == len(vals) {
+			break
+		}
+		tr.remove(start)
+		tr.add(start + window)
 	}
 }
 
