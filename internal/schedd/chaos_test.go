@@ -256,7 +256,7 @@ func TestReplicationChaos(t *testing.T) {
 			if src.Intn(2) == 0 {
 				proxy.cut()
 			} else {
-				follower.stopTail()
+				follower.role.Load().session.stop()
 				follower.Start(ctx)
 				restarts++
 			}
@@ -299,7 +299,7 @@ func TestReplicationChaos(t *testing.T) {
 			t.Fatalf("job %d missing on the follower", j.ID)
 		}
 	}
-	st := follower.fol.tail.Stats()
+	st := follower.role.Load().session.tail.Stats()
 	if st.Reconnects == 0 {
 		t.Error("no reconnects recorded although connections were cut")
 	}

@@ -364,15 +364,12 @@ func (s *Server) liveJournal() *wal.Journal {
 	return d.journal.Load()
 }
 
-// Close stops the replication goroutines (followers), flushes and
-// closes the journal, and releases the data directory's lock. The
-// server must no longer be serving; idempotent, nil-safe without a
-// DataDir.
+// Close ends replication for good (followers: no later Start or failed
+// promotion restarts it), flushes and closes the journal, and releases
+// the data directory's lock. The server must no longer be serving;
+// idempotent, nil-safe without a DataDir.
 func (s *Server) Close() error {
-	if s.fol != nil {
-		s.stopTail()
-		s.fol.probeWG.Wait()
-	}
+	s.role.Load().session.close()
 	d := s.dur.Load()
 	if d == nil {
 		return nil

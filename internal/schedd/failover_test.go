@@ -259,8 +259,8 @@ func TestAutoPromoteOnProbeLoss(t *testing.T) {
 	_ = primary
 	// Rebuild the follower's probing config: replicatedPair leaves
 	// probing off, so re-create with it on.
-	follower.fol.cfg.ProbeInterval = 2 * time.Millisecond
-	follower.fol.cfg.ProbeFailures = 3
+	follower.role.Load().session.cfg.ProbeInterval = 2 * time.Millisecond
+	follower.role.Load().session.cfg.ProbeFailures = 3
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	follower.Start(ctx)
@@ -363,7 +363,7 @@ func TestFailedPromotionResumesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer held.Close()
-	bootstraps := follower.fol.tail.Stats().Bootstraps
+	bootstraps := follower.role.Load().session.tail.Stats().Bootstraps
 	if promoted, err := follower.Promote(); err == nil || promoted {
 		t.Fatalf("promote into a held data dir = %v, %v; want an error", promoted, err)
 	}
@@ -374,7 +374,7 @@ func TestFailedPromotionResumesTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "replication after the failed promotion", func() bool { return follower.fleet.Jobs() == 2 })
-	if got := follower.fol.tail.Stats().Bootstraps; got != bootstraps {
+	if got := follower.role.Load().session.tail.Stats().Bootstraps; got != bootstraps {
 		t.Fatalf("tail re-bootstrapped (%d -> %d) instead of resuming from its cursor", bootstraps, got)
 	}
 
@@ -487,4 +487,27 @@ func TestPromotedPrimaryReboots(t *testing.T) {
 func decodeBody(resp *http.Response, out any) error {
 	defer resp.Body.Close()
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// TestClosedFollowerStaysClosed: Close ends replication for good. A
+// resumeTail after it — what a failed auto-promotion in the probe loop
+// runs — must not restart the tail (a restarted probe loop would join
+// the wait group Close is blocked on), and neither may Start.
+func TestClosedFollowerStaysClosed(t *testing.T) {
+	_, follower, _, _, _, _ := replicatedPair(t, sched.FIFO{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	follower.Start(ctx)
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	follower.resumeTail()
+	follower.Start(ctx)
+	f := follower.role.Load().session
+	f.runMu.Lock()
+	running := f.running
+	f.runMu.Unlock()
+	if running {
+		t.Fatal("the tail runs again after Close")
+	}
 }

@@ -6,9 +6,10 @@ package schedd
 // primary's /v1/stats config echo) that holds no authority of its own:
 // its fleet is driven exclusively by the replication tail, reads are
 // served from the replicated state with an X-Replication-Lag-Hours
-// header, and writes bounce with 421 plus a primary hint. It becomes a
-// primary only through Promote — explicitly via POST /v1/repl/promote,
-// or automatically when the health-probe loop loses the primary.
+// header, and writes bounce with 421 plus a primary hint (the follower
+// role, repl.go). It becomes a primary only through Promote —
+// explicitly via POST /v1/repl/promote, or automatically when the
+// health-probe loop loses the primary.
 
 import (
 	"context"
@@ -47,24 +48,24 @@ type FollowerConfig struct {
 	OnWatermark func(hour int)
 }
 
-// followerState is the replication half of a Server started by
-// NewFollower. It outlives promotion (the tail's final cursor and
-// counters stay visible in /v1/stats).
+// followerState is the replication session of a Server built by
+// NewFollower: the tail, the probes and the primary they reach. Both
+// the follower's role and the primary role it promotes to hold it (the
+// tail's final cursor and counters stay visible in /v1/stats).
 type followerState struct {
 	cfg  FollowerConfig
 	tail *repl.Tail
 	hc   *http.Client
 
-	// runMu guards the tail goroutine's lifecycle; promoteMu serializes
-	// Promote against itself and keeps the probe loop from racing an
-	// explicit promotion.
-	runMu     sync.Mutex
-	promoteMu sync.Mutex
-	parent    context.Context
-	cancel    context.CancelFunc
-	running   bool
-	tailWG    sync.WaitGroup
-	probeWG   sync.WaitGroup
+	// runMu guards the tail goroutine's lifecycle. closed is set once,
+	// by Close: after it neither Start nor resumeTail runs the tail again.
+	runMu   sync.Mutex
+	parent  context.Context
+	cancel  context.CancelFunc
+	running bool
+	closed  bool
+	tailWG  sync.WaitGroup
+	probeWG sync.WaitGroup
 }
 
 // NewFollower builds a read-only hot standby replicating the primary
@@ -89,27 +90,29 @@ func NewFollower(set *trace.Set, clusters []sched.Cluster, cfg Config, fcfg Foll
 	if fcfg.ProbeFailures <= 0 {
 		fcfg.ProbeFailures = 3
 	}
-	s.role.Store(roleFollower)
-	s.fol = &followerState{
+	f := &followerState{
 		cfg:  fcfg,
 		hc:   hc,
 		tail: repl.NewTail(fcfg.Primary, s, hc, repl.TailConfig{ReconnectDelay: fcfg.ReconnectDelay}),
 	}
-	s.fol.tail.Register(s.Metrics())
+	f.tail.Register(s.Metrics())
+	s.onWatermark = fcfg.OnWatermark
+	s.role.Store(followerRole(f))
 	return s, nil
 }
 
 // Start launches the replication tail (and, when ProbeInterval is set,
 // the primary health-probe loop) under ctx. A no-op on primaries, on
-// an already-running follower, and after promotion.
+// an already-running follower, after promotion, and after Close.
 func (s *Server) Start(ctx context.Context) {
-	if s.fol == nil || !s.isFollower() {
+	r := s.role.Load()
+	if !r.following {
 		return
 	}
-	f := s.fol
+	f := r.session
 	f.runMu.Lock()
 	defer f.runMu.Unlock()
-	if f.running {
+	if f.running || f.closed {
 		return
 	}
 	f.parent = ctx
@@ -128,16 +131,15 @@ func (s *Server) Start(ctx context.Context) {
 		f.probeWG.Add(1)
 		go func() {
 			defer f.probeWG.Done()
-			s.probeLoop(cctx)
+			s.probeLoop(cctx, f)
 		}()
 	}
 }
 
-// stopTail cancels the tail goroutine and waits for it; the cursor
+// stop cancels the tail goroutine and waits for it; the cursor
 // survives, so a later Start resumes the stream with no gap and no
 // double-apply.
-func (s *Server) stopTail() {
-	f := s.fol
+func (f *followerState) stop() {
 	f.runMu.Lock()
 	if f.cancel != nil {
 		f.cancel()
@@ -146,10 +148,26 @@ func (s *Server) stopTail() {
 	f.tailWG.Wait()
 }
 
+// close ends replication for good: closed keeps Start and resumeTail
+// from running the tail again — a failed auto-promotion racing Close
+// would otherwise restart a probe loop into the wait group Close is
+// blocked on — then the tail and the probe loop stop. A born primary
+// has no session: nothing to close.
+func (f *followerState) close() {
+	if f == nil {
+		return
+	}
+	f.runMu.Lock()
+	f.closed = true
+	f.runMu.Unlock()
+	f.stop()
+	f.probeWG.Wait()
+}
+
 // resumeTail restarts replication after a failed promotion, so a
 // follower never silently stops tracking its primary.
 func (s *Server) resumeTail() {
-	f := s.fol
+	f := s.role.Load().session
 	f.runMu.Lock()
 	parent := f.parent
 	f.runMu.Unlock()
@@ -159,10 +177,9 @@ func (s *Server) resumeTail() {
 }
 
 // probeLoop watches the primary's /healthz and promotes this follower
-// after ProbeFailures consecutive losses. It exits once the server is
-// no longer a follower or ctx ends.
-func (s *Server) probeLoop(ctx context.Context) {
-	f := s.fol
+// after ProbeFailures consecutive losses. It exits when ctx ends —
+// which Promote's stop brings about, whatever its outcome.
+func (s *Server) probeLoop(ctx context.Context, f *followerState) {
 	tick := time.NewTicker(f.cfg.ProbeInterval)
 	defer tick.Stop()
 	failures := 0
@@ -172,40 +189,59 @@ func (s *Server) probeLoop(ctx context.Context) {
 			return
 		case <-tick.C:
 		}
-		if !s.isFollower() {
-			return
-		}
-		if s.probePrimary(ctx) == nil {
+		if f.probe(ctx) == nil {
 			failures = 0
 			continue
 		}
 		failures++
 		if failures >= f.cfg.ProbeFailures {
+			// On success there is no primary left to probe; on failure
+			// resumeTail has started a fresh tail and probe loop. Say why
+			// the standby the operator expects to take over has not.
 			if _, err := s.Promote(); err != nil {
-				// The error path resumed the tail; keep probing, and say
-				// why the standby the operator expects to take over has not.
 				slog.Warn("auto-promotion failed", "err", err, "primary", f.cfg.Primary)
 			}
-			if !s.isFollower() {
-				return
-			}
-			failures = 0
+			return
 		}
 	}
 }
 
-// probePrimary is one health check against the followed primary.
-func (s *Server) probePrimary(ctx context.Context) error {
-	f := s.fol
-	timeout := f.cfg.ProbeInterval
-	if timeout > 2*time.Second {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+// probe is one health check against the followed primary.
+func (f *followerState) probe(ctx context.Context) error {
+	ctx, cancel := context.WithTimeout(ctx, min(f.cfg.ProbeInterval, 2*time.Second))
 	defer cancel()
 	resp, err := httpx.Do(ctx, f.hc, http.MethodGet, f.cfg.Primary+"/healthz", "", nil, "schedd: probe")
 	if err == nil && resp.StatusCode != http.StatusOK {
 		err = resp.Decode("schedd: probe", nil) // the status, as a *StatusError
 	}
 	return err
+}
+
+// lag is how many fleet hours a follower at hour trails the primary's
+// last heartbeat (0 when unknown, caught up, or there is no session).
+func (f *followerState) lag(hour int) int {
+	if f == nil {
+		return 0
+	}
+	return max(f.tail.PrimaryHour()-hour, 0)
+}
+
+// stats is the session's half of the /v1/stats replication block —
+// where the server replicates (or, promoted, replicated) from, the
+// cursor and the lag; nil on a born primary.
+func (f *followerState) stats(hour int) *ReplicationStats {
+	if f == nil {
+		return nil
+	}
+	rs := &ReplicationStats{
+		Primary:     f.cfg.Primary,
+		PrimaryHour: f.tail.PrimaryHour(),
+		LagHours:    f.lag(hour),
+		TailStats:   f.tail.Stats(),
+	}
+	if cur, ok := f.tail.Cursor(); ok {
+		rs.CursorGeneration = cur.Generation
+		rs.CursorOffset = cur.Offset
+	}
+	return rs
 }

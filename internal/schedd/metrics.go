@@ -162,7 +162,7 @@ func (s *Server) initMetrics(set *trace.Set) {
 		})
 	r.NewGaugeFunc("schedd_replication_lag_hours",
 		"Fleet hours this follower trails the primary's last heartbeat (0 on primaries and caught-up followers).",
-		func() float64 { return float64(s.replicationLag()) })
+		func() float64 { return float64(s.role.Load().session.lag(s.fleet.Hour())) })
 	r.NewGaugeFunc("schedd_wal_generation",
 		"Live snapshot+journal generation (0 without a data dir).",
 		func() float64 { return float64(s.Generation()) })

@@ -24,34 +24,53 @@ package schedd
 // takeAuthority — snapshot the replicated state as a fresh generation
 // and start accepting writes. The 421 write-redirect contract (see
 // client.go) points writers at whoever is primary.
+//
+// What the server is lives in one value, its role: New installs a
+// primary's, NewFollower a follower's, and Promote swaps the follower's
+// for a primary's exactly once. The request path branches on it in one
+// place, guard.
 
 import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"carbonshift/internal/repl"
 	"carbonshift/internal/tracing"
 )
 
-// Server roles. A server is born primary (New) or follower
-// (NewFollower); the only transition is follower → primary, at
-// promotion.
-const (
-	rolePrimary int32 = iota
-	roleFollower
-)
+// role is everything in which a primary and a follower differ.
+// Immutable: a transition installs a new value.
+type role struct {
+	// name is what Role, /v1/stats and the promote answer report.
+	name string
+	// following makes the server read-only: guard answers the
+	// primary-only routes with 421 naming session's primary and stamps
+	// every response with the replication lag.
+	following bool
+	// target is the hour advance steps the fleet to before a request is
+	// answered: the clock's on a primary; on a follower hour 0, which
+	// every fleet has reached — the tail drives a follower's fleet, never
+	// the clock.
+	target func(*Server) int
+	// session is the replication session the server was built with,
+	// kept by the promoted role so /v1/stats can report where the server
+	// came from; nil on a born primary.
+	session *followerState
+}
 
-func (s *Server) isFollower() bool { return s.role.Load() == roleFollower }
+func primaryRole(session *followerState) *role {
+	return &role{name: "primary", target: (*Server).hourNow, session: session}
+}
+
+func followerRole(session *followerState) *role {
+	return &role{name: "follower", following: true, target: func(*Server) int { return 0 }, session: session}
+}
 
 // Role reports "primary" or "follower".
-func (s *Server) Role() string {
-	if s.isFollower() {
-		return "follower"
-	}
-	return "primary"
-}
+func (s *Server) Role() string { return s.role.Load().name }
 
 // --- repl.Backend (primary side) ---
 
@@ -140,8 +159,8 @@ func (s *Server) ApplyReplRecord(payload []byte) error {
 		// under the SAME trace ID — one trace, two processes.
 		s.tr.Record(a.trace, "repl.apply", tracing.SpanID{}, start, time.Since(start),
 			tracing.Int("jobs", a.jobs), tracing.Int("arrival_hour", a.hour))
-	} else if s.fol != nil && s.fol.cfg.OnWatermark != nil {
-		s.fol.cfg.OnWatermark(a.hour)
+	} else if s.onWatermark != nil {
+		s.onWatermark(a.hour)
 	}
 	return nil
 }
@@ -159,15 +178,13 @@ func (s *Server) ApplyReplRecord(payload []byte) error {
 // error. On failure the server resumes following, so a misconfigured
 // promotion never silently stops replication.
 func (s *Server) Promote() (bool, error) {
-	if s.fol == nil {
-		return false, nil // born primary
+	s.promoteMu.Lock()
+	defer s.promoteMu.Unlock()
+	r := s.role.Load()
+	if !r.following {
+		return false, nil // a primary, born or promoted
 	}
-	s.fol.promoteMu.Lock()
-	defer s.fol.promoteMu.Unlock()
-	if !s.isFollower() {
-		return false, nil // already promoted
-	}
-	s.stopTail()
+	r.session.stop()
 	if s.cfg.DataDir != "" {
 		store, gen, _, err := s.openStore()
 		if err == nil {
@@ -190,51 +207,58 @@ func (s *Server) Promote() (bool, error) {
 	// Quota windows continue from the replicated arrivals — a promoted
 	// primary must not grant every tenant a fresh hour.
 	s.resetGate()
-	// Rebase the clock (onPromote) BEFORE the role flips: the moment
-	// role reads primary, concurrent requests drive advance() off the
-	// clock, and an un-rebased one would step the fleet far past the
-	// replicated hour.
+	// Rebase the clock (onPromote) BEFORE the role is swapped: the moment
+	// the primary's role is installed, concurrent requests drive advance()
+	// off the clock, and an un-rebased one would step the fleet far past
+	// the replicated hour.
 	if s.onPromote != nil {
 		s.onPromote(s.fleet.Hour())
 	}
-	s.role.Store(rolePrimary)
+	s.role.Store(primaryRole(r.session))
 	return true, nil
 }
 
 // --- HTTP endpoints ---
 
-// writeMisdirected is the 421 write-redirect contract: a follower
-// rejects state-changing requests and names the primary it follows so
-// a failover-aware client (httpx.Endpoints) can redirect.
-func (s *Server) writeMisdirected(w http.ResponseWriter) {
-	writeJSON(w, http.StatusMisdirectedRequest, ErrorResponse{
-		Error:   "this instance is a read-only follower; send writes to the primary",
-		Primary: s.fol.cfg.Primary,
-	})
+// guard is the request path's one look at the role, wrapped around
+// every route at registration. On a follower, every response carries
+// X-Replication-Lag-Hours — how many fleet hours the replicated state
+// trails the primary's last heartbeat, so read clients can bound
+// staleness — and a primary-only route (a write, or the replication
+// source: chained replication is not supported) answers 421 naming the
+// primary, the write-redirect contract a failover-aware client
+// (httpx.Endpoints) follows.
+func (s *Server) guard(primaryOnly bool, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		if r := s.role.Load(); r.following {
+			w.Header().Set("X-Replication-Lag-Hours", strconv.Itoa(r.session.lag(s.fleet.Hour())))
+			if primaryOnly {
+				writeJSON(w, http.StatusMisdirectedRequest, ErrorResponse{
+					Error:   "this instance is a read-only follower; send writes to the primary",
+					Primary: r.session.cfg.Primary,
+				})
+				return
+			}
+		}
+		h(w, req)
+	}
 }
 
 func (s *Server) handleReplStream(w http.ResponseWriter, r *http.Request) {
-	src := s.replSourceIfPrimary(w)
-	if src != nil {
+	if src := s.replSource(w); src != nil {
 		src.HandleStream(w, r)
 	}
 }
 
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
-	src := s.replSourceIfPrimary(w)
-	if src != nil {
+	if src := s.replSource(w); src != nil {
 		src.HandleSnapshot(w, r)
 	}
 }
 
-// replSourceIfPrimary gates the source endpoints: followers redirect
-// (chained replication is not supported), and a primary without a
-// DataDir has no journal to stream.
-func (s *Server) replSourceIfPrimary(w http.ResponseWriter) *repl.Source {
-	if s.isFollower() {
-		s.writeMisdirected(w)
-		return nil
-	}
+// replSource is the journal stream a primary serves to its followers;
+// a primary without a DataDir has none (404).
+func (s *Server) replSource(w http.ResponseWriter) *repl.Source {
 	if s.dur.Load() == nil {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "replication requires a -data-dir on the primary"})
 		return nil
@@ -291,40 +315,19 @@ type ReplicationStats struct {
 	repl.TailStats
 }
 
-// replicationLag returns how many fleet hours this follower trails the
-// primary's last heartbeat (0 when unknown or caught up).
-func (s *Server) replicationLag() int {
-	if s.fol == nil {
-		return 0
-	}
-	lag := s.fol.tail.PrimaryHour() - s.fleet.Hour()
-	if lag < 0 {
-		return 0
-	}
-	return lag
-}
-
 // replicationStats assembles the /v1/stats replication block (nil for
-// a plain primary with no advertise URL — nothing to report).
+// a born primary with no advertise URL — nothing to report).
 func (s *Server) replicationStats() *ReplicationStats {
-	if s.fol == nil && s.cfg.Advertise == "" {
+	r := s.role.Load()
+	rs := r.session.stats(s.fleet.Hour())
+	switch {
+	case rs != nil:
+		rs.Promoted = !r.following
+	case s.cfg.Advertise == "":
 		return nil
+	default:
+		rs = &ReplicationStats{PrimaryHour: -1}
 	}
-	rs := &ReplicationStats{
-		Role:        s.Role(),
-		Advertise:   s.cfg.Advertise,
-		PrimaryHour: -1,
-	}
-	if s.fol != nil {
-		rs.Primary = s.fol.cfg.Primary
-		rs.Promoted = !s.isFollower()
-		rs.PrimaryHour = s.fol.tail.PrimaryHour()
-		rs.LagHours = s.replicationLag()
-		rs.TailStats = s.fol.tail.Stats()
-		if cur, ok := s.fol.tail.Cursor(); ok {
-			rs.CursorGeneration = cur.Generation
-			rs.CursorOffset = cur.Offset
-		}
-	}
+	rs.Role, rs.Advertise = r.name, s.cfg.Advertise
 	return rs
 }

@@ -49,17 +49,24 @@
 // bootstrap via GET /v1/repl/snapshot). NewFollower builds a hot
 // standby that tails that stream into its own fleet — byte-identical
 // to the primary at every shared watermark — serves read-only lookups
-// and stats with an X-Replication-Lag-Hours header, rejects writes
-// with 421 plus a primary hint, and promotes to primary on POST
-// /v1/repl/promote or on primary health-probe loss (the
-// replication/chaos/failover tests).
+// and stats with an X-Replication-Lag-Hours header, rejects writes and
+// the replication source (no chained replication) with 421 plus a
+// primary hint, and promotes to primary on POST /v1/repl/promote or on
+// primary health-probe loss (the replication/chaos/failover tests).
+// All of that difference is one immutable role value (repl.go): the
+// request path reads it only in guard, the layer every route is
+// registered behind, and in advance, which steps the fleet to the
+// role's target hour.
 //
-// Lifecycle: newServer builds the role-less core; boot, a follower's
-// bootstrap and stream, and promotion are compositions of the same few
-// functions (restore, apply, openStore, takeAuthority — durable.go,
-// with the journal-ordering argument they rest on; the follower side is
-// repl.go and follower.go), and all live stepping is stepWhile.
-// DESIGN.md "Server lifecycle" has the state table.
+// Lifecycle: newServer builds the role-less core and New or NewFollower
+// installs a role on it; boot, a follower's bootstrap and stream, and
+// promotion are compositions of the same few functions (restore,
+// apply, openStore, takeAuthority — durable.go, with the
+// journal-ordering argument they rest on; the follower side is repl.go
+// and follower.go), and all live stepping is stepWhile. Promote swaps
+// the role exactly once, after the clock is rebased; Close ends a
+// follower's replication for good. DESIGN.md "Server lifecycle" has the
+// state table.
 //
 // Observability: GET /metrics serves every schedd_*, wal_*, repl_*,
 // and http_* family (metrics.go) in Prometheus text format.
@@ -225,15 +232,17 @@ type Server struct {
 	dur      atomic.Pointer[durable]
 	recovery atomic.Pointer[DurabilityStats]
 
-	// Replication: role flips follower → primary exactly once (at
-	// promotion), fol holds the tail session for servers built by
-	// NewFollower, source serves the journal stream on durable
-	// primaries, and onPromote lets cmd/schedd rebase its replay clock
-	// when a follower takes over.
-	role      atomic.Int32
-	fol       *followerState
-	source    *repl.Source
-	onPromote func(hour int)
+	// Replication: role is what the server is (repl.go) — installed by
+	// New or NewFollower, swapped exactly once by Promote, which
+	// promoteMu serializes against itself and the probe loop. source
+	// serves the journal stream on durable primaries; onPromote lets
+	// cmd/schedd rebase its replay clock when a follower takes over, and
+	// onWatermark is FollowerConfig.OnWatermark.
+	role        atomic.Pointer[role]
+	promoteMu   sync.Mutex
+	source      *repl.Source
+	onPromote   func(hour int)
+	onWatermark func(hour int)
 
 	// mx is the /metrics instrumentation (nil when built
 	// WithoutMetrics); noMetrics records the option before initMetrics
@@ -288,6 +297,7 @@ func New(set *trace.Set, clusters []sched.Cluster, cfg Config, opts ...Option) (
 	if err != nil {
 		return nil, err
 	}
+	s.role.Store(primaryRole(nil))
 	if cfg.DataDir != "" {
 		if err := s.openDurable(); err != nil {
 			return nil, err
@@ -368,16 +378,10 @@ func (s *Server) resetGate() {
 	s.gate.Reset(h, s.fleet.TenantArrivals(h))
 }
 
-// hourNow maps the clock to a fleet hour, clamped into [0, horizon].
+// hourNow maps the clock to a fleet hour, clamped into [0, horizon]: a
+// primary's advance target.
 func (s *Server) hourNow() int {
-	h := int(s.now().UTC().Sub(s.traceStart) / time.Hour)
-	if h < 0 {
-		h = 0
-	}
-	if h > s.cfg.Horizon {
-		h = s.cfg.Horizon
-	}
-	return h
+	return min(max(int(s.now().UTC().Sub(s.traceStart)/time.Hour), 0), s.cfg.Horizon)
 }
 
 func (s *Server) failure() error {
@@ -422,21 +426,18 @@ func (s *Server) stepWhile(more func() bool) (int, error) {
 	return hour - from, nil
 }
 
-// advance steps the fleet to the clock's current hour. The fast path —
-// the fleet already caught up — is a single atomic load; only requests
-// that actually cross an hour boundary contend on stepMu. ctx carries
-// the request's trace, so a submit that lands on an hour boundary
-// shows the catch-up cost as its own span.
+// advance steps the fleet to the role's target hour — the clock's on a
+// primary; a follower's is always reached, so reads serve whatever the
+// tail has applied. The fast path — the fleet already caught up — is a
+// single atomic load; only requests that actually cross an hour
+// boundary contend on stepMu. ctx carries the request's trace, so a
+// submit that lands on an hour boundary shows the catch-up cost as its
+// own span.
 func (s *Server) advance(ctx context.Context) error {
 	if err := s.failure(); err != nil {
 		return err
 	}
-	if s.isFollower() {
-		// A follower's fleet is driven by the replication stream, never
-		// by the local clock; reads serve whatever has been applied.
-		return nil
-	}
-	target := s.hourNow()
+	target := s.role.Load().target(s)
 	if int(s.known.Load()) >= target {
 		return nil
 	}
@@ -581,35 +582,32 @@ type ErrorResponse struct {
 	RetryAfter int    `json:"retry_after,omitempty"`
 }
 
-// Handler returns the HTTP handler for the service. On a follower,
-// every response carries X-Replication-Lag-Hours — how many fleet
-// hours the replicated state trails the primary's last heartbeat — so
-// read clients can bound staleness.
+// Handler returns the HTTP handler for the service. Every route goes
+// through guard (repl.go), which alone reads the role: the two submit
+// wires and the replication source are primary-only.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
+	handle := func(pattern string, primaryOnly bool, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, s.guard(primaryOnly, h))
+	}
 	for _, wire := range Wires {
-		mux.HandleFunc(http.MethodPost+" "+wire.Route, func(w http.ResponseWriter, r *http.Request) {
+		handle(http.MethodPost+" "+wire.Route, true, func(w http.ResponseWriter, r *http.Request) {
 			s.serveSubmit(w, r, wire)
 		})
 	}
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
-	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /v1/repl/stream", s.handleReplStream)
-	mux.HandleFunc("GET /v1/repl/snapshot", s.handleReplSnapshot)
-	mux.HandleFunc("POST /v1/repl/promote", s.handleReplPromote)
+	handle("GET /v1/repl/stream", true, s.handleReplStream)
+	handle("GET /v1/repl/snapshot", true, s.handleReplSnapshot)
+	handle("GET /v1/jobs/{id}", false, s.handleJob)
+	handle("GET /v1/stats", false, s.handleStats)
+	handle("GET /healthz", false, s.handleHealth)
+	handle("POST /v1/repl/promote", false, s.handleReplPromote)
 	if s.mx != nil {
-		mux.HandleFunc("GET /metrics", s.handleMetrics)
+		handle("GET /metrics", false, s.handleMetrics)
 	}
 	if s.tr != nil {
-		mux.Handle("GET /debug/traces", s.tr.Handler())
+		handle("GET /debug/traces", false, s.tr.Handler().ServeHTTP)
 	}
-	var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.isFollower() {
-			w.Header().Set("X-Replication-Lag-Hours", strconv.Itoa(s.replicationLag()))
-		}
-		mux.ServeHTTP(w, r)
-	})
+	var h http.Handler = mux
 	if s.mx != nil {
 		h = s.mx.http.Wrap(h)
 	}
@@ -699,10 +697,6 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, wire *Wire)
 		mx.submits[wire].Inc()
 		t0 := time.Now()
 		defer func() { mx.submitSeconds.Observe(time.Since(t0).Seconds()) }()
-	}
-	if s.isFollower() {
-		s.writeMisdirected(w)
-		return
 	}
 	if wire.RejectType(w, r) {
 		return
