@@ -1,0 +1,433 @@
+// Package archtest holds the repository's architecture guards: each
+// keeps one piece of the design single — one framing layer, one
+// lifecycle, one upstream round trip, one id registry, the measured
+// kernels, one logger, one role value — by counting, over the parsed
+// Go source, the sites that would start a second copy. They run under
+// go test ./..., and every guard is shown to fire on a planted
+// violation.
+package archtest
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// repoRoot is the module root, seen from this package's directory.
+const repoRoot = "../.."
+
+// file is one parsed Go file; path is slash-separated and relative to
+// the repository root.
+type file struct {
+	path string
+	ast  *ast.File
+	fset *token.FileSet
+}
+
+func (f file) test() bool { return strings.HasSuffix(f.path, "_test.go") }
+
+// rule bounds how many nodes matching match the files in scope hold.
+type rule struct {
+	what     string   // the pattern, as a violation names it
+	in       []string // path prefixes in scope ("" is the whole tree)
+	not      []string // path prefixes out of scope
+	tests    bool     // _test.go files are in scope too
+	min, max int
+	match    func(ast.Node) bool
+}
+
+// guard is one architecture invariant: its rules, the remedy a
+// violation prints, and a planted violation (path → source) it must
+// catch.
+type guard struct {
+	name  string
+	fix   string
+	rules []rule
+	plant map[string]string
+}
+
+func (r rule) covers(f file) bool {
+	inScope := func(prefixes []string) bool {
+		return slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(f.path, p) })
+	}
+	return (r.tests || !f.test()) && inScope(r.in) && !inScope(r.not)
+}
+
+// sites lists path:line for every node of the in-scope files r matches.
+func (r rule) sites(files []file) []string {
+	var out []string
+	for _, f := range files {
+		if !r.covers(f) {
+			continue
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if n != nil && r.match(n) {
+				out = append(out, fmt.Sprintf("%s:%d", f.path, f.fset.Position(n.Pos()).Line))
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// violations checks every rule of g over files.
+func (g guard) violations(files []file) []string {
+	var out []string
+	for _, r := range g.rules {
+		if s := r.sites(files); len(s) < r.min || len(s) > r.max {
+			out = append(out, fmt.Sprintf("%s: %d sites, want %d..%d: %s",
+				r.what, len(s), r.min, r.max, strings.Join(s, ", ")))
+		}
+	}
+	return out
+}
+
+// --- matchers ---
+
+// lastName is the final identifier of x: p for p, up for p.up, failed
+// for s.failed.
+func lastName(x ast.Expr) string {
+	switch x := x.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	}
+	return ""
+}
+
+// ref matches x.name for any of names, used or called: sync.WaitGroup,
+// sort.Slice.
+func ref(x string, names ...string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		return ok && lastName(sel.X) == x && slices.Contains(names, sel.Sel.Name)
+	}
+}
+
+// call matches a call of x.name for any of names, where x is the last
+// identifier of the receiver: wal.OpenStore(, s.failed.Store(,
+// p.up.Set(.
+func call(x string, names ...string) func(ast.Node) bool {
+	isRef := ref(x, names...)
+	return func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		return ok && isRef(c.Fun)
+	}
+}
+
+func imports(path string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		spec, ok := n.(*ast.ImportSpec)
+		return ok && spec.Path.Value == `"`+path+`"`
+	}
+}
+
+// caseOf matches a switch case listing the constant name.
+func caseOf(name string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		cc, ok := n.(*ast.CaseClause)
+		return ok && slices.ContainsFunc(cc.List, func(e ast.Expr) bool { return lastName(e) == name })
+	}
+}
+
+// doReq matches .Do(req): a hand-built request sent by hand.
+func doReq(n ast.Node) bool {
+	c, ok := n.(*ast.CallExpr)
+	if !ok || len(c.Args) != 1 || lastName(c.Args[0]) != "req" {
+		return false
+	}
+	sel, ok := c.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Do"
+}
+
+// idKeyedMap matches map[int]uint32 and map[int]bool.
+func idKeyedMap(n ast.Node) bool {
+	m, ok := n.(*ast.MapType)
+	return ok && lastName(m.Key) == "int" && slices.Contains([]string{"uint32", "bool"}, lastName(m.Value))
+}
+
+// ident matches any use or declaration of one of names.
+func ident(names ...string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		return ok && slices.Contains(names, id.Name)
+	}
+}
+
+// holds reports whether any node under x matches match.
+func holds(x ast.Node, match func(ast.Node) bool) bool {
+	found := false
+	ast.Inspect(x, func(n ast.Node) bool {
+		found = found || (n != nil && match(n))
+		return !found
+	})
+	return found
+}
+
+// readsRole matches a role.Load() call or a role value's following
+// field.
+func readsRole(n ast.Node) bool {
+	if call("role", "Load")(n) {
+		return true
+	}
+	sel, ok := n.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "following"
+}
+
+// roleIf matches an if statement whose init or condition reads the role.
+func roleIf(n ast.Node) bool {
+	s, ok := n.(*ast.IfStmt)
+	return ok && (holds(s.Cond, readsRole) || (s.Init != nil && holds(s.Init, readsRole)))
+}
+
+// roleIfOutside matches a function holding a role if that is none of
+// allowed.
+func roleIfOutside(allowed ...string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		fd, ok := n.(*ast.FuncDecl)
+		return ok && fd.Body != nil && !slices.Contains(allowed, fd.Name.Name) && holds(fd.Body, roleIf)
+	}
+}
+
+// roleNotPointer matches a struct field named role whose type is not
+// atomic.Pointer[...]: the role is one swappable value, not a flag.
+func roleNotPointer(n ast.Node) bool {
+	f, ok := n.(*ast.Field)
+	if !ok || !slices.ContainsFunc(f.Names, func(id *ast.Ident) bool { return id.Name == "role" }) {
+		return false
+	}
+	ix, ok := f.Type.(*ast.IndexExpr)
+	return !ok || !ref("atomic", "Pointer")(ix.X)
+}
+
+// --- the guards ---
+
+var guards = []guard{
+	{
+		// One framing layer: checksums and varint field reads live in
+		// internal/frame, and every binary format is written and read
+		// through it.
+		name: "CRC and varint decoding only in internal/frame",
+		fix:  "frame a format with internal/frame (record, envelope, Enc/Dec), not by hand",
+		rules: []rule{
+			{what: `import "hash/crc32"`, in: []string{"internal/", "cmd/"}, not: []string{"internal/frame/"}, match: imports("hash/crc32")},
+			{what: "binary.Uvarint( / binary.Varint(", in: []string{"internal/", "cmd/"}, not: []string{"internal/frame/"}, match: call("binary", "Uvarint", "Varint")},
+		},
+		plant: map[string]string{"internal/wal/planted.go": `package wal
+import "hash/crc32"
+func sum(b []byte) uint32 { v, _ := binary.Uvarint(b); return crc32.ChecksumIEEE(b) + uint32(v) }`},
+	},
+	{
+		// One lifecycle: boot recovery and follower apply share one record
+		// dispatcher (apply), boot and promotion one way of claiming the
+		// data dir (openStore), and every fault poisons the server through
+		// one function (poison).
+		name: "one record dispatcher, one store open, one poison site in internal/schedd",
+		fix:  "go through openStore / apply / poison",
+		rules: []rule{
+			{what: "wal.OpenStore(", in: []string{"internal/schedd/"}, min: 1, max: 1, match: call("wal", "OpenStore")},
+			{what: "case recAdmit", in: []string{"internal/schedd/"}, min: 1, max: 1, match: caseOf("recAdmit")},
+			{what: "failed.Store(", in: []string{"internal/schedd/"}, min: 1, max: 1, match: call("failed", "Store")},
+		},
+		plant: map[string]string{"internal/schedd/planted.go": `package schedd
+func (s *Server) reboot(p []byte) {
+	wal.OpenStore(s.cfg.DataDir)
+	switch p[0] {
+	case recAdmit:
+	}
+	s.failed.Store(nil)
+}`},
+	},
+	{
+		// One upstream round trip: every non-streaming request is built,
+		// trace-stamped, sent and read under MaxBody in httpx.Do (the
+		// replication tail's stream and snapshot transfer are the stated
+		// exceptions), and the gateway reaches its partitions through one
+		// call (the only writer of partition health) and one scatter.
+		name: "one request builder, one gateway fan-out, one partition-health writer",
+		fix:  "send it through httpx.Do (or Endpoints.Do / gateway.call), fan out with scatter",
+		rules: []rule{
+			{what: "http.NewRequest / http.Get( / http.Post(", in: []string{""},
+				not:   []string{"bench/", "internal/httpx/httpx.go", "internal/repl/tail.go"},
+				match: ref("http", "NewRequest", "NewRequestWithContext", "Get", "Post")},
+			{what: ".Do(req)", in: []string{""}, not: []string{"bench/", "internal/httpx/httpx.go", "internal/repl/tail.go"}, match: doReq},
+			{what: "sync.WaitGroup (scatter)", in: []string{"internal/gateway/"}, max: 1, match: ref("sync", "WaitGroup")},
+			{what: "partitionUp.With( (initMetrics)", in: []string{"internal/gateway/"}, max: 1, match: call("partitionUp", "With")},
+			{what: ".up.Set( (call, and initMetrics starting the series at 0)", in: []string{"internal/gateway/"}, max: 3, match: call("up", "Set")},
+			{what: "partErrors.With( (call)", in: []string{"internal/gateway/"}, max: 1, match: call("partErrors", "With")},
+		},
+		plant: map[string]string{"internal/gateway/planted.go": `package gateway
+func (g *Gateway) direct(p *partition) {
+	var wg sync.WaitGroup
+	req, _ := http.NewRequest("GET", "http://p/v1/stats", nil)
+	g.hc.Do(req)
+	p.up = partitionUp.With("0")
+	p.up.Set(1)
+	g.mx.partErrors.With("0").Inc()
+	wg.Wait()
+}`},
+	},
+	{
+		// One id registry: the job store's records hold every id and the
+		// id index finds them through 4-byte slots; a map keyed by job id
+		// beside it is a second copy of every id.
+		name: "no id-keyed map beside the id index in internal/sched",
+		fix:  "look ids up through ShardedFleet's idIndex (get/put/del), not a second map of them",
+		rules: []rule{
+			{what: "map[int]uint32 / map[int]bool", in: []string{"internal/sched/"}, match: idKeyedMap},
+		},
+		plant: map[string]string{"internal/sched/planted.go": `package sched
+var seen = map[int]bool{}`},
+	},
+	{
+		// The hot kernels as measured: simgrid forms the flexible-source
+		// powers from one Log and one Frexp (tiltedShares), math.Pow
+		// surviving only as tilted's fallback; the selection and ranking
+		// kernels sort index slices with slices.SortFunc.
+		name: "one math.Pow in internal/simgrid, no sort.Slice in internal/stats or internal/temporal",
+		fix:  "take the power in tiltedShares; sort with slices.SortFunc, not the reflective sort.Slice",
+		rules: []rule{
+			{what: "math.Pow( (tilted, the fallback)", in: []string{"internal/simgrid/"}, min: 1, max: 1, match: call("math", "Pow")},
+			{what: "sort.Slice", in: []string{"internal/stats/", "internal/temporal/"}, match: ref("sort", "Slice", "SliceStable", "SliceIsSorted")},
+		},
+		plant: map[string]string{
+			"internal/simgrid/planted.go": `package simgrid
+func cube(x float64) float64 { return math.Pow(x, 3) }`,
+			"internal/stats/planted.go": `package stats
+func order(xs []float64) { sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] }) }`,
+		},
+	},
+	{
+		// Request paths log through log/slog with trace_id/span_id
+		// stamping (tracing.Logger); an ad-hoc log.Printf cannot carry them.
+		name: "no log.Printf",
+		fix:  "use log/slog (see internal/tracing.Logger), not log.Printf",
+		rules: []rule{
+			{what: "log.Printf", in: []string{"internal/", "cmd/"}, tests: true, match: ref("log", "Printf")},
+		},
+		plant: map[string]string{"cmd/schedd/planted.go": `package main
+func warn(err error) { log.Printf("schedd: %v", err) }`},
+	},
+	{
+		// One role value: what a schedd server is — primary or follower,
+		// and its replication session — is one immutable value behind an
+		// atomic pointer, swapped only by Promote. The request path
+		// branches on it once, in guard; the other role ifs are the
+		// lifecycle's own (Promote, Start).
+		name: "the role is read only through the role value",
+		fix:  "read s.role.Load(); branch on it in guard (request path) or Promote/Start (lifecycle) only",
+		rules: []rule{
+			{what: "isFollower / rolePrimary / roleFollower / fol", in: []string{"internal/schedd/"},
+				match: ident("isFollower", "rolePrimary", "roleFollower", "fol")},
+			{what: "a role field that is not an atomic.Pointer", in: []string{"internal/schedd/"}, match: roleNotPointer},
+			{what: "an if on the role outside guard, Promote and Start", in: []string{"internal/schedd/"},
+				match: roleIfOutside("guard", "Promote", "Start")},
+			{what: "ifs on the role", in: []string{"internal/schedd/"}, min: 3, max: 3, match: roleIf},
+		},
+		plant: map[string]string{"internal/schedd/planted.go": `package schedd
+type legacy struct {
+	role atomic.Int32
+	fol  *followerState
+}
+func (l *legacy) isFollower() bool { return l.role.Load() == 1 }
+func (s *Server) serveWrite(w http.ResponseWriter) {
+	if s.role.Load().following {
+		return
+	}
+}`},
+	},
+}
+
+// parseTree parses every Go file under root, skipping testdata and
+// hidden directories.
+func parseTree(t *testing.T, root string) []file {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []file
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		af, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		files = append(files, file{path: filepath.ToSlash(rel), ast: af, fset: fset})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func TestArchitecture(t *testing.T) {
+	files := parseTree(t, repoRoot)
+	if len(files) < 100 {
+		t.Fatalf("parsed %d files under %s; is the repository root right?", len(files), repoRoot)
+	}
+	for _, g := range guards {
+		t.Run(g.name, func(t *testing.T) {
+			for _, v := range g.violations(files) {
+				t.Errorf("%s\n\t%s", v, g.fix)
+			}
+		})
+	}
+}
+
+// TestGuardsFireOnPlantedViolations adds each guard's planted file to
+// the real tree and requires the guard to report it — a guard that
+// cannot fail guards nothing.
+func TestGuardsFireOnPlantedViolations(t *testing.T) {
+	files := parseTree(t, repoRoot)
+	for _, g := range guards {
+		t.Run(g.name, func(t *testing.T) {
+			planted := slices.Clone(files)
+			fset := token.NewFileSet()
+			for path, src := range g.plant {
+				af, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatalf("plant %s: %v", path, err)
+				}
+				planted = append(planted, file{path: path, ast: af, fset: fset})
+			}
+			got := g.violations(planted)
+			if len(got) == 0 {
+				t.Fatal("the planted violation went unreported")
+			}
+			for path := range g.plant {
+				if !slices.ContainsFunc(got, func(v string) bool { return strings.Contains(v, path) }) {
+					t.Errorf("no violation names the planted %s: %q", path, got)
+				}
+			}
+			// Every rule of the guard must be able to fire: the plant
+			// breaks each one.
+			for _, r := range g.rules {
+				if s := r.sites(planted); len(s) >= r.min && len(s) <= r.max {
+					t.Errorf("rule %q did not fire on the plant (%d sites)", r.what, len(s))
+				}
+			}
+		})
+	}
+}
