@@ -50,7 +50,7 @@ func sharedLab(b *testing.B) *core.Lab {
 	b.Helper()
 	labOnce.Do(func() {
 		var err error
-		lab, err = core.NewLab(core.Options{Sim: simgrid.Config{Seed: 1}})
+		lab, err = core.NewLabCtx(context.Background(), core.Options{Sim: simgrid.Config{Seed: 1}})
 		if err != nil {
 			panic(err)
 		}
@@ -97,7 +97,7 @@ func labWithWorkers(b *testing.B, workers int) *core.Lab {
 	if l, ok := workerLabs[workers]; ok {
 		return l
 	}
-	l, err := core.NewLab(core.Options{Sim: simgrid.Config{Seed: 1}, Workers: workers})
+	l, err := core.NewLabCtx(context.Background(), core.Options{Sim: simgrid.Config{Seed: 1}, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -205,23 +205,6 @@ func yearSeries(b *testing.B) []float64 {
 	return ci
 }
 
-// Deferral window search: O(n) sliding window vs O(n·k) rescan.
-func BenchmarkAblation_DeferWindowSliding(b *testing.B) {
-	ci := yearSeries(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.MinWindowSum(ci, 168)
-	}
-}
-
-func BenchmarkAblation_DeferWindowNaive(b *testing.B) {
-	ci := yearSeries(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		stats.MinWindowSumNaive(ci, 168)
-	}
-}
-
 // Interruption slot selection: quickselect vs full sort.
 func BenchmarkAblation_MinKQuickselect(b *testing.B) {
 	ci := yearSeries(b)
@@ -241,28 +224,6 @@ func BenchmarkAblation_MinKFullSort(b *testing.B) {
 			s += ci[j]
 		}
 		_ = s
-	}
-}
-
-// Arrival sweeps: the incremental Fenwick/deque sweep vs re-evaluating
-// every arrival from scratch.
-func BenchmarkAblation_SweepIncremental(b *testing.B) {
-	ci := yearSeries(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := temporal.Sweep(ci, 24, 168, 4000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_SweepNaive(b *testing.B) {
-	ci := yearSeries(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := temporal.SweepNaive(ci, 24, 168, 4000); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -2,8 +2,7 @@
 // assumes every job can run in the cleanest hours; a real cluster has
 // finite slots. This example runs the same job stream through a
 // carbon-agnostic and a carbon-aware scheduler at several capacity
-// levels, and converts the result to facility-level Scope 2 emissions
-// with the energy model.
+// levels and prints the emissions, saving and missed deadlines of each.
 //
 // Run with:
 //
@@ -14,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"carbonshift/internal/energy"
 	"carbonshift/internal/regions"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/simgrid"
@@ -65,19 +63,4 @@ func main() {
 			100*(fifo.TotalEmissions-gate.TotalEmissions)/fifo.TotalEmissions,
 			gate.Missed)
 	}
-
-	// Facility view: what does the whole datacenter emit while hosting
-	// this, idle power included?
-	dc := energy.Datacenter{Servers: 40, Server: energy.DefaultServer, PUE: 1.2}
-	util := make([]float64, horizon)
-	for i := range util {
-		util[i] = 0.35 // the job stream's rough mean utilization at 40 slots
-	}
-	rep, err := energy.Scope2Utilization(set.MustGet("DE"), dc, util, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nfacility Scope 2 over %d days: %.0f kWh, %.1f t CO2eq (effective CI %.0f g/kWh)\n",
-		horizon/24, rep.EnergyKWh, rep.EmissionsKg/1000, rep.EffectiveCI())
-	fmt.Println("idle servers burn carbon too — stranding capacity to chase clean hours is not free.")
 }

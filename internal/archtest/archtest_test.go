@@ -396,6 +396,147 @@ func TestArchitecture(t *testing.T) {
 	}
 }
 
+// --- exported API with a production caller ---
+
+// exportAllow names the exported functions and methods under internal/
+// that no non-test file references, each with the reason it stays.
+var exportAllow = map[string]string{
+	"trace.ReadCSV":                "the data layer's CSV reader: the only way real Electricity Maps traces enter",
+	"trace.Repair":                 "the data layer's gap repair for real traces (DESIGN, data layer)",
+	"trace.Resample":               "the data layer's resampling of real traces to hourly (DESIGN, data layer)",
+	"trace.GapStats":               "the data layer's gap report for real traces (DESIGN, data layer)",
+	"schedd.WithoutMetrics":        "the uninstrumented baseline the instrumentation-overhead bar is measured against",
+	"schedd.WithoutTracing":        "the untraced baseline the instrumentation-overhead bar is measured against",
+	"fft.FFT":                      "the exact any-length transform the padded-radix-2 ablation holds Autocorr's kernel against",
+	"simgrid.CacheStats":           "core's streamed what-if test counts cache entries with it; a _test.go helper cannot cross packages",
+	"serve.statusWriter.Unwrap":    "lets http.ResponseController reach the wrapped ResponseWriter",
+	"tenant.retryableError.Unwrap": "lets errors.Is and errors.As see the wrapped error",
+}
+
+// export is one exported top-level function or method declared in a
+// non-test file under internal/.
+type export struct {
+	key  string // pkg.Func or pkg.Type.Method
+	name string
+	site string // path:line
+}
+
+// exports lists the exported top-level functions and methods that
+// non-test files under internal/ declare.
+func exports(files []file) []export {
+	var out []export
+	for _, f := range files {
+		if f.test() || !strings.HasPrefix(f.path, "internal/") {
+			continue
+		}
+		for _, d := range f.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || !fd.Name.IsExported() {
+				continue
+			}
+			key := f.ast.Name.Name + "." + fd.Name.Name
+			if fd.Recv != nil {
+				recv := fd.Recv.List[0].Type
+				if s, ok := recv.(*ast.StarExpr); ok {
+					recv = s.X
+				}
+				if ix, ok := recv.(*ast.IndexExpr); ok {
+					recv = ix.X
+				}
+				key = f.ast.Name.Name + "." + lastName(recv) + "." + fd.Name.Name
+			}
+			out = append(out, export{key, fd.Name.Name, fmt.Sprintf("%s:%d", f.path, f.fset.Position(fd.Pos()).Line)})
+		}
+	}
+	return out
+}
+
+// referenced collects every identifier a non-test file uses, other than
+// the names function declarations give: by name, so a method counts as
+// called when any selector of that name is, and an exported function
+// counts as called when any identifier shares its name. Conservative —
+// it can pass an uncalled export, never fail a called one.
+func referenced(files []file) map[string]bool {
+	seen := map[string]bool{}
+	for _, f := range files {
+		if f.test() {
+			continue
+		}
+		decl := map[*ast.Ident]bool{}
+		for _, d := range f.ast.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				decl[fd.Name] = true
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !decl[id] {
+				seen[id.Name] = true
+			}
+			return true
+		})
+	}
+	return seen
+}
+
+// uncalledExports lists the exports under internal/ that only tests
+// reach and that exportAllow does not name.
+func uncalledExports(files []file) []string {
+	seen := referenced(files)
+	var out []string
+	for _, e := range exports(files) {
+		if _, ok := exportAllow[e.key]; !ok && !seen[e.name] {
+			out = append(out, fmt.Sprintf("%s (%s)", e.key, e.site))
+		}
+	}
+	return out
+}
+
+// TestExportsHaveProductionCallers: every exported function or method
+// under internal/ is named by some non-test file of the module, or is
+// allowlisted with its reason. An export only tests call is a test
+// helper in the wrong file, or dead code.
+func TestExportsHaveProductionCallers(t *testing.T) {
+	files := parseTree(t, repoRoot)
+	for _, v := range uncalledExports(files) {
+		t.Errorf("%s has no caller outside _test.go files\n\tdelete it, move it into the package's tests, or allowlist it with its reason", v)
+	}
+	declared := map[string]bool{}
+	for _, e := range exports(files) {
+		declared[e.key] = true
+	}
+	for key, why := range exportAllow {
+		if !declared[key] {
+			t.Errorf("allowlisted %s is not declared under internal/", key)
+		}
+		if strings.TrimSpace(why) == "" {
+			t.Errorf("allowlisted %s gives no reason", key)
+		}
+	}
+}
+
+// TestUncalledExportFires plants an exported function whose only caller
+// is a test file: the export guard must name it.
+func TestUncalledExportFires(t *testing.T) {
+	files := parseTree(t, repoRoot)
+	fset := token.NewFileSet()
+	for path, src := range map[string]string{
+		"internal/stats/planted.go": `package stats
+func PlantedMedian(xs []float64) float64 { return xs[len(xs)/2] }`,
+		"internal/stats/planted_test.go": `package stats
+func TestPlanted(t *testing.T) { PlantedMedian([]float64{1}) }`,
+	} {
+		af, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("plant %s: %v", path, err)
+		}
+		files = append(files, file{path: path, ast: af, fset: fset})
+	}
+	got := uncalledExports(files)
+	if !slices.ContainsFunc(got, func(v string) bool { return strings.HasPrefix(v, "stats.PlantedMedian (internal/stats/planted.go:") }) {
+		t.Fatalf("the planted uncalled export went unreported: %q", got)
+	}
+}
+
 // TestGuardsFireOnPlantedViolations adds each guard's planted file to
 // the real tree and requires the guard to report it — a guard that
 // cannot fail guards nothing.

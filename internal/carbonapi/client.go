@@ -87,12 +87,6 @@ func (c *Client) Batch(ctx context.Context, regions []string, hours int) ([]Batc
 	return out.Regions, nil
 }
 
-// Healthz reports server liveness.
-func (c *Client) Healthz(ctx context.Context) error {
-	var out map[string]string
-	return c.get(ctx, "/healthz", &out)
-}
-
 func (c *Client) get(ctx context.Context, path string, out any) error {
 	resp, err := httpx.Do(ctx, c.hc, http.MethodGet, c.base+path, "", nil, "carbonapi")
 	if err != nil {

@@ -92,9 +92,8 @@ type ErrorResponse struct {
 
 // Server serves a trace set as a carbon-information API.
 type Server struct {
-	set        *trace.Set
-	now        func() time.Time
-	forecaster forecast.Forecaster
+	set *trace.Set
+	now func() time.Time
 
 	registry *metrics.Registry
 	httpmx   *serve.HTTPMetrics
@@ -108,12 +107,6 @@ type Option func(*Server)
 // returned time is clamped into the dataset's span.
 func WithClock(now func() time.Time) Option {
 	return func(s *Server) { s.now = now }
-}
-
-// WithForecaster sets the model behind /forecast. Default: the blended
-// seasonal model.
-func WithForecaster(f forecast.Forecaster) Option {
-	return func(s *Server) { s.forecaster = f }
 }
 
 // WithMetrics enables GET /metrics: the shared http_* request families
@@ -150,9 +143,8 @@ func (s *Server) Tracer() *tracing.Tracer { return s.tracer }
 // NewServer builds a server over the set.
 func NewServer(set *trace.Set, opts ...Option) *Server {
 	s := &Server{
-		set:        set,
-		now:        time.Now,
-		forecaster: forecast.Blended{},
+		set: set,
+		now: time.Now,
 	}
 	for _, o := range opts {
 		o(s)
@@ -255,7 +247,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := s.nowHour()
-	pred, err := s.forecaster.Forecast(tr.CI[:now], hours)
+	pred, err := forecast.Blended{}.Forecast(tr.CI[:now], hours)
 	if err != nil {
 		writeJSON(w, http.StatusUnprocessableEntity, ErrorResponse{
 			Error: fmt.Sprintf("forecast unavailable: %v", err),

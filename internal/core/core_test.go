@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +26,7 @@ func full(t *testing.T) *Lab {
 	}
 	fullOnce.Do(func() {
 		var err error
-		fullLab, err = NewLab(Options{Sim: simgrid.Config{Seed: 1}})
+		fullLab, err = NewLabCtx(context.Background(), Options{Sim: simgrid.Config{Seed: 1}})
 		if err != nil {
 			panic(err)
 		}
@@ -56,7 +57,7 @@ func mini(t *testing.T) *Lab {
 			regs = append(regs, regions.MustByCode(c))
 		}
 		var err error
-		miniLab, err = NewLab(Options{
+		miniLab, err = NewLabCtx(context.Background(), Options{
 			Sim:         miniLabSim(2),
 			Regions:     regs,
 			ArrivalSpan: 1000,
@@ -204,6 +205,15 @@ func TestExperimentIDsUnique(t *testing.T) {
 			t.Fatalf("experiment %s incomplete", e.ID)
 		}
 	}
+}
+
+// MustValue is Value for cells a test knows exist; it panics otherwise.
+func (t *Table) MustValue(rowLabel, column string) float64 {
+	v, ok := t.Value(rowLabel, column)
+	if !ok {
+		panic(fmt.Sprintf("core: table %s has no cell (%q, %q)", t.ID, rowLabel, column))
+	}
+	return v
 }
 
 func TestTableHelpers(t *testing.T) {

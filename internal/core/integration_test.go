@@ -69,7 +69,7 @@ func TestSeedChangesResultsButNotShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed lab skipped in -short mode")
 	}
-	other, err := NewLab(Options{
+	other, err := NewLabCtx(context.Background(), Options{
 		Sim:         miniLabSim(43),
 		Regions:     mini(t).Regions,
 		ArrivalSpan: 1000,

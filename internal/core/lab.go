@@ -76,14 +76,9 @@ type cellKey struct {
 	slack  int
 }
 
-// NewLab generates the dataset and prepares shared artifacts.
-func NewLab(opts Options) (*Lab, error) {
-	return NewLabCtx(context.Background(), opts)
-}
-
-// NewLabCtx is NewLab with a cancellation context: trace generation
-// fans out across opts.Workers goroutines through the process-level
-// simgrid cache, and cancelling ctx aborts it.
+// NewLabCtx generates the dataset and prepares shared artifacts. Trace
+// generation fans out across opts.Workers goroutines through the
+// process-level simgrid cache, and cancelling ctx aborts it.
 func NewLabCtx(ctx context.Context, opts Options) (*Lab, error) {
 	regs := opts.Regions
 	if regs == nil {

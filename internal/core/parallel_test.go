@@ -24,7 +24,7 @@ func parallelLab(t *testing.T, workers int) *Lab {
 	for _, c := range codes {
 		regs = append(regs, regions.MustByCode(c))
 	}
-	l, err := NewLab(Options{
+	l, err := NewLabCtx(context.Background(), Options{
 		Sim:         miniLabSim(2),
 		Regions:     regs,
 		ArrivalSpan: 1000,

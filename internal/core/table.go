@@ -61,15 +61,6 @@ func (t *Table) Value(rowLabel, column string) (float64, bool) {
 	return 0, false
 }
 
-// MustValue is Value for cells known to exist; it panics otherwise.
-func (t *Table) MustValue(rowLabel, column string) float64 {
-	v, ok := t.Value(rowLabel, column)
-	if !ok {
-		panic(fmt.Sprintf("core: table %s has no cell (%q, %q)", t.ID, rowLabel, column))
-	}
-	return v
-}
-
 // String renders the table as aligned, human-readable text.
 func (t *Table) String() string {
 	var b strings.Builder

@@ -1,14 +1,13 @@
 // Package fft implements the spectral machinery behind the paper's
 // periodicity analysis (Figure 4): a complex FFT for arbitrary lengths
-// (iterative radix-2 with a Bluestein chirp-z fallback), periodograms,
-// FFT-based autocorrelation, and a period detector that mirrors the
-// behaviour of Azure Data Explorer's series_periods_detect(): it
-// returns candidate periods with a score in [0, 1], where 1 means the
-// series repeats exactly at that period and 0 means no periodicity.
+// (iterative radix-2 with a Bluestein chirp-z fallback), FFT-based
+// autocorrelation, and the periodicity score of Azure Data Explorer's
+// series_periods_detect(): a score in [0, 1] at a given period, where 1
+// means the series repeats exactly at that period and 0 means no
+// periodicity.
 package fft
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"math/cmplx"
@@ -29,29 +28,7 @@ func FFT(x []complex128) []complex128 {
 		radix2(out, false)
 		return out
 	}
-	return bluestein(x, false)
-}
-
-// IFFT returns the inverse discrete Fourier transform of X, scaled by
-// 1/n so that IFFT(FFT(x)) == x.
-func IFFT(X []complex128) []complex128 {
-	n := len(X)
-	if n == 0 {
-		return nil
-	}
-	var out []complex128
-	if n&(n-1) == 0 {
-		out = make([]complex128, n)
-		copy(out, X)
-		radix2(out, true)
-	} else {
-		out = bluestein(X, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	return out
+	return bluestein(x)
 }
 
 // radix2 runs the in-place iterative Cooley–Tukey FFT. len(a) must be a
@@ -93,18 +70,14 @@ func radix2(a []complex128, inverse bool) {
 
 // bluestein computes an arbitrary-length DFT as a convolution of
 // power-of-two length (the chirp-z transform).
-func bluestein(x []complex128, inverse bool) []complex128 {
+func bluestein(x []complex128) []complex128 {
 	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp factors w[k] = exp(sign*i*pi*k^2/n).
+	// Chirp factors w[k] = exp(-i*pi*k^2/n).
 	w := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// k^2 mod 2n avoids precision loss for large k.
 		k2 := (int64(k) * int64(k)) % int64(2*n)
-		w[k] = cmplx.Exp(complex(0, sign*math.Pi*float64(k2)/float64(n)))
+		w[k] = cmplx.Exp(complex(0, -math.Pi*float64(k2)/float64(n)))
 	}
 
 	m := 1
@@ -130,31 +103,6 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		out[k] = a[k] * invM * w[k]
-	}
-	return out
-}
-
-// Periodogram returns the power spectral density estimate of the real
-// series x at frequency bins 0..n/2 (inclusive): |FFT(x - mean)|² / n.
-func Periodogram(x []float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	mean := 0.0
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(n)
-	cx := make([]complex128, n)
-	for i, v := range x {
-		cx[i] = complex(v-mean, 0)
-	}
-	X := FFT(cx)
-	out := make([]float64, n/2+1)
-	for k := range out {
-		re, im := real(X[k]), imag(X[k])
-		out[k] = (re*re + im*im) / float64(n)
 	}
 	return out
 }
@@ -229,15 +177,6 @@ func Detrend(x []float64) []float64 {
 	return out
 }
 
-// Period is a detected periodicity candidate.
-type Period struct {
-	// Lag is the period length in samples (hours, for carbon traces).
-	Lag int
-	// Score is the periodicity strength in [0, 1]: 1 means the series
-	// repeats exactly with this period, 0 means no evidence.
-	Score float64
-}
-
 // ScoreAt returns the periodicity score of x at one specific lag: the
 // normalized autocorrelation at that lag, clamped to [0, 1]. Series
 // whose detrended variance is negligible relative to their mean score 0
@@ -251,14 +190,6 @@ func ScoreAt(x []float64, lag int) float64 {
 		return 0
 	}
 	acf := Autocorr(x)
-	return clamp01(acf[lag])
-}
-
-// scoreWithACF is ScoreAt with a precomputed autocorrelation.
-func scoreWithACF(acf []float64, lag int) float64 {
-	if lag <= 0 || lag >= len(acf) {
-		return 0
-	}
 	return clamp01(acf[lag])
 }
 
@@ -289,67 +220,6 @@ func meaningfulVariation(x []float64) bool {
 // series to be considered periodic at all. Hong Kong and Indonesia in
 // the paper's Figure 4 sit below this and score 0.
 const noiseFloor = 0.02
-
-// DetectPeriods scans lags 2..maxLag and returns local maxima of the
-// periodicity score in descending score order, mirroring the multi-
-// period output of series_periods_detect(). Harmonically redundant
-// candidates (an integer multiple of a stronger, shorter period with no
-// extra score) are pruned.
-func DetectPeriods(x []float64, maxLag int) ([]Period, error) {
-	if maxLag < 2 {
-		return nil, fmt.Errorf("fft: maxLag %d too small", maxLag)
-	}
-	if maxLag >= len(x) {
-		return nil, fmt.Errorf("fft: maxLag %d must be below series length %d", maxLag, len(x))
-	}
-	if !meaningfulVariation(x) {
-		return nil, nil
-	}
-	acf := Autocorr(x)
-	var peaks []Period
-	for lag := 2; lag <= maxLag; lag++ {
-		s := scoreWithACF(acf, lag)
-		if s < 0.1 {
-			continue
-		}
-		// Local maximum in the ACF.
-		if acf[lag] >= acf[lag-1] && (lag+1 >= len(acf) || acf[lag] >= acf[lag+1]) {
-			peaks = append(peaks, Period{Lag: lag, Score: s})
-		}
-	}
-	// Prune harmonics: drop a peak whose lag is a multiple of a
-	// shorter, at-least-as-strong peak unless it is meaningfully
-	// stronger (a weekly cycle on top of a daily one survives only if
-	// it adds structure).
-	var out []Period
-	for _, p := range peaks {
-		redundant := false
-		for _, q := range peaks {
-			if q.Lag >= p.Lag || p.Lag%q.Lag != 0 {
-				continue
-			}
-			if p.Score <= q.Score+0.02 {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			out = append(out, p)
-		}
-	}
-	// Order by descending score, ties to the shorter period.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			if out[j].Score > out[j-1].Score ||
-				(out[j].Score == out[j-1].Score && out[j].Lag < out[j-1].Lag) {
-				out[j], out[j-1] = out[j-1], out[j]
-			} else {
-				break
-			}
-		}
-	}
-	return out, nil
-}
 
 func clamp01(v float64) float64 {
 	if v < 0 {

@@ -34,6 +34,20 @@ func maxErr(a, b []complex128) float64 {
 	return m
 }
 
+// ifft is the inverse transform through the forward one:
+// IDFT(X) = conj(DFT(conj(X))) / n.
+func ifft(X []complex128) []complex128 {
+	c := make([]complex128, len(X))
+	for i, v := range X {
+		c[i] = cmplx.Conj(v)
+	}
+	out := FFT(c)
+	for i, v := range out {
+		out[i] = cmplx.Conj(v) / complex(float64(len(X)), 0)
+	}
+	return out
+}
+
 func randComplex(n int, seed uint64) []complex128 {
 	src := rng.New(seed)
 	out := make([]complex128, n)
@@ -58,9 +72,6 @@ func TestFFTEmpty(t *testing.T) {
 	if got := FFT(nil); got != nil {
 		t.Fatalf("FFT(nil) = %v", got)
 	}
-	if got := IFFT(nil); got != nil {
-		t.Fatalf("IFFT(nil) = %v", got)
-	}
 }
 
 func TestFFTDoesNotMutateInput(t *testing.T) {
@@ -78,7 +89,7 @@ func TestFFTDoesNotMutateInput(t *testing.T) {
 func TestRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 8, 21, 64, 100} {
 		x := randComplex(n, uint64(100+n))
-		back := IFFT(FFT(x))
+		back := ifft(FFT(x))
 		if e := maxErr(x, back); e > 1e-9 {
 			t.Errorf("n=%d: round-trip error %v", n, e)
 		}
@@ -89,7 +100,7 @@ func TestQuickRoundTrip(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%97 + 1
 		x := randComplex(n, seed)
-		return maxErr(x, IFFT(FFT(x))) < 1e-8
+		return maxErr(x, ifft(FFT(x))) < 1e-8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -107,32 +118,6 @@ func TestParseval(t *testing.T) {
 	}
 	if math.Abs(ex-eX/float64(len(x))) > 1e-8 {
 		t.Fatalf("Parseval violated: %v vs %v", ex, eX/float64(len(x)))
-	}
-}
-
-func TestPeriodogramPeak(t *testing.T) {
-	// Pure sinusoid with 8 cycles in 128 samples: the periodogram must
-	// peak at bin 8.
-	n := 128
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 5 + math.Sin(2*math.Pi*8*float64(i)/float64(n))
-	}
-	p := Periodogram(x)
-	best := 0
-	for k := range p {
-		if p[k] > p[best] {
-			best = k
-		}
-	}
-	if best != 8 {
-		t.Fatalf("periodogram peak at bin %d, want 8", best)
-	}
-}
-
-func TestPeriodogramEmpty(t *testing.T) {
-	if got := Periodogram(nil); got != nil {
-		t.Fatalf("Periodogram(nil) = %v", got)
 	}
 }
 
@@ -217,77 +202,6 @@ func TestScoreAtBounds(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	if ScoreAt(x, 0) != 0 || ScoreAt(x, -1) != 0 || ScoreAt(x, 4) != 0 {
 		t.Fatal("out-of-range lags must score 0")
-	}
-}
-
-func TestDetectPeriodsFindsDailyAndWeekly(t *testing.T) {
-	// Daily cycle with a weekend modulation -> 24h and 168h periods.
-	x := make([]float64, 24*7*20)
-	for i := range x {
-		day := (i / 24) % 7
-		weekend := 0.0
-		if day >= 5 {
-			weekend = 1.0
-		}
-		x[i] = 300 + 60*math.Sin(2*math.Pi*float64(i)/24) + 40*weekend
-	}
-	periods, err := DetectPeriods(x, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	has := func(lag int) bool {
-		for _, p := range periods {
-			if p.Lag == lag && p.Score > 0.5 {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(24) {
-		t.Errorf("24h period not detected: %v", periods)
-	}
-	if !has(168) {
-		t.Errorf("168h period not detected: %v", periods)
-	}
-}
-
-func TestDetectPeriodsPrunesHarmonics(t *testing.T) {
-	// Pure daily signal: 48h, 72h, ... are redundant harmonics of 24h.
-	x := make([]float64, 24*40)
-	for i := range x {
-		x[i] = 100 + 20*math.Sin(2*math.Pi*float64(i)/24)
-	}
-	periods, err := DetectPeriods(x, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range periods {
-		if p.Lag != 24 && p.Lag%24 == 0 {
-			t.Errorf("harmonic %d not pruned: %v", p.Lag, periods)
-		}
-	}
-}
-
-func TestDetectPeriodsFlatSeries(t *testing.T) {
-	x := make([]float64, 500)
-	for i := range x {
-		x[i] = 650
-	}
-	periods, err := DetectPeriods(x, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(periods) != 0 {
-		t.Fatalf("flat series produced periods %v", periods)
-	}
-}
-
-func TestDetectPeriodsErrors(t *testing.T) {
-	if _, err := DetectPeriods([]float64{1, 2, 3}, 1); err == nil {
-		t.Error("maxLag < 2 accepted")
-	}
-	if _, err := DetectPeriods([]float64{1, 2, 3}, 3); err == nil {
-		t.Error("maxLag >= len accepted")
 	}
 }
 

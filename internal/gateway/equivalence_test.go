@@ -6,10 +6,12 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"carbonshift/internal/sched"
 	"carbonshift/internal/schedd"
+	"carbonshift/internal/tenant"
 	"carbonshift/internal/trace"
 )
 
@@ -21,41 +23,27 @@ type placeRec struct {
 // TestPartitionedEquivalence is the tentpole correctness proof: a
 // partitioned topology — N independent schedd deployments, each owning
 // one region group, behind the routing gateway — must schedule exactly
-// like a single sharded fleet over the full world with those region
-// groups configured. For every policy and for N in {1, 2, 4}:
+// like N independent sharded fleets, one per region group's sub-world,
+// each fed its group's jobs in arrival order. For every policy and for
+// N in {1, 2, 4}:
 //
-//   - the union of the partitions' placements equals the reference
-//     fleet's placements, group by group, record for record;
-//   - the union of the partitions' job outcomes equals the reference
-//     fleet's outcomes;
+//   - each partition's placements equal its group's reference fleet's,
+//     record for record;
+//   - the union of the partitions' job outcomes equals the union of the
+//     reference fleets' outcomes;
 //   - each partition's journal fully captures its state: restarting the
 //     partition from its data directory replays placement-for-placement
 //     and snapshots to the identical result.
 //
-// The scheduling half (grouped fleet ≡ independent per-group fleets) is
-// proven in internal/sched; this test proves the service half — that
+// The tenants cases run the same proof with tenancy on: every partition
+// and every reference fleet owns its own fair queue, under enough slot
+// pressure that fair order decides placements. The test proves that
 // HTTP admission through the gateway's routing and splitting preserves
-// it end to end.
+// the per-group schedule end to end.
 func TestPartitionedEquivalence(t *testing.T) {
 	const horizon = 24 * 10
 	set, cl, origins := mkWorld(t, horizon, 8, 12)
-	jobs, err := sched.GenerateJobs(sched.WorkloadSpec{
-		Jobs:              280,
-		ArrivalSpan:       24 * 8,
-		SlackHours:        24,
-		InterruptibleFrac: 0.6,
-		MigratableFrac:    0.5,
-		Origins:           origins,
-		Seed:              17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if jobs[i].Length > 30 {
-			jobs[i].Length = 30
-		}
-	}
+	jobs := partitionJobs(t, origins)
 
 	policies := []sched.Policy{
 		sched.FIFO{},
@@ -79,49 +67,119 @@ func TestPartitionedEquivalence(t *testing.T) {
 					proto = "binary"
 				}
 				t.Run(fmt.Sprintf("%s/partitions=%d/%s", policy.Name(), n, proto), func(t *testing.T) {
-					testPartitionedEquivalence(t, set, cl, origins, jobs, policy, horizon, n, binary)
+					testPartitionedEquivalence(t, set, cl, origins, jobs, policy, horizon, n, binary, nil)
 				})
 			}
 		}
 	}
-}
 
-func testPartitionedEquivalence(t *testing.T, set *trace.Set, cl []sched.Cluster, origins []string,
-	jobs []sched.Job, policy sched.Policy, horizon, n int, binary bool) {
-	groups := groupSplit(origins, n)
-	groupOf := map[string]int{}
-	for gi, g := range groups {
-		for _, r := range g {
-			groupOf[r] = gi
-		}
-	}
-
-	// Reference: one sharded fleet over the full world with the region
-	// groups configured, its placements recorded per group.
-	refLogs := make([][]placeRec, n)
-	ref, err := sched.NewShardedFleet(set, cl, policy, horizon, 4)
+	// Tenancy: six slots a region (half the plain world's), three tenants
+	// of three classes taking the jobs round-robin.
+	tenants, err := tenant.NewConfig([]tenant.Spec{
+		{Name: "alpha", Class: tenant.Interactive},
+		{Name: "beta", Class: tenant.Batch},
+		{Name: "gamma", Class: tenant.Scavenger},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.SetRegionGroups(groups); err != nil {
-		t.Fatal(err)
+	names := tenants.Names()
+	tjobs := slices.Clone(jobs)
+	for i := range tjobs {
+		tjobs[i].Tenant = names[i%len(names)]
 	}
-	ref.OnPlace = func(hour, jobID int, region string) {
-		gi := groupOf[region]
-		refLogs[gi] = append(refLogs[gi], placeRec{hour, jobID, region})
-	}
-	if err := ref.Submit(jobs...); err != nil {
-		t.Fatal(err)
-	}
-	for !ref.Done() {
-		if err := ref.Step(); err != nil {
-			t.Fatal(err)
+	tset, tcl, _ := mkWorld(t, horizon, 8, 6)
+	for _, policy := range []sched.Policy{sched.FIFO{}, sched.SpatioTemporal{Percentile: 40, Window: 48}} {
+		for _, n := range []int{2, 4} {
+			binary, proto := n == 4, "json" // the tenant field on both wires
+			if binary {
+				proto = "binary"
+			}
+			t.Run(fmt.Sprintf("tenants/%s/partitions=%d/%s", policy.Name(), n, proto), func(t *testing.T) {
+				// Fair order must decide something here, or the case
+				// proves nothing tenancy-specific.
+				groups := groupSplit(origins, n)
+				fair, _ := referenceRun(t, tset, tcl, groups, tjobs, policy, horizon, tenants)
+				plain, _ := referenceRun(t, tset, tcl, groups, tjobs, policy, horizon, nil)
+				if reflect.DeepEqual(fair, plain) {
+					t.Fatal("no placement changes with tenancy off: the slot pressure is too low for fair order to matter")
+				}
+				testPartitionedEquivalence(t, tset, tcl, origins, tjobs, policy, horizon, n, binary, tenants)
+			})
 		}
 	}
-	refOutcomes := map[int]sched.Outcome{}
-	for _, o := range ref.Snapshot().Outcomes {
-		refOutcomes[o.ID] = o
+}
+
+// partitionJobs is the equivalence workload: 280 jobs over eight days,
+// lengths capped at 30 hours.
+func partitionJobs(t *testing.T, origins []string) []sched.Job {
+	jobs, err := sched.GenerateJobs(sched.WorkloadSpec{
+		Jobs:              280,
+		ArrivalSpan:       24 * 8,
+		SlackHours:        24,
+		InterruptibleFrac: 0.6,
+		MigratableFrac:    0.5,
+		Origins:           origins,
+		Seed:              17,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := range jobs {
+		if jobs[i].Length > 30 {
+			jobs[i].Length = 30
+		}
+	}
+	return jobs
+}
+
+// referenceRun runs one independent sharded fleet per region group over
+// that group's sub-world, fed only the group's jobs in the same relative
+// order, with its own fair queue when tenants is non-nil. It returns
+// each group's placement log and the union of the fleets' outcomes.
+func referenceRun(t *testing.T, set *trace.Set, cl []sched.Cluster, groups [][]string,
+	jobs []sched.Job, policy sched.Policy, horizon int, tenants *tenant.Config) ([][]placeRec, map[int]sched.Outcome) {
+	logs := make([][]placeRec, len(groups))
+	outcomes := map[int]sched.Outcome{}
+	for gi, g := range groups {
+		sub, subcl := subWorld(t, set, cl, g)
+		ref, err := sched.NewShardedFleet(sub, subcl, policy, horizon, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tenants != nil {
+			ref.SetFairQueue(tenant.NewFairQueue(tenants))
+		}
+		ref.OnPlace = func(hour, jobID int, region string) {
+			logs[gi] = append(logs[gi], placeRec{hour, jobID, region})
+		}
+		var subJobs []sched.Job
+		for _, j := range jobs {
+			if slices.Contains(g, j.Origin) {
+				subJobs = append(subJobs, j)
+			}
+		}
+		if err := ref.Submit(subJobs...); err != nil {
+			t.Fatal(err)
+		}
+		for !ref.Done() {
+			if err := ref.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, o := range ref.Snapshot().Outcomes {
+			outcomes[o.ID] = o
+		}
+	}
+	return logs, outcomes
+}
+
+func testPartitionedEquivalence(t *testing.T, set *trace.Set, cl []sched.Cluster, origins []string,
+	jobs []sched.Job, policy sched.Policy, horizon, n int, binary bool, tenants *tenant.Config) {
+	groups := groupSplit(origins, n)
+
+	// Reference: one independent sharded fleet per region group.
+	refLogs, refOutcomes := referenceRun(t, set, cl, groups, jobs, policy, horizon, tenants)
 
 	// The partitioned topology: one durable schedd per region group on a
 	// shared hand-cranked clock, the gateway in front.
@@ -143,6 +201,7 @@ func testPartitionedEquivalence(t *testing.T, set *trace.Set, cl []sched.Cluster
 			PartitionID: i,
 			IDBase:      i * 1_000_000,
 			DataDir:     filepath.Join(t.TempDir(), fmt.Sprintf("p%d", i)),
+			Tenants:     tenants,
 		}
 		i := i
 		srv, err := schedd.New(sub, subcl, cfgs[i],
@@ -183,6 +242,7 @@ func testPartitionedEquivalence(t *testing.T, set *trace.Set, cl []sched.Cluster
 			batch = append(batch, schedd.JobRequest{
 				ID:            &id,
 				Origin:        j.Origin,
+				Tenant:        j.Tenant,
 				LengthHours:   j.Length,
 				SlackHours:    j.Slack,
 				Interruptible: j.Interruptible,

@@ -12,13 +12,15 @@
 //	GET  /metrics          merged partition expositions + gateway_* families
 //	GET  /healthz          gateway liveness
 //
-// Correctness rests on two facts proven elsewhere: region groups never
-// share slots (sched.SetRegionGroups — a grouped fleet equals
-// independent per-group fleets placement-for-placement), and each
-// partition's id range is disjoint (schedd.Config.IDBase). The gateway
-// therefore only needs to route every job to its origin's owning
-// partition; it holds no scheduling state of its own and any number of
-// gateway replicas can front the same partitions.
+// Correctness rests on two facts: each partition is an independent
+// fleet over its own region group, sharing no slots, queue or clock
+// state with the others, and each partition's id range is disjoint
+// (schedd.Config.IDBase). The gateway therefore only needs to route
+// every job to its origin's owning partition — TestPartitionedEquivalence
+// holds the routed topology to one independent sched.ShardedFleet per
+// region group, placement for placement. It holds no scheduling state of
+// its own and any number of gateway replicas can front the same
+// partitions.
 //
 // Topology is learned from the partitions themselves: each schedd
 // echoes its partition identity and cluster table in /v1/stats, and the
@@ -247,6 +249,8 @@ func (g *Gateway) absorb(p *partition, st *schedd.StatsResponse) {
 // group when the topology knows it, otherwise a stable hash of the
 // origin — deterministic, so a misrouted unknown origin at least always
 // lands on the same partition (which answers the authoritative 400).
+// The modulus is taken in uint32, so the index is the same on every
+// platform and never negative where int is 32 bits.
 func (g *Gateway) routeJob(job *schedd.JobRequest) int {
 	g.topoMu.Lock()
 	owner, ok := g.regionOwner[job.Origin]
@@ -256,7 +260,7 @@ func (g *Gateway) routeJob(job *schedd.JobRequest) int {
 	}
 	h := fnv.New32a()
 	io.WriteString(h, job.Origin)
-	return int(h.Sum32()) % len(g.parts)
+	return int(h.Sum32() % uint32(len(g.parts)))
 }
 
 // ---- submission ----

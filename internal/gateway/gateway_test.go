@@ -65,6 +65,22 @@ func job(origin string) schedd.JobRequest {
 	return schedd.JobRequest{Origin: origin, LengthHours: 1, SlackHours: 24}
 }
 
+// TestUnknownOriginRoute pins the stable-hash fallback for origins the
+// topology does not know: the same partition on every platform, never
+// a negative index where int is 32 bits (GOARCH=386).
+func TestUnknownOriginRoute(t *testing.T) {
+	gw, err := New(Config{Partitions: [][]string{{"http://p0"}, {"http://p1"}, {"http://p2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for origin, want := range map[string]int{"A": 0, "nope": 1, "XX-UNKNOWN": 2, "mars": 1, "R99": 0, "": 1, "zz": 0} {
+		j := job(origin)
+		if got := gw.routeJob(&j); got != want {
+			t.Errorf("origin %q routes to partition %d, want %d", origin, got, want)
+		}
+	}
+}
+
 // TestPartialFailureOutcomes is the satellite-3 regression: a mixed
 // batch whose sub-batches succeed on one partition and fail on another
 // must answer 207 with per-job outcomes — the acked ids reported

@@ -63,8 +63,7 @@ func mkWorld(t testing.TB, hours, nRegions, slots int) (*trace.Set, []sched.Clus
 	return set, cl, origins
 }
 
-// groupSplit slices the regions into n modulo round-robin groups — the
-// same split the sched-level region-group equivalence test uses.
+// groupSplit slices the regions into n modulo round-robin groups.
 func groupSplit(origins []string, n int) [][]string {
 	groups := make([][]string, n)
 	for i, r := range origins {

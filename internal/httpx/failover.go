@@ -111,28 +111,6 @@ func isDialError(err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
-// DoJSON issues one JSON request against the current endpoint,
-// failing over on connection errors, 5xx responses, and 421 primary
-// redirects. It tries at most two passes over the known endpoints
-// before giving up with the last error. See Do for the retry-safety
-// contract.
-func (e *Endpoints) DoJSON(ctx context.Context, hc *http.Client, method, path string, in any, prefix string, out any) error {
-	var payload []byte
-	var contentType string
-	if in != nil {
-		var err error
-		if payload, err = json.Marshal(in); err != nil {
-			return fmt.Errorf("%s: encoding request: %w", prefix, err)
-		}
-		contentType = "application/json"
-	}
-	resp, err := e.Do(ctx, hc, method, path, contentType, payload, prefix)
-	if err != nil {
-		return err
-	}
-	return resp.Decode(prefix, out)
-}
-
 // Do is the failover policy around the package's one round trip (the
 // free Do): each attempt is one Do against the current endpoint, and
 // the first response the rotation will not retry — success or any

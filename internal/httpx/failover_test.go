@@ -14,6 +14,25 @@ type echo struct {
 	Name string `json:"name"`
 }
 
+// doJSON sends in (nil for no body) as JSON through e's failover
+// rotation and decodes the answer into out.
+func doJSON(e *Endpoints, ctx context.Context, hc *http.Client, method, path string, in any, prefix string, out any) error {
+	var payload []byte
+	var contentType string
+	if in != nil {
+		var err error
+		if payload, err = json.Marshal(in); err != nil {
+			return err
+		}
+		contentType = "application/json"
+	}
+	resp, err := e.Do(ctx, hc, method, path, contentType, payload, prefix)
+	if err != nil {
+		return err
+	}
+	return resp.Decode(prefix, out)
+}
+
 func jsonServer(t *testing.T, name string, status func() int, primary func() string) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -61,7 +80,7 @@ func TestFailoverOnRefusedConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out echo
-	if err := e.DoJSON(context.Background(), nil, http.MethodGet, "/x", nil, "test", &out); err != nil {
+	if err := doJSON(e, context.Background(), nil, http.MethodGet, "/x", nil, "test", &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Name != "live" {
@@ -85,7 +104,7 @@ func TestFailoverOn421Redirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out echo
-	if err := e.DoJSON(context.Background(), nil, http.MethodPost, "/x", echo{Name: "req"}, "test", &out); err != nil {
+	if err := doJSON(e, context.Background(), nil, http.MethodPost, "/x", echo{Name: "req"}, "test", &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Name != "primary" {
@@ -109,7 +128,7 @@ func TestFailoverOn5xx(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out echo
-	if err := e.DoJSON(context.Background(), nil, http.MethodGet, "/x", nil, "test", &out); err != nil {
+	if err := doJSON(e, context.Background(), nil, http.MethodGet, "/x", nil, "test", &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Name != "live" {
@@ -121,7 +140,7 @@ func TestFailoverOn5xx(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstStatus.Store(http.StatusServiceUnavailable)
-	err = e2.DoJSON(context.Background(), nil, http.MethodGet, "/x", nil, "test", &out)
+	err = doJSON(e2, context.Background(), nil, http.MethodGet, "/x", nil, "test", &out)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("503 err = %v, want the server's backpressure error", err)
 	}
@@ -142,7 +161,7 @@ func TestNoReplayOfAmbiguousWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out echo
-	err = e.DoJSON(context.Background(), nil, http.MethodPost, "/x", echo{Name: "w"}, "test", &out)
+	err = doJSON(e, context.Background(), nil, http.MethodPost, "/x", echo{Name: "w"}, "test", &out)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("5xx POST err = %v, want the server error surfaced", err)
 	}
@@ -157,7 +176,7 @@ func TestNoReplayOfAmbiguousWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.DoJSON(context.Background(), nil, http.MethodPost, "/x", echo{Name: "w"}, "test", &out); err != nil {
+	if err := doJSON(e2, context.Background(), nil, http.MethodPost, "/x", echo{Name: "w"}, "test", &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Name != "live" {
@@ -175,7 +194,7 @@ func TestFailoverAllDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out echo
-	err = e.DoJSON(context.Background(), nil, http.MethodGet, "/x", nil, "test", &out)
+	err = doJSON(e, context.Background(), nil, http.MethodGet, "/x", nil, "test", &out)
 	if err == nil || !strings.Contains(err.Error(), "all endpoints failed") {
 		t.Fatalf("err = %v", err)
 	}
@@ -200,7 +219,7 @@ func TestFailover421Loop(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out echo
-	err = e.DoJSON(context.Background(), nil, http.MethodPost, "/x", nil, "test", &out)
+	err = doJSON(e, context.Background(), nil, http.MethodPost, "/x", nil, "test", &out)
 	if err == nil || !strings.Contains(err.Error(), "misdirected") {
 		t.Fatalf("err = %v", err)
 	}
@@ -232,7 +251,7 @@ func TestRedirectGrowsAttemptBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out echo
-	if err := e.DoJSON(context.Background(), nil, http.MethodPost, "/x", echo{Name: "req"}, "test", &out); err != nil {
+	if err := doJSON(e, context.Background(), nil, http.MethodPost, "/x", echo{Name: "req"}, "test", &out); err != nil {
 		t.Fatalf("redirect chain not followed to the primary: %v", err)
 	}
 	if out.Name != "primary" {
@@ -262,7 +281,7 @@ func TestDoJSONBodyResent(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out echo
-	if err := e.DoJSON(context.Background(), nil, http.MethodPost, "/x", echo{Name: "payload"}, "test", &out); err != nil {
+	if err := doJSON(e, context.Background(), nil, http.MethodPost, "/x", echo{Name: "payload"}, "test", &out); err != nil {
 		t.Fatal(err)
 	}
 	if got.Load() != "payload" {

@@ -49,8 +49,8 @@ func TestTraceSurvives421Redirect(t *testing.T) {
 	}
 	ctx, sc := tracedContext(t)
 	var out map[string]int
-	if err := eps.DoJSON(ctx, nil, http.MethodPost, "/v1/jobs", map[string]int{"n": 1}, "test", &out); err != nil {
-		t.Fatalf("DoJSON after redirect: %v", err)
+	if err := doJSON(eps, ctx, nil, http.MethodPost, "/v1/jobs", map[string]int{"n": 1}, "test", &out); err != nil {
+		t.Fatalf("doJSON after redirect: %v", err)
 	}
 
 	if len(replicaSeen) != 1 || len(primarySeen) != 1 {
@@ -91,8 +91,8 @@ func TestTraceSurvivesSafeReplay(t *testing.T) {
 	}
 	ctx, sc := tracedContext(t)
 	var out map[string]int
-	if err := eps.DoJSON(ctx, nil, http.MethodPost, "/v1/jobs", map[string]int{"n": 1}, "test", &out); err != nil {
-		t.Fatalf("DoJSON after replay: %v", err)
+	if err := doJSON(eps, ctx, nil, http.MethodPost, "/v1/jobs", map[string]int{"n": 1}, "test", &out); err != nil {
+		t.Fatalf("doJSON after replay: %v", err)
 	}
 
 	if len(liveSeen) != 1 {
@@ -117,7 +117,7 @@ func TestUntracedContextAddsNoHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out map[string]int
-	if err := eps.DoJSON(context.Background(), nil, http.MethodGet, "/v1/stats", nil, "test", &out); err != nil {
+	if err := doJSON(eps, context.Background(), nil, http.MethodGet, "/v1/stats", nil, "test", &out); err != nil {
 		t.Fatal(err)
 	}
 	if seen == nil || *seen != "" {

@@ -86,19 +86,6 @@ func (m *Matrix) Codes() []string {
 	return out
 }
 
-// Between returns the modeled RTT in milliseconds between two regions.
-func (m *Matrix) Between(a, b string) (float64, error) {
-	i, ok := m.index[a]
-	if !ok {
-		return 0, fmt.Errorf("latency: unknown region %q", a)
-	}
-	j, ok := m.index[b]
-	if !ok {
-		return 0, fmt.Errorf("latency: unknown region %q", b)
-	}
-	return m.ms[i][j], nil
-}
-
 // Within returns the codes of all regions reachable from origin within
 // sloMs round-trip milliseconds, sorted. The origin itself is always
 // included (intra-region latency is zero).
@@ -115,18 +102,4 @@ func (m *Matrix) Within(origin string, sloMs float64) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// MaxRTT returns the largest RTT in the matrix — the latency needed for
-// unconstrained global migration.
-func (m *Matrix) MaxRTT() float64 {
-	var max float64
-	for i := range m.ms {
-		for _, v := range m.ms[i] {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return max
 }

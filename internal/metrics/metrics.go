@@ -371,44 +371,6 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.f.get(labelValues, func() *child { return &child{g: &Gauge{}} }).g
 }
 
-// HistogramVec is a family of histograms distinguished by label values.
-type HistogramVec struct{ f *family }
-
-// NewHistogramVec registers a labeled histogram family (nil buckets =
-// DefLatencyBuckets).
-func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	if buckets == nil {
-		buckets = DefLatencyBuckets
-	}
-	return &HistogramVec{r.register(name, help, kindHistogram, labelNames, buckets)}
-}
-
-// With resolves the child histogram for the given label values.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	f := v.f
-	return f.get(labelValues, func() *child { return &child{h: newHistogram(f.buckets)} }).h
-}
-
-// Families returns the registered family names in registration order.
-func (r *Registry) Families() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, len(r.order))
-	for i, f := range r.order {
-		names[i] = f.name
-	}
-	return names
-}
-
 // WriteTo renders the registry in the Prometheus text exposition
 // format: families in registration order, series within a family in
 // sorted label order (deterministic output for golden tests and

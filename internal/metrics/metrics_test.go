@@ -13,6 +13,16 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// histogramVec registers a histogram family with one label and returns
+// its child lookup: no production caller builds that shape, but the
+// golden keeps it so a label on histogram series stays pinned.
+func histogramVec(r *Registry, name, help string, buckets []float64, label string) func(value string) *Histogram {
+	f := r.register(name, help, kindHistogram, []string{label}, buckets)
+	return func(value string) *Histogram {
+		return f.get([]string{value}, func() *child { return &child{h: newHistogram(f.buckets)} }).h
+	}
+}
+
 // buildSampleRegistry assembles one of every instrument, including the
 // escaping-hostile label values the renderer must quote.
 func buildSampleRegistry() *Registry {
@@ -38,9 +48,9 @@ func buildSampleRegistry() *Registry {
 	for _, v := range []float64{0.005, 0.005, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
-	hv := r.NewHistogramVec("fsync_seconds", "Fsync latency.", []float64{0.001, 0.05}, "mode")
-	hv.With("always").Observe(0.0004)
-	hv.With("always").Observe(0.2)
+	hv := histogramVec(r, "fsync_seconds", "Fsync latency.", []float64{0.001, 0.05}, "mode")
+	hv("always").Observe(0.0004)
+	hv("always").Observe(0.2)
 	return r
 }
 
@@ -141,14 +151,10 @@ func TestNilSafety(t *testing.T) {
 	r.NewHistogram("c", "", nil).Observe(1)
 	r.NewCounterVec("d", "", "l").With("v").Add(2)
 	r.NewGaugeVec("e", "", "l").With("v").Add(2)
-	r.NewHistogramVec("f", "", nil, "l").With("v").Observe(2)
 	r.NewCounterFunc("g", "", func() float64 { return 1 })
 	r.NewGaugeFunc("h", "", func() float64 { return 1 })
 	if err := r.WriteTo(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
-	}
-	if r.Families() != nil {
-		t.Fatal("nil registry reported families")
 	}
 	var c *Counter
 	c.Inc()
@@ -189,7 +195,7 @@ func TestConcurrency(t *testing.T) {
 	g := r.NewGauge("g", "x")
 	h := r.NewHistogram("h", "x", []float64{1, 10, 100})
 	cv := r.NewCounterVec("cv_total", "x", "w")
-	hv := r.NewHistogramVec("hv", "x", []float64{5}, "w")
+	hv := histogramVec(r, "hv", "x", []float64{5}, "w")
 
 	const workers = 8
 	const perWorker = 5000
@@ -217,7 +223,7 @@ func TestConcurrency(t *testing.T) {
 		go func(w int) {
 			defer workersWG.Done()
 			mine := cv.With("w" + string(rune('0'+w)))
-			mh := hv.With("shared")
+			mh := hv("shared")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)

@@ -70,20 +70,6 @@ var emissionFactors = [NumSources]float64{
 	Nuclear:    6,
 }
 
-// Fossil reports whether the source burns fossil fuel.
-func (s Source) Fossil() bool { return s == Coal || s == Gas || s == Oil }
-
-// Dispatchable reports whether a grid operator can ramp the source to
-// follow demand. Solar and wind are weather-driven; nuclear is treated
-// as baseload.
-func (s Source) Dispatchable() bool {
-	switch s {
-	case Solar, Wind, Nuclear:
-		return false
-	}
-	return true
-}
-
 // Mix is a region's annual generation mix: the fraction of energy from
 // each source. Fractions sum to 1.
 type Mix [NumSources]float64
@@ -295,18 +281,6 @@ func Codes() []string {
 	out := make([]string, 0, len(catalog))
 	for _, r := range catalog {
 		out = append(out, r.Code)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ByContinent returns the codes of regions in continent c, sorted.
-func ByContinent(c Continent) []string {
-	var out []string
-	for _, r := range catalog {
-		if r.Continent == c {
-			out = append(out, r.Code)
-		}
 	}
 	sort.Strings(out)
 	return out

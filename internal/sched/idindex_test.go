@@ -89,7 +89,10 @@ func (m *idModel) round(t testing.TB, ids []int, keep bool, src *rng.Source) {
 		added = append(added, id)
 	}
 	if !keep {
-		src.Shuffle(len(added), func(i, j int) { added[i], added[j] = added[j], added[i] })
+		for i := len(added) - 1; i > 0; i-- { // Fisher–Yates
+			j := src.Intn(i + 1)
+			added[i], added[j] = added[j], added[i]
+		}
 		for _, id := range added {
 			m.x.del(m.blocks, id)
 			delete(m.want, id)

@@ -63,14 +63,6 @@ type ShardedFleet struct {
 	totalSlots  int
 	shardOf     []int // region index -> owning shard
 
-	// Region contention groups (SetRegionGroups). The default is one
-	// group holding every region; with more, spillover and policy
-	// placement never cross a group boundary and the policy runs once
-	// per group. All three are config, fixed before the first Submit.
-	groupOf      []int   // region index -> group index
-	groupRegions [][]int // group index -> sorted region indices
-	groupNames   [][]string
-
 	shards []*fleetShard
 
 	// mu is the world lock: Step (and the serial reconciliation inside
@@ -282,13 +274,6 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 		f.shards[si].regions = append(f.shards[si].regions, i)
 	}
 	f.mergeIdx = make([]int, shards)
-	f.groupOf = make([]int, len(f.regionsList))
-	all := make([]int, len(f.regionsList))
-	for i := range all {
-		all[i] = i
-	}
-	f.groupRegions = [][]int{all}
-	f.groupNames = [][]string{f.regionsList}
 	return f, nil
 }
 
@@ -595,8 +580,8 @@ func (f *ShardedFleet) mergeShards(buf []uint32, get func(*fleetShard) []uint32)
 
 // Step simulates the fleet's current hour and advances to the next. It
 // errors past the horizon and on a misbehaving policy (unknown job or
-// region, double placement, pinned migration, oversubscription, a
-// placement across a region-group boundary). The per-shard scans and
+// region, double placement, pinned migration, oversubscription). The
+// per-shard scans and
 // the world advancement run concurrently on the engine pool (inline on
 // the calling goroutine at one shard); all cross-shard slot contention
 // is resolved serially in submission order, which is what makes the
@@ -642,9 +627,9 @@ func (f *ShardedFleet) Step() error {
 
 	// Phase 2 (serial): deadline forcing in global submission order —
 	// a job with no slack left must run now, in its current/origin
-	// region or (if migratable) the first region with space inside its
-	// own contention group. This is where cross-shard slot stealing
-	// happens, so it cannot be parallelized without changing outcomes.
+	// region or (if migratable) the first region, in index order, with
+	// space. This is where cross-shard slot stealing happens, so it
+	// cannot be parallelized without changing outcomes.
 	pool := f.mergeShards(f.poolBuf, func(sh *fleetShard) []uint32 { return sh.pool })
 	f.poolBuf = pool
 	for _, seq := range pool {
@@ -657,7 +642,7 @@ func (f *ShardedFleet) Step() error {
 			ri = int(r.originI)
 		}
 		if f.free[ri] <= 0 && r.migratable() {
-			for _, j := range f.groupRegions[f.groupOf[ri]] {
+			for j := range f.free {
 				if f.free[j] > 0 {
 					ri = j
 					break
@@ -671,75 +656,67 @@ func (f *ShardedFleet) Step() error {
 	}
 
 	// Phase 3 (serial): the policy's placement pass over the flexible
-	// remainder, once per contention group with a group-local Tick. In
-	// the default single-group configuration the Tick covers the whole
-	// fleet; with more groups, each group sees only its own regions,
-	// free slots, and eligible jobs (still in global submission order),
-	// so placements can never cross a boundary.
-	for gi, regs := range f.groupRegions {
-		freeSlots := make(map[string]int, len(regs))
-		for _, ri := range regs {
-			freeSlots[f.regionsList[ri]] = f.free[ri]
+	// remainder — one Tick over every region, its eligible jobs in
+	// submission order (or fair order, with tenancy on).
+	freeSlots := make(map[string]int, len(f.regionsList))
+	for ri, r := range f.regionsList {
+		freeSlots[r] = f.free[ri]
+	}
+	tick := &Tick{
+		Hour:    hour,
+		Regions: f.regionsList,
+		CI:      func(region string) float64 { return f.set.MustGet(region).At(hour) },
+		Lookback: func(region string, n int) []float64 {
+			lo := hour - n
+			if lo < 0 {
+				lo = 0
+			}
+			return f.set.MustGet(region).CI[lo:hour]
+		},
+		FreeSlots: freeSlots,
+	}
+	for _, seq := range pool {
+		r := f.blocks.at(seq)
+		if r.placed >= 0 {
+			continue
 		}
-		tick := &Tick{
-			Hour:    hour,
-			Regions: f.groupNames[gi],
-			CI:      func(region string) float64 { return f.set.MustGet(region).At(hour) },
-			Lookback: func(region string, n int) []float64 {
-				lo := hour - n
-				if lo < 0 {
-					lo = 0
-				}
-				return f.set.MustGet(region).CI[lo:hour]
-			},
-			FreeSlots: freeSlots,
+		tick.Eligible = append(tick.Eligible, JobView{
+			ID:              r.id,
+			Origin:          f.regionsList[r.originI],
+			Tenant:          f.tenants[r.tenantI],
+			Remaining:       int(r.length - r.progress),
+			HoursToDeadline: r.deadline() - hour,
+			Interruptible:   r.interruptible(),
+			Migratable:      r.migratable(),
+		})
+	}
+	tick.Eligible = fairOrder(f.fq, tick.Eligible)
+	// No idMu here: Step holds the exclusive world lock, and every
+	// job-store writer first takes the shared world lock.
+	for _, p := range f.policy.Plan(tick) {
+		seq, ok := f.ids.get(f.blocks, p.JobID)
+		if !ok {
+			return fmt.Errorf("sched: policy %s placed unknown job %d", f.policy.Name(), p.JobID)
 		}
-		for _, seq := range pool {
-			r := f.blocks.at(seq)
-			if r.placed >= 0 || f.groupOf[r.originI] != gi {
-				continue
-			}
-			tick.Eligible = append(tick.Eligible, JobView{
-				ID:              r.id,
-				Origin:          f.regionsList[r.originI],
-				Tenant:          f.tenants[r.tenantI],
-				Remaining:       int(r.length - r.progress),
-				HoursToDeadline: r.deadline() - hour,
-				Interruptible:   r.interruptible(),
-				Migratable:      r.migratable(),
-			})
+		r := f.blocks.at(seq)
+		if r.done() || int(r.arrival) > hour {
+			return fmt.Errorf("sched: policy %s placed ineligible job %d", f.policy.Name(), p.JobID)
 		}
-		tick.Eligible = fairOrder(f.fq, tick.Eligible)
-		// No idMu here: Step holds the exclusive world lock, and every
-		// job-store writer first takes the shared world lock.
-		for _, p := range f.policy.Plan(tick) {
-			seq, ok := f.ids.get(f.blocks, p.JobID)
-			if !ok {
-				return fmt.Errorf("sched: policy %s placed unknown job %d", f.policy.Name(), p.JobID)
-			}
-			r := f.blocks.at(seq)
-			if r.done() || int(r.arrival) > hour {
-				return fmt.Errorf("sched: policy %s placed ineligible job %d", f.policy.Name(), p.JobID)
-			}
-			if r.placed >= 0 {
-				return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), p.JobID)
-			}
-			ri, ok := f.regionIdx[p.Region]
-			if !ok {
-				return fmt.Errorf("sched: policy %s used unknown region %q", f.policy.Name(), p.Region)
-			}
-			if !r.migratable() && ri != int(r.originI) {
-				return fmt.Errorf("sched: policy %s migrated pinned job %d", f.policy.Name(), r.id)
-			}
-			if f.groupOf[ri] != gi || f.groupOf[r.originI] != gi {
-				return fmt.Errorf("sched: policy %s placed job %d across region-group boundary into %s", f.policy.Name(), r.id, p.Region)
-			}
-			if f.free[ri] <= 0 {
-				return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), p.Region)
-			}
-			r.placed = int16(ri)
-			f.free[ri]--
+		if r.placed >= 0 {
+			return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), p.JobID)
 		}
+		ri, ok := f.regionIdx[p.Region]
+		if !ok {
+			return fmt.Errorf("sched: policy %s used unknown region %q", f.policy.Name(), p.Region)
+		}
+		if !r.migratable() && ri != int(r.originI) {
+			return fmt.Errorf("sched: policy %s migrated pinned job %d", f.policy.Name(), r.id)
+		}
+		if f.free[ri] <= 0 {
+			return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), p.Region)
+		}
+		r.placed = int16(ri)
+		f.free[ri]--
 	}
 
 	// Phase 4 (parallel): advance the world. Every job's mutation is

@@ -159,12 +159,6 @@ func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	return out, nil
 }
 
-// Healthz reports service liveness.
-func (c *Client) Healthz(ctx context.Context) error {
-	var out map[string]string
-	return c.get(ctx, "/healthz", &out)
-}
-
 // Promote asks a follower to take over as primary (idempotent: a
 // primary answers promoted=false). Note this goes to the client's
 // current endpoint directly — promotion is exactly the case where the

@@ -158,7 +158,8 @@ func TestStatsShape(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	_, client, _ := startServer(t, Config{Policy: sched.FIFO{}}, 1)
-	if err := client.Healthz(context.Background()); err != nil {
+	var out map[string]string
+	if err := client.get(context.Background(), "/healthz", &out); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -33,8 +33,7 @@ import (
 // coordinates, demand swing, seed, start, hours) and the dispatch's
 // (mix, renewable drift, extra renewables) — so a Region value that
 // shares a code with a catalog entry but carries, say, a modified mix
-// (regions built via Greener) gets its own entry rather than silently
-// aliasing the catalog trace.
+// gets its own entry rather than silently aliasing the catalog trace.
 type cacheKey struct {
 	code        string
 	lat, lon    float64

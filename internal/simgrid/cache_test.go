@@ -122,7 +122,8 @@ func TestCacheKeyCoversRegionFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greener := Greener(reg, 0.3)
+	greener := reg
+	greener.Mix = shiftToRenewables(reg.Mix, 0.3)
 	mod, err := GenerateRegionCached(greener, cfg)
 	if err != nil {
 		t.Fatal(err)

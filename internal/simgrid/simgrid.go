@@ -211,15 +211,6 @@ func hashCode(s string) uint64 {
 	return h
 }
 
-// Greener returns a copy of r with add fraction points of generation
-// moved from fossil sources to solar and wind (split in proportion to
-// their existing shares, or to solar alone if the region has neither).
-// It is the mix transformation behind the §6.3 what-if.
-func Greener(r regions.Region, add float64) regions.Region {
-	r.Mix = shiftToRenewables(r.Mix, add)
-	return r
-}
-
 // shiftToRenewables moves `shift` fraction points from fossil to
 // solar+wind (negative shift moves the other way). The result is
 // clamped so no share goes negative.

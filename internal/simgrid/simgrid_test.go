@@ -310,9 +310,12 @@ func TestExtraRenewablesLowersMean(t *testing.T) {
 	}
 }
 
+// TestGreenerHelper: the §6.3 mix transformation, 20 points from
+// fossil to renewables, keeps the mix whole and makes it cleaner.
 func TestGreenerHelper(t *testing.T) {
 	r := regions.MustByCode("PL")
-	g := Greener(r, 0.2)
+	g := r
+	g.Mix = shiftToRenewables(r.Mix, 0.2)
 	if got := g.Mix.Sum(); math.Abs(got-r.Mix.Sum()) > 1e-9 {
 		t.Fatalf("Greener changed mix sum: %v", got)
 	}

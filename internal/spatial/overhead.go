@@ -89,24 +89,3 @@ func InfMigrationWithOverhead(set *trace.Set, candidates []string, arrival, leng
 	}
 	return total, moves, nil
 }
-
-// BreakEvenOverhead returns the per-move overhead (g·CO₂eq) at which
-// overhead-free ∞-migration's advantage over 1-migration disappears
-// for the given job, along with the raw advantage and move count. A
-// small break-even confirms the paper's takeaway that sophisticated
-// hopping policies have no practical headroom.
-func BreakEvenOverhead(set *trace.Set, candidates []string, arrival, length int) (perMoveG, advantageG float64, moves int, err error) {
-	one, _, err := OneMigrationCost(set, candidates, arrival, length)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	free, moves, err := InfMigrationWithOverhead(set, candidates, arrival, length, MigrationCost{})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	advantageG = one - free
-	if moves == 0 {
-		return 0, advantageG, 0, nil
-	}
-	return advantageG / float64(moves), advantageG, moves, nil
-}

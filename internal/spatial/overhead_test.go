@@ -3,6 +3,8 @@ package spatial
 import (
 	"math"
 	"testing"
+
+	"carbonshift/internal/trace"
 )
 
 func TestPerMove(t *testing.T) {
@@ -92,6 +94,25 @@ func TestInfMigrationOverheadErrors(t *testing.T) {
 	}
 }
 
+// breakEven returns the per-move overhead at which overhead-free
+// ∞-migration's advantage over 1-migration disappears for one job,
+// with the raw advantage and the move count.
+func breakEven(t *testing.T, set *trace.Set, arrival, length int) (perMoveG, advantageG float64, moves int) {
+	t.Helper()
+	one, _, err := OneMigrationCost(set, set.Regions(), arrival, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, moves, err := InfMigrationWithOverhead(set, set.Regions(), arrival, length, MigrationCost{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moves == 0 {
+		return 0, one - free, 0
+	}
+	return (one - free) / float64(moves), one - free, moves
+}
+
 func TestBreakEvenOverhead(t *testing.T) {
 	// Alternating ranking: ∞-migration saves 90 g/hop opportunity but
 	// needs a hop every hour.
@@ -99,10 +120,7 @@ func TestBreakEvenOverhead(t *testing.T) {
 		"A": {10, 100, 10, 100},
 		"B": {100, 10, 100, 10},
 	})
-	perMove, advantage, moves, err := BreakEvenOverhead(set, set.Regions(), 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	perMove, advantage, moves := breakEven(t, set, 0, 4)
 	// 1-migration: stay in A (mean 55 each; A chosen by tie-break on
 	// equal means? A mean 55, B mean 55; lexical tie-break -> A) cost
 	// 220. Free hopping: 40. Advantage 180 over 3 moves = 60 g/move.
@@ -122,10 +140,7 @@ func TestBreakEvenNoMoves(t *testing.T) {
 		"A": {10, 10},
 		"B": {500, 500},
 	})
-	perMove, advantage, moves, err := BreakEvenOverhead(set, set.Regions(), 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	perMove, advantage, moves := breakEven(t, set, 0, 2)
 	if moves != 0 || perMove != 0 || math.Abs(advantage) > 1e-9 {
 		t.Fatalf("stable ranking gave perMove=%v advantage=%v moves=%d", perMove, advantage, moves)
 	}

@@ -1,6 +1,6 @@
 // Package stats provides the statistical primitives the analysis uses:
 // descriptive statistics (mean, standard deviation, coefficient of
-// variation, daily CV), percentiles, confidence intervals, bottom-k
+// variation, daily CV), percentiles, bottom-k and minimum-window
 // selection, and k-means++ clustering (used for the paper's Figure 3(b)
 // trend grouping).
 //
@@ -116,31 +116,18 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// NearestRank returns the p-th percentile (0 <= p <= 100) of xs under
-// the explicit nearest-rank definition: the element at sorted position
-// ⌈p/100 · n⌉ (1-based), with p=0 mapping to the minimum. Unlike
-// Percentile's linear interpolation — the right estimator for smooth
-// distributions like the carbon-intensity history the gate policies
-// threshold — nearest-rank always returns an observed sample, which is
-// what latency reporting needs: with n=10, the p99 is the maximum, not
-// an interpolated value below every observation ever made. It panics
-// on an empty slice or out-of-range p.
-func NearestRank(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: NearestRank of empty slice")
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return NearestRankSorted(sorted, p)
-}
-
-// NearestRankSorted is NearestRank over an already-sorted sample,
-// skipping the defensive copy and sort — for callers reporting several
-// percentiles of one sample.
+// NearestRankSorted returns the p-th percentile (0 <= p <= 100) of an
+// ascending sample under the explicit nearest-rank definition: the
+// element at sorted position ⌈p/100 · n⌉ (1-based), with p=0 mapping to
+// the minimum. Unlike Percentile's linear interpolation — the right
+// estimator for smooth distributions like the carbon-intensity history
+// the gate policies threshold — nearest-rank always returns an observed
+// sample, which is what latency reporting needs: with n=10, the p99 is
+// the maximum, not an interpolated value below every observation ever
+// made. It panics on an empty slice or out-of-range p.
 func NearestRankSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
-		panic("stats: NearestRank of empty slice")
+		panic("stats: NearestRankSorted of empty slice")
 	}
 	if p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: percentile %v out of range", p))
@@ -150,15 +137,6 @@ func NearestRankSorted(sorted []float64, p float64) float64 {
 		rank = 1
 	}
 	return sorted[rank-1]
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the
-// mean of xs under a normal approximation (1.96 · σ/√n).
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * StdDev(xs) / math.Sqrt(float64(len(xs)))
 }
 
 // SumBottomK returns the sum of the k smallest elements of xs. It uses
@@ -330,27 +308,7 @@ func MinWindowSum(xs []float64, k int) (start int, sum float64) {
 	return bestStart, best
 }
 
-// MinWindowSumNaive is the O(n·k) rescan variant of MinWindowSum, kept
-// for differential testing and the ablation benchmark.
-func MinWindowSumNaive(xs []float64, k int) (start int, sum float64) {
-	if k <= 0 || k > len(xs) {
-		panic(fmt.Sprintf("stats: MinWindowSumNaive k=%d of %d elements", k, len(xs)))
-	}
-	best := math.Inf(1)
-	bestStart := 0
-	for i := 0; i+k <= len(xs); i++ {
-		var cur float64
-		for _, v := range xs[i : i+k] {
-			cur += v
-		}
-		if cur < best-1e-9 {
-			best, bestStart = cur, i
-		}
-	}
-	return bestStart, best
-}
-
-// Point is a 2-D observation for clustering and fitting.
+// Point is a 2-D observation for clustering.
 type Point struct{ X, Y float64 }
 
 // KMeansResult holds cluster assignments and centroids.
@@ -457,24 +415,4 @@ func nearestDist2(p Point, cs []Point) float64 {
 		}
 	}
 	return best
-}
-
-// LinearFit returns the least-squares slope and intercept of y against
-// x. It panics if the slices differ in length or have fewer than two
-// points.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) || len(x) < 2 {
-		panic("stats: LinearFit needs two equal-length series of >= 2 points")
-	}
-	mx, my := Mean(x), Mean(y)
-	var num, den float64
-	for i := range x {
-		num += (x[i] - mx) * (y[i] - my)
-		den += (x[i] - mx) * (x[i] - mx)
-	}
-	if den == 0 {
-		return 0, my
-	}
-	slope = num / den
-	return slope, my - slope*mx
 }

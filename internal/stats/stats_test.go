@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -11,6 +12,26 @@ import (
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// MinWindowSumNaive is the O(n·k) rescan reference for MinWindowSum,
+// kept for differential testing and the ablation benchmark.
+func MinWindowSumNaive(xs []float64, k int) (start int, sum float64) {
+	if k <= 0 || k > len(xs) {
+		panic(fmt.Sprintf("stats: MinWindowSumNaive k=%d of %d elements", k, len(xs)))
+	}
+	best := math.Inf(1)
+	bestStart := 0
+	for i := 0; i+k <= len(xs); i++ {
+		var cur float64
+		for _, v := range xs[i : i+k] {
+			cur += v
+		}
+		if cur < best-1e-9 {
+			best, bestStart = cur, i
+		}
+	}
+	return bestStart, best
+}
 
 func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
@@ -114,16 +135,16 @@ func TestPercentilePanics(t *testing.T) {
 }
 
 func TestNearestRank(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
+	xs := []float64{1, 2, 3, 4}
 	cases := []struct{ p, want float64 }{
 		{0, 1}, {100, 4}, {50, 2}, {25, 1}, {75, 3}, {99, 4}, {51, 3},
 	}
 	for _, c := range cases {
-		if got := NearestRank(xs, c.p); got != c.want {
-			t.Errorf("NearestRank(%v) = %v, want %v", c.p, got, c.want)
+		if got := NearestRankSorted(xs, c.p); got != c.want {
+			t.Errorf("NearestRankSorted(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if got := NearestRank([]float64{9}, 50); got != 9 {
+	if got := NearestRankSorted([]float64{9}, 50); got != 9 {
 		t.Errorf("single-element nearest rank = %v", got)
 	}
 }
@@ -135,7 +156,7 @@ func TestNearestRank(t *testing.T) {
 func TestNearestRankTailSmallSamples(t *testing.T) {
 	// 10 samples, one slow outlier: the p99 *is* the outlier.
 	xs := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 500}
-	if got := NearestRank(xs, 99); got != 500 {
+	if got := NearestRankSorted(xs, 99); got != 500 {
 		t.Fatalf("p99 of 10 samples = %v, want the max (500)", got)
 	}
 	if interp := Percentile(xs, 99); interp >= 500 {
@@ -146,19 +167,19 @@ func TestNearestRankTailSmallSamples(t *testing.T) {
 	for i := range big {
 		big[i] = float64(i + 1)
 	}
-	if got := NearestRank(big, 99); got != 99 {
+	if got := NearestRankSorted(big, 99); got != 99 {
 		t.Fatalf("p99 of 1..100 = %v, want 99", got)
 	}
-	if got := NearestRank(big, 95); got != 95 {
+	if got := NearestRankSorted(big, 95); got != 95 {
 		t.Fatalf("p95 of 1..100 = %v, want 95", got)
 	}
 }
 
 func TestNearestRankPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NearestRank(nil, 50) },
-		func() { NearestRank([]float64{1}, -1) },
-		func() { NearestRank([]float64{1}, 101) },
+		func() { NearestRankSorted(nil, 50) },
+		func() { NearestRankSorted([]float64{1}, -1) },
+		func() { NearestRankSorted([]float64{1}, 101) },
 	} {
 		func() {
 			defer func() {
@@ -168,17 +189,6 @@ func TestNearestRankPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestCI95(t *testing.T) {
-	if got := CI95([]float64{5}); got != 0 {
-		t.Fatalf("CI95 single = %v", got)
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9} // sd 2, n 8
-	want := 1.96 * 2 / math.Sqrt(8)
-	if got := CI95(xs); !almost(got, want, 1e-12) {
-		t.Fatalf("CI95 = %v, want %v", got, want)
 	}
 }
 
@@ -397,29 +407,6 @@ func TestKMeansIdenticalPoints(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 2x + 1
-	slope, intercept := LinearFit(x, y)
-	if !almost(slope, 2, 1e-12) || !almost(intercept, 1, 1e-12) {
-		t.Fatalf("fit = %v, %v", slope, intercept)
-	}
-	// Degenerate x: slope 0, intercept mean(y).
-	slope, intercept = LinearFit([]float64{5, 5}, []float64{1, 3})
-	if slope != 0 || intercept != 2 {
-		t.Fatalf("degenerate fit = %v, %v", slope, intercept)
-	}
-}
-
-func TestLinearFitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	LinearFit([]float64{1}, []float64{1})
-}
-
 func BenchmarkSumBottomK(b *testing.B) {
 	src := rng.New(1)
 	xs := make([]float64, 8760)
@@ -442,5 +429,32 @@ func BenchmarkMinWindowSum(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MinWindowSum(xs, 168)
+	}
+}
+
+// yearSeries is one year of hourly diurnal intensities with noise.
+func yearSeries() []float64 {
+	src := rng.New(1)
+	ci := make([]float64, 8760)
+	for i := range ci {
+		ci[i] = 300 + 120*math.Sin(2*math.Pi*float64(i)/24) + src.Uniform(-30, 30)
+	}
+	return ci
+}
+
+// Deferral window search: O(n) sliding window vs O(n·k) rescan.
+func BenchmarkAblation_DeferWindowSliding(b *testing.B) {
+	ci := yearSeries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MinWindowSum(ci, 168)
+	}
+}
+
+func BenchmarkAblation_DeferWindowNaive(b *testing.B) {
+	ci := yearSeries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MinWindowSumNaive(ci, 168)
 	}
 }

@@ -26,7 +26,6 @@ package temporal
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"carbonshift/internal/stats"
@@ -311,22 +310,6 @@ func (t *rankTree) cntAt(r int) int {
 	return c
 }
 
-// Summary aggregates a cost series across arrivals.
-type Summary struct {
-	Mean float64
-	Std  float64
-	CI95 float64
-}
-
-// Summarize reduces a per-arrival cost series.
-func Summarize(costs []float64) Summary {
-	return Summary{
-		Mean: stats.Mean(costs),
-		Std:  stats.StdDev(costs),
-		CI95: stats.CI95(costs),
-	}
-}
-
 // MeanSavings condenses a sweep into the paper's reporting quantities:
 // mean absolute savings of deferral vs baseline and interruption vs
 // deferral, plus the mean baseline, all in g·CO₂eq per job.
@@ -350,51 +333,4 @@ func (c Costs) Reduce() MeanSavings {
 	}
 	f := float64(n)
 	return MeanSavings{Baseline: base / f, DeferSaving: def / f, InterruptSaving: intr / f}
-}
-
-// SweepNaive evaluates every arrival with the O(n·k) single-job code.
-// It exists for differential tests and the ablation benchmarks.
-func SweepNaive(ci []float64, length, slack, arrivals int) (Costs, error) {
-	if arrivals < 1 {
-		return Costs{}, fmt.Errorf("temporal: sweep needs >= 1 arrival, got %d", arrivals)
-	}
-	if err := checkJob(len(ci), arrivals-1, length, slack); err != nil {
-		return Costs{}, err
-	}
-	out := Costs{
-		Baseline:    make([]float64, arrivals),
-		Deferred:    make([]float64, arrivals),
-		Interrupted: make([]float64, arrivals),
-	}
-	for a := 0; a < arrivals; a++ {
-		r, err := Evaluate(ci, a, length, slack)
-		if err != nil {
-			return Costs{}, err
-		}
-		out.Baseline[a] = r.Baseline
-		out.Deferred[a] = r.Deferred
-		out.Interrupted[a] = r.Interrupted
-	}
-	return out, nil
-}
-
-// ValidateMonotone checks the policy-dominance invariant on a sweep:
-// interrupted <= deferred <= baseline for every arrival (within float
-// tolerance). It returns the first violation, if any.
-func (c Costs) ValidateMonotone() error {
-	const eps = 1e-6
-	for i := range c.Baseline {
-		if c.Deferred[i] > c.Baseline[i]+eps {
-			return fmt.Errorf("temporal: deferred %v > baseline %v at arrival %d",
-				c.Deferred[i], c.Baseline[i], i)
-		}
-		if c.Interrupted[i] > c.Deferred[i]+eps {
-			return fmt.Errorf("temporal: interrupted %v > deferred %v at arrival %d",
-				c.Interrupted[i], c.Deferred[i], i)
-		}
-		if math.IsNaN(c.Interrupted[i]) {
-			return fmt.Errorf("temporal: NaN cost at arrival %d", i)
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package temporal
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -10,6 +11,53 @@ import (
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) <= 1e-6*(1+math.Abs(a)+math.Abs(b)) }
+
+// SweepNaive evaluates every arrival with the O(n·k) single-job code:
+// the reference Sweep is held to, and the ablation benchmark's baseline.
+func SweepNaive(ci []float64, length, slack, arrivals int) (Costs, error) {
+	if arrivals < 1 {
+		return Costs{}, fmt.Errorf("temporal: sweep needs >= 1 arrival, got %d", arrivals)
+	}
+	if err := checkJob(len(ci), arrivals-1, length, slack); err != nil {
+		return Costs{}, err
+	}
+	out := Costs{
+		Baseline:    make([]float64, arrivals),
+		Deferred:    make([]float64, arrivals),
+		Interrupted: make([]float64, arrivals),
+	}
+	for a := 0; a < arrivals; a++ {
+		r, err := Evaluate(ci, a, length, slack)
+		if err != nil {
+			return Costs{}, err
+		}
+		out.Baseline[a] = r.Baseline
+		out.Deferred[a] = r.Deferred
+		out.Interrupted[a] = r.Interrupted
+	}
+	return out, nil
+}
+
+// ValidateMonotone checks the policy-dominance invariant on a sweep:
+// interrupted <= deferred <= baseline for every arrival (within float
+// tolerance). It returns the first violation, if any.
+func (c Costs) ValidateMonotone() error {
+	const eps = 1e-6
+	for i := range c.Baseline {
+		if c.Deferred[i] > c.Baseline[i]+eps {
+			return fmt.Errorf("temporal: deferred %v > baseline %v at arrival %d",
+				c.Deferred[i], c.Baseline[i], i)
+		}
+		if c.Interrupted[i] > c.Deferred[i]+eps {
+			return fmt.Errorf("temporal: interrupted %v > deferred %v at arrival %d",
+				c.Interrupted[i], c.Deferred[i], i)
+		}
+		if math.IsNaN(c.Interrupted[i]) {
+			return fmt.Errorf("temporal: NaN cost at arrival %d", i)
+		}
+	}
+	return nil
+}
 
 func TestEvaluateToyExample(t *testing.T) {
 	// Mirrors the paper's Figure 2(a) idea: a job of length 2 with
@@ -229,16 +277,6 @@ func TestReduce(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if !almost(s.Mean, 5) || !almost(s.Std, 2) {
-		t.Fatalf("Summarize = %+v", s)
-	}
-	if s.CI95 <= 0 {
-		t.Fatalf("CI95 = %v", s.CI95)
-	}
-}
-
 func TestValidateMonotoneCatchesViolations(t *testing.T) {
 	c := Costs{
 		Baseline:    []float64{10},
@@ -349,6 +387,37 @@ func BenchmarkSweepNaiveSmall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := SweepNaive(ci, 24, 168, 1000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Arrival sweeps: the incremental Fenwick/deque sweep vs re-evaluating
+// every arrival from scratch, over one year of diurnal intensities.
+func yearSeries() []float64 {
+	src := rng.New(1)
+	ci := make([]float64, 8760)
+	for i := range ci {
+		ci[i] = 300 + 120*math.Sin(2*math.Pi*float64(i)/24) + src.Uniform(-30, 30)
+	}
+	return ci
+}
+
+func BenchmarkAblation_SweepIncremental(b *testing.B) {
+	ci := yearSeries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Sweep(ci, 24, 168, 4000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAblation_SweepNaive(b *testing.B) {
+	ci := yearSeries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SweepNaive(ci, 24, 168, 4000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -72,7 +72,7 @@ func (q *FairQueue) stride(name string) int64 {
 		return s
 	}
 	sp, _ := q.cfg.Lookup(name)
-	s := int64(passScale / sp.effectiveWeight())
+	s := passScale / int64(sp.effectiveWeight())
 	if s < 1 {
 		s = 1
 	}
@@ -166,11 +166,6 @@ func (q *FairQueue) Order(names []string) []int {
 func (q *FairQueue) Charge(name string) {
 	t := Normalize(name)
 	q.pass[t] = q.touch(t) + q.stride(t)
-}
-
-// Pass returns a tenant's current virtual-time pass (tests and stats).
-func (q *FairQueue) Pass(name string) int64 {
-	return q.pass[Normalize(name)]
 }
 
 // Snapshot returns the pass state as the virtual-time frontier plus

@@ -153,32 +153,19 @@ func (g *Gate) Commit(name string, n, hour int) {
 // peekTokens refills the tenant's bucket to the current instant and
 // returns the balance. Callers hold g.mu.
 func (g *Gate) peekTokens(name string, sp Spec) float64 {
+	burst := float64(sp.Burst)
+	if sp.Burst < 1 {
+		burst = float64(max(int(sp.RatePerSec), 1))
+	}
 	b := g.buckets[name]
 	now := g.now()
 	if b == nil {
-		burst := sp.Burst
-		if burst < 1 {
-			burst = int(sp.RatePerSec)
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		b = &bucket{tokens: float64(burst), last: now}
+		b = &bucket{tokens: burst, last: now}
 		g.buckets[name] = b
 		return b.tokens
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		burst := sp.Burst
-		if burst < 1 {
-			burst = int(sp.RatePerSec)
-			if burst < 1 {
-				burst = 1
-			}
-		}
-		b.tokens += dt * sp.RatePerSec
-		if max := float64(burst); b.tokens > max {
-			b.tokens = max
-		}
+		b.tokens = min(b.tokens+dt*sp.RatePerSec, burst)
 	}
 	b.last = now
 	return b.tokens
@@ -201,19 +188,6 @@ func (g *Gate) Reset(hour int, counts map[string]int) {
 	for name, n := range counts {
 		g.hours[Normalize(name)] = &hourCount{hour: hour, n: n}
 	}
-}
-
-// Admitted returns the tenant's admission count in the given hour.
-func (g *Gate) Admitted(name string, hour int) int {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if hc := g.hours[Normalize(name)]; hc != nil && hc.hour == hour {
-		return hc.n
-	}
-	return 0
 }
 
 // Config returns the gate's tenant registry.

