@@ -91,7 +91,7 @@ func main() {
 		days       = flag.Int("days", 60, "replay horizon in days")
 		policyName = flag.String("policy", "carbon-gate",
 			"scheduling policy: "+strings.Join(schedd.PolicyNames(), ", "))
-		percentile  = flag.Float64("percentile", 35, "gate percentile for the gated policies")
+		percentile  = flag.Float64("percentile", 35, "gate percentile in [0, 100] for the gated policies")
 		window      = flag.Int("window", 168, "lookback window in hours for carbon-gate")
 		seed        = flag.Uint64("seed", 1, "simulation seed")
 		shards      = flag.Int("shards", 0, "fleet region shards stepped in parallel (0 = min(CPUs, regions)); affects throughput only, never placements")

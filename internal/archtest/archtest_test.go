@@ -1,8 +1,9 @@
 // Package archtest holds the repository's architecture guards: each
 // keeps one piece of the design single — one framing layer, one
-// lifecycle, one upstream round trip, one id registry, the measured
-// kernels, one logger, one role value — by counting, over the parsed
-// Go source, the sites that would start a second copy. They run under
+// lifecycle, one upstream round trip, one id registry, index-typed
+// policies, the measured kernels, one logger, one role value — by
+// counting, over the parsed Go source, the sites that would start a
+// second copy. They run under
 // go test ./..., and every guard is shown to fire on a planted
 // violation.
 package archtest
@@ -153,6 +154,41 @@ func idKeyedMap(n ast.Node) bool {
 	return ok && lastName(m.Key) == "int" && slices.Contains([]string{"uint32", "bool"}, lastName(m.Value))
 }
 
+// stringKeyedMap matches map[string]….
+func stringKeyedMap(n ast.Node) bool {
+	m, ok := n.(*ast.MapType)
+	return ok && lastName(m.Key) == "string"
+}
+
+// stringFieldOf matches the declaration of a struct type named one of
+// names that has a field whose type mentions string.
+func stringFieldOf(names ...string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || !slices.Contains(names, ts.Name.Name) {
+			return false
+		}
+		st, ok := ts.Type.(*ast.StructType)
+		return ok && slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool { return holds(f.Type, ident("string")) })
+	}
+}
+
+// inMethod matches the method recv.name when its body holds a node
+// match matches.
+func inMethod(recv, name string, match func(ast.Node) bool) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		fd, ok := n.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil || fd.Body == nil || fd.Name.Name != name {
+			return false
+		}
+		t := fd.Recv.List[0].Type
+		if s, ok := t.(*ast.StarExpr); ok {
+			t = s.X
+		}
+		return lastName(t) == recv && holds(fd.Body, match)
+	}
+}
+
 // ident matches any use or declaration of one of names.
 func ident(names ...string) func(ast.Node) bool {
 	return func(n ast.Node) bool {
@@ -285,6 +321,45 @@ func (g *Gateway) direct(p *partition) {
 		},
 		plant: map[string]string{"internal/sched/planted.go": `package sched
 var seen = map[int]bool{}`},
+	},
+	{
+		// Policies plan in the fleet's index space: a job is its position
+		// in Tick.Eligible and a region its index, so Step applies a
+		// placement without resolving a name, and a policy memoises per
+		// region in a slice, not a map of region names.
+		name: "policies and Step work in region and job indices in internal/sched",
+		fix:  "name jobs by Eligible position and regions by index; memoise in plan's tickMemo, not a map[string]",
+		rules: []rule{
+			{what: "a string field in Placement or JobView", in: []string{"internal/sched/"}, match: stringFieldOf("Placement", "JobView")},
+			{what: "map[string]… in a policy", in: []string{"internal/sched/policies.go", "internal/sched/forecast_policy.go"}, match: stringKeyedMap},
+			{what: "ids.get( in ShardedFleet.Step", in: []string{"internal/sched/"}, match: inMethod("ShardedFleet", "Step", call("ids", "get"))},
+			{what: "regionIdx in ShardedFleet.Step", in: []string{"internal/sched/"}, match: inMethod("ShardedFleet", "Step", ident("regionIdx"))},
+		},
+		plant: map[string]string{"internal/sched/policies.go": `package sched
+type Placement struct {
+	JobID  int
+	Region string
+}
+type cachedGate struct{ CarbonGate }
+func (p cachedGate) Plan(t *Tick) []Placement {
+	thresholds := map[string]float64{}
+	var out []Placement
+	for _, j := range t.Eligible {
+		region := regionNames[j.Origin]
+		if _, ok := thresholds[region]; !ok {
+			thresholds[region] = p.threshold(t, j.Origin)
+		}
+		out = append(out, Placement{JobID: 0, Region: region})
+	}
+	return out
+}
+func (f *ShardedFleet) Step() error {
+	for _, p := range f.policy.Plan(nil) {
+		seq, _ := f.ids.get(f.blocks, p.JobID)
+		f.blocks.at(seq).placed = int16(f.regionIdx[p.Region])
+	}
+	return nil
+}`},
 	},
 	{
 		// The hot kernels as measured: simgrid forms the flexible-source

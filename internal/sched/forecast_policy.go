@@ -50,33 +50,14 @@ func (p ForecastGate) horizon() int {
 }
 
 // Plan implements Policy.
-func (p ForecastGate) Plan(t *Tick) []Placement {
-	thresholds := make(map[string]float64)
-	threshold := func(region string) float64 {
-		if v, ok := thresholds[region]; ok {
-			return v
-		}
+func (p ForecastGate) Plan(t *Tick) []Placement { return plan(t, atOrigin, p.threshold) }
+
+func (p ForecastGate) threshold(t *Tick, region int) float64 {
+	pred, err := p.model().Forecast(t.Lookback(region, p.history()), p.horizon())
+	if err != nil || len(pred) == 0 {
 		// Without enough history for the model, run unconditionally
 		// (equivalent to FIFO during warmup).
-		v := t.CI(region)
-		history := t.Lookback(region, p.history())
-		if pred, err := p.model().Forecast(history, p.horizon()); err == nil && len(pred) > 0 {
-			v = stats.Percentile(pred, p.Percentile)
-		}
-		thresholds[region] = v
-		return v
+		return t.CI[region]
 	}
-	var out []Placement
-	for _, j := range t.Eligible {
-		if t.FreeSlots[j.Origin] <= 0 {
-			continue
-		}
-		urgent := j.SlackLeft() <= 1
-		if !urgent && t.CI(j.Origin) > threshold(j.Origin) {
-			continue
-		}
-		out = append(out, Placement{JobID: j.ID, Region: j.Origin})
-		t.FreeSlots[j.Origin]--
-	}
-	return out
+	return stats.Percentile(pred, p.Percentile)
 }

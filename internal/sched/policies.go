@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"carbonshift/internal/rng"
 	"carbonshift/internal/stats"
@@ -18,30 +20,7 @@ type FIFO struct{}
 func (FIFO) Name() string { return "fifo" }
 
 // Plan implements Policy.
-func (FIFO) Plan(t *Tick) []Placement {
-	var out []Placement
-	for _, j := range t.Eligible {
-		region := j.Origin
-		if t.FreeSlots[region] <= 0 {
-			if !j.Migratable {
-				continue
-			}
-			region = ""
-			for _, r := range t.Regions {
-				if t.FreeSlots[r] > 0 {
-					region = r
-					break
-				}
-			}
-			if region == "" {
-				continue
-			}
-		}
-		out = append(out, Placement{JobID: j.ID, Region: region})
-		t.FreeSlots[region]--
-	}
-	return out
-}
+func (FIFO) Plan(t *Tick) []Placement { return plan(t, spill, nil) }
 
 // CarbonGate defers work while the local grid is dirty: a job runs only
 // when its region's current intensity is at or below the Percentile of
@@ -61,45 +40,19 @@ type CarbonGate struct {
 // Name implements Policy.
 func (p CarbonGate) Name() string { return "carbon-gate" }
 
-func (p CarbonGate) window() int {
-	if p.Window <= 0 {
-		return 168
-	}
-	return p.Window
-}
-
 // Plan implements Policy.
-func (p CarbonGate) Plan(t *Tick) []Placement {
-	thresholds := make(map[string]float64)
-	threshold := func(region string) float64 {
-		if v, ok := thresholds[region]; ok {
-			return v
-		}
-		look := t.Lookback(region, p.window())
-		v := t.CI(region) // no history yet: always run
-		if len(look) > 0 {
-			v = stats.Percentile(look, p.Percentile)
-		}
-		thresholds[region] = v
-		return v
+func (p CarbonGate) Plan(t *Tick) []Placement { return plan(t, atOrigin, p.threshold) }
+
+func (p CarbonGate) threshold(t *Tick, region int) float64 {
+	window := p.Window
+	if window <= 0 {
+		window = 168
 	}
-	var out []Placement
-	for _, j := range t.Eligible {
-		if t.FreeSlots[j.Origin] <= 0 {
-			continue
-		}
-		// Urgency override: if waiting one more hour would leave no
-		// room to finish, run regardless of the gate. (The simulator
-		// also forces this, but a well-behaved policy should not rely
-		// on the backstop.)
-		urgent := j.SlackLeft() <= 1
-		if !urgent && t.CI(j.Origin) > threshold(j.Origin) {
-			continue
-		}
-		out = append(out, Placement{JobID: j.ID, Region: j.Origin})
-		t.FreeSlots[j.Origin]--
+	look := t.Lookback(region, window)
+	if len(look) == 0 {
+		return t.CI[region] // no history yet: always run
 	}
-	return out
+	return stats.Percentile(look, p.Percentile)
 }
 
 // GreenestFirst is the spatial policy: run immediately, but place each
@@ -111,29 +64,7 @@ type GreenestFirst struct{}
 func (GreenestFirst) Name() string { return "greenest-first" }
 
 // Plan implements Policy.
-func (GreenestFirst) Plan(t *Tick) []Placement {
-	ranked := rankByCI(t)
-	var out []Placement
-	for _, j := range t.Eligible {
-		region := ""
-		if j.Migratable {
-			for _, r := range ranked {
-				if t.FreeSlots[r] > 0 {
-					region = r
-					break
-				}
-			}
-		} else if t.FreeSlots[j.Origin] > 0 {
-			region = j.Origin
-		}
-		if region == "" {
-			continue
-		}
-		out = append(out, Placement{JobID: j.ID, Region: region})
-		t.FreeSlots[region]--
-	}
-	return out
-}
+func (GreenestFirst) Plan(t *Tick) []Placement { return plan(t, greenest, nil) }
 
 // SpatioTemporal combines both dimensions: migratable jobs chase the
 // cleanest region; all jobs additionally wait out dirty periods behind
@@ -147,55 +78,93 @@ type SpatioTemporal struct {
 func (SpatioTemporal) Name() string { return "spatiotemporal" }
 
 // Plan implements Policy.
-func (p SpatioTemporal) Plan(t *Tick) []Placement {
-	gate := CarbonGate{Percentile: p.Percentile, Window: p.Window}
-	ranked := rankByCI(t)
-	thresholds := make(map[string]float64)
-	threshold := func(region string) float64 {
-		if v, ok := thresholds[region]; ok {
-			return v
-		}
-		look := t.Lookback(region, gate.window())
-		v := t.CI(region)
-		if len(look) > 0 {
-			v = stats.Percentile(look, gate.Percentile)
-		}
-		thresholds[region] = v
-		return v
-	}
+func (p SpatioTemporal) Plan(t *Tick) []Placement { return plan(t, greenest, CarbonGate(p).threshold) }
+
+// tickMemo is what a plan computes at most once per tick: the regions
+// ranked by intensity and each region's gate threshold.
+type tickMemo struct {
+	*Tick
+	ranked     []int     // region indices, cleanest first; nil until asked
+	thresholds []float64 // by region index; NaN until asked
+}
+
+// plan is the placement loop every policy runs. In Eligible order, dest
+// picks a region with a free slot for the job (-1: none). With a gate,
+// a job with slack to spare runs only if the region's intensity is at
+// or below the gate's threshold for it; an urgent job (one more hour of
+// waiting would leave no room to finish) runs regardless — deadline
+// forcing is the simulator's backstop, but a well-behaved policy does
+// not rely on it.
+func plan(t *Tick, dest func(*tickMemo, *JobView) int, gate func(*Tick, int) float64) []Placement {
+	m := &tickMemo{Tick: t}
 	var out []Placement
-	for _, j := range t.Eligible {
-		region := ""
-		if j.Migratable {
-			for _, r := range ranked {
-				if t.FreeSlots[r] > 0 {
-					region = r
-					break
+	for k := range t.Eligible {
+		j := &t.Eligible[k]
+		ri := dest(m, j)
+		if ri < 0 {
+			continue
+		}
+		if gate != nil && j.SlackLeft() > 1 {
+			if m.thresholds == nil {
+				m.thresholds = make([]float64, len(t.CI))
+				for i := range m.thresholds {
+					m.thresholds[i] = math.NaN()
 				}
 			}
-		} else if t.FreeSlots[j.Origin] > 0 {
-			region = j.Origin
+			if math.IsNaN(m.thresholds[ri]) {
+				m.thresholds[ri] = gate(t, ri)
+			}
+			if t.CI[ri] > m.thresholds[ri] {
+				continue
+			}
 		}
-		if region == "" {
-			continue
-		}
-		urgent := j.SlackLeft() <= 1
-		if !urgent && t.CI(region) > threshold(region) {
-			continue
-		}
-		out = append(out, Placement{JobID: j.ID, Region: region})
-		t.FreeSlots[region]--
+		out = append(out, Placement{Job: k, Region: ri})
+		t.Free[ri]--
 	}
 	return out
 }
 
-func rankByCI(t *Tick) []string {
-	ranked := make([]string, len(t.Regions))
-	copy(ranked, t.Regions)
-	sort.SliceStable(ranked, func(a, b int) bool {
-		return t.CI(ranked[a]) < t.CI(ranked[b])
-	})
-	return ranked
+// atOrigin runs a job at home, if home has a free slot.
+func atOrigin(m *tickMemo, j *JobView) int {
+	if m.Free[j.Origin] > 0 {
+		return j.Origin
+	}
+	return -1
+}
+
+// spill runs a job at home, or a migratable one in the first region,
+// in index order, with a free slot.
+func spill(m *tickMemo, j *JobView) int {
+	if !j.Migratable || m.Free[j.Origin] > 0 {
+		return atOrigin(m, j)
+	}
+	for ri, n := range m.Free {
+		if n > 0 {
+			return ri
+		}
+	}
+	return -1
+}
+
+// greenest runs a migratable job in the cleanest region with a free
+// slot (ties in index order), a pinned one at home.
+func greenest(m *tickMemo, j *JobView) int {
+	if !j.Migratable {
+		return atOrigin(m, j)
+	}
+	if m.ranked == nil {
+		m.ranked = make([]int, len(m.CI))
+		for i := range m.ranked {
+			m.ranked[i] = i
+		}
+		slices.SortStableFunc(m.ranked, func(a, b int) int { return cmp.Compare(m.CI[a], m.CI[b]) })
+	}
+	for _, ri := range m.ranked {
+		if m.Free[ri] > 0 {
+			return ri
+		}
+	}
+	return -1
 }
 
 // WorkloadSpec describes a synthetic job stream for the simulator.

@@ -17,7 +17,13 @@ import (
 // TestTenancyInvariants, TestJobHourBounds, TestFleetMatchesRun) compare
 // ShardedFleet and Run against. Its method bodies are the ones those
 // tests were written against; do not optimise them, and do not edit
-// them in a change that also edits ShardedFleet's scheduling logic.
+// them in a change that also edits ShardedFleet's scheduling logic. The
+// one edit since is the policy boundary: policies plan over region
+// indices and eligible-list positions, so Step's phase 3 hands its
+// name-keyed state to plan, which translates it to a Tick and each
+// Placement back, and it keeps its own fairOrder over states.
+// TestPlacementGolden, recorded before that edit, pins the placements
+// both fleets must keep.
 //
 // A Fleet is not safe for concurrent use.
 type Fleet struct {
@@ -216,19 +222,7 @@ func (f *Fleet) Step() error {
 	}
 
 	// Phase 3: policy placements for the flexible remainder.
-	tick := &Tick{
-		Hour:    hour,
-		Regions: f.regionsList,
-		CI:      func(region string) float64 { return ci(region, hour) },
-		Lookback: func(region string, n int) []float64 {
-			lo := hour - n
-			if lo < 0 {
-				lo = 0
-			}
-			return f.set.MustGet(region).CI[lo:hour]
-		},
-		FreeSlots: copySlots(f.free),
-	}
+	var eligible []*state
 	for _, st := range f.states {
 		if st.done || st.Arrival > hour {
 			continue
@@ -236,18 +230,13 @@ func (f *Fleet) Step() error {
 		if _, already := runNow[st.ID]; already {
 			continue
 		}
-		tick.Eligible = append(tick.Eligible, JobView{
-			ID:              st.ID,
-			Origin:          st.Origin,
-			Tenant:          st.Tenant,
-			Remaining:       st.Length - st.progress,
-			HoursToDeadline: st.Deadline() - hour,
-			Interruptible:   st.Interruptible,
-			Migratable:      st.Migratable,
-		})
+		eligible = append(eligible, st)
 	}
-	tick.Eligible = fairOrder(f.fq, tick.Eligible)
-	for _, p := range f.policy.Plan(tick) {
+	placements, err := f.plan(hour, fairOrder(f.fq, eligible))
+	if err != nil {
+		return err
+	}
+	for _, p := range placements {
 		st, ok := f.byID[p.JobID]
 		if !ok {
 			return fmt.Errorf("sched: policy %s placed unknown job %d", f.policy.Name(), p.JobID)
@@ -408,12 +397,63 @@ func (f *Fleet) Stats() FleetStats {
 	return st
 }
 
-func copySlots(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
+// fairOrder applies the fair queue's dequeue permutation to one
+// hour's eligible jobs (identity when no queue is installed).
+func fairOrder(q *tenant.FairQueue, eligible []*state) []*state {
+	if q == nil || len(eligible) < 2 {
+		return eligible
+	}
+	names := make([]string, len(eligible))
+	for i, st := range eligible {
+		names[i] = st.Tenant
+	}
+	perm := q.Order(names)
+	out := make([]*state, len(eligible))
+	for k, i := range perm {
+		out[k] = eligible[i]
 	}
 	return out
+}
+
+// namedPlacement is a policy's Placement translated back to names.
+type namedPlacement struct {
+	JobID  int
+	Region string
+}
+
+// plan is the one place the reference meets the policy's index space:
+// it hands the policy a Tick over eligible — regions by index into
+// regionsList, jobs by position — and names each placement back.
+func (f *Fleet) plan(hour int, eligible []*state) ([]namedPlacement, error) {
+	tick := &Tick{Hour: hour}
+	regionIdx := make(map[string]int, len(f.regionsList))
+	for i, r := range f.regionsList {
+		regionIdx[r] = i
+		tr := f.set.MustGet(r)
+		tick.traces = append(tick.traces, tr)
+		tick.CI = append(tick.CI, tr.At(hour))
+		tick.Free = append(tick.Free, f.free[r])
+	}
+	for _, st := range eligible {
+		tick.Eligible = append(tick.Eligible, JobView{
+			Origin:          regionIdx[st.Origin],
+			Remaining:       st.Length - st.progress,
+			HoursToDeadline: st.Deadline() - hour,
+			Interruptible:   st.Interruptible,
+			Migratable:      st.Migratable,
+		})
+	}
+	var out []namedPlacement
+	for _, p := range f.policy.Plan(tick) {
+		if p.Job < 0 || p.Job >= len(eligible) {
+			return nil, fmt.Errorf("sched: policy %s placed unknown job #%d", f.policy.Name(), p.Job)
+		}
+		if p.Region < 0 || p.Region >= len(f.regionsList) {
+			return nil, fmt.Errorf("sched: policy %s used unknown region #%d", f.policy.Name(), p.Region)
+		}
+		out = append(out, namedPlacement{eligible[p.Job].ID, f.regionsList[p.Region]})
+	}
+	return out, nil
 }
 
 func tenantStats(states []*state, hour int) map[string]TenantStat {

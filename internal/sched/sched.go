@@ -88,11 +88,10 @@ type Cluster struct {
 }
 
 // JobView is the read-only picture of a schedulable job handed to
-// policies.
+// policies. It carries no names: Origin is a region index, and the job
+// is named by its position in Tick.Eligible.
 type JobView struct {
-	ID              int
-	Origin          string
-	Tenant          string
+	Origin          int // region index
 	Remaining       int // run-hours still needed
 	HoursToDeadline int
 	Interruptible   bool
@@ -102,31 +101,37 @@ type JobView struct {
 // SlackLeft returns how many hours the job can still afford to wait.
 func (v JobView) SlackLeft() int { return v.HoursToDeadline - v.Remaining }
 
-// Tick is the per-hour scheduling context given to policies.
+// Tick is the per-hour scheduling context given to policies. A region
+// is named by its index in the fleet's sorted cluster list
+// (ShardedFleet.Regions); every per-region slice below is indexed so.
 type Tick struct {
 	// Hour is the current trace hour.
 	Hour int
-	// Regions lists cluster regions in deterministic (sorted) order.
-	Regions []string
-	// CI returns the current carbon intensity of a region.
-	CI func(region string) float64
-	// Lookback returns up to n trailing hours of a region's intensity
-	// (oldest first), excluding the current hour. Policies use it for
-	// threshold estimation; it never exposes the future.
-	Lookback func(region string, n int) []float64
-	// FreeSlots is the remaining capacity per region after forced
-	// placements. Policies must respect it.
-	FreeSlots map[string]int
+	// CI is each region's carbon intensity at Hour.
+	CI []float64
+	// Free is each region's remaining capacity after forced placements.
+	// It is the policy's own copy: Plan may count it down as it places,
+	// and must not place into a region at zero.
+	Free []int
 	// Eligible lists the jobs the policy may place this hour — in
 	// arrival order, or in weighted-fair order when the fleet has a
 	// tenant FairQueue installed (same-tenant jobs keep arrival order).
 	Eligible []JobView
+
+	traces []*trace.Trace // by region index, for Lookback
 }
 
-// Placement assigns a job to run in a region for the current hour.
+// Lookback returns up to n trailing hours of a region's intensity
+// (oldest first), excluding the current hour. Policies use it for
+// threshold estimation; it never exposes the future.
+func (t *Tick) Lookback(region, n int) []float64 {
+	return t.traces[region].CI[max(t.Hour-n, 0):t.Hour]
+}
+
+// Placement runs one eligible job in a region for the current hour:
+// Job is its position in Tick.Eligible, Region a region index.
 type Placement struct {
-	JobID  int
-	Region string
+	Job, Region int
 }
 
 // Policy decides placements each hour.

@@ -236,10 +236,12 @@ func TestMisbehavingPolicyRejected(t *testing.T) {
 		name string
 		p    Policy
 	}{
-		{"unknown job", placer{Placement{JobID: 9, Region: "CLEAN"}}},
-		{"unknown region", placer{Placement{JobID: 1, Region: "NOPE"}}},
-		{"pinned migration", placer{Placement{JobID: 1, Region: "DIRTY"}}},
-		{"double placement", placer{Placement{JobID: 1, Region: "CLEAN"}, Placement{JobID: 1, Region: "CLEAN"}}},
+		{"unknown job", placer{{Job: 1, Region: clean}}},
+		{"negative job", placer{{Job: -1, Region: clean}}},
+		{"unknown region", placer{{Job: 0, Region: 2}}},
+		{"negative region", placer{{Job: 0, Region: -1}}},
+		{"pinned migration", placer{{Job: 0, Region: dirty}}},
+		{"double placement", placer{{Job: 0, Region: clean}, {Job: 0, Region: clean}}},
 	}
 	for _, c := range cases {
 		if _, err := Run(set, clusters(1), jobs, c.p, 50); err == nil {
@@ -248,7 +250,11 @@ func TestMisbehavingPolicyRejected(t *testing.T) {
 	}
 }
 
+// placer places by fixed positions in the eligible list; with CLEAN and
+// DIRTY clusters, region index 0 is CLEAN and 1 is DIRTY.
 type placer []Placement
+
+const clean, dirty = 0, 1
 
 func (placer) Name() string             { return "placer" }
 func (p placer) Plan(*Tick) []Placement { return p }
@@ -259,10 +265,7 @@ func TestOversubscriptionRejected(t *testing.T) {
 		{ID: 1, Origin: "CLEAN", Arrival: 0, Length: 2, Slack: 10, Interruptible: true},
 		{ID: 2, Origin: "CLEAN", Arrival: 0, Length: 2, Slack: 10, Interruptible: true},
 	}
-	p := placer{
-		{JobID: 1, Region: "CLEAN"},
-		{JobID: 2, Region: "CLEAN"},
-	}
+	p := placer{{Job: 0, Region: clean}, {Job: 1, Region: clean}}
 	if _, err := Run(set, []Cluster{{Region: "CLEAN", Slots: 1}, {Region: "DIRTY", Slots: 1}}, jobs, p, 50); err == nil {
 		t.Error("oversubscription accepted")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,7 +52,6 @@ var ErrHorizonExhausted = fmt.Errorf("sched: replay horizon exhausted")
 // world mu (RLock for Submit/Lookup/Stats/Snapshot, Lock for Step) →
 // idMu (the job store) → shard.mu (one shard's lists).
 type ShardedFleet struct {
-	set     *trace.Set
 	policy  Policy
 	horizon int
 
@@ -78,8 +78,9 @@ type ShardedFleet struct {
 	// lock may copy the block directory and tenant table headers under
 	// idMu (view) and then walk every record below the count it saw
 	// without further locking. The id index is different: a put can move
-	// any slot of a table, so it is only read under idMu — or by Step,
-	// whose exclusive world lock keeps every writer out.
+	// any slot of a table, so it is only read under idMu. (Step does not
+	// read it: a policy names jobs by their position in the hour's
+	// eligible list.)
 	idMu sync.Mutex
 	jobStore
 	submitted atomic.Int64
@@ -234,7 +235,6 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 		}
 	}
 	f := &ShardedFleet{
-		set:       set,
 		policy:    policy,
 		horizon:   horizon,
 		slots:     make(map[string]int, len(clusters)),
@@ -267,7 +267,7 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 	}
 	for i, r := range f.regionsList {
 		f.regionIdx[r] = i
-		f.traces[i] = f.set.MustGet(r)
+		f.traces[i] = set.MustGet(r)
 		f.slotsByIdx[i] = f.slots[r]
 		si := i % shards
 		f.shardOf[i] = si
@@ -579,13 +579,13 @@ func (f *ShardedFleet) mergeShards(buf []uint32, get func(*fleetShard) []uint32)
 }
 
 // Step simulates the fleet's current hour and advances to the next. It
-// errors past the horizon and on a misbehaving policy (unknown job or
-// region, double placement, pinned migration, oversubscription). The
-// per-shard scans and
-// the world advancement run concurrently on the engine pool (inline on
-// the calling goroutine at one shard); all cross-shard slot contention
-// is resolved serially in submission order, which is what makes the
-// outcome independent of the shard count.
+// errors past the horizon and on a misbehaving policy (a job position or
+// region index out of range, double placement, pinned migration,
+// oversubscription). The per-shard scans and the world advancement run
+// concurrently on the engine pool (inline on the calling goroutine at
+// one shard); all cross-shard slot contention is resolved serially in
+// submission order, which is what makes the outcome independent of the
+// shard count.
 func (f *ShardedFleet) Step() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -657,66 +657,55 @@ func (f *ShardedFleet) Step() error {
 
 	// Phase 3 (serial): the policy's placement pass over the flexible
 	// remainder — one Tick over every region, its eligible jobs in
-	// submission order (or fair order, with tenancy on).
-	freeSlots := make(map[string]int, len(f.regionsList))
-	for ri, r := range f.regionsList {
-		freeSlots[r] = f.free[ri]
-	}
-	tick := &Tick{
-		Hour:    hour,
-		Regions: f.regionsList,
-		CI:      func(region string) float64 { return f.set.MustGet(region).At(hour) },
-		Lookback: func(region string, n int) []float64 {
-			lo := hour - n
-			if lo < 0 {
-				lo = 0
-			}
-			return f.set.MustGet(region).CI[lo:hour]
-		},
-		FreeSlots: freeSlots,
-	}
+	// submission order (or fair order, with tenancy on). The policy
+	// names jobs by position in the list and regions by index, so a
+	// placement resolves without a lookup.
+	eligible := make([]uint32, 0, len(pool))
 	for _, seq := range pool {
-		r := f.blocks.at(seq)
-		if r.placed >= 0 {
-			continue
+		if f.blocks.at(seq).placed < 0 {
+			eligible = append(eligible, seq)
 		}
-		tick.Eligible = append(tick.Eligible, JobView{
-			ID:              r.id,
-			Origin:          f.regionsList[r.originI],
-			Tenant:          f.tenants[r.tenantI],
+	}
+	eligible = f.fairOrder(eligible)
+	tick := &Tick{
+		Hour:     hour,
+		CI:       make([]float64, len(f.traces)),
+		Free:     slices.Clone(f.free),
+		Eligible: make([]JobView, len(eligible)),
+		traces:   f.traces,
+	}
+	for ri, tr := range f.traces {
+		tick.CI[ri] = tr.At(hour)
+	}
+	for k, seq := range eligible {
+		r := f.blocks.at(seq)
+		tick.Eligible[k] = JobView{
+			Origin:          int(r.originI),
 			Remaining:       int(r.length - r.progress),
 			HoursToDeadline: r.deadline() - hour,
 			Interruptible:   r.interruptible(),
 			Migratable:      r.migratable(),
-		})
+		}
 	}
-	tick.Eligible = fairOrder(f.fq, tick.Eligible)
-	// No idMu here: Step holds the exclusive world lock, and every
-	// job-store writer first takes the shared world lock.
 	for _, p := range f.policy.Plan(tick) {
-		seq, ok := f.ids.get(f.blocks, p.JobID)
-		if !ok {
-			return fmt.Errorf("sched: policy %s placed unknown job %d", f.policy.Name(), p.JobID)
+		if p.Job < 0 || p.Job >= len(eligible) {
+			return fmt.Errorf("sched: policy %s placed unknown job #%d of %d eligible", f.policy.Name(), p.Job, len(eligible))
 		}
-		r := f.blocks.at(seq)
-		if r.done() || int(r.arrival) > hour {
-			return fmt.Errorf("sched: policy %s placed ineligible job %d", f.policy.Name(), p.JobID)
-		}
+		r := f.blocks.at(eligible[p.Job])
 		if r.placed >= 0 {
-			return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), p.JobID)
+			return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), r.id)
 		}
-		ri, ok := f.regionIdx[p.Region]
-		if !ok {
-			return fmt.Errorf("sched: policy %s used unknown region %q", f.policy.Name(), p.Region)
+		if p.Region < 0 || p.Region >= len(f.free) {
+			return fmt.Errorf("sched: policy %s used unknown region #%d", f.policy.Name(), p.Region)
 		}
-		if !r.migratable() && ri != int(r.originI) {
+		if !r.migratable() && p.Region != int(r.originI) {
 			return fmt.Errorf("sched: policy %s migrated pinned job %d", f.policy.Name(), r.id)
 		}
-		if f.free[ri] <= 0 {
-			return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), p.Region)
+		if f.free[p.Region] <= 0 {
+			return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), f.regionsList[p.Region])
 		}
-		r.placed = int16(ri)
-		f.free[ri]--
+		r.placed = int16(p.Region)
+		f.free[p.Region]--
 	}
 
 	// Phase 4 (parallel): advance the world. Every job's mutation is
@@ -809,18 +798,17 @@ func (f *ShardedFleet) Step() error {
 }
 
 // fairOrder applies the fair queue's dequeue permutation to one
-// hour's eligible list (identity when no queue is installed).
-func fairOrder(q *tenant.FairQueue, eligible []JobView) []JobView {
-	if q == nil || len(eligible) < 2 {
+// hour's eligible sequences (identity when no queue is installed).
+func (f *ShardedFleet) fairOrder(eligible []uint32) []uint32 {
+	if f.fq == nil || len(eligible) < 2 {
 		return eligible
 	}
 	names := make([]string, len(eligible))
-	for i, v := range eligible {
-		names[i] = v.Tenant
+	for i, seq := range eligible {
+		names[i] = f.tenants[f.blocks.at(seq).tenantI]
 	}
-	perm := q.Order(names)
-	out := make([]JobView, len(eligible))
-	for k, i := range perm {
+	out := make([]uint32, len(eligible))
+	for k, i := range f.fq.Order(names) {
 		out[k] = eligible[i]
 	}
 	return out

@@ -169,7 +169,7 @@ type failingPolicy struct{}
 
 func (failingPolicy) Name() string { return "failing" }
 func (failingPolicy) Plan(*sched.Tick) []sched.Placement {
-	return []sched.Placement{{JobID: 0, Region: "NOPE"}}
+	return []sched.Placement{{Job: 0, Region: -1}}
 }
 
 // TestMetricsScrapeOnPoisonedServer: a scrape must survive a server

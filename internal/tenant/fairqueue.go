@@ -2,7 +2,9 @@ package tenant
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // passScale is the virtual-time unit: one executed job-hour advances a
@@ -106,56 +108,61 @@ func (q *FairQueue) touch(t string) int64 {
 // pass moves solely via Charge, on actual execution.
 func (q *FairQueue) Order(names []string) []int {
 	perm := make([]int, len(names))
-	if len(names) == 0 {
-		return perm
-	}
-	// Group by tenant in first-appearance order.
-	byTenant := make(map[string][]int)
-	var tenants []string
+	// Group by tenant in first-appearance order: one map lookup per job,
+	// slices from here on.
+	var groups []fairGroup
+	at := make(map[string]int)
 	for i, raw := range names {
 		t := Normalize(raw)
-		if _, seen := byTenant[t]; !seen {
-			tenants = append(tenants, t)
+		g, ok := at[t]
+		if !ok {
+			g = len(groups)
+			at[t] = g
+			groups = append(groups, fairGroup{name: t})
 		}
-		byTenant[t] = append(byTenant[t], i)
+		groups[g].members = append(groups[g].members, i)
 	}
-	if len(tenants) == 1 {
+	if len(groups) <= 1 {
 		for i := range perm {
 			perm[i] = i
 		}
 		return perm
 	}
 	// Deterministic tie-breaking below wants a canonical tenant order.
-	sort.Strings(tenants)
-	proj := make(map[string]int64, len(tenants))
-	next := make(map[string]int, len(tenants))
+	slices.SortFunc(groups, func(a, b fairGroup) int { return strings.Compare(a.name, b.name) })
 	var frontier int64
-	for i, t := range tenants {
-		p := q.touch(t)
-		proj[t] = p
-		if i == 0 || p < frontier {
-			frontier = p
+	for i := range groups {
+		g := &groups[i]
+		g.pass, g.stride = q.touch(g.name), q.stride(g.name)
+		if i == 0 || g.pass < frontier {
+			frontier = g.pass
 		}
 	}
 	if frontier > q.vtime {
 		q.vtime = frontier
 	}
 	for k := range perm {
-		best := ""
-		var bestPass int64
-		for _, t := range tenants {
-			if next[t] >= len(byTenant[t]) {
-				continue
-			}
-			if best == "" || proj[t] < bestPass {
-				best, bestPass = t, proj[t]
+		var best *fairGroup
+		for i := range groups {
+			if g := &groups[i]; g.next < len(g.members) && (best == nil || g.pass < best.pass) {
+				best = g
 			}
 		}
-		perm[k] = byTenant[best][next[best]]
-		next[best]++
-		proj[best] += q.stride(best)
+		perm[k] = best.members[best.next]
+		best.next++
+		best.pass += best.stride
 	}
 	return perm
+}
+
+// fairGroup is one tenant's share of an Order call: its jobs, the next
+// one to offer, and its projected pass.
+type fairGroup struct {
+	name    string
+	members []int // indices into names, in submission order
+	next    int
+	pass    int64
+	stride  int64
 }
 
 // Charge records one executed job-hour against the tenant — called
