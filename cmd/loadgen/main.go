@@ -383,9 +383,9 @@ func main() {
 	}
 	perSec := float64(submitted) / wall.Seconds()
 	fmt.Printf("throughput       %.0f jobs/s (%.0f jobs/min)\n", perSec, perSec*60)
-	// The bench-comparable line: the same jobs/s figure the
-	// BenchmarkScheddSubmit* pair reports, in a stable machine-readable
-	// form that the CI end-to-end smoke greps and archives.
+	// The bench-comparable line: the jobs/s figure go run ./bench
+	// reports as jobs_per_s, in a stable machine-readable form that
+	// the CI end-to-end smoke greps and archives.
 	fmt.Printf("bench_jobs_per_sec=%d\n", int(perSec))
 	fmt.Printf("retry_after_hints=%d\n", backoffHints)
 	fmt.Printf("partial_batches=%d\n", partials)

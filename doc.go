@@ -98,8 +98,9 @@
 // (internal/rng.SplitN), never from worker identity or scheduling
 // order, and every reduction over cell results runs in submission
 // order. The serial-vs-parallel equivalence is asserted by tests and
-// measured by the Benchmark* pairs in bench_test.go.
+// measured by the BenchmarkEngine* pairs in internal/core.
 //
-// The root package holds only this documentation and the benchmark
-// harness (bench_test.go), which regenerates every table and figure.
+// The root package holds only this documentation. The performance
+// harness is go run ./bench; cmd/carbonlimits -all prints every table
+// and figure.
 package carbonshift

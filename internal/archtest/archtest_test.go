@@ -1,11 +1,10 @@
 // Package archtest holds the repository's architecture guards: each
 // keeps one piece of the design single — one framing layer, one
 // lifecycle, one upstream round trip, one id registry, index-typed
-// policies, the measured kernels, one logger, one role value — by
-// counting, over the parsed Go source, the sites that would start a
-// second copy. They run under
-// go test ./..., and every guard is shown to fire on a planted
-// violation.
+// policies, the measured kernels, one logger, one role value, one
+// performance harness — by counting, over the parsed Go source, the
+// sites that would start a second copy. They run under go test ./...,
+// and every guard is shown to fire on a planted violation.
 package archtest
 
 import (
@@ -35,10 +34,11 @@ func (f file) test() bool { return strings.HasSuffix(f.path, "_test.go") }
 
 // rule bounds how many nodes matching match the files in scope hold.
 type rule struct {
-	what     string   // the pattern, as a violation names it
-	in       []string // path prefixes in scope ("" is the whole tree)
-	not      []string // path prefixes out of scope
-	tests    bool     // _test.go files are in scope too
+	what     string          // the pattern, as a violation names it
+	in       []string        // path prefixes in scope ("" is the whole tree)
+	not      []string        // path prefixes out of scope
+	tests    bool            // _test.go files are in scope too
+	only     func(file) bool // when set, narrows the scope to the files it accepts
 	min, max int
 	match    func(ast.Node) bool
 }
@@ -57,7 +57,7 @@ func (r rule) covers(f file) bool {
 	inScope := func(prefixes []string) bool {
 		return slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(f.path, p) })
 	}
-	return (r.tests || !f.test()) && inScope(r.in) && !inScope(r.not)
+	return (r.tests || !f.test()) && inScope(r.in) && !inScope(r.not) && (r.only == nil || r.only(f))
 }
 
 // sites lists path:line for every node of the in-scope files r matches.
@@ -90,6 +90,15 @@ func (g guard) violations(files []file) []string {
 }
 
 // --- matchers ---
+
+// rootTest accepts a _test.go file at the module root, in no directory.
+func rootTest(f file) bool { return f.test() && !strings.Contains(f.path, "/") }
+
+// wholeFile matches each file once.
+func wholeFile(n ast.Node) bool {
+	_, ok := n.(*ast.File)
+	return ok
+}
 
 // lastName is the final identifier of x: p for p, up for p.up, failed
 // for s.failed.
@@ -389,6 +398,18 @@ func order(xs []float64) { sort.Slice(xs, func(i, j int) bool { return xs[i] < x
 		},
 		plant: map[string]string{"cmd/schedd/planted.go": `package main
 func warn(err error) { log.Printf("schedd: %v", err) }`},
+	},
+	{
+		// One performance harness: go run ./bench times the system and
+		// the paper's experiments, and a kernel's ablation sits in the
+		// tests of its own package. A root _test.go is a second harness.
+		name: "no _test.go file at the module root",
+		fix:  "measure it in go run ./bench, or benchmark the kernel in its own package's _test.go",
+		rules: []rule{
+			{what: "a _test.go file at the module root", in: []string{""}, tests: true, only: rootTest, match: wholeFile},
+		},
+		plant: map[string]string{"zz_bench_test.go": `package carbonshift_test
+func BenchmarkFig4(b *testing.B) {}`},
 	},
 	{
 		// One role value: what a schedd server is — primary or follower,

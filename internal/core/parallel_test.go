@@ -180,3 +180,44 @@ func checkRow(t *testing.T, tbl *Table, i int, label string, want ...float64) {
 		}
 	}
 }
+
+// --- Serial vs parallel engine benchmarks ---
+//
+// One full-catalog lab per worker count; all share the process-level
+// trace cache, so only the first pays dataset generation. fig4 (one
+// FFT-heavy cell per region) and the fig11a/fig12 what-if sweeps (one
+// cell per mixed fleet or destination) memoize nothing inside the Lab,
+// so every iteration redoes the whole fan-out and Serial/Parallel8 is
+// the engine speedup.
+
+// workerLabs holds the labs by worker count; benchmarks run one at a
+// time, so it needs no lock.
+var workerLabs = map[int]*Lab{}
+
+func benchEngine(b *testing.B, id string, workers int) {
+	l, ok := workerLabs[workers]
+	if !ok {
+		var err error
+		if l, err = NewLabCtx(context.Background(), Options{Sim: simgrid.Config{Seed: 1}, Workers: workers}); err != nil {
+			b.Fatal(err)
+		}
+		workerLabs[workers] = l
+	}
+	exp, err := ExperimentByID(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := exp.Run(context.Background(), l); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEngineFig4Serial(b *testing.B)      { benchEngine(b, "fig4", 1) }
+func BenchmarkEngineFig4Parallel8(b *testing.B)   { benchEngine(b, "fig4", 8) }
+func BenchmarkEngineFig11aSerial(b *testing.B)    { benchEngine(b, "fig11a", 1) }
+func BenchmarkEngineFig11aParallel8(b *testing.B) { benchEngine(b, "fig11a", 8) }
+func BenchmarkEngineFig12Serial(b *testing.B)     { benchEngine(b, "fig12", 1) }
+func BenchmarkEngineFig12Parallel8(b *testing.B)  { benchEngine(b, "fig12", 8) }

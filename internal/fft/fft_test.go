@@ -223,6 +223,18 @@ func BenchmarkFFTBluestein(b *testing.B) {
 	}
 }
 
+// The periodicity scan's alternative to BenchmarkFFTBluestein's exact
+// length: the same year zero-padded to a power of two.
+func BenchmarkAblation_FFTPaddedRadix2(b *testing.B) {
+	x := make([]complex128, 16384)
+	copy(x, randComplex(8760, 1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FFT(x)
+	}
+}
+
 func BenchmarkAutocorrYear(b *testing.B) {
 	src := rng.New(1)
 	x := make([]float64, 8760)

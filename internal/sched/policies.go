@@ -188,11 +188,12 @@ type WorkloadSpec struct {
 
 // GenerateJobs produces a deterministic job stream from the spec.
 func GenerateJobs(spec WorkloadSpec) ([]Job, error) {
-	if spec.Jobs < 1 || spec.ArrivalSpan < 1 || len(spec.Origins) == 0 {
+	if spec.Jobs < 1 || spec.ArrivalSpan < 1 || spec.SlackHours < 0 || len(spec.Origins) == 0 {
 		return nil, errBadSpec(spec)
 	}
-	if spec.InterruptibleFrac < 0 || spec.InterruptibleFrac > 1 ||
-		spec.MigratableFrac < 0 || spec.MigratableFrac > 1 {
+	// Written so that a NaN fraction fails too.
+	if !(spec.InterruptibleFrac >= 0 && spec.InterruptibleFrac <= 1) ||
+		!(spec.MigratableFrac >= 0 && spec.MigratableFrac <= 1) {
 		return nil, errBadSpec(spec)
 	}
 	dist := spec.Dist

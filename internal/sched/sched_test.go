@@ -346,6 +346,9 @@ func TestGenerateJobsValidation(t *testing.T) {
 		{Jobs: 1, ArrivalSpan: 10},
 		{Jobs: 1, ArrivalSpan: 10, Origins: []string{"A"}, MigratableFrac: 1.5},
 		{Jobs: 1, ArrivalSpan: 10, Origins: []string{"A"}, InterruptibleFrac: -0.1},
+		{Jobs: 1, ArrivalSpan: 10, Origins: []string{"A"}, SlackHours: -3},
+		{Jobs: 1, ArrivalSpan: 10, Origins: []string{"A"}, InterruptibleFrac: math.NaN()},
+		{Jobs: 1, ArrivalSpan: 10, Origins: []string{"A"}, MigratableFrac: math.NaN()},
 	}
 	for i, spec := range bad {
 		if _, err := GenerateJobs(spec); err == nil {

@@ -190,3 +190,34 @@ func TestMetricsScrapeOnPoisonedServer(t *testing.T) {
 		t.Errorf("poisoned-server scrape: submitted = %v, want 1", got)
 	}
 }
+
+// BenchmarkScheddSubmit times one JSON job per request over a real TCP
+// connection into the fleet, with metrics on and tracing sampled
+// 1/1024 — the tracer's untraced fast path is what is measured, not the
+// cost of recording spans. Beside BenchmarkScheddSubmitNoMetrics it is
+// the instrumentation-overhead bar (within 5 %); the production
+// topology's submit path is timed by go run ./bench.
+func BenchmarkScheddSubmit(b *testing.B) {
+	benchSubmit(b, Config{Policy: sched.FIFO{}, MaxJobs: 1 << 30, MaxQueue: 1 << 30, TraceSampleEvery: 1024})
+}
+
+// BenchmarkScheddSubmitNoMetrics is BenchmarkScheddSubmit with the
+// metrics registry and the tracer disabled: the uninstrumented baseline.
+func BenchmarkScheddSubmitNoMetrics(b *testing.B) {
+	benchSubmit(b, Config{Policy: sched.FIFO{}, MaxJobs: 1 << 30, MaxQueue: 1 << 30}, WithoutMetrics(), WithoutTracing())
+}
+
+func benchSubmit(b *testing.B, cfg Config, opts ...Option) {
+	_, client, _ := startServer(b, cfg, 100, opts...)
+	req := JobRequest{Origin: "CLEAN", LengthHours: 4, SlackHours: 48, Interruptible: true, Migratable: true}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Submit(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")
+}

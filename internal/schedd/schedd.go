@@ -785,10 +785,17 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 	}
 	next := s.nextID
 	defer clear(s.inBatch)
+	// Reserve the batch's explicit ids before assigning any auto id, so
+	// an auto id skips one that appears later in the batch too.
+	for i := range jobs {
+		if !b.auto[i] {
+			s.inBatch[jobs[i].ID] = true
+		}
+	}
 	for i := range jobs {
 		if b.auto[i] {
-			// Skip ids already taken by earlier (possibly explicit)
-			// submissions so auto-assignment can never collide.
+			// Skip ids already taken by earlier submissions or by this
+			// batch so auto-assignment can never collide.
 			for s.fleet.Has(next) || s.inBatch[next] {
 				next++
 			}
@@ -796,7 +803,6 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 			next++
 		}
 		b.ids[i] = jobs[i].ID
-		s.inBatch[jobs[i].ID] = true
 	}
 	arrival, err := s.submitGated(jobs)
 	if err != nil {

@@ -207,6 +207,23 @@ func TestAutoIDSkipsExplicitIDs(t *testing.T) {
 	if len(ack.IDs) != 2 || ack.IDs[0] != 1 || ack.IDs[1] != 3 {
 		t.Fatalf("auto ids = %v, want [1 3]", ack.IDs)
 	}
+	// An explicit id later in the same batch is reserved too, on both
+	// wires: the auto id must not take it.
+	for name, submit := range map[string]func(*Client, context.Context, ...JobRequest) (SubmitResponse, error){
+		"json": (*Client).Submit, "binary": (*Client).SubmitBatch,
+	} {
+		_, client, _ := startServer(t, Config{Policy: sched.FIFO{}}, 8)
+		ack, err := submit(client, ctx,
+			JobRequest{Origin: "CLEAN", LengthHours: 1},
+			JobRequest{ID: &id0, Origin: "CLEAN", LengthHours: 1},
+		)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(ack.IDs) != 2 || ack.IDs[0] != 1 || ack.IDs[1] != 0 {
+			t.Fatalf("%s: ids = %v, want [1 0]", name, ack.IDs)
+		}
+	}
 }
 
 func TestBadRequests(t *testing.T) {

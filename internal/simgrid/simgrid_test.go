@@ -500,3 +500,49 @@ func TestWhatIfValidates(t *testing.T) {
 		t.Errorf("full-period prefix: %v", err)
 	}
 }
+
+// The Figure 11(d) kernel — the hourly minimum across regions at each
+// renewable level, over the hours a default-span run reads — two ways:
+// one weather draw per region re-dispatched per level and folded into
+// the envelope as produced, vs a whole trace set materialised per level
+// (assembled here from the public Generate; no production path keeps it).
+const whatIfHours = 8760 + 24
+
+func BenchmarkAblation_WhatIfStreamed(b *testing.B) {
+	regs := regions.All()[:16]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		envelope := make([][]float64, len(greenerLevels))
+		for _, r := range regs {
+			series, err := WhatIf(r, Config{Seed: 1}, greenerLevels, whatIfHours)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for s, ci := range series {
+				if envelope[s] == nil {
+					envelope[s] = ci
+					continue
+				}
+				for h, v := range ci {
+					if v < envelope[s][h] {
+						envelope[s][h] = v
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkAblation_WhatIfMaterialised(b *testing.B) {
+	regs := regions.All()[:16]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, level := range greenerLevels {
+			set, err := Generate(regs, Config{Seed: 1, ExtraRenewables: level})
+			if err != nil {
+				b.Fatal(err)
+			}
+			_ = set.MinSeries()[:whatIfHours]
+		}
+	}
+}

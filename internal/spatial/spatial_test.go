@@ -2,11 +2,13 @@ package spatial
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"carbonshift/internal/rng"
+	"carbonshift/internal/simgrid"
 	"carbonshift/internal/trace"
 )
 
@@ -394,6 +396,43 @@ func BenchmarkAssignCapacity123(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := AssignCapacity(nodes, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// catalog is the full 123-region, 3-year simulated set, generated once
+// for every benchmark round that asks.
+var catalog = sync.OnceValues(func() (*trace.Set, error) {
+	return simgrid.GenerateAll(simgrid.Config{Seed: 1})
+})
+
+func catalogSet(b *testing.B) (*trace.Set, []string) {
+	b.Helper()
+	set, err := catalog()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return set, set.Regions()
+}
+
+// ∞-migration argmin: the precomputed envelope vs a year of per-hour
+// scans through the Set.
+func BenchmarkAblation_ArgminEnvelope(b *testing.B) {
+	set, codes := catalogSet(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MinSeries(set, codes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAblation_ArgminPerHourScan(b *testing.B) {
+	set, codes := catalogSet(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := InfMigrationCost(set, codes, 0, 8760); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -458,3 +458,29 @@ func BenchmarkAblation_DeferWindowNaive(b *testing.B) {
 		MinWindowSumNaive(ci, 168)
 	}
 }
+
+// Interruption slot selection: quickselect vs a full sort of the year.
+// The sums go to minKSink so the compiler cannot drop them.
+var minKSink float64
+
+func BenchmarkAblation_MinKQuickselect(b *testing.B) {
+	ci := yearSeries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		minKSink = SumBottomK(ci, 168)
+	}
+}
+
+func BenchmarkAblation_MinKFullSort(b *testing.B) {
+	ci := yearSeries()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf := slices.Clone(ci) // SumBottomK copies too
+		slices.Sort(buf)
+		var s float64
+		for _, v := range buf[:168] {
+			s += v
+		}
+		minKSink = s
+	}
+}
