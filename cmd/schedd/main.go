@@ -94,7 +94,6 @@ func main() {
 		percentile  = flag.Float64("percentile", 35, "gate percentile in [0, 100] for the gated policies")
 		window      = flag.Int("window", 168, "lookback window in hours for carbon-gate")
 		seed        = flag.Uint64("seed", 1, "simulation seed")
-		shards      = flag.Int("shards", 0, "fleet region shards stepped in parallel (0 = min(CPUs, regions)); affects throughput only, never placements")
 		speedup     = flag.Float64("speedup", 3600, "trace seconds per wall second (3600 = 1h/s)")
 		maxJobs     = flag.Int("max-jobs", schedd.DefaultMaxJobs, "bound on total jobs retained in memory")
 		maxQueue    = flag.Int("max-queue", schedd.DefaultMaxQueue, "bound on outstanding (unresolved) jobs")
@@ -249,7 +248,6 @@ func main() {
 	cfg := schedd.Config{
 		Policy:        policy,
 		Horizon:       horizon,
-		Shards:        *shards,
 		MaxJobs:       *maxJobs,
 		MaxQueue:      *maxQueue,
 		Seed:          worldSeed,
@@ -318,9 +316,6 @@ func main() {
 
 	log.Info("serving", "policy", policy.Name(), "regions", len(clusters),
 		"addr", *addr, "speedup", *speedup)
-	if *shards != 0 {
-		log.Info("fleet sharded", "shards", *shards)
-	}
 	server := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),

@@ -32,16 +32,12 @@
 // Beyond the offline experiments, the repository runs as a live
 // system. internal/sched's incremental ShardedFleet
 // (Submit/Step/Snapshot) is the one engine behind both the batch
-// sched.Run and internal/schedd, the online scheduling service — job
-// state and slot accounting partitioned by region into
-// independently-locked shards, stepped concurrently on the engine pool
-// with a serial cross-shard reconciliation phase, so placements are
-// byte-identical for any shard count (and to the serial reference
-// scheduler the tests keep). cmd/schedd
-// serves job submission, status, and O(1) fleet statistics over HTTP
-// against a replayed grid clock, with policy selection, a -shards
-// parallelism knob, backpressure bounds, and a graceful drain on
-// SIGINT; cmd/loadgen benchmarks it with a deterministic workload
+// sched.Run and internal/schedd, the online scheduling service — one
+// submission-ordered job list, stepped serially hour by hour, so
+// placements are byte-identical to the serial reference scheduler the
+// tests keep. cmd/schedd serves job submission, status, and O(1) fleet
+// statistics over HTTP against a replayed grid clock, with policy
+// selection, backpressure bounds, and a graceful drain on SIGINT; cmd/loadgen benchmarks it with a deterministic workload
 // stream shaped by -profile (steady, bursty, diurnal,
 // migratable-heavy) and reports throughput, nearest-rank latency
 // percentiles, and the carbon saving versus an offline FIFO baseline.
@@ -49,8 +45,8 @@
 // Maps-style), including a batch endpoint for multi-region consumers.
 // The online and offline paths are provably the same scheduler:
 // equivalence tests assert byte-identical placements and emissions
-// between an HTTP-driven run, the sharded fleet at shard counts 1, 4,
-// and 16, and sched.Run, and property-based invariant tests plus
+// between an HTTP-driven run, the fleet, the serial reference and
+// sched.Run, and property-based invariant tests plus
 // native fuzz targets (request parsing, client error mapping, journal
 // replay) harden the serving surface.
 //
@@ -69,8 +65,8 @@
 // with schedd -follow. Because journal order is exact fleet-event
 // order, a follower applying the stream in sequence is byte-identical
 // to the primary at every shared watermark — the replication
-// equivalence and prefix-consistency tests pin this for every policy
-// and mismatched shard counts, and a chaos test (random partitions and
+// equivalence and prefix-consistency tests pin this for every policy,
+// and a chaos test (random partitions and
 // follower restarts mid-stream, under -race) proves cursor resume
 // never gaps or double-applies. Followers serve read-only job status
 // and stats with an X-Replication-Lag-Hours header, reject writes with

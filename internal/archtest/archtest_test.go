@@ -1,8 +1,8 @@
 // Package archtest holds the repository's architecture guards: each
 // keeps one piece of the design single — one framing layer, one
 // lifecycle, one upstream round trip, one id registry, index-typed
-// policies, the measured kernels, one logger, one role value, one
-// performance harness — by counting, over the parsed Go source, the
+// policies, one serially stepped job list, the measured kernels, one
+// logger, one role value, one performance harness — by counting, over the parsed Go source, the
 // sites that would start a second copy. They run under go test ./...,
 // and every guard is shown to fire on a planted violation.
 package archtest
@@ -368,6 +368,25 @@ func (f *ShardedFleet) Step() error {
 		f.blocks.at(seq).placed = int16(f.regionIdx[p.Region])
 	}
 	return nil
+}`},
+	},
+	{
+		// One job list, stepped serially: the fleet keeps its active jobs
+		// in one sequence-sorted list that Submit appends to, and Step
+		// runs its phases on the caller. Region shards, their hand-offs
+		// and merges, and the engine fan-out cost more than they won.
+		name: "no region shards and no worker fan-out in internal/sched",
+		fix:  "keep jobs in the fleet's one active list and step it serially; see DESIGN \"The fleet core\"",
+		rules: []rule{
+			{what: `import "carbonshift/internal/engine"`, in: []string{"internal/sched/"}, match: imports("carbonshift/internal/engine")},
+			{what: "fleetShard / shardOf / mergeShards / insertBySeq / movedOut", in: []string{"internal/sched/"},
+				match: ident("fleetShard", "shardOf", "mergeShards", "insertBySeq", "movedOut")},
+		},
+		plant: map[string]string{"internal/sched/planted.go": `package sched
+import "carbonshift/internal/engine"
+type fleetShard struct{ active, movedOut []uint32 }
+func (f *ShardedFleet) mergeShards(shardOf []int) {
+	_ = engine.ForEach(nil, 0, len(shardOf), nil)
 }`},
 	},
 	{

@@ -23,7 +23,7 @@ type placeRec struct {
 // TestPartitionedEquivalence is the tentpole correctness proof: a
 // partitioned topology — N independent schedd deployments, each owning
 // one region group, behind the routing gateway — must schedule exactly
-// like N independent sharded fleets, one per region group's sub-world,
+// like N independent fleets, one per region group's sub-world,
 // each fed its group's jobs in arrival order. For every policy and for
 // N in {1, 2, 4}:
 //
@@ -133,7 +133,7 @@ func partitionJobs(t *testing.T, origins []string) []sched.Job {
 	return jobs
 }
 
-// referenceRun runs one independent sharded fleet per region group over
+// referenceRun runs one independent fleet per region group over
 // that group's sub-world, fed only the group's jobs in the same relative
 // order, with its own fair queue when tenants is non-nil. It returns
 // each group's placement log and the union of the fleets' outcomes.
@@ -143,7 +143,7 @@ func referenceRun(t *testing.T, set *trace.Set, cl []sched.Cluster, groups [][]s
 	outcomes := map[int]sched.Outcome{}
 	for gi, g := range groups {
 		sub, subcl := subWorld(t, set, cl, g)
-		ref, err := sched.NewShardedFleet(sub, subcl, policy, horizon, 4)
+		ref, err := sched.NewShardedFleet(sub, subcl, policy, horizon, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func testPartitionedEquivalence(t *testing.T, set *trace.Set, cl []sched.Cluster
 	jobs []sched.Job, policy sched.Policy, horizon, n int, binary bool, tenants *tenant.Config) {
 	groups := groupSplit(origins, n)
 
-	// Reference: one independent sharded fleet per region group.
+	// Reference: one independent fleet per region group.
 	refLogs, refOutcomes := referenceRun(t, set, cl, groups, jobs, policy, horizon, tenants)
 
 	// The partitioned topology: one durable schedd per region group on a
@@ -196,7 +196,6 @@ func testPartitionedEquivalence(t *testing.T, set *trace.Set, cl []sched.Cluster
 		cfgs[i] = schedd.Config{
 			Policy:      policy,
 			Horizon:     horizon,
-			Shards:      2,
 			Partitions:  n,
 			PartitionID: i,
 			IDBase:      i * 1_000_000,

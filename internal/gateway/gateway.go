@@ -501,8 +501,11 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		g.writeUnreachable(w, err)
 		return
 	}
+	// A partition that answers with a status other than 404 has not
+	// denied the id — it failed to look it up — so that failure, not
+	// "unknown job", is the answer when no partition finds the job.
 	tried := make([]bool, len(g.parts))
-	var transportErr error
+	var transportErr, failedErr error
 	ask := func(p *partition) bool {
 		tried[p.index] = true
 		var out schedd.JobResponse
@@ -514,8 +517,12 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 			httpx.WriteJSON(w, http.StatusOK, out)
 			return true
 		}
-		if httpx.StatusCodeOf(err) == 0 {
+		switch httpx.StatusCodeOf(err) {
+		case 0:
 			transportErr = err
+		case http.StatusNotFound: // denied: not this partition's job
+		default:
+			failedErr = fmt.Errorf("job %d: partition %d: %w", id, p.index, err)
 		}
 		return false
 	}
@@ -527,11 +534,14 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if transportErr != nil {
+	switch {
+	case failedErr != nil:
+		httpx.WriteJSON(w, http.StatusBadGateway, schedd.ErrorResponse{Error: failedErr.Error()})
+	case transportErr != nil:
 		g.writeUnreachable(w, fmt.Errorf("job %d: partition unreachable: %w", id, transportErr))
-		return
+	default:
+		httpx.WriteJSON(w, http.StatusNotFound, schedd.ErrorResponse{Error: fmt.Sprintf("unknown job %d", id)})
 	}
-	httpx.WriteJSON(w, http.StatusNotFound, schedd.ErrorResponse{Error: fmt.Sprintf("unknown job %d", id)})
 }
 
 // idOwner returns the partition owning id by IDBase range, or -1 when

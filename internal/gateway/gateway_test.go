@@ -634,6 +634,45 @@ func TestJobLookupRouting(t *testing.T) {
 	wantStatus(t, "unknown id", err, http.StatusNotFound, "unknown job")
 }
 
+// TestJobLookupPartitionFailure: a lookup the owning partition fails
+// with a 5xx is answered 502 with the partition's message — the job may
+// well exist, so the gateway must not report it unknown.
+func TestJobLookupPartitionFailure(t *testing.T) {
+	_, _, srvs, tss, _ := twoPartitions(t, nil)
+	real := srvs[1].Handler()
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			httpx.WriteJSON(w, http.StatusInternalServerError, schedd.ErrorResponse{Error: "job store unreadable"})
+			return
+		}
+		real.ServeHTTP(w, r)
+	}))
+	t.Cleanup(broken.Close)
+	_, gwts := startGateway(t, [][]string{{tss[0].URL}, {broken.URL}})
+	client, err := schedd.NewClient(gwts.URL, gwts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ack, err := client.Submit(ctx, job("R01"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := ack.IDs[0]; id < 1_000_000 {
+		t.Fatalf("job %d is not in partition 1's id range", id)
+	}
+	_, err = client.Job(ctx, ack.IDs[0])
+	wantStatus(t, "owner fails the lookup", err, http.StatusBadGateway, "job store unreadable")
+	// The healthy partition's jobs still resolve.
+	ok, err := client.Submit(ctx, job("R00"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Job(ctx, ok.IDs[0]); err != nil {
+		t.Fatalf("healthy partition's job %d: %v", ok.IDs[0], err)
+	}
+}
+
 // TestSubmitAllPartitionsDown: with no partition reachable the gateway
 // answers 503 with a Retry-After, never a hang or a 5xx surprise.
 func TestSubmitAllPartitionsDown(t *testing.T) {

@@ -38,7 +38,7 @@ func (c *wallClock) now() time.Time {
 
 // mkWorld builds an nRegions-region trace world with staggered diurnal
 // cycles and distinct baselines (the same shape as the sched package's
-// sharding tests), so spatial policies genuinely migrate between
+// fleet tests), so spatial policies genuinely migrate between
 // regions inside a partition.
 func mkWorld(t testing.TB, hours, nRegions, slots int) (*trace.Set, []sched.Cluster, []string) {
 	t.Helper()

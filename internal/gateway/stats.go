@@ -70,7 +70,6 @@ func mergeStats(dst, src *schedd.StatsResponse) {
 	if src.Hour > dst.Hour {
 		dst.Hour = src.Hour
 	}
-	dst.Shards += src.Shards
 	dst.Clusters = append(dst.Clusters, src.Clusters...)
 	dst.Submitted += src.Submitted
 	dst.Completed += src.Completed

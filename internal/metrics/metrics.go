@@ -22,7 +22,7 @@
 // at render time. internal/schedd uses them for every fleet-derived
 // quantity (queue depth, submitted/missed counts, emissions), which
 // guarantees GET /metrics and GET /v1/stats can never disagree: both
-// read the same O(shards) incremental counters.
+// read the same O(1) incremental counters.
 package metrics
 
 import (

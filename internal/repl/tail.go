@@ -42,8 +42,6 @@ type TailConfig struct {
 	// ReconnectDelay is the pause before re-dialing after a failure
 	// (default 200ms).
 	ReconnectDelay time.Duration
-	// SnapshotTimeout bounds one bootstrap fetch (default 30s).
-	SnapshotTimeout time.Duration
 }
 
 // TailStats is a monitoring snapshot of one replication session.
@@ -79,8 +77,12 @@ type Tail struct {
 	reconnects  atomic.Uint64
 }
 
-// maxSnapshotBody bounds a bootstrap transfer.
-const maxSnapshotBody = 1 << 30
+// maxSnapshotBody bounds a bootstrap transfer, snapshotTimeout its
+// duration.
+const (
+	maxSnapshotBody = 1 << 30
+	snapshotTimeout = 30 * time.Second
+)
 
 // NewTail builds a replication session against the primary's base URL.
 // A nil httpClient uses a dedicated client with no global timeout (the
@@ -91,9 +93,6 @@ func NewTail(primary string, applier Applier, httpClient *http.Client, cfg TailC
 	}
 	if cfg.ReconnectDelay <= 0 {
 		cfg.ReconnectDelay = 200 * time.Millisecond
-	}
-	if cfg.SnapshotTimeout <= 0 {
-		cfg.SnapshotTimeout = 30 * time.Second
 	}
 	t := &Tail{primary: primary, applier: applier, hc: httpClient, cfg: cfg}
 	t.primaryHour.Store(-1)
@@ -177,7 +176,7 @@ func (t *Tail) Stats() TailStats {
 // bootstrap fetches and restores the primary's newest snapshot, then
 // points the cursor at the start of that snapshot's generation.
 func (t *Tail) bootstrap(ctx context.Context) error {
-	ctx, cancel := context.WithTimeout(ctx, t.cfg.SnapshotTimeout)
+	ctx, cancel := context.WithTimeout(ctx, snapshotTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.primary+"/v1/repl/snapshot", nil)
 	if err != nil {

@@ -44,7 +44,7 @@ func fleetJobs(t *testing.T) []Job {
 
 // TestFleetMatchesRun drives the serial reference Fleet tick by tick
 // with all jobs submitted up front and checks the snapshot is deeply
-// identical to the batch Run for every policy. Run drives a one-shard
+// identical to the batch Run for every policy. Run drives a
 // ShardedFleet, so this is the Run-vs-reference differential.
 func TestFleetMatchesRun(t *testing.T) {
 	set := mkSet(t, 24*15)
@@ -74,7 +74,7 @@ func TestFleetMatchesRun(t *testing.T) {
 
 // TestFleetOnlineSubmission submits each job to the serial reference
 // Fleet exactly at its arrival hour, the way the HTTP service does, and
-// still matches the batch Run (a one-shard ShardedFleet with every job
+// still matches the batch Run (a ShardedFleet with every job
 // submitted up front) — a differential across both the implementation
 // and the submission pattern.
 func TestFleetOnlineSubmission(t *testing.T) {

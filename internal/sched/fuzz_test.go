@@ -53,7 +53,7 @@ func FuzzShardedUnmarshal(f *testing.F) {
 	set := mkSet(f, horizon)
 	cfg := goldenTenantConfig(f)
 	world := func(t *testing.T, tenancy bool) *ShardedFleet {
-		fl, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 2)
+		fl, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -368,7 +368,7 @@ func TestSubmitRollbackLeavesNoTrace(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			fleet := func() *ShardedFleet {
-				f, err := NewShardedFleet(set, cl, FIFO{}, 48, 4)
+				f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -462,7 +462,7 @@ func TestIndexSeedInvisible(t *testing.T) {
 		region   string
 	}
 	run := func(seed uint64) (images [][]byte, log []placement) {
-		f, err := NewShardedFleet(set, cl, GreenestFirst{}, horizon, 3)
+		f, err := NewShardedFleet(set, cl, GreenestFirst{}, horizon, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

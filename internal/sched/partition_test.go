@@ -58,7 +58,7 @@ func TestRegionGroupEquivalence(t *testing.T) {
 				subJobs = append(subJobs, j)
 			}
 		}
-		f, err := NewShardedFleet(set, subCl, policy, horizon, 2)
+		f, err := NewShardedFleet(set, subCl, policy, horizon, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

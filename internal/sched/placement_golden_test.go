@@ -52,7 +52,7 @@ func TestPlacementGolden(t *testing.T) {
 	var got strings.Builder
 	for _, pol := range allPolicies() {
 		for _, tenancy := range []bool{false, true} {
-			f, err := NewShardedFleet(set, cl, pol, horizon, 3)
+			f, err := NewShardedFleet(set, cl, pol, horizon, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

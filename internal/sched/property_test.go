@@ -103,8 +103,8 @@ type worldSpec struct {
 }
 
 // TestSchedulingInvariants drives randomized worlds (seeded jobs ×
-// every policy × varying horizons and shard counts) through both the
-// serial Fleet and the ShardedFleet, asserting the invariants above on
+// every policy × varying horizons) through both the serial Fleet and
+// the ShardedFleet, asserting the invariants above on
 // each and deep equality between the two.
 func TestSchedulingInvariants(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 5, 8, 13, 21, 34}
@@ -138,7 +138,6 @@ func TestSchedulingInvariants(t *testing.T) {
 				}
 			}
 			world := worldSpec{set: set, clusters: clusters}
-			shards := 1 + src.Intn(7)
 
 			for _, policy := range allPolicies() {
 				policy := policy
@@ -158,27 +157,27 @@ func TestSchedulingInvariants(t *testing.T) {
 					refRes := ref.Snapshot()
 					checkInvariants(t, world, serialLog, refRes)
 
-					var shardLog []placement
-					sf, err := NewShardedFleet(set, clusters, policy, horizon, shards)
+					var fleetLog []placement
+					sf, err := NewShardedFleet(set, clusters, policy, horizon, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sf.OnPlace = func(h, id int, r string) {
-						shardLog = append(shardLog, placement{h, id, r})
+						fleetLog = append(fleetLog, placement{h, id, r})
 					}
 					if err := sf.Submit(jobs...); err != nil {
 						t.Fatal(err)
 					}
 					driveFleet(t, sf)
-					shardRes := sf.Snapshot()
-					checkInvariants(t, world, shardLog, shardRes)
+					fleetRes := sf.Snapshot()
+					checkInvariants(t, world, fleetLog, fleetRes)
 
-					if !reflect.DeepEqual(serialLog, shardLog) {
-						t.Fatalf("placement logs diverge (%d vs %d records, %d shards)",
-							len(serialLog), len(shardLog), shards)
+					if !reflect.DeepEqual(serialLog, fleetLog) {
+						t.Fatalf("placement logs diverge (%d vs %d records)",
+							len(serialLog), len(fleetLog))
 					}
-					if !reflect.DeepEqual(refRes, shardRes) {
-						t.Fatalf("results diverge at %d shards", shards)
+					if !reflect.DeepEqual(refRes, fleetRes) {
+						t.Fatal("results diverge")
 					}
 				})
 			}

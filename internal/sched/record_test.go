@@ -51,7 +51,7 @@ func residentJobs(n int, origins []string) []Job {
 }
 
 // TestShardedFleetResidentBytesPerJob pins what a resident job costs a
-// bare fleet: the 64-byte record, its 4-byte entry in a shard list, and
+// bare fleet: the 64-byte record, its 4-byte entry in the job list, and
 // its share of the id index — a 4-byte slot in tables that run between
 // 7/16 and 7/8 full, so 4.6 to 9.1 bytes, 5.2 at this population (64
 // tables of 16 KiB). 74 bytes when this was written; the ceiling is the
@@ -65,7 +65,7 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 4)
+	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 
 // TestSubmitAllocs pins Submit's zero-allocation claim: a 64-job batch
 // is a sequence range, so beyond the amortized growth of the store (one
-// block per 1024 jobs, an index table per split, the shard lists) a call
+// block per 1024 jobs, an index table per split, the job lists) a call
 // allocates nothing.
 func TestSubmitAllocs(t *testing.T) {
 	set, cl, origins := mkWideSet(t, 48, 4)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 4)
+	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSubmitAllocs(t *testing.T) {
 // growing Outcomes by append would copy about twice the final slice.
 func TestSnapshotAllocs(t *testing.T) {
 	set, cl, origins := mkWideSet(t, 48, 4)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 1)
+	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSnapshotAllocs(t *testing.T) {
 func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 	const submitters, perSubmitter, batch = 2, 2*recBlock + 100, 7
 	set, cl, origins := mkWideSet(t, 48, 4)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 4)
+	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +266,11 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 // 32-bit sequence numbers are refused at the door, never wrapped.
 func TestShardedFleetCapacityBounds(t *testing.T) {
 	set, cl, _ := mkWideSet(t, 48, 2)
-	if _, err := NewShardedFleet(set, make([]Cluster, math.MaxInt16+1), FIFO{}, 48, 1); err == nil ||
+	if _, err := NewShardedFleet(set, make([]Cluster, math.MaxInt16+1), FIFO{}, 48, 0); err == nil ||
 		!strings.Contains(err.Error(), "clusters, at most") {
 		t.Errorf("a fleet of more than MaxInt16 clusters: err = %v", err)
 	}
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 1)
+	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // Fleet is the serial reference scheduler: the hour-stepped world in its
 // plainest form — one slice of per-job state, rescanned in submission
-// order in every phase of Step, no sharding, no locks, no incremental
+// order in every phase of Step, no arrival buckets, no locks, no incremental
 // counters. It was the production core until sched.Run moved onto
 // ShardedFleet and lives on here only as the model the differential
 // tests (TestShardedFleetEquivalence, TestSchedulingInvariants,

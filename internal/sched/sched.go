@@ -53,7 +53,7 @@ type Job struct {
 
 // maxHour bounds every hour a job can name: Validate refuses a job
 // whose Arrival, Length, Slack or deadline exceeds it, so hour arithmetic
-// never overflows and the sharded fleet can keep hours in 32 bits.
+// never overflows and the fleet can keep hours in 32 bits.
 const maxHour = math.MaxInt32
 
 // Deadline returns the completion deadline (exclusive hour).
@@ -186,15 +186,14 @@ func (r Result) Utilization() float64 {
 // returns the aggregate result. All job windows must fit the trace.
 // Run is the offline mode of ShardedFleet, the core internal/schedd
 // serves online: it submits every job up front and steps through the
-// whole horizon. It uses one shard — results are byte-identical for any
-// shard count, and at one shard every Step phase runs inline on the
-// calling goroutine, so concurrent Runs from engine workers
-// (cmd/carbonsched, internal/core) do not nest worker pools.
+// whole horizon. Every Step runs on the calling goroutine, so concurrent
+// Runs from engine workers (cmd/carbonsched, internal/core) start no
+// goroutines of their own.
 //
 // Run inherits the core's two capacity bounds and refuses what exceeds
 // them: at most math.MaxInt16 clusters and at most 2³² jobs.
 func Run(set *trace.Set, clusters []Cluster, jobs []Job, policy Policy, horizon int) (Result, error) {
-	f, err := NewShardedFleet(set, clusters, policy, horizon, 1)
+	f, err := NewShardedFleet(set, clusters, policy, horizon, 0)
 	if err != nil {
 		return Result{}, err
 	}

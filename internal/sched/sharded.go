@@ -1,17 +1,14 @@
 package sched
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"carbonshift/internal/engine"
 	"carbonshift/internal/tenant"
 	"carbonshift/internal/trace"
 )
@@ -22,35 +19,33 @@ var ErrHorizonExhausted = fmt.Errorf("sched: replay horizon exhausted")
 
 // ShardedFleet is the fleet core — the one hour-stepped scheduler in
 // the compiled code. Run drives it offline (every job submitted up
-// front, one shard); internal/schedd serves it over HTTP against a
-// replayed clock, with jobs submitted while it runs. The two paths
-// share every line of scheduling logic, so the online service is
-// placement-for-placement identical to the batch simulator.
+// front); internal/schedd serves it over HTTP against a replayed clock,
+// with jobs submitted while it runs. The two paths share every line of
+// scheduling logic, so the online service is placement-for-placement
+// identical to the batch simulator — and to the serial reference
+// scheduler the tests keep (reference_test.go,
+// TestShardedFleetEquivalence).
 //
-// Job state and slot accounting are partitioned by region into
-// independently-locked shards, and every Step fans the per-job scanning
-// and advancement work across the shards on the engine worker pool. The
-// cross-shard decisions — deadline spillover of migratable jobs, the
-// policy's global placement pass, and the OnPlace recorder — run in a
-// serial reconciliation phase over merged, submission-ordered views, so
-// placements and the aggregate Result are byte-identical for any shard
-// count — and to the serial reference scheduler the tests keep
-// (reference_test.go, TestShardedFleetEquivalence).
+// The fleet keeps one job list in submission order and steps it
+// serially on the caller: every phase of Step walks that list (or the
+// hour's candidate pool drawn from it) once, in submission order. (The
+// name is historical; the fleet has no shards. DESIGN.md "The fleet
+// core" says why Step is serial.)
 //
 // Two structural optimizations are invisible to results: jobs that have
-// not yet arrived wait in per-shard arrival buckets instead of being
-// rescanned every hour, and completed jobs are compacted out of the
-// active lists. A Step therefore costs O(active jobs / shards) in
-// parallel plus O(eligible) serial policy work, not O(all jobs).
+// not yet arrived wait in arrival buckets instead of being rescanned
+// every hour, and completed jobs are compacted out of the active list.
+// A Step therefore costs O(active jobs) plus O(eligible) policy work,
+// not O(all jobs).
 //
 // A ShardedFleet is safe for concurrent use: Step excludes everything
 // else, while Submit, Lookup, Stats, and Snapshot may run concurrently
-// with each other (Submits to different shards only contend on a short
-// id-registry critical section).
+// with each other (Submits only contend on a short id-registry critical
+// section).
 //
 // Lock hierarchy (always acquired in this order, never the reverse):
 // world mu (RLock for Submit/Lookup/Stats/Snapshot, Lock for Step) →
-// idMu (the job store) → shard.mu (one shard's lists).
+// idMu (the job store and the job lists).
 type ShardedFleet struct {
 	policy  Policy
 	horizon int
@@ -61,12 +56,9 @@ type ShardedFleet struct {
 	slotsByIdx  []int          // by region index
 	slots       map[string]int
 	totalSlots  int
-	shardOf     []int // region index -> owning shard
 
-	shards []*fleetShard
-
-	// mu is the world lock: Step (and the serial reconciliation inside
-	// it) holds it exclusively; every other entry point holds it shared.
+	// mu is the world lock: Step holds it exclusively; every other entry
+	// point holds it shared.
 	mu   sync.RWMutex
 	hour int
 
@@ -81,18 +73,24 @@ type ShardedFleet struct {
 	// any slot of a table, so it is only read under idMu. (Step does not
 	// read it: a policy names jobs by their position in the hour's
 	// eligible list.)
+	//
+	// Submit appends each admitted job to active or pending under idMu,
+	// in the same critical section that hands out its sequence number, so
+	// both stay sorted by sequence without an insertion; Step and
+	// Unmarshal rewrite them holding the world write lock, which excludes
+	// every Submit.
 	idMu sync.Mutex
 	jobStore
 	submitted atomic.Int64
+	active    []uint32         // arrived, uncompleted jobs by sequence, ascending
+	pending   map[int][]uint32 // arrival hour -> future arrivals, ascending
 
-	// Serial-phase scratch and incrementally-maintained aggregates.
-	// All of it is touched only under mu.Lock (Step) — except buckets,
-	// which Submit also grows under idMu; Submit holds mu.RLock, so it
-	// can never race a Step.
-	free        []int // per-region free slots, written disjointly by shards
-	mergeIdx    []int
-	poolBuf     []uint32
-	placedBuf   []uint32
+	// Step scratch and incrementally-maintained aggregates. All of it is
+	// touched only under mu.Lock (Step) — except buckets, which Submit
+	// also grows under idMu; Submit holds mu.RLock, so it can never race
+	// a Step.
+	free        []int    // per-region free slots this hour
+	pool        []uint32 // this hour's candidates: active minus forced continuations
 	completed   int
 	missedDone  int     // completed past their deadline
 	overdueOpen int     // unresolved jobs whose deadline has passed
@@ -110,9 +108,8 @@ type ShardedFleet struct {
 
 	// OnPlace, when non-nil, observes every executed job-hour: it is
 	// called once per job that runs during a Step, after the hour's
-	// placements are final, in submission order whatever the shard
-	// count. Set it before the first Step; it must not call back into
-	// the fleet.
+	// placements are final, in submission order. Set it before the first
+	// Step; it must not call back into the fleet.
 	OnPlace func(hour, jobID int, region string)
 
 	// OnPlaceDetail, when non-nil, additionally observes the job's
@@ -123,7 +120,7 @@ type ShardedFleet struct {
 	OnPlaceDetail func(hour, jobID int, region, origin, tenantName string)
 }
 
-// jobRec is everything the sharded fleet keeps per job, in 64
+// jobRec is everything the fleet keeps per job, in 64
 // pointer-free bytes: hours and counters are 32-bit (Job.Validate bounds
 // every deadline by math.MaxInt32), regions are indices into
 // regionsList, the tenant is an index into the fleet's tenant table, and
@@ -192,27 +189,13 @@ func newJobStore() jobStore {
 	}
 }
 
-// fleetShard owns a disjoint set of regions, the jobs currently (or
-// originally, before first placement) homed there, and the future
-// arrivals bound for them.
-type fleetShard struct {
-	mu      sync.Mutex // serializes Submit insertions into this shard
-	regions []int
-	active  []uint32         // arrived, uncompleted jobs by sequence, sorted
-	pending map[int][]uint32 // arrival hour -> jobs, each sorted
-
-	// Per-Step scratch, reused across steps.
-	pool      []uint32 // actives minus forced continuations, sorted
-	placedRun []uint32 // jobs that ran this step, sorted
-	movedOut  []uint32 // jobs whose new region belongs to another shard
-}
-
-// NewShardedFleet validates the world and returns an empty sharded
-// fleet at hour zero. A shard count of 0 defaults to
-// min(GOMAXPROCS, number of clusters); counts above the region count
-// are allowed (the extra shards simply own no regions), so a fixed
-// configuration behaves identically on any machine.
-func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon, shards int) (*ShardedFleet, error) {
+// NewShardedFleet validates the world and returns an empty fleet at
+// hour zero.
+//
+// The final argument is deprecated and ignored: it was the region-shard
+// count of a fleet that stepped shards in parallel. Callers pass 0
+// until it is removed.
+func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon, _ int) (*ShardedFleet, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("sched: nil policy")
 	}
@@ -225,21 +208,13 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 	if len(clusters) > math.MaxInt16 {
 		return nil, fmt.Errorf("sched: %d clusters, at most %d", len(clusters), math.MaxInt16)
 	}
-	if shards < 0 {
-		return nil, fmt.Errorf("sched: negative shard count %d", shards)
-	}
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards > len(clusters) {
-			shards = len(clusters)
-		}
-	}
 	f := &ShardedFleet{
 		policy:    policy,
 		horizon:   horizon,
 		slots:     make(map[string]int, len(clusters)),
 		regionIdx: make(map[string]int, len(clusters)),
 		jobStore:  newJobStore(),
+		pending:   make(map[int][]uint32),
 		buckets:   make(map[int]int),
 	}
 	for _, c := range clusters {
@@ -259,21 +234,12 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 	sort.Strings(f.regionsList)
 	f.traces = make([]*trace.Trace, len(f.regionsList))
 	f.slotsByIdx = make([]int, len(f.regionsList))
-	f.shardOf = make([]int, len(f.regionsList))
 	f.free = make([]int, len(f.regionsList))
-	f.shards = make([]*fleetShard, shards)
-	for i := range f.shards {
-		f.shards[i] = &fleetShard{pending: make(map[int][]uint32)}
-	}
 	for i, r := range f.regionsList {
 		f.regionIdx[r] = i
 		f.traces[i] = set.MustGet(r)
 		f.slotsByIdx[i] = f.slots[r]
-		si := i % shards
-		f.shardOf[i] = si
-		f.shards[si].regions = append(f.shards[si].regions, i)
 	}
-	f.mergeIdx = make([]int, shards)
 	return f, nil
 }
 
@@ -304,9 +270,6 @@ func (f *ShardedFleet) Done() bool {
 	return f.hour >= f.horizon
 }
 
-// NumShards returns the shard count.
-func (f *ShardedFleet) NumShards() int { return len(f.shards) }
-
 // Jobs returns the number of jobs submitted so far.
 func (f *ShardedFleet) Jobs() int { return int(f.submitted.Load()) }
 
@@ -330,8 +293,7 @@ func (f *ShardedFleet) Slots(region string) int { return f.slots[region] }
 
 // Submit adds jobs to the fleet at their own arrival hours. The call is
 // atomic: on any validation error no job from the batch is admitted.
-// Safe for concurrent use; jobs bound for different shards only contend
-// on the id registry.
+// Safe for concurrent use.
 func (f *ShardedFleet) Submit(jobs ...Job) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -414,27 +376,19 @@ func (f *ShardedFleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 		f.appendRec(seq, j, f.regionIdx[j.Origin])
 		f.ids.put(f.blocks, j.ID, seq)
 	}
-	// Past this point nothing can fail: publish the batch, then insert
-	// per shard.
+	// Past this point nothing can fail: publish the batch. Its sequence
+	// numbers are the highest yet, so appending keeps both lists sorted.
 	for i := range jobs {
 		f.buckets[jobs[i].Deadline()]++
+		seq := first + uint32(i)
+		if a := jobs[i].Arrival; a <= f.hour {
+			f.active = append(f.active, seq)
+		} else {
+			f.pending[a] = append(f.pending[a], seq)
+		}
 	}
 	f.submitted.Add(int64(len(jobs)))
-	blocks := f.blocks
 	f.idMu.Unlock()
-
-	for i := range jobs {
-		seq := first + uint32(i)
-		r := blocks.at(seq)
-		sh := f.shards[f.shardOf[r.originI]]
-		sh.mu.Lock()
-		if int(r.arrival) <= f.hour {
-			sh.active = insertBySeq(sh.active, seq)
-		} else {
-			sh.pending[int(r.arrival)] = insertBySeq(sh.pending[int(r.arrival)], seq)
-		}
-		sh.mu.Unlock()
-	}
 	return f.hour, nil
 }
 
@@ -521,20 +475,6 @@ func (f *ShardedFleet) job(r *jobRec, tenants []string) Job {
 	}
 }
 
-// insertBySeq inserts seq into a sorted list. Submissions carry
-// increasing sequence numbers, so this is almost always a plain append;
-// only batches racing into the same shard pay the insertion copy.
-func insertBySeq(list []uint32, seq uint32) []uint32 {
-	if n := len(list); n == 0 || list[n-1] < seq {
-		return append(list, seq)
-	}
-	i := sort.Search(len(list), func(k int) bool { return list[k] > seq })
-	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = seq
-	return list
-}
-
 // mergeBySeq merges two sorted lists into dst (reset first).
 func mergeBySeq(dst, a, b []uint32) []uint32 {
 	dst = dst[:0]
@@ -552,40 +492,11 @@ func mergeBySeq(dst, a, b []uint32) []uint32 {
 	return append(dst, b[j:]...)
 }
 
-// mergeShards k-way-merges one sorted list per shard into buf.
-func (f *ShardedFleet) mergeShards(buf []uint32, get func(*fleetShard) []uint32) []uint32 {
-	buf = buf[:0]
-	idx := f.mergeIdx
-	for i := range idx {
-		idx[i] = 0
-	}
-	for {
-		best, bestSeq := -1, uint32(0)
-		for si, sh := range f.shards {
-			l := get(sh)
-			if idx[si] >= len(l) {
-				continue
-			}
-			if s := l[idx[si]]; best < 0 || s < bestSeq {
-				best, bestSeq = si, s
-			}
-		}
-		if best < 0 {
-			return buf
-		}
-		buf = append(buf, bestSeq)
-		idx[best]++
-	}
-}
-
 // Step simulates the fleet's current hour and advances to the next. It
 // errors past the horizon and on a misbehaving policy (a job position or
 // region index out of range, double placement, pinned migration,
-// oversubscription). The per-shard scans and the world advancement run
-// concurrently on the engine pool (inline on the calling goroutine at
-// one shard); all cross-shard slot contention is resolved serially in
-// submission order, which is what makes the outcome independent of the
-// shard count.
+// oversubscription). Its four phases run serially on the calling
+// goroutine, each over the job list in submission order.
 func (f *ShardedFleet) Step() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -593,45 +504,33 @@ func (f *ShardedFleet) Step() error {
 		return fmt.Errorf("sched: horizon %d exhausted", f.horizon)
 	}
 	hour := f.hour
-	ctx := context.Background()
 
-	// Phase 1 (parallel): each shard injects this hour's arrivals,
-	// resets its regions' free counts (disjoint slice indices), claims
+	// Phase 1: inject this hour's arrivals, reset the free counts, claim
 	// slots for forced continuations — a started non-interruptible job
-	// occupies its current region, which by the move invariant is owned
-	// by this shard — and collects everything else into its seq-sorted
-	// candidate pool.
-	_ = engine.ForEach(ctx, 0, len(f.shards), func(_ context.Context, si int) error {
-		sh := f.shards[si]
-		if batch := sh.pending[hour]; len(batch) > 0 {
-			sh.pool = mergeBySeq(sh.pool, sh.active, batch) // reuse pool as scratch
-			sh.active, sh.pool = sh.pool, sh.active
-			delete(sh.pending, hour)
+	// occupies its current region — and collect everything else into
+	// the seq-sorted candidate pool.
+	if batch := f.pending[hour]; len(batch) > 0 {
+		f.pool = mergeBySeq(f.pool, f.active, batch) // reuse pool as scratch
+		f.active, f.pool = f.pool, f.active
+		delete(f.pending, hour)
+	}
+	copy(f.free, f.slotsByIdx)
+	pool := f.pool[:0]
+	for _, seq := range f.active {
+		r := f.blocks.at(seq)
+		r.placed = -1
+		if r.progress > 0 && !r.interruptible() {
+			r.placed = r.regionI
+			f.free[r.regionI]--
+		} else {
+			pool = append(pool, seq)
 		}
-		for _, ri := range sh.regions {
-			f.free[ri] = f.slotsByIdx[ri]
-		}
-		sh.pool = sh.pool[:0]
-		for _, seq := range sh.active {
-			r := f.blocks.at(seq)
-			r.placed = -1
-			if r.progress > 0 && !r.interruptible() {
-				r.placed = r.regionI
-				f.free[r.regionI]--
-			} else {
-				sh.pool = append(sh.pool, seq)
-			}
-		}
-		return nil
-	})
+	}
+	f.pool = pool
 
-	// Phase 2 (serial): deadline forcing in global submission order —
-	// a job with no slack left must run now, in its current/origin
-	// region or (if migratable) the first region, in index order, with
-	// space. This is where cross-shard slot stealing happens, so it
-	// cannot be parallelized without changing outcomes.
-	pool := f.mergeShards(f.poolBuf, func(sh *fleetShard) []uint32 { return sh.pool })
-	f.poolBuf = pool
+	// Phase 2: deadline forcing in submission order — a job with no
+	// slack left must run now, in its current/origin region or (if
+	// migratable) the first region, in index order, with space.
 	for _, seq := range pool {
 		r := f.blocks.at(seq)
 		if r.deadline()-hour > int(r.length-r.progress) {
@@ -655,11 +554,11 @@ func (f *ShardedFleet) Step() error {
 		}
 	}
 
-	// Phase 3 (serial): the policy's placement pass over the flexible
-	// remainder — one Tick over every region, its eligible jobs in
-	// submission order (or fair order, with tenancy on). The policy
-	// names jobs by position in the list and regions by index, so a
-	// placement resolves without a lookup.
+	// Phase 3: the policy's placement pass over the flexible remainder —
+	// one Tick over every region, its eligible jobs in submission order
+	// (or fair order, with tenancy on). The policy names jobs by
+	// position in the list and regions by index, so a placement resolves
+	// without a lookup.
 	eligible := make([]uint32, 0, len(pool))
 	for _, seq := range pool {
 		if f.blocks.at(seq).placed < 0 {
@@ -708,58 +607,31 @@ func (f *ShardedFleet) Step() error {
 		f.free[p.Region]--
 	}
 
-	// Phase 4 (parallel): advance the world. Every job's mutation is
-	// shard-local; slot accounting is already final, so a job placed
-	// into another shard's region is advanced here by its old owner and
-	// handed over below. Completed and migrated-away jobs are compacted
-	// out of the active list.
-	_ = engine.ForEach(ctx, 0, len(f.shards), func(_ context.Context, si int) error {
-		sh := f.shards[si]
-		sh.placedRun = sh.placedRun[:0]
-		sh.movedOut = sh.movedOut[:0]
-		keep := sh.active[:0]
-		for _, seq := range sh.active {
-			r := f.blocks.at(seq)
-			if r.placed < 0 {
-				r.waitHours++
-				keep = append(keep, seq)
-				continue
-			}
-			ri := r.placed
-			if r.regionI >= 0 && r.regionI != ri {
-				r.migrations++
-			}
-			r.regionI = ri
-			r.lastRun = int32(hour)
-			r.progress++
-			r.emissions += f.traces[ri].At(hour)
-			sh.placedRun = append(sh.placedRun, seq)
-			if r.progress == r.length {
-				r.flags |= flagDone
-				r.doneAt = int32(hour + 1)
-				continue
-			}
-			if f.shardOf[ri] != si {
-				sh.movedOut = append(sh.movedOut, seq)
-				continue
-			}
-			keep = append(keep, seq)
-		}
-		sh.active = keep
-		return nil
-	})
-
-	// Serial epilogue: fire the recorder and fold the aggregates in
-	// submission order, complete the deadline bookkeeping, and hand
-	// migrated jobs to their new owning shards.
-	placed := f.mergeShards(f.placedBuf, func(sh *fleetShard) []uint32 { return sh.placedRun })
-	f.placedBuf = placed
+	// Phase 4: advance the world. Placements are final, so each job that
+	// runs is advanced, charged to its tenant, reported to the recorder
+	// and folded into the aggregates in one pass in submission order;
+	// completed jobs are compacted out of the active list.
 	f.ranLast = 0
-	for _, seq := range placed {
+	keep := f.active[:0]
+	for _, seq := range f.active {
 		r := f.blocks.at(seq)
-		region, tenantName := f.regionsList[r.regionI], f.tenants[r.tenantI]
+		if r.placed < 0 {
+			r.waitHours++
+			keep = append(keep, seq)
+			continue
+		}
+		ri := r.placed
+		if r.regionI >= 0 && r.regionI != ri {
+			r.migrations++
+		}
+		r.regionI = ri
+		r.lastRun = int32(hour)
+		r.progress++
+		ci := f.traces[ri].At(hour)
+		r.emissions += ci
 		f.slotHours++
-		f.emissionsG += f.traces[r.regionI].At(hour)
+		f.emissionsG += ci
+		region, tenantName := f.regionsList[ri], f.tenants[r.tenantI]
 		if f.fq != nil {
 			f.fq.Charge(tenantName)
 		}
@@ -769,26 +641,24 @@ func (f *ShardedFleet) Step() error {
 		if f.OnPlaceDetail != nil {
 			f.OnPlaceDetail(hour, r.id, region, f.regionsList[r.originI], tenantName)
 		}
-		if r.done() {
-			f.completed++
-			if d := r.deadline(); d <= hour {
-				// doneAt = hour+1 > d: a late finish. Its bucket was
-				// already drained into overdueOpen when hour passed d.
-				f.overdueOpen--
-				f.missedDone++
-			} else if f.buckets[d]--; f.buckets[d] == 0 {
-				delete(f.buckets, d)
-			}
-		} else {
+		if r.progress < r.length {
 			f.ranLast++
+			keep = append(keep, seq)
+			continue
+		}
+		r.flags |= flagDone
+		r.doneAt = int32(hour + 1)
+		f.completed++
+		if d := r.deadline(); d <= hour {
+			// doneAt = hour+1 > d: a late finish. Its bucket was already
+			// drained into overdueOpen when hour passed d.
+			f.overdueOpen--
+			f.missedDone++
+		} else if f.buckets[d]--; f.buckets[d] == 0 {
+			delete(f.buckets, d)
 		}
 	}
-	for _, sh := range f.shards {
-		for _, seq := range sh.movedOut {
-			target := f.shards[f.shardOf[f.blocks.at(seq).regionI]]
-			target.active = insertBySeq(target.active, seq)
-		}
-	}
+	f.active = keep
 	if n := f.buckets[hour+1]; n > 0 {
 		f.overdueOpen += n
 		delete(f.buckets, hour+1)
@@ -987,7 +857,7 @@ func (f *ShardedFleet) TenantArrivals(hour int) map[string]int {
 }
 
 // Snapshot aggregates the fleet's outcomes so far into a Result, in job
-// submission order and identical for any shard count. An uncompleted job
+// submission order. An uncompleted job
 // counts as missed once its deadline is at or before the current hour.
 func (f *ShardedFleet) Snapshot() Result {
 	f.mu.RLock()

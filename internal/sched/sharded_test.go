@@ -14,7 +14,7 @@ import (
 
 // mkWideSet builds an nRegions-region world with staggered diurnal
 // cycles and distinct baselines, so spatial policies genuinely migrate
-// across shard boundaries.
+// between regions.
 func mkWideSet(t testing.TB, hours, nRegions int) (*trace.Set, []Cluster, []string) {
 	t.Helper()
 	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -52,10 +52,11 @@ func driveFleet(t testing.TB, f interface {
 }
 
 // TestShardedFleetEquivalence is the core determinism contract of the
-// sharded fleet: for every policy and for shard counts spanning
-// fewer-than, equal-to, and more-than the region count, placements
-// (every executed job-hour, in order) and the aggregate Result must be
-// byte-identical to the serial Fleet.
+// fleet: for every policy, placements (every executed job-hour, in
+// order) and the aggregate Result must be byte-identical to the serial
+// reference Fleet. The shards subtests pass NewShardedFleet's
+// deprecated final argument, which must stay a no-op until it is
+// removed.
 func TestShardedFleetEquivalence(t *testing.T) {
 	const horizon = 24 * 12
 	set, cl, origins := mkWideSet(t, horizon, 8)
@@ -114,7 +115,7 @@ func TestShardedFleetEquivalence(t *testing.T) {
 					t.Fatalf("placement log differs: %d records vs %d serial", len(log), len(refLog))
 				}
 				if got := sf.Snapshot(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("sharded result differs from serial fleet:\ngot:  %+v\nwant: %+v",
+					t.Fatalf("fleet result differs from serial reference:\ngot:  %+v\nwant: %+v",
 						got.TotalEmissions, want.TotalEmissions)
 				}
 			})
@@ -140,7 +141,7 @@ func TestShardedFleetOnlineSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := NewShardedFleet(set, cl, SpatioTemporal{Percentile: 40, Window: 48}, horizon, 4)
+	sf, err := NewShardedFleet(set, cl, SpatioTemporal{Percentile: 40, Window: 48}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := NewShardedFleet(set, cl, policy, horizon, 3)
+	sf, err := NewShardedFleet(set, cl, policy, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 
 func TestShardedFleetSubmitValidation(t *testing.T) {
 	set, cl, _ := mkWideSet(t, 50, 2)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 50, 2)
+	f, err := NewShardedFleet(set, cl, FIFO{}, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestJobHourBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedFleet(set, cl, FIFO{}, 48, 2)
+	sharded, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestJobHourBounds(t *testing.T) {
 			t.Errorf("serial fleet admitted %+v", j)
 		}
 		if err := sharded.Submit(j); err == nil {
-			t.Errorf("sharded fleet admitted %+v", j)
+			t.Errorf("fleet admitted %+v", j)
 		}
 	}
 	if serial.Jobs() != 0 || sharded.Jobs() != 0 {
@@ -320,7 +321,7 @@ func TestJobHourBounds(t *testing.T) {
 
 func TestShardedFleetSubmitNow(t *testing.T) {
 	set, cl, _ := mkWideSet(t, 48, 2)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 3, 2)
+	f, err := NewShardedFleet(set, cl, FIFO{}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,12 +348,13 @@ func TestShardedFleetSubmitNow(t *testing.T) {
 
 // TestShardedFleetConcurrentSubmit hammers Submit/Lookup/Stats from
 // many goroutines between steps; run under -race this is the data-race
-// certificate for the shard locking, and the final snapshot proves no
-// job was lost or double-admitted.
+// certificate for the id-registry locking, and the final snapshot
+// proves no job was lost or double-admitted — nor, by the completion
+// count, left out of the job lists.
 func TestShardedFleetConcurrentSubmit(t *testing.T) {
 	const horizon = 24 * 10
 	set, cl, origins := mkWideSet(t, horizon, 4)
-	f, err := NewShardedFleet(set, cl, GreenestFirst{}, horizon, 4)
+	f, err := NewShardedFleet(set, cl, GreenestFirst{}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,6 +390,16 @@ func TestShardedFleetConcurrentSubmit(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+	// Racing batches append under the id registry's lock, in sequence
+	// order: the active list must come out strictly ascending and whole.
+	if len(f.active) != submitters*perWorker {
+		t.Fatalf("active list holds %d jobs, want %d", len(f.active), submitters*perWorker)
+	}
+	for i := 1; i < len(f.active); i++ {
+		if f.active[i-1] >= f.active[i] {
+			t.Fatalf("active list out of order at %d: %d then %d", i, f.active[i-1], f.active[i])
+		}
 	}
 	driveFleet(t, f)
 	res := f.Snapshot()

@@ -4,7 +4,7 @@ package sched
 // everything a ShardedFleet has accumulated — the submitted jobs with
 // their full runtime bookkeeping, the current hour, and the
 // order-sensitive float aggregates — restorable into a freshly
-// constructed fleet over the same world, at any shard count. internal/schedd snapshots this
+// constructed fleet over the same world. internal/schedd snapshots this
 // image into its write-ahead store so a crashed scheduler can recover
 // to state byte-identical to an uninterrupted run.
 //
@@ -282,7 +282,7 @@ func (img *fleetImage) checkWorld(policy string, horizon int, regions []string, 
 // (which checkWorld ties to the restoring fleet's), so a
 // corrupted-but-checksummed image cannot index out of bounds, name a
 // region the fleet does not have, or carry an hour or counter the
-// sharded fleet's 32-bit record would truncate.
+// fleet's 32-bit record would truncate.
 func (img *fleetImage) checkJobs() error {
 	regions := make(map[string]bool, len(img.regions))
 	for _, r := range img.regions {
@@ -344,9 +344,9 @@ func (img *fleetImage) checkFQ(hasQueue bool) error {
 // Marshal serializes the fleet's complete state — every job's runtime
 // bookkeeping plus the hour and aggregates — into the versioned,
 // CRC-protected binary image documented at the top of this file. The
-// output is deterministic for a given state and independent of the shard
-// count. Jobs are encoded straight from the store, with no intermediate
-// copy. Safe to call concurrently with Submit/Lookup/Stats.
+// output is deterministic for a given state. Jobs are encoded straight
+// from the store, with no intermediate copy. Safe to call concurrently
+// with Submit/Lookup/Stats.
 func (f *ShardedFleet) Marshal() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -381,8 +381,8 @@ func (f *ShardedFleet) Marshal() ([]byte, error) {
 }
 
 // Unmarshal restores state serialized by Marshal into this fleet,
-// replacing whatever it held: the job store, the per-shard active and
-// pending lists, the deadline buckets, and every incremental counter
+// replacing whatever it held: the job store, the active and pending
+// lists, the deadline buckets, and every incremental counter
 // are rebuilt so subsequent Steps are byte-identical to a fleet that
 // never stopped. The fleet must have been constructed over the same
 // world; a mismatch or a bad image is an error and leaves the fleet
@@ -444,10 +444,8 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 	f.emissionsG = img.emissionsOrdered
 	f.buckets = make(map[int]int)
 	f.completed, f.missedDone, f.overdueOpen, f.ranLast = 0, 0, 0, 0
-	for _, sh := range f.shards {
-		sh.active = nil
-		sh.pending = make(map[int][]uint32)
-	}
+	f.active = nil
+	f.pending = make(map[int][]uint32)
 	for seq := uint32(0); seq < uint32(len(img.jobs)); seq++ {
 		r := f.blocks.at(seq)
 		if r.done() {
@@ -457,10 +455,8 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 			}
 			continue
 		}
-		// Unresolved: rebuild the deadline bookkeeping and the shard
-		// placement invariant — an active job lives in the shard of its
-		// current region (origin if it never ran), a future arrival
-		// waits in its origin shard's arrival bucket.
+		// Unresolved: rebuild the deadline bookkeeping, then list the job
+		// as active or, if it arrives later, in its arrival bucket.
 		if d := r.deadline(); d > img.hour {
 			f.buckets[d]++
 		} else {
@@ -469,15 +465,10 @@ func (f *ShardedFleet) Unmarshal(data []byte) error {
 		if r.ranAt(img.hour) {
 			f.ranLast++
 		}
-		homeI := r.originI
-		if r.regionI >= 0 {
-			homeI = r.regionI
-		}
-		sh := f.shards[f.shardOf[homeI]]
-		if int(r.arrival) > img.hour {
-			sh.pending[int(r.arrival)] = append(sh.pending[int(r.arrival)], seq)
+		if a := int(r.arrival); a > img.hour {
+			f.pending[a] = append(f.pending[a], seq)
 		} else {
-			sh.active = append(sh.active, seq)
+			f.active = append(f.active, seq)
 		}
 	}
 	return nil

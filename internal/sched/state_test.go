@@ -54,8 +54,9 @@ func goldenTenantConfig(t testing.TB) *tenant.Config {
 
 // TestStateRoundTripMidRun: marshal a fleet mid-run, restore into a
 // fresh fleet, run both to the horizon — placements, Result, and the
-// final serialized state must be byte-identical, at several shard counts
-// and for restores that change the shard count.
+// final serialized state must be byte-identical. The subtests vary
+// NewShardedFleet's deprecated final argument on either side of the
+// restore, which must stay a no-op until it is removed.
 func TestStateRoundTripMidRun(t *testing.T) {
 	const horizon, cut = 24 * 8, 50
 	set := mkSet(t, horizon)
@@ -99,14 +100,13 @@ func TestStateRoundTripMidRun(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Restore the mid-run image into a fresh fleet of the
-				// target shard count.
+				// Restore the mid-run image into a fresh fleet.
 				restored := build(to)
 				if err := restored.Unmarshal(mid); err != nil {
 					t.Fatal(err)
 				}
 				// Immediately re-marshaling must reproduce the image
-				// exactly: the layout does not depend on the shard count.
+				// exactly.
 				again, err := restored.Marshal()
 				if err != nil {
 					t.Fatal(err)
@@ -140,7 +140,7 @@ func TestStateRoundTripMidRun(t *testing.T) {
 func TestStateRejectsCorruption(t *testing.T) {
 	const horizon = 48
 	set := mkSet(t, horizon)
-	f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 2)
+	f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestStateRejectsCorruption(t *testing.T) {
 	}
 
 	fresh := func() *ShardedFleet {
-		g, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 2)
+		g, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,21 +184,21 @@ func TestStateRejectsCorruption(t *testing.T) {
 	}
 
 	// A snapshot from a different world must be refused.
-	other, err := NewShardedFleet(set, clusters(5), FIFO{}, horizon, 2)
+	other, err := NewShardedFleet(set, clusters(5), FIFO{}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := other.Unmarshal(data); err == nil {
 		t.Fatal("snapshot restored into a world with different slots")
 	}
-	gate, err := NewShardedFleet(set, clusters(4), CarbonGate{Percentile: 40, Window: 24}, horizon, 2)
+	gate, err := NewShardedFleet(set, clusters(4), CarbonGate{Percentile: 40, Window: 24}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := gate.Unmarshal(data); err == nil {
 		t.Fatal("snapshot restored under a different policy")
 	}
-	short, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon-1, 2)
+	short, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon-1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestStateRejectsOutOfRangeFields(t *testing.T) {
 		return e.finish()
 	}
 	restore := func(data []byte) (*ShardedFleet, error) {
-		f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 2)
+		f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestStateRejectsDuplicateIDs(t *testing.T) {
 		}
 		e.job(&j)
 	}
-	f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 2)
+	f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestEncodeDecodeJobs(t *testing.T) {
 func TestStateGolden(t *testing.T) {
 	const horizon = 48
 	set := mkSet(t, horizon)
-	f, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 2)
+	f, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestStateDecodeV1Golden(t *testing.T) {
 	// The fixture was taken from this exact world after 6 steps.
 	const horizon = 48
 	set := mkSet(t, horizon)
-	f, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 2)
+	f, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestStateDecodeV1Golden(t *testing.T) {
 	if up[len(stateMagic)] != stateVersion {
 		t.Fatalf("re-marshal wrote version %d, want %d", up[len(stateMagic)], stateVersion)
 	}
-	g, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 2)
+	g, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestStateDecodeV1Golden(t *testing.T) {
 
 	// A v1 image must be refused by a fleet with a tenant config: its
 	// fair queue would reorder placements the snapshot never saw.
-	tf, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 2)
+	tf, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

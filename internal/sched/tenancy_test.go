@@ -48,17 +48,15 @@ func genTenantJobs(rng *rand.Rand, n, span int, origins, tenants []string) []Job
 }
 
 // TestTenancyInvariants is the tenancy proof layer's core sweep:
-// across random seeds, policies, and shard counts {1, 4, 16}, a
-// tenant-tagged workload under weighted-fair dequeue must behave
-// identically in every fleet form — placements hour for hour, the
-// aggregate Result, per-tenant accounting, and (across sharded forms)
-// the serialized fleet image, including a mid-run snapshot/restore
-// hop between different shard counts.
+// across random seeds and policies, a tenant-tagged workload under
+// weighted-fair dequeue must behave identically in the fleet and the
+// serial reference — placements hour for hour, the aggregate Result and
+// per-tenant accounting — and a fleet restored from a mid-run snapshot
+// must finish with the uninterrupted run's image.
 func TestTenancyInvariants(t *testing.T) {
 	const horizon = 24 * 6
 	set, cl, origins := mkWideSet(t, horizon, 6)
 	tenants := []string{"web", "api", "etl", "spot", ""}
-	shardCounts := []int{1, 4, 16}
 
 	for seed := int64(1); seed <= 3; seed++ {
 		jobs := genTenantJobs(rand.New(rand.NewSource(seed)), 240, horizon-60, origins, tenants)
@@ -67,11 +65,9 @@ func TestTenancyInvariants(t *testing.T) {
 				type run struct {
 					placements string
 					result     Result
-					image      []byte
 					perTenant  map[string]TenantStat
 				}
-				var serial run
-				var sharded []run
+				var serial, fleet run
 
 				record := func(log *strings.Builder) func(hour, jobID int, region string) {
 					return func(hour, jobID int, region string) {
@@ -91,10 +87,10 @@ func TestTenancyInvariants(t *testing.T) {
 						t.Fatal(err)
 					}
 					driveFleet(t, f)
-					serial = run{log.String(), f.Snapshot(), nil, f.TenantStats()}
+					serial = run{log.String(), f.Snapshot(), f.TenantStats()}
 				}
-				for _, shards := range shardCounts {
-					f, err := NewShardedFleet(set, cl, pol, horizon, shards)
+				{
+					f, err := NewShardedFleet(set, cl, pol, horizon, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -105,50 +101,40 @@ func TestTenancyInvariants(t *testing.T) {
 						t.Fatal(err)
 					}
 					driveFleet(t, f)
-					img, err := f.Marshal()
-					if err != nil {
-						t.Fatal(err)
-					}
-					sharded = append(sharded, run{log.String(), f.Snapshot(), img, f.TenantStats()})
+					fleet = run{log.String(), f.Snapshot(), f.TenantStats()}
 				}
 
-				for i, r := range sharded {
-					if r.placements != serial.placements {
-						t.Fatalf("shards=%d placements diverge from serial fleet", shardCounts[i])
-					}
-					if len(r.result.Outcomes) != len(serial.result.Outcomes) || r.result.Completed != serial.result.Completed ||
-						r.result.Missed != serial.result.Missed || r.result.TotalEmissions != serial.result.TotalEmissions {
-						t.Fatalf("shards=%d Result differs from serial fleet", shardCounts[i])
-					}
-					if !bytes.Equal(r.image, sharded[0].image) {
-						t.Fatalf("shards=%d image differs from shards=%d", shardCounts[i], shardCounts[0])
-					}
-					if len(r.perTenant) != len(serial.perTenant) {
-						t.Fatalf("shards=%d tenant stats differ", shardCounts[i])
-					}
-					for name, ts := range serial.perTenant {
-						if r.perTenant[name] != ts {
-							t.Fatalf("shards=%d tenant %s stats %+v != serial %+v", shardCounts[i], name, r.perTenant[name], ts)
-						}
+				if fleet.placements != serial.placements {
+					t.Fatal("placements diverge from serial fleet")
+				}
+				if len(fleet.result.Outcomes) != len(serial.result.Outcomes) || fleet.result.Completed != serial.result.Completed ||
+					fleet.result.Missed != serial.result.Missed || fleet.result.TotalEmissions != serial.result.TotalEmissions {
+					t.Fatal("Result differs from serial fleet")
+				}
+				if len(fleet.perTenant) != len(serial.perTenant) {
+					t.Fatal("tenant stats differ")
+				}
+				for name, ts := range serial.perTenant {
+					if fleet.perTenant[name] != ts {
+						t.Fatalf("tenant %s stats %+v != serial %+v", name, fleet.perTenant[name], ts)
 					}
 				}
 			})
 		}
 
-		// Mid-run snapshot hop across shard counts under tenancy: a
-		// fleet restored at a different shard count must finish the run
-		// byte-identically.
+		// Mid-run snapshot hop under tenancy: a fleet restored from the
+		// image must finish the run byte-identically.
 		t.Run(fmt.Sprintf("seed%d/restore-hop", seed), func(t *testing.T) {
 			pol := SpatioTemporal{Percentile: 40, Window: 48}
-			mk := func(shards int) *ShardedFleet {
-				f, err := NewShardedFleet(set, cl, pol, horizon, shards)
+			mk := func() *ShardedFleet {
+				f, err := NewShardedFleet(set, cl, pol, horizon, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				f.SetFairQueue(tenant.NewFairQueue(tenancyConfig(t)))
 				return f
 			}
-			ref := mk(4)
+			ref := mk()
 			if err := ref.Submit(jobs...); err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +147,7 @@ func TestTenancyInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hop := mk(16)
+			hop := mk()
 			if err := hop.Unmarshal(mid); err != nil {
 				t.Fatal(err)
 			}
@@ -216,32 +202,30 @@ func TestTenancyScavengerNotStarved(t *testing.T) {
 		})
 	}
 
-	for _, shards := range []int{1, 4} {
-		f, err := NewShardedFleet(set, cl, FIFO{}, horizon, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.SetFairQueue(tenant.NewFairQueue(cfg))
-		if err := f.Submit(jobs...); err != nil {
-			t.Fatal(err)
-		}
-		driveFleet(t, f)
-		ts := f.TenantStats()
-		spot, web := ts["spot"], ts["web"]
-		if spot.SlotHours == 0 {
-			t.Fatalf("shards=%d: scavenger starved under interactive saturation", shards)
-		}
-		total := spot.SlotHours + web.SlotHours
-		// Weight ratio 100:1 → spot's fair share is ~1%; allow a wide
-		// band but insist it is bounded on both sides.
-		if spot.SlotHours < total/500 || spot.SlotHours > total/10 {
-			t.Fatalf("shards=%d: scavenger share %d of %d slot-hours is far from its weight share", shards, spot.SlotHours, total)
-		}
+	f, err := NewShardedFleet(set, cl, FIFO{}, horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetFairQueue(tenant.NewFairQueue(cfg))
+	if err := f.Submit(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	driveFleet(t, f)
+	ts := f.TenantStats()
+	spot, web := ts["spot"], ts["web"]
+	if spot.SlotHours == 0 {
+		t.Fatal("scavenger starved under interactive saturation")
+	}
+	total := spot.SlotHours + web.SlotHours
+	// Weight ratio 100:1 → spot's fair share is ~1%; allow a wide
+	// band but insist it is bounded on both sides.
+	if spot.SlotHours < total/500 || spot.SlotHours > total/10 {
+		t.Fatalf("scavenger share %d of %d slot-hours is far from its weight share", spot.SlotHours, total)
 	}
 }
 
 // TestTenancyQuotaNeverExceeded drives the admission gate against a
-// live sharded fleet through SubmitNowChecked — the race-free check
+// live fleet through SubmitNowChecked — the race-free check
 // the service layer uses — with randomized contention, then asserts
 // from the fleet's own arrival records that no tenant ever exceeded
 // its quota in any hour.
@@ -260,7 +244,7 @@ func TestTenancyQuotaNeverExceeded(t *testing.T) {
 
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 4)
+		f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

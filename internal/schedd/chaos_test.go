@@ -144,7 +144,7 @@ func TestReplicationChaos(t *testing.T) {
 
 	pclock := &hourClock{}
 	primary, err := New(mkSet(t, horizon), clusters(8), Config{
-		Policy: policy, Horizon: horizon, Shards: 2,
+		Policy: policy, Horizon: horizon,
 		DataDir: t.TempDir(), SnapshotEvery: 48, Sync: wal.SyncNone,
 	}, WithClock(pclock.now))
 	if err != nil {
@@ -158,7 +158,7 @@ func TestReplicationChaos(t *testing.T) {
 	proxy := newChaosProxy(t, ts.Listener.Addr().String())
 
 	follower, err := NewFollower(mkSet(t, horizon), clusters(8), Config{
-		Policy: policy, Horizon: horizon, Shards: 2,
+		Policy: policy, Horizon: horizon,
 	}, FollowerConfig{
 		Primary:        proxy.URL(),
 		ReconnectDelay: time.Millisecond,

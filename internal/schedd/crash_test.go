@@ -59,7 +59,7 @@ type crashRun struct {
 // filled in by driveReference/recoverAndFinish per run directory.
 func crashConfig(policy sched.Policy, snapEvery int) Config {
 	return Config{
-		Policy: policy, Horizon: crashHorizon, Shards: 2,
+		Policy: policy, Horizon: crashHorizon,
 		SnapshotEvery: snapEvery, Sync: wal.SyncNone,
 	}
 }

@@ -151,7 +151,7 @@ func (s *Server) openStore() (*wal.Store, uint64, []byte, error) {
 // holds, and everything older is garbage-collected. On failure the
 // directory lock is released.
 func (s *Server) takeAuthority(store *wal.Store, gen uint64) error {
-	opts := wal.Options{Sync: s.cfg.Sync, BatchInterval: s.cfg.SyncInterval, Trace: s.tr}
+	opts := wal.Options{Sync: s.cfg.Sync, Trace: s.tr}
 	if s.mx != nil {
 		// One JournalMetrics spans generation rotations: wal_* series
 		// are cumulative over the server's life, not per journal file.

@@ -20,11 +20,10 @@ type placeRec struct {
 // same trace and policy, must produce byte-identical placements (every
 // executed job-hour, in order) and a byte-identical aggregate result —
 // emissions, waits, migrations, completions — to the offline batch
-// simulation, for every policy and for every fleet shard count (1, 4,
-// and 16 — fewer than, equal to, and more than the available CPU
-// parallelism). This is what makes the online service a faithful
-// serving form of the paper's constrained-scheduler analysis, and what
-// proves the sharded fleet's concurrency is invisible to clients.
+// simulation, for every policy and both wire protocols. This is what
+// makes the online service a faithful serving form of the paper's
+// constrained-scheduler analysis. The shards subtests set the deprecated
+// Config.Shards, which must stay a no-op until it is removed.
 func TestOnlineEquivalence(t *testing.T) {
 	const horizon = 24 * 15
 	set := mkSet(t, horizon)
@@ -54,12 +53,12 @@ func TestOnlineEquivalence(t *testing.T) {
 		sched.SpatioTemporal{Percentile: 40, Window: 48},
 	}
 	for _, policy := range policies {
-		// Offline reference: the batch simulator's own configuration (a
-		// one-shard fleet, every job submitted up front) with the same
+		// Offline reference: the batch simulator's own configuration
+		// (every job submitted up front) with the same
 		// placement recorder attached. That this fleet equals the serial
 		// reference scheduler is pinned inside internal/sched.
 		var offline []placeRec
-		ref, err := sched.NewShardedFleet(set, clusters(20), policy, horizon, 1)
+		ref, err := sched.NewShardedFleet(set, clusters(20), policy, horizon, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func replicatedPair(t *testing.T, policy sched.Policy) (primary, follower *Serve
 	pclock = &hourClock{}
 	var err error
 	primary, err = New(mkSet(t, 24*20), clusters(20), Config{
-		Policy: policy, Shards: 2,
+		Policy:  policy,
 		DataDir: t.TempDir(), SnapshotEvery: 48, Sync: wal.SyncNone,
 	}, WithClock(pclock.now))
 	if err != nil {
@@ -41,7 +41,7 @@ func replicatedPair(t *testing.T, policy sched.Policy) (primary, follower *Serve
 
 	fclock = &hourClock{}
 	follower, err = NewFollower(mkSet(t, 24*20), clusters(20), Config{
-		Policy: policy, Shards: 2,
+		Policy:  policy,
 		DataDir: t.TempDir(), SnapshotEvery: 48, Sync: wal.SyncNone,
 	}, FollowerConfig{
 		Primary:        pts.URL,
@@ -170,7 +170,7 @@ func TestFailoverPromotion(t *testing.T) {
 	// The promoted primary serves replication itself: a brand-new
 	// follower bootstraps from it and converges.
 	second, err := NewFollower(mkSet(t, 24*20), clusters(20), Config{
-		Policy: sched.CarbonGate{Percentile: 40, Window: 48}, Shards: 2,
+		Policy: sched.CarbonGate{Percentile: 40, Window: 48},
 	}, FollowerConfig{Primary: fts.URL, ReconnectDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

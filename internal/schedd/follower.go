@@ -69,8 +69,8 @@ type followerState struct {
 }
 
 // NewFollower builds a read-only hot standby replicating the primary
-// named in fcfg. The world (set, clusters, cfg.Policy, cfg.Horizon,
-// cfg.Shards) must match the primary's — the fleet-image fingerprint
+// named in fcfg. The world (set, clusters, cfg.Policy, cfg.Horizon and
+// cfg.Tenants) must match the primary's — the fleet-image fingerprint
 // check rejects a bootstrap from a mismatched primary. cfg.DataDir, if
 // set, is NOT opened at construction: a follower's durability is the
 // primary's journal; the directory is claimed at promotion. Call Start

@@ -4,7 +4,7 @@ package schedd
 // shape it:
 //
 // 1. Fleet-derived quantities are callback-backed (CounterFunc /
-//    GaugeFunc over the fleet's O(shards) incremental counters), so
+//    GaugeFunc over the fleet's O(1) incremental counters), so
 //    /metrics and /v1/stats read the same numbers and can never
 //    disagree — a property the metrics parity test pins.
 //
@@ -14,7 +14,7 @@ package schedd
 //    a request path takes a metrics lock or allocates.
 //
 // Carbon-saved attribution: for every executed job-hour the fleet's
-// OnPlaceDetail hook (serial Step epilogue) adds
+// OnPlaceDetail hook (Step's advance phase) adds
 //
 //	I(origin, hour) − I(placed region, hour)
 //

@@ -12,7 +12,7 @@ import (
 )
 
 // TestConcurrentClientsUnderStepping is the race/stress regression for
-// the sharded service: many concurrent Submit, Lookup, and Stats
+// the service: many concurrent Submit, Lookup, and Stats
 // clients hammer a schedd whose replay clock is advancing underneath
 // them (so fleet Steps interleave with admissions), then the server
 // drains. Run under -race this certifies the lock structure; the
@@ -21,7 +21,7 @@ import (
 // incremental stats counters agree with the full snapshot.
 func TestConcurrentClientsUnderStepping(t *testing.T) {
 	srv, client, clock := startServer(t,
-		Config{Policy: sched.GreenestFirst{}, Shards: 4}, 60)
+		Config{Policy: sched.GreenestFirst{}}, 60)
 	ctx := context.Background()
 
 	const (
@@ -147,7 +147,7 @@ func TestConcurrentClientsUnderStepping(t *testing.T) {
 		t.Fatalf("drain left %d/%d jobs uncompleted", total-res.Completed, total)
 	}
 
-	// The O(shards) counters must agree with the O(n) snapshot at the
+	// The O(1) counters must agree with the O(n) snapshot at the
 	// end of the run.
 	st, err := client.Stats(ctx)
 	if err != nil {

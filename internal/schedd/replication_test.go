@@ -2,8 +2,8 @@ package schedd
 
 // The replication equivalence layer: a hot standby tailing the
 // primary's journal stream must hold state BYTE-IDENTICAL to the
-// primary at every shared watermark — for every policy and for
-// mismatched shard counts — because apply-order equals journal-order
+// primary at every shared watermark — for every policy — because
+// apply-order equals journal-order
 // equals fleet-event order. TestReplicationPrefixConsistency is the
 // stronger property underneath: ANY prefix of the record stream,
 // applied to a fresh fleet, lands exactly on some state the primary
@@ -157,11 +157,12 @@ func runReplicationCase(t *testing.T, policy sched.Policy, shards, snapEvery, st
 }
 
 // TestReplicationEquivalence is the acceptance test of the replication
-// layer: for all five policies and mismatched shard counts {1, 4}, the
-// follower's serialized state is byte-identical to the primary's at
-// every shared watermark. Two cases rotate generations mid-run (the
-// stream crosses rotate frames), and one starts its follower late so
-// bootstrap restores a non-empty mid-run snapshot.
+// layer: for all five policies, the follower's serialized state is
+// byte-identical to the primary's at every shared watermark. Two cases
+// rotate generations mid-run (the stream crosses rotate frames), and one
+// starts its follower late so bootstrap restores a non-empty mid-run
+// snapshot. The shards subtests set the deprecated Config.Shards on
+// both sides, which must stay a no-op until it is removed.
 func TestReplicationEquivalence(t *testing.T) {
 	cases := []struct {
 		policy          sched.Policy
@@ -178,77 +179,12 @@ func TestReplicationEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		for _, shards := range shardCounts {
 			if testing.Short() && shards == 1 && tc.snapEvery == 0 && tc.policy.Name() != "fifo" {
-				continue // -race CI leg: keep one single-shard case per flavor
+				continue // -race CI leg: keep one case per flavor
 			}
 			t.Run(fmt.Sprintf("%s/shards=%d", tc.policy.Name(), shards), func(t *testing.T) {
 				runReplicationCase(t, tc.policy, shards, tc.snapEvery, tc.startFollowerAt)
 			})
 		}
-	}
-}
-
-// TestReplicationCrossShardEquivalence: the shard count is a pure
-// parallelism knob, so a 1-shard follower of a 4-shard primary (and
-// vice versa) must still replicate byte-identically.
-func TestReplicationCrossShardEquivalence(t *testing.T) {
-	jobs := crashJobs(t)
-	policy := sched.CarbonGate{Percentile: 40, Window: 48}
-	for _, tc := range []struct{ pShards, fShards int }{{4, 1}, {1, 4}} {
-		t.Run(fmt.Sprintf("primary%d-follower%d", tc.pShards, tc.fShards), func(t *testing.T) {
-			pclock := &hourClock{}
-			primary, err := New(mkSet(t, crashHorizon), clusters(crashSlots), Config{
-				Policy: policy, Horizon: crashHorizon, Shards: tc.pShards,
-				DataDir: t.TempDir(), Sync: wal.SyncNone,
-			}, WithClock(pclock.now))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer primary.Close()
-			primary.source.Poll = 200 * time.Microsecond
-			ts := httptest.NewServer(primary.Handler())
-			defer ts.Close()
-			client, err := NewClient(ts.URL, ts.Client())
-			if err != nil {
-				t.Fatal(err)
-			}
-			follower, err := NewFollower(mkSet(t, crashHorizon), clusters(crashSlots), Config{
-				Policy: policy, Horizon: crashHorizon, Shards: tc.fShards,
-			}, FollowerConfig{Primary: ts.URL, HTTPClient: ts.Client(), ReconnectDelay: 2 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer follower.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			follower.Start(ctx)
-
-			next := 0
-			for hour := 0; hour < crashHorizon; hour++ {
-				pclock.hour.Store(int64(hour))
-				if _, err := client.Stats(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				lo := next
-				for next < len(jobs) && jobs[next].Arrival == hour {
-					next++
-				}
-				submitAt(t, client, hour, jobs[lo:next])
-			}
-			waitUntil(t, "follower catch-up", func() bool {
-				return follower.fleet.Hour() == crashHorizon-1 && follower.fleet.Jobs() == len(jobs)
-			})
-			want, err := primary.fleet.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := follower.fleet.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatal("cross-shard follower state is not byte-identical to the primary")
-			}
-		})
 	}
 }
 
@@ -261,7 +197,7 @@ func TestReplicationPrefixConsistency(t *testing.T) {
 	jobs := crashJobs(t)
 	policy := sched.SpatioTemporal{Percentile: 40, Window: 48}
 	mkConfig := func(dir string) Config {
-		return Config{Policy: policy, Horizon: crashHorizon, Shards: 4,
+		return Config{Policy: policy, Horizon: crashHorizon,
 			DataDir: dir, SnapshotEvery: 0, Sync: wal.SyncNone}
 	}
 	dir := t.TempDir()
@@ -331,7 +267,7 @@ func TestReplicationPrefixConsistency(t *testing.T) {
 	// state must be SOME historical primary state (and the sequence of
 	// matched events must be non-decreasing).
 	fresh, err := New(mkSet(t, crashHorizon), clusters(crashSlots), Config{
-		Policy: policy, Horizon: crashHorizon, Shards: 4,
+		Policy: policy, Horizon: crashHorizon,
 	})
 	if err != nil {
 		t.Fatal(err)

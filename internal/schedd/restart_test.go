@@ -25,9 +25,9 @@ import (
 func TestJournaledRestartUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
-		Policy: sched.GreenestFirst{}, Shards: 4,
+		Policy:  sched.GreenestFirst{},
 		DataDir: dir, SnapshotEvery: 2,
-		Sync: wal.SyncBatch, SyncInterval: 200 * time.Microsecond,
+		Sync: wal.SyncBatch,
 	}
 
 	const (

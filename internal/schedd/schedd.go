@@ -1,7 +1,7 @@
 // Package schedd is the online carbon-aware scheduling service: the
 // live, Borg/Kubernetes-shaped component that internal/sched's batch
-// simulator stands in for. It wraps an incremental, region-sharded
-// sched.ShardedFleet in an HTTP API — jobs are submitted over the
+// simulator stands in for. It wraps the incremental fleet core,
+// sched.ShardedFleet, in an HTTP API — jobs are submitted over the
 // wire, placed by a pluggable carbon-aware policy against the replayed
 // grid, and observable while they run:
 //
@@ -17,9 +17,8 @@
 // fleet is stepped forward to the current hour before every request is
 // answered. Because the fleet is the exact engine behind sched.Run, an
 // online run that submits the same jobs at the same hours produces
-// byte-identical placements and emissions to the offline simulation —
-// for any shard count — as asserted by this package's equivalence
-// test.
+// byte-identical placements and emissions to the offline simulation,
+// as asserted by this package's equivalence test.
 //
 // Submit path: both submit routes are one pipeline, serveSubmit, handed
 // the Wire (codec.go) of the route the request arrived on — JSONWire or
@@ -32,9 +31,10 @@
 // one mutex over a full-store walk. Stepping is guarded by stepMu with
 // a lock-free fast path for the common already-caught-up case;
 // admission (bounds + id assignment) holds the small admitMu while the
-// fleet's own shard locks take care of insertion; Lookup and Stats ride
-// the fleet's read path — Stats is O(shards) over incrementally
-// maintained counters, never a walk over the job store.
+// fleet's short id-registry section takes care of insertion; Lookup and
+// Stats ride the fleet's read path — Stats is O(1) over incrementally
+// maintained counters, never a walk over the job store. A Step holds
+// the fleet exclusively and runs serially on the stepping request.
 //
 // Durability: with Config.DataDir set, admissions and hour watermarks
 // are journaled through internal/wal and the fleet state is
@@ -112,9 +112,9 @@ type Config struct {
 	Policy sched.Policy
 	// Horizon is the exclusive final trace hour (default: trace length).
 	Horizon int
-	// Shards is the fleet's region-shard count; 0 picks
-	// min(GOMAXPROCS, regions). The choice affects only Step
-	// parallelism, never placements.
+	// Shards is ignored.
+	//
+	// Deprecated: the fleet no longer has region shards; leave it 0.
 	Shards int
 	// MaxJobs bounds the total jobs the in-memory store retains;
 	// submissions past it are rejected with 503 (default DefaultMaxJobs).
@@ -160,13 +160,10 @@ type Config struct {
 	// the boot-time snapshot; the journal then carries the whole run).
 	SnapshotEvery int
 	// Sync is the journal fsync discipline (default wal.SyncBatch:
-	// group flushes on SyncInterval, so an ack's durability window is
-	// bounded by that interval; wal.SyncAlways makes every ack
-	// durable before it is sent).
+	// group flushes every wal.DefaultBatchInterval, so an ack's
+	// durability window is bounded by that interval; wal.SyncAlways
+	// makes every ack durable before it is sent).
 	Sync wal.SyncMode
-	// SyncInterval is the wal.SyncBatch flush cadence (default
-	// wal.DefaultBatchInterval).
-	SyncInterval time.Duration
 
 	// Advertise is this server's own public base URL, echoed in
 	// /v1/stats so operators and failover clients can learn the
@@ -319,7 +316,7 @@ func newServer(set *trace.Set, clusters []sched.Cluster, cfg Config, opts []Opti
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = DefaultMaxQueue
 	}
-	fleet, err := sched.NewShardedFleet(set, clusters, cfg.Policy, cfg.Horizon, cfg.Shards)
+	fleet, err := sched.NewShardedFleet(set, clusters, cfg.Policy, cfg.Horizon, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -512,7 +509,6 @@ type StatsResponse struct {
 	Policy          string        `json:"policy"`
 	Hour            int           `json:"hour"`
 	Horizon         int           `json:"horizon"`
-	Shards          int           `json:"shards"`
 	Seed            uint64        `json:"seed"`
 	Clusters        []ClusterInfo `json:"clusters"`
 	Submitted       int           `json:"submitted"`
@@ -759,9 +755,8 @@ func (s *Server) reject(status int, reason string, err error) (admission, error)
 // deliberately serialized on admitMu so the store/queue bounds stay
 // exact, auto-assigned ids can never collide, and journal order equals
 // fleet submission order. The section is cheap (validation plus
-// map/list inserts plus an in-memory append); the scalability win of
-// the sharded design is that stepping, lookups, stats — and the
-// journal fsync — never contend with it.
+// map/list inserts plus an in-memory append); lookups, stats and the
+// journal fsync never contend with it.
 //
 // b carries the decoded batch; jobs b.auto marks get an id assigned in
 // place, and b.ids is filled with the final assignment.
@@ -928,7 +923,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.stats())
 }
 
-// stats assembles the monitoring view from the fleet's O(shards)
+// stats assembles the monitoring view from the fleet's O(1)
 // incremental counters — no job-store walk, no global lock.
 func (s *Server) stats() StatsResponse {
 	st := s.fleet.Stats()
@@ -936,7 +931,6 @@ func (s *Server) stats() StatsResponse {
 		Policy:          s.cfg.Policy.Name(),
 		Hour:            st.Hour,
 		Horizon:         st.Horizon,
-		Shards:          s.fleet.NumShards(),
 		Seed:            s.cfg.Seed,
 		Submitted:       st.Submitted,
 		Completed:       st.Completed,

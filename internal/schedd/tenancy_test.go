@@ -586,7 +586,7 @@ func TestTenantQuotaRecoveryContinuity(t *testing.T) {
 	dir := t.TempDir()
 	mkCfg := func() Config {
 		return Config{
-			Policy: sched.FIFO{}, Horizon: 48, Shards: 2,
+			Policy: sched.FIFO{}, Horizon: 48,
 			DataDir: dir, Sync: wal.SyncNone, Tenants: tenancyConfig(t),
 		}
 	}
@@ -642,8 +642,9 @@ func TestTenantQuotaRecoveryContinuity(t *testing.T) {
 
 // TestTenantReplicationEquivalence: a follower of a tenant-configured
 // primary converges to byte-identical fleet state — tenant identity,
-// fair-queue virtual time, and per-tenant accounting included — across
-// mismatched shard counts.
+// fair-queue virtual time, and per-tenant accounting included. The
+// subtests set different values of the deprecated Config.Shards on the
+// two sides, which must stay a no-op until it is removed.
 func TestTenantReplicationEquivalence(t *testing.T) {
 	jobs := tenantCrashJobs(t)
 	policy := sched.CarbonGate{Percentile: 40, Window: 48}
@@ -717,7 +718,7 @@ func TestTenantReplicationEquivalence(t *testing.T) {
 func TestTenantPromotionQuotaContinuity(t *testing.T) {
 	pclock := &hourClock{}
 	primary, err := New(mkSet(t, 48), clusters(4), Config{
-		Policy: sched.FIFO{}, Horizon: 48, Shards: 2,
+		Policy: sched.FIFO{}, Horizon: 48,
 		DataDir: t.TempDir(), Sync: wal.SyncNone, Tenants: tenancyConfig(t),
 	}, WithClock(pclock.now))
 	if err != nil {
@@ -735,7 +736,7 @@ func TestTenantPromotionQuotaContinuity(t *testing.T) {
 
 	fclock := &hourClock{}
 	follower, err := NewFollower(mkSet(t, 48), clusters(4), Config{
-		Policy: sched.FIFO{}, Horizon: 48, Shards: 2, Tenants: tenancyConfig(t),
+		Policy: sched.FIFO{}, Horizon: 48, Tenants: tenancyConfig(t),
 	}, FollowerConfig{
 		Primary: ts.URL, HTTPClient: ts.Client(), ReconnectDelay: 2 * time.Millisecond,
 	}, WithClock(fclock.now))
@@ -785,7 +786,7 @@ func TestTenantPromotionQuotaContinuity(t *testing.T) {
 // quota and nothing more. Run under -race in CI, this also exercises
 // the gate/fleet locking.
 func TestTenantIsolationChaos(t *testing.T) {
-	_, client, clock := startServer(t, Config{Policy: sched.FIFO{}, Shards: 4, Tenants: tenancyConfig(t)}, 200)
+	_, client, clock := startServer(t, Config{Policy: sched.FIFO{}, Tenants: tenancyConfig(t)}, 200)
 	ctx := context.Background()
 
 	const workersPerTenant, jobsPerWorker = 3, 10

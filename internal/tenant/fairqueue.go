@@ -35,7 +35,7 @@ const passScale = 1 << 32
 //
 // Everything here is deterministic integer arithmetic over sorted
 // names: the same (eligible list, pass state) always yields the same
-// order, which is what keeps serial-vs-sharded byte-equivalence and
+// order, which is what keeps fleet-vs-reference byte-equivalence and
 // crash/replication replay intact. Pass state is fleet state — the
 // fleet serializes it through Snapshot/Restore in its image.
 //
@@ -166,9 +166,9 @@ type fairGroup struct {
 }
 
 // Charge records one executed job-hour against the tenant — called
-// from the fleet's serial epilogue for every job that ran (forced or
+// from Step's advance phase for every job that ran (forced or
 // policy-placed: both consumed capacity). Per-tenant increments
-// commute, so the epilogue's submission-order iteration and any
+// commute, so that phase's submission-order iteration and any
 // restore-replay agree on the final state.
 func (q *FairQueue) Charge(name string) {
 	t := Normalize(name)

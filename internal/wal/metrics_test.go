@@ -88,7 +88,7 @@ func TestJournalMetricsSyncBatch(t *testing.T) {
 	r := metrics.NewRegistry()
 	jm := NewJournalMetrics(r)
 	j, err := Create(filepath.Join(t.TempDir(), "j.wal"),
-		Options{Sync: SyncBatch, BatchInterval: time.Millisecond, Metrics: jm})
+		Options{Sync: SyncBatch, Metrics: jm})
 	if err != nil {
 		t.Fatal(err)
 	}

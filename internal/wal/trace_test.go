@@ -44,7 +44,7 @@ func TestGroupCommitTraced(t *testing.T) {
 func TestBatchModeFlusherTraced(t *testing.T) {
 	tr := tracing.New(tracing.Config{SampleEvery: 1})
 	j, err := Create(filepath.Join(t.TempDir(), "j.wal"),
-		Options{Sync: SyncBatch, BatchInterval: time.Millisecond, Trace: tr})
+		Options{Sync: SyncBatch, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

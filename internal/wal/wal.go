@@ -69,7 +69,7 @@ type SyncMode int
 
 const (
 	// SyncBatch (the default) fsyncs from a background flusher every
-	// Options.BatchInterval: appends never block on the disk, and a
+	// DefaultBatchInterval: appends never block on the disk, and a
 	// crash loses at most one interval of acknowledged records.
 	SyncBatch SyncMode = iota
 	// SyncAlways group-commits: every Append returns only after its
@@ -107,17 +107,13 @@ func ParseSyncMode(s string) (SyncMode, error) {
 	}
 }
 
-// DefaultBatchInterval is the SyncBatch flush cadence when
-// Options.BatchInterval is zero.
+// DefaultBatchInterval is the SyncBatch flush cadence.
 const DefaultBatchInterval = 2 * time.Millisecond
 
 // Options configures a Journal.
 type Options struct {
 	// Sync is the fsync discipline (default SyncBatch).
 	Sync SyncMode
-	// BatchInterval is the SyncBatch flush cadence (default
-	// DefaultBatchInterval). Ignored in the other modes.
-	BatchInterval time.Duration
 	// Metrics, when non-nil, receives fsync latency, group-commit
 	// batch size, and append counters (see JournalMetrics). Safe to
 	// share across journals — schedd reuses one across generations.
@@ -187,24 +183,20 @@ func Create(path string, opts Options) (*Journal, error) {
 	j.w.WriteString(journalMagic)
 	j.w.WriteByte(journalVersion)
 	if j.mode == SyncBatch {
-		interval := opts.BatchInterval
-		if interval <= 0 {
-			interval = DefaultBatchInterval
-		}
 		j.stop = make(chan struct{})
 		j.done = make(chan struct{})
-		go j.flusher(interval)
+		go j.flusher()
 	}
 	return j, nil
 }
 
-// flusher is the SyncBatch background goroutine: every interval it
-// runs one flush+fsync round if anything was appended since the last
-// pass. A tick that finds a Sync() round in flight leaves dirty set for
-// the next one.
-func (j *Journal) flusher(interval time.Duration) {
+// flusher is the SyncBatch background goroutine: every
+// DefaultBatchInterval it runs one flush+fsync round if anything was
+// appended since the last pass. A tick that finds a Sync() round in
+// flight leaves dirty set for the next one.
+func (j *Journal) flusher() {
 	defer close(j.done)
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(DefaultBatchInterval)
 	defer tick.Stop()
 	for {
 		select {

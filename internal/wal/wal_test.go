@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 func appendAll(t *testing.T, path string, opts Options, payloads ...[]byte) {
@@ -44,7 +43,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "j.wal")
 			want := [][]byte{[]byte("alpha"), {}, []byte("gamma with a longer payload"), {0, 1, 2, 255}}
-			appendAll(t, path, Options{Sync: mode, BatchInterval: time.Millisecond}, want...)
+			appendAll(t, path, Options{Sync: mode}, want...)
 			got, res := replayAll(t, path)
 			if res.Truncated {
 				t.Fatal("clean journal reported truncated")
@@ -160,7 +159,7 @@ func TestJournalConcurrentAppend(t *testing.T) {
 	for _, mode := range []SyncMode{SyncBatch, SyncAlways} {
 		t.Run(mode.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "j.wal")
-			j, err := Create(path, Options{Sync: mode, BatchInterval: 200 * time.Microsecond})
+			j, err := Create(path, Options{Sync: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +219,7 @@ func TestJournalCloseIdempotent(t *testing.T) {
 	for _, mode := range []SyncMode{SyncNone, SyncBatch, SyncAlways} {
 		t.Run(mode.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "j.wal")
-			j, err := Create(path, Options{Sync: mode, BatchInterval: time.Millisecond})
+			j, err := Create(path, Options{Sync: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
