@@ -30,7 +30,7 @@
 // # Online scheduling
 //
 // Beyond the offline experiments, the repository runs as a live
-// system. internal/sched's incremental ShardedFleet
+// system. internal/sched's incremental Fleet
 // (Submit/Step/Snapshot) is the one engine behind both the batch
 // sched.Run and internal/schedd, the online scheduling service — one
 // submission-ordered job list, stepped serially hour by hour, so
@@ -53,7 +53,7 @@
 // The service is durable: with -data-dir set, schedd journals every
 // admission and hour watermark through internal/wal (an append-only,
 // CRC-checksummed log with group-commit fsync) and periodically
-// snapshots the full fleet state via ShardedFleet.Marshal's versioned
+// snapshots the full fleet state via Fleet.Marshal's versioned
 // binary image; on boot it restores the newest snapshot and replays the
 // journal tail — tolerating torn final writes — recovering state
 // byte-identical to a process that never stopped, as proven by a

@@ -1,8 +1,9 @@
 // Package archtest holds the repository's architecture guards: each
 // keeps one piece of the design single — one framing layer, one
 // lifecycle, one upstream round trip, one id registry, index-typed
-// policies, one serially stepped job list, the measured kernels, one
-// logger, one role value, one performance harness — by counting, over the parsed Go source, the
+// policies, one serially stepped job list, one fleet type and placement
+// hook, the measured kernels, one logger, one role value, one
+// performance harness — by counting, over the parsed Go source, the
 // sites that would start a second copy. They run under go test ./...,
 // and every guard is shown to fire on a planted violation.
 package archtest
@@ -324,7 +325,7 @@ func (g *Gateway) direct(p *partition) {
 		// id index finds them through 4-byte slots; a map keyed by job id
 		// beside it is a second copy of every id.
 		name: "no id-keyed map beside the id index in internal/sched",
-		fix:  "look ids up through ShardedFleet's idIndex (get/put/del), not a second map of them",
+		fix:  "look ids up through Fleet's idIndex (get/put/del), not a second map of them",
 		rules: []rule{
 			{what: "map[int]uint32 / map[int]bool", in: []string{"internal/sched/"}, match: idKeyedMap},
 		},
@@ -341,8 +342,8 @@ var seen = map[int]bool{}`},
 		rules: []rule{
 			{what: "a string field in Placement or JobView", in: []string{"internal/sched/"}, match: stringFieldOf("Placement", "JobView")},
 			{what: "map[string]… in a policy", in: []string{"internal/sched/policies.go", "internal/sched/forecast_policy.go"}, match: stringKeyedMap},
-			{what: "ids.get( in ShardedFleet.Step", in: []string{"internal/sched/"}, match: inMethod("ShardedFleet", "Step", call("ids", "get"))},
-			{what: "regionIdx in ShardedFleet.Step", in: []string{"internal/sched/"}, match: inMethod("ShardedFleet", "Step", ident("regionIdx"))},
+			{what: "ids.get( in Fleet.Step", in: []string{"internal/sched/"}, match: inMethod("Fleet", "Step", call("ids", "get"))},
+			{what: "regionIdx in Fleet.Step", in: []string{"internal/sched/"}, match: inMethod("Fleet", "Step", ident("regionIdx"))},
 		},
 		plant: map[string]string{"internal/sched/policies.go": `package sched
 type Placement struct {
@@ -362,7 +363,7 @@ func (p cachedGate) Plan(t *Tick) []Placement {
 	}
 	return out
 }
-func (f *ShardedFleet) Step() error {
+func (f *Fleet) Step() error {
 	for _, p := range f.policy.Plan(nil) {
 		seq, _ := f.ids.get(f.blocks, p.JobID)
 		f.blocks.at(seq).placed = int16(f.regionIdx[p.Region])
@@ -385,8 +386,26 @@ func (f *ShardedFleet) Step() error {
 		plant: map[string]string{"internal/sched/planted.go": `package sched
 import "carbonshift/internal/engine"
 type fleetShard struct{ active, movedOut []uint32 }
-func (f *ShardedFleet) mergeShards(shardOf []int) {
+func (f *Fleet) mergeShards(shardOf []int) {
 	_ = engine.ForEach(nil, 0, len(shardOf), nil)
+}`},
+	},
+	{
+		// One fleet, one placement hook: the fleet core is sched.Fleet, and
+		// it reports each executed job-hour once, as a Placed, through
+		// OnPlace. The old name lives on only in internal/sched/compat.go,
+		// for bench/, until both are deleted.
+		name: "one fleet type and one placement hook",
+		fix:  "use sched.Fleet, NewFleet and OnPlace(Placed); ShardedFleet is compat.go's, for bench/ only",
+		rules: []rule{
+			{what: "ShardedFleet / NewShardedFleet", in: []string{""}, not: []string{"bench/", "internal/sched/compat.go"},
+				match: ident("ShardedFleet", "NewShardedFleet")},
+			{what: "OnPlaceDetail", in: []string{""}, tests: true, match: ident("OnPlaceDetail")},
+		},
+		plant: map[string]string{"internal/schedd/planted.go": `package schedd
+type legacy struct{ fleet *sched.ShardedFleet }
+func (l *legacy) wire(attribute func(hour, jobID int, region, origin, tenantName string)) {
+	l.fleet.OnPlaceDetail = attribute
 }`},
 	},
 	{

@@ -143,15 +143,16 @@ func referenceRun(t *testing.T, set *trace.Set, cl []sched.Cluster, groups [][]s
 	outcomes := map[int]sched.Outcome{}
 	for gi, g := range groups {
 		sub, subcl := subWorld(t, set, cl, g)
-		ref, err := sched.NewShardedFleet(sub, subcl, policy, horizon, 0)
+		ref, err := sched.NewFleet(sub, subcl, policy, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tenants != nil {
 			ref.SetFairQueue(tenant.NewFairQueue(tenants))
 		}
-		ref.OnPlace = func(hour, jobID int, region string) {
-			logs[gi] = append(logs[gi], placeRec{hour, jobID, region})
+		regions := ref.Regions()
+		ref.OnPlace = func(p sched.Placed) {
+			logs[gi] = append(logs[gi], placeRec{p.Hour, p.JobID, regions[p.Region]})
 		}
 		var subJobs []sched.Job
 		for _, j := range jobs {

@@ -1,6 +1,6 @@
 // Package gateway is the stateless routing tier in front of a
 // partitioned schedd fleet. Each partition is an independent
-// multi-primary deployment — its own sched.ShardedFleet, WAL, and hot
+// multi-primary deployment — its own sched.Fleet, WAL, and hot
 // standby — owning a disjoint region group; the gateway is the single
 // client-facing endpoint that makes N partitions look like one
 // service:
@@ -17,7 +17,7 @@
 // state with the others, and each partition's id range is disjoint
 // (schedd.Config.IDBase). The gateway therefore only needs to route
 // every job to its origin's owning partition — TestPartitionedEquivalence
-// holds the routed topology to one independent sched.ShardedFleet per
+// holds the routed topology to one independent sched.Fleet per
 // region group, placement for placement. It holds no scheduling state of
 // its own and any number of gateway replicas can front the same
 // partitions.

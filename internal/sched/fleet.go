@@ -17,10 +17,10 @@ import (
 // stepped through its whole horizon and can no longer admit work.
 var ErrHorizonExhausted = fmt.Errorf("sched: replay horizon exhausted")
 
-// ShardedFleet is the fleet core — the one hour-stepped scheduler in
-// the compiled code. Run drives it offline (every job submitted up
-// front); internal/schedd serves it over HTTP against a replayed clock,
-// with jobs submitted while it runs. The two paths share every line of
+// Fleet is the fleet core — the one hour-stepped scheduler in the
+// compiled code. Run drives it offline (every job submitted up front);
+// internal/schedd serves it over HTTP against a replayed clock, with
+// jobs submitted while it runs. The two paths share every line of
 // scheduling logic, so the online service is placement-for-placement
 // identical to the batch simulator — and to the serial reference
 // scheduler the tests keep (reference_test.go,
@@ -28,9 +28,8 @@ var ErrHorizonExhausted = fmt.Errorf("sched: replay horizon exhausted")
 //
 // The fleet keeps one job list in submission order and steps it
 // serially on the caller: every phase of Step walks that list (or the
-// hour's candidate pool drawn from it) once, in submission order. (The
-// name is historical; the fleet has no shards. DESIGN.md "The fleet
-// core" says why Step is serial.)
+// hour's candidate pool drawn from it) once, in submission order.
+// DESIGN.md "The fleet core" says why Step is serial.
 //
 // Two structural optimizations are invisible to results: jobs that have
 // not yet arrived wait in arrival buckets instead of being rescanned
@@ -38,15 +37,15 @@ var ErrHorizonExhausted = fmt.Errorf("sched: replay horizon exhausted")
 // A Step therefore costs O(active jobs) plus O(eligible) policy work,
 // not O(all jobs).
 //
-// A ShardedFleet is safe for concurrent use: Step excludes everything
-// else, while Submit, Lookup, Stats, and Snapshot may run concurrently
-// with each other (Submits only contend on a short id-registry critical
+// A Fleet is safe for concurrent use: Step excludes everything else,
+// while Submit, Lookup, Stats, and Snapshot may run concurrently with
+// each other (Submits only contend on a short id-registry critical
 // section).
 //
 // Lock hierarchy (always acquired in this order, never the reverse):
 // world mu (RLock for Submit/Lookup/Stats/Snapshot, Lock for Step) →
 // idMu (the job store and the job lists).
-type ShardedFleet struct {
+type Fleet struct {
 	policy  Policy
 	horizon int
 
@@ -108,17 +107,37 @@ type ShardedFleet struct {
 
 	// OnPlace, when non-nil, observes every executed job-hour: it is
 	// called once per job that runs during a Step, after the hour's
-	// placements are final, in submission order. Set it before the first
-	// Step; it must not call back into the fleet.
-	OnPlace func(hour, jobID int, region string)
-
-	// OnPlaceDetail, when non-nil, additionally observes the job's
-	// origin region and tenant — the hook the metrics layer uses to
-	// attribute carbon (saved versus a run-at-origin counterfactual,
-	// and per tenant). Fired immediately after OnPlace, in the same
-	// order. It must not call back into the fleet.
-	OnPlaceDetail func(hour, jobID int, region, origin, tenantName string)
+	// placements are final, in submission order. Step builds the Placed
+	// only when the hook is set. Set it before the first Step; it must
+	// not call back into the fleet.
+	OnPlace func(Placed)
 }
+
+// Placed is one executed job-hour: where the job ran, where it came
+// from, what each of those regions' intensity was that hour, and why it
+// ran then.
+type Placed struct {
+	Hour, JobID int
+	// Region and Origin are region indices (Fleet.Regions order).
+	Region, Origin int
+	Tenant         string
+	// CI and OriginCI are Region's and Origin's intensity at Hour: what
+	// the job-hour paid, and what running it at home would have.
+	CI, OriginCI float64
+	By           By
+}
+
+// By says which phase of Step placed a job-hour.
+type By uint8
+
+const (
+	// ByContinued: a started non-interruptible job keeps its slot.
+	ByContinued By = iota + 1
+	// ByDeadline: the job had no slack left and was forced to run.
+	ByDeadline
+	// ByPolicy: the policy's plan chose the job and the region.
+	ByPolicy
+)
 
 // jobRec is everything the fleet keeps per job, in 64
 // pointer-free bytes: hours and counters are 32-bit (Job.Validate bounds
@@ -143,6 +162,7 @@ type jobRec struct {
 	originI    int16
 	regionI    int16 // current region index, -1 before the first run
 	placed     int16 // per-Step scratch: region index placed this hour, -1
+	by         By    // per-Step scratch: the phase that set placed
 	flags      uint8 // flagInterruptible | flagMigratable | flagDone
 }
 
@@ -189,13 +209,8 @@ func newJobStore() jobStore {
 	}
 }
 
-// NewShardedFleet validates the world and returns an empty fleet at
-// hour zero.
-//
-// The final argument is deprecated and ignored: it was the region-shard
-// count of a fleet that stepped shards in parallel. Callers pass 0
-// until it is removed.
-func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon, _ int) (*ShardedFleet, error) {
+// NewFleet validates the world and returns an empty fleet at hour zero.
+func NewFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*Fleet, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("sched: nil policy")
 	}
@@ -208,7 +223,7 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 	if len(clusters) > math.MaxInt16 {
 		return nil, fmt.Errorf("sched: %d clusters, at most %d", len(clusters), math.MaxInt16)
 	}
-	f := &ShardedFleet{
+	f := &Fleet{
 		policy:    policy,
 		horizon:   horizon,
 		slots:     make(map[string]int, len(clusters)),
@@ -247,54 +262,54 @@ func NewShardedFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon,
 // before the first Step (and before Unmarshal of an image that carries
 // tenancy state); changing it mid-run would silently diverge placements
 // from a replayed or replicated fleet.
-func (f *ShardedFleet) SetFairQueue(q *tenant.FairQueue) {
+func (f *Fleet) SetFairQueue(q *tenant.FairQueue) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.fq = q
 }
 
 // Hour returns the next hour the fleet will simulate.
-func (f *ShardedFleet) Hour() int {
+func (f *Fleet) Hour() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.hour
 }
 
 // Horizon returns the exclusive final hour.
-func (f *ShardedFleet) Horizon() int { return f.horizon }
+func (f *Fleet) Horizon() int { return f.horizon }
 
 // Done reports whether the fleet has simulated its whole horizon.
-func (f *ShardedFleet) Done() bool {
+func (f *Fleet) Done() bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.hour >= f.horizon
 }
 
 // Jobs returns the number of jobs submitted so far.
-func (f *ShardedFleet) Jobs() int { return int(f.submitted.Load()) }
+func (f *Fleet) Jobs() int { return int(f.submitted.Load()) }
 
 // Outstanding returns the number of submitted jobs that have not yet
 // completed, in O(1) — the backpressure signal for online admission.
-func (f *ShardedFleet) Outstanding() int {
+func (f *Fleet) Outstanding() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return int(f.submitted.Load()) - f.completed
 }
 
 // Regions lists the cluster regions in sorted order.
-func (f *ShardedFleet) Regions() []string {
+func (f *Fleet) Regions() []string {
 	out := make([]string, len(f.regionsList))
 	copy(out, f.regionsList)
 	return out
 }
 
 // Slots returns the slot count of one region's cluster (0 if unknown).
-func (f *ShardedFleet) Slots(region string) int { return f.slots[region] }
+func (f *Fleet) Slots(region string) int { return f.slots[region] }
 
 // Submit adds jobs to the fleet at their own arrival hours. The call is
 // atomic: on any validation error no job from the batch is admitted.
 // Safe for concurrent use.
-func (f *ShardedFleet) Submit(jobs ...Job) error {
+func (f *Fleet) Submit(jobs ...Job) error {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	_, err := f.submitRLocked(jobs, false)
@@ -305,7 +320,7 @@ func (f *ShardedFleet) Submit(jobs ...Job) error {
 // the online-service admission path, where work always arrives "now" —
 // and returns the arrival hour used. It fails with ErrHorizonExhausted
 // once the replay is over.
-func (f *ShardedFleet) SubmitNow(jobs ...Job) (int, error) {
+func (f *Fleet) SubmitNow(jobs ...Job) (int, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.hour >= f.horizon {
@@ -320,7 +335,7 @@ func (f *ShardedFleet) SubmitNow(jobs ...Job) (int, error) {
 // race between a caller-side quota check and a concurrent Step moving
 // the hour. A check error rejects the whole batch and is returned
 // verbatim.
-func (f *ShardedFleet) SubmitNowChecked(check func(hour int) error, jobs ...Job) (int, error) {
+func (f *Fleet) SubmitNowChecked(check func(hour int) error, jobs ...Job) (int, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.hour >= f.horizon {
@@ -341,7 +356,7 @@ func (f *ShardedFleet) SubmitNowChecked(check func(hour int) error, jobs ...Job)
 // duplicate inside the batch — above the count any reader has seen; if
 // a later job fails, the store is put back exactly as it was. Either way
 // the call allocates nothing per batch.
-func (f *ShardedFleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
+func (f *Fleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 	if stampNow {
 		for i := range jobs {
 			jobs[i].Arrival = f.hour
@@ -393,7 +408,7 @@ func (f *ShardedFleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 }
 
 // admissible reports why the fleet cannot take j now. idMu must be held.
-func (f *ShardedFleet) admissible(j *Job) error {
+func (f *Fleet) admissible(j *Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
@@ -455,14 +470,14 @@ func (s *jobStore) internTenant(name string) uint32 {
 // view returns the job store as of now, for walks that run beside
 // Submit: the block directory, the tenant table, and the number of jobs
 // both cover. The world read lock must be held.
-func (f *ShardedFleet) view() (recBlocks, []string, uint32) {
+func (f *Fleet) view() (recBlocks, []string, uint32) {
 	f.idMu.Lock()
 	defer f.idMu.Unlock()
 	return f.blocks, f.tenants, uint32(f.submitted.Load())
 }
 
 // job rebuilds the submitted Job from its record.
-func (f *ShardedFleet) job(r *jobRec, tenants []string) Job {
+func (f *Fleet) job(r *jobRec, tenants []string) Job {
 	return Job{
 		ID:            r.id,
 		Origin:        f.regionsList[r.originI],
@@ -497,7 +512,7 @@ func mergeBySeq(dst, a, b []uint32) []uint32 {
 // region index out of range, double placement, pinned migration,
 // oversubscription). Its four phases run serially on the calling
 // goroutine, each over the job list in submission order.
-func (f *ShardedFleet) Step() error {
+func (f *Fleet) Step() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.hour >= f.horizon {
@@ -520,7 +535,7 @@ func (f *ShardedFleet) Step() error {
 		r := f.blocks.at(seq)
 		r.placed = -1
 		if r.progress > 0 && !r.interruptible() {
-			r.placed = r.regionI
+			r.placed, r.by = r.regionI, ByContinued
 			f.free[r.regionI]--
 		} else {
 			pool = append(pool, seq)
@@ -549,7 +564,7 @@ func (f *ShardedFleet) Step() error {
 			}
 		}
 		if f.free[ri] > 0 {
-			r.placed = int16(ri)
+			r.placed, r.by = int16(ri), ByDeadline
 			f.free[ri]--
 		}
 	}
@@ -603,13 +618,13 @@ func (f *ShardedFleet) Step() error {
 		if f.free[p.Region] <= 0 {
 			return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), f.regionsList[p.Region])
 		}
-		r.placed = int16(p.Region)
+		r.placed, r.by = int16(p.Region), ByPolicy
 		f.free[p.Region]--
 	}
 
 	// Phase 4: advance the world. Placements are final, so each job that
-	// runs is advanced, charged to its tenant, reported to the recorder
-	// and folded into the aggregates in one pass in submission order;
+	// runs is advanced, charged to its tenant, reported to OnPlace and
+	// folded into the aggregates in one pass in submission order;
 	// completed jobs are compacted out of the active list.
 	f.ranLast = 0
 	keep := f.active[:0]
@@ -631,15 +646,20 @@ func (f *ShardedFleet) Step() error {
 		r.emissions += ci
 		f.slotHours++
 		f.emissionsG += ci
-		region, tenantName := f.regionsList[ri], f.tenants[r.tenantI]
 		if f.fq != nil {
-			f.fq.Charge(tenantName)
+			f.fq.Charge(f.tenants[r.tenantI])
 		}
 		if f.OnPlace != nil {
-			f.OnPlace(hour, r.id, region)
-		}
-		if f.OnPlaceDetail != nil {
-			f.OnPlaceDetail(hour, r.id, region, f.regionsList[r.originI], tenantName)
+			f.OnPlace(Placed{
+				Hour:     hour,
+				JobID:    r.id,
+				Region:   int(ri),
+				Origin:   int(r.originI),
+				Tenant:   f.tenants[r.tenantI],
+				CI:       ci,
+				OriginCI: f.traces[r.originI].At(hour),
+				By:       r.by,
+			})
 		}
 		if r.progress < r.length {
 			f.ranLast++
@@ -669,7 +689,7 @@ func (f *ShardedFleet) Step() error {
 
 // fairOrder applies the fair queue's dequeue permutation to one
 // hour's eligible sequences (identity when no queue is installed).
-func (f *ShardedFleet) fairOrder(eligible []uint32) []uint32 {
+func (f *Fleet) fairOrder(eligible []uint32) []uint32 {
 	if f.fq == nil || len(eligible) < 2 {
 		return eligible
 	}
@@ -705,7 +725,7 @@ type JobInfo struct {
 }
 
 // Lookup returns the live view of a submitted job.
-func (f *ShardedFleet) Lookup(id int) (JobInfo, bool) {
+func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	f.idMu.Lock()
@@ -741,7 +761,7 @@ func (f *ShardedFleet) Lookup(id int) (JobInfo, bool) {
 // second result without the view of the job. It waits for neither the
 // world lock nor a Step — the index and the ids it reads through change
 // only under idMu.
-func (f *ShardedFleet) Has(id int) bool {
+func (f *Fleet) Has(id int) bool {
 	f.idMu.Lock()
 	defer f.idMu.Unlock()
 	_, ok := f.ids.get(f.blocks, id)
@@ -774,7 +794,7 @@ func (s FleetStats) Utilization() float64 {
 // TotalEmissions is accumulated in execution order (hour-major), so it
 // can differ from Snapshot's submission-order sum by float rounding in
 // the last bits; every count is exact.
-func (f *ShardedFleet) Stats() FleetStats {
+func (f *Fleet) Stats() FleetStats {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	sub := int(f.submitted.Load())
@@ -807,7 +827,7 @@ type TenantStat struct {
 // TenantStats aggregates the fleet's jobs per (normalized) tenant. One
 // walk over the job store under the read lock — monitoring-path cost,
 // not Step-path.
-func (f *ShardedFleet) TenantStats() map[string]TenantStat {
+func (f *Fleet) TenantStats() map[string]TenantStat {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	blocks, tenants, n := f.view()
@@ -843,7 +863,7 @@ func (f *ShardedFleet) TenantStats() map[string]TenantStat {
 // TenantArrivals counts jobs per (normalized) tenant that arrived at
 // the given hour — the seed for rebuilding admission-quota windows
 // after crash recovery or follower promotion.
-func (f *ShardedFleet) TenantArrivals(hour int) map[string]int {
+func (f *Fleet) TenantArrivals(hour int) map[string]int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	blocks, tenants, n := f.view()
@@ -859,7 +879,7 @@ func (f *ShardedFleet) TenantArrivals(hour int) map[string]int {
 // Snapshot aggregates the fleet's outcomes so far into a Result, in job
 // submission order. An uncompleted job
 // counts as missed once its deadline is at or before the current hour.
-func (f *ShardedFleet) Snapshot() Result {
+func (f *Fleet) Snapshot() Result {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	blocks, tenants, n := f.view()

@@ -42,10 +42,10 @@ func fleetJobs(t *testing.T) []Job {
 	return jobs
 }
 
-// TestFleetMatchesRun drives the serial reference Fleet tick by tick
+// TestFleetMatchesRun drives the serial reference fleet tick by tick
 // with all jobs submitted up front and checks the snapshot is deeply
-// identical to the batch Run for every policy. Run drives a
-// ShardedFleet, so this is the Run-vs-reference differential.
+// identical to the batch Run for every policy. Run drives a Fleet, so
+// this is the Run-vs-reference differential.
 func TestFleetMatchesRun(t *testing.T) {
 	set := mkSet(t, 24*15)
 	jobs := fleetJobs(t)
@@ -54,7 +54,7 @@ func TestFleetMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFleet(set, clusters(20), p, 24*15)
+		f, err := newRefFleet(set, clusters(20), p, 24*15)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,10 +73,10 @@ func TestFleetMatchesRun(t *testing.T) {
 }
 
 // TestFleetOnlineSubmission submits each job to the serial reference
-// Fleet exactly at its arrival hour, the way the HTTP service does, and
-// still matches the batch Run (a ShardedFleet with every job
-// submitted up front) — a differential across both the implementation
-// and the submission pattern.
+// fleet exactly at its arrival hour, the way the HTTP service does, and
+// still matches the batch Run (a Fleet with every job submitted up
+// front) — a differential across both the implementation and the
+// submission pattern.
 func TestFleetOnlineSubmission(t *testing.T) {
 	set := mkSet(t, 24*15)
 	jobs := fleetJobs(t)
@@ -85,7 +85,7 @@ func TestFleetOnlineSubmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFleet(set, clusters(20), p, 24*15)
+		f, err := newRefFleet(set, clusters(20), p, 24*15)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestRunConcurrentPolicies(t *testing.T) {
 
 func TestFleetSubmitValidation(t *testing.T) {
 	set := mkSet(t, 50)
-	f, err := NewFleet(set, clusters(1), FIFO{}, 50)
+	f, err := newRefFleet(set, clusters(1), FIFO{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFleetSubmitValidation(t *testing.T) {
 
 func TestFleetStepPastHorizon(t *testing.T) {
 	set := mkSet(t, 50)
-	f, err := NewFleet(set, clusters(1), FIFO{}, 2)
+	f, err := newRefFleet(set, clusters(1), FIFO{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestFleetStepPastHorizon(t *testing.T) {
 
 func TestFleetLookupAndStats(t *testing.T) {
 	set := mkSet(t, 100)
-	f, err := NewFleet(set, clusters(1), FIFO{}, 100)
+	f, err := newRefFleet(set, clusters(1), FIFO{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,38 +243,48 @@ func TestFleetLookupAndStats(t *testing.T) {
 	}
 }
 
-// TestFleetOnPlace checks the placement recorder sees every executed
-// job-hour, in order, and that the total matches slot-hours used.
+// TestFleetOnPlace checks the fleet's placement hook on a 1-slot world,
+// where contention makes every phase of Step place work: each By value
+// occurs, every Placed carries its region's and its origin's intensity
+// for its hour, the log is hour-ordered, and it holds one entry per
+// slot-hour used.
 func TestFleetOnPlace(t *testing.T) {
 	set := mkSet(t, 24*15)
 	jobs := fleetJobs(t)
-	f, err := NewFleet(set, clusters(20), GreenestFirst{}, 24*15)
+	f, err := NewFleet(set, clusters(1), GreenestFirst{}, 24*15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type placeRec struct {
-		hour, job int
-		region    string
-	}
-	var log []placeRec
-	f.OnPlace = func(hour, jobID int, region string) {
-		log = append(log, placeRec{hour, jobID, region})
-	}
+	var log []Placed
+	f.OnPlace = func(p Placed) { log = append(log, p) }
 	if err := f.Submit(jobs...); err != nil {
 		t.Fatal(err)
 	}
-	for !f.Done() {
-		if err := f.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res := f.Snapshot()
-	if float64(len(log)) != res.SlotHoursUsed {
-		t.Fatalf("recorded %d placements, used %v slot-hours", len(log), res.SlotHoursUsed)
-	}
-	for i := 1; i < len(log); i++ {
-		if log[i].hour < log[i-1].hour {
+	driveFleet(t, f)
+
+	regions := f.Regions()
+	byCount := map[By]int{}
+	for i, p := range log {
+		if i > 0 && p.Hour < log[i-1].Hour {
 			t.Fatal("placement log not ordered by hour")
 		}
+		byCount[p.By]++
+		if want := set.MustGet(regions[p.Region]).At(p.Hour); p.CI != want {
+			t.Fatalf("%+v: CI %v, want %s's %v", p, p.CI, regions[p.Region], want)
+		}
+		if want := set.MustGet(regions[p.Origin]).At(p.Hour); p.OriginCI != want {
+			t.Fatalf("%+v: OriginCI %v, want %s's %v", p, p.OriginCI, regions[p.Origin], want)
+		}
+	}
+	for _, by := range []By{ByContinued, ByDeadline, ByPolicy} {
+		if byCount[by] == 0 {
+			t.Errorf("no job-hour placed By(%d) (counts %v)", by, byCount)
+		}
+	}
+	if len(byCount) != 3 {
+		t.Errorf("By values outside the three phases: %v", byCount)
+	}
+	if used := f.Stats().SlotHoursUsed; float64(len(log)) != used {
+		t.Fatalf("recorded %d placements, used %v slot-hours", len(log), used)
 	}
 }

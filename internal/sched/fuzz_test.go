@@ -52,8 +52,8 @@ func FuzzShardedUnmarshal(f *testing.F) {
 	const horizon = 48
 	set := mkSet(f, horizon)
 	cfg := goldenTenantConfig(f)
-	world := func(t *testing.T, tenancy bool) *ShardedFleet {
-		fl, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
+	world := func(t *testing.T, tenancy bool) *Fleet {
+		fl, err := NewFleet(set, clusters(3), GreenestFirst{}, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -367,8 +367,8 @@ func TestSubmitRollbackLeavesNoTrace(t *testing.T) {
 	set, cl, origins := mkWideSet(t, 48, 4)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			fleet := func() *ShardedFleet {
-				f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
+			fleet := func() *Fleet {
+				f, err := NewFleet(set, cl, FIFO{}, 48)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -421,7 +421,7 @@ func TestSubmitRollbackLeavesNoTrace(t *testing.T) {
 			for i := range good {
 				good[i].Tenant = "next"
 			}
-			for _, f := range []*ShardedFleet{sent, never} {
+			for _, f := range []*Fleet{sent, never} {
 				if err := f.Submit(good...); err != nil {
 					t.Fatal(err)
 				}
@@ -457,17 +457,13 @@ func TestIndexSeedInvisible(t *testing.T) {
 			j.ID, j.Arrival = id, k%24
 		}
 	}
-	type placement struct {
-		hour, id int
-		region   string
-	}
-	run := func(seed uint64) (images [][]byte, log []placement) {
-		f, err := NewShardedFleet(set, cl, GreenestFirst{}, horizon, 0)
+	run := func(seed uint64) (images [][]byte, log []Placed) {
+		f, err := NewFleet(set, cl, GreenestFirst{}, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f.ids.seed = seed
-		f.OnPlace = func(hour, id int, region string) { log = append(log, placement{hour, id, region}) }
+		f.OnPlace = func(p Placed) { log = append(log, p) }
 		if err := f.Submit(jobs...); err != nil {
 			t.Fatal(err)
 		}

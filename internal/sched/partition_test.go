@@ -58,13 +58,14 @@ func TestRegionGroupEquivalence(t *testing.T) {
 				subJobs = append(subJobs, j)
 			}
 		}
-		f, err := NewShardedFleet(set, subCl, policy, horizon, 0)
+		f, err := NewFleet(set, subCl, policy, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
+		regions := f.Regions()
 		var log []placeRec
-		f.OnPlace = func(hour, jobID int, region string) {
-			log = append(log, placeRec{hour, jobID, region})
+		f.OnPlace = func(p Placed) {
+			log = append(log, placeRec{p.Hour, p.JobID, regions[p.Region]})
 		}
 		if err := f.Submit(subJobs...); err != nil {
 			t.Fatal(err)

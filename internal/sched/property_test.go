@@ -103,8 +103,8 @@ type worldSpec struct {
 }
 
 // TestSchedulingInvariants drives randomized worlds (seeded jobs ×
-// every policy × varying horizons) through both the serial Fleet and
-// the ShardedFleet, asserting the invariants above on
+// every policy × varying horizons) through both the serial reference
+// and the Fleet, asserting the invariants above on
 // each and deep equality between the two.
 func TestSchedulingInvariants(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 5, 8, 13, 21, 34}
@@ -143,12 +143,12 @@ func TestSchedulingInvariants(t *testing.T) {
 				policy := policy
 				t.Run(policy.Name(), func(t *testing.T) {
 					var serialLog []placement
-					ref, err := NewFleet(set, clusters, policy, horizon)
+					ref, err := newRefFleet(set, clusters, policy, horizon)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref.OnPlace = func(h, id int, r string) {
-						serialLog = append(serialLog, placement{h, id, r})
+					ref.OnPlace = func(p Placed) {
+						serialLog = append(serialLog, placement{p.Hour, p.JobID, ref.regionsList[p.Region]})
 					}
 					if err := ref.Submit(jobs...); err != nil {
 						t.Fatal(err)
@@ -158,12 +158,13 @@ func TestSchedulingInvariants(t *testing.T) {
 					checkInvariants(t, world, serialLog, refRes)
 
 					var fleetLog []placement
-					sf, err := NewShardedFleet(set, clusters, policy, horizon, 0)
+					sf, err := NewFleet(set, clusters, policy, horizon)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sf.OnPlace = func(h, id int, r string) {
-						fleetLog = append(fleetLog, placement{h, id, r})
+					regions := sf.Regions()
+					sf.OnPlace = func(p Placed) {
+						fleetLog = append(fleetLog, placement{p.Hour, p.JobID, regions[p.Region]})
 					}
 					if err := sf.Submit(jobs...); err != nil {
 						t.Fatal(err)

@@ -91,7 +91,7 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 // allocates nothing.
 func TestSubmitAllocs(t *testing.T) {
 	set, cl, origins := mkWideSet(t, 48, 4)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
+	f, err := NewFleet(set, cl, FIFO{}, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSubmitAllocs(t *testing.T) {
 // growing Outcomes by append would copy about twice the final slice.
 func TestSnapshotAllocs(t *testing.T) {
 	set, cl, origins := mkWideSet(t, 48, 4)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
+	f, err := NewFleet(set, cl, FIFO{}, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSnapshotAllocs(t *testing.T) {
 func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 	const submitters, perSubmitter, batch = 2, 2*recBlock + 100, 7
 	set, cl, origins := mkWideSet(t, 48, 4)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
+	f, err := NewFleet(set, cl, FIFO{}, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +266,11 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 // 32-bit sequence numbers are refused at the door, never wrapped.
 func TestShardedFleetCapacityBounds(t *testing.T) {
 	set, cl, _ := mkWideSet(t, 48, 2)
-	if _, err := NewShardedFleet(set, make([]Cluster, math.MaxInt16+1), FIFO{}, 48, 0); err == nil ||
+	if _, err := NewFleet(set, make([]Cluster, math.MaxInt16+1), FIFO{}, 48); err == nil ||
 		!strings.Contains(err.Error(), "clusters, at most") {
 		t.Errorf("a fleet of more than MaxInt16 clusters: err = %v", err)
 	}
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
+	f, err := NewFleet(set, cl, FIFO{}, 48)
 	if err != nil {
 		t.Fatal(err)
 	}

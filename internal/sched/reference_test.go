@@ -8,25 +8,26 @@ import (
 	"carbonshift/internal/trace"
 )
 
-// Fleet is the serial reference scheduler: the hour-stepped world in its
-// plainest form — one slice of per-job state, rescanned in submission
+// refFleet is the serial reference scheduler: the hour-stepped world in
+// its plainest form — one slice of per-job state, rescanned in submission
 // order in every phase of Step, no arrival buckets, no locks, no incremental
-// counters. It was the production core until sched.Run moved onto
-// ShardedFleet and lives on here only as the model the differential
+// counters. It was the production core until sched.Run moved onto the
+// indexed job store and lives on here only as the model the differential
 // tests (TestShardedFleetEquivalence, TestSchedulingInvariants,
 // TestTenancyInvariants, TestJobHourBounds, TestFleetMatchesRun) compare
-// ShardedFleet and Run against. Its method bodies are the ones those
-// tests were written against; do not optimise them, and do not edit
-// them in a change that also edits ShardedFleet's scheduling logic. The
-// one edit since is the policy boundary: policies plan over region
-// indices and eligible-list positions, so Step's phase 3 hands its
-// name-keyed state to plan, which translates it to a Tick and each
-// Placement back, and it keeps its own fairOrder over states.
-// TestPlacementGolden, recorded before that edit, pins the placements
-// both fleets must keep.
+// Fleet and Run against. Its method bodies are the ones those tests were
+// written against; do not optimise them, and do not edit them in a
+// change that also edits Fleet's scheduling logic. Two edits since sit
+// at its boundaries. Policies plan over region indices and eligible-list
+// positions, so Step's phase 3 hands its name-keyed state to plan, which
+// translates it to a Tick and each Placement back, and it keeps its own
+// fairOrder over states. And OnPlace reports a Placed: Step notes which
+// phase put each job in runNow, and the phase-4 report resolves names to
+// indices and reads intensities from the trace set. TestPlacementGolden,
+// recorded before both edits, pins the placements both fleets must keep.
 //
-// A Fleet is not safe for concurrent use.
-type Fleet struct {
+// A refFleet is not safe for concurrent use.
+type refFleet struct {
 	set     *trace.Set
 	policy  Policy
 	horizon int
@@ -50,14 +51,7 @@ type Fleet struct {
 	// OnPlace, when non-nil, observes every executed job-hour in
 	// deterministic submission order: it is called once per job that
 	// runs during a Step, after the hour's placements are final.
-	OnPlace func(hour, jobID int, region string)
-
-	// OnPlaceDetail, when non-nil, additionally observes the job's
-	// origin region and tenant — the hook the metrics layer uses to
-	// attribute carbon (saved versus a run-at-origin counterfactual,
-	// and per tenant). Fired immediately after OnPlace, in the same
-	// deterministic order.
-	OnPlaceDetail func(hour, jobID int, region, origin, tenantName string)
+	OnPlace func(Placed)
 }
 
 // state is the mutable per-job bookkeeping.
@@ -80,8 +74,9 @@ func (st *state) preferredRegion() string {
 	return st.Origin
 }
 
-// NewFleet validates the world and returns an empty fleet at hour zero.
-func NewFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*Fleet, error) {
+// newRefFleet validates the world and returns an empty fleet at hour
+// zero.
+func newRefFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*refFleet, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("sched: nil policy")
 	}
@@ -91,7 +86,7 @@ func NewFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("sched: no clusters")
 	}
-	f := &Fleet{
+	f := &refFleet{
 		set:     set,
 		policy:  policy,
 		horizon: horizon,
@@ -119,22 +114,22 @@ func NewFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*
 
 // SetFairQueue installs the tenant fair-dequeue engine. It must be
 // set before the first Step.
-func (f *Fleet) SetFairQueue(q *tenant.FairQueue) { f.fq = q }
+func (f *refFleet) SetFairQueue(q *tenant.FairQueue) { f.fq = q }
 
 // Hour returns the next hour the fleet will simulate.
-func (f *Fleet) Hour() int { return f.hour }
+func (f *refFleet) Hour() int { return f.hour }
 
 // Done reports whether the fleet has simulated its whole horizon.
-func (f *Fleet) Done() bool { return f.hour >= f.horizon }
+func (f *refFleet) Done() bool { return f.hour >= f.horizon }
 
 // Jobs returns the number of jobs submitted so far.
-func (f *Fleet) Jobs() int { return len(f.states) }
+func (f *refFleet) Jobs() int { return len(f.states) }
 
 // Submit adds jobs to the fleet. The call is atomic: on any validation
 // error no job from the batch is admitted. Jobs may arrive at or after
 // the fleet's current hour; submitting into the simulated past is an
 // error.
-func (f *Fleet) Submit(jobs ...Job) error {
+func (f *refFleet) Submit(jobs ...Job) error {
 	batch := make(map[int]struct{}, len(jobs))
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
@@ -165,7 +160,7 @@ func (f *Fleet) Submit(jobs ...Job) error {
 // Step simulates the fleet's current hour and advances to the next. It
 // errors past the horizon and on a misbehaving policy (unknown job or
 // region, double placement, pinned migration, oversubscription).
-func (f *Fleet) Step() error {
+func (f *refFleet) Step() error {
 	if f.hour >= f.horizon {
 		return fmt.Errorf("sched: horizon %d exhausted", f.horizon)
 	}
@@ -178,6 +173,7 @@ func (f *Fleet) Step() error {
 		st.ranLastHr = false
 	}
 	runNow := make(map[int]string) // job id -> region
+	by := make(map[int]By)         // job id -> the phase that set runNow
 
 	// Phase 1: forced continuations — a started non-interruptible
 	// job occupies its slot until done.
@@ -186,6 +182,7 @@ func (f *Fleet) Step() error {
 			continue
 		}
 		runNow[st.ID] = st.region
+		by[st.ID] = ByContinued
 		f.free[st.region]--
 	}
 
@@ -214,6 +211,7 @@ func (f *Fleet) Step() error {
 		}
 		if f.free[region] > 0 {
 			runNow[st.ID] = region
+			by[st.ID] = ByDeadline
 			f.free[region]--
 		}
 		// If nothing is free the job misses this hour — and
@@ -257,6 +255,7 @@ func (f *Fleet) Step() error {
 			return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), p.Region)
 		}
 		runNow[st.ID] = p.Region
+		by[st.ID] = ByPolicy
 		f.free[p.Region]--
 	}
 
@@ -282,10 +281,16 @@ func (f *Fleet) Step() error {
 			f.fq.Charge(st.Tenant)
 		}
 		if f.OnPlace != nil {
-			f.OnPlace(hour, st.ID, region)
-		}
-		if f.OnPlaceDetail != nil {
-			f.OnPlaceDetail(hour, st.ID, region, st.Origin, st.Tenant)
+			f.OnPlace(Placed{
+				Hour:     hour,
+				JobID:    st.ID,
+				Region:   sort.SearchStrings(f.regionsList, region),
+				Origin:   sort.SearchStrings(f.regionsList, st.Origin),
+				Tenant:   st.Tenant,
+				CI:       ci(region, hour),
+				OriginCI: ci(st.Origin, hour),
+				By:       by[st.ID],
+			})
 		}
 		if st.progress == st.Length {
 			st.done = true
@@ -302,7 +307,7 @@ func (f *Fleet) Step() error {
 // the result is byte-identical to what Run returns for the same inputs.
 // An uncompleted job counts as missed once its deadline is at or before
 // the current hour.
-func (f *Fleet) Snapshot() Result {
+func (f *refFleet) Snapshot() Result {
 	res := Result{
 		Policy:         f.policy.Name(),
 		SlotHoursUsed:  f.slotHoursUsed,
@@ -342,7 +347,7 @@ func (f *Fleet) Snapshot() Result {
 }
 
 // Lookup returns the live view of a submitted job.
-func (f *Fleet) Lookup(id int) (JobInfo, bool) {
+func (f *refFleet) Lookup(id int) (JobInfo, bool) {
 	st, ok := f.byID[id]
 	if !ok {
 		return JobInfo{}, false
@@ -367,7 +372,7 @@ func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 }
 
 // Stats summarizes the fleet's current state.
-func (f *Fleet) Stats() FleetStats {
+func (f *refFleet) Stats() FleetStats {
 	st := FleetStats{
 		Hour:           f.hour,
 		Horizon:        f.horizon,
@@ -424,7 +429,7 @@ type namedPlacement struct {
 // plan is the one place the reference meets the policy's index space:
 // it hands the policy a Tick over eligible — regions by index into
 // regionsList, jobs by position — and names each placement back.
-func (f *Fleet) plan(hour int, eligible []*state) ([]namedPlacement, error) {
+func (f *refFleet) plan(hour int, eligible []*state) ([]namedPlacement, error) {
 	tick := &Tick{Hour: hour}
 	regionIdx := make(map[string]int, len(f.regionsList))
 	for i, r := range f.regionsList {
@@ -486,6 +491,6 @@ func tenantStats(states []*state, hour int) map[string]TenantStat {
 }
 
 // TenantStats aggregates the fleet's jobs per (normalized) tenant.
-func (f *Fleet) TenantStats() map[string]TenantStat {
+func (f *refFleet) TenantStats() map[string]TenantStat {
 	return tenantStats(f.states, f.hour)
 }

@@ -103,7 +103,7 @@ func (v JobView) SlackLeft() int { return v.HoursToDeadline - v.Remaining }
 
 // Tick is the per-hour scheduling context given to policies. A region
 // is named by its index in the fleet's sorted cluster list
-// (ShardedFleet.Regions); every per-region slice below is indexed so.
+// (Fleet.Regions); every per-region slice below is indexed so.
 type Tick struct {
 	// Hour is the current trace hour.
 	Hour int
@@ -184,7 +184,7 @@ func (r Result) Utilization() float64 {
 
 // Run simulates the fleet from hour 0 to horizon (exclusive) and
 // returns the aggregate result. All job windows must fit the trace.
-// Run is the offline mode of ShardedFleet, the core internal/schedd
+// Run is the offline mode of Fleet, the core internal/schedd
 // serves online: it submits every job up front and steps through the
 // whole horizon. Every Step runs on the calling goroutine, so concurrent
 // Runs from engine workers (cmd/carbonsched, internal/core) start no
@@ -193,7 +193,7 @@ func (r Result) Utilization() float64 {
 // Run inherits the core's two capacity bounds and refuses what exceeds
 // them: at most math.MaxInt16 clusters and at most 2³² jobs.
 func Run(set *trace.Set, clusters []Cluster, jobs []Job, policy Policy, horizon int) (Result, error) {
-	f, err := NewShardedFleet(set, clusters, policy, horizon, 0)
+	f, err := NewFleet(set, clusters, policy, horizon)
 	if err != nil {
 		return Result{}, err
 	}

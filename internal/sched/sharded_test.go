@@ -54,9 +54,9 @@ func driveFleet(t testing.TB, f interface {
 // TestShardedFleetEquivalence is the core determinism contract of the
 // fleet: for every policy, placements (every executed job-hour, in
 // order) and the aggregate Result must be byte-identical to the serial
-// reference Fleet. The shards subtests pass NewShardedFleet's
-// deprecated final argument, which must stay a no-op until it is
-// removed.
+// reference fleet. The shards subtests build through the deprecated
+// NewShardedFleet and pass its final argument, which must stay a no-op
+// until both are removed.
 func TestShardedFleetEquivalence(t *testing.T) {
 	const horizon = 24 * 12
 	set, cl, origins := mkWideSet(t, horizon, 8)
@@ -84,12 +84,12 @@ func TestShardedFleetEquivalence(t *testing.T) {
 	}
 	for _, policy := range allPolicies() {
 		var refLog []placeRec
-		ref, err := NewFleet(set, cl, policy, horizon)
+		ref, err := newRefFleet(set, cl, policy, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.OnPlace = func(hour, jobID int, region string) {
-			refLog = append(refLog, placeRec{hour, jobID, region})
+		ref.OnPlace = func(p Placed) {
+			refLog = append(refLog, placeRec{p.Hour, p.JobID, ref.regionsList[p.Region]})
 		}
 		if err := ref.Submit(jobs...); err != nil {
 			t.Fatal(err)
@@ -125,7 +125,7 @@ func TestShardedFleetEquivalence(t *testing.T) {
 
 // TestShardedFleetOnlineSubmission mirrors TestFleetOnlineSubmission:
 // jobs submitted exactly at their arrival hour (the schedd path) must
-// still match the up-front batch run of the serial Fleet.
+// still match the up-front batch Run.
 func TestShardedFleetOnlineSubmission(t *testing.T) {
 	const horizon = 24 * 12
 	set, cl, origins := mkWideSet(t, horizon, 6)
@@ -141,7 +141,7 @@ func TestShardedFleetOnlineSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := NewShardedFleet(set, cl, SpatioTemporal{Percentile: 40, Window: 48}, horizon, 0)
+	sf, err := NewFleet(set, cl, SpatioTemporal{Percentile: 40, Window: 48}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,11 +181,11 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	policy := CarbonGate{Percentile: 30, Window: 48}
-	ref, err := NewFleet(set, cl, policy, horizon)
+	ref, err := newRefFleet(set, cl, policy, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sf, err := NewShardedFleet(set, cl, policy, horizon, 0)
+	sf, err := NewFleet(set, cl, policy, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 
 func TestShardedFleetSubmitValidation(t *testing.T) {
 	set, cl, _ := mkWideSet(t, 50, 2)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 50, 0)
+	f, err := NewFleet(set, cl, FIFO{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,11 +267,11 @@ func TestShardedFleetSubmitValidation(t *testing.T) {
 // refuse an hour past math.MaxInt32 and admit the largest legal one.
 func TestJobHourBounds(t *testing.T) {
 	set, cl, _ := mkWideSet(t, 48, 2)
-	serial, err := NewFleet(set, cl, FIFO{}, 48)
+	serial, err := newRefFleet(set, cl, FIFO{}, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
+	sharded, err := NewFleet(set, cl, FIFO{}, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestJobHourBounds(t *testing.T) {
 
 func TestShardedFleetSubmitNow(t *testing.T) {
 	set, cl, _ := mkWideSet(t, 48, 2)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 3, 0)
+	f, err := NewFleet(set, cl, FIFO{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestShardedFleetSubmitNow(t *testing.T) {
 func TestShardedFleetConcurrentSubmit(t *testing.T) {
 	const horizon = 24 * 10
 	set, cl, origins := mkWideSet(t, horizon, 4)
-	f, err := NewShardedFleet(set, cl, GreenestFirst{}, horizon, 0)
+	f, err := NewFleet(set, cl, GreenestFirst{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package sched
 
 // Fleet state serialization: a versioned, deterministic binary image of
-// everything a ShardedFleet has accumulated — the submitted jobs with
+// everything a Fleet has accumulated — the submitted jobs with
 // their full runtime bookkeeping, the current hour, and the
 // order-sensitive float aggregates — restorable into a freshly
 // constructed fleet over the same world. internal/schedd snapshots this
@@ -339,7 +339,7 @@ func (img *fleetImage) checkFQ(hasQueue bool) error {
 	return nil
 }
 
-// --- ShardedFleet ---
+// --- Fleet ---
 
 // Marshal serializes the fleet's complete state — every job's runtime
 // bookkeeping plus the hour and aggregates — into the versioned,
@@ -347,7 +347,7 @@ func (img *fleetImage) checkFQ(hasQueue bool) error {
 // output is deterministic for a given state. Jobs are encoded straight
 // from the store, with no intermediate copy. Safe to call concurrently
 // with Submit/Lookup/Stats.
-func (f *ShardedFleet) Marshal() ([]byte, error) {
+func (f *Fleet) Marshal() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	blocks, tenants, n := f.view()
@@ -387,7 +387,7 @@ func (f *ShardedFleet) Marshal() ([]byte, error) {
 // never stopped. The fleet must have been constructed over the same
 // world; a mismatch or a bad image is an error and leaves the fleet
 // unchanged.
-func (f *ShardedFleet) Unmarshal(data []byte) error {
+func (f *Fleet) Unmarshal(data []byte) error {
 	img, err := decodeImage(data)
 	if err != nil {
 		return err

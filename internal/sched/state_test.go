@@ -140,7 +140,7 @@ func TestStateRoundTripMidRun(t *testing.T) {
 func TestStateRejectsCorruption(t *testing.T) {
 	const horizon = 48
 	set := mkSet(t, horizon)
-	f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
+	f, err := NewFleet(set, clusters(4), FIFO{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func TestStateRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := func() *ShardedFleet {
-		g, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
+	fresh := func() *Fleet {
+		g, err := NewFleet(set, clusters(4), FIFO{}, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,21 +184,21 @@ func TestStateRejectsCorruption(t *testing.T) {
 	}
 
 	// A snapshot from a different world must be refused.
-	other, err := NewShardedFleet(set, clusters(5), FIFO{}, horizon, 0)
+	other, err := NewFleet(set, clusters(5), FIFO{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := other.Unmarshal(data); err == nil {
 		t.Fatal("snapshot restored into a world with different slots")
 	}
-	gate, err := NewShardedFleet(set, clusters(4), CarbonGate{Percentile: 40, Window: 24}, horizon, 0)
+	gate, err := NewFleet(set, clusters(4), CarbonGate{Percentile: 40, Window: 24}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := gate.Unmarshal(data); err == nil {
 		t.Fatal("snapshot restored under a different policy")
 	}
-	short, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon-1, 0)
+	short, err := NewFleet(set, clusters(4), FIFO{}, horizon-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +224,8 @@ func TestStateRejectsOutOfRangeFields(t *testing.T) {
 		e.job(&j)
 		return e.finish()
 	}
-	restore := func(data []byte) (*ShardedFleet, error) {
-		f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
+	restore := func(data []byte) (*Fleet, error) {
+		f, err := NewFleet(set, clusters(4), FIFO{}, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestStateRejectsDuplicateIDs(t *testing.T) {
 		}
 		e.job(&j)
 	}
-	f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
+	f, err := NewFleet(set, clusters(4), FIFO{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestEncodeDecodeJobs(t *testing.T) {
 func TestStateGolden(t *testing.T) {
 	const horizon = 48
 	set := mkSet(t, horizon)
-	f, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
+	f, err := NewFleet(set, clusters(3), GreenestFirst{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestStateDecodeV1Golden(t *testing.T) {
 	// The fixture was taken from this exact world after 6 steps.
 	const horizon = 48
 	set := mkSet(t, horizon)
-	f, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
+	f, err := NewFleet(set, clusters(3), GreenestFirst{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestStateDecodeV1Golden(t *testing.T) {
 	if up[len(stateMagic)] != stateVersion {
 		t.Fatalf("re-marshal wrote version %d, want %d", up[len(stateMagic)], stateVersion)
 	}
-	g, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
+	g, err := NewFleet(set, clusters(3), GreenestFirst{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestStateDecodeV1Golden(t *testing.T) {
 
 	// A v1 image must be refused by a fleet with a tenant config: its
 	// fair queue would reorder placements the snapshot never saw.
-	tf, err := NewShardedFleet(set, clusters(3), GreenestFirst{}, horizon, 0)
+	tf, err := NewFleet(set, clusters(3), GreenestFirst{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,9 +51,11 @@ func genTenantJobs(rng *rand.Rand, n, span int, origins, tenants []string) []Job
 // TestTenancyInvariants is the tenancy proof layer's core sweep:
 // across random seeds and policies, a tenant-tagged workload under
 // weighted-fair dequeue must behave identically in the fleet and the
-// serial reference — placements hour for hour, the aggregate Result and
-// per-tenant accounting — and a fleet restored from a mid-run snapshot
-// must finish with the uninterrupted run's image.
+// serial reference — every field of every Placed the two OnPlace hooks
+// report (hour, job, region, origin, tenant, both intensities, and the
+// phase that placed it), the aggregate Result and per-tenant accounting
+// — and a fleet restored from a mid-run snapshot must finish with the
+// uninterrupted run's image and placements.
 func TestTenancyInvariants(t *testing.T) {
 	const horizon = 24 * 6
 	set, cl, origins := mkWideSet(t, horizon, 6)
@@ -69,14 +72,12 @@ func TestTenancyInvariants(t *testing.T) {
 				}
 				var serial, fleet run
 
-				record := func(log *strings.Builder) func(hour, jobID int, region string) {
-					return func(hour, jobID int, region string) {
-						fmt.Fprintf(log, "%d:%d:%s\n", hour, jobID, region)
-					}
+				record := func(log *strings.Builder) func(Placed) {
+					return func(p Placed) { fmt.Fprintf(log, "%+v\n", p) }
 				}
 
 				{
-					f, err := NewFleet(set, cl, pol, horizon)
+					f, err := newRefFleet(set, cl, pol, horizon)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,7 +91,7 @@ func TestTenancyInvariants(t *testing.T) {
 					serial = run{log.String(), f.Snapshot(), f.TenantStats()}
 				}
 				{
-					f, err := NewShardedFleet(set, cl, pol, horizon, 0)
+					f, err := NewFleet(set, cl, pol, horizon)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -123,18 +124,21 @@ func TestTenancyInvariants(t *testing.T) {
 		}
 
 		// Mid-run snapshot hop under tenancy: a fleet restored from the
-		// image must finish the run byte-identically.
+		// image must finish the run byte-identically, reporting the
+		// uninterrupted run's placements from the hop on.
 		t.Run(fmt.Sprintf("seed%d/restore-hop", seed), func(t *testing.T) {
 			pol := SpatioTemporal{Percentile: 40, Window: 48}
-			mk := func() *ShardedFleet {
-				f, err := NewShardedFleet(set, cl, pol, horizon, 0)
+			mk := func(log *[]Placed) *Fleet {
+				f, err := NewFleet(set, cl, pol, horizon)
 				if err != nil {
 					t.Fatal(err)
 				}
 				f.SetFairQueue(tenant.NewFairQueue(tenancyConfig(t)))
+				f.OnPlace = func(p Placed) { *log = append(*log, p) }
 				return f
 			}
-			ref := mk()
+			var refLog, hopLog []Placed
+			ref := mk(&refLog)
 			if err := ref.Submit(jobs...); err != nil {
 				t.Fatal(err)
 			}
@@ -147,16 +151,21 @@ func TestTenancyInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hop := mk()
+			hop := mk(&hopLog)
 			if err := hop.Unmarshal(mid); err != nil {
 				t.Fatal(err)
 			}
+			before := len(refLog)
 			driveFleet(t, ref)
 			driveFleet(t, hop)
 			a, _ := ref.Marshal()
 			b, _ := hop.Marshal()
 			if !bytes.Equal(a, b) {
 				t.Fatal("restored fleet's final image differs from the uninterrupted run")
+			}
+			if len(hopLog) == 0 || !slices.Equal(hopLog, refLog[before:]) {
+				t.Fatalf("restored fleet placed %d job-hours after the hop, the uninterrupted run %d, or they differ",
+					len(hopLog), len(refLog)-before)
 			}
 		})
 	}
@@ -202,7 +211,7 @@ func TestTenancyScavengerNotStarved(t *testing.T) {
 		})
 	}
 
-	f, err := NewShardedFleet(set, cl, FIFO{}, horizon, 0)
+	f, err := NewFleet(set, cl, FIFO{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +253,7 @@ func TestTenancyQuotaNeverExceeded(t *testing.T) {
 
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		f, err := NewShardedFleet(set, clusters(4), FIFO{}, horizon, 0)
+		f, err := NewFleet(set, clusters(4), FIFO{}, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,6 +53,8 @@ type crashRun struct {
 	result     sched.Result
 	state      []byte
 	recovery   DurabilityStats
+	placed     []sched.Placed // the reference's every Placed, in order
+	saved      float64        // a recovered run's schedd_carbon_saved_grams
 }
 
 // crashConfig builds the common durable-server config; DataDir is
@@ -105,6 +107,11 @@ func driveReference(t *testing.T, dir string, cfg Config, jobs []sched.Job) cras
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fresh directory replays nothing, so wrapping the hook after New
+	// misses no placement.
+	var placed []sched.Placed
+	hook := srv.fleet.OnPlace
+	srv.fleet.OnPlace = func(p sched.Placed) { placed = append(placed, p); hook(p) }
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client, err := NewClient(ts.URL, ts.Client())
@@ -139,7 +146,7 @@ func driveReference(t *testing.T, dir string, cfg Config, jobs []sched.Job) cras
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return crashRun{placements: recs, result: res, state: state}
+	return crashRun{placements: recs, result: res, state: state, placed: placed}
 }
 
 // recoverAndFinish boots a server from a (possibly mutilated) data
@@ -198,7 +205,8 @@ func recoverAndFinish(t *testing.T, dir string, cfg Config, jobs []sched.Job) cr
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return crashRun{placements: recs, result: res, state: state, recovery: srv.Recovery()}
+	return crashRun{placements: recs, result: res, state: state, recovery: srv.Recovery(),
+		saved: srv.mx.carbonSaved.Value()}
 }
 
 // latestJournal finds the newest generation's journal in a data dir

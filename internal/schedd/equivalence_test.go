@@ -58,12 +58,13 @@ func TestOnlineEquivalence(t *testing.T) {
 		// placement recorder attached. That this fleet equals the serial
 		// reference scheduler is pinned inside internal/sched.
 		var offline []placeRec
-		ref, err := sched.NewShardedFleet(set, clusters(20), policy, horizon, 0)
+		ref, err := sched.NewFleet(set, clusters(20), policy, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.OnPlace = func(hour, jobID int, region string) {
-			offline = append(offline, placeRec{hour, jobID, region})
+		regions := ref.Regions()
+		ref.OnPlace = func(p sched.Placed) {
+			offline = append(offline, placeRec{p.Hour, p.JobID, regions[p.Region]})
 		}
 		if err := ref.Submit(jobs...); err != nil {
 			t.Fatal(err)

@@ -13,19 +13,27 @@ package schedd
 //    one timestamp pair around the fleet call under stepMu. Nothing on
 //    a request path takes a metrics lock or allocates.
 //
-// Carbon-saved attribution: for every executed job-hour the fleet's
-// OnPlaceDetail hook (Step's advance phase) adds
+// Carbon-saved attribution: for every executed job-hour that ran away
+// from its origin, the fleet's one placement hook (onPlace, schedd.go,
+// fired from Step's advance phase) adds the Placed's
 //
-//	I(origin, hour) − I(placed region, hour)
+//	OriginCI − CI = I(origin, hour) − I(placed region, hour)
 //
 // to schedd_carbon_saved_grams{policy="..."} — the emissions a
 // counterfactual scheduler running the same job-hour at the job's
 // origin region would have paid, minus what the policy actually paid.
-// This is the paper's spatial-shifting savings, measured live;
-// temporal shifting additionally moves the hour itself, which this
-// per-hour counterfactual credits whenever the deferred hour is
-// cleaner at the origin too. FIFO places every job at its origin, so
-// its gauge reads ~0 — the sanity anchor.
+// This is the paper's spatial-shifting savings, measured live. It
+// compares regions within one hour, so it credits no temporal
+// shifting: a job-hour deferred but run at its origin adds 0. FIFO
+// places every job at its origin, so its gauge reads ~0 — the sanity
+// anchor.
+//
+// The gauge counts only job-hours this process stepped: live, or
+// replayed from the journal on boot or by a follower. Job-hours that a
+// restored snapshot already held (boot recovery or a follower's
+// bootstrap) were stepped by an earlier process and are not counted
+// again, so after a restart the gauge covers the hours from the
+// snapshot's hour on.
 
 import (
 	"errors"
@@ -36,7 +44,6 @@ import (
 	"carbonshift/internal/sched"
 	"carbonshift/internal/serve"
 	"carbonshift/internal/tenant"
-	"carbonshift/internal/trace"
 	"carbonshift/internal/wal"
 )
 
@@ -70,10 +77,6 @@ type serverMetrics struct {
 
 	wal  *wal.JournalMetrics
 	http *serve.HTTPMetrics
-
-	// traces maps cluster regions to their carbon traces for the
-	// carbon-saved counterfactual (read-only after construction).
-	traces map[string]*trace.Trace
 }
 
 // WithoutMetrics disables the /metrics endpoint and all
@@ -92,23 +95,17 @@ func (s *Server) Metrics() *metrics.Registry {
 	return s.mx.registry
 }
 
-// initMetrics registers every schedd_* family and wires the fleet's
-// placement hook. Called from New before recovery runs, so the journal
-// opened by openDurable is metered from its first record — but
-// recovery's own replay stepping deliberately bypasses stepOnce, so
-// schedd_step_latency_seconds covers live stepping only.
-func (s *Server) initMetrics(set *trace.Set) {
+// initMetrics registers every schedd_* family. Called from New before
+// recovery runs, so the journal opened by openDurable is metered from
+// its first record — but recovery's own replay stepping deliberately
+// bypasses stepOnce, so schedd_step_latency_seconds covers live
+// stepping only.
+func (s *Server) initMetrics() {
 	r := metrics.NewRegistry()
 	mx := &serverMetrics{
 		registry: r,
-		traces:   make(map[string]*trace.Trace, len(s.clusters)),
 		wal:      wal.NewJournalMetrics(r),
 		http:     serve.NewHTTPMetrics(r),
-	}
-	for _, c := range s.clusters {
-		if tr, ok := set.Get(c.Region); ok {
-			mx.traces[c.Region] = tr
-		}
 	}
 
 	st := func() sched.FleetStats { return s.fleet.Stats() }
@@ -216,21 +213,6 @@ func (s *Server) initMetrics(set *trace.Set) {
 			"Cumulative emissions of executed work, gCO2eq, by tenant.", "tenant")
 	}
 
-	s.fleet.OnPlaceDetail = func(hour, _ int, region, origin, tenantName string) {
-		if region == origin {
-			return
-		}
-		to, okTo := mx.traces[region]
-		from, okFrom := mx.traces[origin]
-		if !okTo || !okFrom {
-			return
-		}
-		saved := from.At(hour) - to.At(hour)
-		mx.carbonSaved.Add(saved)
-		if mx.tenantCarbon != nil {
-			mx.tenantCarbon.With(s.tenantLabel(tenantName)).Add(saved)
-		}
-	}
 	s.mx = mx
 }
 

@@ -1,7 +1,7 @@
 // Package schedd is the online carbon-aware scheduling service: the
 // live, Borg/Kubernetes-shaped component that internal/sched's batch
 // simulator stands in for. It wraps the incremental fleet core,
-// sched.ShardedFleet, in an HTTP API — jobs are submitted over the
+// sched.Fleet, in an HTTP API — jobs are submitted over the
 // wire, placed by a pluggable carbon-aware policy against the replayed
 // grid, and observable while they run:
 //
@@ -181,7 +181,10 @@ type Config struct {
 
 // Server is the online scheduling service.
 type Server struct {
-	fleet *sched.ShardedFleet
+	fleet *sched.Fleet
+	// recorder is WithRecorder's callback (nil without it), fed by
+	// onPlace.
+	recorder func(hour, jobID int, region string)
 
 	traceStart time.Time
 	now        func() time.Time
@@ -267,7 +270,30 @@ func WithClock(now func() time.Time) Option {
 // WithRecorder observes every executed job-hour (hour, job id, region)
 // in deterministic order — the hook the equivalence test uses.
 func WithRecorder(rec func(hour, jobID int, region string)) Option {
-	return func(s *Server) { s.fleet.OnPlace = rec }
+	return func(s *Server) { s.recorder = rec }
+}
+
+// onPlace is the fleet's one placement hook: it feeds WithRecorder and
+// the carbon-saved attribution (metrics.go), or is nil when neither is
+// on, so the fleet builds no Placed.
+func (s *Server) onPlace() func(sched.Placed) {
+	rec, mx := s.recorder, s.mx
+	if rec == nil && mx == nil {
+		return nil
+	}
+	regions := s.fleet.Regions()
+	return func(p sched.Placed) {
+		if rec != nil {
+			rec(p.Hour, p.JobID, regions[p.Region])
+		}
+		if mx != nil && p.Region != p.Origin {
+			saved := p.OriginCI - p.CI
+			mx.carbonSaved.Add(saved)
+			if mx.tenantCarbon != nil {
+				mx.tenantCarbon.With(s.tenantLabel(p.Tenant)).Add(saved)
+			}
+		}
+	}
 }
 
 // WithGateClock injects the tenant gate's token-bucket time source
@@ -316,7 +342,7 @@ func newServer(set *trace.Set, clusters []sched.Cluster, cfg Config, opts []Opti
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = DefaultMaxQueue
 	}
-	fleet, err := sched.NewShardedFleet(set, clusters, cfg.Policy, cfg.Horizon, 0)
+	fleet, err := sched.NewFleet(set, clusters, cfg.Policy, cfg.Horizon)
 	if err != nil {
 		return nil, err
 	}
@@ -354,8 +380,9 @@ func newServer(set *trace.Set, clusters []sched.Cluster, cfg Config, opts []Opti
 	// journal takeAuthority opens is metered and traced from its first
 	// record.
 	if !s.noMetrics {
-		s.initMetrics(set)
+		s.initMetrics()
 	}
+	fleet.OnPlace = s.onPlace()
 	if !s.noTracing {
 		s.initTracing()
 	}
