@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -77,19 +78,24 @@ type Fleet struct {
 	// in the same critical section that hands out its sequence number, so
 	// both stay sorted by sequence without an insertion; Step and
 	// Unmarshal rewrite them holding the world write lock, which excludes
-	// every Submit.
+	// every Submit. So the active list's header, copied under idMu beside
+	// the store's (view), is a stable view too: Submit only writes past
+	// its length, and nothing else writes while the reader holds the
+	// world read lock.
 	idMu sync.Mutex
 	jobStore
 	submitted atomic.Int64
-	active    []uint32         // arrived, uncompleted jobs by sequence, ascending
+	active    []activeJob      // arrived, uncompleted jobs by sequence, ascending
 	pending   map[int][]uint32 // arrival hour -> future arrivals, ascending
 
 	// Step scratch and incrementally-maintained aggregates. All of it is
 	// touched only under mu.Lock (Step) — except buckets, which Submit
 	// also grows under idMu; Submit holds mu.RLock, so it can never race
-	// a Step.
+	// a Step. The scratch is kept between Steps, so a Step that admits no
+	// arrivals allocates nothing.
 	free        []int    // per-region free slots this hour
-	pool        []uint32 // this hour's candidates: active minus forced continuations
+	pool        []uint32 // this hour's candidates (positions in active): active minus forced continuations
+	tick        Tick     // the Tick handed to the policy, refilled each hour
 	completed   int
 	missedDone  int     // completed past their deadline
 	overdueOpen int     // unresolved jobs whose deadline has passed
@@ -139,7 +145,7 @@ const (
 	ByPolicy
 )
 
-// jobRec is everything the fleet keeps per job, in 64
+// jobRec is what the fleet keeps for every job it has seen, in 48
 // pointer-free bytes: hours and counters are 32-bit (Job.Validate bounds
 // every deadline by math.MaxInt32), regions are indices into
 // regionsList, the tenant is an index into the fleet's tenant table, and
@@ -147,22 +153,25 @@ const (
 // rebuilt from those tables where a caller needs them. Because a record
 // holds no pointer, the blocks are allocated no-scan: the garbage
 // collector never marks the job store, however many jobs are resident.
+//
+// What only a running job needs lives in its activeJob instead: its
+// progress (a done job's is its length, a job not yet stepped has none)
+// and Step's per-hour placement. Two outcome fields are derived, never
+// stored, because each hour a job has been in the fleet it either ran or
+// waited: doneAt is lastRun+1, and waitHours is what is left of the
+// hours since arrival once its run-hours are taken out (derivedWait).
+// Unmarshal refuses an image that breaks either identity.
 type jobRec struct {
 	id         int
 	emissions  float64
 	arrival    int32
 	length     int32
 	slack      int32
-	progress   int32
 	lastRun    int32 // hour of the most recent run, -1 never
-	doneAt     int32
-	waitHours  int32
 	migrations int32
 	tenantI    uint32
 	originI    int16
 	regionI    int16 // current region index, -1 before the first run
-	placed     int16 // per-Step scratch: region index placed this hour, -1
-	by         By    // per-Step scratch: the phase that set placed
 	flags      uint8 // flagInterruptible | flagMigratable | flagDone
 }
 
@@ -171,9 +180,66 @@ func (r *jobRec) done() bool          { return r.flags&flagDone != 0 }
 func (r *jobRec) interruptible() bool { return r.flags&flagInterruptible != 0 }
 func (r *jobRec) migratable() bool    { return r.flags&flagMigratable != 0 }
 
+// doneAt is the hour after a done job's last run: it completed in the
+// Step of hour lastRun.
+func (r *jobRec) doneAt() int { return int(r.lastRun) + 1 }
+
+// waitHours is the hours the job was runnable but did not run, as of
+// hour, given its progress.
+func (r *jobRec) waitHours(hour int, progress int32) int {
+	return derivedWait(hour, int(r.arrival), int(progress), r.doneAt(), r.done())
+}
+
+// derivedWait derives a job's wait from the rest of its state: from its
+// arrival until it completed (or until hour), every Step either ran it
+// or made it wait. A job that has not arrived has waited 0 hours.
+func derivedWait(hour, arrival, progress, doneAt int, done bool) int {
+	if arrival > hour {
+		return 0
+	}
+	if done {
+		hour = min(hour, doneAt)
+	}
+	return hour - arrival - progress
+}
+
 // ranAt reports whether the job's most recent run was the hour before
 // hour, i.e. it is running as of hour.
 func (r *jobRec) ranAt(hour int) bool { return r.lastRun >= 0 && int(r.lastRun) == hour-1 }
+
+// activeJob is an arrived, unfinished job's entry in the active list:
+// its sequence number, the run-hours it has had, and Step's per-hour
+// scratch. 12 bytes, and only jobs Step still has to visit have one.
+type activeJob struct {
+	seq      uint32
+	progress int32
+	placed   int16 // region index placed this hour, -1 none
+	by       By    // the phase that set placed
+}
+
+// progressCursor reads jobs' progress beside an ascending walk of
+// sequence numbers, advancing one position through the active list
+// (sorted by seq too) as it goes.
+type progressCursor struct {
+	active []activeJob
+	k      int
+}
+
+// progress returns the run-hours the job at seq has had: its length
+// once done, its active entry's count while it runs, and 0 for a job no
+// Step has admitted yet. Calls must come in ascending seq order.
+func (c *progressCursor) progress(seq uint32, r *jobRec) int32 {
+	if r.done() {
+		return r.length
+	}
+	for c.k < len(c.active) && c.active[c.k].seq < seq {
+		c.k++
+	}
+	if c.k < len(c.active) && c.active[c.k].seq == seq {
+		return c.active[c.k].progress
+	}
+	return 0
+}
 
 // recBlocks is the job store: records in fixed-size blocks, addressed by
 // submission sequence. Blocks never move once allocated, so a *jobRec
@@ -254,6 +320,11 @@ func NewFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*
 		f.regionIdx[r] = i
 		f.traces[i] = set.MustGet(r)
 		f.slotsByIdx[i] = f.slots[r]
+	}
+	f.tick = Tick{
+		CI:     make([]float64, len(f.regionsList)),
+		Free:   make([]int, len(f.regionsList)),
+		traces: f.traces,
 	}
 	return f, nil
 }
@@ -397,7 +468,7 @@ func (f *Fleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 		f.buckets[jobs[i].Deadline()]++
 		seq := first + uint32(i)
 		if a := jobs[i].Arrival; a <= f.hour {
-			f.active = append(f.active, seq)
+			f.active = append(f.active, activeJob{seq: seq, placed: -1})
 		} else {
 			f.pending[a] = append(f.pending[a], seq)
 		}
@@ -441,7 +512,6 @@ func (s *jobStore) appendRec(seq uint32, j *Job, originI int) *jobRec {
 		tenantI: s.internTenant(j.Tenant),
 		originI: int16(originI),
 		regionI: -1,
-		placed:  -1,
 	}
 	if j.Interruptible {
 		r.flags |= flagInterruptible
@@ -468,12 +538,12 @@ func (s *jobStore) internTenant(name string) uint32 {
 }
 
 // view returns the job store as of now, for walks that run beside
-// Submit: the block directory, the tenant table, and the number of jobs
-// both cover. The world read lock must be held.
-func (f *Fleet) view() (recBlocks, []string, uint32) {
+// Submit: the block directory, the tenant table, the active list, and
+// the number of jobs they cover. The world read lock must be held.
+func (f *Fleet) view() (recBlocks, []string, []activeJob, uint32) {
 	f.idMu.Lock()
 	defer f.idMu.Unlock()
-	return f.blocks, f.tenants, uint32(f.submitted.Load())
+	return f.blocks, f.tenants, f.active, uint32(f.submitted.Load())
 }
 
 // job rebuilds the submitted Job from its record.
@@ -490,21 +560,22 @@ func (f *Fleet) job(r *jobRec, tenants []string) Job {
 	}
 }
 
-// mergeBySeq merges two sorted lists into dst (reset first).
-func mergeBySeq(dst, a, b []uint32) []uint32 {
-	dst = dst[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			dst = append(dst, a[i])
-			i++
+// admitArrivals merges one hour's arrivals (ascending seqs) into the
+// active list as new, not-yet-run entries, in place from the back, so
+// the list stays sorted by seq without a second buffer. The world write
+// lock must be held.
+func (f *Fleet) admitArrivals(batch []uint32) {
+	i := len(f.active) - 1
+	f.active = slices.Grow(f.active, len(batch))[:len(f.active)+len(batch)]
+	for k, j := len(f.active)-1, len(batch)-1; j >= 0; k-- {
+		if i >= 0 && f.active[i].seq > batch[j] {
+			f.active[k] = f.active[i]
+			i--
 		} else {
-			dst = append(dst, b[j])
-			j++
+			f.active[k] = activeJob{seq: batch[j], placed: -1}
+			j--
 		}
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
 }
 
 // Step simulates the fleet's current hour and advances to the next. It
@@ -523,22 +594,24 @@ func (f *Fleet) Step() error {
 	// Phase 1: inject this hour's arrivals, reset the free counts, claim
 	// slots for forced continuations — a started non-interruptible job
 	// occupies its current region — and collect everything else into
-	// the seq-sorted candidate pool.
+	// the seq-sorted candidate pool. From here to phase 4 the active list
+	// does not move, so the pool and the eligible list name jobs by their
+	// position in it, and every phase reads and writes progress and
+	// placement in the entry.
 	if batch := f.pending[hour]; len(batch) > 0 {
-		f.pool = mergeBySeq(f.pool, f.active, batch) // reuse pool as scratch
-		f.active, f.pool = f.pool, f.active
+		f.admitArrivals(batch)
 		delete(f.pending, hour)
 	}
 	copy(f.free, f.slotsByIdx)
 	pool := f.pool[:0]
-	for _, seq := range f.active {
-		r := f.blocks.at(seq)
-		r.placed = -1
-		if r.progress > 0 && !r.interruptible() {
-			r.placed, r.by = r.regionI, ByContinued
+	for i := range f.active {
+		a := &f.active[i]
+		a.placed = -1
+		if r := f.blocks.at(a.seq); a.progress > 0 && !r.interruptible() {
+			a.placed, a.by = r.regionI, ByContinued
 			f.free[r.regionI]--
 		} else {
-			pool = append(pool, seq)
+			pool = append(pool, uint32(i))
 		}
 	}
 	f.pool = pool
@@ -546,9 +619,10 @@ func (f *Fleet) Step() error {
 	// Phase 2: deadline forcing in submission order — a job with no
 	// slack left must run now, in its current/origin region or (if
 	// migratable) the first region, in index order, with space.
-	for _, seq := range pool {
-		r := f.blocks.at(seq)
-		if r.deadline()-hour > int(r.length-r.progress) {
+	for _, i := range pool {
+		a := &f.active[i]
+		r := f.blocks.at(a.seq)
+		if r.deadline()-hour > int(r.length-a.progress) {
 			continue
 		}
 		ri := int(r.regionI)
@@ -564,7 +638,7 @@ func (f *Fleet) Step() error {
 			}
 		}
 		if f.free[ri] > 0 {
-			r.placed, r.by = int16(ri), ByDeadline
+			a.placed, a.by = int16(ri), ByDeadline
 			f.free[ri]--
 		}
 	}
@@ -573,40 +647,47 @@ func (f *Fleet) Step() error {
 	// one Tick over every region, its eligible jobs in submission order
 	// (or fair order, with tenancy on). The policy names jobs by
 	// position in the list and regions by index, so a placement resolves
-	// without a lookup.
-	eligible := make([]uint32, 0, len(pool))
-	for _, seq := range pool {
-		if f.blocks.at(seq).placed < 0 {
-			eligible = append(eligible, seq)
+	// without a lookup. The eligible list is the pool filtered in place,
+	// this being the pool's last use this hour; the policy's k'th job is
+	// at active position at(k).
+	eligible := pool[:0]
+	for _, i := range pool {
+		if f.active[i].placed < 0 {
+			eligible = append(eligible, i)
 		}
 	}
-	eligible = f.fairOrder(eligible)
-	tick := &Tick{
-		Hour:     hour,
-		CI:       make([]float64, len(f.traces)),
-		Free:     slices.Clone(f.free),
-		Eligible: make([]JobView, len(eligible)),
-		traces:   f.traces,
+	order := f.fairOrder(eligible)
+	at := func(k int) uint32 {
+		if order != nil {
+			k = order[k]
+		}
+		return eligible[k]
 	}
+	tick := &f.tick
+	tick.Hour = hour
+	copy(tick.Free, f.free)
 	for ri, tr := range f.traces {
 		tick.CI[ri] = tr.At(hour)
 	}
-	for k, seq := range eligible {
-		r := f.blocks.at(seq)
-		tick.Eligible[k] = JobView{
+	tick.Eligible = tick.Eligible[:0]
+	for k := range eligible {
+		a := &f.active[at(k)]
+		r := f.blocks.at(a.seq)
+		tick.Eligible = append(tick.Eligible, JobView{
 			Origin:          int(r.originI),
-			Remaining:       int(r.length - r.progress),
+			Remaining:       int(r.length - a.progress),
 			HoursToDeadline: r.deadline() - hour,
 			Interruptible:   r.interruptible(),
 			Migratable:      r.migratable(),
-		}
+		})
 	}
 	for _, p := range f.policy.Plan(tick) {
 		if p.Job < 0 || p.Job >= len(eligible) {
 			return fmt.Errorf("sched: policy %s placed unknown job #%d of %d eligible", f.policy.Name(), p.Job, len(eligible))
 		}
-		r := f.blocks.at(eligible[p.Job])
-		if r.placed >= 0 {
+		a := &f.active[at(p.Job)]
+		r := f.blocks.at(a.seq)
+		if a.placed >= 0 {
 			return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), r.id)
 		}
 		if p.Region < 0 || p.Region >= len(f.free) {
@@ -618,30 +699,30 @@ func (f *Fleet) Step() error {
 		if f.free[p.Region] <= 0 {
 			return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), f.regionsList[p.Region])
 		}
-		r.placed, r.by = int16(p.Region), ByPolicy
+		a.placed, a.by = int16(p.Region), ByPolicy
 		f.free[p.Region]--
 	}
 
 	// Phase 4: advance the world. Placements are final, so each job that
 	// runs is advanced, charged to its tenant, reported to OnPlace and
 	// folded into the aggregates in one pass in submission order;
-	// completed jobs are compacted out of the active list.
+	// completed jobs are compacted out of the active list. A job that
+	// waits needs no write: its wait is derived from the hour.
 	f.ranLast = 0
 	keep := f.active[:0]
-	for _, seq := range f.active {
-		r := f.blocks.at(seq)
-		if r.placed < 0 {
-			r.waitHours++
-			keep = append(keep, seq)
+	for _, a := range f.active {
+		if a.placed < 0 {
+			keep = append(keep, a)
 			continue
 		}
-		ri := r.placed
+		r := f.blocks.at(a.seq)
+		ri := a.placed
 		if r.regionI >= 0 && r.regionI != ri {
 			r.migrations++
 		}
 		r.regionI = ri
 		r.lastRun = int32(hour)
-		r.progress++
+		a.progress++
 		ci := f.traces[ri].At(hour)
 		r.emissions += ci
 		f.slotHours++
@@ -658,16 +739,15 @@ func (f *Fleet) Step() error {
 				Tenant:   f.tenants[r.tenantI],
 				CI:       ci,
 				OriginCI: f.traces[r.originI].At(hour),
-				By:       r.by,
+				By:       a.by,
 			})
 		}
-		if r.progress < r.length {
+		if a.progress < r.length {
 			f.ranLast++
-			keep = append(keep, seq)
+			keep = append(keep, a)
 			continue
 		}
-		r.flags |= flagDone
-		r.doneAt = int32(hour + 1)
+		r.flags |= flagDone // doneAt is lastRun+1 = hour+1
 		f.completed++
 		if d := r.deadline(); d <= hour {
 			// doneAt = hour+1 > d: a late finish. Its bucket was already
@@ -687,21 +767,17 @@ func (f *Fleet) Step() error {
 	return nil
 }
 
-// fairOrder applies the fair queue's dequeue permutation to one
-// hour's eligible sequences (identity when no queue is installed).
-func (f *Fleet) fairOrder(eligible []uint32) []uint32 {
+// fairOrder returns the fair queue's dequeue permutation of one hour's
+// eligible active-list positions: the k'th job to offer the policy is
+// eligible[order[k]]. nil means submission order (no queue installed).
+// The permutation is the queue's scratch, valid until the next Step.
+func (f *Fleet) fairOrder(eligible []uint32) []int {
 	if f.fq == nil || len(eligible) < 2 {
-		return eligible
+		return nil
 	}
-	names := make([]string, len(eligible))
-	for i, seq := range eligible {
-		names[i] = f.tenants[f.blocks.at(seq).tenantI]
-	}
-	out := make([]uint32, len(eligible))
-	for k, i := range f.fq.Order(names) {
-		out[k] = eligible[i]
-	}
-	return out
+	return f.fq.OrderFunc(len(eligible), func(k int) string {
+		return f.tenants[f.blocks.at(f.active[eligible[k]].seq).tenantI]
+	})
 }
 
 // JobInfo is the live view of one submitted job.
@@ -730,27 +806,32 @@ func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 	defer f.mu.RUnlock()
 	f.idMu.Lock()
 	seq, ok := f.ids.get(f.blocks, id)
-	blocks, tenants := f.blocks, f.tenants
-	f.idMu.Unlock()
 	if !ok {
+		f.idMu.Unlock()
 		return JobInfo{}, false
 	}
-	r := blocks.at(seq)
+	r, tenants := f.blocks.at(seq), f.tenants
+	// A running job's progress is in its active entry, found under idMu,
+	// where Submit appends to the list.
+	k, _ := slices.BinarySearchFunc(f.active, seq, func(a activeJob, s uint32) int { return cmp.Compare(a.seq, s) })
+	c := progressCursor{active: f.active, k: k}
+	progress := c.progress(seq, r)
+	f.idMu.Unlock()
 	info := JobInfo{
 		Job:        f.job(r, tenants),
-		Remaining:  int(r.length - r.progress),
+		Remaining:  int(r.length - progress),
 		Running:    r.ranAt(f.hour),
 		Completed:  r.done(),
 		Emissions:  r.emissions,
-		WaitHours:  int(r.waitHours),
+		WaitHours:  r.waitHours(f.hour, progress),
 		Migrations: int(r.migrations),
 	}
 	if r.regionI >= 0 {
 		info.Region = f.regionsList[r.regionI]
 	}
 	if r.done() {
-		info.CompletedAt = int(r.doneAt)
-		info.MissedDeadline = int(r.doneAt) > r.deadline()
+		info.CompletedAt = r.doneAt()
+		info.MissedDeadline = r.doneAt() > r.deadline()
 	} else {
 		info.MissedDeadline = r.deadline() <= f.hour
 	}
@@ -830,18 +911,19 @@ type TenantStat struct {
 func (f *Fleet) TenantStats() map[string]TenantStat {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	blocks, tenants, n := f.view()
+	blocks, tenants, active, n := f.view()
+	c := progressCursor{active: active}
 	out := make(map[string]TenantStat)
 	for seq := uint32(0); seq < n; seq++ {
 		r := blocks.at(seq)
 		name := tenant.Normalize(tenants[r.tenantI])
 		ts := out[name]
 		ts.Submitted++
-		ts.SlotHours += int(r.progress)
+		ts.SlotHours += int(c.progress(seq, r))
 		ts.Emissions += r.emissions
 		if r.done() {
 			ts.Completed++
-			if int(r.doneAt) > r.deadline() {
+			if r.doneAt() > r.deadline() {
 				ts.Missed++
 			}
 		} else {
@@ -866,7 +948,7 @@ func (f *Fleet) TenantStats() map[string]TenantStat {
 func (f *Fleet) TenantArrivals(hour int) map[string]int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	blocks, tenants, n := f.view()
+	blocks, tenants, _, n := f.view()
 	out := make(map[string]int)
 	for seq := uint32(0); seq < n; seq++ {
 		if r := blocks.at(seq); int(r.arrival) == hour {
@@ -882,7 +964,8 @@ func (f *Fleet) TenantArrivals(hour int) map[string]int {
 func (f *Fleet) Snapshot() Result {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	blocks, tenants, n := f.view()
+	blocks, tenants, active, n := f.view()
+	c := progressCursor{active: active}
 	res := Result{
 		Policy:         f.policy.Name(),
 		SlotHoursUsed:  f.slotHours,
@@ -897,12 +980,12 @@ func (f *Fleet) Snapshot() Result {
 			Job:        f.job(r, tenants),
 			Completed:  r.done(),
 			Emissions:  r.emissions,
-			WaitHours:  int(r.waitHours),
+			WaitHours:  r.waitHours(f.hour, c.progress(seq, r)),
 			Migrations: int(r.migrations),
 		}
 		if r.done() {
-			out.CompletedAt = int(r.doneAt)
-			out.MissedDeadline = int(r.doneAt) > r.deadline()
+			out.CompletedAt = r.doneAt()
+			out.MissedDeadline = r.doneAt() > r.deadline()
 			res.Completed++
 		} else {
 			out.MissedDeadline = r.deadline() <= f.hour

@@ -42,13 +42,18 @@ func goldenLines(t testing.TB, name string) (image, batch []byte) {
 // that can be read and stepped. Each input is also tried with its last
 // four bytes replaced by the right CRC, so mutations reach the decoder
 // and the restore checks instead of dying at the checksum. The worlds
-// are the state goldens', with and without tenancy, so both seed images
-// restore.
+// are the state goldens', with and without tenancy, so both golden seed
+// images restore. The third seed is one of
+// TestStateRejectsUnderivableFields's planted images: refused, but one
+// field away from restoring — and, were its rule missing, the first
+// check below is the one that would fail on it.
 func FuzzShardedUnmarshal(f *testing.F) {
 	for _, name := range []string{"fleet_state_v1.golden", "fleet_state_v2.golden"} {
 		image, _ := goldenLines(f, name)
 		f.Add(image)
 	}
+	_, running, future := derivableJobs()
+	f.Add(plantedImage(underivableDone(), running, future))
 	const horizon = 48
 	set := mkSet(f, horizon)
 	cfg := goldenTenantConfig(f)

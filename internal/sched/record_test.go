@@ -9,14 +9,20 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"carbonshift/internal/tenant"
 )
 
-// TestJobRecLayout keeps the record honest: at most one cache line, and
-// no field the garbage collector would have to follow — that is what
-// puts the job store in no-scan memory.
+// TestJobRecLayout keeps the record honest: 48 bytes, and no field the
+// garbage collector would have to follow — that is what puts the job
+// store in no-scan memory. A running job's progress and placement live
+// in its 12-byte active entry instead.
 func TestJobRecLayout(t *testing.T) {
-	if size := unsafe.Sizeof(jobRec{}); size > 64 {
-		t.Errorf("jobRec is %d bytes, want at most 64", size)
+	if size := unsafe.Sizeof(jobRec{}); size > 48 {
+		t.Errorf("jobRec is %d bytes, want at most 48", size)
+	}
+	if size := unsafe.Sizeof(activeJob{}); size > 12 {
+		t.Errorf("activeJob is %d bytes, want at most 12", size)
 	}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -35,6 +41,7 @@ func TestJobRecLayout(t *testing.T) {
 		}
 	}
 	walk("jobRec", reflect.TypeOf(jobRec{}))
+	walk("activeJob", reflect.TypeOf(activeJob{}))
 }
 
 // residentJobs is a stream of n already-arrived jobs over four tenants.
@@ -51,15 +58,17 @@ func residentJobs(n int, origins []string) []Job {
 }
 
 // TestShardedFleetResidentBytesPerJob pins what a resident job costs a
-// bare fleet: the 64-byte record, its 4-byte entry in the job list, and
-// its share of the id index — a 4-byte slot in tables that run between
-// 7/16 and 7/8 full, so 4.6 to 9.1 bytes, 5.2 at this population (64
-// tables of 16 KiB). 74 bytes when this was written; the ceiling is the
-// index at its emptiest (77) plus the lists' append slack. The same
-// store indexed by a map[int]uint32 measured 92, the pointer layout
-// before it 220.
+// bare fleet: the 48-byte record, its 12-byte entry in the active list,
+// and its share of the id index — a 4-byte slot in tables that run
+// between 7/16 and 7/8 full, so 4.6 to 9.1 bytes, 5.2 at this
+// population (64 tables of 16 KiB). Every job here has arrived and none
+// has run, so each has an active entry. 68.4 bytes when this was
+// written; the ceiling leaves room for the active list's append slack
+// (up to a quarter of its 12 bytes). The 64-byte record with a 4-byte
+// list entry measured 74, the same store indexed by a map[int]uint32
+// 92, the pointer layout before it 220.
 func TestShardedFleetResidentBytesPerJob(t *testing.T) {
-	const n, ceiling = 200_000, 84
+	const n, ceiling = 200_000, 72
 	set, cl, origins := mkWideSet(t, 48, 4)
 	jobs := residentJobs(n, origins)
 	var before, after runtime.MemStats
@@ -83,6 +92,100 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 	}
 	runtime.KeepAlive(f)
 	runtime.KeepAlive(jobs)
+}
+
+// TestFleetRetainedBytesPerJob pins what a job costs once it is done: a
+// fleet keeps every job it has seen, but a done job has left the active
+// list, so what stays is the 48-byte record and its share of the id
+// index (5.2 bytes at this population), plus the active list's and
+// Step's scratch at their peak — a few thousand entries here, arriving
+// 1000 an hour over 200 hours and all run at once. 54.0 bytes when this
+// was written; the 64-byte record that kept progress and wait measured
+// 70.
+func TestFleetRetainedBytesPerJob(t *testing.T) {
+	const n, perHour, ceiling = 200_000, 1000, 60
+	set, cl, origins := mkWideSet(t, n/perHour+8, 4)
+	for i := range cl {
+		cl[i].Slots = perHour
+	}
+	jobs := residentJobs(n, origins)
+	for i := range jobs {
+		jobs[i].Arrival = i / perHour
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f, err := NewFleet(set, cl, FIFO{}, n/perHour+8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Submit(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	driveFleet(t, f)
+	if st := f.Stats(); st.Completed != n {
+		t.Fatalf("%d of %d jobs done", st.Completed, n)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perJob := float64(after.HeapInuse-before.HeapInuse) / n
+	t.Logf("%.1f bytes of heap in use per retained done job", perJob)
+	if perJob > ceiling {
+		t.Errorf("%.1f bytes per retained done job, want at most %d", perJob, ceiling)
+	}
+	runtime.KeepAlive(f)
+	runtime.KeepAlive(jobs)
+}
+
+// idlePolicy places nothing: every job waits until deadline forcing
+// runs it.
+type idlePolicy struct{}
+
+func (idlePolicy) Name() string           { return "idle" }
+func (idlePolicy) Plan(*Tick) []Placement { return nil }
+
+// TestStepAllocs pins the Step's zero-allocation claim: the candidate
+// pool (filtered in place into the eligible list), the Tick and the fair
+// queue's order are kept between Steps, so an hour that admits no
+// arrivals allocates nothing — with
+// jobs waiting, continuing, forced by their deadlines and completing,
+// and, with tenancy on, ordered by the fair queue and charged to it.
+func TestStepAllocs(t *testing.T) {
+	const horizon = 400
+	set, cl, origins := mkWideSet(t, horizon, 4)
+	for _, tenancy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("tenancy=%v", tenancy), func(t *testing.T) {
+			f, err := NewFleet(set, cl, idlePolicy{}, horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tenancy {
+				f.SetFairQueue(tenant.NewFairQueue(goldenTenantConfig(t)))
+			}
+			jobs := residentJobs(2000, origins)
+			for i := range jobs {
+				jobs[i].Slack = 20 + i%200
+			}
+			if err := f.Submit(jobs...); err != nil {
+				t.Fatal(err)
+			}
+			step := func() {
+				if err := f.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for f.Hour() < 30 {
+				step()
+			}
+			done := f.Stats().Completed
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Errorf("Step allocates %.2f times per hour, want 0", allocs)
+			}
+			if st := f.Stats(); st.Completed == done || st.Unresolved == 0 {
+				t.Fatalf("the measured hours completed %d jobs and left %d: not a steady state", st.Completed-done, st.Unresolved)
+			}
+		})
+	}
 }
 
 // TestSubmitAllocs pins Submit's zero-allocation claim: a 64-job batch
@@ -204,9 +307,12 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 			}
 		}()
 	}
+	// No Step runs, so every job is in the active list with no progress:
+	// an entry read torn, or found for the wrong job, shows as progress.
 	read("Lookup", func() error {
 		for id := 0; id < submitters*perSubmitter; id += 97 {
-			if info, ok := f.Lookup(id); ok && (info.ID != id || info.Length < 1 || info.Origin == "") {
+			info, ok := f.Lookup(id)
+			if ok && (info.ID != id || info.Length < 1 || info.Origin == "" || info.Remaining != info.Length || info.WaitHours != 0) {
 				return fmt.Errorf("job %d read back as %+v", id, info)
 			}
 		}
@@ -240,6 +346,9 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 		for i := range img.jobs {
 			if err := img.jobs[i].Validate(); err != nil {
 				return err
+			}
+			if img.jobs[i].progress != 0 {
+				return fmt.Errorf("job %d marshalled with progress %d before any Step", img.jobs[i].ID, img.jobs[i].progress)
 			}
 		}
 		return nil

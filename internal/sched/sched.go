@@ -104,6 +104,10 @@ func (v JobView) SlackLeft() int { return v.HoursToDeadline - v.Remaining }
 // Tick is the per-hour scheduling context given to policies. A region
 // is named by its index in the fleet's sorted cluster list
 // (Fleet.Regions); every per-region slice below is indexed so.
+//
+// The Tick and its slices are the fleet's scratch, refilled every hour:
+// a policy reads them (and counts Free down) during Plan and must not
+// keep or replace any of them past the call.
 type Tick struct {
 	// Hour is the current trace hour.
 	Hour int
@@ -134,7 +138,8 @@ type Placement struct {
 	Job, Region int
 }
 
-// Policy decides placements each hour.
+// Policy decides placements each hour. Plan must not retain t (see
+// Tick).
 type Policy interface {
 	Name() string
 	Plan(t *Tick) []Placement

@@ -3,12 +3,14 @@ package sched
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"carbonshift/internal/tenant"
 	"carbonshift/internal/trace"
 )
 
@@ -165,12 +167,17 @@ func TestShardedFleetOnlineSubmission(t *testing.T) {
 	}
 }
 
-// TestShardedFleetLookupAndStatsParity steps both fleets in lockstep
-// and checks Lookup views and the counting fields of Stats agree at
-// every hour — the incremental counters must never drift from the
-// serial full-store walk.
+// TestShardedFleetLookupAndStatsParity steps the fleet and the serial
+// reference in lockstep, for every policy with tenancy off and on, and
+// checks that Lookup of every job — pending, active and done — the
+// counting fields of Stats, and TenantStats agree at every hour, and
+// Snapshot at the end: the incremental counters must never drift from
+// the reference's walk, and the fields the fleet derives (wait hours,
+// completion hour, progress read from the active list) must read as the
+// reference's stored ones. Mid-run the fleet is marshalled and restored
+// into a fresh one, so the derived fields also survive Unmarshal.
 func TestShardedFleetLookupAndStatsParity(t *testing.T) {
-	const horizon = 24 * 10
+	const horizon, hop = 24 * 10, 24*4 + 5
 	set, cl, origins := mkWideSet(t, horizon, 5)
 	jobs, err := GenerateJobs(WorkloadSpec{
 		Jobs: 120, ArrivalSpan: 24 * 8, SlackHours: 6,
@@ -180,45 +187,91 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := CarbonGate{Percentile: 30, Window: 48}
-	ref, err := newRefFleet(set, cl, policy, horizon)
-	if err != nil {
-		t.Fatal(err)
+	tenants := []string{"", "web", "spot", "batch"}
+	for i := range jobs {
+		jobs[i].Tenant = tenants[i%len(tenants)]
 	}
-	sf, err := NewFleet(set, cl, policy, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Submit(jobs...); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Submit(jobs...); err != nil {
-		t.Fatal(err)
-	}
-	for !ref.Done() {
-		if err := ref.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if err := sf.Step(); err != nil {
-			t.Fatal(err)
-		}
-		a, b := ref.Stats(), sf.Stats()
-		// TotalEmissions is accumulated in a different order (documented);
-		// compare it with tolerance and everything else exactly.
-		if math.Abs(a.TotalEmissions-b.TotalEmissions) > 1e-6*(1+math.Abs(a.TotalEmissions)) {
-			t.Fatalf("hour %d: emissions %v vs %v", a.Hour, a.TotalEmissions, b.TotalEmissions)
-		}
-		a.TotalEmissions, b.TotalEmissions = 0, 0
-		if a != b {
-			t.Fatalf("hour %d: stats diverge:\nserial:  %+v\nsharded: %+v", a.Hour, a, b)
-		}
-		for _, j := range jobs {
-			ja, oka := ref.Lookup(j.ID)
-			jb, okb := sf.Lookup(j.ID)
-			if oka != okb || ja != jb {
-				t.Fatalf("hour %d: lookup(%d) diverges:\nserial:  %+v\nsharded: %+v",
-					a.Hour, j.ID, ja, jb)
-			}
+	// Submitted out of arrival order, jobs that have not arrived sit
+	// between active ones in sequence order, as they do online when a
+	// later request brings work arriving sooner.
+	rand.New(rand.NewPCG(21, 0)).Shuffle(len(jobs), func(i, k int) { jobs[i], jobs[k] = jobs[k], jobs[i] })
+	cfg := goldenTenantConfig(t)
+	for _, policy := range allPolicies() {
+		for _, tenancy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/tenancy=%v", policy.Name(), tenancy), func(t *testing.T) {
+				ref, err := newRefFleet(set, cl, policy, horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				build := func() *Fleet {
+					f, err := NewFleet(set, cl, policy, horizon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tenancy {
+						f.SetFairQueue(tenant.NewFairQueue(cfg))
+					}
+					return f
+				}
+				if tenancy {
+					ref.SetFairQueue(tenant.NewFairQueue(cfg))
+				}
+				sf := build()
+				if err := ref.Submit(jobs...); err != nil {
+					t.Fatal(err)
+				}
+				if err := sf.Submit(jobs...); err != nil {
+					t.Fatal(err)
+				}
+				compare := func() {
+					t.Helper()
+					a, b := ref.Stats(), sf.Stats()
+					// TotalEmissions is accumulated in a different order
+					// (documented); compare it with tolerance and everything
+					// else exactly.
+					if math.Abs(a.TotalEmissions-b.TotalEmissions) > 1e-6*(1+math.Abs(a.TotalEmissions)) {
+						t.Fatalf("hour %d: emissions %v vs %v", a.Hour, a.TotalEmissions, b.TotalEmissions)
+					}
+					a.TotalEmissions, b.TotalEmissions = 0, 0
+					if a != b {
+						t.Fatalf("hour %d: stats diverge:\nserial: %+v\nfleet:  %+v", a.Hour, a, b)
+					}
+					for _, j := range jobs {
+						ja, oka := ref.Lookup(j.ID)
+						jb, okb := sf.Lookup(j.ID)
+						if oka != okb || ja != jb {
+							t.Fatalf("hour %d: lookup(%d) diverges:\nserial: %+v\nfleet:  %+v", a.Hour, j.ID, ja, jb)
+						}
+					}
+					if ta, tb := ref.TenantStats(), sf.TenantStats(); !reflect.DeepEqual(ta, tb) {
+						t.Fatalf("hour %d: tenant stats diverge:\nserial: %+v\nfleet:  %+v", a.Hour, ta, tb)
+					}
+				}
+				compare()
+				for !ref.Done() {
+					if ref.Hour() == hop {
+						img, err := sf.Marshal()
+						if err != nil {
+							t.Fatal(err)
+						}
+						sf = build()
+						if err := sf.Unmarshal(img); err != nil {
+							t.Fatal(err)
+						}
+						compare()
+					}
+					if err := ref.Step(); err != nil {
+						t.Fatal(err)
+					}
+					if err := sf.Step(); err != nil {
+						t.Fatal(err)
+					}
+					compare()
+				}
+				if a, b := ref.Snapshot(), sf.Snapshot(); !reflect.DeepEqual(a, b) {
+					t.Fatalf("final snapshot diverges:\nserial: %+v\nfleet:  %+v", a, b)
+				}
+			})
 		}
 	}
 }
@@ -397,8 +450,8 @@ func TestShardedFleetConcurrentSubmit(t *testing.T) {
 		t.Fatalf("active list holds %d jobs, want %d", len(f.active), submitters*perWorker)
 	}
 	for i := 1; i < len(f.active); i++ {
-		if f.active[i-1] >= f.active[i] {
-			t.Fatalf("active list out of order at %d: %d then %d", i, f.active[i-1], f.active[i])
+		if f.active[i-1].seq >= f.active[i].seq {
+			t.Fatalf("active list out of order at %d: %d then %d", i, f.active[i-1].seq, f.active[i].seq)
 		}
 	}
 	driveFleet(t, f)

@@ -281,8 +281,10 @@ func (img *fleetImage) checkWorld(policy string, horizon int, regions []string, 
 // checkJobs validates every decoded job against the image's own world
 // (which checkWorld ties to the restoring fleet's), so a
 // corrupted-but-checksummed image cannot index out of bounds, name a
-// region the fleet does not have, or carry an hour or counter the
-// fleet's 32-bit record would truncate.
+// region the fleet does not have, carry an hour or counter the fleet's
+// 32-bit record would truncate, or carry a field the record derives
+// (doneAt, waitHours) or keeps only for arrived jobs (progress) with a
+// value it would not restore.
 func (img *fleetImage) checkJobs() error {
 	regions := make(map[string]bool, len(img.regions))
 	for _, r := range img.regions {
@@ -310,6 +312,21 @@ func (img *fleetImage) checkJobs() error {
 		}
 		if j.progress > 0 && j.regionI < 0 {
 			return fmt.Errorf("sched: state restore: job %d has progress but no region", j.ID)
+		}
+		// The record derives doneAt and waitHours, and a job no Step has
+		// admitted has nowhere to keep progress: an image that disagrees
+		// with what the record would rebuild cannot be held.
+		if j.done && j.doneAt != j.lastRun+1 {
+			return fmt.Errorf("sched: state restore: job %d done at hour %d, but last ran at hour %d", j.ID, j.doneAt, j.lastRun)
+		}
+		if !j.done && j.doneAt != 0 {
+			return fmt.Errorf("sched: state restore: unfinished job %d has completion hour %d", j.ID, j.doneAt)
+		}
+		if j.Arrival > img.hour && (j.progress != 0 || j.lastRun != -1 || j.regionI != -1) {
+			return fmt.Errorf("sched: state restore: job %d arrives at hour %d, after hour %d, but has run", j.ID, j.Arrival, img.hour)
+		}
+		if w := derivedWait(img.hour, j.Arrival, j.progress, j.doneAt, j.done); j.waitHours != w {
+			return fmt.Errorf("sched: state restore: job %d waited %d hours, its other hours say %d", j.ID, j.waitHours, w)
 		}
 	}
 	return nil
@@ -350,7 +367,8 @@ func (img *fleetImage) checkFQ(hasQueue bool) error {
 func (f *Fleet) Marshal() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	blocks, tenants, n := f.view()
+	blocks, tenants, active, n := f.view()
+	c := progressCursor{active: active}
 	img := &fleetImage{
 		policy:           f.policy.Name(),
 		horizon:          f.horizon,
@@ -365,17 +383,21 @@ func (f *Fleet) Marshal() ([]byte, error) {
 	e := img.encodeHeader(int(n))
 	for seq := uint32(0); seq < n; seq++ {
 		r := blocks.at(seq)
-		e.job(&jobImage{
+		progress := c.progress(seq, r)
+		j := jobImage{
 			Job:        f.job(r, tenants),
-			progress:   int(r.progress),
+			progress:   int(progress),
 			regionI:    int(r.regionI),
 			lastRun:    int(r.lastRun),
 			done:       r.done(),
-			doneAt:     int(r.doneAt),
-			waitHours:  int(r.waitHours),
+			waitHours:  r.waitHours(f.hour, progress),
 			migrations: int(r.migrations),
 			emissions:  r.emissions,
-		})
+		}
+		if j.done {
+			j.doneAt = r.doneAt()
+		}
+		e.job(&j)
 	}
 	return e.finish(), nil
 }
@@ -418,10 +440,7 @@ func (f *Fleet) Unmarshal(data []byte) error {
 		seq := uint32(i)
 		r := st.appendRec(seq, &j.Job, f.regionIdx[j.Origin])
 		r.emissions = j.emissions
-		r.progress = int32(j.progress)
 		r.lastRun = int32(j.lastRun)
-		r.doneAt = int32(j.doneAt)
-		r.waitHours = int32(j.waitHours)
 		r.migrations = int32(j.migrations)
 		r.regionI = int16(j.regionI)
 		if j.done {
@@ -450,7 +469,7 @@ func (f *Fleet) Unmarshal(data []byte) error {
 		r := f.blocks.at(seq)
 		if r.done() {
 			f.completed++
-			if int(r.doneAt) > r.deadline() {
+			if r.doneAt() > r.deadline() {
 				f.missedDone++
 			}
 			continue
@@ -468,7 +487,7 @@ func (f *Fleet) Unmarshal(data []byte) error {
 		if a := int(r.arrival); a > img.hour {
 			f.pending[a] = append(f.pending[a], seq)
 		} else {
-			f.active = append(f.active, seq)
+			f.active = append(f.active, activeJob{seq: seq, progress: int32(img.jobs[seq].progress), placed: -1})
 		}
 	}
 	return nil

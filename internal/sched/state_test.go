@@ -211,7 +211,10 @@ func TestStateRejectsCorruption(t *testing.T) {
 // counters do not fit the 32-bit record, or whose origin is not one of
 // the fleet's regions (FuzzShardedUnmarshal found that one restoring as
 // region 0), is refused, never truncated; the same image with every
-// field at its limit restores and re-marshals byte for byte.
+// stored field at its limit restores and re-marshals byte for byte. The
+// record derives doneAt and waitHours, so those sit at the values their
+// identities give: a running job's doneAt is 0, a done job's is at the
+// limit through its last run.
 func TestStateRejectsOutOfRangeFields(t *testing.T) {
 	const horizon = 48
 	set := mkSet(t, horizon)
@@ -232,34 +235,120 @@ func TestStateRejectsOutOfRangeFields(t *testing.T) {
 		return f, f.Unmarshal(data)
 	}
 
-	limit := jobImage{
+	running := jobImage{
 		Job:      Job{ID: 1, Origin: "CLEAN", Length: 4, Slack: math.MaxInt32 - 4},
-		progress: 2, regionI: 1, lastRun: math.MaxInt32, doneAt: math.MaxInt32,
-		waitHours: math.MaxInt32, migrations: math.MaxInt32, emissions: 40,
+		progress: 2, regionI: 1, lastRun: math.MaxInt32,
+		waitHours: 5 - 2, migrations: math.MaxInt32, emissions: 40,
 	}
-	f, err := restore(image(limit))
-	if err != nil {
-		t.Fatalf("image at the limits rejected: %v", err)
-	}
-	if again, _ := f.Marshal(); !bytes.Equal(again, image(limit)) {
-		t.Fatal("image at the limits did not re-marshal byte for byte")
-	}
+	done := running
+	done.progress, done.done = 4, true
+	done.lastRun, done.doneAt = math.MaxInt32-1, math.MaxInt32
+	done.waitHours = 5 - 4
+	for name, limit := range map[string]jobImage{"running": running, "done": done} {
+		f, err := restore(image(limit))
+		if err != nil {
+			t.Fatalf("%s image at the limits rejected: %v", name, err)
+		}
+		if again, _ := f.Marshal(); !bytes.Equal(again, image(limit)) {
+			t.Fatalf("%s image at the limits did not re-marshal byte for byte", name)
+		}
 
-	for name, mutate := range map[string]func(*jobImage){
-		"origin":     func(j *jobImage) { j.Origin = "NOPE" },
-		"slack":      func(j *jobImage) { j.Slack++ },
-		"lastRun":    func(j *jobImage) { j.lastRun++ },
-		"lastRun<-1": func(j *jobImage) { j.lastRun = -2 },
-		"doneAt":     func(j *jobImage) { j.doneAt++ },
-		"waitHours":  func(j *jobImage) { j.waitHours++ },
-		"migrations": func(j *jobImage) { j.migrations = 1 << 40 },
-	} {
-		j := limit
-		mutate(&j)
-		if _, err := restore(image(j)); err == nil {
-			t.Errorf("%s out of range accepted", name)
+		for field, mutate := range map[string]func(*jobImage){
+			"origin":     func(j *jobImage) { j.Origin = "NOPE" },
+			"slack":      func(j *jobImage) { j.Slack++ },
+			"lastRun":    func(j *jobImage) { j.lastRun++ },
+			"lastRun<-1": func(j *jobImage) { j.lastRun = -2 },
+			"doneAt":     func(j *jobImage) { j.doneAt++ },
+			"waitHours":  func(j *jobImage) { j.waitHours++ },
+			"migrations": func(j *jobImage) { j.migrations = 1 << 40 },
+		} {
+			j := limit
+			mutate(&j)
+			if _, err := restore(image(j)); err == nil {
+				t.Errorf("%s job: %s out of range accepted", name, field)
+			}
 		}
 	}
+}
+
+// TestStateRejectsUnderivableFields: the record keeps neither doneAt nor
+// waitHours, and keeps progress only for a job a Step has admitted, so
+// a checksummed image whose values for them the restored fleet would not
+// reproduce is refused rather than silently rewritten. Each planted
+// image differs from an accepted one in the field its case names, plus
+// whatever keeps an older rule from refusing it first; a fleet that
+// stored the fields would take them all.
+func TestStateRejectsUnderivableFields(t *testing.T) {
+	set := mkSet(t, 48)
+	restore := func(jobs ...jobImage) error {
+		f, err := NewFleet(set, clusters(3), GreenestFirst{}, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.Unmarshal(plantedImage(jobs...))
+	}
+	doneJob, runJob, future := derivableJobs()
+	if err := restore(doneJob, runJob, future); err != nil {
+		t.Fatalf("consistent image rejected: %v", err)
+	}
+	for name, planted := range map[string]jobImage{
+		"done job doneAt is not lastRun+1": underivableDone(),
+		"unfinished job has a doneAt":      func() jobImage { j := runJob; j.doneAt = 9; return j }(),
+		"done job waitHours":               func() jobImage { j := doneJob; j.waitHours = 2; return j }(),
+		"running job waitHours":            func() jobImage { j := runJob; j.waitHours = 7; return j }(),
+		"future job waitHours":             func() jobImage { j := future; j.waitHours = 1; return j }(),
+		"future job has progress":          func() jobImage { j := future; j.progress, j.regionI, j.lastRun = 1, 0, 9; return j }(),
+		"future job has a lastRun":         func() jobImage { j := future; j.lastRun = 9; return j }(),
+		"future job has a region":          func() jobImage { j := future; j.regionI = 1; return j }(),
+	} {
+		jobs := []jobImage{doneJob, runJob, future}
+		jobs[planted.ID-1] = planted
+		if err := restore(jobs...); err == nil {
+			t.Errorf("%s: image accepted", name)
+		}
+	}
+}
+
+// derivableJobs are three jobs an image taken at hour 10 may hold: one
+// done at hour 7 after 2 run-hours and 3 waits, one that has run 2 of 6
+// hours and waited 6, and one arriving at hour 20.
+func derivableJobs() (done, running, future jobImage) {
+	done = jobImage{
+		Job:      Job{ID: 1, Origin: "CLEAN", Arrival: 2, Length: 2, Slack: 10},
+		progress: 2, regionI: 0, lastRun: 6, done: true, doneAt: 7, waitHours: 3, emissions: 40,
+	}
+	running = jobImage{
+		Job:      Job{ID: 2, Origin: "DIRTY", Arrival: 2, Length: 6, Slack: 10, Interruptible: true},
+		progress: 2, regionI: 1, lastRun: 9, waitHours: 6, emissions: 400,
+	}
+	future = jobImage{
+		Job:     Job{ID: 3, Origin: "CLEAN", Arrival: 20, Length: 3, Slack: 5},
+		regionI: -1, lastRun: -1,
+	}
+	return done, running, future
+}
+
+// underivableDone is derivableJobs' done job with doneAt 8 where its
+// last run says 7, and the waitHours that doneAt 8 would give.
+func underivableDone() jobImage {
+	j, _, _ := derivableJobs()
+	j.doneAt, j.waitHours = 8, 4
+	return j
+}
+
+// plantedImage encodes jobs as an image taken at hour 10 in
+// FuzzShardedUnmarshal's world: greenest-first over the state goldens'
+// two regions of 3 slots, horizon 48, no tenancy.
+func plantedImage(jobs ...jobImage) []byte {
+	img := &fleetImage{
+		policy: GreenestFirst{}.Name(), horizon: 48, hour: 10,
+		regions: []string{"CLEAN", "DIRTY"}, slots: []int{3, 3},
+	}
+	e := img.encodeHeader(len(jobs))
+	for i := range jobs {
+		e.job(&jobs[i])
+	}
+	return e.finish()
 }
 
 // TestStateRejectsDuplicateIDs: building the restored store's id index

@@ -48,6 +48,13 @@ type FairQueue struct {
 
 	pass  map[string]int64
 	vtime int64
+
+	// OrderFunc's scratch, kept between calls so that an hour's order
+	// allocates only while the eligible list or the tenant set grows.
+	perm    []int
+	members []uint32 // each group's entries, contiguous, in submission order
+	groups  []fairGroup
+	at      map[string]int // tenant -> index into groups
 }
 
 // NewFairQueue builds the dequeue engine over a tenant registry (nil
@@ -57,6 +64,7 @@ func NewFairQueue(cfg *Config) *FairQueue {
 		cfg:     cfg,
 		strides: make(map[string]int64),
 		pass:    make(map[string]int64),
+		at:      make(map[string]int),
 	}
 }
 
@@ -105,28 +113,53 @@ func (q *FairQueue) touch(t string) int64 {
 // New or below-frontier tenants are touched in first, then vtime
 // advances to the smallest present pass; the per-job pass advancement
 // used to interleave within the hour is projected only — persistent
-// pass moves solely via Charge, on actual execution.
+// pass moves solely via Charge, on actual execution. The returned slice
+// is the queue's own, valid until the next Order or OrderFunc call.
 func (q *FairQueue) Order(names []string) []int {
-	perm := make([]int, len(names))
-	// Group by tenant in first-appearance order: one map lookup per job,
-	// slices from here on.
-	var groups []fairGroup
-	at := make(map[string]int)
-	for i, raw := range names {
-		t := Normalize(raw)
-		g, ok := at[t]
+	return q.OrderFunc(len(names), func(i int) string { return names[i] })
+}
+
+// OrderFunc is Order over n entries whose tenant names tenantOf returns,
+// for a caller that holds them in another form than a []string.
+func (q *FairQueue) OrderFunc(n int, tenantOf func(i int) string) []int {
+	if q.perm == nil || cap(q.perm) < n {
+		q.perm = make([]int, n, n+n/4)
+		q.members = make([]uint32, n, n+n/4)
+	}
+	perm, members := q.perm[:n], q.members[:n]
+	// Group by tenant in first-appearance order — one map lookup per
+	// entry, noting its group in perm — then lay each group's entries out
+	// contiguously in members, in submission order: counts, then each
+	// group's end, then a fill from the back.
+	clear(q.at)
+	groups := q.groups[:0]
+	for i := range n {
+		t := Normalize(tenantOf(i))
+		g, ok := q.at[t]
 		if !ok {
 			g = len(groups)
-			at[t] = g
+			q.at[t] = g
 			groups = append(groups, fairGroup{name: t})
 		}
-		groups[g].members = append(groups[g].members, i)
+		groups[g].end++
+		perm[i] = g
 	}
+	q.groups = groups
 	if len(groups) <= 1 {
 		for i := range perm {
 			perm[i] = i
 		}
 		return perm
+	}
+	end := 0
+	for i := range groups {
+		end += groups[i].end
+		groups[i].next, groups[i].end = end, end
+	}
+	for i := n - 1; i >= 0; i-- {
+		g := &groups[perm[i]]
+		g.next--
+		members[g.next] = uint32(i)
 	}
 	// Deterministic tie-breaking below wants a canonical tenant order.
 	slices.SortFunc(groups, func(a, b fairGroup) int { return strings.Compare(a.name, b.name) })
@@ -144,25 +177,25 @@ func (q *FairQueue) Order(names []string) []int {
 	for k := range perm {
 		var best *fairGroup
 		for i := range groups {
-			if g := &groups[i]; g.next < len(g.members) && (best == nil || g.pass < best.pass) {
+			if g := &groups[i]; g.next < g.end && (best == nil || g.pass < best.pass) {
 				best = g
 			}
 		}
-		perm[k] = best.members[best.next]
+		perm[k] = int(members[best.next])
 		best.next++
 		best.pass += best.stride
 	}
 	return perm
 }
 
-// fairGroup is one tenant's share of an Order call: its jobs, the next
-// one to offer, and its projected pass.
+// fairGroup is one tenant's share of an OrderFunc call: its entries
+// (members[next:end], the next one to offer first), and its projected
+// pass.
 type fairGroup struct {
-	name    string
-	members []int // indices into names, in submission order
-	next    int
-	pass    int64
-	stride  int64
+	name      string
+	next, end int
+	pass      int64
+	stride    int64
 }
 
 // Charge records one executed job-hour against the tenant — called
