@@ -69,7 +69,9 @@ type Fleet struct {
 	// is the only writer afterwards. So a reader holding the world read
 	// lock may copy the block directory and tenant table headers under
 	// idMu (view) and then walk every record below the count it saw
-	// without further locking. The id index is different: a put can move
+	// without further locking. Step's one rewrite of a directory entry,
+	// freezing a block, is made under idMu too, for Has, which takes no
+	// world lock (finishInBlock). The id index is different: a put can move
 	// any slot of a table, so it is only read under idMu. (Step does not
 	// read it: a policy names jobs by their position in the hour's
 	// eligible list.)
@@ -153,6 +155,9 @@ const (
 // rebuilt from those tables where a caller needs them. Because a record
 // holds no pointer, the blocks are allocated no-scan: the garbage
 // collector never marks the job store, however many jobs are resident.
+// These 48 bytes are what a job costs while its block is hot; once every
+// job in its block is done, the block is frozen and the record is packed
+// (frozenBlock).
 //
 // What only a running job needs lives in its activeJob instead: its
 // progress (a done job's is its length, a job not yet stepped has none)
@@ -242,16 +247,55 @@ func (c *progressCursor) progress(seq uint32, r *jobRec) int32 {
 }
 
 // recBlocks is the job store: records in fixed-size blocks, addressed by
-// submission sequence. Blocks never move once allocated, so a *jobRec
-// stays valid for the fleet's lifetime and a copy of the directory
-// taken under idMu stays a valid view of every job submitted before it.
-// Records are never freed individually: the fleet retains every job it
-// has seen, so the only reclamation point is Unmarshal or teardown.
-type recBlocks []*[recBlock]jobRec
+// submission sequence, through a directory of one entry per block. A
+// block starts hot, a 48 KiB array of records that Submit appends to and
+// Step writes in place. When Step completes the last unfinished job of a
+// full block, nothing will write to it again, and the block is frozen:
+// packed into a frozenBlock, the entry swapped under idMu, and the hot
+// array dropped. Unmarshal freezes every full block of done jobs it
+// restores. Whether a block is hot or frozen is a property of the block
+// alone, so every fleet holding the same jobs at the same hour stores
+// them alike.
+//
+// Hot arrays never move, so a *jobRec into one (hot) stays valid for as
+// long as the block has an unfinished job — which is every record Step,
+// appendRec and Submit's undo ever touch. Every other reader takes a
+// record by value (rec); the id index reads only ids (id). A copy of the
+// directory taken under idMu stays a valid view of every job submitted
+// before it for as long as the reader holds the world read lock, which
+// excludes the Step that would freeze a block under it. Records are
+// never freed: the fleet retains every job it has seen.
+type recBlocks []recBlockEntry
 
 const recBlock = 1024
 
-func (b recBlocks) at(seq uint32) *jobRec { return &b[seq/recBlock][seq%recBlock] }
+// recBlockEntry is one block's directory entry.
+type recBlockEntry struct {
+	hot    *[recBlock]jobRec // nil once frozen
+	frozen frozenBlock       // the packed records, once hot is nil
+	open   uint16            // published jobs in the block that are not done
+}
+
+// hot returns the record at seq, whose block must be hot.
+func (b recBlocks) hot(seq uint32) *jobRec { return &b[seq/recBlock].hot[seq%recBlock] }
+
+// rec returns a copy of the record at seq, hot or frozen.
+func (b recBlocks) rec(seq uint32) jobRec {
+	e := &b[seq/recBlock]
+	if e.hot != nil {
+		return e.hot[seq%recBlock]
+	}
+	return e.frozen.rec(seq % recBlock)
+}
+
+// id returns the id of the job at seq, hot or frozen.
+func (b recBlocks) id(seq uint32) int {
+	e := &b[seq/recBlock]
+	if e.hot != nil {
+		return e.hot[seq%recBlock].id
+	}
+	return int(e.frozen.get(colID, seq%recBlock))
+}
 
 // jobStore is everything the fleet keeps about the jobs it has seen:
 // the records, the index from job id to record, and the table the
@@ -464,9 +508,12 @@ func (f *Fleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 	}
 	// Past this point nothing can fail: publish the batch. Its sequence
 	// numbers are the highest yet, so appending keeps both lists sorted.
+	// Each job is counted into its block's unfinished jobs only here, so
+	// the undo above has no count to take back.
 	for i := range jobs {
 		f.buckets[jobs[i].Deadline()]++
 		seq := first + uint32(i)
+		f.blocks[seq/recBlock].open++
 		if a := jobs[i].Arrival; a <= f.hour {
 			f.active = append(f.active, activeJob{seq: seq, placed: -1})
 		} else {
@@ -500,9 +547,9 @@ func (f *Fleet) admissible(j *Job) error {
 // The fleet's idMu must be held.
 func (s *jobStore) appendRec(seq uint32, j *Job, originI int) *jobRec {
 	if seq%recBlock == 0 {
-		s.blocks = append(s.blocks, new([recBlock]jobRec))
+		s.blocks = append(s.blocks, recBlockEntry{hot: new([recBlock]jobRec)})
 	}
-	r := s.blocks.at(seq)
+	r := s.blocks.hot(seq)
 	*r = jobRec{
 		id:      j.ID,
 		arrival: int32(j.Arrival),
@@ -607,7 +654,7 @@ func (f *Fleet) Step() error {
 	for i := range f.active {
 		a := &f.active[i]
 		a.placed = -1
-		if r := f.blocks.at(a.seq); a.progress > 0 && !r.interruptible() {
+		if r := f.blocks.hot(a.seq); a.progress > 0 && !r.interruptible() {
 			a.placed, a.by = r.regionI, ByContinued
 			f.free[r.regionI]--
 		} else {
@@ -621,7 +668,7 @@ func (f *Fleet) Step() error {
 	// migratable) the first region, in index order, with space.
 	for _, i := range pool {
 		a := &f.active[i]
-		r := f.blocks.at(a.seq)
+		r := f.blocks.hot(a.seq)
 		if r.deadline()-hour > int(r.length-a.progress) {
 			continue
 		}
@@ -672,7 +719,7 @@ func (f *Fleet) Step() error {
 	tick.Eligible = tick.Eligible[:0]
 	for k := range eligible {
 		a := &f.active[at(k)]
-		r := f.blocks.at(a.seq)
+		r := f.blocks.hot(a.seq)
 		tick.Eligible = append(tick.Eligible, JobView{
 			Origin:          int(r.originI),
 			Remaining:       int(r.length - a.progress),
@@ -686,7 +733,7 @@ func (f *Fleet) Step() error {
 			return fmt.Errorf("sched: policy %s placed unknown job #%d of %d eligible", f.policy.Name(), p.Job, len(eligible))
 		}
 		a := &f.active[at(p.Job)]
-		r := f.blocks.at(a.seq)
+		r := f.blocks.hot(a.seq)
 		if a.placed >= 0 {
 			return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), r.id)
 		}
@@ -715,7 +762,7 @@ func (f *Fleet) Step() error {
 			keep = append(keep, a)
 			continue
 		}
-		r := f.blocks.at(a.seq)
+		r := f.blocks.hot(a.seq)
 		ri := a.placed
 		if r.regionI >= 0 && r.regionI != ri {
 			r.migrations++
@@ -757,6 +804,7 @@ func (f *Fleet) Step() error {
 		} else if f.buckets[d]--; f.buckets[d] == 0 {
 			delete(f.buckets, d)
 		}
+		f.finishInBlock(a.seq)
 	}
 	f.active = keep
 	if n := f.buckets[hour+1]; n > 0 {
@@ -765,6 +813,23 @@ func (f *Fleet) Step() error {
 	}
 	f.hour = hour + 1
 	return nil
+}
+
+// finishInBlock counts the job at seq, just completed, out of its block's
+// unfinished jobs, and freezes the block if that was the last one and the
+// block is full. The packing reads only the hot array, which nothing
+// else writes while Step holds the world write lock; the entry is swapped
+// under idMu because Has reads ids through the directory holding idMu
+// alone. The hot array is garbage from then on.
+func (f *Fleet) finishInBlock(seq uint32) {
+	e := &f.blocks[seq/recBlock]
+	if e.open--; e.open > 0 || seq/recBlock >= uint32(f.submitted.Load())/recBlock {
+		return
+	}
+	frozen := freeze(e.hot)
+	f.idMu.Lock()
+	e.hot, e.frozen = nil, frozen
+	f.idMu.Unlock()
 }
 
 // fairOrder returns the fair queue's dequeue permutation of one hour's
@@ -776,7 +841,7 @@ func (f *Fleet) fairOrder(eligible []uint32) []int {
 		return nil
 	}
 	return f.fq.OrderFunc(len(eligible), func(k int) string {
-		return f.tenants[f.blocks.at(f.active[eligible[k]].seq).tenantI]
+		return f.tenants[f.blocks.hot(f.active[eligible[k]].seq).tenantI]
 	})
 }
 
@@ -810,15 +875,15 @@ func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 		f.idMu.Unlock()
 		return JobInfo{}, false
 	}
-	r, tenants := f.blocks.at(seq), f.tenants
+	r, tenants := f.blocks.rec(seq), f.tenants
 	// A running job's progress is in its active entry, found under idMu,
 	// where Submit appends to the list.
 	k, _ := slices.BinarySearchFunc(f.active, seq, func(a activeJob, s uint32) int { return cmp.Compare(a.seq, s) })
 	c := progressCursor{active: f.active, k: k}
-	progress := c.progress(seq, r)
+	progress := c.progress(seq, &r)
 	f.idMu.Unlock()
 	info := JobInfo{
-		Job:        f.job(r, tenants),
+		Job:        f.job(&r, tenants),
 		Remaining:  int(r.length - progress),
 		Running:    r.ranAt(f.hour),
 		Completed:  r.done(),
@@ -915,11 +980,11 @@ func (f *Fleet) TenantStats() map[string]TenantStat {
 	c := progressCursor{active: active}
 	out := make(map[string]TenantStat)
 	for seq := uint32(0); seq < n; seq++ {
-		r := blocks.at(seq)
+		r := blocks.rec(seq)
 		name := tenant.Normalize(tenants[r.tenantI])
 		ts := out[name]
 		ts.Submitted++
-		ts.SlotHours += int(c.progress(seq, r))
+		ts.SlotHours += int(c.progress(seq, &r))
 		ts.Emissions += r.emissions
 		if r.done() {
 			ts.Completed++
@@ -951,7 +1016,7 @@ func (f *Fleet) TenantArrivals(hour int) map[string]int {
 	blocks, tenants, _, n := f.view()
 	out := make(map[string]int)
 	for seq := uint32(0); seq < n; seq++ {
-		if r := blocks.at(seq); int(r.arrival) == hour {
+		if r := blocks.rec(seq); int(r.arrival) == hour {
 			out[tenant.Normalize(tenants[r.tenantI])]++
 		}
 	}
@@ -975,12 +1040,12 @@ func (f *Fleet) Snapshot() Result {
 		res.Outcomes = make([]Outcome, 0, n)
 	}
 	for seq := uint32(0); seq < n; seq++ {
-		r := blocks.at(seq)
+		r := blocks.rec(seq)
 		out := Outcome{
-			Job:        f.job(r, tenants),
+			Job:        f.job(&r, tenants),
 			Completed:  r.done(),
 			Emissions:  r.emissions,
-			WaitHours:  r.waitHours(f.hour, c.progress(seq, r)),
+			WaitHours:  r.waitHours(f.hour, c.progress(seq, &r)),
 			Migrations: int(r.migrations),
 		}
 		if r.done() {

@@ -46,7 +46,8 @@ func goldenLines(t testing.TB, name string) (image, batch []byte) {
 // images restore. The third seed is one of
 // TestStateRejectsUnderivableFields's planted images: refused, but one
 // field away from restoring — and, were its rule missing, the first
-// check below is the one that would fail on it.
+// check below is the one that would fail on it. The fourth holds more
+// than a block of done jobs, so it restores with a frozen block.
 func FuzzShardedUnmarshal(f *testing.F) {
 	for _, name := range []string{"fleet_state_v1.golden", "fleet_state_v2.golden"} {
 		image, _ := goldenLines(f, name)
@@ -54,6 +55,7 @@ func FuzzShardedUnmarshal(f *testing.F) {
 	}
 	_, running, future := derivableJobs()
 	f.Add(plantedImage(underivableDone(), running, future))
+	f.Add(plantedImage(append(doneJobs(recBlock+100), running, future)...))
 	const horizon = 48
 	set := mkSet(f, horizon)
 	cfg := goldenTenantConfig(f)

@@ -4,9 +4,11 @@ import "math/rand/v2"
 
 // idIndex maps a job id to its submission sequence without storing the
 // id: a slot holds seq+1 (0 is empty) and the slot's key is
-// blocks.at(seq).id — the record every lookup is about to read anyway.
-// Four bytes a slot is all the index owns; the Go map it replaced kept a
-// second copy of every id in a 16-byte slot and cost 37 bytes a job.
+// blocks.id(seq) — the record's id, from a hot block's record or a
+// frozen block's id column, and the record every lookup is about to read
+// anyway. Four bytes a slot is all the index owns; the Go map it
+// replaced kept a second copy of every id in a 16-byte slot and cost 37
+// bytes a job.
 //
 // The shape is extendible hashing. A directory, indexed by the hash's
 // top depth bits, points at fixed-size linear-probe tables (home slot:
@@ -28,7 +30,8 @@ import "math/rand/v2"
 // fleets with different seeds are byte-identical to any observer.
 //
 // The index has no lock of its own: it is part of the job store, under
-// idMu. Every method takes the record blocks the slots point into.
+// idMu. Every method takes the record blocks the slots point into, and
+// reads nothing of them but ids.
 type idIndex struct {
 	seed  uint64
 	depth uint8      // len(dir) == 1<<depth
@@ -82,7 +85,7 @@ func (x *idIndex) get(b recBlocks, id int) (uint32, bool) {
 		if s == 0 {
 			return 0, false
 		}
-		if b.at(s-1).id == id {
+		if b.id(s-1) == id {
 			return s - 1, true
 		}
 	}
@@ -134,7 +137,7 @@ func (x *idIndex) split(b recBlocks, t *idTable, h uint64) {
 		if s == 0 {
 			continue
 		}
-		kh := x.hash(b.at(s - 1).id)
+		kh := x.hash(b.id(s - 1))
 		if kh>>(64-t.depth)&1 == 0 {
 			t.insert(kh, s)
 		} else {
@@ -157,13 +160,13 @@ func (x *idIndex) del(b recBlocks, id int) {
 		if s == 0 {
 			return
 		}
-		if b.at(s-1).id == id {
+		if b.id(s-1) == id {
 			break
 		}
 	}
 	for j := (i + 1) & idTableMask; t.slots[j] != 0; j = (j + 1) & idTableMask {
 		s := t.slots[j]
-		home := uint32(x.hash(b.at(s-1).id)) & idTableMask
+		home := uint32(x.hash(b.id(s-1))) & idTableMask
 		// s may fill the hole unless its home lies after the hole on the
 		// way to j: it must stay reachable by a probe starting at home.
 		if (j-home)&idTableMask >= (j-i)&idTableMask {

@@ -65,8 +65,10 @@ func (m *idModel) probe(t testing.TB, ids []int) {
 
 // round submits ids the way Submit does — get, write the record, put —
 // and then either keeps the batch or rolls it back as a failed Submit
-// would, deleting in a random order. Present and absent ids are probed
-// before it returns.
+// would, deleting in a random order. A kept batch freezes every block it
+// filled, as a fleet's blocks freeze once their jobs are done, so later
+// rounds read keys from both record forms. Present and absent ids are
+// probed before it returns.
 func (m *idModel) round(t testing.TB, ids []int, keep bool, src *rng.Source) {
 	t.Helper()
 	nblocks := len(m.blocks)
@@ -81,9 +83,9 @@ func (m *idModel) round(t testing.TB, ids []int, keep bool, src *rng.Source) {
 		}
 		seq = uint32(len(m.want))
 		if seq%recBlock == 0 {
-			m.blocks = append(m.blocks, new([recBlock]jobRec))
+			m.blocks = append(m.blocks, recBlockEntry{hot: new([recBlock]jobRec)})
 		}
-		m.blocks.at(seq).id = id
+		m.blocks.hot(seq).id = id
 		m.x.put(m.blocks, id, seq)
 		m.want[id] = seq
 		added = append(added, id)
@@ -98,6 +100,12 @@ func (m *idModel) round(t testing.TB, ids []int, keep bool, src *rng.Source) {
 			delete(m.want, id)
 		}
 		m.blocks = m.blocks[:nblocks]
+	}
+	for i := range m.blocks[:len(m.want)/recBlock] {
+		if e := &m.blocks[i]; e.hot != nil {
+			e.frozen = freeze(e.hot)
+			e.hot = nil
+		}
 	}
 	m.probe(t, ids)
 }
@@ -135,7 +143,7 @@ func (m *idModel) check(t testing.TB) {
 				continue
 			}
 			occupied++
-			if h := x.hash(m.blocks.at(s - 1).id); int(h>>(64-tb.depth)) != i/run {
+			if h := x.hash(m.blocks.id(s - 1)); int(h>>(64-tb.depth)) != i/run {
 				t.Fatalf("slot %d of the table at entry %d holds a key of another prefix", pos, i)
 			}
 		}
@@ -167,7 +175,7 @@ func (m *idModel) longestProbe() int {
 			if s == 0 {
 				continue
 			}
-			home := uint32(m.x.hash(m.blocks.at(s-1).id)) & idTableMask
+			home := uint32(m.x.hash(m.blocks.id(s-1))) & idTableMask
 			longest = max(longest, int((uint32(pos)-home)&idTableMask))
 		}
 	}
@@ -301,9 +309,9 @@ func TestIDIndexWorstPut(t *testing.T) {
 	for seq := uint32(0); seq < uint32(n); seq++ {
 		id := 3*100_000_000 + int(seq)
 		if seq%recBlock == 0 {
-			m.blocks = append(m.blocks, new([recBlock]jobRec))
+			m.blocks = append(m.blocks, recBlockEntry{hot: new([recBlock]jobRec)})
 		}
-		m.blocks.at(seq).id = id
+		m.blocks.hot(seq).id = id
 		h := m.x.hash(id)
 		before := m.x.table(h).depth
 		start := time.Now()
@@ -429,7 +437,7 @@ func TestSubmitRollbackLeavesNoTrace(t *testing.T) {
 			for _, j := range good {
 				a, _ := sent.ids.get(sent.blocks, j.ID)
 				b, ok := never.ids.get(never.blocks, j.ID)
-				if !ok || a != b || sent.blocks.at(a).tenantI != never.blocks.at(b).tenantI {
+				if !ok || a != b || sent.blocks.rec(a).tenantI != never.blocks.rec(b).tenantI {
 					t.Fatalf("job %d: sequence %d, want %d (%v)", j.ID, a, b, ok)
 				}
 			}

@@ -62,9 +62,9 @@ func residentJobs(n int, origins []string) []Job {
 // and its share of the id index — a 4-byte slot in tables that run
 // between 7/16 and 7/8 full, so 4.6 to 9.1 bytes, 5.2 at this
 // population (64 tables of 16 KiB). Every job here has arrived and none
-// has run, so each has an active entry. 68.4 bytes when this was
-// written; the ceiling leaves room for the active list's append slack
-// (up to a quarter of its 12 bytes). The 64-byte record with a 4-byte
+// has run, so each has an active entry, and no block is frozen. 68.4
+// bytes when this was written; the ceiling leaves room for the active
+// list's append slack (up to a quarter of its 12 bytes). The 64-byte record with a 4-byte
 // list entry measured 74, the same store indexed by a map[int]uint32
 // 92, the pointer layout before it 220.
 func TestShardedFleetResidentBytesPerJob(t *testing.T) {
@@ -96,14 +96,17 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 
 // TestFleetRetainedBytesPerJob pins what a job costs once it is done: a
 // fleet keeps every job it has seen, but a done job has left the active
-// list, so what stays is the 48-byte record and its share of the id
-// index (5.2 bytes at this population), plus the active list's and
-// Step's scratch at their peak — a few thousand entries here, arriving
-// 1000 an hour over 200 hours and all run at once. 54.0 bytes when this
-// was written; the 64-byte record that kept progress and wait measured
-// 70.
+// list, and once every job of its 1024-record block is done the block is
+// frozen. What stays is the packed record — 8 bytes of emissions plus
+// each field at the width it spans in its block, 24 bits here, in a
+// block that fills a 12 KiB size class: 12 bytes — its share of the id
+// index (5.2 bytes at this population), and the active list's and Step's
+// scratch at their peak — a few thousand entries here, arriving 1000 an
+// hour over 200 hours and all run at once. 18.3 bytes when this was
+// written; the hot 48-byte record measured 54, the 64-byte record that
+// kept progress and wait 70.
 func TestFleetRetainedBytesPerJob(t *testing.T) {
-	const n, perHour, ceiling = 200_000, 1000, 60
+	const n, perHour, ceiling = 200_000, 1000, 22
 	set, cl, origins := mkWideSet(t, n/perHour+8, 4)
 	for i := range cl {
 		cl[i].Slots = perHour
@@ -149,7 +152,11 @@ func (idlePolicy) Plan(*Tick) []Placement { return nil }
 // queue's order are kept between Steps, so an hour that admits no
 // arrivals allocates nothing — with
 // jobs waiting, continuing, forced by their deadlines and completing,
-// and, with tenancy on, ordered by the fair queue and charged to it.
+// and, with tenancy on, ordered by the fair queue and charged to it. The
+// one hour that does allocate without arrivals is one that freezes a
+// record block: one packed block per 1024 jobs, the same cost as Submit
+// opening the block (TestFreezeAllocs). No block fills up with done jobs
+// in the hours measured here.
 func TestStepAllocs(t *testing.T) {
 	const horizon = 400
 	set, cl, origins := mkWideSet(t, horizon, 4)
@@ -185,6 +192,51 @@ func TestStepAllocs(t *testing.T) {
 				t.Fatalf("the measured hours completed %d jobs and left %d: not a steady state", st.Completed-done, st.Unresolved)
 			}
 		})
+	}
+}
+
+// TestFreezeAllocs pins what freezing a record block costs Step: the
+// hour that completes the last job of a full block allocates once, for
+// the packed block, and the hour after it nothing. The block after it,
+// done too but not full, stays hot: Submit may still append to it.
+func TestFreezeAllocs(t *testing.T) {
+	const n = recBlock + 10
+	set, cl, origins := mkWideSet(t, 48, 4)
+	for i := range cl {
+		cl[i].Slots = n
+	}
+	f, err := NewFleet(set, cl, idlePolicy{}, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := residentJobs(n, origins)
+	for i := range jobs {
+		jobs[i].Length, jobs[i].Slack = 2, 0 // forced at hours 0 and 1
+	}
+	if err := f.Submit(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	stepAllocs := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := f.Step(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	stepAllocs() // hour 0 sizes Step's scratch
+	if allocs := stepAllocs(); allocs != 1 {
+		t.Errorf("the hour that froze a block allocated %d times, want 1", allocs)
+	}
+	if st := f.Stats(); st.Completed != n {
+		t.Fatalf("%d of %d jobs done after hour 1", st.Completed, n)
+	}
+	if got := frozenBlocks(f); got != 1 || f.blocks[1].hot == nil {
+		t.Fatalf("%d blocks frozen, want only the full one", got)
+	}
+	if allocs := stepAllocs(); allocs != 0 {
+		t.Errorf("the hour after the freeze allocated %d times, want 0", allocs)
 	}
 }
 
@@ -240,24 +292,32 @@ func TestSnapshotAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedFleetReadersBesideSubmit runs every walk of the job store
-// beside concurrent Submits that cross several block boundaries (and so
-// grow the block directory under the readers), and beside batches that
-// fail on their last job and are rolled back — records written above the
-// readers' count, a block opened and dropped, a tenant interned and
-// forgotten. Under -race it is the certificate that record blocks never
-// move and that a view taken under idMu is safe to walk; without it, it
-// still checks that a reader never sees a record before it is complete,
-// or one that was rolled back.
-func TestShardedFleetReadersBesideSubmit(t *testing.T) {
-	const submitters, perSubmitter, batch = 2, 2*recBlock + 100, 7
-	set, cl, origins := mkWideSet(t, 48, 4)
-	f, err := NewFleet(set, cl, FIFO{}, 48)
+// TestFleetReadersBesideSubmit runs every walk of the job store beside
+// concurrent Submits that cross several block boundaries (and so grow the
+// block directory under the readers), beside batches that fail on their
+// last job and are rolled back — records written above the readers'
+// count, a block opened and dropped, a tenant interned and forgotten —
+// and beside a Step that runs whenever new jobs have been admitted, which
+// completes them within hours and so freezes each block once it is full.
+// Under -race it is the certificate that hot blocks never move, that a
+// view taken under idMu is safe to walk, and that a block is swapped for
+// its frozen form only where no reader can see it change: Has, which
+// holds idMu and not the world lock, is the reader that catches a
+// directory swap made outside idMu. Without it, it still checks that a
+// reader never sees a record before it is complete, one that was rolled
+// back, or one a freeze garbled.
+func TestFleetReadersBesideSubmit(t *testing.T) {
+	const submitters, perSubmitter, batch, horizon = 2, 2*recBlock + 100, 7, 2048
+	set, cl, origins := mkWideSet(t, horizon, 4)
+	for i := range cl {
+		cl[i].Slots = 64
+	}
+	f, err := NewFleet(set, cl, FIFO{}, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	var writers, readers sync.WaitGroup
+	written, done := make(chan struct{}), make(chan struct{})
+	var writers, stepper, readers sync.WaitGroup
 	for w := 0; w < submitters; w++ {
 		writers.Add(1)
 		go func(w int) {
@@ -267,7 +327,7 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 				jobs[i].ID += w * perSubmitter
 			}
 			for i := 0; i < len(jobs); i += batch {
-				if err := f.Submit(jobs[i:min(i+batch, len(jobs))]...); err != nil {
+				if _, err := f.SubmitNow(jobs[i:min(i+batch, len(jobs))]...); err != nil {
 					t.Error(err)
 					return
 				}
@@ -284,9 +344,43 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 		}
 		doomed[len(doomed)-1].ID = doomed[0].ID
 		for i := 0; i < 40; i++ {
-			if err := f.Submit(doomed...); err == nil {
-				t.Error("a batch ending in a duplicate id was accepted")
+			if _, err := f.SubmitNow(doomed...); err == nil || err == ErrHorizonExhausted {
+				t.Errorf("a batch ending in a duplicate id: err = %v", err)
 				return
+			}
+		}
+	}()
+	// The stepper takes at most one hour per admitted batch, so the
+	// horizon outlasts the writers; once they are done it steps until
+	// every job is, which freezes every full block while the readers run.
+	stepper.Add(1)
+	go func() {
+		defer stepper.Done()
+		step := func() bool {
+			if err := f.Step(); err != nil {
+				t.Error(err)
+				return false
+			}
+			return true
+		}
+		for seen := 0; ; {
+			select {
+			case <-written:
+				for f.Outstanding() > 0 {
+					if !step() {
+						return
+					}
+				}
+				return
+			default:
+			}
+			if n := f.Jobs(); n > seen {
+				seen = n
+				if !step() {
+					return
+				}
+			} else {
+				runtime.Gosched()
 			}
 		}
 	}()
@@ -307,13 +401,18 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 			}
 		}()
 	}
-	// No Step runs, so every job is in the active list with no progress:
-	// an entry read torn, or found for the wrong job, shows as progress.
 	read("Lookup", func() error {
 		for id := 0; id < submitters*perSubmitter; id += 97 {
 			info, ok := f.Lookup(id)
-			if ok && (info.ID != id || info.Length < 1 || info.Origin == "" || info.Remaining != info.Length || info.WaitHours != 0) {
+			if !ok {
+				continue
+			}
+			if info.ID != id || info.Length < 1 || info.Origin == "" || info.Remaining < 0 || info.Remaining > info.Length ||
+				info.Completed != (info.Remaining == 0) || info.Completed && info.CompletedAt <= info.Arrival || info.WaitHours < 0 {
 				return fmt.Errorf("job %d read back as %+v", id, info)
+			}
+			if !f.Has(id) {
+				return fmt.Errorf("job %d can be looked up but Has says it was never submitted", id)
 			}
 		}
 		return nil
@@ -328,7 +427,7 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 	})
 	read("Snapshot", func() error {
 		for _, o := range f.Snapshot().Outcomes {
-			if o.Length < 1 || o.Origin == "" || o.Tenant == "rolled-back" {
+			if o.Length < 1 || o.Origin == "" || o.Tenant == "rolled-back" || o.Completed && o.CompletedAt <= o.Arrival {
 				return fmt.Errorf("incomplete outcome %+v", o)
 			}
 		}
@@ -343,20 +442,15 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for i := range img.jobs {
-			if err := img.jobs[i].Validate(); err != nil {
-				return err
-			}
-			if img.jobs[i].progress != 0 {
-				return fmt.Errorf("job %d marshalled with progress %d before any Step", img.jobs[i].ID, img.jobs[i].progress)
-			}
-		}
-		return nil
+		return img.checkJobs()
 	})
 	read("TenantStats", func() error {
 		total := 0
 		for _, ts := range f.TenantStats() {
 			total += ts.Submitted
+			if ts.Completed+ts.Unresolved != ts.Submitted {
+				return fmt.Errorf("%+v: completed and unresolved do not add up", ts)
+			}
 		}
 		if total > submitters*perSubmitter {
 			return fmt.Errorf("%d jobs counted, only %d exist", total, submitters*perSubmitter)
@@ -364,16 +458,22 @@ func TestShardedFleetReadersBesideSubmit(t *testing.T) {
 		return nil
 	})
 	writers.Wait()
+	close(written)
+	stepper.Wait()
 	close(done)
 	readers.Wait()
-	if got := len(f.Snapshot().Outcomes); got != submitters*perSubmitter {
-		t.Fatalf("%d outcomes, want %d", got, submitters*perSubmitter)
+	res := f.Snapshot()
+	if len(res.Outcomes) != submitters*perSubmitter || res.Completed != len(res.Outcomes) {
+		t.Fatalf("%d outcomes, %d completed, want %d of each", len(res.Outcomes), res.Completed, submitters*perSubmitter)
+	}
+	if got, want := frozenBlocks(f), submitters*perSubmitter/recBlock; got != want {
+		t.Fatalf("%d blocks frozen, want every full block: %d", got, want)
 	}
 }
 
-// TestShardedFleetCapacityBounds: the record's 16-bit region indices and
+// TestFleetCapacityBounds: the record's 16-bit region indices and
 // 32-bit sequence numbers are refused at the door, never wrapped.
-func TestShardedFleetCapacityBounds(t *testing.T) {
+func TestFleetCapacityBounds(t *testing.T) {
 	set, cl, _ := mkWideSet(t, 48, 2)
 	if _, err := NewFleet(set, make([]Cluster, math.MaxInt16+1), FIFO{}, 48); err == nil ||
 		!strings.Contains(err.Error(), "clusters, at most") {

@@ -170,17 +170,26 @@ func TestShardedFleetOnlineSubmission(t *testing.T) {
 // TestShardedFleetLookupAndStatsParity steps the fleet and the serial
 // reference in lockstep, for every policy with tenancy off and on, and
 // checks that Lookup of every job — pending, active and done — the
-// counting fields of Stats, and TenantStats agree at every hour, and
-// Snapshot at the end: the incremental counters must never drift from
-// the reference's walk, and the fields the fleet derives (wait hours,
-// completion hour, progress read from the active list) must read as the
-// reference's stored ones. Mid-run the fleet is marshalled and restored
-// into a fresh one, so the derived fields also survive Unmarshal.
+// counting fields of Stats, and TenantStats agree, and Snapshot at the
+// end: the incremental counters must never drift from the reference's
+// walk, and the fields the fleet derives (wait hours, completion hour,
+// progress read from the active list) must read as the reference's
+// stored ones. Mid-run the fleet is marshalled and restored into a fresh
+// one, so the derived fields also survive Unmarshal.
+//
+// The stream spans four record blocks, so the freeze is held to the same
+// bar: blocks of done jobs freeze before the hop (and are restored
+// frozen) and after it, and every job is compared at each hour that
+// froze a block — Stats every hour, everything else every few hours
+// besides.
 func TestShardedFleetLookupAndStatsParity(t *testing.T) {
-	const horizon, hop = 24 * 10, 24*4 + 5
+	const horizon, hop, every = 24 * 10, 24*5 + 5, 3
 	set, cl, origins := mkWideSet(t, horizon, 5)
+	for i := range cl {
+		cl[i].Slots = 80
+	}
 	jobs, err := GenerateJobs(WorkloadSpec{
-		Jobs: 120, ArrivalSpan: 24 * 8, SlackHours: 6,
+		Jobs: 3500, ArrivalSpan: 24 * 8, SlackHours: 6,
 		InterruptibleFrac: 0.5, MigratableFrac: 0.5,
 		Origins: origins, Seed: 21,
 	})
@@ -190,11 +199,17 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 	tenants := []string{"", "web", "spot", "batch"}
 	for i := range jobs {
 		jobs[i].Tenant = tenants[i%len(tenants)]
+		jobs[i].Length = min(jobs[i].Length, 24)
 	}
-	// Submitted out of arrival order, jobs that have not arrived sit
-	// between active ones in sequence order, as they do online when a
-	// later request brings work arriving sooner.
-	rand.New(rand.NewPCG(21, 0)).Shuffle(len(jobs), func(i, k int) { jobs[i], jobs[k] = jobs[k], jobs[i] })
+	// Submitted out of arrival order within windows of about ten hours of
+	// arrivals, jobs that have not arrived sit between active ones in
+	// sequence order, as they do online when a later request brings work
+	// arriving sooner — and each block still finishes within a few days.
+	shuffle := rand.New(rand.NewPCG(21, 0))
+	for w := 0; w < len(jobs); w += 200 {
+		window := jobs[w:min(w+200, len(jobs))]
+		shuffle.Shuffle(len(window), func(i, k int) { window[i], window[k] = window[k], window[i] })
+	}
 	cfg := goldenTenantConfig(t)
 	for _, policy := range allPolicies() {
 		for _, tenancy := range []bool{false, true} {
@@ -223,7 +238,7 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 				if err := sf.Submit(jobs...); err != nil {
 					t.Fatal(err)
 				}
-				compare := func() {
+				compare := func(everyJob bool) {
 					t.Helper()
 					a, b := ref.Stats(), sf.Stats()
 					// TotalEmissions is accumulated in a different order
@@ -236,10 +251,13 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 					if a != b {
 						t.Fatalf("hour %d: stats diverge:\nserial: %+v\nfleet:  %+v", a.Hour, a, b)
 					}
+					if !everyJob {
+						return
+					}
 					for _, j := range jobs {
 						ja, oka := ref.Lookup(j.ID)
 						jb, okb := sf.Lookup(j.ID)
-						if oka != okb || ja != jb {
+						if oka != okb || ja != jb || okb != sf.Has(j.ID) {
 							t.Fatalf("hour %d: lookup(%d) diverges:\nserial: %+v\nfleet:  %+v", a.Hour, j.ID, ja, jb)
 						}
 					}
@@ -247,9 +265,11 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 						t.Fatalf("hour %d: tenant stats diverge:\nserial: %+v\nfleet:  %+v", a.Hour, ta, tb)
 					}
 				}
-				compare()
+				compare(true)
+				frozenAtHop := -1
 				for !ref.Done() {
 					if ref.Hour() == hop {
+						frozenAtHop = frozenBlocks(sf)
 						img, err := sf.Marshal()
 						if err != nil {
 							t.Fatal(err)
@@ -258,22 +278,42 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 						if err := sf.Unmarshal(img); err != nil {
 							t.Fatal(err)
 						}
-						compare()
+						if got := frozenBlocks(sf); got != frozenAtHop {
+							t.Fatalf("hour %d: %d blocks frozen before Marshal, %d after Unmarshal", hop, frozenAtHop, got)
+						}
+						compare(true)
 					}
 					if err := ref.Step(); err != nil {
 						t.Fatal(err)
 					}
+					frozen := frozenBlocks(sf)
 					if err := sf.Step(); err != nil {
 						t.Fatal(err)
 					}
-					compare()
+					compare(frozenBlocks(sf) > frozen || ref.Hour()%every == 0)
 				}
 				if a, b := ref.Snapshot(), sf.Snapshot(); !reflect.DeepEqual(a, b) {
 					t.Fatalf("final snapshot diverges:\nserial: %+v\nfleet:  %+v", a, b)
 				}
+				if final := frozenBlocks(sf); frozenAtHop < 1 || final < 2 || final == frozenAtHop {
+					t.Fatalf("%d blocks frozen at the hop and %d at the end: the freeze went untested on one side of it", frozenAtHop, final)
+				}
 			})
 		}
 	}
+}
+
+// frozenBlocks counts the fleet's frozen record blocks.
+func frozenBlocks(f *Fleet) int {
+	f.idMu.Lock()
+	defer f.idMu.Unlock()
+	n := 0
+	for _, e := range f.blocks {
+		if e.hot == nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestShardedFleetSubmitValidation(t *testing.T) {

@@ -382,10 +382,10 @@ func (f *Fleet) Marshal() ([]byte, error) {
 	img.fqVtime, img.fqNames, img.fqPasses = f.fq.Snapshot()
 	e := img.encodeHeader(int(n))
 	for seq := uint32(0); seq < n; seq++ {
-		r := blocks.at(seq)
-		progress := c.progress(seq, r)
+		r := blocks.rec(seq)
+		progress := c.progress(seq, &r)
 		j := jobImage{
-			Job:        f.job(r, tenants),
+			Job:        f.job(&r, tenants),
 			progress:   int(progress),
 			regionI:    int(r.regionI),
 			lastRun:    int(r.lastRun),
@@ -430,6 +430,10 @@ func (f *Fleet) Unmarshal(data []byte) error {
 	}
 	// Build the new store aside: indexing the ids is also the check that
 	// no two jobs share one, the last thing that can refuse the image.
+	// Each block is frozen as soon as it is full if every job in it is
+	// done, as Step would have left it, so a restored store is as compact
+	// as the one it was taken from and never holds more than one hot
+	// block of done jobs at a time.
 	st := newJobStore()
 	st.blocks = make(recBlocks, 0, (len(img.jobs)+recBlock-1)/recBlock)
 	for i := range img.jobs {
@@ -443,10 +447,17 @@ func (f *Fleet) Unmarshal(data []byte) error {
 		r.lastRun = int32(j.lastRun)
 		r.migrations = int32(j.migrations)
 		r.regionI = int16(j.regionI)
+		e := &st.blocks[seq/recBlock]
 		if j.done {
 			r.flags |= flagDone
+		} else {
+			e.open++
 		}
 		st.ids.put(st.blocks, j.ID, seq)
+		if seq%recBlock == recBlock-1 && e.open == 0 {
+			e.frozen = freeze(e.hot)
+			e.hot = nil
+		}
 	}
 	if f.fq != nil {
 		if err := f.fq.Restore(img.fqVtime, img.fqNames, img.fqPasses); err != nil {
@@ -466,7 +477,7 @@ func (f *Fleet) Unmarshal(data []byte) error {
 	f.active = nil
 	f.pending = make(map[int][]uint32)
 	for seq := uint32(0); seq < uint32(len(img.jobs)); seq++ {
-		r := f.blocks.at(seq)
+		r := f.blocks.rec(seq)
 		if r.done() {
 			f.completed++
 			if r.doneAt() > r.deadline() {

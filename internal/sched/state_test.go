@@ -328,6 +328,32 @@ func derivableJobs() (done, running, future jobImage) {
 	return done, running, future
 }
 
+// doneJobs are n done jobs an image taken at hour 10 may hold, ids from
+// 100: arrivals over six hours, one to three run-hours, an hour's wait
+// for every interruptible one, both regions, two tenants.
+func doneJobs(n int) []jobImage {
+	jobs := make([]jobImage, n)
+	origins, tenants := []string{"CLEAN", "DIRTY"}, []string{"", "web"}
+	for i := range jobs {
+		j := Job{
+			ID: 100 + i, Origin: origins[i%2], Tenant: tenants[i/2%2],
+			Arrival: i % 6, Length: 1 + i%3, Slack: 4, Interruptible: i%4 < 2, Migratable: i%3 == 0,
+		}
+		lastRun := j.Arrival + j.Length - 1
+		if j.Interruptible {
+			lastRun++
+		}
+		jobs[i] = jobImage{
+			Job: j, progress: j.Length, regionI: (i + i/3) % 2, lastRun: lastRun, done: true,
+			doneAt: lastRun + 1, waitHours: lastRun + 1 - j.Arrival - j.Length, emissions: 100 + float64(i)/8,
+		}
+		if j.Migratable && j.Length > 1 {
+			jobs[i].migrations = 1
+		}
+	}
+	return jobs
+}
+
 // underivableDone is derivableJobs' done job with doneAt 8 where its
 // last run says 7, and the waitHours that doneAt 8 would give.
 func underivableDone() jobImage {
@@ -400,6 +426,58 @@ func TestStateRejectsDuplicateIDs(t *testing.T) {
 	}
 	if err := f.Step(); err != nil {
 		t.Fatalf("the fleet does not step after a refused image: %v", err)
+	}
+}
+
+// TestRestoredBlocksComeBackFrozen: Unmarshal freezes every full block
+// of done jobs in the image, as Step would have, and only those — a full
+// block holding one running or not-yet-arrived job stays hot, and so does
+// the last, partial block however done — and the store it builds, hot
+// and frozen alike, marshals back to the image's bytes.
+func TestRestoredBlocksComeBackFrozen(t *testing.T) {
+	set := mkSet(t, 48)
+	_, running, future := derivableJobs()
+	for _, c := range []struct {
+		name       string
+		jobs       int
+		unfinished map[int]jobImage // position → a job that is not done
+		frozen     int
+	}{
+		{"one full block", recBlock, nil, 1},
+		{"three full blocks and a partial one", 3*recBlock + 10, nil, 3},
+		{"a running job in the second block", 3*recBlock + 10, map[int]jobImage{recBlock + 500: running}, 2},
+		{"a job still to arrive in the first block", 2 * recBlock, map[int]jobImage{7: future}, 1},
+		{"one job short of a block", recBlock - 1, nil, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			jobs := doneJobs(c.jobs)
+			for i, j := range c.unfinished {
+				j.ID = jobs[i].ID
+				jobs[i] = j
+			}
+			img := plantedImage(jobs...)
+			f, err := NewFleet(set, clusters(3), GreenestFirst{}, 48)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Unmarshal(img); err != nil {
+				t.Fatal(err)
+			}
+			if got := frozenBlocks(f); got != c.frozen {
+				t.Errorf("%d blocks frozen, want %d", got, c.frozen)
+			}
+			if again, _ := f.Marshal(); !bytes.Equal(again, img) {
+				t.Error("the restored store does not marshal back to the image")
+			}
+			for _, j := range jobs {
+				if info, ok := f.Lookup(j.ID); !ok || info.Job != j.Job || info.Completed != j.done || info.WaitHours != j.waitHours {
+					t.Fatalf("job %d restored as %+v, %v", j.ID, info, ok)
+				}
+			}
+			if err := f.Step(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
