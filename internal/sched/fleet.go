@@ -260,7 +260,9 @@ func (c *progressCursor) progress(seq uint32, r *jobRec) int32 {
 // Hot arrays never move, so a *jobRec into one (hot) stays valid for as
 // long as the block has an unfinished job — which is every record Step,
 // appendRec and Submit's undo ever touch. Every other reader takes a
-// record by value (rec); the id index reads only ids (id). A copy of the
+// record by value (rec), and its emissions separately (emissions) if it
+// needs them, since a frozen block re-sums them from the traces; the id
+// index reads only ids (id). A copy of the
 // directory taken under idMu stays a valid view of every job submitted
 // before it for as long as the reader holds the world read lock, which
 // excludes the Step that would freeze a block under it. Records are
@@ -279,7 +281,8 @@ type recBlockEntry struct {
 // hot returns the record at seq, whose block must be hot.
 func (b recBlocks) hot(seq uint32) *jobRec { return &b[seq/recBlock].hot[seq%recBlock] }
 
-// rec returns a copy of the record at seq, hot or frozen.
+// rec returns a copy of the record at seq, hot or frozen — a frozen one
+// without its emissions, which only emissions reads.
 func (b recBlocks) rec(seq uint32) jobRec {
 	e := &b[seq/recBlock]
 	if e.hot != nil {
@@ -288,13 +291,23 @@ func (b recBlocks) rec(seq uint32) jobRec {
 	return e.frozen.rec(seq % recBlock)
 }
 
+// emissions returns the emissions of the job at seq, whose record r is
+// rec(seq); traces are the fleet's.
+func (b recBlocks) emissions(seq uint32, r *jobRec, traces []*trace.Trace) float64 {
+	e := &b[seq/recBlock]
+	if e.hot != nil {
+		return r.emissions
+	}
+	return e.frozen.emissions(seq%recBlock, r, traces)
+}
+
 // id returns the id of the job at seq, hot or frozen.
 func (b recBlocks) id(seq uint32) int {
 	e := &b[seq/recBlock]
 	if e.hot != nil {
 		return e.hot[seq%recBlock].id
 	}
-	return int(e.frozen.get(colID, seq%recBlock))
+	return e.frozen.id(seq % recBlock)
 }
 
 // jobStore is everything the fleet keeps about the jobs it has seen:
@@ -320,6 +333,9 @@ func newJobStore() jobStore {
 }
 
 // NewFleet validates the world and returns an empty fleet at hour zero.
+// The fleet keeps set's traces and reads them for as long as it lives —
+// Step for each hour's intensities, frozen record blocks to re-sum a done
+// job's emissions — so set must not be mutated after construction.
 func NewFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*Fleet, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("sched: nil policy")
@@ -826,7 +842,7 @@ func (f *Fleet) finishInBlock(seq uint32) {
 	if e.open--; e.open > 0 || seq/recBlock >= uint32(f.submitted.Load())/recBlock {
 		return
 	}
-	frozen := freeze(e.hot)
+	frozen := freeze(e.hot, f.traces)
 	f.idMu.Lock()
 	e.hot, e.frozen = nil, frozen
 	f.idMu.Unlock()
@@ -875,7 +891,8 @@ func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 		f.idMu.Unlock()
 		return JobInfo{}, false
 	}
-	r, tenants := f.blocks.rec(seq), f.tenants
+	blocks, tenants := f.blocks, f.tenants
+	r := blocks.rec(seq)
 	// A running job's progress is in its active entry, found under idMu,
 	// where Submit appends to the list.
 	k, _ := slices.BinarySearchFunc(f.active, seq, func(a activeJob, s uint32) int { return cmp.Compare(a.seq, s) })
@@ -887,7 +904,7 @@ func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 		Remaining:  int(r.length - progress),
 		Running:    r.ranAt(f.hour),
 		Completed:  r.done(),
-		Emissions:  r.emissions,
+		Emissions:  blocks.emissions(seq, &r, f.traces),
 		WaitHours:  r.waitHours(f.hour, progress),
 		Migrations: int(r.migrations),
 	}
@@ -985,7 +1002,7 @@ func (f *Fleet) TenantStats() map[string]TenantStat {
 		ts := out[name]
 		ts.Submitted++
 		ts.SlotHours += int(c.progress(seq, &r))
-		ts.Emissions += r.emissions
+		ts.Emissions += blocks.emissions(seq, &r, f.traces)
 		if r.done() {
 			ts.Completed++
 			if r.doneAt() > r.deadline() {
@@ -1044,7 +1061,7 @@ func (f *Fleet) Snapshot() Result {
 		out := Outcome{
 			Job:        f.job(&r, tenants),
 			Completed:  r.done(),
-			Emissions:  r.emissions,
+			Emissions:  blocks.emissions(seq, &r, f.traces),
 			WaitHours:  r.waitHours(f.hour, c.progress(seq, &r)),
 			Migrations: int(r.migrations),
 		}
@@ -1058,7 +1075,7 @@ func (f *Fleet) Snapshot() Result {
 		if out.MissedDeadline {
 			res.Missed++
 		}
-		res.TotalEmissions += r.emissions
+		res.TotalEmissions += out.Emissions
 		res.Outcomes = append(res.Outcomes, out)
 	}
 	if res.Completed > 0 {

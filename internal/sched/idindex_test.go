@@ -103,7 +103,7 @@ func (m *idModel) round(t testing.TB, ids []int, keep bool, src *rng.Source) {
 	}
 	for i := range m.blocks[:len(m.want)/recBlock] {
 		if e := &m.blocks[i]; e.hot != nil {
-			e.frozen = freeze(e.hot)
+			e.frozen = freeze(e.hot, nil)
 			e.hot = nil
 		}
 	}

@@ -97,16 +97,20 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 // TestFleetRetainedBytesPerJob pins what a job costs once it is done: a
 // fleet keeps every job it has seen, but a done job has left the active
 // list, and once every job of its 1024-record block is done the block is
-// frozen. What stays is the packed record — 8 bytes of emissions plus
-// each field at the width it spans in its block, 24 bits here, in a
-// block that fills a 12 KiB size class: 12 bytes — its share of the id
-// index (5.2 bytes at this population), and the active list's and Step's
-// scratch at their peak — a few thousand entries here, arriving 1000 an
-// hour over 200 hours and all run at once. 18.3 bytes when this was
-// written; the hot 48-byte record measured 54, the 64-byte record that
-// kept progress and wait 70.
+// frozen. What stays is the packed record — each field at the width it
+// spans in its block, 11 bits here with the id, region and last run
+// packed against their neighbours at width 0, plus the block's 1024-bit
+// bitmap of emissions the trace gives back, which here is every job's
+// (FIFO runs each one at home without a break), so no emissions are
+// stored: 1.5 KiB a block, 1.5 bytes a job — its share of the id index
+// (5.2 bytes at this population) and of the block directory (about
+// 0.3), and the active list's and Step's scratch at their peak — a few
+// thousand entries here, arriving 1000 an hour over 200 hours and all
+// run at once. 8.0 bytes when this was written; 18.3 while every frozen
+// record stored its emissions' 8 bytes and 24 bits of fields, the hot
+// 48-byte record 54, the 64-byte record that kept progress and wait 70.
 func TestFleetRetainedBytesPerJob(t *testing.T) {
-	const n, perHour, ceiling = 200_000, 1000, 22
+	const n, perHour, ceiling = 200_000, 1000, 10
 	set, cl, origins := mkWideSet(t, n/perHour+8, 4)
 	for i := range cl {
 		cl[i].Slots = perHour

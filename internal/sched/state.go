@@ -392,7 +392,7 @@ func (f *Fleet) Marshal() ([]byte, error) {
 			done:       r.done(),
 			waitHours:  r.waitHours(f.hour, progress),
 			migrations: int(r.migrations),
-			emissions:  r.emissions,
+			emissions:  blocks.emissions(seq, &r, f.traces),
 		}
 		if j.done {
 			j.doneAt = r.doneAt()
@@ -433,7 +433,10 @@ func (f *Fleet) Unmarshal(data []byte) error {
 	// Each block is frozen as soon as it is full if every job in it is
 	// done, as Step would have left it, so a restored store is as compact
 	// as the one it was taken from and never holds more than one hot
-	// block of done jobs at a time.
+	// block of done jobs at a time. The freeze re-sums emissions over this
+	// fleet's traces and keeps the image's bits wherever they differ, so
+	// an image taken over other trace values still marshals back to
+	// itself.
 	st := newJobStore()
 	st.blocks = make(recBlocks, 0, (len(img.jobs)+recBlock-1)/recBlock)
 	for i := range img.jobs {
@@ -455,7 +458,7 @@ func (f *Fleet) Unmarshal(data []byte) error {
 		}
 		st.ids.put(st.blocks, j.ID, seq)
 		if seq%recBlock == recBlock-1 && e.open == 0 {
-			e.frozen = freeze(e.hot)
+			e.frozen = freeze(e.hot, f.traces)
 			e.hot = nil
 		}
 	}

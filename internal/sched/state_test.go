@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"carbonshift/internal/tenant"
+	"carbonshift/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -478,6 +480,92 @@ func TestRestoredBlocksComeBackFrozen(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// derivedRecords counts the records of f's frozen blocks whose emissions
+// are re-summed from the trace, and those whose bits are stored.
+func derivedRecords(f *Fleet) (derived, stored int) {
+	for _, e := range f.blocks {
+		if e.hot == nil {
+			off := e.frozen.bitmapOff()
+			for _, m := range e.frozen.words[off : off+recBlock/64] {
+				derived += bits.OnesCount64(m)
+			}
+			stored += recBlock
+		}
+	}
+	return derived, stored - derived
+}
+
+// TestFrozenEmissionsVerifiedNotTrusted: a frozen block re-sums a job's
+// emissions from the trace only where the freeze checked the sum against
+// the record. An image restored into a fleet over the same regions and
+// horizon but other trace values freezes the same blocks, keeps every
+// stored value the new trace does not reproduce, and so marshals back to
+// its own bytes, with every job's emissions as they were.
+func TestFrozenEmissionsVerifiedNotTrusted(t *testing.T) {
+	const horizon, n = 96, 3*recBlock + 100
+	set, cl, origins := mkWideSet(t, horizon, 4)
+	for i := range cl {
+		cl[i].Slots = 48
+	}
+	jobs := residentJobs(n, origins)
+	for i := range jobs {
+		jobs[i].Arrival, jobs[i].Slack = i*40/n, 6+i%7
+	}
+	src, err := NewFleet(set, cl, GreenestFirst{}, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Submit(jobs...); err != nil {
+		t.Fatal(err)
+	}
+	driveFleet(t, src)
+	img, err := src.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, stored := derivedRecords(src)
+	if frozenBlocks(src) != n/recBlock || derived == 0 || stored == 0 {
+		t.Fatalf("%d blocks frozen, %d emissions derived and %d stored: want every full block, and both kinds", frozenBlocks(src), derived, stored)
+	}
+
+	var other []*trace.Trace
+	for _, code := range set.Regions() {
+		tr := set.MustGet(code)
+		ci := make([]float64, tr.Len())
+		for h := range ci {
+			ci[h] = tr.At(h) + 0.5
+		}
+		other = append(other, trace.New(code, tr.Start, ci))
+	}
+	otherSet, err := trace.NewSet(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := NewFleet(otherSet, cl, GreenestFirst{}, horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Unmarshal(img); err != nil {
+		t.Fatal(err)
+	}
+	if got := frozenBlocks(dst); got != frozenBlocks(src) {
+		t.Errorf("%d blocks frozen after the restore, %d before", got, frozenBlocks(src))
+	}
+	if derived, _ := derivedRecords(dst); derived != 0 {
+		t.Errorf("%d emissions re-summed over a trace they were not paid on", derived)
+	}
+	if again, _ := dst.Marshal(); !bytes.Equal(again, img) {
+		t.Error("the image restored over other trace values does not marshal back to itself")
+	}
+	for _, j := range jobs {
+		want, _ := src.Lookup(j.ID)
+		got, ok := dst.Lookup(j.ID)
+		if !ok || math.Float64bits(got.Emissions) != math.Float64bits(want.Emissions) {
+			t.Fatalf("job %d: emissions %v after the restore, %v before", j.ID, got.Emissions, want.Emissions)
+		}
 	}
 }
 
