@@ -3,7 +3,7 @@
 // lifecycle, one upstream round trip, one id registry, index-typed
 // policies, one serially stepped job list, one fleet type and placement
 // hook, the measured kernels, one logger, one role value, one
-// performance harness — by counting, over the parsed Go source, the
+// performance harness, one fault driver — by counting, over the parsed Go source, the
 // sites that would start a second copy. They run under go test ./...,
 // and every guard is shown to fire on a planted violation.
 package archtest
@@ -133,6 +133,15 @@ func call(x string, names ...string) func(ast.Node) bool {
 	}
 }
 
+// callNamed matches a call of name, bare or qualified: NewFollower(,
+// schedd.NewFollower(.
+func callNamed(name string) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		return ok && lastName(c.Fun) == name
+	}
+}
+
 func imports(path string) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		spec, ok := n.(*ast.ImportSpec)
@@ -215,6 +224,27 @@ func holds(x ast.Node, match func(ast.Node) bool) bool {
 		return !found
 	})
 	return found
+}
+
+// truncates matches a call that cuts a file short: os.Truncate( or a
+// file's .Truncate(, and os.WriteFile( of a sliced buffer.
+func truncates(n ast.Node) bool {
+	c, ok := n.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	sel, ok := c.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	if sel.Sel.Name == "Truncate" {
+		return true
+	}
+	if lastName(sel.X) != "os" || sel.Sel.Name != "WriteFile" || len(c.Args) != 3 {
+		return false
+	}
+	_, sliced := c.Args[1].(*ast.SliceExpr)
+	return sliced
 }
 
 // readsRole matches a role.Load() call or a role value's following
@@ -475,6 +505,28 @@ func (s *Server) serveWrite(w http.ResponseWriter) {
 	if s.role.Load().following {
 		return
 	}
+}`},
+	},
+	{
+		// One fault driver: schedd's crash, restart, replication, chaos
+		// and failover tests are schedules over the cluster in
+		// sim_test.go, checked against its four invariants. A test that
+		// builds its own follower or cuts its own journal is a second
+		// driver, proving less.
+		name: "one fault driver in internal/schedd's tests",
+		fix:  "drive the fault through the cluster in sim_test.go (startFollower, crash, recoverFrom) and add a schedule to fault_test.go",
+		rules: []rule{
+			{what: "NewFollower( outside sim_test.go", in: []string{"internal/schedd/"}, not: []string{"internal/schedd/sim_test.go"},
+				tests: true, only: file.test, match: callNamed("NewFollower")},
+			{what: "journal truncation outside sim_test.go", in: []string{"internal/schedd/"}, not: []string{"internal/schedd/sim_test.go"},
+				tests: true, only: file.test, match: truncates},
+		},
+		plant: map[string]string{"internal/schedd/planted_test.go": `package schedd
+func TestHandRolledFailover(t *testing.T) {
+	f, _ := NewFollower(set, clusters(2), Config{}, FollowerConfig{Primary: url})
+	os.Truncate(journal, cut)
+	os.WriteFile(journal, data[:cut], 0o644)
+	f.Start(ctx)
 }`},
 	},
 }

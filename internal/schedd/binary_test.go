@@ -280,12 +280,7 @@ func TestClientResponseTooLarge(t *testing.T) {
 // TestBinarySubmitFollowerRedirect: the binary route honors the 421
 // write-redirect contract like the JSON route.
 func TestBinarySubmitFollowerRedirect(t *testing.T) {
-	set := mkSet(t, 48)
-	srv, err := NewFollower(set, clusters(2), Config{Policy: sched.FIFO{}},
-		FollowerConfig{Primary: "http://127.0.0.1:9"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := world{policy: sched.FIFO{}, horizon: 48, slots: 2}.follower(t, "http://127.0.0.1:9", "", FollowerConfig{})
 	defer srv.Close()
 	frame := AppendBinarySubmit(nil, []JobRequest{{Origin: "CLEAN", LengthHours: 1}})
 	rr := postRaw(t, srv, "/v1/jobs/batch", BinaryContentType, frame)

@@ -42,10 +42,6 @@ type FollowerConfig struct {
 	// HTTPClient serves the tail and the probes; nil uses a dedicated
 	// client without a global timeout (the stream is long-lived).
 	HTTPClient *http.Client
-	// OnWatermark, when set, is invoked on the apply goroutine after
-	// each watermark record has stepped the fleet — the hook the
-	// replication equivalence test snapshots state from.
-	OnWatermark func(hour int)
 }
 
 // followerState is the replication session of a Server built by
@@ -96,7 +92,6 @@ func NewFollower(set *trace.Set, clusters []sched.Cluster, cfg Config, fcfg Foll
 		tail: repl.NewTail(fcfg.Primary, s, hc, repl.TailConfig{ReconnectDelay: fcfg.ReconnectDelay}),
 	}
 	f.tail.Register(s.Metrics())
-	s.onWatermark = fcfg.OnWatermark
 	s.role.Store(followerRole(f))
 	return s, nil
 }

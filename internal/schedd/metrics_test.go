@@ -146,42 +146,6 @@ func TestMetricsCarbonSaved(t *testing.T) {
 	}
 }
 
-// TestMetricsCarbonSavedAfterRestart pins what the carbon-saved gauge
-// counts after a restart: the job-hours this process stepped — replayed
-// from the journal or run live — and none that the restored snapshot
-// already held. A durable primary rebooted from a mid-run snapshot,
-// with its journal cut halfway, must report the uninterrupted run's
-// savings summed over the hours from the snapshot's on.
-func TestMetricsCarbonSavedAfterRestart(t *testing.T) {
-	jobs := crashJobs(t)
-	cfg := crashConfig(sched.GreenestFirst{}, 50) // one mid-run snapshot, at hour 50
-	refDir := t.TempDir()
-	ref := driveReference(t, refDir, cfg, jobs)
-	bounds := recordBoundaries(t, latestJournal(t, refDir))
-	got := recoverAndFinish(t, copyDirWithCut(t, refDir, bounds[len(bounds)/2]), cfg, jobs)
-
-	from := got.recovery.RecoveredSnapshotHour
-	if from == 0 || got.recovery.ReplayedRecords == 0 {
-		t.Fatalf("weak fixture: recovery %+v neither restored a mid-run snapshot nor replayed", got.recovery)
-	}
-	var want, all float64
-	for _, p := range ref.placed {
-		if p.Region == p.Origin {
-			continue
-		}
-		all += p.OriginCI - p.CI
-		if p.Hour >= from {
-			want += p.OriginCI - p.CI
-		}
-	}
-	if want == 0 || want == all {
-		t.Fatalf("weak fixture: saved %v from hour %d on, %v in all", want, from, all)
-	}
-	if math.Abs(got.saved-want) > 1e-9*math.Max(1, want) {
-		t.Errorf("carbon saved after the restart = %v, want %v (hours >= %d; %v over the whole run)", got.saved, want, from, all)
-	}
-}
-
 // TestWithoutMetrics asserts the opt-out really is one: no registry,
 // no /metrics route, and the HTTP surface otherwise intact.
 func TestWithoutMetrics(t *testing.T) {

@@ -15,9 +15,8 @@ package schedd
 // is restore, and each streamed record goes through apply, strictly in
 // stream order — which reproduces the primary's fleet-event order
 // exactly, because the primary buffers both record types under admitMu.
-// The replication equivalence test pins the consequence: at every
-// shared watermark the follower's Marshal image is byte-identical to
-// the primary's.
+// The fault schedules pin the consequence: at every lock-step point the
+// follower's server image is byte-identical to the primary's.
 //
 // Promotion turns a follower into a primary in place, and is boot's
 // second half: stop the tail, openStore the follower's own data dir,
@@ -143,10 +142,10 @@ func (s *Server) RestoreReplSnapshot(payload []byte) error {
 // stream order, through the dispatcher boot recovery uses (apply, in
 // durable.go) — journal order equals fleet-event order on the primary,
 // so this replays the primary's exact history (the equivalence the
-// replication tests assert byte-for-byte). It adds only what a live
-// follower has and a booting server does not: the apply span and the
-// OnWatermark hook. Exported for the tailer and the follower-apply
-// benchmark; the caller serializes invocations.
+// fault schedules assert byte-for-byte). It adds only what a live
+// follower has and a booting server does not: the apply span. Exported
+// for the tailer and the follower-apply benchmark; the caller
+// serializes invocations.
 func (s *Server) ApplyReplRecord(payload []byte) error {
 	start := time.Now()
 	a, err := s.apply(payload)
@@ -159,8 +158,6 @@ func (s *Server) ApplyReplRecord(payload []byte) error {
 		// under the SAME trace ID — one trace, two processes.
 		s.tr.Record(a.trace, "repl.apply", tracing.SpanID{}, start, time.Since(start),
 			tracing.Int("jobs", a.jobs), tracing.Int("arrival_hour", a.hour))
-	} else if s.onWatermark != nil {
-		s.onWatermark(a.hour)
 	}
 	return nil
 }

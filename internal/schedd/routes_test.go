@@ -9,14 +9,11 @@ package schedd
 
 import (
 	"bytes"
-	"context"
+	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
 	"carbonshift/internal/sched"
-	"carbonshift/internal/wal"
 )
 
 // The four roles, in the order of a route's want column.
@@ -31,66 +28,33 @@ const (
 var rowNames = [rowCount]string{"memory", "durable", "follower", "promoted"}
 
 // roleServers boots one server per row, each holding job 7 and serving
-// over httptest; it returns their URLs and the durable primary's URL
-// (the followers' primary hint).
+// over HTTP; it returns their URLs and the primary URL the follower row
+// was given (its 421 hint).
 func roleServers(t *testing.T) (urls [rowCount]string, primaryURL string) {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	serve := func(row int, s *Server) {
-		t.Cleanup(func() { s.Close() })
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(func() {
-			ts.CloseClientConnections()
-			ts.Close()
-		})
-		urls[row] = ts.URL
-	}
 	seven := 7
 	job := JobRequest{ID: &seven, Origin: "CLEAN", LengthHours: 1, SlackHours: 12}
-	primary := func(row int, dataDir string) *Server {
-		clock := &hourClock{}
-		s, err := New(mkSet(t, 24*10), clusters(4), Config{
-			Policy: sched.FIFO{}, DataDir: dataDir, Sync: wal.SyncNone,
-		}, WithClock(clock.now))
-		if err != nil {
+	_, memory, _ := startServer(t, Config{Policy: sched.FIFO{}}, 4)
+	c := newCluster(t, world{policy: sched.FIFO{}, horizon: 24 * 10, slots: 4})
+	for _, client := range []*Client{memory, c.primary.client} {
+		if _, err := client.Submit(c.ctx, job); err != nil {
 			t.Fatal(err)
 		}
-		if s.source != nil {
-			s.source.Poll = 500 * time.Microsecond
-		}
-		serve(row, s)
-		c, err := NewClient(urls[row], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Submit(ctx, job); err != nil {
-			t.Fatal(err)
-		}
-		return s
 	}
-	primary(rowMemory, "")
-	primary(rowDurable, t.TempDir())
-	primaryURL = urls[rowDurable]
+	follower := c.startFollower(FollowerConfig{}, true)
+	promoted := c.startFollower(FollowerConfig{}, false)
+	c.settle()
+	if ok, err := promoted.srv.Promote(); err != nil || !ok {
+		t.Fatalf("promote = %v, %v", ok, err)
+	}
+	urls = [rowCount]string{memory.Endpoint(), c.primary.ts.URL, follower.ts.URL, promoted.ts.URL}
+	return urls, follower.proxy.URL()
+}
 
-	follower := func(row int, dataDir string) *Server {
-		clock := &hourClock{}
-		s, err := NewFollower(mkSet(t, 24*10), clusters(4), Config{
-			Policy: sched.FIFO{}, DataDir: dataDir, Sync: wal.SyncNone,
-		}, FollowerConfig{Primary: primaryURL, ReconnectDelay: time.Millisecond}, WithClock(clock.now))
-		if err != nil {
-			t.Fatal(err)
-		}
-		serve(row, s)
-		s.Start(ctx)
-		waitUntil(t, rowNames[row]+" catch-up", func() bool { return s.fleet.Jobs() == 1 })
-		return s
-	}
-	follower(rowFollower, "")
-	if promoted, err := follower(rowPromoted, t.TempDir()).Promote(); err != nil || !promoted {
-		t.Fatalf("promote = %v, %v", promoted, err)
-	}
-	return urls, primaryURL
+// decodeBody decodes a JSON response body and closes it.
+func decodeBody(resp *http.Response, out any) error {
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func TestRouteRoleTable(t *testing.T) {

@@ -236,13 +236,11 @@ type Server struct {
 	// New or NewFollower, swapped exactly once by Promote, which
 	// promoteMu serializes against itself and the probe loop. source
 	// serves the journal stream on durable primaries; onPromote lets
-	// cmd/schedd rebase its replay clock when a follower takes over, and
-	// onWatermark is FollowerConfig.OnWatermark.
-	role        atomic.Pointer[role]
-	promoteMu   sync.Mutex
-	source      *repl.Source
-	onPromote   func(hour int)
-	onWatermark func(hour int)
+	// cmd/schedd rebase its replay clock when a follower takes over.
+	role      atomic.Pointer[role]
+	promoteMu sync.Mutex
+	source    *repl.Source
+	onPromote func(hour int)
 
 	// mx is the /metrics instrumentation (nil when built
 	// WithoutMetrics); noMetrics records the option before initMetrics

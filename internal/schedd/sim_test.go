@@ -1,0 +1,1201 @@
+package schedd
+
+// The fault harness: one in-process cluster that every crash, restart,
+// replication, chaos and failover test drives.
+//
+// A cluster runs one world — policy, snapshot cadence, tenancy on or
+// off, and the wire its arrivals travel (JSON, binary, or the two
+// alternating per chunk). A durable primary serves it on a replay clock
+// every node shares; each follower has its own data dir and tails the
+// primary through a cuttable TCP proxy. A schedule is a sequence of ops
+// on the cluster (fault_test.go holds the table of them):
+//
+//	at(h)            set the clock to h and poll stats, which steps the fleet
+//	submit           send the hour's arrivals, two a request, ids pinned
+//	                 but every third, which the server's counter assigns
+//	crash(tear)      copy the data dir with the newest journal cut short
+//	                 or one byte garbled, boot a new primary from the
+//	                 copy and re-drive what the tear lost
+//	restart          close the primary cleanly and boot it again
+//	load(w)          w concurrent submitters beside a clock driver
+//	cutLink(i)       sever follower i's connections
+//	restartTail(i)   stop follower i's tail and start it at its cursor
+//	startFollower    boot a follower; it bootstraps from the newest snapshot
+//	promote(i)       once follower i has caught up, kill the primary and
+//	                 promote i over HTTP
+//	settle           wait for every follower to apply all the primary
+//	                 journaled, then compare their images
+//	drain            run the world out
+//
+// After every schedule, check asserts the four invariants:
+//
+//  1. Id conservation: every acked id is in exactly one final state. A
+//     crash may lose only admissions at or after the hour it recovers
+//     to, and those are re-driven.
+//  2. Followers are prefixes of their primary: at every settle, each
+//     follower's server image (id counter and fleet image) equals the
+//     primary's byte for byte, and every prefix of the journal, applied
+//     to a fresh server, lands on a state the primary held, in order.
+//  3. Placements equal the reference: from the recovered snapshot hour
+//     on, the placements, the Result, the final image and the carbon
+//     saved equal an uninterrupted run of the same world.
+//  4. Recovery is idempotent: two reboots from one directory give the
+//     same bytes, and boot recovery equals RestoreReplSnapshot plus
+//     ApplyReplRecord over the same snapshot and records.
+//
+// This is the one test file in the package that builds a follower or
+// cuts a journal; internal/archtest holds it to that.
+
+import (
+	"bytes"
+	"cmp"
+	"context"
+	"fmt"
+	"io"
+	"math"
+	"net"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"carbonshift/internal/repl"
+	"carbonshift/internal/sched"
+	"carbonshift/internal/trace"
+	"carbonshift/internal/wal"
+)
+
+const (
+	simHorizon = 24 * 4
+	simSlots   = 5
+)
+
+// wireMode is how a cluster's arrivals travel.
+type wireMode int
+
+const (
+	wireJSON   wireMode = iota
+	wireBinary          // every chunk over the binary batch route
+	wireMixed           // the binary route on every odd chunk
+)
+
+// world is what a cluster runs. Zero horizon, slots and jobs mean
+// simHorizon, simSlots and 26 jobs.
+type world struct {
+	policy    sched.Policy
+	snapEvery int
+	tenants   bool
+	wire      wireMode
+	syncBatch bool // journal with wal.SyncBatch instead of wal.SyncNone
+	horizon   int
+	slots     int
+	jobs      int
+	// shards and followerShards (0: shards) set the deprecated
+	// Config.Shards on the primary and on followers. It must stay a
+	// no-op, so it is not part of key: a run with any value is held to
+	// the one reference of its world.
+	shards, followerShards int
+}
+
+func (w world) hours() int { return cmp.Or(w.horizon, simHorizon) }
+
+func (w world) clusters() []sched.Cluster { return clusters(cmp.Or(w.slots, simSlots)) }
+
+// key names everything a run's outcome depends on. Every wire journals
+// the same bytes, so the wire is not part of it.
+func (w world) key() string {
+	return fmt.Sprint(w.policy.Name(), w.snapEvery, w.tenants, w.syncBatch, w.hours(), w.slots, w.jobs)
+}
+
+// config is the world's server config over dir ("" for none). Trace
+// sampling is off: a sampled submit appends its trace id to the admit
+// record, and the wires' journals are compared byte for byte.
+func (w world) config(t testing.TB, dir string) Config {
+	cfg := Config{
+		Policy: w.policy, Horizon: w.hours(), Shards: w.shards,
+		DataDir: dir, SnapshotEvery: w.snapEvery, Sync: wal.SyncNone,
+		TraceSampleEvery: -1,
+	}
+	if w.syncBatch {
+		cfg.Sync = wal.SyncBatch
+	}
+	if w.tenants {
+		cfg.Tenants = tenancyConfig(t)
+	}
+	return cfg
+}
+
+// workload is the world's job stream, sorted by arrival and numbered in
+// that order from 0 — the ids a server hands out when it assigns them:
+// most jobs interruptible or migratable, none longer than 30 hours, the
+// last arriving 30 hours before the horizon. A tenancy world spreads
+// them over configured tenants, the default one, the quota-limited one
+// and an unlisted name that resolves through the catch-all.
+func (w world) workload(t testing.TB) []sched.Job {
+	t.Helper()
+	jobs, err := sched.GenerateJobs(sched.WorkloadSpec{
+		Jobs: cmp.Or(w.jobs, 26), ArrivalSpan: w.hours() - 30, SlackHours: 24,
+		InterruptibleFrac: 0.6, MigratableFrac: 0.5,
+		Origins: []string{"CLEAN", "DIRTY"}, Seed: 23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"", "web", "batchy", "spot", "mystery", "quotal"}
+	for i := range jobs {
+		jobs[i].ID = i
+		jobs[i].Length = min(jobs[i].Length, 30)
+		if w.tenants {
+			jobs[i].Tenant = names[i%len(names)]
+		}
+	}
+	return jobs
+}
+
+// follower builds, but does not start, a follower of the world tailing
+// primary, over its own dir ("" for an in-memory one).
+func (w world) follower(t testing.TB, primary, dir string, fcfg FollowerConfig, opts ...Option) *Server {
+	t.Helper()
+	cfg := w.config(t, dir)
+	cfg.TraceSampleEvery = 0
+	cfg.Shards = cmp.Or(w.followerShards, w.shards)
+	if fcfg.ReconnectDelay == 0 {
+		fcfg.ReconnectDelay = time.Millisecond
+	}
+	fcfg.Primary = primary
+	s, err := NewFollower(mkSet(t, w.hours()), w.clusters(), cfg, fcfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// node is one server of a cluster and its HTTP face.
+type node struct {
+	srv    *Server
+	ts     *httptest.Server
+	client *Client
+	dir    string
+	proxy  *chaosProxy // a follower's link to its primary
+	stop   sync.Once
+
+	mu     sync.Mutex
+	places []placeRec // every placement this server stepped
+}
+
+func (n *node) record(hour, job int, region string) {
+	n.mu.Lock()
+	n.places = append(n.places, placeRec{hour, job, region})
+	n.mu.Unlock()
+}
+
+// kill stops serving — cutting the replication streams, as a kill -9
+// would — and closes the server. Idempotent. The cutting repeats until
+// the listener is down: a follower's redial that lands in between opens
+// a stream that never ends on its own, and Close waits for it.
+func (n *node) kill() {
+	n.stop.Do(func() {
+		closed := make(chan struct{})
+		go func() {
+			for {
+				n.ts.CloseClientConnections()
+				select {
+				case <-closed:
+					return
+				case <-time.After(time.Millisecond):
+				}
+			}
+		}()
+		n.ts.Close()
+		close(closed)
+		n.srv.Close()
+		if n.proxy != nil {
+			n.proxy.Close()
+		}
+	})
+}
+
+// cluster is one world served by a primary and its followers.
+type cluster struct {
+	t     *testing.T
+	w     world
+	jobs  []sched.Job
+	set   *trace.Set
+	clock *hourClock
+	ctx   context.Context
+	op    string // the op running, for failure messages
+
+	primary   *node
+	followers []*node
+	via       *Client // when set, submits go through it (a failover client)
+	lockstep  bool    // settle after every hour
+	// shallow skips check's directory half — the prefix replay and the
+	// reboots. A cut sweep sets it on most forks: every recovery rotates
+	// to a fresh generation, so each fork ends in a directory of the same
+	// shape, a snapshot of what it recovered and the journal after it.
+	shallow bool
+
+	hour    int         // the clock's hour
+	next    int         // jobs[:next] have been submitted
+	chunks  int         // submit requests sent; the mixed wire alternates on it
+	acked   map[int]int // id -> acknowledgements by a primary that kept it
+	faults  int         // crashes, restarts and promotions so far
+	loaded  bool        // load ran: its arrivals are not the world's
+	drained bool
+	result  sched.Result
+
+	// places is the run's placement sequence up to the primary's own,
+	// which continues it from primary.places[base:].
+	places []placeRec
+	base   int
+	// savedFrom is the hour the primary's carbon-saved gauge counts from:
+	// that of the snapshot it booted from, or -1 when it was promoted.
+	savedFrom int
+
+	// history maps every server image the primary held to the event at
+	// which it first did (nil once load made the order unobservable).
+	history map[string]int
+	events  int
+}
+
+// newCluster boots the world's durable primary on a fresh data dir.
+func newCluster(t *testing.T, w world) *cluster {
+	t.Helper()
+	c := &cluster{
+		t: t, w: w, jobs: w.workload(t), set: mkSet(t, w.hours()),
+		clock: &hourClock{}, ctx: t.Context(), acked: map[int]int{},
+		history: map[string]int{},
+	}
+	c.primary = c.boot(t.TempDir())
+	c.remember()
+	return c
+}
+
+func (c *cluster) fatalf(format string, args ...any) {
+	c.t.Helper()
+	if c.op != "" {
+		format = c.op + ": " + format
+	}
+	c.t.Fatalf(format, args...)
+}
+
+// boot starts a primary over dir, recovering whatever it holds.
+func (c *cluster) boot(dir string) *node {
+	c.t.Helper()
+	n := &node{dir: dir}
+	srv, err := New(c.set, c.w.clusters(), c.w.config(c.t, dir), WithClock(c.clock.now), WithRecorder(n.record))
+	if err != nil {
+		c.fatalf("boot %s: %v", dir, err)
+	}
+	// Lock-step driving waits on the stream: keep the long-poll snappy.
+	srv.source.Poll, srv.source.Heartbeat = 200*time.Microsecond, 5*time.Millisecond
+	c.serve(n, srv)
+	return n
+}
+
+func (c *cluster) serve(n *node, srv *Server) {
+	n.srv = srv
+	n.ts = httptest.NewServer(srv.Handler())
+	c.t.Cleanup(n.kill)
+	var err error
+	if n.client, err = NewClient(n.ts.URL, n.ts.Client()); err != nil {
+		c.fatalf("%v", err)
+	}
+}
+
+// serverImage is what a snapshot of s holds: the id counter and the
+// fleet image.
+func serverImage(t testing.TB, s *Server) []byte {
+	t.Helper()
+	img, err := s.fleet.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeServerSnapshot(s.nextID, img)
+}
+
+// remember records the primary's state as the next event of its
+// history.
+func (c *cluster) remember() {
+	if c.history == nil {
+		return
+	}
+	img := string(serverImage(c.t, c.primary.srv))
+	if _, seen := c.history[img]; !seen {
+		c.history[img] = c.events
+	}
+	c.events++
+}
+
+// placements is the run's placement sequence so far.
+func (c *cluster) placements() []placeRec {
+	p := c.primary
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append(slices.Clip(c.places), p.places[c.base:]...)
+}
+
+// --- ops ---
+
+// at sets the clock to h and steps the primary to it, as every request
+// does first — in an hour without arrivals too, journaling the
+// watermark.
+func (c *cluster) at(h int) {
+	c.t.Helper()
+	c.hour = h
+	c.clock.hour.Store(int64(h))
+	if err := c.primary.srv.advance(c.ctx); err != nil {
+		c.fatalf("hour %d: step: %v", h, err)
+	}
+	c.remember()
+}
+
+// submit sends the current hour's arrivals.
+func (c *cluster) submit() {
+	c.t.Helper()
+	lo := c.next
+	for c.next < len(c.jobs) && c.jobs[c.next].Arrival == c.hour {
+		c.next++
+	}
+	c.send(c.hour, c.jobs[lo:c.next])
+}
+
+// send submits jobs that arrive at hour, two a request, over the
+// world's wire. Every third job leaves its id to the server, whose id
+// counter must then hand out the job's own: jobs go out in id order, so
+// every smaller id is taken and no larger one is.
+func (c *cluster) send(hour int, jobs []sched.Job) {
+	c.t.Helper()
+	client := c.primary.client
+	if c.via != nil {
+		client = c.via
+	}
+	for lo := 0; lo < len(jobs); lo += 2 {
+		chunk := jobs[lo:min(lo+2, len(jobs))]
+		var batch []JobRequest
+		for _, j := range chunk {
+			req := JobRequest{
+				Origin: j.Origin, Tenant: j.Tenant,
+				LengthHours: j.Length, SlackHours: j.Slack,
+				Interruptible: j.Interruptible, Migratable: j.Migratable,
+			}
+			if j.ID%3 != 0 {
+				id := j.ID
+				req.ID = &id
+			}
+			batch = append(batch, req)
+		}
+		submit := client.Submit
+		if c.w.wire == wireBinary || c.w.wire == wireMixed && c.chunks%2 == 1 {
+			submit = client.SubmitBatch
+		}
+		c.chunks++
+		ack, err := submit(c.ctx, batch...)
+		if err != nil {
+			c.fatalf("hour %d: submit: %v", hour, err)
+		}
+		if ack.ArrivalHour != hour {
+			c.fatalf("arrival %d, want %d", ack.ArrivalHour, hour)
+		}
+		for k, id := range ack.IDs {
+			if id != chunk[k].ID {
+				c.fatalf("hour %d: job %d acknowledged as %d: the id counter is off", hour, chunk[k].ID, id)
+			}
+			c.acked[id]++
+		}
+		c.remember()
+	}
+}
+
+// run drives hours [from, to): each hour's clock and arrivals, settling
+// the followers after each when the cluster runs in lock-step.
+func (c *cluster) run(from, to int) {
+	c.t.Helper()
+	for h := from; h < to; h++ {
+		c.at(h)
+		c.submit()
+		if c.lockstep {
+			c.settle()
+		}
+	}
+}
+
+// tear is what a crash leaves of the newest journal: the file cut to at
+// bytes or, with flip, whole but with the byte at at garbled — a write
+// torn mid-record with the records after it on disk.
+type tear struct {
+	at   int64
+	flip bool
+}
+
+func (tr tear) String() string {
+	if tr.flip {
+		return fmt.Sprintf("byte %d garbled", tr.at)
+	}
+	return fmt.Sprintf("cut at byte %d", tr.at)
+}
+
+// of returns what the tear leaves of journal.
+func (tr tear) of(journal []byte) []byte {
+	at := min(max(tr.at, 0), int64(len(journal)))
+	if !tr.flip {
+		return journal[:at]
+	}
+	torn := slices.Clone(journal)
+	if at < int64(len(torn)) {
+		torn[at] ^= 0xff
+	}
+	return torn
+}
+
+// crash kills the primary, leaving its newest journal torn at
+// at(bounds), bounds being the journal's record boundaries, and
+// recovers.
+func (c *cluster) crash(at func(bounds []int64) tear) {
+	c.t.Helper()
+	p := c.primary
+	p.srv.FlushJournal() // what reached the file is what a kill -9 leaves
+	bounds := journalBounds(c.t, p.srv.JournalPath(p.srv.Generation()))
+	files := readDir(c.t, p.dir)
+	p.kill()
+	c.recoverFrom(files, at(bounds))
+	c.redrive()
+}
+
+// recoverFrom boots a new primary from files with the newest journal
+// torn by tr and checks boot recovery against a follower's apply of the
+// same snapshot and records.
+func (c *cluster) recoverFrom(files map[string][]byte, tr tear) DurabilityStats {
+	c.t.Helper()
+	dir := c.t.TempDir()
+	writeDir(c.t, dir, files, tr)
+	applied := c.replayDir(dir, nil)
+	c.fold(nil)
+	c.primary = c.boot(dir)
+	rec := c.primary.srv.Recovery()
+	if !rec.Recovered {
+		c.fatalf("boot did not report recovery")
+	}
+	if !bytes.Equal(serverImage(c.t, c.primary.srv), serverImage(c.t, applied)) {
+		c.fatalf("boot recovery and follower apply reach different server images")
+	}
+	c.rebooted(rec)
+	return rec
+}
+
+// redrive re-sends every acked job the recovered primary does not hold.
+// The journal is written in fleet-event order, so a crash loses only
+// admissions at or after the hour recovery reached.
+func (c *cluster) redrive() {
+	c.t.Helper()
+	from := c.primary.srv.Hour()
+	var lost []sched.Job
+	for _, j := range c.jobs[:c.next] {
+		if c.primary.srv.fleet.Has(j.ID) {
+			continue
+		}
+		if j.Arrival < from {
+			c.fatalf("job %d (arrival %d) lost although the journal reached hour %d", j.ID, j.Arrival, from)
+		}
+		lost = append(lost, j)
+		c.acked[j.ID]--
+	}
+	for lo := 0; lo < len(lost); {
+		hi := lo
+		for hi < len(lost) && lost[hi].Arrival == lost[lo].Arrival {
+			hi++
+		}
+		c.clock.hour.Store(int64(lost[lo].Arrival))
+		c.send(lost[lo].Arrival, lost[lo:hi])
+		lo = hi
+	}
+	c.clock.hour.Store(int64(c.hour))
+}
+
+// rebooted takes in a primary booted from a directory: placements
+// before the snapshot it restored are baked into that snapshot, the
+// rest it replays; its gauges count from the snapshot's hour; and the
+// followers retarget to it — the generation having moved on, they
+// bootstrap again.
+func (c *cluster) rebooted(rec DurabilityStats) {
+	kept := c.places[:0]
+	for _, p := range c.places {
+		if p.hour < rec.RecoveredSnapshotHour {
+			kept = append(kept, p)
+		}
+	}
+	c.places, c.base = kept, 0
+	c.savedFrom = rec.RecoveredSnapshotHour
+	c.faults++
+	for _, f := range c.followers {
+		f.proxy.retarget(c.primary.ts.Listener.Addr().String())
+	}
+	c.checkGate()
+}
+
+// fold freezes the run's placements so far into c.places before the
+// primary changes; next is the new primary when it already holds them.
+func (c *cluster) fold(next *node) {
+	c.places, c.base = c.placements(), 0
+	if next != nil {
+		next.mu.Lock()
+		c.base = len(next.places)
+		next.mu.Unlock()
+	}
+}
+
+// restart closes the primary cleanly and boots it again from its dir.
+func (c *cluster) restart() {
+	c.t.Helper()
+	p := c.primary
+	want, jobs := serverImage(c.t, p.srv), p.srv.fleet.Jobs()
+	p.kill()
+	c.fold(nil)
+	c.primary = c.boot(p.dir)
+	rec := c.primary.srv.Recovery()
+	if !rec.Recovered || rec.TornTail || rec.RecoveredJobs != jobs {
+		c.fatalf("restart: recovery = %+v, want %d jobs and no torn tail", rec, jobs)
+	}
+	if !bytes.Equal(serverImage(c.t, c.primary.srv), want) {
+		c.fatalf("restart: the rebooted server image differs from the one shut down")
+	}
+	c.rebooted(rec)
+}
+
+// load runs workers concurrent submitters of 30 auto-id jobs each, two
+// a request, beside a clock driver that advances the replay 8 hours
+// with a stats poll each — so admissions, steps, watermarks and
+// rotations interleave. Only the run's totals are predictable, so it
+// has no reference and no history from here on.
+func (c *cluster) load(workers int) {
+	c.t.Helper()
+	const perWorker, hours = 30, 8
+	c.loaded, c.history = true, nil
+	var (
+		mu   sync.Mutex
+		wg   sync.WaitGroup
+		errs = make(chan error, workers+1)
+		base = c.hour
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for h := 1; h <= hours; h++ {
+			c.clock.hour.Store(int64(base + h))
+			time.Sleep(time.Millisecond)
+			if _, err := c.primary.client.Stats(c.ctx); err != nil {
+				errs <- fmt.Errorf("stats: %w", err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i += 2 {
+				ack, err := c.primary.client.Submit(c.ctx,
+					JobRequest{Origin: "CLEAN", LengthHours: 1 + (w+i)%3, SlackHours: 48,
+						Interruptible: true, Migratable: i%2 == 0},
+					JobRequest{Origin: "DIRTY", LengthHours: 1 + (w+i)%4, SlackHours: 48,
+						Interruptible: i%3 != 0, Migratable: true})
+				if err != nil {
+					errs <- fmt.Errorf("submit: %w", err)
+					return
+				}
+				mu.Lock()
+				for _, id := range ack.IDs {
+					c.acked[id]++
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		c.fatalf("load: %v", err)
+	}
+	c.hour = base + hours
+}
+
+// startFollower boots a follower over its own data dir (none when
+// memory is set) behind a fresh proxy to the primary, and starts it.
+func (c *cluster) startFollower(fcfg FollowerConfig, memory bool) *node {
+	c.t.Helper()
+	n := &node{proxy: newChaosProxy(c.t, c.primary.ts.Listener.Addr().String())}
+	if !memory {
+		n.dir = c.t.TempDir()
+	}
+	c.serve(n, c.w.follower(c.t, n.proxy.URL(), n.dir, fcfg, WithClock(c.clock.now), WithRecorder(n.record)))
+	n.srv.Start(c.ctx)
+	c.followers = append(c.followers, n)
+	return n
+}
+
+func (c *cluster) cutLink(i int) { c.followers[i].proxy.cut() }
+
+func (c *cluster) restartTail(i int) {
+	f := c.followers[i].srv
+	f.role.Load().session.stop()
+	f.Start(c.ctx)
+}
+
+// promote kills the primary once follower i has applied everything,
+// and promotes i over HTTP, as an operator would. The other followers
+// are closed: while a stream cursor carries no epoch they cannot
+// follow the new primary safely: promotion is not fenced yet.
+func (c *cluster) promote(i int) {
+	c.t.Helper()
+	c.settle()
+	f := c.followers[i]
+	c.primary.kill()
+	f.proxy.Close()
+	pr, err := f.client.Promote(c.ctx)
+	if err != nil {
+		c.fatalf("promote: %v", err)
+	}
+	if jobs := f.srv.fleet.Jobs(); !pr.Promoted || pr.Role != "primary" || pr.Jobs != jobs {
+		c.fatalf("promote = %+v, want the follower's %d jobs", pr, jobs)
+	}
+	if again, err := f.client.Promote(c.ctx); err != nil || again.Promoted {
+		c.fatalf("second promote = %+v, %v; want an idempotent no-op", again, err)
+	}
+	if f.srv.source != nil {
+		f.srv.source.Poll, f.srv.source.Heartbeat = 200*time.Microsecond, 5*time.Millisecond
+	}
+	for j, g := range c.followers {
+		if j != i {
+			g.kill()
+		}
+	}
+	c.followers = nil
+	c.fold(f)
+	c.primary, c.savedFrom = f, -1
+	c.faults++
+	c.checkGate()
+}
+
+// settle waits for every follower to apply all the primary has
+// journaled, then requires its server image to equal the primary's.
+func (c *cluster) settle() {
+	c.t.Helper()
+	if len(c.followers) == 0 {
+		return
+	}
+	p := c.primary.srv
+	p.FlushJournal()
+	want := repl.Cursor{Generation: p.Generation()}
+	fi, err := os.Stat(p.JournalPath(want.Generation))
+	if err != nil {
+		c.fatalf("%v", err)
+	}
+	want.Offset = fi.Size()
+	img := serverImage(c.t, p)
+	for i, f := range c.followers {
+		tail := f.srv.role.Load().session.tail
+		what := fmt.Sprintf("follower %d at hour %d to reach cursor %s", i, c.hour, want)
+		if c.op != "" {
+			what = c.op + ": " + what
+		}
+		waitUntil(c.t, what, func() bool {
+			cur, ok := tail.Cursor()
+			return ok && cur == want
+		})
+		if !bytes.Equal(serverImage(c.t, f.srv), img) {
+			c.fatalf("hour %d: follower %d's server image differs from the primary's", c.hour, i)
+		}
+		if c.w.tenants && !reflect.DeepEqual(f.srv.fleet.TenantStats(), p.fleet.TenantStats()) {
+			c.fatalf("hour %d: follower %d's tenant stats differ from the primary's", c.hour, i)
+		}
+	}
+}
+
+// drain runs the world out on the primary.
+func (c *cluster) drain() {
+	c.t.Helper()
+	res, err := c.primary.srv.Drain()
+	if err != nil {
+		c.fatalf("drain: %v", err)
+	}
+	c.result, c.drained = res, true
+	c.remember()
+}
+
+// checkGate requires the primary's tenant gate to hold, for every
+// quota-limited tenant, the window its fleet's arrivals imply: a
+// recovered or promoted primary must not grant a fresh hour.
+func (c *cluster) checkGate() {
+	c.t.Helper()
+	s := c.primary.srv
+	if s.gate == nil {
+		return
+	}
+	h := s.fleet.Hour()
+	used := s.fleet.TenantArrivals(h)
+	tenants := s.gate.Config()
+	for _, name := range tenants.Names() {
+		spec, _ := tenants.Lookup(name)
+		if q := spec.QuotaJobsPerHour; q > 0 && s.gate.Check(name, q-used[name]+1, h) == nil {
+			c.fatalf("hour %d: the gate admits %d more %q jobs, %d of its quota of %d having arrived", h, q-used[name]+1, name, used[name], q)
+		}
+	}
+}
+
+// --- the invariants ---
+
+// check drains the run if no op did and asserts the four invariants.
+func (c *cluster) check() {
+	c.t.Helper()
+	if !c.drained {
+		c.drain()
+	}
+	c.settle()
+	c.checkGate()
+
+	// 1. Id conservation.
+	seen := make(map[int]bool, len(c.result.Outcomes))
+	for _, o := range c.result.Outcomes {
+		if seen[o.ID] {
+			c.fatalf("job %d appears twice in the drained result", o.ID)
+		}
+		seen[o.ID] = true
+	}
+	for id, n := range c.acked {
+		if n != 1 || !seen[id] {
+			c.fatalf("job %d: acknowledged %d times, in the result: %v", id, n, seen[id])
+		}
+	}
+	if len(seen) != len(c.acked) {
+		c.fatalf("the drained result holds %d jobs, %d were acknowledged", len(seen), len(c.acked))
+	}
+
+	// 3. Placements equal the reference.
+	final := serverImage(c.t, c.primary.srv)
+	if !c.loaded {
+		ref := referenceOf(c.t, c.w)
+		if got := c.placements(); !slices.Equal(got, ref.places) {
+			div := 0
+			for div < min(len(got), len(ref.places)) && got[div] == ref.places[div] {
+				div++
+			}
+			c.fatalf("placement sequences diverge at %d (%d placed, reference %d)", div, len(got), len(ref.places))
+		}
+		if !reflect.DeepEqual(c.result, ref.result) {
+			c.fatalf("Result differs:\ngot:       %+v\nreference: %+v", summarize(c.result), summarize(ref.result))
+		}
+		if !bytes.Equal(final, ref.image) {
+			c.fatalf("the final server image differs from the reference's")
+		}
+		if c.savedFrom >= 0 {
+			want := ref.savedFrom(c.savedFrom)
+			if got := c.primary.srv.mx.carbonSaved.Value(); math.Abs(got-want) > 1e-9*math.Max(1, want) {
+				c.fatalf("carbon saved = %v, want %v: the reference's from hour %d on", got, want, c.savedFrom)
+			}
+		}
+		if c.w.wire != wireJSON && c.faults == 0 {
+			p := c.primary.srv
+			journal, err := os.ReadFile(p.JournalPath(p.Generation()))
+			if err != nil {
+				c.fatalf("%v", err)
+			}
+			if !bytes.Equal(journal, ref.journal) {
+				c.fatalf("the journal (%d bytes) differs from the all-JSON run's (%d): the wire leaked into it", len(journal), len(ref.journal))
+			}
+		}
+	}
+
+	for _, f := range c.followers {
+		f.kill()
+	}
+	c.primary.kill()
+	if c.primary.dir == "" || c.shallow {
+		return
+	}
+
+	// 2. Every journal prefix is a state the primary held, in order; and
+	// 4, follower apply over the directory ends where the run did.
+	last := -1
+	applied := c.replayDir(c.primary.dir, func(k int, img []byte) {
+		if c.history == nil {
+			return
+		}
+		ev, ok := c.history[string(img)]
+		if !ok {
+			c.fatalf("a prefix of %d records reaches a state the primary never held", k)
+		}
+		if ev < last {
+			c.fatalf("a prefix of %d records reaches event %d, after %d", k, ev, last)
+		}
+		last = ev
+	})
+	if !bytes.Equal(serverImage(c.t, applied), final) {
+		c.fatalf("follower apply over the final directory does not reach the final server image")
+	}
+
+	// 4. Two reboots from the directory give back the final state.
+	for reboot := 1; reboot <= 2; reboot++ {
+		s, err := New(c.set, c.w.clusters(), c.w.config(c.t, c.primary.dir), WithClock(c.clock.now))
+		if err != nil {
+			c.fatalf("reboot %d: %v", reboot, err)
+		}
+		rec, img, snap := s.Recovery(), serverImage(c.t, s), s.Snapshot()
+		if err := s.Close(); err != nil {
+			c.fatalf("reboot %d: close: %v", reboot, err)
+		}
+		if !rec.Recovered || rec.TornTail || rec.RecoveredJobs != len(c.acked) {
+			c.fatalf("reboot %d: recovery = %+v, want all %d jobs", reboot, rec, len(c.acked))
+		}
+		if !bytes.Equal(img, final) {
+			c.fatalf("reboot %d: the recovered server image differs from the final one", reboot)
+		}
+		if !reflect.DeepEqual(snap, c.result) {
+			c.fatalf("reboot %d: the recovered Result differs from the drained one", reboot)
+		}
+	}
+}
+
+// replayDir is a follower's view of dir: a fresh server restored from
+// the newest snapshot, then fed the journal after it record by record.
+// each, when set, sees the server image after the restore (k = 0) and
+// after every record k.
+func (c *cluster) replayDir(dir string, each func(k int, img []byte)) *Server {
+	c.t.Helper()
+	store, err := wal.OpenStore(dir)
+	if err != nil {
+		c.fatalf("%v", err)
+	}
+	defer store.Close()
+	gen, snap, err := store.LatestSnapshot()
+	if err != nil || gen == 0 {
+		c.fatalf("%s: snapshot: generation %d, %v", dir, gen, err)
+	}
+	s, err := New(c.set, c.w.clusters(), c.w.config(c.t, ""))
+	if err != nil {
+		c.fatalf("%v", err)
+	}
+	if err := s.RestoreReplSnapshot(snap); err != nil {
+		c.fatalf("%v", err)
+	}
+	k := 0
+	visit := func() {
+		if each != nil {
+			each(k, serverImage(c.t, s))
+		}
+	}
+	visit()
+	if _, err := wal.Replay(store.JournalPath(gen), func(p []byte) error {
+		if err := s.ApplyReplRecord(p); err != nil {
+			return fmt.Errorf("record %d: %w", k, err)
+		}
+		k++
+		visit()
+		return nil
+	}); err != nil && !os.IsNotExist(err) {
+		c.fatalf("%v", err)
+	}
+	return s
+}
+
+// --- the reference ---
+
+// reference is an uninterrupted run of a world, JSON all the way, from
+// boot to drain.
+type reference struct {
+	jobs    []sched.Job
+	places  []placeRec
+	result  sched.Result
+	image   []byte
+	saved   []saving          // every migrated job-hour's saving, in placement order
+	files   map[string][]byte // the data dir after the drain
+	journal []byte            // its newest journal
+	bounds  []int64           // the journal's record boundaries
+	// prefixes[k] is the server image the newest snapshot and the
+	// journal's first k records reach.
+	prefixes [][]byte
+	history  map[string]int
+	events   int
+}
+
+type saving struct {
+	hour  int
+	grams float64
+}
+
+// savedFrom sums the savings of the hours from h on, in placement order.
+func (r *reference) savedFrom(h int) float64 {
+	sum := 0.0
+	for _, s := range r.saved {
+		if s.hour >= h {
+			sum += s.grams
+		}
+	}
+	return sum
+}
+
+var (
+	refMu sync.Mutex
+	refs  = map[string]*reference{}
+)
+
+// referenceOf runs the world once per test binary.
+func referenceOf(t *testing.T, w world) *reference {
+	t.Helper()
+	w.wire = wireJSON
+	refMu.Lock()
+	defer refMu.Unlock()
+	if r := refs[w.key()]; r != nil {
+		return r
+	}
+	c := newCluster(t, w)
+	c.op = "reference"
+	r := &reference{jobs: c.jobs}
+	// A fresh directory replays nothing, so wrapping the hook after New
+	// misses no placement.
+	fleet := c.primary.srv.fleet
+	hook := fleet.OnPlace
+	fleet.OnPlace = func(p sched.Placed) {
+		if p.Region != p.Origin {
+			r.saved = append(r.saved, saving{p.Hour, p.OriginCI - p.CI})
+		}
+		hook(p)
+	}
+	c.run(0, w.hours())
+	if c.next != len(c.jobs) {
+		c.fatalf("submitted %d/%d jobs", c.next, len(c.jobs))
+	}
+	c.drain()
+	r.places, r.result, r.image = c.placements(), c.result, serverImage(t, c.primary.srv)
+	r.history, r.events = c.history, c.events
+	journal := c.primary.srv.JournalPath(c.primary.srv.Generation())
+	c.primary.kill()
+	r.bounds = journalBounds(t, journal)
+	r.files = readDir(t, c.primary.dir)
+	r.journal = r.files[filepath.Base(journal)]
+	c.replayDir(c.primary.dir, func(_ int, img []byte) { r.prefixes = append(r.prefixes, img) })
+	refs[w.key()] = r
+	return r
+}
+
+// bootTorn boots a server over the reference's files with the newest
+// journal torn inside a record by tr. Recovery must report the tail
+// torn and hold what the records before the torn one reach: what a cut
+// at the record's start recovers, and a follower's apply of them.
+func (r *reference) bootTorn(t *testing.T, w world, tr tear) {
+	t.Helper()
+	dir := t.TempDir()
+	writeDir(t, dir, r.files, tr)
+	s, err := New(mkSet(t, w.hours()), w.clusters(), w.config(t, dir))
+	if err != nil {
+		t.Fatalf("%s: %v", tr, err)
+	}
+	rec, img := s.Recovery(), serverImage(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The boundaries at or before the tear, the first being the header's
+	// end, count the whole records before it.
+	ends, _ := slices.BinarySearch(r.bounds, tr.at+1)
+	records := max(ends-1, 0)
+	if !rec.Recovered || !rec.TornTail {
+		t.Fatalf("%s: recovery = %+v, want recovered with the torn tail reported", tr, rec)
+	}
+	if !bytes.Equal(img, r.prefixes[records]) {
+		t.Fatalf("%s: recovery did not stop at the torn record: the state differs from the %d records before it", tr, records)
+	}
+}
+
+// fork is a cluster at the end of the reference run with its primary
+// gone: a run to crash, by recoverFrom over the reference's files.
+func (r *reference) fork(t *testing.T, w world) *cluster {
+	c := &cluster{
+		t: t, w: w, jobs: r.jobs, set: mkSet(t, w.hours()),
+		clock: &hourClock{}, ctx: t.Context(), acked: map[int]int{},
+		hour: w.hours() - 1, next: len(r.jobs),
+		places: slices.Clone(r.places), primary: &node{},
+		history: r.history, events: r.events,
+	}
+	c.clock.hour.Store(int64(c.hour))
+	for _, j := range r.jobs {
+		c.acked[j.ID] = 1
+	}
+	return c
+}
+
+// --- the data dir ---
+
+// journalBounds returns the offset after the header and after every
+// record of a journal.
+func journalBounds(t testing.TB, path string) []int64 {
+	t.Helper()
+	bounds := []int64{int64(wal.HeaderLen)}
+	res, err := wal.Replay(path, func(p []byte) error {
+		bounds = append(bounds, bounds[len(bounds)-1]+8+int64(len(p)))
+		return nil
+	})
+	if err != nil || res.Truncated {
+		t.Fatalf("journal %s: %v (torn: %v)", path, err, res.Truncated)
+	}
+	return bounds
+}
+
+func readDir(t testing.TB, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// writeDir writes files into dir with the newest journal torn by tr —
+// the simulated kill -9. File names are zero-padded, so the
+// lexicographic maximum is the newest.
+func writeDir(t testing.TB, dir string, files map[string][]byte, tr tear) {
+	t.Helper()
+	newest := ""
+	for name := range files {
+		if filepath.Ext(name) == ".wal" && name > newest {
+			newest = name
+		}
+	}
+	if newest == "" {
+		t.Fatalf("no journal among %d files", len(files))
+	}
+	for name, data := range files {
+		if name == newest {
+			data = tr.of(data)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// --- the network ---
+
+// chaosProxy is a TCP forwarder whose live connections can be cut on
+// demand — the network partition lever — and whose target can move to
+// a rebooted primary.
+type chaosProxy struct {
+	ln net.Listener
+
+	mu     sync.Mutex
+	target string
+	conns  map[net.Conn]struct{}
+	closed bool
+
+	cuts atomic.Int64
+	wg   sync.WaitGroup
+}
+
+func newChaosProxy(t testing.TB, target string) *chaosProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &chaosProxy{ln: ln, target: target, conns: map[net.Conn]struct{}{}}
+	p.wg.Add(1)
+	go p.accept()
+	t.Cleanup(p.Close)
+	return p
+}
+
+func (p *chaosProxy) URL() string { return "http://" + p.ln.Addr().String() }
+
+func (p *chaosProxy) accept() {
+	defer p.wg.Done()
+	for {
+		c, err := p.ln.Accept()
+		if err != nil {
+			return
+		}
+		p.mu.Lock()
+		target := p.target
+		p.mu.Unlock()
+		up, err := net.Dial("tcp", target)
+		if err != nil {
+			c.Close()
+			continue
+		}
+		p.mu.Lock()
+		if p.closed {
+			p.mu.Unlock()
+			c.Close()
+			up.Close()
+			return
+		}
+		p.conns[c] = struct{}{}
+		p.conns[up] = struct{}{}
+		p.mu.Unlock()
+		pipe := func(dst, src net.Conn) {
+			defer p.wg.Done()
+			io.Copy(dst, src)
+			dst.Close()
+			src.Close()
+			p.mu.Lock()
+			delete(p.conns, dst)
+			delete(p.conns, src)
+			p.mu.Unlock()
+		}
+		p.wg.Add(2)
+		go pipe(up, c)
+		go pipe(c, up)
+	}
+}
+
+// cut severs every live connection; new dials still succeed (a
+// transient partition, not an outage).
+func (p *chaosProxy) cut() {
+	p.mu.Lock()
+	for c := range p.conns {
+		c.Close()
+	}
+	p.mu.Unlock()
+	p.cuts.Add(1)
+}
+
+// retarget points new connections at addr and cuts the live ones.
+func (p *chaosProxy) retarget(addr string) {
+	p.mu.Lock()
+	p.target = addr
+	p.mu.Unlock()
+	p.cut()
+}
+
+func (p *chaosProxy) Close() {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
+	p.closed = true
+	p.mu.Unlock()
+	p.ln.Close()
+	p.cut()
+	p.wg.Wait()
+}
+
+// waitUntil polls cond to true before the deadline.
+func waitUntil(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}

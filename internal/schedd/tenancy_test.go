@@ -2,22 +2,19 @@ package schedd
 
 // The tenancy proof layer at the service boundary: quota and rate 429s
 // with their exact backpressure taxonomy against 503/413, per-tenant
-// stats and metrics, weighted-fair service ordering end to end, and —
-// because tenant identity rides the fleet image, the journal, and the
-// replication stream — crash-recovery and replication equivalence for
-// tenant-tagged workloads, including quota-window continuity across a
-// recovery and a follower promotion. The sched-level counterpart
-// (internal/sched/tenancy_test.go) proves the deterministic scheduling
-// properties; this file proves the service wiring around them.
+// stats and metrics, weighted-fair service ordering end to end, and
+// quota-window continuity across a recovery and a follower promotion.
+// Tenant identity rides the fleet image, the journal and the
+// replication stream, so fault_test.go runs tenant-tagged worlds
+// through the crash and replication schedules too. The sched-level
+// counterpart (internal/sched/tenancy_test.go) proves the deterministic
+// scheduling properties; this file proves the service wiring around
+// them.
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"reflect"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,7 +24,6 @@ import (
 	"carbonshift/internal/httpx"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/tenant"
-	"carbonshift/internal/wal"
 )
 
 // tenancyConfig is the tenant world most tests here run under: an
@@ -516,199 +512,32 @@ func TestTenantClassServiceOrdering(t *testing.T) {
 	}
 }
 
-// tenantCrashJobs is the crash-harness workload with tenant identity
-// threaded through: a deterministic mix of the configured tenants, the
-// default (untagged) tenant, and an unlisted name that resolves
-// through the catch-all.
-func tenantCrashJobs(t testing.TB) []sched.Job {
-	jobs := crashJobs(t)
-	names := []string{"", "web", "batchy", "spot", "mystery"}
-	for i := range jobs {
-		jobs[i].Tenant = names[jobs[i].ID%len(names)]
-	}
-	return jobs
-}
-
-// TestTenantCrashRecoveryEquivalence: cutting the journal of a
-// tenant-configured server anywhere and recovering yields placements,
-// Result, and serialized state (tenants, fair-queue passes, and all)
-// byte-identical to the run that never crashed. Snapshots rotate
-// mid-run, so cuts recover through a tenancy-bearing snapshot restore
-// plus journal-tail replay.
-func TestTenantCrashRecoveryEquivalence(t *testing.T) {
-	jobs := tenantCrashJobs(t)
-	mkCfg := func() Config {
-		cfg := crashConfig(sched.SpatioTemporal{Percentile: 40, Window: 48}, 30)
-		cfg.Tenants = tenancyConfig(t)
-		return cfg
-	}
-	refDir := t.TempDir()
-	ref := driveReference(t, refDir, mkCfg(), jobs)
-	bounds := recordBoundaries(t, latestJournal(t, refDir))
-	size := bounds[len(bounds)-1]
-
-	cutSet := map[int64]bool{
-		0: true, 1: true, size - 1: true, size: true,
-		size / 5: true, size / 2: true,
-		bounds[len(bounds)/2]:     true,
-		bounds[len(bounds)/3] + 3: true, // torn mid-record
-	}
-	var cuts []int64
-	for c := range cutSet {
-		if c >= 0 && c <= size {
-			cuts = append(cuts, c)
-		}
-	}
-	sort.Slice(cuts, func(a, b int) bool { return cuts[a] < cuts[b] })
-
-	sawSnapshotRestore := false
-	for _, cut := range cuts {
-		dir := copyDirWithCut(t, refDir, cut)
-		got := recoverAndFinish(t, dir, mkCfg(), jobs)
-		assertRunsEqual(t, ref, got, fmt.Sprintf("tenant cut at byte %d/%d", cut, size))
-		if !got.recovery.Recovered {
-			t.Fatalf("cut at %d: boot did not report recovery", cut)
-		}
-		if got.recovery.RecoveredSnapshotHour > 0 {
-			sawSnapshotRestore = true
-		}
-	}
-	if !sawSnapshotRestore {
-		t.Error("no cut exercised a tenancy-bearing snapshot restore")
-	}
-}
-
 // TestTenantQuotaRecoveryContinuity: a rebooted server rebuilds the
 // quota windows from the recovered fleet's arrivals, so a tenant that
 // exhausted its hour before the shutdown is still rejected right after
 // recovery — no free window from restarting the process.
 func TestTenantQuotaRecoveryContinuity(t *testing.T) {
-	dir := t.TempDir()
-	mkCfg := func() Config {
-		return Config{
-			Policy: sched.FIFO{}, Horizon: 48,
-			DataDir: dir, Sync: wal.SyncNone, Tenants: tenancyConfig(t),
-		}
-	}
-	ctx := context.Background()
-
-	clock := &hourClock{}
-	srv, err := New(mkSet(t, 48), clusters(4), mkCfg(), WithClock(clock.now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCluster(t, world{policy: sched.FIFO{}, tenants: true, horizon: 48, slots: 4})
 	for i := 0; i < 3; i++ {
-		if _, err := client.Submit(ctx, tjob("quotal")); err != nil {
+		if _, err := c.primary.client.Submit(c.ctx, tjob("quotal")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err = client.Submit(ctx, tjob("quotal"))
+	_, err := c.primary.client.Submit(c.ctx, tjob("quotal"))
 	wantStatus(t, "pre-shutdown over-quota", err, http.StatusTooManyRequests, "quota exceeded")
-	ts.Close()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	clock2 := &hourClock{}
-	srv2, err := New(mkSet(t, 48), clusters(4), mkCfg(), WithClock(clock2.now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	ts2 := httptest.NewServer(srv2.Handler())
-	defer ts2.Close()
-	client2, err := NewClient(ts2.URL, ts2.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.restart()
 	// Same hour, rebuilt window: still exhausted.
-	_, err = client2.Submit(ctx, tjob("quotal"))
+	_, err = c.primary.client.Submit(c.ctx, tjob("quotal"))
 	wantStatus(t, "post-recovery over-quota", err, http.StatusTooManyRequests, "quota exceeded")
 	// Other tenants were never blocked.
-	if _, err := client2.Submit(ctx, tjob("web")); err != nil {
+	if _, err := c.primary.client.Submit(c.ctx, tjob("web")); err != nil {
 		t.Fatal(err)
 	}
 	// The next hour opens a fresh window as usual.
-	clock2.hour.Store(1)
-	if _, err := client2.Submit(ctx, tjob("quotal")); err != nil {
+	c.clock.hour.Store(1)
+	if _, err := c.primary.client.Submit(c.ctx, tjob("quotal")); err != nil {
 		t.Fatalf("quotal after hour advance: %v", err)
-	}
-}
-
-// TestTenantReplicationEquivalence: a follower of a tenant-configured
-// primary converges to byte-identical fleet state — tenant identity,
-// fair-queue virtual time, and per-tenant accounting included. The
-// subtests set different values of the deprecated Config.Shards on the
-// two sides, which must stay a no-op until it is removed.
-func TestTenantReplicationEquivalence(t *testing.T) {
-	jobs := tenantCrashJobs(t)
-	policy := sched.CarbonGate{Percentile: 40, Window: 48}
-	for _, tc := range []struct{ pShards, fShards int }{{2, 1}, {1, 4}} {
-		t.Run(fmt.Sprintf("primary%d-follower%d", tc.pShards, tc.fShards), func(t *testing.T) {
-			pclock := &hourClock{}
-			primary, err := New(mkSet(t, crashHorizon), clusters(crashSlots), Config{
-				Policy: policy, Horizon: crashHorizon, Shards: tc.pShards,
-				DataDir: t.TempDir(), SnapshotEvery: 30, Sync: wal.SyncNone,
-				Tenants: tenancyConfig(t),
-			}, WithClock(pclock.now))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer primary.Close()
-			primary.source.Poll = 200 * time.Microsecond
-			ts := httptest.NewServer(primary.Handler())
-			defer ts.Close()
-			client, err := NewClient(ts.URL, ts.Client())
-			if err != nil {
-				t.Fatal(err)
-			}
-			follower, err := NewFollower(mkSet(t, crashHorizon), clusters(crashSlots), Config{
-				Policy: policy, Horizon: crashHorizon, Shards: tc.fShards,
-				Tenants: tenancyConfig(t),
-			}, FollowerConfig{Primary: ts.URL, HTTPClient: ts.Client(), ReconnectDelay: 2 * time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer follower.Close()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			follower.Start(ctx)
-
-			next := 0
-			for hour := 0; hour < crashHorizon; hour++ {
-				pclock.hour.Store(int64(hour))
-				if _, err := client.Stats(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				lo := next
-				for next < len(jobs) && jobs[next].Arrival == hour {
-					next++
-				}
-				submitAt(t, client, hour, jobs[lo:next])
-			}
-			waitUntil(t, "follower catch-up", func() bool {
-				return follower.fleet.Hour() == crashHorizon-1 && follower.fleet.Jobs() == len(jobs)
-			})
-			want, err := primary.fleet.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := follower.fleet.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("tenant-tagged follower state is not byte-identical to the primary")
-			}
-			if fs, ps := follower.fleet.TenantStats(), primary.fleet.TenantStats(); !reflect.DeepEqual(fs, ps) {
-				t.Fatalf("per-tenant stats diverge:\nfollower: %+v\nprimary:  %+v", fs, ps)
-			}
-		})
 	}
 }
 
@@ -716,65 +545,22 @@ func TestTenantReplicationEquivalence(t *testing.T) {
 // quota windows from the replicated arrivals — a failover must not
 // grant every tenant a fresh hour.
 func TestTenantPromotionQuotaContinuity(t *testing.T) {
-	pclock := &hourClock{}
-	primary, err := New(mkSet(t, 48), clusters(4), Config{
-		Policy: sched.FIFO{}, Horizon: 48,
-		DataDir: t.TempDir(), Sync: wal.SyncNone, Tenants: tenancyConfig(t),
-	}, WithClock(pclock.now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	primary.source.Poll = 200 * time.Microsecond
-	ts := httptest.NewServer(primary.Handler())
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	fclock := &hourClock{}
-	follower, err := NewFollower(mkSet(t, 48), clusters(4), Config{
-		Policy: sched.FIFO{}, Horizon: 48, Tenants: tenancyConfig(t),
-	}, FollowerConfig{
-		Primary: ts.URL, HTTPClient: ts.Client(), ReconnectDelay: 2 * time.Millisecond,
-	}, WithClock(fclock.now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	follower.Start(fctx)
-
+	c := newCluster(t, world{policy: sched.FIFO{}, tenants: true, horizon: 48, slots: 4})
+	f := c.startFollower(FollowerConfig{}, true)
 	for i := 0; i < 3; i++ {
-		if _, err := client.Submit(ctx, tjob("quotal")); err != nil {
+		if _, err := c.primary.client.Submit(c.ctx, tjob("quotal")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, "replication of the quota-exhausting admissions", func() bool {
-		return follower.fleet.Jobs() == 3
-	})
-	promoted, err := follower.Promote()
-	if err != nil || !promoted {
-		t.Fatalf("promote = %v, %v", promoted, err)
-	}
-
-	fts := httptest.NewServer(follower.Handler())
-	defer fts.Close()
-	fclient, err := NewClient(fts.URL, fts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.promote(0)
 	// Same hour on the new primary: quotal's window is already spent.
-	_, err = fclient.Submit(ctx, tjob("quotal"))
+	_, err := f.client.Submit(c.ctx, tjob("quotal"))
 	wantStatus(t, "post-promotion over-quota", err, http.StatusTooManyRequests, "quota exceeded")
-	if _, err := fclient.Submit(ctx, tjob("web")); err != nil {
+	if _, err := f.client.Submit(c.ctx, tjob("web")); err != nil {
 		t.Fatalf("web on promoted primary: %v", err)
 	}
-	fclock.hour.Store(1)
-	if _, err := fclient.Submit(ctx, tjob("quotal")); err != nil {
+	c.clock.hour.Store(1)
+	if _, err := f.client.Submit(c.ctx, tjob("quotal")); err != nil {
 		t.Fatalf("quotal on promoted primary after hour advance: %v", err)
 	}
 }

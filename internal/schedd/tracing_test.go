@@ -11,7 +11,6 @@ import (
 	"context"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"carbonshift/internal/sched"
 	"carbonshift/internal/tracing"
@@ -19,41 +18,13 @@ import (
 )
 
 func TestTraceLinksSubmitToFollowerApply(t *testing.T) {
-	clock := &hourClock{}
-	// The primary's own sampler is OFF: the only way anything records
-	// here is the sampled flag arriving in the client's traceparent —
-	// which is exactly the propagation chain under test.
-	primary, err := New(mkSet(t, crashHorizon), clusters(crashSlots), Config{
-		Policy: sched.FIFO{}, Horizon: crashHorizon,
-		DataDir: t.TempDir(), Sync: wal.SyncNone,
-		TraceSampleEvery: -1,
-	}, WithClock(clock.now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer primary.Close()
-	primary.source.Poll = 200 * time.Microsecond
-	ts := httptest.NewServer(primary.Handler())
-	defer ts.Close()
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	follower, err := NewFollower(mkSet(t, crashHorizon), clusters(crashSlots), Config{
-		Policy: sched.FIFO{}, Horizon: crashHorizon,
-	}, FollowerConfig{
-		Primary:        ts.URL,
-		HTTPClient:     ts.Client(),
-		ReconnectDelay: 2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	follower.Start(ctx)
+	// The primary's own sampler is OFF (every harness world has it off):
+	// the only way anything records here is the sampled flag arriving in
+	// the client's traceparent — which is exactly the propagation chain
+	// under test.
+	c := newCluster(t, world{policy: sched.FIFO{}})
+	primary, client := c.primary.srv, c.primary.client
+	follower := c.startFollower(FollowerConfig{}, true).srv
 
 	// The client mints the trace, like cmd/loadgen -slowest does.
 	ctr := tracing.New(tracing.Config{SampleEvery: 1})
@@ -94,25 +65,18 @@ func TestTraceLinksSubmitToFollowerApply(t *testing.T) {
 
 	// Follower side: the admit record carried the trace ID through the
 	// stream, and the apply span joined the SAME trace over there.
-	waitUntil(t, "follower apply", func() bool { return follower.fleet.Jobs() >= 1 })
-	waitUntil(t, "follower apply span", func() bool {
+	root := ""
+	waitUntil(t, "the follower's span in the trace", func() bool {
 		for _, cand := range follower.Tracer().Snapshot().Traces {
 			if cand.TraceID == tid.String() {
-				return true
+				root = cand.Root
 			}
 		}
-		return false
+		return root != ""
 	})
-	for _, cand := range follower.Tracer().Snapshot().Traces {
-		if cand.TraceID != tid.String() {
-			continue
-		}
-		if cand.Root != "repl.apply" {
-			t.Fatalf("follower trace root = %q, want repl.apply", cand.Root)
-		}
-		return
+	if root != "repl.apply" {
+		t.Fatalf("follower trace root = %q, want repl.apply", root)
 	}
-	t.Fatal("unreachable")
 }
 
 func TestAdmitRecordTraceIDCodec(t *testing.T) {
@@ -155,8 +119,8 @@ func TestRecoveryReplaysTracedRecords(t *testing.T) {
 	// exactly like one without them.
 	dir := t.TempDir()
 	clock := &hourClock{}
-	srv, err := New(mkSet(t, crashHorizon), clusters(crashSlots), Config{
-		Policy: sched.FIFO{}, Horizon: crashHorizon,
+	srv, err := New(mkSet(t, simHorizon), clusters(simSlots), Config{
+		Policy: sched.FIFO{}, Horizon: simHorizon,
 		DataDir: dir, Sync: wal.SyncNone,
 		TraceSampleEvery: 1, // every submit stamps its trace ID
 	}, WithClock(clock.now))
@@ -178,8 +142,8 @@ func TestRecoveryReplaysTracedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := New(mkSet(t, crashHorizon), clusters(crashSlots), Config{
-		Policy: sched.FIFO{}, Horizon: crashHorizon,
+	re, err := New(mkSet(t, simHorizon), clusters(simSlots), Config{
+		Policy: sched.FIFO{}, Horizon: simHorizon,
 		DataDir: dir, Sync: wal.SyncNone,
 	}, WithClock(clock.now))
 	if err != nil {
