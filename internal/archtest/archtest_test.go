@@ -508,26 +508,37 @@ func (s *Server) serveWrite(w http.ResponseWriter) {
 }`},
 	},
 	{
-		// One fault driver: schedd's crash, restart, replication, chaos
-		// and failover tests are schedules over the cluster in
-		// sim_test.go, checked against its four invariants. A test that
-		// builds its own follower or cuts its own journal is a second
-		// driver, proving less.
+		// One fault driver: every crash, restart, replication, chaos and
+		// failover test under internal/, of one partition or of the
+		// partitioned fleet behind the gateway, is a schedule over the
+		// harness in internal/schedd/sim_test.go, checked against its four
+		// invariants. A test that builds its own follower or cuts its own
+		// journal is a second driver, proving less. internal/wal's own
+		// tests cut journals to test the reader itself.
 		name: "one fault driver in internal/schedd's tests",
-		fix:  "drive the fault through the cluster in sim_test.go (startFollower, crash, recoverFrom) and add a schedule to fault_test.go",
+		fix: "drive the fault through the harness in internal/schedd/sim_test.go — a cluster (startFollower, crash, recoverFrom) " +
+			"or the partitioned fleet (kill, heal, startGateway) — and add a schedule to its fault_test.go",
 		rules: []rule{
-			{what: "NewFollower( outside sim_test.go", in: []string{"internal/schedd/"}, not: []string{"internal/schedd/sim_test.go"},
+			{what: "NewFollower( outside sim_test.go", in: []string{"internal/"}, not: []string{"internal/schedd/sim_test.go"},
 				tests: true, only: file.test, match: callNamed("NewFollower")},
-			{what: "journal truncation outside sim_test.go", in: []string{"internal/schedd/"}, not: []string{"internal/schedd/sim_test.go"},
-				tests: true, only: file.test, match: truncates},
+			{what: "journal truncation outside sim_test.go and internal/wal", in: []string{"internal/"},
+				not: []string{"internal/schedd/sim_test.go", "internal/wal/"}, tests: true, only: file.test, match: truncates},
 		},
-		plant: map[string]string{"internal/schedd/planted_test.go": `package schedd
+		plant: map[string]string{
+			"internal/schedd/planted_test.go": `package schedd
 func TestHandRolledFailover(t *testing.T) {
 	f, _ := NewFollower(set, clusters(2), Config{}, FollowerConfig{Primary: url})
 	os.Truncate(journal, cut)
 	os.WriteFile(journal, data[:cut], 0o644)
 	f.Start(ctx)
-}`},
+}`,
+			"internal/gateway/planted_test.go": `package gateway
+func TestHandRolledPartitionFailover(t *testing.T) {
+	standby, _ := schedd.NewFollower(sub, subcl, schedd.Config{}, schedd.FollowerConfig{Primary: url})
+	os.WriteFile(journal, data[:cut], 0o644)
+	standby.Start(ctx)
+}`,
+		},
 	},
 }
 

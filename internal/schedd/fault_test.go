@@ -28,6 +28,8 @@ var (
 	spatio   = sched.SpatioTemporal{Percentile: 40, Window: 48}
 	gate     = sched.CarbonGate{Percentile: 40, Window: 48}
 	forecast = sched.ForecastGate{Percentile: 40}
+	// policies is what a seeded schedule draws its policy from.
+	policies = []sched.Policy{sched.FIFO{}, gate, forecast, sched.GreenestFirst{}, spatio}
 )
 
 type schedule struct {
@@ -71,6 +73,13 @@ var schedules = []schedule{
 	{"TestReplicationChaos", "greenest-first", chaos},
 	{"TestJournaledRestartUnderLoad", "greenest-first", restartUnderLoad},
 	{"TestFailoverPromotion", "carbon-gate", failover},
+
+	// The partitioned fleet loses each of its five processes in turn.
+	{"TestPartitionedKillAnyOne", "gateway", killAnyOne("gateway")},
+	{"TestPartitionedKillAnyOne", "p0-primary", killAnyOne("p0-primary")},
+	{"TestPartitionedKillAnyOne", "p0-standby", killAnyOne("p0-standby")},
+	{"TestPartitionedKillAnyOne", "p1-primary", killAnyOne("p1-primary")},
+	{"TestPartitionedKillAnyOne", "p1-standby", killAnyOne("p1-standby")},
 }
 
 func TestCrashRecoveryEquivalence(t *testing.T)       { runSchedules(t) }
@@ -85,8 +94,10 @@ func TestMixedProtocolReplication(t *testing.T)       { runSchedules(t) }
 func TestReplicationChaos(t *testing.T)               { runSchedules(t) }
 func TestJournaledRestartUnderLoad(t *testing.T)      { runSchedules(t) }
 func TestFailoverPromotion(t *testing.T)              { runSchedules(t) }
+func TestPartitionedKillAnyOne(t *testing.T)          { runSchedules(t) }
 
-// TestFaultSchedules runs 16 seeded schedules (4 under -short).
+// TestFaultSchedules runs 16 seeded schedules of one partition and 8 of
+// the partitioned fleet (4 of each under -short).
 func TestFaultSchedules(t *testing.T) {
 	seeds := 16
 	if testing.Short() {
@@ -105,6 +116,20 @@ func TestFaultSchedules(t *testing.T) {
 			c.check()
 		})
 	}
+	t.Run("partitioned", func(t *testing.T) {
+		for seed := 1; seed <= max(seeds/2, 4); seed++ {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				reproOnFailure(t)
+				w, ops := seededPartitioned(uint64(seed))
+				f := newPartitioned(t, w)
+				for i, o := range ops {
+					f.setOp(fmt.Sprintf("op %d %s", i, o.name))
+					o.do(f)
+				}
+				f.check()
+			})
+		}
+	})
 }
 
 // runSchedules runs the table's schedules for the test t is.
@@ -129,17 +154,17 @@ func reproOnFailure(t *testing.T) {
 	})
 }
 
-// op is one step of a seeded schedule.
-type op struct {
+// op is one step of a seeded schedule on a cluster or on the
+// partitioned fleet.
+type op[C any] struct {
 	name string
-	do   func(*cluster)
+	do   func(C)
 }
 
 // seeded draws a schedule from the seed: a two-day world, then for
 // every hour its clock and arrivals and, now and then, a fault.
-func seeded(seed uint64) (world, []op) {
+func seeded(seed uint64) (world, []op[*cluster]) {
 	r := rng.New(seed)
-	policies := []sched.Policy{sched.FIFO{}, gate, forecast, sched.GreenestFirst{}, spatio}
 	w := world{
 		policy:    policies[r.Intn(len(policies))],
 		snapEvery: []int{0, 12, 30}[r.Intn(3)],
@@ -147,8 +172,8 @@ func seeded(seed uint64) (world, []op) {
 		wire:      wireMode(r.Intn(3)),
 		horizon:   48,
 	}
-	var ops []op
-	add := func(name string, do func(*cluster)) { ops = append(ops, op{name, do}) }
+	var ops []op[*cluster]
+	add := func(name string, do func(*cluster)) { ops = append(ops, op[*cluster]{name, do}) }
 	followers := 0
 	for h := 0; h < w.hours(); h++ {
 		add(fmt.Sprintf("at(%d)", h), func(c *cluster) { c.at(h) })
@@ -158,11 +183,15 @@ func seeded(seed uint64) (world, []op) {
 			frac, torn, flip := r.Float64(), []int64{0, 3, 11}[r.Intn(3)], r.Intn(3) == 0
 			add(fmt.Sprintf("crash(%.2f+%d, flip %v)", frac, torn, flip), func(c *cluster) {
 				c.crash(func(b []int64) tear {
-					i := int(frac * float64(len(b)))
-					if flip && i < len(b)-1 {
-						return tear{b[i] + 8, true} // the record's type byte
+					i, size := int(frac*float64(len(b))), b[len(b)-1]
+					switch {
+					case flip && i < len(b)-1:
+						return tear{b[i] + 8, garbled} // the record's type byte
+					case b[i]+torn > size:
+						// Past the end: the file's length outran its data.
+						return tear{size, zeroFrom}
 					}
-					return tear{b[i] + torn, false}
+					return tear{b[i] + torn, cutAt}
 				})
 			})
 		case roll == 1:
@@ -187,6 +216,49 @@ func seeded(seed uint64) (world, []op) {
 	return w, ops
 }
 
+// seededPartitioned draws a partitioned schedule from the seed: a
+// two-day fleet, then for every hour its clock and arrivals and, now
+// and then, a fault — kill -9 of any of the five processes that is up
+// and its heal, a planned promotion or a gateway restart. A partition
+// loses its standby at most once, by a kill or a promotion, and then
+// keeps its primary: the gateway knows no third endpoint for it.
+func seededPartitioned(seed uint64) (world, []op[*partitioned]) {
+	r := rng.New(seed)
+	w := world{
+		policy:    policies[r.Intn(len(policies))],
+		snapEvery: []int{0, 12, 30}[r.Intn(3)],
+		wire:      wireMode(r.Intn(3)),
+		horizon:   48,
+		jobs:      40,
+	}
+	var ops []op[*partitioned]
+	add := func(name string, do func(*partitioned)) { ops = append(ops, op[*partitioned]{name, do}) }
+	kill := func(node string) {
+		add("kill("+node+")", func(f *partitioned) { f.kill(node) })
+		add("heal("+node+")", func(f *partitioned) { f.heal(node) })
+	}
+	standby := []bool{true, true}
+	for h := 0; h < w.hours(); h++ {
+		add(fmt.Sprintf("at(%d)", h), func(f *partitioned) { f.at(h) })
+		add("submit", (*partitioned).submit)
+		switch roll, p := r.Intn(30), r.Intn(2); {
+		case roll == 0:
+			kill("gateway")
+		case roll == 1:
+			add("startGateway", (*partitioned).startGateway)
+		case roll <= 5 && standby[p]:
+			standby[p] = false
+			kill(fmt.Sprintf("p%d-%s", p, []string{"primary", "standby"}[roll%2]))
+		case roll == 6 && standby[p]:
+			standby[p] = false
+			add(fmt.Sprintf("promote(%d)", p), func(f *partitioned) { f.parts[p].promote(0) })
+		case roll <= 10:
+			add("settle", (*partitioned).settle)
+		}
+	}
+	return w, ops
+}
+
 // plain runs the world uninterrupted.
 func plain(w world) func(*testing.T) {
 	return func(t *testing.T) {
@@ -199,41 +271,44 @@ func plain(w world) func(*testing.T) {
 // cutSweep crashes the world's finished reference run at a sweep of
 // journal tears and checks each recovery. The full sweep cuts at every
 // record boundary (every ninth under -short) and 3 and 11 bytes past it
-// — torn in the length prefix and in the payload — and garbles each
-// record's type byte with the records after it intact; the coarse
-// sweep tears at ten points of those kinds. A tear inside a
-// record must recover what the cut at the record's start does, so only
-// the cuts run on and drain; and as every recovery rotates to a fresh
-// generation, only the cuts at the journal's ends and at every ninth
-// boundary check the final directory too.
+// — torn in the length prefix and in the payload — garbles each
+// record's type byte with the records after it intact, and zero-fills
+// the journal from the boundary on; the coarse sweep tears at a dozen
+// points of those kinds. Every sweep zero-fills past the journal's end.
+// A tear inside a record, or zeros from its start, must recover what
+// the cut at the record's start does, so only the cuts run on and
+// drain; and as every recovery rotates to a fresh generation, only the
+// cuts at the journal's ends and at every ninth boundary check the
+// final directory too.
 func cutSweep(w world, full bool) func(*testing.T) {
 	return func(t *testing.T) {
 		ref := referenceOf(t, w)
 		b := ref.bounds
 		n, size := len(b), b[len(b)-1]
-		tears := map[tear]bool{{0, false}: true, {1, false}: true, {size - 1, false}: true, {size, false}: true}
+		tears := map[tear]bool{{0, cutAt}: true, {1, cutAt}: true, {size - 1, cutAt}: true, {size, cutAt}: true, {size, zeroFrom}: true}
 		if full {
 			stride := 1
 			if testing.Short() {
 				stride = 9
 			}
 			for i := 0; i < n-1; i += stride {
-				for _, tr := range []tear{{b[i], false}, {b[i] + 3, false}, {b[i] + 11, false}, {b[i] + 8, true}} {
+				for _, tr := range []tear{{b[i], cutAt}, {b[i] + 3, cutAt}, {b[i] + 11, cutAt}, {b[i] + 8, garbled}, {b[i], zeroFrom}} {
 					tears[tr] = true
 				}
 			}
 		} else {
 			for _, cut := range []int64{size / 5, size / 2, b[n/4], b[n/2], b[n/2] + 3, b[n/3] + 3, b[3*n/4] + 11} {
-				tears[tear{cut, false}] = true
+				tears[tear{cut, cutAt}] = true
 			}
-			tears[tear{b[n/3] + 8, true}], tears[tear{b[2*n/3] + 8, true}] = true, true
+			tears[tear{b[n/3] + 8, garbled}], tears[tear{b[2*n/3] + 8, garbled}] = true, true
+			tears[tear{b[n/2], zeroFrom}] = true
 		}
 		sawSnapshot, sawTorn := false, false
 		for tr := range tears {
 			i := slices.Index(b, tr.at)
 			switch {
 			case tr.at > size:
-			case tr.flip || tr.at != 0 && i < 0:
+			case tr.kind != cutAt || tr.at != 0 && i < 0:
 				ref.bootTorn(t, w, tr)
 				sawTorn = true
 			default:
@@ -263,7 +338,7 @@ func savedAfterRestart(t *testing.T) {
 	w := world{policy: sched.GreenestFirst{}, snapEvery: 50}
 	ref := referenceOf(t, w)
 	c := ref.fork(t, w)
-	rec := c.recoverFrom(ref.files, tear{ref.bounds[len(ref.bounds)/2], false})
+	rec := c.recoverFrom(ref.files, tear{ref.bounds[len(ref.bounds)/2], cutAt})
 	if rec.RecoveredSnapshotHour == 0 || rec.ReplayedRecords == 0 {
 		t.Fatalf("weak fixture: recovery %+v neither restored a mid-run snapshot nor replayed", rec)
 	}
@@ -408,7 +483,8 @@ func restartUnderLoad(t *testing.T) {
 
 // failover is the story end to end: writes through a failover client
 // configured follower-first, which the 421 lands on the primary; the
-// 421 contract itself; the primary killed and the follower promoted
+// 421 contract itself; the caught-up standby's lag and applied-records
+// series; the primary killed and the follower promoted
 // over HTTP; the same client writing on through the switch with no
 // acked job lost; the promoted primary's lineage; and a second
 // generation of follower bootstrapping from it.
@@ -440,6 +516,13 @@ func failover(t *testing.T) {
 			resp.StatusCode, resp.Header.Get("X-Replication-Lag-Hours"), e.Primary, f.proxy.URL())
 	}
 
+	// Caught up, the standby scrapes no lag and the records it applied.
+	c.settle()
+	sc := scrapeServer(t, f.srv.Handler())
+	if lag, applied := metricVal(t, sc, "schedd_replication_lag_hours"), metricVal(t, sc, "repl_records_applied_total"); lag != 0 || applied == 0 {
+		t.Fatalf("the caught-up standby scrapes a lag of %v hours and %v records applied", lag, applied)
+	}
+
 	c.promote(0)
 	c.run(half, w.hours())
 	stats, err := f.client.Stats(c.ctx)
@@ -454,6 +537,30 @@ func failover(t *testing.T) {
 	}
 	c.startFollower(FollowerConfig{}, false)
 	c.check()
+}
+
+// killAnyOne is the partitioned story: half the arrivals through the
+// gateway with every process up, which must split batches; both
+// standbys settled; victim killed -9 and healed; the rest of the
+// arrivals through the same gateway URL; and check.
+func killAnyOne(victim string) func(*testing.T) {
+	return func(t *testing.T) {
+		w := world{policy: gate, snapEvery: 30, jobs: 80}
+		f := newPartitioned(t, w)
+		half := w.hours() / 2
+		f.setOp("phase 1")
+		f.run(0, half)
+		if f.metric("gateway_split_submits_total") == 0 {
+			f.fatalf("no batch split at the gateway")
+		}
+		f.setOp("kill(" + victim + ")")
+		f.settle()
+		f.kill(victim)
+		f.heal(victim)
+		f.setOp("phase 2")
+		f.run(half, w.hours())
+		f.check()
+	}
 }
 
 // --- lifecycle edges ---

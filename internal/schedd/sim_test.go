@@ -1,7 +1,8 @@
 package schedd
 
 // The fault harness: one in-process cluster that every crash, restart,
-// replication, chaos and failover test drives.
+// replication, chaos and failover test drives, and the partitioned
+// fleet — two clusters behind the gateway — built from it.
 //
 // A cluster runs one world — policy, snapshot cadence, tenancy on or
 // off, and the wire its arrivals travel (JSON, binary, or the two
@@ -13,9 +14,9 @@ package schedd
 //	at(h)            set the clock to h and poll stats, which steps the fleet
 //	submit           send the hour's arrivals, two a request, ids pinned
 //	                 but every third, which the server's counter assigns
-//	crash(tear)      copy the data dir with the newest journal cut short
-//	                 or one byte garbled, boot a new primary from the
-//	                 copy and re-drive what the tear lost
+//	crash(tear)      copy the data dir with the newest journal cut short,
+//	                 one byte garbled or its tail zero-filled, boot a new
+//	                 primary from the copy and re-drive what the tear lost
 //	restart          close the primary cleanly and boot it again
 //	load(w)          w concurrent submitters beside a clock driver
 //	cutLink(i)       sever follower i's connections
@@ -43,8 +44,9 @@ package schedd
 //     same bytes, and boot recovery equals RestoreReplSnapshot plus
 //     ApplyReplRecord over the same snapshot and records.
 //
-// This is the one test file in the package that builds a follower or
-// cuts a journal; internal/archtest holds it to that.
+// This is the one test file under internal/ that builds a follower or
+// cuts a journal (internal/wal's reader tests aside); internal/archtest
+// holds it to that.
 
 import (
 	"bytes"
@@ -54,16 +56,19 @@ import (
 	"io"
 	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"carbonshift/internal/metrics"
 	"carbonshift/internal/repl"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/trace"
@@ -100,16 +105,47 @@ type world struct {
 	// no-op, so it is not part of key: a run with any value is held to
 	// the one reference of its world.
 	shards, followerShards int
+	// partitions, when 2, makes the world partition partitionID of a
+	// two-partition fleet: it owns the one region clusters(n)[partitionID]
+	// and the ids from partitionID*idStride.
+	partitions, partitionID int
 }
+
+// idStride separates the partitions' id ranges (Config.IDBase).
+const idStride = 1000
 
 func (w world) hours() int { return cmp.Or(w.horizon, simHorizon) }
 
-func (w world) clusters() []sched.Cluster { return clusters(cmp.Or(w.slots, simSlots)) }
+func (w world) clusters() []sched.Cluster {
+	cl := clusters(cmp.Or(w.slots, simSlots))
+	if w.partitions > 0 {
+		cl = cl[w.partitionID : w.partitionID+1]
+	}
+	return cl
+}
+
+// set is the world's traces: both regions', or its partition's one.
+func (w world) set(t testing.TB) *trace.Set {
+	t.Helper()
+	set := mkSet(t, w.hours())
+	if w.partitions > 0 {
+		var err error
+		if set, err = set.Subset([]string{w.clusters()[0].Region}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return set
+}
+
+// owner is the partition of a two-partition fleet that owns origin.
+func owner(origin string) int {
+	return slices.IndexFunc(clusters(1), func(c sched.Cluster) bool { return c.Region == origin })
+}
 
 // key names everything a run's outcome depends on. Every wire journals
 // the same bytes, so the wire is not part of it.
 func (w world) key() string {
-	return fmt.Sprint(w.policy.Name(), w.snapEvery, w.tenants, w.syncBatch, w.hours(), w.slots, w.jobs)
+	return fmt.Sprint(w.policy.Name(), w.snapEvery, w.tenants, w.syncBatch, w.hours(), w.slots, w.jobs, w.partitions, w.partitionID)
 }
 
 // config is the world's server config over dir ("" for none). Trace
@@ -119,7 +155,8 @@ func (w world) config(t testing.TB, dir string) Config {
 	cfg := Config{
 		Policy: w.policy, Horizon: w.hours(), Shards: w.shards,
 		DataDir: dir, SnapshotEvery: w.snapEvery, Sync: wal.SyncNone,
-		TraceSampleEvery: -1,
+		TraceSampleEvery: -1, Partitions: w.partitions, PartitionID: w.partitionID,
+		IDBase: w.partitionID * idStride,
 	}
 	if w.syncBatch {
 		cfg.Sync = wal.SyncBatch
@@ -130,13 +167,26 @@ func (w world) config(t testing.TB, dir string) Config {
 	return cfg
 }
 
-// workload is the world's job stream, sorted by arrival and numbered in
+// workload is the jobs the world's server admits: the whole stream, or
+// the share of it whose origin a partition owns.
+func (w world) workload(t testing.TB) []sched.Job {
+	t.Helper()
+	jobs := w.stream(t)
+	if w.partitions > 0 {
+		jobs = slices.DeleteFunc(jobs, func(j sched.Job) bool { return j.Origin != w.clusters()[0].Region })
+	}
+	return jobs
+}
+
+// stream is the world's job stream, sorted by arrival and numbered in
 // that order from 0 — the ids a server hands out when it assigns them:
 // most jobs interruptible or migratable, none longer than 30 hours, the
-// last arriving 30 hours before the horizon. A tenancy world spreads
-// them over configured tenants, the default one, the quota-limited one
-// and an unlisted name that resolves through the catch-all.
-func (w world) workload(t testing.TB) []sched.Job {
+// last arriving 30 hours before the horizon. A partitioned fleet's
+// stream moves each id into its origin's partition's range. A tenancy
+// world spreads the jobs over configured tenants, the default one, the
+// quota-limited one and an unlisted name that resolves through the
+// catch-all.
+func (w world) stream(t testing.TB) []sched.Job {
 	t.Helper()
 	jobs, err := sched.GenerateJobs(sched.WorkloadSpec{
 		Jobs: cmp.Or(w.jobs, 26), ArrivalSpan: w.hours() - 30, SlackHours: 24,
@@ -149,6 +199,9 @@ func (w world) workload(t testing.TB) []sched.Job {
 	names := []string{"", "web", "batchy", "spot", "mystery", "quotal"}
 	for i := range jobs {
 		jobs[i].ID = i
+		if w.partitions > 0 {
+			jobs[i].ID += owner(jobs[i].Origin) * idStride
+		}
 		jobs[i].Length = min(jobs[i].Length, 30)
 		if w.tenants {
 			jobs[i].Tenant = names[i%len(names)]
@@ -168,7 +221,7 @@ func (w world) follower(t testing.TB, primary, dir string, fcfg FollowerConfig, 
 		fcfg.ReconnectDelay = time.Millisecond
 	}
 	fcfg.Primary = primary
-	s, err := NewFollower(mkSet(t, w.hours()), w.clusters(), cfg, fcfg, opts...)
+	s, err := NewFollower(w.set(t), w.clusters(), cfg, fcfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +317,14 @@ type cluster struct {
 }
 
 // newCluster boots the world's durable primary on a fresh data dir.
-func newCluster(t *testing.T, w world) *cluster {
+func newCluster(t *testing.T, w world) *cluster { return newClusterOn(t, w, &hourClock{}) }
+
+// newClusterOn is newCluster on a clock other clusters share.
+func newClusterOn(t *testing.T, w world, clock *hourClock) *cluster {
 	t.Helper()
 	c := &cluster{
-		t: t, w: w, jobs: w.workload(t), set: mkSet(t, w.hours()),
-		clock: &hourClock{}, ctx: t.Context(), acked: map[int]int{},
+		t: t, w: w, jobs: w.workload(t), set: w.set(t),
+		clock: clock, ctx: t.Context(), acked: map[int]int{},
 		history: map[string]int{},
 	}
 	c.primary = c.boot(t.TempDir())
@@ -368,7 +424,8 @@ func (c *cluster) submit() {
 // send submits jobs that arrive at hour, two a request, over the
 // world's wire. Every third job leaves its id to the server, whose id
 // counter must then hand out the job's own: jobs go out in id order, so
-// every smaller id is taken and no larger one is.
+// every smaller id is taken and no larger one is. A partition's jobs
+// all pin theirs, as the partitioned fleet's gateway-split batches do.
 func (c *cluster) send(hour int, jobs []sched.Job) {
 	c.t.Helper()
 	client := c.primary.client
@@ -379,23 +436,10 @@ func (c *cluster) send(hour int, jobs []sched.Job) {
 		chunk := jobs[lo:min(lo+2, len(jobs))]
 		var batch []JobRequest
 		for _, j := range chunk {
-			req := JobRequest{
-				Origin: j.Origin, Tenant: j.Tenant,
-				LengthHours: j.Length, SlackHours: j.Slack,
-				Interruptible: j.Interruptible, Migratable: j.Migratable,
-			}
-			if j.ID%3 != 0 {
-				id := j.ID
-				req.ID = &id
-			}
-			batch = append(batch, req)
+			batch = append(batch, request(j, j.ID%3 != 0 || c.w.partitions > 0))
 		}
-		submit := client.Submit
-		if c.w.wire == wireBinary || c.w.wire == wireMixed && c.chunks%2 == 1 {
-			submit = client.SubmitBatch
-		}
+		ack, err := c.w.wire.submit(client, c.chunks)(c.ctx, batch...)
 		c.chunks++
-		ack, err := submit(c.ctx, batch...)
 		if err != nil {
 			c.fatalf("hour %d: submit: %v", hour, err)
 		}
@@ -412,6 +456,28 @@ func (c *cluster) send(hour int, jobs []sched.Job) {
 	}
 }
 
+// request is j as a submit request, its id pinned when pin is set.
+func request(j sched.Job, pin bool) JobRequest {
+	req := JobRequest{
+		Origin: j.Origin, Tenant: j.Tenant,
+		LengthHours: j.Length, SlackHours: j.Slack,
+		Interruptible: j.Interruptible, Migratable: j.Migratable,
+	}
+	if pin {
+		id := j.ID
+		req.ID = &id
+	}
+	return req
+}
+
+// submit is client's submit route for the chunk-th request over the wire.
+func (m wireMode) submit(client *Client, chunk int) func(context.Context, ...JobRequest) (SubmitResponse, error) {
+	if m == wireBinary || m == wireMixed && chunk%2 == 1 {
+		return client.SubmitBatch
+	}
+	return client.Submit
+}
+
 // run drives hours [from, to): each hour's clock and arrivals, settling
 // the followers after each when the cluster runs in lock-step.
 func (c *cluster) run(from, to int) {
@@ -425,32 +491,43 @@ func (c *cluster) run(from, to int) {
 	}
 }
 
-// tear is what a crash leaves of the newest journal: the file cut to at
-// bytes or, with flip, whole but with the byte at at garbled — a write
-// torn mid-record with the records after it on disk.
+// tear is what a crash leaves of the newest journal.
 type tear struct {
 	at   int64
-	flip bool
+	kind tearKind
 }
 
+type tearKind int
+
+const (
+	// cutAt cuts the file to at bytes.
+	cutAt tearKind = iota
+	// garbled keeps it whole with the byte at at garbled: a write torn
+	// mid-record with the records after it on disk.
+	garbled
+	// zeroFrom zeroes it from at to its end, and 64 bytes at least: a
+	// power cut that persisted the file's length but not its data.
+	zeroFrom
+)
+
 func (tr tear) String() string {
-	if tr.flip {
-		return fmt.Sprintf("byte %d garbled", tr.at)
-	}
-	return fmt.Sprintf("cut at byte %d", tr.at)
+	return fmt.Sprintf([]string{"cut at byte %d", "byte %d garbled", "zero-filled from byte %d"}[tr.kind], tr.at)
 }
 
 // of returns what the tear leaves of journal.
 func (tr tear) of(journal []byte) []byte {
 	at := min(max(tr.at, 0), int64(len(journal)))
-	if !tr.flip {
-		return journal[:at]
+	switch tr.kind {
+	case garbled:
+		torn := slices.Clone(journal)
+		if at < int64(len(torn)) {
+			torn[at] ^= 0xff
+		}
+		return torn
+	case zeroFrom:
+		return append(journal[:at:at], make([]byte, max(int64(len(journal))-at, 64))...)
 	}
-	torn := slices.Clone(journal)
-	if at < int64(len(torn)) {
-		torn[at] ^= 0xff
-	}
-	return torn
+	return journal[:at]
 }
 
 // crash kills the primary, leaving its newest journal torn at
@@ -647,14 +724,21 @@ func (c *cluster) restartTail(i int) {
 }
 
 // promote kills the primary once follower i has applied everything,
-// and promotes i over HTTP, as an operator would. The other followers
-// are closed: while a stream cursor carries no epoch they cannot
-// follow the new primary safely: promotion is not fenced yet.
+// and has i take over.
 func (c *cluster) promote(i int) {
 	c.t.Helper()
 	c.settle()
-	f := c.followers[i]
 	c.primary.kill()
+	c.takeOver(i)
+}
+
+// takeOver promotes follower i over HTTP, as an operator would once the
+// primary is dead. The other followers are closed: while a stream
+// cursor carries no epoch they cannot follow the new primary safely:
+// promotion is not fenced yet.
+func (c *cluster) takeOver(i int) {
+	c.t.Helper()
+	f := c.followers[i]
 	f.proxy.Close()
 	pr, err := f.client.Promote(c.ctx)
 	if err != nil {
@@ -990,7 +1074,7 @@ func (r *reference) bootTorn(t *testing.T, w world, tr tear) {
 	t.Helper()
 	dir := t.TempDir()
 	writeDir(t, dir, r.files, tr)
-	s, err := New(mkSet(t, w.hours()), w.clusters(), w.config(t, dir))
+	s, err := New(w.set(t), w.clusters(), w.config(t, dir))
 	if err != nil {
 		t.Fatalf("%s: %v", tr, err)
 	}
@@ -1014,7 +1098,7 @@ func (r *reference) bootTorn(t *testing.T, w world, tr tear) {
 // gone: a run to crash, by recoverFrom over the reference's files.
 func (r *reference) fork(t *testing.T, w world) *cluster {
 	c := &cluster{
-		t: t, w: w, jobs: r.jobs, set: mkSet(t, w.hours()),
+		t: t, w: w, jobs: r.jobs, set: w.set(t),
 		clock: &hourClock{}, ctx: t.Context(), acked: map[int]int{},
 		hour: w.hours() - 1, next: len(r.jobs),
 		places: slices.Clone(r.places), primary: &node{},
@@ -1025,6 +1109,271 @@ func (r *reference) fork(t *testing.T, w world) *cluster {
 		c.acked[j.ID] = 1
 	}
 	return c
+}
+
+// --- the partitioned fleet ---
+
+// partitioned is the fleet of two partitions behind a gateway: one
+// cluster per region on the one clock, each a durable primary with a
+// hot standby, and the gateway behind a chaosProxy, so a gateway started
+// anew keeps its URL. Its arrivals are the world's stream, every id
+// pinned, four a request, so an hour with arrivals from both regions
+// splits at the gateway. A schedule is a sequence of ops on it:
+//
+//	at(h)          set the clock to h and step both primaries to it
+//	submit         send the hour's arrivals through the gateway
+//	settle         settle both partitions
+//	kill(node)     kill -9 one of the five processes: gateway, or pN-primary
+//	               (once its partition has settled) or pN-standby
+//	heal(node)     what follows a kill: a new gateway behind the same
+//	               URL, the standby promoted over a dead primary, nothing
+//	               for a dead standby
+//	promote(p)     kill partition p's primary once settled, and heal it
+//	startGateway   start a gateway behind the proxy, killing the old one
+//
+// Its check asserts the merged views at the gateway, each partition's
+// invariants 1-4 over the jobs it owns, and that every id the gateway
+// acked is in exactly one partition's final state.
+type partitioned struct {
+	t      *testing.T
+	w      world
+	clock  *hourClock
+	parts  []*cluster
+	urls   [][]string // each partition's primary and standby: the gateway's configuration
+	gw     *httptest.Server
+	proxy  *chaosProxy // the gateway's URL
+	hc     *http.Client
+	client *Client // the gateway's, through the proxy
+	op     string  // the op running, for failure messages
+
+	jobs   []sched.Job // the fleet's stream
+	next   int
+	hour   int
+	chunks int
+	acked  map[int]int
+}
+
+// newPartitioned boots the world's two partitions, each with a
+// standby, and the gateway in front of them.
+func newPartitioned(t *testing.T, w world) *partitioned {
+	t.Helper()
+	w.partitions = 2
+	f := &partitioned{
+		t: t, w: w, clock: &hourClock{}, jobs: w.stream(t), acked: map[int]int{},
+		hc: &http.Client{Transport: &http.Transport{}},
+	}
+	t.Cleanup(f.hc.CloseIdleConnections)
+	for i := range w.partitions {
+		pw := w
+		pw.partitionID, pw.wire = i, wireJSON
+		c := newClusterOn(t, pw, f.clock)
+		standby := c.startFollower(FollowerConfig{}, false)
+		f.parts = append(f.parts, c)
+		f.urls = append(f.urls, []string{c.primary.ts.URL, standby.ts.URL})
+	}
+	f.startGateway()
+	var err error
+	if f.client, err = NewClient(f.proxy.URL(), f.hc); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// setOp names the op running, for the failure messages of the fleet
+// and of its partitions.
+func (f *partitioned) setOp(op string) {
+	f.op = op
+	for i, c := range f.parts {
+		c.op = fmt.Sprintf("%s: p%d", op, i)
+	}
+}
+
+func (f *partitioned) fatalf(format string, args ...any) {
+	f.t.Helper()
+	if f.op != "" {
+		format = f.op + ": " + format
+	}
+	f.t.Fatalf(format, args...)
+}
+
+func (f *partitioned) at(h int) {
+	f.hour = h
+	for _, c := range f.parts {
+		c.at(h)
+	}
+}
+
+// submit sends the hour's arrivals through the gateway and credits
+// each acked id to the partition that owns its origin.
+func (f *partitioned) submit() {
+	f.t.Helper()
+	lo := f.next
+	for f.next < len(f.jobs) && f.jobs[f.next].Arrival == f.hour {
+		f.next++
+	}
+	arrivals := f.jobs[lo:f.next]
+	for lo := 0; lo < len(arrivals); lo += 4 {
+		chunk := arrivals[lo:min(lo+4, len(arrivals))]
+		var batch []JobRequest
+		for _, j := range chunk {
+			batch = append(batch, request(j, true))
+		}
+		ack, err := f.w.wire.submit(f.client, f.chunks)(f.t.Context(), batch...)
+		f.chunks++
+		if err != nil {
+			f.fatalf("hour %d: submit through the gateway: %v", f.hour, err)
+		}
+		if ack.ArrivalHour != f.hour || len(ack.IDs) != len(chunk) {
+			f.fatalf("hour %d: ack %+v for %d jobs", f.hour, ack, len(chunk))
+		}
+		for k, id := range ack.IDs {
+			if id != chunk[k].ID {
+				f.fatalf("hour %d: job %d acknowledged as %d", f.hour, chunk[k].ID, id)
+			}
+			f.acked[id]++
+			f.parts[owner(chunk[k].Origin)].acked[id]++
+		}
+		for _, c := range f.parts {
+			c.remember()
+		}
+	}
+}
+
+// run drives hours [from, to).
+func (f *partitioned) run(from, to int) {
+	for h := from; h < to; h++ {
+		f.at(h)
+		f.submit()
+	}
+}
+
+func (f *partitioned) settle() {
+	for _, c := range f.parts {
+		c.settle()
+	}
+}
+
+// node resolves pN-primary or pN-standby to its partition and role.
+func (f *partitioned) node(name string) (c *cluster, primary bool) {
+	part, role, _ := strings.Cut(name, "-")
+	return f.parts[part[1]-'0'], role == "primary"
+}
+
+// kill kills -9 one of the five processes. A primary's partition
+// settles first: replication is asynchronous, and what the standby has
+// not applied when its primary dies is lost with it.
+func (f *partitioned) kill(name string) {
+	f.t.Helper()
+	if name == "gateway" {
+		f.gw.CloseClientConnections()
+		f.gw.Close()
+		return
+	}
+	c, primary := f.node(name)
+	if primary {
+		c.settle()
+		c.primary.kill()
+		return
+	}
+	c.followers[0].kill()
+	c.followers = nil
+}
+
+// heal is what follows kill(name): a new gateway behind the same URL,
+// the standby's promotion over its dead primary, or nothing.
+func (f *partitioned) heal(name string) {
+	f.t.Helper()
+	if name == "gateway" {
+		f.startGateway()
+		return
+	}
+	if c, primary := f.node(name); primary {
+		c.takeOver(0)
+	}
+}
+
+// startGateway starts a gateway over the partitions' first URLs, as
+// cmd/schedgw's -partition flags give them, behind the proxy, killing
+// the one it replaces.
+func (f *partitioned) startGateway() {
+	f.t.Helper()
+	if f.gw != nil {
+		f.kill("gateway")
+	}
+	h, err := NewGateway(f.urls)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.gw = httptest.NewServer(h)
+	f.t.Cleanup(f.gw.Close)
+	if addr := f.gw.Listener.Addr().String(); f.proxy == nil {
+		f.proxy = newChaosProxy(f.t, addr)
+	} else {
+		f.proxy.retarget(addr)
+	}
+	f.hc.CloseIdleConnections()
+}
+
+// metric reads one series of the gateway's merged /metrics.
+func (f *partitioned) metric(series string) float64 {
+	f.t.Helper()
+	resp, err := f.client.send(f.t.Context(), http.MethodGet, "/metrics", "", nil)
+	if err != nil {
+		f.fatalf("gateway /metrics: %v", err)
+	}
+	sc, err := metrics.ParseText(bytes.NewReader(resp.Body))
+	if err != nil {
+		f.fatalf("gateway /metrics: %v", err)
+	}
+	v, ok := sc.Value(series)
+	if !ok {
+		f.fatalf("gateway /metrics has no %s", series)
+	}
+	return v
+}
+
+// check asserts the merged views, then drains and checks every
+// partition, then holds the gateway's acks to their final states.
+func (f *partitioned) check() {
+	f.t.Helper()
+	f.setOp("check")
+	acked := len(f.acked)
+	var st struct {
+		StatsResponse
+		Gateway struct {
+			Partitions int   `json:"partitions"`
+			Missing    []int `json:"missing"`
+		} `json:"gateway"`
+	}
+	if err := f.client.get(f.t.Context(), "/v1/stats", &st); err != nil {
+		f.fatalf("gateway /v1/stats: %v", err)
+	}
+	if st.Submitted != acked || st.Gateway.Partitions != len(f.parts) || len(st.Gateway.Missing) > 0 {
+		f.fatalf("merged stats: submitted %d of %d partitions, missing %v; want %d acked of %d, none missing",
+			st.Submitted, st.Gateway.Partitions, st.Gateway.Missing, acked, len(f.parts))
+	}
+	if got := f.metric("schedd_jobs_submitted_total"); got != float64(acked) {
+		f.fatalf("merged schedd_jobs_submitted_total = %v, want the %d acked", got, acked)
+	}
+	if got := f.metric("gateway_partitions"); got != float64(len(f.parts)) {
+		f.fatalf("gateway_partitions = %v, want %d", got, len(f.parts))
+	}
+
+	holders := map[int]int{}
+	for _, c := range f.parts {
+		c.check()
+		for _, o := range c.result.Outcomes {
+			holders[o.ID]++
+		}
+	}
+	for id, n := range f.acked {
+		if n != 1 || holders[id] != 1 {
+			f.fatalf("job %d: acknowledged %d times, in %d partitions' final state", id, n, holders[id])
+		}
+	}
+	if len(holders) != acked {
+		f.fatalf("the partitions hold %d jobs, the gateway acked %d", len(holders), acked)
+	}
 }
 
 // --- the data dir ---

@@ -36,13 +36,15 @@ func FuzzJournalReplay(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])                               // torn payload
-	f.Add(valid[:HeaderLen+4])                                // torn record header
-	f.Add(valid[:HeaderLen])                                  // header only
-	f.Add([]byte{})                                           // empty file
-	f.Add([]byte("CSWL"))                                     // short header
-	f.Add([]byte("CSWL\x02junk"))                             // future version
-	f.Add([]byte("CSWL\x01\xff\xff\xff\xff\x00\x00\x00\x00")) // huge length prefix
+	f.Add(valid[:len(valid)-3])                                       // torn payload
+	f.Add(valid[:HeaderLen+4])                                        // torn record header
+	f.Add(valid[:HeaderLen])                                          // header only
+	f.Add([]byte{})                                                   // empty file
+	f.Add([]byte("CSWL"))                                             // short header
+	f.Add([]byte("CSWL\x02junk"))                                     // future version
+	f.Add([]byte("CSWL\x01\xff\xff\xff\xff\x00\x00\x00\x00"))         // huge length prefix
+	f.Add(append(valid[:len(valid):len(valid)], make([]byte, 64)...)) // zero-filled tail
+	f.Add(make([]byte, len(valid)))                                   // zero-filled header
 	mut := append([]byte(nil), valid...)
 	mut[HeaderLen+2] ^= 0x40 // corrupt first record's length
 	f.Add(mut)

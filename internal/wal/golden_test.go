@@ -19,7 +19,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func TestJournalGolden(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	appendAll(t, path, Options{Sync: SyncNone},
-		[]byte{},
 		[]byte("carbon"),
 		[]byte{0x01, 0x00, 0xfe, 0x07},
 	)

@@ -29,7 +29,8 @@ var ErrNoRecord = errors.New("wal: no complete record at cursor")
 
 // ErrCorrupt reports bytes at the cursor that can never become a valid
 // record no matter how much the file grows: a CRC mismatch on a fully
-// present record, or a length prefix past MaxRecord.
+// present record, a length prefix past MaxRecord, or a zero-length
+// record (a zero-filled tail).
 var ErrCorrupt = errors.New("wal: corrupt record at cursor")
 
 // SegmentReader is a record cursor over one journal file. It is not
@@ -78,7 +79,7 @@ func (r *SegmentReader) Next() ([]byte, error) {
 	if _, err := r.sr.Seek(r.off, io.SeekStart); err != nil {
 		return nil, err
 	}
-	payload, err := frame.ReadRecord(r.sr, r.buf, MaxRecord)
+	payload, err := readRecord(r.sr, r.buf)
 	switch {
 	case err == nil:
 	case err == io.EOF || errors.Is(err, frame.ErrShort):

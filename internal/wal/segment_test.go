@@ -31,7 +31,7 @@ func readFrom(t *testing.T, path string, offset int64) ([][]byte, int64) {
 
 func TestSegmentReaderRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	payloads := [][]byte{[]byte("one"), {}, []byte("three-3"), {0xff, 0x00}}
+	payloads := [][]byte{[]byte("one"), {0}, []byte("three-3"), {0xff, 0x00}}
 	appendAll(t, path, Options{Sync: SyncNone}, payloads...)
 
 	got, end := readFrom(t, path, 0)

@@ -23,9 +23,11 @@
 //
 // Replay tolerates torn tails by construction: a crash mid-write
 // leaves a record whose length prefix overruns the file or whose CRC
-// does not match, and Replay stops there, reporting how many bytes
-// were valid so the caller can discard the tail. Corruption never
-// panics and never yields a partial record.
+// does not match, and a power cut can leave a zero-filled tail (the
+// file's length reached the disk, its data did not) that reads as a
+// zero-length record, which no append writes. Replay stops at any of
+// them, reporting how many bytes were valid so the caller can discard
+// the tail. Corruption never panics and never yields a partial record.
 //
 // Observability: Options.Metrics accepts a JournalMetrics (metrics.go)
 // that meters every append and fsync — wal_fsync_seconds and
@@ -246,6 +248,10 @@ func (j *Journal) AppendBatchNoWait(payloads ...[]byte) (uint64, error) {
 		return 0, fmt.Errorf("wal: empty append batch")
 	}
 	for _, p := range payloads {
+		if len(p) == 0 {
+			// Readers take a zero-length record for a zero-filled tail.
+			return 0, fmt.Errorf("wal: empty record")
+		}
 		if len(p) > MaxRecord {
 			return 0, fmt.Errorf("wal: record of %d bytes exceeds limit %d", len(p), MaxRecord)
 		}
@@ -412,9 +418,10 @@ type ReplayResult struct {
 	// a torn or corrupt tail.
 	ValidBytes int64
 	// Truncated reports that the file held bytes past ValidBytes that
-	// did not form a valid record — a torn header, a torn write, an
-	// overrunning length prefix, or a CRC mismatch: the expected
-	// signatures of a crash mid-append.
+	// did not form a valid record — a torn or zero-filled header, a torn
+	// write, an overrunning length prefix, a CRC mismatch or a
+	// zero-length record: the expected signatures of a crash mid-append
+	// or of a power cut that persisted a file's length but not its data.
 	Truncated bool
 }
 
@@ -439,8 +446,8 @@ func Replay(path string, fn func(payload []byte) error) (ReplayResult, error) {
 	r := bufio.NewReaderSize(f, 1<<16)
 	if err := readHeader(r, path); err != nil {
 		if errors.Is(err, frame.ErrShort) {
-			// A missing or short header — a crash before the first
-			// flush: nothing is replayable.
+			// A missing, short or zero-filled header — a crash before
+			// the first flush reached the disk: nothing is replayable.
 			res.Truncated = true
 			return res, nil
 		}
@@ -450,7 +457,7 @@ func Replay(path string, fn func(payload []byte) error) (ReplayResult, error) {
 
 	var buf []byte
 	for {
-		payload, err := frame.ReadRecord(r, buf, MaxRecord)
+		payload, err := readRecord(r, buf)
 		switch {
 		case err == nil:
 		case err == io.EOF:
@@ -471,8 +478,10 @@ func Replay(path string, fn func(payload []byte) error) (ReplayResult, error) {
 }
 
 // readHeader consumes and checks the journal file header. A file that
-// ends inside it wraps frame.ErrShort; a foreign magic or an
-// unsupported version is damage no crash explains.
+// ends inside it, or whose header is all zero bytes — on the same
+// basis as a zero-length record: the file's length reached the disk
+// and its first bytes did not — wraps frame.ErrShort; a foreign magic
+// or an unsupported version is damage no crash explains.
 func readHeader(r io.Reader, path string) error {
 	var hdr [HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -481,6 +490,9 @@ func readHeader(r io.Reader, path string) error {
 		}
 		return fmt.Errorf("wal: read %s: %w", path, err)
 	}
+	if hdr == [HeaderLen]byte{} {
+		return fmt.Errorf("wal: %s: zero-filled header: %w", path, frame.ErrShort)
+	}
 	if string(hdr[:len(journalMagic)]) != journalMagic {
 		return fmt.Errorf("wal: %s is not a journal (bad magic %q)", path, hdr[:len(journalMagic)])
 	}
@@ -488,4 +500,16 @@ func readHeader(r io.Reader, path string) error {
 		return fmt.Errorf("wal: %s: unsupported journal version %d (want %d)", path, v, journalVersion)
 	}
 	return nil
+}
+
+// readRecord reads the journal record at r. A zero-length record is
+// corrupt: AppendBatchNoWait refuses an empty payload, so eight zero
+// bytes — a zero length and the empty payload's zero CRC — are never a
+// record the journal wrote but the start of a zero-filled tail.
+func readRecord(r io.Reader, buf []byte) ([]byte, error) {
+	payload, err := frame.ReadRecord(r, buf, MaxRecord)
+	if err == nil && len(payload) == 0 {
+		return nil, fmt.Errorf("%w: zero-length record", frame.ErrCorrupt)
+	}
+	return payload, err
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,7 +43,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	for _, mode := range []SyncMode{SyncNone, SyncBatch, SyncAlways} {
 		t.Run(mode.String(), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "j.wal")
-			want := [][]byte{[]byte("alpha"), {}, []byte("gamma with a longer payload"), {0, 1, 2, 255}}
+			want := [][]byte{[]byte("alpha"), {0}, []byte("gamma with a longer payload"), {0, 1, 2, 255}}
 			appendAll(t, path, Options{Sync: mode}, want...)
 			got, res := replayAll(t, path)
 			if res.Truncated {
@@ -114,6 +115,59 @@ func TestJournalTornTail(t *testing.T) {
 		if res.Truncated == atBoundary {
 			t.Fatalf("cut %d: Truncated = %v at boundary %v", c, res.Truncated, atBoundary)
 		}
+	}
+}
+
+// TestJournalZeroFilledTail: a power cut can persist a file's length
+// but not its data, leaving zero bytes where records were. Cut at every
+// record boundary and zero-filled past it, a journal replays the
+// records before the cut and reports the tail torn; the segment cursor
+// stops at the same offset; and an all-zero header is a torn header.
+func TestJournalZeroFilledTail(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "j.wal")
+	payloads := [][]byte{[]byte("one"), {0}, []byte("three-3")}
+	appendAll(t, path, Options{Sync: SyncNone}, payloads...)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroed := filepath.Join(dir, "zeroed.wal")
+	at := int64(HeaderLen)
+	for i := 0; i <= len(payloads); i++ {
+		for _, zeros := range []int{recordHeaderLen, 64} {
+			data := append(full[:at:at], make([]byte, zeros)...)
+			if err := os.WriteFile(zeroed, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, res := replayAll(t, zeroed)
+			if len(got) != i || !res.Truncated || res.ValidBytes != at {
+				t.Fatalf("%d zero bytes after record %d: replayed %d, %+v", zeros, i, len(got), res)
+			}
+			r, err := OpenSegment(zeroed, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range i {
+				if _, err := r.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := r.Next(); !errors.Is(err, ErrCorrupt) || r.Offset() != at {
+				t.Fatalf("%d zero bytes after record %d: segment at %d: %v, want ErrCorrupt at %d", zeros, i, r.Offset(), err, at)
+			}
+			r.Close()
+		}
+		if i < len(payloads) {
+			at += int64(recordHeaderLen + len(payloads[i]))
+		}
+	}
+
+	if err := os.WriteFile(zeroed, make([]byte, len(full)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, res := replayAll(t, zeroed); len(got) != 0 || !res.Truncated || res.ValidBytes != 0 {
+		t.Fatalf("zero-filled header: replayed %d, %+v", len(got), res)
 	}
 }
 
@@ -310,6 +364,9 @@ func TestAppendBatchNoWait(t *testing.T) {
 
 	if _, err := j.AppendBatchNoWait(); err == nil {
 		t.Fatal("empty batch accepted")
+	}
+	if _, err := j.AppendBatchNoWait([]byte("ok"), nil); err == nil {
+		t.Fatal("batch with an empty record accepted")
 	}
 	if _, err := j.AppendBatchNoWait([]byte("ok"), make([]byte, MaxRecord+1)); err == nil {
 		t.Fatal("batch with an oversize record accepted")
