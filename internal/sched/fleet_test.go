@@ -42,7 +42,7 @@ func fleetJobs(t *testing.T) []Job {
 	return jobs
 }
 
-// TestFleetMatchesRun drives the serial reference fleet tick by tick
+// TestFleetMatchesRun drives the naive reference model tick by tick
 // with all jobs submitted up front and checks the snapshot is deeply
 // identical to the batch Run for every policy. Run drives a Fleet, so
 // this is the Run-vs-reference differential.
@@ -72,8 +72,8 @@ func TestFleetMatchesRun(t *testing.T) {
 	}
 }
 
-// TestFleetOnlineSubmission submits each job to the serial reference
-// fleet exactly at its arrival hour, the way the HTTP service does, and
+// TestFleetOnlineSubmission submits each job to the naive reference
+// model exactly at its arrival hour, the way the HTTP service does, and
 // still matches the batch Run (a Fleet with every job submitted up
 // front) — a differential across both the implementation and the
 // submission pattern.
@@ -139,7 +139,7 @@ func TestRunConcurrentPolicies(t *testing.T) {
 
 func TestFleetSubmitValidation(t *testing.T) {
 	set := mkSet(t, 50)
-	f, err := newRefFleet(set, clusters(1), FIFO{}, 50)
+	f, err := NewFleet(set, clusters(1), FIFO{}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +166,10 @@ func TestFleetSubmitValidation(t *testing.T) {
 	if err := f.Submit(Job{ID: 1, Origin: "CLEAN", Arrival: 0, Length: 1}); err == nil {
 		t.Error("cross-batch duplicate accepted")
 	}
+	// A duplicate arriving later would wait among the future arrivals.
+	if err := f.Submit(Job{ID: 1, Origin: "CLEAN", Arrival: 5, Length: 1}); err == nil {
+		t.Error("cross-batch duplicate of a future arrival accepted")
+	}
 	if err := f.Step(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +181,7 @@ func TestFleetSubmitValidation(t *testing.T) {
 
 func TestFleetStepPastHorizon(t *testing.T) {
 	set := mkSet(t, 50)
-	f, err := newRefFleet(set, clusters(1), FIFO{}, 2)
+	f, err := NewFleet(set, clusters(1), FIFO{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +197,7 @@ func TestFleetStepPastHorizon(t *testing.T) {
 
 func TestFleetLookupAndStats(t *testing.T) {
 	set := mkSet(t, 100)
-	f, err := newRefFleet(set, clusters(1), FIFO{}, 100)
+	f, err := NewFleet(set, clusters(1), FIFO{}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,9 +103,9 @@ type worldSpec struct {
 }
 
 // TestSchedulingInvariants drives randomized worlds (seeded jobs ×
-// every policy × varying horizons) through both the serial reference
-// and the Fleet, asserting the invariants above on
-// each and deep equality between the two.
+// every policy × varying horizons, one to three slots per region)
+// through both the naive reference model and the Fleet, asserting the
+// invariants above on each and deep equality between the two.
 func TestSchedulingInvariants(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 5, 8, 13, 21, 34}
 	if testing.Short() {
@@ -137,6 +137,10 @@ func TestSchedulingInvariants(t *testing.T) {
 					jobs[i].Length = maxLen
 				}
 			}
+			// Scarce slots make the deadline phase spill and queue.
+			for i := range clusters {
+				clusters[i].Slots = 1 + src.Intn(3)
+			}
 			world := worldSpec{set: set, clusters: clusters}
 
 			for _, policy := range allPolicies() {
@@ -148,7 +152,7 @@ func TestSchedulingInvariants(t *testing.T) {
 						t.Fatal(err)
 					}
 					ref.OnPlace = func(p Placed) {
-						serialLog = append(serialLog, placement{p.Hour, p.JobID, ref.regionsList[p.Region]})
+						serialLog = append(serialLog, placement{p.Hour, p.JobID, ref.regions[p.Region]})
 					}
 					if err := ref.Submit(jobs...); err != nil {
 						t.Fatal(err)

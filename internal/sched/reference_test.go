@@ -1,496 +1,299 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"sort"
 
 	"carbonshift/internal/tenant"
 	"carbonshift/internal/trace"
 )
 
-// refFleet is the serial reference scheduler: the hour-stepped world in
-// its plainest form — one slice of per-job state, rescanned in submission
-// order in every phase of Step, no arrival buckets, no locks, no incremental
-// counters. It was the production core until sched.Run moved onto the
-// indexed job store and lives on here only as the model the differential
-// tests (TestShardedFleetEquivalence, TestSchedulingInvariants,
-// TestTenancyInvariants, TestJobHourBounds, TestFleetMatchesRun) compare
-// Fleet and Run against. Its method bodies are the ones those tests were
-// written against; do not optimise them, and do not edit them in a
-// change that also edits Fleet's scheduling logic. Two edits since sit
-// at its boundaries. Policies plan over region indices and eligible-list
-// positions, so Step's phase 3 hands its name-keyed state to plan, which
-// translates it to a Tick and each Placement back, and it keeps its own
-// fairOrder over states. And OnPlace reports a Placed: Step notes which
-// phase put each job in runNow, and the phase-4 report resolves names to
-// indices and reads intensities from the trace set. TestPlacementGolden,
-// recorded before both edits, pins the placements both fleets must keep.
+// refFleet is a deliberately naive model of Fleet: the hour-stepped world
+// written as plainly as it can be, which the differential tests
+// (TestFleetMatchesRun, TestShardedFleetEquivalence,
+// TestSchedulingInvariants, TestTenancyInvariants, TestJobHourBounds,
+// TestShardedFleetLookupAndStatsParity) hold Fleet and Run to.
 //
+// A job's state is the JobInfo Lookup reports, kept in submission order
+// and updated in place by Step. Only MissedDeadline depends on the hour it
+// is read at: view decides it, and every reader folds over view, so the
+// miss/run/queue rule is written once. Regions are names; indices appear
+// only in the Tick handed to the policy and the Placed handed to OnPlace.
+// The model shares nothing with Fleet but the Policy, Tick, Placed and
+// FairQueue contracts; keep it naive and sharing no trick with Fleet. Its
+// Placed, Outcome, JobView and FleetStats literals are positional, so a
+// field added to one fails to compile here until the model sets it.
 // A refFleet is not safe for concurrent use.
 type refFleet struct {
-	set     *trace.Set
-	policy  Policy
-	horizon int
-
-	slots       map[string]int
-	regionsList []string
-	totalSlots  int
-
-	hour          int
-	states        []*state
-	byID          map[int]*state
-	free          map[string]int
-	slotHoursUsed float64
-	completed     int
-
-	// fq, when non-nil, reorders each hour's policy-eligible list
-	// into weighted-fair (deficit round robin) order and is charged
-	// one unit per executed job-hour.
-	fq *tenant.FairQueue
-
-	// OnPlace, when non-nil, observes every executed job-hour in
-	// deterministic submission order: it is called once per job that
-	// runs during a Step, after the hour's placements are final.
-	OnPlace func(Placed)
+	set        *trace.Set
+	policy     Policy
+	horizon    int
+	slots      map[string]int // region -> slots
+	regions    []string       // sorted: region i of Tick and Placed
+	totalSlots int
+	hour       int
+	jobs       []*JobInfo // in submission order
+	byID       map[int]*JobInfo
+	slotHours  float64
+	fq         *tenant.FairQueue // orders the eligible jobs and is charged each job-hour
+	OnPlace    func(Placed)      // sees every job-hour run, once the hour's placements are final
 }
 
-// state is the mutable per-job bookkeeping.
-type state struct {
-	Job
-	progress   int
-	region     string // current placement ("" before first run)
-	ranLastHr  bool
-	done       bool
-	doneAt     int
-	emissions  float64
-	waitHours  int
-	migrations int
-}
-
-func (st *state) preferredRegion() string {
-	if st.region != "" {
-		return st.region
-	}
-	return st.Origin
-}
-
-// newRefFleet validates the world and returns an empty fleet at hour
-// zero.
+// newRefFleet validates the world and returns an empty fleet at hour 0.
 func newRefFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*refFleet, error) {
-	if policy == nil {
-		return nil, fmt.Errorf("sched: nil policy")
+	if policy == nil || horizon < 1 || horizon > set.Len() || len(clusters) == 0 {
+		return nil, fmt.Errorf("sched: bad world: policy %v, horizon %d, %d clusters", policy, horizon, len(clusters))
 	}
-	if horizon < 1 || horizon > set.Len() {
-		return nil, fmt.Errorf("sched: horizon %d outside trace of %d hours", horizon, set.Len())
-	}
-	if len(clusters) == 0 {
-		return nil, fmt.Errorf("sched: no clusters")
-	}
-	f := &refFleet{
-		set:     set,
-		policy:  policy,
-		horizon: horizon,
-		slots:   make(map[string]int, len(clusters)),
-		byID:    make(map[int]*state),
-		free:    make(map[string]int, len(clusters)),
-	}
+	f := &refFleet{set: set, policy: policy, horizon: horizon, slots: map[string]int{}, byID: map[int]*JobInfo{}}
 	for _, c := range clusters {
-		if c.Slots < 1 {
-			return nil, fmt.Errorf("sched: cluster %s has %d slots", c.Region, c.Slots)
-		}
-		if _, ok := set.Get(c.Region); !ok {
-			return nil, fmt.Errorf("sched: cluster region %q not in trace set", c.Region)
-		}
-		if _, dup := f.slots[c.Region]; dup {
-			return nil, fmt.Errorf("sched: duplicate cluster %s", c.Region)
+		if _, ok := set.Get(c.Region); !ok || c.Slots < 1 || f.slots[c.Region] > 0 {
+			return nil, fmt.Errorf("sched: bad cluster %+v", c)
 		}
 		f.slots[c.Region] = c.Slots
-		f.regionsList = append(f.regionsList, c.Region)
+		f.regions = append(f.regions, c.Region)
 		f.totalSlots += c.Slots
 	}
-	sort.Strings(f.regionsList)
+	sort.Strings(f.regions)
 	return f, nil
 }
 
-// SetFairQueue installs the tenant fair-dequeue engine. It must be
-// set before the first Step.
+// SetFairQueue installs the tenant fair queue before the first Step.
 func (f *refFleet) SetFairQueue(q *tenant.FairQueue) { f.fq = q }
 
-// Hour returns the next hour the fleet will simulate.
-func (f *refFleet) Hour() int { return f.hour }
-
-// Done reports whether the fleet has simulated its whole horizon.
+// Hour is the next hour to simulate, Done whether the whole horizon is
+// simulated, and Jobs the number of jobs submitted.
+func (f *refFleet) Hour() int  { return f.hour }
 func (f *refFleet) Done() bool { return f.hour >= f.horizon }
+func (f *refFleet) Jobs() int  { return len(f.jobs) }
 
-// Jobs returns the number of jobs submitted so far.
-func (f *refFleet) Jobs() int { return len(f.states) }
-
-// Submit adds jobs to the fleet. The call is atomic: on any validation
-// error no job from the batch is admitted. Jobs may arrive at or after
-// the fleet's current hour; submitting into the simulated past is an
-// error.
+// Submit adds jobs arriving at or after the current hour. On any error
+// no job from the batch is admitted.
 func (f *refFleet) Submit(jobs ...Job) error {
-	batch := make(map[int]struct{}, len(jobs))
+	batch := map[int]bool{}
 	for _, j := range jobs {
 		if err := j.Validate(); err != nil {
 			return err
 		}
-		if _, ok := f.slots[j.Origin]; !ok {
-			return fmt.Errorf("sched: job %d origin %q has no cluster", j.ID, j.Origin)
+		if f.slots[j.Origin] == 0 || f.byID[j.ID] != nil || batch[j.ID] || j.Arrival < f.hour {
+			return fmt.Errorf("sched: job %+v has no cluster, a duplicate id or a past arrival", j)
 		}
-		if _, dup := f.byID[j.ID]; dup {
-			return fmt.Errorf("sched: duplicate job id %d", j.ID)
-		}
-		if _, dup := batch[j.ID]; dup {
-			return fmt.Errorf("sched: duplicate job id %d", j.ID)
-		}
-		if j.Arrival < f.hour {
-			return fmt.Errorf("sched: job %d arrives at hour %d, before current hour %d", j.ID, j.Arrival, f.hour)
-		}
-		batch[j.ID] = struct{}{}
+		batch[j.ID] = true
 	}
 	for _, j := range jobs {
-		st := &state{Job: j}
-		f.states = append(f.states, st)
-		f.byID[j.ID] = st
+		info := &JobInfo{Job: j, Remaining: j.Length}
+		f.jobs = append(f.jobs, info)
+		f.byID[j.ID] = info
 	}
 	return nil
 }
 
-// Step simulates the fleet's current hour and advances to the next. It
-// errors past the horizon and on a misbehaving policy (unknown job or
-// region, double placement, pinned migration, oversubscription).
+// ci is a region's intensity at an hour, and index its position in the
+// sorted region list.
+func (f *refFleet) ci(region string, hour int) float64 { return f.set.MustGet(region).At(hour) }
+func (f *refFleet) index(region string) int            { return sort.SearchStrings(f.regions, region) }
+
+// Step simulates the current hour and advances to the next. It errors
+// past the horizon and on a misbehaving policy.
 func (f *refFleet) Step() error {
 	if f.hour >= f.horizon {
 		return fmt.Errorf("sched: horizon %d exhausted", f.horizon)
 	}
 	hour := f.hour
-	ci := func(region string, h int) float64 { return f.set.MustGet(region).At(h) }
-	for r, s := range f.slots {
-		f.free[r] = s
-	}
-	for _, st := range f.states {
-		st.ranLastHr = false
-	}
-	runNow := make(map[int]string) // job id -> region
-	by := make(map[int]By)         // job id -> the phase that set runNow
-
-	// Phase 1: forced continuations — a started non-interruptible
-	// job occupies its slot until done.
-	for _, st := range f.states {
-		if st.done || st.progress == 0 || st.Interruptible {
-			continue
+	free := maps.Clone(f.slots)
+	var waiting []*JobInfo // arrived and not completed, in submission order
+	for _, j := range f.jobs {
+		j.Running = false
+		if !j.Completed && j.Arrival <= hour {
+			waiting = append(waiting, j)
 		}
-		runNow[st.ID] = st.region
-		by[st.ID] = ByContinued
-		f.free[st.region]--
+	}
+	run := map[*JobInfo]string{} // job -> the region it runs in this hour
+	by := map[*JobInfo]By{}      // job -> the phase that placed it
+	place := func(j *JobInfo, region string, b By) {
+		run[j], by[j] = region, b
+		free[region]--
 	}
 
-	// Phase 2: deadline forcing — a job whose remaining slack is
-	// zero must run every hour from now on. Try its current/origin
-	// region, then (if migratable) anything with space.
-	for _, st := range f.states {
-		if st.done || st.Arrival > hour {
+	// Phase 1: a started non-interruptible job keeps its region.
+	for _, j := range waiting {
+		if j.Remaining < j.Length && !j.Interruptible {
+			place(j, j.Region, ByContinued)
+		}
+	}
+
+	// Phase 2: a job with no slack left runs in its current (else its
+	// origin) region or, if migratable and that one is full, the first
+	// region by name with a free slot. If none is free it waits.
+	for _, j := range waiting {
+		if _, placed := run[j]; placed || j.Deadline()-hour > j.Remaining {
 			continue
 		}
-		if _, already := runNow[st.ID]; already {
-			continue
-		}
-		remaining := st.Length - st.progress
-		if st.Deadline()-hour > remaining {
-			continue // still has slack
-		}
-		region := st.preferredRegion()
-		if f.free[region] <= 0 && st.Migratable {
-			for _, r := range f.regionsList {
-				if f.free[r] > 0 {
+		region := cmp.Or(j.Region, j.Origin)
+		if free[region] <= 0 && j.Migratable {
+			for _, r := range f.regions {
+				if free[r] > 0 {
 					region = r
 					break
 				}
 			}
 		}
-		if f.free[region] > 0 {
-			runNow[st.ID] = region
-			by[st.ID] = ByDeadline
-			f.free[region]--
+		if free[region] > 0 {
+			place(j, region, ByDeadline)
 		}
-		// If nothing is free the job misses this hour — and
-		// likely its deadline. That is the contention signal the
-		// simulator exists to surface.
 	}
 
-	// Phase 3: policy placements for the flexible remainder.
-	var eligible []*state
-	for _, st := range f.states {
-		if st.done || st.Arrival > hour {
-			continue
+	// Phase 3: the policy places what is left, offered in submission
+	// order or, with a fair queue, in its order.
+	var eligible []*JobInfo
+	for _, j := range waiting {
+		if _, placed := run[j]; !placed {
+			eligible = append(eligible, j)
 		}
-		if _, already := runNow[st.ID]; already {
-			continue
-		}
-		eligible = append(eligible, st)
 	}
-	placements, err := f.plan(hour, fairOrder(f.fq, eligible))
-	if err != nil {
-		return err
+	if f.fq != nil && len(eligible) > 1 {
+		names := make([]string, len(eligible))
+		for i, j := range eligible {
+			names[i] = j.Tenant
+		}
+		ordered := make([]*JobInfo, len(eligible))
+		for k, i := range f.fq.Order(names) {
+			ordered[k] = eligible[i]
+		}
+		eligible = ordered
 	}
-	for _, p := range placements {
-		st, ok := f.byID[p.JobID]
-		if !ok {
-			return fmt.Errorf("sched: policy %s placed unknown job %d", f.policy.Name(), p.JobID)
+	tick := &Tick{Hour: hour}
+	for _, r := range f.regions {
+		tick.traces = append(tick.traces, f.set.MustGet(r))
+		tick.CI = append(tick.CI, f.ci(r, hour))
+		tick.Free = append(tick.Free, free[r])
+	}
+	for _, j := range eligible {
+		tick.Eligible = append(tick.Eligible, JobView{f.index(j.Origin), j.Remaining, j.Deadline() - hour, j.Interruptible, j.Migratable})
+	}
+	for _, p := range f.policy.Plan(tick) {
+		if p.Job < 0 || p.Job >= len(eligible) || p.Region < 0 || p.Region >= len(f.regions) {
+			return fmt.Errorf("sched: policy %s placed job #%d in region #%d: no such job or region", f.policy.Name(), p.Job, p.Region)
 		}
-		if st.done || st.Arrival > hour {
-			return fmt.Errorf("sched: policy %s placed ineligible job %d", f.policy.Name(), p.JobID)
+		j, region := eligible[p.Job], f.regions[p.Region]
+		if _, placed := run[j]; placed || (!j.Migratable && region != j.Origin) || free[region] <= 0 {
+			return fmt.Errorf("sched: policy %s placed job %d in %s: placed twice, pinned elsewhere or region full", f.policy.Name(), j.ID, region)
 		}
-		if _, already := runNow[st.ID]; already {
-			return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), p.JobID)
-		}
-		if _, ok := f.slots[p.Region]; !ok {
-			return fmt.Errorf("sched: policy %s used unknown region %q", f.policy.Name(), p.Region)
-		}
-		if !st.Migratable && p.Region != st.Origin {
-			return fmt.Errorf("sched: policy %s migrated pinned job %d", f.policy.Name(), st.ID)
-		}
-		if f.free[p.Region] <= 0 {
-			return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), p.Region)
-		}
-		runNow[st.ID] = p.Region
-		by[st.ID] = ByPolicy
-		f.free[p.Region]--
+		place(j, region, ByPolicy)
 	}
 
-	// Phase 4: advance the world one hour.
-	for _, st := range f.states {
-		if st.done || st.Arrival > hour {
+	// Phase 4: every waiting job either runs its hour or waits it.
+	for _, j := range waiting {
+		region, runs := run[j]
+		if !runs {
+			j.WaitHours++
 			continue
 		}
-		region, running := runNow[st.ID]
-		if !running {
-			st.waitHours++
-			continue
+		if j.Region != "" && j.Region != region {
+			j.Migrations++
 		}
-		if st.region != "" && st.region != region {
-			st.migrations++
-		}
-		st.region = region
-		st.ranLastHr = true
-		st.progress++
-		st.emissions += ci(region, hour)
-		f.slotHoursUsed++
+		j.Region, j.Running = region, true
+		j.Remaining--
+		j.Emissions += f.ci(region, hour)
+		f.slotHours++
 		if f.fq != nil {
-			f.fq.Charge(st.Tenant)
+			f.fq.Charge(j.Tenant)
 		}
 		if f.OnPlace != nil {
-			f.OnPlace(Placed{
-				Hour:     hour,
-				JobID:    st.ID,
-				Region:   sort.SearchStrings(f.regionsList, region),
-				Origin:   sort.SearchStrings(f.regionsList, st.Origin),
-				Tenant:   st.Tenant,
-				CI:       ci(region, hour),
-				OriginCI: ci(st.Origin, hour),
-				By:       by[st.ID],
-			})
+			f.OnPlace(Placed{hour, j.ID, f.index(region), f.index(j.Origin), j.Tenant, f.ci(region, hour), f.ci(j.Origin, hour), by[j]})
 		}
-		if st.progress == st.Length {
-			st.done = true
-			st.doneAt = hour + 1
-			f.completed++
+		if j.Remaining == 0 {
+			j.Completed, j.CompletedAt = true, hour+1
 		}
 	}
 	f.hour++
 	return nil
 }
 
-// Snapshot aggregates the fleet's outcomes so far into a Result, in job
-// submission order. Once the fleet has stepped through its full horizon
-// the result is byte-identical to what Run returns for the same inputs.
-// An uncompleted job counts as missed once its deadline is at or before
-// the current hour.
-func (f *refFleet) Snapshot() Result {
-	res := Result{
-		Policy:         f.policy.Name(),
-		SlotHoursUsed:  f.slotHoursUsed,
-		SlotHoursTotal: float64(f.totalSlots * f.horizon),
+// view is a job as read at the current hour: a completed job missed its
+// deadline if it finished after it, any other job once the deadline is
+// at or before the current hour.
+func (f *refFleet) view(j *JobInfo) JobInfo {
+	v := *j
+	v.MissedDeadline = v.Deadline() <= f.hour
+	if v.Completed {
+		v.MissedDeadline = v.CompletedAt > v.Deadline()
 	}
-	for _, st := range f.states {
-		out := Outcome{
-			Job:        st.Job,
-			Completed:  st.done,
-			Emissions:  st.emissions,
-			WaitHours:  st.waitHours,
-			Migrations: st.migrations,
+	return v
+}
+
+// Lookup returns the live view of a submitted job.
+func (f *refFleet) Lookup(id int) (JobInfo, bool) {
+	if j := f.byID[id]; j != nil {
+		return f.view(j), true
+	}
+	return JobInfo{}, false
+}
+
+// Snapshot is every job's outcome in submission order, with Stats'
+// totals over the whole horizon.
+func (f *refFleet) Snapshot() Result {
+	all := f.all()
+	res := Result{
+		Policy: f.policy.Name(), TotalEmissions: all.Emissions, Completed: all.Completed, Missed: all.Missed,
+		SlotHoursUsed: f.slotHours, SlotHoursTotal: float64(f.totalSlots * f.horizon),
+	}
+	var wait float64
+	for _, j := range f.jobs {
+		v := f.view(j)
+		res.Outcomes = append(res.Outcomes, Outcome{v.Job, v.Completed, v.CompletedAt, v.MissedDeadline, v.Emissions, v.WaitHours, v.Migrations})
+		if v.Completed {
+			wait += float64(v.WaitHours)
 		}
-		if st.done {
-			out.CompletedAt = st.doneAt
-			out.MissedDeadline = st.doneAt > st.Deadline()
-			res.Completed++
-		} else {
-			out.MissedDeadline = st.Deadline() <= f.hour
-		}
-		if out.MissedDeadline {
-			res.Missed++
-		}
-		res.TotalEmissions += st.emissions
-		res.Outcomes = append(res.Outcomes, out)
 	}
 	if res.Completed > 0 {
-		var wait float64
-		for _, o := range res.Outcomes {
-			if o.Completed {
-				wait += float64(o.WaitHours)
-			}
-		}
 		res.MeanWaitHours = wait / float64(res.Completed)
 	}
 	return res
 }
 
-// Lookup returns the live view of a submitted job.
-func (f *refFleet) Lookup(id int) (JobInfo, bool) {
-	st, ok := f.byID[id]
-	if !ok {
-		return JobInfo{}, false
-	}
-	info := JobInfo{
-		Job:        st.Job,
-		Remaining:  st.Length - st.progress,
-		Region:     st.region,
-		Running:    st.ranLastHr,
-		Completed:  st.done,
-		Emissions:  st.emissions,
-		WaitHours:  st.waitHours,
-		Migrations: st.migrations,
-	}
-	if st.done {
-		info.CompletedAt = st.doneAt
-		info.MissedDeadline = st.doneAt > st.Deadline()
-	} else {
-		info.MissedDeadline = st.Deadline() <= f.hour
-	}
-	return info, true
-}
-
-// Stats summarizes the fleet's current state.
-func (f *refFleet) Stats() FleetStats {
-	st := FleetStats{
-		Hour:           f.hour,
-		Horizon:        f.horizon,
-		Submitted:      len(f.states),
-		SlotHoursUsed:  f.slotHoursUsed,
-		SlotHoursTotal: float64(f.totalSlots * f.hour),
-	}
-	for _, s := range f.states {
-		st.TotalEmissions += s.emissions
-		if s.done {
-			st.Completed++
-			if s.doneAt > s.Deadline() {
-				st.Missed++
-			}
-			continue
-		}
-		st.Unresolved++
-		if s.Deadline() <= f.hour {
-			st.Missed++
-		}
-		if s.ranLastHr {
-			st.Running++
-		} else {
-			st.Queued++
-		}
-	}
-	return st
-}
-
-// fairOrder applies the fair queue's dequeue permutation to one
-// hour's eligible jobs (identity when no queue is installed).
-func fairOrder(q *tenant.FairQueue, eligible []*state) []*state {
-	if q == nil || len(eligible) < 2 {
-		return eligible
-	}
-	names := make([]string, len(eligible))
-	for i, st := range eligible {
-		names[i] = st.Tenant
-	}
-	perm := q.Order(names)
-	out := make([]*state, len(eligible))
-	for k, i := range perm {
-		out[k] = eligible[i]
-	}
-	return out
-}
-
-// namedPlacement is a policy's Placement translated back to names.
-type namedPlacement struct {
-	JobID  int
-	Region string
-}
-
-// plan is the one place the reference meets the policy's index space:
-// it hands the policy a Tick over eligible — regions by index into
-// regionsList, jobs by position — and names each placement back.
-func (f *refFleet) plan(hour int, eligible []*state) ([]namedPlacement, error) {
-	tick := &Tick{Hour: hour}
-	regionIdx := make(map[string]int, len(f.regionsList))
-	for i, r := range f.regionsList {
-		regionIdx[r] = i
-		tr := f.set.MustGet(r)
-		tick.traces = append(tick.traces, tr)
-		tick.CI = append(tick.CI, tr.At(hour))
-		tick.Free = append(tick.Free, f.free[r])
-	}
-	for _, st := range eligible {
-		tick.Eligible = append(tick.Eligible, JobView{
-			Origin:          regionIdx[st.Origin],
-			Remaining:       st.Length - st.progress,
-			HoursToDeadline: st.Deadline() - hour,
-			Interruptible:   st.Interruptible,
-			Migratable:      st.Migratable,
-		})
-	}
-	var out []namedPlacement
-	for _, p := range f.policy.Plan(tick) {
-		if p.Job < 0 || p.Job >= len(eligible) {
-			return nil, fmt.Errorf("sched: policy %s placed unknown job #%d", f.policy.Name(), p.Job)
-		}
-		if p.Region < 0 || p.Region >= len(f.regionsList) {
-			return nil, fmt.Errorf("sched: policy %s used unknown region #%d", f.policy.Name(), p.Region)
-		}
-		out = append(out, namedPlacement{eligible[p.Job].ID, f.regionsList[p.Region]})
-	}
-	return out, nil
-}
-
-func tenantStats(states []*state, hour int) map[string]TenantStat {
-	out := make(map[string]TenantStat)
-	for _, s := range states {
-		name := tenant.Normalize(s.Tenant)
-		ts := out[name]
+// tally folds every job's view into one TenantStat per key, in
+// submission order.
+func (f *refFleet) tally(key func(Job) string) map[string]TenantStat {
+	out := map[string]TenantStat{}
+	for _, j := range f.jobs {
+		v := f.view(j)
+		ts := out[key(v.Job)]
 		ts.Submitted++
-		ts.SlotHours += s.progress
-		ts.Emissions += s.emissions
-		if s.done {
+		ts.SlotHours += v.Length - v.Remaining
+		ts.Emissions += v.Emissions
+		switch {
+		case v.Completed:
 			ts.Completed++
-			if s.doneAt > s.Deadline() {
-				ts.Missed++
-			}
-		} else {
+		case v.Running:
 			ts.Unresolved++
-			if s.Deadline() <= hour {
-				ts.Missed++
-			}
-			if s.ranLastHr {
-				ts.Running++
-			} else {
-				ts.Queued++
-			}
+			ts.Running++
+		default:
+			ts.Unresolved++
+			ts.Queued++
 		}
-		out[name] = ts
+		if v.MissedDeadline {
+			ts.Missed++
+		}
+		out[key(v.Job)] = ts
 	}
 	return out
 }
 
-// TenantStats aggregates the fleet's jobs per (normalized) tenant.
+// TenantStats aggregates the jobs per (normalized) tenant.
 func (f *refFleet) TenantStats() map[string]TenantStat {
-	return tenantStats(f.states, f.hour)
+	return f.tally(func(j Job) string { return tenant.Normalize(j.Tenant) })
+}
+
+// all is the tally of every job under one key.
+func (f *refFleet) all() TenantStat { return f.tally(func(Job) string { return "" })[""] }
+
+// Stats aggregates all jobs.
+func (f *refFleet) Stats() FleetStats {
+	all := f.all()
+	return FleetStats{
+		f.hour, f.horizon, all.Submitted, all.Completed, all.Missed, all.Running, all.Queued, all.Unresolved,
+		all.Emissions, f.slotHours, float64(f.totalSlots * f.hour),
+	}
 }

@@ -55,8 +55,8 @@ func driveFleet(t testing.TB, f interface {
 
 // TestShardedFleetEquivalence is the core determinism contract of the
 // fleet: for every policy, placements (every executed job-hour, in
-// order) and the aggregate Result must be byte-identical to the serial
-// reference fleet. The shards subtests build through the deprecated
+// order) and the aggregate Result must be byte-identical to the naive
+// reference model. The shards subtests build through the deprecated
 // NewShardedFleet and pass its final argument, which must stay a no-op
 // until both are removed.
 func TestShardedFleetEquivalence(t *testing.T) {
@@ -91,7 +91,7 @@ func TestShardedFleetEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref.OnPlace = func(p Placed) {
-			refLog = append(refLog, placeRec{p.Hour, p.JobID, ref.regionsList[p.Region]})
+			refLog = append(refLog, placeRec{p.Hour, p.JobID, ref.regions[p.Region]})
 		}
 		if err := ref.Submit(jobs...); err != nil {
 			t.Fatal(err)
@@ -167,8 +167,8 @@ func TestShardedFleetOnlineSubmission(t *testing.T) {
 	}
 }
 
-// TestShardedFleetLookupAndStatsParity steps the fleet and the serial
-// reference in lockstep, for every policy with tenancy off and on, and
+// TestShardedFleetLookupAndStatsParity steps the fleet and the naive
+// reference model in lockstep, for every policy with tenancy off and on, and
 // checks that Lookup of every job — pending, active and done — the
 // counting fields of Stats, and TenantStats agree, and Snapshot at the
 // end: the incremental counters must never drift from the reference's
@@ -314,43 +314,6 @@ func frozenBlocks(f *Fleet) int {
 		}
 	}
 	return n
-}
-
-func TestShardedFleetSubmitValidation(t *testing.T) {
-	set, cl, _ := mkWideSet(t, 50, 2)
-	f, err := NewFleet(set, cl, FIFO{}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Submit(Job{ID: 1, Origin: "R00", Arrival: 0, Length: 0}); err == nil {
-		t.Error("zero-length job accepted")
-	}
-	if err := f.Submit(Job{ID: 1, Origin: "NOPE", Arrival: 0, Length: 1}); err == nil {
-		t.Error("orphan origin accepted")
-	}
-	err = f.Submit(
-		Job{ID: 1, Origin: "R00", Arrival: 0, Length: 1},
-		Job{ID: 1, Origin: "R01", Arrival: 0, Length: 1},
-	)
-	if err == nil {
-		t.Error("intra-batch duplicate accepted")
-	}
-	if f.Jobs() != 0 {
-		t.Fatalf("failed batch admitted %d jobs", f.Jobs())
-	}
-	if err := f.Submit(Job{ID: 1, Origin: "R00", Arrival: 0, Length: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Submit(Job{ID: 1, Origin: "R00", Arrival: 5, Length: 1}); err == nil {
-		t.Error("cross-batch duplicate accepted")
-	}
-	if err := f.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Submit(Job{ID: 2, Origin: "R00", Arrival: 0, Length: 1}); err == nil ||
-		!strings.Contains(err.Error(), "before current hour") {
-		t.Errorf("past-arrival submission: err = %v", err)
-	}
 }
 
 // TestJobHourBounds is the regression test for the deadline overflow:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -51,7 +52,7 @@ func genTenantJobs(rng *rand.Rand, n, span int, origins, tenants []string) []Job
 // TestTenancyInvariants is the tenancy proof layer's core sweep:
 // across random seeds and policies, a tenant-tagged workload under
 // weighted-fair dequeue must behave identically in the fleet and the
-// serial reference — every field of every Placed the two OnPlace hooks
+// naive reference model — every field of every Placed the two OnPlace hooks
 // report (hour, job, region, origin, tenant, both intensities, and the
 // phase that placed it), the aggregate Result and per-tenant accounting
 // — and a fleet restored from a mid-run snapshot must finish with the
@@ -106,11 +107,10 @@ func TestTenancyInvariants(t *testing.T) {
 				}
 
 				if fleet.placements != serial.placements {
-					t.Fatal("placements diverge from serial fleet")
+					t.Fatal("placements diverge from the reference model")
 				}
-				if len(fleet.result.Outcomes) != len(serial.result.Outcomes) || fleet.result.Completed != serial.result.Completed ||
-					fleet.result.Missed != serial.result.Missed || fleet.result.TotalEmissions != serial.result.TotalEmissions {
-					t.Fatal("Result differs from serial fleet")
+				if !reflect.DeepEqual(fleet.result, serial.result) {
+					t.Fatal("Result differs from the reference model")
 				}
 				if len(fleet.perTenant) != len(serial.perTenant) {
 					t.Fatal("tenant stats differ")
