@@ -3,9 +3,10 @@
 // lifecycle, one upstream round trip, one id registry, index-typed
 // policies, one serially stepped job list, one fleet type and placement
 // hook, the measured kernels, one logger, one role value, one
-// performance harness, one fault driver — by counting, over the parsed Go source, the
-// sites that would start a second copy. They run under go test ./...,
-// and every guard is shown to fire on a planted violation.
+// performance harness, one fault driver, one golden harness — by
+// counting, over the parsed Go source, the sites that would start a
+// second copy. They run under go test ./..., and every guard is shown to
+// fire on a planted violation.
 package archtest
 
 import (
@@ -540,6 +541,21 @@ func TestHandRolledPartitionFailover(t *testing.T) {
 }`,
 		},
 	},
+	{
+		// One golden harness: internal/golden holds the module's only
+		// -update flag, Check (compare, or record under -update) and
+		// Frozen (compare only, for fixtures an older build wrote). A
+		// flag in a package's tests is a second harness, and one that can
+		// re-record a frozen fixture.
+		name: "one golden harness: no flag.Bool in internal/ tests",
+		fix:  "pin the bytes with golden.Check, or golden.Frozen for a compatibility fixture; -update is internal/golden's",
+		rules: []rule{
+			{what: "flag.Bool( / flag.BoolVar( in a _test.go file", in: []string{"internal/"}, tests: true, only: file.test,
+				match: call("flag", "Bool", "BoolVar")},
+		},
+		plant: map[string]string{"internal/wal/planted_test.go": `package wal
+var update = flag.Bool("update", false, "rewrite golden files")`},
+	},
 }
 
 // parseTree parses every Go file under root, skipping testdata and
@@ -606,6 +622,8 @@ var exportAllow = map[string]string{
 	"schedd.WithoutTracing":        "the untraced baseline the instrumentation-overhead bar is measured against",
 	"fft.FFT":                      "the exact any-length transform the padded-radix-2 ablation holds Autocorr's kernel against",
 	"simgrid.CacheStats":           "core's streamed what-if test counts cache entries with it; a _test.go helper cannot cross packages",
+	"golden.Check":                 "every package's golden tests pin their bytes with it; a _test.go helper cannot cross packages",
+	"golden.Frozen":                "the compatibility fixtures' tests compare with it; a _test.go helper cannot cross packages",
 	"serve.statusWriter.Unwrap":    "lets http.ResponseController reach the wrapped ResponseWriter",
 	"tenant.retryableError.Unwrap": "lets errors.Is and errors.As see the wrapped error",
 }

@@ -2,16 +2,13 @@ package metrics
 
 import (
 	"bytes"
-	"flag"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"carbonshift/internal/golden"
+)
 
 // histogramVec registers a histogram family with one label and returns
 // its child lookup: no production caller builds that shape, but the
@@ -61,25 +58,7 @@ func TestExpositionGolden(t *testing.T) {
 	if err := buildSampleRegistry().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got := buf.String()
-
-	golden := filepath.Join("testdata", "exposition.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("exposition format drifted from %s:\ngot:\n%s\nwant:\n%s\n(regenerate with -update if the change is deliberate)",
-			golden, got, want)
-	}
+	golden.Check(t, "exposition.golden", buf.Bytes())
 }
 
 // TestHistogramCumulativity checks the rendered _bucket series are

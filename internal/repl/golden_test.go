@@ -10,32 +10,11 @@ package repl
 
 import (
 	"encoding/hex"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"carbonshift/internal/golden"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
 func TestStreamGolden(t *testing.T) {
-	got := hex.EncodeToString(sampleStream())
-
-	golden := filepath.Join("testdata", "stream_v1.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got+"\n" != string(want) {
-		t.Fatalf("stream encoding drifted from %s:\ngot:  %s\nwant: %s\n(frame framing, CRC, or a payload layout changed — bump streamVersion and regenerate with -update)",
-			golden, got, want)
-	}
+	golden.Check(t, "stream_v1.golden", []byte(hex.EncodeToString(sampleStream())+"\n"))
 }

@@ -4,11 +4,10 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"carbonshift/internal/golden"
 	"carbonshift/internal/tenant"
 )
 
@@ -78,17 +77,5 @@ func TestPlacementGolden(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "placements.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != string(want) {
-		t.Fatalf("placements drifted from %s:\ngot:\n%swant:\n%s", golden, got.String(), want)
-	}
+	golden.Check(t, "placements.golden", []byte(got.String()))
 }

@@ -242,9 +242,10 @@ func TestShardedFleetLookupAndStatsParity(t *testing.T) {
 					t.Helper()
 					a, b := ref.Stats(), sf.Stats()
 					// TotalEmissions is accumulated in a different order
-					// (documented); compare it with tolerance and everything
-					// else exactly.
-					if math.Abs(a.TotalEmissions-b.TotalEmissions) > 1e-6*(1+math.Abs(a.TotalEmissions)) {
+					// (documented); compare it within rounding, 1e-9 relative,
+					// and everything else exactly. The bound is tight enough
+					// to catch a running total scaled by 1+1e-7.
+					if math.Abs(a.TotalEmissions-b.TotalEmissions) > 1e-9*(1+math.Abs(a.TotalEmissions)) {
 						t.Fatalf("hour %d: emissions %v vs %v", a.Hour, a.TotalEmissions, b.TotalEmissions)
 					}
 					a.TotalEmissions, b.TotalEmissions = 0, 0

@@ -3,21 +3,17 @@ package sched
 import (
 	"bytes"
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"carbonshift/internal/golden"
 	"carbonshift/internal/tenant"
 	"carbonshift/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // stateJobs is a small deterministic mix covering every flag
 // combination: pinned, migratable, interruptible, and a future arrival.
@@ -643,23 +639,7 @@ func TestStateGolden(t *testing.T) {
 	}
 	got := hex.EncodeToString(img) + "\n" + hex.EncodeToString(EncodeJobs(nil, stateJobsTenants())) + "\n"
 
-	golden := filepath.Join("testdata", "fleet_state_v2.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("fleet state encoding drifted from %s:\ngot:\n%swant:\n%s(field order, varint widths, or CRC changed — bump stateVersion and regenerate with -update)",
-			golden, got, want)
-	}
+	golden.Check(t, "fleet_state_v2.golden", []byte(got))
 }
 
 // TestStateDecodeV1Golden proves the pre-tenancy (version 1) format

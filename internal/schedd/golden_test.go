@@ -3,53 +3,29 @@ package schedd
 // Golden-file pins for the version-bumped wire and journal encodings
 // the tenancy work touched: the admit journal record, the server
 // snapshot wrapper, and the CSBB binary submit frame. The pre-tenancy
-// files are frozen in git — the current encoder must keep producing
-// those exact bytes for tenant-free input (old journals and old
-// clients stay readable and re-writable), and the current decoder must
-// read them back with empty Tenant fields. The tenancy files pin the
-// version-2 shapes so a future codec change is a deliberate diff, not
-// an accident. (The fleet-image golden lives with its codec in
+// files are frozen in git and go through golden.Frozen, which -update
+// never rewrites — the current encoder must keep producing those exact
+// bytes for tenant-free input (old journals and old clients stay
+// readable and re-writable), and the current decoder must read them
+// back with empty Tenant fields. The tenancy files pin the version-2
+// shapes so a future codec change is a deliberate diff, not an
+// accident. (The fleet-image golden lives with its codec in
 // internal/sched/testdata.)
 //
-// Regenerate deliberately with:
+// Regenerate the unfrozen ones deliberately with:
 //
 //	go test ./internal/schedd -run Golden -update
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"carbonshift/internal/golden"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/tracing"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden files in testdata/")
-
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: encoding drifted from the golden file:\n got %x\nwant %x", name, got, want)
-	}
-}
 
 // goldenJobsPreTenancy is a tenant-free batch: the admit record for it
 // must stay byte-identical to what the pre-tenancy codec wrote.
@@ -71,7 +47,7 @@ func goldenJobsTenancy() []sched.Job {
 func TestAdmitRecordGolden(t *testing.T) {
 	// Pre-tenancy shape: frozen bytes, and decoding yields empty Tenant.
 	rec := encodeAdmit(5, 10, goldenJobsPreTenancy(), tracing.TraceID{})
-	checkGolden(t, "admit_record_pre_tenancy.golden", rec)
+	golden.Frozen(t, "admit_record_pre_tenancy.golden", rec)
 	arrival, nextID, jobs, tid, err := decodeAdmit(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +67,7 @@ func TestAdmitRecordGolden(t *testing.T) {
 	// Tenancy shape, with a trace id appended the way sampled submits do.
 	tid = tracing.TraceID{0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	rec = encodeAdmit(5, 10, goldenJobsTenancy(), tid)
-	checkGolden(t, "admit_record_tenancy.golden", rec)
+	golden.Check(t, "admit_record_tenancy.golden", rec)
 	arrival, nextID, jobs, gotTid, err := decodeAdmit(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +83,7 @@ func TestAdmitRecordGolden(t *testing.T) {
 func TestServerSnapshotGolden(t *testing.T) {
 	img := []byte("synthetic-fleet-image")
 	snap := encodeServerSnapshot(1234, img)
-	checkGolden(t, "server_snapshot_header.golden", snap)
+	golden.Check(t, "server_snapshot_header.golden", snap)
 	nextID, fleetImg, err := decodeServerSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +120,7 @@ func TestBinaryFrameGolden(t *testing.T) {
 	if v1[4] != binVersion {
 		t.Fatalf("tenant-free frame version = %d, want %d", v1[4], binVersion)
 	}
-	checkGolden(t, "binary_frame_v1.golden", v1)
+	golden.Frozen(t, "binary_frame_v1.golden", v1)
 	b := decodeFrameJobs(t, v1)
 	wantV1 := []sched.Job{
 		{ID: 5, Origin: "CLEAN", Length: 2, Slack: 10, Interruptible: true},
@@ -165,7 +141,7 @@ func TestBinaryFrameGolden(t *testing.T) {
 	if v2[4] != binVersionTenant {
 		t.Fatalf("tenant-tagged frame version = %d, want %d", v2[4], binVersionTenant)
 	}
-	checkGolden(t, "binary_frame_v2.golden", v2)
+	golden.Check(t, "binary_frame_v2.golden", v2)
 	b = decodeFrameJobs(t, v2)
 	wantV2 := []sched.Job{
 		{ID: 5, Origin: "CLEAN", Tenant: "web", Length: 2, Slack: 10, Interruptible: true},
@@ -194,7 +170,7 @@ func TestBinaryFrameGolden(t *testing.T) {
 
 	// The ack frame is protocol-version-independent (always v1).
 	ack := AppendBinaryAck(nil, 7, []int{3, 4, 9})
-	checkGolden(t, "binary_ack.golden", ack)
+	golden.Check(t, "binary_ack.golden", ack)
 	resp, err := DecodeBinaryAck(ack)
 	if err != nil {
 		t.Fatal(err)

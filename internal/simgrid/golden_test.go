@@ -4,20 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"flag"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"carbonshift/internal/golden"
 	"carbonshift/internal/regions"
 	"carbonshift/internal/trace"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // traceBits hashes the IEEE-754 bits of every sample of every trace, in
 // the order given: any change to any bit of any hour changes the digest.
@@ -69,12 +65,8 @@ func syntheticRegions() []regions.Region {
 // from the two-stage kernel that still called math.Pow once per flexible
 // source, ahead of the rewrite that shares one logarithm among them.
 func TestTraceBitsGolden(t *testing.T) {
-	got := map[string]string{}
-	var order []string
-	record := func(name, digest string) {
-		got[name] = digest
-		order = append(order, name)
-	}
+	var got strings.Builder
+	record := func(name, digest string) { fmt.Fprintf(&got, "%s %s\n", name, digest) }
 
 	// (a) The full catalog at seed 1 over the default period, per
 	// region so a failure names the region, and as one digest.
@@ -136,35 +128,5 @@ func TestTraceBitsGolden(t *testing.T) {
 		record("synthetic/8760h/seed3/"+r.Code, traceBits(tr))
 	}
 
-	path := filepath.Join("testdata", "trace_bits.golden")
-	if *update {
-		var sb strings.Builder
-		for _, name := range order {
-			fmt.Fprintf(&sb, "%s %s\n", name, got[name])
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to record)", err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if len(lines) != len(order) {
-		t.Fatalf("golden has %d entries, test produced %d", len(lines), len(order))
-	}
-	for _, line := range lines {
-		name, want, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("malformed golden line %q", line)
-		}
-		if got[name] != want {
-			t.Errorf("%s: trace bits changed: got %s, golden %s", name, got[name], want)
-		}
-	}
+	golden.Check(t, "trace_bits.golden", []byte(got.String()))
 }

@@ -8,13 +8,12 @@ package wal
 
 import (
 	"encoding/hex"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"carbonshift/internal/golden"
+)
 
 func TestJournalGolden(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
@@ -26,25 +25,7 @@ func TestJournalGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := hex.EncodeToString(raw)
-
-	golden := filepath.Join("testdata", "journal_v1.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got+"\n" != string(want) {
-		t.Fatalf("journal encoding drifted from %s:\ngot:  %s\nwant: %s\n(version byte, record framing, or CRC changed — bump journalVersion and regenerate with -update)",
-			golden, got, want)
-	}
+	golden.Check(t, "journal_v1.golden", []byte(hex.EncodeToString(raw)+"\n"))
 }
 
 func TestSnapshotFileGolden(t *testing.T) {
@@ -59,22 +40,5 @@ func TestSnapshotFileGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := hex.EncodeToString(raw)
-
-	golden := filepath.Join("testdata", "snapshot_v1.golden")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got+"\n" != string(want) {
-		t.Fatalf("snapshot file encoding drifted from %s:\ngot:  %s\nwant: %s", golden, got, want)
-	}
+	golden.Check(t, "snapshot_v1.golden", []byte(hex.EncodeToString(raw)+"\n"))
 }
