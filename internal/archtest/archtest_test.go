@@ -6,7 +6,9 @@
 // performance harness, one fault driver, one golden harness — by
 // counting, over the parsed Go source, the sites that would start a
 // second copy. They run under go test ./..., and every guard is shown to
-// fire on a planted violation.
+// fire on a planted violation. The document checks (docs_test.go) keep
+// the test names, line references, package inventory and sizes of the
+// repository's design documents true to the code in the same way.
 package archtest
 
 import (
