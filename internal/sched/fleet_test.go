@@ -42,73 +42,26 @@ func fleetJobs(t *testing.T) []Job {
 	return jobs
 }
 
-// TestFleetMatchesRun drives the naive reference model tick by tick
-// with all jobs submitted up front and checks the snapshot is deeply
-// identical to the batch Run for every policy. Run drives a Fleet, so
-// this is the Run-vs-reference differential.
-func TestFleetMatchesRun(t *testing.T) {
-	set := mkSet(t, 24*15)
-	jobs := fleetJobs(t)
-	for _, p := range allPolicies() {
-		want, err := Run(set, clusters(20), jobs, p, 24*15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := newRefFleet(set, clusters(20), p, 24*15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Submit(jobs...); err != nil {
-			t.Fatal(err)
-		}
-		for !f.Done() {
-			if err := f.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := f.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: fleet snapshot differs from Run result", p.Name())
-		}
+// twoRegionCase is fleetJobs on the CLEAN/DIRTY world under every
+// policy, read every hour and held to Run.
+func twoRegionCase(t *testing.T, submit submission) diffCase {
+	return diffCase{
+		set: mkSet(t, 24*15), clusters: clusters(20), jobs: fleetJobs(t), horizon: 24 * 15,
+		policies: allPolicies(), submit: submit, every: 1, matchRun: true, build: NewFleet,
 	}
 }
 
-// TestFleetOnlineSubmission submits each job to the naive reference
-// model exactly at its arrival hour, the way the HTTP service does, and
-// still matches the batch Run (a Fleet with every job submitted up
-// front) — a differential across both the implementation and the
-// submission pattern.
-func TestFleetOnlineSubmission(t *testing.T) {
-	set := mkSet(t, 24*15)
-	jobs := fleetJobs(t)
-	for _, p := range allPolicies() {
-		want, err := Run(set, clusters(20), jobs, p, 24*15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := newRefFleet(set, clusters(20), p, 24*15)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next := 0
-		for !f.Done() {
-			for next < len(jobs) && jobs[next].Arrival == f.Hour() {
-				if err := f.Submit(jobs[next]); err != nil {
-					t.Fatal(err)
-				}
-				next++
-			}
-			if err := f.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if next != len(jobs) {
-			t.Fatalf("%s: only %d/%d jobs submitted", p.Name(), next, len(jobs))
-		}
-		if got := f.Snapshot(); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: online submission snapshot differs from Run result", p.Name())
-		}
-	}
-}
+// TestFleetMatchesRun steps the naive reference model and a Fleet in
+// lockstep with all jobs submitted up front, and holds both to the batch
+// Run for every policy: Run drives a Fleet, so this is also the
+// Run-vs-reference differential.
+func TestFleetMatchesRun(t *testing.T) { twoRegionCase(t, upFront).run(t) }
+
+// TestFleetOnlineSubmission submits each job exactly at its arrival hour,
+// the way the HTTP service does, and still matches the batch Run (a
+// Fleet with every job submitted up front) — a differential across both
+// the implementation and the submission pattern.
+func TestFleetOnlineSubmission(t *testing.T) { twoRegionCase(t, atArrival).run(t) }
 
 // TestRunConcurrentPolicies is cmd/carbonsched's shape: the five
 // policies run concurrently on engine workers over one shared trace set,

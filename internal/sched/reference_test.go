@@ -11,10 +11,11 @@ import (
 )
 
 // refFleet is a deliberately naive model of Fleet: the hour-stepped world
-// written as plainly as it can be, which the differential tests
-// (TestFleetMatchesRun, TestShardedFleetEquivalence,
-// TestSchedulingInvariants, TestTenancyInvariants, TestJobHourBounds,
-// TestShardedFleetLookupAndStatsParity) hold Fleet and Run to.
+// written as plainly as it can be, which the lockstep driver (diffCase in
+// lockstep_test.go, behind TestFleetMatchesRun, TestShardedFleetEquivalence,
+// TestSchedulingInvariants, TestTenancyInvariants and
+// TestShardedFleetLookupAndStatsParity) and TestJobHourBounds hold Fleet
+// and Run to.
 //
 // A job's state is the JobInfo Lookup reports, kept in submission order
 // and updated in place by Step. Only MissedDeadline depends on the hour it

@@ -3,8 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"math/rand/v2"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -54,253 +52,62 @@ func driveFleet(t testing.TB, f interface {
 }
 
 // TestShardedFleetEquivalence is the core determinism contract of the
-// fleet: for every policy, placements (every executed job-hour, in
-// order) and the aggregate Result must be byte-identical to the naive
-// reference model. The shards subtests build through the deprecated
-// NewShardedFleet and pass its final argument, which must stay a no-op
-// until both are removed.
+// fleet: for every policy, every read, every Placed and the final Result
+// must match the naive reference model. The shards subtests build
+// through the deprecated NewShardedFleet and pass its final argument,
+// which must stay a no-op until both are removed.
 func TestShardedFleetEquivalence(t *testing.T) {
-	const horizon = 24 * 12
-	set, cl, origins := mkWideSet(t, horizon, 8)
-	jobs, err := GenerateJobs(WorkloadSpec{
-		Jobs:              300,
-		ArrivalSpan:       24 * 9,
-		SlackHours:        30,
-		InterruptibleFrac: 0.6,
-		MigratableFrac:    0.5,
-		Origins:           origins,
-		Seed:              11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		if jobs[i].Length > 36 {
-			jobs[i].Length = 36
-		}
-	}
-
-	type placeRec struct {
-		hour, job int
-		region    string
-	}
-	for _, policy := range allPolicies() {
-		var refLog []placeRec
-		ref, err := newRefFleet(set, cl, policy, horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.OnPlace = func(p Placed) {
-			refLog = append(refLog, placeRec{p.Hour, p.JobID, ref.regions[p.Region]})
-		}
-		if err := ref.Submit(jobs...); err != nil {
-			t.Fatal(err)
-		}
-		driveFleet(t, ref)
-		want := ref.Snapshot()
-
-		for _, shards := range []int{1, 4, 16} {
-			t.Run(fmt.Sprintf("%s/shards=%d", policy.Name(), shards), func(t *testing.T) {
-				var log []placeRec
-				sf, err := NewShardedFleet(set, cl, policy, horizon, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sf.OnPlace = func(hour, jobID int, region string) {
-					log = append(log, placeRec{hour, jobID, region})
-				}
-				if err := sf.Submit(jobs...); err != nil {
-					t.Fatal(err)
-				}
-				driveFleet(t, sf)
-				if !reflect.DeepEqual(log, refLog) {
-					t.Fatalf("placement log differs: %d records vs %d serial", len(log), len(refLog))
-				}
-				if got := sf.Snapshot(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("fleet result differs from serial reference:\ngot:  %+v\nwant: %+v",
-						got.TotalEmissions, want.TotalEmissions)
-				}
-			})
-		}
-	}
-}
-
-// TestShardedFleetOnlineSubmission mirrors TestFleetOnlineSubmission:
-// jobs submitted exactly at their arrival hour (the schedd path) must
-// still match the up-front batch Run.
-func TestShardedFleetOnlineSubmission(t *testing.T) {
-	const horizon = 24 * 12
-	set, cl, origins := mkWideSet(t, horizon, 6)
-	jobs, err := GenerateJobs(WorkloadSpec{
-		Jobs: 150, ArrivalSpan: 24 * 9, SlackHours: 24,
-		InterruptibleFrac: 0.5, MigratableFrac: 0.7,
-		Origins: origins, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Run(set, cl, jobs, SpatioTemporal{Percentile: 40, Window: 48}, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := NewFleet(set, cl, SpatioTemporal{Percentile: 40, Window: 48}, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := 0
-	for !sf.Done() {
-		for next < len(jobs) && jobs[next].Arrival == sf.Hour() {
-			if err := sf.Submit(jobs[next]); err != nil {
-				t.Fatal(err)
+	c := wideCase(t, 24*12, 8, WorkloadSpec{
+		Jobs: 300, ArrivalSpan: 24 * 9, SlackHours: 30, InterruptibleFrac: 0.6, MigratableFrac: 0.5, Seed: 11,
+	}, 36)
+	for _, shards := range []int{1, 4, 16} {
+		c.name = fmt.Sprintf("%%s/shards=%d", shards)
+		c.build = func(set *trace.Set, cl []Cluster, p Policy, horizon int) (*Fleet, error) {
+			sf, err := NewShardedFleet(set, cl, p, horizon, shards)
+			if err != nil {
+				return nil, err
 			}
-			next++
+			return sf.Fleet, nil
 		}
-		if err := sf.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if next != len(jobs) {
-		t.Fatalf("only %d/%d jobs submitted", next, len(jobs))
-	}
-	if got := sf.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatal("online sharded snapshot differs from serial Run")
+		c.run(t)
 	}
 }
 
-// TestShardedFleetLookupAndStatsParity steps the fleet and the naive
-// reference model in lockstep, for every policy with tenancy off and on, and
-// checks that Lookup of every job — pending, active and done — the
-// counting fields of Stats, and TenantStats agree, and Snapshot at the
-// end: the incremental counters must never drift from the reference's
-// walk, and the fields the fleet derives (wait hours, completion hour,
-// progress read from the active list) must read as the reference's
-// stored ones. Mid-run the fleet is marshalled and restored into a fresh
-// one, so the derived fields also survive Unmarshal.
-//
-// The stream spans four record blocks, so the freeze is held to the same
-// bar: blocks of done jobs freeze before the hop (and are restored
-// frozen) and after it, and every job is compared at each hour that
-// froze a block — Stats every hour, everything else every few hours
-// besides.
+// TestShardedFleetOnlineSubmission mirrors TestFleetOnlineSubmission on a
+// wider world: jobs submitted exactly at their arrival hour (the schedd
+// path) must match the reference fed the same way, and the up-front
+// batch Run.
+func TestShardedFleetOnlineSubmission(t *testing.T) {
+	c := wideCase(t, 24*12, 6, WorkloadSpec{
+		Jobs: 150, ArrivalSpan: 24 * 9, SlackHours: 24, InterruptibleFrac: 0.5, MigratableFrac: 0.7, Seed: 3,
+	}, 0)
+	c.name, c.policies, c.submit, c.matchRun = "", []Policy{SpatioTemporal{Percentile: 40, Window: 48}}, atArrival, true
+	c.run(t)
+}
+
+// TestShardedFleetLookupAndStatsParity holds the job store's derived
+// fields (wait hours, completion hour, progress read from the active
+// list) and incremental counters to the reference's stored ones, for
+// every policy with tenancy off and on. The stream spans four record
+// blocks and is shuffled within windows, so jobs that have not arrived
+// sit between active ones; blocks of done jobs freeze before the
+// mid-run Marshal→Unmarshal hop (and are restored frozen) and after it.
+// Every job is read every third hour and at each hour that froze a
+// block, Stats every hour.
 func TestShardedFleetLookupAndStatsParity(t *testing.T) {
-	const horizon, hop, every = 24 * 10, 24*5 + 5, 3
-	set, cl, origins := mkWideSet(t, horizon, 5)
-	for i := range cl {
-		cl[i].Slots = 80
+	c := wideCase(t, 24*10, 5, WorkloadSpec{
+		Jobs: 3500, ArrivalSpan: 24 * 8, SlackHours: 6, InterruptibleFrac: 0.5, MigratableFrac: 0.5, Seed: 21,
+	}, 24)
+	for i := range c.clusters {
+		c.clusters[i].Slots = 80
 	}
-	jobs, err := GenerateJobs(WorkloadSpec{
-		Jobs: 3500, ArrivalSpan: 24 * 8, SlackHours: 6,
-		InterruptibleFrac: 0.5, MigratableFrac: 0.5,
-		Origins: origins, Seed: 21,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for i := range c.jobs {
+		c.jobs[i].Tenant = []string{"", "web", "spot", "batch"}[i%4]
 	}
-	tenants := []string{"", "web", "spot", "batch"}
-	for i := range jobs {
-		jobs[i].Tenant = tenants[i%len(tenants)]
-		jobs[i].Length = min(jobs[i].Length, 24)
-	}
-	// Submitted out of arrival order within windows of about ten hours of
-	// arrivals, jobs that have not arrived sit between active ones in
-	// sequence order, as they do online when a later request brings work
-	// arriving sooner — and each block still finishes within a few days.
-	shuffle := rand.New(rand.NewPCG(21, 0))
-	for w := 0; w < len(jobs); w += 200 {
-		window := jobs[w:min(w+200, len(jobs))]
-		shuffle.Shuffle(len(window), func(i, k int) { window[i], window[k] = window[k], window[i] })
-	}
-	cfg := goldenTenantConfig(t)
-	for _, policy := range allPolicies() {
-		for _, tenancy := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/tenancy=%v", policy.Name(), tenancy), func(t *testing.T) {
-				ref, err := newRefFleet(set, cl, policy, horizon)
-				if err != nil {
-					t.Fatal(err)
-				}
-				build := func() *Fleet {
-					f, err := NewFleet(set, cl, policy, horizon)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if tenancy {
-						f.SetFairQueue(tenant.NewFairQueue(cfg))
-					}
-					return f
-				}
-				if tenancy {
-					ref.SetFairQueue(tenant.NewFairQueue(cfg))
-				}
-				sf := build()
-				if err := ref.Submit(jobs...); err != nil {
-					t.Fatal(err)
-				}
-				if err := sf.Submit(jobs...); err != nil {
-					t.Fatal(err)
-				}
-				compare := func(everyJob bool) {
-					t.Helper()
-					a, b := ref.Stats(), sf.Stats()
-					// TotalEmissions is accumulated in a different order
-					// (documented); compare it within rounding, 1e-9 relative,
-					// and everything else exactly. The bound is tight enough
-					// to catch a running total scaled by 1+1e-7.
-					if math.Abs(a.TotalEmissions-b.TotalEmissions) > 1e-9*(1+math.Abs(a.TotalEmissions)) {
-						t.Fatalf("hour %d: emissions %v vs %v", a.Hour, a.TotalEmissions, b.TotalEmissions)
-					}
-					a.TotalEmissions, b.TotalEmissions = 0, 0
-					if a != b {
-						t.Fatalf("hour %d: stats diverge:\nserial: %+v\nfleet:  %+v", a.Hour, a, b)
-					}
-					if !everyJob {
-						return
-					}
-					for _, j := range jobs {
-						ja, oka := ref.Lookup(j.ID)
-						jb, okb := sf.Lookup(j.ID)
-						if oka != okb || ja != jb || okb != sf.Has(j.ID) {
-							t.Fatalf("hour %d: lookup(%d) diverges:\nserial: %+v\nfleet:  %+v", a.Hour, j.ID, ja, jb)
-						}
-					}
-					if ta, tb := ref.TenantStats(), sf.TenantStats(); !reflect.DeepEqual(ta, tb) {
-						t.Fatalf("hour %d: tenant stats diverge:\nserial: %+v\nfleet:  %+v", a.Hour, ta, tb)
-					}
-				}
-				compare(true)
-				frozenAtHop := -1
-				for !ref.Done() {
-					if ref.Hour() == hop {
-						frozenAtHop = frozenBlocks(sf)
-						img, err := sf.Marshal()
-						if err != nil {
-							t.Fatal(err)
-						}
-						sf = build()
-						if err := sf.Unmarshal(img); err != nil {
-							t.Fatal(err)
-						}
-						if got := frozenBlocks(sf); got != frozenAtHop {
-							t.Fatalf("hour %d: %d blocks frozen before Marshal, %d after Unmarshal", hop, frozenAtHop, got)
-						}
-						compare(true)
-					}
-					if err := ref.Step(); err != nil {
-						t.Fatal(err)
-					}
-					frozen := frozenBlocks(sf)
-					if err := sf.Step(); err != nil {
-						t.Fatal(err)
-					}
-					compare(frozenBlocks(sf) > frozen || ref.Hour()%every == 0)
-				}
-				if a, b := ref.Snapshot(), sf.Snapshot(); !reflect.DeepEqual(a, b) {
-					t.Fatalf("final snapshot diverges:\nserial: %+v\nfleet:  %+v", a, b)
-				}
-				if final := frozenBlocks(sf); frozenAtHop < 1 || final < 2 || final == frozenAtHop {
-					t.Fatalf("%d blocks frozen at the hop and %d at the end: the freeze went untested on one side of it", frozenAtHop, final)
-				}
-			})
-		}
+	c.submit, c.hop, c.every, c.freezes = shuffled, 24*5+5, 3, true
+	for _, cfg := range []*tenant.Config{nil, goldenTenantConfig(t)} {
+		c.name, c.tenants = fmt.Sprintf("%%s/tenancy=%v", cfg != nil), cfg
+		c.run(t)
 	}
 }
 

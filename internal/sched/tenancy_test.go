@@ -1,12 +1,8 @@
 package sched
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"reflect"
-	"slices"
-	"strings"
 	"testing"
 
 	"carbonshift/internal/tenant"
@@ -52,122 +48,24 @@ func genTenantJobs(rng *rand.Rand, n, span int, origins, tenants []string) []Job
 // TestTenancyInvariants is the tenancy proof layer's core sweep:
 // across random seeds and policies, a tenant-tagged workload under
 // weighted-fair dequeue must behave identically in the fleet and the
-// naive reference model — every field of every Placed the two OnPlace hooks
-// report (hour, job, region, origin, tenant, both intensities, and the
-// phase that placed it), the aggregate Result and per-tenant accounting
-// — and a fleet restored from a mid-run snapshot must finish with the
-// uninterrupted run's image and placements.
+// naive reference model — every field of every Placed the two OnPlace
+// hooks report (hour, job, region, origin, tenant, both intensities, and
+// the phase that placed it), every read, the aggregate Result and
+// per-tenant accounting. The restore-hop case marshals the fleet
+// mid-run into a fresh one, which must go on matching the reference and
+// finish with the uninterrupted run's image.
 func TestTenancyInvariants(t *testing.T) {
 	const horizon = 24 * 6
 	set, cl, origins := mkWideSet(t, horizon, 6)
-	tenants := []string{"web", "api", "etl", "spot", ""}
-
 	for seed := int64(1); seed <= 3; seed++ {
-		jobs := genTenantJobs(rand.New(rand.NewSource(seed)), 240, horizon-60, origins, tenants)
-		for _, pol := range allPolicies() {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, pol.Name()), func(t *testing.T) {
-				type run struct {
-					placements string
-					result     Result
-					perTenant  map[string]TenantStat
-				}
-				var serial, fleet run
-
-				record := func(log *strings.Builder) func(Placed) {
-					return func(p Placed) { fmt.Fprintf(log, "%+v\n", p) }
-				}
-
-				{
-					f, err := newRefFleet(set, cl, pol, horizon)
-					if err != nil {
-						t.Fatal(err)
-					}
-					f.SetFairQueue(tenant.NewFairQueue(tenancyConfig(t)))
-					var log strings.Builder
-					f.OnPlace = record(&log)
-					if err := f.Submit(jobs...); err != nil {
-						t.Fatal(err)
-					}
-					driveFleet(t, f)
-					serial = run{log.String(), f.Snapshot(), f.TenantStats()}
-				}
-				{
-					f, err := NewFleet(set, cl, pol, horizon)
-					if err != nil {
-						t.Fatal(err)
-					}
-					f.SetFairQueue(tenant.NewFairQueue(tenancyConfig(t)))
-					var log strings.Builder
-					f.OnPlace = record(&log)
-					if err := f.Submit(jobs...); err != nil {
-						t.Fatal(err)
-					}
-					driveFleet(t, f)
-					fleet = run{log.String(), f.Snapshot(), f.TenantStats()}
-				}
-
-				if fleet.placements != serial.placements {
-					t.Fatal("placements diverge from the reference model")
-				}
-				if !reflect.DeepEqual(fleet.result, serial.result) {
-					t.Fatal("Result differs from the reference model")
-				}
-				if len(fleet.perTenant) != len(serial.perTenant) {
-					t.Fatal("tenant stats differ")
-				}
-				for name, ts := range serial.perTenant {
-					if fleet.perTenant[name] != ts {
-						t.Fatalf("tenant %s stats %+v != serial %+v", name, fleet.perTenant[name], ts)
-					}
-				}
-			})
+		c := diffCase{
+			name: fmt.Sprintf("seed%d/%%s", seed), set: set, clusters: cl, horizon: horizon,
+			jobs:     genTenantJobs(rand.New(rand.NewSource(seed)), 240, horizon-60, origins, []string{"web", "api", "etl", "spot", ""}),
+			policies: allPolicies(), tenants: tenancyConfig(t), every: 1, build: NewFleet,
 		}
-
-		// Mid-run snapshot hop under tenancy: a fleet restored from the
-		// image must finish the run byte-identically, reporting the
-		// uninterrupted run's placements from the hop on.
-		t.Run(fmt.Sprintf("seed%d/restore-hop", seed), func(t *testing.T) {
-			pol := SpatioTemporal{Percentile: 40, Window: 48}
-			mk := func(log *[]Placed) *Fleet {
-				f, err := NewFleet(set, cl, pol, horizon)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.SetFairQueue(tenant.NewFairQueue(tenancyConfig(t)))
-				f.OnPlace = func(p Placed) { *log = append(*log, p) }
-				return f
-			}
-			var refLog, hopLog []Placed
-			ref := mk(&refLog)
-			if err := ref.Submit(jobs...); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < horizon/2; i++ {
-				if err := ref.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			mid, err := ref.Marshal()
-			if err != nil {
-				t.Fatal(err)
-			}
-			hop := mk(&hopLog)
-			if err := hop.Unmarshal(mid); err != nil {
-				t.Fatal(err)
-			}
-			before := len(refLog)
-			driveFleet(t, ref)
-			driveFleet(t, hop)
-			a, _ := ref.Marshal()
-			b, _ := hop.Marshal()
-			if !bytes.Equal(a, b) {
-				t.Fatal("restored fleet's final image differs from the uninterrupted run")
-			}
-			if len(hopLog) == 0 || !slices.Equal(hopLog, refLog[before:]) {
-				t.Fatalf("restored fleet placed %d job-hours after the hop, the uninterrupted run %d, or they differ",
-					len(hopLog), len(refLog)-before)
-			}
-		})
+		c.run(t)
+		c.name, c.policies, c.hop = fmt.Sprintf("seed%d/restore-hop", seed), []Policy{SpatioTemporal{Percentile: 40, Window: 48}}, horizon/2
+		c.run(t)
 	}
 }
 
