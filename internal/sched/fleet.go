@@ -222,26 +222,31 @@ type activeJob struct {
 	by       By    // the phase that set placed
 }
 
-// progressCursor reads jobs' progress beside an ascending walk of
+// storeView is the job store as of one moment (view), for reads that run
+// beside Submit: the block directory, the tenant table and the active
+// list, with a cursor that reads progress beside an ascending walk of
 // sequence numbers, advancing one position through the active list
 // (sorted by seq too) as it goes.
-type progressCursor struct {
-	active []activeJob
-	k      int
+type storeView struct {
+	f       *Fleet
+	blocks  recBlocks
+	tenants []string
+	active  []activeJob
+	k       int // the cursor's position in active
 }
 
 // progress returns the run-hours the job at seq has had: its length
 // once done, its active entry's count while it runs, and 0 for a job no
 // Step has admitted yet. Calls must come in ascending seq order.
-func (c *progressCursor) progress(seq uint32, r *jobRec) int32 {
+func (v *storeView) progress(seq uint32, r *jobRec) int32 {
 	if r.done() {
 		return r.length
 	}
-	for c.k < len(c.active) && c.active[c.k].seq < seq {
-		c.k++
+	for v.k < len(v.active) && v.active[v.k].seq < seq {
+		v.k++
 	}
-	if c.k < len(c.active) && c.active[c.k].seq == seq {
-		return c.active[c.k].progress
+	if v.k < len(v.active) && v.active[v.k].seq == seq {
+		return v.active[v.k].progress
 	}
 	return 0
 }
@@ -600,13 +605,42 @@ func (s *jobStore) internTenant(name string) uint32 {
 	return i
 }
 
-// view returns the job store as of now, for walks that run beside
-// Submit: the block directory, the tenant table, the active list, and
-// the number of jobs they cover. The world read lock must be held.
-func (f *Fleet) view() (recBlocks, []string, []activeJob, uint32) {
+// view returns the job store as of now and the number of jobs it covers.
+// The world read lock must be held.
+func (f *Fleet) view() (storeView, uint32) {
 	f.idMu.Lock()
 	defer f.idMu.Unlock()
-	return f.blocks, f.tenants, f.active, uint32(f.submitted.Load())
+	return storeView{f: f, blocks: f.blocks, tenants: f.tenants, active: f.active}, uint32(f.submitted.Load())
+}
+
+// read sets info to the job at seq as of the fleet's current hour, and
+// returns its record. It is the one place the read rules live: progress
+// is the active entry's (a done job's is its length), wait and
+// completion are derived from the record, and a done job missed its
+// deadline if it finished after it, any other job once its deadline is
+// at or before the current hour. Successive calls must come in
+// ascending seq order. The walks call it once per job, so it sets the
+// caller's JobInfo field by field: returning a JobInfo, or assigning one
+// whole, copies it through a temporary, and made Snapshot and
+// TenantStats up to twice as slow.
+func (v *storeView) read(seq uint32, info *JobInfo) jobRec {
+	f, r := v.f, v.blocks.rec(seq)
+	progress := v.progress(seq, &r)
+	info.Job = f.job(&r, v.tenants)
+	info.Completed, info.CompletedAt = r.done(), 0
+	info.MissedDeadline = r.deadline() <= f.hour
+	info.Emissions = v.blocks.emissions(seq, &r, f.traces)
+	info.WaitHours = r.waitHours(f.hour, progress)
+	info.Migrations = int(r.migrations)
+	info.Remaining, info.Region, info.Running = int(r.length-progress), "", r.ranAt(f.hour)
+	if r.regionI >= 0 {
+		info.Region = f.regionsList[r.regionI]
+	}
+	if r.done() {
+		info.CompletedAt = r.doneAt()
+		info.MissedDeadline = r.doneAt() > r.deadline()
+	}
+	return r
 }
 
 // job rebuilds the submitted Job from its record.
@@ -861,24 +895,17 @@ func (f *Fleet) fairOrder(eligible []uint32) []int {
 	})
 }
 
-// JobInfo is the live view of one submitted job.
+// JobInfo is the live view of one submitted job: its outcome so far
+// (MissedDeadline is true for a late completion or an uncompleted job
+// whose deadline has passed), and where it stands.
 type JobInfo struct {
-	Job
+	Outcome
 	// Remaining is the run-hours still needed.
 	Remaining int
 	// Region is the most recent placement ("" before the first run).
 	Region string
 	// Running reports whether the job ran in the most recent Step.
 	Running bool
-	// Completed and CompletedAt mirror Outcome.
-	Completed   bool
-	CompletedAt int
-	// MissedDeadline is true for a late completion or an uncompleted
-	// job whose deadline has passed.
-	MissedDeadline bool
-	Emissions      float64
-	WaitHours      int
-	Migrations     int
 }
 
 // Lookup returns the live view of a submitted job.
@@ -887,36 +914,15 @@ func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 	defer f.mu.RUnlock()
 	f.idMu.Lock()
 	seq, ok := f.ids.get(f.blocks, id)
+	v := storeView{f: f, blocks: f.blocks, tenants: f.tenants, active: f.active}
+	f.idMu.Unlock()
 	if !ok {
-		f.idMu.Unlock()
 		return JobInfo{}, false
 	}
-	blocks, tenants := f.blocks, f.tenants
-	r := blocks.rec(seq)
-	// A running job's progress is in its active entry, found under idMu,
-	// where Submit appends to the list.
-	k, _ := slices.BinarySearchFunc(f.active, seq, func(a activeJob, s uint32) int { return cmp.Compare(a.seq, s) })
-	c := progressCursor{active: f.active, k: k}
-	progress := c.progress(seq, &r)
-	f.idMu.Unlock()
-	info := JobInfo{
-		Job:        f.job(&r, tenants),
-		Remaining:  int(r.length - progress),
-		Running:    r.ranAt(f.hour),
-		Completed:  r.done(),
-		Emissions:  blocks.emissions(seq, &r, f.traces),
-		WaitHours:  r.waitHours(f.hour, progress),
-		Migrations: int(r.migrations),
-	}
-	if r.regionI >= 0 {
-		info.Region = f.regionsList[r.regionI]
-	}
-	if r.done() {
-		info.CompletedAt = r.doneAt()
-		info.MissedDeadline = r.doneAt() > r.deadline()
-	} else {
-		info.MissedDeadline = r.deadline() <= f.hour
-	}
+	// Start the cursor at the job's own active entry, if it has one.
+	v.k, _ = slices.BinarySearchFunc(v.active, seq, func(a activeJob, s uint32) int { return cmp.Compare(a.seq, s) })
+	var info JobInfo
+	v.read(seq, &info)
 	return info, true
 }
 
@@ -993,31 +999,28 @@ type TenantStat struct {
 func (f *Fleet) TenantStats() map[string]TenantStat {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	blocks, tenants, active, n := f.view()
-	c := progressCursor{active: active}
+	v, n := f.view()
 	out := make(map[string]TenantStat)
+	var info JobInfo
 	for seq := uint32(0); seq < n; seq++ {
-		r := blocks.rec(seq)
-		name := tenant.Normalize(tenants[r.tenantI])
+		v.read(seq, &info)
+		name := tenant.Normalize(info.Tenant)
 		ts := out[name]
 		ts.Submitted++
-		ts.SlotHours += int(c.progress(seq, &r))
-		ts.Emissions += blocks.emissions(seq, &r, f.traces)
-		if r.done() {
+		ts.SlotHours += info.Length - info.Remaining
+		ts.Emissions += info.Emissions
+		switch {
+		case info.Completed:
 			ts.Completed++
-			if r.doneAt() > r.deadline() {
-				ts.Missed++
-			}
-		} else {
+		case info.Running:
 			ts.Unresolved++
-			if r.deadline() <= f.hour {
-				ts.Missed++
-			}
-			if r.ranAt(f.hour) {
-				ts.Running++
-			} else {
-				ts.Queued++
-			}
+			ts.Running++
+		default:
+			ts.Unresolved++
+			ts.Queued++
+		}
+		if info.MissedDeadline {
+			ts.Missed++
 		}
 		out[name] = ts
 	}
@@ -1030,11 +1033,11 @@ func (f *Fleet) TenantStats() map[string]TenantStat {
 func (f *Fleet) TenantArrivals(hour int) map[string]int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	blocks, tenants, _, n := f.view()
+	v, n := f.view()
 	out := make(map[string]int)
 	for seq := uint32(0); seq < n; seq++ {
-		if r := blocks.rec(seq); int(r.arrival) == hour {
-			out[tenant.Normalize(tenants[r.tenantI])]++
+		if r := v.blocks.rec(seq); int(r.arrival) == hour {
+			out[tenant.Normalize(v.tenants[r.tenantI])]++
 		}
 	}
 	return out
@@ -1046,8 +1049,7 @@ func (f *Fleet) TenantArrivals(hour int) map[string]int {
 func (f *Fleet) Snapshot() Result {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	blocks, tenants, active, n := f.view()
-	c := progressCursor{active: active}
+	v, n := f.view()
 	res := Result{
 		Policy:         f.policy.Name(),
 		SlotHoursUsed:  f.slotHours,
@@ -1056,27 +1058,17 @@ func (f *Fleet) Snapshot() Result {
 	if n > 0 { // an empty fleet's Outcomes stay nil
 		res.Outcomes = make([]Outcome, 0, n)
 	}
+	var info JobInfo
 	for seq := uint32(0); seq < n; seq++ {
-		r := blocks.rec(seq)
-		out := Outcome{
-			Job:        f.job(&r, tenants),
-			Completed:  r.done(),
-			Emissions:  blocks.emissions(seq, &r, f.traces),
-			WaitHours:  r.waitHours(f.hour, c.progress(seq, &r)),
-			Migrations: int(r.migrations),
-		}
-		if r.done() {
-			out.CompletedAt = r.doneAt()
-			out.MissedDeadline = r.doneAt() > r.deadline()
+		v.read(seq, &info)
+		if info.Completed {
 			res.Completed++
-		} else {
-			out.MissedDeadline = r.deadline() <= f.hour
 		}
-		if out.MissedDeadline {
+		if info.MissedDeadline {
 			res.Missed++
 		}
-		res.TotalEmissions += out.Emissions
-		res.Outcomes = append(res.Outcomes, out)
+		res.TotalEmissions += info.Emissions
+		res.Outcomes = append(res.Outcomes, info.Outcome)
 	}
 	if res.Completed > 0 {
 		var wait float64

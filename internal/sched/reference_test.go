@@ -83,7 +83,7 @@ func (f *refFleet) Submit(jobs ...Job) error {
 		batch[j.ID] = true
 	}
 	for _, j := range jobs {
-		info := &JobInfo{Job: j, Remaining: j.Length}
+		info := &JobInfo{Outcome: Outcome{Job: j}, Remaining: j.Length}
 		f.jobs = append(f.jobs, info)
 		f.byID[j.ID] = info
 	}

@@ -367,8 +367,7 @@ func (img *fleetImage) checkFQ(hasQueue bool) error {
 func (f *Fleet) Marshal() ([]byte, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	blocks, tenants, active, n := f.view()
-	c := progressCursor{active: active}
+	v, n := f.view()
 	img := &fleetImage{
 		policy:           f.policy.Name(),
 		horizon:          f.horizon,
@@ -381,23 +380,20 @@ func (f *Fleet) Marshal() ([]byte, error) {
 	}
 	img.fqVtime, img.fqNames, img.fqPasses = f.fq.Snapshot()
 	e := img.encodeHeader(int(n))
+	var info JobInfo
 	for seq := uint32(0); seq < n; seq++ {
-		r := blocks.rec(seq)
-		progress := c.progress(seq, &r)
-		j := jobImage{
-			Job:        f.job(&r, tenants),
-			progress:   int(progress),
+		r := v.read(seq, &info)
+		e.job(&jobImage{
+			Job:        info.Job,
+			progress:   info.Length - info.Remaining,
 			regionI:    int(r.regionI),
 			lastRun:    int(r.lastRun),
-			done:       r.done(),
-			waitHours:  r.waitHours(f.hour, progress),
-			migrations: int(r.migrations),
-			emissions:  blocks.emissions(seq, &r, f.traces),
-		}
-		if j.done {
-			j.doneAt = r.doneAt()
-		}
-		e.job(&j)
+			done:       info.Completed,
+			doneAt:     info.CompletedAt,
+			waitHours:  info.WaitHours,
+			migrations: info.Migrations,
+			emissions:  info.Emissions,
+		})
 	}
 	return e.finish(), nil
 }
