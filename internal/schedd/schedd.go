@@ -652,13 +652,21 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 }
 
+// errHorizonExhausted refuses every submission once the replay horizon
+// is over.
+var errHorizonExhausted = errors.New("replay horizon exhausted")
+
 // retryAfterHint computes the Retry-After seconds for a backpressure
 // rejection: a rate 429 carries the gate's token-refill time, a quota
 // 429 the wall-clock remainder of the current fleet hour (the quota
 // window resets on the hour rollover), and a 503 a short fixed hint —
-// capacity drains as the fleet steps, there is no exact bound.
+// capacity drains as the fleet steps, there is no exact bound — except
+// once the horizon is exhausted, when no retry can succeed and there is
+// no hint (0).
 func (s *Server) retryAfterHint(status int, err error) int {
 	switch {
+	case errors.Is(err, errHorizonExhausted):
+		return 0
 	case errors.Is(err, tenant.ErrRate):
 		if after := tenant.RetryAfterSeconds(err); after > 0 {
 			return after
@@ -697,7 +705,8 @@ func (s *Server) quotaRetryAfter() int {
 
 // writeAdmitError renders an admission rejection, stamping the
 // Retry-After hint (header and retry_after body field) on every
-// 429/503 so clients and the gateway can pace their retries.
+// 429/503 that has one, so clients and the gateway can pace their
+// retries.
 func (s *Server) writeAdmitError(w http.ResponseWriter, status int, err error) {
 	resp := ErrorResponse{Error: err.Error()}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
@@ -828,7 +837,7 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 	if err != nil {
 		switch {
 		case errors.Is(err, sched.ErrHorizonExhausted):
-			return s.reject(http.StatusServiceUnavailable, "horizon_exhausted", errors.New("replay horizon exhausted"))
+			return s.reject(http.StatusServiceUnavailable, "horizon_exhausted", errHorizonExhausted)
 		case errors.Is(err, tenant.ErrQuota):
 			return s.reject(http.StatusTooManyRequests, "quota", err)
 		case errors.Is(err, tenant.ErrRate):

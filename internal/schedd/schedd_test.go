@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"carbonshift/internal/httpx"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/trace"
 )
@@ -290,12 +291,23 @@ func TestJobStoreBound(t *testing.T) {
 	}
 }
 
+// TestHorizonExhausted: past the horizon every submission is a 503, and
+// one that carries no retry hint, header or body, since no retry can
+// succeed.
 func TestHorizonExhausted(t *testing.T) {
-	_, client, clock := startServer(t, Config{Policy: sched.FIFO{}}, 1)
+	srv, client, clock := startServer(t, Config{Policy: sched.FIFO{}}, 1)
 	clock.hour.Store(24 * 20)
 	_, err := client.Submit(context.Background(), JobRequest{Origin: "CLEAN", LengthHours: 1})
 	if err == nil || !strings.Contains(err.Error(), "horizon exhausted") {
 		t.Fatalf("past-horizon submit: err = %v", err)
+	}
+	if after := httpx.RetryAfterOf(err); after != 0 {
+		t.Fatalf("past-horizon submit carries a %d s retry hint", after)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, JSONWire.Route, strings.NewReader(`{"origin":"CLEAN","length_hours":1}`)))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "" || strings.Contains(rec.Body.String(), "retry_after") {
+		t.Fatalf("past-horizon submit: %d, Retry-After %q, body %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body)
 	}
 }
 
