@@ -132,8 +132,9 @@ func main() {
 	}
 
 	// World configuration: a primary's comes from its flags; a follower
-	// copies the primary's (seed, horizon, clusters) so the two fleets
-	// are provably the same scheduling world.
+	// copies the primary's (policy and gate parameters, seed, horizon,
+	// clusters, tenants, partition) so the two fleets are provably the
+	// same scheduling world.
 	var clusters []sched.Cluster
 	var tenants *tenant.Config
 	horizon := *days * 24
@@ -156,11 +157,25 @@ func main() {
 			log.Error("fetching primary config failed", "err", err)
 			os.Exit(1)
 		}
-		if info.Policy != policy.Name() {
-			log.Error("policy mismatch with primary — placements would diverge",
-				"primary_policy", info.Policy, "follower_policy", policy.Name())
-			os.Exit(2)
+		// The policy and its gate parameters are world config too: a
+		// follower resolves the primary's from the echo, whatever its
+		// own flags say. (A primary that echoes no parameters runs an
+		// ungated policy, which ignores the local ones.)
+		gate := schedd.GateParams{Percentile: *percentile, Window: *window}
+		if info.Gate != nil {
+			gate = *info.Gate
 		}
+		primaryPolicy, err := schedd.PolicyByName(info.Policy, gate.Percentile, gate.Window)
+		if err != nil {
+			log.Error("primary's policy does not resolve", "err", err)
+			os.Exit(1)
+		}
+		if primaryPolicy != policy {
+			log.Warn("-policy, -percentile and -window are ignored on a follower; the policy is copied from the primary",
+				"primary_policy", fmt.Sprintf("%s%+v", primaryPolicy.Name(), primaryPolicy),
+				"flags_policy", fmt.Sprintf("%s%+v", policy.Name(), policy))
+		}
+		policy = primaryPolicy
 		horizon, worldSeed = info.Horizon, info.Seed
 		for _, c := range info.Clusters {
 			clusters = append(clusters, sched.Cluster{Region: c.Region, Slots: c.Slots})

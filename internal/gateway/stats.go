@@ -60,10 +60,12 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // and capacities sum; the fleet clock takes the max (partitions step
 // independently, the furthest-along hour bounds them all); identity
 // fields (policy, horizon, seed, tenant config) come from the first
-// reached partition — partitions of one fleet run the same policy.
+// reached partition — partitions of one fleet run the same policy, with
+// the same gate parameters.
 func mergeStats(dst, src *schedd.StatsResponse) {
 	if dst.Policy == "" {
 		dst.Policy = src.Policy
+		dst.Gate = src.Gate
 		dst.Horizon = src.Horizon
 		dst.Seed = src.Seed
 	}

@@ -35,6 +35,28 @@ func PolicyByName(name string, percentile float64, window int) (sched.Policy, er
 	return gated, nil
 }
 
+// GateParams are the parameters a gated policy runs with, the ones
+// PolicyByName takes: /v1/stats echoes them beside the policy's name, so
+// a follower resolves the primary's exact policy.
+type GateParams struct {
+	Percentile float64 `json:"percentile"`
+	Window     int     `json:"window,omitempty"` // carbon-gate and spatiotemporal only
+}
+
+// gateParams returns the parameters policy's gate runs with, nil for an
+// ungated policy.
+func gateParams(policy sched.Policy) *GateParams {
+	switch p := policy.(type) {
+	case sched.CarbonGate:
+		return &GateParams{Percentile: p.Percentile, Window: p.Window}
+	case sched.ForecastGate:
+		return &GateParams{Percentile: p.Percentile}
+	case sched.SpatioTemporal:
+		return &GateParams{Percentile: p.Percentile, Window: p.Window}
+	}
+	return nil
+}
+
 // PolicyNames lists the resolvable policy names, sorted.
 func PolicyNames() []string {
 	names := []string{"fifo", "carbon-gate", "forecast-gate", "greenest-first", "spatiotemporal"}

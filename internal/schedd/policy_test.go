@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"carbonshift/internal/sched"
 )
 
 // TestPolicyByNameRejectsBadPercentile: a gated policy is resolved only
@@ -39,5 +41,34 @@ func TestPolicyByNameRejectsBadPercentile(t *testing.T) {
 	}
 	if _, err := PolicyByName("fifo", 150, 24); err != nil {
 		t.Errorf("an ungated policy refused the percentile it ignores: %v", err)
+	}
+}
+
+// TestPolicyResolvesFromStats: /v1/stats echoes a policy's name and gate
+// parameters, and PolicyByName resolves them, as a follower does, back
+// to the server's policy, for each of the five with parameters off their
+// flag defaults. A follower that resolved the gated policies from its
+// own flags could run another gate than its primary's without any error.
+func TestPolicyResolvesFromStats(t *testing.T) {
+	for _, want := range []sched.Policy{
+		sched.FIFO{},
+		sched.CarbonGate{Percentile: 20, Window: 24},
+		sched.ForecastGate{Percentile: 62.5},
+		sched.GreenestFirst{},
+		sched.SpatioTemporal{Percentile: 80, Window: 36},
+	} {
+		_, client, _ := startServer(t, Config{Policy: want}, 2)
+		st, err := client.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gate GateParams
+		if st.Gate != nil {
+			gate = *st.Gate
+		}
+		got, err := PolicyByName(st.Policy, gate.Percentile, gate.Window)
+		if err != nil || got != want {
+			t.Errorf("stats %s %+v resolve to %+v (err %v), want %+v", st.Policy, st.Gate, got, err, want)
+		}
 	}
 }

@@ -545,6 +545,10 @@ type StatsResponse struct {
 	TotalEmissionsG float64       `json:"total_emissions_g"`
 	Utilization     float64       `json:"utilization"`
 	MissRate        float64       `json:"miss_rate"`
+	// Gate echoes the gated policy's parameters beside Policy, for a
+	// follower to resolve the same policy through PolicyByName; absent
+	// for an ungated policy.
+	Gate *GateParams `json:"gate,omitempty"`
 	// Tenants is the per-tenant accounting view (sorted by name) and
 	// TenantConfig echoes the live tenant registry — the echo is how a
 	// follower's cmd/schedd copies the primary's exact tenant world, the
@@ -963,6 +967,7 @@ func (s *Server) stats() StatsResponse {
 	st := s.fleet.Stats()
 	resp := StatsResponse{
 		Policy:          s.cfg.Policy.Name(),
+		Gate:            gateParams(s.cfg.Policy),
 		Hour:            st.Hour,
 		Horizon:         st.Horizon,
 		Seed:            s.cfg.Seed,
