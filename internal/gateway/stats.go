@@ -59,9 +59,9 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 // mergeStats folds one partition's stats into the fleet view. Counters
 // and capacities sum; the fleet clock takes the max (partitions step
 // independently, the furthest-along hour bounds them all); identity
-// fields (policy, horizon, seed, tenant config) come from the first
-// reached partition — partitions of one fleet run the same policy, with
-// the same gate parameters.
+// fields (policy and its gate, horizon, seed, tenant config) come from
+// the first reached partition — partitions of one fleet run the same
+// policy.
 func mergeStats(dst, src *schedd.StatsResponse) {
 	if dst.Policy == "" {
 		dst.Policy = src.Policy

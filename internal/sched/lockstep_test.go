@@ -31,7 +31,7 @@ type stepper interface {
 
 // diffCase is one differential check of Fleet against the naive refFleet:
 // a world and a job stream, the policies to run it under, and how the
-// fleets are fed and read. run steps the two in lockstep and compares
+// fleets are fed and read. check steps the two in lockstep and compares
 // everything both report: Stats every hour; Lookup and Has of every job,
 // and TenantStats, every `every` hours and at every block freeze; and at
 // the end every Placed field, the final Snapshot (and Run's, with
@@ -48,7 +48,7 @@ type diffCase struct {
 	tenants  *tenant.Config // the fair queue's config; nil runs tenancy off
 	submit   submission
 	hop      int  // the hour the fleet is marshalled and restored into a fresh one; 0 never
-	every    int  // hours between reads of every job
+	every    int  // hours between reads of every job, at least 1
 	freezes  bool // blocks must freeze both before and after the hop
 	matchRun bool // the final Snapshot must equal Run's too
 	// build is NewFleet, or a constructor like it.
