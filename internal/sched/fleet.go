@@ -619,14 +619,16 @@ func (f *Fleet) view() (storeView, uint32) {
 // completion are derived from the record, and a done job missed its
 // deadline if it finished after it, any other job once its deadline is
 // at or before the current hour. Successive calls must come in
-// ascending seq order. The walks call it once per job, so it sets the
-// caller's JobInfo field by field: returning a JobInfo, or assigning one
-// whole, copies it through a temporary, and made Snapshot and
-// TenantStats up to twice as slow.
+// ascending seq order. It sets the caller's JobInfo field by field, the
+// submitted Job rebuilt from the record included: returning a JobInfo,
+// or assigning it or its Job whole, copies through a temporary, which
+// made Snapshot and TenantStats up to twice as slow.
 func (v *storeView) read(seq uint32, info *JobInfo) jobRec {
 	f, r := v.f, v.blocks.rec(seq)
 	progress := v.progress(seq, &r)
-	info.Job = f.job(&r, v.tenants)
+	info.ID, info.Origin, info.Tenant = r.id, f.regionsList[r.originI], v.tenants[r.tenantI]
+	info.Arrival, info.Length, info.Slack = int(r.arrival), int(r.length), int(r.slack)
+	info.Interruptible, info.Migratable = r.interruptible(), r.migratable()
 	info.Completed, info.CompletedAt = r.done(), 0
 	info.MissedDeadline = r.deadline() <= f.hour
 	info.Emissions = v.blocks.emissions(seq, &r, f.traces)
@@ -641,20 +643,6 @@ func (v *storeView) read(seq uint32, info *JobInfo) jobRec {
 		info.MissedDeadline = r.doneAt() > r.deadline()
 	}
 	return r
-}
-
-// job rebuilds the submitted Job from its record.
-func (f *Fleet) job(r *jobRec, tenants []string) Job {
-	return Job{
-		ID:            r.id,
-		Origin:        f.regionsList[r.originI],
-		Tenant:        tenants[r.tenantI],
-		Arrival:       int(r.arrival),
-		Length:        int(r.length),
-		Slack:         int(r.slack),
-		Interruptible: r.interruptible(),
-		Migratable:    r.migratable(),
-	}
 }
 
 // admitArrivals merges one hour's arrivals (ascending seqs) into the
@@ -914,13 +902,14 @@ func (f *Fleet) Lookup(id int) (JobInfo, bool) {
 	defer f.mu.RUnlock()
 	f.idMu.Lock()
 	seq, ok := f.ids.get(f.blocks, id)
-	v := storeView{f: f, blocks: f.blocks, tenants: f.tenants, active: f.active}
-	f.idMu.Unlock()
 	if !ok {
+		f.idMu.Unlock()
 		return JobInfo{}, false
 	}
 	// Start the cursor at the job's own active entry, if it has one.
-	v.k, _ = slices.BinarySearchFunc(v.active, seq, func(a activeJob, s uint32) int { return cmp.Compare(a.seq, s) })
+	k, _ := slices.BinarySearchFunc(f.active, seq, func(a activeJob, s uint32) int { return cmp.Compare(a.seq, s) })
+	v := storeView{f: f, blocks: f.blocks, tenants: f.tenants, active: f.active, k: k}
+	f.idMu.Unlock()
 	var info JobInfo
 	v.read(seq, &info)
 	return info, true
