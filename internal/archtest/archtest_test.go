@@ -444,17 +444,29 @@ func (l *legacy) wire(attribute func(hour, jobID int, region, origin, tenantName
 	{
 		// The hot kernels as measured: simgrid forms the flexible-source
 		// powers from one Log and one Frexp (tiltedShares), math.Pow
-		// surviving only as tilted's fallback; the selection and ranking
+		// surviving only as tilted's fallback; its per-hour Exp, Log and
+		// Cos are batch calls (kernels.go), so the scalar calls left are
+		// tiltedShares', the batches' own fallbacks and the per-day and
+		// per-hour-of-day terms of drawWeather; the selection and ranking
 		// kernels sort index slices with slices.SortFunc.
 		name: "one math.Pow in internal/simgrid, no sort.Slice in internal/stats or internal/temporal",
-		fix:  "take the power in tiltedShares; sort with slices.SortFunc, not the reflective sort.Slice",
+		fix: "take the power in tiltedShares and a per-hour transcendental in expBatch, logBatch or cosBatch; " +
+			"sort with slices.SortFunc, not the reflective sort.Slice",
 		rules: []rule{
 			{what: "math.Pow( (tilted, the fallback)", in: []string{"internal/simgrid/"}, min: 1, max: 1, match: call("math", "Pow")},
+			{what: "math.Exp( (tiltedShares' three, expBatch's fallback)", in: []string{"internal/simgrid/"}, min: 4, max: 4,
+				match: call("math", "Exp")},
+			{what: "math.Log( (tiltedShares, logBatch's fallback)", in: []string{"internal/simgrid/"}, min: 2, max: 2,
+				match: call("math", "Log")},
+			{what: "math.Cos( (drawWeather's three by hour of day, cos(lat), two by day; cosBatch's fallback)",
+				in: []string{"internal/simgrid/"}, min: 7, max: 7, match: call("math", "Cos")},
 			{what: "sort.Slice", in: []string{"internal/stats/", "internal/temporal/"}, match: ref("sort", "Slice", "SliceStable", "SliceIsSorted")},
 		},
 		plant: map[string]string{
 			"internal/simgrid/planted.go": `package simgrid
-func cube(x float64) float64 { return math.Pow(x, 3) }`,
+func cube(x float64) float64 { return math.Pow(x, 3) }
+func logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+func gauss(u1, u2 float64) float64 { return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2) }`,
 			"internal/stats/planted.go": `package stats
 func order(xs []float64) { sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] }) }`,
 		},

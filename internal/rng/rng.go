@@ -92,20 +92,37 @@ func (r *Source) Uniform(lo, hi float64) float64 {
 // Norm returns a normally distributed float64 with the given mean and
 // standard deviation, using the Box–Muller transform.
 func (r *Source) Norm(mean, stddev float64) float64 {
+	logArg, cosArg := r.NormArgs()
+	return NormOf(mean, stddev, math.Log(logArg), math.Cos(cosArg))
+}
+
+// NormArgs takes one Norm draw's two uniforms from r and returns what
+// Norm takes the logarithm and the cosine of. NormOf finishes the draw:
+// a caller that computes many draws' Log and Cos together gets Norm's
+// values bit for bit.
+func (r *Source) NormArgs() (logArg, cosArg float64) {
 	// Guard against log(0).
 	u1 := 1 - r.Float64()
 	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	return u1, 2 * math.Pi * u2
+}
+
+// NormOf is the Box–Muller draw from math.Log and math.Cos of NormArgs'
+// two values. mean is added even when it is 0, so that a -0 product
+// comes back +0 as it always has.
+func NormOf(mean, stddev, log, cos float64) float64 {
+	z := math.Sqrt(-2*log) * cos
 	return mean + stddev*z
 }
 
 // Pick returns a random index weighted by the non-negative weights ws.
-// It panics if ws is empty or sums to zero.
+// It panics if a weight is negative, NaN or infinite, or if ws is empty
+// or sums to zero.
 func (r *Source) Pick(ws []float64) int {
 	var total float64
 	for _, w := range ws {
-		if w < 0 {
-			panic("rng: negative weight")
+		if !(w >= 0 && w <= math.MaxFloat64) {
+			panic("rng: negative or non-finite weight")
 		}
 		total += w
 	}

@@ -130,6 +130,21 @@ func TestPickRespectsZeroWeights(t *testing.T) {
 	}
 }
 
+// Pick refuses a weight it cannot draw in proportion to: a negative,
+// NaN or infinite one would otherwise return the last index every time.
+func TestPickPanicsOnBadWeights(t *testing.T) {
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Pick with weight %v did not panic", w)
+				}
+			}()
+			New(1).Pick([]float64{1, w, 1})
+		}()
+	}
+}
+
 func TestPickDistribution(t *testing.T) {
 	r := New(29)
 	ws := []float64{1, 3}

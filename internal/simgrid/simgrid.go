@@ -35,8 +35,9 @@
 // Mix and DeltaRenew and the config's ExtraRenewables, and turns any
 // prefix of the weather into carbon intensity, hour by independent
 // hour; an hour's cost is its transcendentals, so the four
-// flexible-source powers are formed from one logarithm (tiltedShares)
-// and the three weather processes advance in one loop. Generate,
+// flexible-source powers are formed from one logarithm (tiltedShares),
+// and both stages walk their hours in blocks whose Exp, Log and Cos are
+// batch calls (kernels.go), vector code on amd64. Generate,
 // GenerateRegion and the cached entry points (cache.go) run one after
 // the other for a whole base trace; WhatIf draws the weather once and
 // dispatches it at several ExtraRenewables levels over the hours its
@@ -276,6 +277,12 @@ type weather struct {
 	demand []float64
 }
 
+// blockHours is the length of the blocks drawWeather and dispatch walk
+// their hours in. Each stage of a block runs over all of its hours
+// before the next starts, so every transcendental of a block is one
+// batch call (kernels.go) on a buffer on the caller's stack.
+const blockHours = 512
+
 // drawWeather runs the weather stage for cfg.Hours hours from cfg.Start
 // (UTC; see withDefaults). The calendar is walked by integer steps —
 // hour of day, day of year, weekday — and everything that is constant
@@ -286,11 +293,12 @@ type weather struct {
 // product (say, adding the weekly and seasonal terms ahead of the hour
 // loop) rounds differently.
 //
-// The cloud and wind AR(1) chains advance in the one hour loop, beside
-// the demand noise. The three generators are independent, so each
-// stream's values are those of a loop of its own whatever the
-// interleaving; one pass writes each array once and lets an hour's three
-// Log–Cos–Exp dependency chains overlap in the pipeline.
+// Each block of hours takes four stages: the calendar terms; the
+// block's Gaussian draws of the cloud, wind and demand-noise streams
+// (normBatch); the AR(1) chains of cloud and wind and the demand sum,
+// hour after hour; and the two logistic maps, one Exp batch for both.
+// The three generators are independent, so each stream's values are
+// those of a loop of its own whatever the staging.
 func drawWeather(r regions.Region, cfg Config) *weather {
 	n := cfg.Hours
 	src := rngFor(r.Code, cfg)
@@ -339,47 +347,92 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 	hod := cfg.Start.Hour()
 	year, yday := cfg.Start.Year(), cfg.Start.YearDay()
 	weekday := cfg.Start.Weekday()
-	for h := 0; h < n; {
-		// By day: solar declination, the seasonal and weekly demand terms.
+	// By day: solar declination, the seasonal and weekly demand terms.
+	var sinSin, cosCos, seasonal, weekly float64
+	startDay := func() {
 		doy := float64(yday)
 		decl := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*(284+doy)/365.25)
-		sinSin, cosCos := sinLat*math.Sin(decl), cosLat*math.Cos(decl)
-		seasonal := seasonalAmp * latScale * math.Cos(2*math.Pi*(doy-peakDoy)/365.25)
-		weekly := weeklyAmp * r.DemandSwing * 0.3
+		sinSin, cosCos = sinLat*math.Sin(decl), cosLat*math.Cos(decl)
+		seasonal = seasonalAmp * latScale * math.Cos(2*math.Pi*(doy-peakDoy)/365.25)
+		weekly = weeklyAmp * r.DemandSwing * 0.3
 		if weekday == time.Saturday || weekday == time.Sunday {
 			weekly = weeklyAmp * r.DemandSwing * -0.75
 		}
+	}
+	startDay()
 
-		for ; hod < 24 && h < n; hod, h = hod+1, h+1 {
-			// Solar elevation (latitude, declination, local hour) times
-			// the cloud process, mapped through a logistic into an
-			// attenuation factor in [0.25, 1].
+	// The block's cloud and wind draws, then their logistic arguments,
+	// side by side for one Exp batch; the demand noise; normBatch's
+	// scratch.
+	var buf [4 * blockHours]float64
+	for h0 := 0; h0 < n; h0 += blockHours {
+		m := min(blockHours, n-h0)
+		irr, wind, demand := w.irr[h0:h0+m], w.wind[h0:h0+m], w.demand[h0:h0+m]
+		cloudE, windE := buf[:m], buf[m:2*m]
+		noise, scratch := buf[2*blockHours:][:m], buf[3*blockHours:][:m]
+
+		for i := range irr {
+			if hod == 24 {
+				hod = 0
+				weekday = (weekday + 1) % 7
+				if yday++; yday > daysIn(year) {
+					year, yday = year+1, 1
+				}
+				startDay()
+			}
+			// Solar elevation (latitude, declination, local hour); the
+			// cloud attenuation multiplies it below.
 			sinElev := sinSin + cosCos*cosHourAngle[hod]
 			if sinElev < 0 {
 				sinElev = 0
 			}
-			cloud = cloudPhi*cloud + cloudSrc.Norm(0, cloudSigma)
-			w.irr[h] = sinElev * (0.25 + 0.75/(1+math.Exp(-1.2*cloud)))
+			irr[i] = sinElev
+			demand[i] = 1 + diurnal[hod] + weekly + seasonal
+			hod++
+		}
 
-			// Wind: a capacity factor in (0, 1).
-			gust = windPhi*gust + windSrc.Norm(0, windSigma)
-			w.wind[h] = 1 / (1 + math.Exp(-1.1*gust))
+		normBatch(cloudSrc, 0, cloudSigma, cloudE, scratch)
+		normBatch(windSrc, 0, windSigma, windE, scratch)
+		normBatch(demandSrc, 0, demandNoise, noise, scratch)
 
-			d := 1 + diurnal[hod] + weekly + seasonal + demandSrc.Norm(0, demandNoise)
+		for i := range demand {
+			cloud = cloudPhi*cloud + cloudE[i]
+			cloudE[i] = -1.2 * cloud
+			gust = windPhi*gust + windE[i]
+			windE[i] = -1.1 * gust
+			d := demand[i] + noise[i]
 			if d < demandFloor {
 				d = demandFloor
 			}
-			w.demand[h] = d
+			demand[i] = d
 		}
 
-		hod = 0
-		weekday = (weekday + 1) % 7
-		if yday++; yday > daysIn(year) {
-			year, yday = year+1, 1
+		// The cloud process, mapped through a logistic into an
+		// attenuation factor in [0.25, 1]; wind, a capacity factor in
+		// (0, 1).
+		expBatch(buf[:2*m])
+		for i := range irr {
+			irr[i] *= 0.25 + 0.75/(1+cloudE[i])
+			wind[i] = 1 / (1 + windE[i])
 		}
 	}
 	w.irrMean, w.windMean = mean(w.irr), mean(w.wind)
 	return w
+}
+
+// normBatch sets each out[i] to the next src.Norm(mean, stddev), bit for
+// bit: the draws' logarithms and cosines are two batch calls. scratch
+// must be at least as long as out.
+func normBatch(src *rng.Source, mean, stddev float64, out, scratch []float64) {
+	cosArgs := scratch[:len(out)]
+	for i := range out {
+		out[i], cosArgs[i] = src.NormArgs()
+	}
+	logBatch(out)
+	cosBatch(cosArgs)
+	for i, lg := range out {
+		out[i] = rng.NormOf(mean, stddev, lg, cosArgs[i])
+	}
 }
 
 // daysIn is the length of a Gregorian calendar year.
@@ -395,6 +448,14 @@ func daysIn(year int) int {
 // region's DeltaRenew — and returns the carbon intensity of the first
 // `hours` hours. Each hour is computed from that hour's weather alone,
 // so a prefix is exactly the head of the full trace.
+//
+// A block of hours takes three stages: each hour's drifted mix and the
+// generation that does not depend on the flexible sources, collecting
+// the residual levels the flexible sources tilt with; one Log batch and
+// one Exp batch of the three fractional tilts over those levels; and
+// each hour's split, rescaling and intensity. The split is the one
+// dispatchFlexible makes, with the same multiplications in the same
+// order (tiltedFromExps).
 func (w *weather) dispatch(r regions.Region, extra float64, hours int) []float64 {
 	ci := make([]float64, hours)
 	baseMix := r.Mix
@@ -403,72 +464,122 @@ func (w *weather) dispatch(r regions.Region, extra float64, hours int) []float64
 	}
 	n := len(w.demand)
 	half := float64(n-1) / 2
-	for h := range ci {
-		// Linear mix drift: progress -0.5 at the start of the study,
-		// +0.5 at the end, so the catalog mix is the midpoint.
-		progress := 0.0
-		if n > 1 {
-			progress = (float64(h) - half) / float64(n-1)
-		}
-		mix := shiftToRenewables(baseMix, driftSpan*r.DeltaRenew*progress)
+	var (
+		block [blockHours]dispatchHour
+		logs  [blockHours]float64
+		exps  [3 * blockHours]float64
+	)
+	for h0 := 0; h0 < hours; h0 += blockHours {
+		hrs := block[:min(blockHours, hours-h0)]
+		k := 0 // hours whose level is in logs
+		for i := range hrs {
+			h := h0 + i
+			// Linear mix drift: progress -0.5 at the start of the study,
+			// +0.5 at the end, so the catalog mix is the midpoint.
+			progress := 0.0
+			if n > 1 {
+				progress = (float64(h) - half) / float64(n-1)
+			}
+			hr := &hrs[i]
+			hr.mix = shiftToRenewables(baseMix, driftSpan*r.DeltaRenew*progress)
+			mix := &hr.mix
 
-		// Non-dispatchable and must-run generation.
-		solar := 0.0
-		if w.irrMean > 0 {
-			solar = mix[regions.Solar] * w.irr[h] / w.irrMean
-		}
-		wnd := 0.0
-		if w.windMean > 0 {
-			wnd = mix[regions.Wind] * w.wind[h] / w.windMean
-		}
-		coalBase := coalBaseload * mix[regions.Coal]
-		baseload := mix[regions.Nuclear] + mix[regions.Geothermal] +
-			mix[regions.Biomass] + coalBase
+			// Non-dispatchable and must-run generation.
+			hr.solar = 0.0
+			if w.irrMean > 0 {
+				hr.solar = mix[regions.Solar] * w.irr[h] / w.irrMean
+			}
+			hr.wnd = 0.0
+			if w.windMean > 0 {
+				hr.wnd = mix[regions.Wind] * w.wind[h] / w.windMean
+			}
+			hr.coalBase = coalBaseload * mix[regions.Coal]
+			hr.baseload = mix[regions.Nuclear] + mix[regions.Geothermal] +
+				mix[regions.Biomass] + hr.coalBase
 
-		// Flexible sources share the residual: demand net of must-run
-		// and weather-driven generation. Hydro absorbs both demand
-		// excursions and renewable shortfalls, which is what keeps
-		// hydro-dominated grids (Sweden, Quebec, Norway) at a low,
-		// stable intensity.
-		residual := w.demand[h] - solar - wnd - baseload
-		var hydro, coalFlex, gas, oil float64
-		if residual <= 0 {
-			// Oversupply: curtail wind first, then solar, then shed
-			// must-run coal. Flexible sources stay off.
-			excess := -residual
-			cut := math.Min(excess, wnd)
-			wnd -= cut
-			excess -= cut
-			cut = math.Min(excess, solar)
-			solar -= cut
-			excess -= cut
-			cut = math.Min(excess, coalBase)
-			coalBase -= cut
-			baseload -= cut
-		} else {
-			hydro, coalFlex, gas, oil = dispatchFlexible(mix, residual)
+			// Flexible sources share the residual: demand net of must-run
+			// and weather-driven generation. Hydro absorbs both demand
+			// excursions and renewable shortfalls, which is what keeps
+			// hydro-dominated grids (Sweden, Quebec, Norway) at a low,
+			// stable intensity.
+			hr.residual = w.demand[h] - hr.solar - hr.wnd - hr.baseload
+			hr.level = 0
+			if hr.residual > 0 {
+				if _, _, _, _, flex := flexibleShares(mix); flex > 0 {
+					if level := hr.residual / flex; tiltable(level) {
+						hr.level, logs[k] = level, level
+						k++
+					}
+				}
+			}
 		}
-		coal := coalBase + coalFlex
 
-		total := solar + wnd + baseload - coalBase + hydro + coal + gas + oil
-		if total <= 0 {
-			// Degenerate (zero-demand) hour; carry the mix-weighted
-			// average forward.
-			ci[h] = mix.NominalCI()
-			continue
+		logBatch(logs[:k])
+		for j, lg := range logs[:k] {
+			exps[j], exps[k+j], exps[2*k+j] = hydroFrac*lg, coalFlexFrac*lg, peakerFrac*lg
 		}
-		em := coal*regions.Coal.EmissionFactor() +
-			gas*regions.Gas.EmissionFactor() +
-			oil*regions.Oil.EmissionFactor() +
-			solar*regions.Solar.EmissionFactor() +
-			wnd*regions.Wind.EmissionFactor() +
-			hydro*regions.Hydro.EmissionFactor() +
-			mix[regions.Nuclear]*regions.Nuclear.EmissionFactor() +
-			mix[regions.Geothermal]*regions.Geothermal.EmissionFactor() +
-			mix[regions.Biomass]*regions.Biomass.EmissionFactor()
-		ci[h] = em / total
+		expBatch(exps[:3*k])
+
+		j := 0
+		for i := range hrs {
+			hr := &hrs[i]
+			mix := &hr.mix
+			solar, wnd, coalBase, baseload := hr.solar, hr.wnd, hr.coalBase, hr.baseload
+			var hydro, coalFlex, gas, oil float64
+			switch {
+			case hr.residual <= 0:
+				// Oversupply: curtail wind first, then solar, then shed
+				// must-run coal. Flexible sources stay off.
+				excess := -hr.residual
+				cut := math.Min(excess, wnd)
+				wnd -= cut
+				excess -= cut
+				cut = math.Min(excess, solar)
+				solar -= cut
+				excess -= cut
+				cut = math.Min(excess, coalBase)
+				coalBase -= cut
+				baseload -= cut
+			case hr.level > 0:
+				hydroShare, coalFlexShare, gasShare, oilShare, _ := flexibleShares(mix)
+				hydro, coalFlex, gas, oil = tiltedFromExps(hydroShare, coalFlexShare, gasShare, oilShare,
+					hr.level, exps[j], exps[k+j], exps[2*k+j])
+				hydro, coalFlex, gas, oil = rescaleFlexible(hr.residual, hydro, coalFlex, gas, oil)
+				j++
+			default:
+				hydro, coalFlex, gas, oil = dispatchFlexible(*mix, hr.residual)
+			}
+			coal := coalBase + coalFlex
+
+			total := solar + wnd + baseload - coalBase + hydro + coal + gas + oil
+			if total <= 0 {
+				// Degenerate (zero-demand) hour; carry the mix-weighted
+				// average forward.
+				ci[h0+i] = mix.NominalCI()
+				continue
+			}
+			em := coal*regions.Coal.EmissionFactor() +
+				gas*regions.Gas.EmissionFactor() +
+				oil*regions.Oil.EmissionFactor() +
+				solar*regions.Solar.EmissionFactor() +
+				wnd*regions.Wind.EmissionFactor() +
+				hydro*regions.Hydro.EmissionFactor() +
+				mix[regions.Nuclear]*regions.Nuclear.EmissionFactor() +
+				mix[regions.Geothermal]*regions.Geothermal.EmissionFactor() +
+				mix[regions.Biomass]*regions.Biomass.EmissionFactor()
+			ci[h0+i] = em / total
+		}
 	}
 	return ci
+}
+
+// dispatchHour is one hour of dispatch's first stage: the drifted mix,
+// the generation that does not depend on the flexible sources, the
+// residual demand left to them and — when the batch takes the hour —
+// its level (residual over flexible share); 0 otherwise.
+type dispatchHour struct {
+	mix                                             regions.Mix
+	solar, wnd, coalBase, baseload, residual, level float64
 }
 
 // dispatchFlexible splits the residual demand among the flexible
@@ -479,16 +590,27 @@ func (w *weather) dispatch(r regions.Region, extra float64, hours int) []float64
 // they sum exactly to the residual, preserving energy balance and
 // keeping annual energy shares near the catalog mix.
 func dispatchFlexible(mix regions.Mix, residual float64) (hydro, coalFlex, gas, oil float64) {
-	hydroShare := mix[regions.Hydro]
-	coalFlexShare := (1 - coalBaseload) * mix[regions.Coal]
-	flex := hydroShare + coalFlexShare + mix[regions.Gas] + mix[regions.Oil]
+	hydroShare, coalFlexShare, gasShare, oilShare, flex := flexibleShares(&mix)
 	if flex <= 0 {
 		// No flexible capacity: the residual is met by (implicit)
 		// imports at gas-like intensity so energy still balances.
 		return 0, 0, residual, 0
 	}
 	level := residual / flex // ~1 at average conditions
-	hydro, coalFlex, gas, oil = tiltedShares(hydroShare, coalFlexShare, mix[regions.Gas], mix[regions.Oil], level)
+	hydro, coalFlex, gas, oil = tiltedShares(hydroShare, coalFlexShare, gasShare, oilShare, level)
+	return rescaleFlexible(residual, hydro, coalFlex, gas, oil)
+}
+
+// flexibleShares are the mix's shares of the four flexible sources and
+// their sum.
+func flexibleShares(mix *regions.Mix) (hydro, coalFlex, gas, oil, flex float64) {
+	hydro, coalFlex = mix[regions.Hydro], (1-coalBaseload)*mix[regions.Coal]
+	gas, oil = mix[regions.Gas], mix[regions.Oil]
+	return hydro, coalFlex, gas, oil, hydro + coalFlex + gas + oil
+}
+
+// rescaleFlexible scales the tilted outputs to sum to the residual.
+func rescaleFlexible(residual, hydro, coalFlex, gas, oil float64) (float64, float64, float64, float64) {
 	sum := hydro + coalFlex + gas + oil
 	if sum <= 0 {
 		return 0, 0, residual, 0
@@ -542,23 +664,44 @@ var hydroFrac, coalFlexFrac, peakerFrac = func() (hydro, coalFlex, peaker float6
 // TestFlexPowersMatchPow holds it to math.Pow on the running toolchain,
 // and TestTraceBitsGolden to the traces Pow itself produced.
 func tiltedShares(hydroShare, coalFlexShare, gasShare, oilShare, level float64) (hydro, coalFlex, gas, oil float64) {
-	if !(level > 0 && level <= math.MaxFloat64) {
+	if !tiltable(level) {
 		// Zero, negative, infinite or NaN — nothing dispatch produces —
 		// goes through Pow's special cases, not around them.
 		return tilted(hydroShare, level, hydroTilt), tilted(coalFlexShare, level, coalFlexTilt),
 			tilted(gasShare, level, gasTilt), tilted(oilShare, level, oilTilt)
 	}
 	lg := math.Log(level)
+	var hydroExp, coalFlexExp, peakerExp float64
+	if hydroShare != 0 {
+		hydroExp = math.Exp(hydroFrac * lg)
+	}
+	if coalFlexShare != 0 {
+		coalFlexExp = math.Exp(coalFlexFrac * lg)
+	}
+	if gasShare != 0 || oilShare != 0 {
+		peakerExp = math.Exp(peakerFrac * lg)
+	}
+	return tiltedFromExps(hydroShare, coalFlexShare, gasShare, oilShare, level, hydroExp, coalFlexExp, peakerExp)
+}
+
+// tiltable reports whether tiltedShares takes level's logarithm: a
+// positive, finite level.
+func tiltable(level float64) bool { return level > 0 && level <= math.MaxFloat64 }
+
+// tiltedFromExps is tiltedShares given the Exp of each fractional tilt
+// times Log(level) (hydroFrac, coalFlexFrac, peakerFrac): the Frexp and
+// the multiplications, in Pow's order. An Exp whose source the mix
+// lacks is not read.
+func tiltedFromExps(hydroShare, coalFlexShare, gasShare, oilShare, level, hydroExp, coalFlexExp, peakerExp float64) (hydro, coalFlex, gas, oil float64) {
 	x1, xe := math.Frexp(level)
 	hydro, coalFlex, gas, oil = hydroShare, coalFlexShare, gasShare, oilShare
 	if hydroShare != 0 {
-		hydro *= scaleByPow2(math.Exp(hydroFrac*lg)*x1, xe)
+		hydro *= scaleByPow2(hydroExp*x1, xe)
 	}
 	if coalFlexShare != 0 {
-		coalFlex *= scaleByPow2(math.Exp(coalFlexFrac*lg)*x1, xe)
+		coalFlex *= scaleByPow2(coalFlexExp*x1, xe)
 	}
 	if gasShare != 0 || oilShare != 0 {
-		e := math.Exp(peakerFrac * lg)
 		// x1² with its mantissa brought back into [½, 1).
 		sq, sqe := x1*x1, xe<<1
 		if sq < .5 {
@@ -566,10 +709,10 @@ func tiltedShares(hydroShare, coalFlexShare, gasShare, oilShare, level float64) 
 			sqe--
 		}
 		if gasShare != 0 {
-			gas *= scaleByPow2(e*sq, sqe)
+			gas *= scaleByPow2(peakerExp*sq, sqe)
 		}
 		if oilShare != 0 {
-			oil *= scaleByPow2(e*x1*sq, xe+sqe)
+			oil *= scaleByPow2(peakerExp*x1*sq, xe+sqe)
 		}
 	}
 	return hydro, coalFlex, gas, oil

@@ -546,3 +546,12 @@ func BenchmarkAblation_WhatIfMaterialised(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAblation_ScalarKernels is BenchmarkGenerateRegionYear with
+// the vector kernels switched off: every batch element through math.
+func BenchmarkAblation_ScalarKernels(b *testing.B) {
+	saved := vectorOn
+	vectorOn = false
+	defer func() { vectorOn = saved }()
+	BenchmarkGenerateRegionYear(b)
+}

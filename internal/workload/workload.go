@@ -11,6 +11,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -131,7 +132,8 @@ type Distribution struct {
 }
 
 // NewDistribution builds a distribution from explicit weights. Weights
-// must be non-negative with a positive sum; they are normalized to 1.
+// must be finite and non-negative with a positive, finite sum; they are
+// normalized to 1.
 func NewDistribution(name string, weights map[int]float64) (Distribution, error) {
 	lengths := make([]int, 0, len(weights))
 	for l := range weights {
@@ -147,13 +149,13 @@ func NewDistribution(name string, weights map[int]float64) (Distribution, error)
 		if l <= 0 {
 			return Distribution{}, fmt.Errorf("workload: non-positive length %d in distribution %s", l, name)
 		}
-		if w < 0 {
-			return Distribution{}, fmt.Errorf("workload: negative weight for length %d in distribution %s", l, name)
+		if !(w >= 0 && w <= math.MaxFloat64) {
+			return Distribution{}, fmt.Errorf("workload: weight %v for length %d in distribution %s is negative or not finite", w, l, name)
 		}
 		total += w
 	}
-	if total == 0 {
-		return Distribution{}, fmt.Errorf("workload: distribution %s has zero total weight", name)
+	if total == 0 || total > math.MaxFloat64 {
+		return Distribution{}, fmt.Errorf("workload: distribution %s has total weight %v", name, total)
 	}
 	ws := make([]float64, len(lengths))
 	for i, l := range lengths {

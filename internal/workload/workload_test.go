@@ -57,6 +57,17 @@ func TestNewDistributionValidation(t *testing.T) {
 	if _, err := NewDistribution("x", map[int]float64{1: 0}); err == nil {
 		t.Error("zero-sum weights accepted")
 	}
+	// A NaN or infinite weight would leave Sample drawing only the
+	// longest length; weights that are each finite may still overflow
+	// their sum.
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewDistribution("x", map[int]float64{1: 1, 6: w, 12: 1}); err == nil {
+			t.Errorf("weight %v accepted", w)
+		}
+	}
+	if _, err := NewDistribution("x", map[int]float64{1: math.MaxFloat64, 6: math.MaxFloat64}); err == nil {
+		t.Error("weights summing past MaxFloat64 accepted")
+	}
 }
 
 func TestDistributionNormalized(t *testing.T) {
