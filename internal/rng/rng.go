@@ -58,22 +58,36 @@ func (r *Source) SplitN(n int) []*Source {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// step is one xoshiro256** step on the state words s0–s3: it returns
+// the output and the next state. Uint64 and NormArgsBatch both advance
+// through it, so the generator has one definition.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
+}
+
+// unit maps 64 random bits to a uniform float64 in [0, 1).
+func unit(x uint64) float64 {
+	return float64(x>>11) / (1 << 53)
 }
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Source) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return unit(r.Uint64())
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -101,9 +115,30 @@ func (r *Source) Norm(mean, stddev float64) float64 {
 // a caller that computes many draws' Log and Cos together gets Norm's
 // values bit for bit.
 func (r *Source) NormArgs() (logArg, cosArg float64) {
+	return normArgs(r.Uint64(), r.Uint64())
+}
+
+// NormArgsBatch sets logArgs[i], cosArgs[i] to the next NormArgs, for
+// every i of logArgs; cosArgs must be at least as long. The four state
+// words stay in locals for the whole batch instead of going through r
+// on every draw.
+func (r *Source) NormArgsBatch(logArgs, cosArgs []float64) {
+	cosArgs = cosArgs[:len(logArgs)]
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range logArgs {
+		var x1, x2 uint64
+		x1, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		x2, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		logArgs[i], cosArgs[i] = normArgs(x1, x2)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// normArgs is NormArgs from its two draws' bits.
+func normArgs(x1, x2 uint64) (logArg, cosArg float64) {
 	// Guard against log(0).
-	u1 := 1 - r.Float64()
-	u2 := r.Float64()
+	u1 := 1 - unit(x1)
+	u2 := unit(x2)
 	return u1, 2 * math.Pi * u2
 }
 

@@ -13,6 +13,14 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("streams diverged at %d: %d != %d", i, av, bv)
 		}
 	}
+	// The stream is this package's to keep, whatever shape the step
+	// takes: New(1)'s first outputs are pinned.
+	r := New(1)
+	for i, want := range []uint64{0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7} {
+		if got := r.Uint64(); got != want {
+			t.Fatalf("New(1) output %d: %#x, want %#x", i, got, want)
+		}
+	}
 }
 
 func TestSeedsDiffer(t *testing.T) {
@@ -214,5 +222,30 @@ func TestSplitNChildrenIndependent(t *testing.T) {
 	}
 	if len(New(10).SplitN(0)) != 0 {
 		t.Fatal("SplitN(0) not empty")
+	}
+}
+
+// TestNormArgsBatchMatchesNormArgs holds NormArgsBatch to NormArgs draw
+// for draw, in batches of every length up to 64, the stream left where
+// NormArgs would leave it.
+func TestNormArgsBatchMatchesNormArgs(t *testing.T) {
+	batch, serial := New(0xdeadbeef), New(0xdeadbeef)
+	logArgs, cosArgs := make([]float64, 64), make([]float64, 64)
+	for n := 0; n <= len(logArgs); n++ {
+		batch.NormArgsBatch(logArgs[:n], cosArgs)
+		for i := range n {
+			wantLog, wantCos := serial.NormArgs()
+			if math.Float64bits(logArgs[i]) != math.Float64bits(wantLog) ||
+				math.Float64bits(cosArgs[i]) != math.Float64bits(wantCos) {
+				t.Fatalf("batch of %d, draw %d: (%x, %x), NormArgs gives (%x, %x)",
+					n, i, logArgs[i], cosArgs[i], wantLog, wantCos)
+			}
+		}
+	}
+	if batch.Uint64() != serial.Uint64() {
+		t.Fatal("NormArgsBatch left its stream elsewhere than NormArgs does")
+	}
+	if a, b := New(0xdeadbeef).NormArgs(); a != 0x1.d5555ddac5944p-03 || b != 0x1.3fb1cadc3c69ep+01 {
+		t.Fatalf("first NormArgs of New(0xdeadbeef) = (%x, %x)", a, b)
 	}
 }

@@ -196,41 +196,76 @@ func GenerateJobs(spec WorkloadSpec) ([]Job, error) {
 		!(spec.MigratableFrac >= 0 && spec.MigratableFrac <= 1) {
 		return nil, errBadSpec(spec)
 	}
-	dist := spec.Dist
-	if len(dist.Lengths()) == 0 {
-		dist = workload.DistEqual
+	dist, lengths := spec.Dist, spec.Dist.Lengths()
+	if len(lengths) == 0 {
+		dist, lengths = workload.DistEqual, workload.DistEqual.Lengths()
+	}
+	// The draws are kept in 32 bits: a job past maxHour could not be
+	// valid, and a stream of more than MaxInt32 jobs could not be held.
+	if spec.Jobs > math.MaxInt32 || spec.ArrivalSpan > maxHour || len(spec.Origins) > math.MaxInt32 ||
+		slices.Max(lengths) > maxHour {
+		return nil, errBadSpec(spec)
 	}
 	src := rng.New(spec.Seed)
+	// Allocated first: a collection its size sets off then runs beside
+	// the pointer-free draws below, not beside the writes into it.
 	jobs := make([]Job, spec.Jobs)
+	// Each job's draws, in generation (ID) order, as a pointer-free
+	// record.
+	type drawn struct {
+		origin, arrival, length int32
+		flags                   uint8
+	}
+	const interruptible, migratable = 1, 2
+	draws := make([]drawn, spec.Jobs)
 	// start[a+1] counts the jobs arriving at hour a; the prefix sum below
 	// turns it into each hour's first position in the ordered stream. A
 	// span is hours inside a trace the caller already holds, so the
 	// counters are never larger than one region's intensity series.
-	start := make([]int, spec.ArrivalSpan+1)
-	for i := range jobs {
-		jobs[i] = Job{
-			ID:            i,
-			Origin:        spec.Origins[src.Intn(len(spec.Origins))],
-			Arrival:       src.Intn(spec.ArrivalSpan),
-			Length:        dist.Sample(src),
-			Slack:         spec.SlackHours,
-			Interruptible: src.Float64() < spec.InterruptibleFrac,
-			Migratable:    src.Float64() < spec.MigratableFrac,
+	start := make([]int32, spec.ArrivalSpan+1)
+	for i := range draws {
+		d := drawn{
+			origin:  int32(src.Intn(len(spec.Origins))),
+			arrival: int32(src.Intn(spec.ArrivalSpan)),
+			length:  int32(dist.Sample(src)),
 		}
-		start[jobs[i].Arrival+1]++
+		if src.Float64() < spec.InterruptibleFrac {
+			d.flags |= interruptible
+		}
+		if src.Float64() < spec.MigratableFrac {
+			d.flags |= migratable
+		}
+		draws[i] = d
+		start[d.arrival+1]++
 	}
 	// Order by (Arrival, ID) with a stable counting sort on Arrival: ids
-	// ascend in generation order, so stability is the ID tie-break.
+	// ascend in generation order, so stability is the ID tie-break. The
+	// records move, not the jobs, and each job is written once, in
+	// order.
 	for a := 1; a < len(start); a++ {
 		start[a] += start[a-1]
 	}
-	ordered := make([]Job, len(jobs))
-	for i := range jobs {
-		a := jobs[i].Arrival
-		ordered[start[a]] = jobs[i]
-		start[a]++
+	type placed struct {
+		id int32
+		drawn
 	}
-	return ordered, nil
+	sorted := make([]placed, spec.Jobs)
+	for i, d := range draws {
+		sorted[start[d.arrival]] = placed{int32(i), d}
+		start[d.arrival]++
+	}
+	for p, d := range sorted {
+		jobs[p] = Job{
+			ID:            int(d.id),
+			Origin:        spec.Origins[d.origin],
+			Arrival:       int(d.arrival),
+			Length:        int(d.length),
+			Slack:         spec.SlackHours,
+			Interruptible: d.flags&interruptible != 0,
+			Migratable:    d.flags&migratable != 0,
+		}
+	}
+	return jobs, nil
 }
 
 func errBadSpec(spec WorkloadSpec) error {

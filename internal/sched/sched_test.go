@@ -340,6 +340,10 @@ func TestGenerateJobs(t *testing.T) {
 }
 
 func TestGenerateJobsValidation(t *testing.T) {
+	tooLong, err := workload.NewDistribution("too long", map[int]float64{1: 1, maxHour + 1: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := []WorkloadSpec{
 		{Jobs: 0, ArrivalSpan: 10, Origins: []string{"A"}},
 		{Jobs: 1, ArrivalSpan: 0, Origins: []string{"A"}},
@@ -349,6 +353,11 @@ func TestGenerateJobsValidation(t *testing.T) {
 		{Jobs: 1, ArrivalSpan: 10, Origins: []string{"A"}, SlackHours: -3},
 		{Jobs: 1, ArrivalSpan: 10, Origins: []string{"A"}, InterruptibleFrac: math.NaN()},
 		{Jobs: 1, ArrivalSpan: 10, Origins: []string{"A"}, MigratableFrac: math.NaN()},
+		// Past what 32-bit draws hold; refused before anything is
+		// allocated.
+		{Jobs: 1, ArrivalSpan: maxHour + 1, Origins: []string{"A"}},
+		{Jobs: math.MaxInt32 + 1, ArrivalSpan: 10, Origins: []string{"A"}},
+		{Jobs: 1, ArrivalSpan: 10, Origins: []string{"A"}, Dist: tooLong},
 	}
 	for i, spec := range bad {
 		if _, err := GenerateJobs(spec); err == nil {
@@ -478,6 +487,24 @@ func BenchmarkRunMonth(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(set, cl, jobs, SpatioTemporal{Percentile: 40, Window: 48}, 24*30); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGenerateJobs draws a stream of 480 000 jobs from 16 origins
+// over 480 hours.
+func BenchmarkGenerateJobs(b *testing.B) {
+	spec := WorkloadSpec{
+		Jobs: 480_000, ArrivalSpan: 480, Dist: workload.DistAzure, SlackHours: 48,
+		InterruptibleFrac: 0.8, MigratableFrac: 0.5, Seed: 1,
+	}
+	for i := range 16 {
+		spec.Origins = append(spec.Origins, fmt.Sprint("R", i))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateJobs(spec); err != nil {
 			b.Fatal(err)
 		}
 	}

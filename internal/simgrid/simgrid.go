@@ -98,7 +98,8 @@ func (c Config) Validate() error {
 	if c.Hours < 0 {
 		return fmt.Errorf("simgrid: negative hours %d", c.Hours)
 	}
-	if c.ExtraRenewables < 0 || c.ExtraRenewables > 1 {
+	// Written so that a NaN fails too.
+	if !(c.ExtraRenewables >= 0 && c.ExtraRenewables <= 1) {
 		return fmt.Errorf("simgrid: ExtraRenewables %v outside [0, 1]", c.ExtraRenewables)
 	}
 	return nil
@@ -216,7 +217,31 @@ func hashCode(s string) uint64 {
 // solar+wind (negative shift moves the other way). The result is
 // clamped so no share goes negative.
 func shiftToRenewables(mix regions.Mix, shift float64) regions.Mix {
-	f, rshare := mix.FossilShare(), mix.RenewableShare()
+	d := newDrift(mix)
+	out := mix
+	out[regions.Coal], out[regions.Gas], out[regions.Oil], out[regions.Solar], out[regions.Wind] = d.shares(shift)
+	return out
+}
+
+// drift is a mix about to be shifted between its fossil and intermittent
+// parts: the mix with its FossilShare and RenewableShare, computed once
+// for every shift asked of it.
+type drift struct {
+	mix           regions.Mix
+	fossil, renew float64
+}
+
+func newDrift(mix regions.Mix) drift {
+	return drift{mix: mix, fossil: mix.FossilShare(), renew: mix.RenewableShare()}
+}
+
+// shares are the five shares a shift moves — coal, gas, oil, solar and
+// wind — after moving shift fraction points as shiftToRenewables
+// describes. The other four sources never drift.
+func (d *drift) shares(shift float64) (coal, gas, oil, solar, wind float64) {
+	mix, f, rshare := &d.mix, d.fossil, d.renew
+	coal, gas, oil = mix[regions.Coal], mix[regions.Gas], mix[regions.Oil]
+	solar, wind = mix[regions.Solar], mix[regions.Wind]
 	if shift > 0 {
 		if shift > f {
 			shift = f
@@ -225,34 +250,33 @@ func shiftToRenewables(mix regions.Mix, shift float64) regions.Mix {
 		shift = -rshare
 	}
 	if shift == 0 {
-		return mix
+		return coal, gas, oil, solar, wind
 	}
 	// Each side gives and takes in proportion to its sources' shares; a
 	// receiving side with no share of its own takes it all on solar (or,
 	// moving the other way, on gas).
-	out := mix
 	if shift > 0 {
-		out[regions.Coal] -= shift * mix[regions.Coal] / f
-		out[regions.Gas] -= shift * mix[regions.Gas] / f
-		out[regions.Oil] -= shift * mix[regions.Oil] / f
+		coal -= shift * mix[regions.Coal] / f
+		gas -= shift * mix[regions.Gas] / f
+		oil -= shift * mix[regions.Oil] / f
 		if rshare == 0 {
-			out[regions.Solar] += shift
+			solar += shift
 		} else {
-			out[regions.Solar] += shift * mix[regions.Solar] / rshare
-			out[regions.Wind] += shift * mix[regions.Wind] / rshare
+			solar += shift * mix[regions.Solar] / rshare
+			wind += shift * mix[regions.Wind] / rshare
 		}
 	} else {
-		out[regions.Solar] += shift * mix[regions.Solar] / rshare // shift < 0: reduces
-		out[regions.Wind] += shift * mix[regions.Wind] / rshare
+		solar += shift * mix[regions.Solar] / rshare // shift < 0: reduces
+		wind += shift * mix[regions.Wind] / rshare
 		if f == 0 {
-			out[regions.Gas] -= shift
+			gas -= shift
 		} else {
-			out[regions.Coal] -= shift * mix[regions.Coal] / f
-			out[regions.Gas] -= shift * mix[regions.Gas] / f
-			out[regions.Oil] -= shift * mix[regions.Oil] / f
+			coal -= shift * mix[regions.Coal] / f
+			gas -= shift * mix[regions.Gas] / f
+			oil -= shift * mix[regions.Oil] / f
 		}
 	}
-	return out
+	return coal, gas, oil, solar, wind
 }
 
 // simulate produces one region's hourly trace: the weather stage, then
@@ -425,9 +449,7 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 // must be at least as long as out.
 func normBatch(src *rng.Source, mean, stddev float64, out, scratch []float64) {
 	cosArgs := scratch[:len(out)]
-	for i := range out {
-		out[i], cosArgs[i] = src.NormArgs()
-	}
+	src.NormArgsBatch(out, cosArgs)
 	logBatch(out)
 	cosBatch(cosArgs)
 	for i, lg := range out {
@@ -449,69 +471,79 @@ func daysIn(year int) int {
 // `hours` hours. Each hour is computed from that hour's weather alone,
 // so a prefix is exactly the head of the full trace.
 //
-// A block of hours takes three stages: each hour's drifted mix and the
-// generation that does not depend on the flexible sources, collecting
-// the residual levels the flexible sources tilt with; one Log batch and
-// one Exp batch of the three fractional tilts over those levels; and
-// each hour's split, rescaling and intensity. The split is the one
-// dispatchFlexible makes, with the same multiplications in the same
-// order (tiltedFromExps).
+// A block of hours is a struct of arrays walked by stage loops whose
+// hours are independent of each other, so their divisions overlap
+// instead of queueing behind one another: each hour's drift; the five
+// shares it moves (drift.shares; nuclear, geothermal, biomass and hydro
+// never drift and are read from the base mix); the solar and wind
+// output, the residual demand left to the flexible sources and its
+// level (residual over flexible share); one Log batch and one Exp batch
+// of the three fractional tilts over the levels; and the flexible
+// split, with the same multiplications in the same order as
+// dispatchFlexible (tiltedFromExps), followed in the same loop by the
+// total, emissions and intensity. No hour's mix is built, except on the
+// two rare paths that need all of it.
 func (w *weather) dispatch(r regions.Region, extra float64, hours int) []float64 {
 	ci := make([]float64, hours)
 	baseMix := r.Mix
 	if extra > 0 {
 		baseMix = shiftToRenewables(baseMix, extra)
 	}
+	d := newDrift(baseMix)
+	hydroShare := baseMix[regions.Hydro]
+	nuclear, geothermal, biomass := baseMix[regions.Nuclear], baseMix[regions.Geothermal], baseMix[regions.Biomass]
+	mustRun := nuclear + geothermal + biomass
 	n := len(w.demand)
-	half := float64(n-1) / 2
+	half, span := float64(n-1)/2, driftSpan*r.DeltaRenew
 	var (
-		block [blockHours]dispatchHour
-		logs  [blockHours]float64
-		exps  [3 * blockHours]float64
+		shift, coal, gas, oil, solar, wind [blockHours]float64
+		solarOut, windOut, residual, level [blockHours]float64
+		logs                               [blockHours]float64
+		exps                               [3 * blockHours]float64
 	)
 	for h0 := 0; h0 < hours; h0 += blockHours {
-		hrs := block[:min(blockHours, hours-h0)]
-		k := 0 // hours whose level is in logs
-		for i := range hrs {
-			h := h0 + i
-			// Linear mix drift: progress -0.5 at the start of the study,
-			// +0.5 at the end, so the catalog mix is the midpoint.
+		m := min(blockHours, hours-h0)
+		irr, windCF, demand := w.irr[h0:h0+m], w.wind[h0:h0+m], w.demand[h0:h0+m]
+
+		// Linear mix drift: progress -0.5 at the start of the study,
+		// +0.5 at the end, so the catalog mix is the midpoint.
+		for i := range shift[:m] {
 			progress := 0.0
 			if n > 1 {
-				progress = (float64(h) - half) / float64(n-1)
+				progress = (float64(h0+i) - half) / float64(n-1)
 			}
-			hr := &hrs[i]
-			hr.mix = shiftToRenewables(baseMix, driftSpan*r.DeltaRenew*progress)
-			mix := &hr.mix
+			shift[i] = span * progress
+		}
+		for i, x := range shift[:m] {
+			coal[i], gas[i], oil[i], solar[i], wind[i] = d.shares(x)
+		}
 
-			// Non-dispatchable and must-run generation.
-			hr.solar = 0.0
+		// Non-dispatchable and must-run generation. Flexible sources
+		// share the residual: demand net of must-run and weather-driven
+		// generation. Hydro absorbs both demand excursions and renewable
+		// shortfalls, which is what keeps hydro-dominated grids (Sweden,
+		// Quebec, Norway) at a low, stable intensity.
+		k := 0 // hours whose level is in logs
+		for i := range m {
+			solarGen := 0.0
 			if w.irrMean > 0 {
-				hr.solar = mix[regions.Solar] * w.irr[h] / w.irrMean
+				solarGen = solar[i] * irr[i] / w.irrMean
 			}
-			hr.wnd = 0.0
+			windGen := 0.0
 			if w.windMean > 0 {
-				hr.wnd = mix[regions.Wind] * w.wind[h] / w.windMean
+				windGen = wind[i] * windCF[i] / w.windMean
 			}
-			hr.coalBase = coalBaseload * mix[regions.Coal]
-			hr.baseload = mix[regions.Nuclear] + mix[regions.Geothermal] +
-				mix[regions.Biomass] + hr.coalBase
-
-			// Flexible sources share the residual: demand net of must-run
-			// and weather-driven generation. Hydro absorbs both demand
-			// excursions and renewable shortfalls, which is what keeps
-			// hydro-dominated grids (Sweden, Quebec, Norway) at a low,
-			// stable intensity.
-			hr.residual = w.demand[h] - hr.solar - hr.wnd - hr.baseload
-			hr.level = 0
-			if hr.residual > 0 {
-				if _, _, _, _, flex := flexibleShares(mix); flex > 0 {
-					if level := hr.residual / flex; tiltable(level) {
-						hr.level, logs[k] = level, level
+			res := demand[i] - solarGen - windGen - (mustRun + coalBaseload*coal[i])
+			lvl := 0.0
+			if res > 0 {
+				if _, _, _, _, flex := flexibleShares(hydroShare, coal[i], gas[i], oil[i]); flex > 0 {
+					if l := res / flex; tiltable(l) {
+						lvl, logs[k] = l, l
 						k++
 					}
 				}
 			}
+			solarOut[i], windOut[i], residual[i], level[i] = solarGen, windGen, res, lvl
 		}
 
 		logBatch(logs[:k])
@@ -521,65 +553,56 @@ func (w *weather) dispatch(r regions.Region, extra float64, hours int) []float64
 		expBatch(exps[:3*k])
 
 		j := 0
-		for i := range hrs {
-			hr := &hrs[i]
-			mix := &hr.mix
-			solar, wnd, coalBase, baseload := hr.solar, hr.wnd, hr.coalBase, hr.baseload
-			var hydro, coalFlex, gas, oil float64
+		for i := range m {
+			solarGen, windGen, res := solarOut[i], windOut[i], residual[i]
+			coalBase := coalBaseload * coal[i]
+			baseload := mustRun + coalBase
+			var hydro, coalFlex, gasGen, oilGen float64
 			switch {
-			case hr.residual <= 0:
+			case res <= 0:
 				// Oversupply: curtail wind first, then solar, then shed
 				// must-run coal. Flexible sources stay off.
-				excess := -hr.residual
-				cut := math.Min(excess, wnd)
-				wnd -= cut
+				excess := -res
+				cut := math.Min(excess, windGen)
+				windGen -= cut
 				excess -= cut
-				cut = math.Min(excess, solar)
-				solar -= cut
+				cut = math.Min(excess, solarGen)
+				solarGen -= cut
 				excess -= cut
 				cut = math.Min(excess, coalBase)
 				coalBase -= cut
 				baseload -= cut
-			case hr.level > 0:
-				hydroShare, coalFlexShare, gasShare, oilShare, _ := flexibleShares(mix)
-				hydro, coalFlex, gas, oil = tiltedFromExps(hydroShare, coalFlexShare, gasShare, oilShare,
-					hr.level, exps[j], exps[k+j], exps[2*k+j])
-				hydro, coalFlex, gas, oil = rescaleFlexible(hr.residual, hydro, coalFlex, gas, oil)
+			case level[i] > 0:
+				hydroS, coalFlexS, gasS, oilS, _ := flexibleShares(hydroShare, coal[i], gas[i], oil[i])
+				hydro, coalFlex, gasGen, oilGen = tiltedFromExps(hydroS, coalFlexS, gasS, oilS,
+					level[i], exps[j], exps[k+j], exps[2*k+j])
+				hydro, coalFlex, gasGen, oilGen = rescaleFlexible(res, hydro, coalFlex, gasGen, oilGen)
 				j++
 			default:
-				hydro, coalFlex, gas, oil = dispatchFlexible(*mix, hr.residual)
+				hydro, coalFlex, gasGen, oilGen = dispatchFlexible(shiftToRenewables(baseMix, shift[i]), res)
 			}
-			coal := coalBase + coalFlex
+			coalGen := coalBase + coalFlex
 
-			total := solar + wnd + baseload - coalBase + hydro + coal + gas + oil
+			total := solarGen + windGen + baseload - coalBase + hydro + coalGen + gasGen + oilGen
 			if total <= 0 {
 				// Degenerate (zero-demand) hour; carry the mix-weighted
 				// average forward.
-				ci[h0+i] = mix.NominalCI()
+				ci[h0+i] = shiftToRenewables(baseMix, shift[i]).NominalCI()
 				continue
 			}
-			em := coal*regions.Coal.EmissionFactor() +
-				gas*regions.Gas.EmissionFactor() +
-				oil*regions.Oil.EmissionFactor() +
-				solar*regions.Solar.EmissionFactor() +
-				wnd*regions.Wind.EmissionFactor() +
+			em := coalGen*regions.Coal.EmissionFactor() +
+				gasGen*regions.Gas.EmissionFactor() +
+				oilGen*regions.Oil.EmissionFactor() +
+				solarGen*regions.Solar.EmissionFactor() +
+				windGen*regions.Wind.EmissionFactor() +
 				hydro*regions.Hydro.EmissionFactor() +
-				mix[regions.Nuclear]*regions.Nuclear.EmissionFactor() +
-				mix[regions.Geothermal]*regions.Geothermal.EmissionFactor() +
-				mix[regions.Biomass]*regions.Biomass.EmissionFactor()
+				nuclear*regions.Nuclear.EmissionFactor() +
+				geothermal*regions.Geothermal.EmissionFactor() +
+				biomass*regions.Biomass.EmissionFactor()
 			ci[h0+i] = em / total
 		}
 	}
 	return ci
-}
-
-// dispatchHour is one hour of dispatch's first stage: the drifted mix,
-// the generation that does not depend on the flexible sources, the
-// residual demand left to them and — when the batch takes the hour —
-// its level (residual over flexible share); 0 otherwise.
-type dispatchHour struct {
-	mix                                             regions.Mix
-	solar, wnd, coalBase, baseload, residual, level float64
 }
 
 // dispatchFlexible splits the residual demand among the flexible
@@ -590,7 +613,7 @@ type dispatchHour struct {
 // they sum exactly to the residual, preserving energy balance and
 // keeping annual energy shares near the catalog mix.
 func dispatchFlexible(mix regions.Mix, residual float64) (hydro, coalFlex, gas, oil float64) {
-	hydroShare, coalFlexShare, gasShare, oilShare, flex := flexibleShares(&mix)
+	hydroShare, coalFlexShare, gasShare, oilShare, flex := flexibleShares(mix[regions.Hydro], mix[regions.Coal], mix[regions.Gas], mix[regions.Oil])
 	if flex <= 0 {
 		// No flexible capacity: the residual is met by (implicit)
 		// imports at gas-like intensity so energy still balances.
@@ -601,11 +624,10 @@ func dispatchFlexible(mix regions.Mix, residual float64) (hydro, coalFlex, gas, 
 	return rescaleFlexible(residual, hydro, coalFlex, gas, oil)
 }
 
-// flexibleShares are the mix's shares of the four flexible sources and
-// their sum.
-func flexibleShares(mix *regions.Mix) (hydro, coalFlex, gas, oil, flex float64) {
-	hydro, coalFlex = mix[regions.Hydro], (1-coalBaseload)*mix[regions.Coal]
-	gas, oil = mix[regions.Gas], mix[regions.Oil]
+// flexibleShares are a mix's shares of the four flexible sources, given
+// its hydro, coal, gas and oil shares, and their sum.
+func flexibleShares(hydro, coal, gas, oil float64) (hydroShare, coalFlex, gasShare, oilShare, flex float64) {
+	coalFlex = (1 - coalBaseload) * coal
 	return hydro, coalFlex, gas, oil, hydro + coalFlex + gas + oil
 }
 

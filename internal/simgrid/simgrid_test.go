@@ -63,6 +63,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{ExtraRenewables: 1.5}).Validate(); err == nil {
 		t.Error("ExtraRenewables > 1 accepted")
 	}
+	// A NaN compares false both ways, so a range check written as
+	// "outside" lets it through.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Config{ExtraRenewables: x}).Validate(); err == nil {
+			t.Errorf("ExtraRenewables %v accepted", x)
+		}
+	}
 }
 
 func TestDeterminism(t *testing.T) {
@@ -487,7 +494,7 @@ func TestWhatIfValidates(t *testing.T) {
 	if _, err := WhatIf(r, cfg, greenerLevels, -1); err == nil {
 		t.Error("negative prefix accepted")
 	}
-	for _, level := range []float64{-0.1, 1.5} {
+	for _, level := range []float64{-0.1, 1.5, math.NaN()} {
 		if _, err := WhatIf(r, cfg, []float64{0, level}, 24); err == nil {
 			t.Errorf("level %v accepted", level)
 		}
