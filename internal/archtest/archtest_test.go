@@ -3,7 +3,7 @@
 // lifecycle, one upstream round trip, one id registry, index-typed
 // policies, one serially stepped job list, one fleet type and placement
 // hook, the measured kernels, one logger, one role value, one
-// performance harness, one fault driver, one golden harness — by
+// performance harness, one fault and server driver, one golden harness — by
 // counting, over the parsed Go source, the sites that would start a
 // second copy. They run under go test ./..., and every guard is shown to
 // fire on a planted violation. The document checks (docs_test.go) keep
@@ -248,6 +248,13 @@ func truncates(n ast.Node) bool {
 	}
 	_, sliced := c.Args[1].(*ast.SliceExpr)
 	return sliced
+}
+
+// servesHandler matches httptest.NewServer(x.Handler()): a server's
+// handler served over HTTP.
+func servesHandler(n ast.Node) bool {
+	c, ok := n.(*ast.CallExpr)
+	return ok && call("httptest", "NewServer")(c) && len(c.Args) == 1 && callNamed("Handler")(c.Args[0])
 }
 
 // readsRole matches a role.Load() call or a role value's following
@@ -529,15 +536,20 @@ func (s *Server) serveWrite(w http.ResponseWriter) {
 		// harness in internal/schedd/sim_test.go, checked against its four
 		// invariants. A test that builds its own follower or cuts its own
 		// journal is a second driver, proving less. internal/wal's own
-		// tests cut journals to test the reader itself.
+		// tests cut journals to test the reader itself. One server driver:
+		// an internal/schedd test that needs a server over HTTP takes a
+		// node of a cluster too, so the same invariants check it.
 		name: "one fault driver in internal/schedd's tests",
 		fix: "drive the fault through the harness in internal/schedd/sim_test.go — a cluster (startFollower, crash, recoverFrom) " +
-			"or the partitioned fleet (kill, heal, startGateway) — and add a schedule to its fault_test.go",
+			"or the partitioned fleet (kill, heal, startGateway) — and add a schedule to its fault_test.go; " +
+			"take a server from a cluster (newCluster, or a row of admission_test.go's table)",
 		rules: []rule{
 			{what: "NewFollower( outside sim_test.go", in: []string{"internal/"}, not: []string{"internal/schedd/sim_test.go"},
 				tests: true, only: file.test, match: callNamed("NewFollower")},
 			{what: "journal truncation outside sim_test.go and internal/wal", in: []string{"internal/"},
 				not: []string{"internal/schedd/sim_test.go", "internal/wal/"}, tests: true, only: file.test, match: truncates},
+			{what: "a Server's Handler() served by httptest.NewServer outside sim_test.go", in: []string{"internal/schedd/"},
+				not: []string{"internal/schedd/sim_test.go"}, tests: true, only: file.test, match: servesHandler},
 		},
 		plant: map[string]string{
 			"internal/schedd/planted_test.go": `package schedd
@@ -546,6 +558,8 @@ func TestHandRolledFailover(t *testing.T) {
 	os.Truncate(journal, cut)
 	os.WriteFile(journal, data[:cut], 0o644)
 	f.Start(ctx)
+	ts := httptest.NewServer(f.Handler())
+	defer ts.Close()
 }`,
 			"internal/gateway/planted_test.go": `package gateway
 func TestHandRolledPartitionFailover(t *testing.T) {

@@ -9,12 +9,12 @@ package schedd
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -72,6 +72,9 @@ var schedules = []schedule{
 
 	{"TestReplicationChaos", "greenest-first", chaos},
 	{"TestJournaledRestartUnderLoad", "greenest-first", restartUnderLoad},
+	{"TestConcurrentClientsUnderStepping", "", clientsUnderStepping},
+	{"TestConcurrentSubmitters", "", concurrentSubmitters},
+	{"TestTenantIsolationChaos", "", tenantIsolation},
 	{"TestFailoverPromotion", "carbon-gate", failover},
 
 	// The partitioned fleet loses each of its five processes in turn.
@@ -81,6 +84,8 @@ var schedules = []schedule{
 	{"TestPartitionedKillAnyOne", "p1-primary", killAnyOne("p1-primary")},
 	{"TestPartitionedKillAnyOne", "p1-standby", killAnyOne("p1-standby")},
 }
+
+func init() { schedules = append(schedules, onlineEquivalence()...) }
 
 func TestCrashRecoveryEquivalence(t *testing.T)       { runSchedules(t) }
 func TestTenantCrashRecoveryEquivalence(t *testing.T) { runSchedules(t) }
@@ -93,8 +98,12 @@ func TestTenantReplicationEquivalence(t *testing.T)   { runSchedules(t) }
 func TestMixedProtocolReplication(t *testing.T)       { runSchedules(t) }
 func TestReplicationChaos(t *testing.T)               { runSchedules(t) }
 func TestJournaledRestartUnderLoad(t *testing.T)      { runSchedules(t) }
+func TestConcurrentClientsUnderStepping(t *testing.T) { runSchedules(t) }
+func TestConcurrentSubmitters(t *testing.T)           { runSchedules(t) }
+func TestTenantIsolationChaos(t *testing.T)           { runSchedules(t) }
 func TestFailoverPromotion(t *testing.T)              { runSchedules(t) }
 func TestPartitionedKillAnyOne(t *testing.T)          { runSchedules(t) }
+func TestOnlineEquivalence(t *testing.T)              { runSchedules(t) }
 
 // TestFaultSchedules runs 16 seeded schedules of one partition and 8 of
 // the partitioned fleet (4 of each under -short).
@@ -132,10 +141,16 @@ func TestFaultSchedules(t *testing.T) {
 	})
 }
 
-// runSchedules runs the table's schedules for the test t is.
+// runSchedules runs the table's schedules for the test t is, each as a
+// subtest of its name, or as the test itself when it has none.
 func runSchedules(t *testing.T) {
 	for _, s := range schedules {
-		if s.test == t.Name() {
+		switch {
+		case s.test != t.Name():
+		case s.name == "":
+			reproOnFailure(t)
+			s.run(t)
+		default:
 			t.Run(s.name, func(t *testing.T) {
 				reproOnFailure(t)
 				s.run(t)
@@ -460,23 +475,123 @@ func chaos(t *testing.T) {
 	c.check()
 }
 
+// onlineEquivalence is TestOnlineEquivalence: each policy's 120-job,
+// 15-day world run uninterrupted over each wire and three values of the
+// deprecated Config.Shards, which must stay a no-op, so check holds the
+// service to sched's offline fleet (invariant 3) for every policy on
+// both wires. -short runs shards=1 only. The directory invariants are
+// the other schedules' to check.
+func onlineEquivalence() []schedule {
+	var out []schedule
+	for _, p := range policies {
+		for _, v := range []struct {
+			shards int
+			wire   wireMode
+		}{{1, wireJSON}, {4, wireJSON}, {16, wireJSON}, {1, wireBinary}, {16, wireBinary}} {
+			w := world{policy: p, shards: v.shards, wire: v.wire, horizon: 24 * 15, slots: 20, jobs: 120}
+			out = append(out, schedule{"TestOnlineEquivalence", fmt.Sprintf("%s/shards=%d/%v", p.Name(), v.shards, v.wire), func(t *testing.T) {
+				if testing.Short() && v.shards != 1 {
+					t.Skip("-short runs shards=1 only")
+				}
+				c := newCluster(t, w)
+				c.shallow, c.history = true, nil
+				c.run(0, w.hours())
+				c.check()
+			}})
+		}
+	}
+	return out
+}
+
+// loadPair is worker w's i-th request of the stepping loads: two auto-id
+// jobs, one from each region.
+func loadPair(w, i int) []JobRequest {
+	return []JobRequest{
+		{Origin: "CLEAN", LengthHours: 1 + (w+i)%3, SlackHours: 48, Interruptible: true, Migratable: i%2 == 0},
+		{Origin: "DIRTY", LengthHours: 1 + (w+i)%4, SlackHours: 48, Interruptible: i%3 != 0, Migratable: true},
+	}
+}
+
+// drainAll drains the run and requires all total jobs acked and
+// completed, by the Result and by the stats counters alike.
+func (c *cluster) drainAll(total int) StatsResponse {
+	c.t.Helper()
+	c.drain()
+	st := c.primary.srv.stats()
+	if len(c.acked) != total || c.result.Completed != total || st.Submitted != total || st.Completed != total || st.Unresolved != 0 {
+		c.fatalf("%d acked, %d completed, stats %+v; want all %d completed", len(c.acked), c.result.Completed, st, total)
+	}
+	return st
+}
+
+// wantNoRefusal fails the run on any request a load had refused.
+func (c *cluster) wantNoRefusal(refused []refusal) {
+	c.t.Helper()
+	for _, r := range refused {
+		c.fatalf("load: %v", r.err)
+	}
+}
+
 // restartUnderLoad: concurrent submitters, with wal.SyncBatch and a
 // snapshot every 2 hours, through a clean restart and a second round of
 // load, then a drain that must account for every acked job exactly
 // once, completed.
 func restartUnderLoad(t *testing.T) {
 	c := newCluster(t, world{policy: sched.GreenestFirst{}, snapEvery: 2, syncBatch: true, horizon: 24 * 20, slots: 60})
-	c.load(6)
+	c.wantNoRefusal(c.load(6, 15, 8, loadPair))
 	c.restart()
-	c.load(6)
-	c.drain()
-	total := len(c.acked)
-	if c.result.Completed != total {
-		t.Fatalf("drain completed %d of %d jobs", c.result.Completed, total)
+	c.wantNoRefusal(c.load(6, 15, 8, loadPair))
+	if st := c.drainAll(2 * 6 * 15 * 2); st.Durability == nil || st.Durability.Generation == 0 {
+		t.Fatalf("durability = %+v", st.Durability)
 	}
-	if st := c.primary.srv.stats(); st.Submitted != total || st.Completed != total || st.Unresolved != 0 ||
-		st.Durability == nil || st.Durability.Generation == 0 {
-		t.Fatalf("final stats = %+v, durability %+v", st, st.Durability)
+	c.check()
+}
+
+// clientsUnderStepping is the race and stress regression for the
+// service's lock structure: six submitters beside a clock that runs 10
+// hours and a reader; the bookkeeping must account for every acked job.
+func clientsUnderStepping(t *testing.T) {
+	c := newCluster(t, world{policy: sched.GreenestFirst{}, horizon: 24 * 20, slots: 60})
+	c.wantNoRefusal(c.load(6, 20, 10, loadPair))
+	c.drainAll(6 * 20 * 2)
+	c.check()
+}
+
+// concurrentSubmitters: twenty one-job submitters at once.
+func concurrentSubmitters(t *testing.T) {
+	c := newCluster(t, world{policy: sched.FIFO{}, slots: 200})
+	c.wantNoRefusal(c.load(20, 1, 3, func(int, int) []JobRequest { return []JobRequest{cjob(1, 24)} }))
+	c.drainAll(20)
+	c.check()
+}
+
+// tenantIsolation: concurrent submitters for four tenants, one of them
+// abusive, over both wires, in one fleet hour. The well-behaved tenants
+// are left untouched — every submission admitted and completed — while
+// the abusive one gets exactly its quota of 3 and a 429 for the rest.
+func tenantIsolation(t *testing.T) {
+	const perTenant = 3 * 10
+	c := newCluster(t, world{policy: sched.FIFO{}, slots: 200, tenants: true})
+	names := []string{"web", "batchy", "spot", "quotal"}
+	refused := c.load(4*3, 10, 0, func(w, _ int) []JobRequest { return []JobRequest{tjob(names[w%4])} })
+	for _, r := range refused {
+		if r.jobs[0].Tenant != "quotal" {
+			t.Fatalf("well-behaved tenant %q rejected: %v", r.jobs[0].Tenant, r.err)
+		}
+		wantStatus(t, "abusive tenant rejection", r.err, http.StatusTooManyRequests, "quota exceeded")
+	}
+	if len(refused) != perTenant-3 {
+		t.Fatalf("%d of quotal's %d refused, want all but its quota of 3", len(refused), perTenant)
+	}
+	st := c.drainAll(3*perTenant + 3)
+	for _, name := range names {
+		want := perTenant
+		if name == "quotal" {
+			want = 3
+		}
+		if e := tenantEntry(t, st, name); e.Submitted != want || e.Completed != want {
+			t.Fatalf("tenant %q entry = %+v, want %d submitted and completed", name, e, want)
+		}
 	}
 	c.check()
 }
@@ -503,23 +618,18 @@ func failover(t *testing.T) {
 		t.Fatalf("the primary admitted %d jobs, %d were acked (redirect failed?)", got, len(c.acked))
 	}
 
-	resp, err := http.Post(f.ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"origin":"CLEAN","length_hours":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h, body, err := roundTrip(t, http.MethodPost, f.ts.URL+JSONWire.Route, JSONWire.ContentType, oneJSON)
+	wantStatus(t, "a write to the follower", err, http.StatusMisdirectedRequest, "read-only follower")
 	var e ErrorResponse
-	if err := decodeBody(resp, &e); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusMisdirectedRequest || resp.Header.Get("X-Replication-Lag-Hours") == "" || e.Primary != f.proxy.URL() {
-		t.Fatalf("a write to the follower: status %d, lag header %q, primary hint %q; want 421, a lag, %q",
-			resp.StatusCode, resp.Header.Get("X-Replication-Lag-Hours"), e.Primary, f.proxy.URL())
+	if json.Unmarshal(body, &e) != nil || h.Get("X-Replication-Lag-Hours") == "" || e.Primary != f.proxy.URL() {
+		t.Fatalf("a write to the follower: lag header %q, primary hint %q; want a lag, %q",
+			h.Get("X-Replication-Lag-Hours"), e.Primary, f.proxy.URL())
 	}
 
 	// Caught up, the standby scrapes no lag and the records it applied.
 	c.settle()
-	sc := scrapeServer(t, f.srv.Handler())
-	if lag, applied := metricVal(t, sc, "schedd_replication_lag_hours"), metricVal(t, sc, "repl_records_applied_total"); lag != 0 || applied == 0 {
+	metric := scrape(t, f.client)
+	if lag, applied := metric("schedd_replication_lag_hours"), metric("repl_records_applied_total"); lag != 0 || applied == 0 {
 		t.Fatalf("the caught-up standby scrapes a lag of %v hours and %v records applied", lag, applied)
 	}
 
@@ -550,7 +660,7 @@ func killAnyOne(victim string) func(*testing.T) {
 		half := w.hours() / 2
 		f.setOp("phase 1")
 		f.run(0, half)
-		if f.metric("gateway_split_submits_total") == 0 {
+		if scrape(t, f.client)("gateway_split_submits_total") == 0 {
 			f.fatalf("no batch split at the gateway")
 		}
 		f.setOp("kill(" + victim + ")")
@@ -654,14 +764,8 @@ func TestPromoteWithoutDataDir(t *testing.T) {
 	if f.srv.fleet.Jobs() != 1 || f.srv.Role() != "primary" {
 		t.Fatal("promotion lost state")
 	}
-	resp, err := http.Get(f.ts.URL + "/v1/repl/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("snapshot on a journal-less primary: status %d, want 404", resp.StatusCode)
-	}
+	_, _, err := roundTrip(t, http.MethodGet, f.ts.URL+"/v1/repl/snapshot", "", nil)
+	wantStatus(t, "snapshot on a journal-less primary", err, http.StatusNotFound, "")
 }
 
 // TestFailedPromotionResumesTail: a promotion that cannot claim the

@@ -1,7 +1,6 @@
 package schedd
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -26,17 +25,8 @@ func TestPolicyByNameRejectsBadPercentile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: percentile %v refused: %v", name, p, err)
 			}
-			_, client, clock := startServer(t, Config{Policy: policy}, 2)
-			ctx := context.Background()
-			clock.hour.Store(2) // history to take the percentile of
-			ack, err := client.Submit(ctx, JobRequest{Origin: "DIRTY", LengthHours: 2, SlackHours: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			clock.hour.Store(5)
-			if _, err := client.Job(ctx, ack.IDs[0]); err != nil {
-				t.Fatalf("%s at percentile %v: lookup after stepping: %v", name, p, err)
-			}
+			// History to take the percentile of, then a step past it.
+			admit(t, world{policy: policy, slots: 2}, hour(2), send(ok, JobRequest{Origin: "DIRTY", LengthHours: 2, SlackHours: 4}), hour(5))
 		}
 	}
 	if _, err := PolicyByName("fifo", 150, 24); err != nil {
@@ -57,8 +47,8 @@ func TestPolicyResolvesFromStats(t *testing.T) {
 		sched.GreenestFirst{},
 		sched.SpatioTemporal{Percentile: 80, Window: 36},
 	} {
-		_, client, _ := startServer(t, Config{Policy: want}, 2)
-		st, err := client.Stats(context.Background())
+		c := newCluster(t, world{policy: want, slots: 2, memory: true})
+		st, err := c.primary.client.Stats(c.ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,11 +8,12 @@ package schedd
 // replication out.
 
 import (
-	"bytes"
+	"cmp"
 	"encoding/json"
 	"net/http"
 	"testing"
 
+	"carbonshift/internal/httpx"
 	"carbonshift/internal/sched"
 )
 
@@ -34,7 +35,7 @@ func roleServers(t *testing.T) (urls [rowCount]string, primaryURL string) {
 	t.Helper()
 	seven := 7
 	job := JobRequest{ID: &seven, Origin: "CLEAN", LengthHours: 1, SlackHours: 12}
-	_, memory, _ := startServer(t, Config{Policy: sched.FIFO{}}, 4)
+	memory := newCluster(t, world{policy: sched.FIFO{}, slots: 4, memory: true}).primary.client
 	c := newCluster(t, world{policy: sched.FIFO{}, horizon: 24 * 10, slots: 4})
 	for _, client := range []*Client{memory, c.primary.client} {
 		if _, err := client.Submit(c.ctx, job); err != nil {
@@ -49,12 +50,6 @@ func roleServers(t *testing.T) (urls [rowCount]string, primaryURL string) {
 	}
 	urls = [rowCount]string{memory.Endpoint(), c.primary.ts.URL, follower.ts.URL, promoted.ts.URL}
 	return urls, follower.proxy.URL()
-}
-
-// decodeBody decodes a JSON response body and closes it.
-func decodeBody(resp *http.Response, out any) error {
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 func TestRouteRoleTable(t *testing.T) {
@@ -92,46 +87,22 @@ func TestRouteRoleTable(t *testing.T) {
 	for _, rt := range routes {
 		for row := 0; row < rowCount; row++ {
 			name := rt.method + " " + rt.path + " on " + rowNames[row]
-			req, err := http.NewRequest(rt.method, urls[row]+rt.path, bytes.NewReader(rt.body))
-			if err != nil {
-				t.Fatal(err)
+			h, body, err := roundTrip(t, rt.method, urls[row]+rt.path, rt.ctype, rt.body)
+			if status := cmp.Or(httpx.StatusCodeOf(err), ok); status != rt.want[row] {
+				t.Errorf("%s: status %d, want %d", name, status, rt.want[row])
 			}
-			if rt.ctype != "" {
-				req.Header.Set("Content-Type", rt.ctype)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			lag := resp.Header.Get("X-Replication-Lag-Hours")
 			var e ErrorResponse
-			if resp.StatusCode == misdirect {
-				if err := decodeBody(resp, &e); err != nil {
-					t.Fatalf("%s: 421 body: %v", name, err)
-				}
-			} else {
-				resp.Body.Close()
-			}
-			if resp.StatusCode != rt.want[row] {
-				t.Errorf("%s: status %d, want %d", name, resp.StatusCode, rt.want[row])
-			}
-			if resp.StatusCode == misdirect && e.Primary != primaryURL {
+			if rt.want[row] == misdirect && (json.Unmarshal(body, &e) != nil || e.Primary != primaryURL) {
 				t.Errorf("%s: 421 primary hint %q, want %q", name, e.Primary, primaryURL)
 			}
-			if following := row == rowFollower; (lag != "") != following {
+			if lag, following := h.Get("X-Replication-Lag-Hours"), row == rowFollower; (lag != "") != following {
 				t.Errorf("%s: X-Replication-Lag-Hours %q, want present=%v", name, lag, following)
 			}
 		}
 	}
 	// The promote route did promote the follower: it now takes writes.
-	resp, err := http.Post(urls[rowFollower]+"/v1/jobs", jsonType,
-		bytes.NewReader([]byte(`{"origin":"CLEAN","length_hours":1,"slack_hours":12}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != ok || resp.Header.Get("X-Replication-Lag-Hours") != "" {
-		t.Fatalf("write to the promoted follower: status %d, lag header %q", resp.StatusCode,
-			resp.Header.Get("X-Replication-Lag-Hours"))
+	h, _, err := roundTrip(t, "POST", urls[rowFollower]+"/v1/jobs", jsonType, []byte(`{"origin":"CLEAN","length_hours":1,"slack_hours":12}`))
+	if err != nil || h.Get("X-Replication-Lag-Hours") != "" {
+		t.Fatalf("write to the promoted follower: %v, lag header %q", err, h.Get("X-Replication-Lag-Hours"))
 	}
 }

@@ -266,7 +266,9 @@ func WithClock(now func() time.Time) Option {
 }
 
 // WithRecorder observes every executed job-hour (hour, job id, region)
-// in deterministic order — the hook the equivalence test uses.
+// in deterministic order — the placement log of the benchmark's traced
+// rigs (bench/rig.go), and of every server the tests' fault harness
+// holds to an uninterrupted run and to sched's offline fleet.
 func WithRecorder(rec func(hour, jobID int, region string)) Option {
 	return func(s *Server) { s.recorder = rec }
 }
@@ -660,16 +662,20 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 // is over.
 var errHorizonExhausted = errors.New("replay horizon exhausted")
 
+// errStoreFull refuses a batch the job store has no room for. The store
+// keeps every resolved job, so the same request never fits again.
+var errStoreFull = errors.New("job store full")
+
 // retryAfterHint computes the Retry-After seconds for a backpressure
 // rejection: a rate 429 carries the gate's token-refill time, a quota
 // 429 the wall-clock remainder of the current fleet hour (the quota
 // window resets on the hour rollover), and a 503 a short fixed hint —
 // capacity drains as the fleet steps, there is no exact bound — except
-// once the horizon is exhausted, when no retry can succeed and there is
-// no hint (0).
+// once the horizon is exhausted or the job store is full, when no retry
+// can succeed and there is no hint (0).
 func (s *Server) retryAfterHint(status int, err error) int {
 	switch {
-	case errors.Is(err, errHorizonExhausted):
+	case errors.Is(err, errHorizonExhausted), errors.Is(err, errStoreFull):
 		return 0
 	case errors.Is(err, tenant.ErrRate):
 		if after := tenant.RetryAfterSeconds(err); after > 0 {
@@ -811,7 +817,7 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 	defer s.admitMu.Unlock()
 	jobs := b.jobs
 	if s.fleet.Jobs()+len(jobs) > s.cfg.MaxJobs {
-		return s.reject(http.StatusServiceUnavailable, "job_store_full", errors.New("job store full"))
+		return s.reject(http.StatusServiceUnavailable, "job_store_full", errStoreFull)
 	}
 	if s.fleet.Outstanding()+len(jobs) > s.cfg.MaxQueue {
 		return s.reject(http.StatusServiceUnavailable, "queue_full", errors.New("queue full"))

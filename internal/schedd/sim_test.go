@@ -1,15 +1,18 @@
 package schedd
 
-// The fault harness: one in-process cluster that every crash, restart,
-// replication, chaos and failover test drives, and the partitioned
-// fleet — two clusters behind the gateway — built from it.
+// The fault harness: one in-process cluster that every test of this
+// package that serves a Server over HTTP drives — crash, restart,
+// replication, chaos, failover, load and admission alike — and the
+// partitioned fleet, two clusters behind the gateway, built from it.
 //
 // A cluster runs one world — policy, snapshot cadence, tenancy on or
 // off, and the wire its arrivals travel (JSON, binary, or the two
-// alternating per chunk). A durable primary serves it on a replay clock
-// every node shares; each follower has its own data dir and tails the
-// primary through a cuttable TCP proxy. A schedule is a sequence of ops
-// on the cluster (fault_test.go holds the table of them):
+// alternating per chunk). A primary, durable unless the world says
+// otherwise, serves it on a replay clock every node shares and a gate
+// clock of the cluster's own; each follower has its own data dir and
+// tails the primary through a cuttable TCP proxy. A schedule is a
+// sequence of ops on the cluster (fault_test.go holds the table of them,
+// admission_test.go the rows of requests and their answers):
 //
 //	at(h)            set the clock to h and poll stats, which steps the fleet
 //	submit           send the hour's arrivals, two a request, ids pinned
@@ -18,7 +21,8 @@ package schedd
 //	                 one byte garbled or its tail zero-filled, boot a new
 //	                 primary from the copy and re-drive what the tear lost
 //	restart          close the primary cleanly and boot it again
-//	load(w)          w concurrent submitters beside a clock driver
+//	load(...)        concurrent submitters beside a reader that drives the
+//	                 clock and polls stats and jobs
 //	cutLink(i)       sever follower i's connections
 //	restartTail(i)   stop follower i's tail and start it at its cursor
 //	startFollower    boot a follower; it bootstraps from the newest snapshot
@@ -39,14 +43,16 @@ package schedd
 //     to a fresh server, lands on a state the primary held, in order.
 //  3. Placements equal the reference: from the recovered snapshot hour
 //     on, the placements, the Result, the final image and the carbon
-//     saved equal an uninterrupted run of the same world.
+//     saved equal an uninterrupted run of the same world, whose
+//     placements and Result in turn equal sched's offline fleet — every
+//     job submitted up front and stepped to Done, as sched.Run does.
 //  4. Recovery is idempotent: two reboots from one directory give the
 //     same bytes, and boot recovery equals RestoreReplSnapshot plus
 //     ApplyReplRecord over the same snapshot and records.
 //
-// This is the one test file under internal/ that builds a follower or
-// cuts a journal (internal/wal's reader tests aside); internal/archtest
-// holds it to that.
+// This is the one test file under internal/ that builds a follower,
+// cuts a journal (internal/wal's reader tests aside) or serves a
+// Server's handler over HTTP; internal/archtest holds it to that.
 
 import (
 	"bytes"
@@ -68,9 +74,11 @@ import (
 	"testing"
 	"time"
 
+	"carbonshift/internal/httpx"
 	"carbonshift/internal/metrics"
 	"carbonshift/internal/repl"
 	"carbonshift/internal/sched"
+	"carbonshift/internal/tenant"
 	"carbonshift/internal/trace"
 	"carbonshift/internal/wal"
 )
@@ -109,6 +117,13 @@ type world struct {
 	// two-partition fleet: it owns the one region clusters(n)[partitionID]
 	// and the ids from partitionID*idStride.
 	partitions, partitionID int
+	memory                  bool // the primary keeps no data dir
+	// cfg holds the Config values a world sets beyond the fields above:
+	// MaxQueue, MaxJobs, Seed, Speedup, TraceSampleEvery, and Tenants when
+	// the registry is not tenancyConfig. opts are the primary's options
+	// beyond the clocks and the recorder.
+	cfg  Config
+	opts []Option
 }
 
 // idStride separates the partitions' id ranges (Config.IDBase).
@@ -145,23 +160,23 @@ func owner(origin string) int {
 // key names everything a run's outcome depends on. Every wire journals
 // the same bytes, so the wire is not part of it.
 func (w world) key() string {
-	return fmt.Sprint(w.policy.Name(), w.snapEvery, w.tenants, w.syncBatch, w.hours(), w.slots, w.jobs, w.partitions, w.partitionID)
+	return fmt.Sprint(w.policy.Name(), w.snapEvery, w.tenants, w.syncBatch, w.hours(), w.slots, w.jobs, w.partitions, w.partitionID, w.memory, w.cfg)
 }
 
 // config is the world's server config over dir ("" for none). Trace
-// sampling is off: a sampled submit appends its trace id to the admit
-// record, and the wires' journals are compared byte for byte.
+// sampling is off unless cfg sets it: a sampled submit appends its trace
+// id to the admit record, and the wires' journals are compared byte for
+// byte.
 func (w world) config(t testing.TB, dir string) Config {
-	cfg := Config{
-		Policy: w.policy, Horizon: w.hours(), Shards: w.shards,
-		DataDir: dir, SnapshotEvery: w.snapEvery, Sync: wal.SyncNone,
-		TraceSampleEvery: -1, Partitions: w.partitions, PartitionID: w.partitionID,
-		IDBase: w.partitionID * idStride,
-	}
+	cfg := w.cfg
+	cfg.Policy, cfg.Horizon, cfg.Shards = w.policy, w.hours(), w.shards
+	cfg.DataDir, cfg.SnapshotEvery, cfg.Sync = dir, w.snapEvery, wal.SyncNone
+	cfg.TraceSampleEvery = cmp.Or(cfg.TraceSampleEvery, -1)
+	cfg.Partitions, cfg.PartitionID, cfg.IDBase = w.partitions, w.partitionID, w.partitionID*idStride
 	if w.syncBatch {
 		cfg.Sync = wal.SyncBatch
 	}
-	if w.tenants {
+	if w.tenants && cfg.Tenants == nil {
 		cfg.Tenants = tenancyConfig(t)
 	}
 	return cfg
@@ -275,11 +290,12 @@ func (n *node) kill() {
 
 // cluster is one world served by a primary and its followers.
 type cluster struct {
-	t     *testing.T
+	t     testing.TB
 	w     world
 	jobs  []sched.Job
 	set   *trace.Set
 	clock *hourClock
+	wall  *wallClock // the primary's tenant gate clock (WithGateClock)
 	ctx   context.Context
 	op    string // the op running, for failure messages
 
@@ -293,14 +309,16 @@ type cluster struct {
 	// shape, a snapshot of what it recovered and the journal after it.
 	shallow bool
 
-	hour    int         // the clock's hour
-	next    int         // jobs[:next] have been submitted
-	chunks  int         // submit requests sent; the mixed wire alternates on it
-	acked   map[int]int // id -> acknowledgements by a primary that kept it
-	faults  int         // crashes, restarts and promotions so far
-	loaded  bool        // load ran: its arrivals are not the world's
-	drained bool
-	result  sched.Result
+	hour   int         // the clock's hour
+	next   int         // jobs[:next] have been submitted
+	chunks int         // submit requests sent; the mixed wire alternates on it
+	acked  map[int]int // id -> acknowledgements by a primary that kept it
+	faults int         // crashes, restarts and promotions so far
+	// offStream is set once a load or a test's own requests sent
+	// arrivals that are not the world's stream: the run has no reference.
+	offStream bool
+	drained   bool
+	result    sched.Result
 
 	// places is the run's placement sequence up to the primary's own,
 	// which continues it from primary.places[base:].
@@ -316,18 +334,23 @@ type cluster struct {
 	events  int
 }
 
-// newCluster boots the world's durable primary on a fresh data dir.
-func newCluster(t *testing.T, w world) *cluster { return newClusterOn(t, w, &hourClock{}) }
+// newCluster boots the world's primary, durable on a fresh data dir
+// unless the world keeps it in memory.
+func newCluster(t testing.TB, w world) *cluster { return newClusterOn(t, w, &hourClock{}) }
 
 // newClusterOn is newCluster on a clock other clusters share.
-func newClusterOn(t *testing.T, w world, clock *hourClock) *cluster {
+func newClusterOn(t testing.TB, w world, clock *hourClock) *cluster {
 	t.Helper()
 	c := &cluster{
 		t: t, w: w, jobs: w.workload(t), set: w.set(t),
-		clock: clock, ctx: t.Context(), acked: map[int]int{},
+		clock: clock, wall: &wallClock{}, ctx: t.Context(), acked: map[int]int{},
 		history: map[string]int{},
 	}
-	c.primary = c.boot(t.TempDir())
+	dir := ""
+	if !w.memory {
+		dir = t.TempDir()
+	}
+	c.primary = c.boot(dir)
 	c.remember()
 	return c
 }
@@ -344,12 +367,15 @@ func (c *cluster) fatalf(format string, args ...any) {
 func (c *cluster) boot(dir string) *node {
 	c.t.Helper()
 	n := &node{dir: dir}
-	srv, err := New(c.set, c.w.clusters(), c.w.config(c.t, dir), WithClock(c.clock.now), WithRecorder(n.record))
+	opts := append([]Option{WithClock(c.clock.now), WithGateClock(c.wall.now), WithRecorder(n.record)}, c.w.opts...)
+	srv, err := New(c.set, c.w.clusters(), c.w.config(c.t, dir), opts...)
 	if err != nil {
 		c.fatalf("boot %s: %v", dir, err)
 	}
 	// Lock-step driving waits on the stream: keep the long-poll snappy.
-	srv.source.Poll, srv.source.Heartbeat = 200*time.Microsecond, 5*time.Millisecond
+	if srv.source != nil {
+		srv.source.Poll, srv.source.Heartbeat = 200*time.Microsecond, 5*time.Millisecond
+	}
 	c.serve(n, srv)
 	return n
 }
@@ -469,6 +495,8 @@ func request(j sched.Job, pin bool) JobRequest {
 	}
 	return req
 }
+
+func (m wireMode) String() string { return [...]string{"json", "binary", "mixed"}[m] }
 
 // submit is client's submit route for the chunk-th request over the wire.
 func (m wireMode) submit(client *Client, chunk int) func(context.Context, ...JobRequest) (SubmitResponse, error) {
@@ -644,61 +672,88 @@ func (c *cluster) restart() {
 	c.rebooted(rec)
 }
 
-// load runs workers concurrent submitters of 30 auto-id jobs each, two
-// a request, beside a clock driver that advances the replay 8 hours
-// with a stats poll each — so admissions, steps, watermarks and
-// rotations interleave. Only the run's totals are predictable, so it
-// has no reference and no history from here on.
-func (c *cluster) load(workers int) {
+// refusal is a request a load sent and the server refused.
+type refusal struct {
+	jobs []JobRequest
+	err  error
+}
+
+// load runs workers concurrent submitters of requests requests each,
+// worker w's i-th being req(w, i), over the JSON and binary routes by
+// turns. Beside them a reader advances the replay hours hours, and polls
+// stats and looks jobs up after each and until the submitters are done
+// — so admissions, steps, watermarks, rotations and reads interleave.
+// It returns the requests the server refused with a status. Only the
+// run's totals are predictable, so it has no reference and no history
+// from here on.
+func (c *cluster) load(workers, requests, hours int, req func(w, i int) []JobRequest) []refusal {
 	c.t.Helper()
-	const perWorker, hours = 30, 8
-	c.loaded, c.history = true, nil
+	c.offStream, c.history = true, nil
 	var (
-		mu   sync.Mutex
-		wg   sync.WaitGroup
-		errs = make(chan error, workers+1)
-		base = c.hour
+		mu      sync.Mutex
+		refused []refusal
+		wg      sync.WaitGroup
+		done    = make(chan struct{})
+		read    = make(chan struct{})
+		errs    = make(chan error, workers+1)
+		base    = c.hour
+		client  = c.primary.client
 	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for h := 1; h <= hours; h++ {
-			c.clock.hour.Store(int64(base + h))
-			time.Sleep(time.Millisecond)
-			if _, err := c.primary.client.Stats(c.ctx); err != nil {
-				errs <- fmt.Errorf("stats: %w", err)
-				return
-			}
-		}
-	}()
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < perWorker; i += 2 {
-				ack, err := c.primary.client.Submit(c.ctx,
-					JobRequest{Origin: "CLEAN", LengthHours: 1 + (w+i)%3, SlackHours: 48,
-						Interruptible: true, Migratable: i%2 == 0},
-					JobRequest{Origin: "DIRTY", LengthHours: 1 + (w+i)%4, SlackHours: 48,
-						Interruptible: i%3 != 0, Migratable: true})
-				if err != nil {
+			for i := range requests {
+				jobs := req(w, i)
+				ack, err := wireMixed.submit(client, w+i)(c.ctx, jobs...)
+				if err != nil && httpx.StatusCodeOf(err) == 0 {
 					errs <- fmt.Errorf("submit: %w", err)
 					return
 				}
 				mu.Lock()
+				if err != nil {
+					refused = append(refused, refusal{jobs, err})
+				}
 				for _, id := range ack.IDs {
 					c.acked[id]++
 				}
 				mu.Unlock()
 			}
-		}(w)
+		}()
 	}
+	go func() {
+		defer close(read)
+		for i := 1; ; i++ {
+			if i <= hours {
+				c.clock.hour.Store(int64(base + i))
+				time.Sleep(time.Millisecond)
+			} else {
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+			if _, err := client.Stats(c.ctx); err != nil {
+				errs <- fmt.Errorf("stats: %w", err)
+				return
+			}
+			// Lookups race admissions, so an unknown id is expected.
+			if job, err := client.Job(c.ctx, i%(workers*requests)); err == nil && job.State == "" {
+				errs <- fmt.Errorf("job %d: empty state", job.ID)
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	<-read
 	close(errs)
 	for err := range errs {
 		c.fatalf("load: %v", err)
 	}
 	c.hour = base + hours
+	return refused
 }
 
 // startFollower boots a follower over its own data dir (none when
@@ -861,14 +916,10 @@ func (c *cluster) check() {
 
 	// 3. Placements equal the reference.
 	final := serverImage(c.t, c.primary.srv)
-	if !c.loaded {
+	if !c.offStream {
 		ref := referenceOf(c.t, c.w)
-		if got := c.placements(); !slices.Equal(got, ref.places) {
-			div := 0
-			for div < min(len(got), len(ref.places)) && got[div] == ref.places[div] {
-				div++
-			}
-			c.fatalf("placement sequences diverge at %d (%d placed, reference %d)", div, len(got), len(ref.places))
+		if diff := placesDiff(c.placements(), ref.places); diff != "" {
+			c.fatalf("placement sequences %s", diff)
 		}
 		if !reflect.DeepEqual(c.result, ref.result) {
 			c.fatalf("Result differs:\ngot:       %+v\nreference: %+v", summarize(c.result), summarize(ref.result))
@@ -988,6 +1039,35 @@ func (c *cluster) replayDir(dir string, each func(k int, img []byte)) *Server {
 
 // --- the reference ---
 
+// placeRec is one executed job-hour, as WithRecorder reports it.
+type placeRec struct {
+	hour, job int
+	region    string
+}
+
+// placesDiff describes where got parts from want, or is "" when the two
+// sequences are equal.
+func placesDiff(got, want []placeRec) string {
+	if slices.Equal(got, want) {
+		return ""
+	}
+	div := 0
+	for div < min(len(got), len(want)) && got[div] == want[div] {
+		div++
+	}
+	return fmt.Sprintf("diverge at %d (%d placed, reference %d)", div, len(got), len(want))
+}
+
+func summarize(r sched.Result) map[string]any {
+	return map[string]any{
+		"emissions": r.TotalEmissions,
+		"completed": r.Completed,
+		"missed":    r.Missed,
+		"wait":      r.MeanWaitHours,
+		"used":      r.SlotHoursUsed,
+	}
+}
+
 // reference is an uninterrupted run of a world, JSON all the way, from
 // boot to drain.
 type reference struct {
@@ -1027,8 +1107,9 @@ var (
 	refs  = map[string]*reference{}
 )
 
-// referenceOf runs the world once per test binary.
-func referenceOf(t *testing.T, w world) *reference {
+// referenceOf runs the world once per test binary and holds the run to
+// sched's offline fleet.
+func referenceOf(t testing.TB, w world) *reference {
 	t.Helper()
 	w.wire = wireJSON
 	refMu.Lock()
@@ -1062,15 +1143,48 @@ func referenceOf(t *testing.T, w world) *reference {
 	r.files = readDir(t, c.primary.dir)
 	r.journal = r.files[filepath.Base(journal)]
 	c.replayDir(c.primary.dir, func(_ int, img []byte) { r.prefixes = append(r.prefixes, img) })
+	r.checkOffline(t, w)
 	refs[w.key()] = r
 	return r
+}
+
+// checkOffline runs the reference's jobs through sched's offline fleet
+// as sched.Run does — every job submitted up front, the fleet stepped
+// to Done — under the world's fair queue, and requires the placements
+// and the Result the service reached online to equal the fleet's.
+func (r *reference) checkOffline(t testing.TB, w world) {
+	t.Helper()
+	fleet, err := sched.NewFleet(w.set(t), w.clusters(), w.policy, w.hours())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg := w.config(t, ""); cfg.Tenants != nil {
+		fleet.SetFairQueue(tenant.NewFairQueue(cfg.Tenants))
+	}
+	var places []placeRec
+	regions := fleet.Regions()
+	fleet.OnPlace = func(p sched.Placed) { places = append(places, placeRec{p.Hour, p.JobID, regions[p.Region]}) }
+	if err := fleet.Submit(r.jobs...); err != nil {
+		t.Fatal(err)
+	}
+	for !fleet.Done() {
+		if err := fleet.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if diff := placesDiff(r.places, places); diff != "" {
+		t.Fatalf("reference: online and offline placement sequences %s", diff)
+	}
+	if res := fleet.Snapshot(); !reflect.DeepEqual(r.result, res) {
+		t.Fatalf("reference: online Result differs from the offline fleet's:\nonline:  %+v\noffline: %+v", summarize(r.result), summarize(res))
+	}
 }
 
 // bootTorn boots a server over the reference's files with the newest
 // journal torn inside a record by tr. Recovery must report the tail
 // torn and hold what the records before the torn one reach: what a cut
 // at the record's start recovers, and a follower's apply of them.
-func (r *reference) bootTorn(t *testing.T, w world, tr tear) {
+func (r *reference) bootTorn(t testing.TB, w world, tr tear) {
 	t.Helper()
 	dir := t.TempDir()
 	writeDir(t, dir, r.files, tr)
@@ -1096,10 +1210,10 @@ func (r *reference) bootTorn(t *testing.T, w world, tr tear) {
 
 // fork is a cluster at the end of the reference run with its primary
 // gone: a run to crash, by recoverFrom over the reference's files.
-func (r *reference) fork(t *testing.T, w world) *cluster {
+func (r *reference) fork(t testing.TB, w world) *cluster {
 	c := &cluster{
 		t: t, w: w, jobs: r.jobs, set: w.set(t),
-		clock: &hourClock{}, ctx: t.Context(), acked: map[int]int{},
+		clock: &hourClock{}, wall: &wallClock{}, ctx: t.Context(), acked: map[int]int{},
 		hour: w.hours() - 1, next: len(r.jobs),
 		places: slices.Clone(r.places), primary: &node{},
 		history: r.history, events: r.events,
@@ -1314,24 +1428,6 @@ func (f *partitioned) startGateway() {
 	f.hc.CloseIdleConnections()
 }
 
-// metric reads one series of the gateway's merged /metrics.
-func (f *partitioned) metric(series string) float64 {
-	f.t.Helper()
-	resp, err := f.client.send(f.t.Context(), http.MethodGet, "/metrics", "", nil)
-	if err != nil {
-		f.fatalf("gateway /metrics: %v", err)
-	}
-	sc, err := metrics.ParseText(bytes.NewReader(resp.Body))
-	if err != nil {
-		f.fatalf("gateway /metrics: %v", err)
-	}
-	v, ok := sc.Value(series)
-	if !ok {
-		f.fatalf("gateway /metrics has no %s", series)
-	}
-	return v
-}
-
 // check asserts the merged views, then drains and checks every
 // partition, then holds the gateway's acks to their final states.
 func (f *partitioned) check() {
@@ -1352,10 +1448,11 @@ func (f *partitioned) check() {
 		f.fatalf("merged stats: submitted %d of %d partitions, missing %v; want %d acked of %d, none missing",
 			st.Submitted, st.Gateway.Partitions, st.Gateway.Missing, acked, len(f.parts))
 	}
-	if got := f.metric("schedd_jobs_submitted_total"); got != float64(acked) {
+	metric := scrape(f.t, f.client)
+	if got := metric("schedd_jobs_submitted_total"); got != float64(acked) {
 		f.fatalf("merged schedd_jobs_submitted_total = %v, want the %d acked", got, acked)
 	}
-	if got := f.metric("gateway_partitions"); got != float64(len(f.parts)) {
+	if got := metric("gateway_partitions"); got != float64(len(f.parts)) {
 		f.fatalf("gateway_partitions = %v, want %d", got, len(f.parts))
 	}
 
@@ -1535,6 +1632,54 @@ func (p *chaosProxy) Close() {
 	p.ln.Close()
 	p.cut()
 	p.wg.Wait()
+}
+
+// roundTrip sends a request built by hand to url and returns the
+// answer's header and body; any status but 200 comes back as the typed
+// error the clients return.
+func roundTrip(t testing.TB, method, url, contentType string, body []byte) (http.Header, []byte, error) {
+	t.Helper()
+	req, err := http.NewRequestWithContext(t.Context(), method, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	if body, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return resp.Header, body, nil
+	}
+	return resp.Header, body, httpx.DecodeResponse(resp.StatusCode, resp.Status, body, "schedd", nil)
+}
+
+// scrape reads the /metrics of client's endpoint once and returns its
+// series by exact key, failing the test on a missing one.
+func scrape(t testing.TB, client *Client) func(series string) float64 {
+	t.Helper()
+	h, body, err := roundTrip(t, http.MethodGet, client.Endpoint()+"/metrics", "", nil)
+	if err != nil || !strings.HasPrefix(h.Get("Content-Type"), "text/plain") {
+		t.Fatalf("/metrics: %v, Content-Type %q", err, h.Get("Content-Type"))
+	}
+	sc, err := metrics.ParseText(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("/metrics does not parse: %v", err)
+	}
+	return func(series string) float64 {
+		t.Helper()
+		v, ok := sc.Value(series)
+		if !ok {
+			t.Fatalf("/metrics has no %s", series)
+		}
+		return v
+	}
 }
 
 // waitUntil polls cond to true before the deadline.

@@ -9,12 +9,10 @@ package schedd
 
 import (
 	"context"
-	"net/http/httptest"
 	"testing"
 
 	"carbonshift/internal/sched"
 	"carbonshift/internal/tracing"
-	"carbonshift/internal/wal"
 )
 
 func TestTraceLinksSubmitToFollowerApply(t *testing.T) {
@@ -114,46 +112,11 @@ func TestAdmitRecordTraceIDCodec(t *testing.T) {
 	}
 }
 
+// TestRecoveryReplaysTracedRecords: a journal holding trace-ID-suffixed
+// admit records (the server samples every submit) recovers exactly like
+// one without them, through a restart and check's reboots.
 func TestRecoveryReplaysTracedRecords(t *testing.T) {
-	// A journal holding trace-ID-suffixed admit records must recover
-	// exactly like one without them.
-	dir := t.TempDir()
-	clock := &hourClock{}
-	srv, err := New(mkSet(t, simHorizon), clusters(simSlots), Config{
-		Policy: sched.FIFO{}, Horizon: simHorizon,
-		DataDir: dir, Sync: wal.SyncNone,
-		TraceSampleEvery: 1, // every submit stamps its trace ID
-	}, WithClock(clock.now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	client, err := NewClient(ts.URL, ts.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := client.Submit(context.Background(), JobRequest{Origin: "CLEAN", LengthHours: 1, SlackHours: 4}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts.Close()
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := New(mkSet(t, simHorizon), clusters(simSlots), Config{
-		Policy: sched.FIFO{}, Horizon: simHorizon,
-		DataDir: dir, Sync: wal.SyncNone,
-	}, WithClock(clock.now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if got := re.fleet.Jobs(); got != 3 {
-		t.Fatalf("recovered %d jobs, want 3", got)
-	}
-	if rec := re.Recovery(); !rec.Recovered {
-		t.Fatalf("recovery = %+v, want Recovered", rec)
-	}
+	admit(t, world{policy: sched.FIFO{}, cfg: Config{TraceSampleEvery: 1}},
+		send(ok, cjob(1, 4)), send(ok, cjob(1, 4)), send(ok, cjob(1, 4)),
+		act((*cluster).restart))
 }
