@@ -41,6 +41,10 @@ func main() {
 		workers       = flag.Int("workers", 0, "engine worker bound (0 = one per CPU, 1 = serial)")
 	)
 	flag.Parse()
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "carbonsched: negative -workers %d\n", *workers)
+		os.Exit(2)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

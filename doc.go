@@ -8,8 +8,8 @@
 // # Architecture
 //
 // The implementation lives under internal/ (see DESIGN.md for the full
-// system inventory) and is exercised through the cmd/ tools and the
-// runnable examples/. Three layers matter most:
+// system inventory) and is exercised through the cmd/ tools. Three
+// layers matter most:
 //
 //   - internal/core owns the dataset and implements one experiment per
 //     paper figure. Each experiment decomposes into independent
@@ -41,8 +41,6 @@
 // stream shaped by -profile (steady, bursty, diurnal,
 // migratable-heavy) and reports throughput, nearest-rank latency
 // percentiles, and the carbon saving versus an offline FIFO baseline.
-// cmd/carbonapi is the matching carbon-information API (Electricity
-// Maps-style), including a batch endpoint for multi-region consumers.
 // The online and offline paths are provably the same scheduler:
 // equivalence tests assert byte-identical placements and emissions
 // between an HTTP-driven run, the fleet, the serial reference and

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"carbonshift/internal/carbonapi"
 	"carbonshift/internal/gateway"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/schedd"
@@ -27,9 +26,8 @@ import (
 )
 
 // liveFamilies renders a real follower schedd (whose registry carries
-// the schedd_*, wal_*, repl_*, and http_* families), a carbonapi
-// server, and a routing gateway (gateway_*), and returns every family
-// name with its TYPE.
+// the schedd_*, wal_*, repl_*, and http_* families) and a routing
+// gateway (gateway_*), and returns every family name with its TYPE.
 func liveFamilies(t *testing.T) map[string]string {
 	t.Helper()
 	start := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -61,8 +59,6 @@ func liveFamilies(t *testing.T) map[string]string {
 	}
 	defer srv.Close()
 
-	api := carbonapi.NewServer(set, carbonapi.WithMetrics())
-
 	// A gateway registers the gateway_* families at construction;
 	// topology learning is lazy, so no live partition is needed.
 	gw, err := gateway.New(gateway.Config{Partitions: [][]string{{"http://127.0.0.1:9"}}})
@@ -72,7 +68,6 @@ func liveFamilies(t *testing.T) map[string]string {
 
 	fams := map[string]string{}
 	renderInto(t, fams, func(buf *bytes.Buffer) error { return srv.Metrics().WriteTo(buf) })
-	renderInto(t, fams, func(buf *bytes.Buffer) error { return api.Metrics().WriteTo(buf) })
 	renderInto(t, fams, func(buf *bytes.Buffer) error { return gw.Metrics().WriteTo(buf) })
 	return fams
 }
@@ -122,7 +117,6 @@ func metricNames(expr string) []string {
 			strings.HasPrefix(id, "wal_"),
 			strings.HasPrefix(id, "repl_"),
 			strings.HasPrefix(id, "http_"),
-			strings.HasPrefix(id, "carbonapi_"),
 			strings.HasPrefix(id, "gateway_"),
 			id == "up":
 			out = append(out, id)
@@ -217,7 +211,7 @@ func TestPrometheusConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(raw)
-	for _, want := range []string{"- alerts.yml", "job_name: schedd", "job_name: carbonapi", "scrape_interval:"} {
+	for _, want := range []string{"- alerts.yml", "job_name: schedd", "scrape_interval:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("prometheus.yml is missing %q", want)
 		}
@@ -302,7 +296,7 @@ func TestObservabilityDocCoverage(t *testing.T) {
 			t.Errorf("live family %s is not documented in docs/OBSERVABILITY.md", name)
 		}
 	}
-	for _, m := range regexp.MustCompile("`(schedd_[a-z_]+|wal_[a-z_]+|repl_[a-z_]+|carbonapi_[a-z_]+|http_[a-z_]+|gateway_[a-z_]+)`").FindAllStringSubmatch(doc, -1) {
+	for _, m := range regexp.MustCompile("`(schedd_[a-z_]+|wal_[a-z_]+|repl_[a-z_]+|http_[a-z_]+|gateway_[a-z_]+)`").FindAllStringSubmatch(doc, -1) {
 		if !known(fams, m[1]) {
 			t.Errorf("docs/OBSERVABILITY.md documents %s, which no live /metrics exposes", m[1])
 		}

@@ -652,6 +652,8 @@ var exportAllow = map[string]string{
 	"simgrid.CacheStats":           "core's streamed what-if test counts cache entries with it; a _test.go helper cannot cross packages",
 	"golden.Check":                 "every package's golden tests pin their bytes with it; a _test.go helper cannot cross packages",
 	"golden.Frozen":                "the compatibility fixtures' tests compare with it; a _test.go helper cannot cross packages",
+	"regions.MustByCode":           "tests in five packages name catalog regions with it; a _test.go helper cannot cross packages",
+	"stats.MinWindowSum":           "the deferred-cost kernel of temporal's single-job reference (Evaluate, under SweepNaive); its own naive reference is in stats_test.go",
 	"serve.statusWriter.Unwrap":    "lets http.ResponseController reach the wrapped ResponseWriter",
 	"tenant.retryableError.Unwrap": "lets errors.Is and errors.As see the wrapped error",
 }

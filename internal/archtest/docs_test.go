@@ -46,8 +46,8 @@ var (
 	citation = regexp.MustCompile(`(?:^|[^A-Za-z0-9_])((?:Test|Fuzz|Benchmark)[A-Z0-9_*][A-Za-z0-9_*]*)`)
 	// lineRef matches path.go:N or path.go:N-M.
 	lineRef = regexp.MustCompile(`([A-Za-z0-9_./-]*[A-Za-z0-9_]\.go):(\d+)(?:-(\d+))?`)
-	// pkgDir matches a package directory under internal/ or cmd/.
-	pkgDir = regexp.MustCompile(`\b(?:internal|cmd)/[a-z0-9_]+`)
+	// pkgDir matches a directory under internal/, cmd/ or examples/.
+	pkgDir = regexp.MustCompile(`\b(?:internal|cmd|examples)/[a-z0-9_]+`)
 	// entryHead matches the first line of a CHANGES entry.
 	entryHead = regexp.MustCompile(`^- \*\*PR (\d+)`)
 )
@@ -113,7 +113,7 @@ func (s docSet) resolveLine(doc string, m []string) []string {
 }
 
 // inventory checks that DESIGN.md's "System inventory" lists every
-// package directory under internal/ and cmd/, and no other.
+// directory under internal/, cmd/ and examples/, and no other.
 func (s docSet) inventory() []string {
 	_, section, ok := strings.Cut(s.docs["DESIGN.md"], "\n## System inventory\n")
 	if !ok {
@@ -212,7 +212,7 @@ func loadDocs(t *testing.T) (docSet, string) {
 			if path != repoRoot && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
 				return filepath.SkipDir
 			}
-			if dir, _ := filepath.Split(rel); dir == "internal/" || dir == "cmd/" {
+			if dir, _ := filepath.Split(rel); dir == "internal/" || dir == "cmd/" || dir == "examples/" {
 				s.dirs = append(s.dirs, rel)
 			}
 			return nil
@@ -231,8 +231,8 @@ func loadDocs(t *testing.T) (docSet, string) {
 // TestDocReferences keeps the documents a reader starts from true to the
 // code: every test, fuzz target or benchmark they cite exists, every -run
 // pattern selects something, every line reference (ROADMAP.md only)
-// lands inside its file, DESIGN.md's inventory lists every package, and
-// DESIGN.md and CHANGES.md stay within their sizes.
+// lands inside its file, DESIGN.md's inventory lists every package and
+// example, and DESIGN.md and CHANGES.md stay within their sizes.
 func TestDocReferences(t *testing.T) {
 	s, changes := loadDocs(t)
 	for _, v := range s.check(changes) {
@@ -242,9 +242,9 @@ func TestDocReferences(t *testing.T) {
 
 // TestDocReferencesFireOnPlants breaks each check once — a renamed test,
 // a line past the end of its file, a line reference outside ROADMAP.md, a
-// -run alternative that selects nothing, a package dropped from the
-// inventory, an oversized CHANGES entry — and requires it to be
-// reported.
+// -run alternative that selects nothing, a package or an example
+// dropped from the inventory, an oversized CHANGES entry — and requires
+// it to be reported.
 func TestDocReferencesFireOnPlants(t *testing.T) {
 	s, changes := loadDocs(t)
 	plants := []struct {
@@ -268,6 +268,12 @@ func TestDocReferencesFireOnPlants(t *testing.T) {
 			head, rest, _ := strings.Cut(s.docs["DESIGN.md"], "\n## System inventory\n")
 			section, tail, _ := strings.Cut(rest, "\n## ")
 			section = strings.ReplaceAll(section, "internal/tenant", "")
+			s.docs["DESIGN.md"] = head + "\n## System inventory\n" + section + "\n## " + tail
+		}},
+		{"example dropped from the inventory", "does not list examples/tenants", func(s *docSet, _ *string) {
+			head, rest, _ := strings.Cut(s.docs["DESIGN.md"], "\n## System inventory\n")
+			section, tail, _ := strings.Cut(rest, "\n## ")
+			section = strings.ReplaceAll(section, "examples/tenants", "")
 			s.docs["DESIGN.md"] = head + "\n## System inventory\n" + section + "\n## " + tail
 		}},
 		{"2.1 KB entry", "the entry of PR 99 is", func(_ *docSet, changes *string) {

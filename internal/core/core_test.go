@@ -81,6 +81,16 @@ func TestNewLabDefaults(t *testing.T) {
 	if len(l.Latency.Codes()) != 12 {
 		t.Fatalf("latency matrix covers %d regions", len(l.Latency.Codes()))
 	}
+	// Only zero means "default": a negative option is refused, not run
+	// with the default.
+	for name, opts := range map[string]Options{
+		"span": {ArrivalSpan: -5}, "stride": {Stride: -1}, "workers": {Workers: -1},
+	} {
+		opts.Regions = l.Regions[:1]
+		if _, err := NewLabCtx(context.Background(), opts); err == nil {
+			t.Errorf("NewLabCtx accepted a negative %s", name)
+		}
+	}
 }
 
 func TestGroupings(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 )
 
 // TestCSVPipelineRoundTrip checks the full data path a downstream user
-// would take: generate the dataset, export it to CSV (tracegen's
-// format), read it back, and verify the analyses produce identical
-// results on the re-imported data.
+// would take: generate the dataset, export it to CSV (trace.Set's
+// WriteCSV, the format ReadCSV reads), read it back, and verify the
+// analyses produce identical results on the re-imported data.
 func TestCSVPipelineRoundTrip(t *testing.T) {
 	l := mini(t)
 
@@ -34,17 +34,17 @@ func TestCSVPipelineRoundTrip(t *testing.T) {
 	// Temporal analysis must agree to CSV precision (3 decimals per
 	// sample, so sums over a week agree within ~0.1 g).
 	for _, code := range []string{"SE", "IN-WE"} {
-		orig, err := temporal.Evaluate(l.Set.MustGet(code).CI, 100, 24, 168)
+		orig, err := temporal.Sweep(l.Set.MustGet(code).CI[100:], 24, 168, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		re, err := temporal.Evaluate(back.MustGet(code).CI, 100, 24, 168)
+		re, err := temporal.Sweep(back.MustGet(code).CI[100:], 24, 168, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(orig.Interrupted-re.Interrupted) > 0.2 {
+		if math.Abs(orig.Interrupted[0]-re.Interrupted[0]) > 0.2 {
 			t.Fatalf("%s: interrupted cost drifted through CSV: %v vs %v",
-				code, orig.Interrupted, re.Interrupted)
+				code, orig.Interrupted[0], re.Interrupted[0])
 		}
 	}
 

@@ -23,7 +23,8 @@ import (
 	"carbonshift/internal/trace"
 )
 
-// Options configures a Lab.
+// Options configures a Lab. NewLabCtx refuses a negative ArrivalSpan,
+// Stride or Workers.
 type Options struct {
 	// Sim configures the grid simulator (seed, period, extra
 	// renewables). Zero values take simgrid defaults.
@@ -80,6 +81,12 @@ type cellKey struct {
 // generation fans out across opts.Workers goroutines through the
 // process-level simgrid cache, and cancelling ctx aborts it.
 func NewLabCtx(ctx context.Context, opts Options) (*Lab, error) {
+	// Only zero means "default": a negative value is refused before any
+	// trace is generated.
+	if opts.ArrivalSpan < 0 || opts.Stride < 0 || opts.Workers < 0 {
+		return nil, fmt.Errorf("core: negative option: arrival span %d, stride %d, workers %d",
+			opts.ArrivalSpan, opts.Stride, opts.Workers)
+	}
 	regs := opts.Regions
 	if regs == nil {
 		regs = regions.All()
@@ -89,11 +96,11 @@ func NewLabCtx(ctx context.Context, opts Options) (*Lab, error) {
 		return nil, fmt.Errorf("core: generating traces: %w", err)
 	}
 	span := opts.ArrivalSpan
-	if span <= 0 {
+	if span == 0 {
 		span = 8760
 	}
 	stride := opts.Stride
-	if stride <= 0 {
+	if stride == 0 {
 		stride = 293 // ~30 arrival samples per year, co-prime with 24 and 168
 	}
 	l := &Lab{

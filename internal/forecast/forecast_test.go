@@ -169,7 +169,7 @@ func TestBacktestValidation(t *testing.T) {
 // cites for CarbonCast (4.8-13.9%).
 func TestBlendedMAPEIsCarbonCastGrade(t *testing.T) {
 	for _, code := range []string{"DE", "US-CA", "GB"} {
-		tr, err := simgrid.GenerateRegion(regions.MustByCode(code),
+		tr, err := simgrid.GenerateRegionCached(regions.MustByCode(code),
 			simgrid.Config{Seed: 5, Hours: 24 * 120})
 		if err != nil {
 			t.Fatal(err)

@@ -9,10 +9,10 @@ import (
 
 // FuzzHTTPXError fuzzes the shared client-side response decoder over
 // arbitrary status codes and bodies — the surface every typed client
-// (carbonapi, schedd) funnels server responses through. Invariants:
-// never panic, never succeed on a non-200 status, never succeed on a
-// 200 with a malformed body, and always prefix errors with the client
-// name.
+// (schedd's, the gateway's, repl's) funnels server responses through.
+// Invariants: never panic, never succeed on a non-200 status, never
+// succeed on a 200 with a malformed body, and always prefix errors with
+// the client name.
 func FuzzHTTPXError(f *testing.F) {
 	f.Add(200, []byte(`{"status":"ok"}`))
 	f.Add(200, []byte(`{not json`))

@@ -1,7 +1,7 @@
 // Package httpx holds the HTTP plumbing shared by the repository's
-// services (internal/carbonapi, internal/schedd, internal/gateway) and
-// their clients, so response encoding, error-body mapping, read limits
-// and trace propagation stay identical across them:
+// services (internal/schedd, internal/gateway) and their clients, so
+// response encoding, error-body mapping, read limits and trace
+// propagation stay identical across them:
 //
 //   - response writing: WriteJSON, WriteTooLarge, the {"error": ...}
 //     shape and its typed client-side form, StatusError;

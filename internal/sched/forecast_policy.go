@@ -10,8 +10,8 @@ import (
 // backward-looking proxy), it forecasts the next day from the trailing
 // window with a real model and runs only when the current hour is
 // among the predicted-cheapest hours ahead. This is how a production
-// scheduler consuming a carbon-information API (internal/carbonapi)
-// would actually decide, and it sees no future data.
+// scheduler without a carbon-intensity oracle would actually decide,
+// and it sees no future data.
 type ForecastGate struct {
 	// Model produces the day-ahead view; nil means forecast.Blended.
 	Model forecast.Forecaster

@@ -36,7 +36,7 @@ func TestForecastGateRunsDuringWarmup(t *testing.T) {
 // must cut emissions versus FIFO while meeting all deadlines — using
 // only past data.
 func TestForecastGateBeatsFIFOOnRealTrace(t *testing.T) {
-	tr, err := simgrid.GenerateRegion(regions.MustByCode("US-CA"),
+	tr, err := simgrid.GenerateRegionCached(regions.MustByCode("US-CA"),
 		simgrid.Config{Seed: 13, Hours: 24 * 90})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestForecastGateBeatsFIFOOnRealTrace(t *testing.T) {
 // against the trailing-percentile CarbonGate: they should land in the
 // same savings band.
 func TestForecastGateNearClairvoyantGate(t *testing.T) {
-	tr, err := simgrid.GenerateRegion(regions.MustByCode("DE"),
+	tr, err := simgrid.GenerateRegionCached(regions.MustByCode("DE"),
 		simgrid.Config{Seed: 17, Hours: 24 * 90})
 	if err != nil {
 		t.Fatal(err)

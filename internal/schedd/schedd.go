@@ -12,10 +12,9 @@
 //	GET  /metrics          Prometheus text exposition
 //	GET  /healthz          liveness
 //
-// Time is driven by the same injectable replay clock as
-// internal/carbonapi: the wall clock maps to a trace hour, and the
-// fleet is stepped forward to the current hour before every request is
-// answered. Because the fleet is the exact engine behind sched.Run, an
+// Time is driven by an injectable replay clock: the wall clock maps to
+// a trace hour, and the fleet is stepped forward to the current hour
+// before every request is answered. Because the fleet is the exact engine behind sched.Run, an
 // online run that submits the same jobs at the same hours produces
 // byte-identical placements and emissions to the offline simulation,
 // as asserted by this package's equivalence test.

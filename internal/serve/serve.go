@@ -1,5 +1,5 @@
 // Package serve is the shared HTTP-server lifecycle helper for the
-// cmd/ services (carbonapi, schedd): serve until the context is
+// cmd/ services (schedd, schedgw): serve until the context is
 // cancelled — typically by signal.NotifyContext on SIGINT/SIGTERM —
 // then drain in-flight requests gracefully instead of dropping them.
 package serve

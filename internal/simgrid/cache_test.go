@@ -131,7 +131,7 @@ func TestCacheKeyCoversRegionFields(t *testing.T) {
 	if mod == base {
 		t.Fatal("modified region aliased to the catalog trace")
 	}
-	want, err := GenerateRegion(greener, cfg)
+	want, err := generateRegion(greener, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestStartZoneDoesNotMatter(t *testing.T) {
 	east := utc
 	east.Start = utc.Start.In(time.FixedZone("+05:00", 5*3600)) // 02:00 on the 28th, a Sunday there
 
-	want, err := GenerateRegion(reg, utc)
+	want, err := generateRegion(reg, utc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestStartZoneDoesNotMatter(t *testing.T) {
 	for _, gen := range []struct {
 		name string
 		fn   func(regions.Region, Config) (*trace.Trace, error)
-	}{{"GenerateRegion", GenerateRegion}, {"GenerateRegionCached", GenerateRegionCached}} {
+	}{{"generateRegion", generateRegion}, {"GenerateRegionCached", GenerateRegionCached}} {
 		for _, cfg := range []Config{east, utc} {
 			got, err := gen.fn(reg, cfg)
 			if err != nil {

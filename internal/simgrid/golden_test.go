@@ -83,7 +83,7 @@ func TestTraceBitsGolden(t *testing.T) {
 	// example region, and a catalog region with no solar or wind (the
 	// shift lands on solar alone).
 	for _, code := range []string{"SE", "US-CA", "IS"} {
-		tr, err := GenerateRegion(regions.MustByCode(code), Config{Seed: 1, ExtraRenewables: 0.3})
+		tr, err := generateRegion(regions.MustByCode(code), Config{Seed: 1, ExtraRenewables: 0.3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestTraceBitsGolden(t *testing.T) {
 	// away from the alignment every other case starts at.
 	start := time.Date(2021, 6, 15, 7, 0, 0, 0, time.UTC)
 	for _, code := range []string{"DE", "AU-NSW"} {
-		tr, err := GenerateRegion(regions.MustByCode(code), Config{Seed: 9, Start: start, Hours: 100})
+		tr, err := generateRegion(regions.MustByCode(code), Config{Seed: 9, Start: start, Hours: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestTraceBitsGolden(t *testing.T) {
 	// (d) The catalog over 576 hours, the world every online server
 	// generates: the drift's progress and the irradiance and wind means
 	// are taken over the short period, so no hour repeats a sample of (a).
-	short, err := GenerateAll(Config{Seed: 7, Hours: 576})
+	short, err := Generate(regions.All(), Config{Seed: 7, Hours: 576})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestTraceBitsGolden(t *testing.T) {
 	// all, and a solar-heavy drifting grid with a twelve-hour oversupply
 	// run most days (wind curtailed, then solar) and levels down to 0.005.
 	for _, r := range syntheticRegions() {
-		tr, err := GenerateRegion(r, Config{Seed: 3, Hours: 8760})
+		tr, err := generateRegion(r, Config{Seed: 3, Hours: 8760})
 		if err != nil {
 			t.Fatal(err)
 		}

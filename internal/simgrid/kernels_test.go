@@ -230,7 +230,7 @@ func TestScalarPathMatchesGolden(t *testing.T) {
 	}
 	generate := func(r regions.Region, cfg Config) *trace.Trace {
 		t.Helper()
-		tr, err := GenerateRegion(r, cfg)
+		tr, err := generateRegion(r, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestScalarPathMatchesGolden(t *testing.T) {
 	for _, code := range []string{"DE", "AU-NSW"} {
 		check("start2021-06-15T07/100h/seed9/"+code, generate(regions.MustByCode(code), Config{Seed: 9, Start: start, Hours: 100}))
 	}
-	short, err := GenerateAll(Config{Seed: 7, Hours: 576})
+	short, err := Generate(regions.All(), Config{Seed: 7, Hours: 576})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@
 // hour; an hour's cost is its transcendentals, so the four
 // flexible-source powers are formed from one logarithm (tiltedShares),
 // and both stages walk their hours in blocks whose Exp, Log and Cos are
-// batch calls (kernels.go), vector code on amd64. Generate,
-// GenerateRegion and the cached entry points (cache.go) run one after
-// the other for a whole base trace; WhatIf draws the weather once and
+// batch calls (kernels.go), vector code on amd64. Generate and the
+// cached entry points (cache.go) run one after the other for a whole
+// base trace; WhatIf draws the weather once and
 // dispatches it at several ExtraRenewables levels over the hours its
 // caller reads, handing the series back uncached.
 package simgrid
@@ -154,29 +154,15 @@ func Generate(regs []regions.Region, cfg Config) (*trace.Set, error) {
 	return trace.NewSet(traces)
 }
 
-// GenerateAll simulates the full 123-region catalog.
-func GenerateAll(cfg Config) (*trace.Set, error) {
-	return Generate(regions.All(), cfg)
-}
-
-// GenerateRegion simulates a single region.
-func GenerateRegion(r regions.Region, cfg Config) (*trace.Trace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	return simulate(r, cfg), nil
-}
-
 // WhatIf simulates one region at several ExtraRenewables levels — the
 // §6.3 "what if the grid gets greener" sweep — and returns, per level,
 // the carbon intensity of the first `hours` hours: out[i] is, bit for
-// bit, GenerateRegion(r, cfg with ExtraRenewables: levels[i]).CI[:hours].
-// cfg.ExtraRenewables itself is not read. The weather is drawn once for
-// all levels and only the hours asked for are dispatched, so a sweep
-// that reads the head of each trace pays for one simulation plus the
-// head, not one simulation per level. Nothing enters the trace cache:
-// the series are the caller's to fold and drop.
+// bit, the head of the trace Generate simulates for r under cfg with
+// ExtraRenewables: levels[i]. cfg.ExtraRenewables itself is not read.
+// The weather is drawn once for all levels and only the hours asked for
+// are dispatched, so a sweep that reads the head of each trace pays for
+// one simulation plus the head, not one simulation per level. Nothing
+// enters the trace cache: the series are the caller's to fold and drop.
 func WhatIf(r regions.Region, cfg Config, levels []float64, hours int) ([][]float64, error) {
 	cfg = cfg.withDefaults()
 	if hours < 0 || hours > cfg.Hours {

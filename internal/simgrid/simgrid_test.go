@@ -11,6 +11,15 @@ import (
 	"carbonshift/internal/trace"
 )
 
+// generateRegion simulates a single region outside the trace cache: the
+// uncached reference the cache, Generate and WhatIf are held to.
+func generateRegion(r regions.Region, cfg Config) (*trace.Trace, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return simulate(r, cfg.withDefaults()), nil
+}
+
 // fullSet lazily generates the complete 123-region, 3-year trace set
 // once and shares it across the calibration tests.
 var (
@@ -22,7 +31,7 @@ func full(t *testing.T) *trace.Set {
 	t.Helper()
 	fullOnce.Do(func() {
 		var err error
-		fullSet, err = GenerateAll(Config{Seed: 1})
+		fullSet, err = Generate(regions.All(), Config{Seed: 1})
 		if err != nil {
 			panic(err)
 		}
@@ -75,11 +84,11 @@ func TestConfigValidate(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	r := regions.MustByCode("DE")
 	cfg := Config{Seed: 7, Hours: 24 * 30}
-	a, err := GenerateRegion(r, cfg)
+	a, err := generateRegion(r, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateRegion(r, cfg)
+	b, err := generateRegion(r, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +101,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestSeedChangesTrace(t *testing.T) {
 	r := regions.MustByCode("DE")
-	a, _ := GenerateRegion(r, Config{Seed: 1, Hours: 24 * 30})
-	b, _ := GenerateRegion(r, Config{Seed: 2, Hours: 24 * 30})
+	a, _ := generateRegion(r, Config{Seed: 1, Hours: 24 * 30})
+	b, _ := generateRegion(r, Config{Seed: 2, Hours: 24 * 30})
 	same := 0
 	for i := range a.CI {
 		if a.CI[i] == b.CI[i] {
@@ -112,7 +121,7 @@ func TestGenerateMatchesGenerateRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := GenerateRegion(regs[1], cfg)
+	solo, err := generateRegion(regs[1], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +141,7 @@ func TestGenerateRejectsEmpty(t *testing.T) {
 
 func TestTraceShape(t *testing.T) {
 	r := regions.MustByCode("SE")
-	tr, err := GenerateRegion(r, Config{Seed: 1, Hours: 48})
+	tr, err := generateRegion(r, Config{Seed: 1, Hours: 48})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +158,7 @@ func TestTraceShape(t *testing.T) {
 
 func TestCustomStart(t *testing.T) {
 	start := time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
-	tr, err := GenerateRegion(regions.MustByCode("SE"), Config{Seed: 1, Start: start, Hours: 24})
+	tr, err := generateRegion(regions.MustByCode("SE"), Config{Seed: 1, Start: start, Hours: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,8 +319,8 @@ func TestAperiodicFossilGrids(t *testing.T) {
 
 func TestExtraRenewablesLowersMean(t *testing.T) {
 	r := regions.MustByCode("US-CA")
-	base, _ := GenerateRegion(r, Config{Seed: 3, Hours: 24 * 60})
-	green, _ := GenerateRegion(r, Config{Seed: 3, Hours: 24 * 60, ExtraRenewables: 0.25})
+	base, _ := generateRegion(r, Config{Seed: 3, Hours: 24 * 60})
+	green, _ := generateRegion(r, Config{Seed: 3, Hours: 24 * 60, ExtraRenewables: 0.25})
 	if green.Mean() >= base.Mean() {
 		t.Fatalf("extra renewables did not lower mean: %.1f -> %.1f", base.Mean(), green.Mean())
 	}
@@ -426,7 +435,7 @@ func BenchmarkGenerateRegionYear(b *testing.B) {
 	cfg := Config{Seed: 1, Hours: 8760}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := GenerateRegion(r, cfg); err != nil {
+		if _, err := generateRegion(r, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -440,7 +449,7 @@ var greenerLevels = []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 
 // WhatIf shares one weather draw between its levels and dispatches only
 // a prefix; each series must still be, bit for bit, the head of the
-// trace GenerateRegion simulates for that level alone.
+// trace generateRegion simulates for that level alone.
 func TestWhatIfMatchesGenerateRegion(t *testing.T) {
 	noFlex := regions.Region{Code: "X-NOFLEX", Lat: 48, Lon: 2, DemandSwing: 1,
 		Mix: regions.Mix{regions.Nuclear: .55, regions.Solar: .2, regions.Wind: .2, regions.Biomass: .05}}
@@ -469,7 +478,7 @@ func TestWhatIfMatchesGenerateRegion(t *testing.T) {
 		for i, level := range greenerLevels {
 			one := cfg
 			one.ExtraRenewables = level
-			want, err := GenerateRegion(r, one)
+			want, err := generateRegion(r, one)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -478,7 +487,7 @@ func TestWhatIfMatchesGenerateRegion(t *testing.T) {
 			}
 			for h, v := range got[i] {
 				if math.Float64bits(v) != math.Float64bits(want.CI[h]) {
-					t.Fatalf("%s +%v hour %d: %v, GenerateRegion has %v", r.Code, level, h, v, want.CI[h])
+					t.Fatalf("%s +%v hour %d: %v, generateRegion has %v", r.Code, level, h, v, want.CI[h])
 				}
 			}
 		}

@@ -26,7 +26,7 @@ func TestInfMigrationWithZeroOverheadMatchesFree(t *testing.T) {
 		"A": {10, 100, 10, 100},
 		"B": {100, 10, 100, 10},
 	})
-	free, err := InfMigrationCost(set, set.Regions(), 0, 4)
+	free, err := infMigrationCost(set, set.Regions(), 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

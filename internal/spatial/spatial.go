@@ -65,37 +65,9 @@ func OneMigrationCost(set *trace.Set, candidates []string, arrival, length int) 
 	return cost, dest, nil
 }
 
-// InfMigrationCost runs the job hopping every hour to the candidate
-// region with the lowest instantaneous intensity (the clairvoyant
-// ∞-migrations policy). Overheads are ignored.
-func InfMigrationCost(set *trace.Set, candidates []string, arrival, length int) (float64, error) {
-	if len(candidates) == 0 {
-		return 0, fmt.Errorf("spatial: no candidate regions")
-	}
-	if err := checkWindow(set.Len(), arrival, length); err != nil {
-		return 0, err
-	}
-	var cost float64
-	for h := arrival; h < arrival+length; h++ {
-		best := 0.0
-		for i, code := range candidates {
-			tr, ok := set.Get(code)
-			if !ok {
-				return 0, fmt.Errorf("spatial: region %q not in trace set", code)
-			}
-			v := tr.At(h)
-			if i == 0 || v < best {
-				best = v
-			}
-		}
-		cost += best
-	}
-	return cost, nil
-}
-
 // MinSeries returns the per-hour minimum intensity over the candidate
 // regions — the ∞-migration envelope. Precomputing it turns repeated
-// InfMigrationCost calls into prefix-sum lookups.
+// per-hour scans of the candidates into prefix-sum lookups.
 func MinSeries(set *trace.Set, candidates []string) ([]float64, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("spatial: no candidate regions")

@@ -24,18 +24,6 @@ func ExampleEvaluate() {
 	// interruptible: 14 g
 }
 
-// Interruption pays off when the cheap hours are not adjacent.
-func ExampleSchedule() {
-	ci := []float64{1, 50, 50, 1, 50}
-	hours, err := temporal.Schedule(ci, 0, 2, 3)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("run during hours", hours)
-	// Output:
-	// run during hours [0 3]
-}
-
 // Sweep evaluates every arrival hour at once; Reduce condenses the
 // result into the paper's mean-savings quantities.
 func ExampleCosts_Reduce() {

@@ -16,43 +16,18 @@
 // clairvoyance and zero suspend/resume and defer overheads to obtain
 // upper bounds; so does this package.
 //
-// Besides single-job evaluation, the package provides full arrival
-// sweeps ("all 8760 potential start times over a year") with
-// asymptotically efficient algorithms: prefix sums for baselines, a
-// monotonic-deque sliding-window minimum for deferral, and a
-// Fenwick-tree order-statistic window for interruption, so a whole
-// sweep costs O(n log n) instead of the naive O(n²).
+// The package evaluates full arrival sweeps ("all 8760 potential start
+// times over a year") with asymptotically efficient algorithms: prefix
+// sums for baselines, a monotonic-deque sliding-window minimum for
+// deferral, and a Fenwick-tree order-statistic window for interruption,
+// so a whole sweep costs O(n log n) instead of the naive O(n²).
 package temporal
 
 import (
 	"fmt"
-	"sort"
 
 	"carbonshift/internal/stats"
 )
-
-// Result holds the carbon cost of one job under the three policies.
-type Result struct {
-	// Baseline is the no-flexibility cost, in g·CO₂eq.
-	Baseline float64
-	// Deferred is the optimal deferred (contiguous) cost.
-	Deferred float64
-	// Interrupted is the optimal interruptible cost. It never exceeds
-	// Deferred, which never exceeds Baseline.
-	Interrupted float64
-	// Start is the deferred policy's chosen start hour.
-	Start int
-}
-
-// DeferSaving returns the absolute saving from deferral alone.
-func (r Result) DeferSaving() float64 { return r.Baseline - r.Deferred }
-
-// InterruptSaving returns the additional saving from interruption on
-// top of deferral.
-func (r Result) InterruptSaving() float64 { return r.Deferred - r.Interrupted }
-
-// TotalSaving returns the saving of the combined policy vs baseline.
-func (r Result) TotalSaving() float64 { return r.Baseline - r.Interrupted }
 
 func checkJob(n, arrival, length, slack int) error {
 	if length < 1 {
@@ -69,43 +44,6 @@ func checkJob(n, arrival, length, slack int) error {
 			arrival, arrival+length+slack, n)
 	}
 	return nil
-}
-
-// Evaluate computes all three policy costs for a single job on the
-// hourly intensity series ci.
-func Evaluate(ci []float64, arrival, length, slack int) (Result, error) {
-	if err := checkJob(len(ci), arrival, length, slack); err != nil {
-		return Result{}, err
-	}
-	horizon := ci[arrival : arrival+length+slack]
-	var baseline float64
-	for _, v := range horizon[:length] {
-		baseline += v
-	}
-	start, deferred := stats.MinWindowSum(horizon, length)
-	interrupted := stats.SumBottomK(horizon, length)
-	return Result{
-		Baseline:    baseline,
-		Deferred:    deferred,
-		Interrupted: interrupted,
-		Start:       arrival + start,
-	}, nil
-}
-
-// Schedule returns the exact hours an interruptible job runs (ascending
-// hour indices into ci), for callers that need the placement itself.
-func Schedule(ci []float64, arrival, length, slack int) ([]int, error) {
-	if err := checkJob(len(ci), arrival, length, slack); err != nil {
-		return nil, err
-	}
-	horizon := ci[arrival : arrival+length+slack]
-	rel := stats.BottomKIndices(horizon, length)
-	out := make([]int, len(rel))
-	for i, r := range rel {
-		out[i] = arrival + r
-	}
-	sort.Ints(out)
-	return out, nil
 }
 
 // Costs bundles the per-arrival cost series of a sweep: index i is the

@@ -8,9 +8,55 @@ import (
 	"testing/quick"
 
 	"carbonshift/internal/rng"
+	"carbonshift/internal/stats"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) <= 1e-6*(1+math.Abs(a)+math.Abs(b)) }
+
+// Result holds the carbon cost of one job under the three policies.
+type Result struct {
+	// Baseline is the no-flexibility cost, in g·CO₂eq.
+	Baseline float64
+	// Deferred is the optimal deferred (contiguous) cost.
+	Deferred float64
+	// Interrupted is the optimal interruptible cost. It never exceeds
+	// Deferred, which never exceeds Baseline.
+	Interrupted float64
+	// Start is the deferred policy's chosen start hour.
+	Start int
+}
+
+// DeferSaving returns the absolute saving from deferral alone.
+func (r Result) DeferSaving() float64 { return r.Baseline - r.Deferred }
+
+// InterruptSaving returns the additional saving from interruption on
+// top of deferral.
+func (r Result) InterruptSaving() float64 { return r.Deferred - r.Interrupted }
+
+// TotalSaving returns the saving of the combined policy vs baseline.
+func (r Result) TotalSaving() float64 { return r.Baseline - r.Interrupted }
+
+// Evaluate computes all three policy costs for a single job on the
+// hourly intensity series ci: the single-job reference SweepNaive is
+// built on.
+func Evaluate(ci []float64, arrival, length, slack int) (Result, error) {
+	if err := checkJob(len(ci), arrival, length, slack); err != nil {
+		return Result{}, err
+	}
+	horizon := ci[arrival : arrival+length+slack]
+	var baseline float64
+	for _, v := range horizon[:length] {
+		baseline += v
+	}
+	start, deferred := stats.MinWindowSum(horizon, length)
+	interrupted := stats.SumBottomK(horizon, length)
+	return Result{
+		Baseline:    baseline,
+		Deferred:    deferred,
+		Interrupted: interrupted,
+		Start:       arrival + start,
+	}, nil
+}
 
 // SweepNaive evaluates every arrival with the O(n·k) single-job code:
 // the reference Sweep is held to, and the ablation benchmark's baseline.
@@ -121,29 +167,6 @@ func TestEvaluateErrors(t *testing.T) {
 		if _, err := Evaluate(ci, c.arrival, c.length, c.slack); err == nil {
 			t.Errorf("Evaluate(%+v) accepted", c)
 		}
-	}
-}
-
-func TestSchedulePicksCheapestHours(t *testing.T) {
-	ci := []float64{9, 1, 8, 2, 7, 3}
-	hours, err := Schedule(ci, 0, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 3, 5}
-	if len(hours) != 3 {
-		t.Fatalf("schedule = %v", hours)
-	}
-	for i := range want {
-		if hours[i] != want[i] {
-			t.Fatalf("schedule = %v, want %v", hours, want)
-		}
-	}
-}
-
-func TestScheduleError(t *testing.T) {
-	if _, err := Schedule([]float64{1}, 0, 2, 0); err == nil {
-		t.Fatal("overrun accepted")
 	}
 }
 

@@ -104,19 +104,6 @@ func (j Job) Validate() error {
 	return nil
 }
 
-// WholeHours returns the job length rounded up to whole trace hours
-// (minimum 1), the granularity at which batch scheduling operates.
-func (j Job) WholeHours() int {
-	h := int(j.LengthHours)
-	if float64(h) < j.LengthHours {
-		h++
-	}
-	if h < 1 {
-		h = 1
-	}
-	return h
-}
-
 // Distribution is a weighting over batch job lengths. Weights are
 // resource-hour weights: they describe what fraction of the cluster's
 // energy is consumed by jobs of each length, which is what determines

@@ -26,21 +26,6 @@ func TestJobValidate(t *testing.T) {
 	}
 }
 
-func TestWholeHours(t *testing.T) {
-	cases := []struct {
-		len  float64
-		want int
-	}{
-		{0.01, 1}, {1, 1}, {1.5, 2}, {24, 24}, {167.2, 168},
-	}
-	for _, c := range cases {
-		j := Job{LengthHours: c.len}
-		if got := j.WholeHours(); got != c.want {
-			t.Errorf("WholeHours(%v) = %d, want %d", c.len, got, c.want)
-		}
-	}
-}
-
 func TestClassString(t *testing.T) {
 	if Batch.String() != "batch" || Interactive.String() != "interactive" {
 		t.Fatal("class names wrong")
