@@ -125,6 +125,11 @@ func main() {
 		log.Error("bad -policy", "err", err)
 		os.Exit(2)
 	}
+	if *days < 1 {
+		// simgrid reads 0 hours as its own three-year default.
+		log.Error("-days must be at least 1", "days", *days)
+		os.Exit(2)
+	}
 	sync, err := wal.ParseSyncMode(*fsyncMode)
 	if err != nil {
 		log.Error("bad -fsync", "err", err)

@@ -537,18 +537,21 @@ func (s *Server) serveWrite(w http.ResponseWriter) {
 		// invariants. A test that builds its own follower or cuts its own
 		// journal is a second driver, proving less. internal/wal's own
 		// tests cut journals to test the reader itself. One server driver:
-		// an internal/schedd test that needs a server over HTTP takes a
-		// node of a cluster too, so the same invariants check it.
+		// an internal/schedd or internal/gateway test that needs a server
+		// over HTTP takes a node of a cluster or of the partitioned fleet
+		// too, so the same invariants check it; internal/gateway's own
+		// tests serve fake partitions, which are not Servers.
 		name: "one fault driver in internal/schedd's tests",
 		fix: "drive the fault through the harness in internal/schedd/sim_test.go — a cluster (startFollower, crash, recoverFrom) " +
 			"or the partitioned fleet (kill, heal, startGateway) — and add a schedule to its fault_test.go; " +
-			"take a server from a cluster (newCluster, or a row of admission_test.go's table)",
+			"take a server from a cluster (newCluster, or a row of admission_test.go's table) " +
+			"or from the partitioned fleet (a row of partitioned_test.go's table)",
 		rules: []rule{
 			{what: "NewFollower( outside sim_test.go", in: []string{"internal/"}, not: []string{"internal/schedd/sim_test.go"},
 				tests: true, only: file.test, match: callNamed("NewFollower")},
 			{what: "journal truncation outside sim_test.go and internal/wal", in: []string{"internal/"},
 				not: []string{"internal/schedd/sim_test.go", "internal/wal/"}, tests: true, only: file.test, match: truncates},
-			{what: "a Server's Handler() served by httptest.NewServer outside sim_test.go", in: []string{"internal/schedd/"},
+			{what: "a Server's Handler() served by httptest.NewServer outside sim_test.go", in: []string{"internal/schedd/", "internal/gateway/"},
 				not: []string{"internal/schedd/sim_test.go"}, tests: true, only: file.test, match: servesHandler},
 		},
 		plant: map[string]string{
@@ -566,6 +569,7 @@ func TestHandRolledPartitionFailover(t *testing.T) {
 	standby, _ := schedd.NewFollower(sub, subcl, schedd.Config{}, schedd.FollowerConfig{Primary: url})
 	os.WriteFile(journal, data[:cut], 0o644)
 	standby.Start(ctx)
+	ts := httptest.NewServer(standby.Handler())
 }`,
 		},
 	},

@@ -16,20 +16,22 @@
 // fleet over its own region group, sharing no slots, queue or clock
 // state with the others, and each partition's id range is disjoint
 // (schedd.Config.IDBase). The gateway therefore only needs to route
-// every job to its origin's owning partition — TestPartitionedEquivalence
-// holds the routed topology to one independent sched.Fleet per
-// region group, placement for placement. It holds no scheduling state of
-// its own and any number of gateway replicas can front the same
-// partitions.
+// every job to its origin's owning partition — internal/schedd's
+// TestPartitionedEquivalence, a table of plain worlds of the fault
+// harness's partitioned fleet, holds the routed topology to one
+// independent sched.Fleet per region group, placement for placement. It
+// holds no scheduling state of its own and any number of gateway
+// replicas can front the same partitions.
 //
 // Topology is learned from the partitions themselves: each schedd
 // echoes its partition identity and cluster table in /v1/stats, and the
 // gateway builds its region→partition routing table from those echoes
-// (refreshing on every stats scatter). Each partition is reached
-// through an httpx.Endpoints failover client, so a partition's primary
-// dying behind the gateway is survived the same way a client-side
-// failover list survives it: dead endpoints rotate, follower 421s
-// redirect to the promoted primary. Every such request goes through one
+// (refreshing on every stats scatter). A request asks a partition not
+// yet learned only when it routes by what that partition would teach.
+// Each partition is reached through an httpx.Endpoints failover
+// client, so a partition's primary dying behind the gateway is survived
+// the same way a client-side failover list survives it: dead endpoints
+// rotate, follower 421s redirect to the promoted primary. Every such request goes through one
 // function, call — the only writer of gateway_partition_up and
 // gateway_partition_errors_total, so every call kind (submit, lookup,
 // stats, scrape) reports partition health the same way — and every
@@ -97,6 +99,17 @@ type partition struct {
 	learned bool
 	idBase  int
 	hasID   bool
+	slots   int // the slots of its clusters, from its stats echo
+}
+
+// slotCount is the partition's slot total, or -1 before its stats echo.
+func (p *partition) slotCount() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.learned {
+		return -1
+	}
+	return p.slots
 }
 
 // New validates the config and builds the gateway. Partitions are not
@@ -198,9 +211,11 @@ func (g *Gateway) fetchStats(ctx context.Context, p *partition) *schedd.StatsRes
 }
 
 // learn fetches /v1/stats from every partition whose topology is still
-// unknown and folds the echoes into the routing tables. It returns an
-// error only when no partition has ever been learned AND none is
-// reachable — routing is impossible then; any partial knowledge routes.
+// unknown, waiting for all of them, and folds the echoes into the
+// routing tables. It returns an error only when no partition has ever
+// been learned AND none is reachable — routing is impossible then; any
+// partial knowledge routes. A request calls it only when what it routes
+// by is unknown, so a partition that never answers stalls only those.
 func (g *Gateway) learn(ctx context.Context) error {
 	var unknown []*partition
 	for _, p := range g.parts {
@@ -210,7 +225,7 @@ func (g *Gateway) learn(ctx context.Context) error {
 		}
 		p.mu.Unlock()
 	}
-	if len(unknown) > 0 { // the steady state allocates nothing: learn runs on every submit
+	if len(unknown) > 0 {
 		scatter(unknown, func(p *partition) { g.fetchStats(ctx, p) })
 	}
 	g.topoMu.Lock()
@@ -237,12 +252,24 @@ func (g *Gateway) absorb(p *partition, st *schedd.StatsResponse) {
 	g.topoMu.Unlock()
 
 	p.mu.Lock()
-	p.learned = true
+	p.learned, p.slots = true, slotsOf(st)
 	if st.Partition != nil {
 		p.idBase = st.Partition.IDBase
 		p.hasID = true
 	}
 	p.mu.Unlock()
+}
+
+// routable reports whether every job's origin has a learned owner.
+func (g *Gateway) routable(jobs []schedd.JobRequest) bool {
+	g.topoMu.Lock()
+	defer g.topoMu.Unlock()
+	for i := range jobs {
+		if _, ok := g.regionOwner[jobs[i].Origin]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // routeJob picks the owning partition for one job: its origin's region
@@ -291,9 +318,11 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, wire *sch
 		httpx.WriteJSON(w, http.StatusBadRequest, schedd.ErrorResponse{Error: err.Error()})
 		return
 	}
-	if err := g.learn(r.Context()); err != nil {
-		g.writeUnreachable(w, err)
-		return
+	if !g.routable(jobs) {
+		if err := g.learn(r.Context()); err != nil {
+			g.writeUnreachable(w, err)
+			return
+		}
 	}
 
 	// Group the batch by owning partition, preserving batch order
@@ -497,9 +526,13 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, http.StatusBadRequest, schedd.ErrorResponse{Error: "job id must be an integer"})
 		return
 	}
-	if err := g.learn(r.Context()); err != nil {
-		g.writeUnreachable(w, err)
-		return
+	owner := g.idOwner(id)
+	if owner < 0 {
+		if err := g.learn(r.Context()); err != nil {
+			g.writeUnreachable(w, err)
+			return
+		}
+		owner = g.idOwner(id)
 	}
 	// A partition that answers with a status other than 404 has not
 	// denied the id — it failed to look it up — so that failure, not
@@ -526,7 +559,7 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		return false
 	}
-	if owner := g.idOwner(id); owner >= 0 && ask(g.parts[owner]) {
+	if owner >= 0 && ask(g.parts[owner]) {
 		return
 	}
 	for _, p := range g.parts {

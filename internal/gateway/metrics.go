@@ -3,10 +3,11 @@ package gateway
 // The gateway's /metrics is a fleet-wide merged exposition: every
 // partition's schedd families folded into one series set, plus the
 // gateway's own gateway_* and http_* families. Counters and most
-// gauges sum across partitions; the families where a sum is
-// meaningless (the fleet clock, replication lag, ratios) take the max
-// instead, which is the conservative alerting direction for all of
-// them.
+// gauges sum across partitions; the clock-like families where a sum is
+// meaningless (the fleet clock, replication lag, generations, flags)
+// take the max; and the two ratios are recomputed the way /v1/stats
+// computes them, so an alert on a gateway scrape fires on the fleet,
+// not on its worst partition.
 
 import (
 	"bytes"
@@ -78,10 +79,19 @@ func (g *Gateway) Metrics() *metrics.Registry {
 // the merge is served from whatever answered.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	bodies := make([][]byte, len(g.parts))
+	scrapes := make([]*metrics.Scrape, len(g.parts))
 	scatter(g.parts, func(p *partition) {
+		// Utilization is weighted by the partition's slots, which its
+		// stats echo carries.
+		if p.slotCount() < 0 {
+			g.fetchStats(r.Context(), p)
+		}
 		resp, err := g.call(r.Context(), p, http.MethodGet, "/metrics", "", nil)
 		if err == nil && resp.StatusCode == http.StatusOK {
 			bodies[p.index] = resp.Body
+			// A body that does not parse still merges line by line; it is
+			// left out of the ratios.
+			scrapes[p.index], _ = metrics.ParseText(bytes.NewReader(resp.Body))
 		}
 	})
 
@@ -90,28 +100,46 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.mx.reg.WriteTo(&own)
 	m.Absorb(own.Bytes())
 	missed := 0
-	for _, b := range bodies {
+	var submitted, missedJobs, usedSlots, slots float64
+	for i, b := range bodies {
 		if b == nil {
 			missed++
 			continue
 		}
 		m.Absorb(b)
+		if sc := scrapes[i]; sc != nil {
+			n := float64(max(g.parts[i].slotCount(), 0))
+			util, _ := sc.Value("schedd_utilization_ratio")
+			submitted += sc.Sum("schedd_jobs_submitted_total")
+			missedJobs += sc.Sum("schedd_jobs_missed_total")
+			usedSlots += util * n
+			slots += n
+		}
 	}
 	if missed > 0 {
 		g.mx.statsPartial.Inc()
 	}
+	// The ratios as finishStats derives them over the same partitions.
+	m.Set("schedd_miss_rate", ratio(missedJobs, submitted))
+	m.Set("schedd_utilization_ratio", ratio(usedSlots, slots))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	m.WriteTo(w)
 }
 
-// maxFamilies are the families where summing across partitions is
-// wrong: clocks, lag, generations, flags, and ratios take the max.
+// ratio is num/den, or 0 over an empty denominator.
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}
+
+// maxFamilies are the clock-like families, where summing across
+// partitions is wrong: clocks, lag, generations and flags take the max.
 var maxFamilies = map[string]bool{
 	"schedd_fleet_hour":            true,
 	"schedd_fleet_horizon_hours":   true,
 	"schedd_replication_lag_hours": true,
 	"schedd_wal_generation":        true,
 	"schedd_recovered":             true,
-	"schedd_utilization_ratio":     true,
-	"schedd_miss_rate":             true,
 }

@@ -66,6 +66,15 @@ func (m *Merger) Absorb(text []byte) {
 	}
 }
 
+// Set overwrites a merged series' value, for a family the caller
+// derives from the others rather than aggregates. A series no
+// exposition carried stays absent.
+func (m *Merger) Set(series string, v float64) {
+	if i, ok := m.series[series]; ok {
+		m.order[i].value = v
+	}
+}
+
 // WriteTo renders the merged exposition.
 func (m *Merger) WriteTo(w writer) error {
 	var b []byte

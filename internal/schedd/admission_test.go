@@ -113,7 +113,8 @@ func admit(t *testing.T, w world, steps ...step) {
 		case s.do != nil:
 			s.do(c)
 		case s.raw != nil:
-			c.sendRaw(c.primary, *s.raw, s.want)
+			ack, err := s.raw.send(c.t, c.primary.ts.URL, s.want)
+			c.expect(s.raw.method+" "+s.raw.path, ack, err, s.want)
 		case s.want.status == 0:
 			ack, err := c.w.wire.submit(c.primary.client, c.chunks)(c.ctx, s.jobs...)
 			c.chunks++
@@ -136,71 +137,73 @@ func admit(t *testing.T, w world, steps ...step) {
 	c.check()
 }
 
-// sendRaw sends r to n and holds the answer, the Retry-After header
-// among it, to want.
-func (c *cluster) sendRaw(n *node, r raw, want answer) {
-	c.t.Helper()
-	h, body, err := roundTrip(c.t, r.method, n.ts.URL+r.path, r.contentType, r.body)
+// send sends r to base and requires the Retry-After header want
+// implies. It returns the ack a 200 to a submit carries (nil for a
+// read) and the error any other status comes back as.
+func (r raw) send(t testing.TB, base string, want answer) (*SubmitResponse, error) {
+	t.Helper()
+	h, body, err := roundTrip(t, r.method, base+r.path, r.contentType, r.body)
 	hint := ""
 	if want.after > 0 {
 		hint = strconv.Itoa(want.after)
 	}
 	if got := h.Get("Retry-After"); got != hint {
-		c.fatalf("%s %s: Retry-After header %q, want %q", r.method, r.path, got, hint)
+		t.Fatalf("%s %s: Retry-After header %q, want %q", r.method, r.path, got, hint)
 	}
-	var ack *SubmitResponse
-	if err == nil && r.method == http.MethodPost {
-		wire := JSONWire
-		if r.path == BinaryWire.Route {
-			wire = BinaryWire
-		}
-		a, err := wire.DecodeAck(body)
-		if err != nil {
-			c.fatalf("%s: %v", r.path, err)
-		}
-		ack = &a
+	if err != nil || r.method != http.MethodPost {
+		return nil, err
 	}
-	c.expect(r.method+" "+r.path, ack, err, want)
+	wire := JSONWire
+	if r.path == BinaryWire.Route {
+		wire = BinaryWire
+	}
+	ack, err := wire.DecodeAck(body)
+	if err != nil {
+		t.Fatalf("%s: %v", r.path, err)
+	}
+	return &ack, nil
 }
 
-// expect holds one answer to want: a refusal's status, message and
-// hint, or an acceptance, whose ack (nil for a read) must be of the
-// current hour and whose ids are credited.
+// expect holds one answer to want (verdict) and credits its acked ids.
 func (c *cluster) expect(what string, ack *SubmitResponse, err error, want answer) {
 	c.t.Helper()
-	if want.status != 0 {
-		wantStatus(c.t, c.op+": "+what, err, want.status, want.msg)
-		if got := httpx.RetryAfterOf(err); got != want.after {
-			c.fatalf("%s: Retry-After %d, want %d", what, got, want.after)
+	if v := verdict(ack, err, want, c.hour); v != "" {
+		c.fatalf("%s: %s", what, v)
+	}
+	if ack != nil && want.status == 0 {
+		for _, id := range ack.IDs {
+			c.acked[id]++
 		}
-		return
-	}
-	if err != nil {
-		c.fatalf("%s: %v", what, err)
-	}
-	if ack == nil {
-		return
-	}
-	if ack.ArrivalHour != c.hour || ack.Accepted != len(ack.IDs) || want.ids != nil && !slices.Equal(ack.IDs, want.ids) {
-		c.fatalf("%s: ack %+v, want arrival hour %d and ids %v", what, *ack, c.hour, want.ids)
-	}
-	for _, id := range ack.IDs {
-		c.acked[id]++
 	}
 }
 
-// wantStatus requires err to carry the HTTP status code and message
-// fragment — the typed-client contract load generators branch on.
-func wantStatus(t testing.TB, label string, err error, code int, substr string) {
+// verdict is how an answer fails want, or "" when it does not: a
+// refusal must carry want's status, message and hint; an acceptance's
+// ack (nil for a read) must be of hour and hold want's ids, when set.
+func verdict(ack *SubmitResponse, err error, want answer, hour int) string {
+	switch code := httpx.StatusCodeOf(err); {
+	case want.status == 0 && err != nil:
+		return err.Error()
+	case want.status == 0:
+		if ack != nil && (ack.ArrivalHour != hour || ack.Accepted != len(ack.IDs) || want.ids != nil && !slices.Equal(ack.IDs, want.ids)) {
+			return fmt.Sprintf("ack %+v, want arrival hour %d and ids %v", *ack, hour, want.ids)
+		}
+	case code != want.status:
+		return fmt.Sprintf("status %d (%v), want %d", code, err, want.status)
+	case !strings.Contains(err.Error(), want.msg):
+		return fmt.Sprintf("error %q does not mention %q", err, want.msg)
+	case httpx.RetryAfterOf(err) != want.after:
+		return fmt.Sprintf("Retry-After %d, want %d", httpx.RetryAfterOf(err), want.after)
+	}
+	return ""
+}
+
+// wantRefused requires err to be the refusal want — the typed-client
+// contract load generators branch on.
+func wantRefused(t testing.TB, label string, err error, want answer) {
 	t.Helper()
-	if err == nil {
-		t.Fatalf("%s: no error, want status %d", label, code)
-	}
-	if got := httpx.StatusCodeOf(err); got != code {
-		t.Fatalf("%s: status %d (%v), want %d", label, got, err, code)
-	}
-	if !strings.Contains(err.Error(), substr) {
-		t.Fatalf("%s: error %q does not mention %q", label, err, substr)
+	if v := verdict(nil, err, want, 0); v != "" {
+		t.Fatalf("%s: %s", label, v)
 	}
 }
 
@@ -345,7 +348,9 @@ func TestBinarySubmitFollowerRedirect(t *testing.T) {
 	frame := AppendBinarySubmit(nil, []JobRequest{cjob(1, 0)})
 	admit(t, world{policy: sched.FIFO{}, slots: 2},
 		act(func(c *cluster) {
-			c.sendRaw(c.startFollower(FollowerConfig{}, true), raw{http.MethodPost, BinaryWire.Route, BinaryContentType, frame}, refused(421, "primary", 0))
+			f, want := c.startFollower(FollowerConfig{}, true), refused(421, "primary", 0)
+			ack, err := raw{http.MethodPost, BinaryWire.Route, BinaryContentType, frame}.send(c.t, f.ts.URL, want)
+			c.expect("a binary submit to the follower", ack, err, want)
 		}))
 }
 

@@ -85,7 +85,10 @@ var schedules = []schedule{
 	{"TestPartitionedKillAnyOne", "p1-standby", killAnyOne("p1-standby")},
 }
 
-func init() { schedules = append(schedules, onlineEquivalence()...) }
+func init() {
+	schedules = append(schedules, onlineEquivalence()...)
+	schedules = append(schedules, partitionedEquivalence()...)
+}
 
 func TestCrashRecoveryEquivalence(t *testing.T)       { runSchedules(t) }
 func TestTenantCrashRecoveryEquivalence(t *testing.T) { runSchedules(t) }
@@ -104,6 +107,7 @@ func TestTenantIsolationChaos(t *testing.T)           { runSchedules(t) }
 func TestFailoverPromotion(t *testing.T)              { runSchedules(t) }
 func TestPartitionedKillAnyOne(t *testing.T)          { runSchedules(t) }
 func TestOnlineEquivalence(t *testing.T)              { runSchedules(t) }
+func TestPartitionedEquivalence(t *testing.T)         { runSchedules(t) }
 
 // TestFaultSchedules runs 16 seeded schedules of one partition and 8 of
 // the partitioned fleet (4 of each under -short).
@@ -297,7 +301,7 @@ func plain(w world) func(*testing.T) {
 // final directory too.
 func cutSweep(w world, full bool) func(*testing.T) {
 	return func(t *testing.T) {
-		ref := referenceOf(t, w)
+		ref := referenceOf(t, w, true)
 		b := ref.bounds
 		n, size := len(b), b[len(b)-1]
 		tears := map[tear]bool{{0, cutAt}: true, {1, cutAt}: true, {size - 1, cutAt}: true, {size, cutAt}: true, {size, zeroFrom}: true}
@@ -351,7 +355,7 @@ func cutSweep(w world, full bool) func(*testing.T) {
 // this process stepped, replayed or live, and none the snapshot held.
 func savedAfterRestart(t *testing.T) {
 	w := world{policy: sched.GreenestFirst{}, snapEvery: 50}
-	ref := referenceOf(t, w)
+	ref := referenceOf(t, w, true)
 	c := ref.fork(t, w)
 	rec := c.recoverFrom(ref.files, tear{ref.bounds[len(ref.bounds)/2], cutAt})
 	if rec.RecoveredSnapshotHour == 0 || rec.ReplayedRecords == 0 {
@@ -503,6 +507,61 @@ func onlineEquivalence() []schedule {
 	return out
 }
 
+// partitionedEquivalence is TestPartitionedEquivalence: N partitions
+// behind the gateway must schedule exactly like N independent fleets,
+// one per region group. The stream over eight regions runs through 1, 2
+// and 4 partitions for every policy on JSON, for spatiotemporal at 2 and
+// 4 on the binary wire too, and with a fair queue per partition under
+// enough slot pressure for fair order to change placements; check holds
+// each partition to sched's offline fleet over its regions. -short runs
+// the binary rows only: 2 and 4 partitions, tenancy on and off.
+func partitionedEquivalence() []schedule {
+	var out []schedule
+	w := world{regions: 8, horizon: 24 * 5, slots: 12, jobs: 140}
+	row := func(name string, w world) {
+		out = append(out, schedule{"TestPartitionedEquivalence", name, func(t *testing.T) {
+			if testing.Short() && w.wire != wireBinary {
+				t.Skip("-short runs the binary rows only")
+			}
+			t.Parallel()
+			changed := !w.tenants
+			for i := 0; !changed && i < w.partitions; i++ {
+				pw := w.part(i)
+				fair, _ := offline(t, pw, pw.workload(t), true)
+				plain, _ := offline(t, pw, pw.workload(t), false)
+				changed = !slices.Equal(fair, plain)
+			}
+			if !changed {
+				t.Fatal("no placement changes with the fair queue off: the slot pressure is too low for fair order to matter")
+			}
+			f := newPartitioned(t, w)
+			for _, c := range f.parts {
+				c.shallow, c.history = true, nil
+			}
+			f.run(0, w.hours())
+			f.check()
+		}})
+	}
+	for _, p := range policies {
+		for _, n := range []int{1, 2, 4} {
+			w.policy, w.partitions, w.wire = p, n, wireJSON
+			row(fmt.Sprintf("%s/partitions=%d/json", p.Name(), n), w)
+			if p == spatio && n > 1 {
+				w.wire = wireBinary
+				row(fmt.Sprintf("%s/partitions=%d/binary", p.Name(), n), w)
+			}
+		}
+	}
+	w.tenants, w.slots = true, 6
+	for _, p := range []sched.Policy{sched.FIFO{}, spatio} {
+		for _, n := range []int{2, 4} {
+			w.policy, w.partitions, w.wire = p, n, []wireMode{wireJSON, wireBinary}[n/4]
+			row(fmt.Sprintf("tenants/%s/partitions=%d/%v", p.Name(), n, w.wire), w)
+		}
+	}
+	return out
+}
+
 // loadPair is worker w's i-th request of the stepping loads: two auto-id
 // jobs, one from each region.
 func loadPair(w, i int) []JobRequest {
@@ -573,15 +632,15 @@ func tenantIsolation(t *testing.T) {
 	const perTenant = 3 * 10
 	c := newCluster(t, world{policy: sched.FIFO{}, slots: 200, tenants: true})
 	names := []string{"web", "batchy", "spot", "quotal"}
-	refused := c.load(4*3, 10, 0, func(w, _ int) []JobRequest { return []JobRequest{tjob(names[w%4])} })
-	for _, r := range refused {
+	refusals := c.load(4*3, 10, 0, func(w, _ int) []JobRequest { return []JobRequest{tjob(names[w%4])} })
+	for _, r := range refusals {
 		if r.jobs[0].Tenant != "quotal" {
 			t.Fatalf("well-behaved tenant %q rejected: %v", r.jobs[0].Tenant, r.err)
 		}
-		wantStatus(t, "abusive tenant rejection", r.err, http.StatusTooManyRequests, "quota exceeded")
+		wantRefused(t, "abusive tenant rejection", r.err, refused(429, "quota exceeded", 3600))
 	}
-	if len(refused) != perTenant-3 {
-		t.Fatalf("%d of quotal's %d refused, want all but its quota of 3", len(refused), perTenant)
+	if len(refusals) != perTenant-3 {
+		t.Fatalf("%d of quotal's %d refused, want all but its quota of 3", len(refusals), perTenant)
 	}
 	st := c.drainAll(3*perTenant + 3)
 	for _, name := range names {
@@ -619,7 +678,7 @@ func failover(t *testing.T) {
 	}
 
 	h, body, err := roundTrip(t, http.MethodPost, f.ts.URL+JSONWire.Route, JSONWire.ContentType, oneJSON)
-	wantStatus(t, "a write to the follower", err, http.StatusMisdirectedRequest, "read-only follower")
+	wantRefused(t, "a write to the follower", err, refused(421, "read-only follower", 0))
 	var e ErrorResponse
 	if json.Unmarshal(body, &e) != nil || h.Get("X-Replication-Lag-Hours") == "" || e.Primary != f.proxy.URL() {
 		t.Fatalf("a write to the follower: lag header %q, primary hint %q; want a lag, %q",
@@ -765,7 +824,7 @@ func TestPromoteWithoutDataDir(t *testing.T) {
 		t.Fatal("promotion lost state")
 	}
 	_, _, err := roundTrip(t, http.MethodGet, f.ts.URL+"/v1/repl/snapshot", "", nil)
-	wantStatus(t, "snapshot on a journal-less primary", err, http.StatusNotFound, "")
+	wantRefused(t, "snapshot on a journal-less primary", err, refused(404, "", 0))
 }
 
 // TestFailedPromotionResumesTail: a promotion that cannot claim the

@@ -40,7 +40,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 	f.Add([]byte(`{"origin":"CLEAN","tenant":"a\nb","length_hours":1}`))
 	f.Add([]byte(`{"origin":"CLEAN","tenant":{"name":"web"},"length_hours":1}`))
 
-	srv, err := New(mkSet(f, 48), clusters(4),
+	srv, err := New(mkSet(f, 48, 2), clusters(4),
 		Config{Policy: sched.FIFO{}, MaxQueue: 1 << 20, Tenants: fuzzTenants(f)},
 		WithClock(func() time.Time { return t0 }))
 	if err != nil {
@@ -128,7 +128,7 @@ func FuzzDecodeBinarySubmit(f *testing.F) {
 	})
 	f.Add(flagInV1)
 
-	srv, err := New(mkSet(f, 48), clusters(4),
+	srv, err := New(mkSet(f, 48, 2), clusters(4),
 		Config{Policy: sched.FIFO{}, MaxQueue: 1 << 20, Tenants: fuzzTenants(f)},
 		WithClock(func() time.Time { return t0 }))
 	if err != nil {

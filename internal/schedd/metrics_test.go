@@ -2,7 +2,6 @@ package schedd
 
 import (
 	"math"
-	"net/http"
 	"testing"
 
 	"carbonshift/internal/sched"
@@ -106,7 +105,7 @@ func TestMetricsScrapeOnPoisonedServer(t *testing.T) {
 	}
 	c.clock.hour.Store(1) // next advance trips the policy fault
 	_, err := client.Stats(c.ctx)
-	wantStatus(t, "stats on a poisoned server", err, http.StatusInternalServerError, "")
+	wantRefused(t, "stats on a poisoned server", err, refused(500, "", 0))
 	if got := scrape(t, client)("schedd_jobs_submitted_total"); got != 1 {
 		t.Errorf("poisoned-server scrape: submitted = %v, want 1", got)
 	}

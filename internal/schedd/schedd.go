@@ -105,7 +105,8 @@ const (
 	DefaultMaxQueue = 1 << 16
 )
 
-// Config sets the service's scheduling world.
+// Config sets the service's scheduling world. Where a field has a
+// default, only 0 selects it: New and NewFollower refuse a negative one.
 type Config struct {
 	// Policy places flexible jobs (required).
 	Policy sched.Policy
@@ -328,17 +329,43 @@ func New(set *trace.Set, clusters []sched.Cluster, cfg Config, opts ...Option) (
 	return s, nil
 }
 
+// validate refuses what only zero may mean: a negative bound, cadence,
+// horizon, partition count, id base or replay speed is not a default.
+// PartitionID must lie in [0, Partitions), and be 0 when unpartitioned.
+func (cfg Config) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MaxJobs", float64(cfg.MaxJobs)}, {"MaxQueue", float64(cfg.MaxQueue)},
+		{"SnapshotEvery", float64(cfg.SnapshotEvery)}, {"Horizon", float64(cfg.Horizon)},
+		{"Partitions", float64(cfg.Partitions)}, {"IDBase", float64(cfg.IDBase)},
+		{"Speedup", cfg.Speedup},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("schedd: Config.%s %v is negative; only 0 means the default", f.name, f.v)
+		}
+	}
+	if n := max(cfg.Partitions, 1); cfg.PartitionID < 0 || cfg.PartitionID >= n {
+		return fmt.Errorf("schedd: Config.PartitionID %d outside [0, %d)", cfg.PartitionID, n)
+	}
+	return nil
+}
+
 // newServer builds the role-less core New and NewFollower share —
 // fleet, admission state, metrics, tracing — and touches no directory:
 // cfg.DataDir is claimed by boot (openDurable) or by promotion.
 func newServer(set *trace.Set, clusters []sched.Cluster, cfg Config, opts []Option) (*Server, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Horizon == 0 {
 		cfg.Horizon = set.Len()
 	}
-	if cfg.MaxJobs <= 0 {
+	if cfg.MaxJobs == 0 {
 		cfg.MaxJobs = DefaultMaxJobs
 	}
-	if cfg.MaxQueue <= 0 {
+	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = DefaultMaxQueue
 	}
 	fleet, err := sched.NewFleet(set, clusters, cfg.Policy, cfg.Horizon)

@@ -1,6 +1,8 @@
 package schedd
 
 import (
+	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,24 +13,30 @@ import (
 
 var t0 = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// mkSet builds the same two-region world as the sched tests: CLEAN is
-// flat and green, DIRTY has a strong diurnal cycle.
-func mkSet(t testing.TB, hours int) *trace.Set {
+// mkSet builds the first n regions of the test world (regionNames):
+// CLEAN is flat and green and DIRTY has a strong diurnal cycle, as in
+// the sched tests; region r from the third on has the baseline 50+90r
+// g/kWh and a diurnal cycle of ±200 g/kWh shifted by 3r hours, so
+// spatial policies migrate between them.
+func mkSet(t testing.TB, hours, n int) *trace.Set {
 	t.Helper()
-	clean := make([]float64, hours)
-	dirty := make([]float64, hours)
-	for h := 0; h < hours; h++ {
-		clean[h] = 20
-		if h%24 < 12 {
-			dirty[h] = 200
-		} else {
-			dirty[h] = 800
+	var traces []*trace.Trace
+	names := world{regions: n}.regionNames()
+	for r := range n {
+		ci := make([]float64, hours)
+		for h := range ci {
+			switch r {
+			case 0:
+				ci[h] = 20
+			case 1:
+				ci[h] = []float64{200, 800}[h%24/12]
+			default:
+				ci[h] = 50 + 90*float64(r) + 200*(1+math.Sin(2*math.Pi*float64(h+3*r)/24))
+			}
 		}
+		traces = append(traces, trace.New(names[r], t0, ci))
 	}
-	s, err := trace.NewSet([]*trace.Trace{
-		trace.New("CLEAN", t0, clean),
-		trace.New("DIRTY", t0, dirty),
-	})
+	s, err := trace.NewSet(traces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,4 +119,40 @@ func TestDrainResolvesEverything(t *testing.T) {
 				t.Fatalf("drained result: completed %d, missed %d, emissions %v", c.result.Completed, c.result.Missed, c.result.TotalEmissions)
 			}
 		}))
+}
+
+// TestConfigRefusesNegatives: only 0 selects a default. A negative bound,
+// snapshot cadence, horizon, partition count, id base or replay speed,
+// and a partition id outside [0, Partitions) — 0 when unpartitioned —
+// are refused by name before anything is built (NewFollower builds
+// through the same newServer).
+func TestConfigRefusesNegatives(t *testing.T) {
+	for _, tc := range []struct {
+		name string // the field refused, first
+		cfg  Config
+	}{
+		{"MaxJobs", Config{MaxJobs: -5}},
+		{"MaxQueue", Config{MaxQueue: -7}},
+		{"SnapshotEvery", Config{SnapshotEvery: -1}},
+		{"Horizon", Config{Horizon: -1}},
+		{"Partitions", Config{Partitions: -2}},
+		{"IDBase", Config{IDBase: -1}},
+		{"Speedup", Config{Speedup: -1}},
+		{"PartitionID below 0", Config{Partitions: 2, PartitionID: -1}},
+		{"PartitionID past Partitions", Config{Partitions: 2, PartitionID: 2}},
+		{"PartitionID unpartitioned", Config{PartitionID: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			field, _, _ := strings.Cut(tc.name, " ")
+			tc.cfg.Policy = sched.FIFO{}
+			s, err := New(mkSet(t, 48, 2), clusters(2), tc.cfg)
+			if err == nil {
+				s.Close()
+				t.Fatalf("%+v accepted", tc.cfg)
+			}
+			if !strings.Contains(err.Error(), "Config."+field) {
+				t.Fatalf("%+v: %v, want a refusal naming Config.%s", tc.cfg, err, field)
+			}
+		})
+	}
 }

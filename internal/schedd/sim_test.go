@@ -3,7 +3,8 @@ package schedd
 // The fault harness: one in-process cluster that every test of this
 // package that serves a Server over HTTP drives — crash, restart,
 // replication, chaos, failover, load and admission alike — and the
-// partitioned fleet, two clusters behind the gateway, built from it.
+// partitioned fleet, one cluster per partition behind the gateway,
+// built from it: the one driver of a partitioned topology.
 //
 // A cluster runs one world — policy, snapshot cadence, tenancy on or
 // off, and the wire its arrivals travel (JSON, binary, or the two
@@ -97,8 +98,8 @@ const (
 	wireMixed           // the binary route on every odd chunk
 )
 
-// world is what a cluster runs. Zero horizon, slots and jobs mean
-// simHorizon, simSlots and 26 jobs.
+// world is what a cluster runs. Zero horizon, slots, jobs and regions
+// mean simHorizon, simSlots, 26 jobs and two regions.
 type world struct {
 	policy    sched.Policy
 	snapEvery int
@@ -113,9 +114,12 @@ type world struct {
 	// no-op, so it is not part of key: a run with any value is held to
 	// the one reference of its world.
 	shards, followerShards int
-	// partitions, when 2, makes the world partition partitionID of a
-	// two-partition fleet: it owns the one region clusters(n)[partitionID]
-	// and the ids from partitionID*idStride.
+	// regions is how many of the test world's regions (mkSet) it has.
+	regions int
+	// partitions, when positive (1, 2 or 4), makes the world partition
+	// partitionID of a fleet of that many: it owns the regions whose index
+	// is partitionID modulo partitions, and the ids from
+	// partitionID*idStride.
 	partitions, partitionID int
 	memory                  bool // the primary keeps no data dir
 	// cfg holds the Config values a world sets beyond the fields above:
@@ -131,36 +135,56 @@ const idStride = 1000
 
 func (w world) hours() int { return cmp.Or(w.horizon, simHorizon) }
 
+// regionNames is every region of the world, in index order: CLEAN,
+// DIRTY, R02, R03, …
+func (w world) regionNames() []string {
+	names := []string{"CLEAN", "DIRTY"}
+	for r := 2; r < w.regions; r++ {
+		names = append(names, fmt.Sprintf("R%02d", r))
+	}
+	return names
+}
+
+// owner is the partition of the world's fleet that owns origin.
+func (w world) owner(origin string) int {
+	return slices.Index(w.regionNames(), origin) % w.partitions
+}
+
+// clusters is the world's clusters: every region's, or its partition's.
 func (w world) clusters() []sched.Cluster {
-	cl := clusters(cmp.Or(w.slots, simSlots))
-	if w.partitions > 0 {
-		cl = cl[w.partitionID : w.partitionID+1]
+	var cl []sched.Cluster
+	for _, r := range w.regionNames() {
+		if w.partitions == 0 || w.owner(r) == w.partitionID {
+			cl = append(cl, sched.Cluster{Region: r, Slots: cmp.Or(w.slots, simSlots)})
+		}
 	}
 	return cl
 }
 
-// set is the world's traces: both regions', or its partition's one.
+// set is the world's traces over its clusters' regions.
 func (w world) set(t testing.TB) *trace.Set {
 	t.Helper()
-	set := mkSet(t, w.hours())
-	if w.partitions > 0 {
-		var err error
-		if set, err = set.Subset([]string{w.clusters()[0].Region}); err != nil {
-			t.Fatal(err)
-		}
+	var regions []string
+	for _, c := range w.clusters() {
+		regions = append(regions, c.Region)
+	}
+	set, err := mkSet(t, w.hours(), max(w.regions, 2)).Subset(regions)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return set
 }
 
-// owner is the partition of a two-partition fleet that owns origin.
-func owner(origin string) int {
-	return slices.IndexFunc(clusters(1), func(c sched.Cluster) bool { return c.Region == origin })
+// part is partition i's world in the fleet w runs.
+func (w world) part(i int) world {
+	w.partitionID, w.wire = i, wireJSON
+	return w
 }
 
 // key names everything a run's outcome depends on. Every wire journals
 // the same bytes, so the wire is not part of it.
 func (w world) key() string {
-	return fmt.Sprint(w.policy.Name(), w.snapEvery, w.tenants, w.syncBatch, w.hours(), w.slots, w.jobs, w.partitions, w.partitionID, w.memory, w.cfg)
+	return fmt.Sprint(w.policy.Name(), w.snapEvery, w.tenants, w.syncBatch, w.hours(), w.slots, w.jobs, w.regions, w.partitions, w.partitionID, w.memory, w.cfg)
 }
 
 // config is the world's server config over dir ("" for none). Trace
@@ -188,7 +212,7 @@ func (w world) workload(t testing.TB) []sched.Job {
 	t.Helper()
 	jobs := w.stream(t)
 	if w.partitions > 0 {
-		jobs = slices.DeleteFunc(jobs, func(j sched.Job) bool { return j.Origin != w.clusters()[0].Region })
+		jobs = slices.DeleteFunc(jobs, func(j sched.Job) bool { return w.owner(j.Origin) != w.partitionID })
 	}
 	return jobs
 }
@@ -206,7 +230,7 @@ func (w world) stream(t testing.TB) []sched.Job {
 	jobs, err := sched.GenerateJobs(sched.WorkloadSpec{
 		Jobs: cmp.Or(w.jobs, 26), ArrivalSpan: w.hours() - 30, SlackHours: 24,
 		InterruptibleFrac: 0.6, MigratableFrac: 0.5,
-		Origins: []string{"CLEAN", "DIRTY"}, Seed: 23,
+		Origins: w.regionNames(), Seed: 23,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +239,7 @@ func (w world) stream(t testing.TB) []sched.Job {
 	for i := range jobs {
 		jobs[i].ID = i
 		if w.partitions > 0 {
-			jobs[i].ID += owner(jobs[i].Origin) * idStride
+			jobs[i].ID += w.owner(jobs[i].Origin) * idStride
 		}
 		jobs[i].Length = min(jobs[i].Length, 30)
 		if w.tenants {
@@ -350,7 +374,7 @@ func newClusterOn(t testing.TB, w world, clock *hourClock) *cluster {
 	if !w.memory {
 		dir = t.TempDir()
 	}
-	c.primary = c.boot(dir)
+	c.primary = c.boot(dir, "")
 	c.remember()
 	return c
 }
@@ -363,8 +387,9 @@ func (c *cluster) fatalf(format string, args ...any) {
 	c.t.Fatalf(format, args...)
 }
 
-// boot starts a primary over dir, recovering whatever it holds.
-func (c *cluster) boot(dir string) *node {
+// boot starts a primary over dir, recovering whatever it holds, served
+// on addr ("" for a fresh one).
+func (c *cluster) boot(dir, addr string) *node {
 	c.t.Helper()
 	n := &node{dir: dir}
 	opts := append([]Option{WithClock(c.clock.now), WithGateClock(c.wall.now), WithRecorder(n.record)}, c.w.opts...)
@@ -376,13 +401,23 @@ func (c *cluster) boot(dir string) *node {
 	if srv.source != nil {
 		srv.source.Poll, srv.source.Heartbeat = 200*time.Microsecond, 5*time.Millisecond
 	}
-	c.serve(n, srv)
+	c.serve(n, srv, addr)
 	return n
 }
 
-func (c *cluster) serve(n *node, srv *Server) {
+// serve serves srv as n on addr ("" for a fresh one).
+func (c *cluster) serve(n *node, srv *Server, addr string) {
 	n.srv = srv
-	n.ts = httptest.NewServer(srv.Handler())
+	n.ts = httptest.NewUnstartedServer(srv.Handler())
+	if addr != "" {
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			c.fatalf("listen on %s again: %v", addr, err)
+		}
+		n.ts.Listener.Close()
+		n.ts.Listener = l
+	}
+	n.ts.Start()
 	c.t.Cleanup(n.kill)
 	var err error
 	if n.client, err = NewClient(n.ts.URL, n.ts.Client()); err != nil {
@@ -581,7 +616,7 @@ func (c *cluster) recoverFrom(files map[string][]byte, tr tear) DurabilityStats 
 	writeDir(c.t, dir, files, tr)
 	applied := c.replayDir(dir, nil)
 	c.fold(nil)
-	c.primary = c.boot(dir)
+	c.primary = c.boot(dir, "")
 	rec := c.primary.srv.Recovery()
 	if !rec.Recovered {
 		c.fatalf("boot did not report recovery")
@@ -655,13 +690,16 @@ func (c *cluster) fold(next *node) {
 }
 
 // restart closes the primary cleanly and boots it again from its dir.
-func (c *cluster) restart() {
+func (c *cluster) restart() { c.restartOn("") }
+
+// restartOn is restart serving on addr ("" for a fresh address).
+func (c *cluster) restartOn(addr string) {
 	c.t.Helper()
 	p := c.primary
 	want, jobs := serverImage(c.t, p.srv), p.srv.fleet.Jobs()
 	p.kill()
 	c.fold(nil)
-	c.primary = c.boot(p.dir)
+	c.primary = c.boot(p.dir, addr)
 	rec := c.primary.srv.Recovery()
 	if !rec.Recovered || rec.TornTail || rec.RecoveredJobs != jobs {
 		c.fatalf("restart: recovery = %+v, want %d jobs and no torn tail", rec, jobs)
@@ -764,7 +802,7 @@ func (c *cluster) startFollower(fcfg FollowerConfig, memory bool) *node {
 	if !memory {
 		n.dir = c.t.TempDir()
 	}
-	c.serve(n, c.w.follower(c.t, n.proxy.URL(), n.dir, fcfg, WithClock(c.clock.now), WithRecorder(n.record)))
+	c.serve(n, c.w.follower(c.t, n.proxy.URL(), n.dir, fcfg, WithClock(c.clock.now), WithRecorder(n.record)), "")
 	n.srv.Start(c.ctx)
 	c.followers = append(c.followers, n)
 	return n
@@ -917,7 +955,7 @@ func (c *cluster) check() {
 	// 3. Placements equal the reference.
 	final := serverImage(c.t, c.primary.srv)
 	if !c.offStream {
-		ref := referenceOf(c.t, c.w)
+		ref := referenceOf(c.t, c.w, false)
 		if diff := placesDiff(c.placements(), ref.places); diff != "" {
 			c.fatalf("placement sequences %s", diff)
 		}
@@ -1079,8 +1117,10 @@ type reference struct {
 	files   map[string][]byte // the data dir after the drain
 	journal []byte            // its newest journal
 	bounds  []int64           // the journal's record boundaries
+	// What a crash sweep forks from, recorded only for a torn reference:
 	// prefixes[k] is the server image the newest snapshot and the
-	// journal's first k records reach.
+	// journal's first k records reach, and history maps every server
+	// image the run held to the event at which it first did.
 	prefixes [][]byte
 	history  map[string]int
 	events   int
@@ -1102,23 +1142,33 @@ func (r *reference) savedFrom(h int) float64 {
 	return sum
 }
 
-var (
-	refMu sync.Mutex
-	refs  = map[string]*reference{}
-)
+var refs sync.Map // world key -> *refSlot
+
+// refSlot holds one world's reference; its lock is held while the
+// reference runs, so parallel tests wait only for the worlds they share.
+type refSlot struct {
+	mu sync.Mutex
+	r  *reference
+}
 
 // referenceOf runs the world once per test binary and holds the run to
-// sched's offline fleet.
-func referenceOf(t testing.TB, w world) *reference {
+// sched's offline fleet. torn asks for a reference a crash sweep can
+// fork from; it runs the world again if the one it holds is not.
+func referenceOf(t testing.TB, w world, torn bool) *reference {
 	t.Helper()
 	w.wire = wireJSON
-	refMu.Lock()
-	defer refMu.Unlock()
-	if r := refs[w.key()]; r != nil {
+	v, _ := refs.LoadOrStore(w.key(), &refSlot{})
+	slot := v.(*refSlot)
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	if r := slot.r; r != nil && (r.prefixes != nil || !torn) {
 		return r
 	}
 	c := newCluster(t, w)
 	c.op = "reference"
+	if !torn {
+		c.history = nil
+	}
 	r := &reference{jobs: c.jobs}
 	// A fresh directory replays nothing, so wrapping the hook after New
 	// misses no placement.
@@ -1142,29 +1192,43 @@ func referenceOf(t testing.TB, w world) *reference {
 	r.bounds = journalBounds(t, journal)
 	r.files = readDir(t, c.primary.dir)
 	r.journal = r.files[filepath.Base(journal)]
-	c.replayDir(c.primary.dir, func(_ int, img []byte) { r.prefixes = append(r.prefixes, img) })
+	if torn {
+		c.replayDir(c.primary.dir, func(_ int, img []byte) { r.prefixes = append(r.prefixes, img) })
+	}
 	r.checkOffline(t, w)
-	refs[w.key()] = r
+	slot.r = r
 	return r
 }
 
-// checkOffline runs the reference's jobs through sched's offline fleet
-// as sched.Run does — every job submitted up front, the fleet stepped
-// to Done — under the world's fair queue, and requires the placements
-// and the Result the service reached online to equal the fleet's.
+// checkOffline requires the placements and the Result the service
+// reached online to equal sched's offline fleet's.
 func (r *reference) checkOffline(t testing.TB, w world) {
+	t.Helper()
+	places, res := offline(t, w, r.jobs, true)
+	if diff := placesDiff(r.places, places); diff != "" {
+		t.Fatalf("reference: online and offline placement sequences %s", diff)
+	}
+	if !reflect.DeepEqual(r.result, res) {
+		t.Fatalf("reference: online Result differs from the offline fleet's:\nonline:  %+v\noffline: %+v", summarize(r.result), summarize(res))
+	}
+}
+
+// offline runs jobs through the world's offline fleet as sched.Run does
+// — every job submitted up front, the fleet stepped to Done — under the
+// world's fair queue when fair is set.
+func offline(t testing.TB, w world, jobs []sched.Job, fair bool) ([]placeRec, sched.Result) {
 	t.Helper()
 	fleet, err := sched.NewFleet(w.set(t), w.clusters(), w.policy, w.hours())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := w.config(t, ""); cfg.Tenants != nil {
+	if cfg := w.config(t, ""); fair && cfg.Tenants != nil {
 		fleet.SetFairQueue(tenant.NewFairQueue(cfg.Tenants))
 	}
 	var places []placeRec
 	regions := fleet.Regions()
 	fleet.OnPlace = func(p sched.Placed) { places = append(places, placeRec{p.Hour, p.JobID, regions[p.Region]}) }
-	if err := fleet.Submit(r.jobs...); err != nil {
+	if err := fleet.Submit(jobs...); err != nil {
 		t.Fatal(err)
 	}
 	for !fleet.Done() {
@@ -1172,12 +1236,7 @@ func (r *reference) checkOffline(t testing.TB, w world) {
 			t.Fatal(err)
 		}
 	}
-	if diff := placesDiff(r.places, places); diff != "" {
-		t.Fatalf("reference: online and offline placement sequences %s", diff)
-	}
-	if res := fleet.Snapshot(); !reflect.DeepEqual(r.result, res) {
-		t.Fatalf("reference: online Result differs from the offline fleet's:\nonline:  %+v\noffline: %+v", summarize(r.result), summarize(res))
-	}
+	return places, fleet.Snapshot()
 }
 
 // bootTorn boots a server over the reference's files with the newest
@@ -1227,23 +1286,26 @@ func (r *reference) fork(t testing.TB, w world) *cluster {
 
 // --- the partitioned fleet ---
 
-// partitioned is the fleet of two partitions behind a gateway: one
-// cluster per region on the one clock, each a durable primary with a
-// hot standby, and the gateway behind a chaosProxy, so a gateway started
-// anew keeps its URL. Its arrivals are the world's stream, every id
-// pinned, four a request, so an hour with arrivals from both regions
-// splits at the gateway. A schedule is a sequence of ops on it:
+// partitioned is the fleet of the world's partitions (two unless it
+// says otherwise) behind a gateway: one cluster per partition, owning
+// its share of the regions, on the one clock, each a durable primary
+// with a hot standby, and the gateway behind a chaosProxy, so a gateway
+// started anew keeps its URL. Its arrivals are the world's stream,
+// every id pinned, four a request, so an hour with arrivals from two
+// partitions' regions splits at the gateway. A schedule is a sequence of
+// ops on it:
 //
-//	at(h)          set the clock to h and step both primaries to it
+//	at(h)          set the clock to h and step every primary to it
 //	submit         send the hour's arrivals through the gateway
-//	settle         settle both partitions
-//	kill(node)     kill -9 one of the five processes: gateway, or pN-primary
-//	               (once its partition has settled) or pN-standby
+//	settle         settle every partition
+//	kill(node)     kill -9 one process: gateway, or pN-primary (once its
+//	               partition has settled) or pN-standby
 //	heal(node)     what follows a kill: a new gateway behind the same
 //	               URL, the standby promoted over a dead primary, nothing
 //	               for a dead standby
 //	promote(p)     kill partition p's primary once settled, and heal it
 //	startGateway   start a gateway behind the proxy, killing the old one
+//	down(p)        kill both of partition p's nodes, until check
 //
 // Its check asserts the merged views at the gateway, each partition's
 // invariants 1-4 over the jobs it owns, and that every id the gateway
@@ -1265,22 +1327,21 @@ type partitioned struct {
 	hour   int
 	chunks int
 	acked  map[int]int
+	downed map[int]bool // the partitions down
 }
 
-// newPartitioned boots the world's two partitions, each with a
-// standby, and the gateway in front of them.
+// newPartitioned boots the world's partitions, each with a standby,
+// and the gateway in front of them.
 func newPartitioned(t *testing.T, w world) *partitioned {
 	t.Helper()
-	w.partitions = 2
+	w.partitions = cmp.Or(w.partitions, 2)
 	f := &partitioned{
 		t: t, w: w, clock: &hourClock{}, jobs: w.stream(t), acked: map[int]int{},
-		hc: &http.Client{Transport: &http.Transport{}},
+		hc: &http.Client{Transport: &http.Transport{}}, downed: map[int]bool{},
 	}
 	t.Cleanup(f.hc.CloseIdleConnections)
 	for i := range w.partitions {
-		pw := w
-		pw.partitionID, pw.wire = i, wireJSON
-		c := newClusterOn(t, pw, f.clock)
+		c := newClusterOn(t, w.part(i), f.clock)
 		standby := c.startFollower(FollowerConfig{}, false)
 		f.parts = append(f.parts, c)
 		f.urls = append(f.urls, []string{c.primary.ts.URL, standby.ts.URL})
@@ -1345,11 +1406,17 @@ func (f *partitioned) submit() {
 				f.fatalf("hour %d: job %d acknowledged as %d", f.hour, chunk[k].ID, id)
 			}
 			f.acked[id]++
-			f.parts[owner(chunk[k].Origin)].acked[id]++
+			f.parts[f.w.owner(chunk[k].Origin)].acked[id]++
 		}
-		for _, c := range f.parts {
-			c.remember()
-		}
+		f.remember()
+	}
+}
+
+// remember records every partition's state as the next event of its
+// history.
+func (f *partitioned) remember() {
+	for _, c := range f.parts {
+		c.remember()
 	}
 }
 
@@ -1406,6 +1473,17 @@ func (f *partitioned) heal(name string) {
 	}
 }
 
+// down kills both of partition p's nodes: its standby, and its
+// primary's listener, so that up restarts it from all it journaled.
+func (f *partitioned) down(p int) {
+	c := f.parts[p]
+	for _, n := range c.followers {
+		n.kill()
+	}
+	c.followers, f.downed[p] = nil, true
+	c.primary.ts.Close()
+}
+
 // startGateway starts a gateway over the partitions' first URLs, as
 // cmd/schedgw's -partition flags give them, behind the proxy, killing
 // the one it replaces.
@@ -1428,22 +1506,39 @@ func (f *partitioned) startGateway() {
 	f.hc.CloseIdleConnections()
 }
 
-// check asserts the merged views, then drains and checks every
-// partition, then holds the gateway's acks to their final states.
-func (f *partitioned) check() {
+// gatewayStats is the gateway's /v1/stats: the merged view and the
+// partitions it covers.
+type gatewayStats struct {
+	StatsResponse
+	Gateway struct {
+		Partitions int   `json:"partitions"`
+		Reached    []int `json:"reached"`
+		Missing    []int `json:"missing"`
+	} `json:"gateway"`
+}
+
+// stats is the gateway's /v1/stats.
+func (f *partitioned) stats() gatewayStats {
 	f.t.Helper()
-	f.setOp("check")
-	acked := len(f.acked)
-	var st struct {
-		StatsResponse
-		Gateway struct {
-			Partitions int   `json:"partitions"`
-			Missing    []int `json:"missing"`
-		} `json:"gateway"`
-	}
+	var st gatewayStats
 	if err := f.client.get(f.t.Context(), "/v1/stats", &st); err != nil {
 		f.fatalf("gateway /v1/stats: %v", err)
 	}
+	return st
+}
+
+// check brings every downed partition up — restarts its primary on its
+// old address, where the gateway still looks for it — asserts the
+// merged views, then drains and checks every partition, then holds the
+// gateway's acks to their final states.
+func (f *partitioned) check() {
+	f.t.Helper()
+	f.setOp("check")
+	for p := range f.downed {
+		f.parts[p].restartOn(f.parts[p].primary.ts.Listener.Addr().String())
+	}
+	acked := len(f.acked)
+	st := f.stats()
 	if st.Submitted != acked || st.Gateway.Partitions != len(f.parts) || len(st.Gateway.Missing) > 0 {
 		f.fatalf("merged stats: submitted %d of %d partitions, missing %v; want %d acked of %d, none missing",
 			st.Submitted, st.Gateway.Partitions, st.Gateway.Missing, acked, len(f.parts))

@@ -133,7 +133,7 @@ func TestSubmitHandlerAllocs(t *testing.T) {
 	}
 	for wire, limit := range map[*Wire]float64{BinaryWire: 5, JSONWire: 92} {
 		t.Run(wire.Proto, func(t *testing.T) {
-			srv, err := New(mkSet(t, 48), clusters(4),
+			srv, err := New(mkSet(t, 48, 2), clusters(4),
 				Config{Policy: sched.FIFO{}, MaxQueue: 1 << 20},
 				WithClock(func() time.Time { return t0 }), WithoutMetrics(), WithoutTracing())
 			if err != nil {
