@@ -540,12 +540,15 @@ func (s *Server) serveWrite(w http.ResponseWriter) {
 		// an internal/schedd or internal/gateway test that needs a server
 		// over HTTP takes a node of a cluster or of the partitioned fleet
 		// too, so the same invariants check it; internal/gateway's own
-		// tests serve fake partitions, which are not Servers.
+		// tests serve fake partitions, which are not Servers. The harness's
+		// network is its link, an http.Transport: a test that calls Dial
+		// is a forwarder beside it.
 		name: "one fault driver in internal/schedd's tests",
 		fix: "drive the fault through the harness in internal/schedd/sim_test.go — a cluster (startFollower, crash, recoverFrom) " +
 			"or the partitioned fleet (kill, heal, startGateway) — and add a schedule to its fault_test.go; " +
 			"take a server from a cluster (newCluster, or a row of admission_test.go's table) " +
-			"or from the partitioned fleet (a row of partitioned_test.go's table)",
+			"or from the partitioned fleet (a row of partitioned_test.go's table); " +
+			"cut, move or close a connection through the harness's link",
 		rules: []rule{
 			{what: "NewFollower( outside sim_test.go", in: []string{"internal/"}, not: []string{"internal/schedd/sim_test.go"},
 				tests: true, only: file.test, match: callNamed("NewFollower")},
@@ -553,6 +556,8 @@ func (s *Server) serveWrite(w http.ResponseWriter) {
 				not: []string{"internal/schedd/sim_test.go", "internal/wal/"}, tests: true, only: file.test, match: truncates},
 			{what: "a Server's Handler() served by httptest.NewServer outside sim_test.go", in: []string{"internal/schedd/", "internal/gateway/"},
 				not: []string{"internal/schedd/sim_test.go"}, tests: true, only: file.test, match: servesHandler},
+			{what: "Dial( in an internal/schedd or internal/gateway test", in: []string{"internal/schedd/", "internal/gateway/"},
+				tests: true, only: file.test, match: callNamed("Dial")},
 		},
 		plant: map[string]string{
 			"internal/schedd/planted_test.go": `package schedd
@@ -563,6 +568,7 @@ func TestHandRolledFailover(t *testing.T) {
 	f.Start(ctx)
 	ts := httptest.NewServer(f.Handler())
 	defer ts.Close()
+	up, _ := net.Dial("tcp", ts.Listener.Addr().String())
 }`,
 			"internal/gateway/planted_test.go": `package gateway
 func TestHandRolledPartitionFailover(t *testing.T) {

@@ -113,7 +113,7 @@ func admit(t *testing.T, w world, steps ...step) {
 		case s.do != nil:
 			s.do(c)
 		case s.raw != nil:
-			ack, err := s.raw.send(c.t, c.primary.ts.URL, s.want)
+			ack, err := s.raw.send(c.t, c.primary.client, s.want)
 			c.expect(s.raw.method+" "+s.raw.path, ack, err, s.want)
 		case s.want.status == 0:
 			ack, err := c.w.wire.submit(c.primary.client, c.chunks)(c.ctx, s.jobs...)
@@ -137,12 +137,12 @@ func admit(t *testing.T, w world, steps ...step) {
 	c.check()
 }
 
-// send sends r to base and requires the Retry-After header want
+// send sends r through client and requires the Retry-After header want
 // implies. It returns the ack a 200 to a submit carries (nil for a
 // read) and the error any other status comes back as.
-func (r raw) send(t testing.TB, base string, want answer) (*SubmitResponse, error) {
+func (r raw) send(t testing.TB, client *Client, want answer) (*SubmitResponse, error) {
 	t.Helper()
-	h, body, err := roundTrip(t, r.method, base+r.path, r.contentType, r.body)
+	h, body, err := roundTrip(t, client, r.method, r.path, r.contentType, r.body)
 	hint := ""
 	if want.after > 0 {
 		hint = strconv.Itoa(want.after)
@@ -349,7 +349,7 @@ func TestBinarySubmitFollowerRedirect(t *testing.T) {
 	admit(t, world{policy: sched.FIFO{}, slots: 2},
 		act(func(c *cluster) {
 			f, want := c.startFollower(FollowerConfig{}, true), refused(421, "primary", 0)
-			ack, err := raw{http.MethodPost, BinaryWire.Route, BinaryContentType, frame}.send(c.t, f.ts.URL, want)
+			ack, err := raw{http.MethodPost, BinaryWire.Route, BinaryContentType, frame}.send(c.t, f.client, want)
 			c.expect("a binary submit to the follower", ack, err, want)
 		}))
 }
@@ -450,7 +450,8 @@ func TestBackpressureStatusTaxonomy(t *testing.T) {
 // the body's retry_after field, sized to when a retry could succeed —
 // the rate deficit of 1000 s, the rest of the fleet hour for a quota,
 // a second for a full queue — and Speedup scales the quota's: at 3600x
-// replay the hour's remainder is one wall second.
+// replay the hour's remainder is one wall second. Between whole seconds
+// the hint rounds up, so a retry never lands before the reset.
 func TestRetryAfterHints(t *testing.T) {
 	body := func(tenant string) []byte {
 		return fmt.Appendf(nil, `{"origin":"CLEAN","tenant":%q,"length_hours":1}`, tenant)
@@ -461,6 +462,15 @@ func TestRetryAfterHints(t *testing.T) {
 		send(ok, tjob("cap"), tjob("cap")), post(JSONWire, body("cap"), refused(503, "queue full", 1)))
 	admit(t, world{policy: sched.FIFO{}, slots: 1, cfg: Config{Speedup: 3600, Tenants: quotaRate(t)}},
 		send(ok, tjob("q")), post(JSONWire, body("q"), refused(429, "quota exceeded", 1)))
+	for _, tc := range []struct {
+		speedup float64
+		left    time.Duration // of the fleet hour
+		want    int
+	}{{1000, 2000500 * time.Millisecond, 3}, {1, 10300 * time.Millisecond, 11}} {
+		clock := WithClock(func() time.Time { return t0.Add(time.Hour - tc.left) })
+		admit(t, world{policy: sched.FIFO{}, slots: 1, cfg: Config{Speedup: tc.speedup, Tenants: quotaRate(t)}, opts: []Option{clock}},
+			send(ok, tjob("q")), post(JSONWire, body("q"), refused(429, "quota exceeded", tc.want)))
+	}
 }
 
 // TestMetricsBackpressureCounter: the 503s are counted by reason, and

@@ -469,7 +469,7 @@ func chaos(t *testing.T) {
 	if readErr != nil {
 		t.Fatal(readErr)
 	}
-	if cuts := f.proxy.cuts.Load(); cuts == 0 || restarts == 0 {
+	if cuts := f.link.cuts.Load(); cuts == 0 || restarts == 0 {
 		t.Fatalf("chaos did not bite: %d cuts, %d tail restarts", cuts, restarts)
 	}
 	c.settle()
@@ -677,12 +677,12 @@ func failover(t *testing.T) {
 		t.Fatalf("the primary admitted %d jobs, %d were acked (redirect failed?)", got, len(c.acked))
 	}
 
-	h, body, err := roundTrip(t, http.MethodPost, f.ts.URL+JSONWire.Route, JSONWire.ContentType, oneJSON)
+	h, body, err := roundTrip(t, f.client, http.MethodPost, JSONWire.Route, JSONWire.ContentType, oneJSON)
 	wantRefused(t, "a write to the follower", err, refused(421, "read-only follower", 0))
 	var e ErrorResponse
-	if json.Unmarshal(body, &e) != nil || h.Get("X-Replication-Lag-Hours") == "" || e.Primary != f.proxy.URL() {
+	if json.Unmarshal(body, &e) != nil || h.Get("X-Replication-Lag-Hours") == "" || e.Primary != c.primary.ts.URL {
 		t.Fatalf("a write to the follower: lag header %q, primary hint %q; want a lag, %q",
-			h.Get("X-Replication-Lag-Hours"), e.Primary, f.proxy.URL())
+			h.Get("X-Replication-Lag-Hours"), e.Primary, c.primary.ts.URL)
 	}
 
 	// Caught up, the standby scrapes no lag and the records it applied.
@@ -823,7 +823,7 @@ func TestPromoteWithoutDataDir(t *testing.T) {
 	if f.srv.fleet.Jobs() != 1 || f.srv.Role() != "primary" {
 		t.Fatal("promotion lost state")
 	}
-	_, _, err := roundTrip(t, http.MethodGet, f.ts.URL+"/v1/repl/snapshot", "", nil)
+	_, _, err := roundTrip(t, f.client, http.MethodGet, "/v1/repl/snapshot", "", nil)
 	wantRefused(t, "snapshot on a journal-less primary", err, refused(404, "", 0))
 }
 

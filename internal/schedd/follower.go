@@ -26,7 +26,8 @@ import (
 	"carbonshift/internal/trace"
 )
 
-// FollowerConfig configures replication for NewFollower.
+// FollowerConfig configures replication for NewFollower. Only 0 selects
+// a default; NewFollower refuses a negative value.
 type FollowerConfig struct {
 	// Primary is the primary schedd's base URL (required).
 	Primary string
@@ -75,6 +76,17 @@ func NewFollower(set *trace.Set, clusters []sched.Cluster, cfg Config, fcfg Foll
 	if u, err := url.Parse(fcfg.Primary); err != nil || u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("schedd: follower: invalid primary URL %q", fcfg.Primary)
 	}
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"ProbeInterval", int64(fcfg.ProbeInterval)}, {"ProbeFailures", int64(fcfg.ProbeFailures)},
+		{"ReconnectDelay", int64(fcfg.ReconnectDelay)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("schedd: FollowerConfig.%s is negative; only 0 means the default", f.name)
+		}
+	}
 	s, err := newServer(set, clusters, cfg, opts)
 	if err != nil {
 		return nil, err
@@ -83,7 +95,7 @@ func NewFollower(set *trace.Set, clusters []sched.Cluster, cfg Config, fcfg Foll
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	if fcfg.ProbeFailures <= 0 {
+	if fcfg.ProbeFailures == 0 {
 		fcfg.ProbeFailures = 3
 	}
 	f := &followerState{

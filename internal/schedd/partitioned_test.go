@@ -50,7 +50,7 @@ func route(t *testing.T, w world, steps ...gwStep) {
 		c.offStream = true
 	}
 	var err error
-	if r.failover, err = NewFailoverClient([]string{r.proxy.URL()}, r.hc); err != nil {
+	if r.failover, err = NewFailoverClient([]string{r.client.Endpoint()}, &http.Client{Transport: r.link}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range steps {
@@ -167,7 +167,7 @@ func each(name string, steps ...gwStep) gwStep {
 // its Retry-After header among it, to want.
 func graw(rq raw, want answer) gwStep {
 	return func(r *gwRow) {
-		ack, err := rq.send(r.t, r.proxy.URL(), want)
+		ack, err := rq.send(r.t, r.client, want)
 		if s := verdict(ack, err, want, r.hour); s != "" {
 			r.fatalf("%s %s: %s", rq.method, rq.path, s)
 		}
@@ -185,17 +185,21 @@ func djob(length, slack int) JobRequest {
 
 // TestPartialFailureOutcomes: a mixed batch whose sub-batches one
 // partition admits and another refuses is a 207 with per-job outcomes —
-// the acked id reported once, the rejections with their partition,
-// status and Retry-After — on both wires.
+// each acked id reported once, on its own job's line, the rejections
+// with their partition, status and Retry-After — on both wires.
 func TestPartialFailureOutcomes(t *testing.T) {
 	full := refused(503, "queue full", 1)
+	c, d := cjob(1, 24), djob(1, 24)
 	for _, m := range []wireMode{wireJSON, wireBinary} {
 		t.Run(m.String(), func(t *testing.T) {
-			// A partition holds two outstanding jobs: partition 0 admits its
-			// one-job sub-batch from both clients, partition 1 refuses its
-			// three-job one.
-			route(t, world{policy: sched.FIFO{}, slots: 4, wire: m, cfg: Config{MaxQueue: 2}},
-				split([]outcome{{0, ok}, {1, full}, {1, full}, {1, full}}, cjob(1, 24), djob(1, 24), djob(1, 24), djob(1, 24)))
+			// A partition holds four outstanding jobs: partition 0 admits its
+			// sub-batch from both clients, partition 1 refuses its five-job
+			// one. An hour later partition 0's jobs are done, and it admits
+			// two jobs interleaved with partition 1's refused ones.
+			route(t, world{policy: sched.FIFO{}, slots: 4, wire: m, cfg: Config{MaxQueue: 4}},
+				split([]outcome{{0, ok}, {1, full}, {1, full}, {1, full}, {1, full}, {1, full}}, c, d, d, d, d, d),
+				ghour(1),
+				split([]outcome{{1, full}, {0, ok}, {1, full}, {1, full}, {0, ok}, {1, full}, {1, full}}, d, c, d, d, c, d, d))
 		})
 	}
 }
@@ -319,7 +323,7 @@ func TestFleetMetricsMerge(t *testing.T) {
 					r.fatalf("merged %s = %v, want %v", s, got, want)
 				}
 			}
-			_, body, _ := roundTrip(r.t, http.MethodGet, r.proxy.URL()+"/metrics", "", nil)
+			_, body, _ := roundTrip(r.t, r.client, http.MethodGet, "/metrics", "", nil)
 			for _, family := range []string{"schedd_jobs_submitted_total", "http_requests_total", "gateway_partition_up"} {
 				if n := bytes.Count(body, []byte("# TYPE "+family+" ")); n != 1 {
 					r.fatalf("family %s declared %d times in the merge, want once", family, n)
@@ -354,9 +358,9 @@ func TestOnePartitionStatsParity(t *testing.T) {
 	}
 	route(t, world{policy: sched.FIFO{}, slots: 2, partitions: 1}, append(steps, ghour(9), gact(func(r *gwRow) {
 		var merged, direct map[string]any
-		for base, out := range map[string]*map[string]any{r.proxy.URL(): &merged, r.parts[0].primary.ts.URL: &direct} {
-			if _, body, err := roundTrip(r.t, http.MethodGet, base+"/v1/stats", "", nil); err != nil || json.Unmarshal(body, out) != nil {
-				r.fatalf("%s/v1/stats: %v %s", base, err, body)
+		for client, out := range map[*Client]*map[string]any{r.client: &merged, r.parts[0].primary.client: &direct} {
+			if _, body, err := roundTrip(r.t, client, http.MethodGet, "/v1/stats", "", nil); err != nil || json.Unmarshal(body, out) != nil {
+				r.fatalf("%s/v1/stats: %v %s", client.Endpoint(), err, body)
 			}
 		}
 		num := func(field string) float64 { return direct[field].(float64) }

@@ -29,9 +29,9 @@ const (
 var rowNames = [rowCount]string{"memory", "durable", "follower", "promoted"}
 
 // roleServers boots one server per row, each holding job 7 and serving
-// over HTTP; it returns their URLs and the primary URL the follower row
-// was given (its 421 hint).
-func roleServers(t *testing.T) (urls [rowCount]string, primaryURL string) {
+// over HTTP; it returns their clients and the primary URL the follower
+// row was given (its 421 hint).
+func roleServers(t *testing.T) (clients [rowCount]*Client, primaryURL string) {
 	t.Helper()
 	seven := 7
 	job := JobRequest{ID: &seven, Origin: "CLEAN", LengthHours: 1, SlackHours: 12}
@@ -48,12 +48,11 @@ func roleServers(t *testing.T) (urls [rowCount]string, primaryURL string) {
 	if ok, err := promoted.srv.Promote(); err != nil || !ok {
 		t.Fatalf("promote = %v, %v", ok, err)
 	}
-	urls = [rowCount]string{memory.Endpoint(), c.primary.ts.URL, follower.ts.URL, promoted.ts.URL}
-	return urls, follower.proxy.URL()
+	return [rowCount]*Client{memory, c.primary.client, follower.client, promoted.client}, c.primary.ts.URL
 }
 
 func TestRouteRoleTable(t *testing.T) {
-	urls, primaryURL := roleServers(t)
+	clients, primaryURL := roleServers(t)
 	binaryBody, err := BinaryWire.AppendSubmit(nil, []JobRequest{{Origin: "DIRTY", LengthHours: 1, SlackHours: 12}})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +86,7 @@ func TestRouteRoleTable(t *testing.T) {
 	for _, rt := range routes {
 		for row := 0; row < rowCount; row++ {
 			name := rt.method + " " + rt.path + " on " + rowNames[row]
-			h, body, err := roundTrip(t, rt.method, urls[row]+rt.path, rt.ctype, rt.body)
+			h, body, err := roundTrip(t, clients[row], rt.method, rt.path, rt.ctype, rt.body)
 			if status := cmp.Or(httpx.StatusCodeOf(err), ok); status != rt.want[row] {
 				t.Errorf("%s: status %d, want %d", name, status, rt.want[row])
 			}
@@ -101,7 +100,7 @@ func TestRouteRoleTable(t *testing.T) {
 		}
 	}
 	// The promote route did promote the follower: it now takes writes.
-	h, _, err := roundTrip(t, "POST", urls[rowFollower]+"/v1/jobs", jsonType, []byte(`{"origin":"CLEAN","length_hours":1,"slack_hours":12}`))
+	h, _, err := roundTrip(t, clients[rowFollower], "POST", "/v1/jobs", jsonType, []byte(`{"origin":"CLEAN","length_hours":1,"slack_hours":12}`))
 	if err != nil || h.Get("X-Replication-Lag-Hours") != "" {
 		t.Fatalf("write to the promoted follower: %v, lag header %q", err, h.Get("X-Replication-Lag-Hours"))
 	}

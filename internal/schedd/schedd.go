@@ -82,6 +82,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -732,11 +733,7 @@ func (s *Server) quotaRetryAfter() int {
 	if speed <= 0 {
 		speed = 1
 	}
-	after := int((rem.Seconds() + speed - 1) / speed)
-	if after < 1 {
-		after = 1
-	}
-	return after
+	return max(int(math.Ceil(rem.Seconds()/speed)), 1)
 }
 
 // writeAdmitError renders an admission rejection, stamping the

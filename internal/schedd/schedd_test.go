@@ -125,11 +125,12 @@ func TestDrainResolvesEverything(t *testing.T) {
 // snapshot cadence, horizon, partition count, id base or replay speed,
 // and a partition id outside [0, Partitions) — 0 when unpartitioned —
 // are refused by name before anything is built (NewFollower builds
-// through the same newServer).
+// through the same newServer), and so are a follower's negative probe
+// cadence, probe budget and reconnect delay.
 func TestConfigRefusesNegatives(t *testing.T) {
 	for _, tc := range []struct {
 		name string // the field refused, first
-		cfg  Config
+		cfg  any    // a Config for New, a FollowerConfig for NewFollower
 	}{
 		{"MaxJobs", Config{MaxJobs: -5}},
 		{"MaxQueue", Config{MaxQueue: -7}},
@@ -141,11 +142,21 @@ func TestConfigRefusesNegatives(t *testing.T) {
 		{"PartitionID below 0", Config{Partitions: 2, PartitionID: -1}},
 		{"PartitionID past Partitions", Config{Partitions: 2, PartitionID: 2}},
 		{"PartitionID unpartitioned", Config{PartitionID: 1}},
+		{"ProbeInterval", FollowerConfig{ProbeInterval: -time.Second}},
+		{"ProbeFailures", FollowerConfig{ProbeFailures: -1}},
+		{"ReconnectDelay", FollowerConfig{ReconnectDelay: -time.Millisecond}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			field, _, _ := strings.Cut(tc.name, " ")
-			tc.cfg.Policy = sched.FIFO{}
-			s, err := New(mkSet(t, 48, 2), clusters(2), tc.cfg)
+			var s *Server
+			var err error
+			switch cfg := tc.cfg.(type) {
+			case Config:
+				cfg.Policy = sched.FIFO{}
+				s, err = New(mkSet(t, 48, 2), clusters(2), cfg)
+			case FollowerConfig:
+				s, err = world{policy: sched.FIFO{}}.follower(t, "http://127.0.0.1:1", "", cfg)
+			}
 			if err == nil {
 				s.Close()
 				t.Fatalf("%+v accepted", tc.cfg)

@@ -11,9 +11,9 @@ package schedd
 // alternating per chunk). A primary, durable unless the world says
 // otherwise, serves it on a replay clock every node shares and a gate
 // clock of the cluster's own; each follower has its own data dir and
-// tails the primary through a cuttable TCP proxy. A schedule is a
-// sequence of ops on the cluster (fault_test.go holds the table of them,
-// admission_test.go the rows of requests and their answers):
+// tails the primary over a link the test cuts, retargets and closes. A
+// schedule is a sequence of ops on the cluster (fault_test.go holds the
+// table of them, admission_test.go the rows of requests and answers):
 //
 //	at(h)            set the clock to h and poll stats, which steps the fleet
 //	submit           send the hour's arrivals, two a request, ids pinned
@@ -24,7 +24,7 @@ package schedd
 //	restart          close the primary cleanly and boot it again
 //	load(...)        concurrent submitters beside a reader that drives the
 //	                 clock and polls stats and jobs
-//	cutLink(i)       sever follower i's connections
+//	cutLink(i)       close follower i's connections
 //	restartTail(i)   stop follower i's tail and start it at its cursor
 //	startFollower    boot a follower; it bootstraps from the newest snapshot
 //	promote(i)       once follower i has caught up, kill the primary and
@@ -72,6 +72,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -251,7 +252,7 @@ func (w world) stream(t testing.TB) []sched.Job {
 
 // follower builds, but does not start, a follower of the world tailing
 // primary, over its own dir ("" for an in-memory one).
-func (w world) follower(t testing.TB, primary, dir string, fcfg FollowerConfig, opts ...Option) *Server {
+func (w world) follower(t testing.TB, primary, dir string, fcfg FollowerConfig, opts ...Option) (*Server, error) {
 	t.Helper()
 	cfg := w.config(t, dir)
 	cfg.TraceSampleEvery = 0
@@ -260,11 +261,7 @@ func (w world) follower(t testing.TB, primary, dir string, fcfg FollowerConfig, 
 		fcfg.ReconnectDelay = time.Millisecond
 	}
 	fcfg.Primary = primary
-	s, err := NewFollower(w.set(t), w.clusters(), cfg, fcfg, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return NewFollower(w.set(t), w.clusters(), cfg, fcfg, opts...)
 }
 
 // node is one server of a cluster and its HTTP face.
@@ -273,7 +270,7 @@ type node struct {
 	ts     *httptest.Server
 	client *Client
 	dir    string
-	proxy  *chaosProxy // a follower's link to its primary
+	link   *link // a follower's network to its primary
 	stop   sync.Once
 
 	mu     sync.Mutex
@@ -286,28 +283,16 @@ func (n *node) record(hour, job int, region string) {
 	n.mu.Unlock()
 }
 
-// kill stops serving — cutting the replication streams, as a kill -9
-// would — and closes the server. Idempotent. The cutting repeats until
-// the listener is down: a follower's redial that lands in between opens
-// a stream that never ends on its own, and Close waits for it.
+// kill stops serving — closing the listener, then every connection,
+// replication streams too, as a kill -9 would — and closes the server.
+// Idempotent.
 func (n *node) kill() {
 	n.stop.Do(func() {
-		closed := make(chan struct{})
-		go func() {
-			for {
-				n.ts.CloseClientConnections()
-				select {
-				case <-closed:
-					return
-				case <-time.After(time.Millisecond):
-				}
-			}
-		}()
+		n.ts.Config.Close()
 		n.ts.Close()
-		close(closed)
 		n.srv.Close()
-		if n.proxy != nil {
-			n.proxy.Close()
+		if n.link != nil {
+			n.link.close()
 		}
 	})
 }
@@ -673,7 +658,7 @@ func (c *cluster) rebooted(rec DurabilityStats) {
 	c.savedFrom = rec.RecoveredSnapshotHour
 	c.faults++
 	for _, f := range c.followers {
-		f.proxy.retarget(c.primary.ts.Listener.Addr().String())
+		f.link.retarget(c.primary.ts.Listener.Addr().String())
 	}
 	c.checkGate()
 }
@@ -795,20 +780,25 @@ func (c *cluster) load(workers, requests, hours int, req func(w, i int) []JobReq
 }
 
 // startFollower boots a follower over its own data dir (none when
-// memory is set) behind a fresh proxy to the primary, and starts it.
+// memory is set), tailing the primary over a fresh link, and starts it.
 func (c *cluster) startFollower(fcfg FollowerConfig, memory bool) *node {
 	c.t.Helper()
-	n := &node{proxy: newChaosProxy(c.t, c.primary.ts.Listener.Addr().String())}
+	n := &node{link: newLink(c.t, c.primary.ts.Listener.Addr().String())}
 	if !memory {
 		n.dir = c.t.TempDir()
 	}
-	c.serve(n, c.w.follower(c.t, n.proxy.URL(), n.dir, fcfg, WithClock(c.clock.now), WithRecorder(n.record)), "")
+	fcfg.HTTPClient = &http.Client{Transport: n.link}
+	srv, err := c.w.follower(c.t, c.primary.ts.URL, n.dir, fcfg, WithClock(c.clock.now), WithRecorder(n.record))
+	if err != nil {
+		c.fatalf("%v", err)
+	}
+	c.serve(n, srv, "")
 	n.srv.Start(c.ctx)
 	c.followers = append(c.followers, n)
 	return n
 }
 
-func (c *cluster) cutLink(i int) { c.followers[i].proxy.cut() }
+func (c *cluster) cutLink(i int) { c.followers[i].link.cut() }
 
 func (c *cluster) restartTail(i int) {
 	f := c.followers[i].srv
@@ -832,7 +822,7 @@ func (c *cluster) promote(i int) {
 func (c *cluster) takeOver(i int) {
 	c.t.Helper()
 	f := c.followers[i]
-	f.proxy.Close()
+	f.link.close()
 	pr, err := f.client.Promote(c.ctx)
 	if err != nil {
 		c.fatalf("promote: %v", err)
@@ -1289,22 +1279,22 @@ func (r *reference) fork(t testing.TB, w world) *cluster {
 // partitioned is the fleet of the world's partitions (two unless it
 // says otherwise) behind a gateway: one cluster per partition, owning
 // its share of the regions, on the one clock, each a durable primary
-// with a hot standby, and the gateway behind a chaosProxy, so a gateway
-// started anew keeps its URL. Its arrivals are the world's stream,
-// every id pinned, four a request, so an hour with arrivals from two
-// partitions' regions splits at the gateway. A schedule is a sequence of
-// ops on it:
+// with a hot standby, and the gateway, which the clients reach over a
+// link, so a gateway started anew answers at their URL. Its arrivals
+// are the world's stream, every id pinned, four a request, so an hour
+// with arrivals from two partitions' regions splits at the gateway. A
+// schedule is a sequence of ops on it:
 //
 //	at(h)          set the clock to h and step every primary to it
 //	submit         send the hour's arrivals through the gateway
 //	settle         settle every partition
 //	kill(node)     kill -9 one process: gateway, or pN-primary (once its
 //	               partition has settled) or pN-standby
-//	heal(node)     what follows a kill: a new gateway behind the same
+//	heal(node)     what follows a kill: a new gateway at the clients'
 //	               URL, the standby promoted over a dead primary, nothing
 //	               for a dead standby
 //	promote(p)     kill partition p's primary once settled, and heal it
-//	startGateway   start a gateway behind the proxy, killing the old one
+//	startGateway   start a gateway, killing the old one; retarget the link
 //	down(p)        kill both of partition p's nodes, until check
 //
 // Its check asserts the merged views at the gateway, each partition's
@@ -1317,9 +1307,8 @@ type partitioned struct {
 	parts  []*cluster
 	urls   [][]string // each partition's primary and standby: the gateway's configuration
 	gw     *httptest.Server
-	proxy  *chaosProxy // the gateway's URL
-	hc     *http.Client
-	client *Client // the gateway's, through the proxy
+	link   *link   // the clients' network to the gateway, whichever runs
+	client *Client // the gateway's, over the link
 	op     string  // the op running, for failure messages
 
 	jobs   []sched.Job // the fleet's stream
@@ -1337,9 +1326,8 @@ func newPartitioned(t *testing.T, w world) *partitioned {
 	w.partitions = cmp.Or(w.partitions, 2)
 	f := &partitioned{
 		t: t, w: w, clock: &hourClock{}, jobs: w.stream(t), acked: map[int]int{},
-		hc: &http.Client{Transport: &http.Transport{}}, downed: map[int]bool{},
+		link: newLink(t, ""), downed: map[int]bool{},
 	}
-	t.Cleanup(f.hc.CloseIdleConnections)
 	for i := range w.partitions {
 		c := newClusterOn(t, w.part(i), f.clock)
 		standby := c.startFollower(FollowerConfig{}, false)
@@ -1348,7 +1336,7 @@ func newPartitioned(t *testing.T, w world) *partitioned {
 	}
 	f.startGateway()
 	var err error
-	if f.client, err = NewClient(f.proxy.URL(), f.hc); err != nil {
+	if f.client, err = NewClient(f.gw.URL, &http.Client{Transport: f.link}); err != nil {
 		t.Fatal(err)
 	}
 	return f
@@ -1460,7 +1448,7 @@ func (f *partitioned) kill(name string) {
 	c.followers = nil
 }
 
-// heal is what follows kill(name): a new gateway behind the same URL,
+// heal is what follows kill(name): a new gateway at the clients' URL,
 // the standby's promotion over its dead primary, or nothing.
 func (f *partitioned) heal(name string) {
 	f.t.Helper()
@@ -1485,8 +1473,8 @@ func (f *partitioned) down(p int) {
 }
 
 // startGateway starts a gateway over the partitions' first URLs, as
-// cmd/schedgw's -partition flags give them, behind the proxy, killing
-// the one it replaces.
+// cmd/schedgw's -partition flags give them, killing the one it replaces,
+// and retargets the link to it.
 func (f *partitioned) startGateway() {
 	f.t.Helper()
 	if f.gw != nil {
@@ -1498,12 +1486,7 @@ func (f *partitioned) startGateway() {
 	}
 	f.gw = httptest.NewServer(h)
 	f.t.Cleanup(f.gw.Close)
-	if addr := f.gw.Listener.Addr().String(); f.proxy == nil {
-		f.proxy = newChaosProxy(f.t, addr)
-	} else {
-		f.proxy.retarget(addr)
-	}
-	f.hc.CloseIdleConnections()
+	f.link.retarget(f.gw.Listener.Addr().String())
 }
 
 // gatewayStats is the gateway's /v1/stats: the merged view and the
@@ -1626,128 +1609,71 @@ func writeDir(t testing.TB, dir string, files map[string][]byte, tr tear) {
 
 // --- the network ---
 
-// chaosProxy is a TCP forwarder whose live connections can be cut on
-// demand — the network partition lever — and whose target can move to
-// a rebooted primary.
-type chaosProxy struct {
-	ln net.Listener
-
-	mu     sync.Mutex
-	target string
-	conns  map[net.Conn]struct{}
-	closed bool
-
-	cuts atomic.Int64
-	wg   sync.WaitGroup
+// link is a client's network to one server: an http.Transport that
+// dials its target whatever host a request names. cut closes every
+// connection it dialed, in flight or idle; retarget moves the target and
+// cuts; close cuts and fails later dials as a dead server's would.
+type link struct {
+	http.Transport
+	cuts  atomic.Int64
+	mu    sync.Mutex
+	host  string            // the target's address; "" once closed
+	conns map[net.Conn]bool // dialed since the last cut
 }
 
-func newChaosProxy(t testing.TB, target string) *chaosProxy {
+func newLink(t testing.TB, host string) *link {
+	l := &link{host: host, conns: map[net.Conn]bool{}}
+	l.DialContext = func(ctx context.Context, network, _ string) (net.Conn, error) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.host == "" {
+			return nil, &net.OpError{Op: "dial", Net: network, Err: syscall.ECONNREFUSED}
+		}
+		conn, err := new(net.Dialer).DialContext(ctx, network, l.host)
+		if err == nil {
+			l.conns[conn] = true
+		}
+		return conn, err
+	}
+	t.Cleanup(l.close)
+	return l
+}
+
+func (l *link) cut()                 { l.sever(func() {}) }
+func (l *link) retarget(host string) { l.sever(func() { l.host = host }) }
+func (l *link) close()               { l.retarget("") }
+
+func (l *link) sever(move func()) {
+	l.mu.Lock()
+	move()
+	for conn := range l.conns {
+		conn.Close()
+	}
+	clear(l.conns)
+	l.mu.Unlock()
+	l.CloseIdleConnections()
+	l.cuts.Add(1)
+}
+
+// roundTrip sends a request built by hand to client's endpoint, over
+// its HTTP client, and returns the answer's header and body; any status
+// but 200 comes back as the typed error the clients return.
+func roundTrip(t testing.TB, client *Client, method, path, contentType string, body []byte) (http.Header, []byte, error) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &chaosProxy{ln: ln, target: target, conns: map[net.Conn]struct{}{}}
-	p.wg.Add(1)
-	go p.accept()
-	t.Cleanup(p.Close)
-	return p
-}
-
-func (p *chaosProxy) URL() string { return "http://" + p.ln.Addr().String() }
-
-func (p *chaosProxy) accept() {
-	defer p.wg.Done()
-	for {
-		c, err := p.ln.Accept()
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		target := p.target
-		p.mu.Unlock()
-		up, err := net.Dial("tcp", target)
-		if err != nil {
-			c.Close()
-			continue
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			c.Close()
-			up.Close()
-			return
-		}
-		p.conns[c] = struct{}{}
-		p.conns[up] = struct{}{}
-		p.mu.Unlock()
-		pipe := func(dst, src net.Conn) {
-			defer p.wg.Done()
-			io.Copy(dst, src)
-			dst.Close()
-			src.Close()
-			p.mu.Lock()
-			delete(p.conns, dst)
-			delete(p.conns, src)
-			p.mu.Unlock()
-		}
-		p.wg.Add(2)
-		go pipe(up, c)
-		go pipe(c, up)
-	}
-}
-
-// cut severs every live connection; new dials still succeed (a
-// transient partition, not an outage).
-func (p *chaosProxy) cut() {
-	p.mu.Lock()
-	for c := range p.conns {
-		c.Close()
-	}
-	p.mu.Unlock()
-	p.cuts.Add(1)
-}
-
-// retarget points new connections at addr and cuts the live ones.
-func (p *chaosProxy) retarget(addr string) {
-	p.mu.Lock()
-	p.target = addr
-	p.mu.Unlock()
-	p.cut()
-}
-
-func (p *chaosProxy) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	p.mu.Unlock()
-	p.ln.Close()
-	p.cut()
-	p.wg.Wait()
-}
-
-// roundTrip sends a request built by hand to url and returns the
-// answer's header and body; any status but 200 comes back as the typed
-// error the clients return.
-func roundTrip(t testing.TB, method, url, contentType string, body []byte) (http.Header, []byte, error) {
-	t.Helper()
-	req, err := http.NewRequestWithContext(t.Context(), method, url, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(t.Context(), method, client.Endpoint()+path, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := client.hc.Do(req)
 	if err != nil {
-		t.Fatalf("%s %s: %v", method, url, err)
+		t.Fatalf("%s %s: %v", method, req.URL, err)
 	}
 	defer resp.Body.Close()
 	if body, err = io.ReadAll(resp.Body); err != nil {
-		t.Fatalf("%s %s: %v", method, url, err)
+		t.Fatalf("%s %s: %v", method, req.URL, err)
 	}
 	if resp.StatusCode == http.StatusOK {
 		return resp.Header, body, nil
@@ -1759,7 +1685,7 @@ func roundTrip(t testing.TB, method, url, contentType string, body []byte) (http
 // series by exact key, failing the test on a missing one.
 func scrape(t testing.TB, client *Client) func(series string) float64 {
 	t.Helper()
-	h, body, err := roundTrip(t, http.MethodGet, client.Endpoint()+"/metrics", "", nil)
+	h, body, err := roundTrip(t, client, http.MethodGet, "/metrics", "", nil)
 	if err != nil || !strings.HasPrefix(h.Get("Content-Type"), "text/plain") {
 		t.Fatalf("/metrics: %v, Content-Type %q", err, h.Get("Content-Type"))
 	}
