@@ -58,6 +58,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "carbonlimits: need -exp <id>, -all, or -report (try -list)")
 		os.Exit(2)
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := conflict(set); err != nil {
+		fmt.Fprintln(os.Stderr, "carbonlimits:", err)
+		os.Exit(2)
+	}
 	if *format != "text" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "carbonlimits: unknown format %q\n", *format)
 		os.Exit(2)
@@ -66,7 +72,7 @@ func main() {
 	var exps []core.Experiment
 	if *all {
 		exps = core.Experiments()
-	} else {
+	} else if *expID != "" {
 		e, err := core.ExperimentByID(*expID)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "carbonlimits:", err)
@@ -118,6 +124,18 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// conflict reports the first pair of set flags (by name) where one
+// would silently ignore the other: -report writes one markdown document
+// to stdout, and -all runs every experiment.
+func conflict(set map[string]bool) error {
+	for _, p := range [][2]string{{"report", "all"}, {"report", "exp"}, {"report", "format"}, {"report", "out"}, {"all", "exp"}} {
+		if set[p[0]] && set[p[1]] {
+			return fmt.Errorf("-%s ignores -%s; give one of them", p[0], p[1])
+		}
+	}
+	return nil
 }
 
 func emit(tbl *core.Table, format, outDir string) error {

@@ -30,12 +30,14 @@ const lineRefsAllowed = "ROADMAP.md"
 
 // docSet is what the document checks read: each document's text by
 // path, the test functions the module declares, every Go file's line
-// count, and the package directories under internal/ and cmd/.
+// count and cited .md names, and the package directories under internal/
+// and cmd/.
 type docSet struct {
-	docs  map[string]string // path → text
-	funcs []string          // top-level functions of _test.go files
-	lines map[string]int    // .go path → line count
-	dirs  []string          // internal/x and cmd/x
+	docs   map[string]string   // path → text
+	funcs  []string            // top-level functions of _test.go files
+	lines  map[string]int      // .go path → line count
+	mdRefs map[string][]string // .go path → the .md names it cites
+	dirs   []string            // internal/x and cmd/x
 }
 
 var (
@@ -48,6 +50,8 @@ var (
 	lineRef = regexp.MustCompile(`([A-Za-z0-9_./-]*[A-Za-z0-9_]\.go):(\d+)(?:-(\d+))?`)
 	// pkgDir matches a directory under internal/, cmd/ or examples/.
 	pkgDir = regexp.MustCompile(`\b(?:internal|cmd|examples)/[a-z0-9_]+`)
+	// mdName matches a cited markdown file, with or without a directory.
+	mdName = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b`)
 	// entryHead matches the first line of a CHANGES entry.
 	entryHead = regexp.MustCompile(`^- \*\*PR (\d+)`)
 )
@@ -112,6 +116,30 @@ func (s docSet) resolveLine(doc string, m []string) []string {
 	return nil
 }
 
+// markdown checks that every .md name a document or a Go file cites
+// resolves, against the citing file's directory or the repo root.
+func (s docSet) markdown() []string {
+	cites := maps.Clone(s.mdRefs)
+	for doc, text := range s.docs {
+		cites[doc] = mdName.FindAllString(text, -1)
+	}
+	var out []string
+	for _, file := range slices.Sorted(maps.Keys(cites)) {
+		for _, name := range cites[file] {
+			if !exists(path.Join(path.Dir(file), name)) && !exists(name) {
+				out = append(out, fmt.Sprintf("%s: %s names no file beside it or at the repo root", file, name))
+			}
+		}
+	}
+	return out
+}
+
+// exists reports whether a path relative to the repo root exists.
+func exists(rel string) bool {
+	_, err := os.Stat(filepath.Join(repoRoot, filepath.FromSlash(rel)))
+	return err == nil
+}
+
 // inventory checks that DESIGN.md's "System inventory" lists every
 // directory under internal/, cmd/ and examples/, and no other.
 func (s docSet) inventory() []string {
@@ -164,14 +192,14 @@ func sizes(design, changes string) []string {
 
 // check runs every document check, with changes as CHANGES.md's text.
 func (s docSet) check(changes string) []string {
-	return slices.Concat(s.references(), s.inventory(), sizes(s.docs["DESIGN.md"], changes))
+	return slices.Concat(s.references(), s.markdown(), s.inventory(), sizes(s.docs["DESIGN.md"], changes))
 }
 
 // loadDocs reads the checked documents and the module's test functions,
 // Go files and package directories.
 func loadDocs(t *testing.T) (docSet, string) {
 	t.Helper()
-	s := docSet{docs: map[string]string{}, lines: map[string]int{}}
+	s := docSet{docs: map[string]string{}, lines: map[string]int{}, mdRefs: map[string][]string{}}
 	docs, err := filepath.Glob(filepath.Join(repoRoot, "docs", "*.md"))
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +246,9 @@ func loadDocs(t *testing.T) (docSet, string) {
 			return nil
 		}
 		if strings.HasSuffix(rel, ".go") {
-			s.lines[rel] = strings.Count(read(rel), "\n")
+			text := read(rel)
+			s.lines[rel] = strings.Count(text, "\n")
+			s.mdRefs[rel] = mdName.FindAllString(text, -1)
 		}
 		return nil
 	})
@@ -231,8 +261,9 @@ func loadDocs(t *testing.T) (docSet, string) {
 // TestDocReferences keeps the documents a reader starts from true to the
 // code: every test, fuzz target or benchmark they cite exists, every -run
 // pattern selects something, every line reference (ROADMAP.md only)
-// lands inside its file, DESIGN.md's inventory lists every package and
-// example, and DESIGN.md and CHANGES.md stay within their sizes.
+// lands inside its file, every .md file they or a Go file cite exists,
+// DESIGN.md's inventory lists every package and example, and DESIGN.md
+// and CHANGES.md stay within their sizes.
 func TestDocReferences(t *testing.T) {
 	s, changes := loadDocs(t)
 	for _, v := range s.check(changes) {
@@ -242,9 +273,9 @@ func TestDocReferences(t *testing.T) {
 
 // TestDocReferencesFireOnPlants breaks each check once — a renamed test,
 // a line past the end of its file, a line reference outside ROADMAP.md, a
-// -run alternative that selects nothing, a package or an example
-// dropped from the inventory, an oversized CHANGES entry — and requires
-// it to be reported.
+// -run alternative that selects nothing, a cited .md file that does not
+// exist, a package or an example dropped from the inventory, an oversized
+// CHANGES entry — and requires it to be reported.
 func TestDocReferencesFireOnPlants(t *testing.T) {
 	s, changes := loadDocs(t)
 	plants := []struct {
@@ -263,6 +294,9 @@ func TestDocReferencesFireOnPlants(t *testing.T) {
 		}},
 		{"-run alternative that selects nothing", `-run alternative "TestNoSuchPlant"`, func(s *docSet, _ *string) {
 			s.docs[".claude/skills/verify/SKILL.md"] += "\n    go test ./internal/sched -run 'TestPlacementGolden|TestNoSuchPlant'\n"
+		}},
+		{"missing .md file", "docs/RUNBOOK.md: NoSuchPlant" + ".md names no file", func(s *docSet, _ *string) {
+			s.docs["docs/RUNBOOK.md"] += "\nSee NoSuchPlant" + ".md.\n"
 		}},
 		{"package dropped from the inventory", "does not list internal/tenant", func(s *docSet, _ *string) {
 			head, rest, _ := strings.Cut(s.docs["DESIGN.md"], "\n## System inventory\n")

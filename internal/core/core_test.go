@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,63 +12,26 @@ import (
 	"carbonshift/internal/simgrid"
 )
 
-// fullLab is the complete 123-region, 3-year dataset; generated once
-// and shared by the headline-calibration tests.
-var (
-	fullOnce sync.Once
-	fullLab  *Lab
-)
-
-func full(t *testing.T) *Lab {
-	t.Helper()
-	if testing.Short() {
-		t.Skip("full lab skipped in -short mode")
-	}
-	fullOnce.Do(func() {
-		var err error
-		fullLab, err = NewLabCtx(context.Background(), Options{Sim: simgrid.Config{Seed: 1}})
-		if err != nil {
-			panic(err)
-		}
-	})
-	return fullLab
-}
-
-// miniLab is a small dataset (12 regions, ~6 weeks of arrivals) used
+// miniOptions is a small dataset (12 regions, ~6 weeks of arrivals) used
 // to exercise every experiment path quickly.
-var (
-	miniOnce sync.Once
-	miniLab  *Lab
-)
-
-// miniLabSim is the mini lab's simulator configuration at a given
-// seed, shared with the multi-seed integration test.
-func miniLabSim(seed uint64) simgrid.Config {
-	return simgrid.Config{Seed: seed, Hours: 8784 + 8760 + 8760}
+func miniOptions(seed uint64, workers int) Options {
+	var regs []regions.Region
+	for _, c := range []string{"SE", "US-CA", "US-VA", "IN-WE", "HK", "DE", "FR", "AU-NSW", "BR-CS", "ZA", "CA-ON", "NL"} {
+		regs = append(regs, regions.MustByCode(c))
+	}
+	return Options{Sim: simgrid.Config{Seed: seed, Hours: 8784 + 8760 + 8760}, Regions: regs, ArrivalSpan: 1000, Stride: 211, Workers: workers}
 }
 
-func mini(t *testing.T) *Lab {
-	t.Helper()
-	miniOnce.Do(func() {
-		codes := []string{"SE", "US-CA", "US-VA", "IN-WE", "HK", "DE", "FR",
-			"AU-NSW", "BR-CS", "ZA", "CA-ON", "NL"}
-		var regs []regions.Region
-		for _, c := range codes {
-			regs = append(regs, regions.MustByCode(c))
-		}
-		var err error
-		miniLab, err = NewLabCtx(context.Background(), Options{
-			Sim:         miniLabSim(2),
-			Regions:     regs,
-			ArrivalSpan: 1000,
-			Stride:      211,
-		})
-		if err != nil {
-			panic(err)
-		}
-	})
-	return miniLab
-}
+// miniLab is the mini lab at seed 2, built once and shared.
+var miniLab = sync.OnceValue(func() *Lab {
+	l, err := NewLabCtx(context.Background(), miniOptions(2, 0))
+	if err != nil {
+		panic(err)
+	}
+	return l
+})
+
+func mini(*testing.T) *Lab { return miniLab() }
 
 func TestNewLabDefaults(t *testing.T) {
 	l := mini(t)
@@ -192,6 +155,33 @@ func TestWriteReport(t *testing.T) {
 	if strings.Count(s, "\n") > 2500 {
 		t.Fatalf("report suspiciously long: %d lines", strings.Count(s, "\n"))
 	}
+	// The Claims section has a row per claim. On the mini lab exactly one
+	// fails: 50 % idle capacity removes 65 %, over the 60 % ceiling.
+	_, section, _ := strings.Cut(s, "\n## Claims\n")
+	rows := strings.Split(strings.TrimSpace(section), "\n")
+	if len(rows) != len(claims)+2 {
+		t.Fatalf("Claims section has %d lines for %d claims", len(rows), len(claims))
+	}
+	var fails []string
+	for i, c := range claims {
+		row := rows[i+2]
+		if !strings.HasPrefix(row, "| "+c.name+" | ") || !strings.Contains(row, " | "+c.quantity+" | ") {
+			t.Errorf("Claims row %d = %q, want claim %s, %s", i, row, c.name, c.quantity)
+		}
+		if strings.HasSuffix(row, " (fails) |") {
+			fails = append(fails, row)
+		}
+	}
+	if len(fails) != 1 || !strings.HasPrefix(fails[0], "| CapacityConstrained | Figure 5(c) | idle_50% reduction_pct | 65.29 |") {
+		t.Errorf("failing Claims rows = %q, want only CapacityConstrained's idle_50%%", fails)
+	}
+	// A missing cell fails its row, unless the bound admits an absent one.
+	tbl := &Table{ID: "x", Columns: []string{"a"}}
+	for _, b := range []bound{atLeast(0), atLeast(0).orAbsent()} {
+		if _, _, pass := (claim{b: b, read: cell("r", "a")}).eval(tbl); pass != b.absentOK {
+			t.Errorf("a missing cell under %s: pass = %v", b, pass)
+		}
+	}
 }
 
 func TestExperimentByID(t *testing.T) {
@@ -217,15 +207,6 @@ func TestExperimentIDsUnique(t *testing.T) {
 	}
 }
 
-// MustValue is Value for cells a test knows exist; it panics otherwise.
-func (t *Table) MustValue(rowLabel, column string) float64 {
-	v, ok := t.Value(rowLabel, column)
-	if !ok {
-		panic(fmt.Sprintf("core: table %s has no cell (%q, %q)", t.ID, rowLabel, column))
-	}
-	return v
-}
-
 func TestTableHelpers(t *testing.T) {
 	tbl := &Table{ID: "x", Title: "t", Columns: []string{"a", "b"}}
 	tbl.AddRow("r1", 1, 2)
@@ -237,9 +218,6 @@ func TestTableHelpers(t *testing.T) {
 	}
 	if _, ok := tbl.Value("nope", "a"); ok {
 		t.Fatal("unknown row found")
-	}
-	if got := tbl.MustValue("r1", "a"); got != 1 {
-		t.Fatalf("MustValue = %v", got)
 	}
 }
 
@@ -253,251 +231,42 @@ func TestTableAddRowPanicsOnArity(t *testing.T) {
 	tbl.AddRow("r", 1, 2)
 }
 
-func TestTableMustValuePanics(t *testing.T) {
-	tbl := &Table{ID: "x", Columns: []string{"a"}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	tbl.MustValue("r", "a")
-}
-
-// --- Headline calibration on the full dataset ---
-// These encode the paper's key quantitative claims; tolerances admit
-// the synthetic-trace substitution while pinning the shape of every
-// result (see EXPERIMENTS.md).
-
-func TestHeadlineIdealSpatial(t *testing.T) {
-	l := full(t)
-	tbl, err := l.Fig5a(context.Background())
+// TestHeadline holds the complete 123-region, 3-year lab at seed 1 to
+// the paper's headline claims (claims.go), one subtest per finding. Each
+// experiment a claim reads runs once; every row logs value and margin.
+func TestHeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full lab skipped in -short mode")
+	}
+	l, err := NewLabCtx(context.Background(), Options{Sim: simgrid.Config{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pct := tbl.MustValue("Global", "reduction_pct")
-	if pct < 90 || pct > 99 {
-		t.Fatalf("ideal spatial reduction = %.1f%%, paper reports 96%%", pct)
-	}
-	asia := tbl.MustValue("Asia", "reduction_g")
-	europe := tbl.MustValue("Europe", "reduction_g")
-	if asia <= europe {
-		t.Fatalf("Asia (%.0f) should gain more than Europe (%.0f)", asia, europe)
-	}
-}
-
-func TestHeadlineCapacityConstrained(t *testing.T) {
-	l := full(t)
-	tbl, err := l.Fig5c(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := tbl.MustValue("idle_50%", "reduction_pct")
-	if half < 40 || half > 60 {
-		t.Fatalf("50%% idle reduction = %.1f%%, paper reports 51.5%%", half)
-	}
-	max := tbl.MustValue("idle_99%", "reduction_pct")
-	if max < 90 {
-		t.Fatalf("99%% idle reduction = %.1f%%, paper reports 95.68%%", max)
-	}
-	if zero := tbl.MustValue("idle_0%", "reduction_pct"); zero != 0 {
-		t.Fatalf("0%% idle reduction = %.1f%%", zero)
-	}
-}
-
-func TestHeadlineLatency(t *testing.T) {
-	l := full(t)
-	tbl, err := l.Fig6a(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reductions grow with the SLO, and capacity constraints always
-	// cost something once migration is possible.
-	prevInf := -1.0
-	for _, r := range tbl.Rows {
-		inf := r.Values[0]
-		util := r.Values[1]
-		if inf < prevInf-1e-9 {
-			t.Fatalf("infinite-capacity reduction not monotone at %s", r.Label)
+	tables := map[string]*Table{}
+	for i, finding := range claims {
+		if slices.IndexFunc(claims, func(c claim) bool { return c.name == finding.name }) < i {
+			continue // the finding's subtest ran
 		}
-		if util > inf+1e-9 {
-			t.Fatalf("constrained beats unconstrained at %s", r.Label)
-		}
-		prevInf = inf
-	}
-	full250 := tbl.MustValue("slo_250ms", "pct_infinite_capacity")
-	if full250 < 85 {
-		t.Fatalf("250ms reduction = %.1f%%, paper reports 92.5%%", full250)
-	}
-}
-
-func TestHeadlineOneVsInfMigration(t *testing.T) {
-	l := full(t)
-	tbl, err := l.Fig6b(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range tbl.Rows {
-		adv := r.Values[2]
-		if adv < -1e-9 {
-			t.Fatalf("%s: ∞-migration worse than 1-migration (%v)", r.Label, adv)
-		}
-		if adv > 12 {
-			t.Fatalf("%s: ∞-migration advantage %v g, paper bounds it below 10 g", r.Label, adv)
-		}
-	}
-}
-
-func TestHeadlineTemporalShape(t *testing.T) {
-	l := full(t)
-	fig7, err := l.Fig7(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Deferral savings per unit fall with job length, in both slack
-	// settings; the ideal 1h saving is large, the practical 168h
-	// saving is nearly nothing.
-	first := fig7.Rows[0]
-	last := fig7.Rows[len(fig7.Rows)-1]
-	if first.Values[0] <= last.Values[0] {
-		t.Fatal("ideal deferral savings should fall with job length")
-	}
-	if first.Values[0] < 60 {
-		t.Fatalf("1h ideal deferral saving = %.1f g, paper reports ~154 g", first.Values[0])
-	}
-	if last.Values[1] > 10 {
-		t.Fatalf("168h practical deferral saving = %.1f g, paper reports ~3 g", last.Values[1])
-	}
-
-	fig8, err := l.Fig8(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := fig8.MustValue("1h", "one_year_slack"); v < -1e-6 || v > 1e-6 {
-		t.Fatalf("1h interruption saving = %v, want 0 (hourly granularity)", v)
-	}
-	if fig8.MustValue("168h", "one_year_slack") <= fig8.MustValue("6h", "one_year_slack") {
-		t.Fatal("ideal interruption savings should grow with job length")
-	}
-	// Practical setting peaks at 24h jobs (paper: 18.4 g).
-	peak := fig8.MustValue("24h", "24h_slack")
-	if peak <= fig8.MustValue("1h", "24h_slack") || peak <= fig8.MustValue("168h", "24h_slack") {
-		t.Fatal("practical interruption savings should peak at 24h jobs")
-	}
-	if peak < 8 || peak > 35 {
-		t.Fatalf("24h practical interruption saving = %.1f g, paper reports 18.4 g", peak)
-	}
-}
-
-func TestHeadlineDistributions(t *testing.T) {
-	l := full(t)
-	tbl, err := l.Fig10(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	equal := tbl.MustValue("Global", "equal")
-	azure := tbl.MustValue("Global", "azure")
-	google := tbl.MustValue("Global", "google")
-	if equal < 70 || equal > 170 {
-		t.Fatalf("equal-mix fleet saving = %.1f g, paper reports 135 g", equal)
-	}
-	if azure >= equal || google >= equal {
-		t.Fatalf("cloud traces (%.0f, %.0f) must save less than the equal mix (%.0f)", azure, google, equal)
-	}
-	if oceania := tbl.MustValue("Oceania", "equal"); oceania <= tbl.MustValue("Asia", "equal") {
-		t.Fatalf("Oceania (%.0f) should beat Asia (%.0f) on temporal savings", oceania, tbl.MustValue("Asia", "equal"))
-	}
-}
-
-func TestHeadlineSlackSublinear(t *testing.T) {
-	l := full(t)
-	tbl, err := l.Fig10d(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s24 := tbl.MustValue("24h", "saving_g")
-	s1y := tbl.MustValue("1y", "saving_g")
-	if s1y <= s24 {
-		t.Fatal("more slack must not reduce savings")
-	}
-	// 365x the slack must yield far less than 365x the savings.
-	if ratio := s1y / s24; ratio > 10 {
-		t.Fatalf("slack scaling ratio = %.1fx, paper reports ~3.1x (sub-linear)", ratio)
-	}
-	prev := 0.0
-	for _, r := range tbl.Rows {
-		if r.Values[0] < prev-1e-9 {
-			t.Fatalf("savings fell at %s", r.Label)
-		}
-		prev = r.Values[0]
-	}
-}
-
-func TestHeadlineMixedWorkloadLinear(t *testing.T) {
-	l := full(t)
-	tbl, err := l.Fig11a(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero := tbl.MustValue("migratable_0%", "reduction_g")
-	fullRed := tbl.MustValue("migratable_100%", "reduction_g")
-	halfRed := tbl.MustValue("migratable_50%", "reduction_g")
-	if zero != 0 {
-		t.Fatalf("0%% migratable reduction = %v", zero)
-	}
-	if diff := halfRed - fullRed/2; diff > 1e-6 || diff < -1e-6 {
-		t.Fatalf("mixed-workload reductions not linear: half=%v full=%v", halfRed, fullRed)
-	}
-}
-
-func TestHeadlineSpatialDominatesTemporal(t *testing.T) {
-	l := full(t)
-	tbl, err := l.Fig12(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	se := tbl.MustValue("SE", "net_1y")
-	if se < 200 {
-		t.Fatalf("Sweden net saving = %.1f g, expected dominant spatial gains", se)
-	}
-	for _, dest := range []string{"US-UT", "IN-WE"} {
-		if net, ok := tbl.Value(dest, "net_1y"); ok && net >= 0 {
-			t.Fatalf("%s net saving = %.1f g, expected negative (dirtier than average origin)", dest, net)
-		}
-	}
-	// Temporal savings never flip the sign of a strongly negative
-	// spatial term (the paper's "spatial dominates" takeaway).
-	for _, r := range tbl.Rows {
-		spatial := r.Values[0]
-		net := r.Values[2]
-		if spatial < -100 && net > 0 {
-			t.Fatalf("%s: temporal flipped a big negative spatial term", r.Label)
-		}
-	}
-}
-
-// The abstract's last finding: as grids add renewables, both curves
-// fall and the carbon-aware advantage over doing nothing shrinks — for
-// temporal shifting within a region (Fig. 11c) and for spatial shifting
-// across the world (Fig. 11d) alike.
-func TestHeadlineGreenerGridShrinksGap(t *testing.T) {
-	l := full(t)
-	for _, fig := range []func(context.Context) (*Table, error){l.Fig11c, l.Fig11d} {
-		tbl, err := fig(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(tbl.Rows) != len(greenerSteps) {
-			t.Fatalf("%s: %d rows for %d renewable steps", tbl.ID, len(tbl.Rows), len(greenerSteps))
-		}
-		for i := 1; i < len(tbl.Rows); i++ {
-			prev, row := tbl.Rows[i-1], tbl.Rows[i]
-			for _, col := range []string{"agnostic_g", "gap_g"} {
-				was, now := tbl.MustValue(prev.Label, col), tbl.MustValue(row.Label, col)
-				if !(now < was) {
-					t.Errorf("%s: %s did not fall from %s (%.2f) to %s (%.2f)",
-						tbl.ID, col, prev.Label, was, row.Label, now)
+		t.Run(finding.name, func(t *testing.T) {
+			for _, c := range claims {
+				if c.name != finding.name {
+					continue
+				}
+				if tables[c.exp] == nil {
+					e, err := ExperimentByID(c.exp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tables[c.exp], err = e.Run(context.Background(), l); err != nil {
+						t.Fatal(err)
+					}
+				}
+				v, margin, pass := c.eval(tables[c.exp])
+				t.Logf("%s %s = %s (paper %q), bound %s, margin %s", c.exp, c.quantity, claimNum(v), c.paper, c.b, claimNum(margin))
+				if !pass {
+					t.Errorf("%s %s = %s is outside %s", c.exp, c.quantity, claimNum(v), c.b)
 				}
 			}
-		}
+		})
 	}
 }

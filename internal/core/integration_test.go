@@ -69,12 +69,7 @@ func TestSeedChangesResultsButNotShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed lab skipped in -short mode")
 	}
-	other, err := NewLabCtx(context.Background(), Options{
-		Sim:         miniLabSim(43),
-		Regions:     mini(t).Regions,
-		ArrivalSpan: 1000,
-		Stride:      211,
-	})
+	other, err := NewLabCtx(context.Background(), miniOptions(43, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +81,9 @@ func TestSeedChangesResultsButNotShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	av := a.MustValue("Global", "reduction_pct")
-	bv := b.MustValue("Global", "reduction_pct")
+	// A missing cell reads 0, which fails the bound below.
+	av, _ := a.Value("Global", "reduction_pct")
+	bv, _ := b.Value("Global", "reduction_pct")
 	if av == bv {
 		t.Fatal("different seeds produced identical results")
 	}

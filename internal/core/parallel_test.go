@@ -7,30 +7,16 @@ import (
 	"fmt"
 	"testing"
 
-	"carbonshift/internal/regions"
 	"carbonshift/internal/simgrid"
 	"carbonshift/internal/stats"
 	"carbonshift/internal/temporal"
 )
 
-// parallelLab builds a mini lab with the given engine worker bound,
-// sharing the mini lab's simulator config (and therefore the
-// process-level trace cache).
+// parallelLab builds the mini lab with the given engine worker bound,
+// sharing its simulator config (and therefore the process-level trace
+// cache).
 func parallelLab(t *testing.T, workers int) *Lab {
-	t.Helper()
-	codes := []string{"SE", "US-CA", "US-VA", "IN-WE", "HK", "DE", "FR",
-		"AU-NSW", "BR-CS", "ZA", "CA-ON", "NL"}
-	var regs []regions.Region
-	for _, c := range codes {
-		regs = append(regs, regions.MustByCode(c))
-	}
-	l, err := NewLabCtx(context.Background(), Options{
-		Sim:         miniLabSim(2),
-		Regions:     regs,
-		ArrivalSpan: 1000,
-		Stride:      211,
-		Workers:     workers,
-	})
+	l, err := NewLabCtx(context.Background(), miniOptions(2, workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +82,7 @@ func TestNewLabCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	// A seed no other test uses, so nothing is already cached.
-	if _, err := NewLabCtx(ctx, Options{Sim: miniLabSim(981), Workers: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := NewLabCtx(ctx, Options{Sim: miniOptions(981, 2).Sim, Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("NewLabCtx under cancelled context: err = %v, want context.Canceled", err)
 	}
 }

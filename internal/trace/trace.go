@@ -303,7 +303,10 @@ func (s *Set) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV reads a set in the format produced by WriteCSV.
+// ReadCSV reads a set in the format produced by WriteCSV. Each region's
+// samples must be hourly and in order: a sample that is not its region's
+// first timestamp plus one hour per sample before it (a gap, a duplicate,
+// an out-of-order or an off-hour timestamp) is an error naming its line.
 func ReadCSV(r io.Reader) (*Set, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 3
@@ -341,6 +344,11 @@ func ReadCSV(r io.Reader) (*Set, error) {
 			p = &partial{start: ts}
 			parts[rec[0]] = p
 			order = append(order, rec[0])
+		}
+		if want := p.start.Add(time.Duration(len(p.ci)) * time.Hour); !ts.Equal(want) {
+			line, _ := cr.FieldPos(1)
+			return nil, fmt.Errorf("trace: line %d: %s sample at %s, want the next hour %s",
+				line, rec[0], rec[1], want.Format(time.RFC3339))
 		}
 		p.ci = append(p.ci, v)
 	}

@@ -259,17 +259,28 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCSVRejectsGarbage feeds malformed input and requires an error.
+// A misplaced sample, the fourth of one region's rows, must name line 5.
 func TestReadCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("not,a,header\n")); err == nil {
-		t.Fatal("bad header accepted")
+	const head = "region,timestamp,carbon_intensity_gco2eq_kwh\n"
+	misplaced := func(ts string) string {
+		return head + "A,2020-01-01T00:00:00Z,1\nA,2020-01-01T01:00:00Z,2\nA,2020-01-01T02:00:00Z,3\n" +
+			"A," + ts + ",4\nA,2020-01-01T04:00:00Z,5\n"
 	}
-	bad := "region,timestamp,carbon_intensity_gco2eq_kwh\nA,not-a-time,1\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Fatal("bad timestamp accepted")
-	}
-	bad = "region,timestamp,carbon_intensity_gco2eq_kwh\nA,2020-01-01T00:00:00Z,xyz\n"
-	if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
-		t.Fatal("bad value accepted")
+	for _, tc := range []struct{ name, in, want string }{
+		{"bad header", "not,a,header\n", ""},
+		{"bad timestamp", head + "A,not-a-time,1\n", ""},
+		{"bad value", head + "A,2020-01-01T00:00:00Z,xyz\n", ""},
+		{"gap", misplaced("2020-01-01T04:00:00Z"), "line 5:"},
+		{"duplicate", misplaced("2020-01-01T02:00:00Z"), "line 5:"},
+		{"out of order", misplaced("2020-01-01T01:00:00Z"), "line 5:"},
+		{"off the hour", misplaced("2020-01-01T02:30:00Z"), "line 5:"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadCSV(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("ReadCSV = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
