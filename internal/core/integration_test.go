@@ -13,8 +13,9 @@ import (
 
 // TestCSVPipelineRoundTrip checks the full data path a downstream user
 // would take: generate the dataset, export it to CSV (trace.Set's
-// WriteCSV, the format ReadCSV reads), read it back, and verify the
-// analyses produce identical results on the re-imported data.
+// WriteCSV, the format ReadCSV reads), read it back, and verify that
+// every sample comes back bit for bit and the analyses agree on the
+// re-imported data.
 func TestCSVPipelineRoundTrip(t *testing.T) {
 	l := mini(t)
 
@@ -30,9 +31,19 @@ func TestCSVPipelineRoundTrip(t *testing.T) {
 		t.Fatalf("round trip shape: %dx%d vs %dx%d",
 			back.Size(), back.Len(), l.Set.Size(), l.Set.Len())
 	}
+	for _, code := range l.Set.Regions() {
+		orig, re := l.Set.MustGet(code), back.MustGet(code)
+		if !re.Start.Equal(orig.Start) {
+			t.Fatalf("%s: start %v through CSV, want %v", code, re.Start, orig.Start)
+		}
+		for h, v := range orig.CI {
+			if math.Float64bits(re.CI[h]) != math.Float64bits(v) {
+				t.Fatalf("%s hour %d: %v through CSV, want %v bit for bit", code, h, re.CI[h], v)
+			}
+		}
+	}
 
-	// Temporal analysis must agree to CSV precision (3 decimals per
-	// sample, so sums over a week agree within ~0.1 g).
+	// Temporal analysis agrees exactly.
 	for _, code := range []string{"SE", "IN-WE"} {
 		orig, err := temporal.Sweep(l.Set.MustGet(code).CI[100:], 24, 168, 1)
 		if err != nil {
@@ -42,7 +53,7 @@ func TestCSVPipelineRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(orig.Interrupted[0]-re.Interrupted[0]) > 0.2 {
+		if orig.Interrupted[0] != re.Interrupted[0] {
 			t.Fatalf("%s: interrupted cost drifted through CSV: %v vs %v",
 				code, orig.Interrupted[0], re.Interrupted[0])
 		}

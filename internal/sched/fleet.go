@@ -72,9 +72,10 @@ type Fleet struct {
 	// without further locking. Step's one rewrite of a directory entry,
 	// freezing a block, is made under idMu too, for Has, which takes no
 	// world lock (finishInBlock). The id index is different: a put can move
-	// any slot of a table, so it is only read under idMu. (Step does not
-	// read it: a policy names jobs by their position in the hour's
-	// eligible list.)
+	// any slot of a table, so it is only read under idMu. (Step places
+	// without it — a policy names jobs by their position in the hour's
+	// eligible list — and only a freeze, taking a dense block's ids out of
+	// its tables, touches it.)
 	//
 	// Submit appends each admitted job to active or pending under idMu,
 	// in the same critical section that hands out its sequence number, so
@@ -513,7 +514,7 @@ func (f *Fleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 			// records, so before the blocks go), any block they opened,
 			// any tenant name only they used.
 			for k := range jobs[:i] {
-				f.ids.del(f.blocks, jobs[k].ID)
+				f.ids.del(f.blocks, jobs[k].ID, first+uint32(k))
 			}
 			f.blocks = f.blocks[:nblocks]
 			for _, name := range f.tenants[ntenants:] {
@@ -569,6 +570,9 @@ func (f *Fleet) admissible(j *Job) error {
 func (s *jobStore) appendRec(seq uint32, j *Job, originI int) *jobRec {
 	if seq%recBlock == 0 {
 		s.blocks = append(s.blocks, recBlockEntry{hot: new([recBlock]jobRec)})
+		// The index's dense list grows with the directory, here, so that
+		// a freeze allocates nothing but its packed block.
+		s.ids.dense = slices.Grow(s.ids.dense, cap(s.blocks)-len(s.ids.dense))
 	}
 	r := s.blocks.hot(seq)
 	*r = jobRec{
@@ -858,7 +862,8 @@ func (f *Fleet) Step() error {
 // block is full. The packing reads only the hot array, which nothing
 // else writes while Step holds the world write lock; the entry is swapped
 // under idMu because Has reads ids through the directory holding idMu
-// alone. The hot array is garbage from then on.
+// alone, and in the same section a dense block's ids leave the index's
+// tables (idIndex.blockFrozen). The hot array is garbage from then on.
 func (f *Fleet) finishInBlock(seq uint32) {
 	e := &f.blocks[seq/recBlock]
 	if e.open--; e.open > 0 || seq/recBlock >= uint32(f.submitted.Load())/recBlock {
@@ -867,6 +872,7 @@ func (f *Fleet) finishInBlock(seq uint32) {
 	frozen := freeze(e.hot, f.traces)
 	f.idMu.Lock()
 	e.hot, e.frozen = nil, frozen
+	f.ids.blockFrozen(f.blocks, seq/recBlock)
 	f.idMu.Unlock()
 }
 

@@ -1,25 +1,42 @@
 package sched
 
-import "math/rand/v2"
+import (
+	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
+)
 
 // idIndex maps a job id to its submission sequence without storing the
-// id: a slot holds seq+1 (0 is empty) and the slot's key is
-// blocks.id(seq) — the record's id, from a hot block's record or a
-// frozen block's id column, and the record every lookup is about to read
-// anyway. Four bytes a slot is all the index owns; the Go map it
-// replaced kept a second copy of every id in a 16-byte slot and cost 37
-// bytes a job.
+// id, in two parts.
 //
-// The shape is extendible hashing. A directory, indexed by the hash's
+// A frozen block whose id column — each id less its position — packs
+// at denseWidth bits or fewer is its own index: an id can sit only at
+// the few positions that column allows (frozenBlock.find), so the index
+// keeps one entry for the whole block in dense, sorted by the block's
+// lowest id. Sequential and auto-assigned ids make such blocks, so a
+// done job of ordinary traffic costs the index nothing.
+//
+// Every other id — in a hot block, or in a frozen one whose ids are
+// scattered — is in a hash table: a slot holds seq+1 (0 is empty) and
+// the slot's key is blocks.id(seq), the record's id, which every lookup
+// is about to read anyway. A slot is 4 bytes; the Go map this replaced
+// kept a second copy of every id and cost 37 bytes a job. A lookup tries
+// the tables first and the dense blocks after a miss.
+//
+// The tables are extendible hashing. A directory, indexed by the hash's
 // top depth bits, points at fixed-size linear-probe tables (home slot:
 // the hash's low bits); a table that reaches 7/8 full splits in two on
 // its next hash bit, on its own, and the directory doubles only when
-// the splitting table was already as deep as the directory. So the
-// tables run between 7/16 and 7/8 full at any population (4.6–9.1 bytes
-// a job), and the worst single put re-homes one table's 3584 entries —
-// one big table doubling at 2²⁰ jobs re-homes all of them (33 ms
-// against 0.34 ms when this was written), inside a Submit that holds
-// idMu.
+// the splitting table was already as deep as the directory. So a
+// growing index runs between 7/16 and 7/8 full (4.6–9.1 bytes an id),
+// and the worst single put re-homes one table's 3584 entries, where one
+// big table doubling at 2²⁰ ids re-homed all of them (33 ms against
+// 0.34 ms when this was written) inside a Submit that holds idMu. When
+// a dense block's ids leave, a table and its buddy that hold fewer than
+// idTableMerge entries between them merge back, and the directory
+// halves once no table is as deep as it (shrink), so the tables give
+// back what a burst of hot ids took.
 //
 // Ids are client-chosen and linear probing degrades to a scan if
 // many keys share a home slot, so the hash is a full 64-bit mixer over
@@ -34,14 +51,30 @@ import "math/rand/v2"
 // reads nothing of them but ids.
 type idIndex struct {
 	seed  uint64
-	depth uint8      // len(dir) == 1<<depth
-	dir   []*idTable // by the hash's top depth bits; a shallower table fills a run of entries
+	depth uint8        // len(dir) == 1<<depth
+	dir   []*idTable   // by the hash's top depth bits; a shallower table fills a run of entries
+	dense []denseBlock // the frozen blocks that index themselves, by lo ascending
+}
+
+// denseBlock is a frozen block that is its own index: every id in it is
+// in [lo, lo+denseSpan).
+type denseBlock struct {
+	lo  int    // the block's id column base
+	blk uint32 // its position in the block directory
 }
 
 const (
 	idTableSlots = 1 << 12
 	idTableMask  = idTableSlots - 1
 	idTableFull  = idTableSlots / 8 * 7 // a table holding this many splits before it takes another
+	idTableMerge = idTableFull / 2      // a table and its buddy holding fewer than this between them merge
+
+	// denseWidth is the widest id column a frozen block may have and be
+	// its own index: find then scans at most 1<<denseWidth positions.
+	denseWidth = 8
+	// denseSpan bounds a dense block's ids: record i holds lo+i+v, with
+	// v under 1<<denseWidth.
+	denseSpan = recBlock + 1<<denseWidth - 1
 )
 
 // idTable is one linear-probe table. The slots are their own
@@ -80,15 +113,62 @@ func (x *idIndex) table(h uint64) *idTable { return x.dir[h>>(64-x.depth)] }
 func (x *idIndex) get(b recBlocks, id int) (uint32, bool) {
 	h := x.hash(id)
 	t := x.table(h)
-	for i := uint32(h) & idTableMask; ; i = (i + 1) & idTableMask {
-		s := t.slots[i]
-		if s == 0 {
-			return 0, false
-		}
-		if b.id(s-1) == id {
+	for i := uint32(h) & idTableMask; t.slots[i] != 0; i = (i + 1) & idTableMask {
+		if s := t.slots[i]; b.id(s-1) == id {
 			return s - 1, true
 		}
 	}
+	// The dense blocks that can hold id start less than denseSpan below
+	// it. Each holds recBlock distinct ids within denseSpan of its lo, so
+	// at most two of them do.
+	k := x.denseUpTo(id)
+	for k--; k >= 0 && uint64(id)-uint64(x.dense[k].lo) < denseSpan; k-- {
+		blk := x.dense[k].blk
+		if i, ok := b[blk].frozen.find(id); ok {
+			return blk*recBlock + i, true
+		}
+	}
+	return 0, false
+}
+
+// denseUpTo returns the number of dense blocks whose lo is at most id.
+func (x *idIndex) denseUpTo(id int) int {
+	return sort.Search(len(x.dense), func(k int) bool { return x.dense[k].lo > id })
+}
+
+// dense reports whether the block is its own index: its id column is
+// at most denseWidth bits wide, and its span does not run past
+// math.MaxInt, where ids wrap round to the lowest and lo would not
+// order it.
+func (fb *frozenBlock) dense() bool {
+	c := &fb.cols[colID]
+	return c.width <= denseWidth && int(c.base) <= math.MaxInt-denseSpan
+}
+
+// find returns the position of id in a dense block. Record i holds id
+// base+i+v, v being its column value less the base and under
+// 1<<width, so id = base+t can sit only at positions t-(1<<width)+1 to
+// t. The first guess is t less the value at t, which is right wherever
+// the column is flat around t — always at width 0.
+func (fb *frozenBlock) find(id int) (uint32, bool) {
+	c := &fb.cols[colID]
+	t := uint64(id) - c.base
+	if t < recBlock {
+		v := fb.get(colID, uint32(t)) - c.base
+		if v == 0 { // record t's id is base+t
+			return uint32(t), true
+		}
+		if i := t - v; i <= t && fb.id(uint32(i)) == id {
+			return uint32(i), true
+		}
+	}
+	w := uint64(1)<<c.width - 1
+	for i := t - min(t, w); i <= min(t, recBlock-1); i++ {
+		if fb.id(uint32(i)) == id {
+			return uint32(i), true
+		}
+	}
+	return 0, false
 }
 
 // put registers id at seq. The caller has checked that id is absent
@@ -146,22 +226,19 @@ func (x *idIndex) split(b recBlocks, t *idTable, h uint64) {
 	}
 }
 
-// del unregisters id — Submit's undo of a batch that failed part-way.
-// The slots after the hole shift back over it (no tombstones), so a
+// del unregisters id, registered at seq: Submit's undo of a batch that
+// failed part-way, and a dense block's ids leaving the tables. The
+// slots after the hole shift back over it (no tombstones), so a
 // rolled-back batch leaves every probe chain as short as if it had never
-// been sent. Tables are not merged back: where a slot sits is not
-// observable.
-func (x *idIndex) del(b recBlocks, id int) {
+// been sent. del merges no tables: a rollback leaves them as they were
+// split, which is not observable.
+func (x *idIndex) del(b recBlocks, id int, seq uint32) {
 	h := x.hash(id)
 	t := x.table(h)
 	i := uint32(h) & idTableMask
-	for ; ; i = (i + 1) & idTableMask {
-		s := t.slots[i]
-		if s == 0 {
+	for ; t.slots[i] != seq+1; i = (i + 1) & idTableMask {
+		if t.slots[i] == 0 {
 			return
-		}
-		if b.id(s-1) == id {
-			break
 		}
 	}
 	for j := (i + 1) & idTableMask; t.slots[j] != 0; j = (j + 1) & idTableMask {
@@ -176,4 +253,100 @@ func (x *idIndex) del(b recBlocks, id int) {
 	}
 	t.slots[i] = 0
 	t.n--
+}
+
+// blockFrozen is told that block blk has just been swapped for its frozen
+// form. If the block is dense its ids leave the tables, which shrink,
+// and it joins dense.
+func (x *idIndex) blockFrozen(b recBlocks, blk uint32) {
+	fb := &b[blk].frozen
+	if !fb.dense() {
+		return
+	}
+	for i := uint32(0); i < recBlock; i++ {
+		x.del(b, fb.id(i), blk*recBlock+i)
+	}
+	x.addDense(fb, blk)
+	x.shrink(b)
+}
+
+// restoreBlock registers the ids of block blk, whose first n records a
+// restore has just written and, if the block is full and done, frozen.
+// A dense frozen block goes straight to dense; any other block's ids go
+// into the tables. It returns an id the index already holds or the
+// block holds twice: that is the restore's duplicate check.
+func (x *idIndex) restoreBlock(b recBlocks, blk uint32, n int) (dup int, ok bool) {
+	fb := &b[blk].frozen
+	if b[blk].hot != nil || !fb.dense() {
+		for seq := blk * recBlock; seq < blk*recBlock+uint32(n); seq++ {
+			id := b.id(seq)
+			if _, dup := x.get(b, id); dup {
+				return id, true
+			}
+			x.put(b, id, seq)
+		}
+		return 0, false
+	}
+	var seen [(denseSpan + 63) / 64]uint64 // by id less lo
+	for i := uint32(0); i < recBlock; i++ {
+		id := fb.id(i)
+		t := uint64(id) - fb.cols[colID].base
+		if _, dup := x.get(b, id); dup || seen[t/64]&(1<<(t%64)) != 0 {
+			return id, true
+		}
+		seen[t/64] |= 1 << (t % 64)
+	}
+	x.addDense(fb, blk)
+	return 0, false
+}
+
+// addDense registers fb, frozen block blk, as dense. None of its ids may
+// be in the tables.
+func (x *idIndex) addDense(fb *frozenBlock, blk uint32) {
+	lo := int(fb.cols[colID].base)
+	x.dense = slices.Insert(x.dense, x.denseUpTo(lo), denseBlock{lo: lo, blk: blk})
+}
+
+// shrink undoes splits the index no longer needs: a table whose buddy —
+// the table its last split made, or that made it — is as deep and holds
+// fewer than idTableMerge entries between them takes the buddy's keys,
+// the smaller table's re-homed into the larger, and its directory run.
+// Merges repeat until none applies; then the directory halves for as
+// long as no table is as deep as it.
+func (x *idIndex) shrink(b recBlocks) {
+	for merged := true; merged; {
+		merged = false
+		for i := 0; i < len(x.dir); {
+			t := x.dir[i]
+			run := 1 << (x.depth - t.depth)
+			// A table whose last top bit is clear has its buddy in the
+			// next run.
+			if i&run == 0 && run < len(x.dir) {
+				if u := x.dir[i+run]; u.depth == t.depth && t.n+u.n < idTableMerge {
+					if u.n > t.n {
+						t, u = u, t
+					}
+					for _, s := range u.slots {
+						if s != 0 {
+							t.insert(x.hash(b.id(s-1)), s)
+						}
+					}
+					t.depth--
+					for k := i; k < i+2*run; k++ {
+						x.dir[k] = t
+					}
+					merged, run = true, 2*run
+				}
+			}
+			i += run
+		}
+	}
+	for x.depth > 0 && !slices.ContainsFunc(x.dir, func(t *idTable) bool { return t.depth == x.depth }) {
+		half := len(x.dir) / 2
+		for i := range half {
+			x.dir[i] = x.dir[2*i]
+		}
+		clear(x.dir[half:])
+		x.dir, x.depth = x.dir[:half], x.depth-1
+	}
 }

@@ -5,19 +5,22 @@ import (
 	"math"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
 	"carbonshift/internal/rng"
 )
 
+type idShape struct {
+	name string
+	id   func(i int, src *rng.Source) int
+}
+
 // idShapes are the id populations the index is held to: what the
 // partitions' auto-assignment and real clients produce, and the regular
 // patterns a weak hash folds into one chain. Each returns the i-th id.
-var idShapes = []struct {
-	name string
-	id   func(i int, src *rng.Source) int
-}{
+var idShapes = []idShape{
 	{"sequential from a partition base", func(i int, _ *rng.Source) int { return 3*100_000_000 + i }},
 	{"strided by 4096", func(i int, _ *rng.Source) int { return i * 4096 }},
 	{"strided by 2^32", func(i int, _ *rng.Source) int { return i << 32 }},
@@ -31,11 +34,21 @@ var idShapes = []struct {
 	{"random", func(_ int, src *rng.Source) int { return int(src.Uint64()) }},
 }
 
-// shapeIDs returns ids from..from+n-1 of a shape.
+// modelShapes are idShapes and then the edge cases of dense blocks: ids
+// missing from inside a block's span, ids out of order within it, and a
+// run that wraps past math.MaxInt.
+var modelShapes = append(slices.Clip(idShapes),
+	idShape{"sequential with gaps", func(i int, _ *rng.Source) int { return i + i/5 }},
+	idShape{"shuffled in runs of 64", func(i int, _ *rng.Source) int { return 1<<40 + i&^63 | i*37&63 }},
+	idShape{"ascending past MaxInt", func(i int, _ *rng.Source) int { return math.MaxInt - 3*recBlock + i }},
+)
+
+// shapeIDs returns ids from..from+n-1 of a shape, an index into
+// modelShapes.
 func shapeIDs(shape, from, n int, src *rng.Source) []int {
 	ids := make([]int, n)
 	for k := range ids {
-		ids[k] = idShapes[shape].id(from+k, src)
+		ids[k] = modelShapes[shape].id(from+k, src)
 	}
 	return ids
 }
@@ -65,10 +78,8 @@ func (m *idModel) probe(t testing.TB, ids []int) {
 
 // round submits ids the way Submit does — get, write the record, put —
 // and then either keeps the batch or rolls it back as a failed Submit
-// would, deleting in a random order. A kept batch freezes every block it
-// filled, as a fleet's blocks freeze once their jobs are done, so later
-// rounds read keys from both record forms. Present and absent ids are
-// probed before it returns.
+// would, deleting in a random order. Present and absent ids are probed
+// before it returns.
 func (m *idModel) round(t testing.TB, ids []int, keep bool, src *rng.Source) {
 	t.Helper()
 	nblocks := len(m.blocks)
@@ -96,24 +107,52 @@ func (m *idModel) round(t testing.TB, ids []int, keep bool, src *rng.Source) {
 			added[i], added[j] = added[j], added[i]
 		}
 		for _, id := range added {
-			m.x.del(m.blocks, id)
+			m.x.del(m.blocks, id, m.want[id])
 			delete(m.want, id)
 		}
 		m.blocks = m.blocks[:nblocks]
 	}
+	m.probe(t, ids)
+}
+
+// hotFull lists the full blocks that are still hot: the ones a fleet
+// may freeze next, in whatever order their jobs finish.
+func (m *idModel) hotFull() []uint32 {
+	var out []uint32
 	for i := range m.blocks[:len(m.want)/recBlock] {
-		if e := &m.blocks[i]; e.hot != nil {
-			e.frozen = freeze(e.hot, nil)
-			e.hot = nil
+		if m.blocks[i].hot != nil {
+			out = append(out, uint32(i))
 		}
 	}
-	m.probe(t, ids)
+	return out
+}
+
+// freeze freezes block blk, full and hot, and tells the index, as
+// finishInBlock does. A block that became its own index then answers
+// for every id its span could hold, present or not.
+func (m *idModel) freeze(t testing.TB, blk uint32) {
+	t.Helper()
+	e := &m.blocks[blk]
+	e.frozen = freeze(e.hot, nil)
+	e.hot = nil
+	m.x.blockFrozen(m.blocks, blk)
+	if !e.frozen.dense() {
+		return
+	}
+	lo := int(e.frozen.cols[colID].base)
+	span := make([]int, denseSpan)
+	for k := range span {
+		span[k] = lo + k
+	}
+	m.probe(t, span)
 }
 
 // check verifies the whole index: every id resolves, and the directory
 // and tables are well formed — each table of depth d fills one aligned
 // run of 2^(depth-d) directory entries, counts its occupied slots
-// exactly, and is never fuller than the split threshold.
+// exactly, is never fuller than the split threshold, and holds no id of
+// a dense block; the dense list is in order of lo and names only frozen
+// dense blocks; and between them they hold every id once.
 func (m *idModel) check(t testing.TB) {
 	t.Helper()
 	for id, want := range m.want {
@@ -125,7 +164,18 @@ func (m *idModel) check(t testing.TB) {
 	if len(x.dir) != 1<<x.depth {
 		t.Fatalf("directory of %d entries at depth %d", len(x.dir), x.depth)
 	}
-	total := 0
+	dense := make(map[uint32]bool)
+	for k, d := range x.dense {
+		fb := &m.blocks[d.blk].frozen
+		if m.blocks[d.blk].hot != nil || !fb.dense() || d.lo != int(fb.cols[colID].base) || dense[d.blk] {
+			t.Fatalf("dense entry %d names block %d, which is hot, sparse, listed twice or at another lo", k, d.blk)
+		}
+		if k > 0 && x.dense[k-1].lo > d.lo {
+			t.Fatalf("dense entries %d and %d out of order", k-1, k)
+		}
+		dense[d.blk] = true
+	}
+	total := recBlock * len(x.dense)
 	for i := 0; i < len(x.dir); {
 		tb := x.dir[i]
 		run := 1 << (x.depth - tb.depth)
@@ -145,6 +195,9 @@ func (m *idModel) check(t testing.TB) {
 			occupied++
 			if h := x.hash(m.blocks.id(s - 1)); int(h>>(64-tb.depth)) != i/run {
 				t.Fatalf("slot %d of the table at entry %d holds a key of another prefix", pos, i)
+			}
+			if dense[(s-1)/recBlock] {
+				t.Fatalf("slot %d of the table at entry %d holds an id of dense block %d", pos, i, (s-1)/recBlock)
 			}
 		}
 		if occupied != int(tb.n) || occupied > idTableFull {
@@ -184,13 +237,26 @@ func (m *idModel) longestProbe() int {
 
 // TestIDIndexModel is the differential test against map[int]uint32:
 // batches of every id shape, overlapping earlier ones, a third of them
-// rolled back, through several generations of table splits.
+// rolled back, through several generations of table splits, and now and
+// then a drain that freezes every full block in random order — dense
+// ones leaving the tables, sparse ones staying — and merges the emptied
+// tables. A shape runs for some sixteen batches, so that blocks hold one
+// shape alone, and most runs are of shapes in order, whose blocks are
+// dense unless a shape change or a rollback falls inside them. The whole
+// index is checked after every batch and every freeze.
 func TestIDIndexModel(t *testing.T) {
 	src := rng.New(19)
 	m := newIDModel()
-	next := make([]int, len(idShapes))
+	m.x.seed = 0x19
+	next := make([]int, len(modelShapes))
+	shape, deepest, merged := 0, uint8(0), false
 	for r := 0; r < 400; r++ {
-		shape := src.Intn(len(idShapes))
+		if src.Intn(16) == 0 {
+			shape = src.Intn(len(modelShapes))
+			if inOrder := []int{0, len(idShapes), len(idShapes) + 1, len(idShapes) + 2}; src.Intn(8) > 0 {
+				shape = inOrder[src.Intn(len(inOrder))]
+			}
+		}
 		n := 1 + src.Intn(400)
 		from := max(0, next[shape]-src.Intn(20)) // reach back: some ids are duplicates
 		keep := src.Intn(3) > 0
@@ -198,20 +264,43 @@ func TestIDIndexModel(t *testing.T) {
 		if keep {
 			next[shape] = max(next[shape], from+n)
 		}
+		m.check(t)
+		deepest = max(deepest, m.x.depth)
+		if src.Intn(40) > 0 {
+			continue
+		}
+		for hot := m.hotFull(); len(hot) > 0; { // a drain: every full block finishes
+			i := src.Intn(len(hot))
+			tables := len(idTables(&m.x))
+			m.freeze(t, hot[i])
+			merged = merged || len(idTables(&m.x)) < tables
+			m.check(t)
+			hot = slices.Delete(hot, i, i+1)
+		}
 	}
-	m.check(t)
-	if m.x.depth < 3 {
-		t.Errorf("directory depth %d after %d ids: the splits were not exercised", m.x.depth, len(m.want))
+	sparse := 0
+	for i := range m.blocks {
+		if m.blocks[i].hot == nil && !m.blocks[i].frozen.dense() {
+			sparse++
+		}
+	}
+	t.Logf("%d ids: %d dense blocks, %d sparse frozen, %d hot; %d tables at depth %d, %d at the deepest",
+		len(m.want), len(m.x.dense), sparse, len(m.blocks)-len(m.x.dense)-sparse, len(idTables(&m.x)), m.x.depth, deepest)
+	if deepest < 3 || len(m.x.dense) == 0 || sparse == 0 || !merged {
+		t.Errorf("not exercised: deepest %d, dense %d, sparse %d, merged %v", deepest, len(m.x.dense), sparse, merged)
 	}
 }
 
 // FuzzIDIndex drives the same model from bytes: each four are one batch
 // — shape, size (up to 4096, so one batch can split a table), keep or
-// roll back, and where in the shape's sequence to start.
+// roll back, and where in the shape's sequence to start — and the third
+// byte's second bit freezes one of the full hot blocks after it, the
+// fourth byte choosing which.
 func FuzzIDIndex(f *testing.F) {
 	f.Add([]byte{0, 255, 1, 0, 0, 255, 0, 16, 0, 255, 1, 16})     // split, then a rolled-back split
 	f.Add([]byte{1, 40, 1, 0, 2, 40, 0, 0, 3, 40, 1, 0, 4, 9, 1}) // strides, a truncated tail
 	f.Add([]byte{5, 255, 0, 0, 5, 255, 1, 0, 4, 255, 1, 3})
+	f.Add([]byte{0, 255, 3, 0, 6, 127, 3, 1, 7, 127, 3, 2, 8, 255, 3, 0, 0, 255, 3, 9}) // freezes, dense and sparse
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256] // at most 64 batches
@@ -219,11 +308,14 @@ func FuzzIDIndex(f *testing.F) {
 		src := rng.New(uint64(len(data)))
 		m := newIDModel()
 		for ; len(data) >= 4; data = data[4:] {
-			shape := int(data[0]) % len(idShapes)
+			shape := int(data[0]) % len(modelShapes)
 			n := (int(data[1]) + 1) * 16
 			m.round(t, shapeIDs(shape, int(data[3])*256, n, src), data[2]&1 == 1, src)
+			if hot := m.hotFull(); data[2]&2 != 0 && len(hot) > 0 {
+				m.freeze(t, hot[int(data[3])%len(hot)])
+			}
+			m.check(t)
 		}
-		m.check(t)
 	})
 }
 
@@ -290,13 +382,17 @@ func TestIDIndexProbeLength(t *testing.T) {
 	}
 }
 
-// TestIDIndexWorstPut bounds the worst single insert by structure and
-// logs it by the clock: up to 2²⁰ entries no put splits more than one
-// table, so none re-homes more than idTableFull entries — one growing
-// table would re-home every entry it holds at each doubling, under idMu.
-// The clock's worst case over a million samples also catches whatever
-// else the machine did meanwhile, so the worst put that split nothing is
-// logged beside it as the noise floor.
+// TestIDIndexWorstPut bounds the worst single insert and the worst
+// single merge by structure and logs them by the clock. Up to 2²⁰ entries
+// no put splits more than one table, so none re-homes more than
+// idTableFull entries — one growing table would re-home every entry it
+// holds at each doubling, under idMu. Then every block freezes, and its
+// dense ids leave: a merge re-homes the smaller of two tables that hold
+// fewer than idTableMerge entries between them, so a table a freeze
+// merged holds fewer than that afterwards, however many merges went into
+// it. The clock's worst case over a million samples also catches
+// whatever else the machine did meanwhile, so the worst put that split
+// nothing is logged beside it as the noise floor.
 func TestIDIndexWorstPut(t *testing.T) {
 	n := 1 << 20
 	if testing.Short() {
@@ -336,6 +432,67 @@ func TestIDIndexWorstPut(t *testing.T) {
 		n, worstSplit, splits, worstPlain, perEntry)
 	if perEntry > 9.2 {
 		t.Errorf("%.1f index bytes per entry, want at most 4096·4/%d = 9.2", perEntry, idTableFull/2)
+	}
+
+	var worstMerge, worstFreeze time.Duration
+	merges := 0
+	for blk := range uint32(len(m.blocks)) {
+		depth := make(map[*idTable]uint8)
+		for _, tb := range idTables(&m.x) {
+			depth[tb] = tb.depth
+		}
+		e := &m.blocks[blk]
+		e.frozen, e.hot = freeze(e.hot, nil), nil
+		start := time.Now()
+		m.x.blockFrozen(m.blocks, blk)
+		took := time.Since(start)
+		merged := false
+		for _, tb := range idTables(&m.x) {
+			if tb.depth < depth[tb] {
+				merged = true
+				if tb.n >= idTableMerge {
+					t.Fatalf("freezing block %d merged tables into one of %d entries, want under %d", blk, tb.n, idTableMerge)
+				}
+			}
+		}
+		merges += len(depth) - len(idTables(&m.x))
+		if merged {
+			worstMerge = max(worstMerge, took)
+		} else {
+			worstFreeze = max(worstFreeze, took)
+		}
+	}
+	t.Logf("freezing %d dense blocks: worst freeze that merged tables %v (%d merges), worst that did not %v",
+		len(m.blocks), worstMerge, merges, worstFreeze)
+	if tables := len(idTables(&m.x)); tables != 1 || m.x.depth != 0 || merges != splits {
+		t.Errorf("%d tables at depth %d after every id left in %d merges, want 1 at depth 0 in %d", tables, m.x.depth, merges, splits)
+	}
+}
+
+// TestIDIndexShrinksAfterBurst: a burst of about 300 000 hot ids splits
+// the tables some eighty ways; once every full block has frozen, in
+// random order as a fleet's jobs finish, the tables give the memory back —
+// at most two remain, the last partial block's ids in them, and the
+// directory is back to at most two entries.
+func TestIDIndexShrinksAfterBurst(t *testing.T) {
+	const n = 300*recBlock + 500
+	src := rng.New(44)
+	m := newIDModel()
+	m.round(t, shapeIDs(0, 0, n, src), true, src)
+	peak, depth := len(idTables(&m.x)), m.x.depth
+	hot := m.hotFull()
+	for i := len(hot) - 1; i > 0; i-- {
+		j := src.Intn(i + 1)
+		hot[i], hot[j] = hot[j], hot[i]
+	}
+	for _, blk := range hot {
+		m.freeze(t, blk)
+	}
+	m.check(t)
+	t.Logf("%d tables at depth %d at the peak, %d at depth %d after", peak, depth, len(idTables(&m.x)), m.x.depth)
+	if tables := len(idTables(&m.x)); tables > 2 || m.x.depth > 1 || len(m.x.dense) != len(hot) {
+		t.Errorf("%d tables at depth %d and %d dense blocks after %d froze, want at most 2 at depth at most 1",
+			tables, m.x.depth, len(m.x.dense), len(hot))
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
 
+	"carbonshift/internal/rng"
 	"carbonshift/internal/tenant"
 )
 
@@ -102,46 +104,130 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 // packed against their neighbours at width 0, plus the block's 1024-bit
 // bitmap of emissions the trace gives back, which here is every job's
 // (FIFO runs each one at home without a break), so no emissions are
-// stored: 1.5 KiB a block, 1.5 bytes a job — its share of the id index
-// (5.2 bytes at this population) and of the block directory (about
-// 0.3), and the active list's and Step's scratch at their peak — a few
-// thousand entries here, arriving 1000 an hour over 200 hours and all
-// run at once. 8.0 bytes when this was written; 18.3 while every frozen
-// record stored its emissions' 8 bytes and 24 bits of fields, the hot
-// 48-byte record 54, the 64-byte record that kept progress and wait 70.
+// stored: 1.5 KiB a block, 1.5 bytes a job — its share of the block
+// directory (about 0.3), and the active list's and Step's scratch at
+// their peak — a few thousand entries here, arriving 1000 an hour over
+// 200 hours and all run at once. Ids 0..n-1 pack at width 0, so each
+// frozen block is its own index and no done job keeps an index slot:
+// the tables hold the last, partial block's ids. 3.0 bytes when this was
+// written; 8.0 while every id kept its slot (5.2 bytes at this
+// population), 18.3 while every frozen record stored its emissions' 8
+// bytes and 24 bits of fields, the hot 48-byte record 54, the 64-byte
+// record that kept progress and wait 70. TestFleetRetainedBytesScattered
+// is the same fleet with ids no block can index itself by.
 func TestFleetRetainedBytesPerJob(t *testing.T) {
-	const n, perHour, ceiling = 200_000, 1000, 10
-	set, cl, origins := mkWideSet(t, n/perHour+8, 4)
+	const n, ceiling = 200_000, 4
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	retainedBytes(t, ids, ceiling)
+}
+
+// TestFleetRetainedBytesScattered pins a done job's cost when clients
+// choose its id: a random permutation of n ids 1000 apart, so a block's
+// ids spread over most of 2·10⁸. No block is its own index, so every id
+// keeps its slot in tables 7/16 to 7/8 full, and the id column packs at
+// 28 bits a record: 12.0 bytes when this was written, as before dense
+// blocks left the tables. The ceiling keeps scattered ids at that cost.
+func TestFleetRetainedBytesScattered(t *testing.T) {
+	const n, ceiling = 200_000, 13
+	retainedBytes(t, scatteredIDs(n), ceiling)
+}
+
+// scatteredIDs is a random permutation of n ids 1000 apart.
+func scatteredIDs(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = 1000 * i
+	}
+	shuffle(ids, rng.New(8))
+	return ids
+}
+
+// shuffle permutes s in place (Fisher–Yates).
+func shuffle(s []int, src *rng.Source) {
+	for i := len(s) - 1; i > 0; i-- {
+		j := src.Intn(i + 1)
+		s[i], s[j] = s[j], s[i]
+	}
+}
+
+// retainedBytes runs len(ids) jobs with these ids to the end of the
+// horizon (doneFleet) and fails if the fleet then holds more than
+// ceiling bytes of heap a job.
+func retainedBytes(t *testing.T, ids []int, ceiling float64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f := doneFleet(t, ids)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perJob := float64(after.HeapInuse-before.HeapInuse) / float64(len(ids))
+	t.Logf("%.1f bytes of heap in use per retained done job", perJob)
+	if perJob > ceiling {
+		t.Errorf("%.1f bytes per retained done job, want at most %g", perJob, ceiling)
+	}
+	runtime.KeepAlive(f)
+}
+
+// doneFleet returns a FIFO fleet that has run len(ids) jobs with these
+// ids, arriving 1000 an hour, to the end of its horizon: every job done,
+// every full block frozen.
+func doneFleet(tb testing.TB, ids []int) *Fleet {
+	const perHour = 1000
+	n := len(ids)
+	set, cl, origins := mkWideSet(tb, n/perHour+8, 4)
 	for i := range cl {
 		cl[i].Slots = perHour
 	}
 	jobs := residentJobs(n, origins)
 	for i := range jobs {
-		jobs[i].Arrival = i / perHour
+		jobs[i].ID, jobs[i].Arrival = ids[i], i/perHour
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
 	f, err := NewFleet(set, cl, FIFO{}, n/perHour+8)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := f.Submit(jobs...); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	driveFleet(t, f)
+	driveFleet(tb, f)
 	if st := f.Stats(); st.Completed != n {
-		t.Fatalf("%d of %d jobs done", st.Completed, n)
+		tb.Fatalf("%d of %d jobs done", st.Completed, n)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perJob := float64(after.HeapInuse-before.HeapInuse) / n
-	t.Logf("%.1f bytes of heap in use per retained done job", perJob)
-	if perJob > ceiling {
-		t.Errorf("%.1f bytes per retained done job, want at most %d", perJob, ceiling)
+	return f
+}
+
+// BenchmarkFleetLookup looks up done jobs in a fleet of 200 000, in a
+// random order: ids 0..n-1, whose frozen blocks are their own index, and
+// the scattered ids of TestFleetRetainedBytesScattered, which stay in the
+// hash tables.
+func BenchmarkFleetLookup(b *testing.B) {
+	const n = 200_000
+	dense := make([]int, n)
+	for i := range dense {
+		dense[i] = i
 	}
-	runtime.KeepAlive(f)
-	runtime.KeepAlive(jobs)
+	for _, c := range []struct {
+		name string
+		ids  []int
+	}{
+		{"dense", dense},
+		{"scattered", scatteredIDs(n)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f := doneFleet(b, c.ids)
+			queries := slices.Clone(c.ids)
+			shuffle(queries, rng.New(9))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := f.Lookup(queries[i%n]); !ok {
+					b.Fatalf("job %d not found", queries[i%n])
+				}
+			}
+		})
+	}
 }
 
 // idlePolicy places nothing: every job waits until deadline forcing
@@ -309,9 +395,20 @@ func TestSnapshotAllocs(t *testing.T) {
 // holds idMu and not the world lock, is the reader that catches a
 // directory swap made outside idMu. Without it, it still checks that a
 // reader never sees a record before it is complete, one that was rolled
-// back, or one a freeze garbled.
+// back, or one a freeze garbled. With one submitter the ids run in order,
+// so every block freezes dense and its ids leave the index's tables under
+// the readers; two submitters' ids interleave, so their blocks stay in
+// the tables.
 func TestFleetReadersBesideSubmit(t *testing.T) {
-	const submitters, perSubmitter, batch, horizon = 2, 2*recBlock + 100, 7, 2048
+	for _, submitters := range []int{1, 2} {
+		t.Run(fmt.Sprintf("submitters=%d", submitters), func(t *testing.T) {
+			readersBesideSubmit(t, submitters)
+		})
+	}
+}
+
+func readersBesideSubmit(t *testing.T, submitters int) {
+	const perSubmitter, batch, horizon = 2*recBlock + 100, 7, 2048
 	set, cl, origins := mkWideSet(t, horizon, 4)
 	for i := range cl {
 		cl[i].Slots = 64
@@ -472,6 +569,9 @@ func TestFleetReadersBesideSubmit(t *testing.T) {
 	}
 	if got, want := frozenBlocks(f), submitters*perSubmitter/recBlock; got != want {
 		t.Fatalf("%d blocks frozen, want every full block: %d", got, want)
+	}
+	if submitters == 1 && len(f.ids.dense) != frozenBlocks(f) {
+		t.Fatalf("%d of %d frozen blocks of ids in order are dense", len(f.ids.dense), frozenBlocks(f))
 	}
 }
 

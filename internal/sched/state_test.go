@@ -378,52 +378,99 @@ func plantedImage(jobs ...jobImage) []byte {
 // TestStateRejectsDuplicateIDs: building the restored store's id index
 // is what detects two jobs sharing an id, so a populated fleet must come
 // through a refused image untouched — the bad store is built aside and
-// never swapped in. The duplicates sit 5000 jobs apart: the check is not
-// a neighbour comparison, and the index has split by then.
+// never swapped in. In the first image the duplicates sit 5000 running
+// jobs apart: the check is not a neighbour comparison, and the index has
+// split by then. In the other two every job is done, so the blocks
+// freeze and are dense, and their ids never enter the tables: the
+// duplicate sits in one dense block, or in two.
 func TestStateRejectsDuplicateIDs(t *testing.T) {
-	const horizon, n = 48, 6000
+	const horizon = 48
 	set := mkSet(t, horizon)
-	img := &fleetImage{
-		policy: FIFO{}.Name(), horizon: horizon, hour: 5,
-		regions: []string{"CLEAN", "DIRTY"}, slots: []int{4, 4},
-	}
-	e := img.encodeHeader(n)
-	for i := 0; i < n; i++ {
-		j := jobImage{Job: Job{ID: i, Origin: "CLEAN", Arrival: 5, Length: 2, Slack: 40}, regionI: -1, lastRun: -1}
-		if i == n-1 {
-			j.ID = 999
+	running := func() []byte {
+		const n = 6000
+		img := &fleetImage{
+			policy: GreenestFirst{}.Name(), horizon: horizon, hour: 5,
+			regions: []string{"CLEAN", "DIRTY"}, slots: []int{3, 3},
 		}
-		e.job(&j)
-	}
-	f, err := NewFleet(set, clusters(4), FIFO{}, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Submit(stateJobsTenants()...); err != nil {
-		t.Fatal(err)
-	}
-	for f.Hour() < 7 {
-		if err := f.Step(); err != nil {
-			t.Fatal(err)
+		e := img.encodeHeader(n)
+		for i := 0; i < n; i++ {
+			j := jobImage{Job: Job{ID: i, Origin: "CLEAN", Arrival: 5, Length: 2, Slack: 40}, regionI: -1, lastRun: -1}
+			if i == n-1 {
+				j.ID = 999
+			}
+			e.job(&j)
 		}
+		return e.finish()
 	}
-	before, err := f.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Unmarshal(e.finish()); err == nil || !strings.Contains(err.Error(), "duplicate job id 999") {
-		t.Fatalf("image with a duplicate id: err = %v", err)
-	}
-	if after, _ := f.Marshal(); !bytes.Equal(after, before) {
-		t.Fatal("a refused image changed the fleet")
-	}
-	for _, j := range stateJobsTenants() {
-		if !f.Has(j.ID) {
-			t.Fatalf("job %d lost to a refused image", j.ID)
+	// done returns three blocks' worth of done jobs, ids 100 up, where
+	// dup(i) is the id at position i, and checks that the first two blocks
+	// freeze dense.
+	done := func(dup func(i, id int) int) []byte {
+		jobs := doneJobs(2*recBlock + 10)
+		for blk := range 2 {
+			var hot [recBlock]jobRec
+			for i := range hot {
+				j := &jobs[blk*recBlock+i]
+				j.ID = dup(blk*recBlock+i, j.ID)
+				hot[i].id = j.ID
+			}
+			if fb := freeze(&hot, nil); !fb.dense() {
+				t.Fatalf("block %d packs its ids at width %d: not dense", blk, fb.cols[colID].width)
+			}
 		}
+		return plantedImage(jobs...)
 	}
-	if err := f.Step(); err != nil {
-		t.Fatalf("the fleet does not step after a refused image: %v", err)
+	for _, c := range []struct {
+		name string
+		img  []byte
+		dup  int
+	}{
+		{"running jobs 5000 apart", running(), 999},
+		{"inside one dense block", done(func(i, id int) int {
+			if i == recBlock+1 {
+				return 100 + recBlock
+			}
+			return id
+		}), 100 + recBlock},
+		{"in two dense blocks", done(func(i, id int) int {
+			if i >= recBlock {
+				return id - 1 // the second block starts at the first one's last id
+			}
+			return id
+		}), 99 + recBlock},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := NewFleet(set, clusters(3), GreenestFirst{}, horizon)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Submit(stateJobsTenants()...); err != nil {
+				t.Fatal(err)
+			}
+			for f.Hour() < 7 {
+				if err := f.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, err := f.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Unmarshal(c.img); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("duplicate job id %d", c.dup)) {
+				t.Fatalf("image with a duplicate id: err = %v", err)
+			}
+			if after, _ := f.Marshal(); !bytes.Equal(after, before) {
+				t.Fatal("a refused image changed the fleet")
+			}
+			for _, j := range stateJobsTenants() {
+				if !f.Has(j.ID) {
+					t.Fatalf("job %d lost to a refused image", j.ID)
+				}
+			}
+			if err := f.Step(); err != nil {
+				t.Fatalf("the fleet does not step after a refused image: %v", err)
+			}
+		})
 	}
 }
 

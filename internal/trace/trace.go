@@ -280,7 +280,9 @@ func (s *Set) GlobalMean() float64 {
 	return sum / float64(len(s.order))
 }
 
-// WriteCSV writes the set in long format: region,timestamp,ci.
+// WriteCSV writes the set in long format: region,timestamp,ci, each
+// sample as the shortest decimal that parses back to its exact bits, so
+// ReadCSV gives back the set it was written from.
 func (s *Set) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"region", "timestamp", "carbon_intensity_gco2eq_kwh"}); err != nil {
@@ -292,7 +294,7 @@ func (s *Set) WriteCSV(w io.Writer) error {
 			rec := []string{
 				code,
 				tr.TimeAt(i).Format(time.RFC3339),
-				strconv.FormatFloat(v, 'f', 3, 64),
+				strconv.FormatFloat(v, 'g', -1, 64),
 			}
 			if err := cw.Write(rec); err != nil {
 				return err
