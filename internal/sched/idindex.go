@@ -22,7 +22,8 @@ import (
 // the slot's key is blocks.id(seq), the record's id, which every lookup
 // is about to read anyway. A slot is 4 bytes; the Go map this replaced
 // kept a second copy of every id and cost 37 bytes a job. A lookup tries
-// the tables first and the dense blocks after a miss.
+// the dense blocks first: their list is ordered and a few bytes a block,
+// while a table miss reads the record of every slot in its probe chain.
 //
 // The tables are extendible hashing. A directory, indexed by the hash's
 // top depth bits, points at fixed-size linear-probe tables (home slot:
@@ -32,11 +33,10 @@ import (
 // growing index runs between 7/16 and 7/8 full (4.6–9.1 bytes an id),
 // and the worst single put re-homes one table's 3584 entries, where one
 // big table doubling at 2²⁰ ids re-homed all of them (33 ms against
-// 0.34 ms when this was written) inside a Submit that holds idMu. When
-// a dense block's ids leave, a table and its buddy that hold fewer than
-// idTableMerge entries between them merge back, and the directory
-// halves once no table is as deep as it (shrink), so the tables give
-// back what a burst of hot ids took.
+// 0.34 ms when this was written) inside a Submit that holds idMu. Tables
+// never merge: the slots a dense block's ids leave take the next hot
+// ids, so the index keeps as many tables as the most ids it ever held in
+// them at once.
 //
 // Ids are client-chosen and linear probing degrades to a scan if
 // many keys share a home slot, so the hash is a full 64-bit mixer over
@@ -61,13 +61,13 @@ type idIndex struct {
 type denseBlock struct {
 	lo  int    // the block's id column base
 	blk uint32 // its position in the block directory
+	asc bool   // its ids ascend with position, as auto-assigned ids do
 }
 
 const (
 	idTableSlots = 1 << 12
 	idTableMask  = idTableSlots - 1
 	idTableFull  = idTableSlots / 8 * 7 // a table holding this many splits before it takes another
-	idTableMerge = idTableFull / 2      // a table and its buddy holding fewer than this between them merge
 
 	// denseWidth is the widest id column a frozen block may have and be
 	// its own index: find then scans at most 1<<denseWidth positions.
@@ -111,21 +111,21 @@ func (x *idIndex) table(h uint64) *idTable { return x.dir[h>>(64-x.depth)] }
 
 // get returns the sequence number registered for id.
 func (x *idIndex) get(b recBlocks, id int) (uint32, bool) {
-	h := x.hash(id)
-	t := x.table(h)
-	for i := uint32(h) & idTableMask; t.slots[i] != 0; i = (i + 1) & idTableMask {
-		if s := t.slots[i]; b.id(s-1) == id {
-			return s - 1, true
-		}
-	}
 	// The dense blocks that can hold id start less than denseSpan below
 	// it. Each holds recBlock distinct ids within denseSpan of its lo, so
 	// at most two of them do.
 	k := x.denseUpTo(id)
 	for k--; k >= 0 && uint64(id)-uint64(x.dense[k].lo) < denseSpan; k-- {
-		blk := x.dense[k].blk
-		if i, ok := b[blk].frozen.find(id); ok {
-			return blk*recBlock + i, true
+		d := &x.dense[k]
+		if i, ok := b[d.blk].frozen.find(id, d.asc); ok {
+			return d.blk*recBlock + i, true
+		}
+	}
+	h := x.hash(id)
+	t := x.table(h)
+	for i := uint32(h) & idTableMask; t.slots[i] != 0; i = (i + 1) & idTableMask {
+		if s := t.slots[i]; b.id(s-1) == id {
+			return s - 1, true
 		}
 	}
 	return 0, false
@@ -149,21 +149,41 @@ func (fb *frozenBlock) dense() bool {
 // base+i+v, v being its column value less the base and under
 // 1<<width, so id = base+t can sit only at positions t-(1<<width)+1 to
 // t. The first guess is t less the value at t, which is right wherever
-// the column is flat around t — always at width 0.
-func (fb *frozenBlock) find(id int) (uint32, bool) {
+// the column is flat around t — always at width 0. If the block's ids
+// ascend, v never falls, so the guess holds an id got at most id, and
+// each position past it adds at least 1: id lies at most id-got
+// positions past the guess, a range that is binary-searched. Otherwise
+// the positions are scanned.
+func (fb *frozenBlock) find(id int, asc bool) (uint32, bool) {
 	c := &fb.cols[colID]
 	t := uint64(id) - c.base
+	lo, end := t-min(t, uint64(1)<<c.width-1), min(t+1, recBlock)
 	if t < recBlock {
 		v := fb.get(colID, uint32(t)) - c.base
 		if v == 0 { // record t's id is base+t
 			return uint32(t), true
 		}
-		if i := t - v; i <= t && fb.id(uint32(i)) == id {
-			return uint32(i), true
+		if i := t - v; i <= t {
+			got := fb.id(uint32(i))
+			if got == id {
+				return uint32(i), true
+			}
+			if asc && got < id {
+				lo, end = i+1, min(end, i+1+uint64(id-got))
+			}
 		}
 	}
-	w := uint64(1)<<c.width - 1
-	for i := t - min(t, w); i <= min(t, recBlock-1); i++ {
+	if asc {
+		for hi := end; lo < hi; {
+			if m := (lo + hi) / 2; fb.id(uint32(m)) < id {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		end = min(end, lo+1)
+	}
+	for i := lo; i < end; i++ {
 		if fb.id(uint32(i)) == id {
 			return uint32(i), true
 		}
@@ -230,8 +250,7 @@ func (x *idIndex) split(b recBlocks, t *idTable, h uint64) {
 // failed part-way, and a dense block's ids leaving the tables. The
 // slots after the hole shift back over it (no tombstones), so a
 // rolled-back batch leaves every probe chain as short as if it had never
-// been sent. del merges no tables: a rollback leaves them as they were
-// split, which is not observable.
+// been sent.
 func (x *idIndex) del(b recBlocks, id int, seq uint32) {
 	h := x.hash(id)
 	t := x.table(h)
@@ -256,97 +275,18 @@ func (x *idIndex) del(b recBlocks, id int, seq uint32) {
 }
 
 // blockFrozen is told that block blk has just been swapped for its frozen
-// form. If the block is dense its ids leave the tables, which shrink,
-// and it joins dense.
+// form. If the block is dense its ids leave the tables and it joins
+// dense, sorted by lo.
 func (x *idIndex) blockFrozen(b recBlocks, blk uint32) {
 	fb := &b[blk].frozen
 	if !fb.dense() {
 		return
 	}
-	for i := uint32(0); i < recBlock; i++ {
-		x.del(b, fb.id(i), blk*recBlock+i)
-	}
-	x.addDense(fb, blk)
-	x.shrink(b)
-}
-
-// restoreBlock registers the ids of block blk, whose first n records a
-// restore has just written and, if the block is full and done, frozen.
-// A dense frozen block goes straight to dense; any other block's ids go
-// into the tables. It returns an id the index already holds or the
-// block holds twice: that is the restore's duplicate check.
-func (x *idIndex) restoreBlock(b recBlocks, blk uint32, n int) (dup int, ok bool) {
-	fb := &b[blk].frozen
-	if b[blk].hot != nil || !fb.dense() {
-		for seq := blk * recBlock; seq < blk*recBlock+uint32(n); seq++ {
-			id := b.id(seq)
-			if _, dup := x.get(b, id); dup {
-				return id, true
-			}
-			x.put(b, id, seq)
-		}
-		return 0, false
-	}
-	var seen [(denseSpan + 63) / 64]uint64 // by id less lo
+	d := denseBlock{lo: int(fb.cols[colID].base), blk: blk, asc: true}
 	for i := uint32(0); i < recBlock; i++ {
 		id := fb.id(i)
-		t := uint64(id) - fb.cols[colID].base
-		if _, dup := x.get(b, id); dup || seen[t/64]&(1<<(t%64)) != 0 {
-			return id, true
-		}
-		seen[t/64] |= 1 << (t % 64)
+		d.asc = d.asc && (i == 0 || id > fb.id(i-1))
+		x.del(b, id, blk*recBlock+i)
 	}
-	x.addDense(fb, blk)
-	return 0, false
-}
-
-// addDense registers fb, frozen block blk, as dense. None of its ids may
-// be in the tables.
-func (x *idIndex) addDense(fb *frozenBlock, blk uint32) {
-	lo := int(fb.cols[colID].base)
-	x.dense = slices.Insert(x.dense, x.denseUpTo(lo), denseBlock{lo: lo, blk: blk})
-}
-
-// shrink undoes splits the index no longer needs: a table whose buddy —
-// the table its last split made, or that made it — is as deep and holds
-// fewer than idTableMerge entries between them takes the buddy's keys,
-// the smaller table's re-homed into the larger, and its directory run.
-// Merges repeat until none applies; then the directory halves for as
-// long as no table is as deep as it.
-func (x *idIndex) shrink(b recBlocks) {
-	for merged := true; merged; {
-		merged = false
-		for i := 0; i < len(x.dir); {
-			t := x.dir[i]
-			run := 1 << (x.depth - t.depth)
-			// A table whose last top bit is clear has its buddy in the
-			// next run.
-			if i&run == 0 && run < len(x.dir) {
-				if u := x.dir[i+run]; u.depth == t.depth && t.n+u.n < idTableMerge {
-					if u.n > t.n {
-						t, u = u, t
-					}
-					for _, s := range u.slots {
-						if s != 0 {
-							t.insert(x.hash(b.id(s-1)), s)
-						}
-					}
-					t.depth--
-					for k := i; k < i+2*run; k++ {
-						x.dir[k] = t
-					}
-					merged, run = true, 2*run
-				}
-			}
-			i += run
-		}
-	}
-	for x.depth > 0 && !slices.ContainsFunc(x.dir, func(t *idTable) bool { return t.depth == x.depth }) {
-		half := len(x.dir) / 2
-		for i := range half {
-			x.dir[i] = x.dir[2*i]
-		}
-		clear(x.dir[half:])
-		x.dir, x.depth = x.dir[:half], x.depth-1
-	}
+	x.dense = slices.Insert(x.dense, x.denseUpTo(d.lo), d)
 }

@@ -151,8 +151,9 @@ func (m *idModel) freeze(t testing.TB, blk uint32) {
 // and tables are well formed — each table of depth d fills one aligned
 // run of 2^(depth-d) directory entries, counts its occupied slots
 // exactly, is never fuller than the split threshold, and holds no id of
-// a dense block; the dense list is in order of lo and names only frozen
-// dense blocks; and between them they hold every id once.
+// a dense block; the dense list is in order of lo, names only frozen
+// dense blocks and marks exactly those whose ids ascend; and between
+// them they hold every id once.
 func (m *idModel) check(t testing.TB) {
 	t.Helper()
 	for id, want := range m.want {
@@ -172,6 +173,13 @@ func (m *idModel) check(t testing.TB) {
 		}
 		if k > 0 && x.dense[k-1].lo > d.lo {
 			t.Fatalf("dense entries %d and %d out of order", k-1, k)
+		}
+		asc := true
+		for i := uint32(1); i < recBlock; i++ {
+			asc = asc && fb.id(i) > fb.id(i-1)
+		}
+		if d.asc != asc {
+			t.Fatalf("dense entry %d marks block %d ascending %v, its ids %v", k, d.blk, d.asc, asc)
 		}
 		dense[d.blk] = true
 	}
@@ -237,19 +245,19 @@ func (m *idModel) longestProbe() int {
 
 // TestIDIndexModel is the differential test against map[int]uint32:
 // batches of every id shape, overlapping earlier ones, a third of them
-// rolled back, through several generations of table splits, and now and
-// then a drain that freezes every full block in random order — dense
-// ones leaving the tables, sparse ones staying — and merges the emptied
-// tables. A shape runs for some sixteen batches, so that blocks hold one
-// shape alone, and most runs are of shapes in order, whose blocks are
-// dense unless a shape change or a rollback falls inside them. The whole
-// index is checked after every batch and every freeze.
+// rolled back, through several generations of table splits, and after
+// every fourth batch or so, and the last, a drain that freezes every
+// full block in random order — dense ones leaving the tables, sparse
+// ones staying, so later splits read keys from both record forms. A
+// shape runs for some sixteen batches, so that blocks hold one shape
+// alone, and most runs are of shapes in order, whose blocks are dense
+// unless a shape change or a rollback falls inside them. The whole index
+// is checked after every batch and every freeze.
 func TestIDIndexModel(t *testing.T) {
 	src := rng.New(19)
 	m := newIDModel()
-	m.x.seed = 0x19
 	next := make([]int, len(modelShapes))
-	shape, deepest, merged := 0, uint8(0), false
+	shape := 0
 	for r := 0; r < 400; r++ {
 		if src.Intn(16) == 0 {
 			shape = src.Intn(len(modelShapes))
@@ -265,15 +273,12 @@ func TestIDIndexModel(t *testing.T) {
 			next[shape] = max(next[shape], from+n)
 		}
 		m.check(t)
-		deepest = max(deepest, m.x.depth)
-		if src.Intn(40) > 0 {
+		if src.Intn(4) > 0 && r < 399 {
 			continue
 		}
 		for hot := m.hotFull(); len(hot) > 0; { // a drain: every full block finishes
 			i := src.Intn(len(hot))
-			tables := len(idTables(&m.x))
 			m.freeze(t, hot[i])
-			merged = merged || len(idTables(&m.x)) < tables
 			m.check(t)
 			hot = slices.Delete(hot, i, i+1)
 		}
@@ -284,10 +289,18 @@ func TestIDIndexModel(t *testing.T) {
 			sparse++
 		}
 	}
-	t.Logf("%d ids: %d dense blocks, %d sparse frozen, %d hot; %d tables at depth %d, %d at the deepest",
-		len(m.want), len(m.x.dense), sparse, len(m.blocks)-len(m.x.dense)-sparse, len(idTables(&m.x)), m.x.depth, deepest)
-	if deepest < 3 || len(m.x.dense) == 0 || sparse == 0 || !merged {
-		t.Errorf("not exercised: deepest %d, dense %d, sparse %d, merged %v", deepest, len(m.x.dense), sparse, merged)
+	searched, scanned := 0, 0 // dense blocks whose find binary-searches, and that scan
+	for _, d := range m.x.dense {
+		if !d.asc {
+			scanned++
+		} else if m.blocks[d.blk].frozen.cols[colID].width > 0 {
+			searched++
+		}
+	}
+	t.Logf("%d ids: %d dense blocks (%d searched, %d scanned), %d sparse frozen, %d hot; %d tables at depth %d",
+		len(m.want), len(m.x.dense), searched, scanned, sparse, len(m.blocks)-len(m.x.dense)-sparse, len(idTables(&m.x)), m.x.depth)
+	if m.x.depth < 3 || searched == 0 || scanned == 0 || sparse == 0 {
+		t.Errorf("not exercised: depth %d, dense %d searched and %d scanned, sparse %d", m.x.depth, searched, scanned, sparse)
 	}
 }
 
@@ -297,9 +310,9 @@ func TestIDIndexModel(t *testing.T) {
 // byte's second bit freezes one of the full hot blocks after it, the
 // fourth byte choosing which.
 func FuzzIDIndex(f *testing.F) {
-	f.Add([]byte{0, 255, 1, 0, 0, 255, 0, 16, 0, 255, 1, 16})     // split, then a rolled-back split
-	f.Add([]byte{1, 40, 1, 0, 2, 40, 0, 0, 3, 40, 1, 0, 4, 9, 1}) // strides, a truncated tail
-	f.Add([]byte{5, 255, 0, 0, 5, 255, 1, 0, 4, 255, 1, 3})
+	f.Add([]byte{0, 255, 3, 0, 0, 255, 2, 16, 0, 255, 3, 16})     // split, then a rolled-back split
+	f.Add([]byte{1, 40, 3, 0, 2, 40, 2, 0, 3, 40, 3, 0, 4, 9, 3}) // strides, a truncated tail
+	f.Add([]byte{5, 255, 2, 0, 5, 255, 3, 0, 4, 255, 3, 3})
 	f.Add([]byte{0, 255, 3, 0, 6, 127, 3, 1, 7, 127, 3, 2, 8, 255, 3, 0, 0, 255, 3, 9}) // freezes, dense and sparse
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
@@ -382,17 +395,14 @@ func TestIDIndexProbeLength(t *testing.T) {
 	}
 }
 
-// TestIDIndexWorstPut bounds the worst single insert and the worst
-// single merge by structure and logs them by the clock. Up to 2²⁰ entries
-// no put splits more than one table, so none re-homes more than
-// idTableFull entries — one growing table would re-home every entry it
-// holds at each doubling, under idMu. Then every block freezes, and its
-// dense ids leave: a merge re-homes the smaller of two tables that hold
-// fewer than idTableMerge entries between them, so a table a freeze
-// merged holds fewer than that afterwards, however many merges went into
-// it. The clock's worst case over a million samples also catches
-// whatever else the machine did meanwhile, so the worst put that split
-// nothing is logged beside it as the noise floor.
+// TestIDIndexWorstPut bounds the worst single insert by structure and
+// logs it by the clock: up to 2²⁰ entries no put splits more than one
+// table, so none re-homes more than idTableFull entries — one growing
+// table would re-home every entry it holds at each doubling, under idMu.
+// The clock's worst case over a million samples also catches whatever
+// else the machine did meanwhile, so the worst put that split nothing is
+// logged beside it as the noise floor. Then every block freezes dense and
+// its ids leave the tables, each freeze timed too.
 func TestIDIndexWorstPut(t *testing.T) {
 	n := 1 << 20
 	if testing.Short() {
@@ -434,65 +444,22 @@ func TestIDIndexWorstPut(t *testing.T) {
 		t.Errorf("%.1f index bytes per entry, want at most 4096·4/%d = 9.2", perEntry, idTableFull/2)
 	}
 
-	var worstMerge, worstFreeze time.Duration
-	merges := 0
+	var worstFreeze time.Duration
 	for blk := range uint32(len(m.blocks)) {
-		depth := make(map[*idTable]uint8)
-		for _, tb := range idTables(&m.x) {
-			depth[tb] = tb.depth
-		}
 		e := &m.blocks[blk]
 		e.frozen, e.hot = freeze(e.hot, nil), nil
 		start := time.Now()
 		m.x.blockFrozen(m.blocks, blk)
-		took := time.Since(start)
-		merged := false
-		for _, tb := range idTables(&m.x) {
-			if tb.depth < depth[tb] {
-				merged = true
-				if tb.n >= idTableMerge {
-					t.Fatalf("freezing block %d merged tables into one of %d entries, want under %d", blk, tb.n, idTableMerge)
-				}
-			}
+		worstFreeze = max(worstFreeze, time.Since(start))
+	}
+	t.Logf("freezing %d dense blocks: worst freeze %v", len(m.blocks), worstFreeze)
+	if len(m.x.dense) != len(m.blocks) {
+		t.Fatalf("%d of %d blocks are dense after every block froze", len(m.x.dense), len(m.blocks))
+	}
+	for _, tb := range idTables(&m.x) {
+		if tb.n != 0 {
+			t.Fatalf("a table holds %d ids after every block froze dense", tb.n)
 		}
-		merges += len(depth) - len(idTables(&m.x))
-		if merged {
-			worstMerge = max(worstMerge, took)
-		} else {
-			worstFreeze = max(worstFreeze, took)
-		}
-	}
-	t.Logf("freezing %d dense blocks: worst freeze that merged tables %v (%d merges), worst that did not %v",
-		len(m.blocks), worstMerge, merges, worstFreeze)
-	if tables := len(idTables(&m.x)); tables != 1 || m.x.depth != 0 || merges != splits {
-		t.Errorf("%d tables at depth %d after every id left in %d merges, want 1 at depth 0 in %d", tables, m.x.depth, merges, splits)
-	}
-}
-
-// TestIDIndexShrinksAfterBurst: a burst of about 300 000 hot ids splits
-// the tables some eighty ways; once every full block has frozen, in
-// random order as a fleet's jobs finish, the tables give the memory back —
-// at most two remain, the last partial block's ids in them, and the
-// directory is back to at most two entries.
-func TestIDIndexShrinksAfterBurst(t *testing.T) {
-	const n = 300*recBlock + 500
-	src := rng.New(44)
-	m := newIDModel()
-	m.round(t, shapeIDs(0, 0, n, src), true, src)
-	peak, depth := len(idTables(&m.x)), m.x.depth
-	hot := m.hotFull()
-	for i := len(hot) - 1; i > 0; i-- {
-		j := src.Intn(i + 1)
-		hot[i], hot[j] = hot[j], hot[i]
-	}
-	for _, blk := range hot {
-		m.freeze(t, blk)
-	}
-	m.check(t)
-	t.Logf("%d tables at depth %d at the peak, %d at depth %d after", peak, depth, len(idTables(&m.x)), m.x.depth)
-	if tables := len(idTables(&m.x)); tables > 2 || m.x.depth > 1 || len(m.x.dense) != len(hot) {
-		t.Errorf("%d tables at depth %d and %d dense blocks after %d froze, want at most 2 at depth at most 1",
-			tables, m.x.depth, len(m.x.dense), len(hot))
 	}
 }
 

@@ -109,12 +109,15 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 // their peak — a few thousand entries here, arriving 1000 an hour over
 // 200 hours and all run at once. Ids 0..n-1 pack at width 0, so each
 // frozen block is its own index and no done job keeps an index slot:
-// the tables hold the last, partial block's ids. 3.0 bytes when this was
-// written; 8.0 while every id kept its slot (5.2 bytes at this
-// population), 18.3 while every frozen record stored its emissions' 8
-// bytes and 24 bits of fields, the hot 48-byte record 54, the 64-byte
-// record that kept progress and wait 70. TestFleetRetainedBytesScattered
-// is the same fleet with ids no block can index itself by.
+// the tables hold the hot blocks' ids. Each hour's jobs are submitted
+// as they arrive, as the service takes them; the tables never give
+// slots back, so a fleet handed all its jobs up front keeps tables sized
+// for them. 3.0 bytes when this was written; 8.0 while every id kept
+// its slot (5.2 bytes at this population), 18.3 while every frozen
+// record stored its emissions' 8 bytes and 24 bits of fields, the hot
+// 48-byte record 54, the 64-byte record that kept progress and wait
+// 70. TestFleetRetainedBytesScattered is the same fleet with ids no
+// block can index itself by.
 func TestFleetRetainedBytesPerJob(t *testing.T) {
 	const n, ceiling = 200_000, 4
 	ids := make([]int, n)
@@ -172,8 +175,8 @@ func retainedBytes(t *testing.T, ids []int, ceiling float64) {
 }
 
 // doneFleet returns a FIFO fleet that has run len(ids) jobs with these
-// ids, arriving 1000 an hour, to the end of its horizon: every job done,
-// every full block frozen.
+// ids, arriving and submitted 1000 an hour, to the end of its horizon:
+// every job done, every full block frozen.
 func doneFleet(tb testing.TB, ids []int) *Fleet {
 	const perHour = 1000
 	n := len(ids)
@@ -189,8 +192,13 @@ func doneFleet(tb testing.TB, ids []int) *Fleet {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := f.Submit(jobs...); err != nil {
-		tb.Fatal(err)
+	for h := 0; h*perHour < n; h++ {
+		if err := f.Submit(jobs[h*perHour : min(n, (h+1)*perHour)]...); err != nil {
+			tb.Fatal(err)
+		}
+		if err := f.Step(); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	driveFleet(tb, f)
 	if st := f.Stats(); st.Completed != n {
@@ -200,20 +208,28 @@ func doneFleet(tb testing.TB, ids []int) *Fleet {
 }
 
 // BenchmarkFleetLookup looks up done jobs in a fleet of 200 000, in a
-// random order: ids 0..n-1, whose frozen blocks are their own index, and
-// the scattered ids of TestFleetRetainedBytesScattered, which stay in the
-// hash tables.
+// random order: ids 0..n-1, whose frozen blocks are their own index at
+// width 0; ascending ids with one gap in eight, as a partition sees a
+// shared id sequence, whose blocks are their own index at width 7 or 8;
+// and the scattered ids of TestFleetRetainedBytesScattered, which stay
+// in the hash tables.
 func BenchmarkFleetLookup(b *testing.B) {
 	const n = 200_000
-	dense := make([]int, n)
+	dense, gaps := make([]int, n), make([]int, n)
+	src := rng.New(3)
 	for i := range dense {
 		dense[i] = i
+		gaps[i] = i + 1
+		if i > 0 {
+			gaps[i] = gaps[i-1] + 1 + src.Intn(8)/7
+		}
 	}
 	for _, c := range []struct {
 		name string
 		ids  []int
 	}{
 		{"dense", dense},
+		{"gaps", gaps},
 		{"scattered", scatteredIDs(n)},
 	} {
 		b.Run(c.name, func(b *testing.B) {

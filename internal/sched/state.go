@@ -429,15 +429,17 @@ func (f *Fleet) Unmarshal(data []byte) error {
 	// Each block is frozen as soon as it is full if every job in it is
 	// done, as Step would have left it, so a restored store is as compact
 	// as the one it was taken from and never holds more than one hot
-	// block of done jobs at a time; its ids are indexed once it is
-	// written, so a dense frozen block never enters the tables. The freeze
-	// re-sums emissions over this fleet's traces and keeps the image's
-	// bits wherever they differ, so an image taken over other trace values
-	// still marshals back to itself.
+	// block of done jobs at a time, and a dense block's ids leave the
+	// tables as it freezes. The freeze re-sums emissions over this fleet's
+	// traces and keeps the image's bits wherever they differ, so an image
+	// taken over other trace values still marshals back to itself.
 	st := newJobStore()
 	st.blocks = make(recBlocks, 0, (len(img.jobs)+recBlock-1)/recBlock)
 	for i := range img.jobs {
 		j := &img.jobs[i]
+		if _, dup := st.ids.get(st.blocks, j.ID); dup {
+			return fmt.Errorf("sched: state restore: duplicate job id %d", j.ID)
+		}
 		seq := uint32(i)
 		r := st.appendRec(seq, &j.Job, f.regionIdx[j.Origin])
 		r.emissions = j.emissions
@@ -450,14 +452,11 @@ func (f *Fleet) Unmarshal(data []byte) error {
 		} else {
 			e.open++
 		}
+		st.ids.put(st.blocks, j.ID, seq)
 		if seq%recBlock == recBlock-1 && e.open == 0 {
 			e.frozen = freeze(e.hot, f.traces)
 			e.hot = nil
-		}
-		if seq%recBlock == recBlock-1 || i == len(img.jobs)-1 {
-			if id, dup := st.ids.restoreBlock(st.blocks, seq/recBlock, int(seq%recBlock)+1); dup {
-				return fmt.Errorf("sched: state restore: duplicate job id %d", id)
-			}
+			st.ids.blockFrozen(st.blocks, seq/recBlock)
 		}
 	}
 	if f.fq != nil {

@@ -381,8 +381,9 @@ func plantedImage(jobs ...jobImage) []byte {
 // never swapped in. In the first image the duplicates sit 5000 running
 // jobs apart: the check is not a neighbour comparison, and the index has
 // split by then. In the other two every job is done, so the blocks
-// freeze and are dense, and their ids never enter the tables: the
-// duplicate sits in one dense block, or in two.
+// freeze dense and their ids leave the tables: the duplicate sits in one
+// dense block, still in the tables when it comes, or in two, where only
+// the first block's packed ids can answer for it.
 func TestStateRejectsDuplicateIDs(t *testing.T) {
 	const horizon = 48
 	set := mkSet(t, horizon)
