@@ -374,11 +374,11 @@ var seen = map[int]bool{}`},
 	},
 	{
 		// Policies plan in the fleet's index space: a job is its position
-		// in Tick.Eligible and a region its index, so Step applies a
+		// in the Tick (Tick.Job) and a region its index, so Step applies a
 		// placement without resolving a name, and a policy memoises per
 		// region in a slice, not a map of region names.
 		name: "policies and Step work in region and job indices in internal/sched",
-		fix:  "name jobs by Eligible position and regions by index; memoise in plan's tickMemo, not a map[string]",
+		fix:  "name jobs by Tick position and regions by index; memoise in plan's tickMemo, not a map[string]",
 		rules: []rule{
 			{what: "a string field in Placement or JobView", in: []string{"internal/sched/"}, match: stringFieldOf("Placement", "JobView")},
 			{what: "map[string]… in a policy", in: []string{"internal/sched/policies.go", "internal/sched/forecast_policy.go"}, match: stringKeyedMap},
@@ -394,7 +394,8 @@ type cachedGate struct{ CarbonGate }
 func (p cachedGate) Plan(t *Tick) []Placement {
 	thresholds := map[string]float64{}
 	var out []Placement
-	for _, j := range t.Eligible {
+	for k := range t.Len() {
+		j := t.Job(k)
 		region := regionNames[j.Origin]
 		if _, ok := thresholds[region]; !ok {
 			thresholds[region] = p.threshold(t, j.Origin)

@@ -97,7 +97,7 @@ type Fleet struct {
 	// a Step. The scratch is kept between Steps, so a Step that admits no
 	// arrivals allocates nothing.
 	free        []int    // per-region free slots this hour
-	pool        []uint32 // this hour's candidates (positions in active): active minus forced continuations
+	pool        []uint32 // this hour's candidates (positions in active), filtered and permuted in place into the eligible list
 	tick        Tick     // the Tick handed to the policy, refilled each hour
 	completed   int
 	missedDone  int     // completed past their deadline
@@ -107,7 +107,7 @@ type Fleet struct {
 	slotHours   float64
 	buckets     map[int]int // deadline hour -> unresolved jobs due then
 
-	// fq, when non-nil, is the tenant fair-dequeue engine: it reorders
+	// fq, when non-nil, is the tenant fair-dequeue engine: it permutes
 	// each hour's policy-eligible list into weighted-fair (deficit round
 	// robin) order and is charged one unit per executed job-hour. Its
 	// pass state is part of the fleet image. Touched only in Step's
@@ -161,8 +161,9 @@ const (
 // (frozenBlock).
 //
 // What only a running job needs lives in its activeJob instead: its
-// progress (a done job's is its length, a job not yet stepped has none)
-// and Step's per-hour placement. Two outcome fields are derived, never
+// progress (a done job's is its length, a job not yet stepped has none).
+// Step's per-hour placement takes the record's last three bytes, which
+// the fields above leave as padding. Two outcome fields are derived, never
 // stored, because each hour a job has been in the fleet it either ran or
 // waited: doneAt is lastRun+1, and waitHours is what is left of the
 // hours since arrival once its run-hours are taken out (derivedWait).
@@ -179,6 +180,13 @@ type jobRec struct {
 	originI    int16
 	regionI    int16 // current region index, -1 before the first run
 	flags      uint8 // flagInterruptible | flagMigratable | flagDone
+
+	// Step's decision for the hour it is stepping, in the record's
+	// spare bytes: the region index placed, -1 none, and the phase that
+	// placed it. Meaningful only inside Step; nothing else reads them,
+	// and a frozen block does not keep them.
+	by     By
+	placed int16
 }
 
 func (r *jobRec) deadline() int       { return int(r.arrival) + int(r.length) + int(r.slack) }
@@ -214,13 +222,11 @@ func derivedWait(hour, arrival, progress, doneAt int, done bool) int {
 func (r *jobRec) ranAt(hour int) bool { return r.lastRun >= 0 && int(r.lastRun) == hour-1 }
 
 // activeJob is an arrived, unfinished job's entry in the active list:
-// its sequence number, the run-hours it has had, and Step's per-hour
-// scratch. 12 bytes, and only jobs Step still has to visit have one.
+// its sequence number and the run-hours it has had. 8 bytes, and only
+// jobs Step still has to visit have one.
 type activeJob struct {
 	seq      uint32
 	progress int32
-	placed   int16 // region index placed this hour, -1 none
-	by       By    // the phase that set placed
 }
 
 // storeView is the job store as of one moment (view), for reads that run
@@ -537,7 +543,7 @@ func (f *Fleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 		seq := first + uint32(i)
 		f.blocks[seq/recBlock].open++
 		if a := jobs[i].Arrival; a <= f.hour {
-			f.active = append(f.active, activeJob{seq: seq, placed: -1})
+			f.active = append(f.active, activeJob{seq: seq})
 		} else {
 			f.pending[a] = append(f.pending[a], seq)
 		}
@@ -661,7 +667,7 @@ func (f *Fleet) admitArrivals(batch []uint32) {
 			f.active[k] = f.active[i]
 			i--
 		} else {
-			f.active[k] = activeJob{seq: batch[j], placed: -1}
+			f.active[k] = activeJob{seq: batch[j]}
 			j--
 		}
 	}
@@ -685,8 +691,8 @@ func (f *Fleet) Step() error {
 	// occupies its current region — and collect everything else into
 	// the seq-sorted candidate pool. From here to phase 4 the active list
 	// does not move, so the pool and the eligible list name jobs by their
-	// position in it, and every phase reads and writes progress and
-	// placement in the entry.
+	// position in it. Each phase reads progress in the entry, and the
+	// hour's placement in the record.
 	if batch := f.pending[hour]; len(batch) > 0 {
 		f.admitArrivals(batch)
 		delete(f.pending, hour)
@@ -695,11 +701,12 @@ func (f *Fleet) Step() error {
 	pool := f.pool[:0]
 	for i := range f.active {
 		a := &f.active[i]
-		a.placed = -1
-		if r := f.blocks.hot(a.seq); a.progress > 0 && !r.interruptible() {
-			a.placed, a.by = r.regionI, ByContinued
+		r := f.blocks.hot(a.seq)
+		if a.progress > 0 && !r.interruptible() {
+			r.placed, r.by = r.regionI, ByContinued
 			f.free[r.regionI]--
 		} else {
+			r.placed = -1
 			pool = append(pool, uint32(i))
 		}
 	}
@@ -707,11 +714,15 @@ func (f *Fleet) Step() error {
 
 	// Phase 2: deadline forcing in submission order — a job with no
 	// slack left must run now, in its current/origin region or (if
-	// migratable) the first region, in index order, with space.
+	// migratable) the first region, in index order, with space. What is
+	// not placed stays eligible for the policy: the pool, this being its
+	// last use this hour, is filtered in place into the eligible list.
+	eligible := pool[:0]
 	for _, i := range pool {
 		a := &f.active[i]
 		r := f.blocks.hot(a.seq)
 		if r.deadline()-hour > int(r.length-a.progress) {
+			eligible = append(eligible, i)
 			continue
 		}
 		ri := int(r.regionI)
@@ -727,56 +738,36 @@ func (f *Fleet) Step() error {
 			}
 		}
 		if f.free[ri] > 0 {
-			a.placed, a.by = int16(ri), ByDeadline
+			r.placed, r.by = int16(ri), ByDeadline
 			f.free[ri]--
+		} else {
+			eligible = append(eligible, i)
 		}
 	}
 
 	// Phase 3: the policy's placement pass over the flexible remainder —
 	// one Tick over every region, its eligible jobs in submission order
-	// (or fair order, with tenancy on). The policy names jobs by
-	// position in the list and regions by index, so a placement resolves
-	// without a lookup. The eligible list is the pool filtered in place,
-	// this being the pool's last use this hour; the policy's k'th job is
-	// at active position at(k).
-	eligible := pool[:0]
-	for _, i := range pool {
-		if f.active[i].placed < 0 {
-			eligible = append(eligible, i)
-		}
-	}
-	order := f.fairOrder(eligible)
-	at := func(k int) uint32 {
-		if order != nil {
-			k = order[k]
-		}
-		return eligible[k]
-	}
+	// (or fair order, with tenancy on, permuted in place). The policy
+	// names jobs by position in the list and regions by index, so a
+	// placement resolves without a lookup; the Tick reads each job it is
+	// asked for from its entry and record (Tick.Job).
+	f.fairOrder(eligible)
 	tick := &f.tick
-	tick.Hour = hour
+	tick.Hour, tick.active, tick.blocks, tick.pos = hour, f.active, f.blocks, eligible
 	copy(tick.Free, f.free)
 	for ri, tr := range f.traces {
 		tick.CI[ri] = tr.At(hour)
 	}
-	tick.Eligible = tick.Eligible[:0]
-	for k := range eligible {
-		a := &f.active[at(k)]
-		r := f.blocks.hot(a.seq)
-		tick.Eligible = append(tick.Eligible, JobView{
-			Origin:          int(r.originI),
-			Remaining:       int(r.length - a.progress),
-			HoursToDeadline: r.deadline() - hour,
-			Interruptible:   r.interruptible(),
-			Migratable:      r.migratable(),
-		})
-	}
-	for _, p := range f.policy.Plan(tick) {
+	placements := f.policy.Plan(tick)
+	// Drop the Tick's hold on the lists: Submit may outgrow them before
+	// the next Step, and the Tick must not keep the old arrays alive.
+	tick.active, tick.blocks = nil, nil
+	for _, p := range placements {
 		if p.Job < 0 || p.Job >= len(eligible) {
 			return fmt.Errorf("sched: policy %s placed unknown job #%d of %d eligible", f.policy.Name(), p.Job, len(eligible))
 		}
-		a := &f.active[at(p.Job)]
-		r := f.blocks.hot(a.seq)
-		if a.placed >= 0 {
+		r := f.blocks.hot(f.active[eligible[p.Job]].seq)
+		if r.placed >= 0 {
 			return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), r.id)
 		}
 		if p.Region < 0 || p.Region >= len(f.free) {
@@ -788,7 +779,7 @@ func (f *Fleet) Step() error {
 		if f.free[p.Region] <= 0 {
 			return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), f.regionsList[p.Region])
 		}
-		a.placed, a.by = int16(p.Region), ByPolicy
+		r.placed, r.by = int16(p.Region), ByPolicy
 		f.free[p.Region]--
 	}
 
@@ -800,12 +791,12 @@ func (f *Fleet) Step() error {
 	f.ranLast = 0
 	keep := f.active[:0]
 	for _, a := range f.active {
-		if a.placed < 0 {
+		r := f.blocks.hot(a.seq)
+		ri := r.placed
+		if ri < 0 {
 			keep = append(keep, a)
 			continue
 		}
-		r := f.blocks.hot(a.seq)
-		ri := a.placed
 		if r.regionI >= 0 && r.regionI != ri {
 			r.migrations++
 		}
@@ -828,7 +819,7 @@ func (f *Fleet) Step() error {
 				Tenant:   f.tenants[r.tenantI],
 				CI:       ci,
 				OriginCI: f.traces[r.originI].At(hour),
-				By:       a.by,
+				By:       r.by,
 			})
 		}
 		if a.progress < r.length {
@@ -876,17 +867,16 @@ func (f *Fleet) finishInBlock(seq uint32) {
 	f.idMu.Unlock()
 }
 
-// fairOrder returns the fair queue's dequeue permutation of one hour's
-// eligible active-list positions: the k'th job to offer the policy is
-// eligible[order[k]]. nil means submission order (no queue installed).
-// The permutation is the queue's scratch, valid until the next Step.
-func (f *Fleet) fairOrder(eligible []uint32) []int {
-	if f.fq == nil || len(eligible) < 2 {
-		return nil
+// fairOrder permutes one hour's eligible active-list positions in place
+// into the fair queue's dequeue order, grouping them by the records'
+// tenant indices; without a queue they stay in submission order.
+func (f *Fleet) fairOrder(eligible []uint32) {
+	if f.fq == nil {
+		return
 	}
-	return f.fq.OrderFunc(len(eligible), func(k int) string {
-		return f.tenants[f.blocks.hot(f.active[eligible[k]].seq).tenantI]
-	})
+	f.fq.Permute(eligible, len(f.tenants),
+		func(i uint32) int { return int(f.blocks.hot(f.active[i].seq).tenantI) },
+		func(ti int) string { return f.tenants[ti] })
 }
 
 // JobInfo is the live view of one submitted job: its outcome so far
@@ -902,23 +892,24 @@ type JobInfo struct {
 	Running bool
 }
 
-// Lookup returns the live view of a submitted job.
-func (f *Fleet) Lookup(id int) (JobInfo, bool) {
+// Lookup returns the live view of a submitted job. The view is read
+// straight into the named result: a local JobInfo returned would be
+// copied out whole.
+func (f *Fleet) Lookup(id int) (info JobInfo, ok bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	f.idMu.Lock()
 	seq, ok := f.ids.get(f.blocks, id)
 	if !ok {
 		f.idMu.Unlock()
-		return JobInfo{}, false
+		return
 	}
 	// Start the cursor at the job's own active entry, if it has one.
 	k, _ := slices.BinarySearchFunc(f.active, seq, func(a activeJob, s uint32) int { return cmp.Compare(a.seq, s) })
 	v := storeView{f: f, blocks: f.blocks, tenants: f.tenants, active: f.active, k: k}
 	f.idMu.Unlock()
-	var info JobInfo
 	v.read(seq, &info)
-	return info, true
+	return
 }
 
 // Has reports whether a job with this id has been submitted: Lookup's

@@ -88,18 +88,20 @@ type tickMemo struct {
 	thresholds []float64 // by region index; NaN until asked
 }
 
-// plan is the placement loop every policy runs. In Eligible order, dest
-// picks a region with a free slot for the job (-1: none). With a gate,
-// a job with slack to spare runs only if the region's intensity is at
-// or below the gate's threshold for it; an urgent job (one more hour of
-// waiting would leave no room to finish) runs regardless — deadline
-// forcing is the simulator's backstop, but a well-behaved policy does
-// not rely on it.
-func plan(t *Tick, dest func(*tickMemo, *JobView) int, gate func(*Tick, int) float64) []Placement {
+// plan is the placement loop every policy runs. In the Tick's order
+// (Tick.Job), dest picks a region with a free slot for the job (-1:
+// none). With a gate, a job with slack to spare runs only if the
+// region's intensity is at or below the gate's threshold for it; an
+// urgent job (one more hour of waiting would leave no room to finish)
+// runs regardless — deadline forcing is the simulator's backstop, but a
+// well-behaved policy does not rely on it. dest takes the view by
+// value: a pointer to it would move it to the heap, once per job per
+// hour.
+func plan(t *Tick, dest func(*tickMemo, JobView) int, gate func(*Tick, int) float64) []Placement {
 	m := &tickMemo{Tick: t}
 	var out []Placement
-	for k := range t.Eligible {
-		j := &t.Eligible[k]
+	for k := range t.Len() {
+		j := t.Job(k)
 		ri := dest(m, j)
 		if ri < 0 {
 			continue
@@ -125,7 +127,7 @@ func plan(t *Tick, dest func(*tickMemo, *JobView) int, gate func(*Tick, int) flo
 }
 
 // atOrigin runs a job at home, if home has a free slot.
-func atOrigin(m *tickMemo, j *JobView) int {
+func atOrigin(m *tickMemo, j JobView) int {
 	if m.Free[j.Origin] > 0 {
 		return j.Origin
 	}
@@ -134,7 +136,7 @@ func atOrigin(m *tickMemo, j *JobView) int {
 
 // spill runs a job at home, or a migratable one in the first region,
 // in index order, with a free slot.
-func spill(m *tickMemo, j *JobView) int {
+func spill(m *tickMemo, j JobView) int {
 	if !j.Migratable || m.Free[j.Origin] > 0 {
 		return atOrigin(m, j)
 	}
@@ -148,7 +150,7 @@ func spill(m *tickMemo, j *JobView) int {
 
 // greenest runs a migratable job in the cleanest region with a free
 // slot (ties in index order), a pinned one at home.
-func greenest(m *tickMemo, j *JobView) int {
+func greenest(m *tickMemo, j JobView) int {
 	if !j.Migratable {
 		return atOrigin(m, j)
 	}

@@ -170,8 +170,9 @@ func (f *refFleet) Step() error {
 		tick.CI = append(tick.CI, f.ci(r, hour))
 		tick.Free = append(tick.Free, free[r])
 	}
+	tick.views = []JobView{} // set even when empty: the Tick reads its jobs from it
 	for _, j := range eligible {
-		tick.Eligible = append(tick.Eligible, JobView{f.index(j.Origin), j.Remaining, j.Deadline() - hour, j.Interruptible, j.Migratable})
+		tick.views = append(tick.views, JobView{f.index(j.Origin), j.Remaining, j.Deadline() - hour, j.Interruptible, j.Migratable})
 	}
 	for _, p := range f.policy.Plan(tick) {
 		if p.Job < 0 || p.Job >= len(eligible) || p.Region < 0 || p.Region >= len(f.regions) {

@@ -89,7 +89,7 @@ type Cluster struct {
 
 // JobView is the read-only picture of a schedulable job handed to
 // policies. It carries no names: Origin is a region index, and the job
-// is named by its position in Tick.Eligible.
+// is named by its position k in the Tick (Tick.Job(k)).
 type JobView struct {
 	Origin          int // region index
 	Remaining       int // run-hours still needed
@@ -117,12 +117,43 @@ type Tick struct {
 	// It is the policy's own copy: Plan may count it down as it places,
 	// and must not place into a region at zero.
 	Free []int
-	// Eligible lists the jobs the policy may place this hour — in
-	// arrival order, or in weighted-fair order when the fleet has a
-	// tenant FairQueue installed (same-tenant jobs keep arrival order).
-	Eligible []JobView
 
 	traces []*trace.Trace // by region index, for Lookback
+
+	// The jobs the policy may place this hour — Len of them, the k'th
+	// read by Job(k) — are the fleet's active entries at positions pos,
+	// in arrival order, or in weighted-fair order when the fleet has a
+	// tenant FairQueue installed (same-tenant jobs keep arrival order).
+	// No view is stored: Job builds each from the entry and its record
+	// when asked. active and blocks are the fleet's, as of this Step.
+	// The test reference model, which has no fleet, hands its views in
+	// through views instead, and Job reads them when it is set.
+	active []activeJob
+	blocks recBlocks
+	pos    []uint32
+	views  []JobView
+}
+
+// Len returns the number of jobs the policy may place this hour.
+func (t *Tick) Len() int {
+	if t.views != nil {
+		return len(t.views)
+	}
+	return len(t.pos)
+}
+
+// Job returns the k'th job the policy may place this hour, 0 ≤ k < Len.
+// It is written out field by field, without the record's accessors, to
+// stay within the compiler's inlining budget: plan calls it once per
+// eligible job per hour.
+func (t *Tick) Job(k int) JobView {
+	if t.views != nil {
+		return t.views[k]
+	}
+	a := t.active[t.pos[k]]
+	r := &t.blocks[a.seq/recBlock].hot[a.seq%recBlock]
+	return JobView{int(r.originI), int(r.length - a.progress), int(r.arrival+r.length+r.slack) - t.Hour,
+		r.flags&flagInterruptible != 0, r.flags&flagMigratable != 0}
 }
 
 // Lookback returns up to n trailing hours of a region's intensity
@@ -133,7 +164,8 @@ func (t *Tick) Lookback(region, n int) []float64 {
 }
 
 // Placement runs one eligible job in a region for the current hour:
-// Job is its position in Tick.Eligible, Region a region index.
+// Job is its position k in the Tick (Tick.Job(k)), Region a region
+// index.
 type Placement struct {
 	Job, Region int
 }

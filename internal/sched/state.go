@@ -498,7 +498,7 @@ func (f *Fleet) Unmarshal(data []byte) error {
 		if a := int(r.arrival); a > img.hour {
 			f.pending[a] = append(f.pending[a], seq)
 		} else {
-			f.active = append(f.active, activeJob{seq: seq, progress: int32(img.jobs[seq].progress), placed: -1})
+			f.active = append(f.active, activeJob{seq: seq, progress: int32(img.jobs[seq].progress)})
 		}
 	}
 	return nil

@@ -91,6 +91,9 @@ func GenerateRegionCached(r regions.Region, cfg Config) (*trace.Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkRegion(r); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	key := keyFor(r, cfg)
 
@@ -130,6 +133,11 @@ func GenerateCached(ctx context.Context, regs []regions.Region, cfg Config, work
 	}
 	if len(regs) == 0 {
 		return nil, fmt.Errorf("simgrid: no regions given")
+	}
+	for _, r := range regs {
+		if err := checkRegion(r); err != nil {
+			return nil, err
+		}
 	}
 	cfg = cfg.withDefaults()
 	traces, err := engine.Map(ctx, workers, len(regs), func(ctx context.Context, i int) (*trace.Trace, error) {

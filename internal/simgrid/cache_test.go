@@ -2,6 +2,8 @@ package simgrid
 
 import (
 	"context"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -240,5 +242,55 @@ func TestStartZoneDoesNotMatter(t *testing.T) {
 	}
 	if _, _, entries := CacheStats(); entries != 1 {
 		t.Fatalf("entries = %d, want the two spellings to share 1", entries)
+	}
+}
+
+// TestNonFiniteRegionRefused: a region whose model inputs are not all
+// finite is refused by every entry point, naming the region and the
+// field, before the trace cache is touched. A NaN key never equals
+// itself, so each such request used to make a fresh entry that eviction
+// could not delete, and the 257th panicked with the cache's lock held.
+func TestNonFiniteRegionRefused(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	cfg := Config{Hours: 24}
+	reg := regions.All()[0]
+	for _, c := range []struct {
+		field string
+		set   func(r *regions.Region)
+	}{
+		{"Lat", func(r *regions.Region) { r.Lat = math.NaN() }},
+		{"Lon", func(r *regions.Region) { r.Lon = math.Inf(1) }},
+		{"Mix[wind]", func(r *regions.Region) { r.Mix[regions.Wind] = math.NaN() }},
+		{"DeltaRenew", func(r *regions.Region) { r.DeltaRenew = math.Inf(-1) }},
+		{"DemandSwing", func(r *regions.Region) { r.DemandSwing = math.NaN() }},
+	} {
+		bad := reg
+		c.set(&bad)
+		_, err1 := Generate([]regions.Region{reg, bad}, cfg)
+		_, err2 := GenerateRegionCached(bad, cfg)
+		_, err3 := GenerateCached(context.Background(), []regions.Region{bad}, cfg, 1)
+		_, err4 := WhatIf(bad, cfg, []float64{0, 0.5}, 24)
+		for i, err := range []error{err1, err2, err3, err4} {
+			if err == nil || !strings.Contains(err.Error(), bad.Code) || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s: entry point %d returned %v, want an error naming %s and %s", c.field, i+1, err, bad.Code, c.field)
+			}
+		}
+	}
+	nan := reg
+	nan.Lat = math.NaN()
+	for i := 0; i < 300; i++ {
+		if _, err := GenerateRegionCached(nan, cfg); err == nil {
+			t.Fatalf("call %d: a NaN latitude was accepted", i+1)
+		}
+	}
+	if hits, misses, entries := CacheStats(); hits != 0 || misses != 0 || entries != 0 {
+		t.Fatalf("refused requests reached the cache: hits=%d misses=%d entries=%d", hits, misses, entries)
+	}
+	if tr, err := GenerateRegionCached(reg, cfg); err != nil || len(tr.CI) != 24 {
+		t.Fatalf("a catalog region after the refusals: %v", err)
+	}
+	if _, misses, entries := CacheStats(); misses != 1 || entries != 1 {
+		t.Fatalf("after one catalog region: misses=%d entries=%d, want 1 and 1", misses, entries)
 	}
 }

@@ -105,6 +105,34 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// checkRegion refuses a region whose model inputs are not all finite.
+// Beyond poisoning every sample, a NaN never equals itself, so the
+// trace cache, which keys on these values, could never find the entry
+// it made for one.
+func checkRegion(r regions.Region) error {
+	bad := func(field string, v float64) error {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("simgrid: region %q: %s is %v, not finite", r.Code, field, v)
+		}
+		return nil
+	}
+	if err := bad("Lat", r.Lat); err != nil {
+		return err
+	}
+	if err := bad("Lon", r.Lon); err != nil {
+		return err
+	}
+	for src, share := range r.Mix {
+		if err := bad("Mix["+regions.Source(src).String()+"]", share); err != nil {
+			return err
+		}
+	}
+	if err := bad("DeltaRenew", r.DeltaRenew); err != nil {
+		return err
+	}
+	return bad("DemandSwing", r.DemandSwing)
+}
+
 // Demand-model amplitudes, as fractions of mean demand.
 const (
 	diurnalAmp  = 0.13
@@ -144,6 +172,11 @@ func Generate(regs []regions.Region, cfg Config) (*trace.Set, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	for _, r := range regs {
+		if err := checkRegion(r); err != nil {
+			return nil, err
+		}
+	}
 	traces := make([]*trace.Trace, 0, len(regs))
 	for _, r := range regs {
 		traces = append(traces, simulate(r, cfg))
@@ -164,6 +197,9 @@ func Generate(regs []regions.Region, cfg Config) (*trace.Set, error) {
 // one simulation plus the head, not one simulation per level. Nothing
 // enters the trace cache: the series are the caller's to fold and drop.
 func WhatIf(r regions.Region, cfg Config, levels []float64, hours int) ([][]float64, error) {
+	if err := checkRegion(r); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if hours < 0 || hours > cfg.Hours {
 		return nil, fmt.Errorf("simgrid: what-if prefix of %d hours outside the %d simulated", hours, cfg.Hours)

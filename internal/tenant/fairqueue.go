@@ -14,8 +14,9 @@ import (
 const passScale = 1 << 32
 
 // FairQueue is the weighted-fair dequeue engine the fleet applies to
-// its policy-eligible job list every Step — deficit round robin in its
-// virtual-time (stride) formulation. Each tenant carries a pass value:
+// its policy-eligible job list every Step, permuting it in place
+// (Permute) — deficit round robin in its virtual-time (stride)
+// formulation. Each tenant carries a pass value:
 // its cumulative service normalized by its effective weight (class
 // multiplier × tenant weight). Every executed job-hour advances the
 // serving tenant's pass by passScale/weight, and the eligible list is
@@ -26,7 +27,7 @@ const passScale = 1 << 32
 // the starvation-freedom property TestTenancyInvariants pins.
 //
 // vtime is the served frontier: the smallest pass among currently
-// backlogged tenants, advanced at Order time. A tenant first seen (or
+// backlogged tenants, advanced at each Permute. A tenant first seen (or
 // returning from idle below the frontier) starts at vtime + stride,
 // the standard stride-scheduling join rule — so a tenant that shows up
 // late cannot monopolize the fleet while it "catches up" on virtual
@@ -49,12 +50,12 @@ type FairQueue struct {
 	pass  map[string]int64
 	vtime int64
 
-	// OrderFunc's scratch, kept between calls so that an hour's order
+	// Permute's scratch, kept between calls so that an hour's order
 	// allocates only while the eligible list or the tenant set grows.
-	perm    []int
-	members []uint32 // each group's entries, contiguous, in submission order
+	members []uint32 // the entries grouped by tenant, contiguous, each group in the given order
+	groupOf []int32  // the caller's tenant index -> group, -1 before its first entry
 	groups  []fairGroup
-	at      map[string]int // tenant -> index into groups
+	at      map[string]int // normalized tenant -> index into groups
 }
 
 // NewFairQueue builds the dequeue engine over a tenant registry (nil
@@ -106,50 +107,71 @@ func (q *FairQueue) touch(t string) int64 {
 	return p
 }
 
-// Order computes the fair dequeue permutation for one hour's eligible
-// list, given the tenant name of each entry ("" meaning default).
-// perm[k] is the index into names of the k'th job to offer the policy;
-// entries of the same tenant keep their relative (submission) order.
-// New or below-frontier tenants are touched in first, then vtime
-// advances to the smallest present pass; the per-job pass advancement
-// used to interleave within the hour is projected only — persistent
-// pass moves solely via Charge, on actual execution. The returned slice
-// is the queue's own, valid until the next Order or OrderFunc call.
-func (q *FairQueue) Order(names []string) []int {
-	return q.OrderFunc(len(names), func(i int) string { return names[i] })
+// Order returns the fair dequeue permutation of one hour's eligible
+// list, given the tenant name of each entry ("" meaning default):
+// perm[k] is the index into names of the k'th job to offer the policy.
+// It is Permute over the positions 0..len(names)-1, each its own tenant
+// index, and allocates the permutation it returns.
+func (q *FairQueue) Order(names []string) (perm []uint32) {
+	perm = make([]uint32, len(names))
+	for i := range perm {
+		perm[i] = uint32(i)
+	}
+	q.Permute(perm, len(names), func(e uint32) int { return int(e) }, func(i int) string { return names[i] })
+	return perm
 }
 
-// OrderFunc is Order over n entries whose tenant names tenantOf returns,
-// for a caller that holds them in another form than a []string.
-func (q *FairQueue) OrderFunc(n int, tenantOf func(i int) string) []int {
-	if q.perm == nil || cap(q.perm) < n {
-		q.perm = make([]int, n, n+n/4)
+// Permute reorders one hour's eligible entries in place into the fair
+// dequeue order: entries of the same tenant keep their relative
+// (submission) order, and the tenants interleave least-pass-first. An
+// entry's tenant is an index below tenants into the caller's own table,
+// tenantOf(e) giving entry e's and name(i) index i's name; several
+// indices may name one tenant ("" and "default" are one). A tenant's
+// name is read and normalized only at its index's first entry in the
+// call. New or below-frontier tenants are touched in first, then vtime
+// advances to the smallest present pass; the per-job pass advancement
+// used to interleave within the hour is projected only — persistent
+// pass moves solely via Charge, on actual execution.
+func (q *FairQueue) Permute(entries []uint32, tenants int, tenantOf func(e uint32) int, name func(i int) string) {
+	n := len(entries)
+	if n < 2 {
+		return
+	}
+	if cap(q.members) < n {
 		q.members = make([]uint32, n, n+n/4)
 	}
-	perm, members := q.perm[:n], q.members[:n]
-	// Group by tenant in first-appearance order — one map lookup per
-	// entry, noting its group in perm — then lay each group's entries out
-	// contiguously in members, in submission order: counts, then each
-	// group's end, then a fill from the back.
+	if cap(q.groupOf) < tenants {
+		q.groupOf = make([]int32, tenants)
+	}
+	members, groupOf := q.members[:n], q.groupOf[:tenants]
+	for i := range groupOf {
+		groupOf[i] = -1
+	}
+	// Group by tenant in first-appearance order — a name lookup per
+	// tenant index, a table read per entry — then lay each group's
+	// entries out contiguously in members, in the given order: counts,
+	// then each group's end, then a fill from the back.
 	clear(q.at)
 	groups := q.groups[:0]
-	for i := range n {
-		t := Normalize(tenantOf(i))
-		g, ok := q.at[t]
-		if !ok {
-			g = len(groups)
-			q.at[t] = g
-			groups = append(groups, fairGroup{name: t})
+	for _, e := range entries {
+		ti := tenantOf(e)
+		g := groupOf[ti]
+		if g < 0 {
+			t := Normalize(name(ti))
+			gi, ok := q.at[t]
+			if !ok {
+				gi = len(groups)
+				q.at[t] = gi
+				groups = append(groups, fairGroup{name: t})
+			}
+			g = int32(gi)
+			groupOf[ti] = g
 		}
 		groups[g].end++
-		perm[i] = g
 	}
 	q.groups = groups
 	if len(groups) <= 1 {
-		for i := range perm {
-			perm[i] = i
-		}
-		return perm
+		return
 	}
 	end := 0
 	for i := range groups {
@@ -157,9 +179,9 @@ func (q *FairQueue) OrderFunc(n int, tenantOf func(i int) string) []int {
 		groups[i].next, groups[i].end = end, end
 	}
 	for i := n - 1; i >= 0; i-- {
-		g := &groups[perm[i]]
+		g := &groups[groupOf[tenantOf(entries[i])]]
 		g.next--
-		members[g.next] = uint32(i)
+		members[g.next] = entries[i]
 	}
 	// Deterministic tie-breaking below wants a canonical tenant order.
 	slices.SortFunc(groups, func(a, b fairGroup) int { return strings.Compare(a.name, b.name) })
@@ -174,21 +196,20 @@ func (q *FairQueue) OrderFunc(n int, tenantOf func(i int) string) []int {
 	if frontier > q.vtime {
 		q.vtime = frontier
 	}
-	for k := range perm {
+	for k := range entries {
 		var best *fairGroup
 		for i := range groups {
 			if g := &groups[i]; g.next < g.end && (best == nil || g.pass < best.pass) {
 				best = g
 			}
 		}
-		perm[k] = int(members[best.next])
+		entries[k] = members[best.next]
 		best.next++
 		best.pass += best.stride
 	}
-	return perm
 }
 
-// fairGroup is one tenant's share of an OrderFunc call: its entries
+// fairGroup is one tenant's share of a Permute call: its entries
 // (members[next:end], the next one to offer first), and its projected
 // pass.
 type fairGroup struct {

@@ -10,8 +10,8 @@ import (
 
 // orderMaps is FairQueue.Order as it was first written, over string-keyed
 // maps: the reference the slice-based Order is held to.
-func orderMaps(q *FairQueue, names []string) []int {
-	perm := make([]int, len(names))
+func orderMaps(q *FairQueue, names []string) []uint32 {
+	perm := make([]uint32, len(names))
 	if len(names) == 0 {
 		return perm
 	}
@@ -26,7 +26,7 @@ func orderMaps(q *FairQueue, names []string) []int {
 	}
 	if len(tenants) == 1 {
 		for i := range perm {
-			perm[i] = i
+			perm[i] = uint32(i)
 		}
 		return perm
 	}
@@ -55,7 +55,7 @@ func orderMaps(q *FairQueue, names []string) []int {
 				best, bestPass = t, proj[t]
 			}
 		}
-		perm[k] = byTenant[best][next[best]]
+		perm[k] = uint32(byTenant[best][next[best]])
 		next[best]++
 		proj[best] += q.stride(best)
 	}
@@ -114,6 +114,59 @@ func TestFairQueueOrderMatchesMapReference(t *testing.T) {
 			v2, n2, s2 := want.Snapshot()
 			if v1 != v2 || !reflect.DeepEqual(n1, n2) || !reflect.DeepEqual(s1, s2) {
 				t.Fatalf("seed %d hour %d: snapshot %s, reference %s", seed, hour,
+					fmt.Sprint(v1, n1, s1), fmt.Sprint(v2, n2, s2))
+			}
+		}
+	}
+}
+
+// TestFairQueuePermuteByIndexMatchesOrder holds Permute, as the fleet
+// calls it — entries that are positions in the caller's list, grouped
+// by an index into the caller's tenant table, where "" and "default"
+// are two indices of one tenant — to Order over the same names, on two
+// queues in the same state: the same order every hour, and the same
+// Snapshot after each hour's Charges.
+func TestFairQueuePermuteByIndexMatchesOrder(t *testing.T) {
+	table := []string{"", "web", "etl", "default", "ml", "spot", "adhoc"}
+	cfg := mustConfig(t,
+		Spec{Name: "web", Class: Interactive},
+		Spec{Name: "etl", Class: Batch, Weight: 2},
+		Spec{Name: CatchAll, Class: Scavenger},
+	)
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		byIndex, byName := NewFairQueue(cfg), NewFairQueue(cfg)
+		for hour := 0; hour < 20; hour++ {
+			// A job list of which some positions are eligible, ascending.
+			tenantOf := make([]int, 60)
+			for i := range tenantOf {
+				tenantOf[i] = rng.Intn(len(table))
+			}
+			var entries []uint32
+			var names []string
+			for i := range tenantOf {
+				if rng.Intn(3) > 0 {
+					entries = append(entries, uint32(i))
+					names = append(names, table[tenantOf[i]])
+				}
+			}
+			perm := byName.Order(names)
+			want := make([]uint32, len(perm))
+			for k, i := range perm {
+				want[k] = entries[i]
+			}
+			byIndex.Permute(entries, len(table), func(e uint32) int { return tenantOf[e] }, func(i int) string { return table[i] })
+			if !reflect.DeepEqual(entries, want) {
+				t.Fatalf("seed %d hour %d: Permute gave %v, Order %v", seed, hour, entries, want)
+			}
+			for _, e := range entries[:rng.Intn(len(entries)+1)] {
+				byIndex.Charge(table[tenantOf[e]])
+				byName.Charge(table[tenantOf[e]])
+			}
+			v1, n1, s1 := byIndex.Snapshot()
+			v2, n2, s2 := byName.Snapshot()
+			if v1 != v2 || !reflect.DeepEqual(n1, n2) || !reflect.DeepEqual(s1, s2) {
+				t.Fatalf("seed %d hour %d: snapshot %s, by name %s", seed, hour,
 					fmt.Sprint(v1, n1, s1), fmt.Sprint(v2, n2, s2))
 			}
 		}
