@@ -72,10 +72,10 @@ type Fleet struct {
 	// without further locking. Step's one rewrite of a directory entry,
 	// freezing a block, is made under idMu too, for Has, which takes no
 	// world lock (finishInBlock). The id index is different: a put can move
-	// any slot of a table, so it is only read under idMu. (Step places
-	// without it — a policy names jobs by their position in the hour's
-	// eligible list — and only a freeze, taking a dense block's ids out of
-	// its tables, touches it.)
+	// any slot of a table, so it is only read under idMu. Step never
+	// touches it: a policy names jobs by their position in the hour's
+	// eligible list, and a block is dense or not from its first record,
+	// not from its freeze.
 	//
 	// Submit appends each admitted job to active or pending under idMu,
 	// in the same critical section that hands out its sequence number, so
@@ -314,12 +314,14 @@ func (b recBlocks) emissions(seq uint32, r *jobRec, traces []*trace.Trace) float
 }
 
 // id returns the id of the job at seq, hot or frozen.
-func (b recBlocks) id(seq uint32) int {
-	e := &b[seq/recBlock]
+func (b recBlocks) id(seq uint32) int { return b[seq/recBlock].id(seq % recBlock) }
+
+// id returns the id of the block's record i.
+func (e *recBlockEntry) id(i uint32) int {
 	if e.hot != nil {
-		return e.hot[seq%recBlock].id
+		return e.hot[i].id
 	}
-	return e.frozen.id(seq % recBlock)
+	return e.frozen.id(i)
 }
 
 // jobStore is everything the fleet keeps about the jobs it has seen:
@@ -512,16 +514,14 @@ func (f *Fleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 		return 0, fmt.Errorf("sched: %d jobs submitted, at most %d", n, uint32(math.MaxUint32))
 	}
 	first := uint32(n)
-	nblocks, ntenants := len(f.blocks), len(f.tenants)
+	nblocks, ntenants, tail := len(f.blocks), len(f.tenants), f.ids.tail
 	for i := range jobs {
 		j := &jobs[i]
 		if err := f.admissible(j); err != nil {
-			// Undo jobs[:i]: their index slots (read through their
-			// records, so before the blocks go), any block they opened,
-			// any tenant name only they used.
-			for k := range jobs[:i] {
-				f.ids.del(f.blocks, jobs[k].ID, first+uint32(k))
-			}
+			// Undo jobs[:i]: their index entries and any spill they made
+			// (read through their records, so before the blocks go), any
+			// block they opened, any tenant name only they used.
+			f.ids.rollback(f.blocks, tail, first, first+uint32(i))
 			f.blocks = f.blocks[:nblocks]
 			for _, name := range f.tenants[ntenants:] {
 				delete(f.tenantIdx, name)
@@ -530,9 +530,7 @@ func (f *Fleet) submitRLocked(jobs []Job, stampNow bool) (int, error) {
 			f.idMu.Unlock()
 			return 0, err
 		}
-		seq := first + uint32(i)
-		f.appendRec(seq, j, f.regionIdx[j.Origin])
-		f.ids.put(f.blocks, j.ID, seq)
+		f.appendRec(first+uint32(i), j, f.regionIdx[j.Origin])
 	}
 	// Past this point nothing can fail: publish the batch. Its sequence
 	// numbers are the highest yet, so appending keeps both lists sorted.
@@ -571,14 +569,12 @@ func (f *Fleet) admissible(j *Job) error {
 }
 
 // appendRec writes j's not-yet-run record at seq, the next free
-// sequence number, and returns it. originI is j.Origin's region index.
-// The fleet's idMu must be held.
+// sequence number, indexes its id, and returns it. originI is j.Origin's
+// region index. The caller has checked that j.ID is absent. The fleet's
+// idMu must be held.
 func (s *jobStore) appendRec(seq uint32, j *Job, originI int) *jobRec {
 	if seq%recBlock == 0 {
 		s.blocks = append(s.blocks, recBlockEntry{hot: new([recBlock]jobRec)})
-		// The index's dense list grows with the directory, here, so that
-		// a freeze allocates nothing but its packed block.
-		s.ids.dense = slices.Grow(s.ids.dense, cap(s.blocks)-len(s.ids.dense))
 	}
 	r := s.blocks.hot(seq)
 	*r = jobRec{
@@ -597,6 +593,7 @@ func (s *jobStore) appendRec(seq uint32, j *Job, originI int) *jobRec {
 	if j.Migratable {
 		r.flags |= flagMigratable
 	}
+	s.ids.add(s.blocks, j.ID, seq)
 	return r
 }
 
@@ -853,8 +850,8 @@ func (f *Fleet) Step() error {
 // block is full. The packing reads only the hot array, which nothing
 // else writes while Step holds the world write lock; the entry is swapped
 // under idMu because Has reads ids through the directory holding idMu
-// alone, and in the same section a dense block's ids leave the index's
-// tables (idIndex.blockFrozen). The hot array is garbage from then on.
+// alone. The index is left as it was: a block indexes itself or not by
+// its ids, hot or frozen. The hot array is garbage from then on.
 func (f *Fleet) finishInBlock(seq uint32) {
 	e := &f.blocks[seq/recBlock]
 	if e.open--; e.open > 0 || seq/recBlock >= uint32(f.submitted.Load())/recBlock {
@@ -863,7 +860,6 @@ func (f *Fleet) finishInBlock(seq uint32) {
 	frozen := freeze(e.hot, f.traces)
 	f.idMu.Lock()
 	e.hot, e.frozen = nil, frozen
-	f.ids.blockFrozen(f.blocks, seq/recBlock)
 	f.idMu.Unlock()
 }
 

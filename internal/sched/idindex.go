@@ -10,20 +10,24 @@ import (
 // idIndex maps a job id to its submission sequence without storing the
 // id, in two parts.
 //
-// A frozen block whose id column — each id less its position — packs
-// at denseWidth bits or fewer is its own index: an id can sit only at
-// the few positions that column allows (frozenBlock.find), so the index
-// keeps one entry for the whole block in dense, sorted by the block's
-// lowest id. Sequential and auto-assigned ids make such blocks, so a
-// done job of ordinary traffic costs the index nothing.
+// A record block whose id column — each id less its position — spans
+// fewer than 1<<denseWidth values is its own index: an id can sit only
+// at the few positions that column allows (recBlocks.find), so the index
+// keeps one entry for the whole block. The rule is checked record by
+// record as Submit writes the tail block (add), so a block is dense from
+// its first record, hot or frozen alike, and freezing it does no index
+// work. Sequential and auto-assigned ids make such blocks, so ordinary
+// traffic costs the index nothing, backlogged or done. The record that
+// breaks the rule spills its block's earlier ids into the hash tables,
+// once; the block stays there.
 //
-// Every other id — in a hot block, or in a frozen one whose ids are
-// scattered — is in a hash table: a slot holds seq+1 (0 is empty) and
-// the slot's key is blocks.id(seq), the record's id, which every lookup
-// is about to read anyway. A slot is 4 bytes; the Go map this replaced
-// kept a second copy of every id and cost 37 bytes a job. A lookup tries
-// the dense blocks first: their list is ordered and a few bytes a block,
-// while a table miss reads the record of every slot in its probe chain.
+// Every id of a sparse block is in a hash table: a slot holds seq+1 (0
+// is empty) and the slot's key is blocks.id(seq), the record's id, which
+// every lookup is about to read anyway. A slot is 4 bytes; the Go map
+// this replaced kept a second copy of every id and cost 37 bytes a job.
+// A lookup tries the dense blocks first: their list is ordered and a few
+// bytes a block, while a table miss reads the record of every slot in
+// its probe chain.
 //
 // The tables are extendible hashing. A directory, indexed by the hash's
 // top depth bits, points at fixed-size linear-probe tables (home slot:
@@ -33,10 +37,9 @@ import (
 // growing index runs between 7/16 and 7/8 full (4.6–9.1 bytes an id),
 // and the worst single put re-homes one table's 3584 entries, where one
 // big table doubling at 2²⁰ ids re-homed all of them (33 ms against
-// 0.34 ms when this was written) inside a Submit that holds idMu. Tables
-// never merge: the slots a dense block's ids leave take the next hot
-// ids, so the index keeps as many tables as the most ids it ever held in
-// them at once.
+// 0.34 ms when this was written) inside a Submit that holds idMu. The
+// directory is empty until the first sparse id, and tables never merge,
+// so the index keeps as many tables as the most sparse ids it ever held.
 //
 // Ids are client-chosen and linear probing degrades to a scan if
 // many keys share a home slot, so the hash is a full 64-bit mixer over
@@ -51,17 +54,28 @@ import (
 // reads nothing of them but ids.
 type idIndex struct {
 	seed  uint64
-	depth uint8        // len(dir) == 1<<depth
+	depth uint8        // len(dir) == 1<<depth, once there is a table
 	dir   []*idTable   // by the hash's top depth bits; a shallower table fills a run of entries
-	dense []denseBlock // the frozen blocks that index themselves, by lo ascending
+	dense []denseBlock // the full blocks that index themselves, by lo ascending
+	tail  idTail       // the last block, the one add writes
 }
 
-// denseBlock is a frozen block that is its own index: every id in it is
-// in [lo, lo+denseSpan).
+// denseBlock is a block that is its own index: record i holds id
+// lo+i+v, with v from 0 to span.
 type denseBlock struct {
-	lo  int    // the block's id column base
-	blk uint32 // its position in the block directory
-	asc bool   // its ids ascend with position, as auto-assigned ids do
+	lo   int    // the least id less its position
+	blk  uint32 // the block's position in the block directory
+	span uint8  // the greatest id less its position, less lo
+	asc  bool   // its ids ascend with position, as auto-assigned ids do
+}
+
+// idTail is the id column of the last block, as far as it is written.
+// While it is dense it is searched as a denseBlock of n records, and it
+// joins dense when the next block opens.
+type idTail struct {
+	denseBlock
+	n      uint32 // records written
+	sparse bool   // the column broke the rule: every id of the block is in the tables
 }
 
 const (
@@ -69,11 +83,11 @@ const (
 	idTableMask  = idTableSlots - 1
 	idTableFull  = idTableSlots / 8 * 7 // a table holding this many splits before it takes another
 
-	// denseWidth is the widest id column a frozen block may have and be
-	// its own index: find then scans at most 1<<denseWidth positions.
+	// denseWidth bounds a dense block's id column: it spans fewer than
+	// 1<<denseWidth values, so find scans at most that many positions.
 	denseWidth = 8
-	// denseSpan bounds a dense block's ids: record i holds lo+i+v, with
-	// v under 1<<denseWidth.
+	// denseSpan bounds a dense block's ids: each is less than denseSpan
+	// above lo.
 	denseSpan = recBlock + 1<<denseWidth - 1
 )
 
@@ -86,12 +100,7 @@ type idTable struct {
 	depth uint8 // top hash bits every key in the table shares
 }
 
-func newIDIndex() idIndex {
-	return idIndex{
-		seed: rand.Uint64(),
-		dir:  []*idTable{{slots: new([idTableSlots]uint32)}},
-	}
-}
+func newIDIndex() idIndex { return idIndex{seed: rand.Uint64()} }
 
 // hash is the splitmix64 finalizer — a bijection, so distinct ids never
 // share all 64 bits and a split always separates a full table
@@ -106,7 +115,8 @@ func (x *idIndex) hash(id int) uint64 {
 	return h
 }
 
-// table returns the table that holds, or would hold, a key hashing to h.
+// table returns the table that holds, or would hold, a key hashing to
+// h. There must be one.
 func (x *idIndex) table(h uint64) *idTable { return x.dir[h>>(64-x.depth)] }
 
 // get returns the sequence number registered for id.
@@ -117,9 +127,22 @@ func (x *idIndex) get(b recBlocks, id int) (uint32, bool) {
 	k := x.denseUpTo(id)
 	for k--; k >= 0 && uint64(id)-uint64(x.dense[k].lo) < denseSpan; k-- {
 		d := &x.dense[k]
-		if i, ok := b[d.blk].frozen.find(id, d.asc); ok {
+		if i, ok := b.find(d, id, recBlock); ok {
 			return d.blk*recBlock + i, true
 		}
+	}
+	if t := &x.tail; t.n > 0 && !t.sparse && uint64(id)-uint64(t.lo) < denseSpan {
+		if i, ok := b.find(&t.denseBlock, id, t.n); ok {
+			return t.blk*recBlock + i, true
+		}
+	}
+	return x.hashed(b, id)
+}
+
+// hashed returns the sequence number the tables hold for id.
+func (x *idIndex) hashed(b recBlocks, id int) (uint32, bool) {
+	if len(x.dir) == 0 {
+		return 0, false
 	}
 	h := x.hash(id)
 	t := x.table(h)
@@ -136,46 +159,36 @@ func (x *idIndex) denseUpTo(id int) int {
 	return sort.Search(len(x.dense), func(k int) bool { return x.dense[k].lo > id })
 }
 
-// dense reports whether the block is its own index: its id column is
-// at most denseWidth bits wide, and its span does not run past
-// math.MaxInt, where ids wrap round to the lowest and lo would not
-// order it.
-func (fb *frozenBlock) dense() bool {
-	c := &fb.cols[colID]
-	return c.width <= denseWidth && int(c.base) <= math.MaxInt-denseSpan
-}
-
-// find returns the position of id in a dense block. Record i holds id
-// base+i+v, v being its column value less the base and under
-// 1<<width, so id = base+t can sit only at positions t-(1<<width)+1 to
-// t. The first guess is t less the value at t, which is right wherever
-// the column is flat around t — always at width 0. If the block's ids
-// ascend, v never falls, so the guess holds an id got at most id, and
-// each position past it adds at least 1: id lies at most id-got
-// positions past the guess, a range that is binary-searched. Otherwise
-// the positions are scanned.
-func (fb *frozenBlock) find(id int, asc bool) (uint32, bool) {
-	c := &fb.cols[colID]
-	t := uint64(id) - c.base
-	lo, end := t-min(t, uint64(1)<<c.width-1), min(t+1, recBlock)
-	if t < recBlock {
-		v := fb.get(colID, uint32(t)) - c.base
-		if v == 0 { // record t's id is base+t
+// find returns the position of id among the first n records of dense
+// block d. Record i holds id lo+i+v, v from 0 to span, so id = lo+t can
+// sit only at positions t-span to t. The first guess is t less the value
+// at t, which is right wherever the column is flat around t — always at
+// span 0, as consecutive ids make it. If the block's ids ascend, v never falls,
+// so the guess holds an id got at most id, and each position past it
+// adds at least 1: id lies at most id-got positions past the guess, a
+// range that is binary-searched. Otherwise the positions are scanned.
+func (b recBlocks) find(d *denseBlock, id int, n uint32) (uint32, bool) {
+	e := &b[d.blk]
+	t := uint64(id) - uint64(d.lo)
+	lo, end := t-min(t, uint64(d.span)), min(t+1, uint64(n))
+	if t < uint64(n) {
+		v := uint64(e.id(uint32(t))) - uint64(d.lo) - t
+		if v == 0 { // record t's id is lo+t
 			return uint32(t), true
 		}
 		if i := t - v; i <= t {
-			got := fb.id(uint32(i))
+			got := e.id(uint32(i))
 			if got == id {
 				return uint32(i), true
 			}
-			if asc && got < id {
+			if d.asc && got < id {
 				lo, end = i+1, min(end, i+1+uint64(id-got))
 			}
 		}
 	}
-	if asc {
+	if d.asc {
 		for hi := end; lo < hi; {
-			if m := (lo + hi) / 2; fb.id(uint32(m)) < id {
+			if m := (lo + hi) / 2; e.id(uint32(m)) < id {
 				lo = m + 1
 			} else {
 				hi = m
@@ -184,17 +197,73 @@ func (fb *frozenBlock) find(id int, asc bool) (uint32, bool) {
 		end = min(end, lo+1)
 	}
 	for i := lo; i < end; i++ {
-		if fb.id(uint32(i)) == id {
+		if e.id(uint32(i)) == id {
 			return uint32(i), true
 		}
 	}
 	return 0, false
 }
 
-// put registers id at seq. The caller has checked that id is absent
-// (get); the record at seq must be written before the next put, which
-// may split this table and read its keys back.
+// add indexes id, just written at seq, the next record of the store. The
+// caller has checked that id is absent (get). If seq opens a block, the
+// tail it closes joins dense, if it is dense. A record whose id less its
+// position takes the tail's column to 1<<denseWidth values or more, or
+// whose block could hold ids past math.MaxInt — where they would wrap
+// round to the lowest and lo would not order the block — turns the tail
+// sparse: its earlier ids are put in the tables, and every later one.
+// Both conditions only ever fail for good as records are added, so a
+// block's verdict is that of its whole column, however far it is
+// written.
+func (x *idIndex) add(b recBlocks, id int, seq uint32) {
+	t, i := &x.tail, seq%recBlock
+	v := int(uint64(id) - uint64(i))
+	if i == 0 {
+		if t.n > 0 && !t.sparse {
+			x.dense = slices.Insert(x.dense, x.denseUpTo(t.lo), t.denseBlock)
+		}
+		*t = idTail{denseBlock: denseBlock{lo: v, blk: seq / recBlock, asc: true}}
+	}
+	t.n++
+	if !t.sparse {
+		lo, hi := min(t.lo, v), max(t.lo+int(t.span), v)
+		if uint64(hi-lo) < 1<<denseWidth && hi <= math.MaxInt-denseSpan {
+			t.lo, t.span = lo, uint8(hi-lo)
+			t.asc = t.asc && (i == 0 || id > b.id(seq-1))
+			return
+		}
+		t.sparse = true
+		for s := seq - i; s < seq; s++ {
+			x.put(b, b.id(s), s)
+		}
+	}
+	x.put(b, id, seq)
+}
+
+// rollback takes back the records from seq first to end, indexed since
+// the tail was m by a batch that failed part-way; they are still in b.
+// Their slots go, and so do the dense entries of the blocks they closed,
+// and the tail is m again. If they spilled m's block, its earlier ids
+// leave the tables too, and it is dense again.
+func (x *idIndex) rollback(b recBlocks, m idTail, first, end uint32) {
+	if start := m.blk * recBlock; !m.sparse && m.n > 0 {
+		if _, spilled := x.hashed(b, b.id(start)); spilled {
+			first = start
+		}
+	}
+	for seq := first; seq < end; seq++ {
+		x.del(b, b.id(seq), seq)
+	}
+	x.dense = slices.DeleteFunc(x.dense, func(d denseBlock) bool { return d.blk >= m.blk })
+	x.tail = m
+}
+
+// put registers id at seq in the tables. The record at seq must be
+// written before the next put, which may split this table and read its
+// keys back.
 func (x *idIndex) put(b recBlocks, id int, seq uint32) {
+	if len(x.dir) == 0 {
+		x.dir = []*idTable{{slots: new([idTableSlots]uint32)}}
+	}
 	h := x.hash(id)
 	t := x.table(h)
 	for t.n >= idTableFull {
@@ -246,12 +315,14 @@ func (x *idIndex) split(b recBlocks, t *idTable, h uint64) {
 	}
 }
 
-// del unregisters id, registered at seq: Submit's undo of a batch that
-// failed part-way, and a dense block's ids leaving the tables. The
-// slots after the hole shift back over it (no tombstones), so a
-// rolled-back batch leaves every probe chain as short as if it had never
-// been sent.
+// del unregisters id at seq from the tables, if they hold it: Submit's
+// undo of a batch that failed part-way (rollback). The slots after the
+// hole shift back over it (no tombstones), so a rolled-back batch leaves
+// every probe chain as short as if it had never been sent.
 func (x *idIndex) del(b recBlocks, id int, seq uint32) {
+	if len(x.dir) == 0 {
+		return
+	}
 	h := x.hash(id)
 	t := x.table(h)
 	i := uint32(h) & idTableMask
@@ -272,21 +343,4 @@ func (x *idIndex) del(b recBlocks, id int, seq uint32) {
 	}
 	t.slots[i] = 0
 	t.n--
-}
-
-// blockFrozen is told that block blk has just been swapped for its frozen
-// form. If the block is dense its ids leave the tables and it joins
-// dense, sorted by lo.
-func (x *idIndex) blockFrozen(b recBlocks, blk uint32) {
-	fb := &b[blk].frozen
-	if !fb.dense() {
-		return
-	}
-	d := denseBlock{lo: int(fb.cols[colID].base), blk: blk, asc: true}
-	for i := uint32(0); i < recBlock; i++ {
-		id := fb.id(i)
-		d.asc = d.asc && (i == 0 || id > fb.id(i-1))
-		x.del(b, id, blk*recBlock+i)
-	}
-	x.dense = slices.Insert(x.dense, x.denseUpTo(d.lo), d)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -35,12 +36,19 @@ var idShapes = []idShape{
 }
 
 // modelShapes are idShapes and then the edge cases of dense blocks: ids
-// missing from inside a block's span, ids out of order within it, and a
-// run that wraps past math.MaxInt.
+// missing from inside a block's span, ids out of order within it, a run
+// that wraps past math.MaxInt, and a run in order that one far id turns
+// sparse wherever it falls in its block.
 var modelShapes = append(slices.Clip(idShapes),
 	idShape{"sequential with gaps", func(i int, _ *rng.Source) int { return i + i/5 }},
 	idShape{"shuffled in runs of 64", func(i int, _ *rng.Source) int { return 1<<40 + i&^63 | i*37&63 }},
 	idShape{"ascending past MaxInt", func(i int, _ *rng.Source) int { return math.MaxInt - 3*recBlock + i }},
+	idShape{"sequential, every 777th far off", func(i int, _ *rng.Source) int {
+		if i%777 == 776 {
+			return -1<<50 - i
+		}
+		return 1<<45 + i
+	}},
 )
 
 // shapeIDs returns ids from..from+n-1 of a shape, an index into
@@ -54,11 +62,13 @@ func shapeIDs(shape, from, n int, src *rng.Source) []int {
 }
 
 // idModel runs an idIndex over real record blocks beside the map it
-// replaced.
+// replaced, counting the spills it sees: a tail block that the dense
+// rule held turning sparse, and such a spill taken back with its batch.
 type idModel struct {
-	x      idIndex
-	blocks recBlocks
-	want   map[int]uint32
+	x               idIndex
+	blocks          recBlocks
+	want            map[int]uint32
+	spills, refused int
 }
 
 func newIDModel() *idModel { return &idModel{x: newIDIndex(), want: make(map[int]uint32)} }
@@ -76,14 +86,26 @@ func (m *idModel) probe(t testing.TB, ids []int) {
 	}
 }
 
-// round submits ids the way Submit does — get, write the record, put —
-// and then either keeps the batch or rolls it back as a failed Submit
-// would, deleting in a random order. Present and absent ids are probed
-// before it returns.
-func (m *idModel) round(t testing.TB, ids []int, keep bool, src *rng.Source) {
+// next writes id as the store's next record, opening a block if it
+// must, and returns its sequence number.
+func (m *idModel) next(id int) uint32 {
+	seq := uint32(len(m.want))
+	if seq%recBlock == 0 {
+		m.blocks = append(m.blocks, recBlockEntry{hot: new([recBlock]jobRec)})
+	}
+	m.blocks.hot(seq).id = id
+	m.want[id] = seq
+	return seq
+}
+
+// round submits ids the way Submit does — get, write the record, add —
+// and then either keeps the batch or takes it back as a failed Submit
+// would (rollback). Present and absent ids are probed before it returns.
+func (m *idModel) round(t testing.TB, ids []int, keep bool) {
 	t.Helper()
-	nblocks := len(m.blocks)
+	nblocks, first, tail := len(m.blocks), uint32(len(m.want)), m.x.tail
 	var added []int
+	spilled := false // the batch spilled the block it found as the tail
 	for _, id := range ids {
 		seq, ok := m.x.get(m.blocks, id)
 		if want, present := m.want[id]; ok != present || seq != want {
@@ -92,27 +114,35 @@ func (m *idModel) round(t testing.TB, ids []int, keep bool, src *rng.Source) {
 		if ok {
 			continue
 		}
-		seq = uint32(len(m.want))
-		if seq%recBlock == 0 {
-			m.blocks = append(m.blocks, recBlockEntry{hot: new([recBlock]jobRec)})
+		seq = m.next(id)
+		held := seq%recBlock > 0 && !m.x.tail.sparse
+		m.x.add(m.blocks, id, seq)
+		if held && m.x.tail.sparse {
+			m.spills++
+			spilled = spilled || seq/recBlock == tail.blk && tail.n > 0
 		}
-		m.blocks.hot(seq).id = id
-		m.x.put(m.blocks, id, seq)
-		m.want[id] = seq
 		added = append(added, id)
 	}
 	if !keep {
-		for i := len(added) - 1; i > 0; i-- { // Fisher–Yates
-			j := src.Intn(i + 1)
-			added[i], added[j] = added[j], added[i]
-		}
+		m.x.rollback(m.blocks, tail, first, uint32(len(m.want)))
 		for _, id := range added {
-			m.x.del(m.blocks, id, m.want[id])
 			delete(m.want, id)
 		}
 		m.blocks = m.blocks[:nblocks]
+		if spilled {
+			m.refused++
+		}
 	}
 	m.probe(t, ids)
+}
+
+// putAll writes ids as the next records and puts each straight in the
+// tables, as the ids of a sparse block are: the tables alone, whatever
+// the shape.
+func (m *idModel) putAll(ids []int) {
+	for _, id := range ids {
+		m.x.put(m.blocks, id, m.next(id))
+	}
 }
 
 // hotFull lists the full blocks that are still hot: the ones a fleet
@@ -127,16 +157,16 @@ func (m *idModel) hotFull() []uint32 {
 	return out
 }
 
-// freeze freezes block blk, full and hot, and tells the index, as
-// finishInBlock does. A block that became its own index then answers
-// for every id its span could hold, present or not.
+// freeze freezes block blk, full and hot, as finishInBlock does: the
+// index is not told. A block that is its own index then answers for
+// every id its span could hold, present or not, from its packed ids.
 func (m *idModel) freeze(t testing.TB, blk uint32) {
 	t.Helper()
 	e := &m.blocks[blk]
 	e.frozen = freeze(e.hot, nil)
 	e.hot = nil
-	m.x.blockFrozen(m.blocks, blk)
-	if !e.frozen.dense() {
+	listed := slices.ContainsFunc(m.x.dense, func(d denseBlock) bool { return d.blk == blk })
+	if !listed && (m.x.tail.blk != blk || m.x.tail.sparse) {
 		return
 	}
 	lo := int(e.frozen.cols[colID].base)
@@ -147,13 +177,31 @@ func (m *idModel) freeze(t testing.TB, blk uint32) {
 	m.probe(t, span)
 }
 
-// check verifies the whole index: every id resolves, and the directory
-// and tables are well formed — each table of depth d fills one aligned
-// run of 2^(depth-d) directory entries, counts its occupied slots
-// exactly, is never fuller than the split threshold, and holds no id of
-// a dense block; the dense list is in order of lo, names only frozen
-// dense blocks and marks exactly those whose ids ascend; and between
-// them they hold every id once.
+// denseRule is the rule a block's ids are held to, computed apart from
+// the index: the least and greatest id less its position, whether the
+// ids ascend, and whether the block is its own index — a column spanning
+// fewer than 1<<denseWidth values, whose ids cannot pass math.MaxInt.
+func denseRule(ids []int) (d denseBlock, dense bool) {
+	lo, hi := ids[0], ids[0]
+	d.asc = true
+	for i, id := range ids {
+		v := int(uint64(id) - uint64(i))
+		lo, hi = min(lo, v), max(hi, v)
+		d.asc = d.asc && (i == 0 || id > ids[i-1])
+	}
+	d.lo, d.span = lo, uint8(hi-lo)
+	return d, uint64(hi-lo) < 1<<denseWidth && hi <= math.MaxInt-denseSpan
+}
+
+// check verifies the whole index: every id resolves; each block is
+// listed as dense — in the dense list when full, as the tail when last —
+// exactly when denseRule says so, at its lo and span and marked
+// ascending exactly when its ids ascend, and a frozen dense block packed
+// at the same lo; the dense list is in order of lo; the directory and
+// tables are well formed — each table of depth d fills one aligned run
+// of 2^(depth-d) directory entries, counts its occupied slots exactly,
+// and is never fuller than the split threshold — and they hold no id of
+// a dense block and every id of a sparse one.
 func (m *idModel) check(t testing.TB) {
 	t.Helper()
 	for id, want := range m.want {
@@ -162,28 +210,65 @@ func (m *idModel) check(t testing.TB) {
 		}
 	}
 	x := &m.x
+	for k := 1; k < len(x.dense); k++ {
+		if x.dense[k-1].lo >= x.dense[k].lo {
+			t.Fatalf("dense entries %d and %d out of order", k-1, k)
+		}
+	}
+	if len(m.blocks) == 0 && x.tail != (idTail{}) {
+		t.Fatalf("an empty store has tail %+v", x.tail)
+	}
+	sparse := 0 // ids the tables must hold
+	listed := 0
+	for blk := range uint32(len(m.blocks)) {
+		n := min(recBlock, uint32(len(m.want))-blk*recBlock)
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = m.blocks.id(blk*recBlock + uint32(i))
+		}
+		want, dense := denseRule(ids)
+		want.blk = blk
+		var got denseBlock
+		if last := blk == uint32(len(m.blocks))-1; last {
+			if x.tail.blk != blk || x.tail.n != n || x.tail.sparse == dense {
+				t.Fatalf("tail %+v over block %d of %d records, dense %v", x.tail, blk, n, dense)
+			}
+			got = x.tail.denseBlock
+		} else if k := slices.IndexFunc(x.dense, func(d denseBlock) bool { return d.blk == blk }); (k >= 0) != dense {
+			t.Fatalf("block %d listed dense %v, its ids %v", blk, k >= 0, dense)
+		} else if dense {
+			got = x.dense[k]
+			listed++
+		}
+		if !dense {
+			sparse += int(n)
+			for i, id := range ids {
+				if seq, ok := x.hashed(m.blocks, id); !ok || seq != blk*recBlock+uint32(i) {
+					t.Fatalf("id %d of sparse block %d is not in the tables", id, blk)
+				}
+			}
+			continue
+		}
+		if got != want {
+			t.Fatalf("block %d: entry %+v, its ids %+v", blk, got, want)
+		}
+		if fb := &m.blocks[blk].frozen; m.blocks[blk].hot == nil && (fb.cols[colID].base != uint64(want.lo) || fb.cols[colID].width > denseWidth) {
+			t.Fatalf("dense block %d froze at base %d, width %d; its lo is %d", blk, int(fb.cols[colID].base), fb.cols[colID].width, want.lo)
+		}
+	}
+	if listed != len(x.dense) {
+		t.Fatalf("%d dense entries, %d full dense blocks", len(x.dense), listed)
+	}
+	if len(x.dir) == 0 {
+		if x.depth != 0 || sparse != 0 {
+			t.Fatalf("no tables at depth %d, %d sparse ids", x.depth, sparse)
+		}
+		return
+	}
 	if len(x.dir) != 1<<x.depth {
 		t.Fatalf("directory of %d entries at depth %d", len(x.dir), x.depth)
 	}
-	dense := make(map[uint32]bool)
-	for k, d := range x.dense {
-		fb := &m.blocks[d.blk].frozen
-		if m.blocks[d.blk].hot != nil || !fb.dense() || d.lo != int(fb.cols[colID].base) || dense[d.blk] {
-			t.Fatalf("dense entry %d names block %d, which is hot, sparse, listed twice or at another lo", k, d.blk)
-		}
-		if k > 0 && x.dense[k-1].lo > d.lo {
-			t.Fatalf("dense entries %d and %d out of order", k-1, k)
-		}
-		asc := true
-		for i := uint32(1); i < recBlock; i++ {
-			asc = asc && fb.id(i) > fb.id(i-1)
-		}
-		if d.asc != asc {
-			t.Fatalf("dense entry %d marks block %d ascending %v, its ids %v", k, d.blk, d.asc, asc)
-		}
-		dense[d.blk] = true
-	}
-	total := recBlock * len(x.dense)
+	total := 0
 	for i := 0; i < len(x.dir); {
 		tb := x.dir[i]
 		run := 1 << (x.depth - tb.depth)
@@ -204,9 +289,6 @@ func (m *idModel) check(t testing.TB) {
 			if h := x.hash(m.blocks.id(s - 1)); int(h>>(64-tb.depth)) != i/run {
 				t.Fatalf("slot %d of the table at entry %d holds a key of another prefix", pos, i)
 			}
-			if dense[(s-1)/recBlock] {
-				t.Fatalf("slot %d of the table at entry %d holds an id of dense block %d", pos, i, (s-1)/recBlock)
-			}
 		}
 		if occupied != int(tb.n) || occupied > idTableFull {
 			t.Fatalf("table at entry %d: %d occupied, n = %d, split threshold %d", i, occupied, tb.n, idTableFull)
@@ -214,8 +296,8 @@ func (m *idModel) check(t testing.TB) {
 		total += occupied
 		i += run
 	}
-	if total != len(m.want) {
-		t.Fatalf("index holds %d entries, want %d", total, len(m.want))
+	if total != sparse {
+		t.Fatalf("the tables hold %d entries, the sparse blocks %d ids", total, sparse)
 	}
 }
 
@@ -226,6 +308,15 @@ func idTables(x *idIndex) []*idTable {
 		out = append(out, x.dir[i])
 	}
 	return out
+}
+
+// tableEntries counts the ids the index's tables hold.
+func tableEntries(x *idIndex) int {
+	n := 0
+	for _, tb := range idTables(x) {
+		n += int(tb.n)
+	}
+	return n
 }
 
 // longestProbe is the furthest any key sits from its home slot.
@@ -247,12 +338,13 @@ func (m *idModel) longestProbe() int {
 // batches of every id shape, overlapping earlier ones, a third of them
 // rolled back, through several generations of table splits, and after
 // every fourth batch or so, and the last, a drain that freezes every
-// full block in random order — dense ones leaving the tables, sparse
-// ones staying, so later splits read keys from both record forms. A
-// shape runs for some sixteen batches, so that blocks hold one shape
-// alone, and most runs are of shapes in order, whose blocks are dense
-// unless a shape change or a rollback falls inside them. The whole index
-// is checked after every batch and every freeze.
+// full block in random order, which must leave the index as it was, so
+// later splits read keys from both record forms. A shape runs for some
+// sixteen batches, so that blocks hold one shape alone, and most runs
+// are of shapes in order, whose blocks are dense unless a shape change,
+// a rollback or a far id falls inside them — the last spilling a block
+// the rule held so far, some of those in a batch that is rolled back.
+// The whole index is checked after every batch and every freeze.
 func TestIDIndexModel(t *testing.T) {
 	src := rng.New(19)
 	m := newIDModel()
@@ -261,14 +353,14 @@ func TestIDIndexModel(t *testing.T) {
 	for r := 0; r < 400; r++ {
 		if src.Intn(16) == 0 {
 			shape = src.Intn(len(modelShapes))
-			if inOrder := []int{0, len(idShapes), len(idShapes) + 1, len(idShapes) + 2}; src.Intn(8) > 0 {
+			if inOrder := []int{0, len(idShapes), len(idShapes) + 1, len(idShapes) + 2, len(idShapes) + 3}; src.Intn(8) > 0 {
 				shape = inOrder[src.Intn(len(inOrder))]
 			}
 		}
 		n := 1 + src.Intn(400)
 		from := max(0, next[shape]-src.Intn(20)) // reach back: some ids are duplicates
 		keep := src.Intn(3) > 0
-		m.round(t, shapeIDs(shape, from, n, src), keep, src)
+		m.round(t, shapeIDs(shape, from, n, src), keep)
 		if keep {
 			next[shape] = max(next[shape], from+n)
 		}
@@ -283,24 +375,20 @@ func TestIDIndexModel(t *testing.T) {
 			hot = slices.Delete(hot, i, i+1)
 		}
 	}
-	sparse := 0
-	for i := range m.blocks {
-		if m.blocks[i].hot == nil && !m.blocks[i].frozen.dense() {
-			sparse++
-		}
-	}
 	searched, scanned := 0, 0 // dense blocks whose find binary-searches, and that scan
 	for _, d := range m.x.dense {
 		if !d.asc {
 			scanned++
-		} else if m.blocks[d.blk].frozen.cols[colID].width > 0 {
+		} else if d.span > 0 {
 			searched++
 		}
 	}
-	t.Logf("%d ids: %d dense blocks (%d searched, %d scanned), %d sparse frozen, %d hot; %d tables at depth %d",
-		len(m.want), len(m.x.dense), searched, scanned, sparse, len(m.blocks)-len(m.x.dense)-sparse, len(idTables(&m.x)), m.x.depth)
-	if m.x.depth < 3 || searched == 0 || scanned == 0 || sparse == 0 {
-		t.Errorf("not exercised: depth %d, dense %d searched and %d scanned, sparse %d", m.x.depth, searched, scanned, sparse)
+	sparse := len(m.blocks) - 1 - len(m.x.dense)
+	t.Logf("%d ids: %d full dense blocks (%d searched, %d scanned), %d full sparse; %d spills, %d taken back; %d tables at depth %d",
+		len(m.want), len(m.x.dense), searched, scanned, sparse, m.spills, m.refused, len(idTables(&m.x)), m.x.depth)
+	if m.x.depth < 3 || searched == 0 || scanned == 0 || sparse == 0 || m.spills == 0 || m.refused == 0 {
+		t.Errorf("not exercised: depth %d, dense %d searched and %d scanned, sparse %d, spills %d, %d taken back",
+			m.x.depth, searched, scanned, sparse, m.spills, m.refused)
 	}
 }
 
@@ -314,6 +402,8 @@ func FuzzIDIndex(f *testing.F) {
 	f.Add([]byte{1, 40, 3, 0, 2, 40, 2, 0, 3, 40, 3, 0, 4, 9, 3}) // strides, a truncated tail
 	f.Add([]byte{5, 255, 2, 0, 5, 255, 3, 0, 4, 255, 3, 3})
 	f.Add([]byte{0, 255, 3, 0, 6, 127, 3, 1, 7, 127, 3, 2, 8, 255, 3, 0, 0, 255, 3, 9}) // freezes, dense and sparse
+	f.Add([]byte{9, 63, 3, 0, 9, 63, 3, 4})                                             // a spill in each of two blocks
+	f.Add([]byte{9, 31, 1, 0, 9, 31, 0, 2, 9, 31, 1, 2})                                // a spill taken back, then kept
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256] // at most 64 batches
@@ -323,7 +413,7 @@ func FuzzIDIndex(f *testing.F) {
 		for ; len(data) >= 4; data = data[4:] {
 			shape := int(data[0]) % len(modelShapes)
 			n := (int(data[1]) + 1) * 16
-			m.round(t, shapeIDs(shape, int(data[3])*256, n, src), data[2]&1 == 1, src)
+			m.round(t, shapeIDs(shape, int(data[3])*256, n, src), data[2]&1 == 1)
 			if hot := m.hotFull(); data[2]&2 != 0 && len(hot) > 0 {
 				m.freeze(t, hot[int(data[3])%len(hot)])
 			}
@@ -344,7 +434,8 @@ func unmixID(h uint64) uint64 {
 }
 
 // TestIDIndexProbeLength: no id shape probes further than random ids
-// do. The length of a linear-probe chain is set by how full the table
+// do, every one of them put in the tables (putAll), as any shape's ids
+// are once its blocks are sparse. The length of a linear-probe chain is set by how full the table
 // is, and sequential-looking populations split their tables in waves,
 // so each shape is measured at both ends of the cycle: at 500 000
 // entries, just after a wave (tables 48 % full, under 64 slots), and at
@@ -363,7 +454,7 @@ func TestIDIndexProbeLength(t *testing.T) {
 		for shape := range idShapes {
 			m := newIDModel()
 			m.x.seed = 0x9e3779b97f4a7c15 * uint64(shape+1)
-			m.round(t, shapeIDs(shape, 0, c.n/scale, src), true, src)
+			m.putAll(shapeIDs(shape, 0, c.n/scale, src))
 			longest := m.longestProbe()
 			t.Logf("%s: longest probe %d slots over %d entries in %d tables",
 				idShapes[shape].name, longest, len(m.want), len(idTables(&m.x)))
@@ -384,25 +475,28 @@ func TestIDIndexProbeLength(t *testing.T) {
 	if h := known.x.hash(crafted[chain-1]); h != uint64(chain-1)<<12|0x5a5 {
 		t.Fatalf("unmixID does not invert the hash: got %#x", h)
 	}
-	known.round(t, crafted, true, src)
+	known.putAll(crafted)
 	if longest := known.longestProbe(); longest != chain-1 {
 		t.Errorf("ids crafted against a known seed: longest probe %d, want the whole chain of %d", longest, chain-1)
 	}
 	secret := newIDModel()
-	secret.round(t, crafted, true, src)
+	secret.putAll(crafted)
 	if longest := secret.longestProbe(); longest >= 64 {
 		t.Errorf("the same ids under a random seed: longest probe %d, want under 64", longest)
 	}
 }
 
-// TestIDIndexWorstPut bounds the worst single insert by structure and
-// logs it by the clock: up to 2²⁰ entries no put splits more than one
-// table, so none re-homes more than idTableFull entries — one growing
-// table would re-home every entry it holds at each doubling, under idMu.
-// The clock's worst case over a million samples also catches whatever
-// else the machine did meanwhile, so the worst put that split nothing is
-// logged beside it as the noise floor. Then every block freezes dense and
-// its ids leave the tables, each freeze timed too.
+// TestIDIndexWorstPut bounds the worst single insert into the tables by
+// structure and logs it by the clock: up to 2²⁰ ids that are not dense,
+// no put splits more than one table, so none re-homes more than
+// idTableFull entries — one growing table would re-home every entry it
+// holds at each doubling, under idMu. The clock's worst case over a
+// million samples also catches whatever else the machine did meanwhile,
+// so the worst put that split nothing is logged beside it as the noise
+// floor. Then 2²⁰ ids in order, one far id ending each block, spill
+// every block once, each spill — its block's earlier 1023 ids put in the
+// tables by one add, in Submit under idMu — timed too: the worst is
+// logged beside the median.
 func TestIDIndexWorstPut(t *testing.T) {
 	n := 1 << 20
 	if testing.Short() {
@@ -412,14 +506,14 @@ func TestIDIndexWorstPut(t *testing.T) {
 	m := newIDModel()
 	var worstSplit, worstPlain time.Duration
 	splits := 0
-	for seq := uint32(0); seq < uint32(n); seq++ {
-		id := 3*100_000_000 + int(seq)
-		if seq%recBlock == 0 {
-			m.blocks = append(m.blocks, recBlockEntry{hot: new([recBlock]jobRec)})
-		}
-		m.blocks.hot(seq).id = id
+	for i := range n {
+		id := i << 12 // strided: every block sparse
+		seq := m.next(id)
 		h := m.x.hash(id)
-		before := m.x.table(h).depth
+		var before uint8
+		if len(m.x.dir) > 0 {
+			before = m.x.table(h).depth
+		}
 		start := time.Now()
 		m.x.put(m.blocks, id, seq)
 		took := time.Since(start)
@@ -444,68 +538,88 @@ func TestIDIndexWorstPut(t *testing.T) {
 		t.Errorf("%.1f index bytes per entry, want at most 4096·4/%d = 9.2", perEntry, idTableFull/2)
 	}
 
-	var worstFreeze time.Duration
-	for blk := range uint32(len(m.blocks)) {
-		e := &m.blocks[blk]
-		e.frozen, e.hot = freeze(e.hot, nil), nil
-		start := time.Now()
-		m.x.blockFrozen(m.blocks, blk)
-		worstFreeze = max(worstFreeze, time.Since(start))
-	}
-	t.Logf("freezing %d dense blocks: worst freeze %v", len(m.blocks), worstFreeze)
-	if len(m.x.dense) != len(m.blocks) {
-		t.Fatalf("%d of %d blocks are dense after every block froze", len(m.x.dense), len(m.blocks))
-	}
-	for _, tb := range idTables(&m.x) {
-		if tb.n != 0 {
-			t.Fatalf("a table holds %d ids after every block froze dense", tb.n)
+	m = newIDModel()
+	runtime.GC() // the first index's blocks and tables go
+	var spills []time.Duration
+	for i := range n {
+		id := 3*100_000_000 + i
+		if i%recBlock == recBlock-1 {
+			id = -1 - i
 		}
+		seq := m.next(id)
+		start := time.Now()
+		m.x.add(m.blocks, id, seq)
+		if took := time.Since(start); i%recBlock == recBlock-1 {
+			spills = append(spills, took)
+		}
+	}
+	slices.Sort(spills)
+	t.Logf("%d blocks spilled: worst spill %v, median %v; %d tables",
+		len(spills), spills[len(spills)-1], spills[len(spills)/2], len(idTables(&m.x)))
+	if len(m.x.dense) != 0 || !m.x.tail.sparse || tableEntries(&m.x) != n {
+		t.Fatalf("%d dense blocks, tail sparse %v, %d of %d ids in the tables after every block spilled",
+			len(m.x.dense), m.x.tail.sparse, tableEntries(&m.x), n)
 	}
 }
 
 // TestSubmitRollbackLeavesNoTrace: a 64-job batch whose last job is a
 // duplicate is undone completely, wherever it falls — across a record
-// block boundary, across a table split, across both at once. Jobs,
-// Marshal, every earlier id, the tenant table and the sequence numbers
-// the next batch receives are those of a fleet the batch was never sent
-// to.
+// block boundary, across a table split of ids that are not dense, across
+// both at once, and after a far id has spilled the dense block it joined,
+// inside it or before the batch goes on into the next. Jobs, Marshal,
+// every earlier id, the index's dense blocks and table entries, the
+// tenant table and the sequence numbers the next batch receives are
+// those of a fleet the batch was never sent to.
 func TestSubmitRollbackLeavesNoTrace(t *testing.T) {
-	const seed, batch = 0x1d5eed, 64
-	// Where sequential ids split a table close to a block boundary under
+	const seed, batch, far = 0x1d5eed, 64, -1 << 40
+	inOrder := func(k int) int { return k }
+	strided := func(k int) int { return k << 12 } // no block is dense
+	// Where strided ids split a table close to a block boundary under
 	// this seed: scout with a bare index fed exactly what the fleet's
 	// will be.
 	both := -1
 	scout := newIDModel()
 	scout.x.seed = seed
 	for seq := 0; seq < 400_000 && both < 0; seq++ {
-		depth := scout.x.table(scout.x.hash(seq)).depth
-		scout.round(t, []int{seq}, true, nil)
-		if off := seq % recBlock; scout.x.table(scout.x.hash(seq)).depth > depth && (off < 20 || off >= recBlock-20) {
+		tables := len(idTables(&scout.x))
+		scout.round(t, []int{strided(seq)}, true)
+		if off := seq % recBlock; len(idTables(&scout.x)) > max(tables, 1) && (off < 20 || off >= recBlock-20) {
 			both = (seq+20)/recBlock*recBlock - batch/2 // the boundary, mid-batch
 		}
 	}
 	if both < 0 {
-		t.Fatal("no table split within 20 jobs of a block boundary in 400 000 sequential ids")
+		t.Fatal("no table split within 20 jobs of a block boundary in 400 000 strided ids")
 	}
 	cases := []struct {
 		name              string
 		prior             int
+		id                func(k int) int
+		spill             int // the batch's job that takes a far id, or -1
 		opensBlock, split bool
 	}{
-		{"record block boundary", recBlock - 4, true, false},
-		{"first table split", idTableFull - 24, false, true},
-		{"block boundary and table split", both, true, true},
+		{"record block boundary", recBlock - 4, inOrder, -1, true, false},
+		{"first table split", idTableFull - 24, strided, -1, false, true},
+		{"block boundary and table split", both, strided, -1, true, true},
+		{"spill, then a duplicate", recBlock / 2, inOrder, 10, false, false},
+		{"spill, then a duplicate across a block boundary", recBlock - 32, inOrder, 10, true, false},
 	}
 	set, cl, origins := mkWideSet(t, 48, 4)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			jobs := func(from, to int) []Job {
+				js := residentJobs(to, origins)[from:]
+				for i := range js {
+					js[i].ID = c.id(from + i)
+				}
+				return js
+			}
 			fleet := func() *Fleet {
 				f, err := NewFleet(set, cl, FIFO{}, 48)
 				if err != nil {
 					t.Fatal(err)
 				}
 				f.ids.seed = seed
-				if err := f.Submit(residentJobs(c.prior, origins)...); err != nil {
+				if err := f.Submit(jobs(0, c.prior)...); err != nil {
 					t.Fatal(err)
 				}
 				return f
@@ -517,19 +631,25 @@ func TestSubmitRollbackLeavesNoTrace(t *testing.T) {
 			}
 			blocksBefore, tablesBefore := len(sent.blocks), len(idTables(&sent.ids))
 
-			bad := residentJobs(c.prior+batch, origins)[c.prior:]
+			bad := jobs(c.prior, c.prior+batch)
 			for i := range bad {
 				bad[i].Tenant = "only-the-failed-batch"
 			}
-			bad[batch-1].ID = c.prior / 2
+			if c.spill >= 0 {
+				bad[c.spill].ID = far
+			}
+			bad[batch-1].ID = c.id(c.prior / 2)
 			if err := sent.Submit(bad...); err == nil {
 				t.Fatal("a batch ending in a duplicate id was accepted")
 			}
 			if opened := c.prior/recBlock != (c.prior+batch-1)/recBlock; opened != c.opensBlock {
 				t.Fatalf("mispositioned: the batch opens a record block = %v", opened)
 			}
-			if split := len(idTables(&sent.ids)) > tablesBefore; split != c.split {
+			if split := len(idTables(&sent.ids)) > max(tablesBefore, 1); split != c.split {
 				t.Fatalf("mispositioned: the batch splits a table = %v", split)
+			}
+			if spilled := tablesBefore == 0 && len(idTables(&sent.ids)) > 0; spilled != (c.spill >= 0) {
+				t.Fatalf("mispositioned: the batch spills a dense block = %v", spilled)
 			}
 			if len(sent.blocks) != blocksBefore {
 				t.Errorf("%d record blocks after the rollback, %d before", len(sent.blocks), blocksBefore)
@@ -540,16 +660,25 @@ func TestSubmitRollbackLeavesNoTrace(t *testing.T) {
 			if after, _ := sent.Marshal(); !bytes.Equal(after, before) {
 				t.Error("Marshal differs after the rollback")
 			}
-			for id := 0; id < c.prior+batch; id++ {
-				if info, ok := sent.Lookup(id); ok != (id < c.prior) || ok && info.ID != id || ok != sent.Has(id) {
+			for k := 0; k < c.prior+batch; k++ {
+				id := c.id(k)
+				if info, ok := sent.Lookup(id); ok != (k < c.prior) || ok && info.ID != id || ok != sent.Has(id) {
 					t.Fatalf("Lookup(%d) = %+v, %v after the rollback", id, info.Job, ok)
 				}
+			}
+			if sent.Has(far) {
+				t.Fatalf("the far id %d is found after the rollback", far)
+			}
+			if got, want := tableEntries(&sent.ids), tableEntries(&never.ids); got != want ||
+				sent.ids.tail != never.ids.tail || !slices.Equal(sent.ids.dense, never.ids.dense) {
+				t.Errorf("index after the rollback: %d table entries, tail %+v, dense %v; want %d, %+v, %v",
+					got, sent.ids.tail, sent.ids.dense, want, never.ids.tail, never.ids.dense)
 			}
 			if !reflect.DeepEqual(sent.tenants, never.tenants) || len(sent.tenantIdx) != len(never.tenantIdx) {
 				t.Errorf("tenant table %q after the rollback, want %q", sent.tenants, never.tenants)
 			}
 
-			good := residentJobs(c.prior+batch, origins)[c.prior:]
+			good := jobs(c.prior, c.prior+batch)
 			for i := range good {
 				good[i].Tenant = "next"
 			}
@@ -564,6 +693,10 @@ func TestSubmitRollbackLeavesNoTrace(t *testing.T) {
 				if !ok || a != b || sent.blocks.rec(a).tenantI != never.blocks.rec(b).tenantI {
 					t.Fatalf("job %d: sequence %d, want %d (%v)", j.ID, a, b, ok)
 				}
+			}
+			if tableEntries(&sent.ids) != tableEntries(&never.ids) || sent.ids.tail != never.ids.tail {
+				t.Errorf("index after the next batch: %d table entries, tail %+v; want %d, %+v",
+					tableEntries(&sent.ids), sent.ids.tail, tableEntries(&never.ids), never.ids.tail)
 			}
 			got, _ := sent.Marshal()
 			want, _ := never.Marshal()

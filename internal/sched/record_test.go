@@ -60,18 +60,19 @@ func residentJobs(n int, origins []string) []Job {
 }
 
 // TestShardedFleetResidentBytesPerJob pins what a resident job costs a
-// bare fleet: the 48-byte record, its 8-byte entry in the active list,
-// and its share of the id index — a 4-byte slot in tables that run
-// between 7/16 and 7/8 full, so 4.6 to 9.1 bytes, 5.2 at this
-// population (64 tables of 16 KiB). Every job here has arrived and none
-// has run, so each has an active entry, and no block is frozen. 62.7
-// bytes when this was written; the ceiling leaves room for the active
-// list's append slack (up to a quarter of its 8 bytes). With a 12-byte
-// entry it measured 68.4, the 64-byte record with a 4-byte list entry
-// 74, the same store indexed by a map[int]uint32 92, the pointer layout
+// bare fleet: the 48-byte record and its 8-byte entry in the active
+// list. Its ids run in order, so every block is its own index from its
+// first record and no id index table is ever made. Every job here has
+// arrived and none has run, so each has an active entry, and no block
+// is frozen. 57.3 bytes when this was written; the ceiling, 10 % over
+// it, leaves room for the active list's append slack (up to a quarter
+// of its 8 bytes). While every hot id kept a 4-byte slot in tables 7/16
+// to 7/8 full (5.2 bytes at this population) it measured 62.8, with a
+// 12-byte entry 68.4, the 64-byte record with a 4-byte list entry 74,
+// the same store indexed by a map[int]uint32 92, the pointer layout
 // before it 220.
 func TestShardedFleetResidentBytesPerJob(t *testing.T) {
-	const n, ceiling = 200_000, 68
+	const n, ceiling = 200_000, 63
 	set, cl, origins := mkWideSet(t, 48, 4)
 	jobs := residentJobs(n, origins)
 	var before, after runtime.MemStats
@@ -109,16 +110,15 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 // directory (about 0.3), and the active list's and Step's scratch at
 // their peak — a few thousand entries here, arriving 1000 an hour over
 // 200 hours and all run at once. Ids 0..n-1 pack at width 0, so each
-// frozen block is its own index and no done job keeps an index slot:
-// the tables hold the hot blocks' ids. Each hour's jobs are submitted
-// as they arrive, as the service takes them; the tables never give
-// slots back, so a fleet handed all its jobs up front keeps tables sized
-// for them. 3.0 bytes when this was written; 8.0 while every id kept
-// its slot (5.2 bytes at this population), 18.3 while every frozen
-// record stored its emissions' 8 bytes and 24 bits of fields, the hot
-// 48-byte record 54, the 64-byte record that kept progress and wait
-// 70. TestFleetRetainedBytesScattered is the same fleet with ids no
-// block can index itself by.
+// block, hot or frozen, is its own index and the fleet makes no index
+// table. Each hour's jobs are submitted as they arrive, as the service
+// takes them. 3.0 bytes when this was written, 2.4 once hot blocks
+// indexed themselves too; 8.0 while every id kept its slot (5.2 bytes
+// at this population), 18.3 while every frozen record stored its
+// emissions' 8 bytes and 24 bits of fields, the hot 48-byte record 54,
+// the 64-byte record that kept progress and wait 70.
+// TestFleetRetainedBytesScattered is the same fleet with ids no block
+// can index itself by.
 func TestFleetRetainedBytesPerJob(t *testing.T) {
 	const n, ceiling = 200_000, 4
 	ids := make([]int, n)
@@ -243,6 +243,52 @@ func BenchmarkFleetLookup(b *testing.B) {
 					b.Fatalf("job %d not found", queries[i%n])
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkFleetSubmit submits 64-job batches, as the binary wire
+// carries them, to a fleet that is replaced, outside the timer, once it
+// holds 200 000 jobs: ids 0..n-1, whose blocks index themselves and
+// whose ids never enter the hash tables, and the scattered ids of
+// TestFleetRetainedBytesScattered, which all do. B/op is the store's
+// amortized growth.
+func BenchmarkFleetSubmit(b *testing.B) {
+	const n, batch = 200_000, 64
+	set, cl, origins := mkWideSet(b, 48, 4)
+	dense := make([]int, n)
+	for i := range dense {
+		dense[i] = i
+	}
+	for _, c := range []struct {
+		name string
+		ids  []int
+	}{
+		{"dense", dense},
+		{"scattered", scatteredIDs(n)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			jobs := residentJobs(n, origins)
+			for i := range jobs {
+				jobs[i].ID = c.ids[i]
+			}
+			var f *Fleet
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := i % (n / batch) * batch
+				if k == 0 {
+					b.StopTimer()
+					var err error
+					if f, err = NewFleet(set, cl, FIFO{}, 48); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := f.Submit(jobs[k : k+batch]...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/job")
 		})
 	}
 }
@@ -413,9 +459,10 @@ func TestSnapshotAllocs(t *testing.T) {
 // directory swap made outside idMu. Without it, it still checks that a
 // reader never sees a record before it is complete, one that was rolled
 // back, or one a freeze garbled. With one submitter the ids run in order,
-// so every block freezes dense and its ids leave the index's tables under
-// the readers; two submitters' ids interleave, so their blocks stay in
-// the tables.
+// so every block is its own index, and a rolled-back batch spills the
+// tail block into the tables and takes the spill back, under the
+// readers; two submitters' ids interleave, so their blocks spill and stay
+// in the tables.
 func TestFleetReadersBesideSubmit(t *testing.T) {
 	for _, submitters := range []int{1, 2} {
 		t.Run(fmt.Sprintf("submitters=%d", submitters), func(t *testing.T) {

@@ -424,15 +424,15 @@ func (f *Fleet) Unmarshal(data []byte) error {
 	if err := img.checkFQ(f.fq != nil); err != nil {
 		return err
 	}
-	// Build the new store aside: indexing the ids is also the check that
-	// no two jobs share one, the last thing that can refuse the image.
-	// Each block is frozen as soon as it is full if every job in it is
-	// done, as Step would have left it, so a restored store is as compact
-	// as the one it was taken from and never holds more than one hot
-	// block of done jobs at a time, and a dense block's ids leave the
-	// tables as it freezes. The freeze re-sums emissions over this fleet's
-	// traces and keeps the image's bits wherever they differ, so an image
-	// taken over other trace values still marshals back to itself.
+	// Build the new store aside: indexing the ids, through the path
+	// Submit takes (appendRec), is also the check that no two jobs share
+	// one, the last thing that can refuse the image. Each block is frozen
+	// as soon as it is full if every job in it is done, as Step would have
+	// left it, so a restored store is as compact as the one it was taken
+	// from and never holds more than one hot block of done jobs at a time.
+	// The freeze re-sums emissions over this fleet's traces and keeps the
+	// image's bits wherever they differ, so an image taken over other trace
+	// values still marshals back to itself.
 	st := newJobStore()
 	st.blocks = make(recBlocks, 0, (len(img.jobs)+recBlock-1)/recBlock)
 	for i := range img.jobs {
@@ -452,11 +452,9 @@ func (f *Fleet) Unmarshal(data []byte) error {
 		} else {
 			e.open++
 		}
-		st.ids.put(st.blocks, j.ID, seq)
 		if seq%recBlock == recBlock-1 && e.open == 0 {
 			e.frozen = freeze(e.hot, f.traces)
 			e.hot = nil
-			st.ids.blockFrozen(st.blocks, seq/recBlock)
 		}
 	}
 	if f.fq != nil {

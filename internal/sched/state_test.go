@@ -378,12 +378,13 @@ func plantedImage(jobs ...jobImage) []byte {
 // TestStateRejectsDuplicateIDs: building the restored store's id index
 // is what detects two jobs sharing an id, so a populated fleet must come
 // through a refused image untouched — the bad store is built aside and
-// never swapped in. In the first image the duplicates sit 5000 running
-// jobs apart: the check is not a neighbour comparison, and the index has
-// split by then. In the other two every job is done, so the blocks
-// freeze dense and their ids leave the tables: the duplicate sits in one
-// dense block, still in the tables when it comes, or in two, where only
-// the first block's packed ids can answer for it.
+// never swapped in. In the first image the ids are strided, so no block
+// is dense and every id is in the tables, and the duplicates sit 5000
+// running jobs apart: the check is not a neighbour comparison, and the
+// tables have split by then. In the other two the ids run in order, so
+// the blocks are dense and no id enters the tables: the duplicate sits
+// in one dense block, the tail when it comes, or in two, where only the
+// first block's ids can answer for it, packed once it freezes.
 func TestStateRejectsDuplicateIDs(t *testing.T) {
 	const horizon = 48
 	set := mkSet(t, horizon)
@@ -395,9 +396,9 @@ func TestStateRejectsDuplicateIDs(t *testing.T) {
 		}
 		e := img.encodeHeader(n)
 		for i := 0; i < n; i++ {
-			j := jobImage{Job: Job{ID: i, Origin: "CLEAN", Arrival: 5, Length: 2, Slack: 40}, regionI: -1, lastRun: -1}
+			j := jobImage{Job: Job{ID: i << 12, Origin: "CLEAN", Arrival: 5, Length: 2, Slack: 40}, regionI: -1, lastRun: -1}
 			if i == n-1 {
-				j.ID = 999
+				j.ID = 999 << 12
 			}
 			e.job(&j)
 		}
@@ -405,18 +406,18 @@ func TestStateRejectsDuplicateIDs(t *testing.T) {
 	}
 	// done returns three blocks' worth of done jobs, ids 100 up, where
 	// dup(i) is the id at position i, and checks that the first two blocks
-	// freeze dense.
+	// are dense.
 	done := func(dup func(i, id int) int) []byte {
 		jobs := doneJobs(2*recBlock + 10)
 		for blk := range 2 {
-			var hot [recBlock]jobRec
-			for i := range hot {
+			ids := make([]int, recBlock)
+			for i := range ids {
 				j := &jobs[blk*recBlock+i]
 				j.ID = dup(blk*recBlock+i, j.ID)
-				hot[i].id = j.ID
+				ids[i] = j.ID
 			}
-			if fb := freeze(&hot, nil); !fb.dense() {
-				t.Fatalf("block %d packs its ids at width %d: not dense", blk, fb.cols[colID].width)
+			if d, dense := denseRule(ids); !dense {
+				t.Fatalf("block %d's id column spans %d: not dense", blk, d.span)
 			}
 		}
 		return plantedImage(jobs...)
@@ -426,7 +427,7 @@ func TestStateRejectsDuplicateIDs(t *testing.T) {
 		img  []byte
 		dup  int
 	}{
-		{"running jobs 5000 apart", running(), 999},
+		{"running jobs 5000 apart", running(), 999 << 12},
 		{"inside one dense block", done(func(i, id int) int {
 			if i == recBlock+1 {
 				return 100 + recBlock
