@@ -17,8 +17,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -435,11 +437,13 @@ func (f *Fleet) mergeShards(shardOf []int) {
 		// One fleet, one placement hook: the fleet core is sched.Fleet, and
 		// it reports each executed job-hour once, as a Placed, through
 		// OnPlace. The old name lives on only in internal/sched/compat.go,
-		// for bench/, until both are deleted.
+		// for bench/, and in the two test files that hold its ignored
+		// shard count to a no-op, until all are deleted.
 		name: "one fleet type and one placement hook",
 		fix:  "use sched.Fleet, NewFleet and OnPlace(Placed); ShardedFleet is compat.go's, for bench/ only",
 		rules: []rule{
-			{what: "ShardedFleet / NewShardedFleet", in: []string{""}, not: []string{"bench/", "internal/sched/compat.go"},
+			{what: "ShardedFleet / NewShardedFleet", in: []string{""}, tests: true,
+				not:   []string{"bench/", "internal/sched/compat.go", "internal/sched/sharded_test.go", "internal/sched/state_test.go"},
 				match: ident("ShardedFleet", "NewShardedFleet")},
 			{what: "OnPlaceDetail", in: []string{""}, tests: true, match: ident("OnPlaceDetail")},
 		},
@@ -672,9 +676,11 @@ var exportAllow = map[string]string{
 // export is one exported top-level function or method declared in a
 // non-test file under internal/.
 type export struct {
-	key  string // pkg.Func or pkg.Type.Method
-	name string
-	site string // path:line
+	key    string // pkg.Func or pkg.Type.Method
+	name   string
+	dir    string // the declaring package's directory
+	method bool
+	site   string // path:line
 }
 
 // exports lists the exported top-level functions and methods that
@@ -701,46 +707,129 @@ func exports(files []file) []export {
 				}
 				key = f.ast.Name.Name + "." + lastName(recv) + "." + fd.Name.Name
 			}
-			out = append(out, export{key, fd.Name.Name, fmt.Sprintf("%s:%d", f.path, f.fset.Position(fd.Pos()).Line)})
+			out = append(out, export{key, fd.Name.Name, path.Dir(f.path), fd.Recv != nil,
+				fmt.Sprintf("%s:%d", f.path, f.fset.Position(fd.Pos()).Line)})
 		}
 	}
 	return out
 }
 
-// referenced collects every identifier a non-test file uses, other than
-// the names function declarations give: by name, so a method counts as
-// called when any selector of that name is, and an exported function
-// counts as called when any identifier shares its name. Conservative —
-// it can pass an uncalled export, never fail a called one.
-func referenced(files []file) map[string]bool {
-	seen := map[string]bool{}
+// refs is what the module's non-test files refer to, resolved as far as
+// syntax alone allows.
+type refs struct {
+	funcs   map[string]bool // dir.Name: a bare Name in dir, or pkg.Name where pkg imports dir
+	methods map[string]bool // Name: a selector x.Name whose x is not an imported package
+	calls   map[string]bool // Name: such a selector, called
+	fields  map[string]bool // Name: a field of some struct type
+}
+
+// importName is the name an import spec binds in its file.
+func importName(spec *ast.ImportSpec) (name, dir string) {
+	p, _ := strconv.Unquote(spec.Path.Value)
+	name = path.Base(p)
+	if len(name) > 1 && name[0] == 'v' && strings.Trim(name[1:], "0123456789") == "" {
+		name = path.Base(path.Dir(p)) // math/rand/v2 binds rand
+	}
+	if spec.Name != nil {
+		name = spec.Name.Name
+	}
+	return name, strings.TrimPrefix(p, "carbonshift/")
+}
+
+// references collects refs over the non-test files. A declared name — a
+// function's, a field's or parameter's, a composite literal's key — is
+// no reference, and neither is a selector's name read as a bare one.
+func references(files []file) refs {
+	r := refs{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
 	for _, f := range files {
 		if f.test() {
 			continue
 		}
-		decl := map[*ast.Ident]bool{}
-		for _, d := range f.ast.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok {
-				decl[fd.Name] = true
-			}
+		pkgs := map[string]string{} // local name → imported directory
+		for _, spec := range f.ast.Imports {
+			name, dir := importName(spec)
+			pkgs[name] = dir
 		}
+		skip := map[*ast.Ident]bool{}
+		called := map[*ast.SelectorExpr]bool{}
 		ast.Inspect(f.ast, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !decl[id] {
-				seen[id.Name] = true
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				skip[n.Name] = true
+			case *ast.Field:
+				for _, id := range n.Names {
+					skip[id] = true
+				}
+			case *ast.StructType:
+				for _, fl := range n.Fields.List {
+					for _, id := range fl.Names {
+						r.fields[id.Name] = true
+					}
+					if fl.Names == nil { // embedded: the field is named by its type
+						t := fl.Type
+						if s, ok := t.(*ast.StarExpr); ok {
+							t = s.X
+						}
+						r.fields[lastName(t)] = true
+					}
+				}
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							skip[id] = true
+						}
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					called[sel] = true
+				}
+			case *ast.SelectorExpr:
+				skip[n.Sel] = true
+				if id, ok := n.X.(*ast.Ident); ok {
+					if dir, ok := pkgs[id.Name]; ok {
+						r.funcs[dir+"."+n.Sel.Name] = true
+						return false
+					}
+				}
+				r.methods[n.Sel.Name] = true
+				if called[n] {
+					r.calls[n.Sel.Name] = true
+				}
+			case *ast.Ident:
+				if !skip[n] {
+					r.funcs[path.Dir(f.path)+"."+n.Name] = true
+				}
 			}
 			return true
 		})
 	}
-	return seen
+	return r
+}
+
+// reaches reports whether r holds a production reference to e: for a
+// function, its bare name in its own package or a qualified one through
+// an import of that package; for a method, a selector of its name on
+// anything but a package — called, where a struct field shares the name.
+// Two methods of one name on different types still mask each other.
+func (r refs) reaches(e export) bool {
+	switch {
+	case !e.method:
+		return r.funcs[e.dir+"."+e.name]
+	case r.fields[e.name]:
+		return r.calls[e.name]
+	}
+	return r.methods[e.name]
 }
 
 // uncalledExports lists the exports under internal/ that only tests
 // reach and that exportAllow does not name.
 func uncalledExports(files []file) []string {
-	seen := referenced(files)
+	r := references(files)
 	var out []string
 	for _, e := range exports(files) {
-		if _, ok := exportAllow[e.key]; !ok && !seen[e.name] {
+		if _, ok := exportAllow[e.key]; !ok && !r.reaches(e) {
 			out = append(out, fmt.Sprintf("%s (%s)", e.key, e.site))
 		}
 	}
@@ -770,16 +859,28 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	}
 }
 
-// TestUncalledExportFires plants an exported function whose only caller
-// is a test file: the export guard must name it.
+// TestUncalledExportFires plants exported functions and a method whose
+// only callers are test files, each beside a namesake the rule must not
+// take for a call: a struct field selected but not called, another
+// package's function of the same name, a field of the same name. The
+// export guard must name every one.
 func TestUncalledExportFires(t *testing.T) {
 	files := parseTree(t, repoRoot)
 	fset := token.NewFileSet()
 	for path, src := range map[string]string{
 		"internal/stats/planted.go": `package stats
-func PlantedMedian(xs []float64) float64 { return xs[len(xs)/2] }`,
+import "path/filepath"
+type plantedWindow struct{ Span, Width int }
+type plantedSeries []float64
+func (s plantedSeries) Span() int { return len(s) }
+func PlantedMedian(xs []float64) float64 { return xs[len(xs)/2] }
+func Dir(p string) string { return p }
+func Width(s plantedSeries) int { return len(s) }
+func widen(w plantedWindow) plantedWindow {
+	return plantedWindow{Span: w.Span, Width: w.Width + len(filepath.Dir("a/b"))}
+}`,
 		"internal/stats/planted_test.go": `package stats
-func TestPlanted(t *testing.T) { PlantedMedian([]float64{1}) }`,
+func TestPlanted(t *testing.T) { PlantedMedian([]float64{1}); Dir(""); Width(nil); plantedSeries{}.Span() }`,
 	} {
 		af, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
 		if err != nil {
@@ -788,8 +889,10 @@ func TestPlanted(t *testing.T) { PlantedMedian([]float64{1}) }`,
 		files = append(files, file{path: path, ast: af, fset: fset})
 	}
 	got := uncalledExports(files)
-	if !slices.ContainsFunc(got, func(v string) bool { return strings.HasPrefix(v, "stats.PlantedMedian (internal/stats/planted.go:") }) {
-		t.Fatalf("the planted uncalled export went unreported: %q", got)
+	for _, key := range []string{"stats.PlantedMedian", "stats.plantedSeries.Span", "stats.Dir", "stats.Width"} {
+		if !slices.ContainsFunc(got, func(v string) bool { return strings.HasPrefix(v, key+" (internal/stats/planted.go:") }) {
+			t.Errorf("the planted uncalled export %s went unreported: %q", key, got)
+		}
 	}
 }
 

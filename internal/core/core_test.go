@@ -41,8 +41,10 @@ func TestNewLabDefaults(t *testing.T) {
 	if l.GlobalMean <= 0 {
 		t.Fatalf("global mean = %v", l.GlobalMean)
 	}
-	if len(l.Latency.Codes()) != 12 {
-		t.Fatalf("latency matrix covers %d regions", len(l.Latency.Codes()))
+	for _, code := range l.Set.Regions() {
+		if _, err := l.Latency.Within(code, 0); err != nil {
+			t.Fatalf("latency matrix: %v", err)
+		}
 	}
 	// Only zero means "default": a negative option is refused, not run
 	// with the default.

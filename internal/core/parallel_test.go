@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"carbonshift/internal/simgrid"
+	"carbonshift/internal/spatial"
 	"carbonshift/internal/stats"
 	"carbonshift/internal/temporal"
 )
@@ -140,7 +141,10 @@ func TestGreenerFiguresStreamed(t *testing.T) {
 		agnostic, aware := stats.Mean(costs.Baseline)/length, stats.Mean(costs.Interrupted)/length
 		checkRow(t, got11c, i, label, agnostic, aware, agnostic-aware)
 
-		envelope := set.MinSeries()
+		envelope, err := spatial.MinSeries(set, set.Regions())
+		if err != nil {
+			t.Fatal(err)
+		}
 		agnostic, aware = 0, 0
 		arrivals := l.strideArrivals(length)
 		for _, a := range arrivals {

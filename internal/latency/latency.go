@@ -79,13 +79,6 @@ func NewMatrix(regs []regions.Region) *Matrix {
 	return m
 }
 
-// Codes returns the region codes covered by the matrix, in build order.
-func (m *Matrix) Codes() []string {
-	out := make([]string, len(m.codes))
-	copy(out, m.codes)
-	return out
-}
-
 // Within returns the codes of all regions reachable from origin within
 // sloMs round-trip milliseconds, sorted. The origin itself is always
 // included (intra-region latency is zero).

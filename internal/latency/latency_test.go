@@ -72,8 +72,8 @@ func TestRTTModel(t *testing.T) {
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(regions.All())
-	if len(m.Codes()) != 123 {
-		t.Fatalf("matrix covers %d regions", len(m.Codes()))
+	if len(m.codes) != 123 {
+		t.Fatalf("matrix covers %d regions", len(m.codes))
 	}
 	if self := between(m, "SE", "SE"); self != 0 {
 		t.Fatalf("self RTT = %v", self)
@@ -154,7 +154,7 @@ func TestWithinMonotoneInSLO(t *testing.T) {
 // ~250 ms budget suffices for any region to reach the greenest region.
 func TestGlobalReachabilityAt250ms(t *testing.T) {
 	m := NewMatrix(regions.All())
-	for _, code := range m.Codes() {
+	for _, code := range m.codes {
 		got, err := m.Within(code, 250)
 		if err != nil {
 			t.Fatal(err)

@@ -100,20 +100,6 @@ func (m Mix) RenewableShare() float64 { return m[Solar] + m[Wind] }
 // FossilShare returns the coal + gas + oil share.
 func (m Mix) FossilShare() float64 { return m[Coal] + m[Gas] + m[Oil] }
 
-// Normalize returns a copy of m scaled so the shares sum to 1. It
-// panics if all shares are zero.
-func (m Mix) Normalize() Mix {
-	total := m.Sum()
-	if total == 0 {
-		panic("regions: normalizing zero mix")
-	}
-	var out Mix
-	for i, v := range m {
-		out[i] = v / total
-	}
-	return out
-}
-
 // Continent is the paper's geographical grouping.
 type Continent int
 
@@ -275,30 +261,3 @@ func MustByCode(code string) Region {
 	}
 	return r
 }
-
-// Codes returns all region codes, sorted.
-func Codes() []string {
-	out := make([]string, 0, len(catalog))
-	for _, r := range catalog {
-		out = append(out, r.Code)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// WithProviders returns the codes of regions whose provider set
-// intersects mask, sorted.
-func WithProviders(mask Provider) []string {
-	var out []string
-	for _, r := range catalog {
-		if r.Providers&mask != 0 {
-			out = append(out, r.Code)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Hyperscale returns the codes of regions hosting GCP, AWS, or Azure
-// datacenters — the population of the paper's Figure 4.
-func Hyperscale() []string { return WithProviders(GCP | AWS | Azure) }

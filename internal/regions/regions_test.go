@@ -151,15 +151,25 @@ func TestAsiaIsHighestEuropeIsLowest(t *testing.T) {
 }
 
 func TestHyperscaleCount(t *testing.T) {
-	hs := Hyperscale()
-	if len(hs) < 40 {
-		t.Fatalf("only %d hyperscale regions, need >= 40 for Figure 4", len(hs))
+	n := 0
+	for _, r := range All() {
+		if r.Providers.Hyperscale() {
+			n++
+		}
+	}
+	if n < 40 {
+		t.Fatalf("only %d hyperscale regions, need >= 40 for Figure 4", n)
 	}
 }
 
 func TestProviderCounts(t *testing.T) {
 	check := func(p Provider, name string, lo, hi int) {
-		n := len(WithProviders(p))
+		n := 0
+		for _, r := range All() {
+			if r.Providers.Has(p) {
+				n++
+			}
+		}
 		if n < lo || n > hi {
 			t.Errorf("%s present in %d regions, want [%d, %d]", name, n, lo, hi)
 		}
@@ -219,19 +229,6 @@ func TestMixHelpers(t *testing.T) {
 	if got := mix.RenewableShare(); math.Abs(got-0.2) > 1e-12 {
 		t.Errorf("RenewableShare = %v", got)
 	}
-	n := Mix{Coal: 2, Gas: 2}.Normalize()
-	if math.Abs(n.Sum()-1) > 1e-12 || math.Abs(n[Coal]-0.5) > 1e-12 {
-		t.Errorf("Normalize = %+v", n)
-	}
-}
-
-func TestNormalizePanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Normalize of zero mix did not panic")
-		}
-	}()
-	Mix{}.Normalize()
 }
 
 // TestRenewableTrendPopulation checks the Figure 3(b) calibration: in

@@ -54,7 +54,6 @@ type Fleet struct {
 	regionIdx   map[string]int // region code -> index
 	traces      []*trace.Trace // by region index
 	slotsByIdx  []int          // by region index
-	slots       map[string]int
 	totalSlots  int
 
 	// mu is the world lock: Step holds it exclusively; every other entry
@@ -366,23 +365,22 @@ func NewFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*
 	f := &Fleet{
 		policy:    policy,
 		horizon:   horizon,
-		slots:     make(map[string]int, len(clusters)),
 		regionIdx: make(map[string]int, len(clusters)),
 		jobStore:  newJobStore(),
 		pending:   make(map[int][]uint32),
 		buckets:   make(map[int]int),
 	}
-	for _, c := range clusters {
+	for k, c := range clusters {
 		if c.Slots < 1 {
 			return nil, fmt.Errorf("sched: cluster %s has %d slots", c.Region, c.Slots)
 		}
 		if _, ok := set.Get(c.Region); !ok {
 			return nil, fmt.Errorf("sched: cluster region %q not in trace set", c.Region)
 		}
-		if _, dup := f.slots[c.Region]; dup {
+		if _, dup := f.regionIdx[c.Region]; dup {
 			return nil, fmt.Errorf("sched: duplicate cluster %s", c.Region)
 		}
-		f.slots[c.Region] = c.Slots
+		f.regionIdx[c.Region] = k // the cluster's position, until sorted below
 		f.regionsList = append(f.regionsList, c.Region)
 		f.totalSlots += c.Slots
 	}
@@ -391,9 +389,9 @@ func NewFleet(set *trace.Set, clusters []Cluster, policy Policy, horizon int) (*
 	f.slotsByIdx = make([]int, len(f.regionsList))
 	f.free = make([]int, len(f.regionsList))
 	for i, r := range f.regionsList {
+		f.slotsByIdx[i] = clusters[f.regionIdx[r]].Slots
 		f.regionIdx[r] = i
 		f.traces[i] = set.MustGet(r)
-		f.slotsByIdx[i] = f.slots[r]
 	}
 	f.tick = Tick{
 		CI:     make([]float64, len(f.regionsList)),
@@ -420,9 +418,6 @@ func (f *Fleet) Hour() int {
 	return f.hour
 }
 
-// Horizon returns the exclusive final hour.
-func (f *Fleet) Horizon() int { return f.horizon }
-
 // Done reports whether the fleet has simulated its whole horizon.
 func (f *Fleet) Done() bool {
 	f.mu.RLock()
@@ -448,9 +443,6 @@ func (f *Fleet) Regions() []string {
 	return out
 }
 
-// Slots returns the slot count of one region's cluster (0 if unknown).
-func (f *Fleet) Slots(region string) int { return f.slots[region] }
-
 // Submit adds jobs to the fleet at their own arrival hours. The call is
 // atomic: on any validation error no job from the batch is admitted.
 // Safe for concurrent use.
@@ -464,23 +456,12 @@ func (f *Fleet) Submit(jobs ...Job) error {
 // SubmitNow stamps every job's arrival with the fleet's current hour —
 // the online-service admission path, where work always arrives "now" —
 // and returns the arrival hour used. It fails with ErrHorizonExhausted
-// once the replay is over.
-func (f *Fleet) SubmitNow(jobs ...Job) (int, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.hour >= f.horizon {
-		return 0, ErrHorizonExhausted
-	}
-	return f.submitRLocked(jobs, true)
-}
-
-// SubmitNowChecked is SubmitNow with an admission check evaluated
-// under the world read lock, where the arrival hour is frozen: check
-// sees exactly the hour the batch will be stamped with, closing the
-// race between a caller-side quota check and a concurrent Step moving
-// the hour. A check error rejects the whole batch and is returned
-// verbatim.
-func (f *Fleet) SubmitNowChecked(check func(hour int) error, jobs ...Job) (int, error) {
+// once the replay is over. A non-nil check is evaluated under the world
+// read lock, where the arrival hour is frozen: it sees exactly the hour
+// the batch will be stamped with, closing the race between a
+// caller-side quota check and a concurrent Step moving the hour. A
+// check error rejects the whole batch and is returned verbatim.
+func (f *Fleet) SubmitNow(check func(hour int) error, jobs ...Job) (int, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if f.hour >= f.horizon {
@@ -556,7 +537,7 @@ func (f *Fleet) admissible(j *Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	if _, ok := f.slots[j.Origin]; !ok {
+	if _, ok := f.regionIdx[j.Origin]; !ok {
 		return fmt.Errorf("sched: job %d origin %q has no cluster", j.ID, j.Origin)
 	}
 	if _, dup := f.ids.get(f.blocks, j.ID); dup {

@@ -51,7 +51,7 @@ func TestPlacementGolden(t *testing.T) {
 	var got strings.Builder
 	for _, pol := range allPolicies() {
 		for _, tenancy := range []bool{false, true} {
-			f, err := NewShardedFleet(set, cl, pol, horizon, 0)
+			f, err := NewFleet(set, cl, pol, horizon)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +61,8 @@ func TestPlacementGolden(t *testing.T) {
 				f.SetFairQueue(tenant.NewFairQueue(placementGoldenTenants(t)))
 			}
 			log, n := sha256.New(), 0
-			f.OnPlace = func(hour, jobID int, region string) {
-				fmt.Fprintf(log, "%d:%d:%s\n", hour, jobID, region)
+			f.OnPlace = func(p Placed) {
+				fmt.Fprintf(log, "%d:%d:%s\n", p.Hour, p.JobID, f.regionsList[p.Region])
 				n++
 			}
 			if err := f.Submit(jobs...); err != nil {

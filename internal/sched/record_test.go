@@ -78,7 +78,7 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	f, err := NewShardedFleet(set, cl, FIFO{}, 48, 0)
+	f, err := NewFleet(set, cl, FIFO{}, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func readersBesideSubmit(t *testing.T, submitters int) {
 				jobs[i].ID += w * perSubmitter
 			}
 			for i := 0; i < len(jobs); i += batch {
-				if _, err := f.SubmitNow(jobs[i:min(i+batch, len(jobs))]...); err != nil {
+				if _, err := f.SubmitNow(nil, jobs[i:min(i+batch, len(jobs))]...); err != nil {
 					t.Error(err)
 					return
 				}
@@ -509,7 +509,7 @@ func readersBesideSubmit(t *testing.T, submitters int) {
 		}
 		doomed[len(doomed)-1].ID = doomed[0].ID
 		for i := 0; i < 40; i++ {
-			if _, err := f.SubmitNow(doomed...); err == nil || err == ErrHorizonExhausted {
+			if _, err := f.SubmitNow(nil, doomed...); err == nil || err == ErrHorizonExhausted {
 				t.Errorf("a batch ending in a duplicate id: err = %v", err)
 				return
 			}

@@ -193,7 +193,7 @@ func TestShardedFleetSubmitNow(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The job asks for arrival 0, but SubmitNow stamps the current hour.
-	arrival, err := f.SubmitNow(Job{ID: 7, Origin: "R01", Arrival: 0, Length: 1})
+	arrival, err := f.SubmitNow(nil, Job{ID: 7, Origin: "R01", Arrival: 0, Length: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestShardedFleetSubmitNow(t *testing.T) {
 		t.Fatalf("lookup = %+v, %v", info, ok)
 	}
 	driveFleet(t, f)
-	if _, err := f.SubmitNow(Job{ID: 8, Origin: "R00", Length: 1}); err != ErrHorizonExhausted {
+	if _, err := f.SubmitNow(nil, Job{ID: 8, Origin: "R00", Length: 1}); err != ErrHorizonExhausted {
 		t.Fatalf("past-horizon SubmitNow: err = %v", err)
 	}
 }
@@ -238,7 +238,7 @@ func TestShardedFleetConcurrentSubmit(t *testing.T) {
 					ID: id, Origin: origins[id%len(origins)], Length: 1 + id%4,
 					Slack: 48, Interruptible: true, Migratable: id%2 == 0,
 				}
-				if _, err := f.SubmitNow(job); err != nil {
+				if _, err := f.SubmitNow(nil, job); err != nil {
 					errs <- err
 					return
 				}

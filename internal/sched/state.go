@@ -251,7 +251,7 @@ func decodeImage(data []byte) (*fleetImage, error) {
 // slot configuration, and the tenancy fingerprint — a snapshot taken
 // under one fair-share configuration restored into another would
 // silently diverge placements.
-func (img *fleetImage) checkWorld(policy string, horizon int, regions []string, slots map[string]int, tenancyFP string) error {
+func (img *fleetImage) checkWorld(policy string, horizon int, regions []string, slots []int, tenancyFP string) error {
 	if img.tenancyFP != tenancyFP {
 		return fmt.Errorf("sched: state restore: snapshot tenancy config %q, fleet has %q", img.tenancyFP, tenancyFP)
 	}
@@ -271,8 +271,8 @@ func (img *fleetImage) checkWorld(policy string, horizon int, regions []string, 
 		if r != regions[i] {
 			return fmt.Errorf("sched: state restore: snapshot region %q, fleet has %q", r, regions[i])
 		}
-		if img.slots[i] != slots[r] {
-			return fmt.Errorf("sched: state restore: region %s snapshot slots %d, fleet has %d", r, img.slots[i], slots[r])
+		if img.slots[i] != slots[i] {
+			return fmt.Errorf("sched: state restore: region %s snapshot slots %d, fleet has %d", r, img.slots[i], slots[i])
 		}
 	}
 	return nil
@@ -418,7 +418,7 @@ func (f *Fleet) Unmarshal(data []byte) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := img.checkWorld(f.policy.Name(), f.horizon, f.regionsList, f.slots, f.fq.Fingerprint()); err != nil {
+	if err := img.checkWorld(f.policy.Name(), f.horizon, f.regionsList, f.slotsByIdx, f.fq.Fingerprint()); err != nil {
 		return err
 	}
 	if err := img.checkFQ(f.fq != nil); err != nil {

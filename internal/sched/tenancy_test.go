@@ -132,7 +132,7 @@ func TestTenancyScavengerNotStarved(t *testing.T) {
 }
 
 // TestTenancyQuotaNeverExceeded drives the admission gate against a
-// live fleet through SubmitNowChecked — the race-free check
+// live fleet through SubmitNow's check — the race-free check
 // the service layer uses — with randomized contention, then asserts
 // from the fleet's own arrival records that no tenant ever exceeded
 // its quota in any hour.
@@ -168,7 +168,7 @@ func TestTenancyQuotaNeverExceeded(t *testing.T) {
 					id++
 					batch[i] = Job{ID: id, Origin: "CLEAN", Tenant: name, Length: 1, Slack: 4}
 				}
-				_, err := f.SubmitNowChecked(func(hour int) error {
+				_, err := f.SubmitNow(func(hour int) error {
 					return gate.Check(name, n, hour)
 				}, batch...)
 				if err != nil {

@@ -66,8 +66,7 @@ var schedules = []schedule{
 	{"TestReplicationEquivalence", "carbon-gate", shardAxis(world{policy: gate, snapEvery: 30}, 0)},
 	{"TestReplicationEquivalence", "forecast-gate", shardAxis(world{policy: forecast, snapEvery: 25}, 40)},
 	{"TestReplicationEquivalence", "greenest-first", shardAxis(world{policy: sched.GreenestFirst{}}, 0)},
-	{"TestTenantReplicationEquivalence", "primary2-follower1", replicate(world{policy: gate, snapEvery: 30, tenants: true, shards: 2, followerShards: 1}, 0)},
-	{"TestTenantReplicationEquivalence", "primary1-follower4", replicate(world{policy: gate, snapEvery: 30, tenants: true, shards: 1, followerShards: 4}, 0)},
+	{"TestTenantReplicationEquivalence", "carbon-gate", replicate(world{policy: gate, snapEvery: 30, tenants: true}, 0)},
 	{"TestMixedProtocolReplication", "carbon-gate", replicate(world{policy: gate, wire: wireMixed}, 0)},
 
 	{"TestReplicationChaos", "greenest-first", chaos},

@@ -215,12 +215,12 @@ type Server struct {
 	// decoder (read-only after New).
 	origins map[string]string
 
-	// Tenancy (nil/empty without Config.Tenants): gate enforces quotas
-	// and rate limits at admission, tenants interns configured tenant
-	// names for the binary decoder (read-only after New), gateClock is
-	// the token-bucket time source (nil = time.Now; injectable for
-	// tests), and tenantCounts is admit's per-batch tally scratch,
-	// reused under admitMu like inBatch.
+	// Tenancy (gate and tenants nil/empty without Config.Tenants): gate
+	// enforces quotas and rate limits at admission, tenants interns
+	// configured tenant names for the binary decoder (read-only after
+	// New), gateClock is the token-bucket time source (nil = time.Now;
+	// injectable for tests), and tenantCounts is admit's per-batch tally
+	// scratch, reused under admitMu like inBatch.
 	gate         *tenant.Gate
 	tenants      map[string]string
 	gateClock    func() time.Time
@@ -374,14 +374,15 @@ func newServer(set *trace.Set, clusters []sched.Cluster, cfg Config, opts []Opti
 		return nil, err
 	}
 	s := &Server{
-		fleet:      fleet,
-		traceStart: set.Start(),
-		now:        time.Now,
-		clusters:   clusters,
-		cfg:        cfg,
-		nextID:     cfg.IDBase,
-		inBatch:    make(map[int]bool),
-		origins:    make(map[string]string, len(clusters)),
+		fleet:        fleet,
+		traceStart:   set.Start(),
+		now:          time.Now,
+		clusters:     clusters,
+		cfg:          cfg,
+		nextID:       cfg.IDBase,
+		inBatch:      make(map[int]bool),
+		tenantCounts: make(map[string]int),
+		origins:      make(map[string]string, len(clusters)),
 	}
 	for _, c := range clusters {
 		s.origins[c.Region] = c.Region
@@ -393,7 +394,6 @@ func newServer(set *trace.Set, clusters []sched.Cluster, cfg Config, opts []Opti
 		for _, n := range names {
 			s.tenants[n] = n
 		}
-		s.tenantCounts = make(map[string]int)
 	}
 	for _, o := range opts {
 		o(s)
@@ -897,23 +897,20 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 	return admission{arrival: arrival, journal: journal, seq: seq}, nil
 }
 
-// submitGated feeds the batch through SubmitNowChecked with the tenant
-// gate's quota/rate check evaluated at the frozen fleet hour — the
-// same hour the fleet stamps as arrival, so the check can never race a
-// concurrent step — then commits the consumed quota. A batch is atomic:
-// one over-quota tenant rejects the whole batch (the 429's message
-// names it), which is why tenant-isolating load generators batch per
-// tenant. Without a tenant config this is plain SubmitNow. Must be
-// called under admitMu (it reuses the tenantCounts scratch).
+// submitGated feeds the batch through SubmitNow with the tenant gate's
+// quota/rate check evaluated at the frozen fleet hour — the same hour
+// the fleet stamps as arrival, so the check can never race a concurrent
+// step — then commits the consumed quota. A batch is atomic: one
+// over-quota tenant rejects the whole batch (the 429's message names
+// it), which is why tenant-isolating load generators batch per tenant.
+// Without a tenant config the gate is nil and admits everything. Must
+// be called under admitMu (it reuses the tenantCounts scratch).
 func (s *Server) submitGated(jobs []sched.Job) (int, error) {
-	if s.gate == nil {
-		return s.fleet.SubmitNow(jobs...)
-	}
 	defer clear(s.tenantCounts)
 	for i := range jobs {
 		s.tenantCounts[tenant.Normalize(jobs[i].Tenant)]++
 	}
-	arrival, err := s.fleet.SubmitNowChecked(func(hour int) error {
+	arrival, err := s.fleet.SubmitNow(func(hour int) error {
 		for name, n := range s.tenantCounts {
 			if err := s.gate.Check(name, n, hour); err != nil {
 				s.countTenantRejected(name, n, err)

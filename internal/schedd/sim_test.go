@@ -110,11 +110,10 @@ type world struct {
 	horizon   int
 	slots     int
 	jobs      int
-	// shards and followerShards (0: shards) set the deprecated
-	// Config.Shards on the primary and on followers. It must stay a
-	// no-op, so it is not part of key: a run with any value is held to
-	// the one reference of its world.
-	shards, followerShards int
+	// shards sets the deprecated Config.Shards on the primary and its
+	// followers. It must stay a no-op, so it is not part of key: a run
+	// with any value is held to the one reference of its world.
+	shards int
 	// regions is how many of the test world's regions (mkSet) it has.
 	regions int
 	// partitions, when positive (1, 2 or 4), makes the world partition
@@ -256,7 +255,6 @@ func (w world) follower(t testing.TB, primary, dir string, fcfg FollowerConfig, 
 	t.Helper()
 	cfg := w.config(t, dir)
 	cfg.TraceSampleEvery = 0
-	cfg.Shards = cmp.Or(w.followerShards, w.shards)
 	if fcfg.ReconnectDelay == 0 {
 		fcfg.ReconnectDelay = time.Millisecond
 	}
@@ -905,7 +903,7 @@ func (c *cluster) checkGate() {
 	}
 	h := s.fleet.Hour()
 	used := s.fleet.TenantArrivals(h)
-	tenants := s.gate.Config()
+	tenants := s.cfg.Tenants
 	for _, name := range tenants.Names() {
 		spec, _ := tenants.Lookup(name)
 		if q := spec.QuotaJobsPerHour; q > 0 && s.gate.Check(name, q-used[name]+1, h) == nil {

@@ -8,6 +8,15 @@ import (
 	"carbonshift/internal/rng"
 )
 
+// normalized scales m so its shares sum to 1.
+func normalized(m regions.Mix) regions.Mix {
+	total := m.Sum()
+	for i := range m {
+		m[i] /= total
+	}
+	return m
+}
+
 // dispatchPerHour is the reference for weather.dispatch: every hour on
 // its own, its drifted mix built whole by shiftToRenewables and the
 // flexible split made by dispatchFlexible, whose four powers come from
@@ -111,7 +120,7 @@ func dispatchCase(t testing.TB, shares []byte, delta, extra float64, n, cut uint
 	if mix.Sum() == 0 {
 		mix[regions.Nuclear] = 1
 	}
-	mix = mix.Normalize()
+	mix = normalized(mix)
 
 	fold := func(x float64) float64 { // into [0, 1]
 		if math.IsNaN(x) || math.IsInf(x, 0) {

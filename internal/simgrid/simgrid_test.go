@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"carbonshift/internal/regions"
+	"carbonshift/internal/spatial"
 	"carbonshift/internal/trace"
 )
 
@@ -370,13 +371,13 @@ func TestShiftToRenewablesNoRenewablesTarget(t *testing.T) {
 
 func TestQuickShiftPreservesMassAndBounds(t *testing.T) {
 	f := func(coal, gas, hyd, sol, wnd uint8, rawShift int8) bool {
-		mix := regions.Mix{
+		mix := normalized(regions.Mix{
 			regions.Coal:  float64(coal%100) + 1,
 			regions.Gas:   float64(gas % 100),
 			regions.Hydro: float64(hyd % 100),
 			regions.Solar: float64(sol % 100),
 			regions.Wind:  float64(wnd % 100),
-		}.Normalize()
+		})
 		shift := float64(rawShift) / 128 // in (-1, 1)
 		out := shiftToRenewables(mix, shift)
 		if math.Abs(out.Sum()-1) > 1e-9 {
@@ -558,7 +559,9 @@ func BenchmarkAblation_WhatIfMaterialised(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_ = set.MinSeries()[:whatIfHours]
+			if _, err := spatial.MinSeries(set, set.Regions()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -189,11 +189,3 @@ func (g *Gate) Reset(hour int, counts map[string]int) {
 		g.hours[Normalize(name)] = &hourCount{hour: hour, n: n}
 	}
 }
-
-// Config returns the gate's tenant registry.
-func (g *Gate) Config() *Config {
-	if g == nil {
-		return nil
-	}
-	return g.cfg
-}

@@ -106,15 +106,6 @@ func (t *Trace) Clone() *Trace {
 	return &Trace{Region: t.Region, Start: t.Start, CI: ci}
 }
 
-// Window returns the samples in [start, start+n), or an error if the
-// window overruns the trace.
-func (t *Trace) Window(start, n int) ([]float64, error) {
-	if start < 0 || n < 0 || start+n > len(t.CI) {
-		return nil, fmt.Errorf("trace: window [%d, %d) outside %d samples", start, start+n, len(t.CI))
-	}
-	return t.CI[start : start+n], nil
-}
-
 // Sum returns the cumulative carbon over hours [from, to) for a load of
 // 1 kW, i.e. the plain sum of the hourly intensities.
 func (t *Trace) Sum(from, to int) float64 {
@@ -258,16 +249,6 @@ func (s *Set) MinAt(i int) (string, float64) {
 		}
 	}
 	return best, bestV
-}
-
-// MinSeries returns, for every hour, the minimum intensity across the
-// set. This is the ∞-migration lower envelope.
-func (s *Set) MinSeries() []float64 {
-	out := make([]float64, s.length)
-	for i := range out {
-		_, out[i] = s.MinAt(i)
-	}
-	return out
 }
 
 // GlobalMean returns the mean of the per-region mean intensities, the

@@ -188,16 +188,6 @@ func TestSetMinAt(t *testing.T) {
 	}
 }
 
-func TestSetMinSeries(t *testing.T) {
-	a := New("A", t0, []float64{5, 1})
-	b := New("B", t0, []float64{3, 2})
-	s := mustSet(t, a, b)
-	min := s.MinSeries()
-	if min[0] != 3 || min[1] != 1 {
-		t.Fatalf("MinSeries = %v", min)
-	}
-}
-
 func TestSetGlobalMean(t *testing.T) {
 	a := New("A", t0, []float64{2, 2})
 	b := New("B", t0, []float64{4, 4})
@@ -299,35 +289,6 @@ func TestQuickSumMatchesMean(t *testing.T) {
 		tr := New("X", t0, ci)
 		want := tr.Sum(0, tr.Len()) / float64(tr.Len())
 		return math.Abs(tr.Mean()-want) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickMinSeriesIsLowerEnvelope(t *testing.T) {
-	f := func(seed int64) bool {
-		n := 16
-		mk := func(off float64) []float64 {
-			ci := make([]float64, n)
-			for i := range ci {
-				ci[i] = off + float64((int64(i)*seed)%17+17)
-			}
-			return ci
-		}
-		s, err := NewSet([]*Trace{New("A", t0, mk(1)), New("B", t0, mk(2)), New("C", t0, mk(0.5))})
-		if err != nil {
-			return false
-		}
-		min := s.MinSeries()
-		for i := 0; i < n; i++ {
-			for _, code := range s.Regions() {
-				if min[i] > s.MustGet(code).At(i) {
-					return false
-				}
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -56,8 +56,11 @@ const (
 	DefaultSampleEvery   = 16
 	DefaultSlowThreshold = 250 * time.Millisecond
 	DefaultRingSize      = 256
-	DefaultMaxSpans      = 64
 )
+
+// DefaultMaxSpans bounds the spans kept per trace; extras are counted as
+// dropped.
+const DefaultMaxSpans = 64
 
 // TraceID identifies one end-to-end request across processes.
 type TraceID [16]byte
@@ -136,9 +139,6 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// String builds a string attribute.
-func String(k, v string) Attr { return Attr{Key: k, Value: v} }
-
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: strconv.Itoa(v)} }
 
@@ -155,9 +155,6 @@ type Config struct {
 	// RingSize bounds how many recent traces are retained (0 =
 	// DefaultRingSize).
 	RingSize int
-	// MaxSpans bounds spans kept per trace; extras are counted as
-	// dropped (0 = DefaultMaxSpans).
-	MaxSpans int
 }
 
 // Tracer records spans into a bounded ring of recent traces. Safe for
@@ -165,7 +162,6 @@ type Config struct {
 type Tracer struct {
 	sampleEvery int
 	slow        time.Duration
-	maxSpans    int
 
 	minted atomic.Uint64 // locally-minted root counter for 1-in-N sampling
 
@@ -202,13 +198,9 @@ func New(cfg Config) *Tracer {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = DefaultRingSize
 	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = DefaultMaxSpans
-	}
 	return &Tracer{
 		sampleEvery: cfg.SampleEvery,
 		slow:        cfg.SlowThreshold,
-		maxSpans:    cfg.MaxSpans,
 		ring:        make([]*traceEntry, cfg.RingSize),
 		index:       make(map[TraceID]*traceEntry, cfg.RingSize),
 	}
@@ -447,7 +439,7 @@ func (t *Tracer) insert(id TraceID, sd spanData) {
 		t.next = (t.next + 1) % len(t.ring)
 		t.index[id] = e
 	}
-	if len(e.spans) >= t.maxSpans {
+	if len(e.spans) >= DefaultMaxSpans {
 		e.dropped++
 		return
 	}

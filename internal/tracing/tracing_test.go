@@ -163,7 +163,7 @@ func TestNilSafety(t *testing.T) {
 	_, sp = tr.StartRemote(ctx, "", "r")
 	sp.End()
 	sp.SetName("x")
-	sp.SetAttr(String("k", "v"))
+	sp.SetAttr(Attr{Key: "k", Value: "v"})
 	if sp.Context().Valid() {
 		t.Fatal("nil span context must be zero")
 	}
@@ -205,16 +205,17 @@ func TestRingBoundsAndEviction(t *testing.T) {
 }
 
 func TestMaxSpansDropped(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, MaxSpans: 3})
+	tr := New(Config{SampleEvery: 1})
 	ctx, root := tr.StartRoot(context.Background(), "r")
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultMaxSpans+3; i++ {
 		_, sp := StartSpan(ctx, "child")
 		sp.End()
 	}
 	root.End()
 	td := tr.Snapshot().Traces[0]
-	if len(td.Spans) != 3 || td.DroppedSpans != 3 {
-		t.Fatalf("kept %d spans, dropped %d; want 3 kept / 3 dropped", len(td.Spans), td.DroppedSpans)
+	// The root ends last, so it is dropped with the last three children.
+	if len(td.Spans) != DefaultMaxSpans || td.DroppedSpans != 4 {
+		t.Fatalf("kept %d spans, dropped %d; want %d kept / 4 dropped", len(td.Spans), td.DroppedSpans, DefaultMaxSpans)
 	}
 }
 

@@ -67,9 +67,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // SnapshotPath returns the snapshot file path for a generation.
 func (s *Store) SnapshotPath(gen uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("snap-%08d.snap", gen))

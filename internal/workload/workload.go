@@ -159,15 +159,6 @@ func mustDistribution(name string, weights map[int]float64) Distribution {
 	return d
 }
 
-// Weight returns the normalized weight of a job length (0 for lengths
-// not in the distribution).
-func (d Distribution) Weight(length int) float64 {
-	if i := sort.SearchInts(d.lengths, length); i < len(d.lengths) && d.lengths[i] == length {
-		return d.ws[i]
-	}
-	return 0
-}
-
 // Lengths returns a copy of the supported lengths in ascending order
 // (empty for the zero Distribution).
 func (d Distribution) Lengths() []int { return slices.Clone(d.lengths) }

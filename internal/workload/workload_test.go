@@ -57,10 +57,11 @@ func TestNewDistributionValidation(t *testing.T) {
 
 func TestDistributionNormalized(t *testing.T) {
 	for _, d := range []Distribution{DistEqual, DistAzure, DistGoogle} {
-		var sum float64
+		ones := map[int]float64{}
 		for _, l := range d.Lengths() {
-			sum += d.Weight(l)
+			ones[l] = 1
 		}
+		sum := d.WeightedMean(ones)
 		if math.Abs(sum-1) > 1e-9 {
 			t.Errorf("%s weights sum to %v", d.Name, sum)
 		}
