@@ -80,9 +80,11 @@ func (r *Source) Uint64() uint64 {
 	return out
 }
 
-// unit maps 64 random bits to a uniform float64 in [0, 1).
+// unit maps 64 random bits to a uniform float64 in [0, 1). x>>11 is
+// below 2⁵³, so it converts exactly as a signed integer, one instruction
+// where the unsigned conversion branches.
 func unit(x uint64) float64 {
-	return float64(x>>11) / (1 << 53)
+	return float64(int64(x>>11)) / (1 << 53)
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -151,8 +153,10 @@ func NormOf(mean, stddev, log, cos float64) float64 {
 }
 
 // Pick returns a random index weighted by the non-negative weights ws.
-// It panics if a weight is negative, NaN or infinite, or if ws is empty
-// or sums to zero.
+// It panics if a weight is negative, NaN or infinite, if ws is empty or
+// sums to zero, or if the sum overflows to +Inf (two weights of
+// math.MaxFloat64, say), which would otherwise return the last index
+// every time.
 func (r *Source) Pick(ws []float64) int {
 	var total float64
 	for _, w := range ws {
@@ -163,6 +167,9 @@ func (r *Source) Pick(ws []float64) int {
 	}
 	if len(ws) == 0 || total == 0 {
 		panic("rng: Pick with empty or zero-sum weights")
+	}
+	if math.IsInf(total, 1) {
+		panic("rng: Pick with weights whose sum overflows")
 	}
 	x := r.Float64() * total
 	for i, w := range ws {

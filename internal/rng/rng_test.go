@@ -138,17 +138,21 @@ func TestPickRespectsZeroWeights(t *testing.T) {
 	}
 }
 
-// Pick refuses a weight it cannot draw in proportion to: a negative,
-// NaN or infinite one would otherwise return the last index every time.
+// Pick refuses weights it cannot draw in proportion to: a negative, NaN
+// or infinite one, or finite ones whose sum overflows, would otherwise
+// return the last index every time.
 func TestPickPanicsOnBadWeights(t *testing.T) {
-	for _, w := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, ws := range [][]float64{
+		{1, -1, 1}, {1, math.NaN(), 1}, {1, math.Inf(1), 1}, {1, math.Inf(-1), 1},
+		{math.MaxFloat64, math.MaxFloat64},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Pick with weight %v did not panic", w)
+					t.Errorf("Pick(%v) did not panic", ws)
 				}
 			}()
-			New(1).Pick([]float64{1, w, 1})
+			New(1).Pick(ws)
 		}()
 	}
 }

@@ -1,6 +1,7 @@
 package simgrid
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -86,20 +87,65 @@ func (w *weather) dispatchPerHour(r regions.Region, extra float64, hours int) []
 	return ci
 }
 
+// weatherPin sets one hour of the weather to no sun, no wind and a
+// demand x above what must run that hour (nuclear, geothermal, biomass
+// and coal's baseload at the hour's drifted mix), so that the hour's
+// residual is x: exactly so where x is 0 or nothing must run. It puts
+// an hour on a path the weather never takes: a residual of exactly
+// zero, a subnormal level, a level whose powers leave the normal range,
+// a degenerate hour.
+type weatherPin struct {
+	hour int
+	x    float64
+}
+
+// pinRecord is the length of a weatherPin in a fuzz case's share bytes:
+// the hour as a little-endian uint16, then x's bits.
+const pinRecord = 10
+
+// pinned appends pins to a case's share bytes.
+func pinned(shares []byte, pins ...weatherPin) []byte {
+	out := append([]byte(nil), shares...)
+	for _, p := range pins {
+		out = binary.LittleEndian.AppendUint16(out, uint16(p.hour))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(p.x))
+	}
+	return out
+}
+
+// pin applies p to the weather of r's dispatch at level extra.
+func (w *weather) pin(r regions.Region, extra float64, p weatherPin) {
+	baseMix := r.Mix
+	if extra > 0 {
+		baseMix = shiftToRenewables(baseMix, extra)
+	}
+	n := len(w.demand)
+	progress := 0.0
+	if n > 1 {
+		progress = (float64(p.hour) - float64(n-1)/2) / float64(n-1)
+	}
+	mix := shiftToRenewables(baseMix, driftSpan*r.DeltaRenew*progress)
+	mustRun := mix[regions.Nuclear] + mix[regions.Geothermal] + mix[regions.Biomass] + coalBaseload*mix[regions.Coal]
+	w.irr[p.hour], w.wind[p.hour], w.demand[p.hour] = 0, 0, mustRun+p.x
+}
+
 // dispatchCase turns fuzz-chosen values into a region, a weather config,
-// an ExtraRenewables level and a prefix to dispatch:
+// an ExtraRenewables level, a prefix to dispatch and pins on the
+// weather:
 //
 //   - shares: byte i sets source i's weight — absent, subnormal (a
 //     flexible share too small to divide by), tiny (levels whose powers
 //     overflow) or ordinary — before the mix is normalised; an empty
-//     mix is all nuclear;
+//     mix is all nuclear; the bytes past the sources are pinRecords,
+//     each hour taken modulo the weather's hours and a non-finite x
+//     dropped;
 //   - delta: DeltaRenew, either sign, up to Region.Validate's bound;
 //   - extra: folded into [0, 1], both ends included;
 //   - n: the weather's hours, up to three blocks, so the block where
 //     the drift changes sign (the middle hour) moves about;
 //   - cut: how many of them the prefix leaves out;
 //   - seed: the weather and the region's place and demand swing.
-func dispatchCase(t testing.TB, shares []byte, delta, extra float64, n, cut uint16, seed uint64) (regions.Region, Config, float64, int) {
+func dispatchCase(t testing.TB, shares []byte, delta, extra float64, n, cut uint16, seed uint64) (regions.Region, Config, float64, int, []weatherPin) {
 	t.Helper()
 	var mix regions.Mix
 	for s := range mix {
@@ -144,14 +190,24 @@ func dispatchCase(t testing.TB, shares []byte, delta, extra float64, n, cut uint
 	}
 	hours := 1 + int(n)%(3*blockHours)
 	cfg := Config{Seed: seed, Hours: hours}.withDefaults()
-	return r, cfg, fold(extra), hours - int(cut)%(hours+1)
+	var pins []weatherPin
+	for b := shares[min(len(shares), regions.NumSources):]; len(b) >= pinRecord; b = b[pinRecord:] {
+		x := math.Float64frombits(binary.LittleEndian.Uint64(b[2:]))
+		if !math.IsNaN(x) && !math.IsInf(x, 0) {
+			pins = append(pins, weatherPin{int(binary.LittleEndian.Uint16(b)) % hours, x})
+		}
+	}
+	return r, cfg, fold(extra), hours - int(cut)%(hours+1), pins
 }
 
 // checkDispatch holds weather.dispatch to dispatchPerHour bit for bit,
-// every hour of the prefix.
-func checkDispatch(t *testing.T, r regions.Region, cfg Config, extra float64, hours int) {
+// every hour of the prefix, on the weather with the pins applied.
+func checkDispatch(t *testing.T, r regions.Region, cfg Config, extra float64, hours int, pins []weatherPin) {
 	t.Helper()
 	w := drawWeather(r, cfg)
+	for _, p := range pins {
+		w.pin(r, extra, p)
+	}
 	got, want := w.dispatch(r, extra, hours), w.dispatchPerHour(r, extra, hours)
 	if len(got) != len(want) {
 		t.Fatalf("dispatch gave %d hours, want %d", len(got), len(want))
@@ -165,10 +221,29 @@ func checkDispatch(t *testing.T, r regions.Region, cfg Config, extra float64, ho
 	}
 }
 
+// Mixes for the pinned seeds, as share bytes: every source; nothing
+// that must run (no coal, biomass, geothermal or nuclear), so a pinned
+// hour's residual is its x; no flexible source (no coal, gas, oil or
+// hydro); and nothing that must run beside subnormal gas and oil.
+var (
+	everySource      = []byte{6, 7, 10, 11, 14, 15, 18, 19, 22}
+	nothingRuns      = []byte{4, 6, 6, 4, 4, 6, 6, 6, 4}
+	noFlexible       = []byte{4, 4, 4, 6, 6, 6, 4, 6, 6}
+	subnormalPeakers = []byte{4, 1, 1, 4, 4, 6, 4, 6, 4}
+)
+
 // dispatchSeeds are cases every run covers: no fossil share, no solar or
 // wind, a flexible share too small to divide by or to raise to a power,
 // no flexible source at all, drifts of either sign over one to three
-// blocks.
+// blocks; and then one seed for each path flexVec leaves to the Go
+// loop, pinned to one lane of the group of hours 8–11 (the kernels work
+// in groups of four from each block's first hour) with the other three
+// on a path it takes. A 67-hour weather leaves a tail of three. Against
+// a kernel that skips its check, the full-mix, exponent, tilted-sum and
+// degenerate seeds fail. A subnormal level's peaker exponents are far
+// out of range, so the sum and degenerate checks stop its group too: it
+// fails once all three are gone. A zero residual's curtailment changes
+// no output bit, only a zero's sign on the way, so its seed cannot.
 var dispatchSeeds = []struct {
 	shares       []byte
 	delta, extra float64
@@ -183,6 +258,21 @@ var dispatchSeeds = []struct {
 	{[]byte{4, 4, 4, 6, 6, 6, 4, 6, 6}, 0.7, 0.2, blockHours + 1, 0, 5},              // no flexible source
 	{[]byte{6, 7, 10, 11, 14, 15, 18, 19, 22}, 0.95, 0.05, 3*blockHours - 1, 100, 6}, // every source
 	{[]byte{6, 7, 10, 11, 14, 15, 18, 19, 22}, 0.05, 0.95, 1, 0, 7},                  // one hour
+
+	// Residual exactly 0 (math.Min's rule for signed zeros).
+	{pinned(everySource, weatherPin{8, 0}, weatherPin{9, .3}, weatherPin{10, .3}, weatherPin{11, .3}), 0.5, 0, 66, 0, 9},
+	// Residual above 0 with no flexible share to tilt (the full-mix path).
+	{pinned(noFlexible, weatherPin{9, .5}, weatherPin{8, -.3}, weatherPin{10, -.3}, weatherPin{11, -.3}), 0.5, 0, 66, 0, 10},
+	// A subnormal level.
+	{pinned(nothingRuns, weatherPin{10, 1e-310}, weatherPin{8, .3}, weatherPin{9, .3}, weatherPin{11, .3}), 0.5, 0, 66, 0, 11},
+	// A level whose oil power's binary exponent is over 1023.
+	{pinned(nothingRuns, weatherPin{11, 1e110}, weatherPin{8, .3}, weatherPin{9, .3}, weatherPin{10, .3}), 0.5, 0, 66, 0, 12},
+	// A degenerate hour: total generation 0.
+	{pinned(nothingRuns, weatherPin{8, -1}, weatherPin{9, .3}, weatherPin{10, .3}, weatherPin{11, .3}), 0.5, 0, 66, 0, 13},
+	// A tilted split that rounds to 0: the least residual over subnormal
+	// gas and oil shares, the only flexible ones; beside it, residuals
+	// whose level keeps every power in range.
+	{pinned(subnormalPeakers, weatherPin{9, 5e-324}, weatherPin{8, 1e-214}, weatherPin{10, 1e-214}, weatherPin{11, 1e-214}), 0.5, 0, 66, 0, 14},
 }
 
 // FuzzDispatchMatchesPerHour compares the staged dispatch with the
@@ -193,8 +283,8 @@ func FuzzDispatchMatchesPerHour(f *testing.F) {
 		f.Add(c.shares, c.delta, c.extra, c.n, c.cut, c.seed)
 	}
 	f.Fuzz(func(t *testing.T, shares []byte, delta, extra float64, n, cut uint16, seed uint64) {
-		r, cfg, x, hours := dispatchCase(t, shares, delta, extra, n, cut, seed)
-		bothPaths(t, func(t *testing.T) { checkDispatch(t, r, cfg, x, hours) })
+		r, cfg, x, hours, pins := dispatchCase(t, shares, delta, extra, n, cut, seed)
+		bothPaths(t, func(t *testing.T) { checkDispatch(t, r, cfg, x, hours, pins) })
 	})
 }
 
@@ -208,8 +298,8 @@ func TestDispatchMatchesPerHour(t *testing.T) {
 	}
 	bothPaths(t, func(t *testing.T) {
 		for _, c := range dispatchSeeds {
-			r, cfg, x, hours := dispatchCase(t, c.shares, c.delta, c.extra, c.n, c.cut, c.seed)
-			checkDispatch(t, r, cfg, x, hours)
+			r, cfg, x, hours, pins := dispatchCase(t, c.shares, c.delta, c.extra, c.n, c.cut, c.seed)
+			checkDispatch(t, r, cfg, x, hours, pins)
 		}
 		src := rng.New(37)
 		for i := range cases {
@@ -221,9 +311,9 @@ func TestDispatchMatchesPerHour(t *testing.T) {
 			if i%3 == 0 {
 				cut = 0
 			}
-			r, cfg, x, hours := dispatchCase(t, shares, src.Uniform(0, 1), src.Uniform(-0.5, 1.5),
+			r, cfg, x, hours, pins := dispatchCase(t, shares, src.Uniform(0, 1), src.Uniform(-0.5, 1.5),
 				uint16(src.Uint64()), cut, src.Uint64())
-			checkDispatch(t, r, cfg, x, hours)
+			checkDispatch(t, r, cfg, x, hours, pins)
 		}
 	})
 }

@@ -203,6 +203,114 @@ func TestNormBatchMatchesNorm(t *testing.T) {
 	})
 }
 
+// FuzzDrawWeatherMatchesScalar runs the weather stage with the vector
+// path on and off and requires the same bits in every series and mean:
+// fuzzed coordinates and demand swings, a start any minute of 2020–2023
+// (so off midnight and off the hour), and up to three blocks of hours.
+// The seeds take hour counts that are neither multiples of 4 nor of
+// blockHours, starts at odd hours, both hemispheres, the equator and the
+// polar night.
+func FuzzDrawWeatherMatchesScalar(f *testing.F) {
+	for _, c := range []struct {
+		seed          uint64
+		lat, lon, sw  float64
+		minute, hours uint32
+	}{
+		{1, 52.5, 13.4, 1, 0, 3*blockHours - 3},
+		{2, -33.9, 151.2, 0.8, 7 * 60, blockHours + 1},
+		{3, 64.1, -21.9, 2.5, 23*60 + 30, 2*blockHours + 5},
+		{4, 0, -78.5, 0, 24*60*45 + 13*60 + 59, 3},
+		{5, 89.9, 0, 6, 24*60*300 + 60, 97},
+		{6, -89.9, 179.9, 1.3, 24*60*1000 + 5*60 + 1, 1},
+	} {
+		f.Add(c.seed, c.lat, c.lon, c.sw, c.minute, c.hours)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, lat, lon, swing float64, minute, hours uint32) {
+		if !vectorOn {
+			t.Skip("no AVX2+FMA: the vector path is not available here")
+		}
+		within := func(x, bound float64) float64 { // into [-bound, bound]
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return 0
+			}
+			return math.Mod(x, bound)
+		}
+		r := regions.Region{Code: "X-WEATHER", Lat: within(lat, 90), Lon: within(lon, 180),
+			DemandSwing: math.Abs(within(swing, 6))}
+		cfg := Config{Seed: seed, Start: DefaultStart.Add(time.Duration(minute%(4*366*24*60)) * time.Minute),
+			Hours: 1 + int(hours%(3*blockHours))}.withDefaults()
+		vec := drawWeather(r, cfg)
+		vectorOn = false
+		defer func() { vectorOn = true }()
+		ref := drawWeather(r, cfg)
+		for _, s := range []struct {
+			name     string
+			got, ref []float64
+		}{{"irr", vec.irr, ref.irr}, {"wind", vec.wind, ref.wind}, {"demand", vec.demand, ref.demand},
+			{"means", []float64{vec.irrMean, vec.windMean}, []float64{ref.irrMean, ref.windMean}}} {
+			for h := range s.ref {
+				if !sameFloat(s.got[h], s.ref[h]) {
+					t.Fatalf("%+v from %v: %s[%d] is %v (%#x) on the vector path, %v (%#x) on the scalar", r, cfg.Start,
+						s.name, h, s.got[h], math.Float64bits(s.got[h]), s.ref[h], math.Float64bits(s.ref[h]))
+				}
+			}
+		}
+	})
+}
+
+// TestStageKernelsCoverOrdinaryHours holds the stage kernels to their
+// reach, which the bit tests cannot see: a kernel that stops at every
+// group leaves the Go loops to produce the same bits. On a catalog
+// region's first block each dispatch kernel does every hour, normVec
+// and logisticVec every group of their inputs, and sunVec the whole
+// rest of a day.
+func TestStageKernelsCoverOrdinaryHours(t *testing.T) {
+	if !vectorOn {
+		t.Skip("no AVX2+FMA: the vector path is not available here")
+	}
+	r := regions.MustByCode("DE")
+	cfg := Config{Seed: 1, Hours: blockHours}.withDefaults()
+	w := drawWeather(r, cfg)
+	ci := make([]float64, blockHours)
+	var b dispatchBlock
+	b.start(w, r, 0)
+	b.load(w, ci, 0, blockHours)
+	for _, k := range []struct {
+		name string
+		vec  func(*dispatchBlock, int) int
+	}{{"driftVec", driftVec}, {"levelVec", levelVec}, {"tiltVec", tiltVec}, {"flexVec", flexVec}} {
+		if got := k.vec(&b, 0); got != blockHours {
+			t.Errorf("%s did %d of %s's %d hours", k.name, got, r.Code, blockHours)
+		}
+	}
+	for h, want := range w.dispatch(r, 0, blockHours) {
+		if !sameFloat(ci[h], want) {
+			t.Fatalf("hour %d: the kernels one after the other give %v, dispatch %v", h, ci[h], want)
+		}
+	}
+
+	const n = blockHours - 2 // a tail of two
+	out, cosArgs := make([]float64, n), make([]float64, n)
+	rng.New(1).NormArgsBatch(out, cosArgs)
+	if got := normVec(out, cosArgs, 0, 1); got != n/4*4 {
+		t.Errorf("normVec did %d of %d draws", got, n)
+	}
+	irr, wind := make([]float64, n), make([]float64, n)
+	cloudE, windE := out, make([]float64, n)
+	for i := range windE {
+		windE[i] = -1.1 * cloudE[i]
+	}
+	if got := logisticVec(irr, wind, cloudE, windE); got != n/4*4 {
+		t.Errorf("logisticVec did %d of %d hours", got, n)
+	}
+	var day sunDay
+	for _, hod := range []int{0, 5} {
+		if got, want := sunVec(irr, wind, &day, hod), (24-hod)/4*4; got != want {
+			t.Errorf("sunVec from hour %d did %d hours, want %d", hod, got, want)
+		}
+	}
+}
+
 // TestScalarPathMatchesGolden runs the cases of TestTraceBitsGolden with
 // the vector kernels off and checks each digest against the committed
 // one: every region of the catalog (a handful under -short), the

@@ -36,8 +36,9 @@
 // prefix of the weather into carbon intensity, hour by independent
 // hour; an hour's cost is its transcendentals, so the four
 // flexible-source powers are formed from one logarithm (tiltedShares),
-// and both stages walk their hours in blocks whose Exp, Log and Cos are
-// batch calls (kernels.go), vector code on amd64. Generate and the
+// and both stages walk their hours in blocks of stage loops that run
+// four hours at a time in vector kernels on amd64 (kernels_amd64.s),
+// with the Go loops as their fallback. Generate and the
 // cached entry points (cache.go) run one after the other for a whole
 // base trace; WhatIf draws the weather once and
 // dispatches it at several ExtraRenewables levels over the hours its
@@ -325,8 +326,9 @@ type weather struct {
 
 // blockHours is the length of the blocks drawWeather and dispatch walk
 // their hours in. Each stage of a block runs over all of its hours
-// before the next starts, so every transcendental of a block is one
-// batch call (kernels.go) on a buffer on the caller's stack.
+// before the next starts, on buffers on the caller's stack, so its
+// hours are independent and a vector kernel can take them four at a
+// time.
 const blockHours = 512
 
 // drawWeather runs the weather stage for cfg.Hours hours from cfg.Start
@@ -339,12 +341,12 @@ const blockHours = 512
 // product (say, adding the weekly and seasonal terms ahead of the hour
 // loop) rounds differently.
 //
-// Each block of hours takes four stages: the calendar terms; the
-// block's Gaussian draws of the cloud, wind and demand-noise streams
+// Each block of hours takes four stages: the calendar terms (sunVec);
+// the block's Gaussian draws of the cloud, wind and demand-noise streams
 // (normBatch); the AR(1) chains of cloud and wind and the demand sum,
-// hour after hour; and the two logistic maps, one Exp batch for both.
-// The three generators are independent, so each stream's values are
-// those of a loop of its own whatever the staging.
+// hour after hour; and the two logistic maps (logisticVec). The three
+// generators are independent, so each stream's values are those of a
+// loop of its own whatever the staging.
 func drawWeather(r regions.Region, cfg Config) *weather {
 	n := cfg.Hours
 	src := rngFor(r.Code, cfg)
@@ -367,17 +369,17 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 	// morning shoulder. A Start off the hour keeps its minutes all
 	// period long; the demand model reads them, the solar model does
 	// not.
-	var cosHourAngle, diurnal [24]float64
+	var day sunDay
 	minutes := float64(cfg.Start.Minute()) / 60
-	for hod := range cosHourAngle {
+	for hod := range day.cosHourAngle {
 		localHour := float64(hod) + r.Lon/15
 		hourAngle := (localHour - 12) * 15 * math.Pi / 180
-		cosHourAngle[hod] = math.Cos(hourAngle)
+		day.cosHourAngle[hod] = math.Cos(hourAngle)
 
 		localHour = float64(hod) + minutes + r.Lon/15
 		shape := 0.8*math.Cos(2*math.Pi*(localHour-17)/24) +
 			0.2*math.Cos(4*math.Pi*(localHour-9)/24)
-		diurnal[hod] = diurnalAmp * r.DemandSwing * shape
+		day.diurnal[hod] = diurnalAmp * r.DemandSwing * shape
 	}
 
 	latRad := r.Lat * math.Pi / 180
@@ -394,30 +396,32 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 	year, yday := cfg.Start.Year(), cfg.Start.YearDay()
 	weekday := cfg.Start.Weekday()
 	// By day: solar declination, the seasonal and weekly demand terms.
-	var sinSin, cosCos, seasonal, weekly float64
 	startDay := func() {
 		doy := float64(yday)
 		decl := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*(284+doy)/365.25)
-		sinSin, cosCos = sinLat*math.Sin(decl), cosLat*math.Cos(decl)
-		seasonal = seasonalAmp * latScale * math.Cos(2*math.Pi*(doy-peakDoy)/365.25)
-		weekly = weeklyAmp * r.DemandSwing * 0.3
+		day.sinSin, day.cosCos = sinLat*math.Sin(decl), cosLat*math.Cos(decl)
+		day.seasonal = seasonalAmp * latScale * math.Cos(2*math.Pi*(doy-peakDoy)/365.25)
+		day.weekly = weeklyAmp * r.DemandSwing * 0.3
 		if weekday == time.Saturday || weekday == time.Sunday {
-			weekly = weeklyAmp * r.DemandSwing * -0.75
+			day.weekly = weeklyAmp * r.DemandSwing * -0.75
 		}
 	}
 	startDay()
 
-	// The block's cloud and wind draws, then their logistic arguments,
-	// side by side for one Exp batch; the demand noise; normBatch's
-	// scratch.
+	// The block's cloud and wind draws, then their logistic arguments;
+	// the demand noise; normBatch's scratch.
 	var buf [4 * blockHours]float64
 	for h0 := 0; h0 < n; h0 += blockHours {
 		m := min(blockHours, n-h0)
 		irr, wind, demand := w.irr[h0:h0+m], w.wind[h0:h0+m], w.demand[h0:h0+m]
-		cloudE, windE := buf[:m], buf[m:2*m]
+		cloudE, windE := buf[:m], buf[blockHours:][:m]
 		noise, scratch := buf[2*blockHours:][:m], buf[3*blockHours:][:m]
 
-		for i := range irr {
+		// Solar elevation (latitude, declination, local hour) — the
+		// cloud attenuation multiplies it below — and demand before its
+		// noise: sunVec's runs of four hours within a day, and the Go
+		// loop's hour where none is left.
+		for i := 0; i < m; {
 			if hod == 24 {
 				hod = 0
 				weekday = (weekday + 1) % 7
@@ -426,15 +430,20 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 				}
 				startDay()
 			}
-			// Solar elevation (latitude, declination, local hour); the
-			// cloud attenuation multiplies it below.
-			sinElev := sinSin + cosCos*cosHourAngle[hod]
-			if sinElev < 0 {
-				sinElev = 0
+			k := 0
+			if vectorOn {
+				k = sunVec(irr[i:], demand[i:], &day, hod)
 			}
-			irr[i] = sinElev
-			demand[i] = 1 + diurnal[hod] + weekly + seasonal
-			hod++
+			if k == 0 {
+				sinElev := day.sinSin + day.cosCos*day.cosHourAngle[hod]
+				if sinElev < 0 {
+					sinElev = 0
+				}
+				irr[i] = sinElev
+				demand[i] = 1 + day.diurnal[hod] + day.weekly + day.seasonal
+				k = 1
+			}
+			i, hod = i+k, hod+k
 		}
 
 		normBatch(cloudSrc, 0, cloudSigma, cloudE, scratch)
@@ -455,27 +464,53 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 
 		// The cloud process, mapped through a logistic into an
 		// attenuation factor in [0.25, 1]; wind, a capacity factor in
-		// (0, 1).
-		expBatch(buf[:2*m])
-		for i := range irr {
-			irr[i] *= 0.25 + 0.75/(1+cloudE[i])
-			wind[i] = 1 / (1 + windE[i])
+		// (0, 1): logisticVec four hours at a time, the Go loop over
+		// the group where it stops.
+		for i := 0; i < m; {
+			j := m
+			if vectorOn {
+				i += logisticVec(irr[i:], wind[i:], cloudE[i:], windE[i:])
+				j = min(i+4, m)
+			}
+			expBatch(cloudE[i:j])
+			expBatch(windE[i:j])
+			for ; i < j; i++ {
+				irr[i] *= 0.25 + 0.75/(1+cloudE[i])
+				wind[i] = 1 / (1 + windE[i])
+			}
 		}
 	}
 	w.irrMean, w.windMean = mean(w.irr), mean(w.wind)
 	return w
 }
 
+// sunDay is what drawWeather's solar and demand loop reads of a day:
+// the terms constant over it and those by hour of day. sunVec reads it
+// by go_asm.h's field offsets.
+type sunDay struct {
+	sinSin, cosCos, seasonal, weekly float64
+	cosHourAngle, diurnal            [24]float64
+}
+
 // normBatch sets each out[i] to the next src.Norm(mean, stddev), bit for
-// bit: the draws' logarithms and cosines are two batch calls. scratch
-// must be at least as long as out.
+// bit: normVec four draws at a time, each draw's logarithm, cosine and
+// Box–Muller step in one pass, and the Go loop — batch calls for the
+// logarithms and cosines, then rng.NormOf — over the group where it
+// stops. scratch must be at least as long as out.
 func normBatch(src *rng.Source, mean, stddev float64, out, scratch []float64) {
 	cosArgs := scratch[:len(out)]
 	src.NormArgsBatch(out, cosArgs)
-	logBatch(out)
-	cosBatch(cosArgs)
-	for i, lg := range out {
-		out[i] = rng.NormOf(mean, stddev, lg, cosArgs[i])
+	for i := 0; i < len(out); {
+		j := len(out)
+		if vectorOn {
+			i += normVec(out[i:], cosArgs[i:], mean, stddev)
+			j = min(i+4, len(out))
+		}
+		logBatch(out[i:j])
+		cosBatch(cosArgs[i:j])
+		for ; i < j; i++ {
+			out[i] = rng.NormOf(mean, stddev, out[i], cosArgs[i])
+		}
 	}
 }
 
@@ -493,138 +528,212 @@ func daysIn(year int) int {
 // `hours` hours. Each hour is computed from that hour's weather alone,
 // so a prefix is exactly the head of the full trace.
 //
-// A block of hours is a struct of arrays walked by stage loops whose
-// hours are independent of each other, so their divisions overlap
-// instead of queueing behind one another: each hour's drift; the five
-// shares it moves (drift.shares; nuclear, geothermal, biomass and hydro
-// never drift and are read from the base mix); the solar and wind
-// output, the residual demand left to the flexible sources and its
-// level (residual over flexible share); one Log batch and one Exp batch
-// of the three fractional tilts over the levels; and the flexible
+// A block of hours is a struct of arrays (dispatchBlock) walked by four
+// stage loops whose hours are independent of each other, so their
+// divisions overlap instead of queueing behind one another: each hour's
+// drift and the five shares it moves (drift.shares; nuclear,
+// geothermal, biomass and hydro never drift and are read from the base
+// mix); the solar and wind output, the residual demand left to the
+// flexible sources and its level (residual over flexible share); the
+// Exp of each fractional tilt times the level's Log; and the flexible
 // split, with the same multiplications in the same order as
 // dispatchFlexible (tiltedFromExps), followed in the same loop by the
-// total, emissions and intensity. No hour's mix is built, except on the
-// two rare paths that need all of it.
+// total, emissions and intensity. Each stage runs four hours at a time
+// in a vector kernel where there is one (runStage). No hour's mix is
+// built, except on the two rare paths that need all of it.
 func (w *weather) dispatch(r regions.Region, extra float64, hours int) []float64 {
 	ci := make([]float64, hours)
+	var b dispatchBlock
+	b.start(w, r, extra)
+	for h0 := 0; h0 < hours; h0 += blockHours {
+		b.load(w, ci, h0, min(blockHours, hours-h0))
+		runStage(&b, driftVec, (*dispatchBlock).driftStage)
+		runStage(&b, levelVec, (*dispatchBlock).levelStage)
+		runStage(&b, tiltVec, (*dispatchBlock).tiltStage)
+		runStage(&b, flexVec, (*dispatchBlock).flexStage)
+	}
+	return ci
+}
+
+// dispatchBlock is one block of dispatch's hours: the region's constants,
+// the block's weather and intensity, and the stage arrays, indexed by
+// hour within the block. The vector kernels read it by go_asm.h's field
+// offsets, so every value one of them reads is a field of its own.
+type dispatchBlock struct {
+	// The region, fixed for the whole period.
+	baseMix                          regions.Mix
+	d                                drift
+	coal0, gas0, oil0, solar0, wind0 float64 // baseMix's drifting shares
+	n                                int     // the weather's hours
+	nm1, half, span                  float64 // n−1, its half, the drift's span
+	irrMean, windMean                float64
+	hydro, mustRun                   float64
+	nuclearEm, geothermalEm          float64 // the must-run sources' emissions
+	biomassEm                        float64
+	coalEF, gasEF, oilEF             float64
+	solarEF, windEF, hydroEF         float64
+	baseloadFrac, flexFrac           float64 // coalBaseload and the rest of coal
+
+	// The block: its first hour and length, the weather it reads and the
+	// intensity it writes.
+	h0, m                       int
+	irr, windCF, demand, ci     []float64
+	shift, coal, gas, oil       [blockHours]float64
+	solar, wind                 [blockHours]float64
+	solarOut, windOut, residual [blockHours]float64
+	// level is the flexible level where the hour tilts and 0 where it
+	// does not; logs is the same with 1 for 0, so the Log and Exp
+	// batches run over every hour and the masked ones come out 0 and 1.
+	level, logs                      [blockHours]float64
+	hydroExp, coalFlexExp, peakerExp [blockHours]float64
+}
+
+// start sets the region's fields: r's mix, shifted by extra, drifting
+// over w's hours.
+func (b *dispatchBlock) start(w *weather, r regions.Region, extra float64) {
 	baseMix := r.Mix
 	if extra > 0 {
 		baseMix = shiftToRenewables(baseMix, extra)
 	}
-	d := newDrift(baseMix)
-	hydroShare := baseMix[regions.Hydro]
-	nuclear, geothermal, biomass := baseMix[regions.Nuclear], baseMix[regions.Geothermal], baseMix[regions.Biomass]
-	mustRun := nuclear + geothermal + biomass
-	n := len(w.demand)
-	half, span := float64(n-1)/2, driftSpan*r.DeltaRenew
-	var (
-		shift, coal, gas, oil, solar, wind [blockHours]float64
-		solarOut, windOut, residual, level [blockHours]float64
-		logs                               [blockHours]float64
-		exps                               [3 * blockHours]float64
-	)
-	for h0 := 0; h0 < hours; h0 += blockHours {
-		m := min(blockHours, hours-h0)
-		irr, windCF, demand := w.irr[h0:h0+m], w.wind[h0:h0+m], w.demand[h0:h0+m]
+	b.baseMix, b.d = baseMix, newDrift(baseMix)
+	b.coal0, b.gas0, b.oil0 = baseMix[regions.Coal], baseMix[regions.Gas], baseMix[regions.Oil]
+	b.solar0, b.wind0 = baseMix[regions.Solar], baseMix[regions.Wind]
+	b.n = len(w.demand)
+	b.nm1, b.half, b.span = float64(b.n-1), float64(b.n-1)/2, driftSpan*r.DeltaRenew
+	b.irrMean, b.windMean = w.irrMean, w.windMean
+	b.hydro = baseMix[regions.Hydro]
+	b.mustRun = baseMix[regions.Nuclear] + baseMix[regions.Geothermal] + baseMix[regions.Biomass]
+	b.nuclearEm = baseMix[regions.Nuclear] * regions.Nuclear.EmissionFactor()
+	b.geothermalEm = baseMix[regions.Geothermal] * regions.Geothermal.EmissionFactor()
+	b.biomassEm = baseMix[regions.Biomass] * regions.Biomass.EmissionFactor()
+	b.coalEF, b.gasEF, b.oilEF = regions.Coal.EmissionFactor(), regions.Gas.EmissionFactor(), regions.Oil.EmissionFactor()
+	b.solarEF, b.windEF, b.hydroEF = regions.Solar.EmissionFactor(), regions.Wind.EmissionFactor(), regions.Hydro.EmissionFactor()
+	b.baseloadFrac, b.flexFrac = coalBaseload, 1-coalBaseload
+}
 
-		// Linear mix drift: progress -0.5 at the start of the study,
-		// +0.5 at the end, so the catalog mix is the midpoint.
-		for i := range shift[:m] {
-			progress := 0.0
-			if n > 1 {
-				progress = (float64(h0+i) - half) / float64(n-1)
-			}
-			shift[i] = span * progress
-		}
-		for i, x := range shift[:m] {
-			coal[i], gas[i], oil[i], solar[i], wind[i] = d.shares(x)
-		}
+// load makes the block the m hours from h0: their weather and their
+// intensity in ci.
+func (b *dispatchBlock) load(w *weather, ci []float64, h0, m int) {
+	b.h0, b.m = h0, m
+	b.irr, b.windCF, b.demand, b.ci = w.irr[h0:h0+m], w.wind[h0:h0+m], w.demand[h0:h0+m], ci[h0:h0+m]
+}
 
-		// Non-dispatchable and must-run generation. Flexible sources
-		// share the residual: demand net of must-run and weather-driven
-		// generation. Hydro absorbs both demand excursions and renewable
-		// shortfalls, which is what keeps hydro-dominated grids (Sweden,
-		// Quebec, Norway) at a low, stable intensity.
-		k := 0 // hours whose level is in logs
-		for i := range m {
-			solarGen := 0.0
-			if w.irrMean > 0 {
-				solarGen = solar[i] * irr[i] / w.irrMean
-			}
-			windGen := 0.0
-			if w.windMean > 0 {
-				windGen = wind[i] * windCF[i] / w.windMean
-			}
-			res := demand[i] - solarGen - windGen - (mustRun + coalBaseload*coal[i])
-			lvl := 0.0
-			if res > 0 {
-				if _, _, _, _, flex := flexibleShares(hydroShare, coal[i], gas[i], oil[i]); flex > 0 {
-					if l := res / flex; tiltable(l) {
-						lvl, logs[k] = l, l
-						k++
-					}
+// runStage runs one stage over the block's hours: the vector kernel from
+// each hour it is handed, four hours at a time, and the Go loop over the
+// group of up to four where the kernel stopped — a lane on a rare path,
+// or the tail — or, with the vector path off, over all of them.
+func runStage(b *dispatchBlock, vec func(*dispatchBlock, int) int, stage func(*dispatchBlock, int, int)) {
+	for i := 0; i < b.m; {
+		j := b.m
+		if vectorOn {
+			i += vec(b, i)
+			j = min(i+4, b.m)
+		}
+		stage(b, i, j)
+		i = j
+	}
+}
+
+// driftStage sets hours [lo, hi)'s shift and the five shares it moves.
+// Linear mix drift: progress −0.5 at the start of the study, +0.5 at the
+// end, so the catalog mix is the midpoint.
+func (b *dispatchBlock) driftStage(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		progress := 0.0
+		if b.n > 1 {
+			progress = (float64(b.h0+i) - b.half) / b.nm1
+		}
+		b.shift[i] = b.span * progress
+		b.coal[i], b.gas[i], b.oil[i], b.solar[i], b.wind[i] = b.d.shares(b.shift[i])
+	}
+}
+
+// levelStage sets hours [lo, hi)'s solar and wind output, residual and
+// level. Non-dispatchable and must-run generation come first; flexible
+// sources share the residual: demand net of must-run and weather-driven
+// generation. Hydro absorbs both demand excursions and renewable
+// shortfalls, which is what keeps hydro-dominated grids (Sweden, Quebec,
+// Norway) at a low, stable intensity.
+func (b *dispatchBlock) levelStage(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		solarGen := 0.0
+		if b.irrMean > 0 {
+			solarGen = b.solar[i] * b.irr[i] / b.irrMean
+		}
+		windGen := 0.0
+		if b.windMean > 0 {
+			windGen = b.wind[i] * b.windCF[i] / b.windMean
+		}
+		res := b.demand[i] - solarGen - windGen - (b.mustRun + coalBaseload*b.coal[i])
+		lvl, lg := 0.0, 1.0
+		if res > 0 {
+			if _, _, _, _, flex := flexibleShares(b.hydro, b.coal[i], b.gas[i], b.oil[i]); flex > 0 {
+				if l := res / flex; tiltable(l) {
+					lvl, lg = l, l
 				}
 			}
-			solarOut[i], windOut[i], residual[i], level[i] = solarGen, windGen, res, lvl
 		}
-
-		logBatch(logs[:k])
-		for j, lg := range logs[:k] {
-			exps[j], exps[k+j], exps[2*k+j] = hydroFrac*lg, coalFlexFrac*lg, peakerFrac*lg
-		}
-		expBatch(exps[:3*k])
-
-		j := 0
-		for i := range m {
-			solarGen, windGen, res := solarOut[i], windOut[i], residual[i]
-			coalBase := coalBaseload * coal[i]
-			baseload := mustRun + coalBase
-			var hydro, coalFlex, gasGen, oilGen float64
-			switch {
-			case res <= 0:
-				// Oversupply: curtail wind first, then solar, then shed
-				// must-run coal. Flexible sources stay off.
-				excess := -res
-				cut := math.Min(excess, windGen)
-				windGen -= cut
-				excess -= cut
-				cut = math.Min(excess, solarGen)
-				solarGen -= cut
-				excess -= cut
-				cut = math.Min(excess, coalBase)
-				coalBase -= cut
-				baseload -= cut
-			case level[i] > 0:
-				hydroS, coalFlexS, gasS, oilS, _ := flexibleShares(hydroShare, coal[i], gas[i], oil[i])
-				hydro, coalFlex, gasGen, oilGen = tiltedFromExps(hydroS, coalFlexS, gasS, oilS,
-					level[i], exps[j], exps[k+j], exps[2*k+j])
-				hydro, coalFlex, gasGen, oilGen = rescaleFlexible(res, hydro, coalFlex, gasGen, oilGen)
-				j++
-			default:
-				hydro, coalFlex, gasGen, oilGen = dispatchFlexible(shiftToRenewables(baseMix, shift[i]), res)
-			}
-			coalGen := coalBase + coalFlex
-
-			total := solarGen + windGen + baseload - coalBase + hydro + coalGen + gasGen + oilGen
-			if total <= 0 {
-				// Degenerate (zero-demand) hour; carry the mix-weighted
-				// average forward.
-				ci[h0+i] = shiftToRenewables(baseMix, shift[i]).NominalCI()
-				continue
-			}
-			em := coalGen*regions.Coal.EmissionFactor() +
-				gasGen*regions.Gas.EmissionFactor() +
-				oilGen*regions.Oil.EmissionFactor() +
-				solarGen*regions.Solar.EmissionFactor() +
-				windGen*regions.Wind.EmissionFactor() +
-				hydro*regions.Hydro.EmissionFactor() +
-				nuclear*regions.Nuclear.EmissionFactor() +
-				geothermal*regions.Geothermal.EmissionFactor() +
-				biomass*regions.Biomass.EmissionFactor()
-			ci[h0+i] = em / total
-		}
+		b.solarOut[i], b.windOut[i], b.residual[i], b.level[i], b.logs[i] = solarGen, windGen, res, lvl, lg
 	}
-	return ci
+}
+
+// tiltStage sets hours [lo, hi)'s Exp of each fractional tilt times
+// the logarithm of the level (of 1 where the hour does not tilt): one
+// Log batch and one Exp batch per tilt.
+func (b *dispatchBlock) tiltStage(lo, hi int) {
+	logs := b.logs[lo:hi]
+	logBatch(logs)
+	for i, lg := range logs {
+		b.hydroExp[lo+i], b.coalFlexExp[lo+i], b.peakerExp[lo+i] = hydroFrac*lg, coalFlexFrac*lg, peakerFrac*lg
+	}
+	expBatch(b.hydroExp[lo:hi])
+	expBatch(b.coalFlexExp[lo:hi])
+	expBatch(b.peakerExp[lo:hi])
+}
+
+// flexStage splits hours [lo, hi)'s residual and sets their intensity.
+func (b *dispatchBlock) flexStage(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		solarGen, windGen, res := b.solarOut[i], b.windOut[i], b.residual[i]
+		coalBase := coalBaseload * b.coal[i]
+		baseload := b.mustRun + coalBase
+		var hydro, coalFlex, gasGen, oilGen float64
+		switch {
+		case res <= 0:
+			// Oversupply: curtail wind first, then solar, then shed
+			// must-run coal. Flexible sources stay off.
+			excess := -res
+			cut := math.Min(excess, windGen)
+			windGen -= cut
+			excess -= cut
+			cut = math.Min(excess, solarGen)
+			solarGen -= cut
+			excess -= cut
+			cut = math.Min(excess, coalBase)
+			coalBase -= cut
+			baseload -= cut
+		case b.level[i] > 0:
+			hydroS, coalFlexS, gasS, oilS, _ := flexibleShares(b.hydro, b.coal[i], b.gas[i], b.oil[i])
+			hydro, coalFlex, gasGen, oilGen = tiltedFromExps(hydroS, coalFlexS, gasS, oilS,
+				b.level[i], b.hydroExp[i], b.coalFlexExp[i], b.peakerExp[i])
+			hydro, coalFlex, gasGen, oilGen = rescaleFlexible(res, hydro, coalFlex, gasGen, oilGen)
+		default:
+			hydro, coalFlex, gasGen, oilGen = dispatchFlexible(shiftToRenewables(b.baseMix, b.shift[i]), res)
+		}
+		coalGen := coalBase + coalFlex
+
+		total := solarGen + windGen + baseload - coalBase + hydro + coalGen + gasGen + oilGen
+		if total <= 0 {
+			// Degenerate (zero-demand) hour; carry the mix-weighted
+			// average forward.
+			b.ci[i] = shiftToRenewables(b.baseMix, b.shift[i]).NominalCI()
+			continue
+		}
+		em := coalGen*b.coalEF + gasGen*b.gasEF + oilGen*b.oilEF +
+			solarGen*b.solarEF + windGen*b.windEF + hydro*b.hydroEF +
+			b.nuclearEm + b.geothermalEm + b.biomassEm
+		b.ci[i] = em / total
+	}
 }
 
 // dispatchFlexible splits the residual demand among the flexible

@@ -431,14 +431,36 @@ func TestPeakerTilt(t *testing.T) {
 	}
 }
 
+// benchRegion and benchConfig are the region-year the three benchmarks
+// below time: the whole simulation and each of its two stages.
+var benchRegion, benchConfig = regions.MustByCode("DE"), Config{Seed: 1, Hours: 8760}
+
 func BenchmarkGenerateRegionYear(b *testing.B) {
-	r := regions.MustByCode("DE")
-	cfg := Config{Seed: 1, Hours: 8760}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := generateRegion(r, cfg); err != nil {
+	for b.Loop() {
+		if _, err := generateRegion(benchRegion, benchConfig); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDrawWeather is the weather stage of BenchmarkGenerateRegionYear.
+func BenchmarkDrawWeather(b *testing.B) {
+	cfg := benchConfig.withDefaults()
+	b.ReportAllocs()
+	for b.Loop() {
+		drawWeather(benchRegion, cfg)
+	}
+}
+
+// BenchmarkDispatch is the dispatch stage of BenchmarkGenerateRegionYear,
+// over one weather draw.
+func BenchmarkDispatch(b *testing.B) {
+	cfg := benchConfig.withDefaults()
+	w := drawWeather(benchRegion, cfg)
+	b.ReportAllocs()
+	for b.Loop() {
+		w.dispatch(benchRegion, cfg.ExtraRenewables, cfg.Hours)
 	}
 }
 
