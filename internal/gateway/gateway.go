@@ -58,7 +58,6 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -84,9 +83,13 @@ type Gateway struct {
 	parts []*partition
 	mx    *gwMetrics
 
-	// topoMu guards the learned routing tables.
-	topoMu      sync.Mutex
-	regionOwner map[string]int // region -> partition index
+	// mu guards the routing table learned from the partitions' stats
+	// echoes: each region's owning partition, and by partition index its
+	// slot total and id base, both -1 until an echo teaches them.
+	mu     sync.Mutex
+	owner  map[string]int
+	slots  []int
+	idBase []int
 }
 
 // partition is one schedd deployment behind the gateway.
@@ -94,22 +97,6 @@ type partition struct {
 	index int
 	eps   *httpx.Endpoints
 	up    *metrics.Gauge // its gateway_partition_up series; written only by call
-
-	mu      sync.Mutex
-	learned bool
-	idBase  int
-	hasID   bool
-	slots   int // the slots of its clusters, from its stats echo
-}
-
-// slotCount is the partition's slot total, or -1 before its stats echo.
-func (p *partition) slotCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.learned {
-		return -1
-	}
-	return p.slots
 }
 
 // New validates the config and builds the gateway. Partitions are not
@@ -119,10 +106,7 @@ func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Partitions) == 0 {
 		return nil, errors.New("gateway: no partitions configured")
 	}
-	g := &Gateway{
-		hc:          cfg.HTTPClient,
-		regionOwner: make(map[string]int),
-	}
+	g := &Gateway{hc: cfg.HTTPClient, owner: make(map[string]int)}
 	if g.hc == nil {
 		g.hc = http.DefaultClient
 	}
@@ -132,6 +116,8 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("gateway: partition %d: %w", i, err)
 		}
 		g.parts = append(g.parts, &partition{index: i, eps: eps})
+		g.slots = append(g.slots, -1)
+		g.idBase = append(g.idBase, -1)
 	}
 	g.initMetrics()
 	return g, nil
@@ -195,7 +181,7 @@ func scatter(parts []*partition, fn func(p *partition)) {
 // ---- topology ----
 
 // fetchStats gets one partition's /v1/stats and folds its topology echo
-// into the routing tables; nil when the partition did not answer with
+// into the routing table; nil when the partition did not answer with
 // stats.
 func (g *Gateway) fetchStats(ctx context.Context, p *partition) *schedd.StatsResponse {
 	resp, err := g.call(ctx, p, http.MethodGet, "/v1/stats", "", nil)
@@ -212,82 +198,77 @@ func (g *Gateway) fetchStats(ctx context.Context, p *partition) *schedd.StatsRes
 
 // learn fetches /v1/stats from every partition whose topology is still
 // unknown, waiting for all of them, and folds the echoes into the
-// routing tables. It returns an error only when no partition has ever
+// routing table. It returns an error only when no partition has ever
 // been learned AND none is reachable — routing is impossible then; any
 // partial knowledge routes. A request calls it only when what it routes
 // by is unknown, so a partition that never answers stalls only those.
 func (g *Gateway) learn(ctx context.Context) error {
 	var unknown []*partition
-	for _, p := range g.parts {
-		p.mu.Lock()
-		if !p.learned {
-			unknown = append(unknown, p)
+	g.mu.Lock()
+	for i, n := range g.slots {
+		if n < 0 {
+			unknown = append(unknown, g.parts[i])
 		}
-		p.mu.Unlock()
 	}
-	if len(unknown) > 0 {
-		scatter(unknown, func(p *partition) { g.fetchStats(ctx, p) })
-	}
-	g.topoMu.Lock()
-	defer g.topoMu.Unlock()
-	if len(g.regionOwner) == 0 {
+	g.mu.Unlock()
+	scatter(unknown, func(p *partition) { g.fetchStats(ctx, p) })
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.owner) == 0 {
 		return errors.New("gateway: no partition reachable to learn the routing topology")
 	}
 	return nil
 }
 
-// absorb folds one partition's stats echo into the routing tables.
+// absorb folds one partition's stats echo into the routing table.
 func (g *Gateway) absorb(p *partition, st *schedd.StatsResponse) {
-	g.topoMu.Lock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for _, c := range st.Clusters {
-		if owner, ok := g.regionOwner[c.Region]; ok && owner != p.index {
+		if owner, ok := g.owner[c.Region]; ok && owner != p.index {
 			// A region claimed by two partitions would break the
 			// disjointness the equivalence proof needs; first claim wins
 			// and the conflict is surfaced as a metric.
 			g.mx.topoConflicts.Inc()
 			continue
 		}
-		g.regionOwner[c.Region] = p.index
+		g.owner[c.Region] = p.index
 	}
-	g.topoMu.Unlock()
-
-	p.mu.Lock()
-	p.learned, p.slots = true, slotsOf(st)
+	g.slots[p.index] = slotsOf(st)
 	if st.Partition != nil {
-		p.idBase = st.Partition.IDBase
-		p.hasID = true
+		g.idBase[p.index] = st.Partition.IDBase
 	}
-	p.mu.Unlock()
 }
 
-// routable reports whether every job's origin has a learned owner.
-func (g *Gateway) routable(jobs []schedd.JobRequest) bool {
-	g.topoMu.Lock()
-	defer g.topoMu.Unlock()
+// slotCount is partition i's slot total, or -1 before its stats echo.
+func (g *Gateway) slotCount(i int) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.slots[i]
+}
+
+// route groups a batch by owning partition under one hold of the
+// table: groups[i] lists, in batch order, the indexes of partition i's
+// jobs, and known reports whether every origin had a learned owner. A
+// job whose origin the table does not know goes by a stable hash of
+// the origin — deterministic, so a misrouted unknown origin at least
+// always lands on the same partition (which answers the authoritative
+// 400). The modulus is taken in uint32, so the index is the same on
+// every platform and never negative where int is 32 bits.
+func (g *Gateway) route(jobs []schedd.JobRequest) (groups [][]int, known bool) {
+	groups, known = make([][]int, len(g.parts)), true
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for i := range jobs {
-		if _, ok := g.regionOwner[jobs[i].Origin]; !ok {
-			return false
+		owner, ok := g.owner[jobs[i].Origin]
+		if !ok {
+			h := fnv.New32a()
+			io.WriteString(h, jobs[i].Origin)
+			owner, known = int(h.Sum32()%uint32(len(g.parts))), false
 		}
+		groups[owner] = append(groups[owner], i)
 	}
-	return true
-}
-
-// routeJob picks the owning partition for one job: its origin's region
-// group when the topology knows it, otherwise a stable hash of the
-// origin — deterministic, so a misrouted unknown origin at least always
-// lands on the same partition (which answers the authoritative 400).
-// The modulus is taken in uint32, so the index is the same on every
-// platform and never negative where int is 32 bits.
-func (g *Gateway) routeJob(job *schedd.JobRequest) int {
-	g.topoMu.Lock()
-	owner, ok := g.regionOwner[job.Origin]
-	g.topoMu.Unlock()
-	if ok {
-		return owner
-	}
-	h := fnv.New32a()
-	io.WriteString(h, job.Origin)
-	return int(h.Sum32() % uint32(len(g.parts)))
+	return groups, known
 }
 
 // ---- submission ----
@@ -318,34 +299,25 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, wire *sch
 		httpx.WriteJSON(w, http.StatusBadRequest, schedd.ErrorResponse{Error: err.Error()})
 		return
 	}
-	if !g.routable(jobs) {
+	groups, known := g.route(jobs)
+	if !known {
 		if err := g.learn(r.Context()); err != nil {
 			g.writeUnreachable(w, err)
 			return
 		}
+		groups, _ = g.route(jobs)
 	}
-
-	// Group the batch by owning partition, preserving batch order
-	// within each group.
-	byPart := make(map[int][]int) // partition -> original indexes
-	var order []int               // partitions in first-appearance order
-	for i := range jobs {
-		pi := g.routeJob(&jobs[i])
-		if _, ok := byPart[pi]; !ok {
-			order = append(order, pi)
+	for pi, idx := range groups {
+		if len(idx) == len(jobs) {
+			// Single-partition batch: raw proxy. Status, error shape, and
+			// Retry-After pass through exactly as the partition answered.
+			g.mx.proxied.Inc()
+			g.proxySubmit(w, r.Context(), g.parts[pi], wire, body)
+			return
 		}
-		byPart[pi] = append(byPart[pi], i)
-	}
-
-	if len(order) == 1 {
-		// Single-partition batch: raw proxy. Status, error shape, and
-		// Retry-After pass through exactly as the partition answered.
-		g.mx.proxied.Inc()
-		g.proxySubmit(w, r.Context(), g.parts[order[0]], wire, body)
-		return
 	}
 	g.mx.split.Inc()
-	g.splitSubmit(w, r.Context(), wire, jobs, byPart)
+	g.splitSubmit(w, r.Context(), wire, jobs, groups)
 }
 
 // writeUnreachable maps a gateway-side transport failure to 503 with a
@@ -392,88 +364,62 @@ type subResult struct {
 
 // splitSubmit fans a mixed batch out to its owning partitions —
 // serially, in ascending partition order, so each partition sees its
-// jobs in batch order — and folds the per-partition answers back into
-// one response.
-func (g *Gateway) splitSubmit(w http.ResponseWriter, ctx context.Context, wire *schedd.Wire, jobs []schedd.JobRequest, byPart map[int][]int) {
-	parts := make([]int, 0, len(byPart))
-	for pi := range byPart {
-		parts = append(parts, pi)
-	}
-	sort.Ints(parts)
-
-	results := make(map[int]subResult, len(parts))
-	for _, pi := range parts {
-		idx := byPart[pi]
+// jobs in batch order — and folds each answer as it comes: accepted
+// count and ids, latest arrival, and over the refusals their status if
+// all agree (-1 if not), the first message and the largest
+// Retry-After. All acked → one merged ack; all refused alike → that
+// status verbatim; anything else → 207, the one answer that builds
+// per-job outcomes.
+func (g *Gateway) splitSubmit(w http.ResponseWriter, ctx context.Context, wire *schedd.Wire, jobs []schedd.JobRequest, groups [][]int) {
+	results := make([]subResult, len(groups))
+	ids := make([]int, len(jobs))
+	accepted, arrival, refused, msg, after := 0, 0, 0, "", 0
+	for pi, idx := range groups {
+		if len(idx) == 0 {
+			continue
+		}
 		sub := make([]schedd.JobRequest, len(idx))
 		for j, i := range idx {
 			sub[j] = jobs[i]
 		}
-		results[pi] = g.submitSub(ctx, g.parts[pi], wire, sub)
-	}
-
-	// Fold. All-acked → a plain merged ack; uniform failure → that
-	// status verbatim with the largest Retry-After; mixed → 207 with
-	// per-job outcomes.
-	allOK, allFail, uniform := true, true, -1
-	for _, pi := range parts {
-		r := results[pi]
+		r := g.submitSub(ctx, g.parts[pi], wire, sub)
+		results[pi] = r
 		if r.status == http.StatusOK {
-			allFail = false
-		} else {
-			allOK = false
-			if uniform == -1 {
-				uniform = r.status
-			} else if uniform != r.status {
-				uniform = 0
-			}
-		}
-	}
-	switch {
-	case allOK:
-		ids, arrival := make([]int, len(jobs)), 0
-		for _, pi := range parts {
-			r := results[pi]
-			for j, i := range byPart[pi] {
+			for j, i := range idx {
 				ids[i] = r.ids[j]
 			}
-			if r.arrival > arrival {
-				arrival = r.arrival
-			}
+			accepted, arrival = accepted+len(idx), max(arrival, r.arrival)
+			continue
 		}
+		if refused == 0 {
+			refused = r.status
+		} else if refused != r.status {
+			refused = -1
+		}
+		if msg == "" {
+			msg = r.errMsg
+		}
+		after = max(after, r.retryAfter)
+	}
+	switch {
+	case accepted == len(jobs):
 		wire.WriteAck(w, nil, arrival, ids)
-	case allFail && uniform > 0:
-		first, after := "", 0
-		for _, pi := range parts {
-			r := results[pi]
-			if first == "" {
-				first = r.errMsg
-			}
-			if r.retryAfter > after {
-				after = r.retryAfter
-			}
-		}
+	case accepted == 0 && refused > 0:
 		if after > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(after))
 		}
-		httpx.WriteJSON(w, uniform, schedd.ErrorResponse{Error: first, RetryAfter: after})
+		httpx.WriteJSON(w, refused, schedd.ErrorResponse{Error: msg, RetryAfter: after})
 	default:
 		g.mx.partial.Inc()
-		ms := schedd.MultiStatusResponse{Outcomes: make([]schedd.JobOutcome, len(jobs))}
-		for _, pi := range parts {
+		ms := schedd.MultiStatusResponse{ArrivalHour: arrival, Accepted: accepted,
+			Outcomes: make([]schedd.JobOutcome, len(jobs))}
+		for pi, idx := range groups {
 			r := results[pi]
-			for j, i := range byPart[pi] {
-				o := schedd.JobOutcome{Partition: pi, Status: r.status}
-				if r.status == http.StatusOK {
-					o.ID = r.ids[j]
-					ms.Accepted++
-					if r.arrival > ms.ArrivalHour {
-						ms.ArrivalHour = r.arrival
-					}
-				} else {
-					o.Error = r.errMsg
-					o.RetryAfter = r.retryAfter
+			for _, i := range idx {
+				ms.Outcomes[i] = schedd.JobOutcome{Partition: pi, Status: r.status, ID: ids[i]}
+				if r.status != http.StatusOK {
+					ms.Outcomes[i].Error, ms.Outcomes[i].RetryAfter = r.errMsg, r.retryAfter
 				}
-				ms.Outcomes[i] = o
 			}
 		}
 		// 207 on both routes is JSON: only 200 acks are binary, exactly
@@ -580,13 +526,12 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 // idOwner returns the partition owning id by IDBase range, or -1 when
 // no partition has echoed an id base.
 func (g *Gateway) idOwner(id int) int {
-	owner, base := -1, -1
-	for _, p := range g.parts {
-		p.mu.Lock()
-		has, pb := p.hasID, p.idBase
-		p.mu.Unlock()
-		if has && pb <= id && pb > base {
-			owner, base = p.index, pb
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	owner, best := -1, -1
+	for i, base := range g.idBase {
+		if base <= id && base > best {
+			owner, best = i, base
 		}
 	}
 	return owner

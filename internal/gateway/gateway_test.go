@@ -27,18 +27,25 @@ func job(origin string) schedd.JobRequest {
 	return schedd.JobRequest{Origin: origin, LengthHours: 1, SlackHours: 24}
 }
 
-// fake is a partition that is not a schedd: it owns region R0<index>,
-// admits every job under ids from index*idBase, answers lookups of
-// them, and echoes its topology and job count in /v1/stats and
+// fake is a partition that is not a schedd: it owns region R0<index>
+// and the regions in claims, one slot each, admits every job under ids
+// from index*idBase (or under its explicit id), answers lookups of
+// them, and echoes its topology, job count and util in /v1/stats and
 // /metrics. mangle, when set, spoils every submit's 200 ack on its way
-// out; brokenLookups answers every lookup 500.
+// out; brokenLookups answers every lookup 500; refuse, when set, answers
+// every submit with that status and a retryAfter hint.
 type fake struct {
-	index         int
-	mangle        func(ack []byte) []byte
-	brokenLookups bool
+	index              int
+	mangle             func(ack []byte) []byte
+	brokenLookups      bool
+	refuse, retryAfter int
+	util               float64
 
 	mu      sync.Mutex
-	origins []string // by id - index*idBase
+	claims  []string
+	origins []string       // by id - index*idBase
+	pinned  map[int]string // origins by explicit id
+	lookups int
 }
 
 const idBase = 1_000_000
@@ -49,23 +56,30 @@ func (f *fake) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	base := f.index * idBase
 	switch path := r.URL.Path; {
 	case path == "/v1/stats":
-		httpx.WriteJSON(w, http.StatusOK, schedd.StatsResponse{
-			Policy: "fifo", Submitted: len(f.origins),
-			Clusters:  []schedd.ClusterInfo{{Region: fmt.Sprintf("R0%d", f.index), Slots: 1}},
-			Partition: &schedd.PartitionInfo{ID: f.index, Count: 2, IDBase: base},
-		})
+		st := schedd.StatsResponse{Policy: "fifo", Submitted: len(f.origins),
+			Partition: &schedd.PartitionInfo{ID: f.index, Count: 2, IDBase: base}}
+		for _, region := range append([]string{fmt.Sprintf("R0%d", f.index)}, f.claims...) {
+			st.Clusters = append(st.Clusters, schedd.ClusterInfo{Region: region, Slots: 1})
+		}
+		httpx.WriteJSON(w, http.StatusOK, st)
 	case path == "/metrics":
-		fmt.Fprintf(w, "schedd_jobs_submitted_total %d\n", len(f.origins))
+		fmt.Fprintf(w, "schedd_jobs_submitted_total %d\nschedd_utilization_ratio %g\n", len(f.origins), f.util)
 	case r.Method == http.MethodGet && strings.HasPrefix(path, "/v1/jobs/"):
+		f.lookups++
 		id, _ := strconv.Atoi(strings.TrimPrefix(path, "/v1/jobs/"))
+		origin, pinned := f.pinned[id]
 		switch {
 		case f.brokenLookups:
 			httpx.WriteJSON(w, http.StatusInternalServerError, schedd.ErrorResponse{Error: "job store unreadable"})
+		case pinned:
+			httpx.WriteJSON(w, http.StatusOK, schedd.JobResponse{ID: id, Origin: origin})
 		case id < base || id >= base+len(f.origins):
 			httpx.WriteJSON(w, http.StatusNotFound, schedd.ErrorResponse{Error: fmt.Sprintf("unknown job %d", id)})
 		default:
 			httpx.WriteJSON(w, http.StatusOK, schedd.JobResponse{ID: id, Origin: f.origins[id-base]})
 		}
+	case f.refuse != 0:
+		httpx.WriteJSON(w, f.refuse, schedd.ErrorResponse{Error: fmt.Sprintf("partition %d refuses", f.index), RetryAfter: f.retryAfter})
 	default:
 		wire := schedd.JSONWire
 		if path == schedd.BinaryWire.Route {
@@ -74,6 +88,14 @@ func (f *fake) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		jobs, _ := wire.DecodeSubmit(r.Body) // the gateway sends what it decoded
 		var ids []int
 		for _, j := range jobs {
+			if j.ID != nil {
+				if f.pinned == nil {
+					f.pinned = make(map[int]string)
+				}
+				f.pinned[*j.ID] = j.Origin
+				ids = append(ids, *j.ID)
+				continue
+			}
 			ids = append(ids, base+len(f.origins))
 			f.origins = append(f.origins, j.Origin)
 		}
@@ -143,9 +165,8 @@ func admitted(t *testing.T, gw *Gateway, origin string) int {
 func TestUnknownOriginRoute(t *testing.T) {
 	gw := newGateway(t, Config{Partitions: [][]string{{"http://p0"}, {"http://p1"}, {"http://p2"}}})
 	for origin, want := range map[string]int{"A": 0, "nope": 1, "XX-UNKNOWN": 2, "mars": 1, "R99": 0, "": 1, "zz": 0} {
-		j := job(origin)
-		if got := gw.routeJob(&j); got != want {
-			t.Errorf("origin %q routes to partition %d, want %d", origin, got, want)
+		if groups, known := gw.route([]schedd.JobRequest{job(origin)}); known || len(groups[want]) != 1 {
+			t.Errorf("origin %q routes to %v (known %v), want partition %d", origin, groups, known, want)
 		}
 	}
 }
@@ -332,6 +353,93 @@ func TestEveryCallKindTracksPartitionHealth(t *testing.T) {
 			if up, errs := health(); up != 1 || errs != 1 {
 				t.Fatalf("listener reopened: up=%v errors=%v, want 1 / 1 — this call kind alone must refresh the gauge", up, errs)
 			}
+		})
+	}
+}
+
+// TestRoutingTablePaths: the routing table's paths a healthy fleet
+// never takes, each a row over two fake partitions and a gateway that
+// has learned nothing yet.
+func TestRoutingTablePaths(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		parts [2]*fake
+		check func(t *testing.T, gw *Gateway, cfg Config, parts [2]*fake)
+	}{
+		{"a region claimed twice keeps its first owner", [2]*fake{{index: 0}, {index: 1}},
+			func(t *testing.T, gw *Gateway, _ Config, parts [2]*fake) {
+				admitted(t, gw, "R00") // learns both partitions
+				parts[1].mu.Lock()
+				parts[1].claims = []string{"R00"}
+				parts[1].mu.Unlock()
+				get(gw, "/v1/stats") // absorbs every echo again, partition 1's claim to R00 too
+				if id := admitted(t, gw, "R00"); id >= idBase {
+					t.Fatalf("R00's job %d went to partition 1, the second claimant", id)
+				}
+				var buf bytes.Buffer
+				gw.Metrics().WriteTo(&buf)
+				sc, err := metrics.ParseText(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := sc.Sum("gateway_topology_conflicts_total"); n != 1 {
+					t.Fatalf("gateway_topology_conflicts_total %v, want 1", n)
+				}
+			}},
+		{"differing refusals answer 207 with each partition's own", [2]*fake{{index: 0, refuse: 429, retryAfter: 3}, {index: 1, refuse: 503, retryAfter: 7}},
+			func(t *testing.T, gw *Gateway, _ Config, _ [2]*fake) {
+				rr := submit(gw, schedd.BinaryWire, job("R00"), job("R01"), job("R00"))
+				var ms schedd.MultiStatusResponse
+				if rr.Code != http.StatusMultiStatus || json.Unmarshal(rr.Body.Bytes(), &ms) != nil || ms.Accepted != 0 || len(ms.Outcomes) != 3 {
+					t.Fatalf("%d %s, want a 207 of 3 outcomes, none accepted", rr.Code, rr.Body)
+				}
+				for i, o := range ms.Outcomes {
+					want := schedd.JobOutcome{Partition: 0, Status: 429, Error: "partition 0 refuses", RetryAfter: 3}
+					if i == 1 {
+						want = schedd.JobOutcome{Partition: 1, Status: 503, Error: "partition 1 refuses", RetryAfter: 7}
+					}
+					if o != want {
+						t.Fatalf("outcome %d = %+v, want %+v", i, o, want)
+					}
+				}
+			}},
+		{"a cold lookup learns the id bases before it routes", [2]*fake{{index: 0}, {index: 1}},
+			func(t *testing.T, gw *Gateway, cfg Config, parts [2]*fake) {
+				id := admitted(t, newGateway(t, cfg), "R01") // through another gateway: this one stays cold
+				rr := get(gw, fmt.Sprintf("/v1/jobs/%d", id))
+				parts[0].mu.Lock()
+				defer parts[0].mu.Unlock()
+				if rr.Code != http.StatusOK || parts[0].lookups != 0 {
+					t.Fatalf("lookup of job %d: %d %s after %d lookups on partition 0, want 200 from its owner alone", id, rr.Code, rr.Body, parts[0].lookups)
+				}
+			}},
+		{"an explicit id outside its range is found by asking the rest", [2]*fake{{index: 0}, {index: 1}},
+			func(t *testing.T, gw *Gateway, _ Config, _ [2]*fake) {
+				id := 5 // in partition 0's range, admitted by partition 1, which owns R01
+				jr := job("R01")
+				jr.ID = &id
+				if rr := submit(gw, schedd.JSONWire, jr); rr.Code != http.StatusOK {
+					t.Fatalf("submit: %d %s", rr.Code, rr.Body)
+				}
+				if rr := get(gw, "/v1/jobs/5"); rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"origin":"R01"`) {
+					t.Fatalf("lookup of job 5: %d %s, want partition 1's R01 job", rr.Code, rr.Body)
+				}
+			}},
+		{"a cold metrics scrape fetches the slot weights", [2]*fake{{index: 0, util: 1}, {index: 1, claims: []string{"R11", "R12"}}},
+			func(t *testing.T, gw *Gateway, _ Config, _ [2]*fake) {
+				// One busy slot beside three idle ones.
+				sc, err := metrics.ParseText(get(gw, "/metrics").Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if util, _ := sc.Value("schedd_utilization_ratio"); util != 0.25 {
+					t.Fatalf("merged utilization %v, want 0.25", util)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Partitions: [][]string{startAll(t, tc.parts[0]), startAll(t, tc.parts[1])}}
+			tc.check(t, newGateway(t, cfg), cfg, tc.parts)
 		})
 	}
 }

@@ -83,7 +83,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	scatter(g.parts, func(p *partition) {
 		// Utilization is weighted by the partition's slots, which its
 		// stats echo carries.
-		if p.slotCount() < 0 {
+		if g.slotCount(p.index) < 0 {
 			g.fetchStats(r.Context(), p)
 		}
 		resp, err := g.call(r.Context(), p, http.MethodGet, "/metrics", "", nil)
@@ -108,7 +108,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		m.Absorb(b)
 		if sc := scrapes[i]; sc != nil {
-			n := float64(max(g.parts[i].slotCount(), 0))
+			n := float64(max(g.slotCount(i), 0))
 			util, _ := sc.Value("schedd_utilization_ratio")
 			submitted += sc.Sum("schedd_jobs_submitted_total")
 			missedJobs += sc.Sum("schedd_jobs_missed_total")

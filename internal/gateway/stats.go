@@ -5,7 +5,7 @@ package gateway
 // schedd.StatsResponse-shaped merge, plus a gateway block saying which
 // partitions the merge actually covers. The scatter doubles as a
 // topology refresh — every echo is re-absorbed into the routing
-// tables.
+// table.
 
 import (
 	"errors"

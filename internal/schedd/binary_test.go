@@ -7,13 +7,17 @@ package schedd
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"carbonshift/internal/httpx"
+	"carbonshift/internal/regions"
 	"carbonshift/internal/sched"
+	"carbonshift/internal/tracing"
+	"carbonshift/internal/wal"
 )
 
 // TestBinarySubmitRoundTrip: a binary batch admits, acks correctly,
@@ -105,5 +109,53 @@ func TestBinaryDecoderInterning(t *testing.T) {
 	}
 	if got, want := b.jobs[0].Origin, srv.origins["CLEAN"]; got != want {
 		t.Fatalf("origin %q not interned", got)
+	}
+}
+
+// TestAdmitRecordFitsMaxRecord: journalAdmit writes a request's whole
+// batch as one record, so the largest batch a body under httpx.MaxBody
+// can carry must encode under wal.MaxRecord. The bound comes from the
+// encoders. The smallest binary job (the catalogue's shortest origin,
+// one-byte hours) costs minReq request bytes; a JSON job costs more. An
+// admit record repeats each job's request fields and adds at most grow
+// bytes: an auto id, and an arrival hour, which sched.Job.Validate
+// holds under 2^31. So n ≤ MaxBody/minReq jobs make a record of at most
+// its header, plus MaxBody, plus n·grow.
+func TestAdmitRecordFitsMaxRecord(t *testing.T) {
+	origin := regions.All()[0].Code
+	for _, r := range regions.All() {
+		if len(r.Code) < len(origin) {
+			origin = r.Code
+		}
+	}
+	const id, arrival = math.MaxInt, math.MaxInt32 // the widest varints either can be
+	tid := tracing.TraceID{1}
+	// Each encoder's bytes for one more job, so the frame and record
+	// headers drop out.
+	reqBytes := func(jr JobRequest) int {
+		return len(AppendBinarySubmit(nil, []JobRequest{jr, jr})) - len(AppendBinarySubmit(nil, []JobRequest{jr}))
+	}
+	admitBytes := func(jr JobRequest) int {
+		j := sched.Job{ID: id, Origin: jr.Origin, Tenant: jr.Tenant, Arrival: arrival, Length: jr.LengthHours,
+			Slack: jr.SlackHours, Interruptible: jr.Interruptible, Migratable: jr.Migratable}
+		return len(encodeAdmit(arrival, id, []sched.Job{j, j}, tid)) - len(encodeAdmit(arrival, id, []sched.Job{j}, tid))
+	}
+	small := JobRequest{Origin: origin}
+	minReq, grow := reqBytes(small), admitBytes(small)-reqBytes(small)
+	explicit := 1 << 40
+	for _, jr := range []JobRequest{
+		{Origin: "US-CAL-CISO", LengthHours: 1 << 20, SlackHours: 300, Tenant: "analytics", Interruptible: true, Migratable: true},
+		{ID: &explicit, Origin: origin, LengthHours: 3},
+	} {
+		if g := admitBytes(jr) - reqBytes(jr); g > grow {
+			t.Fatalf("%+v grows by %d bytes in its admit record, past the smallest job's %d", jr, g, grow)
+		}
+	}
+	// The job count's varint is at most 4 bytes for any count a body holds.
+	header := len(encodeAdmit(arrival, id, nil, tid)) + 3
+	bound := header + httpx.MaxBody + httpx.MaxBody/minReq*grow
+	t.Logf("jobs ≥ %d B, admit growth ≤ %d B a job: a record ≤ %d B of %d", minReq, grow, bound, wal.MaxRecord)
+	if bound > wal.MaxRecord {
+		t.Fatalf("a %d B body of %d B jobs makes an admit record of up to %d B, past wal.MaxRecord", httpx.MaxBody, minReq, bound)
 	}
 }

@@ -296,39 +296,21 @@ func (s *Server) maybeSnapshot() error {
 	return s.rotateGeneration()
 }
 
-// admitRecordChunk bounds the jobs encoded into one admit record so a
-// huge binary batch can never approach wal.MaxRecord. The chunks are
-// buffered back to back under admitMu via one AppendBatchNoWait —
-// journal order still equals fleet submission order, and one
-// WaitSynced on the last sequence makes the whole batch durable.
-// Replaying the chunks in order reconstructs the same fleet: they
-// share the arrival hour, and every chunk carries the final post-batch
-// id counter, whose intermediate values are never observable.
-const admitRecordChunk = 4096
-
-// journalAdmit buffers an admission record (or a chunked run of them)
-// and returns the journal plus the last record's sequence number; the
-// caller acknowledges only after WaitSynced on that pair. Must be
-// called under admitMu, after SubmitNow stamped the batch's arrival
-// hours — buffering under admitMu fixes the record order, while the
-// durability wait happens after the lock is released so concurrent
-// submitters share one group-commit fsync.
+// journalAdmit buffers one admission record for the batch and returns
+// the journal plus the record's sequence number; the caller
+// acknowledges only after WaitSynced on that pair. Must be called under
+// admitMu, after SubmitNow stamped the batch's arrival hours —
+// buffering under admitMu fixes the record order, while the durability
+// wait happens after the lock is released so concurrent submitters
+// share one group-commit fsync. No batch a request body can carry makes
+// a record past wal.MaxRecord (TestAdmitRecordFitsMaxRecord).
 func (s *Server) journalAdmit(arrival, nextID int, jobs []sched.Job, tid tracing.TraceID) (*wal.Journal, uint64, error) {
 	d := s.dur.Load()
 	if d == nil {
 		return nil, 0, nil
 	}
 	j := d.journal.Load()
-	if len(jobs) <= admitRecordChunk {
-		seq, err := j.AppendNoWait(encodeAdmit(arrival, nextID, jobs, tid))
-		return j, seq, err
-	}
-	recs := make([][]byte, 0, (len(jobs)+admitRecordChunk-1)/admitRecordChunk)
-	for lo := 0; lo < len(jobs); lo += admitRecordChunk {
-		hi := min(lo+admitRecordChunk, len(jobs))
-		recs = append(recs, encodeAdmit(arrival, nextID, jobs[lo:hi], tid))
-	}
-	seq, err := j.AppendBatchNoWait(recs...)
+	seq, err := j.AppendNoWait(encodeAdmit(arrival, nextID, jobs, tid))
 	return j, seq, err
 }
 

@@ -333,6 +333,7 @@ func New(set *trace.Set, clusters []sched.Cluster, cfg Config, opts ...Option) (
 // validate refuses what only zero may mean: a negative bound, cadence,
 // horizon, partition count, id base or replay speed is not a default.
 // PartitionID must lie in [0, Partitions), and be 0 when unpartitioned.
+// Sync must be one of wal's three modes, journaled or not.
 func (cfg Config) validate() error {
 	for _, f := range []struct {
 		name string
@@ -349,6 +350,9 @@ func (cfg Config) validate() error {
 	}
 	if n := max(cfg.Partitions, 1); cfg.PartitionID < 0 || cfg.PartitionID >= n {
 		return fmt.Errorf("schedd: Config.PartitionID %d outside [0, %d)", cfg.PartitionID, n)
+	}
+	if cfg.Sync < wal.SyncBatch || cfg.Sync > wal.SyncNone {
+		return fmt.Errorf("schedd: Config.Sync %v is not a wal sync mode", cfg.Sync)
 	}
 	return nil
 }

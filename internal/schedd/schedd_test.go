@@ -123,10 +123,11 @@ func TestDrainResolvesEverything(t *testing.T) {
 
 // TestConfigRefusesNegatives: only 0 selects a default. A negative bound,
 // snapshot cadence, horizon, partition count, id base or replay speed,
-// and a partition id outside [0, Partitions) — 0 when unpartitioned —
-// are refused by name before anything is built (NewFollower builds
-// through the same newServer), and so are a follower's negative probe
-// cadence, probe budget and reconnect delay.
+// a partition id outside [0, Partitions) — 0 when unpartitioned — and
+// a sync mode wal does not have, with or without a journal, are refused
+// by name before anything is built (NewFollower builds through the same
+// newServer), and so are a follower's negative probe cadence, probe
+// budget and reconnect delay.
 func TestConfigRefusesNegatives(t *testing.T) {
 	for _, tc := range []struct {
 		name string // the field refused, first
@@ -142,6 +143,8 @@ func TestConfigRefusesNegatives(t *testing.T) {
 		{"PartitionID below 0", Config{Partitions: 2, PartitionID: -1}},
 		{"PartitionID past Partitions", Config{Partitions: 2, PartitionID: 2}},
 		{"PartitionID unpartitioned", Config{PartitionID: 1}},
+		{"Sync", Config{Sync: 5}},
+		{"Sync journaled", Config{Sync: 3, DataDir: t.TempDir()}},
 		{"ProbeInterval", FollowerConfig{ProbeInterval: -time.Second}},
 		{"ProbeFailures", FollowerConfig{ProbeFailures: -1}},
 		{"ReconnectDelay", FollowerConfig{ReconnectDelay: -time.Millisecond}},

@@ -168,8 +168,13 @@ type Journal struct {
 }
 
 // Create creates (or truncates) a journal file and writes its header.
-// The header reaches the disk with the first synced record.
+// The header reaches the disk with the first synced record. A sync mode
+// other than the three is refused before the file is touched: it would
+// start no flusher and make WaitSynced return at once.
 func Create(path string, opts Options) (*Journal, error) {
+	if opts.Sync < SyncBatch || opts.Sync > SyncNone {
+		return nil, fmt.Errorf("wal: unknown sync mode %v", opts.Sync)
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: create journal: %w", err)

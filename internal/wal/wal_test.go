@@ -437,6 +437,23 @@ func TestParseSyncMode(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesUnknownSyncMode: a mode that is none of the three
+// would never fsync while WaitSynced reported every record durable, so
+// Create refuses it, and leaves a journal already at the path as it was.
+func TestCreateRefusesUnknownSyncMode(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	appendAll(t, path, Options{Sync: SyncNone}, []byte("kept"))
+	for _, mode := range []SyncMode{SyncNone + 1, 7, -1} {
+		if j, err := Create(path, Options{Sync: mode}); err == nil {
+			j.Close()
+			t.Fatalf("Create accepted %v", mode)
+		}
+	}
+	if got, _ := replayAll(t, path); len(got) != 1 || string(got[0]) != "kept" {
+		t.Fatalf("a refused Create left the journal holding %q", got)
+	}
+}
+
 func TestReplayMissingFile(t *testing.T) {
 	if _, err := Replay(filepath.Join(t.TempDir(), "nope.wal"), func([]byte) error { return nil }); err == nil {
 		t.Fatal("missing file did not error")
