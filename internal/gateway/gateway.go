@@ -324,9 +324,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request, wire *sch
 // short Retry-After — the same backpressure shape the partitions use,
 // so clients pace instead of hammering.
 func (g *Gateway) writeUnreachable(w http.ResponseWriter, err error) {
-	w.Header().Set("Retry-After", "1")
-	httpx.WriteJSON(w, http.StatusServiceUnavailable,
-		schedd.ErrorResponse{Error: err.Error(), RetryAfter: 1})
+	schedd.ErrorResponse{Error: err.Error(), RetryAfter: 1}.Respond(w, http.StatusServiceUnavailable)
 }
 
 // proxySubmit forwards one already-read submit body to a partition and
@@ -405,10 +403,7 @@ func (g *Gateway) splitSubmit(w http.ResponseWriter, ctx context.Context, wire *
 	case accepted == len(jobs):
 		wire.WriteAck(w, nil, arrival, ids)
 	case accepted == 0 && refused > 0:
-		if after > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(after))
-		}
-		httpx.WriteJSON(w, refused, schedd.ErrorResponse{Error: msg, RetryAfter: after})
+		schedd.ErrorResponse{Error: msg, RetryAfter: after}.Respond(w, refused)
 	default:
 		g.mx.partial.Inc()
 		ms := schedd.MultiStatusResponse{ArrivalHour: arrival, Accepted: accepted,
@@ -444,9 +439,13 @@ func (g *Gateway) submitSub(ctx context.Context, p *partition, wire *schedd.Wire
 	}
 	if resp.StatusCode == http.StatusOK {
 		ack, err := wire.DecodeAck(resp.Body)
+		if err == nil && len(ack.IDs) != len(sub) {
+			err = fmt.Errorf("%d ids for %d jobs", len(ack.IDs), len(sub))
+		}
 		if err != nil {
 			// The partition admitted the sub-batch; an ack the gateway
-			// cannot read is neither a success nor something to send again.
+			// cannot read, or that does not give one id per job, is
+			// neither a success nor something to send again.
 			return subResult{status: http.StatusBadGateway,
 				errMsg: fmt.Sprintf("partition %d: bad ack: %v", p.index, err)}
 		}

@@ -173,7 +173,8 @@ func TestUnknownOriginRoute(t *testing.T) {
 
 // TestUndecodableAckIs502: a partition that answers 200 with an ack the
 // gateway cannot read — a binary frame cut mid-payload, one with a CRC
-// bit flipped, JSON that is not JSON — has admitted the sub-batch, so
+// bit flipped, JSON that is not JSON, an ack with one id too few or too
+// many for its sub-batch, on either wire — has admitted the sub-batch, so
 // the gateway must neither call it a success nor send it again. Those
 // jobs come back as 502 "partition N: bad ack: …" outcomes in the 207
 // beside the other partition's real ids, and the partition — listed
@@ -189,6 +190,10 @@ func TestUndecodableAckIs502(t *testing.T) {
 		// Bytes 9–12 of an ack frame are its CRC.
 		{"binary ack with a flipped CRC bit", schedd.BinaryWire, func(ack []byte) []byte { ack[10] ^= 0x04; return ack }},
 		{"not json", schedd.JSONWire, func([]byte) []byte { return []byte("not json") }},
+		{"binary ack one id short", schedd.BinaryWire, resizeAck(schedd.BinaryWire, -1)},
+		{"binary ack one id over", schedd.BinaryWire, resizeAck(schedd.BinaryWire, +1)},
+		{"json ack one id short", schedd.JSONWire, resizeAck(schedd.JSONWire, -1)},
+		{"json ack one id over", schedd.JSONWire, resizeAck(schedd.JSONWire, +1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p0, p1 := &fake{index: 0}, &fake{index: 1, mangle: tc.mangle}
@@ -219,6 +224,22 @@ func TestUndecodableAckIs502(t *testing.T) {
 				t.Fatalf("partition 1 holds %d jobs, want the sub-batch's 2 once", len(p1.origins))
 			}
 		})
+	}
+}
+
+// resizeAck re-encodes a well-formed ack over wire with one id dropped
+// (delta -1) or one added (delta +1).
+func resizeAck(wire *schedd.Wire, delta int) func(ack []byte) []byte {
+	return func(ack []byte) []byte {
+		a, err := wire.DecodeAck(ack)
+		if err != nil {
+			panic(err)
+		}
+		ids := a.IDs[:len(a.IDs)-1]
+		if delta > 0 {
+			ids = append(a.IDs, a.IDs[0]+idBase/2)
+		}
+		return wire.AppendAck(nil, a.ArrivalHour, ids)
 	}
 }
 

@@ -153,10 +153,7 @@ func (e *Endpoints) Do(ctx context.Context, hc *http.Client, method, path, conte
 			e.rotateFrom(base)
 		case resp.StatusCode == http.StatusMisdirectedRequest:
 			// A follower named its primary; go there next.
-			var hint struct {
-				Error   string `json:"error"`
-				Primary string `json:"primary"`
-			}
+			var hint ErrorBody
 			json.Unmarshal(resp.Body, &hint)
 			lastErr = fmt.Errorf("%s: %s: misdirected: %s", prefix, base, hint.Error)
 			if e.redirect(base, hint.Primary) {

@@ -54,7 +54,7 @@ func FuzzWriteJSONRoundTrip(f *testing.F) {
 		if !utf8.ValidString(msg) {
 			t.Skip() // Marshal substitutes U+FFFD, so the round trip can't be verbatim
 		}
-		body, err := json.Marshal(errorBody{Error: msg})
+		body, err := json.Marshal(ErrorBody{Error: msg})
 		if err != nil {
 			t.Skip()
 		}

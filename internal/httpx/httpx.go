@@ -4,7 +4,8 @@
 // propagation stay identical across them:
 //
 //   - response writing: WriteJSON, WriteTooLarge, the {"error": ...}
-//     shape and its typed client-side form, StatusError;
+//     shape ErrorBody with its writer Respond, and its typed
+//     client-side form, StatusError;
 //   - the one upstream round trip, Do: every non-streaming request any
 //     client in this repository sends is built, trace-stamped, sent once
 //     and read back under MaxBody there, and comes back as a Response;
@@ -27,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"carbonshift/internal/tracing"
 )
@@ -34,13 +36,25 @@ import (
 // MaxBody bounds how much of any response or request body is read.
 const MaxBody = 16 << 20
 
-// errorBody is the shared {"error": ...} wire shape every service uses
-// for non-200 responses. Backpressure rejections also carry the
-// Retry-After hint in-body, so it survives any proxy or client hop
-// that only preserves the JSON shape.
-type errorBody struct {
+// ErrorBody is the shared {"error": ...} wire shape every service uses
+// for non-200 responses. Primary carries a follower's write-redirect
+// hint on a 421 (failover.go). RetryAfter is a backpressure rejection's
+// hint in seconds: Respond also sends it as the Retry-After header, and
+// in-body it survives any proxy or client hop that only preserves the
+// JSON shape.
+type ErrorBody struct {
 	Error      string `json:"error"`
+	Primary    string `json:"primary,omitempty"`
 	RetryAfter int    `json:"retry_after,omitempty"`
+}
+
+// Respond writes b as the response with the given status, stamping the
+// Retry-After header when b carries a hint.
+func (b ErrorBody) Respond(w http.ResponseWriter, status int) {
+	if b.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(b.RetryAfter))
+	}
+	WriteJSON(w, status, b)
 }
 
 // StatusError is the typed form of every non-200 response error
@@ -95,7 +109,7 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 // and at the gateway in front of it.
 func WriteTooLarge(w http.ResponseWriter) {
 	WriteJSON(w, http.StatusRequestEntityTooLarge,
-		errorBody{Error: fmt.Sprintf("request body exceeds the %d-byte limit", MaxBody)})
+		ErrorBody{Error: fmt.Sprintf("request body exceeds the %d-byte limit", MaxBody)})
 }
 
 // Response is one upstream answer, read to its end under MaxBody.
@@ -172,7 +186,7 @@ func Do(ctx context.Context, hc *http.Client, method, url, contentType string, p
 // connection.
 func DecodeResponse(statusCode int, status string, body []byte, prefix string, out any) error {
 	if statusCode != http.StatusOK {
-		var apiErr errorBody
+		var apiErr ErrorBody
 		if json.Unmarshal(body, &apiErr) == nil && apiErr.Error != "" {
 			return &StatusError{
 				StatusCode: statusCode,

@@ -132,68 +132,45 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	lastBeat := time.Now()
-	// drain sends every complete record currently readable at the
-	// cursor. failed=true means the stream is over (corruption reported
-	// via an end frame, or the client vanished).
-	drain := func() (sent, failed bool) {
-		for {
+	for ctx.Err() == nil && out.err == nil {
+		// Read the live generation before draining. A journal is closed
+		// — flushed and complete — before the generation advances past
+		// it, so once live > gen this drain reaches the file's last
+		// record. On the live generation, flush the appenders' buffer
+		// first so the file holds everything acknowledged so far.
+		live := s.b.Generation()
+		if live == gen {
+			s.b.FlushJournal()
+		}
+		from := sr.Offset()
+		for out.err == nil {
 			p, err := sr.Next()
 			if errors.Is(err, wal.ErrNoRecord) {
-				return sent, false
+				break
 			}
 			if err != nil {
 				out.send(AppendEnd(out.buf, err.Error()))
-				return sent, true
-			}
-			out.send(AppendRecord(out.buf, sr.Offset(), p))
-			sent = true
-			if out.err != nil {
-				return sent, true
-			}
-		}
-	}
-	for ctx.Err() == nil && out.err == nil {
-		// Drain every complete record currently in this generation's
-		// file. On the live generation, flush the appenders' buffer
-		// first so the file holds everything acknowledged so far.
-		if gen == s.b.Generation() {
-			s.b.FlushJournal()
-		}
-		sent, failed := drain()
-		if failed {
-			return
-		}
-		if sent {
-			out.flush()
-			continue // there may be more already
-		}
-
-		if cur := s.b.Generation(); cur > gen {
-			// The generation rotated under us. A rotated journal is
-			// closed — flushed and complete — before the generation
-			// number advances, but records may have landed in it after
-			// our drain above and before the rotation; re-drain the now
-			// final file so nothing is skipped, then move to the next
-			// one. If rotation already garbage-collected that next
-			// journal, the follower must re-bootstrap.
-			sent, failed := drain()
-			if failed {
 				return
 			}
-			if sent {
-				out.flush()
-			}
-			next := gen + 1
-			nsr, err := wal.OpenSegment(s.b.JournalPath(next), int64(wal.HeaderLen))
+			out.send(AppendRecord(out.buf, sr.Offset(), p))
+		}
+		if live > gen {
+			// Move to the next generation's file. If rotation already
+			// garbage-collected it, the follower must re-bootstrap.
+			nsr, err := wal.OpenSegment(s.b.JournalPath(gen+1), int64(wal.HeaderLen))
 			if err != nil {
-				out.send(AppendEnd(out.buf, fmt.Sprintf("generation %d was garbage-collected", next)))
+				out.send(AppendEnd(out.buf, fmt.Sprintf("generation %d was garbage-collected", gen+1)))
 				return
 			}
 			sr.Close()
-			sr, gen = nsr, next
+			sr, gen = nsr, gen+1
 			out.send(AppendRotate(out.buf, Cursor{Generation: gen, Offset: int64(wal.HeaderLen)}))
 			out.flush()
 			continue
+		}
+		if sr.Offset() > from {
+			out.flush()
+			continue // there may be more already
 		}
 
 		// Caught up: long-poll, heartbeating so the follower can tell an

@@ -628,17 +628,11 @@ type TenantStatsEntry struct {
 	EmissionsG float64      `json:"emissions_g"`
 }
 
-// ErrorResponse is the JSON error body. Primary carries the
-// write-redirect hint on 421 responses from a follower (see client.go
-// for the contract). RetryAfter mirrors the Retry-After header on
-// backpressure rejections (429/503): seconds until a retry can
-// succeed, carried in-body too so it survives every proxy and client
-// hop that preserves the JSON error shape.
-type ErrorResponse struct {
-	Error      string `json:"error"`
-	Primary    string `json:"primary,omitempty"`
-	RetryAfter int    `json:"retry_after,omitempty"`
-}
+// ErrorResponse is the JSON error body every service sends, declared
+// once in httpx: Primary is a follower's 421 write-redirect hint (see
+// client.go for the contract), RetryAfter a 429 or 503's backpressure
+// hint in seconds.
+type ErrorResponse = httpx.ErrorBody
 
 // Handler returns the HTTP handler for the service. Every route goes
 // through guard (repl.go), which alone reads the role: the two submit
@@ -747,12 +741,9 @@ func (s *Server) quotaRetryAfter() int {
 func (s *Server) writeAdmitError(w http.ResponseWriter, status int, err error) {
 	resp := ErrorResponse{Error: err.Error()}
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		if after := s.retryAfterHint(status, err); after > 0 {
-			resp.RetryAfter = after
-			w.Header().Set("Retry-After", strconv.Itoa(after))
-		}
+		resp.RetryAfter = s.retryAfterHint(status, err)
 	}
-	writeJSON(w, status, resp)
+	resp.Respond(w, status)
 }
 
 // serveSubmit is the submit pipeline, the same for both protocols:

@@ -2,23 +2,19 @@ package wal
 
 import (
 	"bytes"
-	"errors"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 // FuzzJournalReplay feeds arbitrary bytes to Replay as a journal file:
-// it must never panic, never report more valid bytes than the file
-// holds, may error only on damage a crash cannot explain (foreign
-// magic, future version), and must be deterministic — replaying the
-// same bytes twice yields the same records and the same outcome.
-//
-// Differential arm: a SegmentReader opened at 0 over the same bytes is
-// the other reader of this format. It must refuse to open exactly when
-// Replay finds no valid header, deliver exactly Replay's records, stop
-// at Replay's ValidBytes, and end in ErrNoRecord or ErrCorrupt — never
-// anything else.
+// it must never panic, may error only on damage a crash cannot explain
+// (foreign magic, future version), and must read exactly what walk —
+// the test's own reading of the format, which shares no code with the
+// package's reader — reads: the same records, ValidBytes and Truncated,
+// on every replay of the same bytes.
 func FuzzJournalReplay(f *testing.F) {
 	// A valid two-record journal as the structured seed.
 	seedPath := filepath.Join(f.TempDir(), "seed.wal")
@@ -54,78 +50,48 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		var first [][]byte
-		res, err := Replay(path, func(p []byte) error {
-			first = append(first, append([]byte(nil), p...))
-			return nil
-		})
-		if err != nil {
-			// Foreign magic or unsupported version: allowed, but must
-			// be deterministic and deliver no records.
-			if len(first) != 0 {
-				t.Fatalf("errored replay delivered %d records", len(first))
+		recs, valid, truncated, foreign := walk(data)
+		want := ReplayResult{Records: len(recs), ValidBytes: valid, Truncated: truncated}
+		for range 2 {
+			var got [][]byte
+			res, err := Replay(path, func(p []byte) error {
+				got = append(got, append([]byte(nil), p...))
+				return nil
+			})
+			if (err != nil) != foreign || len(got) != len(recs) {
+				t.Fatalf("replay delivered %d records, err %v; walk reads %d, foreign header %v", len(got), err, len(recs), foreign)
 			}
-			if _, err2 := Replay(path, func([]byte) error { return nil }); err2 == nil {
-				t.Fatal("replay error not deterministic")
+			if err == nil && res != want {
+				t.Fatalf("replay = %+v, walk reads %+v", res, want)
 			}
-			if sr, err := OpenSegment(path, 0); err == nil {
-				sr.Close()
-				t.Fatal("OpenSegment accepted a header Replay refused")
-			}
-			return
-		}
-		if res.ValidBytes > int64(len(data)) {
-			t.Fatalf("ValidBytes %d exceeds file size %d", res.ValidBytes, len(data))
-		}
-		if res.Records != len(first) {
-			t.Fatalf("Records %d but callback saw %d", res.Records, len(first))
-		}
-		if res.Records > 0 && res.ValidBytes < int64(HeaderLen) {
-			t.Fatalf("records without a valid header: %+v", res)
-		}
-		// Determinism: a second replay sees the identical sequence.
-		n := 0
-		res2, err := Replay(path, func(p []byte) error {
-			if n >= len(first) || string(p) != string(first[n]) {
-				t.Fatalf("replay not deterministic at record %d", n)
-			}
-			n++
-			return nil
-		})
-		if err != nil || res2 != res {
-			t.Fatalf("second replay diverged: %+v vs %+v (err %v)", res2, res, err)
-		}
-
-		sr, err := OpenSegment(path, 0)
-		if res.ValidBytes == 0 {
-			if err == nil {
-				sr.Close()
-				t.Fatal("OpenSegment accepted a file with no complete header")
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("OpenSegment refused a header Replay accepted: %v", err)
-		}
-		defer sr.Close()
-		for i := 0; ; i++ {
-			p, err := sr.Next()
-			if err != nil {
-				if !errors.Is(err, ErrNoRecord) && !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("segment ended in %v, want ErrNoRecord or ErrCorrupt", err)
+			for i := range recs {
+				if !bytes.Equal(got[i], recs[i]) {
+					t.Fatalf("record %d = %q, walk reads %q", i, got[i], recs[i])
 				}
-				if i != len(first) || sr.Offset() != res.ValidBytes {
-					t.Fatalf("segment stopped after %d records at offset %d, replay after %d at %d",
-						i, sr.Offset(), len(first), res.ValidBytes)
-				}
-				if !res.Truncated && !errors.Is(err, ErrNoRecord) {
-					t.Fatalf("clean journal ended in %v", err)
-				}
-				return
-			}
-			if i >= len(first) || !bytes.Equal(p, first[i]) {
-				t.Fatalf("segment record %d differs from replay's", i)
 			}
 		}
 	})
+}
+
+// walk reads data as a journal: a "CSWL" 1 header, then records of a
+// 4-byte big-endian length, a 4-byte CRC-32 and the payload, up to the
+// first that is cut short, longer than MaxRecord, empty or fails its
+// CRC. A short or all-zero header is a truncated empty journal; foreign
+// reports a whole header that is neither zero nor a journal's.
+func walk(data []byte) (recs [][]byte, valid int64, truncated, foreign bool) {
+	switch {
+	case len(data) < HeaderLen || bytes.Equal(data[:HeaderLen], make([]byte, HeaderLen)):
+		return nil, 0, true, false
+	case string(data[:HeaderLen]) != "CSWL\x01":
+		return nil, 0, false, true
+	}
+	rest := data[HeaderLen:]
+	for len(rest) >= 8 {
+		n, sum := binary.BigEndian.Uint32(rest), binary.BigEndian.Uint32(rest[4:])
+		if n == 0 || n > MaxRecord || uint64(n) > uint64(len(rest)-8) || crc32.ChecksumIEEE(rest[8:8+n]) != sum {
+			break
+		}
+		recs, rest = append(recs, rest[8:8+n]), rest[8+n:]
+	}
+	return recs, int64(len(data) - len(rest)), len(rest) > 0, false
 }

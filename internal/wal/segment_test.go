@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"carbonshift/internal/frame"
 )
 
 // readFrom drains a segment reader until ErrNoRecord, copying payloads.
@@ -115,6 +117,31 @@ func TestSegmentReaderTailGrowth(t *testing.T) {
 	if p, err := r.Next(); err != nil || string(p) != "second" {
 		t.Fatalf("after growth Next = %q, %v", p, err)
 	}
+
+	// A record longer than the read buffer reaches the file in two
+	// halves: the first is no record yet, and what the reader took of
+	// it must not stand in front of the whole record once it is there.
+	big := bytes.Repeat([]byte("0123456789abcdef"), readBufSize/10)
+	rec := make([]byte, recordHeaderLen, recordHeaderLen+len(big))
+	frame.PutHeader(rec, big)
+	rec = append(rec, big...)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i, half := range [][]byte{rec[:len(rec)/2], rec[len(rec)/2:]} {
+		if _, err := f.Write(half); err != nil {
+			t.Fatal(err)
+		}
+		p, err := r.Next()
+		if i == 0 && !errors.Is(err, ErrNoRecord) {
+			t.Fatalf("half a record: Next = %d bytes, %v; want ErrNoRecord", len(p), err)
+		}
+		if i == 1 && (err != nil || !bytes.Equal(p, big)) {
+			t.Fatalf("whole record: Next = %d bytes, %v; want the %d-byte payload", len(p), err, len(big))
+		}
+	}
 }
 
 // TestSegmentReaderTornTail: a partially written record is ErrNoRecord
@@ -220,5 +247,55 @@ func TestSegmentReaderOpenErrors(t *testing.T) {
 	}
 	if _, err := OpenSegment(path, 0); err == nil {
 		t.Error("accepted a foreign magic")
+	}
+}
+
+// benchJournal writes the reader benchmarks' journal: 100 000 records
+// of 300 B.
+func benchJournal(b *testing.B) string {
+	path := filepath.Join(b.TempDir(), "j.wal")
+	j, err := Create(path, Options{Sync: SyncNone})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte("r"), 300)
+	for range 100_000 {
+		if err := j.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
+// BenchmarkReplay is one Replay pass over benchJournal.
+func BenchmarkReplay(b *testing.B) {
+	path := benchJournal(b)
+	for b.Loop() {
+		if res, err := Replay(path, func([]byte) error { return nil }); err != nil || res.Records != 100_000 {
+			b.Fatalf("replay = %+v, %v", res, err)
+		}
+	}
+}
+
+// BenchmarkSegmentReader is one pass of a SegmentReader from offset 0
+// over benchJournal, to ErrNoRecord — a standby stream's catch-up.
+func BenchmarkSegmentReader(b *testing.B) {
+	path := benchJournal(b)
+	for b.Loop() {
+		r, err := OpenSegment(path, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for ; err == nil; n++ {
+			_, err = r.Next()
+		}
+		r.Close()
+		if !errors.Is(err, ErrNoRecord) || n != 100_001 {
+			b.Fatalf("read %d records, then %v", n-1, err)
+		}
 	}
 }

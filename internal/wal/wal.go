@@ -11,7 +11,8 @@
 //
 // The record layout, its reader and the short / corrupt / oversize
 // taxonomy are internal/frame's; this package decides what each of
-// those means for a journal (Replay, SegmentReader.Next).
+// those means for a journal, in its one reader (segment.go):
+// SegmentReader.Next, which Replay runs from the header on.
 //
 // Appends are buffered and group-committed: in SyncAlways mode every
 // Append blocks until its record is fsynced, but concurrent appenders
@@ -41,9 +42,7 @@ package wal
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"sync"
@@ -412,109 +411,4 @@ func (j *Journal) Close() error {
 		j.closeErr = err
 	})
 	return j.closeErr
-}
-
-// ReplayResult reports what Replay found.
-type ReplayResult struct {
-	// Records is the number of valid records delivered to the callback.
-	Records int
-	// ValidBytes is the length of the valid prefix of the file —
-	// header plus complete, checksummed records. Everything past it is
-	// a torn or corrupt tail.
-	ValidBytes int64
-	// Truncated reports that the file held bytes past ValidBytes that
-	// did not form a valid record — a torn or zero-filled header, a torn
-	// write, an overrunning length prefix, a CRC mismatch or a
-	// zero-length record: the expected signatures of a crash mid-append
-	// or of a power cut that persisted a file's length but not its data.
-	Truncated bool
-}
-
-// Replay reads a journal file and invokes fn for each valid record in
-// order. It stops without error at the first torn or corrupt record
-// (see ReplayResult) — the expected wreckage of a crash. Damage that a
-// crash mid-append cannot explain is an error instead of a silent
-// empty replay: a foreign magic, an unsupported format version, or an
-// I/O failure mid-read — a caller that treated those as a benign torn
-// tail would discard (and later delete) a journal full of
-// acknowledged records. A callback error also aborts the replay and
-// is returned. The payload slice is reused across calls — fn must not
-// retain it.
-func Replay(path string, fn func(payload []byte) error) (ReplayResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return ReplayResult{}, err
-	}
-	defer f.Close()
-
-	var res ReplayResult
-	r := bufio.NewReaderSize(f, 1<<16)
-	if err := readHeader(r, path); err != nil {
-		if errors.Is(err, frame.ErrShort) {
-			// A missing, short or zero-filled header — a crash before
-			// the first flush reached the disk: nothing is replayable.
-			res.Truncated = true
-			return res, nil
-		}
-		return res, err
-	}
-	res.ValidBytes = int64(HeaderLen)
-
-	var buf []byte
-	for {
-		payload, err := readRecord(r, buf)
-		switch {
-		case err == nil:
-		case err == io.EOF:
-			return res, nil
-		case errors.Is(err, frame.ErrShort), errors.Is(err, frame.ErrOversize), errors.Is(err, frame.ErrCorrupt):
-			res.Truncated = true
-			return res, nil
-		default:
-			return res, fmt.Errorf("wal: read %s: %w", path, err)
-		}
-		buf = payload
-		if err := fn(payload); err != nil {
-			return res, err
-		}
-		res.Records++
-		res.ValidBytes += int64(recordHeaderLen + len(payload))
-	}
-}
-
-// readHeader consumes and checks the journal file header. A file that
-// ends inside it, or whose header is all zero bytes — on the same
-// basis as a zero-length record: the file's length reached the disk
-// and its first bytes did not — wraps frame.ErrShort; a foreign magic
-// or an unsupported version is damage no crash explains.
-func readHeader(r io.Reader, path string) error {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return fmt.Errorf("wal: %s: short header: %w", path, frame.ErrShort)
-		}
-		return fmt.Errorf("wal: read %s: %w", path, err)
-	}
-	if hdr == [HeaderLen]byte{} {
-		return fmt.Errorf("wal: %s: zero-filled header: %w", path, frame.ErrShort)
-	}
-	if string(hdr[:len(journalMagic)]) != journalMagic {
-		return fmt.Errorf("wal: %s is not a journal (bad magic %q)", path, hdr[:len(journalMagic)])
-	}
-	if v := hdr[len(journalMagic)]; v != journalVersion {
-		return fmt.Errorf("wal: %s: unsupported journal version %d (want %d)", path, v, journalVersion)
-	}
-	return nil
-}
-
-// readRecord reads the journal record at r. A zero-length record is
-// corrupt: AppendBatchNoWait refuses an empty payload, so eight zero
-// bytes — a zero length and the empty payload's zero CRC — are never a
-// record the journal wrote but the start of a zero-filled tail.
-func readRecord(r io.Reader, buf []byte) ([]byte, error) {
-	payload, err := frame.ReadRecord(r, buf, MaxRecord)
-	if err == nil && len(payload) == 0 {
-		return nil, fmt.Errorf("%w: zero-length record", frame.ErrCorrupt)
-	}
-	return payload, err
 }
