@@ -3,9 +3,11 @@ package repl
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,6 +202,75 @@ func TestSourceTailReplicates(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// retainedBackend serves journal generations 1 to live, none of them
+// garbage-collected, and cancels the stream once it reaches the live
+// one: HandleStream flushes the live journal before draining it.
+type retainedBackend struct {
+	store  *wal.Store
+	live   uint64
+	cancel context.CancelFunc
+}
+
+func (b *retainedBackend) Generation() uint64            { return b.live }
+func (b *retainedBackend) JournalPath(gen uint64) string { return b.store.JournalPath(gen) }
+func (b *retainedBackend) FlushJournal()                 { b.cancel() }
+func (b *retainedBackend) SnapshotLatest() (uint64, []byte, error) {
+	return 0, nil, errors.New("no snapshot")
+}
+func (b *retainedBackend) Hour() int { return 0 }
+
+// discardWriter is a stream response nobody reads.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestStreamRotationsKeepReadBuffer streams sixteen generations from
+// the first and bounds what the source allocates: one reader's 32 KiB
+// buffer for the whole stream, and under 4 KiB a rotation for the file
+// handle and the frames, where a reader opened per rotation would
+// allocate its buffer sixteen times.
+func TestStreamRotationsKeepReadBuffer(t *testing.T) {
+	const gens = 16
+	store, err := wal.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	for gen := uint64(1); gen <= gens; gen++ {
+		j, err := wal.Create(store.JournalPath(gen), wal.Options{Sync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range [][]byte{[]byte("a1"), []byte("b22"), []byte("c333")} {
+			if err := j.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := &retainedBackend{store: store, live: gens}
+	src := NewSource(b)
+	stream := func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		b.cancel = cancel
+		req := httptest.NewRequest("GET", fmt.Sprintf("/v1/repl/stream?generation=1&offset=%d", wal.HeaderLen), nil)
+		src.HandleStream(&discardWriter{h: http.Header{}}, req.WithContext(ctx))
+	}
+	stream()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	stream()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<10+(gens-1)*4<<10); got > limit {
+		t.Fatalf("a stream over %d generations allocated %d B, over %d B", gens, got, limit)
+	}
 }
 
 // TestTailResumesAcrossRestart: cancelling Run and running the same

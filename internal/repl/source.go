@@ -119,7 +119,7 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 		s.gone(w, fmt.Sprintf("generation %d is no longer retained", gen))
 		return
 	}
-	defer func() { sr.Close() }()
+	defer sr.Close()
 	if size, err := sr.Size(); err != nil || offset > size {
 		s.gone(w, fmt.Sprintf("offset %d overruns generation %d", offset, gen))
 		return
@@ -155,15 +155,14 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 			out.send(AppendRecord(out.buf, sr.Offset(), p))
 		}
 		if live > gen {
-			// Move to the next generation's file. If rotation already
-			// garbage-collected it, the follower must re-bootstrap.
-			nsr, err := wal.OpenSegment(s.b.JournalPath(gen+1), int64(wal.HeaderLen))
-			if err != nil {
+			// Move the reader, buffers and all, to the next generation's
+			// file. If rotation already garbage-collected it, the
+			// follower must re-bootstrap.
+			if err := sr.Reopen(s.b.JournalPath(gen+1), int64(wal.HeaderLen)); err != nil {
 				out.send(AppendEnd(out.buf, fmt.Sprintf("generation %d was garbage-collected", gen+1)))
 				return
 			}
-			sr.Close()
-			sr, gen = nsr, gen+1
+			gen++
 			out.send(AppendRotate(out.buf, Cursor{Generation: gen, Offset: int64(wal.HeaderLen)}))
 			out.flush()
 			continue

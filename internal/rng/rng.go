@@ -136,6 +136,43 @@ func (r *Source) NormArgsBatch(logArgs, cosArgs []float64) {
 	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
+// NormArgs3 is NormArgsBatch on three streams in one pass: for each k
+// it sets logArgs[k][i], cosArgs[k][i] to srcs[k]'s next NormArgs for
+// every i below n = len(logArgs[0]), and leaves srcs[k] where n NormArgs
+// calls would. The other five slices must be at least n long, and the
+// three sources distinct. On amd64 with AVX2 a kernel (rng_amd64.s)
+// steps the three generators as lanes of one vector; elsewhere each
+// stream is its own NormArgsBatch.
+func NormArgs3(srcs [3]*Source, logArgs, cosArgs [3][]float64) {
+	if srcs[0] == srcs[1] || srcs[0] == srcs[2] || srcs[1] == srcs[2] {
+		panic("rng: NormArgs3 given one stream twice")
+	}
+	n := len(logArgs[0])
+	for k := range srcs {
+		logArgs[k], cosArgs[k] = logArgs[k][:n], cosArgs[k][:n]
+	}
+	if !vectorOn {
+		for k, r := range srcs {
+			r.NormArgsBatch(logArgs[k], cosArgs[k])
+		}
+		return
+	}
+	// st[j][k] is state word j of stream k; the fourth lane idles at
+	// zero, a state xoshiro never leaves.
+	var st [4][4]uint64
+	for k, r := range srcs {
+		for j, w := range r.s {
+			st[j][k] = w
+		}
+	}
+	normArgs3Vec(&st, &logArgs, &cosArgs, n)
+	for k, r := range srcs {
+		for j := range r.s {
+			r.s[j] = st[j][k]
+		}
+	}
+}
+
 // normArgs is NormArgs from its two draws' bits.
 func normArgs(x1, x2 uint64) (logArg, cosArg float64) {
 	// Guard against log(0).

@@ -253,3 +253,122 @@ func TestNormArgsBatchMatchesNormArgs(t *testing.T) {
 		t.Fatalf("first NormArgs of New(0xdeadbeef) = (%x, %x)", a, b)
 	}
 }
+
+// bothPaths runs f with the lane kernel on, where the CPU has it, and
+// with it off.
+func bothPaths(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	saved := vectorOn
+	t.Cleanup(func() { vectorOn = saved })
+	for _, on := range []bool{true, false} {
+		name := "scalar"
+		if on {
+			name = "vector"
+			if !saved {
+				t.Log("no AVX2+FMA: the vector path is not available here")
+				continue
+			}
+		}
+		vectorOn = on
+		t.Run(name, f)
+	}
+}
+
+// maxBatch is twice simgrid's 512-hour block, the longest batch its
+// weather stage draws.
+const maxBatch = 1024
+
+// checkNormArgs3 draws batches of each length in ns from three streams
+// split from seed through NormArgs3, and holds every draw to NormArgs on
+// a second split of the same seed, then each stream's next output to
+// where NormArgs left its twin.
+func checkNormArgs3(t testing.TB, seed uint64, ns ...int) {
+	t.Helper()
+	a, b := New(seed), New(seed)
+	srcs := [3]*Source{a.Split(), a.Split(), a.Split()}
+	refs := [3]*Source{b.Split(), b.Split(), b.Split()}
+	var logArgs, cosArgs [3][]float64
+	for k := range logArgs {
+		logArgs[k], cosArgs[k] = make([]float64, maxBatch), make([]float64, maxBatch)
+	}
+	for _, n := range ns {
+		NormArgs3(srcs, [3][]float64{logArgs[0][:n], logArgs[1], logArgs[2]}, cosArgs)
+		for k, ref := range refs {
+			for i := range n {
+				wantLog, wantCos := ref.NormArgs()
+				if math.Float64bits(logArgs[k][i]) != math.Float64bits(wantLog) ||
+					math.Float64bits(cosArgs[k][i]) != math.Float64bits(wantCos) {
+					t.Fatalf("seed %d, batch of %d, stream %d, draw %d: (%x, %x), NormArgs gives (%x, %x)",
+						seed, n, k, i, logArgs[k][i], cosArgs[k][i], wantLog, wantCos)
+				}
+			}
+		}
+	}
+	for k := range srcs {
+		if srcs[k].Uint64() != refs[k].Uint64() {
+			t.Fatalf("seed %d: NormArgs3 left stream %d elsewhere than NormArgs does", seed, k)
+		}
+	}
+}
+
+// TestNormArgs3MatchesNormArgs holds NormArgs3 to NormArgs draw for
+// draw on both paths: three seeds, every batch length up to maxBatch,
+// each stream left where its own loop of NormArgs calls would leave it.
+func TestNormArgs3MatchesNormArgs(t *testing.T) {
+	ns := make([]int, maxBatch+1)
+	for n := range ns {
+		ns[n] = n
+	}
+	bothPaths(t, func(t *testing.T) {
+		for _, seed := range []uint64{1, 0xdeadbeef, 1 << 63} {
+			checkNormArgs3(t, seed, ns...)
+		}
+	})
+	defer func() {
+		if recover() == nil {
+			t.Error("NormArgs3 drew from one stream twice without a panic")
+		}
+	}()
+	r := New(1)
+	NormArgs3([3]*Source{r, New(2), r}, [3][]float64{}, [3][]float64{})
+}
+
+// FuzzNormArgs3 runs NormArgs3 at a fuzzed seed over three batches of
+// fuzzed lengths up to maxBatch, on both paths.
+func FuzzNormArgs3(f *testing.F) {
+	f.Add(uint64(7), uint16(0), uint16(1), uint16(maxBatch))
+	f.Add(uint64(1<<40+3), uint16(511), uint16(513), uint16(4))
+	f.Fuzz(func(t *testing.T, seed uint64, n0, n1, n2 uint16) {
+		bothPaths(t, func(t *testing.T) {
+			checkNormArgs3(t, seed, int(n0)%(maxBatch+1), int(n1)%(maxBatch+1), int(n2)%(maxBatch+1))
+		})
+	})
+}
+
+// BenchmarkNormArgs3 draws one 512-draw block of three streams in one
+// NormArgs3 call; BenchmarkNormArgsBatch3 draws it stream by stream.
+func BenchmarkNormArgs3(b *testing.B) {
+	src := New(1)
+	srcs := [3]*Source{src.Split(), src.Split(), src.Split()}
+	var logArgs, cosArgs [3][]float64
+	for k := range logArgs {
+		logArgs[k], cosArgs[k] = make([]float64, maxBatch/2), make([]float64, maxBatch/2)
+	}
+	for b.Loop() {
+		NormArgs3(srcs, logArgs, cosArgs)
+	}
+}
+
+func BenchmarkNormArgsBatch3(b *testing.B) {
+	src := New(1)
+	srcs := [3]*Source{src.Split(), src.Split(), src.Split()}
+	var logArgs, cosArgs [3][]float64
+	for k := range logArgs {
+		logArgs[k], cosArgs[k] = make([]float64, maxBatch/2), make([]float64, maxBatch/2)
+	}
+	for b.Loop() {
+		for k, r := range srcs {
+			r.NormArgsBatch(logArgs[k], cosArgs[k])
+		}
+	}
+}

@@ -3,6 +3,8 @@ package simgrid
 import (
 	"context"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +112,91 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 	if _, _, entries := CacheStats(); entries != 1 {
 		t.Fatalf("entries = %d, want 1", entries)
+	}
+}
+
+// raceEnabled is set by raceon_test.go in -race builds.
+var raceEnabled bool
+
+// setTraces returns set's traces in its region order.
+func setTraces(set *trace.Set) []*trace.Trace {
+	var out []*trace.Trace
+	for _, code := range set.Regions() {
+		out = append(out, set.MustGet(code))
+	}
+	return out
+}
+
+// TestGenerateCachedAllocatesOnlyTraces bounds what generating a set
+// allocates per region at its n-hour trace plus 4 KiB: the weather's
+// three n-hour series come back from weatherPool, region after region.
+// The collector is held off so the pool, warmed by a first call, keeps
+// its weathers through the measured one.
+func TestGenerateCachedAllocatesOnlyTraces(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation bounds are not meaningful under the race detector")
+	}
+	ResetCache()
+	defer ResetCache()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	regs := regions.All()[:16]
+	cfg := Config{Seed: 11, Hours: 4 * blockHours}
+	for _, workers := range []int{1, 2} {
+		if _, err := GenerateCached(context.Background(), regs, cfg, workers); err != nil {
+			t.Fatal(err)
+		}
+		ResetCache()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := GenerateCached(context.Background(), regs, cfg, workers); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perRegion := (after.TotalAlloc - before.TotalAlloc) / uint64(len(regs))
+		if limit := uint64(8*cfg.Hours + 4<<10); perRegion > limit {
+			t.Errorf("%d workers: %d B a region, over an %d-hour trace's %d B plus 4 KiB",
+				workers, perRegion, cfg.Hours, 8*cfg.Hours)
+		}
+		ResetCache()
+	}
+}
+
+// TestGenerateCachedConcurrentSeeds generates two seeds' sets at once
+// and requires the bits serial calls give: under -race it shows that
+// concurrent simulations never share a pooled weather.
+func TestGenerateCachedConcurrentSeeds(t *testing.T) {
+	ResetCache()
+	defer ResetCache()
+	regs := regions.All()[:6]
+	seeds := []uint64{21, 22}
+	want := make([]string, len(seeds))
+	for i, seed := range seeds {
+		set, err := GenerateCached(context.Background(), regs, cacheTestConfig(seed), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = traceBits(setTraces(set)...)
+	}
+	ResetCache()
+	got := make([]string, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			set, err := GenerateCached(context.Background(), regs, cacheTestConfig(seed), 2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = traceBits(setTraces(set)...)
+		}()
+	}
+	wg.Wait()
+	for i, seed := range seeds {
+		if got[i] != want[i] {
+			t.Errorf("seed %d: concurrent generation digest %s, serial %s", seed, got[i], want[i])
+		}
 	}
 }
 

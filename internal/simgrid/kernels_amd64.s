@@ -318,25 +318,6 @@ cosLoop:
 cosDone:
 	EPILOGUE
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() (eax uint32)
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	RET
-
-
 // The stage kernels of dispatch. Each is its stage loop in
 // simgrid.go, operation for operation, four hours to a group: every
 // lane computes both sides of each branch the loop takes, and a mask

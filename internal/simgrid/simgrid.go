@@ -48,6 +48,7 @@ package simgrid
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"carbonshift/internal/regions"
@@ -216,6 +217,7 @@ func WhatIf(r regions.Region, cfg Config, levels []float64, hours int) ([][]floa
 	for i, level := range levels {
 		out[i] = w.dispatch(r, level, hours)
 	}
+	w.release()
 	return out, nil
 }
 
@@ -306,7 +308,9 @@ func (d *drift) shares(shift float64) (coal, gas, oil, solar, wind float64) {
 // the dispatch stage over every hour.
 func simulate(r regions.Region, cfg Config) *trace.Trace {
 	w := drawWeather(r, cfg)
-	return trace.New(r.Code, cfg.Start, w.dispatch(r, cfg.ExtraRenewables, cfg.Hours))
+	ci := w.dispatch(r, cfg.ExtraRenewables, cfg.Hours)
+	w.release()
+	return trace.New(r.Code, cfg.Start, ci)
 }
 
 // weather is stage one of the simulation: everything about a region's
@@ -322,7 +326,18 @@ type weather struct {
 	irrMean, windMean float64
 	// demand is the load (mean 1), noise included.
 	demand []float64
+	// slab holds the three series back to back. A weather goes back to
+	// weatherPool once dispatched, so the slab serves region after
+	// region and no n-hour series but the intensity is allocated, or
+	// zeroed, per region.
+	slab []float64
 }
+
+var weatherPool = sync.Pool{New: func() any { return new(weather) }}
+
+// release hands w back to weatherPool. Nothing may read w afterwards;
+// dispatch's output does not alias it.
+func (w *weather) release() { weatherPool.Put(w) }
 
 // blockHours is the length of the blocks drawWeather and dispatch walk
 // their hours in. Each stage of a block runs over all of its hours
@@ -342,22 +357,25 @@ const blockHours = 512
 // loop) rounds differently.
 //
 // Each block of hours takes four stages: the calendar terms (sunVec);
-// the block's Gaussian draws of the cloud, wind and demand-noise streams
-// (normBatch); the AR(1) chains of cloud and wind and the demand sum,
-// hour after hour; and the two logistic maps (logisticVec). The three
-// generators are independent, so each stream's values are those of a
-// loop of its own whatever the staging.
+// the block's Gaussian draws of the cloud, wind and demand-noise
+// streams, all three in one pass (rng.NormArgs3), then each stream's
+// Box–Muller step (normOf); the AR(1) chains of cloud and wind and the
+// demand sum, hour after hour; and the two logistic maps (logisticVec).
+// The three generators are independent, so each stream's values are
+// those of a loop of its own whatever the staging. The weather comes
+// from weatherPool, its series overwritten hour by hour, and the terms
+// of a day of the year from yearDays.
 func drawWeather(r regions.Region, cfg Config) *weather {
 	n := cfg.Hours
 	src := rngFor(r.Code, cfg)
 	// The three streams are split in this order whatever is drawn from
 	// them afterwards: cloud, wind, demand noise.
 	cloudSrc, windSrc, demandSrc := src.Split(), src.Split(), src.Split()
-	w := &weather{
-		irr:    make([]float64, n),
-		wind:   make([]float64, n),
-		demand: make([]float64, n),
+	w := weatherPool.Get().(*weather)
+	if cap(w.slab) < 3*n {
+		w.slab = make([]float64, 3*n)
 	}
+	w.irr, w.wind, w.demand = w.slab[:n:n], w.slab[n:2*n:2*n], w.slab[2*n:3*n:3*n]
 	// Cloud cover and wind are unit-variance AR(1) processes, the cloud
 	// the slower of the two.
 	const cloudPhi, windPhi = 0.995, 0.985
@@ -386,9 +404,9 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 	sinLat, cosLat := math.Sin(latRad), math.Cos(latRad)
 	// Seasonal demand peaks in local winter, scaled by latitude
 	// (tropical grids have flat seasons).
-	peakDoy := 15.0
+	south := 0
 	if r.Lat < 0 {
-		peakDoy = 196
+		south = 1
 	}
 	latScale := math.Min(1, math.Abs(r.Lat)/50)
 
@@ -396,11 +414,11 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 	year, yday := cfg.Start.Year(), cfg.Start.YearDay()
 	weekday := cfg.Start.Weekday()
 	// By day: solar declination, the seasonal and weekly demand terms.
+	days := yearDays()
 	startDay := func() {
-		doy := float64(yday)
-		decl := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*(284+doy)/365.25)
-		day.sinSin, day.cosCos = sinLat*math.Sin(decl), cosLat*math.Cos(decl)
-		day.seasonal = seasonalAmp * latScale * math.Cos(2*math.Pi*(doy-peakDoy)/365.25)
+		d := &days[yday]
+		day.sinSin, day.cosCos = sinLat*d.sinDecl, cosLat*d.cosDecl
+		day.seasonal = seasonalAmp * latScale * d.season[south]
 		day.weekly = weeklyAmp * r.DemandSwing * 0.3
 		if weekday == time.Saturday || weekday == time.Sunday {
 			day.weekly = weeklyAmp * r.DemandSwing * -0.75
@@ -409,13 +427,14 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 	startDay()
 
 	// The block's cloud and wind draws, then their logistic arguments;
-	// the demand noise; normBatch's scratch.
-	var buf [4 * blockHours]float64
+	// the demand noise; the three streams' cosine arguments.
+	var buf [6 * blockHours]float64
+	var irrSum, windSum float64
 	for h0 := 0; h0 < n; h0 += blockHours {
 		m := min(blockHours, n-h0)
 		irr, wind, demand := w.irr[h0:h0+m], w.wind[h0:h0+m], w.demand[h0:h0+m]
-		cloudE, windE := buf[:m], buf[blockHours:][:m]
-		noise, scratch := buf[2*blockHours:][:m], buf[3*blockHours:][:m]
+		cloudE, windE, noise := buf[:m], buf[blockHours:][:m], buf[2*blockHours:][:m]
+		cosArgs := [3][]float64{buf[3*blockHours:][:m], buf[4*blockHours:][:m], buf[5*blockHours:][:m]}
 
 		// Solar elevation (latitude, declination, local hour) — the
 		// cloud attenuation multiplies it below — and demand before its
@@ -446,9 +465,10 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 			i, hod = i+k, hod+k
 		}
 
-		normBatch(cloudSrc, 0, cloudSigma, cloudE, scratch)
-		normBatch(windSrc, 0, windSigma, windE, scratch)
-		normBatch(demandSrc, 0, demandNoise, noise, scratch)
+		rng.NormArgs3([3]*rng.Source{cloudSrc, windSrc, demandSrc}, [3][]float64{cloudE, windE, noise}, cosArgs)
+		normOf(0, cloudSigma, cloudE, cosArgs[0])
+		normOf(0, windSigma, windE, cosArgs[1])
+		normOf(0, demandNoise, noise, cosArgs[2])
 
 		for i := range demand {
 			cloud = cloudPhi*cloud + cloudE[i]
@@ -479,10 +499,40 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 				wind[i] = 1 / (1 + windE[i])
 			}
 		}
+		// The two means' sums, hour after hour as one loop over each
+		// series would add them, side by side.
+		for i := range irr {
+			irrSum += irr[i]
+			windSum += wind[i]
+		}
 	}
-	w.irrMean, w.windMean = mean(w.irr), mean(w.wind)
+	w.irrMean, w.windMean = irrSum/float64(n), windSum/float64(n)
 	return w
 }
+
+// yearDay is what drawWeather reads of a day of the year, the same for
+// every region: the sine and cosine of the solar declination, and the
+// cosine of the seasonal demand phase for a northern peak (day 15) and
+// a southern one (day 196).
+type yearDay struct {
+	sinDecl, cosDecl float64
+	season           [2]float64
+}
+
+// yearDays is yearDay for days 1 to 366, computed once per process, not
+// once per day of every region.
+var yearDays = sync.OnceValue(func() *[367]yearDay {
+	var t [367]yearDay
+	for yday := 1; yday < len(t); yday++ {
+		doy := float64(yday)
+		decl := 23.45 * math.Pi / 180 * math.Sin(2*math.Pi*(284+doy)/365.25)
+		t[yday].sinDecl, t[yday].cosDecl = math.Sin(decl), math.Cos(decl)
+		for i, peakDoy := range [2]float64{15, 196} {
+			t[yday].season[i] = math.Cos(2 * math.Pi * (doy - peakDoy) / 365.25)
+		}
+	}
+	return &t
+})
 
 // sunDay is what drawWeather's solar and demand loop reads of a day:
 // the terms constant over it and those by hour of day. sunVec reads it
@@ -492,14 +542,15 @@ type sunDay struct {
 	cosHourAngle, diurnal            [24]float64
 }
 
-// normBatch sets each out[i] to the next src.Norm(mean, stddev), bit for
-// bit: normVec four draws at a time, each draw's logarithm, cosine and
-// Box–Muller step in one pass, and the Go loop — batch calls for the
-// logarithms and cosines, then rng.NormOf — over the group where it
-// stops. scratch must be at least as long as out.
-func normBatch(src *rng.Source, mean, stddev float64, out, scratch []float64) {
-	cosArgs := scratch[:len(out)]
-	src.NormArgsBatch(out, cosArgs)
+// normOf finishes a stream's draws: it sets each out[i] to
+// rng.NormOf(mean, stddev, Log(out[i]), Cos(cosArgs[i])), so that out
+// and cosArgs, a run of rng.NormArgs, become that run of Norm(mean,
+// stddev) bit for bit. normVec takes four draws at a time, each draw's
+// logarithm, cosine and Box–Muller step in one pass, and the Go loop —
+// batch calls for the logarithms and cosines, then rng.NormOf — the
+// group where it stops. cosArgs must be at least as long as out.
+func normOf(mean, stddev float64, out, cosArgs []float64) {
+	cosArgs = cosArgs[:len(out)]
 	for i := 0; i < len(out); {
 		j := len(out)
 		if vectorOn {
@@ -892,15 +943,4 @@ func tilted(share, level, tilt float64) float64 {
 		return share
 	}
 	return share * math.Pow(level, tilt)
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range xs {
-		s += v
-	}
-	return s / float64(len(xs))
 }

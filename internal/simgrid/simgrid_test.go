@@ -449,7 +449,7 @@ func BenchmarkDrawWeather(b *testing.B) {
 	cfg := benchConfig.withDefaults()
 	b.ReportAllocs()
 	for b.Loop() {
-		drawWeather(benchRegion, cfg)
+		drawWeather(benchRegion, cfg).release()
 	}
 }
 

@@ -53,25 +53,42 @@ type SegmentReader struct {
 // panic. The file may still be growing; the reader sees appended bytes
 // as the writer flushes them.
 func OpenSegment(path string, offset int64) (*SegmentReader, error) {
+	r := &SegmentReader{br: bufio.NewReaderSize(nil, readBufSize)}
+	if err := r.Reopen(path, offset); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reopen moves r to another journal file, at offset as OpenSegment
+// takes it, closing the file r read and keeping its buffers: a
+// replication stream follows the journal across rotations on one
+// reader. If the new file cannot be read from offset, r is left as it
+// was.
+func (r *SegmentReader) Reopen(path string, offset int64) error {
 	if offset != 0 && offset < int64(HeaderLen) {
-		return nil, fmt.Errorf("wal: segment offset %d is inside the header", offset)
+		return fmt.Errorf("wal: segment offset %d is inside the header", offset)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r := &SegmentReader{f: f, br: bufio.NewReaderSize(f, readBufSize), off: offset}
 	if offset == 0 {
-		err = readHeader(r.br, path)
-		r.off = int64(HeaderLen)
+		err = readHeader(f, path)
+		offset = int64(HeaderLen)
 	} else {
 		_, err = f.Seek(offset, io.SeekStart)
 	}
 	if err != nil {
 		f.Close()
-		return nil, err
+		return err
 	}
-	return r, nil
+	if r.f != nil {
+		r.f.Close()
+	}
+	r.f, r.off = f, offset
+	r.br.Reset(f)
+	return nil
 }
 
 // Offset returns the cursor: the byte offset of the next unread record.
