@@ -316,17 +316,20 @@ func sum(b []byte) uint32 { v, _ := binary.Uvarint(b); return crc32.ChecksumIEEE
 		// One lifecycle: boot recovery and follower apply share one record
 		// dispatcher (apply), boot and promotion one way of claiming the
 		// data dir (openStore), and every fault poisons the server through
-		// one function (poison).
+		// one function (poison). A journal is created only by
+		// wal.Store.Rotate, the one owner of a generation's rotation.
 		name: "one record dispatcher, one store open, one poison site in internal/schedd",
-		fix:  "go through openStore / apply / poison",
+		fix:  "go through openStore / apply / poison; make a generation live with wal.Store.Rotate",
 		rules: []rule{
 			{what: "wal.OpenStore(", in: []string{"internal/schedd/"}, min: 1, max: 1, match: call("wal", "OpenStore")},
 			{what: "case recAdmit", in: []string{"internal/schedd/"}, min: 1, max: 1, match: caseOf("recAdmit")},
 			{what: "failed.Store(", in: []string{"internal/schedd/"}, min: 1, max: 1, match: call("failed", "Store")},
+			{what: "wal.Create( outside internal/wal", in: []string{"internal/", "cmd/"}, not: []string{"internal/wal/"}, match: call("wal", "Create")},
 		},
 		plant: map[string]string{"internal/schedd/planted.go": `package schedd
 func (s *Server) reboot(p []byte) {
 	wal.OpenStore(s.cfg.DataDir)
+	wal.Create(s.JournalPath(1), wal.Options{})
 	switch p[0] {
 	case recAdmit:
 	}

@@ -3,7 +3,6 @@ package repl
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -16,86 +15,47 @@ import (
 	"carbonshift/internal/wal"
 )
 
-// fakeBackend is a minimal primary: a wal.Store data dir whose
+// fakePrimary is a minimal primary: a wal.Store data dir whose
 // "state" is the concatenation of every record appended so far, so
 // snapshots are trivially checkable.
-type fakeBackend struct {
+type fakePrimary struct {
 	t     *testing.T
 	store *wal.Store
+	hour  atomic.Int64
 
-	mu      sync.Mutex
-	journal *wal.Journal
-	state   []byte
-	gen     atomic.Uint64
-	hour    atomic.Int64
+	mu    sync.Mutex
+	state []byte
 }
 
-func newFakeBackend(t *testing.T) *fakeBackend {
+func newFakePrimary(t *testing.T) *fakePrimary {
 	t.Helper()
 	store, err := wal.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	b := &fakeBackend{t: t, store: store}
-	b.rotate()
-	return b
+	p := &fakePrimary{t: t, store: store}
+	p.rotate()
+	return p
 }
 
-func (b *fakeBackend) Generation() uint64            { return b.gen.Load() }
-func (b *fakeBackend) JournalPath(gen uint64) string { return b.store.JournalPath(gen) }
-func (b *fakeBackend) Hour() int                     { return int(b.hour.Load()) }
-
-func (b *fakeBackend) FlushJournal() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.journal != nil {
-		b.journal.Flush()
-	}
-}
-
-func (b *fakeBackend) SnapshotLatest() (uint64, []byte, error) {
-	return b.store.LatestSnapshot()
-}
-
-func (b *fakeBackend) append(payloads ...[]byte) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, p := range payloads {
-		if err := b.journal.Append(p); err != nil {
-			b.t.Fatal(err)
+func (p *fakePrimary) append(payloads ...[]byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, x := range payloads {
+		if err := p.store.Journal().Append(x); err != nil {
+			p.t.Fatal(err)
 		}
-		b.state = append(b.state, p...)
+		p.state = append(p.state, x...)
 	}
 }
 
-// rotate mimics schedd's generation rotation: snapshot the state as
-// gen+1, open that journal, close the old one, GC below.
-func (b *fakeBackend) rotate() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	next := b.gen.Load() + 1
-	if err := b.store.WriteSnapshot(next, append([]byte(nil), b.state...)); err != nil {
-		b.t.Fatal(err)
-	}
-	j, err := wal.Create(b.store.JournalPath(next), wal.Options{Sync: wal.SyncNone})
-	if err != nil {
-		b.t.Fatal(err)
-	}
-	if b.journal != nil {
-		b.journal.Close()
-	}
-	b.journal = j
-	b.gen.Store(next)
-	b.store.RemoveGenerationsBelow(next)
-}
-
-func (b *fakeBackend) close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.journal != nil {
-		b.journal.Close()
-		b.journal = nil
+// rotate snapshots the state as the next generation.
+func (p *fakePrimary) rotate() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.store.Rotate(p.store.Generation()+1, p.state, wal.Options{Sync: wal.SyncNone}); err != nil {
+		p.t.Fatal(err)
 	}
 }
 
@@ -135,9 +95,9 @@ func (a *recApplier) snapshot() (state []byte, records, restored int) {
 	return append([]byte(nil), a.state...), a.records, a.restored
 }
 
-func startSource(t *testing.T, b Backend) (*httptest.Server, *Source) {
+func startSource(t *testing.T, p *fakePrimary) (*httptest.Server, *Source) {
 	t.Helper()
-	src := NewSource(b)
+	src := NewSource(p.store, func() int { return int(p.hour.Load()) })
 	src.Poll = time.Millisecond
 	src.Heartbeat = 5 * time.Millisecond
 	mux := http.NewServeMux()
@@ -163,8 +123,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // mid-stream, and heartbeats all land the follower on a byte-exact
 // copy of the primary's state.
 func TestSourceTailReplicates(t *testing.T) {
-	b := newFakeBackend(t)
-	defer b.close()
+	b := newFakePrimary(t)
 	b.append([]byte("a1"), []byte("b22"))
 	ts, _ := startSource(t, b)
 
@@ -193,8 +152,8 @@ func TestSourceTailReplicates(t *testing.T) {
 	if want := []byte("a1b22c333d4444e"); !bytes.Equal(state, want) {
 		t.Fatalf("follower state %q, want %q", state, want)
 	}
-	if cur, ok := tail.Cursor(); !ok || cur.Generation != b.Generation() {
-		t.Fatalf("cursor = %v/%v, want generation %d", cur, ok, b.Generation())
+	if cur, ok := tail.Cursor(); !ok || cur.Generation != b.store.Generation() {
+		t.Fatalf("cursor = %v/%v, want generation %d", cur, ok, b.store.Generation())
 	}
 	st := tail.Stats()
 	if st.RecordsApplied != 5 || st.Bootstraps != 1 {
@@ -204,29 +163,22 @@ func TestSourceTailReplicates(t *testing.T) {
 	<-done
 }
 
-// retainedBackend serves journal generations 1 to live, none of them
-// garbage-collected, and cancels the stream once it reaches the live
-// one: HandleStream flushes the live journal before draining it.
-type retainedBackend struct {
-	store  *wal.Store
-	live   uint64
-	cancel context.CancelFunc
+// discardWriter is a stream response nobody reads; its flushes-th
+// Flush cancels the stream.
+type discardWriter struct {
+	h       http.Header
+	flushes int
+	cancel  context.CancelFunc
 }
-
-func (b *retainedBackend) Generation() uint64            { return b.live }
-func (b *retainedBackend) JournalPath(gen uint64) string { return b.store.JournalPath(gen) }
-func (b *retainedBackend) FlushJournal()                 { b.cancel() }
-func (b *retainedBackend) SnapshotLatest() (uint64, []byte, error) {
-	return 0, nil, errors.New("no snapshot")
-}
-func (b *retainedBackend) Hour() int { return 0 }
-
-// discardWriter is a stream response nobody reads.
-type discardWriter struct{ h http.Header }
 
 func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Flush() {
+	if w.flushes--; w.flushes == 0 {
+		w.cancel()
+	}
+}
 
 // TestStreamRotationsKeepReadBuffer streams sixteen generations from
 // the first and bounds what the source allocates: one reader's 32 KiB
@@ -240,28 +192,41 @@ func TestStreamRotationsKeepReadBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	for gen := uint64(1); gen <= gens; gen++ {
-		j, err := wal.Create(store.JournalPath(gen), wal.Options{Sync: wal.SyncNone})
-		if err != nil {
-			t.Fatal(err)
-		}
+	// Generation 16 is live; 1 to 15 are written after its rotation, so
+	// none has been garbage-collected.
+	if err := store.Rotate(gens, nil, wal.Options{Sync: wal.SyncNone}); err != nil {
+		t.Fatal(err)
+	}
+	fill := func(j *wal.Journal) {
 		for _, p := range [][]byte{[]byte("a1"), []byte("b22"), []byte("c333")} {
 			if err := j.Append(p); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if err := j.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for gen := uint64(1); gen < gens; gen++ {
+		j, err := wal.Create(store.JournalPath(gen), wal.Options{Sync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(j)
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b := &retainedBackend{store: store, live: gens}
-	src := NewSource(b)
+	fill(store.Journal())
+	src := NewSource(store, func() int { return 0 })
 	stream := func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		b.cancel = cancel
+		// One flush per rotation, then one after draining the live
+		// generation.
+		w := &discardWriter{h: http.Header{}, flushes: gens, cancel: cancel}
 		req := httptest.NewRequest("GET", fmt.Sprintf("/v1/repl/stream?generation=1&offset=%d", wal.HeaderLen), nil)
-		src.HandleStream(&discardWriter{h: http.Header{}}, req.WithContext(ctx))
+		src.HandleStream(w, req.WithContext(ctx))
 	}
 	stream()
 	var before, after runtime.MemStats
@@ -276,8 +241,7 @@ func TestStreamRotationsKeepReadBuffer(t *testing.T) {
 // TestTailResumesAcrossRestart: cancelling Run and running the same
 // Tail again resumes from the cursor — no gap, no double-apply.
 func TestTailResumesAcrossRestart(t *testing.T) {
-	b := newFakeBackend(t)
-	defer b.close()
+	b := newFakePrimary(t)
 	ts, _ := startSource(t, b)
 	a := &recApplier{}
 	tail := NewTail(ts.URL, a, ts.Client(), TailConfig{ReconnectDelay: time.Millisecond})
@@ -311,8 +275,7 @@ func TestTailResumesAcrossRestart(t *testing.T) {
 // TestTailRebootstrapsWhenBehind: a follower whose generation was
 // garbage-collected gets 410 and recovers via a fresh snapshot.
 func TestTailRebootstrapsWhenBehind(t *testing.T) {
-	b := newFakeBackend(t)
-	defer b.close()
+	b := newFakePrimary(t)
 	ts, _ := startSource(t, b)
 	a := &recApplier{}
 	tail := NewTail(ts.URL, a, ts.Client(), TailConfig{ReconnectDelay: time.Millisecond})
@@ -352,8 +315,7 @@ func TestTailRebootstrapsWhenBehind(t *testing.T) {
 // record discards its state and re-bootstraps rather than serving a
 // diverged copy.
 func TestTailRebootstrapsOnApplyError(t *testing.T) {
-	b := newFakeBackend(t)
-	defer b.close()
+	b := newFakePrimary(t)
 	b.append([]byte("base"))
 	b.rotate() // snapshot now holds "base"
 	ts, _ := startSource(t, b)
@@ -383,8 +345,7 @@ func TestTailRebootstrapsOnApplyError(t *testing.T) {
 // TestStreamCursorValidation: the source rejects unserveable cursors
 // with 410 Gone rather than streaming garbage.
 func TestStreamCursorValidation(t *testing.T) {
-	b := newFakeBackend(t)
-	defer b.close()
+	b := newFakePrimary(t)
 	b.append([]byte("x"))
 	ts, _ := startSource(t, b)
 
@@ -410,8 +371,7 @@ func TestStreamCursorValidation(t *testing.T) {
 // TestSnapshotEndpoint pins the bootstrap wire contract: the payload
 // body plus the generation header.
 func TestSnapshotEndpoint(t *testing.T) {
-	b := newFakeBackend(t)
-	defer b.close()
+	b := newFakePrimary(t)
 	b.append([]byte("snap-state"))
 	b.rotate()
 	ts, _ := startSource(t, b)

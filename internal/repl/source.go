@@ -16,12 +16,12 @@ package repl
 //
 // Rotation mid-stream is seamless: the source keeps the rotated
 // journal's file handle open (deletion does not revoke it), drains it
-// to its final byte — the primary closes a journal, making it complete,
-// before it bumps the generation — then emits a rotate frame and
-// continues in the next generation's file. Only when the next file is
-// already gone (the follower fell a full generation behind while
-// disconnected from the file system's point of view) does the source
-// end the stream and force a bootstrap.
+// to its final byte — wal.Store.Rotate closes a journal, making it
+// complete, before it publishes the next generation — then emits a
+// rotate frame and continues in the next generation's file. Only when
+// the next file is already gone (the follower fell a full generation
+// behind while disconnected from the file system's point of view) does
+// the source end the stream and force a bootstrap.
 
 import (
 	"errors"
@@ -34,27 +34,11 @@ import (
 	"carbonshift/internal/wal"
 )
 
-// Backend is what the stream source needs from the primary scheduler.
-// internal/schedd's Server implements it when journaling is enabled.
-type Backend interface {
-	// Generation returns the live snapshot+journal generation.
-	Generation() uint64
-	// JournalPath returns the journal file path for a generation.
-	JournalPath(gen uint64) string
-	// FlushJournal pushes the live journal's buffered records into its
-	// file so stream reads observe them (no fsync implied).
-	FlushJournal()
-	// SnapshotLatest returns the newest on-disk snapshot — the state at
-	// the start of the returned generation's journal.
-	SnapshotLatest() (gen uint64, payload []byte, err error)
-	// Hour returns the primary's current fleet hour, carried on
-	// heartbeats so followers can report replication lag.
-	Hour() int
-}
-
-// Source serves the replication endpoints for one primary.
+// Source serves the replication endpoints for one primary's data
+// directory.
 type Source struct {
-	b Backend
+	store *wal.Store
+	hour  func() int
 	// Poll is the cadence at which a caught-up stream re-checks the
 	// journal for new records (default 15ms).
 	Poll time.Duration
@@ -63,9 +47,11 @@ type Source struct {
 	Heartbeat time.Duration
 }
 
-// NewSource builds a Source over a primary backend.
-func NewSource(b Backend) *Source {
-	return &Source{b: b, Poll: 15 * time.Millisecond, Heartbeat: 500 * time.Millisecond}
+// NewSource builds a Source over a store that has rotated at least
+// once; hour is the primary's fleet hour, carried on heartbeats so
+// followers can report replication lag.
+func NewSource(store *wal.Store, hour func() int) *Source {
+	return &Source{store: store, hour: hour, Poll: 15 * time.Millisecond, Heartbeat: 500 * time.Millisecond}
 }
 
 // gone rejects a cursor the source cannot serve, pointing the follower
@@ -73,7 +59,7 @@ func NewSource(b Backend) *Source {
 func (s *Source) gone(w http.ResponseWriter, why string) {
 	httpx.WriteJSON(w, http.StatusGone, map[string]any{
 		"error":              "cursor not serveable: " + why + " (bootstrap from /v1/repl/snapshot)",
-		"current_generation": s.b.Generation(),
+		"current_generation": s.store.Generation(),
 	})
 }
 
@@ -81,7 +67,7 @@ func (s *Source) gone(w http.ResponseWriter, why string) {
 // payload with its generation in X-Repl-Generation. A follower restores
 // it and streams from (generation, wal.HeaderLen).
 func (s *Source) HandleSnapshot(w http.ResponseWriter, r *http.Request) {
-	gen, payload, err := s.b.SnapshotLatest()
+	gen, payload, err := s.store.LatestSnapshot()
 	if err != nil {
 		httpx.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
 		return
@@ -107,14 +93,15 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 		s.gone(w, "missing or malformed offset")
 		return
 	}
-	if gen > s.b.Generation() {
+	live := s.store.Generation()
+	if gen > live {
 		s.gone(w, fmt.Sprintf("generation %d is in the future", gen))
 		return
 	}
-	if gen == s.b.Generation() {
-		s.b.FlushJournal()
+	if gen == live {
+		s.store.Journal().Flush()
 	}
-	sr, err := wal.OpenSegment(s.b.JournalPath(gen), offset)
+	sr, err := wal.OpenSegment(s.store.JournalPath(gen), offset)
 	if err != nil {
 		s.gone(w, fmt.Sprintf("generation %d is no longer retained", gen))
 		return
@@ -133,14 +120,15 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	lastBeat := time.Now()
 	for ctx.Err() == nil && out.err == nil {
-		// Read the live generation before draining. A journal is closed
-		// — flushed and complete — before the generation advances past
-		// it, so once live > gen this drain reaches the file's last
-		// record. On the live generation, flush the appenders' buffer
-		// first so the file holds everything acknowledged so far.
-		live := s.b.Generation()
+		// Read the live generation before draining. Rotate closes a
+		// journal — flushed and complete — before the generation
+		// advances past it, so once live > gen this drain reaches the
+		// file's last record. On the live generation, flush the
+		// appenders' buffer (no fsync) so the file holds everything
+		// acknowledged so far.
+		live = s.store.Generation()
 		if live == gen {
-			s.b.FlushJournal()
+			s.store.Journal().Flush()
 		}
 		from := sr.Offset()
 		for out.err == nil {
@@ -158,7 +146,7 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 			// Move the reader, buffers and all, to the next generation's
 			// file. If rotation already garbage-collected it, the
 			// follower must re-bootstrap.
-			if err := sr.Reopen(s.b.JournalPath(gen+1), int64(wal.HeaderLen)); err != nil {
+			if err := sr.Reopen(s.store.JournalPath(gen+1), int64(wal.HeaderLen)); err != nil {
 				out.send(AppendEnd(out.buf, fmt.Sprintf("generation %d was garbage-collected", gen+1)))
 				return
 			}
@@ -175,7 +163,7 @@ func (s *Source) HandleStream(w http.ResponseWriter, r *http.Request) {
 		// Caught up: long-poll, heartbeating so the follower can tell an
 		// idle primary from a dead connection.
 		if time.Since(lastBeat) >= s.Heartbeat {
-			out.send(AppendHeartbeat(out.buf, s.b.Hour(), Cursor{Generation: gen, Offset: sr.Offset()}))
+			out.send(AppendHeartbeat(out.buf, s.hour(), Cursor{Generation: gen, Offset: sr.Offset()}))
 			out.flush()
 			lastBeat = time.Now()
 		}

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"carbonshift/internal/frame"
 	"carbonshift/internal/repl"
@@ -49,20 +48,6 @@ const (
 	recAdmit     = 1
 	recWatermark = 2
 )
-
-// durable holds the journaling state of a Server with a DataDir. The
-// journal pointer swaps only under both stepMu and admitMu (rotation);
-// appenders hold one of those locks, so their loads are stable, while
-// the replication source reads the pointer lock-free from handler
-// goroutines — hence the atomic. gen and lastSnapHour are written
-// under the server's locks but read lock-free by the stats path.
-type durable struct {
-	store        *wal.Store
-	journal      atomic.Pointer[wal.Journal]
-	opts         wal.Options
-	gen          atomic.Uint64
-	lastSnapHour atomic.Int64
-}
 
 // DurabilityStats is the /v1/stats view of the journaling layer.
 type DurabilityStats struct {
@@ -148,27 +133,17 @@ func (s *Server) openStore() (*wal.Store, uint64, []byte, error) {
 // takeAuthority makes the server the journaling primary of store: the
 // in-memory state — recovered at boot, replicated before a promotion —
 // is snapshotted as the generation after gen, the newest the directory
-// holds, and everything older is garbage-collected. On failure the
+// holds, and everything older is garbage-collected. Only then are the
+// source and the store published, so a handler that sees the store
+// finds a snapshot on disk and the source installed. On failure the
 // directory lock is released.
 func (s *Server) takeAuthority(store *wal.Store, gen uint64) error {
-	opts := wal.Options{Sync: s.cfg.Sync, Trace: s.tr}
-	if s.mx != nil {
-		// One JournalMetrics spans generation rotations: wal_* series
-		// are cumulative over the server's life, not per journal file.
-		opts.Metrics = s.mx.wal
-	}
-	d := &durable{store: store, opts: opts}
-	d.gen.Store(gen)
-	// The source is installed before dur becomes visible: handlers gate
-	// on the dur atomic, so whoever observes it non-nil also sees the
-	// source.
-	s.source = repl.NewSource(s)
-	s.dur.Store(d)
-	if err := s.rotateGeneration(); err != nil {
-		s.dur.Store(nil)
+	if err := s.rotateGeneration(store, gen+1); err != nil {
 		store.Close()
 		return err
 	}
+	s.source = repl.NewSource(store, s.Hour)
+	s.store.Store(store)
 	return nil
 }
 
@@ -248,35 +223,25 @@ func (s *Server) stepFleetTo(hour int) error {
 	return nil
 }
 
-// rotateGeneration writes a snapshot of the current state as
-// generation gen+1, opens that generation's journal, and garbage-
-// collects older generations. Callers must exclude concurrent
+// rotateGeneration snapshots the current state as generation gen and
+// makes it live (wal.Store.Rotate). Callers must exclude concurrent
 // admissions and steps (boot does trivially; live rotation holds
 // stepMu and admitMu).
-func (s *Server) rotateGeneration() error {
-	d := s.dur.Load()
+func (s *Server) rotateGeneration(store *wal.Store, gen uint64) error {
 	fleetImg, err := s.fleet.Marshal()
 	if err != nil {
 		return err
 	}
-	next := d.gen.Load() + 1
-	if err := d.store.WriteSnapshot(next, encodeServerSnapshot(s.nextID, fleetImg)); err != nil {
+	opts := wal.Options{Sync: s.cfg.Sync, Trace: s.tr}
+	if s.mx != nil {
+		// One JournalMetrics spans generation rotations: wal_* series
+		// are cumulative over the server's life, not per journal file.
+		opts.Metrics = s.mx.wal
+	}
+	if err := store.Rotate(gen, encodeServerSnapshot(s.nextID, fleetImg), opts); err != nil {
 		return err
 	}
-	j, err := wal.Create(d.store.JournalPath(next), d.opts)
-	if err != nil {
-		return err
-	}
-	// Close the outgoing journal before the generation becomes visible:
-	// a replication stream that observes the new generation may then
-	// rely on the old file being complete.
-	if old := d.journal.Load(); old != nil {
-		old.Close()
-	}
-	d.journal.Store(j)
-	d.gen.Store(next)
-	d.lastSnapHour.Store(int64(s.fleet.Hour()))
-	d.store.RemoveGenerationsBelow(next)
+	s.lastSnapHour.Store(int64(s.fleet.Hour()))
 	return nil
 }
 
@@ -284,16 +249,16 @@ func (s *Server) rotateGeneration() error {
 // SnapshotEvery hours past the last snapshot. Called under stepMu; it
 // takes admitMu to freeze admissions across the snapshot/journal swap.
 func (s *Server) maybeSnapshot() error {
-	d := s.dur.Load()
-	if d == nil || s.cfg.SnapshotEvery <= 0 {
+	store := s.store.Load()
+	if store == nil || s.cfg.SnapshotEvery <= 0 {
 		return nil
 	}
-	if s.fleet.Hour()-int(d.lastSnapHour.Load()) < s.cfg.SnapshotEvery {
+	if s.fleet.Hour()-int(s.lastSnapHour.Load()) < s.cfg.SnapshotEvery {
 		return nil
 	}
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
-	return s.rotateGeneration()
+	return s.rotateGeneration(store, store.Generation()+1)
 }
 
 // journalAdmit buffers one admission record for the batch and returns
@@ -305,11 +270,10 @@ func (s *Server) maybeSnapshot() error {
 // share one group-commit fsync. No batch a request body can carry makes
 // a record past wal.MaxRecord (TestAdmitRecordFitsMaxRecord).
 func (s *Server) journalAdmit(arrival, nextID int, jobs []sched.Job, tid tracing.TraceID) (*wal.Journal, uint64, error) {
-	d := s.dur.Load()
-	if d == nil {
+	j := s.liveJournal()
+	if j == nil {
 		return nil, 0, nil
 	}
-	j := d.journal.Load()
 	seq, err := j.AppendNoWait(encodeAdmit(arrival, nextID, jobs, tid))
 	return j, seq, err
 }
@@ -322,11 +286,10 @@ func (s *Server) journalAdmit(arrival, nextID int, jobs []sched.Job, tid tracing
 // admitMu is released, so admissions never stall behind a watermark
 // fsync.
 func (s *Server) journalWatermark(hour int) error {
-	d := s.dur.Load()
-	if d == nil {
+	j := s.liveJournal()
+	if j == nil {
 		return nil
 	}
-	j := d.journal.Load()
 	s.admitMu.Lock()
 	seq, err := j.AppendNoWait(encodeWatermark(hour))
 	s.admitMu.Unlock()
@@ -339,11 +302,10 @@ func (s *Server) journalWatermark(hour int) error {
 // liveJournal returns the current generation's journal (nil when the
 // server runs without a DataDir).
 func (s *Server) liveJournal() *wal.Journal {
-	d := s.dur.Load()
-	if d == nil {
-		return nil
+	if store := s.store.Load(); store != nil {
+		return store.Journal()
 	}
-	return d.journal.Load()
+	return nil
 }
 
 // Close ends replication for good (followers: no later Start or failed
@@ -352,18 +314,10 @@ func (s *Server) liveJournal() *wal.Journal {
 // idempotent, nil-safe without a DataDir.
 func (s *Server) Close() error {
 	s.role.Load().session.close()
-	d := s.dur.Load()
-	if d == nil {
-		return nil
+	if store := s.store.Load(); store != nil {
+		return store.Close()
 	}
-	var err error
-	if j := d.journal.Load(); j != nil {
-		err = j.Close()
-	}
-	if cerr := d.store.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return nil
 }
 
 // Recovery returns what boot restored from the data directory (the
@@ -384,13 +338,13 @@ func (s *Server) Hour() int { return s.fleet.Hour() }
 // reads are individually atomic; a rotation between them can show a
 // momentarily mixed pair, which monitoring tolerates.
 func (s *Server) durabilityStats() *DurabilityStats {
-	d := s.dur.Load()
-	if d == nil {
+	store := s.store.Load()
+	if store == nil {
 		return nil
 	}
 	ds := s.Recovery() // copy of the boot- or promotion-time recovery info
-	ds.Generation = d.gen.Load()
-	ds.LastSnapshotHour = int(d.lastSnapHour.Load())
+	ds.Generation = store.Generation()
+	ds.LastSnapshotHour = int(s.lastSnapHour.Load())
 	return &ds
 }
 

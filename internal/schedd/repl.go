@@ -2,13 +2,13 @@ package schedd
 
 // The replication face of the server, both directions.
 //
-// As a primary, a journaling Server implements repl.Backend: the
-// stream source reads journal files by generation and byte offset, the
-// live journal's buffer is flushed on demand (no fsync — replication
-// rides the durability the journal already provides), and the
-// bootstrap snapshot is the newest on-disk one, which by the rotation
-// invariant is exactly the state at the start of the current
-// generation's journal.
+// As a primary, a journaling Server serves repl.Source over its
+// wal.Store: the source reads journal files by generation and byte
+// offset, flushes the live journal's buffer on demand (no fsync —
+// replication rides the durability the journal already provides), and
+// bootstraps from the newest on-disk snapshot, which by the rotation
+// invariant (wal.Store.Rotate) is exactly the state at the start of
+// the current generation's journal.
 //
 // As a follower, the Server implements repl.Applier with the two
 // functions boot recovery is made of (durable.go): a snapshot bootstrap
@@ -30,7 +30,6 @@ package schedd
 // place, guard.
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -71,60 +70,22 @@ func followerRole(session *followerState) *role {
 // Role reports "primary" or "follower".
 func (s *Server) Role() string { return s.role.Load().name }
 
-// --- repl.Backend (primary side) ---
-
-// Generation returns the live snapshot+journal generation — the
-// replication Backend hook (0 without a DataDir).
+// Generation returns the live snapshot+journal generation (0 without a
+// DataDir).
 func (s *Server) Generation() uint64 {
-	d := s.dur.Load()
-	if d == nil {
-		return 0
+	if store := s.store.Load(); store != nil {
+		return store.Generation()
 	}
-	return d.gen.Load()
+	return 0
 }
 
-// JournalPath returns one generation's journal file path — the
-// replication Backend hook ("" without a DataDir).
+// JournalPath returns one generation's journal file path ("" without a
+// DataDir).
 func (s *Server) JournalPath(gen uint64) string {
-	d := s.dur.Load()
-	if d == nil {
-		return ""
+	if store := s.store.Load(); store != nil {
+		return store.JournalPath(gen)
 	}
-	return d.store.JournalPath(gen)
-}
-
-// FlushJournal pushes the live journal's buffered records into its
-// file so the replication stream can read them; it never forces an
-// fsync — followers replicate acknowledged records at the durability
-// the journal's own sync discipline provides.
-func (s *Server) FlushJournal() {
-	if j := s.liveJournal(); j != nil {
-		j.Flush()
-	}
-}
-
-// SnapshotLatest returns the newest on-disk snapshot for follower
-// bootstrap. A rotation can remove the file between listing and
-// reading, so a failed read is retried against the fresh directory
-// state rather than surfacing a transient error to the follower.
-func (s *Server) SnapshotLatest() (uint64, []byte, error) {
-	d := s.dur.Load()
-	if d == nil {
-		return 0, nil, errors.New("schedd: no data dir")
-	}
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		gen, payload, err := d.store.LatestSnapshot()
-		if err == nil && gen > 0 {
-			return gen, payload, nil
-		}
-		if err == nil {
-			err = errors.New("schedd: no snapshot on disk yet")
-		}
-		lastErr = err
-		time.Sleep(5 * time.Millisecond)
-	}
-	return 0, nil, lastErr
+	return ""
 }
 
 // --- repl.Applier (follower side) ---
@@ -256,7 +217,7 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // replSource is the journal stream a primary serves to its followers;
 // a primary without a DataDir has none (404).
 func (s *Server) replSource(w http.ResponseWriter) *repl.Source {
-	if s.dur.Load() == nil {
+	if s.store.Load() == nil {
 		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "replication requires a -data-dir on the primary"})
 		return nil
 	}

@@ -226,12 +226,15 @@ type Server struct {
 	gateClock    func() time.Time
 	tenantCounts map[string]int
 
-	// dur is the journaling state (nil without Config.DataDir);
-	// recovery describes what boot — or a promotion — restored. Both
-	// are atomic because promotion installs them on a live server
-	// while lock-free readers (stats, the repl source) look on.
-	dur      atomic.Pointer[durable]
-	recovery atomic.Pointer[DurabilityStats]
+	// store is the data directory, which owns the live generation and
+	// its journal (nil without Config.DataDir); lastSnapHour is the
+	// fleet hour of its newest snapshot; recovery describes what boot —
+	// or a promotion — restored. All are atomic because promotion
+	// installs them on a live server while lock-free readers (stats,
+	// the repl source) look on.
+	store        atomic.Pointer[wal.Store]
+	lastSnapHour atomic.Int64
+	recovery     atomic.Pointer[DurabilityStats]
 
 	// Replication: role is what the server is (repl.go) — installed by
 	// New or NewFollower, swapped exactly once by Promote, which
@@ -683,38 +686,6 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 }
 
-// errHorizonExhausted refuses every submission once the replay horizon
-// is over.
-var errHorizonExhausted = errors.New("replay horizon exhausted")
-
-// errStoreFull refuses a batch the job store has no room for. The store
-// keeps every resolved job, so the same request never fits again.
-var errStoreFull = errors.New("job store full")
-
-// retryAfterHint computes the Retry-After seconds for a backpressure
-// rejection: a rate 429 carries the gate's token-refill time, a quota
-// 429 the wall-clock remainder of the current fleet hour (the quota
-// window resets on the hour rollover), and a 503 a short fixed hint —
-// capacity drains as the fleet steps, there is no exact bound — except
-// once the horizon is exhausted or the job store is full, when no retry
-// can succeed and there is no hint (0).
-func (s *Server) retryAfterHint(status int, err error) int {
-	switch {
-	case errors.Is(err, errHorizonExhausted), errors.Is(err, errStoreFull):
-		return 0
-	case errors.Is(err, tenant.ErrRate):
-		if after := tenant.RetryAfterSeconds(err); after > 0 {
-			return after
-		}
-		return 1
-	case errors.Is(err, tenant.ErrQuota):
-		return s.quotaRetryAfter()
-	case status == http.StatusServiceUnavailable:
-		return 1
-	}
-	return 0
-}
-
 // quotaRetryAfter maps the remainder of the current fleet hour into
 // wall seconds through the replay speedup. The quota window is keyed
 // to the fleet hour, so this is exactly when the rejected tenant's
@@ -732,18 +703,6 @@ func (s *Server) quotaRetryAfter() int {
 		speed = 1
 	}
 	return max(int(math.Ceil(rem.Seconds()/speed)), 1)
-}
-
-// writeAdmitError renders an admission rejection, stamping the
-// Retry-After hint (header and retry_after body field) on every
-// 429/503 that has one, so clients and the gateway can pace their
-// retries.
-func (s *Server) writeAdmitError(w http.ResponseWriter, status int, err error) {
-	resp := ErrorResponse{Error: err.Error()}
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		resp.RetryAfter = s.retryAfterHint(status, err)
-	}
-	resp.Respond(w, status)
 }
 
 // serveSubmit is the submit pipeline, the same for both protocols:
@@ -774,9 +733,9 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, wire *Wire)
 		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	adm, err := s.admit(ctx, b)
-	if err != nil {
-		s.writeAdmitError(w, adm.status, err)
+	adm, ref := s.admit(ctx, b)
+	if ref != nil {
+		ErrorResponse{Error: ref.Message, RetryAfter: ref.RetryAfter}.Respond(w, ref.StatusCode)
 		return
 	}
 	// The durability wait runs after admitMu is released: buffering the
@@ -798,18 +757,19 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, wire *Wire)
 
 // admission is admit's outcome: the arrival hour the fleet stamped and
 // the journal position to wait on before acking (journal is nil when
-// the server is not durable) — or, with an error, the status to answer.
+// the server is not durable).
 type admission struct {
 	arrival int
 	journal *wal.Journal
 	seq     uint64
-	status  int
 }
 
-// reject is admit's backpressure refusal, counted under reason.
-func (s *Server) reject(status int, reason string, err error) (admission, error) {
+// reject is admit's backpressure refusal, counted under reason. A 429
+// or 503 carries the Retry-After seconds its cause allows: 0 where no
+// retry can succeed (the job store is full, the horizon is over).
+func (s *Server) reject(status, retryAfter int, reason, msg string) (admission, *httpx.StatusError) {
 	s.countBackpressure(reason)
-	return admission{status: status}, err
+	return admission{}, &httpx.StatusError{StatusCode: status, Message: msg, RetryAfter: retryAfter}
 }
 
 // admit is the admission critical section: bound checks, id
@@ -821,8 +781,9 @@ func (s *Server) reject(status int, reason string, err error) (admission, error)
 // journal fsync never contend with it.
 //
 // b carries the decoded batch; jobs b.auto marks get an id assigned in
-// place, and b.ids is filled with the final assignment.
-func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
+// place, and b.ids is filled with the final assignment. A refused batch
+// gets the whole answer: status, message and Retry-After.
+func (s *Server) admit(ctx context.Context, b *batch) (admission, *httpx.StatusError) {
 	ctx, sp := tracing.StartSpan(ctx, "schedd.admit")
 	defer sp.End()
 	if sp != nil {
@@ -835,10 +796,12 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 	defer s.admitMu.Unlock()
 	jobs := b.jobs
 	if s.fleet.Jobs()+len(jobs) > s.cfg.MaxJobs {
-		return s.reject(http.StatusServiceUnavailable, "job_store_full", errStoreFull)
+		// The store keeps every resolved job: the batch never fits again.
+		return s.reject(http.StatusServiceUnavailable, 0, "job_store_full", "job store full")
 	}
 	if s.fleet.Outstanding()+len(jobs) > s.cfg.MaxQueue {
-		return s.reject(http.StatusServiceUnavailable, "queue_full", errors.New("queue full"))
+		// Capacity drains as the fleet steps; there is no exact bound.
+		return s.reject(http.StatusServiceUnavailable, 1, "queue_full", "queue full")
 	}
 	next := s.nextID
 	defer clear(s.inBatch)
@@ -865,13 +828,13 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 	if err != nil {
 		switch {
 		case errors.Is(err, sched.ErrHorizonExhausted):
-			return s.reject(http.StatusServiceUnavailable, "horizon_exhausted", errHorizonExhausted)
+			return s.reject(http.StatusServiceUnavailable, 0, "horizon_exhausted", "replay horizon exhausted")
 		case errors.Is(err, tenant.ErrQuota):
-			return s.reject(http.StatusTooManyRequests, "quota", err)
+			return s.reject(http.StatusTooManyRequests, s.quotaRetryAfter(), "quota", err.Error())
 		case errors.Is(err, tenant.ErrRate):
-			return s.reject(http.StatusTooManyRequests, "rate", err)
+			return s.reject(http.StatusTooManyRequests, max(tenant.RetryAfterSeconds(err), 1), "rate", err.Error())
 		}
-		return admission{status: http.StatusBadRequest}, err
+		return admission{}, &httpx.StatusError{StatusCode: http.StatusBadRequest, Message: err.Error()}
 	}
 	// Buffer the admission record before acknowledging (SubmitNow
 	// stamped the arrivals into jobs). A journal failure poisons the
@@ -886,7 +849,7 @@ func (s *Server) admit(ctx context.Context, b *batch) (admission, error) {
 	journal, seq, err := s.journalAdmit(arrival, next, jobs, tid)
 	asp.End()
 	if err != nil {
-		return admission{status: http.StatusInternalServerError}, s.poison(err)
+		return admission{}, &httpx.StatusError{StatusCode: http.StatusInternalServerError, Message: s.poison(err).Error()}
 	}
 	s.nextID = next
 	return admission{arrival: arrival, journal: journal, seq: seq}, nil

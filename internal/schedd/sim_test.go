@@ -582,7 +582,7 @@ func (tr tear) of(journal []byte) []byte {
 func (c *cluster) crash(at func(bounds []int64) tear) {
 	c.t.Helper()
 	p := c.primary
-	p.srv.FlushJournal() // what reached the file is what a kill -9 leaves
+	p.srv.liveJournal().Flush() // what reached the file is what a kill -9 leaves
 	bounds := journalBounds(c.t, p.srv.JournalPath(p.srv.Generation()))
 	files := readDir(c.t, p.dir)
 	p.kill()
@@ -854,7 +854,7 @@ func (c *cluster) settle() {
 		return
 	}
 	p := c.primary.srv
-	p.FlushJournal()
+	p.liveJournal().Flush()
 	want := repl.Cursor{Generation: p.Generation()}
 	fi, err := os.Stat(p.JournalPath(want.Generation))
 	if err != nil {

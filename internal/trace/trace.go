@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -134,7 +135,8 @@ func (t *Trace) Validate() error {
 		return errors.New("trace: no samples")
 	}
 	for i, v := range t.CI {
-		if v < 0 || v != v /* NaN */ {
+		// One comparison pair per sample: false for negatives, NaN and +Inf.
+		if !(v >= 0 && v <= math.MaxFloat64) {
 			return fmt.Errorf("trace: bad sample %v at hour %d", v, i)
 		}
 	}

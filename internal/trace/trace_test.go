@@ -136,6 +136,9 @@ func TestValidate(t *testing.T) {
 	if err := New("SE", t0, []float64{math.NaN()}).Validate(); err == nil {
 		t.Fatal("NaN sample accepted")
 	}
+	if err := New("SE", t0, []float64{1, math.Inf(1)}).Validate(); err == nil {
+		t.Fatal("+Inf sample accepted")
+	}
 }
 
 func mustSet(t *testing.T, traces ...*Trace) *Set {
@@ -261,6 +264,7 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 		{"bad header", "not,a,header\n", ""},
 		{"bad timestamp", head + "A,not-a-time,1\n", ""},
 		{"bad value", head + "A,2020-01-01T00:00:00Z,xyz\n", ""},
+		{"infinite value", head + "A,2020-01-01T00:00:00Z,Inf\n", "bad sample"},
 		{"gap", misplaced("2020-01-01T04:00:00Z"), "line 5:"},
 		{"duplicate", misplaced("2020-01-01T02:00:00Z"), "line 5:"},
 		{"out of order", misplaced("2020-01-01T01:00:00Z"), "line 5:"},

@@ -4,15 +4,20 @@ package wal
 // atomically next to the journal of the same generation. Generation G
 // means "journal-G applies on top of snap-G", so recovery is: restore
 // the newest valid snapshot, replay its journal, and ignore everything
-// older. Writers rotate by writing snap-(G+1) first, then creating
-// journal-(G+1), then deleting older generations — every crash point
-// in that sequence leaves a recoverable directory.
+// older. Rotate is the one way a generation goes live: write snap-G,
+// create journal-G, close the previous journal, publish G, then delete
+// older generations. Every crash point in that sequence leaves a
+// recoverable directory, and a reader that sees G may take every older
+// journal as complete.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"carbonshift/internal/frame"
@@ -25,9 +30,15 @@ const (
 
 // Store manages one data directory of snapshots and journals. Opening
 // takes an exclusive lock on the directory for the life of the store.
+// The live generation and its journal are read lock-free; mu orders
+// Rotate against LatestSnapshot, so a reader never lists a generation
+// that a rotation deletes before the read.
 type Store struct {
-	dir  string
-	lock *os.File
+	dir     string
+	lock    *os.File
+	mu      sync.Mutex
+	gen     atomic.Uint64
+	journal atomic.Pointer[Journal]
 }
 
 // OpenStore opens (creating if needed) a data directory. It takes an
@@ -57,15 +68,49 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir, lock: lock}, nil
 }
 
-// Close releases the directory lock. Idempotent.
+// Close closes the live journal and releases the directory lock.
+// Idempotent.
 func (s *Store) Close() error {
-	if s.lock == nil {
-		return nil
+	var err error
+	if j := s.journal.Load(); j != nil {
+		err = j.Close()
 	}
-	err := s.lock.Close() // closing the descriptor releases the flock
-	s.lock = nil
+	if s.lock != nil {
+		err = errors.Join(err, s.lock.Close()) // closing the descriptor releases the flock
+		s.lock = nil
+	}
 	return err
 }
+
+// Rotate makes gen the live generation: it writes snapshot gen, creates
+// journal gen, closes the previous live journal (so its file is
+// complete), publishes the journal and then gen, and removes older
+// generations. Callers exclude appends to the live journal across it.
+func (s *Store) Rotate(gen uint64, snapshot []byte, opts Options) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.WriteSnapshot(gen, snapshot); err != nil {
+		return err
+	}
+	j, err := Create(s.JournalPath(gen), opts)
+	if err != nil {
+		return err
+	}
+	if old := s.journal.Load(); old != nil {
+		old.Close() // a failed final sync reaches its waiters through WaitSynced
+	}
+	s.journal.Store(j)
+	s.gen.Store(gen)
+	s.removeGenerationsBelow(gen)
+	return nil
+}
+
+// Generation returns the live generation (0 before the first Rotate).
+func (s *Store) Generation() uint64 { return s.gen.Load() }
+
+// Journal returns the live generation's journal (nil before the first
+// Rotate).
+func (s *Store) Journal() *Journal { return s.journal.Load() }
 
 // SnapshotPath returns the snapshot file path for a generation.
 func (s *Store) SnapshotPath(gen uint64) string {
@@ -134,6 +179,8 @@ func readSnapshot(path string) ([]byte, error) {
 // acknowledgement. Generation 0 with a nil payload and a nil error
 // means the store genuinely holds no snapshot yet.
 func (s *Store) LatestSnapshot() (gen uint64, payload []byte, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	gens, err := s.generations("snap-", ".snap")
 	if err != nil {
 		return 0, nil, err
@@ -155,10 +202,10 @@ func (s *Store) LatestSnapshot() (gen uint64, payload []byte, err error) {
 	return 0, nil, nil
 }
 
-// RemoveGenerationsBelow deletes every snapshot and journal file of a
+// removeGenerationsBelow deletes every snapshot and journal file of a
 // generation older than keep. Removal failures are ignored — stale
 // files cost disk, not correctness, and the next rotation retries.
-func (s *Store) RemoveGenerationsBelow(keep uint64) {
+func (s *Store) removeGenerationsBelow(keep uint64) {
 	for _, prefix := range []struct{ pre, ext string }{{"snap-", ".snap"}, {"journal-", ".wal"}} {
 		gens, err := s.generations(prefix.pre, prefix.ext)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -502,7 +503,7 @@ func TestStoreSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	s.RemoveGenerationsBelow(3)
+	s.removeGenerationsBelow(3)
 	if _, err := os.Stat(s.SnapshotPath(1)); !os.IsNotExist(err) {
 		t.Fatal("gen-1 snapshot survived GC")
 	}
@@ -513,6 +514,91 @@ func TestStoreSnapshots(t *testing.T) {
 	if _, err := os.Stat(s.JournalPath(3)); err != nil {
 		t.Fatal("gen-3 journal removed by GC")
 	}
+}
+
+// TestStoreRotate: each Rotate publishes its generation and journal,
+// closes the journal it replaces and removes older generations; Close
+// closes the live journal.
+func TestStoreRotate(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Generation() != 0 || s.Journal() != nil {
+		t.Fatalf("fresh store: generation %d, journal %v", s.Generation(), s.Journal())
+	}
+	for gen := uint64(1); gen <= 3; gen++ {
+		old := s.Journal()
+		want := fmt.Sprintf("state-%d", gen)
+		if err := s.Rotate(gen, []byte(want), Options{Sync: SyncNone}); err != nil {
+			t.Fatal(err)
+		}
+		if s.Generation() != gen || s.Journal() == nil || s.Journal() == old {
+			t.Fatalf("after Rotate(%d): generation %d, journal %p (was %p)", gen, s.Generation(), s.Journal(), old)
+		}
+		if err := s.Journal().Append([]byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		if old != nil && old.Append([]byte("late")) == nil {
+			t.Fatalf("generation %d's journal took an append after Rotate(%d)", gen-1, gen)
+		}
+		if g, p, err := s.LatestSnapshot(); err != nil || g != gen || string(p) != want {
+			t.Fatalf("after Rotate(%d): latest gen=%d payload=%q err=%v", gen, g, p, err)
+		}
+		for g := uint64(1); g < gen; g++ {
+			for _, path := range []string{s.SnapshotPath(g), s.JournalPath(g)} {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Fatalf("after Rotate(%d): %s survived (%v)", gen, filepath.Base(path), err)
+				}
+			}
+		}
+	}
+	live := s.Journal()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if live.Append([]byte("after close")) == nil {
+		t.Fatal("Close left the live journal open")
+	}
+	if res, err := Replay(s.JournalPath(3), func([]byte) error { return nil }); err != nil || res.Records != 1 {
+		t.Fatalf("live journal after Close: %+v, %v; want its one record", res, err)
+	}
+}
+
+// TestStoreRotateBesideLatestSnapshot: readers beside 200 rotations
+// never list a generation that a rotation deletes before the read.
+func TestStoreRotateBesideLatestSnapshot(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	opts := Options{Sync: SyncNone}
+	if err := s.Rotate(1, []byte("state"), opts); err != nil {
+		t.Fatal(err)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if gen, _, err := s.LatestSnapshot(); err != nil || gen == 0 {
+					t.Errorf("LatestSnapshot beside Rotate: gen=%d err=%v", gen, err)
+					return
+				}
+			}
+		}()
+	}
+	for gen := uint64(2); gen <= 201; gen++ {
+		if err := s.Rotate(gen, []byte("state"), opts); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
 }
 
 // TestStoreRefusesAllCorrupt: when snapshots exist but none validates,
