@@ -7,9 +7,13 @@
 //	carbonlimits -exp fig5a
 //	carbonlimits -all -format csv -out results/
 //	carbonlimits -exp fig7 -seed 7 -span 2000 -workers 8
+//	carbonlimits -exp policies -seed 7
 //
 // Each experiment id corresponds to one figure of the paper's
-// evaluation; see DESIGN.md for the index. Experiments fan their
+// evaluation; see DESIGN.md for the index. -exp also runs a study, an
+// analysis beyond the paper's figures (policies: the five scheduling
+// policies on finite clusters); -list prints both lists, while -all and
+// -report stay the paper's list. Experiments fan their
 // independent cells across -workers goroutines (default: one per CPU);
 // results are byte-identical for every worker count, and -workers 1
 // runs the serial reference path.
@@ -31,10 +35,10 @@ import (
 
 func main() {
 	var (
-		expID   = flag.String("exp", "", "experiment id to run (see -list)")
-		all     = flag.Bool("all", false, "run every experiment")
+		expID   = flag.String("exp", "", "experiment or study id to run (see -list)")
+		all     = flag.Bool("all", false, "run every paper experiment")
 		report  = flag.Bool("report", false, "emit a full markdown report of every experiment")
-		list    = flag.Bool("list", false, "list experiments and exit")
+		list    = flag.Bool("list", false, "list experiments and studies, and exit")
 		format  = flag.String("format", "text", "output format: text or csv")
 		outDir  = flag.String("out", "", "write per-experiment files into this directory instead of stdout")
 		seed    = flag.Uint64("seed", 1, "simulation seed")
@@ -48,20 +52,20 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := conflict(set); err != nil {
+		fmt.Fprintln(os.Stderr, "carbonlimits:", err)
+		os.Exit(2)
+	}
 	if *list {
-		for _, e := range core.Experiments() {
+		for _, e := range append(core.Experiments(), core.Studies()...) {
 			fmt.Printf("%-8s %-14s %s\n", e.ID, e.Figure, e.Title)
 		}
 		return
 	}
 	if !*all && !*report && *expID == "" {
 		fmt.Fprintln(os.Stderr, "carbonlimits: need -exp <id>, -all, or -report (try -list)")
-		os.Exit(2)
-	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := conflict(set); err != nil {
-		fmt.Fprintln(os.Stderr, "carbonlimits:", err)
 		os.Exit(2)
 	}
 	if *format != "text" && *format != "csv" {
@@ -127,10 +131,14 @@ func main() {
 }
 
 // conflict reports the first pair of set flags (by name) where one
-// would silently ignore the other: -report writes one markdown document
-// to stdout, and -all runs every experiment.
+// would silently ignore the other: -list only prints the index, -report
+// writes one markdown document to stdout, and -all runs every
+// experiment.
 func conflict(set map[string]bool) error {
-	for _, p := range [][2]string{{"report", "all"}, {"report", "exp"}, {"report", "format"}, {"report", "out"}, {"all", "exp"}} {
+	for _, p := range [][2]string{
+		{"list", "exp"}, {"list", "all"}, {"list", "report"}, {"list", "format"}, {"list", "out"},
+		{"report", "all"}, {"report", "exp"}, {"report", "format"}, {"report", "out"}, {"all", "exp"},
+	} {
 		if set[p[0]] && set[p[1]] {
 			return fmt.Errorf("-%s ignores -%s; give one of them", p[0], p[1])
 		}

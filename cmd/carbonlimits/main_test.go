@@ -21,6 +21,12 @@ func TestConflict(t *testing.T) {
 		{"report exp", "-report ignores -exp"},
 		{"report all", "-report ignores -all"},
 		{"all exp", "-all ignores -exp"},
+		{"list exp", "-list ignores -exp"},
+		{"list all", "-list ignores -all"},
+		{"list report", "-list ignores -report"},
+		{"list exp format", "-list ignores -exp"},
+		{"list format", "-list ignores -format"},
+		{"list out", "-list ignores -out"},
 	} {
 		set := map[string]bool{}
 		for _, f := range strings.Fields(tc.flags) {

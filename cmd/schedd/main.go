@@ -1,7 +1,7 @@
 // Command schedd runs the online carbon-aware scheduling service: jobs
 // submitted over HTTP are placed by the selected policy against the
 // replayed grid, with the same engine — and byte-identical decisions —
-// as the cmd/carbonsched batch simulation.
+// as the batch simulation of `carbonlimits -exp policies`.
 //
 // Usage:
 //

@@ -111,7 +111,7 @@ func TestFillTemporalGrid(t *testing.T) {
 
 func TestAllExperimentsRunOnMiniLab(t *testing.T) {
 	l := mini(t)
-	for _, e := range Experiments() {
+	for _, e := range append(Experiments(), Studies()...) {
 		tbl, err := e.Run(context.Background(), l)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
@@ -187,18 +187,21 @@ func TestWriteReport(t *testing.T) {
 }
 
 func TestExperimentByID(t *testing.T) {
-	e, err := ExperimentByID("fig5a")
-	if err != nil || e.ID != "fig5a" {
-		t.Fatalf("lookup = %+v, %v", e, err)
+	for _, id := range []string{"fig5a", "policies"} {
+		if e, err := ExperimentByID(id); err != nil || e.ID != id {
+			t.Fatalf("lookup %s = %+v, %v", id, e, err)
+		}
 	}
-	if _, err := ExperimentByID("nope"); err == nil {
-		t.Fatal("unknown id accepted")
+	if _, err := ExperimentByID("nope"); err == nil || !strings.Contains(err.Error(), " policies") {
+		t.Fatalf("unknown id: err = %v, want a refusal listing the studies", err)
 	}
 }
 
+// TestExperimentIDsUnique covers experiments and studies together: one
+// -exp namespace, so a study cannot shadow an experiment.
 func TestExperimentIDsUnique(t *testing.T) {
 	seen := make(map[string]bool)
-	for _, e := range Experiments() {
+	for _, e := range append(Experiments(), Studies()...) {
 		if seen[e.ID] {
 			t.Fatalf("duplicate experiment id %s", e.ID)
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"strings"
 	"testing"
 
 	"carbonshift/internal/golden"
@@ -18,11 +17,20 @@ import (
 // bench/golden.json pins the full lab at one seed and size; this is the
 // package's own record of what the tables were. It was recorded on amd64
 // ahead of the simgrid shared-logarithm kernel and the selection-based
-// stats.BottomKIndices — never -update it for a refactor.
+// stats.BottomKIndices — never -update it for a refactor. The studies'
+// digests go to their own file, so adding a study leaves the
+// experiments' record untouched.
 func TestExperimentTablesGolden(t *testing.T) {
 	l := mini(t)
-	var got strings.Builder
-	for _, e := range Experiments() {
+	golden.Check(t, "experiment_tables.golden", tableDigests(t, l, Experiments()))
+	golden.Check(t, "study_tables.golden", tableDigests(t, l, Studies()))
+}
+
+// tableDigests runs each experiment on l and lists its ID with the
+// SHA-256 of its CSV, one line each.
+func tableDigests(t *testing.T, l *Lab, exps []Experiment) []byte {
+	var got bytes.Buffer
+	for _, e := range exps {
 		tbl, err := e.Run(context.Background(), l)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
@@ -33,6 +41,5 @@ func TestExperimentTablesGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%s %x\n", e.ID, sha256.Sum256(buf.Bytes()))
 	}
-
-	golden.Check(t, "experiment_tables.golden", []byte(got.String()))
+	return got.Bytes()
 }

@@ -25,13 +25,13 @@ func parallelLab(t *testing.T, workers int) *Lab {
 }
 
 // TestWorkersDeterminism is the engine's core guarantee: every
-// experiment's output is byte-identical between the serial reference
-// path (-workers 1) and the fanned-out pool (-workers 8).
+// experiment's and study's output is byte-identical between the serial
+// reference path (-workers 1) and the fanned-out pool (-workers 8).
 func TestWorkersDeterminism(t *testing.T) {
 	serial := parallelLab(t, 1)
 	parallel := parallelLab(t, 8)
 	ctx := context.Background()
-	for _, e := range Experiments() {
+	for _, e := range append(Experiments(), Studies()...) {
 		st, err := e.Run(ctx, serial)
 		if err != nil {
 			t.Fatalf("%s serial: %v", e.ID, err)

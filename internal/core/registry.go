@@ -54,15 +54,23 @@ func Experiments() []Experiment {
 	}
 }
 
-// ExperimentByID looks up one experiment.
+// Studies lists the analyses beyond the paper's figures. They run by
+// ID like experiments (carbonlimits -exp), but -all, the report and the
+// offline benchmark walk Experiments only, so no study moves their
+// tables.
+func Studies() []Experiment {
+	return []Experiment{
+		{"policies", "§5.2.5 study", "Five scheduling policies on finite clusters", (*Lab).Policies},
+	}
+}
+
+// ExperimentByID looks up one experiment or study.
 func ExperimentByID(id string) (Experiment, error) {
-	for _, e := range Experiments() {
+	var ids []string
+	for _, e := range append(Experiments(), Studies()...) {
 		if e.ID == id {
 			return e, nil
 		}
-	}
-	var ids []string
-	for _, e := range Experiments() {
 		ids = append(ids, e.ID)
 	}
 	sort.Strings(ids)

@@ -63,7 +63,7 @@ func TestFleetMatchesRun(t *testing.T) { twoRegionCase(t, upFront).run(t) }
 // the implementation and the submission pattern.
 func TestFleetOnlineSubmission(t *testing.T) { twoRegionCase(t, atArrival).run(t) }
 
-// TestRunConcurrentPolicies is cmd/carbonsched's shape: the five
+// TestRunConcurrentPolicies is core's policies study's shape: the five
 // policies run concurrently on engine workers over one shared trace set,
 // each Run owning its own lock-bearing fleet, and must equal the same
 // five run one after another. Under -race it certifies that concurrent

@@ -224,7 +224,7 @@ func (r Result) Utilization() float64 {
 // Run is the offline mode of Fleet, the core internal/schedd
 // serves online: it submits every job up front and steps through the
 // whole horizon. Every Step runs on the calling goroutine, so concurrent
-// Runs from engine workers (cmd/carbonsched, internal/core) start no
+// Runs from engine workers (internal/core) start no
 // goroutines of their own.
 //
 // Run inherits the core's two capacity bounds and refuses what exceeds
