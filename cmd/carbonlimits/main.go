@@ -131,12 +131,14 @@ func main() {
 }
 
 // conflict reports the first pair of set flags (by name) where one
-// would silently ignore the other: -list only prints the index, -report
-// writes one markdown document to stdout, and -all runs every
+// would silently ignore the other: -list only prints the index and
+// builds no lab, so it takes none of the lab's options either; -report
+// writes one markdown document to stdout; and -all runs every
 // experiment.
 func conflict(set map[string]bool) error {
 	for _, p := range [][2]string{
 		{"list", "exp"}, {"list", "all"}, {"list", "report"}, {"list", "format"}, {"list", "out"},
+		{"list", "seed"}, {"list", "span"}, {"list", "stride"}, {"list", "workers"}, {"list", "v"},
 		{"report", "all"}, {"report", "exp"}, {"report", "format"}, {"report", "out"}, {"all", "exp"},
 	} {
 		if set[p[0]] && set[p[1]] {

@@ -27,6 +27,11 @@ func TestConflict(t *testing.T) {
 		{"list exp format", "-list ignores -exp"},
 		{"list format", "-list ignores -format"},
 		{"list out", "-list ignores -out"},
+		{"list seed", "-list ignores -seed"},
+		{"list span", "-list ignores -span"},
+		{"list stride", "-list ignores -stride"},
+		{"list workers", "-list ignores -workers"},
+		{"list v", "-list ignores -v"},
 	} {
 		set := map[string]bool{}
 		for _, f := range strings.Fields(tc.flags) {

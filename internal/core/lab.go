@@ -91,7 +91,15 @@ func NewLabCtx(ctx context.Context, opts Options) (*Lab, error) {
 	if regs == nil {
 		regs = regions.All()
 	}
+	// The latency matrix is built beside the traces.
+	var lat *latency.Matrix
+	built := make(chan struct{})
+	go func() {
+		defer close(built)
+		lat = latency.NewMatrix(regs)
+	}()
 	set, err := simgrid.GenerateCached(ctx, regs, opts.Sim, opts.Workers)
+	<-built
 	if err != nil {
 		return nil, fmt.Errorf("core: generating traces: %w", err)
 	}
@@ -107,7 +115,7 @@ func NewLabCtx(ctx context.Context, opts Options) (*Lab, error) {
 		opts:        opts,
 		Regions:     regs,
 		Set:         set,
-		Latency:     latency.NewMatrix(regs),
+		Latency:     lat,
 		GlobalMean:  set.GlobalMean(),
 		arrivalSpan: span,
 		stride:      stride,

@@ -173,6 +173,33 @@ func NormArgs3(srcs [3]*Source, logArgs, cosArgs [3][]float64) {
 	}
 }
 
+// The CPUID and XCR0 bits VectorLanes reads: leaf 1's ECX, leaf 7's
+// EBX, and the register states the operating system saves.
+const (
+	cpuidFMA, cpuidOSXSAVE, cpuidAVX = 1 << 12, 1 << 27, 1 << 28
+	cpuidAVX2                        = 1 << 5
+	cpuidAVX512F, cpuidAVX512DQ      = 1 << 16, 1 << 17
+	cpuidAVX512VL                    = 1 << 31
+	xcr0YMM                          = 1<<1 | 1<<2        // XMM, YMM
+	xcr0ZMM                          = 1<<5 | 1<<6 | 1<<7 // opmask, ZMM_Hi256, Hi16_ZMM
+)
+
+// lanesFor is VectorLanes' decision from leaf 1's ECX, leaf 7's EBX (0
+// on a CPU without leaf 7) and XCR0 (0 on one without OSXSAVE): 8 with
+// AVX-512 F, DQ and VL and the opmask and ZMM state saved, else 4 with
+// AVX2 and FMA and the YMM state saved, else 0.
+func lanesFor(ecx1, ebx7, xcr0 uint32) int {
+	const avx2 = cpuidFMA | cpuidOSXSAVE | cpuidAVX
+	if ecx1&avx2 != avx2 || ebx7&cpuidAVX2 == 0 || xcr0&xcr0YMM != xcr0YMM {
+		return 0
+	}
+	const avx512 = cpuidAVX512F | cpuidAVX512DQ | cpuidAVX512VL
+	if ebx7&avx512 != avx512 || xcr0&xcr0ZMM != xcr0ZMM {
+		return 4
+	}
+	return 8
+}
+
 // normArgs is NormArgs from its two draws' bits.
 func normArgs(x1, x2 uint64) (logArg, cosArg float64) {
 	// Guard against log(0).

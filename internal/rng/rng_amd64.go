@@ -13,28 +13,23 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 //go:noescape
 func xgetbv0() (eax uint32)
 
-// HasAVX2FMA reports whether the CPU has AVX2 and FMA and the operating
-// system saves the YMM registers across context switches. It is the
-// module's one CPU probe: this package's lane kernel and simgrid's
-// vector kernels run where it holds.
-func HasAVX2FMA() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
+// VectorLanes reports how many float64 lanes the module's vector
+// kernels may use on this CPU: 8, 4 or 0, as lanesFor decides from the
+// CPUID and XCR0 words. It is the module's one CPU probe: this
+// package's lane kernel runs where it reports 4 or more, and simgrid's
+// kernels at the width it reports.
+func VectorLanes() int {
 	_, _, ecx1, _ := cpuid(1, 0)
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
-	if ecx1&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
+	var ebx7, xcr0 uint32
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf >= 7 {
+		_, ebx7, _, _ = cpuid(7, 0)
 	}
-	if xgetbv0()&6 != 6 { // XMM and YMM state
-		return false
+	if ecx1&cpuidOSXSAVE != 0 { // else XGETBV faults
+		xcr0 = xgetbv0()
 	}
-	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	return lanesFor(ecx1, ebx7, xcr0)
 }
 
 // vectorOn selects the lane kernel; the tests switch it off to run the
 // Go path.
-var vectorOn = HasAVX2FMA()
+var vectorOn = VectorLanes() >= 4

@@ -7,7 +7,7 @@ package rng
 
 var vectorOn = false
 
-// HasAVX2FMA reports false: the vector kernels are amd64's.
-func HasAVX2FMA() bool { return false }
+// VectorLanes reports 0: the vector kernels are amd64's.
+func VectorLanes() int { return 0 }
 
 func normArgs3Vec(st *[4][4]uint64, logArgs, cosArgs *[3][]float64, n int) {}

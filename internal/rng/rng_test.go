@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -371,4 +372,47 @@ func BenchmarkNormArgsBatch3(b *testing.B) {
 			r.NormArgsBatch(logArgs[k], cosArgs[k])
 		}
 	}
+}
+
+// TestLanesFor holds the probe's decision to its table: with every bit
+// the kernels need, 8 lanes; without any one AVX-512 bit or ZMM state
+// bit, 4; without any one AVX2 bit or YMM state bit, none. A CPU
+// without OSXSAVE reports XCR0 as 0, one without leaf 7 reports its
+// EBX as 0. VectorLanes itself reports 0 off amd64.
+func TestLanesFor(t *testing.T) {
+	const (
+		ecx1 = cpuidFMA | cpuidOSXSAVE | cpuidAVX
+		ebx7 = cpuidAVX2 | cpuidAVX512F | cpuidAVX512DQ | cpuidAVX512VL
+		xcr0 = xcr0YMM | xcr0ZMM
+	)
+	for _, c := range []struct {
+		name             string
+		ecx1, ebx7, xcr0 uint32
+		want             int
+	}{
+		{"all", ecx1, ebx7, xcr0, 8},
+		{"no AVX512F", ecx1, ebx7 &^ cpuidAVX512F, xcr0, 4},
+		{"no AVX512DQ", ecx1, ebx7 &^ cpuidAVX512DQ, xcr0, 4},
+		{"no AVX512VL", ecx1, ebx7 &^ cpuidAVX512VL, xcr0, 4},
+		{"no opmask state", ecx1, ebx7, xcr0 &^ (1 << 5), 4},
+		{"no ZMM_Hi256 state", ecx1, ebx7, xcr0 &^ (1 << 6), 4},
+		{"no Hi16_ZMM state", ecx1, ebx7, xcr0 &^ (1 << 7), 4},
+		{"AVX2 only", ecx1, cpuidAVX2, xcr0YMM, 4},
+		{"no AVX2", ecx1, ebx7 &^ cpuidAVX2, xcr0, 0},
+		{"no FMA", ecx1 &^ cpuidFMA, ebx7, xcr0, 0},
+		{"no AVX", ecx1 &^ cpuidAVX, ebx7, xcr0, 0},
+		{"no OSXSAVE", ecx1 &^ cpuidOSXSAVE, ebx7, 0, 0},
+		{"no YMM state", ecx1, ebx7, xcr0 &^ (1 << 2), 0},
+		{"no XMM state", ecx1, ebx7, xcr0 &^ (1 << 1), 0},
+		{"no leaf 7", ecx1, 0, xcr0, 0},
+	} {
+		if got := lanesFor(c.ecx1, c.ebx7, c.xcr0); got != c.want {
+			t.Errorf("%s: lanesFor(%#x, %#x, %#x) = %d, want %d", c.name, c.ecx1, c.ebx7, c.xcr0, got, c.want)
+		}
+	}
+	got := VectorLanes()
+	if runtime.GOARCH != "amd64" && got != 0 {
+		t.Errorf("VectorLanes on %s = %d, want 0", runtime.GOARCH, got)
+	}
+	t.Logf("this CPU: %d lanes", got)
 }

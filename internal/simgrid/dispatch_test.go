@@ -276,15 +276,15 @@ var dispatchSeeds = []struct {
 }
 
 // FuzzDispatchMatchesPerHour compares the staged dispatch with the
-// per-hour reference on fuzzed mixes, drifts, levels and lengths, on
-// both kernel paths.
+// per-hour reference on fuzzed mixes, drifts, levels and lengths, at
+// every kernel width.
 func FuzzDispatchMatchesPerHour(f *testing.F) {
 	for _, c := range dispatchSeeds {
 		f.Add(c.shares, c.delta, c.extra, c.n, c.cut, c.seed)
 	}
 	f.Fuzz(func(t *testing.T, shares []byte, delta, extra float64, n, cut uint16, seed uint64) {
 		r, cfg, x, hours, pins := dispatchCase(t, shares, delta, extra, n, cut, seed)
-		bothPaths(t, func(t *testing.T) { checkDispatch(t, r, cfg, x, hours, pins) })
+		eachWidth(t, func(t *testing.T) { checkDispatch(t, r, cfg, x, hours, pins) })
 	})
 }
 
@@ -296,7 +296,7 @@ func TestDispatchMatchesPerHour(t *testing.T) {
 	if testing.Short() {
 		cases = 60
 	}
-	bothPaths(t, func(t *testing.T) {
+	eachWidth(t, func(t *testing.T) {
 		for _, c := range dispatchSeeds {
 			r, cfg, x, hours, pins := dispatchCase(t, c.shares, c.delta, c.extra, c.n, c.cut, c.seed)
 			checkDispatch(t, r, cfg, x, hours, pins)

@@ -1,17 +1,22 @@
-// Four-lane AVX2 copies of math.Exp, math.Log and math.Cos as Go runs
-// them on amd64: the FMA path of math's exp_amd64.s, math's log_amd64.s
-// and the pure-Go cos of math/sin.go, each repeated operation for
-// operation — the same constants, the same roundings in the same order,
-// an FMA exactly where archExp has one and nowhere else — so every lane
-// is the scalar function's result bit for bit. Each kernel works along
-// xs in place, four elements at a time from the start, and stops at the
-// first group holding a lane outside its safe range (where the scalar
-// code would branch: special values, overflow, the denormal ldexp, the
-// Payne–Hanek reduction) or when fewer than four remain; it returns how
-// many elements it replaced, and kernels.go does the rest with math.
-// Their bodies are macros, shared with the stage kernels at the end of
-// this file, which run simgrid.go's stage loops four hours at a time
-// and read their Go structs by go_asm.h's field offsets.
+// Vector copies of math.Exp, math.Log and math.Cos as Go runs them on
+// amd64: the FMA path of math's exp_amd64.s, math's log_amd64.s and the
+// pure-Go cos of math/sin.go, each repeated operation for operation —
+// the same constants, the same roundings in the same order, an FMA
+// exactly where archExp has one and nowhere else — so every lane is the
+// scalar function's result bit for bit. Each body comes in two widths:
+// four lanes in AVX2 ymm registers, and eight in AVX-512 zmm registers
+// (F, DQ and VL), which read the same constants by broadcast (.BCST)
+// and hold their range checks and selects in K masks. Each kernel works
+// along xs in place, a group of four or eight elements at a time from
+// the start, and stops at the first group holding a lane outside its
+// safe range (where the scalar code would branch: special values,
+// overflow, the denormal ldexp, the Payne–Hanek reduction) or when
+// fewer elements than a group remain; it returns how many elements it
+// replaced, and kernels.go hands the rest to the narrower kernel and
+// then to math. Their bodies are macros, shared with the stage kernels
+// at the end of this file, which run simgrid.go's stage loops four or
+// eight hours at a time and read their Go structs by go_asm.h's field
+// offsets.
 
 #include "go_asm.h"
 #include "textflag.h"
@@ -93,6 +98,11 @@ GLOBL cosOctant<>(SB), RODATA|NOPTR, $16
 	MOVQ xs_base+0(FP), SI; \
 	MOVQ xs_len+8(FP), CX; \
 	XORQ AX, AX; \
+	SUBQ $4, CX
+
+// PROLOGUE8 is PROLOGUE with CX = len(xs) - 8.
+#define PROLOGUE8 \
+	PROLOGUE; \
 	SUBQ $4, CX
 
 #define EPILOGUE \
@@ -273,6 +283,154 @@ GLOBL cosOctant<>(SB), RODATA|NOPTR, $16
 	VPAND cosSign<>(SB), Y3, Y3; \
 	VXORPD Y3, Y6, Y6
 
+// The eight-lane bodies: the macros above in zmm registers, operation
+// for operation, each constant broadcast from its four-lane table's
+// first element. A *_SAFE8 check jumps to fail unless all eight lanes
+// are in the body's range, with K1 the mask of those that are.
+#define SAFE8(lo, hi, x, fail) \
+	VCMPPD.BCST $0x1d, lo, x, K1; \
+	VCMPPD.BCST $0x12, hi, x, K1, K1; \
+	KORTESTB K1, K1; \
+	JCC  fail
+
+#define EXP_SAFE8(x, fail) SAFE8(expLo<>(SB), expHi<>(SB), x, fail)
+
+#define LOG_SAFE8(x, fail) SAFE8(logMin<>(SB), logMax<>(SB), x, fail)
+
+// EXP_BODY8: Z0 = exp(Z0); clobbers Z1–Z3.
+#define EXP_BODY8 \
+	VMULPD.BCST expLog2e<>(SB), Z0, Z1; \
+	VCVTPD2DQ Z1, Y3; \
+	VCVTDQ2PD Y3, Z2; \
+	VFNMADD231PD.BCST expLn2u<>(SB), Z2, Z0; \
+	VFNMADD231PD.BCST expLn2l<>(SB), Z2, Z0; \
+	VMULPD.BCST expSixteenth<>(SB), Z0, Z0; \
+	VBROADCASTSD expC64<>(SB), Z1; \
+	VFMADD213PD.BCST expC56<>(SB), Z0, Z1; \
+	VFMADD213PD.BCST expC48<>(SB), Z0, Z1; \
+	VFMADD213PD.BCST expC40<>(SB), Z0, Z1; \
+	VFMADD213PD.BCST expC32<>(SB), Z0, Z1; \
+	VFMADD213PD.BCST expC24<>(SB), Z0, Z1; \
+	VFMADD213PD.BCST half<>(SB), Z0, Z1; \
+	VFMADD213PD.BCST one<>(SB), Z0, Z1; \
+	VMULPD Z1, Z0, Z0; \
+	VADDPD.BCST two<>(SB), Z0, Z1; \
+	VMULPD Z1, Z0, Z0; \
+	VADDPD.BCST two<>(SB), Z0, Z1; \
+	VMULPD Z1, Z0, Z0; \
+	VADDPD.BCST two<>(SB), Z0, Z1; \
+	VMULPD Z1, Z0, Z0; \
+	VADDPD.BCST two<>(SB), Z0, Z1; \
+	VFMADD213PD.BCST one<>(SB), Z1, Z0; \
+	VPMOVSXDQ Y3, Z2; \
+	VPADDQ.BCST expBias<>(SB), Z2, Z2; \
+	VPSLLQ $52, Z2, Z2; \
+	VMULPD Z2, Z0, Z0
+
+// LOG_BODY8: Z1 = log(Z0); clobbers Z0, Z2–Z6 and K2. The !(HSqrt2 <
+// f1) lanes, K2, take k -= 1 and f1 *= 2; the others keep k and f1,
+// which LOG_BODY's k - 0 and f1·1 leave exactly as they are.
+#define LOG_BODY8 \
+	VANDPD.BCST logMant<>(SB), Z0, Z2; \
+	VORPD.BCST half<>(SB), Z2, Z2; \
+	VPSRLQ $52, Z0, Z1; \
+	VPORQ.BCST logTwo52<>(SB), Z1, Z1; \
+	VSUBPD.BCST logMagic<>(SB), Z1, Z1; \
+	VCMPPD.BCST $0x0a, logHSqrt2<>(SB), Z2, K2; \
+	VSUBPD.BCST one<>(SB), Z1, K2, Z1; \
+	VMULPD.BCST two<>(SB), Z2, K2, Z2; \
+	VSUBPD.BCST one<>(SB), Z2, Z2; \
+	VADDPD.BCST two<>(SB), Z2, Z0; \
+	VDIVPD Z0, Z2, Z3; \
+	VMULPD Z3, Z3, Z4; \
+	VMULPD Z4, Z4, Z5; \
+	VMULPD.BCST logL7<>(SB), Z5, Z6; \
+	VADDPD.BCST logL5<>(SB), Z6, Z6; \
+	VMULPD Z5, Z6, Z6; \
+	VADDPD.BCST logL3<>(SB), Z6, Z6; \
+	VMULPD Z5, Z6, Z6; \
+	VADDPD.BCST logL1<>(SB), Z6, Z6; \
+	VMULPD Z6, Z4, Z4; \
+	VMULPD.BCST logL6<>(SB), Z5, Z6; \
+	VADDPD.BCST logL4<>(SB), Z6, Z6; \
+	VMULPD Z5, Z6, Z6; \
+	VADDPD.BCST logL2<>(SB), Z6, Z6; \
+	VMULPD Z6, Z5, Z5; \
+	VADDPD Z5, Z4, Z4; \
+	VMULPD.BCST half<>(SB), Z2, Z0; \
+	VMULPD Z2, Z0, Z0; \
+	VADDPD Z0, Z4, Z4; \
+	VMULPD Z4, Z3, Z3; \
+	VMULPD.BCST logLn2Lo<>(SB), Z1, Z4; \
+	VADDPD Z4, Z3, Z3; \
+	VSUBPD Z3, Z0, Z0; \
+	VSUBPD Z2, Z0, Z0; \
+	VMULPD.BCST logLn2Hi<>(SB), Z1, Z1; \
+	VSUBPD Z0, Z1, Z1
+
+// COS_SAFE8: x = |x| in place, then |x| < reduceThreshold in all eight
+// lanes.
+#define COS_SAFE8(x, fail) \
+	VANDPD.BCST cosAbs<>(SB), x, x; \
+	VCMPPD.BCST $0x11, cosReduce<>(SB), x, K1; \
+	KORTESTB K1, K1; \
+	JCC  fail
+
+// COS_BODY8: Z6 = cos(Z0) for Z0 = |x|; clobbers Z0–Z5, Z7 and K2. j's
+// eight int32s sit in Y2 (their and-masks broadcast, AVX-512 VL); K2
+// is the octants of bit 1, which take the sine series.
+#define COS_BODY8 \
+	VMULPD.BCST cosFourOverPi<>(SB), Z0, Z1; \
+	VCVTTPD2DQ Z1, Y2; \
+	VPANDD.BCST cosOddMask<>(SB), Y2, Y3; \
+	VPADDD Y3, Y2, Y2; \
+	VCVTDQ2PD Y2, Z1; \
+	VPANDD.BCST cosOctant<>(SB), Y2, Y2; \
+	VMULPD.BCST cosPI4A<>(SB), Z1, Z3; \
+	VSUBPD Z3, Z0, Z0; \
+	VMULPD.BCST cosPI4B<>(SB), Z1, Z3; \
+	VSUBPD Z3, Z0, Z0; \
+	VMULPD.BCST cosPI4C<>(SB), Z1, Z3; \
+	VSUBPD Z3, Z0, Z0; \
+	VMULPD Z0, Z0, Z1; \
+	VMULPD.BCST cosS0<>(SB), Z1, Z3; \
+	VADDPD.BCST cosS1<>(SB), Z3, Z3; \
+	VMULPD Z1, Z3, Z3; \
+	VADDPD.BCST cosS2<>(SB), Z3, Z3; \
+	VMULPD Z1, Z3, Z3; \
+	VADDPD.BCST cosS3<>(SB), Z3, Z3; \
+	VMULPD Z1, Z3, Z3; \
+	VADDPD.BCST cosS4<>(SB), Z3, Z3; \
+	VMULPD Z1, Z3, Z3; \
+	VADDPD.BCST cosS5<>(SB), Z3, Z3; \
+	VMULPD Z1, Z0, Z4; \
+	VMULPD Z3, Z4, Z4; \
+	VADDPD Z4, Z0, Z4; \
+	VMULPD.BCST cosC0<>(SB), Z1, Z3; \
+	VADDPD.BCST cosC1<>(SB), Z3, Z3; \
+	VMULPD Z1, Z3, Z3; \
+	VADDPD.BCST cosC2<>(SB), Z3, Z3; \
+	VMULPD Z1, Z3, Z3; \
+	VADDPD.BCST cosC3<>(SB), Z3, Z3; \
+	VMULPD Z1, Z3, Z3; \
+	VADDPD.BCST cosC4<>(SB), Z3, Z3; \
+	VMULPD Z1, Z3, Z3; \
+	VADDPD.BCST cosC5<>(SB), Z3, Z3; \
+	VMULPD Z1, Z1, Z5; \
+	VMULPD Z3, Z5, Z5; \
+	VMULPD.BCST half<>(SB), Z1, Z6; \
+	VBROADCASTSD one<>(SB), Z7; \
+	VSUBPD Z6, Z7, Z6; \
+	VADDPD Z5, Z6, Z6; \
+	VPMOVZXDQ Y2, Z7; \
+	VPTESTMQ.BCST cosTwo<>(SB), Z7, K2; \
+	VBLENDMPD Z4, Z6, K2, Z6; \
+	VPSLLQ $1, Z7, Z3; \
+	VPXORQ Z7, Z3, Z3; \
+	VPSLLQ $61, Z3, Z3; \
+	VPANDQ.BCST cosSign<>(SB), Z3, Z3; \
+	VXORPD Z3, Z6, Z6
+
 // func expVec(xs []float64) int
 TEXT ·expVec(SB), NOSPLIT, $0-32
 	PROLOGUE
@@ -316,6 +474,51 @@ cosLoop:
 	ADDQ $4, AX
 	JMP  cosLoop
 cosDone:
+	EPILOGUE
+
+// func expVec8(xs []float64) int
+TEXT ·expVec8(SB), NOSPLIT, $0-32
+	PROLOGUE8
+exp8Loop:
+	CMPQ AX, CX
+	JGT  exp8Done
+	VMOVUPD (SI)(AX*8), Z0
+	EXP_SAFE8(Z0, exp8Done)
+	EXP_BODY8
+	VMOVUPD Z0, (SI)(AX*8)
+	ADDQ $8, AX
+	JMP  exp8Loop
+exp8Done:
+	EPILOGUE
+
+// func logVec8(xs []float64) int
+TEXT ·logVec8(SB), NOSPLIT, $0-32
+	PROLOGUE8
+log8Loop:
+	CMPQ AX, CX
+	JGT  log8Done
+	VMOVUPD (SI)(AX*8), Z0
+	LOG_SAFE8(Z0, log8Done)
+	LOG_BODY8
+	VMOVUPD Z1, (SI)(AX*8)
+	ADDQ $8, AX
+	JMP  log8Loop
+log8Done:
+	EPILOGUE
+
+// func cosVec8(xs []float64) int
+TEXT ·cosVec8(SB), NOSPLIT, $0-32
+	PROLOGUE8
+cos8Loop:
+	CMPQ AX, CX
+	JGT  cos8Done
+	VMOVUPD (SI)(AX*8), Z0
+	COS_SAFE8(Z0, cos8Done)
+	COS_BODY8
+	VMOVUPD Z6, (SI)(AX*8)
+	ADDQ $8, AX
+	JMP  cos8Loop
+cos8Done:
 	EPILOGUE
 
 // The stage kernels of dispatch. Each is its stage loop in
@@ -531,6 +734,43 @@ tiltLoop:
 tiltDone:
 	STAGE_EPILOGUE
 
+// func tiltVec8(b *dispatchBlock, i int) int
+//
+// tiltVec, eight hours at a time.
+TEXT ·tiltVec8(SB), NOSPLIT, $0-24
+	STAGE_PROLOGUE
+	SUBQ $4, CX
+	VBROADCASTSD ·hydroFrac(SB), Z13
+	VBROADCASTSD ·coalFlexFrac(SB), Z14
+	VBROADCASTSD ·peakerFrac(SB), Z15
+tilt8Loop:
+	CMPQ AX, CX
+	JGT  tilt8Done
+	VMOVUPD dispatchBlock_logs(DI)(AX*8), Z0
+	LOG_SAFE8(Z0, tilt8Done)
+	LOG_BODY8
+	VMULPD Z13, Z1, Z8
+	VMULPD Z14, Z1, Z9
+	VMULPD Z15, Z1, Z10
+	EXP_SAFE8(Z8, tilt8Done)
+	EXP_SAFE8(Z9, tilt8Done)
+	EXP_SAFE8(Z10, tilt8Done)
+	VMOVAPD Z8, Z0
+	EXP_BODY8
+	VMOVAPD Z0, Z8
+	VMOVAPD Z9, Z0
+	EXP_BODY8
+	VMOVAPD Z0, Z9
+	VMOVAPD Z10, Z0
+	EXP_BODY8
+	VMOVUPD Z8, dispatchBlock_hydroExp(DI)(AX*8)
+	VMOVUPD Z9, dispatchBlock_coalFlexExp(DI)(AX*8)
+	VMOVUPD Z0, dispatchBlock_peakerExp(DI)(AX*8)
+	ADDQ $8, AX
+	JMP  tilt8Loop
+tilt8Done:
+	STAGE_EPILOGUE
+
 // func flexVec(b *dispatchBlock, i int) int
 //
 // Per lane, the oversupply curtailment (res < 0) or the tilted split
@@ -714,6 +954,155 @@ flexLoop:
 flexDone:
 	STAGE_EPILOGUE
 
+// func flexVec8(b *dispatchBlock, i int) int
+//
+// flexVec, eight hours at a time, its lane masks in K registers: K3
+// the oversupplied lanes, K2 the tilted, K5 those with a power's
+// exponent out of range, K4 the lanes that stop the group. Each blend
+// of flexVec is a masked operation here — a merge where it keeps the
+// other operand, a zeroing where it ands with the mask — and the
+// exponent arithmetic's -1 where sq < ½ is the mask as a vector
+// (VPMOVM2Q), as in flexVec.
+TEXT ·flexVec8(SB), NOSPLIT, $0-24
+	STAGE_PROLOGUE
+	SUBQ $4, CX
+	MOVQ dispatchBlock_ci(DI), R11
+	VPXORQ Z15, Z15, Z15
+flex8Loop:
+	CMPQ AX, CX
+	JGT  flex8Done
+	VMOVUPD dispatchBlock_residual(DI)(AX*8), Z0
+	VMOVUPD dispatchBlock_level(DI)(AX*8), Z1
+	VCMPPD $0x11, Z15, Z0, K3 // LT_OQ
+	VCMPPD $0x1e, Z15, Z1, K2 // GT_OQ
+	KORB K2, K3, K4
+	KNOTB K4, K4
+	VBROADCASTSD one<>(SB), Z2
+	VBLENDMPD Z1, Z2, K2, Z1
+
+	// Frexp(level), sq and sqe, oil's exponent, and the range checks.
+	VPSRLQ $52, Z1, Z2
+	VPSUBQ.BCST frexpBias<>(SB), Z2, Z2
+	VANDPD.BCST logMant<>(SB), Z1, Z1
+	VORPD.BCST half<>(SB), Z1, Z1
+	VPCMPGTQ.BCST pow2Max<>(SB), Z2, K5
+	VMULPD Z1, Z1, Z3
+	VCMPPD.BCST $0x11, half<>(SB), Z3, K6
+	VADDPD Z3, Z3, Z5
+	VBLENDMPD Z5, Z3, K6, Z3
+	VPADDQ Z2, Z2, Z5
+	VPMOVM2Q K6, Z4
+	VPADDQ Z4, Z5, Z5
+	VPCMPGTQ.BCST pow2Max<>(SB), Z5, K1
+	KORB K1, K5, K5
+	VPBROADCASTQ pow2Min<>(SB), Z4
+	VPCMPGTQ Z5, Z4, K1
+	KORB K1, K5, K5
+	VPADDQ Z2, Z5, Z6
+	VPCMPGTQ.BCST pow2Max<>(SB), Z6, K1
+	KORB K1, K5, K5
+	VPCMPGTQ Z6, Z4, K1
+	KORB K1, K5, K5
+	KANDB K2, K5, K5
+	KORB K5, K4, K4
+	VPADDQ.BCST expBias<>(SB), Z2, Z2
+	VPSLLQ $52, Z2, Z2
+	VPADDQ.BCST expBias<>(SB), Z5, Z5
+	VPSLLQ $52, Z5, Z5
+	VPADDQ.BCST expBias<>(SB), Z6, Z6
+	VPSLLQ $52, Z6, Z6
+
+	// hydro, coalFlex, gas and oil, then the rescale.
+	VMULPD dispatchBlock_hydroExp(DI)(AX*8), Z1, Z7
+	VMULPD Z2, Z7, Z7
+	VBROADCASTSD dispatchBlock_hydro(DI), Z8
+	VMULPD Z7, Z8, Z7
+	VMOVUPD dispatchBlock_coal(DI)(AX*8), Z9
+	VBROADCASTSD dispatchBlock_flexFrac(DI), Z8
+	VMULPD Z9, Z8, Z8
+	VMULPD dispatchBlock_coalFlexExp(DI)(AX*8), Z1, Z10
+	VMULPD Z2, Z10, Z10
+	VMULPD Z10, Z8, Z8
+	VMOVUPD dispatchBlock_peakerExp(DI)(AX*8), Z10
+	VMULPD Z3, Z10, Z2
+	VMULPD Z5, Z2, Z2
+	VMULPD dispatchBlock_gas(DI)(AX*8), Z2, Z2
+	VMULPD Z1, Z10, Z10
+	VMULPD Z3, Z10, Z10
+	VMULPD Z6, Z10, Z10
+	VMULPD dispatchBlock_oil(DI)(AX*8), Z10, Z10
+	VADDPD Z8, Z7, Z1
+	VADDPD Z2, Z1, Z1
+	VADDPD Z10, Z1, Z1
+	VCMPPD $0x12, Z15, Z1, K2, K1 // LE_OQ, on the tilted lanes
+	KORB K1, K4, K4
+	VDIVPD Z1, Z0, Z1
+	VMULPD.Z Z1, Z7, K2, Z7
+	VMULPD.Z Z1, Z8, K2, Z8
+	VMULPD.Z Z1, Z2, K2, Z2
+	VMULPD.Z Z1, Z10, K2, Z10
+
+	// Oversupply: wind, solar and must-run coal curtailed on K3.
+	VBROADCASTSD dispatchBlock_baseloadFrac(DI), Z1
+	VMULPD Z9, Z1, Z9
+	VBROADCASTSD dispatchBlock_mustRun(DI), Z1
+	VADDPD Z9, Z1, Z1
+	VMOVUPD dispatchBlock_solarOut(DI)(AX*8), Z3
+	VMOVUPD dispatchBlock_windOut(DI)(AX*8), Z4
+	VXORPD.BCST cosSign<>(SB), Z0, Z5
+	VMINPD Z4, Z5, Z6
+	VSUBPD Z6, Z4, K3, Z4
+	VSUBPD Z6, Z5, Z5
+	VMINPD Z3, Z5, Z6
+	VSUBPD Z6, Z3, K3, Z3
+	VSUBPD Z6, Z5, Z5
+	VMINPD Z9, Z5, Z6
+	VSUBPD Z6, Z9, K3, Z9
+	VSUBPD Z6, Z1, K3, Z1
+
+	// The total; then em and ci, as flexVec.
+	VADDPD Z8, Z9, Z8
+	VADDPD Z4, Z3, Z0
+	VADDPD Z1, Z0, Z0
+	VSUBPD Z9, Z0, Z0
+	VADDPD Z7, Z0, Z0
+	VADDPD Z8, Z0, Z0
+	VADDPD Z2, Z0, Z0
+	VADDPD Z10, Z0, Z0
+	VCMPPD $0x12, Z15, Z0, K1 // LE_OQ
+	KORB K1, K4, K4
+	KORTESTB K4, K4
+	JNE  flex8Done
+	VBROADCASTSD dispatchBlock_coalEF(DI), Z5
+	VMULPD Z5, Z8, Z5
+	VBROADCASTSD dispatchBlock_gasEF(DI), Z6
+	VMULPD Z6, Z2, Z6
+	VADDPD Z6, Z5, Z5
+	VBROADCASTSD dispatchBlock_oilEF(DI), Z6
+	VMULPD Z6, Z10, Z6
+	VADDPD Z6, Z5, Z5
+	VBROADCASTSD dispatchBlock_solarEF(DI), Z6
+	VMULPD Z6, Z3, Z6
+	VADDPD Z6, Z5, Z5
+	VBROADCASTSD dispatchBlock_windEF(DI), Z6
+	VMULPD Z6, Z4, Z6
+	VADDPD Z6, Z5, Z5
+	VBROADCASTSD dispatchBlock_hydroEF(DI), Z6
+	VMULPD Z6, Z7, Z6
+	VADDPD Z6, Z5, Z5
+	VBROADCASTSD dispatchBlock_nuclearEm(DI), Z6
+	VADDPD Z6, Z5, Z5
+	VBROADCASTSD dispatchBlock_geothermalEm(DI), Z6
+	VADDPD Z6, Z5, Z5
+	VBROADCASTSD dispatchBlock_biomassEm(DI), Z6
+	VADDPD Z6, Z5, Z5
+	VDIVPD Z0, Z5, Z5
+	VMOVUPD Z5, (R11)(AX*8)
+	ADDQ $8, AX
+	JMP  flex8Loop
+flex8Done:
+	STAGE_EPILOGUE
+
 // The stage kernels of drawWeather.
 
 // func sunVec(irr, demand []float64, day *sunDay, hod int) int
@@ -795,6 +1184,42 @@ normDone:
 	MOVQ AX, ret+64(FP)
 	RET
 
+// func normVec8(out, cosArgs []float64, mean, stddev float64) int
+//
+// normVec, eight draws at a time.
+TEXT ·normVec8(SB), NOSPLIT, $0-72
+	MOVQ out_base+0(FP), SI
+	MOVQ out_len+8(FP), CX
+	MOVQ cosArgs_base+24(FP), R8
+	XORQ AX, AX
+	SUBQ $8, CX
+	VBROADCASTSD mean+48(FP), Z12
+	VBROADCASTSD stddev+56(FP), Z13
+norm8Loop:
+	CMPQ AX, CX
+	JGT  norm8Done
+	VMOVUPD (SI)(AX*8), Z9
+	LOG_SAFE8(Z9, norm8Done)
+	VMOVUPD (R8)(AX*8), Z10
+	COS_SAFE8(Z10, norm8Done)
+	VMOVAPD Z9, Z0
+	LOG_BODY8
+	VMOVAPD Z1, Z8
+	VMOVAPD Z10, Z0
+	COS_BODY8
+	VMULPD.BCST minusTwo<>(SB), Z8, Z8
+	VSQRTPD Z8, Z8
+	VMULPD Z6, Z8, Z8
+	VMULPD Z8, Z13, Z8
+	VADDPD Z8, Z12, Z8
+	VMOVUPD Z8, (SI)(AX*8)
+	ADDQ $8, AX
+	JMP  norm8Loop
+norm8Done:
+	VZEROUPPER
+	MOVQ AX, ret+64(FP)
+	RET
+
 // func logisticVec(irr, wind, cloudE, windE []float64) int
 //
 // irr *= 0.25 + 0.75/(1 + exp(cloudE)); wind = 1/(1 + exp(windE)), both
@@ -831,6 +1256,45 @@ logisticLoop:
 	ADDQ $4, AX
 	JMP  logisticLoop
 logisticDone:
+	VZEROUPPER
+	MOVQ AX, ret+96(FP)
+	RET
+
+// func logisticVec8(irr, wind, cloudE, windE []float64) int
+//
+// logisticVec, eight hours at a time.
+TEXT ·logisticVec8(SB), NOSPLIT, $0-104
+	MOVQ irr_base+0(FP), SI
+	MOVQ irr_len+8(FP), CX
+	MOVQ wind_base+24(FP), DI
+	MOVQ cloudE_base+48(FP), R8
+	MOVQ windE_base+72(FP), R9
+	XORQ AX, AX
+	SUBQ $8, CX
+logistic8Loop:
+	CMPQ AX, CX
+	JGT  logistic8Done
+	VMOVUPD (R8)(AX*8), Z9
+	EXP_SAFE8(Z9, logistic8Done)
+	VMOVUPD (R9)(AX*8), Z10
+	EXP_SAFE8(Z10, logistic8Done)
+	VMOVAPD Z9, Z0
+	EXP_BODY8
+	VADDPD.BCST one<>(SB), Z0, Z0
+	VBROADCASTSD threeQuarters<>(SB), Z1
+	VDIVPD Z0, Z1, Z1
+	VADDPD.BCST quarter<>(SB), Z1, Z1
+	VMULPD (SI)(AX*8), Z1, Z1
+	VMOVUPD Z1, (SI)(AX*8)
+	VMOVAPD Z10, Z0
+	EXP_BODY8
+	VADDPD.BCST one<>(SB), Z0, Z0
+	VBROADCASTSD one<>(SB), Z1
+	VDIVPD Z0, Z1, Z1
+	VMOVUPD Z1, (DI)(AX*8)
+	ADDQ $8, AX
+	JMP  logistic8Loop
+logistic8Done:
 	VZEROUPPER
 	MOVQ AX, ret+96(FP)
 	RET

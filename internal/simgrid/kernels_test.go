@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -15,31 +16,58 @@ import (
 	"carbonshift/internal/trace"
 )
 
-// bothPaths runs f with the vector kernels on, where the CPU has them,
-// and with them off.
-func bothPaths(t *testing.T, f func(t *testing.T)) {
+// widths are the kernel paths, by subtest name: the eight-lane kernels
+// first (with the four-lane ones and Go after them), the four-lane ones
+// first, and Go alone.
+var widths = []struct {
+	name  string
+	lanes int
+}{{"vector", 8}, {"vector4", 4}, {"scalar", 0}}
+
+// hostLanes is the width the probe chose, which the tests lower.
+var hostLanes = lanes
+
+// needLanes skips t unless the host runs n-lane kernels, naming what it
+// lacks.
+func needLanes(t testing.TB, n int) {
 	t.Helper()
-	saved := vectorOn
-	t.Cleanup(func() { vectorOn = saved })
-	for _, on := range []bool{true, false} {
-		name := "scalar"
-		if on {
-			name = "vector"
-			if !saved {
-				t.Log("no AVX2+FMA: the vector path is not available here")
-				continue
-			}
-		}
-		vectorOn = on
-		t.Run(name, f)
+	switch {
+	case n > hostLanes && n == 8:
+		t.Skip("no AVX-512 F, DQ and VL with the opmask and ZMM state saved: the 8-lane path is not available here")
+	case n > hostLanes:
+		t.Skip("no AVX2+FMA: the vector path is not available here")
 	}
 }
 
-var batchKernels = []struct {
+// atLanes runs the kernels at n lanes until t ends.
+func atLanes(t testing.TB, n int) {
+	t.Helper()
+	needLanes(t, n)
+	saved := lanes
+	t.Cleanup(func() { lanes = saved })
+	lanes = n
+}
+
+// eachWidth runs f as a subtest on every width, skipped where the host
+// lacks it.
+func eachWidth(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, w := range widths {
+		t.Run(w.name, func(t *testing.T) {
+			atLanes(t, w.lanes)
+			f(t)
+		})
+	}
+}
+
+// kernel is a batch kernel and the math function it must equal.
+type kernel struct {
 	name  string
 	batch func([]float64)
 	f     func(float64) float64
-}{
+}
+
+var batchKernels = []kernel{
 	{"exp", expBatch, math.Exp},
 	{"log", logBatch, math.Log},
 	{"cos", cosBatch, math.Cos},
@@ -78,9 +106,9 @@ func checkBatch(t testing.TB, xs []float64) {
 }
 
 // TestBatchKernelsMatchMath holds the batch kernels to math.Exp, Log and
-// Cos bit for bit, on the vector path and with it switched off.
+// Cos bit for bit, at every width.
 func TestBatchKernelsMatchMath(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
+	eachWidth(t, func(t *testing.T) {
 		src := rng.New(36)
 		var xs []float64
 		// Any bit pattern.
@@ -154,7 +182,7 @@ func TestBatchKernelsMatchMath(t *testing.T) {
 }
 
 // FuzzBatchKernels lets the fuzzer pick the arguments' bits, eight bytes
-// to a float64 and up to 32 of them, on both paths.
+// to a float64 and up to 32 of them, at every width.
 func FuzzBatchKernels(f *testing.F) {
 	for _, seed := range [][]float64{
 		{0.5, 1, 2, 3, 4, 5, 6},
@@ -173,7 +201,7 @@ func FuzzBatchKernels(f *testing.F) {
 		for i := range xs {
 			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
-		bothPaths(t, func(t *testing.T) { checkBatch(t, xs) })
+		eachWidth(t, func(t *testing.T) { checkBatch(t, xs) })
 	})
 }
 
@@ -187,10 +215,10 @@ func normBatch(src *rng.Source, mean, stddev float64, out, scratch []float64) {
 }
 
 // TestNormBatchMatchesNorm holds normBatch to rng.Norm draw for draw,
-// at a million draws per path in chunks of every length, the stream
+// at a million draws per width in chunks of every length, the stream
 // left where Norm would leave it.
 func TestNormBatchMatchesNorm(t *testing.T) {
-	bothPaths(t, func(t *testing.T) {
+	eachWidth(t, func(t *testing.T) {
 		batch, scalar, sizes := rng.New(36), rng.New(36), rng.New(37)
 		params := [][2]float64{{0, 1}, {0, demandNoise}, {10, 3}, {-2, 0.5}}
 		out, scratch := make([]float64, 2*blockHours), make([]float64, 2*blockHours)
@@ -212,13 +240,13 @@ func TestNormBatchMatchesNorm(t *testing.T) {
 	})
 }
 
-// FuzzDrawWeatherMatchesScalar runs the weather stage with the vector
-// path on and off and requires the same bits in every series and mean:
-// fuzzed coordinates and demand swings, a start any minute of 2020–2023
-// (so off midnight and off the hour), and up to three blocks of hours.
-// The seeds take hour counts that are neither multiples of 4 nor of
-// blockHours, starts at odd hours, both hemispheres, the equator and the
-// polar night.
+// FuzzDrawWeatherMatchesScalar runs the weather stage at each vector
+// width and with the vector path off and requires the same bits in
+// every series and mean: fuzzed coordinates and demand swings, a start
+// any minute of 2020–2023 (so off midnight and off the hour), and up to
+// three blocks of hours. The seeds take hour counts that are neither
+// multiples of 4 nor of blockHours, starts at odd hours, both
+// hemispheres, the equator and the polar night.
 func FuzzDrawWeatherMatchesScalar(f *testing.F) {
 	for _, c := range []struct {
 		seed          uint64
@@ -235,9 +263,6 @@ func FuzzDrawWeatherMatchesScalar(f *testing.F) {
 		f.Add(c.seed, c.lat, c.lon, c.sw, c.minute, c.hours)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, lat, lon, swing float64, minute, hours uint32) {
-		if !vectorOn {
-			t.Skip("no AVX2+FMA: the vector path is not available here")
-		}
 		within := func(x, bound float64) float64 { // into [-bound, bound]
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return 0
@@ -248,21 +273,25 @@ func FuzzDrawWeatherMatchesScalar(f *testing.F) {
 			DemandSwing: math.Abs(within(swing, 6))}
 		cfg := Config{Seed: seed, Start: DefaultStart.Add(time.Duration(minute%(4*366*24*60)) * time.Minute),
 			Hours: 1 + int(hours%(3*blockHours))}.withDefaults()
-		vec := drawWeather(r, cfg)
-		vectorOn = false
-		defer func() { vectorOn = true }()
+		atLanes(t, 0)
 		ref := drawWeather(r, cfg)
-		for _, s := range []struct {
-			name     string
-			got, ref []float64
-		}{{"irr", vec.irr, ref.irr}, {"wind", vec.wind, ref.wind}, {"demand", vec.demand, ref.demand},
-			{"means", []float64{vec.irrMean, vec.windMean}, []float64{ref.irrMean, ref.windMean}}} {
-			for h := range s.ref {
-				if !sameFloat(s.got[h], s.ref[h]) {
-					t.Fatalf("%+v from %v: %s[%d] is %v (%#x) on the vector path, %v (%#x) on the scalar", r, cfg.Start,
-						s.name, h, s.got[h], math.Float64bits(s.got[h]), s.ref[h], math.Float64bits(s.ref[h]))
+		for _, w := range widths[:2] {
+			t.Run(w.name, func(t *testing.T) {
+				atLanes(t, w.lanes)
+				vec := drawWeather(r, cfg)
+				for _, s := range []struct {
+					name     string
+					got, ref []float64
+				}{{"irr", vec.irr, ref.irr}, {"wind", vec.wind, ref.wind}, {"demand", vec.demand, ref.demand},
+					{"means", []float64{vec.irrMean, vec.windMean}, []float64{ref.irrMean, ref.windMean}}} {
+					for h := range s.ref {
+						if !sameFloat(s.got[h], s.ref[h]) {
+							t.Fatalf("%+v from %v: %s[%d] is %v (%#x) at %d lanes, %v (%#x) on the scalar path", r, cfg.Start,
+								s.name, h, s.got[h], math.Float64bits(s.got[h]), w.lanes, s.ref[h], math.Float64bits(s.ref[h]))
+						}
+					}
 				}
-			}
+			})
 		}
 	})
 }
@@ -272,51 +301,66 @@ func FuzzDrawWeatherMatchesScalar(f *testing.F) {
 // group leaves the Go loops to produce the same bits. On a catalog
 // region's first block each dispatch kernel does every hour, normVec
 // and logisticVec every group of their inputs, and sunVec the whole
-// rest of a day.
+// rest of a day; so do the eight-lane forms of tiltVec, flexVec, normVec
+// and logisticVec at their width.
 func TestStageKernelsCoverOrdinaryHours(t *testing.T) {
-	if !vectorOn {
-		t.Skip("no AVX2+FMA: the vector path is not available here")
-	}
 	r := regions.MustByCode("DE")
 	cfg := Config{Seed: 1, Hours: blockHours}.withDefaults()
 	w := drawWeather(r, cfg)
-	ci := make([]float64, blockHours)
-	var b dispatchBlock
-	b.start(w, r, 0)
-	b.load(w, ci, 0, blockHours)
-	for _, k := range []struct {
+	const n = blockHours - 2 // a tail of two
+	type stage struct {
 		name string
 		vec  func(*dispatchBlock, int) int
-	}{{"driftVec", driftVec}, {"levelVec", levelVec}, {"tiltVec", tiltVec}, {"flexVec", flexVec}} {
-		if got := k.vec(&b, 0); got != blockHours {
-			t.Errorf("%s did %d of %s's %d hours", k.name, got, r.Code, blockHours)
-		}
 	}
-	for h, want := range w.dispatch(r, 0, blockHours) {
-		if !sameFloat(ci[h], want) {
-			t.Fatalf("hour %d: the kernels one after the other give %v, dispatch %v", h, ci[h], want)
-		}
-	}
+	for _, c := range []struct {
+		name     string
+		lanes    int
+		stages   []stage
+		norm     func(out, cosArgs []float64, mean, stddev float64) int
+		logistic func(irr, wind, cloudE, windE []float64) int
+	}{
+		{"vector", 8, []stage{{"driftVec", driftVec}, {"levelVec", levelVec}, {"tiltVec8", tiltVec8}, {"flexVec8", flexVec8}},
+			normVec8, logisticVec8},
+		{"vector4", 4, []stage{{"driftVec", driftVec}, {"levelVec", levelVec}, {"tiltVec", tiltVec}, {"flexVec", flexVec}},
+			normVec, logisticVec},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			needLanes(t, c.lanes)
+			ci := make([]float64, blockHours)
+			var b dispatchBlock
+			b.start(w, r, 0)
+			b.load(w, ci, 0, blockHours)
+			for _, k := range c.stages {
+				if got := k.vec(&b, 0); got != blockHours {
+					t.Errorf("%s did %d of %s's %d hours", k.name, got, r.Code, blockHours)
+				}
+			}
+			for h, want := range w.dispatch(r, 0, blockHours) {
+				if !sameFloat(ci[h], want) {
+					t.Fatalf("hour %d: the kernels one after the other give %v, dispatch %v", h, ci[h], want)
+				}
+			}
 
-	const n = blockHours - 2 // a tail of two
-	out, cosArgs := make([]float64, n), make([]float64, n)
-	rng.New(1).NormArgsBatch(out, cosArgs)
-	if got := normVec(out, cosArgs, 0, 1); got != n/4*4 {
-		t.Errorf("normVec did %d of %d draws", got, n)
-	}
-	irr, wind := make([]float64, n), make([]float64, n)
-	cloudE, windE := out, make([]float64, n)
-	for i := range windE {
-		windE[i] = -1.1 * cloudE[i]
-	}
-	if got := logisticVec(irr, wind, cloudE, windE); got != n/4*4 {
-		t.Errorf("logisticVec did %d of %d hours", got, n)
-	}
-	var day sunDay
-	for _, hod := range []int{0, 5} {
-		if got, want := sunVec(irr, wind, &day, hod), (24-hod)/4*4; got != want {
-			t.Errorf("sunVec from hour %d did %d hours, want %d", hod, got, want)
-		}
+			out, cosArgs := make([]float64, n), make([]float64, n)
+			rng.New(1).NormArgsBatch(out, cosArgs)
+			if got := c.norm(out, cosArgs, 0, 1); got != n/c.lanes*c.lanes {
+				t.Errorf("normVec did %d of %d draws at %d lanes", got, n, c.lanes)
+			}
+			irr, wind := make([]float64, n), make([]float64, n)
+			cloudE, windE := out, make([]float64, n)
+			for i := range windE {
+				windE[i] = -1.1 * cloudE[i]
+			}
+			if got := c.logistic(irr, wind, cloudE, windE); got != n/c.lanes*c.lanes {
+				t.Errorf("logisticVec did %d of %d hours at %d lanes", got, n, c.lanes)
+			}
+			var day sunDay
+			for _, hod := range []int{0, 5} {
+				if got, want := sunVec(irr, wind, &day, hod), (24-hod)/4*4; got != want {
+					t.Errorf("sunVec from hour %d did %d hours, want %d", hod, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -325,10 +369,40 @@ func TestStageKernelsCoverOrdinaryHours(t *testing.T) {
 // one: every region of the catalog (a handful under -short), the
 // off-the-hour start, the 576-hour world and the synthetic mixes.
 func TestScalarPathMatchesGolden(t *testing.T) {
-	saved := vectorOn
-	vectorOn = false
-	defer func() { vectorOn = saved }()
+	atLanes(t, 0)
+	catalog := regions.All()
+	if testing.Short() {
+		catalog = goldenSample()
+	}
+	checkGolden(t, catalog)
+}
 
+// TestVectorWidths runs a sample of TestTraceBitsGolden's cases at each
+// kernel width — eight lanes, four, and Go alone — and logs which widths
+// this host has: a subtest the host cannot run is skipped, naming the
+// feature it lacks.
+func TestVectorWidths(t *testing.T) {
+	t.Logf("the CPU probe chose %d lanes", hostLanes)
+	for _, w := range widths {
+		t.Run(w.name, func(t *testing.T) {
+			atLanes(t, w.lanes)
+			checkGolden(t, goldenSample())
+			t.Logf("%d lanes: every digest matches", w.lanes)
+		})
+	}
+}
+
+// goldenSample is the handful of catalog regions the short golden runs
+// take: a wind and coal grid, a hydro one, a solar one in the south.
+func goldenSample() []regions.Region {
+	return []regions.Region{regions.MustByCode("DE"), regions.MustByCode("SE"), regions.MustByCode("AU-NSW")}
+}
+
+// checkGolden generates, at the current width, catalog's traces at seed
+// 1 and TestTraceBitsGolden's cases (c)–(e), and checks each digest
+// against trace_bits.golden.
+func checkGolden(t *testing.T, catalog []regions.Region) {
+	t.Helper()
 	raw, err := os.ReadFile("testdata/trace_bits.golden")
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +416,7 @@ func TestScalarPathMatchesGolden(t *testing.T) {
 	check := func(name string, traces ...*trace.Trace) {
 		t.Helper()
 		if got := traceBits(traces...); got != want[name] {
-			t.Errorf("%s: scalar path digest %s, golden %s", name, got, want[name])
+			t.Errorf("%s: digest %s at %d lanes, golden %s", name, got, lanes, want[name])
 		}
 	}
 	generate := func(r regions.Region, cfg Config) *trace.Trace {
@@ -354,10 +428,6 @@ func TestScalarPathMatchesGolden(t *testing.T) {
 		return tr
 	}
 
-	catalog := regions.All()
-	if testing.Short() {
-		catalog = []regions.Region{regions.MustByCode("DE"), regions.MustByCode("SE"), regions.MustByCode("AU-NSW")}
-	}
 	for _, r := range catalog {
 		check("catalog/seed1/"+r.Code, generate(r, Config{Seed: 1}))
 	}
@@ -379,6 +449,176 @@ func TestScalarPathMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestEightLaneKernelsStopBeforeUnsafeLane puts one lane outside a
+// body's safe range — a NaN, an Exp overflow or denormal result, a
+// Payne–Hanek cosine argument, a non-normal Log argument, an hour off
+// flexVec's paths — at each of the eight positions of a kernel's second
+// group. The eight-lane kernel must do the first group and store
+// nothing of the second, and the batch or stage, which hands that group
+// to the four-lane kernel and Go, must still give math's or the Go
+// loop's bits.
+func TestEightLaneKernelsStopBeforeUnsafeLane(t *testing.T) {
+	atLanes(t, 8)
+	const n = 16
+	ordinary := func(i int) float64 { return 0.05 + float64(i)/17 } // in every body's range
+	stored := func(name string, p int, got, want []float64) {
+		t.Helper()
+		for i := 8; i < n; i++ {
+			if !sameFloat(got[i], want[i]) {
+				t.Fatalf("%s, unsafe lane %d: element %d of the stopped group was stored (%v, was %v)", name, p, i, got[i], want[i])
+			}
+		}
+	}
+	for _, k := range []struct {
+		kernel
+		vec8   func([]float64) int
+		unsafe []float64
+	}{
+		{batchKernels[0], expVec8, []float64{math.NaN(), math.Inf(1), math.Inf(-1), 709.5, 710, 800, -708.5, -745.2}},
+		{batchKernels[1], logVec8, []float64{math.NaN(), math.Inf(1), 0, math.Copysign(0, -1), -1, 1e-310, 0x1p-1074}},
+		{batchKernels[2], cosVec8, []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0x1p29, -0x1p29, 1e10, 1e300}},
+	} {
+		for _, bad := range k.unsafe {
+			for p := range 8 {
+				xs := make([]float64, n)
+				for i := range xs {
+					xs[i] = ordinary(i)
+				}
+				xs[8+p] = bad
+				got := slices.Clone(xs)
+				if done := k.vec8(got); done != 8 {
+					t.Fatalf("%s(%v) in lane %d: the 8-lane kernel did %d elements, want 8", k.name, bad, p, done)
+				}
+				stored(k.name, p, got, xs)
+				got = slices.Clone(xs)
+				k.batch(got)
+				for i, x := range xs {
+					if want := k.f(x); !sameFloat(got[i], want) {
+						t.Fatalf("%s(%v) in lane %d: element %d is %v, math gives %v", k.name, bad, p, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+
+	// normVec8: a bad Log argument in out, or a bad cosine argument.
+	for _, bad := range []struct {
+		log, cos float64
+	}{{math.NaN(), 1}, {0, 1}, {-1, 1}, {1e-310, 1}, {0.5, math.NaN()}, {0.5, 1e10}, {0.5, math.Inf(-1)}} {
+		for p := range 8 {
+			out, cosArgs := make([]float64, n), make([]float64, n)
+			for i := range out {
+				out[i], cosArgs[i] = ordinary(i), 2*math.Pi*ordinary(n-1-i)
+			}
+			out[8+p], cosArgs[8+p] = bad.log, bad.cos
+			in, cosIn := slices.Clone(out), slices.Clone(cosArgs)
+			if done := normVec8(out, cosArgs, 1, 2); done != 8 {
+				t.Fatalf("normVec8 with %+v in lane %d did %d draws, want 8", bad, p, done)
+			}
+			stored("normVec8", p, out, in)
+			copy(out, in)
+			normOf(1, 2, out, cosArgs)
+			for i := range in {
+				if want := rng.NormOf(1, 2, math.Log(in[i]), math.Cos(cosIn[i])); !sameFloat(out[i], want) {
+					t.Fatalf("normOf with %+v in lane %d: draw %d is %v, want %v", bad, p, i, out[i], want)
+				}
+			}
+		}
+	}
+
+	// logisticVec8: a bad Exp argument in cloudE or in windE.
+	for _, bad := range []float64{math.NaN(), 710, -746} {
+		for _, inWind := range []bool{false, true} {
+			for p := range 8 {
+				irr, wind, cloudE, windE := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+				for i := range irr {
+					irr[i], wind[i], cloudE[i], windE[i] = ordinary(i), -1, ordinary(i)-0.5, 0.5-ordinary(i)
+				}
+				if inWind {
+					windE[8+p] = bad
+				} else {
+					cloudE[8+p] = bad
+				}
+				irrIn, windIn := slices.Clone(irr), slices.Clone(wind)
+				if done := logisticVec8(irr, wind, cloudE, windE); done != 8 {
+					t.Fatalf("logisticVec8 with %v in lane %d did %d hours, want 8", bad, p, done)
+				}
+				stored("logisticVec8 irr", p, irr, irrIn)
+				stored("logisticVec8 wind", p, wind, windIn)
+				for i := range 8 {
+					wantIrr, wantWind := irrIn[i]*(0.25+0.75/(1+math.Exp(cloudE[i]))), 1/(1+math.Exp(windE[i]))
+					if !sameFloat(irr[i], wantIrr) || !sameFloat(wind[i], wantWind) {
+						t.Fatalf("logisticVec8 with %v in lane %d: hour %d is %v, %v, want %v, %v", bad, p, i, irr[i], wind[i], wantIrr, wantWind)
+					}
+				}
+			}
+		}
+	}
+
+	// flexVec8: an hour on a path it does not take — a residual of ±0
+	// or NaN, a residual at level 0 (the full mix), a subnormal level.
+	r := regions.MustByCode("DE")
+	w := drawWeather(r, Config{Seed: 1, Hours: n}.withDefaults())
+	for _, bad := range []struct{ res, level float64 }{
+		{0, 0}, {math.Copysign(0, -1), 0}, {math.NaN(), 0}, {0.3, 0}, {0.3, 1e-310},
+	} {
+		for p := range 8 {
+			var b dispatchBlock
+			b.start(w, r, 0)
+			b.load(w, slices.Repeat([]float64{-1}, n), 0, n)
+			for _, vec := range []func(*dispatchBlock, int) int{driftVec, levelVec, tiltVec} {
+				vec(&b, 0)
+			}
+			b.residual[8+p], b.level[8+p] = bad.res, bad.level
+			if done := flexVec8(&b, 0); done != 8 {
+				t.Fatalf("flexVec8 with %+v in lane %d did %d hours, want 8", bad, p, done)
+			}
+			stored("flexVec8", p, b.ci, slices.Repeat([]float64{-1}, n))
+			ref := b
+			ref.ci = make([]float64, n)
+			ref.flexStage(0, n)
+			runStage(&b, flexVecs, (*dispatchBlock).flexStage)
+			for i := range n {
+				if !sameFloat(b.ci[i], ref.ci[i]) {
+					t.Fatalf("flex stage with %+v in lane %d: hour %d gives %v, the Go loop %v", bad, p, i, b.ci[i], ref.ci[i])
+				}
+			}
+		}
+	}
+
+	// tiltVec8: a level whose Log is off the safe range.
+	for _, bad := range []float64{math.NaN(), 0, 1e-310, math.Inf(1)} {
+		for p := range 8 {
+			var b dispatchBlock
+			b.m = n
+			for i := range n {
+				b.logs[i] = 1 + 1000*ordinary(i)
+				b.hydroExp[i], b.coalFlexExp[i], b.peakerExp[i] = -1, -1, -1
+			}
+			b.logs[8+p] = bad
+			logs := b.logs
+			if done := tiltVec8(&b, 0); done != 8 {
+				t.Fatalf("tiltVec8 with %v in lane %d did %d hours, want 8", bad, p, done)
+			}
+			untouched := slices.Repeat([]float64{-1}, n)
+			stored("tiltVec8 hydroExp", p, b.hydroExp[:n], untouched)
+			stored("tiltVec8 coalFlexExp", p, b.coalFlexExp[:n], untouched)
+			stored("tiltVec8 peakerExp", p, b.peakerExp[:n], untouched)
+			runStage(&b, tiltVecs, (*dispatchBlock).tiltStage)
+			for i := range n {
+				lg := math.Log(logs[i])
+				for _, c := range []struct {
+					got, frac float64
+				}{{b.hydroExp[i], hydroFrac}, {b.coalFlexExp[i], coalFlexFrac}, {b.peakerExp[i], peakerFrac}} {
+					if want := math.Exp(c.frac * lg); !sameFloat(c.got, want) {
+						t.Fatalf("tilt stage with %v in lane %d: hour %d gives %v, want %v", bad, p, i, c.got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSimulateAllocs pins a region's simulation at six allocations: the
 // four generators, the carbon-intensity series and the trace. The
 // weather and its three series come back from weatherPool, and the
@@ -392,5 +632,57 @@ func TestSimulateAllocs(t *testing.T) {
 	cfg := Config{Seed: 1, Hours: 3 * blockHours / 2}.withDefaults()
 	if got := testing.AllocsPerRun(20, func() { simulate(r, cfg) }); got != 6 {
 		t.Errorf("simulate allocates %v times, want 6", got)
+	}
+}
+
+// BenchmarkStageKernels times each stage kernel alone over a catalog
+// region's first block at every width it has, so a kernel's two widths
+// can be held against each other: one op is one pass over blockHours
+// hours (normVec and logisticVec, which work in place, over a fresh copy
+// of their inputs each time).
+func BenchmarkStageKernels(b *testing.B) {
+	if hostLanes < 4 {
+		b.Skip("no AVX2+FMA: the vector path is not available here")
+	}
+	r := regions.MustByCode("DE")
+	cfg := Config{Seed: 1, Hours: blockHours}.withDefaults()
+	w := drawWeather(r, cfg)
+	var blk dispatchBlock
+	blk.start(w, r, 0)
+	blk.load(w, make([]float64, blockHours), 0, blockHours)
+	for _, vec := range []func(*dispatchBlock, int) int{driftVec, levelVec, tiltVec, flexVec} {
+		vec(&blk, 0)
+	}
+	logArgs, cosArgs := make([]float64, blockHours), make([]float64, blockHours)
+	rng.New(1).NormArgsBatch(logArgs, cosArgs)
+	windE := make([]float64, blockHours)
+	for i := range windE {
+		windE[i] = -1.1 * logArgs[i]
+	}
+	out, irr, wind := make([]float64, blockHours), make([]float64, blockHours), make([]float64, blockHours)
+	for _, k := range []struct {
+		name  string
+		lanes int
+		run   func() int
+	}{
+		{"driftVec", 4, func() int { return driftVec(&blk, 0) }},
+		{"levelVec", 4, func() int { return levelVec(&blk, 0) }},
+		{"tiltVec", 4, func() int { return tiltVec(&blk, 0) }},
+		{"tiltVec8", 8, func() int { return tiltVec8(&blk, 0) }},
+		{"flexVec", 4, func() int { return flexVec(&blk, 0) }},
+		{"flexVec8", 8, func() int { return flexVec8(&blk, 0) }},
+		{"normVec", 4, func() int { copy(out, logArgs); return normVec(out, cosArgs, 0, 1) }},
+		{"normVec8", 8, func() int { copy(out, logArgs); return normVec8(out, cosArgs, 0, 1) }},
+		{"logisticVec", 4, func() int { copy(irr, logArgs); return logisticVec(irr, wind, logArgs, windE) }},
+		{"logisticVec8", 8, func() int { copy(irr, logArgs); return logisticVec8(irr, wind, logArgs, windE) }},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			needLanes(b, k.lanes)
+			for b.Loop() {
+				if k.run() != blockHours {
+					b.Fatalf("%s stopped short of the block", k.name)
+				}
+			}
+		})
 	}
 }

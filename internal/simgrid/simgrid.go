@@ -37,8 +37,9 @@
 // hour; an hour's cost is its transcendentals, so the four
 // flexible-source powers are formed from one logarithm (tiltedShares),
 // and both stages walk their hours in blocks of stage loops that run
-// four hours at a time in vector kernels on amd64 (kernels_amd64.s),
-// with the Go loops as their fallback. Generate and the
+// in vector kernels on amd64 (kernels_amd64.s) — eight hours at a time
+// with AVX-512, four with AVX2, as the CPU probe finds — with the Go
+// loops as their fallback. Generate and the
 // cached entry points (cache.go) run one after the other for a whole
 // base trace; WhatIf draws the weather once and
 // dispatches it at several ExtraRenewables levels over the hours its
@@ -450,7 +451,7 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 				startDay()
 			}
 			k := 0
-			if vectorOn {
+			if lanes >= 4 {
 				k = sunVec(irr[i:], demand[i:], &day, hod)
 			}
 			if k == 0 {
@@ -484,11 +485,14 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 
 		// The cloud process, mapped through a logistic into an
 		// attenuation factor in [0.25, 1]; wind, a capacity factor in
-		// (0, 1): logisticVec four hours at a time, the Go loop over
-		// the group where it stops.
+		// (0, 1): logisticVec8 and logisticVec eight and four hours at a
+		// time, the Go loop over the group where both stop.
 		for i := 0; i < m; {
 			j := m
-			if vectorOn {
+			if lanes >= 8 {
+				i += logisticVec8(irr[i:], wind[i:], cloudE[i:], windE[i:])
+			}
+			if lanes >= 4 {
 				i += logisticVec(irr[i:], wind[i:], cloudE[i:], windE[i:])
 				j = min(i+4, m)
 			}
@@ -545,15 +549,19 @@ type sunDay struct {
 // normOf finishes a stream's draws: it sets each out[i] to
 // rng.NormOf(mean, stddev, Log(out[i]), Cos(cosArgs[i])), so that out
 // and cosArgs, a run of rng.NormArgs, become that run of Norm(mean,
-// stddev) bit for bit. normVec takes four draws at a time, each draw's
-// logarithm, cosine and Box–Muller step in one pass, and the Go loop —
-// batch calls for the logarithms and cosines, then rng.NormOf — the
-// group where it stops. cosArgs must be at least as long as out.
+// stddev) bit for bit. normVec8 and normVec take eight and four draws
+// at a time, each draw's logarithm, cosine and Box–Muller step in one
+// pass, and the Go loop — batch calls for the logarithms and cosines,
+// then rng.NormOf — the group where both stop. cosArgs must be at least
+// as long as out.
 func normOf(mean, stddev float64, out, cosArgs []float64) {
 	cosArgs = cosArgs[:len(out)]
 	for i := 0; i < len(out); {
 		j := len(out)
-		if vectorOn {
+		if lanes >= 8 {
+			i += normVec8(out[i:], cosArgs[i:], mean, stddev)
+		}
+		if lanes >= 4 {
 			i += normVec(out[i:], cosArgs[i:], mean, stddev)
 			j = min(i+4, len(out))
 		}
@@ -600,8 +608,8 @@ func (w *weather) dispatch(r regions.Region, extra float64, hours int) []float64
 		b.load(w, ci, h0, min(blockHours, hours-h0))
 		runStage(&b, driftVec, (*dispatchBlock).driftStage)
 		runStage(&b, levelVec, (*dispatchBlock).levelStage)
-		runStage(&b, tiltVec, (*dispatchBlock).tiltStage)
-		runStage(&b, flexVec, (*dispatchBlock).flexStage)
+		runStage(&b, tiltVecs, (*dispatchBlock).tiltStage)
+		runStage(&b, flexVecs, (*dispatchBlock).flexStage)
 	}
 	return ci
 }
@@ -670,19 +678,41 @@ func (b *dispatchBlock) load(w *weather, ci []float64, h0, m int) {
 }
 
 // runStage runs one stage over the block's hours: the vector kernel from
-// each hour it is handed, four hours at a time, and the Go loop over the
-// group of up to four where the kernel stopped — a lane on a rare path,
-// or the tail — or, with the vector path off, over all of them.
+// each hour it is handed — four hours at a time, or eight and then four
+// (tiltVecs, flexVecs) — and the Go loop over the group of up to four
+// where the kernel stopped — a lane on a rare path, or the tail — or,
+// with the vector path off, over all of them.
 func runStage(b *dispatchBlock, vec func(*dispatchBlock, int) int, stage func(*dispatchBlock, int, int)) {
 	for i := 0; i < b.m; {
 		j := b.m
-		if vectorOn {
+		if lanes >= 4 {
 			i += vec(b, i)
 			j = min(i+4, b.m)
 		}
 		stage(b, i, j)
 		i = j
 	}
+}
+
+// tiltVecs and flexVecs are the tilt and flex stages' kernels from hour
+// i: the eight-lane one where the CPU has eight lanes, then the
+// four-lane one from where it stops. driftVec and levelVec, bound by
+// their divisions, which cost the same per lane at both widths, have
+// no eight-lane form.
+func tiltVecs(b *dispatchBlock, i int) int {
+	n := 0
+	if lanes >= 8 {
+		n = tiltVec8(b, i)
+	}
+	return n + tiltVec(b, i+n)
+}
+
+func flexVecs(b *dispatchBlock, i int) int {
+	n := 0
+	if lanes >= 8 {
+		n = flexVec8(b, i)
+	}
+	return n + flexVec(b, i+n)
 }
 
 // driftStage sets hours [lo, hi)'s shift and the five shares it moves.

@@ -591,8 +591,17 @@ func BenchmarkAblation_WhatIfMaterialised(b *testing.B) {
 // BenchmarkAblation_ScalarKernels is BenchmarkGenerateRegionYear with
 // the vector kernels switched off: every batch element through math.
 func BenchmarkAblation_ScalarKernels(b *testing.B) {
-	saved := vectorOn
-	vectorOn = false
-	defer func() { vectorOn = saved }()
+	atLanes(b, 0)
 	BenchmarkGenerateRegionYear(b)
+}
+
+// BenchmarkAblation_FourLaneKernels is the three benchmarks of a
+// region-year with the eight-lane kernels switched off, as on a CPU with
+// AVX2 but not AVX-512.
+func BenchmarkAblation_FourLaneKernels(b *testing.B) {
+	needLanes(b, 8)
+	atLanes(b, 4)
+	b.Run("GenerateRegionYear", BenchmarkGenerateRegionYear)
+	b.Run("DrawWeather", BenchmarkDrawWeather)
+	b.Run("Dispatch", BenchmarkDispatch)
 }

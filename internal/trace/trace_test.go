@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -175,6 +177,40 @@ func TestSetAlignment(t *testing.T) {
 	}
 }
 
+// TestNewSetReportsFirstError holds NewSet's error to the one a serial
+// pass over the traces meets first: a misaligned trace before a bad
+// one, a bad one before a misaligned one, and the first of two bad
+// traces in a set large enough to be validated on the engine pool.
+func TestNewSetReportsFirstError(t *testing.T) {
+	a := New("A", t0, ramp(24))
+	short := New("S", t0, ramp(23))
+	bad := func(code string, n, hour int) *Trace {
+		ci := ramp(n)
+		ci[hour] = math.NaN()
+		return New(code, t0, ci)
+	}
+	const n = poolSamples / 64
+	var many []*Trace
+	long := ramp(n)
+	for i := range 64 {
+		many = append(many, New(fmt.Sprintf("R%02d", i), t0, long))
+	}
+	many[40], many[50] = bad("R40", n, 7), bad("R50", n, 3)
+	for _, c := range []struct {
+		traces []*Trace
+		want   string
+	}{
+		{[]*Trace{a, short, bad("B", 24, 3)}, "trace: region S misaligned"},
+		{[]*Trace{a, bad("B", 24, 3), short}, "trace: region B: trace: bad sample NaN at hour 3"},
+		{many, "trace: region R40: trace: bad sample NaN at hour 7"},
+	} {
+		_, err := NewSet(c.traces)
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("NewSet error %v, want %q", err, c.want)
+		}
+	}
+}
+
 func TestSetMinAt(t *testing.T) {
 	a := New("A", t0, []float64{5, 1, 5})
 	b := New("B", t0, []float64{3, 2, 5})
@@ -197,6 +233,23 @@ func TestSetGlobalMean(t *testing.T) {
 	s := mustSet(t, a, b)
 	if got := s.GlobalMean(); got != 3 {
 		t.Fatalf("GlobalMean = %v", got)
+	}
+
+	// A set large enough to take its means on the engine pool, whose
+	// means add up differently in another order: the same bits as a
+	// serial sum in region order.
+	var traces []*Trace
+	for i := range 64 {
+		ci := slices.Repeat([]float64{math.Pow(1.37, float64(i*31%60)) / 3}, poolSamples/64)
+		traces = append(traces, New(fmt.Sprintf("R%02d", 63-i), t0, ci))
+	}
+	s = mustSet(t, traces...)
+	var sum float64
+	for _, code := range s.Regions() {
+		sum += s.MustGet(code).Mean()
+	}
+	if got, want := s.GlobalMean(), sum/64; math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("GlobalMean = %v, a serial sum in region order gives %v", got, want)
 	}
 }
 
