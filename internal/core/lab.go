@@ -46,6 +46,8 @@ type Options struct {
 	// during trace generation and inside each experiment. Zero means
 	// one worker per CPU (engine.DefaultWorkers); 1 forces the serial
 	// reference path. Results are byte-identical for every setting.
+	// Set-up's tail ignores it: trace.NewSet and Set.GlobalMean run one
+	// worker per CPU, and the latency matrix is built beside generation.
 	Workers int
 }
 

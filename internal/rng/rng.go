@@ -222,6 +222,12 @@ func NormOf(mean, stddev, log, cos float64) float64 {
 // math.MaxFloat64, say), which would otherwise return the last index
 // every time.
 func (r *Source) Pick(ws []float64) int {
+	return r.PickWithTotal(ws, WeightTotal(ws))
+}
+
+// WeightTotal is Pick's check of ws: it panics where Pick does, and
+// otherwise returns the weights' sum in Pick's order.
+func WeightTotal(ws []float64) float64 {
 	var total float64
 	for _, w := range ws {
 		if !(w >= 0 && w <= math.MaxFloat64) {
@@ -235,6 +241,13 @@ func (r *Source) Pick(ws []float64) int {
 	if math.IsInf(total, 1) {
 		panic("rng: Pick with weights whose sum overflows")
 	}
+	return total
+}
+
+// PickWithTotal is Pick for weights whose WeightTotal is total, so a
+// caller drawing often from fixed weights checks and sums them once. It
+// takes one draw.
+func (r *Source) PickWithTotal(ws []float64, total float64) int {
 	x := r.Float64() * total
 	for i, w := range ws {
 		x -= w

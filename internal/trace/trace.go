@@ -156,32 +156,17 @@ type Set struct {
 	length   int
 }
 
-// poolSamples is the size of a set, in samples, from which NewSet and
-// GlobalMean walk its traces on the engine pool: about a millisecond of
-// work, below which the hand-off to other cores saves too little.
-const poolSamples = 1 << 20
-
-// poolWorkers is the engine's worker bound for a pass over n traces of
-// length samples: one worker per CPU, or the serial loop below
-// poolSamples.
-func poolWorkers(n, length int) int {
-	if n*length < poolSamples {
-		return 1
-	}
-	return 0
-}
-
 // NewSet builds a Set from traces, verifying alignment. The traces are
-// validated on the engine pool, and the serial loop that checks their
-// alignment reports the first trace's error as it would have met it.
+// validated on the engine pool, one worker per CPU, and the serial loop
+// that checks their alignment reports the first trace's error as it
+// would have met it.
 func NewSet(traces []*Trace) (*Set, error) {
 	if len(traces) == 0 {
 		return nil, errors.New("trace: empty set")
 	}
 	invalid := make([]error, len(traces))
-	workers := poolWorkers(len(traces), traces[0].Len())
 	// No cell fails, so neither does the pool.
-	_ = engine.ForEach(context.TODO(), workers, len(traces), func(_ context.Context, i int) error {
+	_ = engine.ForEach(context.TODO(), 0, len(traces), func(_ context.Context, i int) error {
 		invalid[i] = traces[i].Validate()
 		return nil
 	})
@@ -282,11 +267,11 @@ func (s *Set) MinAt(i int) (string, float64) {
 
 // GlobalMean returns the mean of the per-region mean intensities, the
 // paper's "global average carbon intensity" reference. The regions'
-// means are taken on the engine pool and summed in region order.
+// means are taken on the engine pool, one worker per CPU, and summed in
+// region order.
 func (s *Set) GlobalMean() float64 {
-	workers := poolWorkers(len(s.order), s.length)
 	// No cell fails, so neither does the pool.
-	means, _ := engine.Map(context.TODO(), workers, len(s.order), func(_ context.Context, i int) (float64, error) {
+	means, _ := engine.Map(context.TODO(), 0, len(s.order), func(_ context.Context, i int) (float64, error) {
 		return s.byRegion[s.order[i]].Mean(), nil
 	})
 	var sum float64

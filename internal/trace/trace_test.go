@@ -180,7 +180,7 @@ func TestSetAlignment(t *testing.T) {
 // TestNewSetReportsFirstError holds NewSet's error to the one a serial
 // pass over the traces meets first: a misaligned trace before a bad
 // one, a bad one before a misaligned one, and the first of two bad
-// traces in a set large enough to be validated on the engine pool.
+// traces among many validated on the engine pool.
 func TestNewSetReportsFirstError(t *testing.T) {
 	a := New("A", t0, ramp(24))
 	short := New("S", t0, ramp(23))
@@ -189,13 +189,11 @@ func TestNewSetReportsFirstError(t *testing.T) {
 		ci[hour] = math.NaN()
 		return New(code, t0, ci)
 	}
-	const n = poolSamples / 64
 	var many []*Trace
-	long := ramp(n)
 	for i := range 64 {
-		many = append(many, New(fmt.Sprintf("R%02d", i), t0, long))
+		many = append(many, New(fmt.Sprintf("R%02d", i), t0, ramp(24)))
 	}
-	many[40], many[50] = bad("R40", n, 7), bad("R50", n, 3)
+	many[40], many[50] = bad("R40", 24, 7), bad("R50", 24, 3)
 	for _, c := range []struct {
 		traces []*Trace
 		want   string
@@ -235,12 +233,11 @@ func TestSetGlobalMean(t *testing.T) {
 		t.Fatalf("GlobalMean = %v", got)
 	}
 
-	// A set large enough to take its means on the engine pool, whose
-	// means add up differently in another order: the same bits as a
-	// serial sum in region order.
+	// Means taken on the engine pool that add up differently in another
+	// order: the same bits as a serial sum in region order.
 	var traces []*Trace
 	for i := range 64 {
-		ci := slices.Repeat([]float64{math.Pow(1.37, float64(i*31%60)) / 3}, poolSamples/64)
+		ci := slices.Repeat([]float64{math.Pow(1.37, float64(i*31%60)) / 3}, 24)
 		traces = append(traces, New(fmt.Sprintf("R%02d", 63-i), t0, ci))
 	}
 	s = mustSet(t, traces...)

@@ -116,9 +116,8 @@ type Distribution struct {
 	// every call (a map walk would randomize the low bits).
 	lengths []int
 	ws      []float64
-	// sum is ws's total, added in order as rng.Source.Pick adds it, so
-	// Sample draws what Pick would without summing per draw.
-	sum float64
+	// total is rng.WeightTotal(ws), so Sample checks and sums ws once.
+	total float64
 }
 
 // NewDistribution builds a distribution from explicit weights. Weights
@@ -148,12 +147,10 @@ func NewDistribution(name string, weights map[int]float64) (Distribution, error)
 		return Distribution{}, fmt.Errorf("workload: distribution %s has total weight %v", name, total)
 	}
 	ws := make([]float64, len(lengths))
-	var sum float64
 	for i, l := range lengths {
 		ws[i] = weights[l] / total
-		sum += ws[i]
 	}
-	return Distribution{Name: name, lengths: lengths, ws: ws, sum: sum}, nil
+	return Distribution{Name: name, lengths: lengths, ws: ws, total: rng.WeightTotal(ws)}, nil
 }
 
 func mustDistribution(name string, weights map[int]float64) Distribution {
@@ -179,21 +176,10 @@ func (d Distribution) WeightedMean(values map[int]float64) float64 {
 	return out
 }
 
-// Sample draws a job length from the distribution: src.Pick(ws) bit
-// for bit, with the weights NewDistribution checked and summed. It
-// allocates nothing and takes one draw from src.
+// Sample draws a job length from the distribution. It allocates
+// nothing and takes one draw from src.
 func (d Distribution) Sample(src *rng.Source) int {
-	if len(d.ws) == 0 {
-		panic("workload: Sample from the zero Distribution")
-	}
-	x := src.Float64() * d.sum
-	for i, w := range d.ws {
-		x -= w
-		if x < 0 {
-			return d.lengths[i]
-		}
-	}
-	return d.lengths[len(d.lengths)-1]
+	return d.lengths[src.PickWithTotal(d.ws, d.total)]
 }
 
 // The three job-length weightings of Figure 10. Equal spreads energy
