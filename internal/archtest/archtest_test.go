@@ -12,15 +12,18 @@
 package archtest
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -664,14 +667,14 @@ var exportAllow = map[string]string{
 	"trace.Repair":                 "the data layer's gap repair for real traces (DESIGN, data layer)",
 	"trace.Resample":               "the data layer's resampling of real traces to hourly (DESIGN, data layer)",
 	"trace.GapStats":               "the data layer's gap report for real traces (DESIGN, data layer)",
-	"schedd.WithoutMetrics":        "the uninstrumented baseline the instrumentation-overhead bar is measured against",
-	"schedd.WithoutTracing":        "the untraced baseline the instrumentation-overhead bar is measured against",
 	"fft.FFT":                      "the exact any-length transform the padded-radix-2 ablation holds Autocorr's kernel against",
 	"simgrid.CacheStats":           "core's streamed what-if test counts cache entries with it; a _test.go helper cannot cross packages",
 	"golden.Check":                 "every package's golden tests pin their bytes with it; a _test.go helper cannot cross packages",
 	"golden.Frozen":                "the compatibility fixtures' tests compare with it; a _test.go helper cannot cross packages",
 	"regions.MustByCode":           "tests in five packages name catalog regions with it; a _test.go helper cannot cross packages",
 	"stats.MinWindowSum":           "the deferred-cost kernel of temporal's single-job reference (Evaluate, under SweepNaive); its own naive reference is in stats_test.go",
+	"regions.Region.Validate":      "the catalog test and simgrid's fuzz case generator hold regions to it; a _test.go helper cannot cross packages",
+	"trace.Set.WriteCSV":           "ReadCSV's paired writer: the CSV round trip real traces come in by (ROADMAP item 17)",
 	"serve.statusWriter.Unwrap":    "lets http.ResponseController reach the wrapped ResponseWriter",
 	"tenant.retryableError.Unwrap": "lets errors.Is and errors.As see the wrapped error",
 }
@@ -679,11 +682,9 @@ var exportAllow = map[string]string{
 // export is one exported top-level function or method declared in a
 // non-test file under internal/.
 type export struct {
-	key    string // pkg.Func or pkg.Type.Method
-	name   string
-	dir    string // the declaring package's directory
-	method bool
-	site   string // path:line
+	key  string     // pkg.Func or pkg.Type.Method
+	id   *ast.Ident // its name in the declaration
+	site string     // path:line
 }
 
 // exports lists the exported top-level functions and methods that
@@ -691,7 +692,7 @@ type export struct {
 func exports(files []file) []export {
 	var out []export
 	for _, f := range files {
-		if f.test() || !strings.HasPrefix(f.path, "internal/") {
+		if f.test() || !strings.HasPrefix(f.path, "internal/") || !buildable(f) {
 			continue
 		}
 		for _, d := range f.ast.Decls {
@@ -710,129 +711,233 @@ func exports(files []file) []export {
 				}
 				key = f.ast.Name.Name + "." + lastName(recv) + "." + fd.Name.Name
 			}
-			out = append(out, export{key, fd.Name.Name, path.Dir(f.path), fd.Recv != nil,
-				fmt.Sprintf("%s:%d", f.path, f.fset.Position(fd.Pos()).Line)})
+			out = append(out, export{key, fd.Name, fmt.Sprintf("%s:%d", f.path, f.fset.Position(fd.Pos()).Line)})
 		}
 	}
 	return out
 }
 
-// refs is what the module's non-test files refer to, resolved as far as
-// syntax alone allows.
-type refs struct {
-	funcs   map[string]bool // dir.Name: a bare Name in dir, or pkg.Name where pkg imports dir
-	methods map[string]bool // Name: a selector x.Name whose x is not an imported package
-	calls   map[string]bool // Name: such a selector, called
-	fields  map[string]bool // Name: a field of some struct type
+// stdImporter reads the standard library's export data; one instance
+// serves every type-check, so each package is read once.
+var stdImporter = importer.Default()
+
+// buildable reports whether go build compiles f on this platform: its
+// file-name suffix and //go:build line allow it. A planted file is not
+// on disk and has neither.
+func buildable(f file) bool {
+	ok, err := build.Default.MatchFile(filepath.Join(repoRoot, path.Dir(f.path)), path.Base(f.path))
+	return ok || errors.Is(err, fs.ErrNotExist)
 }
 
-// importName is the name an import spec binds in its file.
-func importName(spec *ast.ImportSpec) (name, dir string) {
-	p, _ := strconv.Unquote(spec.Path.Value)
-	name = path.Base(p)
-	if len(name) > 1 && name[0] == 'v' && strings.Trim(name[1:], "0123456789") == "" {
-		name = path.Base(path.Dir(p)) // math/rand/v2 binds rand
-	}
-	if spec.Name != nil {
-		name = spec.Name.Name
-	}
-	return name, strings.TrimPrefix(p, "carbonshift/")
+// moduleImporter type-checks the module's packages from their parsed
+// non-test files, each once, recording into one Info; other imports go
+// to stdImporter.
+type moduleImporter struct {
+	fset *token.FileSet
+	dirs map[string][]*ast.File // import path → its files
+	pkgs map[string]*types.Package
+	info *types.Info
+	errs []error
 }
 
-// references collects refs over the non-test files. A declared name — a
-// function's, a field's or parameter's, a composite literal's key — is
-// no reference, and neither is a selector's name read as a bare one.
-func references(files []file) refs {
-	r := refs{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
+func (m *moduleImporter) Import(p string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[p]; ok {
+		return pkg, nil
+	}
+	files, ok := m.dirs[p]
+	if !ok {
+		return stdImporter.Import(p)
+	}
+	conf := types.Config{Importer: m, Error: func(err error) { m.errs = append(m.errs, err) }}
+	pkg, _ := conf.Check(p, m.fset, files, m.info)
+	m.pkgs[p] = pkg
+	return pkg, nil
+}
+
+// typeCheck type-checks every package of the module's non-test code.
+func typeCheck(t *testing.T, files []file) *types.Info {
+	t.Helper()
+	m := &moduleImporter{
+		fset: files[0].fset,
+		dirs: map[string][]*ast.File{},
+		pkgs: map[string]*types.Package{},
+		info: &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		},
+	}
 	for _, f := range files {
-		if f.test() {
+		if !f.test() && buildable(f) {
+			p := path.Join("carbonshift", path.Dir(f.path))
+			m.dirs[p] = append(m.dirs[p], f.ast)
+		}
+	}
+	for p := range m.dirs {
+		m.Import(p)
+	}
+	for _, err := range m.errs {
+		t.Errorf("type-checking the module: %v", err)
+	}
+	return m.info
+}
+
+// reached is the set of functions and methods the module's non-test
+// code reaches: every one it names, and every method of a type it
+// converts to an interface that has the method, where a call on the
+// interface dispatches. A conversion to any interface also reaches the
+// methods of error, fmt.Stringer and http.Flusher, which the standard
+// library finds by type assertion.
+func reached(t *testing.T, files []file, info *types.Info) map[*types.Func]bool {
+	t.Helper()
+	out := map[*types.Func]bool{}
+	for _, obj := range info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			out[fn.Origin()] = true
+		}
+	}
+	asserted := []types.Type{types.Universe.Lookup("error").Type()}
+	for _, name := range []string{"fmt.Stringer", "net/http.Flusher"} {
+		dot := strings.LastIndex(name, ".")
+		pkg, err := stdImporter.Import(name[:dot])
+		if err != nil {
+			t.Fatal(err)
+		}
+		asserted = append(asserted, pkg.Scope().Lookup(name[dot+1:]).Type())
+	}
+	convert := func(to types.Type, e ast.Expr) {
+		from := info.Types[e].Type
+		if to == nil || from == nil || types.IsInterface(from) {
+			return
+		}
+		if _, ok := to.(*types.TypeParam); ok || !types.IsInterface(to) {
+			return
+		}
+		ms := types.NewMethodSet(from)
+		for _, iface := range append([]types.Type{to}, asserted...) {
+			if iface != to && !types.Implements(from, iface.Underlying().(*types.Interface)) {
+				continue
+			}
+			it := iface.Underlying().(*types.Interface)
+			for i := range it.NumMethods() {
+				if sel := ms.Lookup(it.Method(i).Pkg(), it.Method(i).Name()); sel != nil {
+					out[sel.Obj().(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+	for _, f := range files {
+		if f.test() || !buildable(f) {
 			continue
 		}
-		pkgs := map[string]string{} // local name → imported directory
-		for _, spec := range f.ast.Imports {
-			name, dir := importName(spec)
-			pkgs[name] = dir
-		}
-		skip := map[*ast.Ident]bool{}
-		called := map[*ast.SelectorExpr]bool{}
+		var stack []ast.Node
 		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if n == nil {
+				stack = stack[:len(stack)-1]
+				return true
+			}
+			stack = append(stack, n)
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				skip[n.Name] = true
-			case *ast.Field:
-				for _, id := range n.Names {
-					skip[id] = true
-				}
-			case *ast.StructType:
-				for _, fl := range n.Fields.List {
-					for _, id := range fl.Names {
-						r.fields[id.Name] = true
+			case *ast.CallExpr:
+				tv := info.Types[n.Fun]
+				if tv.IsType() && len(n.Args) == 1 {
+					convert(tv.Type, n.Args[0])
+				} else if sig, ok := tv.Type.(*types.Signature); ok && !tv.IsBuiltin() {
+					for i, arg := range n.Args {
+						convert(paramType(sig, i, n.Ellipsis.IsValid()), arg)
 					}
-					if fl.Names == nil { // embedded: the field is named by its type
-						t := fl.Type
-						if s, ok := t.(*ast.StarExpr); ok {
-							t = s.X
-						}
-						r.fields[lastName(t)] = true
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						convert(info.Types[lhs].Type, n.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					for _, v := range n.Values {
+						convert(info.Types[n.Type].Type, v)
+					}
+				}
+			case *ast.SendStmt:
+				if ch, ok := info.Types[n.Chan].Type.Underlying().(*types.Chan); ok {
+					convert(ch.Elem(), n.Value)
+				}
+			case *ast.ReturnStmt:
+				if sig := enclosingSignature(info, stack); sig != nil && sig.Results().Len() == len(n.Results) {
+					for i, r := range n.Results {
+						convert(sig.Results().At(i).Type(), r)
 					}
 				}
 			case *ast.CompositeLit:
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							skip[id] = true
+				for i, elt := range n.Elts {
+					key, value := ast.Expr(nil), elt
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						key, value = kv.Key, kv.Value
+					}
+					switch u := info.Types[n].Type.Underlying().(type) {
+					case *types.Struct:
+						for j := range u.NumFields() {
+							if id, ok := key.(*ast.Ident); key == nil && j == i || ok && u.Field(j).Name() == id.Name {
+								convert(u.Field(j).Type(), value)
+							}
 						}
+					case *types.Slice:
+						convert(u.Elem(), value)
+					case *types.Array:
+						convert(u.Elem(), value)
+					case *types.Map:
+						convert(u.Key(), key)
+						convert(u.Elem(), value)
 					}
-				}
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					called[sel] = true
-				}
-			case *ast.SelectorExpr:
-				skip[n.Sel] = true
-				if id, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := pkgs[id.Name]; ok {
-						r.funcs[dir+"."+n.Sel.Name] = true
-						return false
-					}
-				}
-				r.methods[n.Sel.Name] = true
-				if called[n] {
-					r.calls[n.Sel.Name] = true
-				}
-			case *ast.Ident:
-				if !skip[n] {
-					r.funcs[path.Dir(f.path)+"."+n.Name] = true
 				}
 			}
 			return true
 		})
 	}
-	return r
+	return out
 }
 
-// reaches reports whether r holds a production reference to e: for a
-// function, its bare name in its own package or a qualified one through
-// an import of that package; for a method, a selector of its name on
-// anything but a package — called, where a struct field shares the name.
-// Two methods of one name on different types still mask each other.
-func (r refs) reaches(e export) bool {
-	switch {
-	case !e.method:
-		return r.funcs[e.dir+"."+e.name]
-	case r.fields[e.name]:
-		return r.calls[e.name]
+// paramType is the type argument i of a call to sig is assigned to.
+func paramType(sig *types.Signature, i int, spread bool) types.Type {
+	n := sig.Params().Len()
+	if !sig.Variadic() || i < n-1 {
+		if i < n {
+			return sig.Params().At(i).Type()
+		}
+		return nil
 	}
-	return r.methods[e.name]
+	last := sig.Params().At(n - 1).Type()
+	if spread {
+		return last
+	}
+	return last.(*types.Slice).Elem()
+}
+
+// enclosingSignature is the signature of the innermost function on
+// stack, the path from the file down to the current node.
+func enclosingSignature(info *types.Info, stack []ast.Node) *types.Signature {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch fn := stack[i].(type) {
+		case *ast.FuncDecl:
+			return info.Defs[fn.Name].Type().(*types.Signature)
+		case *ast.FuncLit:
+			return info.Types[fn].Type.(*types.Signature)
+		}
+	}
+	return nil
 }
 
 // uncalledExports lists the exports under internal/ that only tests
 // reach and that exportAllow does not name.
-func uncalledExports(files []file) []string {
-	r := references(files)
+func uncalledExports(t *testing.T, files []file) []string {
+	t.Helper()
+	info := typeCheck(t, files)
+	reach := reached(t, files, info)
 	var out []string
 	for _, e := range exports(files) {
-		if _, ok := exportAllow[e.key]; !ok && !r.reaches(e) {
+		fn, _ := info.Defs[e.id].(*types.Func)
+		if _, ok := exportAllow[e.key]; !ok && !reach[fn] {
 			out = append(out, fmt.Sprintf("%s (%s)", e.key, e.site))
 		}
 	}
@@ -840,12 +945,13 @@ func uncalledExports(files []file) []string {
 }
 
 // TestExportsHaveProductionCallers: every exported function or method
-// under internal/ is named by some non-test file of the module, or is
+// under internal/ is reached by some non-test file of the module, with
+// methods resolved by their receiver's type (see reached), or is
 // allowlisted with its reason. An export only tests call is a test
 // helper in the wrong file, or dead code.
 func TestExportsHaveProductionCallers(t *testing.T) {
 	files := parseTree(t, repoRoot)
-	for _, v := range uncalledExports(files) {
+	for _, v := range uncalledExports(t, files) {
 		t.Errorf("%s has no caller outside _test.go files\n\tdelete it, move it into the package's tests, or allowlist it with its reason", v)
 	}
 	declared := map[string]bool{}
@@ -862,20 +968,22 @@ func TestExportsHaveProductionCallers(t *testing.T) {
 	}
 }
 
-// TestUncalledExportFires plants exported functions and a method whose
+// TestUncalledExportFires plants exported functions and methods whose
 // only callers are test files, each beside a namesake the rule must not
 // take for a call: a struct field selected but not called, another
-// package's function of the same name, a field of the same name. The
-// export guard must name every one.
+// package's function of the same name, a field of the same name, and a
+// method of another type (trace.Trace.Len) that production code calls.
+// The export guard must name every one.
 func TestUncalledExportFires(t *testing.T) {
 	files := parseTree(t, repoRoot)
-	fset := token.NewFileSet()
+	fset := files[0].fset // the type-check reads every file through one set
 	for path, src := range map[string]string{
 		"internal/stats/planted.go": `package stats
 import "path/filepath"
 type plantedWindow struct{ Span, Width int }
 type plantedSeries []float64
 func (s plantedSeries) Span() int { return len(s) }
+func (s plantedSeries) Len() int { return len(s) }
 func PlantedMedian(xs []float64) float64 { return xs[len(xs)/2] }
 func Dir(p string) string { return p }
 func Width(s plantedSeries) int { return len(s) }
@@ -883,7 +991,7 @@ func widen(w plantedWindow) plantedWindow {
 	return plantedWindow{Span: w.Span, Width: w.Width + len(filepath.Dir("a/b"))}
 }`,
 		"internal/stats/planted_test.go": `package stats
-func TestPlanted(t *testing.T) { PlantedMedian([]float64{1}); Dir(""); Width(nil); plantedSeries{}.Span() }`,
+func TestPlanted(t *testing.T) { PlantedMedian([]float64{1}); Dir(""); Width(nil); plantedSeries{}.Span(); plantedSeries{}.Len() }`,
 	} {
 		af, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
 		if err != nil {
@@ -891,8 +999,8 @@ func TestPlanted(t *testing.T) { PlantedMedian([]float64{1}); Dir(""); Width(nil
 		}
 		files = append(files, file{path: path, ast: af, fset: fset})
 	}
-	got := uncalledExports(files)
-	for _, key := range []string{"stats.PlantedMedian", "stats.plantedSeries.Span", "stats.Dir", "stats.Width"} {
+	got := uncalledExports(t, files)
+	for _, key := range []string{"stats.PlantedMedian", "stats.plantedSeries.Span", "stats.plantedSeries.Len", "stats.Dir", "stats.Width"} {
 		if !slices.ContainsFunc(got, func(v string) bool { return strings.HasPrefix(v, key+" (internal/stats/planted.go:") }) {
 			t.Errorf("the planted uncalled export %s went unreported: %q", key, got)
 		}

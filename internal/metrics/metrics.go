@@ -13,11 +13,6 @@
 // and stored as a flat slice of atomic counters, so Observe is a short
 // linear scan plus two atomic adds.
 //
-// Everything is nil-safe: methods on a nil Registry, Counter, Gauge, or
-// Histogram are no-ops, and constructors on a nil Registry return nil.
-// A server built without metrics passes a nil Registry through the same
-// instrumentation code and pays only a branch per event.
-//
 // CounterFunc and GaugeFunc register callback-backed series evaluated
 // at render time. internal/schedd uses them for every fleet-derived
 // quantity (queue depth, submitted/missed counts, emissions), which
@@ -40,42 +35,22 @@ import (
 type Counter struct{ v atomic.Uint64 }
 
 // Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
-}
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
+// Value returns the current count.
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a float64 that can go up and down.
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds delta with a CAS loop (safe for concurrent adders).
 func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)
@@ -85,13 +60,8 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
+// Value returns the current value.
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed buckets. Buckets are chosen
 // at construction and never reallocated, so Observe is lock-free: a
@@ -101,38 +71,20 @@ type Histogram struct {
 	upper  []float64 // ascending upper bounds; +Inf is implicit
 	counts []atomic.Uint64
 	sum    Gauge
-	count  atomic.Uint64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	i := 0
 	for i < len(h.upper) && v > h.upper[i] {
 		i++
 	}
 	h.counts[i].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
-// Count returns the total number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of all observed values (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Value()
-}
+// Sum returns the sum of all observed values.
+func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
 // DefLatencyBuckets is the default histogram layout for latencies in
 // seconds: 500µs to 10s, the band an HTTP submit or a WAL fsync lives
@@ -279,18 +231,12 @@ func escapeHelp(v string) string {
 
 // NewCounter registers (or returns) an unlabeled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
 	f := r.register(name, help, kindCounter, nil, nil)
 	return f.get(nil, func() *child { return &child{c: &Counter{}} }).c
 }
 
 // NewGauge registers (or returns) an unlabeled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	f := r.register(name, help, kindGauge, nil, nil)
 	return f.get(nil, func() *child { return &child{g: &Gauge{}} }).g
 }
@@ -298,9 +244,6 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 // NewHistogram registers (or returns) an unlabeled histogram with the
 // given ascending upper bounds (nil = DefLatencyBuckets).
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
 	if buckets == nil {
 		buckets = DefLatencyBuckets
 	}
@@ -316,18 +259,12 @@ func newHistogram(buckets []float64) *Histogram {
 // render time — for monotone quantities another subsystem already
 // counts (the schedd fleet's submitted/completed/missed totals).
 func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
 	f := r.register(name, help, kindCounter, nil, nil)
 	f.get(nil, func() *child { return &child{fn: fn} })
 }
 
 // NewGaugeFunc registers a gauge computed by fn at render time.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
 	f := r.register(name, help, kindGauge, nil, nil)
 	f.get(nil, func() *child { return &child{fn: fn} })
 }
@@ -337,18 +274,12 @@ type CounterVec struct{ f *family }
 
 // NewCounterVec registers a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labelNames ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
 	return &CounterVec{r.register(name, help, kindCounter, labelNames, nil)}
 }
 
 // With resolves the child for the given label values, creating it on
 // first use. Resolve once and keep the pointer on hot paths.
 func (v *CounterVec) With(labelValues ...string) *Counter {
-	if v == nil {
-		return nil
-	}
 	return v.f.get(labelValues, func() *child { return &child{c: &Counter{}} }).c
 }
 
@@ -357,17 +288,11 @@ type GaugeVec struct{ f *family }
 
 // NewGaugeVec registers a labeled gauge family.
 func (r *Registry) NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
 	return &GaugeVec{r.register(name, help, kindGauge, labelNames, nil)}
 }
 
 // With resolves the child gauge for the given label values.
 func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
 	return v.f.get(labelValues, func() *child { return &child{g: &Gauge{}} }).g
 }
 
@@ -376,9 +301,6 @@ func (v *GaugeVec) With(labelValues ...string) *Gauge {
 // sorted label order (deterministic output for golden tests and
 // scrape-assertion diffs).
 func (r *Registry) WriteTo(w writer) error {
-	if r == nil {
-		return nil
-	}
 	r.renderMu.Lock()
 	defer r.renderMu.Unlock()
 	r.mu.Lock()

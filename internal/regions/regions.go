@@ -154,27 +154,6 @@ const (
 // Has reports whether p includes q.
 func (p Provider) Has(q Provider) bool { return p&q != 0 }
 
-func (p Provider) String() string {
-	if p == 0 {
-		return "none"
-	}
-	var out string
-	add := func(q Provider, name string) {
-		if p.Has(q) {
-			if out != "" {
-				out += "+"
-			}
-			out += name
-		}
-	}
-	add(GCP, "GCP")
-	add(AWS, "AWS")
-	add(Azure, "Azure")
-	add(IBM, "IBM")
-	add(Alibaba, "Alibaba")
-	return out
-}
-
 // Hyperscale reports whether the region hosts at least one of the three
 // hyperscale providers the paper's Figure 4 considers.
 func (p Provider) Hyperscale() bool { return p.Has(GCP | AWS | Azure) }

@@ -181,6 +181,29 @@ func TestProviderCounts(t *testing.T) {
 	check(Alibaba, "Alibaba", 8, 14)
 }
 
+// String names p's providers, joined by "+"; failure messages print a
+// Region's Providers with it.
+func (p Provider) String() string {
+	if p == 0 {
+		return "none"
+	}
+	var out string
+	add := func(q Provider, name string) {
+		if p.Has(q) {
+			if out != "" {
+				out += "+"
+			}
+			out += name
+		}
+	}
+	add(GCP, "GCP")
+	add(AWS, "AWS")
+	add(Azure, "Azure")
+	add(IBM, "IBM")
+	add(Alibaba, "Alibaba")
+	return out
+}
+
 func TestProviderString(t *testing.T) {
 	if got := (GCP | AWS).String(); got != "GCP+AWS" {
 		t.Errorf("String = %q", got)

@@ -10,8 +10,8 @@ package repl
 
 import "carbonshift/internal/metrics"
 
-// Register registers the tail's repl_* metric families on r (no-op on
-// a nil registry). Call once per Tail.
+// Register registers the tail's repl_* metric families on r. Call once
+// per Tail.
 func (t *Tail) Register(r *metrics.Registry) {
 	r.NewCounterFunc("repl_records_applied_total",
 		"Journal records applied from the replication stream.",

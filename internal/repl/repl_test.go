@@ -128,7 +128,7 @@ func TestSourceTailReplicates(t *testing.T) {
 	ts, _ := startSource(t, b)
 
 	a := &recApplier{}
-	tail := NewTail(ts.URL, a, ts.Client(), TailConfig{ReconnectDelay: time.Millisecond})
+	tail := NewTail(ts.URL, a, ts.Client(), time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})
@@ -244,7 +244,7 @@ func TestTailResumesAcrossRestart(t *testing.T) {
 	b := newFakePrimary(t)
 	ts, _ := startSource(t, b)
 	a := &recApplier{}
-	tail := NewTail(ts.URL, a, ts.Client(), TailConfig{ReconnectDelay: time.Millisecond})
+	tail := NewTail(ts.URL, a, ts.Client(), time.Millisecond)
 
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	done1 := make(chan struct{})
@@ -278,7 +278,7 @@ func TestTailRebootstrapsWhenBehind(t *testing.T) {
 	b := newFakePrimary(t)
 	ts, _ := startSource(t, b)
 	a := &recApplier{}
-	tail := NewTail(ts.URL, a, ts.Client(), TailConfig{ReconnectDelay: time.Millisecond})
+	tail := NewTail(ts.URL, a, ts.Client(), time.Millisecond)
 
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	done1 := make(chan struct{})
@@ -321,7 +321,7 @@ func TestTailRebootstrapsOnApplyError(t *testing.T) {
 	ts, _ := startSource(t, b)
 
 	a := &recApplier{failApply: fmt.Errorf("synthetic divergence")}
-	tail := NewTail(ts.URL, a, ts.Client(), TailConfig{ReconnectDelay: time.Millisecond})
+	tail := NewTail(ts.URL, a, ts.Client(), time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan struct{})

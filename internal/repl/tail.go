@@ -37,13 +37,6 @@ type Applier interface {
 	ApplyReplRecord(record []byte) error
 }
 
-// TailConfig tunes a Tail.
-type TailConfig struct {
-	// ReconnectDelay is the pause before re-dialing after a failure
-	// (default 200ms).
-	ReconnectDelay time.Duration
-}
-
 // TailStats is a monitoring snapshot of one replication session.
 type TailStats struct {
 	// RecordsApplied counts journal records applied since construction.
@@ -64,7 +57,7 @@ type Tail struct {
 	primary string
 	applier Applier
 	hc      *http.Client
-	cfg     TailConfig
+	delay   time.Duration // before re-dialing after a failure
 
 	mu      sync.Mutex
 	cur     Cursor
@@ -86,15 +79,16 @@ const (
 
 // NewTail builds a replication session against the primary's base URL.
 // A nil httpClient uses a dedicated client with no global timeout (the
-// stream is long-lived by design).
-func NewTail(primary string, applier Applier, httpClient *http.Client, cfg TailConfig) *Tail {
+// stream is long-lived by design). reconnectDelay is the pause before
+// re-dialing after a failure (<= 0: 200ms).
+func NewTail(primary string, applier Applier, httpClient *http.Client, reconnectDelay time.Duration) *Tail {
 	if httpClient == nil {
 		httpClient = &http.Client{}
 	}
-	if cfg.ReconnectDelay <= 0 {
-		cfg.ReconnectDelay = 200 * time.Millisecond
+	if reconnectDelay <= 0 {
+		reconnectDelay = 200 * time.Millisecond
 	}
-	t := &Tail{primary: primary, applier: applier, hc: httpClient, cfg: cfg}
+	t := &Tail{primary: primary, applier: applier, hc: httpClient, delay: reconnectDelay}
 	t.primaryHour.Store(-1)
 	return t
 }
@@ -124,7 +118,7 @@ func (t *Tail) Run(ctx context.Context) {
 func (t *Tail) sleep(ctx context.Context) {
 	select {
 	case <-ctx.Done():
-	case <-time.After(t.cfg.ReconnectDelay):
+	case <-time.After(t.delay):
 	}
 }
 

@@ -40,7 +40,7 @@ package schedd
 // table, so no string allocation either), admitted in one admitMu
 // section, journaled as contiguous records under one group commit, and
 // acked from a pooled output buffer. What is left is fixed per request,
-// not per job: serveSubmit called directly (metrics and tracing off,
+// not per job: serveSubmit called directly (no spans recorded,
 // in-memory, 64 jobs, a reused request and a discarding ResponseWriter)
 // measures 3 allocations per request on this wire — the body limiter,
 // the one-byte probe for trailing data that escapes through io.Reader,
@@ -200,12 +200,12 @@ func readBinaryFrame(r io.Reader, magic string, b *batch) error {
 }
 
 // decodeBinaryJobs decodes b.payload into b.jobs/b.auto, interning
-// origin strings through intern (and tenant names through
-// internTenant) so a known region or configured tenant costs no
+// origins against origins and tenant names against tenants (either
+// may be nil) so a known region or configured tenant costs no
 // allocation. b.ids is sized alongside for admit to fill. The tenant
 // flag is honored only for version-2 frames; in a version-1 frame it
 // is an unknown flag.
-func decodeBinaryJobs(b *batch, intern, internTenant func([]byte) string) error {
+func decodeBinaryJobs(b *batch, origins, tenants map[string]string) error {
 	d := frame.Dec{Data: b.payload}
 	// Every job costs at least 3 bytes (flags, origin len, length, slack
 	// overlap at minimum widths), so Count catches an absurd count
@@ -234,11 +234,11 @@ func decodeBinaryJobs(b *batch, intern, internTenant func([]byte) string) error 
 		if flags&binFlagHasID != 0 {
 			j.ID = d.Varint()
 		}
-		j.Origin = intern(d.Bytes())
+		j.Origin = intern(origins, d.Bytes())
 		j.Length = d.Int()
 		j.Slack = d.Int()
 		if flags&binFlagHasTenant != 0 {
-			j.Tenant = internTenant(d.Bytes())
+			j.Tenant = intern(tenants, d.Bytes())
 		}
 		if d.Err != nil {
 			return fmt.Errorf("binary submit: job %d: %w", i, d.Err)
@@ -290,24 +290,14 @@ func DecodeBinaryAck(data []byte) (SubmitResponse, error) {
 	return SubmitResponse{IDs: ids, ArrivalHour: arrival, Accepted: len(ids)}, nil
 }
 
-// internOrigin resolves an origin to the cluster table's string when
-// the region is known — a map hit on a string([]byte) key does not
-// allocate — and falls back to a fresh string for unknown origins,
-// which validation rejects anyway.
-func (s *Server) internOrigin(b []byte) string {
-	if o, ok := s.origins[string(b)]; ok {
-		return o
-	}
-	return string(b)
-}
-
-// internTenant is the tenant-name twin of internOrigin, resolving
-// against the configured tenant set; unknown names still decode (the
-// gate and the fair queue treat them through the catch-all or default
-// spec) at the cost of one allocation.
-func (s *Server) internTenant(b []byte) string {
-	if t, ok := s.tenants[string(b)]; ok {
-		return t
+// intern resolves b to known's string for it — a map hit on a
+// string([]byte) key does not allocate — and falls back to a fresh
+// string for a name it lacks: an unknown origin, which validation
+// rejects, or an unconfigured tenant, which the gate and the fair queue
+// treat through the catch-all or default spec.
+func intern(known map[string]string, b []byte) string {
+	if s, ok := known[string(b)]; ok {
+		return s
 	}
 	return string(b)
 }
@@ -318,5 +308,5 @@ func (s *Server) decodeBinary(r io.Reader, b *batch) error {
 	if err := readBinaryFrame(r, binReqMagic, b); err != nil {
 		return err
 	}
-	return decodeBinaryJobs(b, s.internOrigin, s.internTenant)
+	return decodeBinaryJobs(b, s.origins, s.tenants)
 }

@@ -104,7 +104,7 @@ func TestBinaryDecoderInterning(t *testing.T) {
 	if err := readBinaryFrame(bytes.NewReader(frame), binReqMagic, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := decodeBinaryJobs(b, srv.internOrigin, srv.internTenant); err != nil {
+	if err := decodeBinaryJobs(b, srv.origins, srv.tenants); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := b.jobs[0].Origin, srv.origins["CLEAN"]; got != want {

@@ -159,20 +159,6 @@ func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	return out, nil
 }
 
-// Promote asks a follower to take over as primary (idempotent: a
-// primary answers promoted=false). Note this goes to the client's
-// current endpoint directly — promotion is exactly the case where the
-// failover redirect must NOT bounce the request back to the primary.
-func (c *Client) Promote(ctx context.Context) (PromoteResponse, error) {
-	var out PromoteResponse
-	resp, err := httpx.Do(ctx, c.hc, http.MethodPost, c.Endpoint()+"/v1/repl/promote", "", nil, "schedd")
-	if err != nil {
-		return out, err
-	}
-	err = resp.Decode("schedd", &out)
-	return out, err
-}
-
 // get is the JSON helper of the read routes.
 func (c *Client) get(ctx context.Context, path string, out any) error {
 	resp, err := c.send(ctx, http.MethodGet, path, "", nil)

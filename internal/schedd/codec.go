@@ -231,8 +231,7 @@ func DecodeBinarySubmit(r io.Reader) ([]JobRequest, error) {
 	if err := readBinaryFrame(r, binReqMagic, b); err != nil {
 		return nil, err
 	}
-	intern := func(p []byte) string { return string(p) }
-	if err := decodeBinaryJobs(b, intern, intern); err != nil {
+	if err := decodeBinaryJobs(b, nil, nil); err != nil {
 		return nil, err
 	}
 	out := make([]JobRequest, len(b.jobs))

@@ -232,12 +232,9 @@ func (s *Server) rotateGeneration(store *wal.Store, gen uint64) error {
 	if err != nil {
 		return err
 	}
-	opts := wal.Options{Sync: s.cfg.Sync, Trace: s.tr}
-	if s.mx != nil {
-		// One JournalMetrics spans generation rotations: wal_* series
-		// are cumulative over the server's life, not per journal file.
-		opts.Metrics = s.mx.wal
-	}
+	// One JournalMetrics spans generation rotations: wal_* series are
+	// cumulative over the server's life, not per journal file.
+	opts := wal.Options{Sync: s.cfg.Sync, Trace: s.tr, Metrics: s.mx.wal}
 	if err := store.Rotate(gen, encodeServerSnapshot(s.nextID, fleetImg), opts); err != nil {
 		return err
 	}

@@ -101,7 +101,7 @@ func NewFollower(set *trace.Set, clusters []sched.Cluster, cfg Config, fcfg Foll
 	f := &followerState{
 		cfg:  fcfg,
 		hc:   hc,
-		tail: repl.NewTail(fcfg.Primary, s, hc, repl.TailConfig{ReconnectDelay: fcfg.ReconnectDelay}),
+		tail: repl.NewTail(fcfg.Primary, s, hc, fcfg.ReconnectDelay),
 	}
 	f.tail.Register(s.Metrics())
 	s.role.Store(followerRole(f))

@@ -98,11 +98,10 @@ func TestServerSnapshotGolden(t *testing.T) {
 func decodeFrameJobs(t *testing.T, frame []byte) *batch {
 	t.Helper()
 	b := &batch{}
-	str := func(x []byte) string { return string(x) }
 	if err := readBinaryFrame(bytes.NewReader(frame), binReqMagic, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := decodeBinaryJobs(b, str, str); err != nil {
+	if err := decodeBinaryJobs(b, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -163,7 +162,7 @@ func TestBinaryFrameGolden(t *testing.T) {
 	if err := readBinaryFrame(bytes.NewReader(smuggled), binReqMagic, bb); err != nil {
 		t.Fatal(err)
 	}
-	err := decodeBinaryJobs(bb, func(x []byte) string { return string(x) }, func(x []byte) string { return string(x) })
+	err := decodeBinaryJobs(bb, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown flags") {
 		t.Fatalf("tenant flag in v1 frame: err = %v, want unknown-flags rejection", err)
 	}

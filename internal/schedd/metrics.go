@@ -47,8 +47,7 @@ import (
 	"carbonshift/internal/wal"
 )
 
-// serverMetrics bundles the server's instruments. A nil *serverMetrics
-// (WithoutMetrics) disables all instrumentation.
+// serverMetrics bundles the server's instruments.
 type serverMetrics struct {
 	registry *metrics.Registry
 
@@ -79,21 +78,9 @@ type serverMetrics struct {
 	http *serve.HTTPMetrics
 }
 
-// WithoutMetrics disables the /metrics endpoint and all
-// instrumentation — the un-instrumented baseline the benchmark suite
-// compares against.
-func WithoutMetrics() Option {
-	return func(s *Server) { s.noMetrics = true }
-}
-
-// Metrics returns the server's registry (nil when built
-// WithoutMetrics), so embedders can add their own families.
-func (s *Server) Metrics() *metrics.Registry {
-	if s.mx == nil {
-		return nil
-	}
-	return s.mx.registry
-}
+// Metrics returns the server's registry, so embedders can add their
+// own families.
+func (s *Server) Metrics() *metrics.Registry { return s.mx.registry }
 
 // initMetrics registers every schedd_* family. Called from New before
 // recovery runs, so the journal opened by openDurable is metered from
@@ -230,15 +217,14 @@ func (s *Server) tenantLabel(name string) string {
 // countTenantRejected records a gate rejection: n jobs for the tenant,
 // under the reason the gate error carries.
 func (s *Server) countTenantRejected(name string, n int, err error) {
-	mx := s.mx
-	if mx == nil || mx.tenantRejected == nil {
+	if s.mx.tenantRejected == nil {
 		return
 	}
 	reason := "quota"
 	if errors.Is(err, tenant.ErrRate) {
 		reason = "rate"
 	}
-	mx.tenantRejected.With(s.tenantLabel(name), reason).Add(uint64(n))
+	s.mx.tenantRejected.With(s.tenantLabel(name), reason).Add(uint64(n))
 }
 
 // refreshTenantMetrics re-renders the per-tenant gauge families from
@@ -248,7 +234,7 @@ func (s *Server) countTenantRejected(name string, n int, err error) {
 // overwriting each other.
 func (s *Server) refreshTenantMetrics() {
 	mx := s.mx
-	if mx == nil || mx.tenantSubmitted == nil {
+	if mx.tenantSubmitted == nil {
 		return
 	}
 	agg := make(map[string]sched.TenantStat)
@@ -276,13 +262,10 @@ func (s *Server) refreshTenantMetrics() {
 	}
 }
 
-// stepOnce advances the fleet one hour, timing the step when metrics
-// are enabled. All live stepping (advance, Drain) goes through it;
-// recovery and follower replay do not.
+// stepOnce advances the fleet one hour and times the step. All live
+// stepping (advance, Drain) goes through it; recovery and follower
+// replay do not.
 func (s *Server) stepOnce() error {
-	if s.mx == nil {
-		return s.fleet.Step()
-	}
 	t0 := time.Now()
 	err := s.fleet.Step()
 	s.mx.stepSeconds.Observe(time.Since(t0).Seconds())
@@ -292,9 +275,7 @@ func (s *Server) stepOnce() error {
 // countBackpressure records one rejected submission (503, or 413 for
 // the oversize reason).
 func (s *Server) countBackpressure(reason string) {
-	if s.mx != nil {
-		s.mx.backpressure.With(reason).Inc()
-	}
+	s.mx.backpressure.With(reason).Inc()
 }
 
 // handleMetrics serves GET /metrics. It advances the replay clock

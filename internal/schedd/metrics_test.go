@@ -73,19 +73,6 @@ func TestMetricsCarbonSaved(t *testing.T) {
 		series(map[string]float64{`schedd_carbon_saved_grams{policy="fifo"}`: 0}))
 }
 
-// TestWithoutMetrics asserts the opt-out really is one: no registry,
-// no /metrics route, and the HTTP surface otherwise intact.
-func TestWithoutMetrics(t *testing.T) {
-	admit(t, world{policy: sched.FIFO{}, slots: 2, opts: []Option{WithoutMetrics()}},
-		act(func(c *cluster) {
-			if c.primary.srv.Metrics() != nil {
-				t.Fatal("WithoutMetrics left a registry")
-			}
-		}),
-		get("/metrics", refused(404, "", 0)),
-		send(ok, cjob(1, 2)))
-}
-
 // failingPolicy plans a placement no fleet can apply, so the first
 // live step after a submission poisons the server.
 type failingPolicy struct{}
@@ -114,21 +101,11 @@ func TestMetricsScrapeOnPoisonedServer(t *testing.T) {
 // BenchmarkScheddSubmit times one JSON job per request over a real TCP
 // connection into the fleet, with metrics on and tracing sampled
 // 1/1024 — the tracer's untraced fast path is what is measured, not the
-// cost of recording spans. Beside BenchmarkScheddSubmitNoMetrics it is
-// the instrumentation-overhead bar (within 5 %); the production
-// topology's submit path is timed by go run ./bench.
+// cost of recording spans. The production topology's submit path is
+// timed by go run ./bench.
 func BenchmarkScheddSubmit(b *testing.B) {
-	benchSubmit(b, Config{MaxJobs: 1 << 30, MaxQueue: 1 << 30, TraceSampleEvery: 1024})
-}
-
-// BenchmarkScheddSubmitNoMetrics is BenchmarkScheddSubmit with the
-// metrics registry and the tracer disabled: the uninstrumented baseline.
-func BenchmarkScheddSubmitNoMetrics(b *testing.B) {
-	benchSubmit(b, Config{MaxJobs: 1 << 30, MaxQueue: 1 << 30}, WithoutMetrics(), WithoutTracing())
-}
-
-func benchSubmit(b *testing.B, cfg Config, opts ...Option) {
-	client := newCluster(b, world{policy: sched.FIFO{}, horizon: 24 * 20, slots: 100, memory: true, cfg: cfg, opts: opts}).primary.client
+	cfg := Config{MaxJobs: 1 << 30, MaxQueue: 1 << 30, TraceSampleEvery: 1024}
+	client := newCluster(b, world{policy: sched.FIFO{}, horizon: 24 * 20, slots: 100, memory: true, cfg: cfg}).primary.client
 	req := JobRequest{Origin: "CLEAN", LengthHours: 4, SlackHours: 48, Interruptible: true, Migratable: true}
 	ctx := b.Context()
 	b.ReportAllocs()

@@ -71,8 +71,8 @@
 // and http_* family (metrics.go) in Prometheus text format.
 // Fleet-derived series are callback-backed over the same counters
 // /v1/stats reads, so the two endpoints cannot disagree — a parity
-// the metrics tests pin. Instrumentation is nil-safe and lock-cheap;
-// WithoutMetrics disables it entirely for baseline benchmarking. The
+// the metrics tests pin. Every server is instrumented, and the
+// request path pays atomics only, never a metrics lock. The
 // metric reference is docs/OBSERVABILITY.md; alert rules and the
 // Grafana dashboard live in examples/dashboard/.
 package schedd
@@ -174,8 +174,7 @@ type Config struct {
 	// TraceSampleEvery head-samples 1 in N submit traces (0 =
 	// tracing.DefaultSampleEvery, 1 = every request, negative = never);
 	// TraceSlow is the always-sample-on-slow threshold (0 =
-	// tracing.DefaultSlowThreshold). See internal/tracing and
-	// WithoutTracing.
+	// tracing.DefaultSlowThreshold). See internal/tracing.
 	TraceSampleEvery int
 	TraceSlow        time.Duration
 }
@@ -246,16 +245,10 @@ type Server struct {
 	source    *repl.Source
 	onPromote func(hour int)
 
-	// mx is the /metrics instrumentation (nil when built
-	// WithoutMetrics); noMetrics records the option before initMetrics
-	// would run. See metrics.go.
-	mx        *serverMetrics
-	noMetrics bool
-
-	// tr is the request tracer (nil when built WithoutTracing); every
-	// span call no-ops through it when nil. See tracing.go.
-	tr        *tracing.Tracer
-	noTracing bool
+	// mx is the /metrics instrumentation (metrics.go) and tr the
+	// request tracer (tracing.go).
+	mx *serverMetrics
+	tr *tracing.Tracer
 }
 
 type serverFailure struct{ err error }
@@ -278,19 +271,15 @@ func WithRecorder(rec func(hour, jobID int, region string)) Option {
 }
 
 // onPlace is the fleet's one placement hook: it feeds WithRecorder and
-// the carbon-saved attribution (metrics.go), or is nil when neither is
-// on, so the fleet builds no Placed.
+// the carbon-saved attribution (metrics.go).
 func (s *Server) onPlace() func(sched.Placed) {
 	rec, mx := s.recorder, s.mx
-	if rec == nil && mx == nil {
-		return nil
-	}
 	regions := s.fleet.Regions()
 	return func(p sched.Placed) {
 		if rec != nil {
 			rec(p.Hour, p.JobID, regions[p.Region])
 		}
-		if mx != nil && p.Region != p.Origin {
+		if p.Region != p.Origin {
 			saved := p.OriginCI - p.CI
 			mx.carbonSaved.Add(saved)
 			if mx.tenantCarbon != nil {
@@ -413,13 +402,9 @@ func newServer(set *trace.Set, clusters []sched.Cluster, cfg Config, opts []Opti
 	// Metrics and tracing come up before the durable layer so the
 	// journal takeAuthority opens is metered and traced from its first
 	// record.
-	if !s.noMetrics {
-		s.initMetrics()
-	}
+	s.initMetrics()
 	fleet.OnPlace = s.onPlace()
-	if !s.noTracing {
-		s.initTracing()
-	}
+	s.initTracing()
 	return s, nil
 }
 
@@ -656,21 +641,12 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/stats", false, s.handleStats)
 	handle("GET /healthz", false, s.handleHealth)
 	handle("POST /v1/repl/promote", false, s.handleReplPromote)
-	if s.mx != nil {
-		handle("GET /metrics", false, s.handleMetrics)
-	}
-	if s.tr != nil {
-		handle("GET /debug/traces", false, s.tr.Handler().ServeHTTP)
-	}
-	var h http.Handler = mux
-	if s.mx != nil {
-		h = s.mx.http.Wrap(h)
-	}
+	handle("GET /metrics", false, s.handleMetrics)
+	handle("GET /debug/traces", false, s.tr.Handler().ServeHTTP)
 	// Tracing wraps outermost so the root span covers the metrics
 	// wrapper too; the two compose in either order (the serve middleware
 	// test pins that), this order just keeps the span inclusive.
-	h = serve.NewHTTPTracing(s.tr, slog.Default()).Wrap(h)
-	return h
+	return serve.NewHTTPTracing(s.tr, slog.Default()).Wrap(s.mx.http.Wrap(mux))
 }
 
 // writeSubmitError maps a request-decode failure to its status: a body
@@ -710,11 +686,9 @@ func (s *Server) quotaRetryAfter() int {
 // wait for the journal, ack. wire supplies the codecs and nothing else,
 // so the two routes cannot drift in admission semantics.
 func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, wire *Wire) {
-	if mx := s.mx; mx != nil {
-		mx.submits[wire].Inc()
-		t0 := time.Now()
-		defer func() { mx.submitSeconds.Observe(time.Since(t0).Seconds()) }()
-	}
+	s.mx.submits[wire].Inc()
+	t0 := time.Now()
+	defer func() { s.mx.submitSeconds.Observe(time.Since(t0).Seconds()) }()
 	if wire.RejectType(w, r) {
 		return
 	}

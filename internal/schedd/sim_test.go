@@ -813,6 +813,20 @@ func (c *cluster) promote(i int) {
 	c.takeOver(i)
 }
 
+// promote asks the follower behind client to take over as primary
+// (idempotent: a primary answers promoted=false). It goes to the
+// client's current endpoint directly: the failover redirect must not
+// bounce a promotion back to the primary.
+func promote(ctx context.Context, client *Client) (PromoteResponse, error) {
+	var out PromoteResponse
+	resp, err := httpx.Do(ctx, client.hc, http.MethodPost, client.Endpoint()+"/v1/repl/promote", "", nil, "schedd")
+	if err != nil {
+		return out, err
+	}
+	err = resp.Decode("schedd", &out)
+	return out, err
+}
+
 // takeOver promotes follower i over HTTP, as an operator would once the
 // primary is dead. The other followers are closed: while a stream
 // cursor carries no epoch they cannot follow the new primary safely:
@@ -821,14 +835,14 @@ func (c *cluster) takeOver(i int) {
 	c.t.Helper()
 	f := c.followers[i]
 	f.link.close()
-	pr, err := f.client.Promote(c.ctx)
+	pr, err := promote(c.ctx, f.client)
 	if err != nil {
 		c.fatalf("promote: %v", err)
 	}
 	if jobs := f.srv.fleet.Jobs(); !pr.Promoted || pr.Role != "primary" || pr.Jobs != jobs {
 		c.fatalf("promote = %+v, want the follower's %d jobs", pr, jobs)
 	}
-	if again, err := f.client.Promote(c.ctx); err != nil || again.Promoted {
+	if again, err := promote(c.ctx, f.client); err != nil || again.Promoted {
 		c.fatalf("second promote = %+v, %v; want an idempotent no-op", again, err)
 	}
 	if f.srv.source != nil {

@@ -1,9 +1,9 @@
 package schedd
 
 // The server's request-tracing face (GET /debug/traces). Like metrics,
-// tracing is on by default and opt-out: WithoutTracing leaves s.tr nil
-// and every instrumentation point no-ops through internal/tracing's
-// nil-safety. The spans a submit leaves behind:
+// tracing is always on; Config.TraceSampleEvery and TraceSlow set how
+// much of it is recorded (both negative: no spans). The spans a submit
+// leaves behind:
 //
 //	POST /v1/jobs     root (serve middleware; matched route, status)
 //	  schedd.decode   request-body parse
@@ -21,14 +21,8 @@ import (
 	"carbonshift/internal/tracing"
 )
 
-// WithoutTracing disables span recording and /debug/traces — the
-// un-instrumented baseline for benchmarking, mirroring WithoutMetrics.
-func WithoutTracing() Option {
-	return func(s *Server) { s.noTracing = true }
-}
-
-// Tracer returns the server's tracer (nil when built WithoutTracing),
-// so embedders (cmd/schedd's debug mux) can serve its handler.
+// Tracer returns the server's tracer, so embedders (cmd/schedd's debug
+// mux) can serve its handler.
 func (s *Server) Tracer() *tracing.Tracer { return s.tr }
 
 // initTracing builds the tracer from Config's sampling knobs. Called

@@ -118,11 +118,12 @@ func (*rewindBody) Close() error { return nil }
 
 // TestSubmitHandlerAllocs pins the per-request allocation count of the
 // submit pipeline (binary.go's header states it): serveSubmit called
-// directly, metrics and tracing off, in-memory, 64 jobs per request,
-// one reused request and a discarding ResponseWriter. This harness
-// reads 4 (binary) and 90 (JSON); JSON's bound is what its own
-// hand-written handler cost before the routes shared a pipeline, so
-// sharing the pooled batch may hold or lower its count, never raise it.
+// directly on a default-instrumented server that records no spans,
+// in-memory, 64 jobs per request, one reused request and a discarding
+// ResponseWriter. This harness reads 3 (binary) and 90 (JSON); JSON's
+// bound is what its own hand-written handler cost before the routes
+// shared a pipeline, so sharing the pooled batch may hold or lower its
+// count, never raise it.
 func TestSubmitHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -134,8 +135,8 @@ func TestSubmitHandlerAllocs(t *testing.T) {
 	for wire, limit := range map[*Wire]float64{BinaryWire: 5, JSONWire: 92} {
 		t.Run(wire.Proto, func(t *testing.T) {
 			srv, err := New(mkSet(t, 48, 2), clusters(4),
-				Config{Policy: sched.FIFO{}, MaxQueue: 1 << 20},
-				WithClock(func() time.Time { return t0 }), WithoutMetrics(), WithoutTracing())
+				Config{Policy: sched.FIFO{}, MaxQueue: 1 << 20, TraceSampleEvery: -1, TraceSlow: -1},
+				WithClock(func() time.Time { return t0 }))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,8 +13,7 @@ import (
 	"carbonshift/internal/metrics"
 )
 
-// HTTPMetrics instruments an http.Handler. A nil *HTTPMetrics wraps to
-// the handler unchanged.
+// HTTPMetrics instruments an http.Handler.
 type HTTPMetrics struct {
 	inFlight *metrics.Gauge
 	requests *metrics.CounterVec
@@ -22,9 +21,6 @@ type HTTPMetrics struct {
 
 // NewHTTPMetrics registers the http_* families on r.
 func NewHTTPMetrics(r *metrics.Registry) *HTTPMetrics {
-	if r == nil {
-		return nil
-	}
 	return &HTTPMetrics{
 		inFlight: r.NewGauge("http_in_flight_requests",
 			"Requests currently being served."),
@@ -39,9 +35,6 @@ func NewHTTPMetrics(r *metrics.Registry) *HTTPMetrics {
 // pair. The wrapper passes http.Flusher through, so streaming handlers
 // (the replication stream's chunked long-poll) keep working.
 func (m *HTTPMetrics) Wrap(next http.Handler) http.Handler {
-	if m == nil {
-		return next
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m.inFlight.Add(1)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}

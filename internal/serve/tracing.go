@@ -6,8 +6,8 @@ package serve
 // requests mint a fresh head-sampled trace. Sampled responses echo the
 // traceparent so callers without their own tracer can still quote a
 // trace ID at /debug/traces; unsampled ones skip the echo — there is
-// nothing in the ring to quote, and rendering the header is the kind
-// of per-request garbage the 5% overhead bar exists to keep out.
+// nothing in the ring to quote, and rendering the header would be
+// per-request garbage on every unsampled request.
 //
 // Stacking contract with HTTPMetrics.Wrap: both wrappers must compose
 // in either order. Two hazards are handled here. First, http.Flusher /
@@ -28,8 +28,7 @@ import (
 	"carbonshift/internal/tracing"
 )
 
-// HTTPTracing traces an http.Handler. A nil *HTTPTracing wraps to the
-// handler unchanged.
+// HTTPTracing traces an http.Handler.
 type HTTPTracing struct {
 	tr  *tracing.Tracer
 	log *slog.Logger // slow-request log; nil disables
@@ -39,9 +38,6 @@ type HTTPTracing struct {
 // receives a warn line for every request that crosses the tracer's
 // slow threshold, stamped with the trace ID.
 func NewHTTPTracing(tr *tracing.Tracer, log *slog.Logger) *HTTPTracing {
-	if tr == nil {
-		return nil
-	}
 	return &HTTPTracing{tr: tr, log: log}
 }
 
@@ -49,9 +45,6 @@ func NewHTTPTracing(tr *tracing.Tracer, log *slog.Logger) *HTTPTracing {
 // matched route pattern and status code on the root span, and applies
 // the slow-request escape hatch for unsampled requests.
 func (m *HTTPTracing) Wrap(next http.Handler) http.Handler {
-	if m == nil {
-		return next
-	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx, sp := m.tr.StartRemote(r.Context(), r.Header.Get(tracing.Header), r.Method)
 		sc := tracing.FromContext(ctx)

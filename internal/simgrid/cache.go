@@ -125,9 +125,9 @@ func GenerateRegionCached(r regions.Region, cfg Config) (*trace.Trace, error) {
 
 // GenerateCached simulates all the given regions through the cache,
 // fanning uncached regions across at most `workers` goroutines (0 means
-// one per CPU, 1 forces serial); trace.NewSet then validates the set one
-// worker per CPU. The returned set is identical to Generate's for the
-// same inputs.
+// one per CPU, 1 forces serial); trace.NewSet then validates the set in
+// the calling goroutine. The returned set is identical to Generate's for
+// the same inputs.
 func GenerateCached(ctx context.Context, regs []regions.Region, cfg Config, workers int) (*trace.Set, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -141,6 +141,7 @@ func GenerateCached(ctx context.Context, regs []regions.Region, cfg Config, work
 		}
 	}
 	cfg = cfg.withDefaults()
+	reserveWeathers(workers, len(regs), cfg.Hours)
 	traces, err := engine.Map(ctx, workers, len(regs), func(ctx context.Context, i int) (*trace.Trace, error) {
 		return GenerateRegionCached(regs[i], cfg)
 	})

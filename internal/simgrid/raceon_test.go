@@ -2,7 +2,6 @@
 
 package simgrid
 
-// The race detector makes sync.Pool drop items at random, so weatherPool
-// cannot be counted on to hand a weather back and allocation bounds
-// mean nothing under it.
+// Allocation bounds are skipped under the race detector, as in the
+// module's other packages.
 func init() { raceEnabled = true }

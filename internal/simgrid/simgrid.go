@@ -51,7 +51,9 @@ import (
 	"math"
 	"sync"
 	"time"
+	"weak"
 
+	"carbonshift/internal/engine"
 	"carbonshift/internal/regions"
 	"carbonshift/internal/rng"
 	"carbonshift/internal/trace"
@@ -334,11 +336,60 @@ type weather struct {
 	slab []float64
 }
 
-var weatherPool = sync.Pool{New: func() any { return new(weather) }}
+// weatherPool holds the released weathers. Any goroutine takes back
+// any of them (a sync.Pool hides the weather in each P's private slot
+// from goroutines on the other Ps, so two workers could miss one), and
+// it holds them weakly, so the collector still reclaims idle ones.
+var weatherPool struct {
+	mu   sync.Mutex
+	free []weak.Pointer[weather]
+}
+
+// takeWeather takes a released weather from weatherPool, or a new one,
+// with room for n hours.
+func takeWeather(n int) *weather {
+	var w *weather
+	weatherPool.mu.Lock()
+	for len(weatherPool.free) > 0 && w == nil {
+		last := len(weatherPool.free) - 1
+		w = weatherPool.free[last].Value()
+		weatherPool.free = weatherPool.free[:last]
+	}
+	weatherPool.mu.Unlock()
+	if w == nil {
+		w = new(weather)
+	}
+	if cap(w.slab) < 3*n {
+		w.slab = make([]float64, 3*n)
+	}
+	return w
+}
+
+// reserveWeathers leaves weatherPool a weather of n hours for each of
+// the at most `workers` goroutines (0 means one per CPU) that may draw
+// one at once over cells regions. Once a call has reserved them, a
+// later call of the same size allocates no weather, however its
+// workers happen to overlap, unless the collector took them between.
+func reserveWeathers(workers, cells, n int) {
+	if workers <= 0 {
+		workers = engine.DefaultWorkers()
+	}
+	ws := make([]*weather, min(workers, cells))
+	for i := range ws {
+		ws[i] = takeWeather(n)
+	}
+	for _, w := range ws {
+		w.release()
+	}
+}
 
 // release hands w back to weatherPool. Nothing may read w afterwards;
 // dispatch's output does not alias it.
-func (w *weather) release() { weatherPool.Put(w) }
+func (w *weather) release() {
+	weatherPool.mu.Lock()
+	weatherPool.free = append(weatherPool.free, weak.Make(w))
+	weatherPool.mu.Unlock()
+}
 
 // blockHours is the length of the blocks drawWeather and dispatch walk
 // their hours in. Each stage of a block runs over all of its hours
@@ -372,10 +423,7 @@ func drawWeather(r regions.Region, cfg Config) *weather {
 	// The three streams are split in this order whatever is drawn from
 	// them afterwards: cloud, wind, demand noise.
 	cloudSrc, windSrc, demandSrc := src.Split(), src.Split(), src.Split()
-	w := weatherPool.Get().(*weather)
-	if cap(w.slab) < 3*n {
-		w.slab = make([]float64, 3*n)
-	}
+	w := takeWeather(n)
 	w.irr, w.wind, w.demand = w.slab[:n:n], w.slab[n:2*n:2*n], w.slab[2*n:3*n:3*n]
 	// Cloud cover and wind are unit-variance AR(1) processes, the cloud
 	// the slower of the two.

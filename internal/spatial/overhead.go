@@ -29,10 +29,6 @@ type MigrationCost struct {
 	IntensityG float64
 }
 
-// DefaultMigration is a mid-size batch job: 64 GB of state at 4 Wh/GB
-// charged at a 400 g/kWh world-average-ish intensity.
-var DefaultMigration = MigrationCost{StateGB: 64, WhPerGB: 4, IntensityG: 400}
-
 // PerMove returns the g·CO₂eq charged for one migration.
 func (m MigrationCost) PerMove() float64 {
 	return m.StateGB * m.WhPerGB / 1000 * m.IntensityG

@@ -7,13 +7,17 @@ import (
 	"carbonshift/internal/trace"
 )
 
+// defaultMigration is a mid-size batch job: 64 GB of state at 4 Wh/GB
+// charged at a 400 g/kWh world-average-ish intensity.
+var defaultMigration = MigrationCost{StateGB: 64, WhPerGB: 4, IntensityG: 400}
+
 func TestPerMove(t *testing.T) {
 	m := MigrationCost{StateGB: 100, WhPerGB: 5, IntensityG: 400}
 	// 100 GB * 5 Wh = 500 Wh = 0.5 kWh * 400 g = 200 g.
 	if got := m.PerMove(); math.Abs(got-200) > 1e-9 {
 		t.Fatalf("PerMove = %v, want 200", got)
 	}
-	if DefaultMigration.PerMove() <= 0 {
+	if defaultMigration.PerMove() <= 0 {
 		t.Fatal("default migration is free")
 	}
 	if err := (MigrationCost{StateGB: -1}).Validate(); err == nil {
@@ -66,7 +70,7 @@ func TestInfMigrationNoHopNoOverhead(t *testing.T) {
 		"A": {10, 10, 10},
 		"B": {100, 100, 100},
 	})
-	got, moves, err := InfMigrationWithOverhead(set, set.Regions(), 0, 3, DefaultMigration)
+	got, moves, err := InfMigrationWithOverhead(set, set.Regions(), 0, 3, defaultMigration)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +84,10 @@ func TestInfMigrationNoHopNoOverhead(t *testing.T) {
 
 func TestInfMigrationOverheadErrors(t *testing.T) {
 	set := mkSet(t, map[string][]float64{"A": {1, 2}})
-	if _, _, err := InfMigrationWithOverhead(set, nil, 0, 1, DefaultMigration); err == nil {
+	if _, _, err := InfMigrationWithOverhead(set, nil, 0, 1, defaultMigration); err == nil {
 		t.Error("empty candidates accepted")
 	}
-	if _, _, err := InfMigrationWithOverhead(set, []string{"A"}, 1, 2, DefaultMigration); err == nil {
+	if _, _, err := InfMigrationWithOverhead(set, []string{"A"}, 1, 2, defaultMigration); err == nil {
 		t.Error("overrun accepted")
 	}
 	if _, _, err := InfMigrationWithOverhead(set, []string{"A"}, 0, 1, MigrationCost{StateGB: -1}); err == nil {
@@ -167,7 +171,7 @@ func TestOverheadInvertsAdvantage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withOverhead, moves, err := InfMigrationWithOverhead(set, set.Regions(), 0, 48, DefaultMigration)
+	withOverhead, moves, err := InfMigrationWithOverhead(set, set.Regions(), 0, 48, defaultMigration)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,13 +103,6 @@ func (t *Trace) Year(y int) (*Trace, error) {
 	return t.Slice(i, i+n)
 }
 
-// Clone returns a deep copy of the trace.
-func (t *Trace) Clone() *Trace {
-	ci := make([]float64, len(t.CI))
-	copy(ci, t.CI)
-	return &Trace{Region: t.Region, Start: t.Start, CI: ci}
-}
-
 // Sum returns the cumulative carbon over hours [from, to) for a load of
 // 1 kW, i.e. the plain sum of the hourly intensities.
 func (t *Trace) Sum(from, to int) float64 {
@@ -156,27 +149,19 @@ type Set struct {
 	length   int
 }
 
-// NewSet builds a Set from traces, verifying alignment. The traces are
-// validated on the engine pool, one worker per CPU, and the serial loop
-// that checks their alignment reports the first trace's error as it
-// would have met it.
+// NewSet builds a Set from traces, validating each and verifying
+// alignment, in the calling goroutine.
 func NewSet(traces []*Trace) (*Set, error) {
 	if len(traces) == 0 {
 		return nil, errors.New("trace: empty set")
 	}
-	invalid := make([]error, len(traces))
-	// No cell fails, so neither does the pool.
-	_ = engine.ForEach(context.TODO(), 0, len(traces), func(_ context.Context, i int) error {
-		invalid[i] = traces[i].Validate()
-		return nil
-	})
 	s := &Set{
 		byRegion: make(map[string]*Trace, len(traces)),
 		start:    traces[0].Start,
 		length:   traces[0].Len(),
 	}
-	for i, tr := range traces {
-		if err := invalid[i]; err != nil {
+	for _, tr := range traces {
+		if err := tr.Validate(); err != nil {
 			return nil, fmt.Errorf("trace: region %s: %w", tr.Region, err)
 		}
 		if !tr.Start.Equal(s.start) || tr.Len() != s.length {

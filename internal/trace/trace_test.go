@@ -103,15 +103,6 @@ func TestYearExtraction(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	tr := New("SE", t0, ramp(10))
-	cl := tr.Clone()
-	cl.CI[0] = 999
-	if tr.CI[0] == 999 {
-		t.Fatal("clone shares backing array")
-	}
-}
-
 func TestSumAndMean(t *testing.T) {
 	tr := New("SE", t0, []float64{1, 2, 3, 4})
 	if got := tr.Sum(1, 3); got != 5 {
@@ -180,7 +171,7 @@ func TestSetAlignment(t *testing.T) {
 // TestNewSetReportsFirstError holds NewSet's error to the one a serial
 // pass over the traces meets first: a misaligned trace before a bad
 // one, a bad one before a misaligned one, and the first of two bad
-// traces among many validated on the engine pool.
+// traces among many.
 func TestNewSetReportsFirstError(t *testing.T) {
 	a := New("A", t0, ramp(24))
 	short := New("S", t0, ramp(23))

@@ -8,10 +8,11 @@
 // group-commit fsync, step catch-up, replication apply) the time went
 // to, for one specific request.
 //
-// The design mirrors internal/metrics: everything is nil-safe — a nil
-// *Tracer and a nil *Span no-op on every method, so instrumented code
-// never branches on "is tracing on" — and disabling tracing is an
-// opt-out (schedd.WithoutTracing), not an opt-in.
+// Everything is nil-safe: a nil *Tracer and a nil *Span no-op on every
+// method, so code that may run untraced (the journal, cmd/loadgen,
+// httpx's outbound calls) never branches on "is tracing on".
+// internal/schedd always builds a tracer; its Config sampling knobs
+// decide how much it records.
 //
 // Sampling is head-based: the decision is made once, when a trace is
 // minted, and propagated in the traceparent sampled flag so every
@@ -258,14 +259,6 @@ type Span struct {
 	name   string
 	start  time.Time
 	attrs  []Attr
-}
-
-// Context returns the span's propagation context (zero for nil).
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return s.sc
 }
 
 // SetName renames the span — the serve middleware uses it to stamp the

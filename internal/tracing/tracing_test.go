@@ -154,6 +154,14 @@ func TestStartSpanWithoutRecordingIsNil(t *testing.T) {
 	}
 }
 
+// spanContext is sp's propagation context, zero for a nil span.
+func spanContext(sp *Span) SpanContext {
+	if sp == nil {
+		return SpanContext{}
+	}
+	return sp.sc
+}
+
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	ctx, sp := tr.StartRoot(context.Background(), "r")
@@ -164,7 +172,7 @@ func TestNilSafety(t *testing.T) {
 	sp.End()
 	sp.SetName("x")
 	sp.SetAttr(Attr{Key: "k", Value: "v"})
-	if sp.Context().Valid() {
+	if spanContext(sp).Valid() {
 		t.Fatal("nil span context must be zero")
 	}
 	tr.Record(TraceID{1}, "x", SpanID{}, time.Now(), time.Second)
@@ -189,7 +197,7 @@ func TestRingBoundsAndEviction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		_, sp := tr.StartRoot(context.Background(), "r")
 		if i == 0 {
-			first = sp.Context().TraceID
+			first = sp.sc.TraceID
 		}
 		sp.End()
 	}
@@ -254,7 +262,7 @@ func TestCrossProcessJoin(t *testing.T) {
 	child.End()
 	root.End()
 
-	tid := root.Context().TraceID
+	tid := root.sc.TraceID
 	follower.Record(tid, "repl.apply", SpanID{}, time.Now(), 3*time.Millisecond, Int("jobs", 2))
 
 	fd := follower.Snapshot()

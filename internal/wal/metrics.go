@@ -22,9 +22,8 @@ import (
 	"carbonshift/internal/metrics"
 )
 
-// JournalMetrics holds the journal's instruments. The zero value (and
-// nil fields) disable instrumentation — internal/metrics instruments
-// are nil-safe — so an un-metered journal pays one branch per event.
+// JournalMetrics holds the journal's instruments. A journal opened
+// without one (nil Options.Metrics) pays one branch per event.
 type JournalMetrics struct {
 	// FsyncSeconds observes the duration of every fsync, whichever
 	// discipline triggered it.
@@ -40,8 +39,7 @@ type JournalMetrics struct {
 	AppendedBytes *metrics.Counter
 }
 
-// NewJournalMetrics registers the wal_* families on r (nil r yields a
-// usable all-no-op JournalMetrics).
+// NewJournalMetrics registers the wal_* families on r.
 func NewJournalMetrics(r *metrics.Registry) *JournalMetrics {
 	return &JournalMetrics{
 		FsyncSeconds: r.NewHistogram("wal_fsync_seconds",

@@ -44,6 +44,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -81,31 +82,23 @@ const (
 	SyncNone
 )
 
+// syncModeNames spells each SyncMode, indexed by it: String,
+// ParseSyncMode and its error all read it.
+var syncModeNames = [...]string{SyncBatch: "batch", SyncAlways: "always", SyncNone: "none"}
+
 func (m SyncMode) String() string {
-	switch m {
-	case SyncBatch:
-		return "batch"
-	case SyncAlways:
-		return "always"
-	case SyncNone:
-		return "none"
-	default:
-		return fmt.Sprintf("SyncMode(%d)", int(m))
+	if m >= 0 && int(m) < len(syncModeNames) {
+		return syncModeNames[m]
 	}
+	return fmt.Sprintf("SyncMode(%d)", int(m))
 }
 
 // ParseSyncMode maps the -fsync flag spellings to a SyncMode.
 func ParseSyncMode(s string) (SyncMode, error) {
-	switch strings.ToLower(s) {
-	case "batch":
-		return SyncBatch, nil
-	case "always":
-		return SyncAlways, nil
-	case "none":
-		return SyncNone, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown sync mode %q (have always, batch, none)", s)
+	if i := slices.Index(syncModeNames[:], strings.ToLower(s)); i >= 0 {
+		return SyncMode(i), nil
 	}
+	return 0, fmt.Errorf("wal: unknown sync mode %q (have %s)", s, strings.Join(syncModeNames[:], ", "))
 }
 
 // DefaultBatchInterval is the SyncBatch flush cadence.

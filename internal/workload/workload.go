@@ -1,7 +1,7 @@
-// Package workload models the cloud jobs of the paper's Table 1: batch
-// and interactive classes, the job-length buckets taken from Google's
-// Borg trace, deferral slack choices, and the job-length weightings
-// derived from the Azure and Google cluster traces.
+// Package workload models the batch jobs of the paper's Table 1: the
+// job-length buckets taken from Google's Borg trace, deferral slack
+// choices, and the job-length weightings derived from the Azure and
+// Google cluster traces.
 //
 // Jobs are energy-normalized: each job draws 1 kW for its whole
 // duration ("energy-optimized 100% usage" in Table 1), so the carbon
@@ -18,34 +18,6 @@ import (
 	"carbonshift/internal/rng"
 )
 
-// Class distinguishes the two broad workload classes of §2.2.
-type Class int
-
-// Workload classes.
-const (
-	// Batch jobs have temporal flexibility (deferrable, possibly
-	// interruptible) and are migratable.
-	Batch Class = iota
-	// Interactive jobs are sub-hour requests with no temporal
-	// flexibility; they may still be routed (migrated) spatially.
-	Interactive
-)
-
-func (c Class) String() string {
-	switch c {
-	case Batch:
-		return "batch"
-	case Interactive:
-		return "interactive"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
-
-// InteractiveHours is the nominal duration of an interactive request
-// (Table 1 lists 0.01 h ≈ 36 s).
-const InteractiveHours = 0.01
-
 // BatchLengths are the batch job-length buckets in hours, from version
 // 3 of the Borg trace as used in Table 1.
 var BatchLengths = []int{1, 6, 12, 24, 48, 96, 168}
@@ -61,48 +33,6 @@ const (
 
 // Slacks lists the slack sweep of Figure 10(d), ascending.
 var Slacks = []int{Slack24H, Slack7D, Slack24D, Slack30D, Slack1Y}
-
-// Job is one schedulable unit of work.
-type Job struct {
-	// Class is batch or interactive.
-	Class Class
-	// LengthHours is the uninterrupted execution time. Batch jobs use
-	// whole hours (the trace granularity); interactive jobs use
-	// InteractiveHours.
-	LengthHours float64
-	// Arrival is the submission time as an hour index into the trace.
-	Arrival int
-	// SlackHours bounds how long the start may be deferred.
-	SlackHours int
-	// Interruptible marks jobs that may be suspended and resumed.
-	Interruptible bool
-	// Migratable marks jobs that may run outside their origin region.
-	Migratable bool
-	// Origin is the submission region code.
-	Origin string
-}
-
-// Validate reports structural problems with the job.
-func (j Job) Validate() error {
-	if j.LengthHours <= 0 {
-		return fmt.Errorf("workload: job length %v must be positive", j.LengthHours)
-	}
-	if j.Arrival < 0 {
-		return fmt.Errorf("workload: negative arrival %d", j.Arrival)
-	}
-	if j.SlackHours < 0 {
-		return fmt.Errorf("workload: negative slack %d", j.SlackHours)
-	}
-	if j.Class == Interactive {
-		if j.SlackHours != 0 {
-			return fmt.Errorf("workload: interactive job with slack %d", j.SlackHours)
-		}
-		if j.Interruptible {
-			return fmt.Errorf("workload: interactive job marked interruptible")
-		}
-	}
-	return nil
-}
 
 // Distribution is a weighting over batch job lengths. Weights are
 // resource-hour weights: they describe what fraction of the cluster's

@@ -7,31 +7,6 @@ import (
 	"carbonshift/internal/rng"
 )
 
-func TestJobValidate(t *testing.T) {
-	good := Job{Class: Batch, LengthHours: 24, SlackHours: 24, Interruptible: true, Migratable: true}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid job rejected: %v", err)
-	}
-	bad := []Job{
-		{Class: Batch, LengthHours: 0},
-		{Class: Batch, LengthHours: 1, Arrival: -1},
-		{Class: Batch, LengthHours: 1, SlackHours: -1},
-		{Class: Interactive, LengthHours: InteractiveHours, SlackHours: 5},
-		{Class: Interactive, LengthHours: InteractiveHours, Interruptible: true},
-	}
-	for i, j := range bad {
-		if err := j.Validate(); err == nil {
-			t.Errorf("bad job %d accepted: %+v", i, j)
-		}
-	}
-}
-
-func TestClassString(t *testing.T) {
-	if Batch.String() != "batch" || Interactive.String() != "interactive" {
-		t.Fatal("class names wrong")
-	}
-}
-
 func TestNewDistributionValidation(t *testing.T) {
 	if _, err := NewDistribution("x", map[int]float64{0: 1}); err == nil {
 		t.Error("zero length accepted")
