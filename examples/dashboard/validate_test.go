@@ -26,7 +26,7 @@ import (
 )
 
 // liveFamilies renders a real follower schedd (whose registry carries
-// the schedd_*, wal_*, repl_*, and http_* families) and a routing
+// the schedd_*, wal_*, repl_*, http_* and go_* families) and a routing
 // gateway (gateway_*), and returns every family name with its TYPE.
 func liveFamilies(t *testing.T) map[string]string {
 	t.Helper()
@@ -282,8 +282,8 @@ func TestDocDebugRoutesExist(t *testing.T) {
 
 // TestObservabilityDocCoverage pins the reference doc to the live
 // surface in both directions: every family a real server exposes is
-// documented, and every schedd_*/wal_*/repl_* name the doc backticks
-// still exists.
+// documented, and every schedd_*/wal_*/repl_*/http_*/gateway_*/go_*
+// name the doc backticks still exists.
 func TestObservabilityDocCoverage(t *testing.T) {
 	raw, err := os.ReadFile("../../docs/OBSERVABILITY.md")
 	if err != nil {
@@ -296,7 +296,7 @@ func TestObservabilityDocCoverage(t *testing.T) {
 			t.Errorf("live family %s is not documented in docs/OBSERVABILITY.md", name)
 		}
 	}
-	for _, m := range regexp.MustCompile("`(schedd_[a-z_]+|wal_[a-z_]+|repl_[a-z_]+|http_[a-z_]+|gateway_[a-z_]+)`").FindAllStringSubmatch(doc, -1) {
+	for _, m := range regexp.MustCompile("`(schedd_[a-z_]+|wal_[a-z_]+|repl_[a-z_]+|http_[a-z_]+|gateway_[a-z_]+|go_[a-z_]+)`").FindAllStringSubmatch(doc, -1) {
 		if !known(fams, m[1]) {
 			t.Errorf("docs/OBSERVABILITY.md documents %s, which no live /metrics exposes", m[1])
 		}

@@ -2,10 +2,10 @@ package gateway
 
 // The gateway's /metrics is a fleet-wide merged exposition: every
 // partition's schedd families folded into one series set, plus the
-// gateway's own gateway_* and http_* families. Counters and most
-// gauges sum across partitions; the clock-like families where a sum is
-// meaningless (the fleet clock, replication lag, generations, flags)
-// take the max; and the two ratios are recomputed the way /v1/stats
+// gateway's own gateway_*, http_* and go_* families. Counters and most
+// gauges sum across partitions (and the gateway, for http_* and go_*);
+// the clock-like families where a sum is meaningless (the fleet clock,
+// replication lag, generations, flags) take the max; and the two ratios are recomputed the way /v1/stats
 // computes them, so an alert on a gateway scrape fires on the fleet,
 // not on its worst partition.
 
@@ -53,6 +53,7 @@ func (g *Gateway) initMetrics() {
 	partitionUp := reg.NewGaugeVec("gateway_partition_up",
 		"1 when the partition's last call succeeded, 0 after a transport failure.",
 		"partition")
+	metrics.RegisterRuntime(reg)
 	reg.NewGaugeFunc("gateway_partitions",
 		"Number of schedd partitions configured behind this gateway.",
 		func() float64 { return float64(len(g.parts)) })

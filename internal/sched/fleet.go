@@ -147,28 +147,31 @@ const (
 	ByPolicy
 )
 
-// jobRec is what the fleet keeps for every job it has seen, in 48
+// jobRec is what the fleet keeps for every job it has seen, in 40
 // pointer-free bytes: hours and counters are 32-bit (Job.Validate bounds
 // every deadline by math.MaxInt32), regions are indices into
 // regionsList, the tenant is an index into the fleet's tenant table, and
 // the booleans are the image's flag bits. Origin and Tenant strings are
-// rebuilt from those tables where a caller needs them. Because a record
-// holds no pointer, the blocks are allocated no-scan: the garbage
+// rebuilt from those tables where a caller needs them, and the id from
+// its block (recBlockEntry.id): a dense block keeps the id's low byte in
+// the record, a sparse one the whole id in a side column. Because a
+// record holds no pointer, the blocks are allocated no-scan: the garbage
 // collector never marks the job store, however many jobs are resident.
-// These 48 bytes are what a job costs while its block is hot; once every
+// These 40 bytes are what a job costs while its block is hot; once every
 // job in its block is done, the block is frozen and the record is packed
 // (frozenBlock).
 //
 // What only a running job needs lives in its activeJob instead: its
 // progress (a done job's is its length, a job not yet stepped has none).
-// Step's per-hour placement takes the record's last three bytes, which
-// the fields above leave as padding. Two outcome fields are derived, never
-// stored, because each hour a job has been in the fleet it either ran or
-// waited: doneAt is lastRun+1, and waitHours is what is left of the
-// hours since arrival once its run-hours are taken out (derivedWait).
-// Unmarshal refuses an image that breaks either identity.
+// Step's per-hour placement takes the record's last two bytes and two
+// bits of flags. Step writes in place every field but the hours and
+// indices Submit fixed and idLo, which Has reads beside it. Two outcome
+// fields are derived, never stored, because each hour a job has been in
+// the fleet it either ran or waited: doneAt is lastRun+1, and waitHours
+// is what is left of the hours since arrival once its run-hours are
+// taken out (derivedWait). Unmarshal refuses an image that breaks either
+// identity.
 type jobRec struct {
-	id         int
 	emissions  float64
 	arrival    int32
 	length     int32
@@ -178,20 +181,29 @@ type jobRec struct {
 	tenantI    uint32
 	originI    int16
 	regionI    int16 // current region index, -1 before the first run
-	flags      uint8 // flagInterruptible | flagMigratable | flagDone
+	flags      uint8 // flagInterruptible | flagMigratable | flagDone, and By from byShift
+	idLo       uint8 // a dense block's id less position, its low byte (recBlockEntry.idFrom)
 
-	// Step's decision for the hour it is stepping, in the record's
-	// spare bytes: the region index placed, -1 none, and the phase that
-	// placed it. Meaningful only inside Step; nothing else reads them,
-	// and a frozen block does not keep them.
-	by     By
+	// Step's decision for the hour it is stepping: the region index
+	// placed, -1 none, and in flags the phase that placed it. Meaningful
+	// only inside Step; nothing else reads them, and neither an image nor
+	// a frozen block keeps them.
 	placed int16
 }
+
+// byShift places Step's By in flags, above the image's bits.
+const byShift = 4
 
 func (r *jobRec) deadline() int       { return int(r.arrival) + int(r.length) + int(r.slack) }
 func (r *jobRec) done() bool          { return r.flags&flagDone != 0 }
 func (r *jobRec) interruptible() bool { return r.flags&flagInterruptible != 0 }
 func (r *jobRec) migratable() bool    { return r.flags&flagMigratable != 0 }
+func (r *jobRec) by() By              { return By(r.flags >> byShift) }
+
+// place records Step's decision for the hour: region ri, by phase by.
+func (r *jobRec) place(ri int16, by By) {
+	r.placed, r.flags = ri, r.flags&^(3<<byShift)|uint8(by)<<byShift
+}
 
 // doneAt is the hour after a done job's last run: it completed in the
 // Step of hour lastRun.
@@ -229,16 +241,32 @@ type activeJob struct {
 }
 
 // storeView is the job store as of one moment (view), for reads that run
-// beside Submit: the block directory, the tenant table and the active
-// list, with a cursor that reads progress beside an ascending walk of
-// sequence numbers, advancing one position through the active list
-// (sorted by seq too) as it goes.
+// beside Submit: the block directory, the last block's ids as they were
+// kept then, the tenant table and the active list, with a cursor that
+// reads progress beside an ascending walk of sequence numbers, advancing
+// one position through the active list (sorted by seq too) as it goes.
 type storeView struct {
 	f       *Fleet
 	blocks  recBlocks
+	lastLo  int            // the last block's lo, as the view found it
+	lastIDs *[recBlock]int // the last block's side column, as the view found it
 	tenants []string
 	active  []activeJob
 	k       int // the cursor's position in active
+}
+
+// id returns the id of the job at seq. The view's last block is the
+// index's tail, the one block whose lo a Submit may lower, or whose side
+// column it may make or take back, while the view is read, so it is read
+// as the view took it under idMu: that lo and column are good for every
+// record the view covers. Every earlier block was closed before the view
+// was taken, and only a freeze, which a reader excludes, changes it.
+func (v *storeView) id(seq uint32) int {
+	e, lo, ids := &v.blocks[seq/recBlock], v.lastLo, v.lastIDs
+	if int(seq/recBlock) < len(v.blocks)-1 {
+		lo, ids = e.lo, e.ids
+	}
+	return e.idFrom(lo, ids, seq%recBlock)
 }
 
 // progress returns the run-hours the job at seq has had: its length
@@ -259,25 +287,29 @@ func (v *storeView) progress(seq uint32, r *jobRec) int32 {
 
 // recBlocks is the job store: records in fixed-size blocks, addressed by
 // submission sequence, through a directory of one entry per block. A
-// block starts hot, a 48 KiB array of records that Submit appends to and
-// Step writes in place. When Step completes the last unfinished job of a
-// full block, nothing will write to it again, and the block is frozen:
-// packed into a frozenBlock, the entry swapped under idMu, and the hot
-// array dropped. Unmarshal freezes every full block of done jobs it
-// restores. Whether a block is hot or frozen is a property of the block
-// alone, so every fleet holding the same jobs at the same hour stores
-// them alike.
+// block starts hot, a 40 KiB array of records that Submit appends to and
+// Step writes in place, its ids kept by the index's verdict on the block
+// (idIndex.add): a dense block's as each record's low byte of its id less
+// its position, read against the block's lo, a sparse block's in an
+// 8 KiB side column made when it spills. When Step completes the last
+// unfinished job of a full block, nothing will write to it again, and
+// the block is frozen: packed into a frozenBlock, the entry swapped under
+// idMu, and the hot array and side column dropped. Unmarshal freezes
+// every full block of done jobs it restores. Whether a block is hot or
+// frozen is a property of the block alone, so every fleet holding the
+// same jobs at the same hour stores them alike.
 //
 // Hot arrays never move, so a *jobRec into one (hot) stays valid for as
 // long as the block has an unfinished job — which is every record Step,
 // appendRec and Submit's undo ever touch. Every other reader takes a
 // record by value (rec), and its emissions separately (emissions) if it
 // needs them, since a frozen block re-sums them from the traces; the id
-// index reads only ids (id). A copy of the
-// directory taken under idMu stays a valid view of every job submitted
-// before it for as long as the reader holds the world read lock, which
-// excludes the Step that would freeze a block under it. Records are
-// never freed: the fleet retains every job it has seen.
+// index reads only ids (id). A copy of the directory taken under idMu,
+// with the last block's lo and side column (storeView), stays a valid
+// view of every job submitted before it for as long as the reader holds
+// the world read lock, which excludes the Step that would freeze a block
+// under it. Records are never freed: the fleet retains every job it has
+// seen.
 type recBlocks []recBlockEntry
 
 const recBlock = 1024
@@ -285,6 +317,8 @@ const recBlock = 1024
 // recBlockEntry is one block's directory entry.
 type recBlockEntry struct {
 	hot    *[recBlock]jobRec // nil once frozen
+	ids    *[recBlock]int    // a sparse hot block's ids, nil while the block is dense
+	lo     int               // a dense hot block's least id less position, as far as it is written
 	frozen frozenBlock       // the packed records, once hot is nil
 	open   uint16            // published jobs in the block that are not done
 }
@@ -316,12 +350,38 @@ func (b recBlocks) emissions(seq uint32, r *jobRec, traces []*trace.Trace) float
 func (b recBlocks) id(seq uint32) int { return b[seq/recBlock].id(seq % recBlock) }
 
 // id returns the id of the block's record i.
-func (e *recBlockEntry) id(i uint32) int {
-	if e.hot != nil {
-		return e.hot[i].id
+func (e *recBlockEntry) id(i uint32) int { return e.idFrom(e.lo, e.ids, i) }
+
+// idFrom returns the id of the block's record i, lo and ids being the
+// block's as the caller took them; a frozen block has no side column.
+func (e *recBlockEntry) idFrom(lo int, ids *[recBlock]int, i uint32) int {
+	switch {
+	case ids != nil:
+		return ids[i]
+	case e.hot == nil:
+		return e.frozen.id(i)
 	}
-	return e.frozen.id(i)
+	return e.denseV(lo, i) + int(i)
 }
+
+// denseV returns the id less position of record i of a dense hot block
+// whose lo is lo. Each of the block's lies in lo to lo+255 (idIndex.add),
+// so its low byte fixes it: lo plus the low byte less lo's, wrapped to a
+// byte.
+func (e *recBlockEntry) denseV(lo int, i uint32) int { return lo + int(e.hot[i].idLo-uint8(lo)) }
+
+// spill gives the block, turning sparse, a side column holding its first
+// n ids, read from their low bytes.
+func (e *recBlockEntry) spill(n uint32) {
+	ids := new([recBlock]int)
+	for i := range n {
+		ids[i] = e.id(i)
+	}
+	e.ids = ids
+}
+
+// freezeWith swaps the block, full of done jobs, for fb, its packed form.
+func (e *recBlockEntry) freezeWith(fb frozenBlock) { e.hot, e.ids, e.frozen = nil, nil, fb }
 
 // jobStore is everything the fleet keeps about the jobs it has seen:
 // the records, the index from job id to record, and the table the
@@ -550,7 +610,8 @@ func (f *Fleet) admissible(j *Job) error {
 }
 
 // appendRec writes j's not-yet-run record at seq, the next free
-// sequence number, indexes its id, and returns it. originI is j.Origin's
+// sequence number, indexes its id (which keeps it in the block), and
+// returns it. originI is j.Origin's
 // region index. The caller has checked that j.ID is absent. The fleet's
 // idMu must be held.
 func (s *jobStore) appendRec(seq uint32, j *Job, originI int) *jobRec {
@@ -559,7 +620,6 @@ func (s *jobStore) appendRec(seq uint32, j *Job, originI int) *jobRec {
 	}
 	r := s.blocks.hot(seq)
 	*r = jobRec{
-		id:      j.ID,
 		arrival: int32(j.Arrival),
 		length:  int32(j.Length),
 		slack:   int32(j.Slack),
@@ -598,7 +658,17 @@ func (s *jobStore) internTenant(name string) uint32 {
 func (f *Fleet) view() (storeView, uint32) {
 	f.idMu.Lock()
 	defer f.idMu.Unlock()
-	return storeView{f: f, blocks: f.blocks, tenants: f.tenants, active: f.active}, uint32(f.submitted.Load())
+	return f.viewLocked(0), uint32(f.submitted.Load())
+}
+
+// viewLocked returns the job store as of now, its cursor at position k
+// of the active list. idMu must be held.
+func (f *Fleet) viewLocked(k int) storeView {
+	v := storeView{f: f, blocks: f.blocks, tenants: f.tenants, active: f.active, k: k}
+	if n := len(f.blocks); n > 0 {
+		v.lastLo, v.lastIDs = f.blocks[n-1].lo, f.blocks[n-1].ids
+	}
+	return v
 }
 
 // read sets info to the job at seq as of the fleet's current hour, and
@@ -614,7 +684,7 @@ func (f *Fleet) view() (storeView, uint32) {
 func (v *storeView) read(seq uint32, info *JobInfo) jobRec {
 	f, r := v.f, v.blocks.rec(seq)
 	progress := v.progress(seq, &r)
-	info.ID, info.Origin, info.Tenant = r.id, f.regionsList[r.originI], v.tenants[r.tenantI]
+	info.ID, info.Origin, info.Tenant = v.id(seq), f.regionsList[r.originI], v.tenants[r.tenantI]
 	info.Arrival, info.Length, info.Slack = int(r.arrival), int(r.length), int(r.slack)
 	info.Interruptible, info.Migratable = r.interruptible(), r.migratable()
 	info.Completed, info.CompletedAt = r.done(), 0
@@ -681,7 +751,7 @@ func (f *Fleet) Step() error {
 		a := &f.active[i]
 		r := f.blocks.hot(a.seq)
 		if a.progress > 0 && !r.interruptible() {
-			r.placed, r.by = r.regionI, ByContinued
+			r.place(r.regionI, ByContinued)
 			f.free[r.regionI]--
 		} else {
 			r.placed = -1
@@ -716,7 +786,7 @@ func (f *Fleet) Step() error {
 			}
 		}
 		if f.free[ri] > 0 {
-			r.placed, r.by = int16(ri), ByDeadline
+			r.place(int16(ri), ByDeadline)
 			f.free[ri]--
 		} else {
 			eligible = append(eligible, i)
@@ -744,20 +814,21 @@ func (f *Fleet) Step() error {
 		if p.Job < 0 || p.Job >= len(eligible) {
 			return fmt.Errorf("sched: policy %s placed unknown job #%d of %d eligible", f.policy.Name(), p.Job, len(eligible))
 		}
-		r := f.blocks.hot(f.active[eligible[p.Job]].seq)
+		seq := f.active[eligible[p.Job]].seq
+		r := f.blocks.hot(seq)
 		if r.placed >= 0 {
-			return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), r.id)
+			return fmt.Errorf("sched: policy %s double-placed job %d", f.policy.Name(), f.blocks.id(seq))
 		}
 		if p.Region < 0 || p.Region >= len(f.free) {
 			return fmt.Errorf("sched: policy %s used unknown region #%d", f.policy.Name(), p.Region)
 		}
 		if !r.migratable() && p.Region != int(r.originI) {
-			return fmt.Errorf("sched: policy %s migrated pinned job %d", f.policy.Name(), r.id)
+			return fmt.Errorf("sched: policy %s migrated pinned job %d", f.policy.Name(), f.blocks.id(seq))
 		}
 		if f.free[p.Region] <= 0 {
 			return fmt.Errorf("sched: policy %s oversubscribed region %s", f.policy.Name(), f.regionsList[p.Region])
 		}
-		r.placed, r.by = int16(p.Region), ByPolicy
+		r.place(int16(p.Region), ByPolicy)
 		f.free[p.Region]--
 	}
 
@@ -791,13 +862,13 @@ func (f *Fleet) Step() error {
 		if f.OnPlace != nil {
 			f.OnPlace(Placed{
 				Hour:     hour,
-				JobID:    r.id,
+				JobID:    f.blocks.id(a.seq),
 				Region:   int(ri),
 				Origin:   int(r.originI),
 				Tenant:   f.tenants[r.tenantI],
 				CI:       ci,
 				OriginCI: f.traces[r.originI].At(hour),
-				By:       r.by,
+				By:       r.by(),
 			})
 		}
 		if a.progress < r.length {
@@ -828,19 +899,20 @@ func (f *Fleet) Step() error {
 
 // finishInBlock counts the job at seq, just completed, out of its block's
 // unfinished jobs, and freezes the block if that was the last one and the
-// block is full. The packing reads only the hot array, which nothing
-// else writes while Step holds the world write lock; the entry is swapped
-// under idMu because Has reads ids through the directory holding idMu
-// alone. The index is left as it was: a block indexes itself or not by
-// its ids, hot or frozen. The hot array is garbage from then on.
+// block is full. The packing reads only the hot array and the block's
+// ids, which nothing else writes while Step holds the world write lock;
+// the entry is swapped under idMu because Has reads ids through the
+// directory holding idMu alone. The index is left as it was: a block
+// indexes itself or not by its ids, hot or frozen. The hot array and any
+// side column are garbage from then on.
 func (f *Fleet) finishInBlock(seq uint32) {
 	e := &f.blocks[seq/recBlock]
 	if e.open--; e.open > 0 || seq/recBlock >= uint32(f.submitted.Load())/recBlock {
 		return
 	}
-	frozen := freeze(e.hot, f.traces)
+	frozen := freeze(e, f.traces)
 	f.idMu.Lock()
-	e.hot, e.frozen = nil, frozen
+	e.freezeWith(frozen)
 	f.idMu.Unlock()
 }
 
@@ -883,7 +955,7 @@ func (f *Fleet) Lookup(id int) (info JobInfo, ok bool) {
 	}
 	// Start the cursor at the job's own active entry, if it has one.
 	k, _ := slices.BinarySearchFunc(f.active, seq, func(a activeJob, s uint32) int { return cmp.Compare(a.seq, s) })
-	v := storeView{f: f, blocks: f.blocks, tenants: f.tenants, active: f.active, k: k}
+	v := f.viewLocked(k)
 	f.idMu.Unlock()
 	v.read(seq, &info)
 	return

@@ -62,13 +62,13 @@ const (
 )
 
 // packed returns the packed fields of r, the record at position i of its
-// block, in column order, each sign-extended to 64 bits and the
-// neighbour columns taken in wrapping uint64 arithmetic, so that one
+// block, whose id is id, in column order, each sign-extended to 64 bits
+// and the neighbour columns taken in wrapping uint64 arithmetic, so that one
 // frame of reference fits any value: the widest column, ids from
 // math.MinInt64 to math.MaxInt64, is 64 bits wide.
-func (r *jobRec) packed(i int) [nPacked]uint64 {
+func (r *jobRec) packed(id, i int) [nPacked]uint64 {
 	return [nPacked]uint64{
-		colID:         uint64(r.id) - uint64(i),
+		colID:         uint64(id) - uint64(i),
 		colArrival:    uint64(r.arrival),
 		colLength:     uint64(r.length),
 		colSlack:      uint64(r.slack),
@@ -77,7 +77,7 @@ func (r *jobRec) packed(i int) [nPacked]uint64 {
 		colTenant:     uint64(r.tenantI),
 		colOrigin:     uint64(r.originI),
 		colRegion:     uint64(r.regionI) - uint64(r.originI),
-		colFlags:      uint64(r.flags &^ flagDone),
+		colFlags:      uint64(r.flags & (flagInterruptible | flagMigratable)),
 	}
 }
 
@@ -101,16 +101,17 @@ func derivedEmissions(r *jobRec, traces []*trace.Trace) (e float64, ok bool) {
 	return e, true
 }
 
-// freeze packs a full block of done records, re-summing each one's
+// freeze packs e, a full hot block of done records, re-summing each one's
 // emissions over traces, the fleet's by region index: where the sum
 // matches the record bit for bit its bitmap bit is set, and otherwise
 // the raw bits are stored — an interrupted or migrated job, an image
 // restored over another trace, a -0 or a NaN.
-func freeze(hot *[recBlock]jobRec, traces []*trace.Trace) frozenBlock {
+func freeze(e *recBlockEntry, traces []*trace.Trace) frozenBlock {
+	hot := e.hot
 	var derived [recBlock / 64]uint64
-	lo, hi := hot[0].packed(0), hot[0].packed(0)
+	lo, hi := hot[0].packed(e.id(0), 0), hot[0].packed(e.id(0), 0)
 	for i := range hot {
-		for c, v := range hot[i].packed(i) {
+		for c, v := range hot[i].packed(e.id(uint32(i)), i) {
 			lo[c] = uint64(min(int64(lo[c]), int64(v)))
 			hi[c] = uint64(max(int64(hi[c]), int64(v)))
 		}
@@ -138,7 +139,7 @@ func freeze(hot *[recBlock]jobRec, traces []*trace.Trace) frozenBlock {
 			fb.words[next] = math.Float64bits(hot[i].emissions)
 			next++
 		}
-		for c, v := range hot[i].packed(i) {
+		for c, v := range hot[i].packed(e.id(uint32(i)), i) {
 			fb.cols[c].put(fb.words, i, v)
 		}
 	}
@@ -171,13 +172,12 @@ func (fb *frozenBlock) get(col int, i uint32) uint64 {
 // id returns record i's id.
 func (fb *frozenBlock) id(i uint32) int { return int(fb.get(colID, i) + uint64(i)) }
 
-// rec unpacks record i, all but its emissions, which are left zero: the
-// readers that need them ask emissions, so the ones that do not never
-// pay for the re-sum.
+// rec unpacks record i, all but its id (id) and its emissions, which
+// are left zero: the readers that need them ask emissions, so the ones
+// that do not never pay for the re-sum.
 func (fb *frozenBlock) rec(i uint32) jobRec {
 	arrival, origin := fb.get(colArrival, i), fb.get(colOrigin, i)
 	return jobRec{
-		id:         fb.id(i),
 		arrival:    int32(arrival),
 		length:     int32(fb.get(colLength, i)),
 		slack:      int32(fb.get(colSlack, i)),

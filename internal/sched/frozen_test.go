@@ -45,9 +45,15 @@ func resum(r *jobRec, traces []*trace.Trace) (e float64, ok bool) {
 	return e, true
 }
 
+// idRec is a record and the id its block keeps for it.
+type idRec struct {
+	jobRec
+	id int
+}
+
 // derived returns r with the emissions resum gives it.
-func derived(r jobRec, traces []*trace.Trace) jobRec {
-	e, ok := resum(&r, traces)
+func derived(r idRec, traces []*trace.Trace) idRec {
+	e, ok := resum(&r.jobRec, traces)
 	if !ok {
 		panic("derived: the record's hours are not in the traces")
 	}
@@ -55,25 +61,27 @@ func derived(r jobRec, traces []*trace.Trace) jobRec {
 	return r
 }
 
-// doneBlock returns a full block of done records built by rec.
-func doneBlock(rec func(i int) jobRec) *[recBlock]jobRec {
-	hot := new([recBlock]jobRec)
-	for i := range hot {
-		hot[i] = rec(i)
-		hot[i].flags |= flagDone
+// doneBlock returns a full hot block of done records built by rec, their
+// ids in a side column, which takes any id.
+func doneBlock(rec func(i int) idRec) *recBlockEntry {
+	e := &recBlockEntry{hot: new([recBlock]jobRec), ids: new([recBlock]int)}
+	for i := range e.hot {
+		r := rec(i)
+		e.hot[i], e.ids[i] = r.jobRec, r.id
+		e.hot[i].flags |= flagDone
 	}
-	return hot
+	return e
 }
 
-// checkRoundTrip freezes hot over traces and holds every record read
+// checkRoundTrip freezes e over traces and holds every record read
 // back to the one frozen, emissions bit for bit (-0 is not 0, a NaN is
 // itself), and the block to its layout: the columns, a bitmap word per 64
 // records with exactly the records resum reproduces set, and one stored
 // word for every other record. It returns the frozen block and how many
 // records it derives.
-func checkRoundTrip(t *testing.T, hot *[recBlock]jobRec, traces []*trace.Trace) (frozenBlock, int) {
+func checkRoundTrip(t *testing.T, e *recBlockEntry, traces []*trace.Trace) (frozenBlock, int) {
 	t.Helper()
-	fb := freeze(hot, traces)
+	fb, hot := freeze(e, traces), e.hot
 	width, derivable := 0, 0
 	for _, c := range fb.cols {
 		width += int(c.width)
@@ -100,8 +108,8 @@ func checkRoundTrip(t *testing.T, hot *[recBlock]jobRec, traces []*trace.Trace) 
 		if got != want {
 			t.Fatalf("record %d:\ngot  %+v\nwant %+v", i, got, want)
 		}
-		if id := fb.id(uint32(i)); id != hot[i].id {
-			t.Fatalf("record %d: id column %d, want %d", i, id, hot[i].id)
+		if id := fb.id(uint32(i)); id != e.ids[i] {
+			t.Fatalf("record %d: id column %d, want %d", i, id, e.ids[i])
 		}
 	}
 	return fb, derivable
@@ -110,13 +118,13 @@ func checkRoundTrip(t *testing.T, hot *[recBlock]jobRec, traces []*trace.Trace) 
 // typicalRec is a record as Step leaves a block of them: ids submitted
 // together, hours a few apart, a handful of tenants and regions. Its
 // emissions are not the trace's (derived gives it those).
-func typicalRec(i int) jobRec {
-	return jobRec{
-		id: 3_000_000 + i, emissions: 250 + float64(i%97)*1.5,
-		arrival: int32(40 + i/200), length: int32(1 + i%24), slack: int32(i % 7),
+func typicalRec(i int) idRec {
+	return idRec{id: 3_000_000 + i, jobRec: jobRec{
+		emissions: 250 + float64(i%97)*1.5,
+		arrival:   int32(40 + i/200), length: int32(1 + i%24), slack: int32(i % 7),
 		lastRun: int32(60 + i%30), migrations: int32(i % 3), tenantI: uint32(i % 4),
 		originI: int16(i % 16), regionI: int16(i % 13), flags: uint8(i % 3),
-	}
+	}}
 }
 
 // TestFrozenBlockRoundTrip packs and unpacks blocks at the codec's
@@ -135,15 +143,15 @@ func TestFrozenBlockRoundTrip(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name      string
-		rec       func(i int) jobRec
+		rec       func(i int) idRec
 		widths    map[int]uint8 // column → the width it must be packed at
 		derivable int           // records whose emissions the trace gives back
 	}{
-		{"a block as Step leaves it", func(i int) jobRec { // every record derived
+		{"a block as Step leaves it", func(i int) idRec { // every record derived
 			return derived(typicalRec(i), traces)
 		}, map[int]uint8{colID: 0, colTenant: 2, colFlags: 2}, recBlock},
 		{"emissions not the trace's: none derived", typicalRec, map[int]uint8{colID: 0}, 0},
-		{"interrupted, migrated and stored: a mix", func(i int) jobRec {
+		{"interrupted, migrated and stored: a mix", func(i int) idRec {
 			r := derived(typicalRec(i), traces)
 			switch i % 4 {
 			case 1: // ran part of its hours in another region
@@ -155,7 +163,7 @@ func TestFrozenBlockRoundTrip(t *testing.T) {
 			}
 			return r
 		}, nil, recBlock / 4},
-		{"every record alike: width 0", func(i int) jobRec {
+		{"every record alike: width 0", func(i int) idRec {
 			r := derived(typicalRec(5), traces)
 			r.id += i // alike to the id column: the id less the position
 			return r
@@ -163,33 +171,33 @@ func TestFrozenBlockRoundTrip(t *testing.T) {
 			colID: 0, colArrival: 0, colLength: 0, colSlack: 0, colLastRun: 0, colMigrations: 0,
 			colTenant: 0, colOrigin: 0, colRegion: 0, colFlags: 0,
 		}, recBlock},
-		{"ids math.MinInt64 and math.MaxInt64: width 64", func(i int) jobRec {
+		{"ids math.MinInt64 and math.MaxInt64: width 64", func(i int) idRec {
 			r := typicalRec(i)
 			r.id = int(alternate(i, math.MinInt64, math.MaxInt64))
 			return r
 		}, map[int]uint8{colID: 64}, 0},
-		{"random ids: width 64", func(i int) jobRec {
+		{"random ids: width 64", func(i int) idRec {
 			r := typicalRec(i)
 			r.id = int(rand.New(rand.NewPCG(uint64(i), 7)).Uint64())
 			return r
 		}, map[int]uint8{colID: 64}, 0},
-		{"hours and counters 0 and math.MaxInt32", func(i int) jobRec {
+		{"hours and counters 0 and math.MaxInt32", func(i int) idRec {
 			r := typicalRec(i)
 			h := int32(alternate(i/3, 0, math.MaxInt32))
 			r.arrival, r.length, r.slack, r.lastRun, r.migrations = h, math.MaxInt32-h, h, math.MaxInt32-h, h
 			return r
 		}, map[int]uint8{colArrival: 31, colLength: 31, colSlack: 31, colLastRun: 32, colMigrations: 31}, 0},
-		{"never run: lastRun and region -1", func(i int) jobRec {
+		{"never run: lastRun and region -1", func(i int) idRec {
 			r := typicalRec(i)
 			r.lastRun, r.regionI = int32(alternate(i, -1, 9)), int16(alternate(i, -1, math.MaxInt16))
 			return r
 		}, map[int]uint8{colLastRun: 4, colRegion: 16}, 0},
-		{"tenant indices 0 and math.MaxUint32", func(i int) jobRec {
+		{"tenant indices 0 and math.MaxUint32", func(i int) idRec {
 			r := typicalRec(i)
 			r.tenantI = uint32(alternate(i, 0, math.MaxUint32))
 			return r
 		}, map[int]uint8{colTenant: 32}, 0},
-		{"emissions -0, subnormals, infinities and NaN", func(i int) jobRec {
+		{"emissions -0, subnormals, infinities and NaN", func(i int) idRec {
 			r := typicalRec(i)
 			r.emissions = []float64{
 				math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
@@ -198,7 +206,7 @@ func TestFrozenBlockRoundTrip(t *testing.T) {
 			}[i%10]
 			return r
 		}, nil, 0},
-		{"-0 where the trace sums to +0, and one ulp off the sum", func(i int) jobRec {
+		{"-0 where the trace sums to +0, and one ulp off the sum", func(i int) idRec {
 			r := typicalRec(i)
 			r.regionI, r.length, r.lastRun = 2, 1, zeroHour
 			r = derived(r, traces)
@@ -212,7 +220,7 @@ func TestFrozenBlockRoundTrip(t *testing.T) {
 			}
 			return r
 		}, nil, recBlock / 3},
-		{"hours outside the trace", func(i int) jobRec {
+		{"hours outside the trace", func(i int) idRec {
 			r := typicalRec(i)
 			r.emissions = 0
 			switch i % 4 {
@@ -268,9 +276,8 @@ func FuzzFrozenBlock(f *testing.F) {
 			}
 			return base[c] + src.Uint64()&(^uint64(0)>>(64-w))
 		}
-		_, got := checkRoundTrip(t, doneBlock(func(i int) jobRec {
-			r := jobRec{
-				id:         int(field(colID) + uint64(i)),
+		_, got := checkRoundTrip(t, doneBlock(func(i int) idRec {
+			r := idRec{id: int(field(colID) + uint64(i)), jobRec: jobRec{
 				emissions:  math.Float64frombits(src.Uint64()),
 				arrival:    int32(field(colArrival)),
 				length:     int32(field(colLength)),
@@ -279,7 +286,7 @@ func FuzzFrozenBlock(f *testing.F) {
 				tenantI:    uint32(field(colTenant)),
 				originI:    int16(field(colOrigin)),
 				flags:      uint8(field(colFlags)) & (flagInterruptible | flagMigratable),
-			}
+			}}
 			r.lastRun = int32(uint64(r.arrival) + field(colLastRun))
 			r.regionI = int16(uint64(r.originI) + field(colRegion))
 			if derivable>>(i%64)&1 == 1 {

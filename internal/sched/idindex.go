@@ -19,7 +19,9 @@ import (
 // work. Sequential and auto-assigned ids make such blocks, so ordinary
 // traffic costs the index nothing, backlogged or done. The record that
 // breaks the rule spills its block's earlier ids into the hash tables,
-// once; the block stays there.
+// once; the block stays there. The verdict also decides how a hot block
+// keeps its ids (add): a dense one as each record's low byte, read
+// against the block's lo, a sparse one in a side column.
 //
 // Every id of a sparse block is in a hash table: a slot holds seq+1 (0
 // is empty) and the slot's key is blocks.id(seq), the record's id, which
@@ -51,7 +53,7 @@ import (
 //
 // The index has no lock of its own: it is part of the job store, under
 // idMu. Every method takes the record blocks the slots point into, and
-// reads nothing of them but ids.
+// touches nothing of them but ids, which only add writes.
 type idIndex struct {
 	seed  uint64
 	depth uint8        // len(dir) == 1<<depth, once there is a table
@@ -204,18 +206,21 @@ func (b recBlocks) find(d *denseBlock, id int, n uint32) (uint32, bool) {
 	return 0, false
 }
 
-// add indexes id, just written at seq, the next record of the store. The
-// caller has checked that id is absent (get). If seq opens a block, the
-// tail it closes joins dense, if it is dense. A record whose id less its
-// position takes the tail's column to 1<<denseWidth values or more, or
-// whose block could hold ids past math.MaxInt — where they would wrap
-// round to the lowest and lo would not order the block — turns the tail
-// sparse: its earlier ids are put in the tables, and every later one.
-// Both conditions only ever fail for good as records are added, so a
-// block's verdict is that of its whole column, however far it is
-// written.
+// add indexes id at seq, the next record of the store, just written but
+// for its id, and keeps the id in the block as the block's verdict has
+// it: a dense block's as the low byte of the id less its position, the
+// block's lo lowered with the tail's, a sparse block's in its side
+// column. The caller has checked that id is absent (get). If seq opens a
+// block, the tail it closes joins dense, if it is dense. A record whose
+// id less its position takes the tail's column to 1<<denseWidth values or
+// more, or whose block could hold ids past math.MaxInt — where they would
+// wrap round to the lowest and lo would not order the block — turns the
+// tail sparse: its earlier ids are copied into a side column (spill) and
+// put in the tables, and every later one. Both conditions only ever fail
+// for good as records are added, so a block's verdict is that of its
+// whole column, however far it is written.
 func (x *idIndex) add(b recBlocks, id int, seq uint32) {
-	t, i := &x.tail, seq%recBlock
+	t, i, e := &x.tail, seq%recBlock, &b[seq/recBlock]
 	v := int(uint64(id) - uint64(i))
 	if i == 0 {
 		if t.n > 0 && !t.sparse {
@@ -228,25 +233,30 @@ func (x *idIndex) add(b recBlocks, id int, seq uint32) {
 		lo, hi := min(t.lo, v), max(t.lo+int(t.span), v)
 		if uint64(hi-lo) < 1<<denseWidth && hi <= math.MaxInt-denseSpan {
 			t.lo, t.span = lo, uint8(hi-lo)
-			t.asc = t.asc && (i == 0 || id > b.id(seq-1))
+			t.asc = t.asc && (i == 0 || v >= e.denseV(e.lo, i-1)) // id > the last id
+			e.lo, e.hot[i].idLo = lo, uint8(v)
 			return
 		}
 		t.sparse = true
+		e.spill(i)
 		for s := seq - i; s < seq; s++ {
 			x.put(b, b.id(s), s)
 		}
 	}
+	e.ids[i] = id
 	x.put(b, id, seq)
 }
 
 // rollback takes back the records from seq first to end, indexed since
 // the tail was m by a batch that failed part-way; they are still in b.
 // Their slots go, and so do the dense entries of the blocks they closed,
-// and the tail is m again. If they spilled m's block, its earlier ids
-// leave the tables too, and it is dense again.
+// and the tail is m again, its block's lo m's. If they spilled m's
+// block, its earlier ids leave the tables too, and its side column goes:
+// it is dense again, its ids the low bytes they were written as.
 func (x *idIndex) rollback(b recBlocks, m idTail, first, end uint32) {
+	spilled := false
 	if start := m.blk * recBlock; !m.sparse && m.n > 0 {
-		if _, spilled := x.hashed(b, b.id(start)); spilled {
+		if _, spilled = x.hashed(b, b.id(start)); spilled {
 			first = start
 		}
 	}
@@ -255,6 +265,13 @@ func (x *idIndex) rollback(b recBlocks, m idTail, first, end uint32) {
 	}
 	x.dense = slices.DeleteFunc(x.dense, func(d denseBlock) bool { return d.blk >= m.blk })
 	x.tail = m
+	if !m.sparse && m.n > 0 {
+		e := &b[m.blk]
+		e.lo = m.lo
+		if spilled {
+			e.ids = nil
+		}
+	}
 }
 
 // put registers id at seq in the tables. The record at seq must be

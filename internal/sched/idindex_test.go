@@ -86,15 +86,27 @@ func (m *idModel) probe(t testing.TB, ids []int) {
 	}
 }
 
-// next writes id as the store's next record, opening a block if it
-// must, and returns its sequence number.
+// next takes the store's next record for id, opening a block if it
+// must, and returns its sequence number. The id is kept in the block by
+// add, or by nextSparse.
 func (m *idModel) next(id int) uint32 {
 	seq := uint32(len(m.want))
 	if seq%recBlock == 0 {
 		m.blocks = append(m.blocks, recBlockEntry{hot: new([recBlock]jobRec)})
 	}
-	m.blocks.hot(seq).id = id
 	m.want[id] = seq
+	return seq
+}
+
+// nextSparse is next for an id put straight in the tables: its block
+// keeps it in a side column, as a sparse block does.
+func (m *idModel) nextSparse(id int) uint32 {
+	seq := m.next(id)
+	e := &m.blocks[seq/recBlock]
+	if e.ids == nil {
+		e.ids = new([recBlock]int)
+	}
+	e.ids[seq%recBlock] = id
 	return seq
 }
 
@@ -141,7 +153,7 @@ func (m *idModel) round(t testing.TB, ids []int, keep bool) {
 // the shape.
 func (m *idModel) putAll(ids []int) {
 	for _, id := range ids {
-		m.x.put(m.blocks, id, m.next(id))
+		m.x.put(m.blocks, id, m.nextSparse(id))
 	}
 }
 
@@ -163,8 +175,7 @@ func (m *idModel) hotFull() []uint32 {
 func (m *idModel) freeze(t testing.TB, blk uint32) {
 	t.Helper()
 	e := &m.blocks[blk]
-	e.frozen = freeze(e.hot, nil)
-	e.hot = nil
+	e.freezeWith(freeze(e, nil))
 	listed := slices.ContainsFunc(m.x.dense, func(d denseBlock) bool { return d.blk == blk })
 	if !listed && (m.x.tail.blk != blk || m.x.tail.sparse) {
 		return
@@ -508,7 +519,7 @@ func TestIDIndexWorstPut(t *testing.T) {
 	splits := 0
 	for i := range n {
 		id := i << 12 // strided: every block sparse
-		seq := m.next(id)
+		seq := m.nextSparse(id)
 		h := m.x.hash(id)
 		var before uint8
 		if len(m.x.dir) > 0 {

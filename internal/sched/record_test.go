@@ -15,13 +15,13 @@ import (
 	"carbonshift/internal/tenant"
 )
 
-// TestJobRecLayout keeps the record honest: 48 bytes, and no field the
+// TestJobRecLayout keeps the record honest: 40 bytes, and no field the
 // garbage collector would have to follow — that is what puts the job
 // store in no-scan memory. A running job's progress lives in its 8-byte
-// active entry instead.
+// active entry instead, and its id in its block.
 func TestJobRecLayout(t *testing.T) {
-	if size := unsafe.Sizeof(jobRec{}); size > 48 {
-		t.Errorf("jobRec is %d bytes, want at most 48", size)
+	if size := unsafe.Sizeof(jobRec{}); size > 40 {
+		t.Errorf("jobRec is %d bytes, want at most 40", size)
 	}
 	if size := unsafe.Sizeof(activeJob{}); size > 8 {
 		t.Errorf("activeJob is %d bytes, want at most 8", size)
@@ -59,22 +59,59 @@ func residentJobs(n int, origins []string) []Job {
 	return jobs
 }
 
-// TestShardedFleetResidentBytesPerJob pins what a resident job costs a
-// bare fleet: the 48-byte record and its 8-byte entry in the active
-// list. Its ids run in order, so every block is its own index from its
-// first record and no id index table is ever made. Every job here has
-// arrived and none has run, so each has an active entry, and no block
-// is frozen. 57.3 bytes when this was written; the ceiling, 10 % over
-// it, leaves room for the active list's append slack (up to a quarter
-// of its 8 bytes). While every hot id kept a 4-byte slot in tables 7/16
-// to 7/8 full (5.2 bytes at this population) it measured 62.8, with a
-// 12-byte entry 68.4, the 64-byte record with a 4-byte list entry 74,
-// the same store indexed by a map[int]uint32 92, the pointer layout
-// before it 220.
-func TestShardedFleetResidentBytesPerJob(t *testing.T) {
-	const n, ceiling = 200_000, 63
+// TestFleetResidentBytesPerJob pins what a resident job costs a bare
+// fleet: the 40-byte record and its 8-byte entry in the active list. Its
+// ids run in order, so every block is its own index from its first
+// record, keeps each id's low byte in the record, and no id index table
+// is ever made. Every job here has arrived and none has run, so each has
+// an active entry, and no block is frozen. 49.3 bytes when this was
+// written; the ceiling, 10 % over it, leaves room for the active list's
+// append slack (up to a quarter of its 8 bytes). With the id in the
+// record, 48 bytes, it measured 57.3; while every hot id also kept a
+// 4-byte slot in tables 7/16 to 7/8 full (5.2 bytes at this population)
+// 62.8, with a 12-byte entry 68.4, the 64-byte record with a 4-byte list
+// entry 74, the same store indexed by a map[int]uint32 92, the pointer
+// layout before it 220.
+func TestFleetResidentBytesPerJob(t *testing.T) {
+	const n = 200_000
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	residentBytes(t, ids, 54)
+}
+
+// TestFleetResidentBytesReordered pins the same fleet fed as two clients'
+// 64-job batches acked in swapped order: each block's ids less their
+// positions span 128 values, so it is dense, its own index, and costs
+// what ids in order do. 49.1 bytes when this was written.
+func TestFleetResidentBytesReordered(t *testing.T) {
+	const n = 200_000
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i ^ 64
+	}
+	residentBytes(t, ids, 54)
+}
+
+// TestFleetResidentBytesScattered pins a resident job whose client chose
+// its id (scatteredIDs): no block is dense, so each keeps its ids in an
+// 8 KiB side column beside its records, and every id has a slot in
+// tables 7/16 to 7/8 full. 62.3 bytes when this was written.
+func TestFleetResidentBytesScattered(t *testing.T) {
+	residentBytes(t, scatteredIDs(200_000), 68)
+}
+
+// residentBytes submits len(ids) jobs with these ids, arrived and not yet
+// run, in 64-job batches to a bare fleet, and fails if it then holds more
+// than ceiling bytes of heap a job.
+func residentBytes(t *testing.T, ids []int, ceiling float64) {
+	n := len(ids)
 	set, cl, origins := mkWideSet(t, 48, 4)
 	jobs := residentJobs(n, origins)
+	for i := range jobs {
+		jobs[i].ID = ids[i]
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -89,10 +126,10 @@ func TestShardedFleetResidentBytesPerJob(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	perJob := float64(after.HeapInuse-before.HeapInuse) / n
+	perJob := float64(after.HeapInuse-before.HeapInuse) / float64(n)
 	t.Logf("%.1f bytes of heap in use per resident job", perJob)
 	if perJob > ceiling {
-		t.Errorf("%.1f bytes per resident job, want at most %d", perJob, ceiling)
+		t.Errorf("%.1f bytes per resident job, want at most %g", perJob, ceiling)
 	}
 	runtime.KeepAlive(f)
 	runtime.KeepAlive(jobs)

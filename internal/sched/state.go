@@ -453,8 +453,7 @@ func (f *Fleet) Unmarshal(data []byte) error {
 			e.open++
 		}
 		if seq%recBlock == recBlock-1 && e.open == 0 {
-			e.frozen = freeze(e.hot, f.traces)
-			e.hot = nil
+			e.freezeWith(freeze(e, f.traces))
 		}
 	}
 	if f.fq != nil {

@@ -94,6 +94,7 @@ func (s *Server) initMetrics() {
 		wal:      wal.NewJournalMetrics(r),
 		http:     serve.NewHTTPMetrics(r),
 	}
+	metrics.RegisterRuntime(r)
 
 	st := func() sched.FleetStats { return s.fleet.Stats() }
 	r.NewCounterFunc("schedd_jobs_submitted_total",
