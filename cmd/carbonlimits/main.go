@@ -12,8 +12,9 @@
 // Each experiment id corresponds to one figure of the paper's
 // evaluation; see DESIGN.md for the index. -exp also runs a study, an
 // analysis beyond the paper's figures (policies: the five scheduling
-// policies on finite clusters); -list prints both lists, while -all and
-// -report stay the paper's list. Experiments fan their
+// policies on finite clusters), over the study's own world only;
+// -list prints both lists, while -all and -report stay the paper's
+// list. Experiments fan their
 // independent cells across -workers goroutines (default: one per CPU);
 // results are byte-identical for every worker count, and -workers 1
 // runs the serial reference path.
@@ -73,6 +74,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	opts := core.Options{Sim: simgrid.Config{Seed: *seed}, ArrivalSpan: *span, Stride: *stride, Workers: *workers}
 	var exps []core.Experiment
 	if *all {
 		exps = core.Experiments()
@@ -83,25 +85,19 @@ func main() {
 			os.Exit(2)
 		}
 		exps = []core.Experiment{e}
+		// One lab, over the world the entry reads: a study's own.
+		opts = e.Options(opts)
 	}
 
 	start := time.Now()
-	if *verbose {
-		fmt.Fprintln(os.Stderr, "carbonlimits: generating 123-region dataset...")
-	}
-	lab, err := core.NewLabCtx(ctx, core.Options{
-		Sim:         simgrid.Config{Seed: *seed},
-		ArrivalSpan: *span,
-		Stride:      *stride,
-		Workers:     *workers,
-	})
+	lab, err := core.NewLabCtx(ctx, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "carbonlimits:", err)
 		os.Exit(1)
 	}
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "carbonlimits: dataset ready in %v (global mean %.1f g/kWh)\n",
-			time.Since(start).Round(time.Millisecond), lab.GlobalMean)
+		fmt.Fprintf(os.Stderr, "carbonlimits: %d-region, %d-hour dataset ready in %v (global mean %.1f g/kWh)\n",
+			lab.Set.Size(), lab.Set.Len(), time.Since(start).Round(time.Millisecond), lab.GlobalMean)
 	}
 
 	if *report {

@@ -66,7 +66,6 @@ import (
 
 	"carbonshift/internal/httpx"
 	"carbonshift/internal/metrics"
-	"carbonshift/internal/regions"
 	"carbonshift/internal/rng"
 	"carbonshift/internal/sched"
 	"carbonshift/internal/schedd"
@@ -464,7 +463,7 @@ func main() {
 	// Offline FIFO baseline: re-simulate the exact jobs the server
 	// admitted — same trace (reconstructed from the server's seed and
 	// clusters), same arrival hours — under the carbon-agnostic policy.
-	fifoKg, err := fifoBaseline(ctx, info, requests, subs, *idOffset)
+	fifoKg, err := fifoBaseline(ctx, info, origins, requests, subs, *idOffset)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "loadgen: baseline unavailable: %v\n", err)
 		return
@@ -487,23 +486,17 @@ func main() {
 
 // fifoBaseline rebuilds the admitted jobs from the acknowledgements
 // (each id is idOffset plus the index into the generated stream) and
-// runs the batch simulator under FIFO on the server's own trace
-// configuration.
-func fifoBaseline(ctx context.Context, info schedd.StatsResponse,
+// runs the batch simulator under FIFO on the server's own world: its
+// cluster regions (origins, in cluster order), seed and horizon.
+func fifoBaseline(ctx context.Context, info schedd.StatsResponse, origins []string,
 	requests []schedd.JobRequest, subs []submission, idOffset int) (float64, error) {
-	var regs []regions.Region
-	var clusters []sched.Cluster
-	for _, c := range info.Clusters {
-		r, ok := regions.ByCode(c.Region)
-		if !ok {
-			return 0, fmt.Errorf("server region %q not in catalog", c.Region)
-		}
-		regs = append(regs, r)
-		clusters = append(clusters, sched.Cluster{Region: c.Region, Slots: c.Slots})
-	}
-	set, err := simgrid.GenerateCached(ctx, regs, simgrid.Config{Seed: info.Seed, Hours: info.Horizon}, 0)
+	set, err := simgrid.World(ctx, origins, simgrid.Config{Seed: info.Seed, Hours: info.Horizon}, 0)
 	if err != nil {
 		return 0, err
+	}
+	clusters := make([]sched.Cluster, len(info.Clusters))
+	for i, c := range info.Clusters {
+		clusters[i] = sched.Cluster{Region: c.Region, Slots: c.Slots}
 	}
 	var jobs []sched.Job
 	for _, s := range subs {

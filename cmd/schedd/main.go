@@ -69,6 +69,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -86,7 +87,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":9090", "listen address")
-		regionList = flag.String("regions", "DE,SE,US-CA", "comma-separated cluster regions")
+		regionList = flag.String("regions", "DE,SE,US-CA", "comma-separated cluster regions, each named once")
 		slots      = flag.Int("slots", 30, "slots per regional cluster")
 		days       = flag.Int("days", 60, "replay horizon in days")
 		policyName = flag.String("policy", "carbon-gate",
@@ -141,6 +142,7 @@ func main() {
 	// clusters, tenants, partition) so the two fleets are provably the
 	// same scheduling world.
 	var clusters []sched.Cluster
+	var codes []string // the clusters' regions, which simgrid.World builds
 	var tenants *tenant.Config
 	horizon := *days * 24
 	worldSeed := *seed
@@ -184,6 +186,7 @@ func main() {
 		horizon, worldSeed = info.Horizon, info.Seed
 		for _, c := range info.Clusters {
 			clusters = append(clusters, sched.Cluster{Region: c.Region, Slots: c.Slots})
+			codes = append(codes, c.Region)
 		}
 		// The tenant registry is part of the scheduling world: the fair
 		// queue's dequeue order depends on it, so a follower copies the
@@ -210,11 +213,12 @@ func main() {
 	} else {
 		for _, code := range strings.Split(*regionList, ",") {
 			code = strings.TrimSpace(code)
-			if _, ok := regions.ByCode(code); !ok {
-				log.Error("unknown region", "region", code)
+			if _, ok := regions.ByCode(code); !ok || slices.Contains(codes, code) {
+				log.Error("unknown or repeated region", "region", code)
 				os.Exit(2)
 			}
 			clusters = append(clusters, sched.Cluster{Region: code, Slots: *slots})
+			codes = append(codes, code)
 		}
 		if *tenantsPath != "" {
 			data, err := os.ReadFile(*tenantsPath)
@@ -231,18 +235,8 @@ func main() {
 		}
 	}
 
-	var regs []regions.Region
-	for _, c := range clusters {
-		r, ok := regions.ByCode(c.Region)
-		if !ok {
-			log.Error("primary region not in catalog", "region", c.Region)
-			os.Exit(1)
-		}
-		regs = append(regs, r)
-	}
-
-	log.Info("generating traces", "regions", len(regs))
-	set, err := simgrid.GenerateCached(ctx, regs, simgrid.Config{Seed: worldSeed, Hours: horizon}, 0)
+	log.Info("generating traces", "regions", len(codes))
+	set, err := simgrid.World(ctx, codes, simgrid.Config{Seed: worldSeed, Hours: horizon}, 0)
 	if err != nil {
 		log.Error("trace generation failed", "err", err)
 		os.Exit(1)

@@ -11,8 +11,10 @@
 // system inventory) and is exercised through the cmd/ tools. Three
 // layers matter most:
 //
-//   - internal/core owns the dataset and implements one experiment per
-//     paper figure. Each experiment decomposes into independent
+//   - internal/core builds the dataset each entry reads (the full
+//     catalog for the paper's figures, a study's own regions and
+//     period for a study) and implements one experiment per paper
+//     figure. Each experiment decomposes into independent
 //     (region × policy × scenario) cells.
 //   - internal/engine is the concurrent experiment engine: a
 //     context-aware, bounded worker pool that fans those cells across
@@ -25,7 +27,9 @@
 //     and memoizes them in a process-level cache keyed by the full
 //     simulation fingerprint, so each (region, config) trace is
 //     generated exactly once per process no matter how many
-//     experiments, labs, or benchmark iterations ask for it.
+//     experiments, labs, or benchmark iterations ask for it;
+//     simgrid.World builds the online service's traces from its
+//     region codes through the same cache.
 //
 // # Online scheduling
 //

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"carbonshift/internal/golden"
 	"carbonshift/internal/regions"
 	"carbonshift/internal/simgrid"
 )
@@ -41,11 +43,6 @@ func TestNewLabDefaults(t *testing.T) {
 	if l.GlobalMean <= 0 {
 		t.Fatalf("global mean = %v", l.GlobalMean)
 	}
-	for _, code := range l.Set.Regions() {
-		if _, err := l.Latency.Within(code, 0); err != nil {
-			t.Fatalf("latency matrix: %v", err)
-		}
-	}
 	// Only zero means "default": a negative option is refused, not run
 	// with the default.
 	for name, opts := range map[string]Options{
@@ -56,6 +53,37 @@ func TestNewLabDefaults(t *testing.T) {
 			t.Errorf("NewLabCtx accepted a negative %s", name)
 		}
 	}
+}
+
+// TestExperimentWorlds holds each entry to its world: a paper
+// experiment runs on the caller's lab, and policies on its three regions
+// over 60 days at the caller's seed and worker bound, where it gives the
+// digest TestExperimentTablesGolden records from the mini lab. The file
+// is only compared here: that test is its one writer.
+func TestExperimentWorlds(t *testing.T) {
+	in := miniOptions(2, 0)
+	for _, e := range Experiments() {
+		if got := e.Options(in); !reflect.DeepEqual(got, in) {
+			t.Errorf("%s: Options(mini) = %+v, want the mini options unchanged", e.ID, got)
+		}
+	}
+	e, err := ExperimentByID("policies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Options{Sim: simgrid.Config{Seed: 2, Hours: 1440}, Workers: in.Workers}
+	for _, code := range []string{"DE", "SE", "US-CA"} {
+		want.Regions = append(want.Regions, regions.MustByCode(code))
+	}
+	o := e.Options(in)
+	if !reflect.DeepEqual(o, want) {
+		t.Fatalf("policies: Options(mini) = %+v, want %+v", o, want)
+	}
+	l, err := NewLabCtx(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Frozen(t, "study_tables.golden", tableDigests(t, l, Studies()))
 }
 
 func TestGroupings(t *testing.T) {

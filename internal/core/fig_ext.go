@@ -49,7 +49,7 @@ func (l *Lab) ExtForecast(ctx context.Context) (*Table, error) {
 		incAcc float64
 		incN   int
 	}
-	cells, err := engine.Map(ctx, l.workers, len(models)*len(codes), func(_ context.Context, i int) (cell, error) {
+	cells, err := engine.Map(ctx, l.opts.Workers, len(models)*len(codes), func(_ context.Context, i int) (cell, error) {
 		model := models[i/len(codes)]
 		tr := l.Set.MustGet(codes[i%len(codes)])
 		m, err := forecast.Backtest(model, tr.CI, warmup, 24, 24*13)
@@ -153,7 +153,7 @@ func (l *Lab) ExtContention(ctx context.Context) (*Table, error) {
 	// never mutates the shared job stream).
 	slotLevels := []int{400, 60, 30, 20, 15, 10}
 	type levelResult struct{ fifo, gate sched.Result }
-	rows, err := engine.Map(ctx, l.workers, len(slotLevels), func(_ context.Context, i int) (levelResult, error) {
+	rows, err := engine.Map(ctx, l.opts.Workers, len(slotLevels), func(_ context.Context, i int) (levelResult, error) {
 		cl := []sched.Cluster{{Region: region, Slots: slotLevels[i]}}
 		fifo, err := sched.Run(l.Set, cl, jobs, sched.FIFO{}, horizon)
 		if err != nil {

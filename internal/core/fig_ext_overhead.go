@@ -42,7 +42,7 @@ func (l *Lab) ExtOverhead(ctx context.Context) (*Table, error) {
 	type cell struct {
 		free, small, large, breakEven, moves float64
 	}
-	cells, err := engine.Map(ctx, l.workers, len(groups)*len(arrivals), func(_ context.Context, i int) (cell, error) {
+	cells, err := engine.Map(ctx, l.opts.Workers, len(groups)*len(arrivals), func(_ context.Context, i int) (cell, error) {
 		g := groups[i/len(arrivals)]
 		a := arrivals[i%len(arrivals)]
 		one, _, err := spatial.OneMigrationCost(l.Set, g.Codes, a, length)

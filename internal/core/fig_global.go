@@ -95,7 +95,7 @@ func (l *Lab) Fig3a(ctx context.Context) (*Table, error) {
 	}
 	codes := set.Regions()
 	type cell struct{ m, cv float64 }
-	rows, err := engine.Map(ctx, l.workers, len(codes), func(_ context.Context, i int) (cell, error) {
+	rows, err := engine.Map(ctx, l.opts.Workers, len(codes), func(_ context.Context, i int) (cell, error) {
 		tr := set.MustGet(codes[i])
 		return cell{tr.Mean(), stats.DailyCV(tr.CI)}, nil
 	})
@@ -158,7 +158,7 @@ func (l *Lab) Fig3b(ctx context.Context) (*Table, error) {
 		return nil, err
 	}
 	codes := l.Set.Regions()
-	points, err := engine.Map(ctx, l.workers, len(codes), func(_ context.Context, i int) (stats.Point, error) {
+	points, err := engine.Map(ctx, l.opts.Workers, len(codes), func(_ context.Context, i int) (stats.Point, error) {
 		f, la := first.MustGet(codes[i]), last.MustGet(codes[i])
 		return stats.Point{
 			X: la.Mean() - f.Mean(),
@@ -233,7 +233,7 @@ func (l *Lab) Fig4(ctx context.Context) (*Table, error) {
 	// The two Bluestein FFTs per region dominate this figure; fan them
 	// across the pool, one region per cell.
 	type cell struct{ mean, s24, s168 float64 }
-	rows, err := engine.Map(ctx, l.workers, len(codes), func(_ context.Context, i int) (cell, error) {
+	rows, err := engine.Map(ctx, l.opts.Workers, len(codes), func(_ context.Context, i int) (cell, error) {
 		tr := set.MustGet(codes[i])
 		return cell{tr.Mean(), fft.ScoreAt(tr.CI, 24), fft.ScoreAt(tr.CI, 168)}, nil
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"carbonshift/internal/engine"
+	"carbonshift/internal/latency"
 	"carbonshift/internal/spatial"
 	"carbonshift/internal/stats"
 )
@@ -75,7 +76,7 @@ func (l *Lab) Fig5c(ctx context.Context) (*Table, error) {
 	idles := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99}
 	// One greedy capacity assignment per idle level, each an
 	// independent engine cell.
-	rates, err := engine.Map(ctx, l.workers, len(idles), func(_ context.Context, i int) (float64, error) {
+	rates, err := engine.Map(ctx, l.opts.Workers, len(idles), func(_ context.Context, i int) (float64, error) {
 		idle := idles[i]
 		nodes, err := spatial.UniformNodes(l.Set, idle)
 		if err != nil {
@@ -112,14 +113,15 @@ func (l *Lab) Fig6a(ctx context.Context) (*Table, error) {
 	slos := []float64{0, 10, 25, 50, 100, 150, 200, 250}
 	// Every SLO compares every origin with every destination it reaches.
 	means := regionMeans(l.Set, l.Set.Regions())
+	lat := latency.NewMatrix(l.Regions)
 	type cell struct{ infPct, utilPct float64 }
-	rows, err := engine.Map(ctx, l.workers, len(slos), func(_ context.Context, i int) (cell, error) {
+	rows, err := engine.Map(ctx, l.opts.Workers, len(slos), func(_ context.Context, i int) (cell, error) {
 		slo := slos[i]
 		// Infinite capacity: each origin reaches the cleanest region
 		// within the SLO.
 		reach := make(map[string]map[string]bool)
 		for _, code := range l.Set.Regions() {
-			within, err := l.Latency.Within(code, slo)
+			within, err := lat.Within(code, slo)
 			if err != nil {
 				return cell{}, err
 			}
@@ -186,7 +188,7 @@ func (l *Lab) Fig6b(ctx context.Context) (*Table, error) {
 	// The ∞-migration envelope scan per grouping is the heavy part;
 	// one grouping per cell.
 	type cell struct{ oneRed, infRed float64 }
-	rows, err := engine.Map(ctx, l.workers, len(groups), func(_ context.Context, i int) (cell, error) {
+	rows, err := engine.Map(ctx, l.opts.Workers, len(groups), func(_ context.Context, i int) (cell, error) {
 		g := groups[i]
 		_, destMean, err := spatial.LowestMeanRegion(l.Set, g.Codes)
 		if err != nil {

@@ -31,7 +31,7 @@ func (l *Lab) Fig11a(ctx context.Context) (*Table, error) {
 	}
 	// One fleet evaluation per migratable fraction, each an independent
 	// engine cell.
-	results, err := engine.Map(ctx, l.workers, len(fracs), func(_ context.Context, i int) (scenario.MixedResult, error) {
+	results, err := engine.Map(ctx, l.opts.Workers, len(fracs), func(_ context.Context, i int) (scenario.MixedResult, error) {
 		f := fracs[i]
 		if f > 1 {
 			f = 1
@@ -73,7 +73,7 @@ func (l *Lab) Fig11b(ctx context.Context) (*Table, error) {
 	// (rng.SplitN), so its noise is a pure function of the error level
 	// and never of which worker runs it or in what order.
 	type cell struct{ tPct, sPct float64 }
-	rows, err := engine.Map(ctx, l.workers, len(errFracs), func(_ context.Context, i int) (cell, error) {
+	rows, err := engine.Map(ctx, l.opts.Workers, len(errFracs), func(_ context.Context, i int) (cell, error) {
 		errFrac := errFracs[i]
 		src := rng.New(l.opts.Sim.Seed ^ 0xe44c)
 		srcs := src.SplitN(len(codes) + 1)
@@ -185,7 +185,7 @@ func (l *Lab) Fig11c(ctx context.Context) (*Table, error) {
 		return nil, err
 	}
 	type cell struct{ agnostic, aware float64 }
-	rows, err := engine.Map(ctx, l.workers, len(greenerSteps), func(_ context.Context, i int) (cell, error) {
+	rows, err := engine.Map(ctx, l.opts.Workers, len(greenerSteps), func(_ context.Context, i int) (cell, error) {
 		costs, err := temporal.Sweep(series[i], length, slack, arrivals)
 		if err != nil {
 			return cell{}, err
@@ -241,7 +241,7 @@ func (l *Lab) Fig11d(ctx context.Context) (*Table, error) {
 		mu  sync.Mutex
 		own [][]float64
 	)
-	err := engine.ForEach(ctx, l.workers, len(l.Regions), func(_ context.Context, i int) error {
+	err := engine.ForEach(ctx, l.opts.Workers, len(l.Regions), func(_ context.Context, i int) error {
 		series, err := simgrid.WhatIf(l.Regions[i], l.opts.Sim, greenerSteps, hours)
 		if err != nil {
 			return err
@@ -342,7 +342,7 @@ func (l *Lab) Fig12(ctx context.Context) (*Table, error) {
 	// One destination region per cell; each evaluates the combined
 	// policy at both slacks over every (origin, arrival) pair.
 	type cell struct{ ideal, practical scenario.CombinedResult }
-	rows, err := engine.Map(ctx, l.workers, len(present), func(_ context.Context, i int) (cell, error) {
+	rows, err := engine.Map(ctx, l.opts.Workers, len(present), func(_ context.Context, i int) (cell, error) {
 		ri, err := scenario.Combined(l.Set, present[i], origins, length, ideal, arrivals)
 		if err != nil {
 			return cell{}, err

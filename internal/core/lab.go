@@ -1,13 +1,14 @@
 // Package core is the paper's analysis engine: it owns the simulated
-// dataset (traces, latency matrix, region catalog) and implements one
-// experiment per figure of the evaluation, each reproducing the rows
-// or series the paper reports.
+// dataset (traces, region catalog) and implements one experiment per
+// figure of the evaluation, each reproducing the rows or series the
+// paper reports.
 //
 // The entry point is Lab. A Lab generates the 123-region, 3-year trace
-// set once, derives the shared artifacts (per-year views, the latency
-// matrix, the global mean used as the normalization constant), and
-// caches the expensive temporal sweeps so the Figure 7–10 family
-// shares work. All experiments are deterministic under the Lab's seed.
+// set once, derives the shared artifacts (per-year views, the global
+// mean used as the normalization constant), and caches the expensive
+// temporal sweeps so the Figure 7–10 family shares work. A study with a
+// world of its own (Experiment.Options) runs on a lab of that world.
+// All experiments are deterministic under the Lab's seed.
 package core
 
 import (
@@ -16,7 +17,6 @@ import (
 	"sync"
 
 	"carbonshift/internal/engine"
-	"carbonshift/internal/latency"
 	"carbonshift/internal/regions"
 	"carbonshift/internal/simgrid"
 	"carbonshift/internal/temporal"
@@ -47,8 +47,7 @@ type Options struct {
 	// one worker per CPU (engine.DefaultWorkers); 1 forces the serial
 	// reference path. Results are byte-identical for every setting.
 	// Generation holds to it (trace.NewSet validates serially); the
-	// rest of set-up does not: Set.GlobalMean runs one worker per CPU,
-	// and the latency matrix is built beside generation.
+	// rest of set-up does not: Set.GlobalMean runs one worker per CPU.
 	Workers int
 }
 
@@ -59,15 +58,12 @@ type Lab struct {
 	Regions []regions.Region
 	// Set is the full-period trace set.
 	Set *trace.Set
-	// Latency is the all-pairs RTT matrix over the regions.
-	Latency *latency.Matrix
 	// GlobalMean is the dataset's mean of per-region mean intensities —
 	// the paper's 368.39 g·CO₂eq/kWh normalization constant.
 	GlobalMean float64
 
 	arrivalSpan int
 	stride      int
-	workers     int
 
 	mu    sync.Mutex
 	cells map[cellKey]temporal.MeanSavings
@@ -94,15 +90,7 @@ func NewLabCtx(ctx context.Context, opts Options) (*Lab, error) {
 	if regs == nil {
 		regs = regions.All()
 	}
-	// The latency matrix is built beside the traces.
-	var lat *latency.Matrix
-	built := make(chan struct{})
-	go func() {
-		defer close(built)
-		lat = latency.NewMatrix(regs)
-	}()
 	set, err := simgrid.GenerateCached(ctx, regs, opts.Sim, opts.Workers)
-	<-built
 	if err != nil {
 		return nil, fmt.Errorf("core: generating traces: %w", err)
 	}
@@ -118,11 +106,9 @@ func NewLabCtx(ctx context.Context, opts Options) (*Lab, error) {
 		opts:        opts,
 		Regions:     regs,
 		Set:         set,
-		Latency:     lat,
 		GlobalMean:  set.GlobalMean(),
 		arrivalSpan: span,
 		stride:      stride,
-		workers:     opts.Workers,
 		cells:       make(map[cellKey]temporal.MeanSavings),
 		years:       make(map[int]*trace.Set),
 	}
@@ -244,7 +230,7 @@ func (l *Lab) FillTemporalGrid(ctx context.Context, lengths, slacks []int) error
 // are independent of evaluation order, so the warmed cache — and every
 // table assembled from it — is byte-identical for any worker count.
 func (l *Lab) warmCells(ctx context.Context, cells []cellKey) error {
-	return engine.ForEach(ctx, l.workers, len(cells), func(_ context.Context, i int) error {
+	return engine.ForEach(ctx, l.opts.Workers, len(cells), func(_ context.Context, i int) error {
 		c := cells[i]
 		if _, err := l.TemporalCell(c.region, c.length, c.slack); err != nil {
 			return fmt.Errorf("core: sweep %s L=%d s=%d: %w", c.region, c.length, c.slack, err)

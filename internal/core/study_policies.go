@@ -23,25 +23,27 @@ const (
 	policyMigratable    = 0.6
 )
 
+// policiesWorld is the study's world: its three regions over 60 days
+// at the caller's seed, on the caller's worker bound.
+func policiesWorld(o Options) Options {
+	w := Options{Sim: simgrid.Config{Seed: o.Sim.Seed, Hours: policyDays * 24}, Workers: o.Workers}
+	for _, code := range policyRegions {
+		w.Regions = append(w.Regions, regions.MustByCode(code))
+	}
+	return w
+}
+
 // Policies compares the five scheduling policies on one job stream over
 // finite regional clusters: the capacity-constrained counterpart of the
-// per-job bounds, which §5.2.5 warns finite capacity erodes. The study
-// simulates its own 60-day, three-region world from the lab's seed
-// instead of reading l.Set, and runs one sched.Run per policy on the
-// lab's worker pool.
+// per-job bounds, which §5.2.5 warns finite capacity erodes. It runs on
+// the lab of policiesWorld and one sched.Run per policy on the lab's
+// worker pool.
 func (l *Lab) Policies(ctx context.Context) (*Table, error) {
-	regs := make([]regions.Region, len(policyRegions))
 	clusters := make([]sched.Cluster, len(policyRegions))
 	for i, code := range policyRegions {
-		regs[i] = regions.MustByCode(code)
 		clusters[i] = sched.Cluster{Region: code, Slots: policySlots}
 	}
-	horizon := policyDays * 24
-	seed := l.opts.Sim.Seed
-	set, err := simgrid.GenerateCached(ctx, regs, simgrid.Config{Seed: seed, Hours: horizon}, l.workers)
-	if err != nil {
-		return nil, err
-	}
+	horizon := l.Set.Len()
 	jobs, err := sched.GenerateJobs(sched.WorkloadSpec{
 		Jobs:              policyJobs,
 		ArrivalSpan:       horizon - 10*24,
@@ -49,7 +51,7 @@ func (l *Lab) Policies(ctx context.Context) (*Table, error) {
 		InterruptibleFrac: policyInterruptible,
 		MigratableFrac:    policyMigratable,
 		Origins:           policyRegions,
-		Seed:              seed,
+		Seed:              l.opts.Sim.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -62,8 +64,8 @@ func (l *Lab) Policies(ctx context.Context) (*Table, error) {
 		sched.SpatioTemporal{Percentile: 35, Window: 168},
 	}
 	// Each policy simulates the same job stream on its own fleet.
-	results, err := engine.Map(ctx, l.workers, len(policies), func(_ context.Context, i int) (sched.Result, error) {
-		return sched.Run(set, clusters, jobs, policies[i], horizon)
+	results, err := engine.Map(ctx, l.opts.Workers, len(policies), func(_ context.Context, i int) (sched.Result, error) {
+		return sched.Run(l.Set, clusters, jobs, policies[i], horizon)
 	})
 	if err != nil {
 		return nil, err

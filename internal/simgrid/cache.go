@@ -123,11 +123,27 @@ func GenerateRegionCached(r regions.Region, cfg Config) (*trace.Trace, error) {
 	return e.tr, nil
 }
 
+// World is the trace set of the catalog regions named by codes: the
+// world a scheduler serves and a client replays, built by
+// GenerateCached. It refuses an unknown code by name.
+func World(ctx context.Context, codes []string, cfg Config, workers int) (*trace.Set, error) {
+	regs := make([]regions.Region, len(codes))
+	for i, code := range codes {
+		r, ok := regions.ByCode(code)
+		if !ok {
+			return nil, fmt.Errorf("simgrid: unknown region %q", code)
+		}
+		regs[i] = r
+	}
+	return GenerateCached(ctx, regs, cfg, workers)
+}
+
 // GenerateCached simulates all the given regions through the cache,
 // fanning uncached regions across at most `workers` goroutines (0 means
 // one per CPU, 1 forces serial); trace.NewSet then validates the set in
 // the calling goroutine. The returned set is identical to Generate's for
-// the same inputs.
+// the same inputs. A Lab passes its catalog subset, World the regions of
+// a list of codes; bench builds its worlds here directly.
 func GenerateCached(ctx context.Context, regs []regions.Region, cfg Config, workers int) (*trace.Set, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -40,6 +41,29 @@ func TestGenerateCachedMatchesGenerate(t *testing.T) {
 			if a.CI[i] != b.CI[i] {
 				t.Fatalf("%s: sample %d differs: %v vs %v", code, i, a.CI[i], b.CI[i])
 			}
+		}
+	}
+	// World resolves codes to the very traces the cache holds for the
+	// catalog regions of those codes.
+	codes := []string{"US-CA", "DE", "SE"}
+	byCode := make([]regions.Region, len(codes))
+	for i, code := range codes {
+		byCode[i] = regions.MustByCode(code)
+	}
+	want, err := GenerateCached(context.Background(), byCode, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world, err := World(context.Background(), codes, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(world.Regions(), want.Regions()) {
+		t.Fatalf("World regions %v, GenerateCached %v", world.Regions(), want.Regions())
+	}
+	for _, code := range codes {
+		if world.MustGet(code) != want.MustGet(code) {
+			t.Errorf("%s: World and GenerateCached return different traces", code)
 		}
 	}
 }
@@ -284,6 +308,14 @@ func TestGenerateCachedValidates(t *testing.T) {
 	bad.ExtraRenewables = 2
 	if _, err := GenerateCached(context.Background(), regions.All()[:1], bad, 1); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+	for _, codes := range [][]string{nil, {}} {
+		if _, err := World(context.Background(), codes, cacheTestConfig(7), 1); err == nil {
+			t.Fatalf("World accepted the empty code list %#v", codes)
+		}
+	}
+	if _, err := World(context.Background(), []string{"DE", "XX"}, cacheTestConfig(7), 1); err == nil || !strings.Contains(err.Error(), `"XX"`) {
+		t.Fatalf("World over an unknown code: err = %v, want it named", err)
 	}
 }
 
