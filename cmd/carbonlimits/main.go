@@ -86,7 +86,12 @@ func main() {
 		}
 		exps = []core.Experiment{e}
 		// One lab, over the world the entry reads: a study's own.
+		asked := opts
 		opts = e.Options(opts)
+		if err := dropped(set, e.ID, asked, opts); err != nil {
+			fmt.Fprintln(os.Stderr, "carbonlimits:", err)
+			os.Exit(2)
+		}
 	}
 
 	start := time.Now()
@@ -139,6 +144,25 @@ func conflict(set map[string]bool) error {
 	} {
 		if set[p[0]] && set[p[1]] {
 			return fmt.Errorf("-%s ignores -%s; give one of them", p[0], p[1])
+		}
+	}
+	return nil
+}
+
+// dropped reports the first of -span and -stride that is set but that
+// the entry's world (got, from asked) no longer carries: a study over a
+// world of its own would silently run without it. -seed and -workers
+// carry into every world.
+func dropped(set map[string]bool, id string, asked, got core.Options) error {
+	for _, f := range []struct {
+		name string
+		kept bool
+	}{
+		{"span", got.ArrivalSpan == asked.ArrivalSpan},
+		{"stride", got.Stride == asked.Stride},
+	} {
+		if set[f.name] && !f.kept {
+			return fmt.Errorf("-exp %s ignores -%s: it runs on a world of its own", id, f.name)
 		}
 	}
 	return nil

@@ -3,6 +3,9 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"carbonshift/internal/core"
+	"carbonshift/internal/simgrid"
 )
 
 // TestConflict checks that each pair of flags where one would ignore the
@@ -45,6 +48,43 @@ func TestConflict(t *testing.T) {
 			}
 		} else if tc.want != "" {
 			t.Errorf("%s: accepted, want %q", tc.flags, tc.want)
+		}
+	}
+}
+
+// TestDropped checks that a lab flag an entry's world drops is refused
+// with the flag and the entry, and that flags the world keeps pass.
+func TestDropped(t *testing.T) {
+	asked := core.Options{Sim: simgrid.Config{Seed: 7}, ArrivalSpan: 100, Stride: 5, Workers: 8}
+	for _, tc := range []struct {
+		exp   string
+		flags string // space-separated names of the set flags
+		want  string // "" when the set is accepted
+	}{
+		{"policies", "", ""},
+		{"policies", "seed workers format v", ""},
+		{"policies", "span", "-exp policies ignores -span"},
+		{"policies", "stride", "-exp policies ignores -stride"},
+		{"policies", "seed span stride", "-exp policies ignores -span"},
+		{"fig7", "seed span stride workers", ""},
+		{"ext-contention", "span stride", ""},
+	} {
+		e, err := core.ExperimentByID(tc.exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		for _, f := range strings.Fields(tc.flags) {
+			set[f] = true
+		}
+		err = dropped(set, e.ID, asked, e.Options(asked))
+		if got := ""; err != nil {
+			got = err.Error()
+			if tc.want == "" || !strings.Contains(got, tc.want) {
+				t.Errorf("%s %s: dropped = %q, want %q", tc.exp, tc.flags, got, tc.want)
+			}
+		} else if tc.want != "" {
+			t.Errorf("%s %s: accepted, want %q", tc.exp, tc.flags, tc.want)
 		}
 	}
 }

@@ -190,15 +190,13 @@ func (l *Lab) Fig10d(ctx context.Context) (*Table, error) {
 		seen[slack] = true
 		rows = append(rows, slackRow{rawSlack, slack})
 	}
-	var cells []cellKey
-	for _, code := range codes {
-		for _, r := range rows {
-			for _, length := range l.lengthsFor(r.clamped) {
-				cells = append(cells, cellKey{code, length, r.clamped})
-			}
+	var pairs []cellPair
+	for _, r := range rows {
+		for _, length := range l.lengthsFor(r.clamped) {
+			pairs = append(pairs, cellPair{length, r.clamped})
 		}
 	}
-	if err := l.warmCells(ctx, cells); err != nil {
+	if err := l.warmCells(ctx, pairs); err != nil {
 		return nil, err
 	}
 	for _, r := range rows {

@@ -5,15 +5,17 @@
 //
 // The entry point is Lab. A Lab generates the 123-region, 3-year trace
 // set once, derives the shared artifacts (per-year views, the global
-// mean used as the normalization constant), and caches the expensive
-// temporal sweeps so the Figure 7–10 family shares work. A study with a
-// world of its own (Experiment.Options) runs on a lab of that world.
+// mean used as the normalization constant), and caches the mean savings
+// of every temporal sweep cell so the Figure 7–10 family shares work. A
+// study with a world of its own (Experiment.Options) runs on a lab of
+// that world.
 // All experiments are deterministic under the Lab's seed.
 package core
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"carbonshift/internal/engine"
@@ -51,7 +53,11 @@ type Options struct {
 	Workers int
 }
 
-// Lab owns the dataset and caches shared computations.
+// Lab owns the dataset and caches shared computations. Temporal cells
+// are kept in a dense table, one row per (length, slack) pair indexed
+// by region; a fill sorts each region once into a temporal.Plan, sweeps
+// the region's missing cells on it and drops it, so the lab retains the
+// means and no plan.
 type Lab struct {
 	opts Options
 	// Regions is the catalog subset in use, sorted by code.
@@ -64,16 +70,22 @@ type Lab struct {
 
 	arrivalSpan int
 	stride      int
+	codes       []string // Set.Regions(), which indexes the cell rows
 
 	mu    sync.Mutex
-	cells map[cellKey]temporal.MeanSavings
+	cells map[cellPair]*cellRow
 	years map[int]*trace.Set
 }
 
-type cellKey struct {
-	region string
-	length int
-	slack  int
+// cellPair names one temporal cell per region: a job length and a
+// slack, in hours.
+type cellPair struct{ length, slack int }
+
+// cellRow is one pair's cells, indexed like Lab.codes; done marks the
+// regions whose cell has been swept.
+type cellRow struct {
+	means []temporal.MeanSavings
+	done  []bool
 }
 
 // NewLabCtx generates the dataset and prepares shared artifacts. Trace
@@ -109,7 +121,8 @@ func NewLabCtx(ctx context.Context, opts Options) (*Lab, error) {
 		GlobalMean:  set.GlobalMean(),
 		arrivalSpan: span,
 		stride:      stride,
-		cells:       make(map[cellKey]temporal.MeanSavings),
+		codes:       set.Regions(),
+		cells:       make(map[cellPair]*cellRow),
 		years:       make(map[int]*trace.Set),
 	}
 	return l, nil
@@ -179,34 +192,22 @@ func (l *Lab) strideArrivals(horizon int) []int {
 
 // TemporalCell returns the mean per-job savings of the temporal
 // policies for one (region, length, slack) combination, averaged over
-// the full arrival span. Results are cached.
+// the full arrival span: a table read once the cell is filled, else a
+// sweep of that one cell, which the table then keeps. The value is the
+// same bits whichever way the cell was filled.
 func (l *Lab) TemporalCell(region string, length, slack int) (temporal.MeanSavings, error) {
-	key := cellKey{region, length, slack}
-	l.mu.Lock()
-	if ms, ok := l.cells[key]; ok {
-		l.mu.Unlock()
-		return ms, nil
-	}
-	l.mu.Unlock()
-
-	tr, ok := l.Set.Get(region)
+	r, ok := slices.BinarySearch(l.codes, region)
 	if !ok {
 		return temporal.MeanSavings{}, fmt.Errorf("core: unknown region %q", region)
 	}
-	arrivals := l.arrivals(length + slack)
-	if arrivals < 1 {
-		return temporal.MeanSavings{}, fmt.Errorf("core: horizon %d+%d leaves no arrivals in %d-hour trace",
-			length, slack, l.Set.Len())
+	p := cellPair{length, slack}
+	if ms, ok := l.cell(r, p); ok {
+		return ms, nil
 	}
-	costs, err := temporal.Sweep(tr.CI, length, slack, arrivals)
-	if err != nil {
+	if err := l.sweepRegion(context.TODO(), r, []cellPair{p}); err != nil {
 		return temporal.MeanSavings{}, err
 	}
-	ms := costs.Reduce()
-
-	l.mu.Lock()
-	l.cells[key] = ms
-	l.mu.Unlock()
+	ms, _ := l.cell(r, p)
 	return ms, nil
 }
 
@@ -214,29 +215,83 @@ func (l *Lab) TemporalCell(region string, length, slack int) (temporal.MeanSavin
 // the experiment engine, warming the cache for the Figure 7–10 family
 // in one pass.
 func (l *Lab) FillTemporalGrid(ctx context.Context, lengths, slacks []int) error {
-	var cells []cellKey
-	for _, code := range l.Set.Regions() {
-		for _, slack := range slacks {
-			for _, length := range lengths {
-				cells = append(cells, cellKey{code, length, slack})
-			}
+	var pairs []cellPair
+	for _, slack := range slacks {
+		for _, length := range lengths {
+			pairs = append(pairs, cellPair{length, slack})
 		}
 	}
-	return l.warmCells(ctx, cells)
+	return l.warmCells(ctx, pairs)
 }
 
-// warmCells fans the given temporal cells across the lab's worker pool
-// so later serial reductions over them are pure cache hits. Cell values
-// are independent of evaluation order, so the warmed cache — and every
-// table assembled from it — is byte-identical for any worker count.
-func (l *Lab) warmCells(ctx context.Context, cells []cellKey) error {
-	return engine.ForEach(ctx, l.opts.Workers, len(cells), func(_ context.Context, i int) error {
-		c := cells[i]
-		if _, err := l.TemporalCell(c.region, c.length, c.slack); err != nil {
-			return fmt.Errorf("core: sweep %s L=%d s=%d: %w", c.region, c.length, c.slack, err)
-		}
-		return nil
+// warmCells fills the given pairs' cells for every region, one engine
+// task per region, so later serial reductions over them are pure table
+// reads. Cell values are independent of evaluation order, so the table
+// — and every table assembled from it — is byte-identical for any
+// worker count.
+func (l *Lab) warmCells(ctx context.Context, pairs []cellPair) error {
+	return engine.ForEach(ctx, l.opts.Workers, len(l.codes), func(ctx context.Context, r int) error {
+		return l.sweepRegion(ctx, r, pairs)
 	})
+}
+
+// sweepRegion fills region r's missing cells among pairs from one plan
+// over the longest prefix of its trace they read.
+func (l *Lab) sweepRegion(ctx context.Context, r int, pairs []cellPair) error {
+	var missing []cellPair
+	needed := 0
+	for _, p := range pairs {
+		if _, ok := l.cell(r, p); ok || slices.Contains(missing, p) {
+			continue
+		}
+		arrivals := l.arrivals(p.length + p.slack)
+		if arrivals < 1 {
+			return fmt.Errorf("core: horizon %d+%d leaves no arrivals in %d-hour trace",
+				p.length, p.slack, l.Set.Len())
+		}
+		missing = append(missing, p)
+		needed = max(needed, temporal.Needed(p.length, p.slack, arrivals))
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	code := l.codes[r]
+	plan := temporal.NewPlan(l.Set.MustGet(code).CI[:needed])
+	for _, p := range missing {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		costs, err := plan.Sweep(p.length, p.slack, l.arrivals(p.length+p.slack))
+		if err != nil {
+			return fmt.Errorf("core: sweep %s L=%d s=%d: %w", code, p.length, p.slack, err)
+		}
+		l.setCell(r, p, costs.Reduce())
+	}
+	return nil
+}
+
+// cell reads region r's cell of pair p from the table.
+func (l *Lab) cell(r int, p cellPair) (temporal.MeanSavings, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	row := l.cells[p]
+	if row == nil || !row.done[r] {
+		return temporal.MeanSavings{}, false
+	}
+	return row.means[r], true
+}
+
+// setCell stores region r's cell of pair p, adding the pair's row on
+// its first cell.
+func (l *Lab) setCell(r int, p cellPair, ms temporal.MeanSavings) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	row := l.cells[p]
+	if row == nil {
+		row = &cellRow{means: make([]temporal.MeanSavings, len(l.codes)), done: make([]bool, len(l.codes))}
+		l.cells[p] = row
+	}
+	row.means[r], row.done[r] = ms, true
 }
 
 // MeanOver returns the mean over the listed regions of f(region).

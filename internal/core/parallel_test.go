@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"carbonshift/internal/simgrid"
@@ -96,6 +98,100 @@ func TestFillTemporalGridCancellation(t *testing.T) {
 	cancel()
 	if err := l.FillTemporalGrid(ctx, []int{1}, []int{24}); !errors.Is(err, context.Canceled) {
 		t.Errorf("FillTemporalGrid under cancelled context: err = %v, want context.Canceled", err)
+	}
+}
+
+// checkCell requires l's cell to equal, bit for bit, a fresh sweep of
+// the region's whole trace.
+func checkCell(t *testing.T, l *Lab, stage, code string, length, slack int) {
+	t.Helper()
+	got, err := l.TemporalCell(code, length, slack)
+	if err != nil {
+		t.Fatalf("%s: %s L=%d s=%d: %v", stage, code, length, slack, err)
+	}
+	costs, err := temporal.Sweep(l.Set.MustGet(code).CI, length, slack, l.arrivals(length+slack))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := costs.Reduce()
+	for _, f := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"baseline", got.Baseline, want.Baseline},
+		{"defer", got.DeferSaving, want.DeferSaving},
+		{"interrupt", got.InterruptSaving, want.InterruptSaving},
+	} {
+		if math.Float64bits(f.got) != math.Float64bits(f.want) {
+			t.Errorf("%s: %s L=%d s=%d %s = %v, a fresh sweep gives %v", stage, code, length, slack, f.name, f.got, f.want)
+		}
+	}
+}
+
+// TestTemporalCellTable holds every cell of the lab's dense table to a
+// fresh sweep, however it was filled: the off-grid ext-contention pair
+// (24 h, 48 h slack) alone before a grid fill, the grid by one plan per
+// region, and the off-grid pair alone after it, where the row exists
+// but the other regions' cells are unmarked.
+func TestTemporalCellTable(t *testing.T) {
+	l := parallelLab(t, 4)
+	codes := l.Set.Regions()
+	checkCell(t, l, "alone before", codes[0], 24, 48)
+	ideal := l.slackFor(figSlackIdeal)
+	lengths, slacks := l.lengthsFor(ideal), []int{figSlackPractical, ideal}
+	if err := l.FillTemporalGrid(context.Background(), lengths, slacks); err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range codes {
+		for _, slack := range slacks {
+			for _, length := range lengths {
+				checkCell(t, l, "grid", code, length, slack)
+			}
+		}
+		checkCell(t, l, "alone after", code, 24, 48)
+	}
+	if _, err := l.TemporalCell("NOPE", 24, 48); err == nil {
+		t.Error("unknown region accepted")
+	}
+}
+
+// TestConcurrentTemporalFills runs two fills over overlapping pairs and
+// a reader at once (run it under -race): each cell must still be a
+// fresh sweep's.
+func TestConcurrentTemporalFills(t *testing.T) {
+	l := parallelLab(t, 2)
+	grids := []struct{ lengths, slacks []int }{
+		{[]int{1, 24}, []int{24, 48}},
+		{[]int{24, 48}, []int{48, 24}},
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, len(grids)+1)
+	for i, g := range grids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = l.FillTemporalGrid(context.Background(), g.lengths, g.slacks)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, errs[len(grids)] = l.TemporalCell("SE", 24, 48)
+	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, code := range l.Set.Regions() {
+		for _, g := range grids {
+			for _, slack := range g.slacks {
+				for _, length := range g.lengths {
+					checkCell(t, l, "concurrent", code, length, slack)
+				}
+			}
+		}
 	}
 }
 

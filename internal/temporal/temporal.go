@@ -20,7 +20,11 @@
 // times over a year") with asymptotically efficient algorithms: prefix
 // sums for baselines, a monotonic-deque sliding-window minimum for
 // deferral, and a Fenwick-tree order-statistic window for interruption,
-// so a whole sweep costs O(n log n) instead of the naive O(n²).
+// so a whole sweep costs O(n log n) instead of the naive O(n²). A Plan
+// holds what every sweep over one series shares — the prefix sums and
+// the hours sorted by value — so a caller with many (length, slack)
+// cells on one region pays one sort per region, then O(n) to rank each
+// cell's hours and O(n log n) Fenwick work per cell.
 package temporal
 
 import (
@@ -54,44 +58,75 @@ type Costs struct {
 	Interrupted []float64
 }
 
+// checkSweep validates a sweep of n hours: at least one arrival, and
+// the final arrival's horizon inside them.
+func checkSweep(n, length, slack, arrivals int) error {
+	if arrivals < 1 {
+		return fmt.Errorf("temporal: sweep needs >= 1 arrival, got %d", arrivals)
+	}
+	return checkJob(n, arrivals-1, length, slack)
+}
+
 // Sweep computes the three policy costs for every arrival hour in
 // [0, arrivals). The horizon of the final arrival must fit in the
-// trace: arrivals + length + slack <= len(ci).
+// trace: arrivals + length + slack <= len(ci). It is the one cell of a
+// plan over the hours it reads.
 func Sweep(ci []float64, length, slack, arrivals int) (Costs, error) {
-	if arrivals < 1 {
-		return Costs{}, fmt.Errorf("temporal: sweep needs >= 1 arrival, got %d", arrivals)
-	}
-	if err := checkJob(len(ci), arrivals-1, length, slack); err != nil {
+	if err := checkSweep(len(ci), length, slack, arrivals); err != nil {
 		return Costs{}, err
 	}
-	return Costs{
-		Baseline:    sweepBaseline(ci, length, arrivals),
-		Deferred:    sweepDeferred(ci, length, slack, arrivals),
-		Interrupted: sweepInterrupted(ci, length, slack, arrivals),
-	}, nil
+	return NewPlan(ci[:Needed(length, slack, arrivals)]).Sweep(length, slack, arrivals)
 }
 
-// sweepBaseline computes immediate-run costs via prefix sums.
-func sweepBaseline(ci []float64, length, arrivals int) []float64 {
-	prefix := prefixSums(ci)
-	out := make([]float64, arrivals)
-	for a := 0; a < arrivals; a++ {
-		out[a] = prefix[a+length] - prefix[a]
+// Needed returns how many leading hours of a series a sweep reads: the
+// horizon of its final arrival ends there.
+func Needed(length, slack, arrivals int) int { return arrivals + length + slack - 1 }
+
+// Plan is one series prepared for every sweep over a prefix of it: its
+// running sums, and its hours ordered by value, then hour. NewPlan
+// sorts once; each Sweep filters that order down to the hours it
+// touches, which ranks them exactly as sorting those hours would.
+type Plan struct {
+	ci     []float64
+	prefix []float64 // prefix[i] is the sum of ci[:i]
+	order  []int     // every hour of ci, by (value, hour)
+}
+
+// NewPlan prepares ci, which the plan keeps and reads but never
+// writes. Its values must be ordered (no NaN), as validated traces
+// are.
+func NewPlan(ci []float64) *Plan {
+	prefix := make([]float64, len(ci)+1)
+	for i, v := range ci {
+		prefix[i+1] = prefix[i] + v
 	}
-	return out
+	return &Plan{ci: ci, prefix: prefix, order: stats.BottomKIndices(ci, len(ci))}
 }
 
-// sweepDeferred computes optimal contiguous placements for every
-// arrival in O(n) using a monotonic deque over the window sums: the
-// cost at arrival a is min over start s in [a, a+slack] of
-// sum(ci[s:s+length]).
-func sweepDeferred(ci []float64, length, slack, arrivals int) []float64 {
-	prefix := prefixSums(ci)
-	numStarts := len(ci) - length + 1
-	winSum := func(s int) float64 { return prefix[s+length] - prefix[s] }
+// Sweep computes the three policy costs for every arrival hour in
+// [0, arrivals): bit for bit the package-level Sweep's on the plan's
+// series. The plan must hold the Needed(length, slack, arrivals) hours
+// the sweep reads.
+func (p *Plan) Sweep(length, slack, arrivals int) (Costs, error) {
+	if err := checkSweep(len(p.ci), length, slack, arrivals); err != nil {
+		return Costs{}, err
+	}
+	needed := Needed(length, slack, arrivals)
+	winSum := func(s int) float64 { return p.prefix[s+length] - p.prefix[s] }
+	c := Costs{
+		Baseline:    make([]float64, arrivals),
+		Deferred:    make([]float64, arrivals),
+		Interrupted: make([]float64, arrivals),
+	}
 
-	out := make([]float64, arrivals)
-	// deque holds candidate start indices with increasing window sums.
+	// Baseline: the window from the arrival itself.
+	for a := range c.Baseline {
+		c.Baseline[a] = winSum(a)
+	}
+
+	// Deferral: the cost at arrival a is min over start s in
+	// [a, a+slack] of the window at s, kept by a monotonic deque of
+	// candidate starts with increasing window sums.
 	deque := make([]int, 0, slack+1)
 	push := func(s int) {
 		for len(deque) > 0 && winSum(deque[len(deque)-1]) >= winSum(s) {
@@ -99,87 +134,76 @@ func sweepDeferred(ci []float64, length, slack, arrivals int) []float64 {
 		}
 		deque = append(deque, s)
 	}
-	// Pre-fill the first arrival's start range [0, slack].
-	for s := 0; s <= slack && s < numStarts; s++ {
+	for s := 0; s <= slack; s++ {
 		push(s)
 	}
-	for a := 0; a < arrivals; a++ {
-		// Evict starts before the arrival.
-		for len(deque) > 0 && deque[0] < a {
+	for a := range c.Deferred {
+		for deque[0] < a {
 			deque = deque[1:]
 		}
-		out[a] = winSum(deque[0])
-		// Admit the start entering the next arrival's range.
-		if next := a + 1 + slack; next < numStarts {
-			push(next)
+		c.Deferred[a] = winSum(deque[0])
+		if a+1 < arrivals {
+			push(a + 1 + slack) // the start entering the next arrival's range
 		}
 	}
-	return out
-}
 
-// sweepInterrupted computes the sum of the `length` cheapest hours in
-// each sliding horizon of length+slack hours, for every arrival, using
-// a Fenwick tree over value ranks (O(n log n) total).
-func sweepInterrupted(ci []float64, length, slack, arrivals int) []float64 {
+	// Interruption: the `length` cheapest hours of each sliding
+	// horizon of length+slack hours, from a Fenwick tree over the ranks
+	// of the hours the sweep touches.
 	window := length + slack
-	needed := arrivals + window - 1 // hours the sweep touches
-	if needed > len(ci) {
-		needed = len(ci)
-	}
-	tree := newRankTree(ci[:needed])
-	out := make([]float64, arrivals)
+	tree := p.rankTree(needed)
 	for h := 0; h < window; h++ {
 		tree.add(h)
 	}
-	out[0] = tree.kSmallestSum(length)
+	c.Interrupted[0] = tree.kSmallestSum(length)
 	for a := 1; a < arrivals; a++ {
 		tree.remove(a - 1)
 		tree.add(a + window - 1)
-		out[a] = tree.kSmallestSum(length)
+		c.Interrupted[a] = tree.kSmallestSum(length)
 	}
-	return out
-}
-
-func prefixSums(xs []float64) []float64 {
-	out := make([]float64, len(xs)+1)
-	for i, v := range xs {
-		out[i+1] = out[i] + v
-	}
-	return out
+	return c, nil
 }
 
 // rankTree is a Fenwick (binary indexed) tree over the ranks of a fixed
 // value universe, tracking the count and sum of currently present
-// elements per rank. It supports O(log n) insertion, removal, and
+// elements per rank. Every element is present at most once, so a rank
+// holds a count of 0 or 1. It supports O(log n) insertion, removal, and
 // "sum of the k smallest present values" queries.
 type rankTree struct {
 	// rank[i] is the 1-based rank of element i in the sorted universe.
 	rank []int
 	// valAt[r] is the value with rank r (1-based).
 	valAt []float64
-	cnt   []int
-	sum   []float64
-	size  int // number of ranks
-	top   int // largest power of two <= size, for the descent
-	vals  []float64
+	// node[r] is Fenwick node r (1-based): the count and sum of its
+	// ranks, side by side so one update touches one cache line a level.
+	node []fenwickNode
+	size int // number of ranks
+	top  int // largest power of two <= size, for the descent
+	vals []float64
 }
 
-func newRankTree(vals []float64) *rankTree {
-	n := len(vals)
-	// Every index, ordered by value and then by index: equal values take
-	// adjacent ranks in the order they appear.
-	idx := stats.BottomKIndices(vals, n)
+type fenwickNode struct {
+	sum float64
+	cnt int
+}
+
+// rankTree returns an empty tree over the plan's first n hours, ranked
+// among themselves: the plan's order with every later hour left out.
+func (p *Plan) rankTree(n int) *rankTree {
 	t := &rankTree{
 		rank:  make([]int, n),
 		valAt: make([]float64, n+1),
-		cnt:   make([]int, n+1),
-		sum:   make([]float64, n+1),
+		node:  make([]fenwickNode, n+1),
 		size:  n,
-		vals:  vals,
+		vals:  p.ci[:n],
 	}
-	for r, i := range idx {
-		t.rank[i] = r + 1
-		t.valAt[r+1] = vals[i]
+	r := 0
+	for _, i := range p.order {
+		if i < n {
+			r++
+			t.rank[i] = r
+			t.valAt[r] = p.ci[i]
+		}
 	}
 	t.top = 1
 	for t.top*2 <= n {
@@ -193,8 +217,8 @@ func (t *rankTree) remove(i int) { t.update(t.rank[i], -1, -t.vals[i]) }
 
 func (t *rankTree) update(r, dc int, dv float64) {
 	for ; r <= t.size; r += r & -r {
-		t.cnt[r] += dc
-		t.sum[r] += dv
+		t.node[r].cnt += dc
+		t.node[r].sum += dv
 	}
 }
 
@@ -205,47 +229,23 @@ func (t *rankTree) kSmallestSum(k int) float64 {
 	if k == 0 {
 		return 0
 	}
+	// Descend to the last rank pos with fewer than k present at or
+	// below it. Counts are 0 or 1, so exactly k-1 are, and rank pos+1 is
+	// present: the k-th smallest.
 	pos, got := 0, 0
 	var s float64
 	for step := t.top; step > 0; step >>= 1 {
 		next := pos + step
-		if next <= t.size && got+t.cnt[next] < k {
-			got += t.cnt[next]
-			s += t.sum[next]
+		if next <= t.size && got+t.node[next].cnt < k {
+			got += t.node[next].cnt
+			s += t.node[next].sum
 			pos = next
 		}
 	}
 	if pos+1 > t.size {
 		panic("temporal: rank tree holds fewer elements than requested")
 	}
-	// Ranks are unique per element, but duplicates of a value occupy
-	// adjacent ranks; walk forward over present ranks for the
-	// remainder.
-	for r := pos + 1; got < k; r++ {
-		if r > t.size {
-			panic("temporal: rank tree holds fewer elements than requested")
-		}
-		c := t.cntAt(r)
-		if c == 0 {
-			continue
-		}
-		got++
-		s += t.valAt[r]
-	}
-	return s
-}
-
-// cntAt returns the presence count at a single rank (0 or 1 in this
-// usage).
-func (t *rankTree) cntAt(r int) int {
-	c := 0
-	for i := r; i > 0; i -= i & -i {
-		c += t.cnt[i]
-	}
-	for i := r - 1; i > 0; i -= i & -i {
-		c -= t.cnt[i]
-	}
-	return c
+	return s + t.valAt[pos+1]
 }
 
 // MeanSavings condenses a sweep into the paper's reporting quantities:

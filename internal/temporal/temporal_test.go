@@ -84,6 +84,93 @@ func SweepNaive(ci []float64, length, slack, arrivals int) (Costs, error) {
 	return out, nil
 }
 
+// refSweep is the exact reference Plan.Sweep is held to: one sweep
+// cell on its own, as it was computed before plans shared their sort —
+// prefix sums over the whole series, and a rank tree over the hours the
+// cell touches, sorted for that cell alone. SweepNaive is the semantic
+// reference; this one fixes every summation order, so Plan.Sweep must
+// equal it bit for bit.
+func refSweep(ci []float64, length, slack, arrivals int) (Costs, error) {
+	if arrivals < 1 {
+		return Costs{}, fmt.Errorf("temporal: sweep needs >= 1 arrival, got %d", arrivals)
+	}
+	if err := checkJob(len(ci), arrivals-1, length, slack); err != nil {
+		return Costs{}, err
+	}
+	prefix := make([]float64, len(ci)+1)
+	for i, v := range ci {
+		prefix[i+1] = prefix[i] + v
+	}
+	winSum := func(s int) float64 { return prefix[s+length] - prefix[s] }
+	c := Costs{
+		Baseline:    make([]float64, arrivals),
+		Deferred:    make([]float64, arrivals),
+		Interrupted: make([]float64, arrivals),
+	}
+	for a := range c.Baseline {
+		c.Baseline[a] = winSum(a)
+	}
+
+	numStarts := len(ci) - length + 1
+	var deque []int
+	push := func(s int) {
+		for len(deque) > 0 && winSum(deque[len(deque)-1]) >= winSum(s) {
+			deque = deque[:len(deque)-1]
+		}
+		deque = append(deque, s)
+	}
+	for s := 0; s <= slack && s < numStarts; s++ {
+		push(s)
+	}
+	for a := range c.Deferred {
+		for len(deque) > 0 && deque[0] < a {
+			deque = deque[1:]
+		}
+		c.Deferred[a] = winSum(deque[0])
+		if next := a + 1 + slack; next < numStarts {
+			push(next)
+		}
+	}
+
+	window := length + slack
+	tree := refRankTree(ci[:min(arrivals+window-1, len(ci))])
+	for h := 0; h < window; h++ {
+		tree.add(h)
+	}
+	c.Interrupted[0] = tree.kSmallestSum(length)
+	for a := 1; a < arrivals; a++ {
+		tree.remove(a - 1)
+		tree.add(a + window - 1)
+		c.Interrupted[a] = tree.kSmallestSum(length)
+	}
+	return c, nil
+}
+
+// refRankTree sorts vals on its own and ranks every index by (value,
+// index).
+func refRankTree(vals []float64) *rankTree {
+	n := len(vals)
+	t := &rankTree{
+		rank:  make([]int, n),
+		valAt: make([]float64, n+1),
+		node:  make([]fenwickNode, n+1),
+		size:  n,
+		vals:  vals,
+	}
+	for r, i := range stats.BottomKIndices(vals, n) {
+		t.rank[i] = r + 1
+		t.valAt[r+1] = vals[i]
+	}
+	t.top = 1
+	for t.top*2 <= n {
+		t.top *= 2
+	}
+	return t
+}
+
+// newRankTree is a plan's tree over all of vals.
+func newRankTree(vals []float64) *rankTree { return NewPlan(vals).rankTree(len(vals)) }
+
 // ValidateMonotone checks the policy-dominance invariant on a sweep:
 // interrupted <= deferred <= baseline for every arrival (within float
 // tolerance). It returns the first violation, if any.
@@ -381,6 +468,130 @@ func TestRankTreeKSmallest(t *testing.T) {
 		tr.remove(start)
 		tr.add(start + window)
 	}
+}
+
+// tiedSeries draws n hours where ties are common: zeros, negative
+// zeros, a few values that repeat, and uniform draws whose sums round,
+// so a changed summation order changes bits.
+func tiedSeries(src *rng.Source, n int) []float64 {
+	repeats := []float64{0, math.Copysign(0, -1), 37.25, src.Uniform(5, 800), src.Uniform(5, 800)}
+	out := make([]float64, n)
+	for i := range out {
+		if src.Intn(3) == 0 {
+			out[i] = repeats[src.Intn(len(repeats))]
+		} else {
+			out[i] = src.Uniform(5, 800)
+		}
+	}
+	return out
+}
+
+// checkPlanCells builds one plan over all of ci and requires each
+// drawn cell's Plan.Sweep to equal refSweep on ci by bits. Every cell
+// needs fewer hours than the plan holds, so the plan's order carries
+// hours the cell must leave out.
+func checkPlanCells(t *testing.T, src *rng.Source, ci []float64, cells int) {
+	t.Helper()
+	plan := NewPlan(ci)
+	for c := 0; c < cells; c++ {
+		length := 1 + src.Intn(len(ci)/3)
+		slack := src.Intn(len(ci) - length - 1)
+		arrivals := 1 + src.Intn(len(ci)-length-slack-1)
+		got, err := plan.Sweep(length, slack, arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := refSweep(ci, length, slack, arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range []struct {
+			name      string
+			got, want []float64
+		}{
+			{"baseline", got.Baseline, want.Baseline},
+			{"deferred", got.Deferred, want.Deferred},
+			{"interrupted", got.Interrupted, want.Interrupted},
+		} {
+			if len(pol.got) != arrivals {
+				t.Fatalf("%d hours, L=%d s=%d arrivals=%d: %d %s costs", len(ci), length, slack, arrivals, len(pol.got), pol.name)
+			}
+			for a := range pol.got {
+				if math.Float64bits(pol.got[a]) != math.Float64bits(pol.want[a]) {
+					t.Fatalf("%d hours, L=%d s=%d arrivals=%d: %s[%d] = %v, reference %v",
+						len(ci), length, slack, arrivals, pol.name, a, pol.got[a], pol.want[a])
+				}
+			}
+		}
+	}
+}
+
+// TestPlanMatchesReference holds one plan per series to the per-cell
+// reference over many cells, bit for bit.
+func TestPlanMatchesReference(t *testing.T) {
+	src := rng.New(63)
+	for i := 0; i < 150; i++ {
+		checkPlanCells(t, src, tiedSeries(src, 8+src.Intn(400)), 6)
+	}
+	// Sweep is a plan over exactly the hours it needs.
+	ci := tiedSeries(src, 500)
+	got, err := Sweep(ci, 24, 100, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := refSweep(ci, 24, 100, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := range want.Interrupted {
+		if math.Float64bits(got.Baseline[a]) != math.Float64bits(want.Baseline[a]) ||
+			math.Float64bits(got.Deferred[a]) != math.Float64bits(want.Deferred[a]) ||
+			math.Float64bits(got.Interrupted[a]) != math.Float64bits(want.Interrupted[a]) {
+			t.Fatalf("Sweep differs from the reference at arrival %d", a)
+		}
+	}
+}
+
+func TestPlanSweepErrors(t *testing.T) {
+	plan := NewPlan(make([]float64, 10))
+	for _, c := range []struct{ length, slack, arrivals int }{
+		{1, 0, 0}, {0, 1, 1}, {1, -1, 1}, {5, 5, 2}, {6, 5, 1}, {10, 0, 2},
+	} {
+		if _, err := plan.Sweep(c.length, c.slack, c.arrivals); err == nil {
+			t.Errorf("Plan.Sweep(%+v) accepted", c)
+		}
+	}
+	if _, err := plan.Sweep(10, 0, 1); err != nil {
+		t.Errorf("a sweep needing every hour of the plan refused: %v", err)
+	}
+}
+
+// FuzzPlanMatchesReference draws a tied series from each byte (zeros,
+// negative zeros, repeats or fresh values) and cells from the seed.
+func FuzzPlanMatchesReference(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Add(uint64(7), []byte("\x00\x01\x00\x01\x02\x02\x02\x0a\x12\x1a\xff\xfe\x00\x01\x02\x03\x04"))
+	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
+		if len(raw) < 4 || len(raw) > 1024 {
+			t.Skip()
+		}
+		src := rng.New(seed)
+		repeats := []float64{37.25, src.Uniform(5, 800), src.Uniform(5, 800), src.Uniform(5, 800)}
+		ci := make([]float64, len(raw))
+		for i, b := range raw {
+			switch b & 7 {
+			case 0:
+				ci[i] = 0
+			case 1:
+				ci[i] = math.Copysign(0, -1)
+			case 2, 3:
+				ci[i] = repeats[b>>3&3]
+			default:
+				ci[i] = src.Uniform(5, 800)
+			}
+		}
+		checkPlanCells(t, src, ci, 4)
+	})
 }
 
 func TestRankTreePanicsWhenUnderfull(t *testing.T) {
