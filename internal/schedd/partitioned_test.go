@@ -381,3 +381,46 @@ func TestOnePartitionStatsParity(t *testing.T) {
 		}
 	}))...)
 }
+
+// TestTenantRowKeys: every row of the /v1/stats tenants block carries
+// its keys in the wire's order, at a partition and through the gateway,
+// whose merge both sums a row (spot, in both partitions) and appends
+// one (web, in partition 0 only). The other tests decode through the
+// struct that encodes, so only the raw bytes show a wrong or moved tag.
+func TestTenantRowKeys(t *testing.T) {
+	want := []string{"name", "class", "weight", "submitted", "completed", "missed",
+		"running", "queue_depth", "unresolved", "slot_hours", "emissions_g"}
+	web, spot, dirtySpot := cjob(2, 24), cjob(1, 24), djob(1, 24)
+	web.Tenant, spot.Tenant, dirtySpot.Tenant = "web", "spot", "spot"
+	route(t, world{policy: sched.FIFO{}, slots: 4, tenants: true},
+		gsend(ok, web, spot, dirtySpot), ghour(1), gact(func(r *gwRow) {
+			for _, client := range []*Client{r.parts[0].primary.client, r.client} {
+				_, body, err := roundTrip(r.t, client, http.MethodGet, "/v1/stats", "", nil)
+				var st struct {
+					Tenants []json.RawMessage `json:"tenants"`
+				}
+				if err != nil || json.Unmarshal(body, &st) != nil || len(st.Tenants) == 0 {
+					r.fatalf("%s/v1/stats: %v %s", client.Endpoint(), err, body)
+				}
+				for _, row := range st.Tenants {
+					dec := json.NewDecoder(bytes.NewReader(row))
+					var keys []string
+					if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+						r.fatalf("%s: tenant row %s is not an object", client.Endpoint(), row)
+					}
+					for dec.More() {
+						key, _ := dec.Token()
+						var value json.RawMessage
+						if s, ok := key.(string); !ok || dec.Decode(&value) != nil {
+							r.fatalf("%s: tenant row %s does not parse", client.Endpoint(), row)
+						} else {
+							keys = append(keys, s)
+						}
+					}
+					if !slices.Equal(keys, want) {
+						r.fatalf("%s: tenant row keys %q, want %q", client.Endpoint(), keys, want)
+					}
+				}
+			}
+		}))
+}
