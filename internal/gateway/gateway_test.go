@@ -31,7 +31,8 @@ func job(origin string) schedd.JobRequest {
 // and the regions in claims, one slot each, admits every job under ids
 // from index*idBase (or under its explicit id), answers lookups of
 // them, and echoes its topology, job count and util in /v1/stats and
-// /metrics. mangle, when set, spoils every submit's 200 ack on its way
+// /metrics, with primaryHour as repl_primary_hour when it is set.
+// mangle, when set, spoils every submit's 200 ack on its way
 // out; brokenLookups answers every lookup 500; refuse, when set, answers
 // every submit with that status and a retryAfter hint.
 type fake struct {
@@ -40,6 +41,7 @@ type fake struct {
 	brokenLookups      bool
 	refuse, retryAfter int
 	util               float64
+	primaryHour        int
 
 	mu      sync.Mutex
 	claims  []string
@@ -64,6 +66,9 @@ func (f *fake) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteJSON(w, http.StatusOK, st)
 	case path == "/metrics":
 		fmt.Fprintf(w, "schedd_jobs_submitted_total %d\nschedd_utilization_ratio %g\n", len(f.origins), f.util)
+		if f.primaryHour != 0 {
+			fmt.Fprintf(w, "repl_primary_hour %d\n", f.primaryHour)
+		}
 	case r.Method == http.MethodGet && strings.HasPrefix(path, "/v1/jobs/"):
 		f.lookups++
 		id, _ := strconv.Atoi(strings.TrimPrefix(path, "/v1/jobs/"))
@@ -240,6 +245,21 @@ func resizeAck(wire *schedd.Wire, delta int) func(ack []byte) []byte {
 			ids = append(a.IDs, a.IDs[0]+idBase/2)
 		}
 		return wire.AppendAck(nil, a.ArrivalHour, ids)
+	}
+}
+
+// TestMergedHeartbeatHourTakesMax: repl_primary_hour is a clock — the
+// hour of a promoted standby's last heartbeat from its old primary — so
+// the merged scrape reads the furthest-along partition's, not a sum.
+func TestMergedHeartbeatHourTakesMax(t *testing.T) {
+	gw := newGateway(t, Config{Partitions: [][]string{
+		startAll(t, &fake{index: 0, primaryHour: 7}), startAll(t, &fake{index: 1, primaryHour: 9})}})
+	sc, err := metrics.ParseText(get(gw, "/metrics").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := sc.Value("repl_primary_hour"); got != 9 || !ok {
+		t.Fatalf("merged repl_primary_hour = %v (present %v), want the larger hour, 9", got, ok)
 	}
 }
 

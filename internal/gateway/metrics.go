@@ -136,11 +136,13 @@ func ratio(num, den float64) float64 {
 }
 
 // maxFamilies are the clock-like families, where summing across
-// partitions is wrong: clocks, lag, generations and flags take the max.
+// partitions is wrong: clocks (a promoted standby's repl_primary_hour
+// among them), lag, generations and flags take the max.
 var maxFamilies = map[string]bool{
 	"schedd_fleet_hour":            true,
 	"schedd_fleet_horizon_hours":   true,
 	"schedd_replication_lag_hours": true,
 	"schedd_wal_generation":        true,
 	"schedd_recovered":             true,
+	"repl_primary_hour":            true,
 }
