@@ -147,16 +147,13 @@ func main() {
 	horizon := *days * 24
 	worldSeed := *seed
 	partCount, partID, partBase := *partitions, *partitionID, *idBase
-	if partCount > 0 {
-		if partID < 0 || partID >= partCount {
-			log.Error("-partition-id outside [0, -partitions)", "partition_id", partID, "partitions", partCount)
-			os.Exit(2)
-		}
-		if partBase < 0 {
-			partBase = partID * *maxJobs
-		}
-	} else {
-		partBase = 0
+	if partBase < 0 {
+		// Config.Validate refuses a negative -partition-id by name.
+		partBase = max(partID, 0) * *maxJobs
+	} else if partCount == 0 {
+		// Only -partitions gives an id base a meaning.
+		log.Error("-id-base needs -partitions", "id_base", partBase)
+		os.Exit(2)
 	}
 	if *follow != "" {
 		info, err := fetchPrimaryConfig(ctx, *follow)
@@ -235,6 +232,30 @@ func main() {
 		}
 	}
 
+	cfg := schedd.Config{
+		Policy:        policy,
+		Horizon:       horizon,
+		MaxJobs:       *maxJobs,
+		MaxQueue:      *maxQueue,
+		Seed:          worldSeed,
+		Speedup:       *speedup,
+		PartitionID:   partID,
+		Partitions:    partCount,
+		IDBase:        partBase,
+		DataDir:       *dataDir,
+		SnapshotEvery: *snapEvery,
+		Sync:          sync,
+		Advertise:     *advertise,
+		Tenants:       tenants,
+
+		TraceSampleEvery: *traceSample,
+		TraceSlow:        *traceSlow,
+	}
+	if err := cfg.Validate(); err != nil {
+		log.Error("bad configuration", "err", err)
+		os.Exit(2)
+	}
+
 	log.Info("generating traces", "regions", len(codes))
 	set, err := simgrid.World(ctx, codes, simgrid.Config{Seed: worldSeed, Hours: horizon}, 0)
 	if err != nil {
@@ -257,26 +278,6 @@ func main() {
 	rebase := func(hour int) {
 		bootNano.Store(time.Now().UnixNano())
 		baseHours.Store(int64(hour))
-	}
-
-	cfg := schedd.Config{
-		Policy:        policy,
-		Horizon:       horizon,
-		MaxJobs:       *maxJobs,
-		MaxQueue:      *maxQueue,
-		Seed:          worldSeed,
-		Speedup:       *speedup,
-		PartitionID:   partID,
-		Partitions:    partCount,
-		IDBase:        partBase,
-		DataDir:       *dataDir,
-		SnapshotEvery: *snapEvery,
-		Sync:          sync,
-		Advertise:     *advertise,
-		Tenants:       tenants,
-
-		TraceSampleEvery: *traceSample,
-		TraceSlow:        *traceSlow,
 	}
 
 	var srv *schedd.Server

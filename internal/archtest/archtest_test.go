@@ -341,17 +341,21 @@ func (s *Server) reboot(p []byte) {
 	},
 	{
 		// One upstream round trip: every non-streaming request is built,
-		// trace-stamped, sent and read under MaxBody in httpx.Do (the
-		// replication tail's stream and snapshot transfer are the stated
-		// exceptions), and the gateway reaches its partitions through one
-		// call (the only writer of partition health) and one scatter.
+		// trace-stamped, sent and read under MaxBody in httpx.Do; the
+		// replication tail's stream and snapshot transfer, the stated
+		// exceptions, share its one request, Tail.get. The gateway
+		// reaches its partitions through one call (the only writer of
+		// partition health) and one scatter.
 		name: "one request builder, one gateway fan-out, one partition-health writer",
-		fix:  "send it through httpx.Do (or Endpoints.Do / gateway.call), fan out with scatter",
+		fix:  "send it through httpx.Do (or Endpoints.Do / gateway.call, or the replication tail's Tail.get), fan out with scatter",
 		rules: []rule{
 			{what: "http.NewRequest / http.Get( / http.Post(", in: []string{""},
-				not:   []string{"bench/", "internal/httpx/httpx.go", "internal/repl/tail.go"},
+				not:   []string{"bench/", "internal/httpx/httpx.go", "internal/repl/"},
 				match: ref("http", "NewRequest", "NewRequestWithContext", "Get", "Post")},
-			{what: ".Do(req)", in: []string{""}, not: []string{"bench/", "internal/httpx/httpx.go", "internal/repl/tail.go"}, match: doReq},
+			{what: ".Do(req)", in: []string{""}, not: []string{"bench/", "internal/httpx/httpx.go", "internal/repl/"}, match: doReq},
+			{what: "http.NewRequestWithContext( (Tail.get)", in: []string{"internal/repl/"}, min: 1, max: 1,
+				match: ref("http", "NewRequest", "NewRequestWithContext", "Get", "Post")},
+			{what: ".Do(req) (Tail.get)", in: []string{"internal/repl/"}, min: 1, max: 1, match: doReq},
 			{what: "sync.WaitGroup (scatter)", in: []string{"internal/gateway/"}, max: 1, match: ref("sync", "WaitGroup")},
 			{what: "partitionUp.With( (initMetrics)", in: []string{"internal/gateway/"}, max: 1, match: call("partitionUp", "With")},
 			{what: ".up.Set( (call, and initMetrics starting the series at 0)", in: []string{"internal/gateway/"}, max: 3, match: call("up", "Set")},
@@ -366,6 +370,10 @@ func (g *Gateway) direct(p *partition) {
 	p.up.Set(1)
 	g.mx.partErrors.With("0").Inc()
 	wg.Wait()
+}`, "internal/repl/planted.go": `package repl
+func (t *Tail) health(ctx context.Context) {
+	req, _ := http.NewRequestWithContext(ctx, "GET", t.primary+"/healthz", nil)
+	t.hc.Do(req)
 }`},
 	},
 	{

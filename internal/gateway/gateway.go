@@ -107,9 +107,6 @@ func New(cfg Config) (*Gateway, error) {
 		return nil, errors.New("gateway: no partitions configured")
 	}
 	g := &Gateway{hc: cfg.HTTPClient, owner: make(map[string]int)}
-	if g.hc == nil {
-		g.hc = http.DefaultClient
-	}
 	for i, urls := range cfg.Partitions {
 		eps, err := httpx.NewEndpoints(urls)
 		if err != nil {

@@ -111,14 +111,7 @@ func slotsOf(st *schedd.StatsResponse) int {
 func mergeTenant(dst *schedd.StatsResponse, t schedd.TenantStatsEntry) {
 	for i := range dst.Tenants {
 		if dst.Tenants[i].Name == t.Name {
-			dst.Tenants[i].Submitted += t.Submitted
-			dst.Tenants[i].Completed += t.Completed
-			dst.Tenants[i].Missed += t.Missed
-			dst.Tenants[i].Running += t.Running
-			dst.Tenants[i].QueueDepth += t.QueueDepth
-			dst.Tenants[i].Unresolved += t.Unresolved
-			dst.Tenants[i].SlotHours += t.SlotHours
-			dst.Tenants[i].EmissionsG += t.EmissionsG
+			dst.Tenants[i].Add(t.TenantStat)
 			return
 		}
 	}

@@ -13,11 +13,11 @@
 //     Do calls that decides which endpoint is next and whether a failed
 //     attempt may be repeated.
 //
-// Two transfers deliberately stay outside Do, both in internal/repl's
-// Tail: the replication stream (long-lived and framed — it is consumed
-// as it arrives, never read to its end) and the snapshot bootstrap
-// (needs a response header and a 1 GiB bound, not MaxBody). Do takes no
-// body-limit parameter to accommodate them.
+// Two transfers deliberately stay outside Do, both sent by internal/repl's
+// one request, Tail.get: the replication stream (long-lived and framed —
+// it is consumed as it arrives, never read to its end) and the snapshot
+// bootstrap (needs a response header and a 1 GiB bound, not MaxBody). Do
+// takes no body-limit parameter to accommodate them.
 package httpx
 
 import (

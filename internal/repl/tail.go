@@ -172,19 +172,11 @@ func (t *Tail) Stats() TailStats {
 func (t *Tail) bootstrap(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, snapshotTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.primary+"/v1/repl/snapshot", nil)
+	resp, err := t.get(ctx, "/v1/repl/snapshot", "repl: bootstrap")
 	if err != nil {
-		return fmt.Errorf("repl: bootstrap: %w", err)
-	}
-	resp, err := t.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("repl: bootstrap: %w", err)
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, httpx.MaxBody))
-		return httpx.DecodeResponse(resp.StatusCode, resp.Status, body, "repl: bootstrap", nil)
-	}
 	gen, err := strconv.ParseUint(resp.Header.Get("X-Repl-Generation"), 10, 64)
 	if err != nil || gen == 0 {
 		return fmt.Errorf("repl: bootstrap: bad X-Repl-Generation %q", resp.Header.Get("X-Repl-Generation"))
@@ -202,6 +194,27 @@ func (t *Tail) bootstrap(ctx context.Context) error {
 	return nil
 }
 
+// get is the tail's one request: a GET of path on the primary whose
+// 200 body is left open for the caller to consume as it arrives (the
+// stream) or under its own bound (the snapshot). Any other status is
+// read under MaxBody and comes back as a *httpx.StatusError.
+func (t *Tail) get(ctx context.Context, path, prefix string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.primary+path, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", prefix, err)
+	}
+	resp, err := t.hc.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", prefix, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, httpx.MaxBody))
+		return nil, httpx.DecodeResponse(resp.StatusCode, resp.Status, body, prefix, nil)
+	}
+	return resp, nil
+}
+
 // stream opens one streaming connection at the cursor and applies
 // frames until it drops. A nil return means "reconnect from the
 // cursor" (or re-bootstrap, if the cursor was invalidated).
@@ -210,27 +223,17 @@ func (t *Tail) stream(ctx context.Context) error {
 	if !ok {
 		return nil
 	}
-	url := fmt.Sprintf("%s/v1/repl/stream?generation=%d&offset=%d", t.primary, cur.Generation, cur.Offset)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return fmt.Errorf("repl: stream: %w", err)
-	}
-	resp, err := t.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("repl: stream: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusGone {
+	resp, err := t.get(ctx, fmt.Sprintf("/v1/repl/stream?generation=%d&offset=%d", cur.Generation, cur.Offset), "repl: stream")
+	if httpx.StatusCodeOf(err) == http.StatusGone {
 		// The cursor predates the oldest retained generation: the only
 		// way forward is a fresh snapshot.
-		io.Copy(io.Discard, io.LimitReader(resp.Body, httpx.MaxBody))
 		t.invalidateCursor()
 		return fmt.Errorf("repl: stream: cursor %s no longer retained, re-bootstrapping", cur)
 	}
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, httpx.MaxBody))
-		return httpx.DecodeResponse(resp.StatusCode, resp.Status, body, "repl: stream", nil)
+	if err != nil {
+		return err
 	}
+	defer resp.Body.Close()
 
 	fr := NewFrameReader(resp.Body)
 	first := true

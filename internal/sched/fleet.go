@@ -1020,12 +1020,30 @@ func (f *Fleet) Stats() FleetStats {
 
 // TenantStat aggregates one tenant's jobs (FleetStats semantics,
 // sliced per tenant, plus executed slot-hours — the fair-share
-// denominator).
+// denominator). Its tags are the /v1/stats tenant row's keys, in the
+// row's order.
 type TenantStat struct {
-	Submitted, Completed, Missed int
-	Running, Queued, Unresolved  int
-	SlotHours                    int
-	Emissions                    float64
+	Submitted  int     `json:"submitted"`
+	Completed  int     `json:"completed"`
+	Missed     int     `json:"missed"`
+	Running    int     `json:"running"`
+	Queued     int     `json:"queue_depth"`
+	Unresolved int     `json:"unresolved"`
+	SlotHours  int     `json:"slot_hours"`
+	Emissions  float64 `json:"emissions_g"`
+}
+
+// Add folds o into t: every field is a count or a sum, so tenants (or
+// partitions) add field by field.
+func (t *TenantStat) Add(o TenantStat) {
+	t.Submitted += o.Submitted
+	t.Completed += o.Completed
+	t.Missed += o.Missed
+	t.Running += o.Running
+	t.Queued += o.Queued
+	t.Unresolved += o.Unresolved
+	t.SlotHours += o.SlotHours
+	t.Emissions += o.Emissions
 }
 
 // TenantStats aggregates the fleet's jobs per (normalized) tenant. One

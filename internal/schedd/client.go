@@ -47,9 +47,6 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return nil, fmt.Errorf("schedd: invalid base URL %q", baseURL)
 	}
-	if httpClient == nil {
-		httpClient = http.DefaultClient
-	}
 	return &Client{base: u.String(), hc: httpClient}, nil
 }
 
@@ -62,9 +59,6 @@ func NewFailoverClient(baseURLs []string, httpClient *http.Client) (*Client, err
 	eps, err := httpx.NewEndpoints(baseURLs)
 	if err != nil {
 		return nil, fmt.Errorf("schedd: %w", err)
-	}
-	if httpClient == nil {
-		httpClient = http.DefaultClient
 	}
 	return &Client{hc: httpClient, eps: eps}, nil
 }

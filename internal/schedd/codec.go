@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"sync"
 
+	"carbonshift/internal/httpx"
 	"carbonshift/internal/sched"
 )
 
@@ -86,7 +87,7 @@ func (wire *Wire) RejectType(w http.ResponseWriter, r *http.Request) bool {
 	if !wire.StrictType || ct == wire.ContentType {
 		return false
 	}
-	writeJSON(w, http.StatusUnsupportedMediaType,
+	httpx.WriteJSON(w, http.StatusUnsupportedMediaType,
 		ErrorResponse{Error: fmt.Sprintf("content type %q; want %s", ct, wire.ContentType)})
 	return true
 }

@@ -40,8 +40,9 @@ type FollowerConfig struct {
 	// ReconnectDelay is the tail's pause before re-dialing a dropped
 	// stream (default 200ms).
 	ReconnectDelay time.Duration
-	// HTTPClient serves the tail and the probes; nil uses a dedicated
-	// client without a global timeout (the stream is long-lived).
+	// HTTPClient serves the tail and the probes; nil gives the tail its
+	// own client without a global timeout (the stream is long-lived)
+	// and the probes http.DefaultClient.
 	HTTPClient *http.Client
 }
 
@@ -52,7 +53,6 @@ type FollowerConfig struct {
 type followerState struct {
 	cfg  FollowerConfig
 	tail *repl.Tail
-	hc   *http.Client
 
 	// runMu guards the tail goroutine's lifecycle. closed is set once,
 	// by Close: after it neither Start nor resumeTail runs the tail again.
@@ -91,17 +91,12 @@ func NewFollower(set *trace.Set, clusters []sched.Cluster, cfg Config, fcfg Foll
 	if err != nil {
 		return nil, err
 	}
-	hc := fcfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
 	if fcfg.ProbeFailures == 0 {
 		fcfg.ProbeFailures = 3
 	}
 	f := &followerState{
 		cfg:  fcfg,
-		hc:   hc,
-		tail: repl.NewTail(fcfg.Primary, s, hc, fcfg.ReconnectDelay),
+		tail: repl.NewTail(fcfg.Primary, s, fcfg.HTTPClient, fcfg.ReconnectDelay),
 	}
 	f.tail.Register(s.Metrics())
 	s.role.Store(followerRole(f))
@@ -217,7 +212,7 @@ func (s *Server) probeLoop(ctx context.Context, f *followerState) {
 func (f *followerState) probe(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, min(f.cfg.ProbeInterval, 2*time.Second))
 	defer cancel()
-	resp, err := httpx.Do(ctx, f.hc, http.MethodGet, f.cfg.Primary+"/healthz", "", nil, "schedd: probe")
+	resp, err := httpx.Do(ctx, f.cfg.HTTPClient, http.MethodGet, f.cfg.Primary+"/healthz", "", nil, "schedd: probe")
 	if err == nil && resp.StatusCode != http.StatusOK {
 		err = resp.Decode("schedd: probe", nil) // the status, as a *StatusError
 	}

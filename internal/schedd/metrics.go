@@ -59,20 +59,15 @@ type serverMetrics struct {
 
 	// Tenancy families (nil without Config.Tenants). tenantRejected and
 	// tenantCarbon are event-driven (admission rejections, placement
-	// attribution); the rest mirror the fleet's per-tenant counters and
-	// are refreshed at scrape time (refreshTenantMetrics), the labeled
-	// analogue of the callback-backed fleet gauges. Labels are bounded
-	// by tenantLabel: configured names pass through, everything else
-	// aggregates under "other".
-	tenantRejected  *metrics.CounterVec // schedd_tenant_rejected_total{tenant,reason}
-	tenantCarbon    *metrics.GaugeVec   // schedd_tenant_carbon_saved_grams{tenant}
-	tenantSubmitted *metrics.GaugeVec
-	tenantCompleted *metrics.GaugeVec
-	tenantMissed    *metrics.GaugeVec
-	tenantRunning   *metrics.GaugeVec
-	tenantQueue     *metrics.GaugeVec
-	tenantSlotHours *metrics.GaugeVec
-	tenantEmissions *metrics.GaugeVec
+	// attribution); tenantStats mirror the fleet's per-tenant counters,
+	// one per tenantGauges entry, and are refreshed at scrape time
+	// (refreshTenantMetrics), the labeled analogue of the
+	// callback-backed fleet gauges. Labels are bounded by tenantLabel:
+	// configured names pass through, everything else aggregates under
+	// "other".
+	tenantRejected *metrics.CounterVec // schedd_tenant_rejected_total{tenant,reason}
+	tenantCarbon   *metrics.GaugeVec   // schedd_tenant_carbon_saved_grams{tenant}
+	tenantStats    []*metrics.GaugeVec
 
 	wal  *wal.JournalMetrics
 	http *serve.HTTPMetrics
@@ -185,23 +180,34 @@ func (s *Server) initMetrics() {
 			"Jobs rejected by the tenant admission gate (429), by tenant and reason (quota, rate).", "tenant", "reason")
 		mx.tenantCarbon = r.NewGaugeVec("schedd_tenant_carbon_saved_grams",
 			"Cumulative gCO2eq saved versus origin-region execution, attributed to the tenant whose job-hour moved.", "tenant")
-		mx.tenantSubmitted = r.NewGaugeVec("schedd_tenant_jobs_submitted",
-			"Jobs admitted into the fleet, by tenant.", "tenant")
-		mx.tenantCompleted = r.NewGaugeVec("schedd_tenant_jobs_completed",
-			"Jobs that finished all their work, by tenant.", "tenant")
-		mx.tenantMissed = r.NewGaugeVec("schedd_tenant_jobs_missed",
-			"Jobs whose deadline passed before completion, by tenant.", "tenant")
-		mx.tenantRunning = r.NewGaugeVec("schedd_tenant_jobs_running",
-			"Jobs that executed in the most recent fleet hour, by tenant.", "tenant")
-		mx.tenantQueue = r.NewGaugeVec("schedd_tenant_queue_depth",
-			"Admitted jobs waiting (unresolved minus running), by tenant.", "tenant")
-		mx.tenantSlotHours = r.NewGaugeVec("schedd_tenant_slot_hours",
-			"Slot-hours executed, by tenant — the fairness quantity the weighted-fair dequeue divides.", "tenant")
-		mx.tenantEmissions = r.NewGaugeVec("schedd_tenant_emissions_grams",
-			"Cumulative emissions of executed work, gCO2eq, by tenant.", "tenant")
+		for _, g := range tenantGauges {
+			mx.tenantStats = append(mx.tenantStats, r.NewGaugeVec(g.name, g.help, "tenant"))
+		}
 	}
 
 	s.mx = mx
+}
+
+// tenantGauges are the families that mirror sched.TenantStat, each
+// with the field it reads.
+var tenantGauges = []struct {
+	name, help string
+	read       func(sched.TenantStat) float64
+}{
+	{"schedd_tenant_jobs_submitted", "Jobs admitted into the fleet, by tenant.",
+		func(t sched.TenantStat) float64 { return float64(t.Submitted) }},
+	{"schedd_tenant_jobs_completed", "Jobs that finished all their work, by tenant.",
+		func(t sched.TenantStat) float64 { return float64(t.Completed) }},
+	{"schedd_tenant_jobs_missed", "Jobs whose deadline passed before completion, by tenant.",
+		func(t sched.TenantStat) float64 { return float64(t.Missed) }},
+	{"schedd_tenant_jobs_running", "Jobs that executed in the most recent fleet hour, by tenant.",
+		func(t sched.TenantStat) float64 { return float64(t.Running) }},
+	{"schedd_tenant_queue_depth", "Admitted jobs waiting (unresolved minus running), by tenant.",
+		func(t sched.TenantStat) float64 { return float64(t.Queued) }},
+	{"schedd_tenant_slot_hours", "Slot-hours executed, by tenant — the fairness quantity the weighted-fair dequeue divides.",
+		func(t sched.TenantStat) float64 { return float64(t.SlotHours) }},
+	{"schedd_tenant_emissions_grams", "Cumulative emissions of executed work, gCO2eq, by tenant.",
+		func(t sched.TenantStat) float64 { return t.Emissions }},
 }
 
 // tenantLabel bounds per-tenant label cardinality: configured tenant
@@ -234,32 +240,20 @@ func (s *Server) countTenantRejected(name string, n int, err error) {
 // configured set are summed into the "other" label rather than
 // overwriting each other.
 func (s *Server) refreshTenantMetrics() {
-	mx := s.mx
-	if mx.tenantSubmitted == nil {
+	if s.mx.tenantStats == nil {
 		return
 	}
 	agg := make(map[string]sched.TenantStat)
 	for name, t := range s.fleet.TenantStats() {
 		l := s.tenantLabel(name)
 		a := agg[l]
-		a.Submitted += t.Submitted
-		a.Completed += t.Completed
-		a.Missed += t.Missed
-		a.Running += t.Running
-		a.Queued += t.Queued
-		a.Unresolved += t.Unresolved
-		a.SlotHours += t.SlotHours
-		a.Emissions += t.Emissions
+		a.Add(t)
 		agg[l] = a
 	}
 	for l, a := range agg {
-		mx.tenantSubmitted.With(l).Set(float64(a.Submitted))
-		mx.tenantCompleted.With(l).Set(float64(a.Completed))
-		mx.tenantMissed.With(l).Set(float64(a.Missed))
-		mx.tenantRunning.With(l).Set(float64(a.Running))
-		mx.tenantQueue.With(l).Set(float64(a.Queued))
-		mx.tenantSlotHours.With(l).Set(float64(a.SlotHours))
-		mx.tenantEmissions.With(l).Set(a.Emissions)
+		for i, g := range tenantGauges {
+			s.mx.tenantStats[i].With(l).Set(g.read(a))
+		}
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"strconv"
 	"time"
 
+	"carbonshift/internal/httpx"
 	"carbonshift/internal/repl"
 	"carbonshift/internal/tracing"
 )
@@ -191,7 +192,7 @@ func (s *Server) guard(primaryOnly bool, h http.HandlerFunc) http.HandlerFunc {
 		if r := s.role.Load(); r.following {
 			w.Header().Set("X-Replication-Lag-Hours", strconv.Itoa(r.session.lag(s.fleet.Hour())))
 			if primaryOnly {
-				writeJSON(w, http.StatusMisdirectedRequest, ErrorResponse{
+				httpx.WriteJSON(w, http.StatusMisdirectedRequest, ErrorResponse{
 					Error:   "this instance is a read-only follower; send writes to the primary",
 					Primary: r.session.cfg.Primary,
 				})
@@ -218,7 +219,7 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // a primary without a DataDir has none (404).
 func (s *Server) replSource(w http.ResponseWriter) *repl.Source {
 	if s.store.Load() == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: "replication requires a -data-dir on the primary"})
+		httpx.WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: "replication requires a -data-dir on the primary"})
 		return nil
 	}
 	return s.source
@@ -237,10 +238,10 @@ type PromoteResponse struct {
 func (s *Server) handleReplPromote(w http.ResponseWriter, r *http.Request) {
 	promoted, err := s.Promote()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		httpx.WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, PromoteResponse{
+	httpx.WriteJSON(w, http.StatusOK, PromoteResponse{
 		Promoted: promoted,
 		Role:     s.Role(),
 		Hour:     s.fleet.Hour(),

@@ -322,11 +322,12 @@ func New(set *trace.Set, clusters []sched.Cluster, cfg Config, opts ...Option) (
 	return s, nil
 }
 
-// validate refuses what only zero may mean: a negative bound, cadence,
+// Validate refuses what only zero may mean: a negative bound, cadence,
 // horizon, partition count, id base or replay speed is not a default.
 // PartitionID must lie in [0, Partitions), and be 0 when unpartitioned.
-// Sync must be one of wal's three modes, journaled or not.
-func (cfg Config) validate() error {
+// Sync must be one of wal's three modes, journaled or not. New and
+// NewFollower call it; cmd/schedd calls it before it builds the world.
+func (cfg Config) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -353,7 +354,7 @@ func (cfg Config) validate() error {
 // fleet, admission state, metrics, tracing — and touches no directory:
 // cfg.DataDir is claimed by boot (openDurable) or by promotion.
 func newServer(set *trace.Set, clusters []sched.Cluster, cfg Config, opts []Option) (*Server, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Horizon == 0 {
@@ -600,20 +601,13 @@ type PartitionInfo struct {
 }
 
 // TenantStatsEntry is one tenant's row in the /v1/stats tenants block:
-// its configured class and effective weight plus the fleet's live
-// per-tenant accounting.
+// its configured class and effective weight, then the fleet's live
+// per-tenant accounting, whose keys sched.TenantStat's tags give.
 type TenantStatsEntry struct {
-	Name       string       `json:"name"`
-	Class      tenant.Class `json:"class"`
-	Weight     int          `json:"weight"`
-	Submitted  int          `json:"submitted"`
-	Completed  int          `json:"completed"`
-	Missed     int          `json:"missed"`
-	Running    int          `json:"running"`
-	QueueDepth int          `json:"queue_depth"`
-	Unresolved int          `json:"unresolved"`
-	SlotHours  int          `json:"slot_hours"`
-	EmissionsG float64      `json:"emissions_g"`
+	Name   string       `json:"name"`
+	Class  tenant.Class `json:"class"`
+	Weight int          `json:"weight"`
+	sched.TenantStat
 }
 
 // ErrorResponse is the JSON error body every service sends, declared
@@ -659,7 +653,7 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 		httpx.WriteTooLarge(w)
 		return
 	}
-	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+	httpx.WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 }
 
 // quotaRetryAfter maps the remainder of the current fleet hour into
@@ -704,7 +698,7 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, wire *Wire)
 		return
 	}
 	if err := s.advance(ctx); err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		httpx.WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	adm, ref := s.admit(ctx, b)
@@ -722,7 +716,7 @@ func (s *Server) serveSubmit(w http.ResponseWriter, r *http.Request, wire *Wire)
 		wsp.End()
 		if err != nil {
 			s.poison(err)
-			writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+			httpx.WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 			return
 		}
 	}
@@ -863,19 +857,19 @@ func (s *Server) submitGated(jobs []sched.Job) (int, error) {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "job id must be an integer"})
+		httpx.WriteJSON(w, http.StatusBadRequest, ErrorResponse{Error: "job id must be an integer"})
 		return
 	}
 	if err := s.advance(r.Context()); err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		httpx.WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
 	info, ok := s.fleet.Lookup(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown job %d", id)})
+		httpx.WriteJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown job %d", id)})
 		return
 	}
-	writeJSON(w, http.StatusOK, jobResponse(info))
+	httpx.WriteJSON(w, http.StatusOK, jobResponse(info))
 }
 
 func jobResponse(info sched.JobInfo) JobResponse {
@@ -913,10 +907,10 @@ func jobState(info sched.JobInfo) string {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if err := s.advance(r.Context()); err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		httpx.WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.stats())
+	httpx.WriteJSON(w, http.StatusOK, s.stats())
 }
 
 // stats assembles the monitoring view from the fleet's O(1)
@@ -958,21 +952,8 @@ func (s *Server) stats() StatsResponse {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			t := ts[name]
 			sp, _ := cfg.Lookup(name)
-			resp.Tenants = append(resp.Tenants, TenantStatsEntry{
-				Name:       name,
-				Class:      sp.Class,
-				Weight:     sp.Weight,
-				Submitted:  t.Submitted,
-				Completed:  t.Completed,
-				Missed:     t.Missed,
-				Running:    t.Running,
-				QueueDepth: t.Queued,
-				Unresolved: t.Unresolved,
-				SlotHours:  t.SlotHours,
-				EmissionsG: t.Emissions,
-			})
+			resp.Tenants = append(resp.Tenants, TenantStatsEntry{Name: name, Class: sp.Class, Weight: sp.Weight, TenantStat: ts[name]})
 		}
 	}
 	return resp
@@ -980,10 +961,10 @@ func (s *Server) stats() StatsResponse {
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if err := s.failure(); err != nil {
-		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
+		httpx.WriteJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // Drain steps the fleet until every submitted job completes or the
@@ -1008,8 +989,4 @@ func (s *Server) Drain() (sched.Result, error) {
 // Snapshot returns the fleet's aggregate result so far.
 func (s *Server) Snapshot() sched.Result {
 	return s.fleet.Snapshot()
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	httpx.WriteJSON(w, status, v)
 }
