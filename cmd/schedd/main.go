@@ -136,6 +136,21 @@ func main() {
 		log.Error("bad -fsync", "err", err)
 		os.Exit(2)
 	}
+	// A follower copies its world from the primary but keeps these
+	// flags, so a bad one is refused before the primary is asked for
+	// anything (cfg.Validate below holds both roles to the same rule).
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"-max-jobs", float64(*maxJobs)}, {"-max-queue", float64(*maxQueue)},
+		{"-snapshot-every", float64(*snapEvery)}, {"-speedup", *speedup},
+	} {
+		if f.v < 0 {
+			log.Error(f.name+" is negative; only 0 means the default", "value", f.v)
+			os.Exit(2)
+		}
+	}
 
 	// World configuration: a primary's comes from its flags; a follower
 	// copies the primary's (policy and gate parameters, seed, horizon,

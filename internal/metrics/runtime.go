@@ -9,12 +9,17 @@ import rtm "runtime/metrics"
 //     not yet swept objects plus the free space inside those spans —
 //     which is runtime.MemStats.HeapInuse, the figure the repo
 //     benchmark's heap_mb reads;
+//   - go_heap_unused_bytes, the free space inside those spans: the
+//     part of go_heap_inuse_bytes that holds no object;
 //   - go_gc_cycles_total, the garbage collections completed;
 //   - go_goroutines, the goroutines that exist.
 func RegisterRuntime(r *Registry) {
 	r.NewGaugeFunc("go_heap_inuse_bytes",
 		"Bytes of in-use heap spans: heap objects plus the unused space within their spans (HeapInuse).",
 		readRuntime("/memory/classes/heap/objects:bytes", "/memory/classes/heap/unused:bytes"))
+	r.NewGaugeFunc("go_heap_unused_bytes",
+		"Bytes of in-use heap spans that hold no object: the free space inside them.",
+		readRuntime("/memory/classes/heap/unused:bytes"))
 	r.NewCounterFunc("go_gc_cycles_total",
 		"Garbage collection cycles completed.",
 		readRuntime("/gc/cycles/total:gc-cycles"))

@@ -7,9 +7,10 @@ import (
 )
 
 // TestRegisterRuntime reads the runtime families through a scrape, as a
-// server exposes them: the heap figure is MemStats.HeapInuse within
-// what a scrape itself allocates, the cycle counter counts a forced
-// collection, and the goroutine gauge sees one that was started.
+// server exposes them: the heap figures are MemStats.HeapInuse and its
+// unused part, HeapInuse-HeapAlloc, within what a scrape itself
+// allocates, the cycle counter counts a forced collection, and the
+// goroutine gauge sees one that was started.
 func TestRegisterRuntime(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntime(r)
@@ -42,8 +43,14 @@ func TestRegisterRuntime(t *testing.T) {
 	if got := value(sc, "go_gc_cycles_total"); got < before+1 || got < float64(ms.NumGC) {
 		t.Errorf("go_gc_cycles_total = %g after a forced collection; %g before it, MemStats says %d", got, before, ms.NumGC)
 	}
-	if got, want := value(sc, "go_heap_inuse_bytes"), float64(ms.HeapInuse); got < want-(1<<20) || got > want+(1<<20) {
-		t.Errorf("go_heap_inuse_bytes = %g, MemStats.HeapInuse = %g", got, want)
+	inuse := value(sc, "go_heap_inuse_bytes")
+	if want := float64(ms.HeapInuse); inuse < want-(1<<20) || inuse > want+(1<<20) {
+		t.Errorf("go_heap_inuse_bytes = %g, MemStats.HeapInuse = %g", inuse, want)
+	}
+	// The unused part of the in-use spans is what HeapInuse holds beyond
+	// the objects, and never all of it.
+	if got, want := value(sc, "go_heap_unused_bytes"), float64(ms.HeapInuse-ms.HeapAlloc); got <= 0 || got >= inuse || got < want-(1<<20) || got > want+(1<<20) {
+		t.Errorf("go_heap_unused_bytes = %g; HeapInuse-HeapAlloc = %g, go_heap_inuse_bytes = %g", got, want, inuse)
 	}
 
 	idle := value(sc, "go_goroutines")

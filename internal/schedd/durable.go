@@ -165,10 +165,9 @@ func (s *Server) restore(payload []byte) error {
 // applied is what one journal record did, for the follower's wrapper
 // (ApplyReplRecord) to trace and report.
 type applied struct {
-	watermark bool            // a watermark record; otherwise an admit
-	hour      int             // the watermark, or the admit's arrival hour
-	jobs      int             // jobs admitted
-	trace     tracing.TraceID // the submit's sampled trace, usually zero
+	hour  int             // the watermark, or the admit's arrival hour
+	jobs  int             // jobs admitted
+	trace tracing.TraceID // an admit's sampled trace, usually zero
 }
 
 // apply is the one journal-record dispatcher, called strictly in
@@ -203,7 +202,7 @@ func (s *Server) apply(payload []byte) (applied, error) {
 		if err := s.stepFleetTo(hour); err != nil {
 			return a, err
 		}
-		a = applied{watermark: true, hour: hour}
+		a = applied{hour: hour}
 	default:
 		return a, fmt.Errorf("unknown journal record type %d", payload[0])
 	}

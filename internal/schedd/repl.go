@@ -114,14 +114,21 @@ func (s *Server) ApplyReplRecord(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("schedd: replication record: %w", err)
 	}
-	if !a.watermark {
-		// A record that carried the primary's sampled trace ID joins
-		// that trace here: the apply span lands in THIS server's ring
-		// under the SAME trace ID — one trace, two processes.
-		s.tr.Record(a.trace, "repl.apply", tracing.SpanID{}, start, time.Since(start),
-			tracing.Int("jobs", a.jobs), tracing.Int("arrival_hour", a.hour))
-	}
+	s.traceApply(a, start)
 	return nil
+}
+
+// traceApply joins an admit record that carried the primary's sampled
+// trace ID to that trace: the apply span lands in THIS server's ring
+// under the SAME trace ID — one trace, two processes. Gated here, not
+// just inside Record: an untraced record (every watermark, most
+// admits) would format its attrs for nothing.
+func (s *Server) traceApply(a applied, start time.Time) {
+	if a.trace.IsZero() {
+		return
+	}
+	s.tr.Record(a.trace, "repl.apply", tracing.SpanID{}, start, time.Since(start),
+		tracing.Int("jobs", a.jobs), tracing.Int("arrival_hour", a.hour))
 }
 
 // --- promotion ---

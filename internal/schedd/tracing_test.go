@@ -10,6 +10,7 @@ package schedd
 import (
 	"context"
 	"testing"
+	"time"
 
 	"carbonshift/internal/sched"
 	"carbonshift/internal/tracing"
@@ -119,4 +120,40 @@ func TestRecoveryReplaysTracedRecords(t *testing.T) {
 	admit(t, world{policy: sched.FIFO{}, cfg: Config{TraceSampleEvery: 1}},
 		send(ok, cjob(1, 4)), send(ok, cjob(1, 4)), send(ok, cjob(1, 4)),
 		act((*cluster).restart))
+}
+
+// TestUnsampledRecordAllocs pins the two recording calls every record
+// makes whether or not its trace is kept: the journal's group-commit
+// root (one per fsync round) and the follower's apply span (one per
+// replicated record). Untraced, neither allocates: the attrs stay on
+// the caller's stack, and an apply whose record carries no trace
+// formats none, even at an arrival hour strconv does not intern.
+func TestUnsampledRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	srv, err := New(mkSet(t, 48, 2), clusters(4), Config{
+		Policy: sched.FIFO{}, DataDir: t.TempDir(), TraceSampleEvery: -1, TraceSlow: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	j := srv.liveJournal()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := j.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("%v allocations per unsampled group commit, want 0", n)
+	}
+	start := time.Now()
+	if n := testing.AllocsPerRun(100, func() {
+		srv.traceApply(applied{hour: 400, jobs: 64}, start)
+	}); n != 0 {
+		t.Errorf("%v allocations per untraced record applied, want 0", n)
+	}
+	if got := len(srv.Tracer().Snapshot().Traces); got != 0 {
+		t.Fatalf("untraced records left %d traces", got)
+	}
 }

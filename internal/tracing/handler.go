@@ -55,19 +55,17 @@ type Dump struct {
 
 // Snapshot renders the ring's current contents, newest trace first.
 func (t *Tracer) Snapshot() Dump {
+	dump := Dump{Traces: []TraceDump{}}
 	if t == nil {
-		return Dump{Traces: []TraceDump{}}
+		return dump
 	}
 	t.mu.Lock()
-	entries := make([]*traceEntry, 0, len(t.ring))
-	for _, e := range t.ring {
-		if e != nil {
-			entries = append(entries, e)
+	for _, block := range t.ring {
+		for i := range block {
+			if e := &block[i]; e.spans > 0 {
+				dump.Traces = append(dump.Traces, dumpEntry(e.id, e.decode(), e.dropped))
+			}
 		}
-	}
-	dump := Dump{Traces: make([]TraceDump, 0, len(entries))}
-	for _, e := range entries {
-		dump.Traces = append(dump.Traces, dumpEntry(e))
 	}
 	t.mu.Unlock()
 	sort.Slice(dump.Traces, func(i, j int) bool {
@@ -76,23 +74,23 @@ func (t *Tracer) Snapshot() Dump {
 	return dump
 }
 
-// dumpEntry renders one trace. Called with the tracer's mutex held.
+// dumpEntry renders one trace from its kept spans, in recorded order.
 // The root is the longest span whose parent was not recorded in this
 // process — a zero parent, or a remote parent ID from the traceparent
 // of a client that minted the trace elsewhere.
-func dumpEntry(e *traceEntry) TraceDump {
+func dumpEntry(id TraceID, spans []spanData, dropped int) TraceDump {
 	td := TraceDump{
-		TraceID:      e.id.String(),
-		Spans:        make([]SpanDump, 0, len(e.spans)),
-		DroppedSpans: e.dropped,
+		TraceID:      id.String(),
+		Spans:        make([]SpanDump, 0, len(spans)),
+		DroppedSpans: dropped,
 	}
-	local := make(map[SpanID]bool, len(e.spans))
-	for _, sd := range e.spans {
+	local := make(map[SpanID]bool, len(spans))
+	for _, sd := range spans {
 		local[sd.spanID] = true
 	}
 	var start, end time.Time
 	var rootDur time.Duration
-	for _, sd := range e.spans {
+	for _, sd := range spans {
 		if start.IsZero() || sd.start.Before(start) {
 			start = sd.start
 		}
@@ -115,8 +113,8 @@ func dumpEntry(e *traceEntry) TraceDump {
 		td.Spans = append(td.Spans, dump)
 	}
 	td.Start = start
-	if td.Root == "" && len(e.spans) > 0 {
-		td.Root = e.spans[0].name
+	if td.Root == "" && len(spans) > 0 {
+		td.Root = spans[0].name
 	}
 	if rootDur > 0 {
 		td.DurationMS = ms(rootDur)

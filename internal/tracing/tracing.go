@@ -6,7 +6,10 @@
 // It answers the question /metrics cannot: "why was THIS request
 // slow?" — which phase (decode, admission lock wait, journal append,
 // group-commit fsync, step catch-up, replication apply) the time went
-// to, for one specific request.
+// to, for one specific request. The ring copies what it keeps (span
+// records by value, names and attrs as bytes) into chunks the tracer
+// owns, so a kept trace costs no heap object and a caller's attrs are
+// never retained.
 //
 // Everything is nil-safe: a nil *Tracer and a nil *Span no-op on every
 // method, so code that may run untraced (the journal, cmd/loadgen,
@@ -40,6 +43,7 @@ package tracing
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"log/slog"
 	"math/rand/v2"
@@ -47,6 +51,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"carbonshift/internal/frame"
 )
 
 // Header is the propagation header, per the W3C Trace Context spec.
@@ -167,18 +173,56 @@ type Tracer struct {
 	minted atomic.Uint64 // locally-minted root counter for 1-in-N sampling
 
 	mu    sync.Mutex
-	ring  []*traceEntry // fixed capacity, nil until used
-	next  int           // ring slot the next new trace takes
-	index map[TraceID]*traceEntry
+	ring  [][]traceEntry // size slots in blocks of ringBlock, each made on first use
+	size  int            // RingSize
+	next  int            // ring slot the next new trace takes
+	index map[TraceID]int
+	cur   *chunk // the chunk new spans are stored in
 }
 
-// traceEntry accumulates the recorded spans of one trace.
+// The sizes of the ring's storage (see the package doc).
+const (
+	ringBlock  = 64      // ring entries per block
+	chunkSpans = 64      // span records per chunk
+	chunkText  = 4 << 10 // text bytes of a standard chunk
+)
+
+// traceEntry is one ring slot: a trace's kept spans, linked in the
+// order they were recorded. An entry with no span is free.
 type traceEntry struct {
-	id      TraceID
-	spans   []spanData
-	dropped int
+	id         TraceID
+	head, tail spanRef
+	spans      int
+	dropped    int
 }
 
+// spanRef locates one span record.
+type spanRef struct {
+	c *chunk
+	i int
+}
+
+// chunk holds up to chunkSpans span records and their text. Once no
+// ring entry links to it and new spans have moved on, it is garbage.
+type chunk struct {
+	spans [chunkSpans]spanRec
+	n     int    // records used
+	text  []byte // names, then keys and values; len = bytes used
+}
+
+// spanRec is one retained span. Its text starts at text: the name,
+// then attrs key/value pairs, each a frame.Enc string. The recording
+// calls fill only its first four fields; the name and attrs travel
+// beside it, so that storing the record moves neither to the heap.
+type spanRec struct {
+	spanID, parent SpanID
+	start          time.Time
+	dur            time.Duration
+	text, attrs    int32
+	next           spanRef // the trace's next span; zero at its tail
+}
+
+// spanData is one retained span decoded for the dump.
 type spanData struct {
 	spanID SpanID
 	parent SpanID
@@ -202,8 +246,9 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		sampleEvery: cfg.SampleEvery,
 		slow:        cfg.SlowThreshold,
-		ring:        make([]*traceEntry, cfg.RingSize),
-		index:       make(map[TraceID]*traceEntry, cfg.RingSize),
+		ring:        make([][]traceEntry, (cfg.RingSize+ringBlock-1)/ringBlock),
+		size:        cfg.RingSize,
+		index:       make(map[TraceID]int, cfg.RingSize),
 	}
 }
 
@@ -283,14 +328,12 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.tr.insert(s.sc.TraceID, spanData{
+	s.tr.insert(s.sc.TraceID, spanRec{
 		spanID: s.sc.SpanID,
 		parent: s.parent,
-		name:   s.name,
 		start:  s.start,
 		dur:    time.Since(s.start),
-		attrs:  s.attrs,
-	})
+	}, s.name, s.attrs)
 }
 
 // --- context propagation ---
@@ -377,14 +420,12 @@ func (t *Tracer) Record(id TraceID, name string, parent SpanID, start time.Time,
 	if t == nil || id.IsZero() {
 		return
 	}
-	t.insert(id, spanData{
+	t.insert(id, spanRec{
 		spanID: newSpanID(),
 		parent: parent,
-		name:   name,
 		start:  start,
 		dur:    d,
-		attrs:  attrs,
-	})
+	}, name, attrs)
 }
 
 // RecordSlow applies the escape hatch: if d crosses SlowThreshold the
@@ -415,28 +456,115 @@ func (t *Tracer) RecordRoot(name string, start time.Time, d time.Duration, attrs
 }
 
 // insert files one finished span under its trace, creating (and, at
-// capacity, evicting the oldest) ring entry as needed.
-func (t *Tracer) insert(id TraceID, sd spanData) {
+// capacity, evicting the oldest) ring entry as needed. It copies name
+// and attrs into the tracer's storage and keeps neither.
+func (t *Tracer) insert(id TraceID, rec spanRec, name string, attrs []Attr) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e := t.index[id]
-	if e == nil {
-		e = &traceEntry{id: id, spans: make([]spanData, 0, 4)}
-		if old := t.ring[t.next]; old != nil {
-			delete(t.index, old.id)
-		}
-		t.ring[t.next] = e
-		t.next = (t.next + 1) % len(t.ring)
-		t.index[id] = e
+	slot, ok := t.index[id]
+	if !ok {
+		slot = t.next
+		t.evict(slot)
+		t.next = (t.next + 1) % t.size
+		t.index[id] = slot
 	}
-	if len(e.spans) >= DefaultMaxSpans {
+	e := t.entry(slot)
+	e.id = id
+	if e.spans >= DefaultMaxSpans {
 		e.dropped++
 		return
 	}
-	e.spans = append(e.spans, sd)
+	ref := t.store(rec, name, attrs)
+	if e.spans == 0 {
+		e.head = ref
+	} else {
+		e.tail.c.spans[e.tail.i].next = ref
+	}
+	e.tail = ref
+	e.spans++
+}
+
+// entry returns ring slot i, making its block on first use.
+func (t *Tracer) entry(i int) *traceEntry {
+	b := &t.ring[i/ringBlock]
+	if *b == nil {
+		*b = make([]traceEntry, min(ringBlock, t.size-i/ringBlock*ringBlock))
+	}
+	return &(*b)[i%ringBlock]
+}
+
+// evict frees ring slot i: its trace leaves the index, and its spans'
+// links are cleared, so that a dead record in a chunk still in use
+// never keeps another chunk reachable.
+func (t *Tracer) evict(i int) {
+	e := t.entry(i)
+	if e.spans == 0 {
+		return
+	}
+	delete(t.index, e.id)
+	for r := e.head; r.c != nil; {
+		rec := &r.c.spans[r.i]
+		r, rec.next = rec.next, spanRef{}
+	}
+	*e = traceEntry{}
+}
+
+// store copies a span into the current chunk, moving on to a fresh
+// one when its records or text run out; a span whose text exceeds a
+// standard chunk's gets a chunk of its own size.
+func (t *Tracer) store(rec spanRec, name string, attrs []Attr) spanRef {
+	// need bounds the span's text: each string and its length prefix.
+	need := binary.MaxVarintLen64 + len(name)
+	for _, a := range attrs {
+		need += 2*binary.MaxVarintLen64 + len(a.Key) + len(a.Value)
+	}
+	c := t.cur
+	if c == nil || c.n == chunkSpans || len(c.text)+need > cap(c.text) {
+		c = &chunk{text: make([]byte, 0, max(chunkText, need))}
+		t.cur = c
+	}
+	rec.text, rec.attrs = int32(len(c.text)), int32(len(attrs))
+	c.spans[c.n] = rec
+	e := frame.Enc{Buf: c.text}
+	e.String(name)
+	for _, a := range attrs {
+		e.String(a.Key)
+		e.String(a.Value)
+	}
+	c.text = e.Buf
+	ref := spanRef{c: c, i: c.n}
+	c.n++
+	return ref
+}
+
+// decode returns an entry's kept spans, in the order they were
+// recorded. Called with the tracer's mutex held.
+func (e *traceEntry) decode() []spanData {
+	out := make([]spanData, 0, e.spans)
+	for r := e.head; r.c != nil; {
+		rec := &r.c.spans[r.i]
+		text := frame.Dec{Data: r.c.text[rec.text:]}
+		sd := spanData{
+			spanID: rec.spanID,
+			parent: rec.parent,
+			name:   text.String(),
+			start:  rec.start,
+			dur:    rec.dur,
+		}
+		if rec.attrs > 0 {
+			sd.attrs = make([]Attr, rec.attrs)
+			for i := range sd.attrs {
+				sd.attrs[i].Key = text.String()
+				sd.attrs[i].Value = text.String()
+			}
+		}
+		out = append(out, sd)
+		r = rec.next
+	}
+	return out
 }
 
 // --- logging ---

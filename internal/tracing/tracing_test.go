@@ -4,7 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"math/rand/v2"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -331,4 +336,287 @@ func TestLoggerStampsIDs(t *testing.T) {
 	if got := Logger(context.Background(), base); got != base {
 		t.Fatal("Logger without a span context must return base unchanged")
 	}
+}
+
+// refRing is the ring as it stood before retained traces moved into
+// tracer-owned chunks: one heap entry per trace, its spans in a slice,
+// each span's attrs as the caller passed them. TestRingMatchesReference
+// holds the chunked ring to it.
+type refRing struct {
+	ring  []*refEntry
+	next  int
+	index map[TraceID]*refEntry
+}
+
+type refEntry struct {
+	id      TraceID
+	spans   []spanData
+	dropped int
+}
+
+func newRefRing(size int) *refRing {
+	return &refRing{ring: make([]*refEntry, size), index: make(map[TraceID]*refEntry, size)}
+}
+
+func (r *refRing) insert(id TraceID, sd spanData) {
+	e := r.index[id]
+	if e == nil {
+		e = &refEntry{id: id, spans: make([]spanData, 0, 4)}
+		if old := r.ring[r.next]; old != nil {
+			delete(r.index, old.id)
+		}
+		r.ring[r.next] = e
+		r.next = (r.next + 1) % len(r.ring)
+		r.index[id] = e
+	}
+	if len(e.spans) >= DefaultMaxSpans {
+		e.dropped++
+		return
+	}
+	e.spans = append(e.spans, sd)
+}
+
+func (r *refRing) snapshot() Dump {
+	dump := Dump{Traces: []TraceDump{}}
+	for _, e := range r.ring {
+		if e != nil {
+			dump.Traces = append(dump.Traces, dumpEntry(e.id, e.spans, e.dropped))
+		}
+	}
+	sort.Slice(dump.Traces, func(i, j int) bool {
+		return dump.Traces[i].Start.After(dump.Traces[j].Start)
+	})
+	return dump
+}
+
+// kept returns what tr stored last under id: the span ID a recording
+// call minted and the duration End measured, the two inputs a caller
+// cannot know. Every other input the test hands the reference itself.
+func kept(tr *Tracer, id TraceID) (SpanID, time.Duration) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	e := tr.entry(tr.index[id])
+	rec := e.tail.c.spans[e.tail.i]
+	return rec.spanID, rec.dur
+}
+
+// newest returns the trace ID of the trace tr created last.
+func newest(tr *Tracer) TraceID {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return tr.entry((tr.next + tr.size - 1) % tr.size).id
+}
+
+// checkLinks verifies the chunk store's links: each entry links as
+// many spans as it counts, each within its chunk's used records, and
+// no record an entry does not hold links anywhere, so an evicted trace
+// keeps no chunk reachable.
+func checkLinks(t *testing.T, tr *Tracer) {
+	t.Helper()
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	held := map[spanRef]bool{}
+	chunks := map[*chunk]bool{}
+	if tr.cur != nil {
+		chunks[tr.cur] = true
+	}
+	for _, block := range tr.ring {
+		for i := range block {
+			e := &block[i]
+			n := 0
+			for r := e.head; r.c != nil; r = r.c.spans[r.i].next {
+				if r.i >= r.c.n {
+					t.Fatalf("trace %v links record %d of a chunk using %d", e.id, r.i, r.c.n)
+				}
+				held[r], chunks[r.c] = true, true
+				n++
+			}
+			if n != e.spans {
+				t.Fatalf("trace %v links %d spans, counts %d", e.id, n, e.spans)
+			}
+		}
+	}
+	for c := range chunks {
+		for i := range c.n {
+			if !held[spanRef{c, i}] && c.spans[i].next.c != nil {
+				t.Fatalf("record %d of a chunk belongs to no trace but links another", i)
+			}
+		}
+	}
+}
+
+// TestRingMatchesReference drives the chunked ring and the reference
+// through one seeded sequence — nested StartSpan/End, Record with
+// attrs up to past a chunk's text, RecordSlow on both sides of the
+// threshold, RecordRoot, traces of more than DefaultMaxSpans spans,
+// and many times RingSize traces — and requires equal snapshots.
+func TestRingMatchesReference(t *testing.T) {
+	for _, size := range []int{DefaultRingSize, 37, 1} {
+		t.Run(strconv.Itoa(size), func(t *testing.T) {
+			rng := rand.New(rand.NewPCG(uint64(size), 65))
+			tr := New(Config{SampleEvery: 1, SlowThreshold: time.Millisecond, RingSize: size})
+			ref := newRefRing(size)
+			base := time.Now()
+			str := func(max int) string {
+				b := make([]byte, rng.IntN(max+1))
+				for i := range b {
+					b[i] = byte('a' + rng.IntN(26))
+				}
+				return string(b)
+			}
+			attrs := func() []Attr {
+				n := rng.IntN(4)
+				if n == 0 {
+					return nil
+				}
+				as := make([]Attr, n)
+				for i := range as {
+					as[i] = Attr{Key: str(12), Value: str(40)}
+					if rng.IntN(200) == 0 {
+						as[i].Value = str(3 * chunkText)
+					}
+				}
+				return as
+			}
+			var ids []TraceID // traces recorded so far, oldest first
+			pick := func() TraceID {
+				if len(ids) == 0 || rng.IntN(3) == 0 {
+					ids = append(ids, newTraceID())
+					return ids[len(ids)-1]
+				}
+				return ids[len(ids)-1-rng.IntN(min(len(ids), size+size/2))]
+			}
+			var span func(ctx context.Context, depth int)
+			span = func(ctx context.Context, depth int) {
+				cctx, sp := StartSpan(ctx, str(16))
+				for _, a := range attrs() {
+					sp.SetAttr(a)
+				}
+				for n := rng.IntN(3); depth < 3 && n > 0; n-- {
+					span(cctx, depth+1)
+				}
+				sd := spanData{spanID: sp.sc.SpanID, parent: sp.parent, name: sp.name, start: sp.start, attrs: sp.attrs}
+				sp.End()
+				_, sd.dur = kept(tr, sp.sc.TraceID)
+				ref.insert(sp.sc.TraceID, sd)
+			}
+			for op := range 40*size + 2000 {
+				start := base.Add(time.Duration(rng.IntN(1e9)))
+				d := time.Duration(rng.IntN(2e6))
+				switch k := rng.IntN(10); {
+				case k < 4:
+					id, name, as := pick(), str(20), attrs()
+					sd := spanData{name: name, start: start, dur: d, attrs: as}
+					if rng.IntN(2) == 0 {
+						sd.parent = newSpanID()
+					}
+					tr.Record(id, name, sd.parent, start, d, as...)
+					sd.spanID, _ = kept(tr, id)
+					ref.insert(id, sd)
+				case k < 6:
+					id := TraceID{}
+					if rng.IntN(2) == 0 {
+						id = pick()
+					}
+					name, as := str(20), attrs()
+					if tr.RecordSlow(id, name, start, d, as...) {
+						if id.IsZero() {
+							id = newest(tr)
+						}
+						sd := spanData{name: name, start: start, dur: d, attrs: as}
+						sd.spanID, _ = kept(tr, id)
+						ref.insert(id, sd)
+					}
+				case k < 7:
+					name, as := str(20), attrs()
+					tr.RecordRoot(name, start, d, as...)
+					id := newest(tr)
+					sd := spanData{name: name, start: start, dur: d, attrs: as}
+					sd.spanID, _ = kept(tr, id)
+					ref.insert(id, sd)
+				default:
+					name := str(20)
+					ctx, root := tr.StartRoot(context.Background(), name)
+					children := 1 + rng.IntN(4)
+					if rng.IntN(20) == 0 {
+						children = DefaultMaxSpans + rng.IntN(8)
+					}
+					for range children {
+						span(ctx, 0)
+					}
+					sd := spanData{spanID: root.sc.SpanID, name: name, start: root.start, attrs: root.attrs}
+					root.End()
+					_, sd.dur = kept(tr, root.sc.TraceID)
+					ref.insert(root.sc.TraceID, sd)
+				}
+				if op%50 == 0 {
+					checkLinks(t, tr)
+					if got, want := tr.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("after op %d the snapshots differ:\n got %+v\nwant %+v", op, got, want)
+					}
+				}
+			}
+			checkLinks(t, tr)
+			got, want := tr.Snapshot(), ref.snapshot()
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("the snapshots differ:\n got %+v\nwant %+v", got, want)
+			}
+			if len(got.Traces) != size {
+				t.Fatalf("the ring holds %d traces, want %d", len(got.Traces), size)
+			}
+		})
+	}
+}
+
+// TestRecordCopiesAttrs: a caller may reuse its attrs once the call
+// returns; what the ring serves does not change with them.
+func TestRecordCopiesAttrs(t *testing.T) {
+	tr := New(Config{SampleEvery: 1})
+	dump := func() string {
+		rr := httptest.NewRecorder()
+		tr.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/traces", nil))
+		return rr.Body.String()
+	}
+	attrs := []Attr{{Key: "jobs", Value: "64"}, Int("arrival_hour", 400)}
+	tr.Record(newTraceID(), "repl.apply", SpanID{}, time.Now(), time.Millisecond, attrs...)
+	_, sp := tr.StartRoot(context.Background(), "POST /v1/jobs")
+	sp.SetAttr(Int("code", 200))
+	sp.End()
+	before := dump()
+	if !strings.Contains(before, `"arrival_hour"`) || !strings.Contains(before, `"200"`) {
+		t.Fatalf("the dump lacks the recorded attrs: %s", before)
+	}
+	attrs[0], attrs[1] = Attr{Key: "reused", Value: "x"}, Attr{Key: "reused", Value: "y"}
+	sp.attrs[0] = Attr{Key: "reused", Value: "z"}
+	if after := dump(); after != before {
+		t.Fatalf("reusing the caller's attrs changed the dump:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestRecordAllocsAmortized: recording into a warm ring costs no heap
+// object per span — records, text and ring entries live in storage the
+// tracer reuses — so a chunk's allocation spreads over its spans.
+func TestRecordAllocsAmortized(t *testing.T) {
+	const spans = 6
+	tr := New(Config{SampleEvery: 1})
+	record := func(traces int) {
+		start := time.Now()
+		for range traces {
+			id := newTraceID()
+			for i := range spans {
+				tr.Record(id, "schedd.admit", SpanID{}, start, time.Millisecond, Int("lock_wait_us", i))
+			}
+		}
+	}
+	record(3 * DefaultRingSize)
+	const traces = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	record(traces)
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / (traces * spans)
+	if per > 0.1 {
+		t.Fatalf("%.3f allocations per span recorded into a warm ring, want <= 0.1", per)
+	}
+	t.Logf("%.4f allocations per span", per)
 }
